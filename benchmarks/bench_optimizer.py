@@ -41,8 +41,11 @@ for entry in (str(REPO_ROOT / "src"), str(REPO_ROOT)):
     if entry not in sys.path:
         sys.path.insert(0, entry)
 
+from repro.engine.config import EngineConfig  # noqa: E402
 from repro.engine.database import Database  # noqa: E402
-from repro.engine.stats import optimizer_mode, optimizer_stats  # noqa: E402
+from repro.engine.stats import optimizer_stats  # noqa: E402
+
+ABLATION = EngineConfig(optimizer=False)
 
 
 def _median_seconds(fn, repeats: int) -> float:
@@ -108,10 +111,8 @@ GROUPBY_SQL = "SELECT person_id, t, COUNT(*) AS n FROM d GROUP BY person_id, t"
 
 
 def _differential(database: Database, sql: str) -> bool:
-    with optimizer_mode(True):
-        optimized = database.query(sql)
-    with optimizer_mode(False):
-        ablated = database.query(sql)
+    optimized = database.query(sql)
+    ablated = database.query(sql, ABLATION)
     return (
         optimized.schema.names == ablated.schema.names
         and optimized.to_dicts() == ablated.to_dicts()
@@ -122,15 +123,9 @@ def measure_skewed_conjuncts(rows: int, repeats: int = 3) -> Dict[str, Any]:
     database = build_filter_database(rows)
     identical = _differential(database, SKEWED_SQL)
     before = optimizer_stats.conjunct_reorders
-    with optimizer_mode(True):
-        on_median = _median_seconds(lambda: database.query(SKEWED_SQL), repeats)
+    on_median = _median_seconds(lambda: database.query(SKEWED_SQL), repeats)
     reorders = optimizer_stats.conjunct_reorders - before
-
-    def run_off() -> None:
-        with optimizer_mode(False):
-            database.query(SKEWED_SQL)
-
-    off_median = _median_seconds(run_off, repeats)
+    off_median = _median_seconds(lambda: database.query(SKEWED_SQL, ABLATION), repeats)
     return {
         "sql": SKEWED_SQL,
         "rows": rows,
@@ -145,15 +140,9 @@ def measure_build_side_join(small: int, large: int, repeats: int = 3) -> Dict[st
     database = build_join_database(small, large)
     identical = _differential(database, JOIN_SQL)
     before = optimizer_stats.build_side_flips
-    with optimizer_mode(True):
-        on_median = _median_seconds(lambda: database.query(JOIN_SQL), repeats)
+    on_median = _median_seconds(lambda: database.query(JOIN_SQL), repeats)
     flips = optimizer_stats.build_side_flips - before
-
-    def run_off() -> None:
-        with optimizer_mode(False):
-            database.query(JOIN_SQL)
-
-    off_median = _median_seconds(run_off, repeats)
+    off_median = _median_seconds(lambda: database.query(JOIN_SQL, ABLATION), repeats)
     return {
         "sql": JOIN_SQL,
         "small_rows": small,
@@ -221,7 +210,7 @@ def measure_adaptive_groupby(rows: int, repeats: int = 3) -> Dict[str, Any]:
 def run_optimizer(rows: int = 100_000, repeats: int = 3) -> Dict[str, Any]:
     """The ``optimizer`` section of ``BENCH_engine.json``."""
     section: Dict[str, Any] = {
-        "baseline_note": "ablation = optimizer_mode(False): purely syntactic "
+        "baseline_note": "ablation = EngineConfig(optimizer=False): purely syntactic "
         "plan choices (written conjunct order, right-side hash build, fixed "
         "0.75 partial-aggregation ratio); every workload is differential-"
         "checked against it in-loop",

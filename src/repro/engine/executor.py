@@ -19,17 +19,15 @@ dicts:
   test harness asserts that the compiled path returns relations identical to
   this oracle over the whole query corpus.
 
-Select the path per executor (``QueryExecutor(catalog, use_compiled=...)``)
-or process-wide via :func:`set_default_execution_mode` /
-:func:`execution_mode`; benchmarks use the latter to time both paths in the
-same run.
+Each executor runs under one :class:`~repro.engine.config.EngineConfig`
+(``QueryExecutor(catalog, config=EngineConfig(mode="interpreted"))``): its
+``mode`` picks the path, ``vectorized`` gates the columnar fast paths and
+``optimizer`` the statistics-driven plan choices.
 """
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.engine.aggregates import (
     compute_aggregate,
@@ -37,6 +35,7 @@ from repro.engine.aggregates import (
     make_accumulator,
 )
 from repro.engine.compile import CompiledExpr, ExpressionCompiler
+from repro.engine.config import DEFAULT_CONFIG, EngineConfig
 from repro.engine.errors import ExecutionError
 from repro.engine.evaluator import EvaluationContext, evaluate, evaluate_predicate
 from repro.engine.join import (
@@ -48,7 +47,7 @@ from repro.engine.join import (
 from repro.engine.schema import ColumnDef, Schema
 from repro.engine.table import Relation
 from repro.engine.types import infer_type
-from repro.engine.stats import optimizer_enabled, optimizer_stats
+from repro.engine.stats import optimizer_stats
 from repro.engine.vectorized import (
     _OrderKey,
     build_schema as _build_schema,
@@ -56,7 +55,6 @@ from repro.engine.vectorized import (
     freeze_value as _freeze,
     try_execute_partial,
     try_execute_select,
-    vectorized_enabled,
 )
 from repro.engine.window import compute_window_values
 from repro.sql import ast
@@ -76,45 +74,6 @@ from repro.obs.metrics import registry as _obs_registry  # noqa: E402
 
 _obs_registry.probe("engine.executor.selects", lambda: _exec_counts[0])
 _obs_registry.probe("engine.executor.partial_aggregations", lambda: _exec_counts[1])
-
-_MODES = ("compiled", "interpreted")
-_default_mode = "compiled"
-
-#: Per-thread mode override; lets concurrent scheduler workers and sessions
-#: each pin an execution path without racing on the process-wide default.
-_thread_mode = threading.local()
-
-
-def set_default_execution_mode(mode: str) -> None:
-    """Set the process-wide default path for new :class:`QueryExecutor`\\ s."""
-    global _default_mode
-    if mode not in _MODES:
-        raise ValueError(f"Unknown execution mode: {mode!r} (expected one of {_MODES})")
-    _default_mode = mode
-
-
-def default_execution_mode() -> str:
-    """The calling thread's execution mode (override, else process default)."""
-    return getattr(_thread_mode, "mode", None) or _default_mode
-
-
-@contextmanager
-def execution_mode(mode: str) -> Iterator[None]:
-    """Temporarily switch the calling thread's execution mode.
-
-    The override is thread-local: the benchmark harness flips modes in its
-    own thread while scheduler workers (which enter this context manager per
-    task) stay unaffected by each other.
-    """
-    if mode not in _MODES:
-        raise ValueError(f"Unknown execution mode: {mode!r} (expected one of {_MODES})")
-    previous = getattr(_thread_mode, "mode", None)
-    _thread_mode.mode = mode
-    try:
-        yield
-    finally:
-        _thread_mode.mode = previous
-
 
 def _shallow_function_calls(node: ast.Node) -> List[ast.FunctionCall]:
     """Function calls in ``node`` that do not sit inside a nested subquery.
@@ -276,12 +235,12 @@ class QueryExecutor:
     """Execute :class:`~repro.sql.ast.Query` nodes against named relations."""
 
     def __init__(
-        self, catalog: Mapping[str, Relation], use_compiled: Optional[bool] = None
+        self, catalog: Mapping[str, Relation], config: EngineConfig = DEFAULT_CONFIG
     ) -> None:
         self._catalog = {name.lower(): relation for name, relation in catalog.items()}
-        if use_compiled is None:
-            use_compiled = default_execution_mode() == "compiled"
-        self._use_compiled = bool(use_compiled)
+        self.config = config
+        self._use_compiled = config.mode == "compiled"
+        self._vectorized = self._use_compiled and config.vectorized
         self._compiler: Optional[ExpressionCompiler] = (
             ExpressionCompiler(self._subquery_is_constant) if self._use_compiled else None
         )
@@ -316,11 +275,6 @@ class QueryExecutor:
         under a stable name and schema on every run.
         """
         self._catalog[name.lower()] = relation
-
-    @property
-    def use_compiled(self) -> bool:
-        """True when this executor runs the compiled path."""
-        return self._use_compiled
 
     # ------------------------------------------------------------------
     # public API
@@ -389,7 +343,7 @@ class QueryExecutor:
         # the column arrays — no row scopes at all.  Ineligible shapes
         # return None and fall through to the row-at-a-time path below.
         _exec_counts[0] += 1
-        if self._use_compiled and vectorized_enabled():
+        if self._vectorized:
             vectorized = try_execute_select(self, query, parent)
             if vectorized is not None:
                 return vectorized
@@ -674,7 +628,7 @@ class QueryExecutor:
         right_backing: Optional[Relation] = None,
     ) -> List[Scope]:
         if left_scopes and right_scopes and join_type in {"INNER", "LEFT", "RIGHT", "FULL"}:
-            if optimizer_enabled() and len(left_scopes) * len(right_scopes) <= 64:
+            if self.config.optimizer and len(left_scopes) * len(right_scopes) <= 64:
                 # Tiny inputs: hash-table setup costs more than the O(n*m)
                 # scan.  Output-identical — the nested loop is the oracle
                 # order the hash join replicates.
@@ -814,7 +768,7 @@ class QueryExecutor:
                     return residual_pred(residual_context)
 
         build_side = "right"
-        if optimizer_enabled() and len(left_scopes) < len(right_scopes):
+        if self.config.optimizer and len(left_scopes) < len(right_scopes):
             # Build the hash table over the smaller side; purely physical,
             # the emitted scopes and their order are identical either way.
             build_side = "left"
@@ -1271,7 +1225,7 @@ class QueryExecutor:
             self._compiler.new_execution()
         plan = self._partial_plan(query)
         _exec_counts[1] += 1
-        if self._use_compiled and vectorized_enabled():
+        if self._vectorized:
             vectorized = try_execute_partial(self, query)
             if vectorized is not None:
                 return vectorized

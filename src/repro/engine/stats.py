@@ -1,4 +1,4 @@
-"""Per-column statistics and the optimizer toggle.
+"""Per-column statistics and the cost-based optimizer's decision counters.
 
 :class:`ColumnStats` summarizes one column — row/null counts, min/max, and
 a distinct-count estimate from a fixed-size KMV (k-minimum-values) sketch
@@ -11,64 +11,26 @@ which is what lets :class:`~repro.engine.table.Relation` keep them fresh
 across append/extend/union/slice without ever diverging from a rebuild
 (property-tested in ``tests/test_optimizer.py``).
 
-The module also owns the cost-based-optimizer toggle mirroring
-``vectorized_scans``: ``optimizer_mode(False)`` (or
-``set_default_optimizer(False)``) restores the engine's syntactic plan
-choices — written conjunct order, right-side hash builds, the fixed
-partial-aggregation ratio — as a differential ablation arm.  Results are
-byte-identical either way; only the work order changes.
+Whether the planner uses these statistics is the ``optimizer`` field of
+:class:`~repro.engine.config.EngineConfig`: ``EngineConfig(optimizer=False)``
+restores the engine's syntactic plan choices — written conjunct order,
+right-side hash builds, the fixed partial-aggregation ratio — as a
+differential ablation arm.  Results are byte-identical either way; only the
+work order changes.  :data:`optimizer_stats` counts the decisions taken.
 """
 
 from __future__ import annotations
 
 import heapq
-import threading
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 __all__ = [
     "ColumnStats",
     "TableStats",
     "column_stats",
-    "optimizer_enabled",
-    "optimizer_mode",
     "optimizer_stats",
-    "set_default_optimizer",
     "value_hash",
 ]
-
-
-# --------------------------------------------------------------------------
-# Optimizer toggle (global default + thread-local override), mirroring the
-# vectorized-scans knob so ablation benchmarks and worker threads compose.
-
-_default_enabled = True
-_thread_state = threading.local()
-
-
-def set_default_optimizer(enabled: bool) -> None:
-    """Set the process-wide default for statistics-driven planning."""
-    global _default_enabled
-    _default_enabled = bool(enabled)
-
-
-def optimizer_enabled() -> bool:
-    """Is cost-based planning active on this thread right now?"""
-    override = getattr(_thread_state, "enabled", None)
-    if override is None:
-        return _default_enabled
-    return override
-
-
-@contextmanager
-def optimizer_mode(enabled: bool) -> Iterator[None]:
-    """Scoped thread-local override of the optimizer toggle."""
-    previous = getattr(_thread_state, "enabled", None)
-    _thread_state.enabled = bool(enabled)
-    try:
-        yield
-    finally:
-        _thread_state.enabled = previous
 
 
 # --------------------------------------------------------------------------

@@ -5,7 +5,10 @@ A :class:`ParadiseProcessor` run performs the full pipeline of Figures 2/3:
 1. **Admission** — the preprocessor checks the query against the module's
    policy (coverage, information gain, capacity, query interval).
 2. **Rewriting** — disallowed attributes are removed, relations substituted,
-   policy conditions and mandatory aggregations injected.
+   policy conditions and mandatory aggregations injected.  Steps 1–2 are
+   :meth:`ParadiseProcessor.prepare`, the one place they happen:
+   ``process``, ``explain`` and standing-query registration all go
+   through it.
 3. **Vertical fragmentation** — the rewritten query is split into fragments
    assigned to the lowest capable nodes of the topology.
 4. **Distributed execution** — fragments run bottom-up on the per-node
@@ -24,9 +27,8 @@ import time
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.anonymize.anonymizer import Anonymizer
-from repro.engine.executor import execution_mode
+from repro.engine.config import EngineConfig
 from repro.engine.schema import Schema
-from repro.engine.stats import optimizer_mode
 from repro.engine.table import Relation
 from repro.engine.vectorized import estimate_select_rows
 from repro.fragment.fragmenter import VerticalFragmenter
@@ -37,7 +39,12 @@ from repro.obs.profile import CalibrationLog, build_profile_report
 from repro.obs.trace import QueryTrace, maybe_span
 from repro.policy.model import PrivacyPolicy
 from repro.processor.network import NetworkSimulator
-from repro.processor.result import FragmentExecution, ProcessingResult, RuntimeStats
+from repro.processor.result import (
+    FragmentExecution,
+    PreparedQuery,
+    ProcessingResult,
+    RuntimeStats,
+)
 from repro.rewrite.analyzer import NodeCapacity, PolicyAnalyzer
 from repro.rewrite.rewriter import QueryRewriter
 from repro.rlang.sqlable import RQueryExtraction, extract_sql_from_r
@@ -116,9 +123,14 @@ class ParadiseProcessor:
         self.fragmenter = VerticalFragmenter(self.topology)
         self.anonymizer = anonymizer or Anonymizer(algorithm="k_anonymity", k=5)
         self.enforce_query_interval = enforce_query_interval
-        #: Per-node database execution path: "compiled" (default) or the
-        #: interpreted reference oracle (benchmark baselines, audits).
-        self.engine_mode = engine_mode
+        #: How every engine call of this processor runs, on every backend:
+        #: the compiled path (default) or the interpreted reference oracle
+        #: (benchmark baselines, audits), with or without the cost-based
+        #: optimizer (benchmark ablation knob).  Results are byte-identical
+        #: under every config.
+        self.engine = EngineConfig(
+            mode=engine_mode, optimizer=True if optimizer is None else bool(optimizer)
+        )
         #: Plan execution strategy: "serial" walks the plan hop by hop (the
         #: differential oracle); "parallel" schedules an execution DAG over
         #: the topology tree (:mod:`repro.runtime`).
@@ -127,12 +139,6 @@ class ParadiseProcessor:
         #: aggregation plus per-level combines when possible; ``False``
         #: restores the global-merge baseline (benchmark ablation knob).
         self.partial_aggregation = partial_aggregation
-        #: Statistics-driven cost-based optimization: selectivity-ordered
-        #: conjuncts, vectorized OR/ORDER BY/DISTINCT scans, join build-side
-        #: and nested-loop choices, and the adaptive partial-aggregation
-        #: ratio.  ``False`` restores the purely syntactic choices
-        #: (benchmark ablation knob); results are byte-identical either way.
-        self.optimizer = True if optimizer is None else bool(optimizer)
         #: Default data-loss policy for parallel runs: ``False`` raises
         #: :class:`~repro.runtime.faults.DataLossError` when base data is
         #: unrecoverable, ``True`` degrades to a partial result with a
@@ -252,10 +258,6 @@ class ParadiseProcessor:
         trace = QueryTrace(query_id=module_id) if profiling else None
         metrics_before = _metrics.snapshot() if profiling else None
         started = time.perf_counter()
-        parsed = parse(query) if isinstance(query, str) else query
-        raw_rows = self._raw_input_rows()
-
-        result = ProcessingResult(module_id=module_id, admitted=True, raw_input_rows=raw_rows)
         if strategy == "serial":
             # The serial oracle keeps the seed's shared-log semantics; the
             # parallel path records into a per-run log instead (it may run
@@ -263,37 +265,21 @@ class ParadiseProcessor:
             self.network.reset_log()
 
         # 1. admission + 2. rewriting
-        working_query = parsed
-        if apply_rewriting:
-            sensor_node = self.topology.nodes[0]
-            admission = self.analyzer.admit(
-                parsed,
-                module_id,
-                estimated_rows=raw_rows,
-                capacity=NodeCapacity(
-                    cpu_power=sensor_node.cpu_power or 1.0,
-                    free_memory_mb=self.topology.cloud.free_memory_mb,
-                ),
-                enforce_interval=self.enforce_query_interval,
-            )
-            result.admission = admission
-            if not admission.admitted:
-                result.admitted = False
-                result.elapsed_seconds = time.perf_counter() - started
-                return result
-            rewrite = self.rewriter.rewrite(parsed, module_id)
-            result.rewrite = rewrite
-            if not rewrite.compliant:
-                result.admitted = False
-                result.elapsed_seconds = time.perf_counter() - started
-                return result
-            working_query = rewrite.query
+        prepared = self._prepare(query, module_id, apply_rewriting, submit=True)
+        raw_rows = self._raw_input_rows()
+        result = ProcessingResult(
+            module_id=module_id,
+            admitted=prepared.admitted,
+            admission=prepared.admission,
+            rewrite=prepared.rewrite,
+            raw_input_rows=raw_rows,
+        )
+        if not prepared.admitted:
+            result.elapsed_seconds = time.perf_counter() - started
+            return result
 
         # 3. fragmentation
-        if pushdown:
-            plan = self.fragmenter.fragment(working_query)
-        else:
-            plan = self.fragmenter.cloud_only_plan(working_query)
+        plan = self._fragment(prepared.query, pushdown)
         result.plan = plan
 
         if trace is not None:
@@ -301,26 +287,19 @@ class ParadiseProcessor:
 
         # 4. distributed execution + 5. anonymization + 6. remainder
         if strategy == "parallel" and plan.fragments:
-            # The wrap covers the DAG build (the adaptive partial-aggregation
-            # decision); worker threads re-enter the mode per task from
-            # ``context.optimizer``.
-            with optimizer_mode(self.optimizer):
-                final = self._execute_plan_parallel(
-                    plan,
-                    result,
-                    anonymize=anonymize,
-                    namespace=namespace,
-                    faults=faults,
-                    on_data_loss=on_data_loss,
-                    task_timeout=task_timeout,
-                    trace=trace,
-                )
+            final = self._execute_plan_parallel(
+                plan,
+                result,
+                anonymize=anonymize,
+                namespace=namespace,
+                faults=faults,
+                on_data_loss=on_data_loss,
+                task_timeout=task_timeout,
+                trace=trace,
+            )
         else:
-            with execution_mode(self.engine_mode), optimizer_mode(self.optimizer):
-                with maybe_span(trace, "serial_plan", kind="dag_run", epoch=0):
-                    final = self._execute_plan(
-                        plan, result, anonymize=anonymize, trace=trace
-                    )
+            with maybe_span(trace, "serial_plan", kind="dag_run", epoch=0):
+                final = self._execute_plan(plan, result, anonymize=anonymize, trace=trace)
             result.transfers = self.network.log
         result.result = final
         result.elapsed_seconds = time.perf_counter() - started
@@ -338,6 +317,57 @@ class ParadiseProcessor:
         return result
 
     # ------------------------------------------------------------------
+    # the front half: admission + rewriting
+    # ------------------------------------------------------------------
+    def prepare(
+        self, query: Union[str, ast.Query], module_id: str, apply_rewriting: bool = True
+    ) -> PreparedQuery:
+        """Parse, admit and rewrite ``query`` without running it.
+
+        Side-effect-free: previewing a query never starts the module's
+        query interval.  Only submissions do — :meth:`process` and standing
+        registration, which go through :meth:`_prepare` with ``submit``.
+        ``apply_rewriting=False`` (the "no privacy" baseline) skips both
+        admission and rewriting.
+        """
+        return self._prepare(query, module_id, apply_rewriting, submit=False)
+
+    def _prepare(
+        self,
+        query: Union[str, ast.Query],
+        module_id: str,
+        apply_rewriting: bool,
+        submit: bool,
+    ) -> PreparedQuery:
+        parsed = parse(query) if isinstance(query, str) else query
+        prepared = PreparedQuery(query=parsed)
+        if not apply_rewriting:
+            return prepared
+        admit = self.analyzer.admit if submit else self.analyzer.check
+        prepared.admission = admit(
+            parsed,
+            module_id,
+            # The admission row estimate: the whole base relation, summed
+            # over every chunk holder.
+            estimated_rows=self._raw_input_rows(),
+            capacity=NodeCapacity(
+                cpu_power=self.topology.nodes[0].cpu_power or 1.0,
+                free_memory_mb=self.topology.cloud.free_memory_mb,
+            ),
+            enforce_interval=self.enforce_query_interval,
+        )
+        if prepared.admission.admitted:
+            prepared.rewrite = self.rewriter.rewrite(parsed, module_id)
+            if prepared.rewrite.compliant:
+                prepared.query = prepared.rewrite.query
+        return prepared
+
+    def _fragment(self, query: ast.Query, pushdown: bool) -> FragmentPlan:
+        if pushdown:
+            return self.fragmenter.fragment(query)
+        return self.fragmenter.cloud_only_plan(query)
+
+    # ------------------------------------------------------------------
     # EXPLAIN (plan + placement without executing)
     # ------------------------------------------------------------------
     def explain(
@@ -352,64 +382,49 @@ class ParadiseProcessor:
     ) -> str:
         """Render the fragment plan and DAG placement without executing.
 
-        Runs admission, rewriting, fragmentation and (for parallel
-        strategies) the DAG build — all side-effect-free — and returns a
-        human-readable plan: which fragment lands on which node, and how
-        the parallel runtime would decompose it into tasks.
+        Renders :meth:`prepare`'s admission and rewriting, then the
+        fragmentation and (for parallel strategies) the DAG build — all
+        side-effect-free — as a human-readable plan: which fragment lands
+        on which node, and how the parallel runtime would decompose it into
+        tasks.
         """
         strategy = execution or self.execution
         if strategy not in _EXECUTION_MODES:
             raise ValueError(
                 f"Unknown execution mode: {strategy!r} (expected one of {_EXECUTION_MODES})"
             )
-        parsed = parse(query) if isinstance(query, str) else query
+        prepared = self.prepare(query, module_id, apply_rewriting)
         lines = [f"EXPLAIN (module {module_id!r}, execution={strategy})"]
-        working_query = parsed
-        if apply_rewriting:
-            sensor_node = self.topology.nodes[0]
-            admission = self.analyzer.admit(
-                parsed,
-                module_id,
-                estimated_rows=self._raw_input_rows(),
-                capacity=NodeCapacity(
-                    cpu_power=sensor_node.cpu_power or 1.0,
-                    free_memory_mb=self.topology.cloud.free_memory_mb,
-                ),
-                enforce_interval=self.enforce_query_interval,
-            )
+        admission, rewrite = prepared.admission, prepared.rewrite
+        if admission is not None:
             if not admission.admitted:
                 lines.append("admission: REJECTED")
-                for reason in admission.reasons:
-                    lines.append(f"  - {reason}")
+                lines.extend(f"  - {reason}" for reason in admission.reasons)
                 return "\n".join(lines)
             lines.append("admission: ok")
-            rewrite = self.rewriter.rewrite(parsed, module_id)
+        if rewrite is not None:
             if not rewrite.compliant:
                 lines.append("rewriting: NOT COMPLIANT")
                 if rewrite.report.rejection_reason:
                     lines.append(f"  - {rewrite.report.rejection_reason}")
                 return "\n".join(lines)
             lines.append(f"rewritten: {rewrite.sql}")
-            working_query = rewrite.query
 
-        if pushdown:
-            plan = self.fragmenter.fragment(working_query)
-        else:
-            plan = self.fragmenter.cloud_only_plan(working_query)
+        plan = self._fragment(prepared.query, pushdown)
         self._annotate_estimates(plan, self._raw_input_rows())
         lines.append("")
         lines.append(plan.pretty())
 
         if strategy == "parallel" and plan.fragments:
-            with optimizer_mode(self.optimizer):
-                dag = build_execution_dag(
-                    plan,
-                    self.topology,
-                    self.network,
-                    anonymize=anonymize,
-                    namespace=namespace,
-                    partial_aggregation=self.partial_aggregation,
-                )
+            dag = build_execution_dag(
+                plan,
+                self.topology,
+                self.network,
+                anonymize=anonymize,
+                namespace=namespace,
+                partial_aggregation=self.partial_aggregation,
+                config=self.engine,
+            )
             lines.append("")
             lines.append(
                 f"parallel DAG: {len(dag.tasks)} tasks over "
@@ -519,7 +534,7 @@ class ParadiseProcessor:
                 trace, fragment.name, kind="fragment", node=target_node
             ) as span:
                 fragment_started = time.perf_counter()
-                current_relation = database.query(fragment.query)
+                current_relation = database.query(fragment.query, self.engine)
                 elapsed = time.perf_counter() - fragment_started
                 self._observe_serial(
                     trace, span, "fragment", target_node, input_rows,
@@ -578,7 +593,7 @@ class ParadiseProcessor:
             self._charge_compute(remainder_input_rows, cloud)
             with maybe_span(trace, "Q_delta", kind="fragment", node=cloud) as span:
                 remainder_started = time.perf_counter()
-                current_relation = database.query(plan.remainder_query)
+                current_relation = database.query(plan.remainder_query, self.engine)
                 elapsed = time.perf_counter() - remainder_started
                 self._observe_serial(
                     trace, span, "remainder", cloud, remainder_input_rows,
@@ -628,7 +643,7 @@ class ParadiseProcessor:
                     trace, f"{first.name}[{holder}]", kind="fragment", node=holder
                 ) as span:
                     fragment_started = time.perf_counter()
-                    partial = database.query(first.query)
+                    partial = database.query(first.query, self.engine)
                     elapsed = time.perf_counter() - fragment_started
                     self._observe_serial(
                         trace, span, "fragment", holder, chunk_rows, partial, elapsed
@@ -709,7 +724,7 @@ class ParadiseProcessor:
         context = ExecutionContext(
             network=self.network,
             log=run_log,
-            engine_mode=self.engine_mode,
+            config=self.engine,
             cost_model=self.cost_model,
             anonymizer=self.anonymizer,
             checkpoints=CheckpointStore(),
@@ -717,7 +732,6 @@ class ParadiseProcessor:
             trace=trace,
             calibration=self.calibration if trace is not None else None,
             dispatcher=self._process_dispatcher(),
-            optimizer=self.optimizer,
         )
 
         current_plan, current_topology = plan, self.topology
@@ -732,6 +746,7 @@ class ParadiseProcessor:
                 anonymize=anonymize,
                 namespace=namespace,
                 partial_aggregation=self.partial_aggregation,
+                config=self.engine,
             )
             try:
                 report = self.scheduler.run(

@@ -13,6 +13,7 @@ from repro.obs.trace import QueryTrace
 from repro.processor.network import TransferLog
 from repro.rewrite.analyzer import AdmissionDecision
 from repro.rewrite.rewriter import RewriteResult
+from repro.sql import ast
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runtime -> result)
     from repro.runtime.faults import CompletenessReport
@@ -36,6 +37,27 @@ class FragmentExecution:
         if self.input_rows == 0:
             return 1.0
         return self.output_rows / self.input_rows
+
+
+@dataclass
+class PreparedQuery:
+    """A query through the pipeline's front half: parse, admission, rewriting.
+
+    ``query`` is what fragmentation and execution consume: the rewritten
+    query, or the parsed one when rewriting was skipped.  ``admission`` and
+    ``rewrite`` stay ``None`` for steps that did not run.
+    """
+
+    query: ast.Query
+    admission: Optional[AdmissionDecision] = None
+    rewrite: Optional[RewriteResult] = None
+
+    @property
+    def admitted(self) -> bool:
+        """False when admission refused or rewriting found no compliant form."""
+        if self.admission is not None and not self.admission.admitted:
+            return False
+        return self.rewrite is None or self.rewrite.compliant
 
 
 @dataclass

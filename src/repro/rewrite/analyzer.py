@@ -151,7 +151,27 @@ class PolicyAnalyzer:
         capacity: Optional[NodeCapacity] = None,
         enforce_interval: bool = True,
     ) -> AdmissionDecision:
-        """Decide whether the query should be processed at all."""
+        """Admit a submitted query: :meth:`check` it, and when admitted,
+        start the module's next query interval."""
+        decision = self.check(query, module_id, estimated_rows, capacity, enforce_interval)
+        if decision.admitted:
+            self._last_query_time[module_id.lower()] = self._clock()
+        return decision
+
+    def check(
+        self,
+        query: ast.Query,
+        module_id: str,
+        estimated_rows: int = 0,
+        capacity: Optional[NodeCapacity] = None,
+        enforce_interval: bool = True,
+    ) -> AdmissionDecision:
+        """Decide whether the query should be processed at all.
+
+        Side-effect-free: unlike :meth:`admit` it records nothing, so
+        previewing a query (``ParadiseProcessor.explain``) leaves the
+        module's query-interval budget untouched.
+        """
         reasons: List[str] = []
 
         if not self.policy.has_module(module_id):
@@ -186,11 +206,8 @@ class PolicyAnalyzer:
                 f"query interval of {interval:.0f}s for module '{module.module_id}' not elapsed"
             )
 
-        admitted = not reasons
-        if admitted:
-            self._last_query_time[module.module_id.lower()] = self._clock()
         return AdmissionDecision(
-            admitted=admitted,
+            admitted=not reasons,
             reasons=reasons,
             analysis=analysis,
             estimated_information_gain=gain,

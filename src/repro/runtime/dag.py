@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.columns import copy_column, extend_column
+from repro.engine.config import DEFAULT_CONFIG, EngineConfig
 from repro.engine.schema import ColumnDef, Schema
 from repro.engine.table import Relation
 from repro.engine.types import DataType
@@ -101,6 +102,7 @@ def partial_aggregation_pays(
     holders: Sequence[str],
     fragment: QueryFragment,
     observe_table: str,
+    config: EngineConfig = DEFAULT_CONFIG,
 ) -> bool:
     """Cardinality heuristic: is leaf-level partial aggregation worthwhile?
 
@@ -117,9 +119,10 @@ def partial_aggregation_pays(
     Chunks that do not expose the key columns (a preceding fragment renames
     or derives them) cannot be observed and are assumed worthwhile.
 
-    With the cost-based optimizer enabled, the sampled-prefix observation
-    is replaced by per-leaf distinct-key statistics from the chunk's
-    maintained column stats, and the fixed ratio becomes a two-stage rule:
+    With the cost-based optimizer enabled (``config.optimizer``), the
+    sampled-prefix observation is replaced by per-leaf distinct-key
+    statistics from the chunk's maintained column stats, and the fixed
+    ratio becomes a two-stage rule:
     below the :data:`GROUP_FALLBACK_RATIO` distinct share partial always
     pays (sibling states keep merging at every tree level while raw rows
     concatenate with fan-in); at or above it, a byte-level estimate
@@ -131,7 +134,7 @@ def partial_aggregation_pays(
     even at high shares.  Both modes decide *placement only* — results are
     identical either way.
     """
-    from repro.engine.stats import optimizer_enabled, optimizer_stats
+    from repro.engine.stats import optimizer_stats
     from repro.engine.vectorized import freeze_value
     from repro.engine.wire import state_size_feedback
 
@@ -145,7 +148,7 @@ def partial_aggregation_pays(
     ]
     if len(keys) != len(query.group_by):
         return True  # non-column keys are not observable on the base chunks
-    adaptive = optimizer_enabled()
+    adaptive = config.optimizer
     for holder in holders:
         database = network.database(holder)
         if observe_table not in database:
@@ -313,7 +316,7 @@ class ExecutionContext:
         self,
         network: NetworkSimulator,
         log: TransferLog,
-        engine_mode: str = "compiled",
+        config: EngineConfig = DEFAULT_CONFIG,
         cost_model: Optional[CostModel] = None,
         anonymizer: Optional[object] = None,
         checkpoints: Optional[CheckpointStore] = None,
@@ -321,14 +324,12 @@ class ExecutionContext:
         trace: Optional[QueryTrace] = None,
         calibration: Optional[CalibrationLog] = None,
         dispatcher: Optional[object] = None,
-        optimizer: bool = True,
     ) -> None:
         self.network = network
         self.log = log
-        self.engine_mode = engine_mode
-        #: Whether worker threads run with the cost-based optimizer active
-        #: (mirrored into the scan planner's thread-local by the scheduler).
-        self.optimizer = optimizer
+        #: The engine config every engine operation of the run executes
+        #: under, whichever scheduler thread or worker process runs it.
+        self.config = config
         #: Process-pool dispatcher (:class:`repro.runtime.procs.ProcessDispatcher`)
         #: when the run uses ``workers="processes"``; ``None`` keeps engine
         #: operations in the scheduler's threads.
@@ -503,18 +504,17 @@ class Task:
         then honestly includes serialization and IPC.
         """
         dispatcher = context.dispatcher
+        config = context.config
         if dispatcher is not None:
             tables = dispatcher.gather_tables(database, query)
-            return context.engine_call(
-                dispatcher.run, op, context.engine_mode, query, tables, state
-            )
+            return context.engine_call(dispatcher.run, op, config, query, tables, state)
         if op == "query":
-            return context.engine_call(database.query, query)
+            return context.engine_call(database.query, query, config)
         if op == "partial":
-            return context.engine_call(database.partial_aggregate, query)
+            return context.engine_call(database.partial_aggregate, query, config)
         if op == "combine":
-            return context.engine_call(database.combine_partials, query, state)
-        return context.engine_call(database.finalize_partials, query, state)
+            return context.engine_call(database.combine_partials, query, state, config)
+        return context.engine_call(database.finalize_partials, query, state, config)
 
 
 def _observe_rows_estimate(
@@ -894,6 +894,7 @@ def build_execution_dag(
     anonymize: bool = True,
     namespace: Optional[str] = None,
     partial_aggregation: bool = True,
+    config: EngineConfig = DEFAULT_CONFIG,
 ) -> ExecutionDag:
     """Build the execution DAG for ``plan`` over ``topology``.
 
@@ -908,6 +909,8 @@ def build_execution_dag(
     the fragment's assigned node — no global merge of raw rows ever
     happens.  ``False`` restores the merge-then-group behaviour (the
     ablation baseline the pushdown benchmark compares against).
+    ``config.optimizer`` selects the adaptive placement rule of
+    :func:`partial_aggregation_pays`.
     """
     if not plan.fragments:
         raise ValueError("Cannot build an execution DAG for an empty plan")
@@ -1011,7 +1014,7 @@ def build_execution_dag(
         elif (
             partial_aggregation
             and first.decomposable
-            and partial_aggregation_pays(network, holders, first, base_table)
+            and partial_aggregation_pays(network, holders, first, base_table, config)
         ):
             # The bottom fragment is itself a decomposable aggregation:
             # partial-aggregate every leaf chunk in place, combine states
@@ -1128,7 +1131,7 @@ def build_execution_dag(
             and partial_aggregation
             and fragment.decomposable
             and partial_aggregation_pays(
-                network, [task.node for task in partitions], fragment, base_table
+                network, [task.node for task in partitions], fragment, base_table, config
             )
         ):
             # Decomposable aggregation: keep the partition, aggregate each

@@ -10,13 +10,14 @@ finalization, the cloud remainder) are dispatched to a
 on the coordinator.
 
 **Everything crosses the process boundary as wire bytes.**  A job is one
-``bytes`` payload framed by this module (magic ``PJB1``): the operation
-kind, the engine mode, the query as rendered SQL text, the referenced
-input relations and the optional merged partial-state relation, each
-relation packed with :func:`repro.engine.wire.pack_relation`.  The worker
-builds a throwaway :class:`~repro.engine.database.Database` from those
-bytes, runs the operation under the requested engine mode and returns the
-output relation packed the same way.  No :class:`Relation` or aggregate
+``bytes`` payload framed by this module (magic ``PJB2``): the operation
+kind, the whole :class:`~repro.engine.config.EngineConfig` (mode plus the
+vectorized and optimizer flags), the query as rendered SQL text, the
+referenced input relations and the optional merged partial-state
+relation, each relation packed with :func:`repro.engine.wire.pack_relation`.
+The worker builds a throwaway :class:`~repro.engine.database.Database`
+from those bytes, runs the operation under the framed config and returns
+the output relation packed the same way.  No :class:`Relation` or aggregate
 state is ever pickled (``Relation.__reduce__`` raises, so an accidental
 pickle fails loudly); queries travel as SQL text, exercising the
 render → parse round-trip.
@@ -37,8 +38,8 @@ from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.engine.config import MODES, EngineConfig
 from repro.engine.database import Database
-from repro.engine.executor import execution_mode
 from repro.engine.table import Relation
 from repro.engine.wire import WireFormatError, pack_relation, unpack_relation
 from repro.sql import ast
@@ -48,9 +49,11 @@ from repro.sql.render import render
 #: Engine operations a worker can run.  Index = wire opcode.
 OPERATIONS = ("query", "partial", "combine", "finalize")
 
-_ENGINE_MODES = ("compiled", "interpreted")
+_JOB_MAGIC = b"PJB2"
 
-_JOB_MAGIC = b"PJB1"
+#: Config flag bits of the job header; any other bit is malformed.
+_VECTORIZED = 0x01
+_OPTIMIZER = 0x02
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +61,7 @@ _JOB_MAGIC = b"PJB1"
 # ---------------------------------------------------------------------------
 def encode_job(
     op: str,
-    engine_mode: str,
+    config: EngineConfig,
     sql: str,
     tables: Sequence[Tuple[str, bytes]],
     state: Optional[bytes] = None,
@@ -66,11 +69,12 @@ def encode_job(
     """Frame one worker job as a single self-describing byte payload."""
     if op not in OPERATIONS:
         raise ValueError(f"Unknown worker operation: {op!r}")
-    if engine_mode not in _ENGINE_MODES:
-        raise ValueError(f"Unknown engine mode: {engine_mode!r}")
     out = bytearray(_JOB_MAGIC)
     out.append(OPERATIONS.index(op))
-    out.append(_ENGINE_MODES.index(engine_mode))
+    out.append(MODES.index(config.mode))
+    out.append(
+        (_VECTORIZED if config.vectorized else 0) | (_OPTIMIZER if config.optimizer else 0)
+    )
     sql_bytes = sql.encode("utf-8")
     out += struct.pack("<I", len(sql_bytes))
     out += sql_bytes
@@ -119,15 +123,23 @@ class _JobReader:
 
 def decode_job(
     data: bytes,
-) -> Tuple[str, str, str, List[Tuple[str, bytes]], Optional[bytes]]:
+) -> Tuple[str, EngineConfig, str, List[Tuple[str, bytes]], Optional[bytes]]:
     """Inverse of :func:`encode_job`; raises :class:`WireFormatError`."""
     reader = _JobReader(data)
     if reader.take(4) != _JOB_MAGIC:
         raise WireFormatError("Malformed worker job payload (bad magic)")
     op_code = reader.u8()
     mode_code = reader.u8()
-    if op_code >= len(OPERATIONS) or mode_code >= len(_ENGINE_MODES):
+    if op_code >= len(OPERATIONS) or mode_code >= len(MODES):
         raise WireFormatError("Malformed worker job payload (bad opcode)")
+    flags = reader.u8()
+    if flags & ~(_VECTORIZED | _OPTIMIZER):
+        raise WireFormatError("Malformed worker job payload (unknown config flags)")
+    config = EngineConfig(
+        mode=MODES[mode_code],
+        vectorized=bool(flags & _VECTORIZED),
+        optimizer=bool(flags & _OPTIMIZER),
+    )
     try:
         sql = reader.take(reader.u32()).decode("utf-8")
     except UnicodeDecodeError as error:
@@ -139,7 +151,7 @@ def decode_job(
     state = reader.take(reader.u32()) if reader.u8() else None
     if reader.offset != len(data):
         raise WireFormatError("Trailing bytes after worker job payload")
-    return OPERATIONS[op_code], _ENGINE_MODES[mode_code], sql, tables, state
+    return OPERATIONS[op_code], config, sql, tables, state
 
 
 # ---------------------------------------------------------------------------
@@ -150,23 +162,22 @@ def execute_job(payload: bytes) -> bytes:
 
     This is the *entire* worker-side surface: decode the job, rebuild a
     throwaway database from the packed input relations, run the operation
-    under the requested engine mode, pack the output.
+    under the framed engine config, pack the output.
     """
-    op, engine_mode_name, sql, tables, state = decode_job(payload)
+    op, config, sql, tables, state = decode_job(payload)
     database = Database(name="procs-worker")
     for name, blob in tables:
         database.register(name, unpack_relation(blob))
     merged = unpack_relation(state) if state is not None else None
     query = parse(sql)
-    with execution_mode(engine_mode_name):
-        if op == "query":
-            output = database.query(query)
-        elif op == "partial":
-            output = database.partial_aggregate(query)
-        elif op == "combine":
-            output = database.combine_partials(query, merged)
-        else:
-            output = database.finalize_partials(query, merged)
+    if op == "query":
+        output = database.query(query, config)
+    elif op == "partial":
+        output = database.partial_aggregate(query, config)
+    elif op == "combine":
+        output = database.combine_partials(query, merged, config)
+    else:
+        output = database.finalize_partials(query, merged, config)
     return pack_relation(output)
 
 
@@ -257,7 +268,7 @@ class ProcessDispatcher:
     def run(
         self,
         op: str,
-        engine_mode_name: str,
+        config: EngineConfig,
         query: ast.Query,
         tables: Sequence[Tuple[str, Relation]],
         state: Optional[Relation] = None,
@@ -265,9 +276,7 @@ class ProcessDispatcher:
         """Dispatch one engine operation and return its output relation."""
         packed_tables = [(name, pack_relation(rel)) for name, rel in tables]
         packed_state = pack_relation(state) if state is not None else None
-        payload = encode_job(
-            op, engine_mode_name, render(query), packed_tables, packed_state
-        )
+        payload = encode_job(op, config, render(query), packed_tables, packed_state)
         self.jobs += 1
         self.bytes_out += len(payload)
         future = _shared_pool(self.workers).submit(execute_job, payload)

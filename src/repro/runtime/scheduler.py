@@ -61,8 +61,6 @@ from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
-from repro.engine.executor import execution_mode
-from repro.engine.stats import optimizer_mode
 from repro.engine.table import Relation
 from repro.fragment.topology import Topology
 from repro.obs.metrics import registry as _metrics
@@ -263,9 +261,7 @@ class Scheduler:
                             if context.injector is not None:
                                 context.injector.before_task(task)
                             task_started = time.perf_counter()
-                            with execution_mode(context.engine_mode), optimizer_mode(
-                                context.optimizer
-                            ), activate(span):
+                            with activate(span):
                                 output = task.execute(context)
                             task_finished = time.perf_counter()
                             if context.injector is not None:

@@ -48,11 +48,9 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
 from typing import (
     Any,
     Dict,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -61,17 +59,16 @@ from typing import (
     Union,
 )
 
+from repro.engine.config import EngineConfig
 from repro.engine.database import Database
 from repro.engine.errors import ExecutionError
-from repro.engine.executor import _shallow_function_calls, execution_mode
+from repro.engine.executor import _shallow_function_calls
 from repro.engine.schema import ColumnDef, Schema
-from repro.engine.stats import optimizer_mode
 from repro.engine.table import Relation
 from repro.engine.wire import pack_state_relation, unpack_state_relation
 from repro.fragment.plan import is_decomposable_aggregation
 from repro.obs.metrics import registry as _metrics
 from repro.obs.trace import QueryTrace
-from repro.rewrite.analyzer import NodeCapacity
 from repro.rewrite.containment import check_leakage
 from repro.runtime.dag import lift_node_groups, rebase_table_refs, union_partials
 from repro.sql import ast
@@ -254,7 +251,7 @@ class _StateTree:
             database = network.database(holder)
             if self.table not in database:
                 continue  # registered before any data landed on this node
-            state = database.partial_aggregate(self.core)
+            state = database.partial_aggregate(self.core, self.runtime.engine)
             self.leaf_states[holder] = pack_state_relation(state)
         self._rebuild_placement()
 
@@ -297,7 +294,7 @@ class _StateTree:
             [self._state_of(child) for child in children], name=""
         )
         combined = self.runtime.network.database(parent).combine_partials(
-            self.core, merged
+            self.core, merged, self.runtime.engine
         )
         self.node_states[parent] = pack_state_relation(combined)
 
@@ -310,12 +307,13 @@ class _StateTree:
         """
         network = self.runtime.network
         database = network.database(leaf)
+        config = self.runtime.engine
         if leaf not in self.leaf_states:
             # First chunk on a node the tree has never covered: its current
             # chunk (delta included — it was already appended) becomes a new
             # leaf state, and the placement rebuilds over the grown holder
             # list so the root union stays in partition order.
-            state = database.partial_aggregate(self.core)
+            state = database.partial_aggregate(self.core, config)
             self.leaf_states[leaf] = pack_state_relation(state)
             self._rebuild_placement()
             return len(state)
@@ -324,12 +322,12 @@ class _StateTree:
         # its compiled partial plan warm (dropping it would invalidate them
         # on every delta).
         database.register(DELTA_TABLE, delta)
-        delta_state = database.partial_aggregate(self._delta_query)
+        delta_state = database.partial_aggregate(self._delta_query, config)
         old_state = unpack_state_relation(self.leaf_states[leaf])
         # Old state first, delta state second: first-occurrence order over
         # the concatenation equals one pass over the full chunk.
         merged = database.combine_partials(
-            self.core, union_partials([old_state, delta_state], name="")
+            self.core, union_partials([old_state, delta_state], name=""), config
         )
         self.leaf_states[leaf] = pack_state_relation(merged)
         self._root_cache = None
@@ -378,7 +376,7 @@ class _StateTree:
         """Run the subscriber's finalize tail over the shared root state."""
         state = self._remap_state(self.root_state(), handle)
         database = self.runtime.network.database(self.runtime.topology.cloud.name)
-        return database.finalize_partials(handle.query, state)
+        return database.finalize_partials(handle.query, state, self.runtime.engine)
 
     def state_bytes(self) -> int:
         """Total packed size of every stored state (wire-codec bytes)."""
@@ -417,16 +415,10 @@ class StandingQueryRuntime:
         self._next_query_id = 0
         self._last_refresh_span_id: Optional[int] = None
 
-    # ------------------------------------------------------------------
-    # engine-mode plumbing
-    # ------------------------------------------------------------------
-    @contextmanager
-    def _engine(self) -> Iterator[None]:
-        """Run engine calls under the processor's engine/optimizer modes."""
-        with execution_mode(self.processor.engine_mode), optimizer_mode(
-            self.processor.optimizer
-        ):
-            yield
+    @property
+    def engine(self) -> EngineConfig:
+        """The processor's engine config; every tree operation runs under it."""
+        return self.processor.engine
 
     # ------------------------------------------------------------------
     # registration
@@ -462,16 +454,27 @@ class StandingQueryRuntime:
     ) -> StandingQueryHandle:
         """Register a standing query; returns its live handle.
 
-        ``apply_rewriting=True`` routes the query through the paper's
-        admission check and privacy rewriting first (the same gate
-        interactive sessions pass), so a standing subscription can never
-        see more than a one-shot query could.  The (possibly rewritten)
-        query must be a decomposable aggregation — the same class the
-        distributed GROUP BY pushdown handles.
+        ``apply_rewriting=True`` routes the query through the processor's
+        :meth:`~repro.processor.paradise.ParadiseProcessor.prepare` —
+        the paper's admission check and privacy rewriting, the same gate
+        interactive queries pass — so a standing subscription can never
+        see more than a one-shot query could.  Registering is a submission:
+        it counts against the module's query interval like ``process``.
+        The (possibly rewritten) query must be a decomposable aggregation —
+        the same class the distributed GROUP BY pushdown handles.
         """
         parsed = parse(query) if isinstance(query, str) else clone(query)
         if apply_rewriting:
-            parsed = self._admit(parsed, module_id)
+            prepared = self.processor._prepare(
+                parsed, module_id, apply_rewriting=True, submit=True
+            )
+            if prepared.admission is not None and not prepared.admission.admitted:
+                raise StandingQueryError(
+                    f"Standing query refused by admission: {prepared.admission.explain()}"
+                )
+            if not prepared.admitted:
+                raise StandingQueryError("Standing query rewriting found no compliant form")
+            parsed = prepared.query
         if not isinstance(parsed, ast.SelectQuery) or not is_decomposable_aggregation(
             parsed
         ):
@@ -481,7 +484,7 @@ class StandingQueryRuntime:
             )
         sub_keys = [key for key, _ in _ordered_aggregate_calls(parsed)]
         signature = self._signature(parsed)
-        with self._lock, self._engine():
+        with self._lock:
             tree, shared = self._attach_tree(parsed, signature, sub_keys)
             self._next_query_id += 1
             handle = StandingQueryHandle(
@@ -502,36 +505,6 @@ class StandingQueryRuntime:
             _metrics.gauge("standing.subscribers").set(len(self._handles))
             self._record_state_bytes()
             return handle
-
-    def _admit(self, parsed: ast.Query, module_id: str) -> ast.Query:
-        """The paper's admission + rewriting gate (mirrors the processor)."""
-        sensor_node = self.topology.nodes[0]
-        table = (
-            parsed.from_clause.name
-            if isinstance(parsed, ast.SelectQuery)
-            and isinstance(parsed.from_clause, ast.TableRef)
-            else self.default_table
-        )
-        admission = self.processor.analyzer.admit(
-            parsed,
-            module_id,
-            estimated_rows=self.network.base_table_rows(table),
-            capacity=NodeCapacity(
-                cpu_power=sensor_node.cpu_power or 1.0,
-                free_memory_mb=self.topology.cloud.free_memory_mb,
-            ),
-            # A standing query registers once and refreshes forever; the
-            # repeat-interval throttle targets re-submission, not refreshes.
-            enforce_interval=False,
-        )
-        if not admission.admitted:
-            raise StandingQueryError(
-                f"Standing query refused by admission: {admission.explain()}"
-            )
-        rewrite = self.processor.rewriter.rewrite(parsed, module_id)
-        if not rewrite.compliant:
-            raise StandingQueryError("Standing query rewriting found no compliant form")
-        return rewrite.query
 
     def _attach_tree(
         self,
@@ -630,23 +603,22 @@ class StandingQueryRuntime:
                 self.network.append_to_partition(node_name, table, relation)
                 groups_touched = 0
                 refinalized = 0
-                with self._engine():
-                    for tree in self._trees_for(table):
-                        if len(relation) == 0:
-                            # Empty delta: the state (hence every result)
-                            # is unchanged; only the epoch advances.
-                            for handle in tree.subscribers:
-                                handle.epoch = epoch
-                            continue
-                        groups_touched += tree.apply_delta(node_name, relation)
+                for tree in self._trees_for(table):
+                    if len(relation) == 0:
+                        # Empty delta: the state (hence every result) is
+                        # unchanged; only the epoch advances.
                         for handle in tree.subscribers:
-                            finalize_started = time.perf_counter()
-                            handle._result = tree.finalize(handle)
                             handle.epoch = epoch
-                            refinalized += 1
-                            _metrics.histogram(
-                                "standing.finalize_seconds"
-                            ).observe(time.perf_counter() - finalize_started)
+                        continue
+                    groups_touched += tree.apply_delta(node_name, relation)
+                    for handle in tree.subscribers:
+                        finalize_started = time.perf_counter()
+                        handle._result = tree.finalize(handle)
+                        handle.epoch = epoch
+                        refinalized += 1
+                        _metrics.histogram("standing.finalize_seconds").observe(
+                            time.perf_counter() - finalize_started
+                        )
                 _metrics.counter("standing.refreshes").inc()
                 _metrics.counter("standing.delta_rows").inc(len(relation))
                 _metrics.counter("standing.groups_refinalized").inc(groups_touched)
@@ -710,7 +682,7 @@ class StandingQueryRuntime:
         partition order (exactly the relation a fresh ``load_sensor_data``
         of the same stream would have produced), registers it on a scratch
         database, and runs the standing query end to end under the same
-        engine mode.  Every refresh result must be byte-identical to this.
+        engine config.  Every refresh result must be byte-identical to this.
         """
         table = handle.tree.table
         chunks = []
@@ -721,5 +693,5 @@ class StandingQueryRuntime:
         full = union_partials(chunks, name=table)
         scratch = Database(name="standing-oracle")
         scratch.register(table, full)
-        with self._lock, self._engine():
-            return scratch.query(handle.query)
+        with self._lock:
+            return scratch.query(handle.query, self.engine)

@@ -21,13 +21,14 @@ import pytest
 
 from tests.conftest import PAPER_R_CODE, PAPER_SQL, make_sensor_relation
 
+from repro.engine.config import EngineConfig
 from repro.engine.database import Database
-from repro.engine.executor import execution_mode
 from repro.engine.schema import ColumnDef, Schema
 from repro.engine.table import Relation, RowView, concat
 from repro.engine.types import DataType
-from repro.engine.vectorized import stats, vectorized_scans
+from repro.engine.vectorized import stats
 from repro.fragment.topology import Topology
+from repro.obs.metrics import delta, registry
 from repro.policy.presets import figure4_policy
 from repro.processor.paradise import ParadiseProcessor
 from repro.sensors.scenario import INTEGRATED_SCHEMA
@@ -151,12 +152,15 @@ def test_register_rereg_same_shape_keeps_results_fresh():
 # ---------------------------------------------------------------------------
 
 
-def _pipeline_processor(rows: int = 240) -> ParadiseProcessor:
+def _pipeline_processor(
+    rows: int = 240, config: EngineConfig = EngineConfig()
+) -> ParadiseProcessor:
     processor = ParadiseProcessor(
         figure4_policy(),
         schema=INTEGRATED_SCHEMA,
         topology=Topology.smart_home_tree(n_sensors=4, sensors_per_appliance=2),
     )
+    processor.engine = config
     processor.load_data(make_sensor_relation(rows=rows))
     return processor
 
@@ -166,19 +170,53 @@ def _materialize(result):
     return relation.schema.names, relation.to_dicts()
 
 
+#: The reference arm first: the interpreted oracle on the row path.
+SCAN_ARMS = [
+    EngineConfig(mode="interpreted", vectorized=False),
+    EngineConfig(mode="interpreted"),
+    EngineConfig(vectorized=False),
+    EngineConfig(),
+]
+
+
+def _scan_paths(run):
+    """``(result, vectorized executions, all executions)`` of ``run()``."""
+    before = registry.snapshot(prefix="engine.")
+    result = run()
+    moved = delta(before, registry.snapshot(prefix="engine."))
+    vectorized = sum(
+        moved[f"engine.vectorized.{kind}"] for kind in ("flat", "grouped", "partial")
+    )
+    executions = (
+        moved["engine.executor.selects"] + moved["engine.executor.partial_aggregations"]
+    )
+    return result, vectorized, executions
+
+
+def _assert_path(config: EngineConfig, vectorized: int, executions: int) -> None:
+    """The arm ran the engine, and took vectorized scans iff it names them."""
+    assert executions > 0, config
+    if config.mode == "compiled" and config.vectorized:
+        assert vectorized > 0, config
+    else:
+        assert vectorized == 0, config
+
+
 @pytest.mark.parametrize("use_r", [False, True], ids=["fig2_sql", "usecase_r"])
 def test_pipeline_identical_across_modes_and_scan_paths(use_r):
-    processor = _pipeline_processor()
+    def run(config: EngineConfig):
+        processor = _pipeline_processor(config=config)
+        if use_r:
+            return _scan_paths(lambda: processor.process_r(PAPER_R_CODE, "ActionFilter"))
+        return _scan_paths(lambda: processor.process(PAPER_SQL, "ActionFilter"))
 
-    def run(mode: str, vectorize: bool):
-        with execution_mode(mode), vectorized_scans(vectorize):
-            if use_r:
-                return processor.process_r(PAPER_R_CODE, "ActionFilter")
-            return processor.process(PAPER_SQL, "ActionFilter")
-
-    reference = _materialize(run("interpreted", False))
-    for mode, vectorize in (("interpreted", True), ("compiled", False), ("compiled", True)):
-        assert _materialize(run(mode, vectorize)) == reference, (mode, vectorize)
+    reference = None
+    for config in SCAN_ARMS:
+        result, vectorized, executions = run(config)
+        _assert_path(config, vectorized, executions)
+        if reference is None:
+            reference = _materialize(result)
+        assert _materialize(result) == reference, config
 
 
 def test_vectorized_scans_engage_on_pipeline_fragments():
@@ -196,16 +234,16 @@ def test_groupby_workload_identical_and_vectorized():
     )
     options = {"apply_rewriting": False, "anonymize": False}
 
-    def run(mode: str, vectorize: bool):
-        with execution_mode(mode), vectorized_scans(vectorize):
-            return processor.process(sql, "ActionFilter", **options)
+    def run(config: EngineConfig):
+        processor.engine = config
+        return processor.process(sql, "ActionFilter", **options)
 
     stats.reset()
-    reference = _materialize(run("interpreted", False))
-    got = _materialize(run("compiled", True))
+    reference = _materialize(run(EngineConfig(mode="interpreted", vectorized=False)))
+    got = _materialize(run(EngineConfig()))
     assert got == reference
     assert stats.grouped + stats.partial > 0
-    assert _materialize(run("compiled", False)) == reference
+    assert _materialize(run(EngineConfig(vectorized=False))) == reference
 
 
 def test_scan_errors_match_row_path_identically():
@@ -235,12 +273,10 @@ def test_scan_errors_match_row_path_identically():
         return database.query(sql)
 
     def row_path():
-        with vectorized_scans(False):
-            return database.query(sql)
+        return database.query(sql, EngineConfig(vectorized=False))
 
     def oracle():
-        with execution_mode("interpreted"):
-            return database.query(sql)
+        return database.query(sql, EngineConfig(mode="interpreted"))
 
     assert error_of(compiled) == error_of(row_path) == error_of(oracle)
     assert error_of(compiled) == (ExecutionError, "Cannot compare list and int")
@@ -277,8 +313,7 @@ def test_aggregate_scan_errors_match_row_path_identically():
         return database.query(sql)
 
     def row_path():
-        with vectorized_scans(False):
-            return database.query(sql)
+        return database.query(sql, EngineConfig(vectorized=False))
 
     assert error_of(compiled) == error_of(row_path)
     assert error_of(compiled) is not None
@@ -294,8 +329,7 @@ def test_zero_argument_aggregates_match_row_path():
         "SELECT k, COUNT() AS n, MIN() AS m FROM d GROUP BY k",
     ):
         fast = database.query(sql).to_dicts()
-        with vectorized_scans(False):
-            slow = database.query(sql).to_dicts()
+        slow = database.query(sql, EngineConfig(vectorized=False)).to_dicts()
         assert fast == slow, sql
 
 
@@ -307,16 +341,20 @@ def test_estimated_bytes_tolerates_exotic_tuples():
 
 @pytest.mark.concurrency
 def test_parallel_runs_identical_across_scan_paths():
-    processor = _pipeline_processor()
     sql = "SELECT activity, COUNT(*) AS n, AVG(z) AS az FROM d GROUP BY activity"
     options = {"apply_rewriting": False, "anonymize": False}
-    with vectorized_scans(False):
-        serial = processor.process(sql, "ActionFilter", execution="serial", **options)
-    for vectorize in (False, True):
-        with vectorized_scans(vectorize):
-            parallel = processor.process(sql, "ActionFilter", execution="parallel", **options)
+    row_path = EngineConfig(vectorized=False)
+    serial = _pipeline_processor(config=row_path).process(
+        sql, "ActionFilter", execution="serial", **options
+    )
+    for config in (row_path, EngineConfig()):
+        processor = _pipeline_processor(config=config)
+        parallel, vectorized, executions = _scan_paths(
+            lambda: processor.process(sql, "ActionFilter", execution="parallel", **options)
+        )
+        _assert_path(config, vectorized, executions)
         assert parallel.result.schema.names == serial.result.schema.names
-        assert parallel.result.rows == serial.result.rows, vectorize
+        assert parallel.result.rows == serial.result.rows, config
 
 
 @pytest.mark.concurrency

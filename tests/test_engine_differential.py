@@ -1,11 +1,11 @@
 """Differential tests: the compiled path against the interpreted oracle.
 
-Every query of the corpus is executed twice over the same catalog — once with
-``use_compiled=True`` (closures, hash joins, single-pass GROUP BY) and once
-with ``use_compiled=False`` (the original per-row tree walk).  The resulting
-relations must be identical: same column names in the same order, same rows
-in the same order, same values (bit-for-bit for floats, since both paths
-perform the same arithmetic in the same order).
+Every query of the corpus is executed twice over the same catalog — once in
+``EngineConfig(mode="compiled")`` (closures, hash joins, single-pass GROUP
+BY) and once in ``mode="interpreted"`` (the original per-row tree walk).
+The resulting relations must be identical: same column names in the same
+order, same rows in the same order, same values (bit-for-bit for floats,
+since both paths perform the same arithmetic in the same order).
 
 This harness is what lets the compiled path be the default while the paper's
 auditability argument still rests on the simple interpreted semantics.
@@ -17,7 +17,8 @@ import random
 
 import pytest
 
-from repro.engine.executor import QueryExecutor, execution_mode, default_execution_mode
+from repro.engine.config import EngineConfig
+from repro.engine.executor import QueryExecutor
 from repro.engine.schema import ColumnDef, Schema
 from repro.engine.table import Relation
 from repro.engine.types import DataType
@@ -191,8 +192,8 @@ def _materialize(relation: Relation):
 
 
 def assert_paths_agree(catalog, sql: str) -> None:
-    compiled = QueryExecutor(catalog, use_compiled=True).execute(parse(sql))
-    interpreted = QueryExecutor(catalog, use_compiled=False).execute(parse(sql))
+    compiled = QueryExecutor(catalog).execute(parse(sql))
+    interpreted = QueryExecutor(catalog, EngineConfig(mode="interpreted")).execute(parse(sql))
     compiled_names, compiled_rows = _materialize(compiled)
     interpreted_names, interpreted_rows = _materialize(interpreted)
     assert compiled_names == interpreted_names, sql
@@ -206,7 +207,7 @@ def test_compiled_matches_interpreted(catalog, sql):
 
 def test_corpus_covers_interesting_results(catalog):
     """Guard against a silently trivial corpus: spot-check a few cardinalities."""
-    executor = QueryExecutor(catalog, use_compiled=True)
+    executor = QueryExecutor(catalog)
     join = executor.execute(
         parse("SELECT r.id FROM readings AS r JOIN rooms ON r.room_id = rooms.room_id")
     )
@@ -215,22 +216,6 @@ def test_corpus_covers_interesting_results(catalog):
         parse("SELECT person_id, COUNT(*) AS n FROM readings GROUP BY person_id")
     )
     assert sum(row["n"] for row in grouped) == len(catalog["readings"])
-
-
-def test_execution_mode_switch(catalog):
-    assert default_execution_mode() == "compiled"
-    with execution_mode("interpreted"):
-        assert default_execution_mode() == "interpreted"
-        assert not QueryExecutor(catalog).use_compiled
-    assert default_execution_mode() == "compiled"
-    assert QueryExecutor(catalog).use_compiled
-
-
-def test_mode_rejects_unknown():
-    with pytest.raises(ValueError):
-        from repro.engine.executor import set_default_execution_mode
-
-        set_default_execution_mode("vectorized")
 
 
 @pytest.mark.slow

@@ -157,6 +157,23 @@ def test_query_interval_enforcement_between_runs(sensor_relation):
     assert any("interval" in reason for reason in second.admission.reasons)
 
 
+def test_explain_leaves_the_query_interval_budget_alone(sensor_relation):
+    """Previewing a query is not a submission: only ``process`` (and
+    standing registration) start the module's query interval."""
+    policy = PolicyBuilder().module("M").allow("x").allow("t").query_interval(3600).build()
+    proc = ParadiseProcessor(policy, enforce_query_interval=True)
+    proc.load_data(sensor_relation)
+    sql = "SELECT x, t FROM d"
+    assert "admission: ok" in proc.explain(sql, "M")
+    assert proc.process(sql, "M").admitted
+    assert "query interval" in proc.explain(sql, "M")
+    assert not proc.process(sql, "M").admitted
+    # prepare() is the same preview, unrendered.
+    proc.analyzer.reset_interval("M")
+    assert proc.prepare(sql, "M").admitted and proc.prepare(sql, "M").admitted
+    assert proc.process(sql, "M").admitted
+
+
 def test_custom_topology_without_appliance(sensor_relation):
     topology = Topology.cloud_only()
     proc = ParadiseProcessor(figure4_policy(), topology=topology, schema=INTEGRATED_SCHEMA)
