@@ -24,12 +24,13 @@ plain ``add``/``result`` interface.
 
 from __future__ import annotations
 
+import itertools
 import math
 import statistics
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.columns import TypedColumn
+from repro.engine.columns import FLOAT64, TypedColumn
 from repro.engine.errors import ExecutionError
 
 
@@ -106,6 +107,73 @@ class _SpecialValues:
         if self.nan:
             values.append(math.nan)
         return values
+
+
+#: Largest L1 norm a lazily summed float batch may bring its accumulator
+#: to.  Below it no partial sum of the values, in any order or grouping,
+#: comes near the float range, so deferring the exact fold cannot move or
+#: hide an ``OverflowError`` an eager fold would raise.
+_LAZY_MAGNITUDE_LIMIT = 2.0 ** 1020
+
+
+class _ExactFloatSum:
+    """Exact float summation shared by ``SUM`` and ``AVG``.
+
+    Finite values grow a Shewchuk expansion (``float_parts``); non-finite
+    ones set :class:`_SpecialValues` flags.  ``add_many`` over a NULL-free
+    float64 :class:`TypedColumn` parks a copy of its buffer in ``pending``
+    instead of growing the expansion one value at a time:
+    :meth:`_float_total` rounds ``expansion + pending + specials`` with one
+    :func:`math.fsum`, which is correctly rounded and therefore equal to
+    the fsum of the grown expansion.  :meth:`_fold` grows the pending
+    values into the expansion in their original order, so a state that
+    escapes (``partial``/``merge``/a single ``add``) is exactly the
+    expansion an eager accumulator holds.  A batch with a non-finite value,
+    or one that takes the running L1 norm past
+    :data:`_LAZY_MAGNITUDE_LIMIT`, is folded eagerly instead, so every
+    error is raised where it always was.
+    """
+
+    __slots__ = ("float_parts", "specials", "pending", "pending_magnitude")
+
+    def __init__(self) -> None:
+        self.float_parts: List[float] = []
+        self.specials = _SpecialValues()
+        self.pending: List[Any] = []
+        self.pending_magnitude = 0.0
+
+    def _defer(self, values: Sequence[Any]) -> bool:
+        """Park ``values`` if it is a NULL-free, all-finite float64 batch."""
+        if (
+            not isinstance(values, TypedColumn)
+            or values.typecode != FLOAT64
+            or values.null_count
+        ):
+            return False
+        data = values.data_array()
+        magnitude = self.pending_magnitude + sum(map(abs, data))
+        if not self.pending:
+            magnitude += sum(map(abs, self.float_parts))
+        if not magnitude <= _LAZY_MAGNITUDE_LIMIT:  # also catches inf/NaN
+            return False
+        self.pending.append(data[:])
+        self.pending_magnitude = magnitude
+        return True
+
+    def _fold(self) -> None:
+        """Grow the pending values into the expansion, in order."""
+        float_parts = self.float_parts
+        for data in self.pending:
+            for value in data:
+                _grow_expansion(float_parts, value)
+        self.pending = []
+        self.pending_magnitude = 0.0
+
+    def _float_total(self) -> float:
+        """``math.fsum`` of expansion, pending values and specials."""
+        return math.fsum(
+            itertools.chain(self.float_parts, *self.pending, self.specials.as_values())
+        )
 
 
 def _is_int(value: Any) -> bool:
@@ -446,7 +514,7 @@ class CountAccumulator:
         return self.result()
 
 
-class SumAccumulator:
+class SumAccumulator(_ExactFloatSum):
     """``SUM(expr)`` with exact int and exact (fsum) float accumulation.
 
     Tracks two exact representations side by side: an arbitrary-precision
@@ -459,22 +527,21 @@ class SumAccumulator:
     ``(int_total, float_expansion, present, all_int, specials, int_overflow)``.
     """
 
-    __slots__ = (
-        "int_total", "float_parts", "present", "all_int", "specials", "int_overflow"
-    )
+    __slots__ = ("int_total", "present", "all_int", "int_overflow")
 
     def __init__(self) -> None:
+        super().__init__()
         self.int_total = 0
-        self.float_parts: List[float] = []
         self.present = False
         self.all_int = True
-        self.specials = _SpecialValues()
         self.int_overflow = False
 
     def add(self, values: Tuple[Any, ...]) -> None:
         value = values[0]
         if value is None:
             return
+        if self.pending:
+            self._fold()
         self.present = True
         if _is_int(value):
             self.int_total += value
@@ -494,6 +561,13 @@ class SumAccumulator:
             self.specials.add(as_float)
 
     def add_many(self, values: Sequence[Any]) -> None:
+        if self._defer(values):
+            if len(values):
+                self.present = True
+                self.all_int = False
+            return
+        if self.pending:
+            self._fold()
         for value in values:
             if value is None:
                 continue
@@ -521,9 +595,11 @@ class SumAccumulator:
         if self.int_overflow:
             # The batch path hits float(huge_int) inside fsum and raises.
             raise OverflowError("int too large to convert to float")
-        return math.fsum(tuple(self.float_parts) + tuple(self.specials.as_values()))
+        return self._float_total()
 
     def partial(self) -> Tuple[int, Tuple[float, ...], bool, bool, Tuple[bool, bool, bool], bool]:
+        if self.pending:
+            self._fold()
         return (
             self.int_total,
             tuple(self.float_parts),
@@ -537,6 +613,8 @@ class SumAccumulator:
         self,
         state: Tuple[int, Tuple[float, ...], bool, bool, Tuple[bool, bool, bool], bool],
     ) -> None:
+        if self.pending:
+            self._fold()
         int_total, float_parts, present, all_int, specials, int_overflow = state
         self.int_total += int_total
         for component in float_parts:
@@ -550,7 +628,7 @@ class SumAccumulator:
         return self.result()
 
 
-class AvgAccumulator:
+class AvgAccumulator(_ExactFloatSum):
     """``AVG(expr)``: exact float sum (fsum expansion) and count.
 
     Non-finite inputs are tracked as presence flags (see
@@ -558,17 +636,18 @@ class AvgAccumulator:
     ``(float_expansion, count, specials)``.
     """
 
-    __slots__ = ("float_parts", "count", "specials")
+    __slots__ = ("count",)
 
     def __init__(self) -> None:
-        self.float_parts: List[float] = []
+        super().__init__()
         self.count = 0
-        self.specials = _SpecialValues()
 
     def add(self, values: Tuple[Any, ...]) -> None:
         value = values[0]
         if value is None:
             return
+        if self.pending:
+            self._fold()
         as_float = float(value)
         if math.isfinite(as_float):
             _grow_expansion(self.float_parts, as_float)
@@ -577,6 +656,11 @@ class AvgAccumulator:
         self.count += 1
 
     def add_many(self, values: Sequence[Any]) -> None:
+        if self._defer(values):
+            self.count += len(values)
+            return
+        if self.pending:
+            self._fold()
         for value in values:
             if value is None:
                 continue
@@ -590,13 +674,16 @@ class AvgAccumulator:
     def result(self) -> Any:
         if not self.count:
             return None
-        total = math.fsum(tuple(self.float_parts) + tuple(self.specials.as_values()))
-        return total / self.count
+        return self._float_total() / self.count
 
     def partial(self) -> Tuple[Tuple[float, ...], int, Tuple[bool, bool, bool]]:
+        if self.pending:
+            self._fold()
         return (tuple(self.float_parts), self.count, self.specials.state())
 
     def merge(self, state: Tuple[Tuple[float, ...], int, Tuple[bool, bool, bool]]) -> None:
+        if self.pending:
+            self._fold()
         float_parts, count, specials = state
         for component in float_parts:
             _grow_expansion(self.float_parts, component)

@@ -52,9 +52,10 @@ from __future__ import annotations
 
 import operator
 from enum import Enum
+from itertools import chain, compress, repeat
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.engine.columns import BOOL, INT64, TypedColumn, take_column
+from repro.engine.columns import BOOL, INT64, TypedColumn, gather, take_column
 from repro.engine.errors import ExecutionError
 from repro.engine.evaluator import _like_to_regex
 from repro.engine.schema import ColumnDef, Schema
@@ -211,6 +212,43 @@ _ORDER_OPS = {
 Selection = Tuple[List[int], Set[int]]
 
 
+def _filter_typed(
+    columns: Sequence[TypedColumn],
+    sel: List[int],
+    nulls: Set[int],
+    test: Callable[..., Any],
+) -> List[int]:
+    """The rows of ``sel`` a conjunct over typed columns keeps, at C speed.
+
+    ``test(*values)`` maps one iterable of unboxed cells per column to
+    truth values (``map`` over ``operator`` functions).  Rows with a NULL
+    in any column are kept as NULL and recorded in ``nulls`` without being
+    tested, exactly like the per-row loops, so both evaluate the same
+    (row, expression) pairs.  Selections are ascending and duplicate-free,
+    so one covering every row is the identity and needs no gather.
+    """
+    full = len(sel) == len(columns[0])
+    values = [
+        column.data_array() if full else gather(column.data_array(), sel)
+        for column in columns
+    ]
+    flags = [
+        column.null_map() if full else gather(column.null_map(), sel)
+        for column in columns
+        if column.null_count
+    ]
+    if not flags:
+        return list(compress(sel, test(*values)))
+    flags = flags[0] if len(flags) == 1 else list(map(operator.or_, *flags))
+    valid = list(map(operator.not_, flags))
+    kept = compress(
+        compress(sel, valid), test(*(compress(value, valid) for value in values))
+    )
+    null_rows = list(compress(sel, flags))
+    nulls.update(null_rows)
+    return sorted(chain(kept, null_rows))
+
+
 class _AlwaysNullPred:
     """A conjunct that is NULL for every row (e.g. ``x < NULL``)."""
 
@@ -273,35 +311,20 @@ class _ComparePred:
         out: List[int] = []
         add_null = nulls.add
         if isinstance(array, TypedColumn):
-            # Typed backing: read the unboxed buffer directly and test NULL
-            # through the byte map — no per-cell boxing or None sentinel.
-            isnull = array.null_map()
-            data = array.data_array()
+            # Typed backing: compare the unboxed buffer, NULLs via the map.
             if self.invert is not None:
-                wanted = not self.invert
-                for i in sel:
-                    if isnull[i]:
-                        out.append(i)
-                        add_null(i)
-                    elif (data[i] == const) is wanted:
-                        out.append(i)
-                return out
+                test = operator.ne if self.invert else operator.eq
+                return _filter_typed(
+                    (array,), sel, nulls, lambda values: map(test, values, repeat(const))
+                )
             op = self.order_op
             if self.swapped:
-                for i in sel:
-                    if isnull[i]:
-                        out.append(i)
-                        add_null(i)
-                    elif op(const, data[i]):
-                        out.append(i)
-            else:
-                for i in sel:
-                    if isnull[i]:
-                        out.append(i)
-                        add_null(i)
-                    elif op(data[i], const):
-                        out.append(i)
-            return out
+                return _filter_typed(
+                    (array,), sel, nulls, lambda values: map(op, repeat(const), values)
+                )
+            return _filter_typed(
+                (array,), sel, nulls, lambda values: map(op, values, repeat(const))
+            )
         if self.invert is not None:  # = / <> / != : never raises
             wanted = not self.invert
             for i in sel:
@@ -354,6 +377,14 @@ class _ColumnComparePred:
     def apply(self, relation: Relation, sel: List[int], nulls: Set[int]) -> List[int]:
         left = relation.column_array(self.left)
         right = relation.column_array(self.right)
+        if isinstance(left, TypedColumn) and isinstance(right, TypedColumn):
+            if self.invert is not None:
+                test = operator.ne if self.invert else operator.eq
+            else:
+                test = self.order_op
+            return _filter_typed(
+                (left, right), sel, nulls, lambda lhs, rhs: map(test, lhs, rhs)
+            )
         out: List[int] = []
         add_null = nulls.add
         if self.invert is not None:
@@ -403,6 +434,22 @@ class _BetweenPred:
         negated = self.negated
         out: List[int] = []
         add_null = nulls.add
+        if isinstance(array, TypedColumn):
+            # Typed backing: ``low <= cell`` and ``cell <= high`` side by
+            # side over the unboxed buffer.  Both halves always run, so a
+            # bound that cannot compare with a number may raise where the
+            # chained form would not; that only abandons the scan to the
+            # row path.
+            def test(values):
+                values = list(values)
+                inside = map(
+                    operator.and_,
+                    map(operator.le, repeat(low), values),
+                    map(operator.le, values, repeat(high)),
+                )
+                return map(operator.not_, inside) if negated else inside
+
+            return _filter_typed((array,), sel, nulls, test)
         for i in sel:
             value = array[i]
             if value is None:
@@ -947,8 +994,10 @@ def _apply_predicates(
         if not sel:
             return []
     if nulls:
-        return [i for i in sel if i not in nulls]
-    return sel
+        sel = [i for i in sel if i not in nulls]
+    # Selections are ascending and duplicate-free: one that kept every row
+    # is the identity, and "all rows" lets consumers slice, not gather.
+    return None if len(sel) == len(relation) else sel
 
 
 # ---------------------------------------------------------------------------
@@ -1370,40 +1419,31 @@ def _group_indices(
     on a TypeError — exactly the compiled fast-key behaviour, so group
     identity and order match the row path bit for bit.
     """
-    groups: Dict[Tuple[Any, ...], List[int]] = {}
-    order: List[Tuple[Any, ...]] = []
-    first_index: Dict[Tuple[Any, ...], int] = {}
-    arrays = [relation.column_array(name) for name in key_columns]
     indices = range(len(relation)) if sel is None else sel
-    if len(arrays) == 1:
-        array = arrays[0]
-        for i in indices:
-            key = (array[i],)
-            try:
-                bucket = groups.get(key)
-            except TypeError:
-                key = (freeze_value(key[0]),)
-                bucket = groups.get(key)
-            if bucket is None:
-                groups[key] = [i]
-                order.append(key)
-                first_index[key] = i
-            else:
-                bucket.append(i)
-    else:
-        for i in indices:
-            key = tuple(array[i] for array in arrays)
-            try:
-                bucket = groups.get(key)
-            except TypeError:
-                key = tuple(freeze_value(value) for value in key)
-                bucket = groups.get(key)
-            if bucket is None:
-                groups[key] = [i]
-                order.append(key)
-                first_index[key] = i
-            else:
-                bucket.append(i)
+
+    def key_values(array):
+        # Typed key columns are boxed once, never read per row through
+        # TypedColumn.__getitem__.
+        if isinstance(array, TypedColumn):
+            array = array.to_list()
+        return array if sel is None else gather(array, sel)
+
+    # Key tuples are zipped from the (gathered) key columns at C speed.
+    keys = zip(*map(key_values, map(relation.column_array, key_columns)))
+    groups: Dict[Tuple[Any, ...], List[int]] = {}
+    get = groups.get
+    for i, key in zip(indices, keys):
+        try:
+            bucket = get(key)
+        except TypeError:
+            key = tuple(freeze_value(value) for value in key)
+            bucket = get(key)
+        if bucket is None:
+            groups[key] = [i]
+        else:
+            bucket.append(i)
+    order = list(groups)
+    first_index = {key: bucket[0] for key, bucket in groups.items()}
     return groups, order, first_index
 
 

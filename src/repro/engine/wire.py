@@ -27,6 +27,7 @@ from __future__ import annotations
 import struct
 import sys
 from array import array
+from collections import Counter
 from datetime import datetime
 from fractions import Fraction
 from typing import Any, Optional, Tuple
@@ -218,40 +219,111 @@ def packed_size(value: Any) -> int:
 # Layout: a 4-byte magic (versioned), the name and schema through
 # :func:`pack_value`, a row count, then one backing tag per column.  Typed
 # int64/float64/bool columns travel as a bit-packed NULL bitmap plus their
-# raw little-endian buffer (a memcpy on both ends); generic columns fall
-# back to one tagged cell at a time.  Relations whose cells fall outside the
+# raw little-endian buffer (a memcpy on both ends).  Generic columns of
+# exact ``str``/``None`` cells travel as a string dictionary plus one code
+# per row whenever that is no larger than tagged cells; every other generic
+# column falls back to one tagged cell at a time.  Either way a generic
+# column decodes to a plain list.  Relations whose cells fall outside the
 # wire vocabulary raise :class:`WireFormatError`; checkpoint callers treat
 # that as "not checkpointable" and simply re-execute.
 
 #: Magic prefix of a packed relation.  0x50 ('P') is not a value tag, so a
 #: relation payload can never be confused with a ``pack_value`` payload.
-_RELATION_MAGIC = b"PRL1"
+_RELATION_MAGIC = b"PRL2"
 
 _COL_GENERIC = b"\x00"
 _COL_INT64 = b"\x01"
 _COL_FLOAT64 = b"\x02"
 _COL_BOOL = b"\x03"
+_COL_STRDICT = b"\x04"
 
 _COL_TYPECODES = {_COL_INT64: INT64, _COL_FLOAT64: FLOAT64, _COL_BOOL: BOOL}
 _COL_TAGS = {INT64: _COL_INT64, FLOAT64: _COL_FLOAT64, BOOL: _COL_BOOL}
 
+#: Cell types a string-dictionary column may hold.  Exact types only: a
+#: value merely hash-equal to an entry (``1``/``True``/``1.0``, a ``str``
+#: subclass) would otherwise share that entry's code and decode as it.
+_DICT_CELL_TYPES = frozenset((str, type(None)))
+#: Dictionaries up to this size use one-byte codes, larger ones two.
+_DICT_BYTE_CODES = 256
+#: Columns with this many distinct values keep the per-cell encoding.
+_DICT_LIMIT = 65536
 
-def _pack_bitmap(nulls) -> bytes:
-    """Bit-pack a byte-per-row NULL map, LSB-first."""
-    packed = bytearray((len(nulls) + 7) // 8)
-    for index, flag in enumerate(nulls):
-        if flag:
-            packed[index >> 3] |= 1 << (index & 7)
-    return bytes(packed)
+#: NULL map bytes (0/1) <-> ASCII binary digits, for the bitmap codec.
+_FLAGS_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_DIGITS_TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _pack_bitmap(nulls, null_count: int) -> bytes:
+    """Bit-pack a byte-per-row NULL map, LSB-first (bit ``i`` = row ``i``).
+
+    The map reads as a binary number whose least significant digit is row
+    0, so one ``translate`` + ``int(..., 2)`` + ``to_bytes`` does the
+    packing at buffer speed.
+    """
+    size = (len(nulls) + 7) // 8
+    if not null_count:
+        return bytes(size)
+    return int(nulls.translate(_FLAGS_TO_DIGITS)[::-1], 2).to_bytes(size, "little")
 
 
 def _unpack_bitmap(bitmap: bytes, count: int) -> bytearray:
-    nulls = bytearray(count)
-    if any(bitmap):
-        for index in range(count):
-            if bitmap[index >> 3] & (1 << (index & 7)):
-                nulls[index] = 1
-    return nulls
+    """Inverse of :func:`_pack_bitmap`; padding bits past ``count`` are ignored."""
+    if bitmap.count(0) == len(bitmap):
+        return bytearray(count)
+    bits = int.from_bytes(bitmap, "little") & ((1 << count) - 1)
+    digits = format(bits, "b").zfill(count)[::-1]
+    return bytearray(digits.encode("ascii").translate(_DIGITS_TO_FLAGS))
+
+
+def _pack_generic(column) -> bytes:
+    """Encode a list-backed column: string dictionary or tagged cells.
+
+    A column whose cells are all exactly ``str`` or ``None`` is counted
+    once; the counts size both encodings.  The dictionary (distinct values
+    in first-occurrence order, then one ``uint8``/``uint16`` code per row)
+    is used when it is no larger than the per-cell encoding.
+    """
+    if not set(map(type, column)) <= _DICT_CELL_TYPES:
+        return _COL_GENERIC + b"".join(map(pack_value, column))
+    counts = Counter(column)
+    cells = {value: pack_value(value) for value in counts}
+    per_cell = sum(count * len(cells[value]) for value, count in counts.items())
+    if len(counts) < _DICT_LIMIT:
+        typecode = "B" if len(counts) <= _DICT_BYTE_CODES else "H"
+        width = 1 if typecode == "B" else 2
+        dictionary = 4 + sum(map(len, cells.values())) + len(column) * width
+        if dictionary <= per_cell:
+            code_of = {value: code for code, value in enumerate(counts)}
+            codes = array(typecode, list(map(code_of.__getitem__, column)))
+            if sys.byteorder != "little":  # pragma: no cover - exotic hosts
+                codes.byteswap()
+            return b"".join(
+                (_COL_STRDICT, _LENGTH.pack(len(counts)), *cells.values(), codes.tobytes())
+            )
+    return _COL_GENERIC + b"".join(map(cells.__getitem__, column))
+
+
+def _unpack_strdict(data: bytes, offset: int, nrows: int) -> Tuple[list, int]:
+    payload, offset = _take(data, offset, 4)
+    (count,) = _LENGTH.unpack(payload)
+    if count >= _DICT_LIMIT:
+        raise WireFormatError(f"String dictionary too large: {count} entries")
+    values = []
+    for _ in range(count):
+        value, offset = _unpack(data, offset)
+        if type(value) not in _DICT_CELL_TYPES:
+            raise WireFormatError("String dictionary holds a non-string value")
+        values.append(value)
+    codes = array("B" if count <= _DICT_BYTE_CODES else "H")
+    raw, offset = _take(data, offset, nrows * codes.itemsize)
+    codes.frombytes(raw)
+    if sys.byteorder != "little":  # pragma: no cover - exotic hosts
+        codes.byteswap()
+    try:
+        return list(map(values.__getitem__, codes)), offset
+    except IndexError:
+        raise WireFormatError("String dictionary code out of range") from None
 
 
 def pack_relation(relation: "Any") -> bytes:
@@ -268,15 +340,14 @@ def pack_relation(relation: "Any") -> bytes:
     for column in relation.columns():
         if isinstance(column, TypedColumn):
             parts.append(_COL_TAGS[column.typecode])
-            parts.append(_pack_bitmap(column.null_map()))
+            parts.append(_pack_bitmap(column.null_map(), column.null_count))
             data = column.data_array()
             if sys.byteorder != "little":  # pragma: no cover - exotic hosts
                 data = data[:]
                 data.byteswap()
             parts.append(data.tobytes())
         else:
-            parts.append(_COL_GENERIC)
-            parts.extend(pack_value(cell) for cell in column)
+            parts.append(_pack_generic(column))
     return b"".join(parts)
 
 
@@ -317,6 +388,9 @@ def unpack_relation(data: bytes) -> "Any":
             columns.append(
                 TypedColumn(typecode, values, _unpack_bitmap(bitmap, nrows))
             )
+        elif tag == _COL_STRDICT:
+            cells, offset = _unpack_strdict(data, offset, nrows)
+            columns.append(cells)
         elif tag == _COL_GENERIC:
             cells = []
             for _ in range(nrows):

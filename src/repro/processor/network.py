@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.engine.columns import copy_column, extend_column
 from repro.engine.database import Database
 from repro.engine.table import Relation
-from repro.engine.wire import WireFormatError, pack_relation, unpack_relation
+from repro.engine.wire import pack_relation, unpack_relation
 from repro.fragment.topology import Node, Topology
 from repro.obs.metrics import registry as _metrics
 from repro.obs.trace import current_span
@@ -433,9 +433,9 @@ class NetworkSimulator:
         *encoded payload's* byte count drives the transfer log, the metrics
         and the cost model's link latency, and the relation registered at
         the target — also returned to the caller — is the **deserialized**
-        copy.  Relations whose cells fall outside the wire vocabulary ship
-        by reference with the estimated size instead (counted by the
-        ``network.unserializable_shipments`` metric).
+        copy.  A relation with a cell outside the wire vocabulary raises
+        :class:`~repro.engine.wire.WireFormatError`: nothing is logged or
+        registered, and sender and receiver never share mutable state.
 
         ``log`` selects the transfer log to record into; ``None`` uses the
         simulator's shared log (the serial processor path).  Concurrent
@@ -458,17 +458,9 @@ class NetworkSimulator:
         extra_delay = 0.0
         if injector is not None:
             extra_delay = injector.on_ship(source, target)  # may raise LinkDown
-        try:
-            payload = pack_relation(relation)
-        except WireFormatError:
-            payload = None
-            _metrics.counter("network.unserializable_shipments").inc()
-        if payload is not None:
-            nbytes = len(payload)
-            received = unpack_relation(payload)
-        else:
-            nbytes = relation.estimated_bytes()
-            received = relation
+        payload = pack_relation(relation)  # WireFormatError: nothing ships
+        nbytes = len(payload)
+        received = unpack_relation(payload)
         if self.cost_model is not None:
             extra_delay += self.cost_model.transfer_delay(nbytes)
         if extra_delay > 0:

@@ -778,8 +778,7 @@ class ParadiseProcessor:
                 )
                 # Old task ids may collide with the new DAG's; checkpointed
                 # states are re-keyed by signature, everything else re-runs.
-                context.outputs.clear()
-                context.attempt += 1
+                context = context.next_attempt()
             except Exception:
                 if namespace:
                     self.network.drop_namespace(namespace)

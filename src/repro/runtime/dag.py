@@ -35,6 +35,7 @@ differential tests in ``tests/test_runtime.py`` enforce this.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import threading
@@ -54,7 +55,7 @@ from repro.obs.trace import QueryTrace, current_span
 from repro.processor.network import NetworkSimulator, TransferLog
 from repro.processor.result import FragmentExecution
 from repro.runtime.cost import CostModel
-from repro.runtime.faults import CheckpointStore, FailureInjector
+from repro.runtime.faults import CheckpointStore, EpochAbandoned, FailureInjector
 from repro.sql import ast
 from repro.sql.visitor import clone
 
@@ -347,8 +348,11 @@ class ExecutionContext:
         #: Predicted-vs-observed task costs, filled by the scheduler.
         self.calibration = calibration
         #: Which re-plan attempt is executing (0 = the healthy first plan);
-        #: bumped by the processor's recovery loop before each re-run.
+        #: each re-run gets its own context from :meth:`next_attempt`.
         self.attempt = 0
+        #: Set by the scheduler when it gives this attempt up without
+        #: draining its workers; :meth:`engine_call` then refuses to start.
+        self.abandoned = False
         #: task id -> output relation; each task writes only its own key.
         self.outputs: Dict[str, Relation] = {}
         #: (attempt, task order) -> record.  Keyed, not appended: a task
@@ -360,6 +364,19 @@ class ExecutionContext:
         self.capacity_warnings: List[str] = []
         self.anonymization = None
         self._lock = threading.Lock()
+
+    def next_attempt(self) -> "ExecutionContext":
+        """The context of the re-plan attempt after this one.
+
+        It shares the run-wide stores (checkpoints, transfer log, trace,
+        execution records) but has fresh outputs and its own ``abandoned``
+        flag, so a worker left behind by this attempt stays tied to it.
+        """
+        successor = copy.copy(self)
+        successor.attempt = self.attempt + 1
+        successor.abandoned = False
+        successor.outputs = {}
+        return successor
 
     def record_execution(self, order: int, execution: FragmentExecution) -> None:
         with self._lock:
@@ -373,7 +390,11 @@ class ExecutionContext:
     def engine_call(self, fn, *args) -> Tuple[Relation, float]:
         """Run one engine operation, timed.  The single timing site for DAG
         task work: returns ``(output, elapsed_seconds)`` and, when tracing,
-        accumulates the elapsed time on the current task span."""
+        accumulates the elapsed time on the current task span.  Raises
+        :class:`~repro.runtime.faults.EpochAbandoned` once the scheduler
+        has given this attempt up."""
+        if self.abandoned:
+            raise EpochAbandoned(f"attempt {self.attempt} was abandoned")
         started = time.perf_counter()
         output = fn(*args)
         elapsed = time.perf_counter() - started

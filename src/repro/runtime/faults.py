@@ -43,6 +43,8 @@ Exception taxonomy (what the scheduler does with each):
 :class:`LinkDown`            (a transient) — the link may come back
 :class:`NodeDeath`           escalate: mark the node dead, re-plan the DAG
 :class:`DataLossError`       unrecoverable loss refused by policy — abort
+:class:`EpochAbandoned`      raised in a worker of a given-up attempt; its
+                             result is never read
 any other exception          genuine error: propagate unchanged (parity)
 ========================  =================================================
 """
@@ -102,6 +104,16 @@ class NodeDeath(FaultError):
         self.lose_data = lose_data
         suffix = " (resident data lost)" if lose_data else ""
         super().__init__(f"node {node} died{suffix}: {cause or 'injected failure'}")
+
+
+class EpochAbandoned(FaultError):
+    """An abandoned attempt's worker tried to start engine work.
+
+    When a hung task trips its deadline the scheduler gives the attempt up
+    without draining its workers.  A stuck worker that wakes later must not
+    run engine operations for an epoch nobody waits on any more; it raises
+    this instead, into a future nobody reads.
+    """
 
 
 class DataLossError(FaultError):

@@ -348,7 +348,6 @@ class Scheduler:
         in_flight: Dict[Future, str] = {}
         deadlines: Dict[Future, float] = {}
         first_error: Optional[BaseException] = None
-        abandoned = False
         pool = ThreadPoolExecutor(max_workers=self.max_workers)
         try:
             while (ready or in_flight) and first_error is None:
@@ -378,7 +377,10 @@ class Scheduler:
                                     f"{task_timeout:.1f}s deadline (hung node)"
                                 ),
                             )
-                            abandoned = True
+                            # The hung worker is left running; once it
+                            # wakes it must not start engine work for this
+                            # given-up attempt (ExecutionContext.engine_call).
+                            context.abandoned = True
                             break
                     continue
                 for future in done:
@@ -401,7 +403,7 @@ class Scheduler:
                 # write can leak into a later re-plan attempt.
                 for future in in_flight:
                     future.cancel()
-                if not abandoned:
+                if not context.abandoned:
                     wait(set(in_flight))
         finally:
             pool.shutdown(wait=False, cancel_futures=True)

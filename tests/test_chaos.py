@@ -20,14 +20,19 @@ failures:
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
 from tests.test_runtime import RAW_WORKLOADS, build_tree_processor
 
+from repro.engine.database import Database
 from repro.engine.errors import ExecutionError
 from repro.fragment.topology import Topology
 from repro.runtime import (
     DataLossError,
+    ExecutionContext,
     Fault,
     FailureInjector,
     QueryRequest,
@@ -40,6 +45,7 @@ from repro.runtime.faults import (
     KILL_NODE,
     TASK_ERROR,
     CheckpointStore,
+    EpochAbandoned,
     LinkDown,
     NodeDeath,
     RetryPolicy,
@@ -226,6 +232,42 @@ def test_hung_node_detected_by_deadline():
     assert_same_relation(oracle.result, result.result)
     assert result.runtime.replans == 1
     assert result.completeness.dead_nodes == ["sensor_4"]
+
+
+def test_abandoned_attempt_starts_no_engine_work(monkeypatch):
+    """After a hang recovery the hung worker wakes into a given-up attempt:
+    it is refused at ``engine_call`` and never reaches the engine."""
+    engine_calls = []
+    refused = threading.Event()
+    for name in ("query", "partial_aggregate", "combine_partials", "finalize_partials"):
+        original = getattr(Database, name)
+
+        def recording(self, *args, _original=original):
+            engine_calls.append(time.monotonic())
+            return _original(self, *args)
+
+        monkeypatch.setattr(Database, name, recording)
+    engine_call = ExecutionContext.engine_call
+
+    def watched(self, fn, *args):
+        try:
+            return engine_call(self, fn, *args)
+        except EpochAbandoned:
+            refused.set()
+            raise
+
+    monkeypatch.setattr(ExecutionContext, "engine_call", watched)
+
+    query = RAW_WORKLOADS[2]
+    oracle = serial_oracle(query)
+    injector = FailureInjector([Fault(kind=HANG, node="sensor_4", delay_seconds=0.6)])
+    result = run_with_faults(query, injector, task_timeout=0.2)
+    recovered_at = time.monotonic()
+    assert_same_relation(oracle.result, result.result)
+    assert result.runtime.replans == 1
+
+    assert refused.wait(timeout=10.0), "the hung worker never woke"
+    assert [at for at in engine_calls if at > recovered_at] == []
 
 
 # ---------------------------------------------------------------------------

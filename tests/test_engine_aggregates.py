@@ -7,11 +7,13 @@ import statistics
 import pytest
 
 from repro.engine.aggregates import (
+    _grow_expansion,
     compute_aggregate,
     is_decomposable_aggregate,
     is_known_aggregate,
     make_accumulator,
 )
+from repro.engine.columns import FLOAT64, typed_column_from_values
 from repro.engine.errors import ExecutionError
 
 
@@ -255,3 +257,151 @@ def test_is_decomposable_aggregate():
     # DISTINCT/buffered accumulators expose no partial-state protocol.
     buffered = make_accumulator("SUM", is_star=False, distinct=True, arg_count=1)
     assert not hasattr(buffered, "partial")
+
+
+# ---------------------------------------------------------------------------
+# lazily folded SUM/AVG: identical to eager Shewchuk growth
+# ---------------------------------------------------------------------------
+
+
+class _EagerReference:
+    """SUM/AVG over floats that grows the expansion one value at a time.
+
+    The accumulators defer float64 batches and fold them only when a state
+    escapes; this reference never defers, so it pins what they must match:
+    ``result()`` values, ``partial()`` tuples and raised errors.
+    """
+
+    def __init__(self, name):
+        self.name = name
+        self.parts = []
+        self.count = 0
+        self.specials = [False, False, False]
+
+    def feed(self, values):
+        for value in values:
+            if value is None:
+                continue
+            # SUM marks itself present before adding; AVG counts after, so
+            # an overflowing value is not counted.
+            if self.name == "SUM":
+                self.count += 1
+            if math.isfinite(value):
+                _grow_expansion(self.parts, value)
+            elif math.isnan(value):
+                self.specials[2] = True
+            else:
+                self.specials[0 if value > 0 else 1] = True
+            if self.name == "AVG":
+                self.count += 1
+
+    def absorb(self, state):
+        if self.name == "SUM":
+            _, parts, present, _, specials, _ = state
+            count = 1 if present else 0
+        else:
+            parts, count, specials = state
+        for component in parts:
+            _grow_expansion(self.parts, component)
+        self.count += count
+        self.specials = [a or b for a, b in zip(self.specials, specials)]
+
+    def partial(self):
+        specials = tuple(self.specials)
+        if self.name == "SUM":
+            return (0, tuple(self.parts), self.count > 0, self.count == 0, specials, False)
+        return (tuple(self.parts), self.count, specials)
+
+    def result(self):
+        if not self.count:
+            return None
+        extra = [v for v, flag in zip((math.inf, -math.inf, math.nan), self.specials) if flag]
+        total = math.fsum(self.parts + extra)
+        return total if self.name == "SUM" else total / self.count
+
+
+def _outcome(call):
+    try:
+        return ("ok", repr(call()))
+    except Exception as error:  # noqa: BLE001 - the error *is* the outcome
+        return (type(error).__name__, str(error))
+
+
+_CANCELLING = [1e308, -1e308, 1.0, -1.0, 1e-308, 5e-324, 0.1, -0.0, 2.0**53, 3e300]
+
+
+def _random_batch(rng, specials):
+    roll = rng.random()
+    if roll < 0.5:
+        values = [rng.choice(_CANCELLING) for _ in range(rng.randint(0, 12))]
+    elif roll < 0.8:
+        values = [rng.uniform(-1e6, 1e6) for _ in range(rng.randint(0, 40))]
+    else:
+        values = [rng.choice(_CANCELLING) * rng.uniform(0.5, 1.0) for _ in range(rng.randint(1, 6))]
+    if specials and rng.random() < 0.2:
+        values.insert(rng.randint(0, len(values)), rng.choice([math.inf, -math.inf, math.nan]))
+    return values
+
+
+@pytest.mark.parametrize("name", ["SUM", "AVG"])
+@pytest.mark.parametrize("seed", [3, 17, 29, 71])
+def test_lazy_sums_match_eager_expansion(name, seed):
+    rng = random.Random(seed)
+    for _ in range(60):
+        specials = rng.random() < 0.3
+        accumulator = make_accumulator(name, is_star=False, distinct=False, arg_count=1)
+        reference = _EagerReference(name)
+        for _ in range(rng.randint(1, 8)):
+            op = rng.random()
+            if op < 0.45:
+                values = _random_batch(rng, specials)
+                expected = _outcome(lambda: reference.feed(values))
+                column = typed_column_from_values(values, FLOAT64)
+                assert _outcome(lambda: accumulator.add_many(column)) == expected
+            elif op < 0.55:
+                values = _random_batch(rng, specials) + [None]
+                expected = _outcome(lambda: reference.feed(values))
+                assert _outcome(lambda: accumulator.add_many(values)) == expected
+            elif op < 0.7:
+                value = rng.choice(_CANCELLING)
+                expected = _outcome(lambda: reference.feed([value]))
+                assert _outcome(lambda: accumulator.add((value,))) == expected
+            elif op < 0.85:
+                assert _outcome(accumulator.partial) == _outcome(reference.partial)
+            else:
+                other = make_accumulator(name, is_star=False, distinct=False, arg_count=1)
+                values = _random_batch(rng, specials)
+                if _outcome(lambda: other.add_many(typed_column_from_values(values, FLOAT64)))[0] != "ok":
+                    continue
+                state = other.partial()
+                expected = _outcome(lambda: reference.absorb(state))
+                assert _outcome(lambda: accumulator.merge(state)) == expected
+            assert _outcome(accumulator.result) == _outcome(reference.result)
+        assert _outcome(accumulator.partial) == _outcome(reference.partial)
+
+
+@pytest.mark.parametrize("name", ["SUM", "AVG"])
+def test_lazy_sum_edge_cases_match_eager(name):
+    cases = [
+        [1e308, -1e308, 1.0],
+        [1e308, 1e308],
+        [1e308, 1e308, -1e308],
+        [-1e308, -1e308],
+        [1.7976931348623157e308, 1.0, -1.7976931348623157e308],
+        [math.inf, 1.0],
+        [math.inf, -math.inf],
+        [math.nan, 2.0],
+        [1e16, 1.0, -1e16] * 5,
+        [],
+    ]
+    for values in cases:
+        for split in range(len(values) + 1):
+            accumulator = make_accumulator(name, is_star=False, distinct=False, arg_count=1)
+            reference = _EagerReference(name)
+            for batch in (values[:split], values[split:]):
+                expected = _outcome(lambda: reference.feed(batch))
+                column = typed_column_from_values(batch, FLOAT64)
+                assert _outcome(lambda: accumulator.add_many(column)) == expected, values
+            assert _outcome(accumulator.result) == _outcome(reference.result), values
+            assert _outcome(accumulator.partial) == _outcome(reference.partial), values
+            assert _outcome(accumulator.result) == _outcome(reference.result), values

@@ -4,6 +4,7 @@ import pytest
 
 from repro.anonymize import Anonymizer
 from repro.engine.table import Relation
+from repro.engine.wire import WireFormatError
 from repro.fragment import Topology
 from repro.policy import PolicyBuilder, figure4_policy, open_policy, restrictive_policy
 from repro.processor import NetworkSimulator, ParadiseProcessor
@@ -39,6 +40,18 @@ def test_network_ship_records_transfers(sensor_relation):
     hops = log.by_hop()
     assert hops[-1]["leaves_apartment"] is True
     assert "d2" in network.database("pc")
+
+
+def test_network_ship_of_unencodable_relation_raises(sensor_relation):
+    """A cell outside the wire vocabulary fails the shipment loudly: nothing
+    is logged or registered, and no reference crosses the link."""
+    network = NetworkSimulator(Topology.default_chain())
+    relation = sensor_relation.limit(5)
+    relation.rows[2]["activity"] = object()
+    with pytest.raises(WireFormatError):
+        network.ship(relation, "d1", "sensor", "appliance")
+    assert network.log.transfers == []
+    assert "d1" not in network.database("appliance")
 
 
 def test_network_ship_to_same_node_is_not_a_transfer(sensor_relation):

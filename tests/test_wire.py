@@ -143,3 +143,76 @@ def test_moment_states_shrink_versus_text():
     """The Fraction moments of STDDEV states benefit the most."""
     state = _acc("STDDEV", [0.1, 0.7, 1.3, 2.9]).partial()
     assert packed_size(state) < len(str(state))
+
+
+# ---------------------------------------------------------------------------
+# pinned partial/combine state encodings
+# ---------------------------------------------------------------------------
+
+#: Per query: SHA-256 prefixes of the three leaf partial states and their
+#: combine, as ``(payload after the 4-byte magic, cells of every column)``.
+#: Recorded from the per-cell ``PRL1`` codec with eagerly grown expansions.
+#: ``None`` payload digests mark the two-key states: their repeated
+#: ``activity`` keys now ship dictionary-coded, so only the cells are pinned.
+PINNED_STATES = {
+    "SELECT activity, COUNT(*) AS n, AVG(z) AS za, SUM(z) AS zs, MIN(t) AS lo, "
+    "MAX(t) AS hi FROM d GROUP BY activity": [
+        ("e13cd220e608e946", "b5bd78e916b48351"),
+        ("79609f084634bf0d", "21cbd090408a6710"),
+        ("36cb246c31bb7984", "dd065c91525800a4"),
+        ("c1d6f3f9935ca333", "5a988298a5a5a174"),
+    ],
+    "SELECT x, AVG(z) AS za, COUNT(*) AS n FROM d GROUP BY x": [
+        ("fb0c86cfbc25db2b", "f56e08e2c177cc60"),
+        ("e66ffb316b35ad77", "1caf00ceec6c2b21"),
+        ("9684461ec1f767a5", "49f6c80bddea5ffc"),
+        ("e477a41f98c14f15", "45d030dad56b50a0"),
+    ],
+    "SELECT activity, person_id, COUNT(*), AVG(z), SUM(z), MIN(t), MAX(t) "
+    "FROM d WHERE valid GROUP BY activity, person_id": [
+        (None, "71ee1356a04605d4"),
+        (None, "f2d328f47e46af56"),
+        (None, "f65eb91c6ca88ed6"),
+        (None, "af1a967971be7650"),
+    ],
+    "SELECT person_id, STDDEV(z) AS sd, VAR_POP(x) AS vx, SUM(person_id) AS sp "
+    "FROM d GROUP BY person_id": [
+        ("af5aa030f3883e3f", "fec84807393f346c"),
+        ("37119e09902173df", "b1ea5bab86a825db"),
+        ("83a155cd63c81c6a", "0f43256e307ec3ea"),
+        ("e9e1cb197e462a30", "ba962335ea2279a4"),
+    ],
+}
+
+
+@pytest.mark.parametrize("sql", sorted(PINNED_STATES))
+def test_partial_and_combine_state_bytes_are_pinned(sql):
+    """Lazily folded sums and the new codec leave every partial/combine
+    state byte-identical: the accumulator cells always, and the whole
+    payload wherever no string column repeats."""
+    import hashlib
+
+    from repro.engine.database import Database
+    from repro.engine.wire import pack_state_relation
+    from repro.runtime.dag import union_partials
+    from tests.conftest import make_sensor_relation
+
+    def digest(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()[:16]
+
+    states = []
+    for seed in (1, 2, 3):
+        database = Database()
+        database.register("d", make_sensor_relation(400, seed=seed))
+        states.append(database.partial_aggregate(sql))
+    states.append(Database().combine_partials(sql, union_partials(states, name="s")))
+    observed = []
+    for state, (payload_digest, _) in zip(states, PINNED_STATES[sql]):
+        cells = b"".join(
+            pack_value(tuple(state.column_array(name))) for name in state.schema.names
+        )
+        payload = pack_state_relation(state)
+        observed.append(
+            (digest(payload[4:]) if payload_digest else None, digest(cells))
+        )
+    assert observed == PINNED_STATES[sql]

@@ -312,3 +312,263 @@ def test_truncated_and_malformed_payloads_fail_loudly():
     # A valid payload of the wrong shape is rejected too.
     with pytest.raises(WireFormatError):
         unpack_state_relation(pack_value((1, 2)))
+
+
+# ---------------------------------------------------------------------------
+# string-dictionary columns and NULL bitmaps
+# ---------------------------------------------------------------------------
+
+_GENERIC_TAG = 0x00
+_DICT_TAG = 0x04
+
+
+class _Str(str):
+    """A ``str`` subclass: equal and hash-equal to its plain value."""
+
+
+def _text_relation(cells, name="s"):
+    schema = Schema([ColumnDef(name="c", data_type=DataType.TEXT)])
+    return Relation.from_columns(schema, [list(cells)], name=name)
+
+
+def _header_size(relation) -> int:
+    schema_spec = tuple(
+        (column.name, column.data_type.value) for column in relation.schema.columns
+    )
+    return 4 + packed_size(relation.name) + packed_size(schema_spec) + 4
+
+
+def _per_cell_size(relation) -> int:
+    """Size of the relation with every generic column encoded per cell."""
+    from repro.engine.columns import TypedColumn
+
+    size = _header_size(relation)
+    for column in relation.columns():
+        if isinstance(column, TypedColumn):
+            size += 1 + (len(column) + 7) // 8 + len(column) * 8
+        else:
+            size += 1 + sum(packed_size(cell) for cell in column)
+    return size
+
+
+def _column_tag(cells) -> int:
+    """The backing tag a one-column relation of ``cells`` is shipped with."""
+    from repro.engine.wire import pack_relation
+
+    relation = _text_relation(cells)
+    return pack_relation(relation)[_header_size(relation)]
+
+
+def _assert_text_roundtrip(cells):
+    from repro.engine.wire import pack_relation, unpack_relation
+
+    relation = _text_relation(cells)
+    payload = pack_relation(relation)
+    decoded = unpack_relation(payload).column_array("c")
+    assert type(decoded) is list
+    assert len(decoded) == len(cells)
+    for original, restored in zip(cells, decoded):
+        if isinstance(original, str):
+            # Strings (subclasses included) come back as plain equal strs.
+            assert type(restored) is str and restored == original
+        else:
+            assert same_value(original, restored), (original, restored)
+    assert len(payload) <= _per_cell_size(relation)
+    return payload
+
+
+def random_text_cells(rng: random.Random):
+    """A random string column: NULLs, empty and non-ASCII strings, skew."""
+    n_rows = rng.choice([0, 1, 2, 3, rng.randint(4, 300)])
+    alphabet = "abcxyz é世\U0001f600"
+    vocabulary = [
+        "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 10)))
+        for _ in range(rng.choice([1, 2, 4, 30, 400]))
+    ]
+    null_share = rng.choice([0.0, 0.1, 0.9])
+    return [
+        None if rng.random() < null_share else rng.choice(vocabulary)
+        for _ in range(n_rows)
+    ]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_random_string_columns_roundtrip_and_never_grow(seed):
+    rng = random.Random(seed)
+    for _ in range(60):
+        _assert_text_roundtrip(random_text_cells(rng))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_random_mixed_relations_never_grow(seed):
+    """Typed, string and mixed columns side by side: exact round trip, and
+    the payload is never larger than the per-cell encoding."""
+    from repro.engine.wire import pack_relation, unpack_relation
+
+    rng = random.Random(seed)
+    for _ in range(30):
+        typed = random_typed_relation(rng)
+        n_rows = len(typed)
+        text = [random_text_cells(rng) or [None] for _ in range(2)]
+        text = [(cells * (n_rows // len(cells) + 1))[:n_rows] for cells in text]
+        names = typed.schema.names + ["s0", "s1"]
+        schema = Schema(
+            list(typed.schema.columns)
+            + [ColumnDef(name=name, data_type=DataType.TEXT) for name in ("s0", "s1")]
+        )
+        relation = Relation.from_columns(
+            schema, list(typed.columns()) + text, name="mix"
+        )
+        payload = pack_relation(relation)
+        restored = unpack_relation(payload)
+        assert restored.schema.names == names
+        for row_a, row_b in zip(relation.rows, restored.rows):
+            assert same_value(tuple(row_a), tuple(row_b)), (seed, row_a, row_b)
+        assert len(payload) <= _per_cell_size(relation)
+
+
+def test_low_cardinality_strings_take_the_dictionary():
+    cells = ["walk", "sit", None, "stand", "walk", "", "sit", "世界"] * 50
+    payload = _assert_text_roundtrip(cells)
+    assert _column_tag(cells) == _DICT_TAG
+    # Dictionary (5 distinct entries + NULL) plus one byte per row.
+    assert len(payload) < len(cells) * 2
+
+
+@pytest.mark.parametrize("distinct", [255, 256, 257])
+def test_one_and_two_byte_code_boundaries(distinct):
+    cells = [f"v{index % distinct}" for index in range(distinct * 3)]
+    _assert_text_roundtrip(cells)
+    assert _column_tag(cells) == _DICT_TAG
+
+
+def test_dictionary_size_limit():
+    below = [f"{index}" for index in range(65535)] * 2
+    _assert_text_roundtrip(below)
+    assert _column_tag(below) == _DICT_TAG
+    at_limit = [f"{index}" for index in range(65536)] * 2
+    _assert_text_roundtrip(at_limit)
+    assert _column_tag(at_limit) == _GENERIC_TAG
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [
+        ["only"],
+        [None],
+        ["a", "b", "c", "d"],
+        ["x", "x", 1, "x", "x"],
+        ["x", "x", True, "x", "x"],
+        [1, True, 1.0, 1, True, 1.0],
+        ["x", _Str("x"), "x", "x"],
+        [_Str("x"), "x", "x", "x"],
+        ["x", "x", ("x",), "x"],
+    ],
+    ids=[
+        "single-row",
+        "single-null",
+        "all-distinct",
+        "str-and-int",
+        "str-and-bool",
+        "hash-equal-numbers",
+        "str-subclass-late",
+        "str-subclass-first",
+        "str-and-tuple",
+    ],
+)
+def test_per_cell_path_is_kept(cells):
+    """Single-row, all-distinct, mixed and subclassed columns keep the
+    per-cell encoding (hash-equal values must never share a code)."""
+    from repro.engine.wire import pack_relation, unpack_relation
+
+    assert _column_tag(cells) == _GENERIC_TAG
+    relation = _text_relation(cells)
+    decoded = unpack_relation(pack_relation(relation)).column_array("c")
+    assert [repr(cell) for cell in decoded] == [
+        repr(str(cell)) if isinstance(cell, str) else repr(cell) for cell in cells
+    ]
+
+
+def _reference_bitmap(nulls) -> bytes:
+    packed = bytearray((len(nulls) + 7) // 8)
+    for index, flag in enumerate(nulls):
+        if flag:
+            packed[index >> 3] |= 1 << (index & 7)
+    return bytes(packed)
+
+
+def _float_relation(cells) -> Relation:
+    """A one-column relation over a typed float64 backing of ``cells``."""
+    from array import array
+
+    from repro.engine.columns import FLOAT64, TypedColumn
+
+    column = TypedColumn(
+        FLOAT64,
+        array("d", [0.0 if cell is None else cell for cell in cells]),
+        bytearray(cell is None for cell in cells),
+    )
+    schema = Schema([ColumnDef(name="c", data_type=DataType.FLOAT)])
+    relation = Relation.from_columns(schema, [column], name="b")
+    assert isinstance(relation.column_array("c"), TypedColumn)
+    return relation
+
+
+def _check_null_pattern(nulls):
+    from repro.engine.wire import pack_relation, unpack_relation
+
+    cells = [None if flag else float(index) for index, flag in enumerate(nulls)]
+    relation = _float_relation(cells)
+    payload = pack_relation(relation)
+    start = _header_size(relation) + 1
+    assert payload[start : start + (len(nulls) + 7) // 8] == _reference_bitmap(nulls)
+    decoded = unpack_relation(payload).column_array("c")
+    assert decoded.null_map() == bytearray(nulls)
+    assert list(decoded) == cells
+
+
+@pytest.mark.parametrize("length", range(18))
+def test_null_bitmaps_of_every_short_length(length):
+    _check_null_pattern([0] * length)
+    _check_null_pattern([1] * length)
+    _check_null_pattern([index % 2 for index in range(length)])
+    _check_null_pattern([int(index in (0, length - 1)) for index in range(length)])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_random_null_bitmaps_roundtrip(seed):
+    rng = random.Random(seed)
+    for _ in range(40):
+        share = rng.choice([0.01, 0.3, 0.99])
+        _check_null_pattern(
+            [int(rng.random() < share) for _ in range(rng.randint(0, 3000))]
+        )
+
+
+def test_bitmap_padding_bits_are_ignored():
+    from repro.engine.wire import pack_relation, unpack_relation
+
+    cells = [None, 1.0, 2.0]
+    relation = _float_relation(cells)
+    payload = bytearray(pack_relation(relation))
+    payload[_header_size(relation) + 1] |= 0b1111_1000
+    assert list(unpack_relation(bytes(payload)).column_array("c")) == cells
+
+
+def test_malformed_dictionary_payloads_fail_loudly():
+    from repro.engine.wire import pack_relation
+
+    relation = _text_relation(["a", "b", "a", "b", "a", "b"])
+    payload = pack_relation(relation)
+    header = _header_size(relation)
+    assert payload[header] == _DICT_TAG
+    # A code past the dictionary's end.
+    with pytest.raises(WireFormatError):
+        unpack_state_relation(payload[:-1] + b"\x07")
+    # A dictionary entry that is not a string.
+    entries = header + 1 + 4
+    bad = payload[:entries] + pack_value(5) + payload[entries + packed_size("a") :]
+    with pytest.raises(WireFormatError):
+        unpack_state_relation(bad)
+    with pytest.raises(WireFormatError):
+        unpack_state_relation(payload[:-2])
