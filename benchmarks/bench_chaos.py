@@ -10,8 +10,9 @@ Measures what fault tolerance *costs* and what recovery *buys*:
    (:meth:`~repro.runtime.faults.FailureInjector.random_node_kills`):
    wall-clock ratio vs. the healthy run, plus how many re-plans, in-place
    retries and checkpoint-restored tasks the recovery needed.  Every
-   recovered run is differentially checked against the healthy result —
-   an entry only counts if the rows are byte-identical.
+   recovered run is differentially checked against the unfragmented
+   reference (:func:`repro.processor.reference.reference_result`) — an
+   entry only counts if the relations are byte-identical.
 
 ``python benchmarks/bench_chaos.py`` prints a table;
 ``bench_runtime_scaling.py`` embeds the same measurements as the ``chaos``
@@ -36,6 +37,8 @@ for entry in (str(REPO_ROOT / "src"), str(REPO_ROOT)):
 
 from benchmarks.common import summarize_samples  # noqa: E402
 from benchmarks.bench_runtime_scaling import build_tree_processor  # noqa: E402
+from repro.engine.wire import pack_relation  # noqa: E402
+from repro.processor.reference import reference_result  # noqa: E402
 from repro.runtime import CostModel, FailureInjector  # noqa: E402
 
 DEFAULT_COST = CostModel(seconds_per_row=2e-5, seconds_per_kb=1e-5)
@@ -65,8 +68,8 @@ def _run_once(
     the shared topology, which would contaminate the next sample.
     """
     processor = build_tree_processor(rows, n_sensors, cost_model=cost_model)
-    oracle = processor.process(
-        CHAOS_SQL, "ActionFilter", execution="serial", apply_rewriting=False
+    oracle = reference_result(
+        processor, CHAOS_SQL, "ActionFilter", apply_rewriting=False
     )
     faults = None
     if n_failures:
@@ -82,10 +85,7 @@ def _run_once(
         faults=faults,
     )
     elapsed = time.perf_counter() - started
-    identical = (
-        result.result.schema.names == oracle.result.schema.names
-        and result.result.rows == oracle.result.rows
-    )
+    identical = pack_relation(result.result) == pack_relation(oracle)
     return {
         "seconds": elapsed,
         "identical": identical,
@@ -121,7 +121,7 @@ def measure_chaos(
                 for repeat in range(repeats)
             ]
             assert all(run["identical"] for run in runs), (
-                f"recovered run diverged from the serial oracle "
+                f"recovered run diverged from the reference "
                 f"(fanout={n_sensors}, failures={n_failures})"
             )
             samples = [run["seconds"] for run in runs]
@@ -177,7 +177,7 @@ def run_chaos(
         "workload": CHAOS_SQL,
         "metric_note": "median wall seconds per (fanout, injected random node "
         "kills); every recovered run is asserted byte-identical to the "
-        "serial oracle before it is counted",
+        "unfragmented reference before it is counted",
         "entries": measure_chaos(
             rows,
             repeats,

@@ -10,7 +10,7 @@ thing left to overlap is Python compute itself.
 
 The thread backend is the baseline; the process backend runs at 1/2/4
 workers.  Every measured run is differential-checked in-loop against the
-serial oracle — a fast-but-wrong backend fails the benchmark, not just the
+unfragmented reference (``pack_relation`` bytes) — a fast-but-wrong backend fails the benchmark, not just the
 test suite.  The report records ``os.cpu_count()`` because the headline
 speedup is hardware-bound: on a single-core host the process backend can
 only show its IPC overhead (the differential still must hold); the >1.5x
@@ -41,9 +41,11 @@ from benchmarks.common import (  # noqa: E402
     summarize_samples,
     synthetic_sensor_relation,
 )
+from repro.engine.wire import pack_relation  # noqa: E402
 from repro.fragment.topology import Topology  # noqa: E402
 from repro.policy.presets import figure4_policy  # noqa: E402
 from repro.processor.paradise import ParadiseProcessor  # noqa: E402
+from repro.processor.reference import reference_result  # noqa: E402
 
 #: Decomposable aggregation: every aggregate splits into per-sensor partial
 #: states, so the 4 leaf PartialAggregateTasks carry the compute and can
@@ -74,13 +76,13 @@ def build_multicore_processor(
 
 
 def _time_backend(
-    processor: ParadiseProcessor, repeats: int, oracle_rows
+    processor: ParadiseProcessor, repeats: int, oracle: bytes
 ) -> List[float]:
     """Warm up, then time ``repeats`` runs, differential-checking each one."""
     result = processor.process(
         MULTICORE_SQL, "fig4", execution="parallel", apply_rewriting=False
     )
-    assert result.result is not None and result.result.rows == oracle_rows
+    assert result.result is not None and pack_relation(result.result) == oracle
     samples: List[float] = []
     for _ in range(repeats):
         started = time.perf_counter()
@@ -88,7 +90,7 @@ def _time_backend(
             MULTICORE_SQL, "fig4", execution="parallel", apply_rewriting=False
         )
         samples.append(time.perf_counter() - started)
-        assert result.result.rows == oracle_rows, "backend diverged from oracle"
+        assert pack_relation(result.result) == oracle, "backend diverged from oracle"
     return samples
 
 
@@ -98,13 +100,13 @@ def run_multicore(
     worker_counts: Sequence[int] = WORKER_COUNTS,
 ) -> Dict[str, Any]:
     """Thread baseline vs 1/2/4 process workers on the compute-bound workload."""
-    oracle = build_multicore_processor(rows).process(
-        MULTICORE_SQL, "fig4", execution="serial", apply_rewriting=False
+    oracle = pack_relation(
+        reference_result(
+            build_multicore_processor(rows), MULTICORE_SQL, "fig4", apply_rewriting=False
+        )
     )
-    assert oracle.result is not None
-    oracle_rows = oracle.result.rows
 
-    threads = _time_backend(build_multicore_processor(rows), repeats, oracle_rows)
+    threads = _time_backend(build_multicore_processor(rows), repeats, oracle)
     threads_median = statistics.median(threads)
 
     entries: List[Dict[str, Any]] = []
@@ -112,7 +114,7 @@ def run_multicore(
         processor = build_multicore_processor(
             rows, workers="processes", process_workers=workers
         )
-        samples = _time_backend(processor, repeats, oracle_rows)
+        samples = _time_backend(processor, repeats, oracle)
         dispatcher = processor._dispatcher
         entry = {
             "process_workers": workers,
@@ -139,7 +141,7 @@ def run_multicore(
         "cpu_count": cpus,
         "metric_note": "wall seconds, cost model disabled (no simulated "
         "sleeps); every measured run differential-checked against the "
-        "serial oracle; the >1.5x bar is hardware-bound (needs >= 4 cores)",
+        "unfragmented reference; the >1.5x bar is hardware-bound (needs >= 4 cores)",
         "threads_baseline": summarize_samples(threads, rows=rows),
         "process_backend": entries,
         "best_speedup_vs_threads": best["speedup_vs_threads"],

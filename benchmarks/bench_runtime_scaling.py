@@ -3,9 +3,9 @@
 Measures what the new :mod:`repro.runtime` subsystem buys:
 
 1. **Sensor fan-out.** The same workload on ``smart_home_tree(n)`` trees for
-   growing ``n``, executed serially (the oracle walks every leaf chunk one
-   after another) vs. in parallel (the DAG fans the leaf stage out and lifts
-   distributive fragments per appliance).  Node speeds follow Table 1 via a
+   growing ``n``, executed serially (the same DAG on one scheduler worker:
+   every task runs one after another) vs. in parallel (the per-node slot
+   pool overlaps the leaf tasks and the per-appliance lifts).  Node speeds follow Table 1 via a
    :class:`~repro.runtime.cost.CostModel` (a sensor is 0.1x, the PC 10x),
    charged identically on both paths, so the reported speedup is pure
    wall-clock overlap.

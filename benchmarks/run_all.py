@@ -16,7 +16,7 @@ Three jobs in one entry point:
    Future PRs compare against this trajectory to prove wins or catch
    regressions.
 3. **Runtime scaling baseline** — run ``bench_runtime_scaling.py`` in quick
-   mode (parallel DAG execution vs. the serial oracle over sensor fan-outs,
+   mode (parallel vs. one-worker DAG execution over sensor fan-outs,
    plus concurrent sessions) and write ``BENCH_runtime.json``.  Its
    ``multicore`` section (``bench_multicore.py``) compares the thread
    backend against 1/2/4 process workers on a compute-bound workload with

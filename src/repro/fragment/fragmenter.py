@@ -185,7 +185,9 @@ class VerticalFragmenter:
 
         # --- aggregation / final projection of the innermost stage -----------
         needs_final_projection = bool(stage.group_by) or stage.having is not None or any(
-            not isinstance(item.expression, (ast.Column, ast.Star)) for item in stage.items
+            item.alias is not None
+            or not isinstance(item.expression, (ast.Column, ast.Star))
+            for item in stage.items
         )
         if needs_final_projection:
             final_query = ast.SelectQuery(
@@ -209,9 +211,10 @@ class VerticalFragmenter:
                 )
             )
         elif stage.order_by or stage.limit is not None or stage.distinct:
-            # Ordering/limits without aggregation still need an appliance.
+            # Ordering/limits without aggregation still need an appliance;
+            # columns kept only for ORDER BY are projected away here.
             final_query = ast.SelectQuery(
-                items=[ast.SelectItem(expression=ast.Star())],
+                items=[clone(item) for item in stage.items],
                 from_clause=ast.TableRef(name=fragments[-1].name),
                 order_by=[clone(item) for item in stage.order_by],
                 limit=stage.limit,

@@ -44,7 +44,6 @@ from repro.obs.trace import (
     SpanEvent,
     activate,
     current_span,
-    maybe_span,
 )
 
 __all__ = [
@@ -61,6 +60,5 @@ __all__ = [
     "activate",
     "build_profile_report",
     "current_span",
-    "maybe_span",
     "registry",
 ]

@@ -261,8 +261,7 @@ def build_profile_report(
     list — with the final task(s) as roots, so the rendering reads top-down
     from the query's result to its leaf scans.  Only the *latest* attempt of
     the latest replan epoch represents each task (earlier linked attempts
-    remain in the trace itself).  Serial executions, which record plan-stage
-    spans instead of DAG task spans, render as a flat stage list.
+    remain in the trace itself).
     """
     spans = trace.snapshot()
     task_spans = _latest_task_spans(spans)
@@ -284,15 +283,6 @@ def build_profile_report(
             for task_id, node in sorted(nodes.items())
             if task_id not in consumed
         ]
-    else:
-        # Serial path: render finished stage spans flat, in start order.
-        stage_spans = [
-            span
-            for span in spans
-            if span.kind in ("stage", "fragment") and span.finished
-        ]
-        stage_spans.sort(key=lambda span: span.start)
-        roots = [ProfileNode(span) for span in stage_spans]
 
     # Wall time is taken from the run-level span (covers every epoch of a
     # replanned execution) falling back to the overall span extent.

@@ -3,8 +3,8 @@
 A :class:`QueryTrace` collects :class:`Span` records thread-safely for one
 query execution.  Producers throughout the stack follow one rule that keeps
 tracing near-zero-cost when disabled: *every* instrumentation site guards on
-``trace is None`` (or uses :func:`maybe_span`, which does it for them), so a
-non-profiled run pays only a handful of ``is None`` checks.
+``trace is None``, so a non-profiled run pays only a handful of ``is None``
+checks.
 
 Ambient attribution: the scheduler activates the current task's span in a
 thread-local (:func:`activate`) while the task executes, so deeper layers
@@ -36,7 +36,6 @@ __all__ = [
     "SpanEvent",
     "activate",
     "current_span",
-    "maybe_span",
 ]
 
 
@@ -130,7 +129,7 @@ def activate(span: Optional[Span]) -> Iterator[Optional[Span]]:
     """Make ``span`` the thread's current span for the duration.
 
     ``activate(None)`` is a no-op context, so callers can activate
-    unconditionally with whatever :func:`maybe_span` handed them.
+    unconditionally with whatever span they hold (``None`` untraced).
     """
     if span is None:
         yield None
@@ -337,19 +336,3 @@ class QueryTrace:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"QueryTrace({self.query_id!r}, spans={len(self.spans)})"
-
-
-@contextmanager
-def maybe_span(
-    trace: Optional[QueryTrace],
-    name: str,
-    kind: str = "task",
-    node: str = "",
-    **attrs: Any,
-) -> Iterator[Optional[Span]]:
-    """``trace.span(...)`` when tracing is on; a free no-op when it's off."""
-    if trace is None:
-        yield None
-        return
-    with trace.span(name, kind=kind, node=node, **attrs) as span:
-        yield span

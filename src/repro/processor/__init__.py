@@ -10,6 +10,8 @@ This subpackage wires everything together:
 * :mod:`repro.processor.paradise` — the :class:`ParadiseProcessor` façade
   combining admission check, rewriting, fragmentation, distributed execution
   and postprocessing/anonymization.
+* :mod:`repro.processor.reference` — the unfragmented reference result every
+  processing run is checked against.
 """
 
 from repro.processor.network import NetworkSimulator, Transfer, TransferLog

@@ -19,7 +19,8 @@ Tree topologies with several sensor leaves hold the base data *horizontally
 partitioned*: :meth:`NetworkSimulator.load_sensor_data` splits the relation
 into contiguous chunks, one per leaf, in leaf order.  Concatenating the
 chunks in that order reproduces the original row order exactly, which is what
-keeps the parallel runtime byte-identical to the serial oracle.
+keeps fragmented execution byte-identical to the unfragmented reference
+(:mod:`repro.processor.reference`).
 """
 
 from __future__ import annotations
@@ -221,7 +222,7 @@ class NetworkSimulator:
         extend its own contiguous slice of the partitioned stream, so the
         concatenation of all chunks in partition order stays exactly the
         relation a from-scratch load would have produced (append-at-end is
-        what keeps incremental group order identical to the serial oracle's
+        what keeps incremental group order identical to re-execution's
         first-occurrence order).  Bumps the placement epoch so task
         signatures built over the old chunk — and any checkpoints saved
         under them — stop matching.  Returns the chunk's new row count.
@@ -267,9 +268,9 @@ class NetworkSimulator:
             self._partitions.get(table_name.lower(), [self.topology.nodes[0].name])
         )
 
-    def is_partitioned(self, table_name: str) -> bool:
-        """True when ``table_name`` is split across more than one leaf."""
-        return len(self.partition_holders(table_name)) > 1
+    def base_table_names(self) -> List[str]:
+        """Every placed base table (sensor streams and device tables)."""
+        return list(self._partitions)
 
     def base_table_rows(self, table_name: str) -> int:
         """Total rows of ``table_name`` across all of its chunk holders."""
@@ -323,7 +324,7 @@ class NetworkSimulator:
         chunk tail, or ahead of the next holder's chunk, or (sole holder)
         onto the nearest live ancestor.  Concatenation order is preserved in
         every case, which is what keeps recovered parallel runs
-        byte-identical to the healthy serial oracle.
+        byte-identical to the healthy run.
 
         Device-destroyed semantics (``lose_data=True``): the chunk is gone;
         it is removed from the partition map and reported as a
@@ -438,8 +439,8 @@ class NetworkSimulator:
         registered, and sender and receiver never share mutable state.
 
         ``log`` selects the transfer log to record into; ``None`` uses the
-        simulator's shared log (the serial processor path).  Concurrent
-        sessions pass their own per-run log so runs do not interleave.
+        simulator's shared log.  Processing runs pass their own per-run log
+        so concurrent runs do not interleave.
         ``register=False`` logs the shipment without registering the relation
         at the target (merge tasks register the union once instead of every
         partial, keeping the target's catalog shape stable).
@@ -481,9 +482,8 @@ class NetworkSimulator:
         if leaves:
             _metrics.counter("network.bytes_leaving_apartment").inc(nbytes)
         # Ambient trace attribution: whichever span is executing on this
-        # thread (the scheduler's task span, or the serial path's stage
-        # span) gets the shipment as an instant event.  One thread-local
-        # read when tracing is off.
+        # thread (the scheduler's task span) gets the shipment as an instant
+        # event.  One thread-local read when tracing is off.
         span = current_span()
         if span is not None:
             span.trace.add_event(
@@ -504,6 +504,3 @@ class NetworkSimulator:
         """A fresh transfer log carrying this topology's hop order."""
         return TransferLog(node_order=[node.name for node in self.topology])
 
-    def reset_log(self) -> None:
-        """Clear the shared transfer log (databases keep their contents)."""
-        self.log = self.new_log()

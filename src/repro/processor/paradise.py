@@ -11,10 +11,12 @@ A :class:`ParadiseProcessor` run performs the full pipeline of Figures 2/3:
    through it.
 3. **Vertical fragmentation** — the rewritten query is split into fragments
    assigned to the lowest capable nodes of the topology.
-4. **Distributed execution** — fragments run bottom-up on the per-node
+4. **Distributed execution** — the plan becomes an execution DAG
+   (:mod:`repro.runtime`) whose tasks run bottom-up on the per-node
    databases; intermediate results are shipped hop by hop and logged.
 5. **Postprocessing** — before the result crosses the apartment boundary, the
-   anonymization step ``A`` runs on the most powerful in-apartment node.
+   anonymization step ``A`` runs on an in-apartment node powerful enough to
+   perform it.
 6. **Remainder** — the cloud receives only ``d'`` and runs the remainder
    (for R workloads the surrounding ML call; for plain SQL a pass-through or
    the original query in the no-pushdown baseline).
@@ -22,9 +24,8 @@ A :class:`ParadiseProcessor` run performs the full pipeline of Figures 2/3:
 
 from __future__ import annotations
 
-import threading
 import time
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 from repro.anonymize.anonymizer import Anonymizer
 from repro.engine.config import EngineConfig
@@ -36,25 +37,19 @@ from repro.fragment.plan import FragmentPlan
 from repro.fragment.topology import Topology
 from repro.obs.metrics import registry as _metrics
 from repro.obs.profile import CalibrationLog, build_profile_report
-from repro.obs.trace import QueryTrace, maybe_span
+from repro.obs.trace import QueryTrace
 from repro.policy.model import PrivacyPolicy
 from repro.processor.network import NetworkSimulator
-from repro.processor.result import (
-    FragmentExecution,
-    PreparedQuery,
-    ProcessingResult,
-    RuntimeStats,
-)
+from repro.processor.result import PreparedQuery, ProcessingResult, RuntimeStats
 from repro.rewrite.analyzer import NodeCapacity, PolicyAnalyzer
 from repro.rewrite.rewriter import QueryRewriter
 from repro.rlang.sqlable import RQueryExtraction, extract_sql_from_r
 from repro.runtime.cost import DEFAULT_TASK_TIMEOUT, CostModel
 from repro.runtime.dag import (
     ExecutionContext,
+    ExecutionDag,
     build_execution_dag,
-    last_inside_node,
     replan_without,
-    union_partials,
 )
 from repro.runtime.faults import (
     CheckpointStore,
@@ -72,6 +67,14 @@ from repro.sql.parser import parse
 _EXECUTION_MODES = ("serial", "parallel")
 
 _WORKER_BACKENDS = ("threads", "processes")
+
+
+def _check_execution(execution: str) -> str:
+    if execution not in _EXECUTION_MODES:
+        raise ValueError(
+            f"Unknown execution mode: {execution!r} (expected one of {_EXECUTION_MODES})"
+        )
+    return execution
 
 
 class ParadiseProcessor:
@@ -96,10 +99,7 @@ class ParadiseProcessor:
         workers: str = "threads",
         process_workers: int = 2,
     ) -> None:
-        if execution not in _EXECUTION_MODES:
-            raise ValueError(
-                f"Unknown execution mode: {execution!r} (expected one of {_EXECUTION_MODES})"
-            )
+        _check_execution(execution)
         if workers not in _WORKER_BACKENDS:
             raise ValueError(
                 f"Unknown worker backend: {workers!r} (expected one of {_WORKER_BACKENDS})"
@@ -112,8 +112,8 @@ class ParadiseProcessor:
         self.topology = topology or Topology.default_chain()
         self.schema = schema
         #: Simulated per-node compute / per-hop transfer delays; the default
-        #: free model never sleeps.  Both execution paths charge the same
-        #: operations, so benchmark speedups measure overlap only.
+        #: free model never sleeps.  Both execution strategies charge the
+        #: same operations, so benchmark speedups measure overlap only.
         self.cost_model = cost_model
         self.network = NetworkSimulator(self.topology, cost_model=cost_model)
         self.analyzer = PolicyAnalyzer(
@@ -131,21 +131,22 @@ class ParadiseProcessor:
         self.engine = EngineConfig(
             mode=engine_mode, optimizer=True if optimizer is None else bool(optimizer)
         )
-        #: Plan execution strategy: "serial" walks the plan hop by hop (the
-        #: differential oracle); "parallel" schedules an execution DAG over
-        #: the topology tree (:mod:`repro.runtime`).
+        #: Plan execution strategy.  Both run the execution DAG on the
+        #: scheduler (:mod:`repro.runtime`): "serial" with one worker, so
+        #: tasks run one at a time in build order on the calling thread;
+        #: "parallel" on the per-node slot pool.
         self.execution = execution
-        #: Parallel runs decompose GROUP BY fragments into leaf partial
+        #: DAG runs decompose GROUP BY fragments into leaf partial
         #: aggregation plus per-level combines when possible; ``False``
         #: restores the global-merge baseline (benchmark ablation knob).
         self.partial_aggregation = partial_aggregation
-        #: Default data-loss policy for parallel runs: ``False`` raises
+        #: Default data-loss policy: ``False`` raises
         #: :class:`~repro.runtime.faults.DataLossError` when base data is
         #: unrecoverable, ``True`` degrades to a partial result with a
         #: :class:`~repro.runtime.faults.CompletenessReport` (per-query
         #: override via ``process(on_data_loss=...)``).
         self.allow_partial_results = allow_partial_results
-        #: Compute backend for parallel DAG runs: ``"threads"`` runs engine
+        #: Compute backend for DAG tasks: ``"threads"`` runs engine
         #: operations in the scheduler's threads (default); ``"processes"``
         #: dispatches them to a spawned worker pool where every input and
         #: output crosses the process boundary as wire bytes
@@ -168,16 +169,8 @@ class ParadiseProcessor:
         self.calibration: CalibrationLog = (
             cost_model.calibration if cost_model is not None else CalibrationLog()
         )
-        self._scheduler: Optional[Scheduler] = None
-        self._scheduler_lock = threading.Lock()
-
-    @property
-    def scheduler(self) -> Scheduler:
-        """The lazily created scheduler (shared by all parallel runs)."""
-        with self._scheduler_lock:
-            if self._scheduler is None:
-                self._scheduler = Scheduler(self.topology)
-            return self._scheduler
+        #: Runs every query's DAG; its per-node slots are shared by all runs.
+        self.scheduler = Scheduler(self.topology)
 
     # ------------------------------------------------------------------
     # data placement
@@ -227,42 +220,32 @@ class ParadiseProcessor:
                 the "no privacy" baseline.
             execution: Override the processor's execution strategy for this
                 run ("serial" or "parallel").
-            namespace: Suffix for intermediate relation names (parallel runs
-                only); concurrent sessions pass a unique one each so shared
-                per-node databases never collide.
-            faults: Failure-injection harness for this run (parallel only);
-                the chaos tests and the recovery benchmark pass one.
+            namespace: Suffix for intermediate relation names; concurrent
+                sessions pass a unique one each so shared per-node databases
+                never collide.
+            faults: Failure-injection harness for this run; the chaos tests
+                and the recovery benchmark pass one.
             on_data_loss: ``"fail"`` raises on unrecoverable base-data loss,
                 ``"partial"`` degrades to a partial result plus completeness
                 report; ``None`` uses the processor's
                 ``allow_partial_results`` default.
-            task_timeout: Per-task deadline in seconds (parallel only);
-                ``None`` derives a generous one from the cost model.
+            task_timeout: Per-task deadline in seconds; ``None`` derives a
+                generous one from the cost model for parallel runs and
+                sets none for serial ones.
             profile: Collect a :class:`~repro.obs.trace.QueryTrace` and
                 build an EXPLAIN-ANALYZE-style profile report for this run;
                 ``None`` uses the processor's ``profile`` default.
         """
-        strategy = execution or self.execution
-        if strategy not in _EXECUTION_MODES:
-            raise ValueError(
-                f"Unknown execution mode: {strategy!r} (expected one of {_EXECUTION_MODES})"
-            )
+        strategy = _check_execution(execution or self.execution)
         if on_data_loss not in (None, "fail", "partial"):
             raise ValueError(
                 f"Unknown data-loss policy: {on_data_loss!r} "
                 "(expected 'fail' or 'partial')"
             )
-        if faults is not None and strategy != "parallel":
-            raise ValueError("Failure injection requires execution='parallel'")
         profiling = self.profile if profile is None else profile
         trace = QueryTrace(query_id=module_id) if profiling else None
         metrics_before = _metrics.snapshot() if profiling else None
         started = time.perf_counter()
-        if strategy == "serial":
-            # The serial oracle keeps the seed's shared-log semantics; the
-            # parallel path records into a per-run log instead (it may run
-            # concurrently with other sessions on the same simulator).
-            self.network.reset_log()
 
         # 1. admission + 2. rewriting
         prepared = self._prepare(query, module_id, apply_rewriting, submit=True)
@@ -286,30 +269,23 @@ class ParadiseProcessor:
             self._annotate_estimates(plan, raw_rows)
 
         # 4. distributed execution + 5. anonymization + 6. remainder
-        if strategy == "parallel" and plan.fragments:
-            final = self._execute_plan_parallel(
-                plan,
-                result,
-                anonymize=anonymize,
-                namespace=namespace,
-                faults=faults,
-                on_data_loss=on_data_loss,
-                task_timeout=task_timeout,
-                trace=trace,
-            )
-        else:
-            with maybe_span(trace, "serial_plan", kind="dag_run", epoch=0):
-                final = self._execute_plan(plan, result, anonymize=anonymize, trace=trace)
-            result.transfers = self.network.log
-        result.result = final
+        result.result = self._run_dag(
+            plan,
+            result,
+            anonymize=anonymize,
+            strategy=strategy,
+            namespace=namespace,
+            faults=faults,
+            on_data_loss=on_data_loss,
+            task_timeout=task_timeout,
+            trace=trace,
+        )
         result.elapsed_seconds = time.perf_counter() - started
         if trace is not None:
             result.trace = trace
             result.profile = build_profile_report(
                 trace,
-                runtime_wall_seconds=(
-                    result.runtime.wall_seconds if result.runtime is not None else 0.0
-                ),
+                runtime_wall_seconds=result.runtime.wall_seconds,
                 calibration=self.calibration,
                 metrics_before=metrics_before,
                 metrics_after=_metrics.snapshot(),
@@ -383,16 +359,11 @@ class ParadiseProcessor:
         """Render the fragment plan and DAG placement without executing.
 
         Renders :meth:`prepare`'s admission and rewriting, then the
-        fragmentation and (for parallel strategies) the DAG build — all
-        side-effect-free — as a human-readable plan: which fragment lands
-        on which node, and how the parallel runtime would decompose it into
-        tasks.
+        fragmentation and the DAG build — all side-effect-free — as a
+        human-readable plan: which fragment lands on which node, and how
+        the runtime decomposes it into tasks.
         """
-        strategy = execution or self.execution
-        if strategy not in _EXECUTION_MODES:
-            raise ValueError(
-                f"Unknown execution mode: {strategy!r} (expected one of {_EXECUTION_MODES})"
-            )
+        strategy = _check_execution(execution or self.execution)
         prepared = self.prepare(query, module_id, apply_rewriting)
         lines = [f"EXPLAIN (module {module_id!r}, execution={strategy})"]
         admission, rewrite = prepared.admission, prepared.rewrite
@@ -415,37 +386,19 @@ class ParadiseProcessor:
         lines.append("")
         lines.append(plan.pretty())
 
-        if strategy == "parallel" and plan.fragments:
-            dag = build_execution_dag(
-                plan,
-                self.topology,
-                self.network,
-                anonymize=anonymize,
-                namespace=namespace,
-                partial_aggregation=self.partial_aggregation,
-                config=self.engine,
-            )
-            lines.append("")
+        dag = self._build_dag(plan, self.topology, anonymize, namespace)
+        lines.append("")
+        lines.append(
+            f"{strategy} DAG: {len(dag.tasks)} tasks over "
+            f"{dag.partition_width} partition(s)"
+        )
+        for task in sorted(dag.tasks, key=lambda t: t.order):
+            deps = f" <- {', '.join(task.deps)}" if task.deps else ""
             lines.append(
-                f"parallel DAG: {len(dag.tasks)} tasks over "
-                f"{dag.partition_width} partition(s)"
+                f"  {task.order:3d}. {task.task_id} [{task.kind}] "
+                f"@ {task.node}{deps}"
             )
-            for task in sorted(dag.tasks, key=lambda t: t.order):
-                deps = f" <- {', '.join(task.deps)}" if task.deps else ""
-                lines.append(
-                    f"  {task.order:3d}. {task.task_id} [{task.kind}] "
-                    f"@ {task.node}{deps}"
-                )
         return "\n".join(lines)
-
-    # ------------------------------------------------------------------
-    # plan execution (serial oracle)
-    # ------------------------------------------------------------------
-    def _charge_compute(self, rows: int, node_name: str) -> None:
-        """Sleep for the simulated compute cost of ``rows`` on a node."""
-        if self.cost_model is not None:
-            power = self.topology.node(node_name).cpu_power or 1.0
-            self.cost_model.charge_compute(rows, power)
 
     def _annotate_estimates(self, plan: FragmentPlan, raw_rows: int) -> None:
         """Fill per-fragment estimated output rows, chained bottom-up.
@@ -462,237 +415,27 @@ class ParadiseProcessor:
             if estimated is not None:
                 rows = estimated
 
-    def _observe_serial(
-        self,
-        trace: Optional[QueryTrace],
-        span,
-        kind: str,
-        node: str,
-        input_rows: int,
-        output: Relation,
-        elapsed: float,
-        query: Optional[ast.Query] = None,
-        source: Optional[Relation] = None,
-    ) -> None:
-        """Annotate a serial-path span and feed the calibration log."""
-        if trace is None or span is None:
-            return
-        span.attrs["input_rows"] = input_rows
-        span.attrs["output_rows"] = len(output)
-        span.attrs["estimated_bytes"] = output.estimated_bytes()
-        if query is not None:
-            estimated = estimate_select_rows(
-                query,
-                relation=source,
-                input_rows=None if source is not None else input_rows,
-            )
-            if estimated is not None:
-                span.attrs["estimated_rows"] = estimated
-                self.calibration.observe(
-                    "rows", float(estimated), float(len(output)), rows=len(output)
-                )
-        predicted = 0.0
-        if self.cost_model is not None:
-            power = self.topology.node(node).cpu_power or 1.0
-            predicted = self.cost_model.compute_delay(input_rows, power)
-            span.attrs["predicted_seconds"] = predicted
-        self.calibration.observe(kind, predicted, elapsed, rows=input_rows)
-
-    def _execute_plan(
+    # ------------------------------------------------------------------
+    # plan execution
+    # ------------------------------------------------------------------
+    def _run_dag(
         self,
         plan: FragmentPlan,
         result: ProcessingResult,
         anonymize: bool,
-        trace: Optional[QueryTrace] = None,
-    ) -> Relation:
-        sensor_name = self.topology.nodes[0].name
-        current_node = sensor_name
-        current_relation: Optional[Relation] = None
-
-        fragments = list(plan.fragments)
-        if fragments and self.network.is_partitioned(fragments[0].input_name):
-            current_node, current_relation, fragments = self._serial_leaf_stage(
-                plan, result, fragments, trace=trace
-            )
-
-        for fragment in fragments:
-            target_node = fragment.assigned_node or self.topology.cloud.name
-            # Ship the previous intermediate result to the node that needs it.
-            if current_relation is not None:
-                self.network.ship(
-                    current_relation, fragment.input_name, current_node, target_node
-                )
-            database = self.network.database(target_node)
-            source = current_relation
-            if source is None and fragment.input_name in database:
-                source = database.table(fragment.input_name)
-            input_rows = (
-                len(source) if source is not None else self._raw_input_rows()
-            )
-            self._charge_compute(input_rows, target_node)
-            with maybe_span(
-                trace, fragment.name, kind="fragment", node=target_node
-            ) as span:
-                fragment_started = time.perf_counter()
-                current_relation = database.query(fragment.query, self.engine)
-                elapsed = time.perf_counter() - fragment_started
-                self._observe_serial(
-                    trace, span, "fragment", target_node, input_rows,
-                    current_relation, elapsed,
-                    query=fragment.query, source=source,
-                )
-            current_relation.name = fragment.name
-            database.register(fragment.name, current_relation)
-            result.executions.append(
-                FragmentExecution(
-                    fragment_name=fragment.name,
-                    node=target_node,
-                    level=fragment.level.short_name,
-                    sql=fragment.sql,
-                    input_rows=input_rows,
-                    output_rows=len(current_relation),
-                    elapsed_seconds=elapsed,
-                )
-            )
-            current_node = target_node
-
-        if current_relation is None:
-            current_relation = Relation.from_rows([], name="d_prime")
-
-        # 5. anonymization step A on the last in-apartment node.
-        if anonymize:
-            boundary_node = self._last_inside_node(current_node)
-            self._charge_compute(len(current_relation), boundary_node)
-            anonymize_input_rows = len(current_relation)
-            with maybe_span(
-                trace, "anonymize", kind="fragment", node=boundary_node
-            ) as span:
-                anonymize_started = time.perf_counter()
-                outcome = self.anonymizer.anonymize(
-                    current_relation,
-                    node_cpu_power=self.topology.node(boundary_node).cpu_power or 1.0,
-                )
-                self._observe_serial(
-                    trace, span, "anonymize", boundary_node, anonymize_input_rows,
-                    outcome.relation, time.perf_counter() - anonymize_started,
-                )
-            result.anonymization = outcome
-            current_relation = outcome.relation
-
-        # 6. ship d' to the cloud and run the remainder there.
-        cloud = self.topology.cloud.name
-        if current_node != cloud:
-            current_relation = self.network.ship(
-                current_relation, plan.result_name, current_node, cloud
-            )
-            current_node = cloud
-        if plan.remainder_query is not None:
-            database = self.network.database(cloud)
-            database.register(plan.remainder_input_alias, current_relation)
-            remainder_input_rows = len(current_relation)
-            self._charge_compute(remainder_input_rows, cloud)
-            with maybe_span(trace, "Q_delta", kind="fragment", node=cloud) as span:
-                remainder_started = time.perf_counter()
-                current_relation = database.query(plan.remainder_query, self.engine)
-                elapsed = time.perf_counter() - remainder_started
-                self._observe_serial(
-                    trace, span, "remainder", cloud, remainder_input_rows,
-                    current_relation, elapsed,
-                )
-            result.executions.append(
-                FragmentExecution(
-                    fragment_name="Q_delta",
-                    node=cloud,
-                    level="E1",
-                    sql=plan.remainder_description,
-                    input_rows=remainder_input_rows,
-                    output_rows=len(current_relation),
-                    elapsed_seconds=elapsed,
-                )
-            )
-        current_relation.name = "d_prime"
-        return current_relation
-
-    def _serial_leaf_stage(
-        self,
-        plan: FragmentPlan,
-        result: ProcessingResult,
-        fragments: List,
-        trace: Optional[QueryTrace] = None,
-    ) -> Tuple[str, Relation, List]:
-        """Serial oracle over a partitioned base: leaf loop + ordered union.
-
-        Visits each chunk holder in partition order, runs the bottom
-        fragment there when it is row-distributive (otherwise just collects
-        the raw chunks), ships every partial to the leaves' common ancestor
-        and unions them in partition order — exactly the relation the
-        parallel DAG produces, computed one leaf at a time.
-        """
-        first = fragments[0]
-        base_table = first.input_name
-        holders = self.network.partition_holders(base_table)
-        run_fragment = first.partitionable
-
-        partials: List[Relation] = []
-        for holder in holders:
-            database = self.network.database(holder)
-            chunk_rows = len(database.table(base_table)) if base_table in database else 0
-            if run_fragment:
-                self._charge_compute(chunk_rows, holder)
-                with maybe_span(
-                    trace, f"{first.name}[{holder}]", kind="fragment", node=holder
-                ) as span:
-                    fragment_started = time.perf_counter()
-                    partial = database.query(first.query, self.engine)
-                    elapsed = time.perf_counter() - fragment_started
-                    self._observe_serial(
-                        trace, span, "fragment", holder, chunk_rows, partial, elapsed
-                    )
-                partial.name = f"{first.name}[{holder}]"
-                result.executions.append(
-                    FragmentExecution(
-                        fragment_name=partial.name,
-                        node=holder,
-                        level=first.level.short_name,
-                        sql=first.sql,
-                        input_rows=chunk_rows,
-                        output_rows=len(partial),
-                        elapsed_seconds=elapsed,
-                    )
-                )
-            else:
-                partial = database.table(base_table)
-            partials.append(partial)
-
-        merge_name = first.name if run_fragment else base_table
-        ancestor = self.topology.common_ancestor(holders).name
-        received = []
-        for holder, partial in zip(holders, partials):
-            if holder != ancestor:
-                partial = self.network.ship(
-                    partial, f"{merge_name}@{holder}", holder, ancestor, register=False
-                )
-            received.append(partial)
-        merged = union_partials(received, merge_name)
-        self.network.database(ancestor).register(merge_name, merged)
-        remaining = fragments[1:] if run_fragment else fragments
-        return ancestor, merged, remaining
-
-    # ------------------------------------------------------------------
-    # plan execution (parallel runtime)
-    # ------------------------------------------------------------------
-    def _execute_plan_parallel(
-        self,
-        plan: FragmentPlan,
-        result: ProcessingResult,
-        anonymize: bool,
+        strategy: str,
         namespace: Optional[str],
         faults: Optional[FailureInjector] = None,
         on_data_loss: Optional[str] = None,
         task_timeout: Optional[float] = None,
         trace: Optional[QueryTrace] = None,
     ) -> Relation:
-        """Run ``plan`` on the parallel runtime, recovering from node deaths.
+        """Run ``plan`` as an execution DAG, recovering from node deaths.
+
+        ``strategy="serial"`` runs the scheduler with one worker, so tasks
+        execute one at a time in build order on the calling thread;
+        ``"parallel"`` dispatches every ready task onto the per-node slot
+        pool.
 
         The recovery loop: build and run the execution DAG; when the
         scheduler escalates a failure to
@@ -711,7 +454,8 @@ class ParadiseProcessor:
         loss_policy = on_data_loss or (
             "partial" if self.allow_partial_results else "fail"
         )
-        if task_timeout is None:
+        if task_timeout is None and strategy == "parallel":
+            # The default deadline is for abandoning hung pool workers.
             if self.cost_model is not None:
                 weakest = min(node.cpu_power or 1.0 for node in self.topology)
                 task_timeout = self.cost_model.task_timeout(
@@ -739,21 +483,14 @@ class ParadiseProcessor:
         lost: List[LostPartition] = []
         max_replans = max(1, len(self.topology) - 1)
         while True:
-            dag = build_execution_dag(
-                current_plan,
-                current_topology,
-                self.network,
-                anonymize=anonymize,
-                namespace=namespace,
-                partial_aggregation=self.partial_aggregation,
-                config=self.engine,
-            )
+            dag = self._build_dag(current_plan, current_topology, anonymize, namespace)
             try:
                 report = self.scheduler.run(
                     dag,
                     context,
                     retry_policy=self.retry_policy,
                     task_timeout=task_timeout,
+                    max_workers=1 if strategy == "serial" else None,
                 )
                 break
             except NodeDeath as death:
@@ -789,15 +526,11 @@ class ParadiseProcessor:
         result.executions.extend(context.ordered_executions())
         result.anonymization = context.anonymization
         result.transfers = run_log
-        leaves_lost: List[str] = []
-        for partition in lost:
-            if partition.node not in leaves_lost:
-                leaves_lost.append(partition.node)
         result.completeness = CompletenessReport(
             complete=not lost,
             lost_partitions=list(lost),
             rows_lost=sum(partition.rows for partition in lost),
-            leaves_lost=leaves_lost,
+            leaves_lost=list(dict.fromkeys(partition.node for partition in lost)),
             aggregates_exact=not lost,
             dead_nodes=list(dead),
             failures=faults.fired if faults is not None else [],
@@ -824,6 +557,23 @@ class ParadiseProcessor:
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
+    def _build_dag(
+        self,
+        plan: FragmentPlan,
+        topology: Topology,
+        anonymize: bool,
+        namespace: Optional[str],
+    ) -> ExecutionDag:
+        return build_execution_dag(
+            plan,
+            topology,
+            self.network,
+            anonymizer=self.anonymizer if anonymize else None,
+            namespace=namespace,
+            partial_aggregation=self.partial_aggregation,
+            config=self.engine,
+        )
+
     def _process_dispatcher(self):
         """The shared process dispatcher, or ``None`` on the thread backend.
 
@@ -847,6 +597,3 @@ class ParadiseProcessor:
         if "d" in database:
             return len(database.table("d"))
         return database.total_rows()
-
-    def _last_inside_node(self, current_node: str) -> str:
-        return last_inside_node(self.topology, current_node)

@@ -62,7 +62,7 @@ class PreparedQuery:
 
 @dataclass
 class RuntimeStats:
-    """What the parallel runtime did for one query (``execution="parallel"``)."""
+    """What the DAG runtime did for one query."""
 
     #: Number of leaf partitions the bottom fragment fanned out over.
     partition_width: int
@@ -129,10 +129,11 @@ class ProcessingResult:
     elapsed_seconds: float = 0.0
     #: The residual analysis call executed at the cloud (for R workloads).
     remainder_call: Optional[str] = None
-    #: Parallel-runtime statistics (``None`` for serial runs).
+    #: DAG-runtime statistics (``None`` when admission refused the query).
     runtime: Optional[RuntimeStats] = None
-    #: What the result does and does not cover (``None`` for serial runs;
-    #: ``complete=True`` unless base data was unrecoverably lost).
+    #: What the result does and does not cover (``None`` when admission
+    #: refused the query; ``complete=True`` unless base data was
+    #: unrecoverably lost).
     completeness: Optional["CompletenessReport"] = None
     #: Span collection of this run (``profile=True`` only); exports to
     #: Chrome trace JSON via ``result.trace.to_chrome(path)``.
@@ -189,7 +190,7 @@ class ProcessingResult:
             )
         if self.runtime is not None:
             lines.append(
-                f"  parallel runtime: {self.runtime.task_count} tasks "
+                f"  DAG runtime: {self.runtime.task_count} tasks "
                 f"({self.runtime.merge_count} merges) over "
                 f"{self.runtime.partition_width} partitions, "
                 f"overlap x{self.runtime.overlap_factor:.1f}"

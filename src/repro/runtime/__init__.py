@@ -50,12 +50,14 @@ query the environment at once.  This package closes that gap:
     loop marks the node dead, re-places its chunks onto live siblings and
     re-plans the DAG (:func:`~repro.runtime.dag.replan_without`).
 
-The serial executor remains in place as the *differential oracle*
-(``ParadiseProcessor(execution="serial")``, mirroring PR 1's
-``engine_mode`` pattern): the parallel runtime must return byte-identical
-relations on every workload — including every workload under every
-*recoverable* injected failure, which ``tests/test_chaos.py`` enforces on
-top of the healthy differentials of ``tests/test_runtime.py``.
+Every query runs on this runtime: ``execution="serial"`` is the same
+scheduler loop with one worker, ``"parallel"`` the per-node slot pool.
+The differential oracle is independent of it:
+:func:`repro.processor.reference.reference_result` runs the prepared query
+once over the unfragmented base data, and every run must return
+byte-identical relations — including every workload under every
+*recoverable* injected failure (``tests/test_reference.py``,
+``tests/test_runtime.py``, ``tests/test_chaos.py``).
 """
 
 from repro.runtime.cost import DEFAULT_TASK_TIMEOUT, CostModel
@@ -66,7 +68,7 @@ from repro.runtime.dag import (
     FinalizeAggregationTask,
     PartialAggregateTask,
     build_execution_dag,
-    last_inside_node,
+    anonymization_node,
     lift_node_groups,
     partial_aggregation_pays,
     replan_without,
@@ -95,6 +97,7 @@ from repro.runtime.standing import (
 )
 
 __all__ = [
+    "anonymization_node",
     "CheckpointStore",
     "CombinePartialsTask",
     "CompletenessReport",
@@ -123,7 +126,6 @@ __all__ = [
     "TaskTiming",
     "TransientTaskError",
     "build_execution_dag",
-    "last_inside_node",
     "lift_node_groups",
     "partial_aggregation_pays",
     "replan_without",

@@ -8,11 +8,12 @@ fragment execution a delay proportional to its input rows and inversely
 proportional to the node's relative CPU power, and every shipment a delay
 proportional to its bytes.  Delays are real ``time.sleep`` calls — they
 release the GIL, so delays on *independent* tasks genuinely overlap when the
-scheduler runs them concurrently, while the serial oracle pays them end to
-end.  Both execution paths charge the identical set of operations (fragment
-scans, the anonymization step, the cloud remainder, every shipment; merges
-are pointer work and charge nothing), which makes the parallel-vs-serial
-speedup a pure measure of overlap, not of differing work.
+scheduler runs them concurrently, while a one-worker (``execution="serial"``)
+run pays them end to end.  Both strategies run the same DAG and charge the
+identical set of operations (fragment scans, the anonymization step, the
+cloud remainder, every shipment; merges are pointer work and charge
+nothing), which makes the parallel-vs-serial speedup a pure measure of
+overlap, not of differing work.
 
 ``CostModel()`` with all-zero rates is free and is the default everywhere:
 ordinary processing never sleeps.

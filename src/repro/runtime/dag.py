@@ -28,9 +28,10 @@ a dependency graph of :class:`Task` objects the
 
 Chunks are contiguous slices of the original relation in leaf order, and
 merge tasks concatenate partials in exactly that order, so the DAG's result
-is row-for-row identical to the serial oracle
-(:meth:`~repro.processor.paradise.ParadiseProcessor._execute_plan`) — the
-differential tests in ``tests/test_runtime.py`` enforce this.
+is row-for-row identical to running the query once over the unfragmented
+relation (:func:`~repro.processor.reference.reference_result`) — the
+differential tests in ``tests/test_reference.py`` and
+``tests/test_runtime.py`` enforce this.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.anonymize.anonymizer import Anonymizer
 from repro.engine.columns import copy_column, extend_column
 from repro.engine.config import DEFAULT_CONFIG, EngineConfig
 from repro.engine.schema import ColumnDef, Schema
@@ -215,17 +217,25 @@ def partial_aggregation_pays(
     return True
 
 
-def last_inside_node(topology: Topology, current: str) -> str:
+def anonymization_node(topology: Topology, current: str, anonymizer: Anonymizer) -> str:
     """The node the anonymization step A runs on.
 
-    ``current`` itself when it is inside the apartment, otherwise the most
-    powerful in-apartment node (the paper's placement of the postprocessor).
+    The first node on ``current``'s path to the cloud that is inside the
+    apartment and powerful enough for ``anonymizer``
+    (:attr:`~repro.anonymize.anonymizer.Anonymizer.minimum_cpu_power`), so
+    A never lands on a sensor too weak to perform it.  When the path offers
+    no such node, the most powerful in-apartment node (the paper's
+    placement of the postprocessor; the highest-level one on a tie), or
+    ``current`` itself when the topology has no in-apartment node.  So A
+    applies exactly when some in-apartment node is powerful enough.
     """
-    node = topology.node(current)
-    if node.inside_apartment:
+    for node in topology.path_to_root(current):
+        if node.inside_apartment and (node.cpu_power or 1.0) >= anonymizer.minimum_cpu_power:
+            return node.name
+    inside = [n for n in reversed(topology.nodes) if n.inside_apartment]
+    if not inside:
         return current
-    inside = [n for n in topology.nodes if n.inside_apartment]
-    return inside[-1].name if inside else current
+    return max(inside, key=lambda node: node.cpu_power or 1.0).name
 
 
 def rebase_table_refs(query: ast.Query, old_name: str, new_name: str) -> ast.Query:
@@ -233,11 +243,12 @@ def rebase_table_refs(query: ast.Query, old_name: str, new_name: str) -> ast.Que
 
     The original name survives as the alias (unless one exists), so
     qualified column references keep resolving.  Used to point fragment
-    queries at namespaced per-session table names.
+    queries at namespaced per-session table names.  An identity rename
+    returns ``query`` itself: planned queries are never mutated.
     """
-    rebased = clone(query)
     if old_name.lower() == new_name.lower():
-        return rebased
+        return query
+    rebased = clone(query)
     stack: List[ast.Node] = [rebased]
     while stack:
         node = stack.pop()
@@ -782,7 +793,7 @@ class CombinePartialsTask(Task):
 class FinalizeAggregationTask(Task):
     """Merge the remaining partial states and emit the fragment's output.
 
-    Runs where the serial oracle runs the GROUP BY fragment; applies
+    Runs at the GROUP BY fragment's assigned node; applies
     HAVING, the select items and ORDER BY over the finalized aggregates,
     so the output is byte-identical to executing the fragment over the
     globally merged raw input — which never had to exist.
@@ -834,13 +845,18 @@ class FinalizeAggregationTask(Task):
 
 @dataclass
 class AnonymizeTask(Task):
-    """The postprocessing step A on the last in-apartment node."""
+    """The postprocessing step A on the node :func:`anonymization_node` picks."""
 
     source_id: str = ""
     source_node: str = ""
+    in_name: str = ""
 
     def execute(self, context: ExecutionContext) -> Relation:
         relation = context.outputs[self.source_id]
+        if self.source_node != self.node:
+            relation = self._receive(
+                context, relation, self.in_name, self.source_node, register=False
+            )
         context.charge_compute(len(relation), self.node)
         node = context.network.topology.node(self.node)
         outcome, _ = context.engine_call(
@@ -912,7 +928,7 @@ def build_execution_dag(
     plan: FragmentPlan,
     topology: Topology,
     network: NetworkSimulator,
-    anonymize: bool = True,
+    anonymizer: Optional[Anonymizer] = None,
     namespace: Optional[str] = None,
     partial_aggregation: bool = True,
     config: EngineConfig = DEFAULT_CONFIG,
@@ -931,7 +947,9 @@ def build_execution_dag(
     happens.  ``False`` restores the merge-then-group behaviour (the
     ablation baseline the pushdown benchmark compares against).
     ``config.optimizer`` selects the adaptive placement rule of
-    :func:`partial_aggregation_pays`.
+    :func:`partial_aggregation_pays`.  With an ``anonymizer`` the DAG
+    runs step A before the result leaves the apartment, on the node
+    :func:`anonymization_node` picks for it; without one, no step A.
     """
     if not plan.fragments:
         raise ValueError("Cannot build an execution DAG for an empty plan")
@@ -964,8 +982,8 @@ def build_execution_dag(
 
         Sibling partial-state relations combine at their common parent one
         tree level at a time (the same lift rule distributive fragments
-        use); whatever states remain merge and finalize where the serial
-        oracle runs the fragment.
+        use); whatever states remain merge and finalize at the fragment's
+        assigned node.
         """
         partial_name = ns(f"{fragment.name}__partial")
         current = partial_tasks
@@ -1024,7 +1042,7 @@ def build_execution_dag(
                             order=order,
                             kind="fragment",
                             fragment=first,
-                            query=rebase_table_refs(first.query, base_table, base_table),
+                            query=first.query,
                             in_name=base_table,
                             out_name=ns(first.name),
                             display_name=f"{first.name}[{holder}]",
@@ -1051,7 +1069,7 @@ def build_execution_dag(
                             order=order,
                             kind="partial",
                             fragment=first,
-                            query=rebase_table_refs(first.query, base_table, base_table),
+                            query=first.query,
                             in_name=base_table,
                             out_name=ns(f"{first.name}__partial"),
                             display_name=f"{first.name}~partial[{holder}]",
@@ -1062,7 +1080,7 @@ def build_execution_dag(
             remaining = fragments[1:]
         else:
             # Bottom fragment needs the whole relation: gather the raw
-            # chunks first, then run it where the serial oracle would.
+            # chunks first, then run it at its assigned node.
             for holder in holders:
                 task_id, order = next_id(f"scan[{holder}]")
                 partitions.append(
@@ -1227,7 +1245,7 @@ def build_execution_dag(
                 partitions = new_partitions
                 continue
             # Non-distributive fragment (or nowhere left to lift): merge
-            # everything at the node the serial oracle uses and chain on.
+            # everything at the fragment's assigned node and chain on.
             target = fragment.assigned_node or topology.cloud.name
             merge_id, order = next_id(f"merge[{in_base}]")
             merge = add(
@@ -1262,7 +1280,7 @@ def build_execution_dag(
                 )
             ]
             continue
-        # Single-stream chain: exactly the serial oracle's hop.
+        # Single-stream chain: one hop to the fragment's assigned node.
         target = fragment.assigned_node or topology.cloud.name
         previous = partitions[0] if partitions else None
         task_id, order = next_id(fragment.name)
@@ -1308,8 +1326,8 @@ def build_execution_dag(
 
     current = partitions[0]
 
-    if anonymize:
-        boundary = last_inside_node(topology, current.node)
+    if anonymizer is not None:
+        boundary = anonymization_node(topology, current.node, anonymizer)
         task_id, order = next_id("anonymize")
         current = add(
             AnonymizeTask(
@@ -1320,6 +1338,7 @@ def build_execution_dag(
                 kind="anonymize",
                 source_id=current.task_id,
                 source_node=current.node,
+                in_name=ns(plan.result_name),
             )
         )
 
@@ -1451,7 +1470,7 @@ def lift_node_groups(
     node without a parent, a parent outside the apartment (data may not
     cross the boundary before anonymization), sibling groups that are not
     contiguous runs of the partition order (concatenating them would permute
-    rows relative to the serial oracle), or a lift that would not reduce the
+    rows relative to the loaded relation), or a lift that would not reduce the
     number of partitions.
     """
     groups: List[Tuple[str, List[str]]] = []

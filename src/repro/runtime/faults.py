@@ -447,7 +447,8 @@ class CompletenessReport:
     """What a (possibly degraded) query result does and does not cover.
 
     ``complete=True`` is the common case: every injected failure was
-    recovered and the relation is byte-identical to the serial oracle's.
+    recovered and the relation is byte-identical to the unfragmented
+    reference (:func:`repro.processor.reference.reference_result`).
     Otherwise the report enumerates exactly which partitions are missing,
     and ``aggregates_exact=False`` warns that any aggregate/window values in
     the result were computed over the surviving rows only.

@@ -40,7 +40,7 @@ for the hung-node case, where the stuck worker is abandoned) drains in-flight
 ones before raising, so per-node slots are released and no zombie task writes
 into a later attempt's context.  Recovery itself — marking the node dead,
 re-placing its data, re-planning the DAG — is the processor's job
-(:meth:`~repro.processor.paradise.ParadiseProcessor._execute_plan_parallel`);
+(:meth:`~repro.processor.paradise.ParadiseProcessor._run_dag`);
 the scheduler supports it by **restoring checkpoints**: before running, any
 task whose signature has a checkpointed output (see
 :class:`~repro.runtime.faults.CheckpointStore`) is satisfied from the store
@@ -57,7 +57,13 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Executor,
+    Future,
+    ThreadPoolExecutor,
+    wait,
+)
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
@@ -103,6 +109,20 @@ class DagRunReport:
     def busy_seconds(self) -> float:
         """Sum of per-task wall time (serial-equivalent busy time)."""
         return sum(timing.elapsed for timing in self.timings)
+
+
+class _CallingThread(Executor):
+    """The one-worker pool: ``submit`` runs the task to completion on the
+    caller's thread.  No handoff, and no fresh worker thread per run (whose
+    new malloc arena re-faults every page the run allocates)."""
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except BaseException as error:
+            future.set_exception(error)
+        return future
 
 
 def _node_slots(cpu_power: float, cap: int = 4) -> int:
@@ -175,17 +195,21 @@ class Scheduler:
         context: ExecutionContext,
         retry_policy: Optional[RetryPolicy] = None,
         task_timeout: Optional[float] = None,
+        max_workers: Optional[int] = None,
     ) -> DagRunReport:
         """Execute ``dag`` to completion; returns the run report.
 
         ``retry_policy`` bounds in-place retries of transient task failures
         (defaults to :class:`~repro.runtime.faults.RetryPolicy`);
         ``task_timeout`` is the per-task deadline in seconds (``None``
-        disables deadline checking).  Raises the first non-recovered task
-        exception after cancelling pending tasks and letting in-flight ones
-        drain; a deadline violation raises
-        :class:`~repro.runtime.faults.NodeDeath` for the hung node without
-        draining (the stuck worker is abandoned).
+        disables deadline checking).  ``max_workers`` caps this run's pool
+        (default: the scheduler's); ``1`` runs the tasks one at a time in
+        build order on the calling thread, which is ``execution="serial"``.
+        Raises the first non-recovered task exception after cancelling
+        pending tasks and letting in-flight ones drain; a deadline violation
+        raises :class:`~repro.runtime.faults.NodeDeath` for the hung node
+        without draining (the stuck worker is abandoned; on the calling
+        thread the task is declared hung when it returns).
         """
         policy = retry_policy or RetryPolicy()
         by_id = dag.by_id()
@@ -229,7 +253,10 @@ class Scheduler:
                     skipped=skipped_count,
                 )
 
-        def run_task(task: Task, ready_at: float) -> Relation:
+        def hung(task: Task) -> str:
+            return f"{task.task_id} exceeded its {task_timeout:.1f}s deadline (hung node)"
+
+        def run_task(task: Task, ready_at: float, deadline: Optional[float]) -> Relation:
             slot = self._slot_for(task.node)
             previous_span = None
             for attempt in range(1, policy.max_attempts + 1):
@@ -270,6 +297,8 @@ class Scheduler:
                                 # output is discarded with the raised
                                 # NodeDeath.
                                 context.injector.after_task(task)
+                            if deadline is not None and time.monotonic() > deadline:
+                                raise NodeDeath(task.node, cause=hung(task))
                         finally:
                             slots_gauge.dec()
                 except TransientTaskError as error:
@@ -348,15 +377,26 @@ class Scheduler:
         in_flight: Dict[Future, str] = {}
         deadlines: Dict[Future, float] = {}
         first_error: Optional[BaseException] = None
-        pool = ThreadPoolExecutor(max_workers=self.max_workers)
+        workers = max_workers or self.max_workers
+        pool = _CallingThread() if workers == 1 else ThreadPoolExecutor(workers)
         try:
             while (ready or in_flight) and first_error is None:
-                for task_id in ready:
-                    future = pool.submit(run_task, by_id[task_id], time.perf_counter())
-                    in_flight[future] = task_id
+                while ready and len(in_flight) < workers:
+                    task_id = ready.pop(0)
+                    deadline = None
                     if task_timeout is not None:
-                        deadlines[future] = time.monotonic() + task_timeout
-                ready = []
+                        deadline = time.monotonic() + task_timeout
+                    # A pool worker that overruns is caught by the poll
+                    # below; a calling-thread task only when it returns.
+                    future = pool.submit(
+                        run_task,
+                        by_id[task_id],
+                        time.perf_counter(),
+                        deadline if workers == 1 else None,
+                    )
+                    in_flight[future] = task_id
+                    if deadline is not None:
+                        deadlines[future] = deadline
                 poll: Optional[float] = None
                 if deadlines:
                     poll = max(
@@ -369,14 +409,8 @@ class Scheduler:
                     now = time.monotonic()
                     for future, deadline in deadlines.items():
                         if now >= deadline and not future.done():
-                            hung = by_id[in_flight[future]]
-                            first_error = NodeDeath(
-                                hung.node,
-                                cause=(
-                                    f"{hung.task_id} exceeded its "
-                                    f"{task_timeout:.1f}s deadline (hung node)"
-                                ),
-                            )
+                            task = by_id[in_flight[future]]
+                            first_error = NodeDeath(task.node, cause=hung(task))
                             # The hung worker is left running; once it
                             # wakes it must not start engine work for this
                             # given-up attempt (ExecutionContext.engine_call).

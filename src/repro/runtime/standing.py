@@ -31,7 +31,7 @@ end of a leaf chunk, and ``union_partials([old_state, delta_state])`` feeds
 the merge in exactly that order — so the merged group order (and every
 MIN/MAX tie, which keeps the first-seen value) equals a single pass over
 the full chunk.  Sibling states union in partition order up the tree,
-which is the serial oracle's concatenation order.  The accumulators
+which is the loaded relation's row order.  The accumulators
 themselves are exact (Shewchuk float expansions, exact int sums, Fraction
 moments), so there is no drift for the differential tests to forgive.
 

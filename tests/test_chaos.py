@@ -1,12 +1,12 @@
 """Chaos differential tests for the fault-tolerant runtime (PR 6).
 
-The contract under test extends the serial/parallel differential to injected
+The contract under test extends the reference differential to injected
 failures:
 
 * every *recoverable* failure (a node crash whose data a sibling can
   re-read, a transient task error, a flaky link, a hung device caught by the
-  deadline) yields a relation **byte-identical** to the healthy serial
-  oracle — rows, row order and schema;
+  deadline) yields a relation **byte-identical** (``pack_relation``) to the
+  unfragmented reference of a healthy processor;
 * every *unrecoverable* failure (a destroyed device whose chunk is gone)
   either aborts with :class:`~repro.runtime.faults.DataLossError` (the
   default policy) or, under ``on_data_loss="partial"``, returns a result
@@ -29,7 +29,10 @@ from tests.test_runtime import RAW_WORKLOADS, build_tree_processor
 
 from repro.engine.database import Database
 from repro.engine.errors import ExecutionError
+from repro.engine.wire import pack_relation
 from repro.fragment.topology import Topology
+from repro.processor.reference import reference_result
+from repro.runtime import scheduler as scheduler_module
 from repro.runtime import (
     DataLossError,
     ExecutionContext,
@@ -38,6 +41,7 @@ from repro.runtime import (
     QueryRequest,
     SessionFrontEnd,
 )
+from repro.runtime.dag import AnonymizeTask
 from repro.runtime.faults import (
     DELAY_LINK,
     DROP_LINK,
@@ -68,17 +72,19 @@ CHAOS_WORKLOADS = [
 ]
 
 
-def serial_oracle(query: str):
+def reference_oracle(query: str):
     processor = build_tree_processor(n_sensors=8, rows=ROWS)
-    return processor.process(query, "fig4", execution="serial", apply_rewriting=False)
+    return reference_result(processor, query, "fig4", apply_rewriting=False)
 
 
-def run_with_faults(query: str, injector: FailureInjector, **options):
+def run_with_faults(
+    query: str, injector: FailureInjector, execution: str = "parallel", **options
+):
     processor = build_tree_processor(n_sensors=8, rows=ROWS)
     return processor.process(
         query,
         "fig4",
-        execution="parallel",
+        execution=execution,
         apply_rewriting=False,
         faults=injector,
         **options,
@@ -86,10 +92,9 @@ def run_with_faults(query: str, injector: FailureInjector, **options):
 
 
 def assert_same_relation(expected, actual):
-    """Byte-identity: schema names, rows, and row order all equal."""
+    """Byte-identity: equal ``pack_relation`` payloads."""
     assert expected is not None and actual is not None
-    assert expected.schema.names == actual.schema.names
-    assert expected.rows == actual.rows
+    assert pack_relation(actual) == pack_relation(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -101,10 +106,10 @@ def assert_same_relation(expected, actual):
 @pytest.mark.parametrize("victim", VICTIMS)
 def test_kill_any_node_stays_byte_identical(query, victim):
     """A recoverable kill of any node leaves the result byte-identical."""
-    oracle = serial_oracle(query)
+    oracle = reference_oracle(query)
     injector = FailureInjector([Fault(kind=KILL_NODE, node=victim)])
     result = run_with_faults(query, injector)
-    assert_same_relation(oracle.result, result.result)
+    assert_same_relation(oracle, result.result)
     assert result.completeness is not None and result.completeness.complete
     if injector.fired:
         assert result.runtime.replans == 1
@@ -127,13 +132,13 @@ def test_kill_any_node_stays_byte_identical(query, victim):
 def test_kill_at_specific_task_boundaries(at_task, victim, when):
     """Kills at every stage of the partial-aggregation protocol recover."""
     query = RAW_WORKLOADS[2]
-    oracle = serial_oracle(query)
+    oracle = reference_oracle(query)
     injector = FailureInjector(
         [Fault(kind=KILL_NODE, node=victim, at_task=at_task, when=when)]
     )
     result = run_with_faults(query, injector)
     assert injector.fired, f"fault for {at_task}@{when} never matched"
-    assert_same_relation(oracle.result, result.result)
+    assert_same_relation(oracle, result.result)
     assert result.runtime.replans == 1
 
 
@@ -141,7 +146,7 @@ def test_kill_at_specific_task_boundaries(at_task, victim, when):
 def test_seeded_random_kills_recover(n_failures):
     """Seeded multi-kill runs recover and replay deterministically."""
     query = RAW_WORKLOADS[2]
-    oracle = serial_oracle(query)
+    oracle = reference_oracle(query)
     for seed in (3, 11):
         first = run_with_faults(
             query,
@@ -155,8 +160,8 @@ def test_seeded_random_kills_recover(n_failures):
                 Topology.smart_home_tree(n_sensors=8), n_failures, seed=seed
             ),
         )
-        assert_same_relation(oracle.result, first.result)
-        assert_same_relation(oracle.result, second.result)
+        assert_same_relation(oracle, first.result)
+        assert_same_relation(oracle, second.result)
         # Reproducible: the same seed kills the same nodes.
         assert first.completeness.dead_nodes == second.completeness.dead_nodes
 
@@ -168,20 +173,20 @@ def test_seeded_random_kills_recover(n_failures):
 
 def test_transient_error_retries_in_place():
     query = RAW_WORKLOADS[2]
-    oracle = serial_oracle(query)
+    oracle = reference_oracle(query)
     injector = FailureInjector([Fault(kind=TASK_ERROR, node="sensor_1", times=2)])
     result = run_with_faults(query, injector)
-    assert_same_relation(oracle.result, result.result)
+    assert_same_relation(oracle, result.result)
     assert result.runtime.retried_attempts == 2
     assert result.runtime.replans == 0
 
 
 def test_exhausted_retries_escalate_to_replan():
     query = RAW_WORKLOADS[2]
-    oracle = serial_oracle(query)
+    oracle = reference_oracle(query)
     injector = FailureInjector([Fault(kind=TASK_ERROR, node="sensor_1", times=99)])
     result = run_with_faults(query, injector)
-    assert_same_relation(oracle.result, result.result)
+    assert_same_relation(oracle, result.result)
     assert result.runtime.replans == 1
     assert result.completeness.dead_nodes == ["sensor_1"]
     # Checkpoints made the re-plan replay only lost work.
@@ -190,48 +195,110 @@ def test_exhausted_retries_escalate_to_replan():
 
 def test_link_drop_retries_then_succeeds():
     query = RAW_WORKLOADS[2]
-    oracle = serial_oracle(query)
+    oracle = reference_oracle(query)
     injector = FailureInjector(
         [Fault(kind=DROP_LINK, node="sensor_2", target="appliance_0", times=2)]
     )
     result = run_with_faults(query, injector)
-    assert_same_relation(oracle.result, result.result)
+    assert_same_relation(oracle, result.result)
     assert result.runtime.retried_attempts == 2
     assert result.runtime.replans == 0
 
 
 def test_permanently_down_link_replans():
     query = RAW_WORKLOADS[2]
-    oracle = serial_oracle(query)
+    oracle = reference_oracle(query)
     injector = FailureInjector(
         [Fault(kind=DROP_LINK, node="sensor_2", target="appliance_0", times=999)]
     )
     result = run_with_faults(query, injector)
-    assert_same_relation(oracle.result, result.result)
+    assert_same_relation(oracle, result.result)
     assert result.runtime.replans >= 1
 
 
 def test_link_delay_changes_nothing_but_time():
     query = RAW_WORKLOADS[0]
-    oracle = serial_oracle(query)
+    oracle = reference_oracle(query)
     injector = FailureInjector(
         [Fault(kind=DELAY_LINK, node="sensor_0", delay_seconds=0.02, times=3)]
     )
     result = run_with_faults(query, injector)
-    assert_same_relation(oracle.result, result.result)
+    assert_same_relation(oracle, result.result)
     assert result.runtime.replans == 0
 
 
 def test_hung_node_detected_by_deadline():
     query = RAW_WORKLOADS[2]
-    oracle = serial_oracle(query)
+    oracle = reference_oracle(query)
     injector = FailureInjector(
         [Fault(kind=HANG, node="sensor_4", delay_seconds=1.2)]
     )
     result = run_with_faults(query, injector, task_timeout=0.25)
-    assert_same_relation(oracle.result, result.result)
+    assert_same_relation(oracle, result.result)
     assert result.runtime.replans == 1
     assert result.completeness.dead_nodes == ["sensor_4"]
+
+
+class _SkewedClock:
+    """The scheduler's ``time`` module, with a monotonic clock a task can
+    jump forward: a task "finishes past its deadline" without a sleep."""
+
+    def __init__(self) -> None:
+        self.skew = 0.0
+
+    def monotonic(self) -> float:
+        return time.monotonic() + self.skew
+
+    def __getattr__(self, name):
+        return getattr(time, name)
+
+
+@pytest.mark.parametrize(
+    "execution,task_timeout,skew",
+    [("parallel", 1.0, 5.0), ("serial", None, 100.0)],
+)
+def test_slow_but_finished_task_is_not_declared_hung(
+    monkeypatch, execution, task_timeout, skew
+):
+    """A parallel task that returns after its deadline but before the
+    scheduler's poll notices is kept, and a serial run checks no deadline
+    the caller did not ask for (the 30 s default is for pool workers)."""
+    clock = _SkewedClock()
+    monkeypatch.setattr(scheduler_module, "time", clock)
+    anonymize = AnonymizeTask.execute
+
+    def slow_anonymize(self, context):
+        output = anonymize(self, context)
+        clock.skew += skew  # nothing else is in flight while A runs
+        return output
+
+    monkeypatch.setattr(AnonymizeTask, "execute", slow_anonymize)
+    query = RAW_WORKLOADS[2]
+    result = run_with_faults(
+        query, FailureInjector([]), execution=execution, task_timeout=task_timeout
+    )
+    assert clock.skew == skew
+    assert result.runtime.replans == 0
+    assert result.completeness.dead_nodes == []
+    assert_same_relation(reference_oracle(query), result.result)
+
+
+@pytest.mark.parametrize(
+    "kind,node,options",
+    [
+        (KILL_NODE, "appliance_1", {}),
+        (TASK_ERROR, "sensor_2", {}),
+        (HANG, "sensor_4", {"task_timeout": 0.25}),
+    ],
+)
+def test_one_slot_execution_recovers_like_parallel(kind, node, options):
+    """``execution="serial"`` is the same scheduler with one worker, so
+    kills, transient errors and hangs recover there too."""
+    query = RAW_WORKLOADS[2]
+    injector = FailureInjector([Fault(kind=kind, node=node, delay_seconds=1.2)])
+    result = run_with_faults(query, injector, execution="serial", **options)
+    assert injector.fired
+    assert_same_relation(reference_oracle(query), result.result)
 
 
 def test_abandoned_attempt_starts_no_engine_work(monkeypatch):
@@ -259,11 +326,11 @@ def test_abandoned_attempt_starts_no_engine_work(monkeypatch):
     monkeypatch.setattr(ExecutionContext, "engine_call", watched)
 
     query = RAW_WORKLOADS[2]
-    oracle = serial_oracle(query)
+    oracle = reference_oracle(query)
     injector = FailureInjector([Fault(kind=HANG, node="sensor_4", delay_seconds=0.6)])
     result = run_with_faults(query, injector, task_timeout=0.2)
     recovered_at = time.monotonic()
-    assert_same_relation(oracle.result, result.result)
+    assert_same_relation(oracle, result.result)
     assert result.runtime.replans == 1
 
     assert refused.wait(timeout=10.0), "the hung worker never woke"
@@ -303,9 +370,9 @@ def test_data_loss_partial_policy_reports_exactly(query):
     assert "sensor_3" in report.summary()
     # The degraded result covers only surviving chunks: same schema, never
     # more rows than the healthy run.
-    oracle = serial_oracle(query)
-    assert result.result.schema.names == oracle.result.schema.names
-    assert len(result.result) <= len(oracle.result)
+    oracle = reference_oracle(query)
+    assert result.result.schema.names == oracle.schema.names
+    assert len(result.result) <= len(oracle)
 
 
 def test_processor_level_partial_default():
@@ -346,12 +413,12 @@ def test_retry_does_not_double_count_states():
     would drift — byte-identity to the oracle proves it did not.
     """
     query = "SELECT x, COUNT(*) AS n, SUM(z) AS s FROM d GROUP BY x"
-    oracle = serial_oracle(query)
+    oracle = reference_oracle(query)
     injector = FailureInjector(
         [Fault(kind=TASK_ERROR, node="sensor_6", at_task="~partial", times=2)]
     )
     result = run_with_faults(query, injector)
-    assert_same_relation(oracle.result, result.result)
+    assert_same_relation(oracle, result.result)
     assert result.runtime.retried_attempts == 2
 
 
@@ -363,7 +430,7 @@ def test_checkpoint_restore_is_exact():
         "SELECT x, AVG(z) AS za, STDDEV(z) AS zs, COUNT(*) AS n "
         "FROM d GROUP BY x"
     )
-    oracle = serial_oracle(query)
+    oracle = reference_oracle(query)
     injector = FailureInjector(
         [
             Fault(
@@ -377,7 +444,7 @@ def test_checkpoint_restore_is_exact():
     result = run_with_faults(query, injector)
     assert injector.fired
     assert result.runtime.replans == 1
-    assert_same_relation(oracle.result, result.result)
+    assert_same_relation(oracle, result.result)
     assert result.runtime.checkpoints_saved > 0
     assert result.runtime.restored_tasks > 0
     assert result.runtime.checkpoint_bytes > 0
@@ -446,20 +513,20 @@ def test_recovered_session_then_healthy_sessions_share_topology():
     """After one session loses a node, later sessions on the same processor
     keep working on the degraded topology (and stay byte-identical)."""
     query = RAW_WORKLOADS[2]
-    oracle = serial_oracle(query)
+    oracle = reference_oracle(query)
     processor = build_tree_processor(n_sensors=8, rows=ROWS)
     injector = FailureInjector([Fault(kind=KILL_NODE, node="sensor_2")])
     first = processor.process(
         query, "fig4", execution="parallel", apply_rewriting=False, faults=injector
     )
-    assert_same_relation(oracle.result, first.result)
+    assert_same_relation(oracle, first.result)
     assert processor.topology.dead_nodes == ["sensor_2"]
     # A fresh healthy run on the degraded environment: sensor_2's chunk now
     # lives with a sibling, so the result is still complete and identical.
     second = processor.process(
         query, "fig4", execution="parallel", apply_rewriting=False
     )
-    assert_same_relation(oracle.result, second.result)
+    assert_same_relation(oracle, second.result)
     assert second.runtime.replans == 0
 
 

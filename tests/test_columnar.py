@@ -27,10 +27,12 @@ from repro.engine.schema import ColumnDef, Schema
 from repro.engine.table import Relation, RowView, concat
 from repro.engine.types import DataType
 from repro.engine.vectorized import stats
+from repro.engine.wire import pack_relation
 from repro.fragment.topology import Topology
 from repro.obs.metrics import delta, registry
 from repro.policy.presets import figure4_policy
 from repro.processor.paradise import ParadiseProcessor
+from repro.processor.reference import reference_result
 from repro.sensors.scenario import INTEGRATED_SCHEMA
 
 
@@ -344,8 +346,8 @@ def test_parallel_runs_identical_across_scan_paths():
     sql = "SELECT activity, COUNT(*) AS n, AVG(z) AS az FROM d GROUP BY activity"
     options = {"apply_rewriting": False, "anonymize": False}
     row_path = EngineConfig(vectorized=False)
-    serial = _pipeline_processor(config=row_path).process(
-        sql, "ActionFilter", execution="serial", **options
+    expected = pack_relation(
+        reference_result(_pipeline_processor(), sql, "ActionFilter", **options)
     )
     for config in (row_path, EngineConfig()):
         processor = _pipeline_processor(config=config)
@@ -353,8 +355,7 @@ def test_parallel_runs_identical_across_scan_paths():
             lambda: processor.process(sql, "ActionFilter", execution="parallel", **options)
         )
         _assert_path(config, vectorized, executions)
-        assert parallel.result.schema.names == serial.result.schema.names
-        assert parallel.result.rows == serial.result.rows, config
+        assert pack_relation(parallel.result) == expected, config
 
 
 @pytest.mark.concurrency

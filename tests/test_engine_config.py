@@ -1,8 +1,9 @@
 """Reach test: every ``EngineConfig`` field is in force inside every backend.
 
 Each case builds a processor with one non-default config and runs it on
-one backend: the serial plan walker, the parallel scheduler's threads, the
-process backend and a standing query's register + refresh.  Every engine
+one backend: the one-worker scheduler (``execution="serial"``, on the
+caller's thread), the parallel scheduler's threads, the process backend and
+a standing query's register + refresh.  Every engine
 call records the config of the executor that served it, so the test sees
 the setting *where the engine ran* — a scheduler thread, or the worker
 side of a framed job — not merely where the caller set it.  The process

@@ -5,9 +5,8 @@ The contract under test:
 * ``profile=True`` attaches a :class:`~repro.obs.trace.QueryTrace` whose
   span totals reconcile with the runtime's own wall clock, renders an
   EXPLAIN-ANALYZE-style tree, and exports valid Chrome ``trace_event`` JSON;
-* tracing is inert when disabled — no trace, no profile, and the
-  serial/parallel differential oracle stays byte-identical with profiling
-  on either side;
+* tracing is inert when disabled — no trace, no profile — and profiled
+  runs stay byte-identical to the unfragmented reference;
 * spans stay correct under concurrency (no leakage between sessions) and
   chaos (retried and re-planned tasks produce *linked* spans, not
   duplicates; a killed node's spans finish ``aborted``);
@@ -26,10 +25,12 @@ import pytest
 from tests.conftest import make_sensor_relation
 from tests.test_runtime import RAW_WORKLOADS, build_tree_processor
 
+from repro.engine.wire import pack_relation
 from repro.obs.metrics import MetricsRegistry, delta, registry
-from repro.obs.trace import QueryTrace, activate, current_span, maybe_span
+from repro.obs.trace import QueryTrace, activate, current_span
 from repro.policy.presets import figure4_policy
 from repro.processor.paradise import ParadiseProcessor
+from repro.processor.reference import reference_result
 from repro.processor.result import RuntimeStats
 from repro.runtime import CostModel, QueryRequest, SessionFrontEnd
 from repro.runtime.faults import KILL_NODE, TASK_ERROR, Fault, FailureInjector
@@ -121,11 +122,9 @@ def test_ambient_parenting_never_crosses_traces():
         theirs.finish(span)
 
 
-def test_maybe_span_is_inert_without_a_trace():
-    with maybe_span(None, "anything") as span:
+def test_activate_none_is_inert():
+    with activate(None) as span:
         assert span is None
-        assert current_span() is None
-    with activate(None):
         assert current_span() is None
 
 
@@ -202,12 +201,16 @@ def test_profile_records_predictions_and_calibration():
     assert "predicted vs observed" in report.render()
 
 
-def test_serial_profile_produces_fragment_spans():
+def test_serial_profile_produces_task_spans():
+    """A one-slot run traces like a parallel one: one ``dag_run`` root and
+    one task span per DAG task."""
     processor = build_flat_processor(rows=200, execution="serial")
     result = processor.process(PIPELINE_SQL, "ActionFilter", profile=True)
     assert result.trace is not None
-    fragments = result.trace.by_kind("fragment")
-    assert {span.name for span in fragments} >= {"d1", "anonymize"}
+    tasks = result.trace.by_kind("task")
+    assert len(tasks) == result.runtime.task_count
+    assert {span.name.split(":", 1)[1] for span in tasks} >= {"d1", "anonymize"}
+    assert len(result.trace.by_kind("dag_run")) == 1
     assert result.profile.render()
 
 
@@ -219,14 +222,10 @@ def test_profile_off_attaches_nothing():
 
 def test_differential_oracle_unchanged_by_profiling():
     for query in RAW_WORKLOADS:
-        serial = build_tree_processor(rows=150, execution="serial").process(
-            query, "fig4", apply_rewriting=False
-        )
-        profiled = build_tree_processor(rows=150, execution="parallel").process(
-            query, "fig4", apply_rewriting=False, profile=True
-        )
-        assert serial.result.schema.names == profiled.result.schema.names
-        assert serial.result.rows == profiled.result.rows
+        processor = build_tree_processor(rows=150, execution="parallel")
+        profiled = processor.process(query, "fig4", apply_rewriting=False, profile=True)
+        expected = reference_result(processor, query, "fig4", apply_rewriting=False)
+        assert pack_relation(profiled.result) == pack_relation(expected)
 
 
 # ---------------------------------------------------------------------------

@@ -59,8 +59,6 @@ def test_network_ship_to_same_node_is_not_a_transfer(sensor_relation):
     network.ship(sensor_relation, "d1", "pc", "pc")
     assert network.log.transfers == []
     assert "d1" in network.database("pc")
-    network.reset_log()
-    assert network.log.total_rows == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Tests for the process-pool execution backend (``workers="processes"``).
 
 The contract under test: engine operations dispatched to spawned worker
-processes return relations **byte-identical** to the serial oracle on every
+processes return relations **byte-identical** to the unfragmented reference on every
 workload shape, under both engine modes and under injected failures — while
 nothing ever crosses the process boundary except wire bytes (no pickling of
 relations or aggregate state, enforced by ``Relation.__reduce__``).
@@ -20,6 +20,7 @@ from repro.engine.database import Database
 from repro.engine.table import Relation
 from repro.engine.wire import WireFormatError, pack_relation, unpack_relation
 from repro.processor.paradise import ParadiseProcessor
+from repro.processor.reference import reference_result
 from repro.policy.presets import figure4_policy
 from repro.runtime.faults import KILL_NODE, TASK_ERROR, Fault, FailureInjector
 from repro.runtime.procs import (
@@ -47,10 +48,15 @@ def procs_processor(**kwargs) -> ParadiseProcessor:
     return build_tree_processor(n_sensors=4, rows=ROWS, **kwargs)
 
 
+def reference_oracle(query: str, module_id: str = "fig4", **options) -> Relation:
+    """The unfragmented reference over a fresh thread-backed processor."""
+    processor = build_tree_processor(n_sensors=4, rows=ROWS)
+    return reference_result(processor, query, module_id, **options)
+
+
 def assert_same_relation(expected, actual):
     assert expected is not None and actual is not None
-    assert expected.schema.names == actual.schema.names
-    assert expected.rows == actual.rows
+    assert pack_relation(actual) == pack_relation(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -215,43 +221,36 @@ def test_dispatcher_validates_worker_count():
 
 
 # ---------------------------------------------------------------------------
-# serial-oracle differential through spawned workers
+# reference differential through spawned workers
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("query", RAW_WORKLOADS)
 def test_process_backend_matches_serial_oracle(query):
-    serial = build_tree_processor(n_sensors=4, rows=ROWS)
     procs = procs_processor()
-    oracle = serial.process(
-        query, "fig4", execution="serial", apply_rewriting=False
-    )
+    oracle = reference_oracle(query, apply_rewriting=False)
     result = procs.process(
         query, "fig4", execution="parallel", apply_rewriting=False
     )
-    assert_same_relation(oracle.result, result.result)
+    assert_same_relation(oracle, result.result)
     assert procs._dispatcher is not None and procs._dispatcher.jobs > 0
 
 
 def test_process_backend_matches_oracle_on_rewritten_paper_query():
-    serial = build_tree_processor(n_sensors=4, rows=ROWS)
     procs = procs_processor()
-    oracle = serial.process(PAPER_SQL, "ActionFilter", execution="serial")
+    oracle = reference_oracle(PAPER_SQL, "ActionFilter")
     result = procs.process(PAPER_SQL, "ActionFilter", execution="parallel")
-    assert_same_relation(oracle.result, result.result)
+    assert_same_relation(oracle, result.result)
 
 
 def test_process_backend_matches_oracle_in_interpreted_mode():
     query = "SELECT x, AVG(z) AS za, COUNT(*) AS n FROM d GROUP BY x"
-    serial = build_tree_processor(n_sensors=4, rows=ROWS, engine_mode="interpreted")
     procs = procs_processor(engine_mode="interpreted")
-    oracle = serial.process(
-        query, "fig4", execution="serial", apply_rewriting=False
-    )
+    oracle = reference_oracle(query, apply_rewriting=False)
     result = procs.process(
         query, "fig4", execution="parallel", apply_rewriting=False
     )
-    assert_same_relation(oracle.result, result.result)
+    assert_same_relation(oracle, result.result)
 
 
 def test_process_backend_profile_spans_hold():
@@ -277,9 +276,7 @@ def test_process_backend_profile_spans_hold():
 
 def test_process_backend_survives_node_kill():
     query = RAW_WORKLOADS[2]
-    oracle = build_tree_processor(n_sensors=4, rows=ROWS).process(
-        query, "fig4", execution="serial", apply_rewriting=False
-    )
+    oracle = reference_oracle(query, apply_rewriting=False)
     injector = FailureInjector([Fault(kind=KILL_NODE, node="sensor_1")])
     procs = procs_processor()
     result = procs.process(
@@ -290,14 +287,12 @@ def test_process_backend_survives_node_kill():
         faults=injector,
     )
     assert injector.fired
-    assert_same_relation(oracle.result, result.result)
+    assert_same_relation(oracle, result.result)
 
 
 def test_process_backend_retries_transient_errors():
     query = RAW_WORKLOADS[0]
-    oracle = build_tree_processor(n_sensors=4, rows=ROWS).process(
-        query, "fig4", execution="serial", apply_rewriting=False
-    )
+    oracle = reference_oracle(query, apply_rewriting=False)
     injector = FailureInjector([Fault(kind=TASK_ERROR, node="sensor_2")])
     procs = procs_processor()
     result = procs.process(
@@ -309,4 +304,4 @@ def test_process_backend_retries_transient_errors():
     )
     assert injector.fired
     assert result.runtime is not None and result.runtime.retried_attempts >= 1
-    assert_same_relation(oracle.result, result.result)
+    assert_same_relation(oracle, result.result)

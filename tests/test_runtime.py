@@ -1,10 +1,12 @@
-"""Tests for the parallel fragment-execution runtime.
+"""Tests for the fragment-execution runtime.
 
-The contract under test: ``execution="parallel"`` returns relations
-*identical* to the serial oracle (rows, row order and schema) on every
-workload and every topology shape, repeated concurrent runs are
-deterministic, and the supporting infrastructure (tree topologies, transfer
-log, caches) is safe under concurrency.
+The contract under test: both execution strategies (``"serial"``, the
+one-worker scheduler, and ``"parallel"``, the per-node slot pool) return
+relations byte-identical to the unfragmented reference
+(:func:`~repro.processor.reference.reference_result`) on every workload and
+every topology shape, repeated concurrent runs are deterministic, and the
+supporting infrastructure (tree topologies, transfer log, caches) is safe
+under concurrency.
 """
 
 from __future__ import annotations
@@ -17,18 +19,21 @@ from tests.conftest import PAPER_R_CODE, PAPER_SQL, make_sensor_relation
 
 from repro.engine.executor import QueryExecutor
 from repro.engine.table import Relation
+from repro.engine.wire import pack_relation
 from repro.fragment.capabilities import CapabilityLevel
 from repro.fragment.topology import Node, Topology
 from repro.fragment.plan import is_row_distributive
 from repro.policy.presets import figure4_policy
 from repro.processor.network import NetworkSimulator, Transfer, TransferLog
 from repro.processor.paradise import ParadiseProcessor
+from repro.processor.reference import reference_result
 from repro.runtime import (
     CostModel,
     QueryRequest,
     SessionFrontEnd,
     build_execution_dag,
 )
+from repro.rlang.sqlable import extract_sql_from_r
 from repro.sql.parser import parse
 
 
@@ -48,12 +53,14 @@ def build_tree_processor(
     return processor
 
 
-def assert_identical(serial, parallel):
-    """Byte-identical relations: same schema names, same rows, same order."""
-    assert serial.result is not None and parallel.result is not None
-    assert serial.result.schema.names == parallel.result.schema.names
-    assert serial.result.rows == parallel.result.rows
-    assert serial.rows_leaving_apartment == parallel.rows_leaving_apartment
+def assert_matches_reference(processor, query, module_id, *results, **options):
+    """Every result is byte-identical (``pack_relation``) to the unfragmented
+    reference; ``options`` are the reference's ``apply_rewriting`` and
+    ``anonymize`` flags."""
+    expected = pack_relation(reference_result(processor, query, module_id, **options))
+    for result in results:
+        assert result.result is not None
+        assert pack_relation(result.result) == expected
 
 
 #: Raw workloads (run with ``apply_rewriting=False``) chosen to exercise
@@ -127,7 +134,6 @@ def test_partitioned_load_preserves_order():
     network = NetworkSimulator(topology)
     relation = make_sensor_relation(10)
     network.load_sensor_data(relation)
-    assert network.is_partitioned("d")
     holders = network.partition_holders("d")
     assert holders == ["sensor_0", "sensor_1", "sensor_2"]
     recombined = []
@@ -190,7 +196,7 @@ def test_dag_partitions_and_lifts():
 
 
 # ---------------------------------------------------------------------------
-# differential: parallel == serial oracle
+# differential: serial and parallel == the unfragmented reference
 # ---------------------------------------------------------------------------
 
 
@@ -210,16 +216,17 @@ def test_parallel_matches_serial_fig2(topology_factory):
     serial = processor.process(PAPER_SQL, "ActionFilter", execution="serial")
     parallel = processor.process(PAPER_SQL, "ActionFilter", execution="parallel")
     assert serial.admitted and parallel.admitted
-    assert_identical(serial, parallel)
-    assert parallel.runtime is not None
-    assert parallel.runtime.task_count >= len(serial.executions)
+    assert_matches_reference(processor, PAPER_SQL, "ActionFilter", serial, parallel)
+    assert serial.rows_leaving_apartment == parallel.rows_leaving_apartment
+    assert serial.runtime.task_count == parallel.runtime.task_count
 
 
 def test_parallel_matches_serial_usecase_r():
     processor = build_tree_processor(rows=300)
     serial = processor.process_r(PAPER_R_CODE, "ActionFilter", execution="serial")
     parallel = processor.process_r(PAPER_R_CODE, "ActionFilter", execution="parallel")
-    assert_identical(serial, parallel)
+    sql = extract_sql_from_r(PAPER_R_CODE).sql
+    assert_matches_reference(processor, sql, "ActionFilter", serial, parallel)
     assert serial.remainder_call == parallel.remainder_call
 
 
@@ -233,18 +240,22 @@ def test_parallel_matches_serial_raw_workloads(sql):
         sql, "ActionFilter", execution="parallel", apply_rewriting=False, anonymize=False
     )
     assert len(serial.result) > 0  # non-degenerate differential
-    assert_identical(serial, parallel)
+    assert_matches_reference(
+        processor, sql, "ActionFilter", serial, parallel,
+        apply_rewriting=False, anonymize=False,
+    )
+    assert serial.rows_leaving_apartment == parallel.rows_leaving_apartment
 
 
 def test_parallel_matches_serial_on_error_paths():
-    """Failure parity: both paths raise the same error on bad workloads.
+    """Failure parity: both strategies raise the same error on bad workloads.
 
     The no-pushdown baseline with anonymization enabled is semantically
-    ill-defined once the boundary node is powerful enough to actually
-    anonymize (k-anonymity generalizes numerics to range strings, which the
-    remainder's comparisons reject).  Chains never reached this because the
-    boundary was a sensor below ``minimum_cpu_power``; trees do.  The
-    runtime contract is parity, not repair: serial and parallel must fail
+    ill-defined: its only fragment ships raw rows from the sensors, so step
+    A runs on the nearest in-apartment node powerful enough to anonymize
+    (an appliance or the PC), and k-anonymity generalizes numerics to range
+    strings, which the remainder's comparisons then reject.  The runtime
+    contract is parity, not repair: serial and parallel must fail
     identically.
     """
     from repro.engine.errors import ExecutionError
@@ -265,7 +276,10 @@ def test_parallel_matches_serial_no_pushdown_baseline():
     parallel = processor.process(
         PAPER_SQL, "ActionFilter", execution="parallel", pushdown=False, anonymize=False
     )
-    assert_identical(serial, parallel)
+    assert_matches_reference(
+        processor, PAPER_SQL, "ActionFilter", serial, parallel, anonymize=False
+    )
+    assert serial.rows_leaving_apartment == parallel.rows_leaving_apartment
     # The baseline ships the whole raw relation across the boundary.
     assert serial.rows_leaving_apartment == 200
 
@@ -378,7 +392,7 @@ def test_cost_model_speedup_on_tree():
     processor = build_tree_processor(rows=400, cost_model=cost)
     serial = processor.process(PAPER_SQL, "ActionFilter", execution="serial")
     parallel = processor.process(PAPER_SQL, "ActionFilter", execution="parallel")
-    assert_identical(serial, parallel)
+    assert_matches_reference(processor, PAPER_SQL, "ActionFilter", serial, parallel)
     # Serial pays the simulated sensor scans end to end; the DAG overlaps
     # them 8-wide, so even a generous tolerance holds.
     assert parallel.elapsed_seconds < serial.elapsed_seconds * 0.8
