@@ -125,13 +125,15 @@ class _ExactFloatSum:
     instead of growing the expansion one value at a time:
     :meth:`_float_total` rounds ``expansion + pending + specials`` with one
     :func:`math.fsum`, which is correctly rounded and therefore equal to
-    the fsum of the grown expansion.  :meth:`_fold` grows the pending
-    values into the expansion in their original order, so a state that
-    escapes (``partial``/``merge``/a single ``add``) is exactly the
-    expansion an eager accumulator holds.  A batch with a non-finite value,
-    or one that takes the running L1 norm past
-    :data:`_LAZY_MAGNITUDE_LIMIT`, is folded eagerly instead, so every
-    error is raised where it always was.
+    the fsum of the grown expansion.  When a state escapes
+    (``partial``/``merge``/a single ``add``), :meth:`_fold` replaces
+    expansion and pending values by the canonical expansion of their exact
+    sum, a few whole-batch :func:`math.fsum` passes.  That expansion has
+    the same exact value as the one an eager accumulator grows (usually
+    in fewer parts), so every result it later rounds to is identical.  A
+    batch with a non-finite value, or one that takes the running L1 norm
+    past :data:`_LAZY_MAGNITUDE_LIMIT`, is folded eagerly instead, so
+    every error is raised where it always was.
     """
 
     __slots__ = ("float_parts", "specials", "pending", "pending_magnitude")
@@ -161,11 +163,28 @@ class _ExactFloatSum:
         return True
 
     def _fold(self) -> None:
-        """Grow the pending values into the expansion, in order."""
-        float_parts = self.float_parts
-        for data in self.pending:
-            for value in data:
-                _grow_expansion(float_parts, value)
+        """Fold the pending values into the expansion, exactly.
+
+        The new expansion of the exact sum ``S`` of expansion and pending
+        values is ``s1 = fsum(values)``, ``s2 = fsum(values, -s1)``, ...
+        until the remainder is zero, stored smallest first.  ``fsum`` is
+        correctly rounded, so each part is the remainder rounded once and
+        the parts are non-overlapping; every remainder is an exact dyadic
+        rational, so the passes end (about three for sensor data).
+        :meth:`_defer` bounds every value and partial sum far below the
+        float range, so no pass can overflow.
+        """
+        terms = (self.float_parts, *self.pending)
+        parts = [math.fsum(itertools.chain(*terms))]
+        negated = [-parts[0]]
+        while True:
+            rest = math.fsum(itertools.chain(*terms, negated))
+            if not rest:
+                break
+            parts.append(rest)
+            negated.append(-rest)
+        parts.reverse()
+        self.float_parts = parts
         self.pending = []
         self.pending_magnitude = 0.0
 

@@ -15,7 +15,8 @@ arrays:
   from the input arrays into :meth:`Relation.from_columns` — no row scope,
   no output dict, no per-row anything.
 * **Simple predicates** (``col <op> literal``, ``col <op> col``,
-  ``col IS [NOT] NULL``, ``col [NOT] BETWEEN lit AND lit``,
+  bare ``col`` / ``NOT col``, ``col IS [NOT] NULL``,
+  ``col [NOT] BETWEEN lit AND lit``,
   ``col [NOT] LIKE 'pat'``, ``col [NOT] IN (literals)`` joined by ``AND``)
   filter an index selection per conjunct with exact three-valued NULL
   semantics and the same error behaviour as the compiled closures.
@@ -285,6 +286,48 @@ class _IsNullPred:
         if self.negated:
             return [i for i in sel if array[i] is not None]
         return [i for i in sel if array[i] is None]
+
+
+class _TruthPred:
+    """A bare ``col`` (or ``NOT col``) conjunct: the cell's truth value.
+
+    NULL stays NULL; any other cell passes when ``bool(cell)`` (negated:
+    when it does not), exactly as the compiled ``NOT``/``AND`` closures
+    test it — so ``0``, ``0.0``, ``-0.0`` and ``''`` are false and NaN is
+    true.
+    """
+
+    __slots__ = ("column", "negated")
+    cost = 0.5
+
+    def __init__(self, column: str, negated: bool) -> None:
+        self.column = column
+        self.negated = negated
+
+    @property
+    def columns(self) -> Tuple[str, ...]:
+        return (self.column,)
+
+    def apply(self, relation: Relation, sel: List[int], nulls: Set[int]) -> List[int]:
+        array = relation.column_array(self.column)
+        negated = self.negated
+        if isinstance(array, TypedColumn):
+            # The unboxed buffer is its own truth test.
+            if negated:
+                return _filter_typed(
+                    (array,), sel, nulls, lambda values: map(operator.not_, values)
+                )
+            return _filter_typed((array,), sel, nulls, lambda values: values)
+        out: List[int] = []
+        add_null = nulls.add
+        for i in sel:
+            value = array[i]
+            if value is None:
+                out.append(i)
+                add_null(i)
+            elif (not value) if negated else value:
+                out.append(i)
+        return out
 
 
 class _ComparePred:
@@ -733,10 +776,10 @@ def _or_predicate(term: ast.BinaryOp):
 def _simple_predicate(term: ast.Expression, optimizer: bool = True):
     """Compile one WHERE conjunct to a filter, or None when not simple.
 
-    The base vocabulary (comparisons, IS NULL, BETWEEN, LIKE, IN) is always
-    available; OR-of-conjuncts and arithmetic-on-column comparisons are
-    optimizer-era widenings, gated on ``optimizer`` so the ablation arm
-    keeps the syntactic bail behaviour.
+    The base vocabulary (comparisons, bare boolean columns, IS NULL,
+    BETWEEN, LIKE, IN) is always available; OR-of-conjuncts and
+    arithmetic-on-column comparisons are optimizer-era widenings, gated on
+    ``optimizer`` so the ablation arm keeps the syntactic bail behaviour.
     """
     if isinstance(term, ast.BinaryOp):
         op = term.operator.upper()
@@ -768,6 +811,12 @@ def _simple_predicate(term: ast.Expression, optimizer: bool = True):
                 if right_fn is not None:
                     return _ExprComparePred(left_fn, right_fn, op, columns)
         return None
+    if isinstance(term, ast.Column):
+        column = _plain_column(term)
+        return None if column is None else _TruthPred(column, negated=False)
+    if isinstance(term, ast.UnaryOp) and term.operator.upper() == "NOT":
+        column = _plain_column(term.operand)
+        return None if column is None else _TruthPred(column, negated=True)
     if isinstance(term, ast.IsNull):
         column = _plain_column(term.expression)
         if column is None:
@@ -831,6 +880,14 @@ def _estimate_selectivity(predicate: Any, table_stats: Optional[TableStats]) -> 
             return 0.9 if predicate.negated else 0.1
         fraction = column.null_fraction
         return (1.0 - fraction) if predicate.negated else fraction
+    if isinstance(predicate, _TruthPred):
+        column = _stats_for(table_stats, predicate.column)
+        if column is None or column.rows == 0:
+            return 0.5  # the factor estimate_select_rows gives an opaque conjunct
+        true = column.eq_fraction(True)
+        if predicate.negated:
+            return max(column.non_null / column.rows - true, 0.0)
+        return true
     if isinstance(predicate, _ComparePred):
         column = _stats_for(table_stats, predicate.column)
         op = predicate.op
@@ -899,12 +956,14 @@ def _plain_numeric(value: Any) -> bool:
 def _infallible(predicate: Any, relation: Relation) -> bool:
     """Can this conjunct never raise over ``relation``'s current arrays?
 
-    Equality comparisons, IS NULL, LIKE and IN never raise; ordering
-    comparisons are raise-free when both operands are guaranteed numeric
-    (typed column backing plus a numeric literal).  Fallibility constrains
-    reordering — see :func:`order_conjuncts`.
+    Equality comparisons, truth tests, IS NULL, LIKE and IN never raise;
+    ordering comparisons are raise-free when both operands are guaranteed
+    numeric (typed column backing plus a numeric literal).  Fallibility
+    constrains reordering — see :func:`order_conjuncts`.
     """
-    if isinstance(predicate, (_AlwaysNullPred, _IsNullPred, _LikePred, _InListPred)):
+    if isinstance(
+        predicate, (_AlwaysNullPred, _IsNullPred, _TruthPred, _LikePred, _InListPred)
+    ):
         return True
     if isinstance(predicate, _ComparePred):
         if predicate.invert is not None:

@@ -21,6 +21,13 @@ import pytest
 
 from tests.conftest import PAPER_R_CODE, PAPER_SQL, make_sensor_relation
 
+from repro.engine.columns import (
+    BOOL,
+    FLOAT64,
+    INT64,
+    TypedColumn,
+    typed_column_from_values,
+)
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database
 from repro.engine.schema import ColumnDef, Schema
@@ -333,6 +340,113 @@ def test_zero_argument_aggregates_match_row_path():
         fast = database.query(sql).to_dicts()
         slow = database.query(sql, EngineConfig(vectorized=False)).to_dicts()
         assert fast == slow, sql
+
+
+def _truth_relation() -> Relation:
+    """One column per truth-value edge case, under both backings.
+
+    ``tb`` is a typed bool column and ``lb`` a list-backed one (both with
+    NULLs); ``i`` holds zeros, ``f`` ``0.0``/``-0.0``/NaN and ``s`` ``''``.
+    """
+    rows = 48
+    bools = [(True, False, None)[i % 3] for i in range(rows)]
+    columns = {
+        "id": typed_column_from_values(list(range(rows)), INT64),
+        "k": typed_column_from_values([i % 4 for i in range(rows)], INT64),
+        "x": typed_column_from_values([i % 9 for i in range(rows)], INT64),
+        "y": typed_column_from_values(
+            [None if i % 11 == 0 else i % 3 for i in range(rows)], INT64
+        ),
+        "tb": typed_column_from_values(bools, BOOL),
+        "lb": list(reversed(bools)),
+        "i": typed_column_from_values(
+            [(0, 3, None, -1)[i % 4] for i in range(rows)], INT64
+        ),
+        "f": typed_column_from_values(
+            [(0.0, -0.0, float("nan"), 2.5, None)[i % 5] for i in range(rows)], FLOAT64
+        ),
+        "s": [("", "walk", None)[i % 3] for i in range(rows)],
+    }
+    schema = Schema(
+        [
+            ColumnDef("id", DataType.INTEGER),
+            ColumnDef("k", DataType.INTEGER),
+            ColumnDef("x", DataType.INTEGER),
+            ColumnDef("y", DataType.INTEGER),
+            ColumnDef("tb", DataType.BOOLEAN),
+            ColumnDef("lb", DataType.BOOLEAN),
+            ColumnDef("i", DataType.INTEGER),
+            ColumnDef("f", DataType.FLOAT),
+            ColumnDef("s", DataType.TEXT),
+        ]
+    )
+    relation = Relation.from_columns(schema, list(columns.values()), name="d")
+    assert isinstance(relation.column_array("tb"), TypedColumn)
+    assert isinstance(relation.column_array("lb"), list)
+    return relation
+
+
+TRUTH_COLUMNS = ("tb", "lb", "i", "f", "s")
+
+TRUTH_FILTERS = (
+    "WHERE {c}",
+    "WHERE NOT {c}",
+    "WHERE {c} AND x < 5",
+    "WHERE NOT {c} OR y = 2",
+)
+
+#: The reference arm first: the interpreted oracle.
+TRUTH_ARMS = [
+    EngineConfig(mode="interpreted"),
+    EngineConfig(vectorized=False),
+    EngineConfig(vectorized=False, optimizer=False),
+    EngineConfig(optimizer=False),
+    EngineConfig(),
+]
+
+
+@pytest.mark.parametrize("column", TRUTH_COLUMNS)
+def test_truth_conjuncts_identical_across_configs(column):
+    """Bare ``c``/``NOT c`` conjuncts: three-valued results byte-identical
+    on every engine arm, and the vectorized arms scan them columnar.
+
+    The flat queries project ``id`` rather than ``c``: a vectorized
+    projection keeps a list-backed input column list-backed, which the
+    row path re-types, so the projected truth column itself would differ
+    in wire bytes on every filter, old conjuncts included."""
+    database = Database()
+    database.register("d", _truth_relation())
+    queries = [
+        ("SELECT id, k FROM d " + where.format(c=column), False)
+        for where in TRUTH_FILTERS
+    ] + [
+        (
+            f"SELECT k, COUNT(*) AS n, SUM(x) AS sx, AVG(f) AS af FROM d "
+            f"WHERE {column} GROUP BY k",
+            True,
+        )
+    ]
+    for sql, partial in queries:
+        run = database.partial_aggregate if partial else database.query
+        reference = None
+        for config in TRUTH_ARMS:
+            before = registry.snapshot(prefix="engine.vectorized.")
+            packed = pack_relation(run(sql, config))
+            moved = delta(before, registry.snapshot(prefix="engine.vectorized."))
+            if reference is None:
+                reference = packed
+                # The filter keeps some rows and drops others.
+                assert 0 < len(database.query(sql, config)) < 48
+            assert packed == reference, (sql, config)
+            if config.mode != "compiled" or not config.vectorized:
+                continue
+            scans = sum(
+                moved.get(f"engine.vectorized.{kind}", 0)
+                for kind in ("flat", "grouped", "partial")
+            )
+            ored = " OR " in sql and not config.optimizer
+            assert not moved.get("engine.vectorized.bails.complex_predicate", 0) or ored
+            assert (scans == 1) != ored, (sql, config)
 
 
 def test_estimated_bytes_tolerates_exotic_tuples():

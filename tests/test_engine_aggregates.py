@@ -3,6 +3,7 @@
 import math
 import random
 import statistics
+from fractions import Fraction
 
 import pytest
 
@@ -260,7 +261,7 @@ def test_is_decomposable_aggregate():
 
 
 # ---------------------------------------------------------------------------
-# lazily folded SUM/AVG: identical to eager Shewchuk growth
+# lazily folded SUM/AVG: the same exact value as eager Shewchuk growth
 # ---------------------------------------------------------------------------
 
 
@@ -269,7 +270,9 @@ class _EagerReference:
 
     The accumulators defer float64 batches and fold them only when a state
     escapes; this reference never defers, so it pins what they must match:
-    ``result()`` values, ``partial()`` tuples and raised errors.
+    ``result()`` values, raised errors and the exact value of every
+    ``partial()`` (a lazy fold stores the canonical expansion of that
+    value, usually in fewer parts than eager growth).
     """
 
     def __init__(self, name):
@@ -327,6 +330,52 @@ def _outcome(call):
         return (type(error).__name__, str(error))
 
 
+def _split_state(state):
+    """A SUM or AVG partial state as ``(float expansion, other fields)``."""
+    if len(state) == 6:  # SUM: (int_total, parts, present, all_int, specials, overflow)
+        return state[1], state[:1] + state[2:]
+    return state[0], state[1:]  # AVG: (parts, count, specials)
+
+
+def _exact_value(parts):
+    """The exact real value of an expansion (its parts as written when a
+    failed eager grow left a non-finite part behind)."""
+    if all(math.isfinite(part) for part in parts):
+        return sum(map(Fraction, parts), Fraction(0))
+    return repr(parts)
+
+
+def _state_outcome(accumulator):
+    """``partial()``'s outcome with the expansion replaced by its exact value."""
+    try:
+        state = accumulator.partial()
+    except Exception as error:  # noqa: BLE001 - the error *is* the outcome
+        return (type(error).__name__, str(error))
+    parts, rest = _split_state(state)
+    return ("ok", _exact_value(parts), rest)
+
+
+def _canonical_parts(total):
+    """Independent decomposition of an exact rational: ``s1 = float(S)``,
+    ``s2 = float(S - s1)``, ... until the remainder is zero, smallest first."""
+    parts = [float(total)]
+    rest = total - Fraction(parts[0])
+    while rest:
+        parts.append(float(rest))
+        rest -= Fraction(parts[-1])
+    return tuple(reversed(parts))
+
+
+def _check_partial(accumulator, reference):
+    """Same outcome and exact value as the eager reference; a state that
+    was just folded from pending batches is the canonical expansion."""
+    folded = bool(accumulator.pending)
+    observed = _state_outcome(accumulator)
+    assert observed == _state_outcome(reference)
+    if folded and observed[0] == "ok":
+        assert _split_state(accumulator.partial())[0] == _canonical_parts(observed[1])
+
+
 _CANCELLING = [1e308, -1e308, 1.0, -1.0, 1e-308, 5e-324, 0.1, -0.0, 2.0**53, 3e300]
 
 
@@ -367,7 +416,7 @@ def test_lazy_sums_match_eager_expansion(name, seed):
                 expected = _outcome(lambda: reference.feed([value]))
                 assert _outcome(lambda: accumulator.add((value,))) == expected
             elif op < 0.85:
-                assert _outcome(accumulator.partial) == _outcome(reference.partial)
+                _check_partial(accumulator, reference)
             else:
                 other = make_accumulator(name, is_star=False, distinct=False, arg_count=1)
                 values = _random_batch(rng, specials)
@@ -377,7 +426,7 @@ def test_lazy_sums_match_eager_expansion(name, seed):
                 expected = _outcome(lambda: reference.absorb(state))
                 assert _outcome(lambda: accumulator.merge(state)) == expected
             assert _outcome(accumulator.result) == _outcome(reference.result)
-        assert _outcome(accumulator.partial) == _outcome(reference.partial)
+        _check_partial(accumulator, reference)
 
 
 @pytest.mark.parametrize("name", ["SUM", "AVG"])
@@ -403,5 +452,33 @@ def test_lazy_sum_edge_cases_match_eager(name):
                 column = typed_column_from_values(batch, FLOAT64)
                 assert _outcome(lambda: accumulator.add_many(column)) == expected, values
             assert _outcome(accumulator.result) == _outcome(reference.result), values
-            assert _outcome(accumulator.partial) == _outcome(reference.partial), values
+            _check_partial(accumulator, reference)
             assert _outcome(accumulator.result) == _outcome(reference.result), values
+
+
+#: The cancelling values a lazy batch may hold: ``±1e308`` take a batch's
+#: L1 norm past the lazy magnitude limit, which grows it eagerly instead.
+_LAZY_CANCELLING = [value for value in _CANCELLING if abs(value) < 2.0**1020]
+
+
+@pytest.mark.parametrize("name", ["SUM", "AVG"])
+@pytest.mark.parametrize("seed", [5, 11, 23])
+def test_any_batch_split_gives_identical_partials(name, seed):
+    """The canonical fold depends on the exact sum only, so every split of
+    one value sequence into lazy ``add_many`` batches exports one tuple."""
+    rng = random.Random(seed)
+    for _ in range(40):
+        values = [
+            rng.choice(_LAZY_CANCELLING) if rng.random() < 0.5 else rng.uniform(-1e6, 1e6)
+            for _ in range(rng.randint(0, 60))
+        ]
+        states = set()
+        for _ in range(6):
+            cuts = sorted(rng.sample(range(len(values) + 1), rng.randint(0, min(4, len(values)))))
+            accumulator = make_accumulator(name, is_star=False, distinct=False, arg_count=1)
+            for lo, hi in zip([0] + cuts, cuts + [len(values)]):
+                accumulator.add_many(typed_column_from_values(values[lo:hi], FLOAT64))
+            states.add(repr(accumulator.partial()))
+        assert len(states) == 1
+        parts, _ = _split_state(accumulator.partial())
+        assert parts == _canonical_parts(sum(map(Fraction, values), Fraction(0)))

@@ -22,10 +22,12 @@ import threading
 
 import pytest
 
+from benchmarks.e2e.workloads import GROUPBY_SQL, occupancy_policy
 from tests.conftest import make_sensor_relation
 from tests.test_runtime import RAW_WORKLOADS, build_tree_processor
 
 from repro.engine.wire import pack_relation
+from repro.fragment.topology import Topology
 from repro.obs.metrics import MetricsRegistry, delta, registry
 from repro.obs.trace import QueryTrace, activate, current_span
 from repro.policy.presets import figure4_policy
@@ -300,6 +302,27 @@ def test_paper_workloads_take_expected_scan_paths():
         if ".bails." in key
     }
     assert bail_reasons == {"expression_item"}
+
+
+def test_rewritten_groupby_runs_every_leaf_scan_vectorized():
+    """The e2e group-by under ``Occupancy`` (rewritten ``WHERE valid AND
+    z < 2``) on the 8-sensor tree: no bail, and every fragment select and
+    leaf partial aggregation is a vectorized scan."""
+    processor = ParadiseProcessor(
+        occupancy_policy(),
+        schema=INTEGRATED_SCHEMA,
+        topology=Topology.smart_home_tree(n_sensors=8),
+        execution="parallel",
+    )
+    processor.load_data(make_sensor_relation(400))
+    before = registry.snapshot(prefix="engine.")
+    result = processor.process(GROUPBY_SQL, "Occupancy")
+    assert result.admitted
+    diff = delta(before, registry.snapshot(prefix="engine."))
+    assert not any(value for key, value in diff.items() if ".bails." in key)
+    assert diff["engine.executor.selects"] == diff["engine.vectorized.flat"] == 16
+    assert diff["engine.executor.partial_aggregations"] == 8
+    assert diff["engine.vectorized.partial"] == 8
 
 
 def test_paper_workloads_take_typed_scan_backing():

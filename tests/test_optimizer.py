@@ -416,6 +416,25 @@ def test_estimate_select_rows_sanity():
     assert fallback is not None and 0 <= fallback <= 1000
 
 
+def test_truth_conjunct_row_estimates():
+    """``WHERE b`` estimates the share of ``True`` from the column stats,
+    ``WHERE NOT b`` the rest of the non-NULL rows; without stats both take
+    the 0.5 an opaque conjunct gets."""
+    relation = _build_relation("rows", _sensor_rows(600))
+    summary = relation.stats().column("b")
+    true = summary.eq_fraction(True)
+    assert 0.0 < true < summary.non_null / summary.rows
+    positive = estimate_select_rows(parse("SELECT id FROM d WHERE b"), relation)
+    negated = estimate_select_rows(parse("SELECT id FROM d WHERE NOT b"), relation)
+    assert positive == round(600 * true)
+    assert negated == round(600 * (summary.non_null / summary.rows - true))
+    for sql in ("SELECT id FROM d WHERE b", "SELECT id FROM d WHERE NOT b"):
+        assert estimate_select_rows(parse(sql), input_rows=1000) == 500
+    # The e2e group-by's d2 fragment keeps its pre-vectorized estimate.
+    d2 = "SELECT activity, person_id, z, t FROM d1 WHERE valid"
+    assert estimate_select_rows(parse(d2), input_rows=10_000) == 5000
+
+
 # ---------------------------------------------------------------------------
 # error identity under reordering
 # ---------------------------------------------------------------------------

@@ -151,28 +151,31 @@ def test_moment_states_shrink_versus_text():
 
 #: Per query: SHA-256 prefixes of the three leaf partial states and their
 #: combine, as ``(payload after the 4-byte magic, cells of every column)``.
-#: Recorded from the per-cell ``PRL1`` codec with eagerly grown expansions.
+#: The combine digests were recorded from the per-cell ``PRL1`` codec with
+#: eagerly grown expansions.  The leaf states of the SUM/AVG queries were
+#: re-recorded when lazily summed batches began to fold into the canonical
+#: expansion of their exact sum (same value and wire format, fewer parts).
 #: ``None`` payload digests mark the two-key states: their repeated
 #: ``activity`` keys now ship dictionary-coded, so only the cells are pinned.
 PINNED_STATES = {
     "SELECT activity, COUNT(*) AS n, AVG(z) AS za, SUM(z) AS zs, MIN(t) AS lo, "
     "MAX(t) AS hi FROM d GROUP BY activity": [
-        ("e13cd220e608e946", "b5bd78e916b48351"),
-        ("79609f084634bf0d", "21cbd090408a6710"),
-        ("36cb246c31bb7984", "dd065c91525800a4"),
+        ("fe31cebc849b6542", "4d2876f672298c73"),
+        ("4b7da6994e49e8be", "f8d498fddcc83a60"),
+        ("1209961ae0562205", "f643aa7511593de3"),
         ("c1d6f3f9935ca333", "5a988298a5a5a174"),
     ],
     "SELECT x, AVG(z) AS za, COUNT(*) AS n FROM d GROUP BY x": [
-        ("fb0c86cfbc25db2b", "f56e08e2c177cc60"),
-        ("e66ffb316b35ad77", "1caf00ceec6c2b21"),
-        ("9684461ec1f767a5", "49f6c80bddea5ffc"),
+        ("3fdbb24e4a24067c", "109720e3f82ee529"),
+        ("bb5b76fed1f210c0", "0c4402a304fddccb"),
+        ("62a011c8804056c9", "c2086037b936c8cb"),
         ("e477a41f98c14f15", "45d030dad56b50a0"),
     ],
     "SELECT activity, person_id, COUNT(*), AVG(z), SUM(z), MIN(t), MAX(t) "
     "FROM d WHERE valid GROUP BY activity, person_id": [
-        (None, "71ee1356a04605d4"),
-        (None, "f2d328f47e46af56"),
-        (None, "f65eb91c6ca88ed6"),
+        (None, "bb9ecd614afe014b"),
+        (None, "9e073157963ca6e4"),
+        (None, "268423d54cfafa62"),
         (None, "af1a967971be7650"),
     ],
     "SELECT person_id, STDDEV(z) AS sd, VAR_POP(x) AS vx, SUM(person_id) AS sp "
@@ -187,9 +190,8 @@ PINNED_STATES = {
 
 @pytest.mark.parametrize("sql", sorted(PINNED_STATES))
 def test_partial_and_combine_state_bytes_are_pinned(sql):
-    """Lazily folded sums and the new codec leave every partial/combine
-    state byte-identical: the accumulator cells always, and the whole
-    payload wherever no string column repeats."""
+    """Partial and combine states stay byte-stable: the accumulator cells
+    always, and the whole payload wherever no string column repeats."""
     import hashlib
 
     from repro.engine.database import Database
