@@ -48,7 +48,7 @@ from repro.processor.paradise import ParadiseProcessor  # noqa: E402
 from repro.processor.reference import reference_result  # noqa: E402
 
 #: Decomposable aggregation: every aggregate splits into per-sensor partial
-#: states, so the 4 leaf PartialAggregateTasks carry the compute and can
+#: states, so the 4 leaf ``partial`` stage tasks carry the compute and can
 #: genuinely overlap across processes.
 MULTICORE_SQL = (
     "SELECT x, COUNT(*) AS n, AVG(y) AS avg_y, STDDEV(y) AS sd_y, "

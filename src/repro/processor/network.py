@@ -287,8 +287,9 @@ class NetworkSimulator:
     def data_epoch(self, node_name: str, table_name: str) -> int:
         """Placement epoch of ``table_name``'s chunk on ``node_name``.
 
-        Part of every leaf task's signature: a re-placed chunk bumps the
-        epoch, which invalidates checkpoints computed over the old chunk.
+        Part of the signature of every task that reads the chunk where it
+        lives: a re-placed chunk bumps the epoch, which invalidates
+        checkpoints computed over the old chunk.
         """
         with self._placement_lock:
             return self._epochs.get((node_name, table_name.lower()), 0)

@@ -7,13 +7,14 @@ feed the apartment PC, which feeds the provider's cloud, and many users
 query the environment at once.  This package closes that gap:
 
 ``dag``
-    :func:`~repro.runtime.dag.build_execution_dag` partitions the bottom
-    fragment of a plan horizontally across sibling sensor leaves, lifts
-    row-distributive fragments up the tree one sibling-merge at a time, and
-    inserts a global merge/union task where the first non-distributive
-    fragment (windows, ordering) needs the whole relation.  GROUP BY
-    fragments whose aggregates all decompose skip the global merge
-    entirely: each leaf partition aggregates into mergeable states
+    :func:`~repro.runtime.dag.build_execution_dag` runs the bottom
+    fragment of a plan where the base relation's chunks live (across
+    sibling sensor leaves), lifts row-distributive fragments up the tree
+    one sibling-merge at a time, and merges every partial at a fragment's
+    assigned node where it needs the whole relation (joins, set
+    operations, windows, ordering).  GROUP BY fragments whose aggregates
+    all decompose skip the global merge entirely: each leaf partition
+    aggregates into mergeable states
     (``partial()``/``merge()``/``finalize()``, see
     :mod:`repro.engine.aggregates`), sibling states combine at each tree
     level, and the fragment finalizes at its assigned node — only group
@@ -62,11 +63,8 @@ byte-identical relations — including every workload under every
 
 from repro.runtime.cost import DEFAULT_TASK_TIMEOUT, CostModel
 from repro.runtime.dag import (
-    CombinePartialsTask,
     ExecutionContext,
     ExecutionDag,
-    FinalizeAggregationTask,
-    PartialAggregateTask,
     build_execution_dag,
     anonymization_node,
     lift_node_groups,
@@ -99,7 +97,6 @@ from repro.runtime.standing import (
 __all__ = [
     "anonymization_node",
     "CheckpointStore",
-    "CombinePartialsTask",
     "CompletenessReport",
     "CostModel",
     "DEFAULT_TASK_TIMEOUT",
@@ -110,12 +107,10 @@ __all__ = [
     "FailureInjector",
     "Fault",
     "FaultError",
-    "FinalizeAggregationTask",
     "InjectedTaskError",
     "LinkDown",
     "LostPartition",
     "NodeDeath",
-    "PartialAggregateTask",
     "QueryRequest",
     "RetryPolicy",
     "Scheduler",

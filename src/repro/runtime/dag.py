@@ -3,34 +3,45 @@
 :func:`build_execution_dag` turns a :class:`~repro.fragment.plan.FragmentPlan`
 plus a (possibly tree-shaped) :class:`~repro.fragment.topology.Topology` into
 a dependency graph of :class:`Task` objects the
-:class:`~repro.runtime.scheduler.Scheduler` can run concurrently:
+:class:`~repro.runtime.scheduler.Scheduler` can run concurrently.
 
-* When the base relation is horizontally partitioned across sibling sensor
-  leaves (see :meth:`~repro.processor.network.NetworkSimulator.load_sensor_data`),
-  the bottom fragment fans out into one task per leaf chunk.
-* Row-distributive follow-up fragments (``partitionable``) are *lifted* one
-  tree level per stage: the partials of each sibling group merge at their
-  common parent, which then applies the fragment to its group — appliances
-  keep working on their own sensors' data, exactly the placement of Figure 3.
-* GROUP BY fragments whose aggregates all decompose
-  (``QueryFragment.decomposable``) never force a global merge: every
-  partition runs the fragment in *partial* mode where it lives (emitting
-  mergeable aggregate states, see :mod:`repro.engine.aggregates`), sibling
-  states *combine* at their common parent one tree level at a time, and the
-  fragment *finalizes* (HAVING, select items, ORDER BY) at its assigned
-  node.  Distributive fragments leading up to such an aggregation run in
-  place on their partitions instead of lifting, so only group states — a
-  few rows per node — ever cross a hop.
-* The first non-distributive fragment that cannot be decomposed (windows,
-  ordering, DISTINCT aggregates, MEDIAN, ...) forces a global merge at its
-  assigned node; from there the plan chains serially.
-* Anonymization and the cloud remainder become the final tasks of the DAG.
+The builder tracks the current intermediate relation as an ordered list of
+*parts*: the base relation starts as the chunks resident on the sensor
+leaves that hold it (see
+:meth:`~repro.processor.network.NetworkSimulator.load_sensor_data`), and
+every stage replaces the parts it consumed with its own outputs.  One loop
+applies the same rules to every fragment:
+
+* **In place.** A row-distributive fragment (``partitionable``) runs on
+  every part where it lives when its input is still the resident base
+  chunks (the leaf fan-out) or when a decomposable aggregation follows.
+* **Partial → combine → finalize.** A GROUP BY fragment whose aggregates
+  all decompose (``QueryFragment.decomposable``) runs in *partial* mode on
+  every part (emitting mergeable aggregate states, see
+  :mod:`repro.engine.aggregates`); sibling states *combine* at their common
+  parent one tree level at a time, and the fragment *finalizes* (HAVING,
+  select items, ORDER BY) at its assigned node.  Only group states — a few
+  rows per node — cross a hop.
+* **Lift.** Any other row-distributive fragment lifts one tree level: the
+  parts of each sibling group merge at their common parent, which applies
+  the fragment to its group — appliances keep working on their own
+  sensors' data, exactly the placement of Figure 3.
+* **Merge at the assigned node.** A fragment that needs the whole relation
+  (joins, set operations, windows, ordering, DISTINCT aggregates, MEDIAN,
+  ...) merges every part at its assigned node and runs there; from there
+  the plan chains serially.
+* **Single hop.** A single part moves to the fragment's assigned node,
+  shipping it when it lives elsewhere.
+
+Every stage is one :class:`StageTask`: it gathers its parts on its node,
+runs one engine operation and registers the output.  Anonymization and the
+cloud remainder are the DAG's final tasks.
 
 Chunks are contiguous slices of the original relation in leaf order, and
-merge tasks concatenate partials in exactly that order, so the DAG's result
-is row-for-row identical to running the query once over the unfragmented
-relation (:func:`~repro.processor.reference.reference_result`) — the
-differential tests in ``tests/test_reference.py`` and
+every stage concatenates its parts in exactly that order, so the DAG's
+result is row-for-row identical to running the query once over the
+unfragmented relation (:func:`~repro.processor.reference.reference_result`)
+— the differential tests in ``tests/test_reference.py`` and
 ``tests/test_runtime.py`` enforce this.
 """
 
@@ -50,7 +61,11 @@ from repro.engine.config import DEFAULT_CONFIG, EngineConfig
 from repro.engine.schema import ColumnDef, Schema
 from repro.engine.table import Relation
 from repro.engine.types import DataType
-from repro.fragment.plan import FragmentPlan, QueryFragment
+from repro.fragment.plan import (
+    FragmentPlan,
+    QueryFragment,
+    ordered_aggregate_calls,
+)
 from repro.fragment.topology import Topology
 from repro.obs.profile import CalibrationLog
 from repro.obs.trace import QueryTrace, current_span
@@ -78,26 +93,6 @@ GROUP_FALLBACK_MIN_ROWS = 16
 #: serially on the coordinator per query admission — the prefix cap keeps it
 #: O(1) per chunk regardless of chunk size.
 GROUP_FALLBACK_SAMPLE_ROWS = 512
-
-
-def _aggregate_call_count(query: ast.SelectQuery) -> int:
-    """Number of aggregate calls in the query — its partial state width
-    (one packed state column per call) minus the group keys."""
-    count = 0
-    sources: List[ast.Node] = [item.expression for item in query.items]
-    if query.having is not None:
-        sources.append(query.having)
-    sources.extend(item.expression for item in query.order_by)
-    stack = sources
-    while stack:
-        node = stack.pop()
-        if node is None:
-            continue
-        if isinstance(node, ast.FunctionCall) and ast.is_aggregate_function(node.name):
-            count += 1
-            continue  # nested aggregates are not decomposable anyway
-        stack.extend(child for child in node.children() if child is not None)
-    return count
 
 
 def partial_aggregation_pays(
@@ -130,9 +125,9 @@ def partial_aggregation_pays(
     pays (sibling states keep merging at every tree level while raw rows
     concatenate with fan-in); at or above it, a byte-level estimate
     decides — the query's state width (keys plus one packed state per
-    aggregate call) times the observed packed bytes per state *cell* (fed
-    back by :data:`repro.engine.wire.state_size_feedback` from previously
-    shipped partial states) is compared against the chunk's raw
+    distinct aggregate call) times the observed packed bytes per state
+    *cell* (fed back by :data:`repro.engine.wire.state_size_feedback` from
+    previously shipped partial states) is compared against the chunk's raw
     ``estimated_bytes()``, so genuinely small states keep the partial path
     even at high shares.  Both modes decide *placement only* — results are
     identical either way.
@@ -181,13 +176,13 @@ def partial_aggregation_pays(
                 continue
             # High share: states barely merge, so the decision comes down to
             # bytes at the leaf hop.  State width for *this* query (keys +
-            # one state per aggregate call) times the observed packed bytes
-            # per state cell — per-cell feedback transfers across query
-            # shapes where a per-row average would let wide states inflate
+            # one state per distinct aggregate call) times the observed
+            # packed bytes per state cell — per-cell feedback transfers
+            # across query shapes where a per-row average would let wide states inflate
             # narrow ones.  Unlike the fixed-ratio rule, genuinely small
             # states (few aggregates over wide raw rows) keep the partial
             # path even at high shares.
-            state_width = len(keys) + max(_aggregate_call_count(query), 1)
+            state_width = len(keys) + len(ordered_aggregate_calls(query))
             est_state_bytes = (
                 groups * state_width * state_size_feedback.bytes_per_cell()
             )
@@ -462,6 +457,11 @@ class ExecutionContext:
         self.cost_model.charge_compute(rows, power)
 
 
+#: One input of a task: ``(task_id, node)`` for the output of a producing
+#: task, ``(None, node)`` for the base-table chunk resident on ``node``.
+Part = Tuple[Optional[str], str]
+
+
 @dataclass
 class Task:
     """One unit of work pinned to a topology node."""
@@ -470,14 +470,20 @@ class Task:
     node: str
     #: Position in deterministic build order; fixes report ordering.
     order: int
-    deps: List[str] = field(default_factory=list)
+    #: Inputs in partition order (see :data:`Part`).
+    parts: List[Part] = field(default_factory=list)
     kind: str = "task"
     #: Content identity: a Merkle-style hash over the task's kind,
-    #: placement, relation names, dependency signatures and (for leaves)
-    #: the input chunk's placement epoch — *not* the task id, which shifts
+    #: placement, relation names, dependency signatures and the placement
+    #: epochs of its resident inputs — *not* the task id, which shifts
     #: between re-plans.  Equal signatures mean "produces the identical
     #: output", which is what checkpoint restoration keys on.
     signature: str = ""
+
+    @property
+    def deps(self) -> List[str]:
+        """Ids of the tasks whose outputs this task consumes."""
+        return [task_id for task_id, _ in self.parts if task_id is not None]
 
     def execute(self, context: ExecutionContext) -> Relation:  # pragma: no cover
         raise NotImplementedError
@@ -493,7 +499,7 @@ class Task:
         source_node: str,
         register: bool = True,
     ) -> Relation:
-        """Move a dependency's output to this task's node (ship + register).
+        """Move an input relation to this task's node (ship + register).
 
         Returns the relation *as received on this node* — for an actual
         inter-node hop that is the wire-deserialized copy, so downstream
@@ -574,268 +580,131 @@ def _observe_rows_estimate(
         )
 
 
-@dataclass
-class FragmentTask(Task):
-    """Run one fragment query on this node (a leaf scan or a chained hop)."""
+#: Stage operation -> (task kind, execution-record name, execution-record
+#: SQL).  The kinds are what checkpoints, ``RuntimeStats`` counts,
+#: ``explain()`` and the calibration report key on.
+STAGE_OPS = {
+    "query": ("fragment", "{name}", "{sql}"),
+    "partial": ("partial", "{name}", "partial({sql})"),
+    "combine": (
+        "combine",
+        "combine({name})",
+        "merge of {parts} partial-state relations",
+    ),
+    "finalize": ("finalize_agg", "{name}", "{sql}"),
+    "union": ("merge", "merge({name})", "UNION ALL of {parts} partials"),
+}
 
+
+@dataclass
+class StageTask(Task):
+    """One stage of the plan: gather the parts here, run ``op``, register.
+
+    ``query`` and ``partial`` take a single part: a base chunk resident on
+    this node is read in place, anything else is shipped here and
+    registered under ``in_name``.  ``combine``, ``finalize`` and ``union``
+    ship every part here and concatenate them in partition order first —
+    partial states for the first two, which then merge into one state row
+    per group (``combine``) or into the fragment's finalized output
+    (``finalize``: HAVING, select items and ORDER BY over the merged
+    aggregates, byte-identical to running the fragment over the globally
+    merged raw input, which never had to exist).  Every output is
+    registered under ``out_name``.
+    """
+
+    op: str = "query"
     fragment: Optional[QueryFragment] = None
     query: Optional[ast.Query] = None
-    #: Producing task of the input relation; ``None`` when the input is
-    #: already resident on the node (base chunks, device tables).
-    source_id: Optional[str] = None
-    source_node: Optional[str] = None
+    #: The base table that resident parts are chunks of.
+    base: str = ""
     in_name: str = ""
     out_name: str = ""
     display_name: str = ""
 
+    def __post_init__(self) -> None:
+        self.kind = STAGE_OPS[self.op][0]
+
+    def _fetch(self, context: ExecutionContext, part: Part) -> Relation:
+        task_id, node = part
+        if task_id is not None:
+            return context.outputs[task_id]
+        if node != self.node and context.injector is not None:
+            # The holder serves its chunk: a fault armed for it fires here.
+            context.injector.before_read(node, self)
+        return context.network.database(node).table(self.base)
+
     def execute(self, context: ExecutionContext) -> Relation:
-        network = context.network
-        database = network.database(self.node)
-        if self.source_id is not None:
-            source = context.outputs[self.source_id]
-            self._receive(context, source, self.in_name, self.source_node or self.node)
-            input_rows = len(source)
-        else:
-            source = database.table(self.in_name) if self.in_name in database else None
+        database = context.network.database(self.node)
+        source: Optional[Relation] = None
+        if self.op in ("query", "partial"):
+            [part] = self.parts
+            if part == (None, self.node):
+                # A base chunk resident here is read in place.
+                if self.base in database:
+                    source = database.table(self.base)
+            else:
+                source = self._fetch(context, part)
+                self._receive(context, source, self.in_name, part[1])
             input_rows = len(source) if source is not None else 0
-        context.charge_compute(input_rows, self.node)
-        output, elapsed = self._engine(context, database, "query", self.query)
-        output.name = self.display_name
+            context.charge_compute(input_rows, self.node)
+            output, elapsed = self._engine(context, database, self.op, self.query)
+            output.name = self.display_name
+        else:
+            union_name = self.display_name
+            if self.op == "finalize":
+                union_name += "~partial"
+            received = [
+                self._receive(
+                    context,
+                    self._fetch(context, part),
+                    f"{union_name}@{part[1]}",
+                    part[1],
+                    register=False,
+                )
+                for part in self.parts
+            ]
+            input_rows = sum(len(relation) for relation in received)
+            if self.op == "union":
+                output, elapsed = context.engine_call(
+                    union_partials, received, union_name
+                )
+            else:
+                merged = union_partials(received, union_name)
+                context.charge_compute(input_rows, self.node)
+                output, elapsed = self._engine(
+                    context, database, self.op, self.query, state=merged
+                )
+                output.name = self.display_name
         database.register(self.out_name, output)
+        if self.op == "partial":
+            # Observed state size feeds the adaptive partial-aggregation
+            # ratio: future placement decisions use real packed bytes per
+            # state cell.
+            from repro.engine.wire import state_size_feedback
+
+            state_size_feedback.record(
+                len(output),
+                output.estimated_bytes(),
+                cells=len(output) * len(output.schema),
+            )
         context.annotate_io(input_rows, output)
         _observe_rows_estimate(context, self.query, source, output)
-        context.record_execution(
-            self.order,
-            FragmentExecution(
-                fragment_name=self.display_name,
-                node=self.node,
-                level=self.fragment.level.short_name if self.fragment else "",
-                sql=self.fragment.sql if self.fragment else "",
-                input_rows=input_rows,
-                output_rows=len(output),
-                elapsed_seconds=elapsed,
-            )
-        )
-        return output
-
-
-@dataclass
-class RawScanTask(Task):
-    """Expose a node's resident chunk of a base table as a task output."""
-
-    table_name: str = ""
-
-    def execute(self, context: ExecutionContext) -> Relation:
-        output = context.network.database(self.node).table(self.table_name)
-        context.annotate(input_rows=len(output), output_rows=len(output))
-        return output
-
-
-@dataclass
-class MergeTask(Task):
-    """Union sibling partials, in deterministic partition order."""
-
-    parts: List[Tuple[str, str]] = field(default_factory=list)  # (task_id, node)
-    out_name: str = ""
-    display_name: str = ""
-
-    def execute(self, context: ExecutionContext) -> Relation:
-        partials: List[Relation] = []
-        total_in = 0
-        for part_id, part_node in self.parts:
-            relation = context.outputs[part_id]
-            total_in += len(relation)
-            # Log the shipment of each partial towards the merge point; the
-            # union itself is registered once below, so partials are not
-            # individually registered (keeps the catalog shape stable).
-            received = self._receive(
-                context,
-                relation,
-                f"{self.display_name}@{part_node}",
-                part_node,
-                register=False,
-            )
-            partials.append(received)
-        merged, elapsed = context.engine_call(
-            union_partials, partials, self.display_name
-        )
-        context.network.database(self.node).register(self.out_name, merged)
-        context.annotate_io(total_in, merged)
-        context.record_execution(
-            self.order,
-            FragmentExecution(
-                fragment_name=f"merge({self.display_name})",
-                node=self.node,
-                level=self.network_level(context),
-                sql=f"UNION ALL of {len(self.parts)} partials",
-                input_rows=total_in,
-                output_rows=len(merged),
-                elapsed_seconds=elapsed,
-            )
-        )
-        return merged
-
-    def network_level(self, context: ExecutionContext) -> str:
-        return context.network.topology.node(self.node).level.short_name
-
-
-@dataclass
-class PartialAggregateTask(Task):
-    """Run a decomposable GROUP BY fragment in *partial* mode on this node.
-
-    Emits mergeable aggregate states (one row per group of the local
-    chunk) instead of the fragment's finalized output — the rows that
-    travel up the tree from here on are group states, not raw data.
-    """
-
-    fragment: Optional[QueryFragment] = None
-    query: Optional[ast.Query] = None
-    source_id: Optional[str] = None
-    source_node: Optional[str] = None
-    in_name: str = ""
-    out_name: str = ""
-    display_name: str = ""
-
-    def execute(self, context: ExecutionContext) -> Relation:
-        network = context.network
-        database = network.database(self.node)
-        if self.source_id is not None:
-            source = context.outputs[self.source_id]
-            self._receive(context, source, self.in_name, self.source_node or self.node)
-            input_rows = len(source)
+        _, name, sql = STAGE_OPS[self.op]
+        if self.op in ("combine", "union"):
+            level = context.network.topology.node(self.node).level.short_name
         else:
-            source = database.table(self.in_name) if self.in_name in database else None
-            input_rows = len(source) if source is not None else 0
-        context.charge_compute(input_rows, self.node)
-        output, elapsed = self._engine(context, database, "partial", self.query)
-        output.name = self.display_name
-        database.register(self.out_name, output)
-        # Observed state size feeds the adaptive partial-aggregation ratio:
-        # future placement decisions use real packed bytes per state cell.
-        from repro.engine.wire import state_size_feedback
-
-        state_size_feedback.record(
-            len(output),
-            output.estimated_bytes(),
-            cells=len(output) * len(output.schema),
-        )
-        context.annotate_io(input_rows, output)
-        _observe_rows_estimate(context, self.query, source, output)
+            level = self.fragment.level.short_name
         context.record_execution(
             self.order,
             FragmentExecution(
-                fragment_name=self.display_name,
+                fragment_name=name.format(name=self.display_name),
                 node=self.node,
-                level=self.fragment.level.short_name if self.fragment else "",
-                sql=f"partial({self.fragment.sql})" if self.fragment else "",
+                level=level,
+                sql=sql.format(
+                    sql=self.fragment.sql if self.fragment else "",
+                    parts=len(self.parts),
+                ),
                 input_rows=input_rows,
-                output_rows=len(output),
-                elapsed_seconds=elapsed,
-            ),
-        )
-        return output
-
-
-@dataclass
-class CombinePartialsTask(Task):
-    """Merge sibling partial-state relations per group at this node.
-
-    The states of sibling subtrees union in partition order and merge into
-    one state row per group — the tree-level combine of the
-    partial-aggregation protocol.  Output stays in partial-state form.
-    """
-
-    fragment: Optional[QueryFragment] = None
-    query: Optional[ast.Query] = None
-    parts: List[Tuple[str, str]] = field(default_factory=list)  # (task_id, node)
-    out_name: str = ""
-    display_name: str = ""
-
-    def execute(self, context: ExecutionContext) -> Relation:
-        partials: List[Relation] = []
-        total_in = 0
-        for part_id, part_node in self.parts:
-            relation = context.outputs[part_id]
-            total_in += len(relation)
-            received = self._receive(
-                context,
-                relation,
-                f"{self.display_name}@{part_node}",
-                part_node,
-                register=False,
-            )
-            partials.append(received)
-        merged = union_partials(partials, self.display_name)
-        context.charge_compute(total_in, self.node)
-        database = context.network.database(self.node)
-        output, elapsed = self._engine(
-            context, database, "combine", self.query, state=merged
-        )
-        output.name = self.display_name
-        database.register(self.out_name, output)
-        context.annotate_io(total_in, output)
-        context.record_execution(
-            self.order,
-            FragmentExecution(
-                fragment_name=f"combine({self.display_name})",
-                node=self.node,
-                level=context.network.topology.node(self.node).level.short_name,
-                sql=f"merge of {len(self.parts)} partial-state relations",
-                input_rows=total_in,
-                output_rows=len(output),
-                elapsed_seconds=elapsed,
-            ),
-        )
-        return output
-
-
-@dataclass
-class FinalizeAggregationTask(Task):
-    """Merge the remaining partial states and emit the fragment's output.
-
-    Runs at the GROUP BY fragment's assigned node; applies
-    HAVING, the select items and ORDER BY over the finalized aggregates,
-    so the output is byte-identical to executing the fragment over the
-    globally merged raw input — which never had to exist.
-    """
-
-    fragment: Optional[QueryFragment] = None
-    query: Optional[ast.Query] = None
-    parts: List[Tuple[str, str]] = field(default_factory=list)  # (task_id, node)
-    out_name: str = ""
-    display_name: str = ""
-
-    def execute(self, context: ExecutionContext) -> Relation:
-        partials: List[Relation] = []
-        total_in = 0
-        for part_id, part_node in self.parts:
-            relation = context.outputs[part_id]
-            total_in += len(relation)
-            received = self._receive(
-                context,
-                relation,
-                f"{self.display_name}~partial@{part_node}",
-                part_node,
-                register=False,
-            )
-            partials.append(received)
-        merged = union_partials(partials, f"{self.display_name}~partial")
-        context.charge_compute(total_in, self.node)
-        database = context.network.database(self.node)
-        output, elapsed = self._engine(
-            context, database, "finalize", self.query, state=merged
-        )
-        output.name = self.display_name
-        database.register(self.out_name, output)
-        context.annotate_io(total_in, output)
-        context.record_execution(
-            self.order,
-            FragmentExecution(
-                fragment_name=self.display_name,
-                node=self.node,
-                level=self.fragment.level.short_name if self.fragment else "",
-                sql=self.fragment.sql if self.fragment else "",
-                input_rows=total_in,
                 output_rows=len(output),
                 elapsed_seconds=elapsed,
             ),
@@ -847,15 +716,15 @@ class FinalizeAggregationTask(Task):
 class AnonymizeTask(Task):
     """The postprocessing step A on the node :func:`anonymization_node` picks."""
 
-    source_id: str = ""
-    source_node: str = ""
+    kind: str = "anonymize"
     in_name: str = ""
 
     def execute(self, context: ExecutionContext) -> Relation:
-        relation = context.outputs[self.source_id]
-        if self.source_node != self.node:
+        [(source_id, source_node)] = self.parts
+        relation = context.outputs[source_id]
+        if source_node != self.node:
             relation = self._receive(
-                context, relation, self.in_name, self.source_node, register=False
+                context, relation, self.in_name, source_node, register=False
             )
         context.charge_compute(len(relation), self.node)
         node = context.network.topology.node(self.node)
@@ -873,19 +742,17 @@ class AnonymizeTask(Task):
 class FinalizeTask(Task):
     """Ship d' across the boundary and run the remainder at the cloud."""
 
-    source_id: str = ""
-    source_node: str = ""
+    kind: str = "finalize"
     result_name: str = ""
     remainder_query: Optional[ast.Query] = None
     remainder_input_alias: str = ""
     remainder_description: str = ""
 
     def execute(self, context: ExecutionContext) -> Relation:
-        relation = context.outputs[self.source_id]
-        if self.source_node != self.node:
-            relation = self._receive(
-                context, relation, self.result_name, self.source_node
-            )
+        [(source_id, source_node)] = self.parts
+        relation = context.outputs[source_id]
+        if source_node != self.node:
+            relation = self._receive(context, relation, self.result_name, source_node)
         if self.remainder_query is None:
             context.annotate_io(len(relation), relation)
             return relation
@@ -957,392 +824,175 @@ def build_execution_dag(
     def ns(name: str) -> str:
         return f"{name}__{namespace}" if namespace else name
 
-    tasks: List[Task] = []
-    counter = [0]
-
-    def next_id(prefix: str) -> Tuple[str, int]:
-        counter[0] += 1
-        return f"t{counter[0]:03d}:{prefix}", counter[0]
-
-    def add(task: Task) -> Task:
-        tasks.append(task)
-        return task
-
     fragments = list(plan.fragments)
     base_table = fragments[0].input_name
     holders = network.partition_holders(base_table)
-    partition_width = len(holders)
+    tasks: List[Task] = []
 
-    #: Ordered (task, node) partials of the current intermediate relation.
-    partitions: List[Task] = []
-    remaining = fragments
+    def add(cls, label: str, node: str, parts: Sequence[Part], **fields) -> Task:
+        """Append a task; its id and order follow from its position, its
+        deps from ``parts``."""
+        order = len(tasks) + 1
+        task = cls(
+            task_id=f"t{order:03d}:{label}",
+            node=node,
+            order=order,
+            parts=list(parts),
+            **fields,
+        )
+        tasks.append(task)
+        return task
 
-    def combine_and_finalize(fragment: QueryFragment, partial_tasks: List[Task]) -> Task:
-        """Lift partial states up the tree, then finalize the fragment.
+    def stage(
+        op: str, label: str, node: str, parts: Sequence[Part], **fields
+    ) -> Part:
+        """Add a :class:`StageTask`; returns its output as a part."""
+        task = add(StageTask, label, node, parts, op=op, base=base_table, **fields)
+        return task.task_id, node
 
-        Sibling partial-state relations combine at their common parent one
-        tree level at a time (the same lift rule distributive fragments
-        use); whatever states remain merge and finalize at the fragment's
-        assigned node.
+    def run(
+        op: str, fragment: QueryFragment, label: str, node: str, part: Part
+    ) -> Part:
+        """Run ``fragment`` (``op`` ``query`` or ``partial``) on ``node``.
+
+        A base chunk resident on ``node`` is read in place under its own
+        name; any other input is registered under the namespaced input
+        name the query is rebased onto.
         """
-        partial_name = ns(f"{fragment.name}__partial")
-        current = partial_tasks
-        while len(current) > 1:
-            lifted = _lift_groups(topology, current)
-            if lifted is None:
-                break
-            next_level: List[Task] = []
-            for parent, group in lifted:
-                task_id, order = next_id(f"{fragment.name}~combine[{parent}]")
-                next_level.append(
-                    add(
-                        CombinePartialsTask(
-                            task_id=task_id,
-                            node=parent,
-                            order=order,
-                            deps=[task.task_id for task in group],
-                            kind="combine",
-                            fragment=fragment,
-                            query=fragment.query,
-                            parts=[(task.task_id, task.node) for task in group],
-                            out_name=partial_name,
-                            display_name=f"{fragment.name}~partial",
-                        )
-                    )
-                )
-            current = next_level
-        target = fragment.assigned_node or topology.cloud.name
-        task_id, order = next_id(f"{fragment.name}~finalize")
-        return add(
-            FinalizeAggregationTask(
-                task_id=task_id,
-                node=target,
-                order=order,
-                deps=[task.task_id for task in current],
-                kind="finalize_agg",
-                fragment=fragment,
-                query=fragment.query,
-                parts=[(task.task_id, task.node) for task in current],
-                out_name=ns(fragment.name),
-                display_name=fragment.name,
-            )
+        in_base = fragment.input_name
+        in_name = in_base if part == (None, node) else ns(in_base)
+        out_name = fragment.name if op == "query" else f"{fragment.name}__partial"
+        return stage(
+            op,
+            label,
+            node,
+            [part],
+            fragment=fragment,
+            query=rebase_table_refs(fragment.query, in_base, in_name),
+            in_name=in_name,
+            out_name=ns(out_name),
+            display_name=label,
         )
 
-    if len(holders) > 1:
-        first = fragments[0]
-        if first.partitionable:
-            # Fan the bottom fragment out over the leaf chunks.
-            for holder in holders:
-                task_id, order = next_id(f"{first.name}[{holder}]")
-                partitions.append(
-                    add(
-                        FragmentTask(
-                            task_id=task_id,
-                            node=holder,
-                            order=order,
-                            kind="fragment",
-                            fragment=first,
-                            query=first.query,
-                            in_name=base_table,
-                            out_name=ns(first.name),
-                            display_name=f"{first.name}[{holder}]",
-                        )
-                    )
-                )
-            remaining = fragments[1:]
-        elif (
-            partial_aggregation
-            and first.decomposable
-            and partial_aggregation_pays(network, holders, first, base_table, config)
-        ):
-            # The bottom fragment is itself a decomposable aggregation:
-            # partial-aggregate every leaf chunk in place, combine states
-            # up the tree, finalize at the assigned node.
-            partial_tasks: List[Task] = []
-            for holder in holders:
-                task_id, order = next_id(f"{first.name}~partial[{holder}]")
-                partial_tasks.append(
-                    add(
-                        PartialAggregateTask(
-                            task_id=task_id,
-                            node=holder,
-                            order=order,
-                            kind="partial",
-                            fragment=first,
-                            query=first.query,
-                            in_name=base_table,
-                            out_name=ns(f"{first.name}__partial"),
-                            display_name=f"{first.name}~partial[{holder}]",
-                        )
-                    )
-                )
-            partitions = [combine_and_finalize(first, partial_tasks)]
-            remaining = fragments[1:]
-        else:
-            # Bottom fragment needs the whole relation: gather the raw
-            # chunks first, then run it at its assigned node.
-            for holder in holders:
-                task_id, order = next_id(f"scan[{holder}]")
-                partitions.append(
-                    add(
-                        RawScanTask(
-                            task_id=task_id,
-                            node=holder,
-                            order=order,
-                            kind="scan",
-                            table_name=base_table,
-                        )
-                    )
-                )
-            ancestor = topology.common_ancestor(holders).name
-            merge_id, order = next_id(f"merge[{base_table}]")
-            merge = add(
-                MergeTask(
-                    task_id=merge_id,
-                    node=ancestor,
-                    order=order,
-                    deps=[task.task_id for task in partitions],
-                    kind="merge",
-                    parts=[(task.task_id, task.node) for task in partitions],
-                    out_name=ns(base_table),
-                    display_name=base_table,
-                )
-            )
-            target = first.assigned_node or topology.cloud.name
-            task_id, order = next_id(first.name)
-            partitions = [
-                add(
-                    FragmentTask(
-                        task_id=task_id,
-                        node=target,
-                        order=order,
-                        deps=[merge.task_id],
-                        kind="fragment",
-                        fragment=first,
-                        query=rebase_table_refs(first.query, base_table, ns(base_table)),
-                        source_id=merge.task_id,
-                        source_node=merge.node,
-                        in_name=ns(base_table),
-                        out_name=ns(first.name),
-                        display_name=first.name,
-                    )
-                )
-            ]
-            remaining = fragments[1:]
+    def union(label: str, node: str, parts: Sequence[Part], name: str) -> Part:
+        """Concatenate ``parts`` at ``node`` into the relation ``name``."""
+        return stage(
+            "union",
+            f"merge[{label}]",
+            node,
+            parts,
+            out_name=ns(name),
+            display_name=name,
+        )
 
-    for index, fragment in enumerate(remaining):
-        in_base = fragment.input_name
-        if (
-            len(partitions) > 1
-            and partial_aggregation
-            and fragment.partitionable
-            and _next_blocker_decomposable(remaining, index)
-        ):
-            # A decomposable aggregation is coming: run this distributive
-            # fragment *in place* on every partition instead of lifting, so
-            # the partition is still at the leaves when partial aggregation
-            # starts — only aggregate states will ever climb the tree.
-            in_place: List[Task] = []
-            for previous in partitions:
-                task_id, order = next_id(f"{fragment.name}[{previous.node}]")
-                in_place.append(
-                    add(
-                        FragmentTask(
-                            task_id=task_id,
-                            node=previous.node,
-                            order=order,
-                            deps=[previous.task_id],
-                            kind="fragment",
-                            fragment=fragment,
-                            query=rebase_table_refs(fragment.query, in_base, ns(in_base)),
-                            source_id=previous.task_id,
-                            source_node=previous.node,
-                            in_name=ns(in_base),
-                            out_name=ns(fragment.name),
-                            display_name=f"{fragment.name}[{previous.node}]",
-                        )
-                    )
+    def aggregate(fragment: QueryFragment, target: str, parts: Sequence[Part]) -> Part:
+        """Partial-aggregate every part where it lives, combine sibling
+        states one tree level at a time, finalize at ``target``."""
+        name = fragment.name
+        states = [
+            run("partial", fragment, f"{name}~partial[{node}]", node, (task_id, node))
+            for task_id, node in parts
+        ]
+        lifted = _lift_groups(topology, states)
+        while lifted is not None:
+            states = [
+                stage(
+                    "combine",
+                    f"{name}~combine[{parent}]",
+                    parent,
+                    group,
+                    fragment=fragment,
+                    query=fragment.query,
+                    out_name=ns(f"{name}__partial"),
+                    display_name=f"{name}~partial",
                 )
-            partitions = in_place
+                for parent, group in lifted
+            ]
+            lifted = _lift_groups(topology, states)
+        return stage(
+            "finalize",
+            f"{name}~finalize",
+            target,
+            states,
+            fragment=fragment,
+            query=fragment.query,
+            out_name=ns(name),
+            display_name=name,
+        )
+
+    #: The current intermediate relation, in partition order.
+    partitions: List[Part] = [(None, holder) for holder in holders]
+    for index, fragment in enumerate(fragments):
+        name, in_base = fragment.name, fragment.input_name
+        target = fragment.assigned_node or topology.cloud.name
+        if len(partitions) == 1:
+            # Single stream: one hop to the fragment's assigned node.
+            partitions = [run("query", fragment, name, target, partitions[0])]
+            continue
+        resident = all(task_id is None for task_id, _ in partitions)
+        if fragment.partitionable and (
+            resident
+            or (partial_aggregation and _next_blocker_decomposable(fragments, index))
+        ):
+            # In place: fan the fragment out over the leaf chunks, or keep
+            # the partition at the leaves until the coming decomposable
+            # aggregation shrinks it to group states.
+            partitions = [
+                run("query", fragment, f"{name}[{node}]", node, (task_id, node))
+                for task_id, node in partitions
+            ]
             continue
         if (
-            len(partitions) > 1
-            and partial_aggregation
+            partial_aggregation
             and fragment.decomposable
             and partial_aggregation_pays(
-                network, [task.node for task in partitions], fragment, base_table, config
+                network,
+                [node for _, node in partitions],
+                fragment,
+                base_table,
+                config,
             )
         ):
-            # Decomposable aggregation: keep the partition, aggregate each
-            # chunk into mergeable states where it lives, combine states
-            # per tree level, finalize at the assigned node.  Only group
-            # states cross hops from here on — never the raw rows a global
-            # merge would have shipped.
-            partial_tasks = []
-            for previous in partitions:
-                task_id, order = next_id(f"{fragment.name}~partial[{previous.node}]")
-                partial_tasks.append(
-                    add(
-                        PartialAggregateTask(
-                            task_id=task_id,
-                            node=previous.node,
-                            order=order,
-                            deps=[previous.task_id],
-                            kind="partial",
-                            fragment=fragment,
-                            query=rebase_table_refs(fragment.query, in_base, ns(in_base)),
-                            source_id=previous.task_id,
-                            source_node=previous.node,
-                            in_name=ns(in_base),
-                            out_name=ns(f"{fragment.name}__partial"),
-                            display_name=f"{fragment.name}~partial[{previous.node}]",
-                        )
-                    )
-                )
-            partitions = [combine_and_finalize(fragment, partial_tasks)]
+            partitions = [aggregate(fragment, target, partitions)]
             continue
-        if len(partitions) > 1:
-            lifted = _lift_groups(topology, partitions)
-            if fragment.partitionable and lifted is not None:
-                # Merge each sibling group at its parent, then apply the
-                # fragment there: the partition narrows one tree level.
-                new_partitions: List[Task] = []
-                for parent, group in lifted:
-                    merge_id, order = next_id(f"merge[{in_base}@{parent}]")
-                    merge = add(
-                        MergeTask(
-                            task_id=merge_id,
-                            node=parent,
-                            order=order,
-                            deps=[task.task_id for task in group],
-                            kind="merge",
-                            parts=[(task.task_id, task.node) for task in group],
-                            out_name=ns(in_base),
-                            display_name=in_base,
-                        )
-                    )
-                    task_id, order = next_id(f"{fragment.name}[{parent}]")
-                    new_partitions.append(
-                        add(
-                            FragmentTask(
-                                task_id=task_id,
-                                node=parent,
-                                order=order,
-                                deps=[merge.task_id],
-                                kind="fragment",
-                                fragment=fragment,
-                                query=rebase_table_refs(
-                                    fragment.query, in_base, ns(in_base)
-                                ),
-                                source_id=merge.task_id,
-                                source_node=merge.node,
-                                in_name=ns(in_base),
-                                out_name=ns(fragment.name),
-                                display_name=f"{fragment.name}[{parent}]",
-                            )
-                        )
-                    )
-                partitions = new_partitions
-                continue
-            # Non-distributive fragment (or nowhere left to lift): merge
-            # everything at the fragment's assigned node and chain on.
-            target = fragment.assigned_node or topology.cloud.name
-            merge_id, order = next_id(f"merge[{in_base}]")
-            merge = add(
-                MergeTask(
-                    task_id=merge_id,
-                    node=target,
-                    order=order,
-                    deps=[task.task_id for task in partitions],
-                    kind="merge",
-                    parts=[(task.task_id, task.node) for task in partitions],
-                    out_name=ns(in_base),
-                    display_name=in_base,
-                )
-            )
-            task_id, order = next_id(fragment.name)
+        lifted = _lift_groups(topology, partitions) if fragment.partitionable else None
+        if lifted is not None:
+            # Merge each sibling group at its parent, then apply the
+            # fragment there: the partition narrows one tree level.
             partitions = [
-                add(
-                    FragmentTask(
-                        task_id=task_id,
-                        node=target,
-                        order=order,
-                        deps=[merge.task_id],
-                        kind="fragment",
-                        fragment=fragment,
-                        query=rebase_table_refs(fragment.query, in_base, ns(in_base)),
-                        source_id=merge.task_id,
-                        source_node=merge.node,
-                        in_name=ns(in_base),
-                        out_name=ns(fragment.name),
-                        display_name=fragment.name,
-                    )
+                run(
+                    "query",
+                    fragment,
+                    f"{name}[{parent}]",
+                    parent,
+                    union(f"{in_base}@{parent}", parent, group, in_base),
                 )
+                for parent, group in lifted
             ]
             continue
-        # Single-stream chain: one hop to the fragment's assigned node.
-        target = fragment.assigned_node or topology.cloud.name
-        previous = partitions[0] if partitions else None
-        task_id, order = next_id(fragment.name)
-        rebased_in = ns(in_base) if previous is not None else in_base
-        partitions = [
-            add(
-                FragmentTask(
-                    task_id=task_id,
-                    node=target,
-                    order=order,
-                    deps=[previous.task_id] if previous is not None else [],
-                    kind="fragment",
-                    fragment=fragment,
-                    query=rebase_table_refs(fragment.query, in_base, rebased_in),
-                    source_id=previous.task_id if previous is not None else None,
-                    source_node=previous.node if previous is not None else None,
-                    in_name=rebased_in,
-                    out_name=ns(fragment.name),
-                    display_name=fragment.name,
-                )
-            )
-        ]
+        # The fragment needs the whole relation (or there is nowhere left
+        # to lift): merge every part at its assigned node and chain on.
+        merged = union(in_base, target, partitions, in_base)
+        partitions = [run("query", fragment, name, target, merged)]
 
     if len(partitions) > 1:
         # Every fragment was distributive: one final union before leaving.
-        ancestor = topology.common_ancestor([task.node for task in partitions]).name
+        ancestor = topology.common_ancestor([node for _, node in partitions]).name
         final_name = fragments[-1].name
-        merge_id, order = next_id(f"merge[{final_name}]")
-        partitions = [
-            add(
-                MergeTask(
-                    task_id=merge_id,
-                    node=ancestor,
-                    order=order,
-                    deps=[task.task_id for task in partitions],
-                    kind="merge",
-                    parts=[(task.task_id, task.node) for task in partitions],
-                    out_name=ns(final_name),
-                    display_name=final_name,
-                )
-            )
-        ]
+        partitions = [union(final_name, ancestor, partitions, final_name)]
 
     current = partitions[0]
-
     if anonymizer is not None:
-        boundary = anonymization_node(topology, current.node, anonymizer)
-        task_id, order = next_id("anonymize")
-        current = add(
-            AnonymizeTask(
-                task_id=task_id,
-                node=boundary,
-                order=order,
-                deps=[current.task_id],
-                kind="anonymize",
-                source_id=current.task_id,
-                source_node=current.node,
-                in_name=ns(plan.result_name),
-            )
+        boundary = anonymization_node(topology, current[1], anonymizer)
+        anonymize = add(
+            AnonymizeTask,
+            "anonymize",
+            boundary,
+            [current],
+            in_name=ns(plan.result_name),
         )
+        current = (anonymize.task_id, boundary)
 
-    cloud = topology.cloud.name
     remainder_query = None
     if plan.remainder_query is not None:
         remainder_query = rebase_table_refs(
@@ -1350,26 +1000,20 @@ def build_execution_dag(
             plan.remainder_input_alias,
             ns(plan.remainder_input_alias),
         )
-    task_id, order = next_id("finalize")
     final = add(
-        FinalizeTask(
-            task_id=task_id,
-            node=cloud,
-            order=order,
-            deps=[current.task_id],
-            kind="finalize",
-            source_id=current.task_id,
-            source_node=current.node,
-            result_name=ns(plan.result_name),
-            remainder_query=remainder_query,
-            remainder_input_alias=ns(plan.remainder_input_alias),
-            remainder_description=plan.remainder_description,
-        )
+        FinalizeTask,
+        "finalize",
+        topology.cloud.name,
+        [current],
+        result_name=ns(plan.result_name),
+        remainder_query=remainder_query,
+        remainder_input_alias=ns(plan.remainder_input_alias),
+        remainder_description=plan.remainder_description,
     )
 
     _assign_signatures(tasks, network)
     return ExecutionDag(
-        tasks=tasks, final_task_id=final.task_id, partition_width=partition_width
+        tasks=tasks, final_task_id=final.task_id, partition_width=len(holders)
     )
 
 
@@ -1377,23 +1021,23 @@ def _assign_signatures(tasks: Sequence[Task], network: NetworkSimulator) -> None
     """Give every task its content signature (Merkle-style, leaves up).
 
     Tasks are in build order, so every dependency's signature exists by the
-    time its dependents hash it.  Leaf tasks (no deps, reading a resident
-    chunk) fold in the chunk's placement epoch: after a failure re-places a
-    chunk, the tasks over the *moved* data get fresh signatures while
-    untouched subtrees keep theirs — exactly the distinction checkpoint
-    restoration needs.
+    time its dependents hash it.  A resident input (a base chunk) folds in
+    the chunk's placement epoch instead: after a failure re-places a chunk,
+    the tasks over the *moved* data — and everything downstream of them —
+    get fresh signatures while untouched subtrees keep theirs, exactly the
+    distinction checkpoint restoration needs.
     """
     by_id: Dict[str, str] = {}
     for task in tasks:
-        parts = [task.kind, task.node]
-        for attr in ("display_name", "out_name", "in_name", "table_name", "result_name"):
-            parts.append(str(getattr(task, attr, "")))
-        if not task.deps:
-            chunk_name = getattr(task, "in_name", "") or getattr(task, "table_name", "")
-            if chunk_name:
-                parts.append(f"epoch={network.data_epoch(task.node, chunk_name)}")
-        parts.extend(by_id[dep] for dep in task.deps)
-        task.signature = hashlib.sha1("\x1f".join(parts).encode("utf-8")).hexdigest()
+        fields = [task.kind, task.node]
+        for attr in ("display_name", "out_name", "in_name", "result_name"):
+            fields.append(str(getattr(task, attr, "")))
+        for task_id, node in task.parts:
+            if task_id is None:
+                fields.append(f"{node}:epoch={network.data_epoch(node, task.base)}")
+            else:
+                fields.append(by_id[task_id])
+        task.signature = hashlib.sha1("\x1f".join(fields).encode("utf-8")).hexdigest()
         by_id[task.task_id] = task.signature
 
 
@@ -1461,8 +1105,8 @@ def lift_node_groups(
 ) -> Optional[List[Tuple[str, List[str]]]]:
     """Group partition-holding nodes by parent, preserving partition order.
 
-    The placement primitive shared by the DAG builder (which lifts
-    :class:`Task` partitions one level per plan stage) and the standing-query
+    The placement primitive shared by the DAG builder (which lifts the
+    parts of a partition one level per plan stage) and the standing-query
     runtime (which computes the per-level combine placement of a maintained
     state tree once, at tree-creation time).
 
@@ -1494,13 +1138,13 @@ def lift_node_groups(
 
 
 def _lift_groups(
-    topology: Topology, partitions: Sequence[Task]
-) -> Optional[List[Tuple[str, List[Task]]]]:
-    """Group partition tasks by parent node (see :func:`lift_node_groups`)."""
-    named = lift_node_groups(topology, [task.node for task in partitions])
+    topology: Topology, partitions: Sequence[Part]
+) -> Optional[List[Tuple[str, List[Part]]]]:
+    """Group partition parts by parent node (see :func:`lift_node_groups`)."""
+    named = lift_node_groups(topology, [node for _, node in partitions])
     if named is None:
         return None
-    tasks = iter(partitions)
+    parts = iter(partitions)
     return [
-        (parent, [next(tasks) for _ in children]) for parent, children in named
+        (parent, [next(parts) for _ in children]) for parent, children in named
     ]

@@ -188,6 +188,14 @@ class Fault:
             raise ValueError("times must be at least 1")
 
 
+@dataclass(frozen=True)
+class _ChunkRead:
+    """The task boundary of a remote read: the holder and the reading task."""
+
+    node: str
+    task_id: str
+
+
 class FailureInjector:
     """Deterministic, thread-safe fault firing for one processing run.
 
@@ -305,6 +313,16 @@ class FailureInjector:
         fault = self._task_fault(task, "start")
         if fault is not None:
             self._fire_task_fault(fault, task)
+
+    def before_read(self, node: str, task: Any) -> None:
+        """Fire any start-boundary fault armed for ``node`` as ``task``
+        reads the base chunk resident there.
+
+        Serving its chunk to a task on another node is the holder's share
+        of that task, so a holder that runs no task of its own still dies,
+        fails or hangs where its data is read.
+        """
+        self.before_task(_ChunkRead(node=node, task_id=task.task_id))
 
     def after_task(self, task: Any) -> None:
         """Fire any fault armed for ``task``'s completion boundary."""

@@ -62,11 +62,10 @@ from typing import (
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database
 from repro.engine.errors import ExecutionError
-from repro.engine.executor import _shallow_function_calls
 from repro.engine.schema import ColumnDef, Schema
 from repro.engine.table import Relation
 from repro.engine.wire import pack_state_relation, unpack_state_relation
-from repro.fragment.plan import is_decomposable_aggregation
+from repro.fragment.plan import is_decomposable_aggregation, ordered_aggregate_calls
 from repro.obs.metrics import registry as _metrics
 from repro.obs.trace import QueryTrace
 from repro.rewrite.containment import check_leakage
@@ -92,32 +91,6 @@ DELTA_TABLE = "__standing_delta"
 
 class StandingQueryError(ExecutionError):
     """A query that cannot be registered as a standing query."""
-
-
-def _ordered_aggregate_calls(
-    query: ast.SelectQuery,
-) -> List[Tuple[str, ast.FunctionCall]]:
-    """Distinct aggregate calls in the executor's state-column order.
-
-    Mirrors ``QueryExecutor._collect_aggregate_calls`` + the
-    ``_partial_plan`` dedup exactly: the i-th entry here is what the
-    partial plan stores under state column ``__agg{i}`` — the contract the
-    cross-tree state remapping below relies on.
-    """
-    sources: List[ast.Node] = [item.expression for item in query.items]
-    if query.having is not None:
-        sources.append(query.having)
-    sources.extend(item.expression for item in query.order_by)
-    ordered: List[Tuple[str, ast.FunctionCall]] = []
-    seen: set = set()
-    for source in sources:
-        for call in _shallow_function_calls(source):
-            if call.window is None and ast.is_aggregate_function(call.name):
-                key = render_expression(call)
-                if key not in seen:
-                    seen.add(key)
-                    ordered.append((key, call))
-    return ordered
 
 
 def _core_query(
@@ -482,7 +455,7 @@ class StandingQueryRuntime:
                 "Standing queries must be decomposable aggregations "
                 "(single-table GROUP BY with mergeable aggregate calls)"
             )
-        sub_keys = [key for key, _ in _ordered_aggregate_calls(parsed)]
+        sub_keys = [key for key, _ in ordered_aggregate_calls(parsed)]
         signature = self._signature(parsed)
         with self._lock:
             tree, shared = self._attach_tree(parsed, signature, sub_keys)
@@ -535,7 +508,7 @@ class StandingQueryRuntime:
                 view.where = None
                 if check_leakage(view, image).answerable:
                     return tree, True
-        calls = [call for _, call in _ordered_aggregate_calls(parsed)]
+        calls = [call for _, call in ordered_aggregate_calls(parsed)]
         core = _core_query(parsed, calls)
         tree = _StateTree(
             runtime=self,

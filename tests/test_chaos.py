@@ -25,12 +25,15 @@ import time
 
 import pytest
 
+from tests.conftest import make_sensor_relation
 from tests.test_runtime import RAW_WORKLOADS, build_tree_processor
 
 from repro.engine.database import Database
 from repro.engine.errors import ExecutionError
 from repro.engine.wire import pack_relation
 from repro.fragment.topology import Topology
+from repro.policy.presets import figure4_policy
+from repro.processor.paradise import ParadiseProcessor
 from repro.processor.reference import reference_result
 from repro.runtime import scheduler as scheduler_module
 from repro.runtime import (
@@ -40,6 +43,7 @@ from repro.runtime import (
     FailureInjector,
     QueryRequest,
     SessionFrontEnd,
+    build_execution_dag,
 )
 from repro.runtime.dag import AnonymizeTask
 from repro.runtime.faults import (
@@ -466,6 +470,62 @@ def test_checkpoint_store_skips_unpackable_relations():
     assert not store.save("sig-b", unpackable)
     assert store.restore("sig-b") is None
     assert store.skipped == 1
+
+
+# ---------------------------------------------------------------------------
+# resident inputs: base chunks read where they live
+# ---------------------------------------------------------------------------
+
+JOIN_SQL = "SELECT a.x, b.y FROM d a JOIN d b ON a.t = b.t WHERE a.z < 1.0"
+
+
+@pytest.mark.parametrize("execution", ["serial", "parallel"])
+def test_kill_holder_of_a_joined_chunk_recovers(execution):
+    """The join's merge reads every sensor's chunk where it lives, so a
+    sensor that runs no task of its own still dies as its chunk is read;
+    the chunk is re-placed on a sibling and the re-planned merge reads it
+    there."""
+    processor = build_tree_processor(n_sensors=8, rows=ROWS)
+    oracle = reference_result(
+        processor, JOIN_SQL, "fig4", apply_rewriting=False, anonymize=False
+    )
+    injector = FailureInjector([Fault(kind=KILL_NODE, node="sensor_3")])
+    result = run_with_faults(JOIN_SQL, injector, execution=execution, anonymize=False)
+    assert injector.fired
+    assert result.runtime.replans == 1
+    assert result.completeness.complete
+    assert result.completeness.dead_nodes == ["sensor_3"]
+    assert len(oracle) > 0
+    assert_same_relation(oracle, result.result)
+
+
+@pytest.mark.parametrize(
+    "topology,holder",
+    [
+        (lambda: Topology.smart_home_tree(n_sensors=8), "sensor_3"),
+        (Topology.default_chain, "sensor"),
+    ],
+    ids=["tree8_merge", "chain_hop"],
+)
+def test_resident_chunk_epochs_reach_downstream_signatures(topology, holder):
+    """Re-placing a chunk (here: an append bumping its placement epoch)
+    changes the signature of every task that reads it where it lives and
+    of everything downstream — also when the reader sits on another node
+    (a merge of resident chunks, a single hop off the holder)."""
+    processor = ParadiseProcessor(figure4_policy(), topology=topology())
+    processor.load_data(make_sensor_relation(ROWS))
+    prepared = processor.prepare(JOIN_SQL, "fig4", apply_rewriting=False)
+    plan = processor.fragmenter.fragment(prepared.query)
+
+    def signatures():
+        dag = build_execution_dag(plan, processor.topology, processor.network)
+        return {task.task_id: task.signature for task in dag.tasks}
+
+    before = signatures()
+    processor.network.append_to_partition(holder, "d", make_sensor_relation(0))
+    after = signatures()
+    assert before.keys() == after.keys()
+    assert all(before[task_id] != after[task_id] for task_id in before)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from repro.engine.types import DataType
 from repro.engine.vectorized import estimate_select_rows
 from repro.engine.wire import pack_relation, state_size_feedback, unpack_relation
 from repro.fragment.capabilities import CapabilityLevel
-from repro.fragment.plan import QueryFragment
+from repro.fragment.plan import QueryFragment, ordered_aggregate_calls
 from repro.runtime.dag import partial_aggregation_pays
 from repro.sql.parser import parse
 
@@ -376,6 +376,48 @@ def test_adaptive_placement_low_cardinality_pays():
     before = optimizer_stats.adaptive_partial
     assert partial_aggregation_pays(network, ["leaf"], fragment, "d") is True
     assert optimizer_stats.adaptive_partial > before
+
+
+#: Grouped queries repeating aggregate calls in HAVING and ORDER BY.
+REPEATED_AGGREGATE_QUERIES = [
+    "SELECT k, COUNT(*) AS n, SUM(v) FROM d GROUP BY k "
+    "HAVING COUNT(*) > 1 ORDER BY COUNT(*) DESC, SUM(v)",
+    "SELECT k, AVG(v) AS a FROM d GROUP BY k HAVING AVG(v) > 1 AND MAX(v) < 9 "
+    "ORDER BY MAX(v), AVG(v)",
+    "SELECT k FROM d GROUP BY k HAVING MIN(v) = MIN(v)",
+]
+
+
+@pytest.mark.parametrize("sql", REPEATED_AGGREGATE_QUERIES)
+def test_partial_state_width_counts_distinct_calls(sql):
+    """One state column per *distinct* aggregate call, however often the
+    call repeats in items, HAVING and ORDER BY."""
+    query = parse(sql)
+    database = _chunk_database([{"k": i % 3, "v": float(i)} for i in range(20)])
+    state = database.partial_aggregate(query)
+    assert len(query.group_by) + len(ordered_aggregate_calls(query)) == len(
+        state.schema
+    )
+
+
+def test_adaptive_placement_prices_distinct_state_columns():
+    """The byte stage prices the state columns a partial state really has.
+
+    The query names five aggregate occurrences but keeps two state columns
+    (plus its key): at a per-cell size that puts three columns under the
+    chunk's raw bytes and six over them, partial aggregation must pay."""
+    rows = [{"k": i, "v": float(i)} for i in range(200)]  # every key distinct
+    database = _chunk_database(rows)
+    raw_bytes = database.table("d").estimated_bytes()
+    fragment = _groupby_fragment(REPEATED_AGGREGATE_QUERIES[0])
+    state_size_feedback.reset()
+    try:
+        # bytes per cell = raw / (200 groups * 4.5 cells)
+        state_size_feedback.record(1, raw_bytes, cells=900)
+        network = _FakeNetwork({"leaf": database})
+        assert partial_aggregation_pays(network, ["leaf"], fragment, "d") is True
+    finally:
+        state_size_feedback.reset()
 
 
 def test_legacy_ratio_rule_with_optimizer_off():

@@ -119,6 +119,47 @@ def test_process_matches_unfragmented_reference(
     assert pack_relation(result.result) == reference_bytes(topology, rows, case)
 
 
+#: Queries the fragmenter keeps as one fragment over the whole base
+#: relation: a self-join, both set operations, a join under a GROUP BY.
+#: The reference joins interpreted, so they run at the small size only.
+WHOLE_RELATION_QUERIES = [
+    "SELECT a.x, b.y FROM d a JOIN d b ON a.t = b.t WHERE a.z < 1.0",
+    "SELECT x FROM d WHERE z < 0.5 UNION SELECT x FROM d WHERE z > 1.5",
+    "SELECT x FROM d WHERE z < 0.5 UNION ALL SELECT x FROM d WHERE z > 1.5",
+    "SELECT a.x, COUNT(*) AS n FROM d a JOIN d b ON a.t = b.t GROUP BY a.x",
+]
+
+
+@pytest.mark.parametrize("execution", ["serial", "parallel"])
+@pytest.mark.parametrize("anonymize", [False, True])
+@pytest.mark.parametrize("sql", WHOLE_RELATION_QUERIES)
+@pytest.mark.parametrize(
+    "topology",
+    [
+        Topology.default_chain,
+        lambda: Topology.smart_home_tree(3),
+        lambda: Topology.smart_home_tree(8),
+    ],
+    ids=["chain", "tree3", "tree8"],
+)
+def test_whole_relation_fragments_match_reference(topology, sql, anonymize, execution):
+    """A fragment that reads the whole base relation gathers every chunk
+    wherever the chunks live and wherever the fragment is placed — on the
+    chain, that means shipping the sensor's chunk to the fragment's node."""
+    processor = ParadiseProcessor(
+        occupancy_policy(), topology=topology(), schema=INTEGRATED_SCHEMA
+    )
+    processor.load_data(make_sensor_relation(400))
+    result = processor.process(
+        sql, "fig4", execution=execution, apply_rewriting=False, anonymize=anonymize
+    )
+    expected = reference_result(
+        processor, sql, "fig4", apply_rewriting=False, anonymize=anonymize
+    )
+    assert anonymize or len(expected) > 0
+    assert pack_relation(result.result) == pack_relation(expected)
+
+
 @pytest.mark.parametrize("execution", ["serial", "parallel"])
 def test_sensor_only_plan_anonymizes_inside_the_apartment(execution):
     """A plan whose last fragment runs on the sensor still gets step A: the
