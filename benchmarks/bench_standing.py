@@ -31,6 +31,7 @@ the ``standing`` section.
 
 from __future__ import annotations
 
+import os
 import statistics
 import sys
 import time
@@ -213,6 +214,7 @@ def run_standing(
     return {
         "description": "incremental standing-query refresh vs re-execute-per-"
         "refresh baseline; marginal = refresh wall / registered queries",
+        "cpu_count": os.cpu_count(),
         "entries": entries,
         "best_marginal_speedup_at_64": max(
             (entry["marginal_speedup"] for entry in at64), default=None

@@ -17,7 +17,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 from repro.engine.errors import ExecutionError, SchemaError
 from repro.engine.config import DEFAULT_CONFIG, EngineConfig
-from repro.engine.executor import QueryExecutor
+from repro.engine.executor import FinalizedGroups, QueryExecutor
 from repro.engine.schema import Schema
 from repro.engine.table import Relation
 from repro.sql import ast
@@ -190,6 +190,31 @@ class Database:
         query = parse(sql_or_ast) if isinstance(sql_or_ast, str) else sql_or_ast
         with self._lock:
             return self._executor(config).finalize_partial_aggregation(query, relation)
+
+    def finalize_groups(
+        self,
+        query: ast.SelectQuery,
+        relation: Relation,
+        config: EngineConfig = DEFAULT_CONFIG,
+    ) -> FinalizedGroups:
+        """The first finalize step alone: merged groups, aggregates finalized.
+
+        Several queries over the same groups (standing-query subscribers of
+        one state tree) share one call and then each run
+        :meth:`finalize_tail`.
+        """
+        with self._lock:
+            return self._executor(config).finalize_partial_groups(query, relation)
+
+    def finalize_tail(
+        self,
+        query: ast.SelectQuery,
+        groups: FinalizedGroups,
+        config: EngineConfig = DEFAULT_CONFIG,
+    ) -> Relation:
+        """The second finalize step alone: ``query``'s HAVING/items/ORDER BY."""
+        with self._lock:
+            return self._executor(config).finalize_tail(query, groups)
 
     def explain(self, sql_or_ast: Union[str, ast.Query]) -> dict:
         """Return the structural summary of a query (no execution)."""

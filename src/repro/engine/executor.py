@@ -27,6 +27,7 @@ Each executor runs under one :class:`~repro.engine.config.EngineConfig`
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.engine.aggregates import (
@@ -229,6 +230,28 @@ class _WherePlan:
         self.where = where
         #: ``("semi", InSubquery)`` or ``("pred", Expression)`` entries.
         self.segments = segments
+
+
+class FinalizedGroups:
+    """Merged groups with every aggregate finalized, ready for a tail.
+
+    ``keys[i]`` is group ``i``'s key tuple (first-occurrence order) over the
+    lower-cased ``key_names``; ``aggregates[i]`` maps each aggregate call's
+    render key to its finalized value.  Treat as read-only: one instance
+    feeds every tail that runs over it.
+    """
+
+    __slots__ = ("key_names", "keys", "aggregates")
+
+    def __init__(
+        self,
+        key_names: List[str],
+        keys: List[Tuple[Any, ...]],
+        aggregates: List[Dict[str, Any]],
+    ) -> None:
+        self.key_names = key_names
+        self.keys = keys
+        self.aggregates = aggregates
 
 
 class QueryExecutor:
@@ -1270,22 +1293,23 @@ class QueryExecutor:
         Input rows are concatenated partials in partition order, and every
         chunk holds rows the original relation ordered before later chunks'
         rows, so first-occurrence order here equals the group order a
-        single pass over the whole input would produce.
+        single pass over the whole input would produce.  Keys and states
+        are read straight off the column arrays, zipped per row.
         """
         groups: Dict[Tuple[Any, ...], List[Any]] = {}
         order: List[Tuple[Any, ...]] = []
         specs = plan.specs
-        for row in relation.rows:
-            key = tuple(row[name] for name in plan.key_names)
+        key_columns = [_state_column(relation, name) for name in plan.key_names]
+        state_columns = [_state_column(relation, name) for name in plan.state_names]
+        keys = zip(*key_columns) if key_columns else repeat((), len(relation))
+        for key, states in zip(keys, zip(*state_columns)):
             accumulators = groups.get(key)
             if accumulators is None:
                 accumulators = [spec.make() for spec in specs]
                 groups[key] = accumulators
                 order.append(key)
-            for spec, accumulator, state_name in zip(
-                specs, accumulators, plan.state_names
-            ):
-                accumulator.merge(row[state_name])
+            for accumulator, state in zip(accumulators, states):
+                accumulator.merge(state)
         if not plan.query.group_by and not groups:
             groups[()] = [spec.make() for spec in specs]
             order.append(())
@@ -1319,45 +1343,70 @@ class QueryExecutor:
     ) -> Relation:
         """Merge partial-state rows and produce ``query``'s actual output.
 
-        Applies HAVING, the select items and ORDER BY over the finalized
-        aggregate values — exactly the tail of the grouped execution path,
-        so the result is identical to running ``query`` over the
-        concatenated raw input.
+        The two finalize steps in sequence: :meth:`finalize_partial_groups`
+        merges and finalizes the groups, :meth:`finalize_tail` applies
+        HAVING, the select items and ORDER BY — exactly the tail of the
+        grouped execution path, so the result is identical to running
+        ``query`` over the concatenated raw input.
+        """
+        return self.finalize_tail(query, self.finalize_partial_groups(query, relation))
+
+    def finalize_partial_groups(
+        self, query: ast.SelectQuery, relation: Relation
+    ) -> FinalizedGroups:
+        """Merge partial-state rows per group and finalize every aggregate.
+
+        The finalized values are keyed by each call's render key, the key
+        :meth:`finalize_tail` looks them up by, so any query whose group
+        keys match ``query``'s and whose aggregate calls are a subset of
+        ``query``'s can run its tail over the result.
+        """
+        plan = self._partial_plan(query)
+        groups, order = self._merge_partial_groups(plan, relation)
+        spec_keys = [spec.key for spec in plan.specs]
+        return FinalizedGroups(
+            [name.lower() for name in plan.key_names],
+            order,
+            [
+                {
+                    key: accumulator.finalize()
+                    for key, accumulator in zip(spec_keys, groups[group])
+                }
+                for group in order
+            ],
+        )
+
+    def finalize_tail(
+        self, query: ast.SelectQuery, groups: FinalizedGroups
+    ) -> Relation:
+        """HAVING, select items and ORDER BY over finalized groups.
+
+        Group keys resolve by (lower-cased) name and aggregates by render
+        key, so the groups may come from a query with permuted keys or a
+        superset of ``query``'s aggregate calls.
         """
         if self._compiler is not None:
             self._compiler.new_execution()
-        plan = self._partial_plan(query)
-        groups, order = self._merge_partial_groups(plan, relation)
-        specs = plan.specs
-        lowered_keys = [name.lower() for name in plan.key_names]
-        context = self._fresh_context(None)
+        key_names = groups.key_names
         output_rows: List[Dict[str, Any]] = []
         if self._use_compiled:
             group_plan = self._group_plan(query)
             output_names = group_plan.output_names
-            for key in order:
-                context.scope = dict(zip(lowered_keys, key))
-                context.aggregates = {
-                    spec.key: accumulator.finalize()
-                    for spec, accumulator in zip(specs, groups[key])
-                }
-                if group_plan.having_fn is not None and not group_plan.having_fn(context):
+            having_fn = group_plan.having_fn
+            item_fns = group_plan.item_fns
+            context = self._fresh_context(None)
+            for key, aggregates in zip(groups.keys, groups.aggregates):
+                context.scope = dict(zip(key_names, key))
+                context.aggregates = aggregates
+                if having_fn is not None and not having_fn(context):
                     continue
                 output_rows.append(
-                    {
-                        name: fn(context)
-                        for name, fn in zip(output_names, group_plan.item_fns)
-                    }
+                    {name: fn(context) for name, fn in zip(output_names, item_fns)}
                 )
         else:
             output_names = self._output_names(query.items)
-            for key in order:
-                scope = dict(zip(lowered_keys, key))
-                aggregates = {
-                    spec.key: accumulator.finalize()
-                    for spec, accumulator in zip(specs, groups[key])
-                }
-                row_context = self._context(scope, None, aggregates)
+            for key, aggregates in zip(groups.keys, groups.aggregates):
+                row_context = self._context(dict(zip(key_names, key)), None, aggregates)
                 if query.having is not None and not evaluate_predicate(
                     query.having, row_context
                 ):
@@ -1613,6 +1662,14 @@ class QueryExecutor:
 # _OrderKey lives in repro.engine.vectorized (imported above) so the
 # columnar ORDER BY fast path and the row-at-a-time sort share one
 # comparator and can never drift apart.
+
+
+def _state_column(relation: Relation, name: str) -> Sequence[Any]:
+    """``name``'s value array in a partial-state relation (KeyError if absent)."""
+    column = relation.column_array(name)
+    if column is None:
+        raise KeyError(name)
+    return column
 
 
 def _relation_scopes(relation: Relation, qualifier: str, allow_reuse: bool) -> List[Scope]:

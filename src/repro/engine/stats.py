@@ -22,7 +22,7 @@ work order changes.  :data:`optimizer_stats` counts the decisions taken.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Iterable, Optional, Sequence
 
 __all__ = [
     "ColumnStats",
@@ -42,6 +42,7 @@ _SKETCH_SIZE = 256
 
 _MASK = (1 << 64) - 1
 _HASH_SPACE = 1 << 64
+_NAN_HASH = hash("nan")
 
 
 def _mix(h: int) -> int:
@@ -61,12 +62,17 @@ def value_hash(value: Any) -> int:
     Python's ``hash`` keeps numeric cross-type equality (``hash(5) ==
     hash(5.0)``), which the sketch wants: typed-column storage may coerce a
     value the row path keeps as-is, and stats must agree either way.
-    Unhashable values fall back to their ``repr``.
+    Unhashable values fall back to their ``repr``.  Every NaN hashes
+    alike: ``hash(nan)`` is per object, which would count each NaN as a
+    new distinct value and make the sketch depend on object identity.
     """
     try:
         h = hash(value)
     except TypeError:
         h = hash(repr(value))
+    else:
+        if value != value:
+            h = _NAN_HASH
     return _mix(h)
 
 
@@ -104,6 +110,13 @@ class _Sketch:
         members.discard(largest)
         members.add(h)
         heapq.heapreplace(self._heap, -h)
+
+    def copy(self) -> "_Sketch":
+        sketch = _Sketch()
+        sketch._members = set(self._members)
+        sketch._heap = list(self._heap)
+        sketch.pruned = self.pruned
+        return sketch
 
     def estimate(self) -> int:
         if not self.pruned:
@@ -169,6 +182,24 @@ class ColumnStats:
                     self.minimum = None
                     self.maximum = None
         self._sketch.observe(value_hash(value))
+
+    def extended(self, values: Iterable[Any]) -> "ColumnStats":
+        """A new summary: this one's column followed by ``values``.
+
+        The summarized state is copied and ``values`` are observed after it,
+        so the result equals :func:`column_stats` over the concatenation
+        (NaN-led and mixed-type runs included) at O(len(values)) cost.
+        """
+        stats = ColumnStats()
+        stats.rows = self.rows
+        stats.nulls = self.nulls
+        stats.minimum = self.minimum
+        stats.maximum = self.maximum
+        stats.comparable = self.comparable
+        stats._sketch = self._sketch.copy()
+        for value in values:
+            stats.observe(value)
+        return stats
 
     # -- derived quantities ------------------------------------------------
 
@@ -340,6 +371,21 @@ class TableStats:
             if values is not None:
                 stats = column_stats(values)
         self._columns[key] = stats
+        return stats
+
+    def appended(self, relation) -> "TableStats":
+        """Statistics for ``relation``: this table's rows followed by new ones.
+
+        Every summary already computed here carries over with the new rows'
+        values folded in (:meth:`ColumnStats.extended`), so an append costs
+        O(new rows) per summarized column instead of a rebuild over the
+        whole relation.  Columns never asked about stay uncomputed.
+        """
+        stats = TableStats(relation)
+        for key, summary in self._columns.items():
+            values = relation.column_array(key)
+            if summary is not None and values is not None:
+                stats._columns[key] = summary.extended(values[self.rows :])
         return stats
 
     def observe_row(self, row: Dict[str, Any]) -> None:

@@ -419,6 +419,16 @@ class Relation:
         self._stats_cache = (self._version, stats)
         return stats
 
+    def inherit_stats(self, prefix: "Relation") -> None:
+        """Seed this relation's statistics from ``prefix``'s.
+
+        For a relation holding ``prefix``'s rows followed by new ones (an
+        appended stream chunk): the summaries ``prefix`` already computed
+        carry over, extended by the new rows (:meth:`TableStats.appended`),
+        and equal a rebuild from scratch.
+        """
+        self._stats_cache = (self._version, prefix.stats().appended(self))
+
     def slice_rows(self, start: int, stop: Optional[int] = None, name: str = "") -> "Relation":
         """A new relation holding the contiguous row range ``[start, stop)``."""
         return Relation.from_columns(

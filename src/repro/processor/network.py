@@ -225,22 +225,21 @@ class NetworkSimulator:
         what keeps incremental group order identical to re-execution's
         first-occurrence order).  Bumps the placement epoch so task
         signatures built over the old chunk — and any checkpoints saved
-        under them — stop matching.  Returns the chunk's new row count.
+        under them — stop matching.  The old chunk's computed column
+        statistics carry over, extended by the delta, so the next plan
+        over the chunk does not rebuild them.  Returns the chunk's new row
+        count.
         """
         database = self.database(node_name)
         if table_name in database:
-            combined = self._concat_chunks(
-                database.table(table_name), delta, table_name
-            )
+            chunk = database.table(table_name)
         else:
-            combined = self._concat_chunks(
-                Relation.from_columns(
-                    delta.schema, [[] for _ in delta.schema.columns]
-                ),
-                delta,
-                table_name,
+            chunk = Relation.from_columns(
+                delta.schema, [[] for _ in delta.schema.columns]
             )
+        combined = self._concat_chunks(chunk, delta, table_name)
         self._register_stream(database, table_name, combined)
+        database.table(table_name).inherit_stats(chunk)
         holders = self._partitions.setdefault(table_name.lower(), [])
         if node_name not in holders:
             holders.append(node_name)

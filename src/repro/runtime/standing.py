@@ -15,15 +15,18 @@ This module turns PR 3's mergeable partial-state protocol
   the shared topology: one partial-state relation per leaf chunk, combined
   per level along the placement :func:`repro.runtime.dag.lift_node_groups`
   computes — the same shape the DAG scheduler would build, but *kept alive*
-  between refreshes.  States are stored packed through the wire codec
-  (:func:`repro.engine.wire.pack_state_relation`), so the recorded
-  ``standing.state_bytes`` are honest shipped-size bytes.
+  between refreshes.  States are stored decoded, so a refresh never
+  unpacks one; each state is packed through the wire codec
+  (:func:`repro.engine.wire.pack_state_relation`) once when it changes,
+  only so the recorded ``standing.state_bytes`` are honest shipped-size
+  bytes.
 * On each arriving chunk the runtime appends it at the **end** of the
   owning leaf's partition (``NetworkSimulator.append_to_partition``),
   folds a partial state over only the delta rows into the stored leaf
-  state, re-combines only the leaf's root path, and re-finalizes the
-  affected trees' subscribers.  Maintenance cost is O(delta x groups), not
-  O(data).
+  state, re-combines only the leaf's root path, merges the root state into
+  finalized groups **once per tree**, and runs each subscriber's
+  HAVING / select-item / ORDER BY tail over those shared groups.
+  Maintenance cost is O(delta x groups), not O(data).
 
 Why the results are *byte-identical* to from-scratch re-execution: group
 output order is first-occurrence order over the input, deltas append at the
@@ -37,8 +40,11 @@ moments), so there is no drift for the differential tests to forgive.
 
 Cross-session sharing: queries over the same table, WHERE clause and group
 keys whose aggregate calls are a subset of an existing tree's attach to
-that tree as additional *subscribers* — per-query finalize (HAVING /
-ORDER BY / projection) over one maintained state stream.  Every attach is
+that tree as additional *subscribers* — per-query finalize tails (HAVING /
+ORDER BY / projection) over one maintained state stream.  A tail reads
+group keys by name and finalized aggregates by render key, so permuted
+keys and subset or permuted aggregate calls need no state remapping.
+Every attach is
 gated by :func:`repro.rewrite.containment.check_leakage`: the subscriber
 must be answerable from the tree's core view, the same containment
 reasoning the privacy layer uses for d'.
@@ -48,8 +54,10 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import nullcontext
 from typing import (
     Any,
+    ContextManager,
     Dict,
     List,
     Mapping,
@@ -62,12 +70,13 @@ from typing import (
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database
 from repro.engine.errors import ExecutionError
-from repro.engine.schema import ColumnDef, Schema
+from repro.engine.executor import FinalizedGroups
+from repro.engine.schema import Schema
 from repro.engine.table import Relation
-from repro.engine.wire import pack_state_relation, unpack_state_relation
+from repro.engine.wire import pack_state_relation
 from repro.fragment.plan import is_decomposable_aggregation, ordered_aggregate_calls
 from repro.obs.metrics import registry as _metrics
-from repro.obs.trace import QueryTrace
+from repro.obs.trace import QueryTrace, Span
 from repro.rewrite.containment import check_leakage
 from repro.runtime.dag import lift_node_groups, rebase_table_refs, union_partials
 from repro.sql import ast
@@ -158,15 +167,11 @@ class StandingQueryHandle:
         query: ast.SelectQuery,
         sql: str,
         tree: "_StateTree",
-        state_map: List[int],
     ) -> None:
         self.query_id = query_id
         self.query = query
         self.sql = sql
         self.tree = tree
-        #: For each of this query's state columns ``__agg{j}``, the index of
-        #: the corresponding state column in the tree's core state relation.
-        self.state_map = state_map
         #: Refresh epoch the cached result was finalized at.
         self.epoch = -1
         self._result: Optional[Relation] = None
@@ -202,20 +207,42 @@ class _StateTree:
         #: is the call whose state lives in core state column ``__agg{i}``.
         self.agg_keys = agg_keys
         self.subscribers: List[StandingQueryHandle] = []
-        #: Packed partial-state relation per holder node (leaf chunks).
-        self.leaf_states: Dict[str, bytes] = {}
-        #: Packed combined state per lifted (non-leaf) node.
-        self.node_states: Dict[str, bytes] = {}
-        #: Per-level combine placement, computed once from
-        #: :func:`lift_node_groups` (the DAG scheduler's lifting rule).
+        #: Decoded partial-state relation per holder node (leaf chunks).
+        self.leaf_states: Dict[str, Relation] = {}
+        #: Decoded combined state per lifted node, keyed by ``(level,
+        #: node)``: a holder may also be a lift parent (an appliance that
+        #: received its own chunk), and its leaf state must stay apart from
+        #: the state it combines for its children.
+        self.node_states: Dict[Tuple[int, str], Relation] = {}
+        #: Packed (wire-codec) size of every stored state, keyed like
+        #: ``node_states`` with level 0 for the leaves.
+        self._packed_sizes: Dict[Tuple[int, str], int] = {}
+        #: Per-level combine placement, computed from
+        #: :func:`lift_node_groups` (the DAG scheduler's lifting rule):
+        #: ``levels[i]`` combines level-``i`` states into level ``i + 1``.
         self.levels: List[List[Tuple[str, List[str]]]] = []
         #: Nodes whose states union (in partition order) into the root state.
         self.top_nodes: List[str] = []
         self._delta_query = rebase_table_refs(core, table, DELTA_TABLE)
-        #: Root-state cache: every subscriber of a refresh epoch finalizes
-        #: over the same root union, so it is materialized once per delta.
-        self._root_cache: Optional[Relation] = None
+        #: The root state's merged, finalized groups for the current epoch,
+        #: shared by every subscriber's tail; None once a state changes.
+        self._groups: Optional[FinalizedGroups] = None
         self._build_initial()
+
+    # -- state storage --------------------------------------------------
+    def _store(self, level: int, node: str, state: Relation) -> None:
+        """Keep ``state`` decoded; pack it once, only to charge its bytes."""
+        if level == 0:
+            self.leaf_states[node] = state
+        else:
+            self.node_states[(level, node)] = state
+        self._packed_sizes[(level, node)] = len(pack_state_relation(state))
+        self._groups = None
+
+    def _state_of(self, level: int, node: str) -> Relation:
+        if level == 0:
+            return self.leaf_states[node]
+        return self.node_states[(level, node)]
 
     # -- construction ---------------------------------------------------
     def _build_initial(self) -> None:
@@ -225,7 +252,7 @@ class _StateTree:
             if self.table not in database:
                 continue  # registered before any data landed on this node
             state = database.partial_aggregate(self.core, self.runtime.engine)
-            self.leaf_states[holder] = pack_state_relation(state)
+            self._store(0, holder, state)
         self._rebuild_placement()
 
     def _rebuild_placement(self) -> None:
@@ -234,7 +261,8 @@ class _StateTree:
         Runs at tree creation and again when a *new* holder appears (a node
         that received its first chunk after the tree was built) — holders
         stay in partition order, so the root union keeps matching the
-        oracle's concatenation order.
+        oracle's concatenation order.  Every lifted state is dropped and
+        recombined from the leaves.
         """
         holders = [
             holder
@@ -243,6 +271,10 @@ class _StateTree:
         ]
         self.levels = []
         self.node_states = {}
+        self._packed_sizes = {
+            key: size for key, size in self._packed_sizes.items() if key[0] == 0
+        }
+        self._groups = None
         current = list(holders)
         while len(current) > 1:
             groups = lift_node_groups(self.runtime.topology, current)
@@ -251,111 +283,98 @@ class _StateTree:
             self.levels.append(groups)
             current = [parent for parent, _ in groups]
         self.top_nodes = current
-        self._root_cache = None
-        for groups in self.levels:
+        for level, groups in enumerate(self.levels):
             for parent, children in groups:
-                self._recombine(parent, children)
+                self._recombine(level, parent, children)
 
-    def _state_of(self, node: str) -> Relation:
-        packed = self.node_states.get(node)
-        if packed is None:
-            packed = self.leaf_states[node]
-        return unpack_state_relation(packed)
-
-    def _recombine(self, parent: str, children: Sequence[str]) -> None:
+    def _recombine(self, level: int, parent: str, children: Sequence[str]) -> None:
+        """Combine level-``level`` children into ``parent``'s next-level state."""
         merged = union_partials(
-            [self._state_of(child) for child in children], name=""
+            [self._state_of(level, child) for child in children], name=""
         )
         combined = self.runtime.network.database(parent).combine_partials(
             self.core, merged, self.runtime.engine
         )
-        self.node_states[parent] = pack_state_relation(combined)
+        self._store(level + 1, parent, combined)
 
     # -- refresh --------------------------------------------------------
-    def apply_delta(self, leaf: str, delta: Relation) -> int:
+    def apply_delta(self, leaf: str, delta: Relation, span: Optional[Span] = None) -> int:
         """Fold ``delta``'s partial state into ``leaf`` and its root path.
 
         Returns the number of groups whose state changed (the delta state's
-        group count) — everything else in the tree is untouched.
+        group count) — everything else in the tree is untouched.  ``span``
+        (the refresh span, when tracing) parents the fold and recombine
+        stage spans.
         """
-        network = self.runtime.network
-        database = network.database(leaf)
-        config = self.runtime.engine
+        runtime = self.runtime
+        database = runtime.network.database(leaf)
+        config = runtime.engine
         if leaf not in self.leaf_states:
             # First chunk on a node the tree has never covered: its current
             # chunk (delta included — it was already appended) becomes a new
             # leaf state, and the placement rebuilds over the grown holder
             # list so the root union stays in partition order.
-            state = database.partial_aggregate(self.core, config)
-            self.leaf_states[leaf] = pack_state_relation(state)
-            self._rebuild_placement()
+            with runtime._stage(span, "fold", self, leaf):
+                state = database.partial_aggregate(self.core, config)
+                self._store(0, leaf, state)
+            with runtime._stage(span, "recombine", self, leaf):
+                self._rebuild_placement()
             return len(state)
-        # The reserved delta table stays registered between refreshes:
-        # re-registering a same-shaped relation keeps the leaf executor and
-        # its compiled partial plan warm (dropping it would invalidate them
-        # on every delta).
-        database.register(DELTA_TABLE, delta)
-        delta_state = database.partial_aggregate(self._delta_query, config)
-        old_state = unpack_state_relation(self.leaf_states[leaf])
-        # Old state first, delta state second: first-occurrence order over
-        # the concatenation equals one pass over the full chunk.
-        merged = database.combine_partials(
-            self.core, union_partials([old_state, delta_state], name=""), config
-        )
-        self.leaf_states[leaf] = pack_state_relation(merged)
-        self._root_cache = None
-        node = leaf
-        for groups in self.levels:
-            for parent, children in groups:
-                if node in children:
-                    self._recombine(parent, children)
-                    node = parent
-                    break
+        with runtime._stage(span, "fold", self, leaf):
+            # The reserved delta table stays registered between refreshes:
+            # re-registering a same-shaped relation keeps the leaf executor
+            # and its compiled partial plan warm (dropping it would
+            # invalidate them on every delta).
+            database.register(DELTA_TABLE, delta)
+            delta_state = database.partial_aggregate(self._delta_query, config)
+            # Old state first, delta state second: first-occurrence order
+            # over the concatenation equals one pass over the full chunk.
+            merged = database.combine_partials(
+                self.core,
+                union_partials([self.leaf_states[leaf], delta_state], name=""),
+                config,
+            )
+            self._store(0, leaf, merged)
+        with runtime._stage(span, "recombine", self, leaf):
+            node = leaf
+            for level, groups in enumerate(self.levels):
+                for parent, children in groups:
+                    if node in children:
+                        self._recombine(level, parent, children)
+                        node = parent
+                        break
         return len(delta_state)
 
     # -- finalize -------------------------------------------------------
-    def root_state(self) -> Relation:
-        """Union of the top-level states, in partition order (cached)."""
-        if self._root_cache is None:
-            self._root_cache = union_partials(
-                [self._state_of(node) for node in self.top_nodes], name=""
-            )
-        return self._root_cache
+    def groups(self) -> FinalizedGroups:
+        """The root state's merged groups, aggregates finalized (cached).
 
-    def _remap_state(self, state: Relation, handle: StandingQueryHandle) -> Relation:
-        """Project/rename the core state columns into the subscriber's layout.
-
-        A subscriber whose aggregate calls are a strict subset (or a
-        different order) of the core's expects state columns ``__agg0..``
-        in *its own* spec order; group-key columns pass through by name.
+        The root state is the union of the top-level states in partition
+        order.  It is merged and finalized once per epoch, under the core
+        query, whose aggregate calls cover every subscriber's.
         """
-        if handle.state_map == list(range(len(self.agg_keys))):
-            return state
-        key_count = len(state.schema.columns) - len(self.agg_keys)
-        key_columns = state.schema.columns[:key_count]
-        columns: List[Any] = [
-            state.column_array(column.name) for column in key_columns
-        ]
-        schema_columns = list(key_columns)
-        for position, core_index in enumerate(handle.state_map):
-            source = state.schema.columns[key_count + core_index]
-            schema_columns.append(
-                ColumnDef(name=f"__agg{position}", data_type=source.data_type)
+        if self._groups is None:
+            top = len(self.levels)
+            root = union_partials(
+                [self._state_of(top, node) for node in self.top_nodes], name=""
             )
-            columns.append(state.column_array(source.name))
-        return Relation.from_columns(Schema(schema_columns), columns, name="")
+            self._groups = self._cloud().finalize_groups(
+                self.core, root, self.runtime.engine
+            )
+        return self._groups
 
     def finalize(self, handle: StandingQueryHandle) -> Relation:
-        """Run the subscriber's finalize tail over the shared root state."""
-        state = self._remap_state(self.root_state(), handle)
-        database = self.runtime.network.database(self.runtime.topology.cloud.name)
-        return database.finalize_partials(handle.query, state, self.runtime.engine)
+        """Run the subscriber's finalize tail over the shared root groups."""
+        return self._cloud().finalize_tail(
+            handle.query, self.groups(), self.runtime.engine
+        )
+
+    def _cloud(self) -> Database:
+        return self.runtime.network.database(self.runtime.topology.cloud.name)
 
     def state_bytes(self) -> int:
         """Total packed size of every stored state (wire-codec bytes)."""
-        return sum(len(packed) for packed in self.leaf_states.values()) + sum(
-            len(packed) for packed in self.node_states.values()
-        )
+        return sum(self._packed_sizes.values())
 
 
 class StandingQueryRuntime:
@@ -465,7 +484,6 @@ class StandingQueryRuntime:
                 query=parsed,
                 sql=render(parsed),
                 tree=tree,
-                state_map=[tree.agg_keys.index(key) for key in sub_keys],
             )
             tree.subscribers.append(handle)
             handle._result = tree.finalize(handle)
@@ -583,15 +601,18 @@ class StandingQueryRuntime:
                         for handle in tree.subscribers:
                             handle.epoch = epoch
                         continue
-                    groups_touched += tree.apply_delta(node_name, relation)
-                    for handle in tree.subscribers:
-                        finalize_started = time.perf_counter()
-                        handle._result = tree.finalize(handle)
-                        handle.epoch = epoch
-                        refinalized += 1
-                        _metrics.histogram("standing.finalize_seconds").observe(
-                            time.perf_counter() - finalize_started
-                        )
+                    groups_touched += tree.apply_delta(node_name, relation, span)
+                    with self._stage(span, "merge", tree):
+                        tree.groups()
+                    with self._stage(span, "tails", tree):
+                        for handle in tree.subscribers:
+                            finalize_started = time.perf_counter()
+                            handle._result = tree.finalize(handle)
+                            handle.epoch = epoch
+                            refinalized += 1
+                            _metrics.histogram("standing.finalize_seconds").observe(
+                                time.perf_counter() - finalize_started
+                            )
                 _metrics.counter("standing.refreshes").inc()
                 _metrics.counter("standing.delta_rows").inc(len(relation))
                 _metrics.counter("standing.groups_refinalized").inc(groups_touched)
@@ -608,6 +629,26 @@ class StandingQueryRuntime:
                 self._last_refresh_span_id = span.span_id
                 self.trace.finish(span)
             return epoch
+
+    def _stage(
+        self, refresh: Optional[Span], stage: str, tree: _StateTree, node: str = ""
+    ) -> ContextManager[Optional[Span]]:
+        """A ``stage[tree=N]`` child span of the refresh span (when tracing).
+
+        Stages: ``fold`` (delta into the leaf state), ``recombine`` (the
+        leaf's root path), ``merge`` (the tree's shared merge + finalize)
+        and ``tails`` (every subscriber's HAVING/items/ORDER BY).
+        """
+        if refresh is None or self.trace is None:
+            return nullcontext()
+        return self.trace.span(
+            f"{stage}[tree={tree.tree_id}]",
+            kind="standing_stage",
+            node=node or self.topology.cloud.name,
+            parent=refresh,
+            stage=stage,
+            tree=tree.tree_id,
+        )
 
     def _trees_for(self, table: str) -> List[_StateTree]:
         wanted = table.lower()

@@ -46,6 +46,8 @@ ENTRY_POINTS = (
     "execute_partial_aggregation",
     "combine_partial_aggregation",
     "finalize_partial_aggregation",
+    "finalize_partial_groups",
+    "finalize_tail",
 )
 
 

@@ -187,6 +187,48 @@ def test_new_holder_appearing_after_registration():
     assert_byte_identical(handle.result(), runtime.reexecute(handle))
 
 
+@pytest.mark.parametrize("n_sensors", [3, 8])
+def test_placement_changes_at_every_depth_stay_byte_identical(n_sensors):
+    """New holders at an appliance and at the PC rebuild the placement
+    several times; a holder that is also a lift parent (the appliance) must
+    keep its own leaf state apart from the state it combines for its
+    sensors.  Every append is checked against re-execution."""
+    processor = build_tree_processor(n_sensors=n_sensors)
+    runtime = StandingQueryRuntime(processor)
+    handles = [
+        runtime.register(STANDING_SQL),
+        runtime.register(
+            "SELECT person_id, activity, MIN(z) AS lo, MAX(t) AS hi "
+            "FROM d GROUP BY person_id, activity"
+        ),
+    ]
+    appends = [
+        "appliance_0",
+        "sensor_0",
+        "appliance_0",
+        "pc",
+        f"sensor_{n_sensors - 1}",
+        "pc",
+        "appliance_0",
+    ]
+    if n_sensors > 4:
+        appends[4:4] = ["appliance_1", "sensor_5", "appliance_1"]
+    for index, node in enumerate(appends):
+        runtime.append(node, feed_chunks(rows=12, chunk=12, seed=40 + index)[0])
+        for handle in handles:
+            assert_byte_identical(
+                handle.result(),
+                runtime.reexecute(handle),
+                f"append {index} at {node}: {handle.sql}",
+            )
+    tree = handles[0].tree
+    assert {"appliance_0", "pc"} <= set(tree.leaf_states)
+    assert tree.state_bytes() == sum(
+        len(pack_state_relation(state))
+        for state in [*tree.leaf_states.values(), *tree.node_states.values()]
+    )
+
+
 # ---------------------------------------------------------------------------
 # cross-session sharing
 # ---------------------------------------------------------------------------
@@ -196,8 +238,9 @@ def test_identical_and_subset_queries_share_one_tree():
     runtime = StandingQueryRuntime(build_tree_processor())
     base = runtime.register(STANDING_SQL)
     twin = runtime.register(STANDING_SQL)
-    # Subset of the tree's aggregates, in a different order: attaches with
-    # a remapped state layout instead of materializing a second tree.
+    # Subset of the tree's aggregates, in a different order: attaches and
+    # reads its finalized aggregates by render key instead of materializing
+    # a second tree.
     subset = runtime.register(
         "SELECT activity, SUM(z) AS total, COUNT(*) AS n FROM d GROUP BY activity"
     )
@@ -205,7 +248,7 @@ def test_identical_and_subset_queries_share_one_tree():
     assert base.tree is twin.tree is subset.tree
     assert len(base.tree.subscribers) == 3
     assert base.shared and twin.shared and subset.shared
-    assert subset.state_map == [2, 0]  # SUM(z), COUNT(*) in the core's order
+    assert base.tree.agg_keys == ["COUNT(*)", "AVG(z)", "SUM(z)"]
 
     # A non-subset aggregate needs state the tree never maintained.
     other = runtime.register(
@@ -262,6 +305,78 @@ def test_having_and_order_variants_share_and_finalize_per_subscriber():
     )
     for handle in (loose, strict):
         assert_byte_identical(handle.result(), runtime.reexecute(handle), handle.sql)
+
+
+SHARED_FINALIZE_SQL = [
+    # The tree's core: keys (person_id, activity), four aggregate calls.
+    "SELECT person_id, activity, COUNT(*) AS n, AVG(z) AS az, SUM(x) AS sx, "
+    "MAX(t) AS hi FROM d GROUP BY person_id, activity",
+    # Permuted group keys, a permuted subset of the calls.
+    "SELECT activity, person_id, SUM(x) AS sx, COUNT(*) AS n "
+    "FROM d GROUP BY activity, person_id",
+    # HAVING and ORDER BY on aggregates absent from SELECT.
+    "SELECT activity, person_id FROM d GROUP BY activity, person_id "
+    "HAVING AVG(z) > 0.5 AND MAX(t) > 3 ORDER BY SUM(x) DESC",
+    # Key order permuted again, one call, ordered by a key.
+    "SELECT person_id, MAX(t) AS hi, activity FROM d "
+    "GROUP BY activity, person_id HAVING COUNT(*) >= 2 ORDER BY person_id DESC",
+]
+
+
+@pytest.mark.parametrize("engine_mode", ["interpreted", "compiled"])
+def test_shared_finalize_serves_permuted_and_subset_subscribers(engine_mode):
+    processor = build_tree_processor(engine_mode=engine_mode)
+    runtime = StandingQueryRuntime(processor)
+    handles = [runtime.register(sql) for sql in SHARED_FINALIZE_SQL]
+    assert runtime.tree_count == 1
+    assert all(handle.tree is handles[0].tree for handle in handles)
+    holders = processor.network.partition_holders("d")
+    for epoch, delta in enumerate(feed_chunks(rows=90, chunk=15, seed=23), start=1):
+        runtime.append(holders[(3 * epoch) % len(holders)], delta)
+        for handle in handles:
+            assert handle.epoch == epoch
+            assert_byte_identical(
+                handle.result(), runtime.reexecute(handle), f"epoch {epoch}: {handle.sql}"
+            )
+
+
+def test_one_append_merges_root_states_once_per_tree(monkeypatch):
+    from repro.engine.executor import QueryExecutor
+
+    runtime = StandingQueryRuntime(build_tree_processor())
+    for sql in SHARED_FINALIZE_SQL + [STANDING_SQL, STANDING_SQL]:
+        runtime.register(sql)
+    assert runtime.tree_count == 2 and len(runtime.handles()) == 6
+
+    merges = []
+    original = QueryExecutor.finalize_partial_groups
+
+    def counting(self, query, relation):
+        merges.append(query)
+        return original(self, query, relation)
+
+    monkeypatch.setattr(QueryExecutor, "finalize_partial_groups", counting)
+    runtime.append(runtime.network.partition_holders("d")[2], feed_chunks(20, 20)[0])
+    # One merge per affected tree, shared by its subscribers' tails.
+    assert len(merges) == 2
+    assert {id(query) for query in merges} == {
+        id(tree.core) for tree in runtime._trees_for_all()
+    }
+
+
+def test_state_bytes_metric_is_packed_size_of_current_states():
+    runtime = StandingQueryRuntime(build_tree_processor())
+    runtime.register(STANDING_SQL)
+    runtime.register(SHARED_FINALIZE_SQL[0])
+    holders = runtime.network.partition_holders("d")
+    for index, delta in enumerate(feed_chunks(rows=40, chunk=10, seed=6)):
+        runtime.append(holders[index], delta)
+        packed = sum(
+            len(pack_state_relation(state))
+            for tree in runtime._trees_for_all()
+            for state in [*tree.leaf_states.values(), *tree.node_states.values()]
+        )
+        assert registry.snapshot(prefix="standing.")["standing.state_bytes"] == packed
 
 
 def test_session_front_end_shares_across_registrations():
@@ -366,6 +481,19 @@ def test_refresh_spans_link_epochs():
     assert "previous_epoch_span" not in first.attrs
     assert second.attrs["previous_epoch_span"] == first.span_id
     assert all(span.finished for span in spans)
+    # Per tree, each refresh has a child span for the delta fold, the root
+    # path recombine, the shared merge and the subscriber tails, in order.
+    tree_id = runtime.handles()[0].tree.tree_id
+    for refresh in spans:
+        children = [span for span in trace.spans if span.parent_id == refresh.span_id]
+        assert [span.name for span in children] == [
+            f"{stage}[tree={tree_id}]"
+            for stage in ("fold", "recombine", "merge", "tails")
+        ]
+        assert {span.kind for span in children} == {"standing_stage"}
+        assert children[0].node == leaf
+        assert all(span.finished and span.status == "ok" for span in children)
+        assert all(refresh.start <= span.start <= span.end <= refresh.end for span in children)
 
 
 # ---------------------------------------------------------------------------
