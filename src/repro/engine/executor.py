@@ -1302,7 +1302,11 @@ class QueryExecutor:
         key_columns = [_state_column(relation, name) for name in plan.key_names]
         state_columns = [_state_column(relation, name) for name in plan.state_names]
         keys = zip(*key_columns) if key_columns else repeat((), len(relation))
-        for key, states in zip(keys, zip(*state_columns)):
+        # A GROUP BY without aggregate calls has keys but no state columns.
+        state_rows = (
+            zip(*state_columns) if state_columns else repeat((), len(relation))
+        )
+        for key, states in zip(keys, state_rows):
             accumulators = groups.get(key)
             if accumulators is None:
                 accumulators = [spec.make() for spec in specs]

@@ -207,15 +207,13 @@ class _StateTree:
         #: is the call whose state lives in core state column ``__agg{i}``.
         self.agg_keys = agg_keys
         self.subscribers: List[StandingQueryHandle] = []
-        #: Decoded partial-state relation per holder node (leaf chunks).
-        self.leaf_states: Dict[str, Relation] = {}
-        #: Decoded combined state per lifted node, keyed by ``(level,
-        #: node)``: a holder may also be a lift parent (an appliance that
-        #: received its own chunk), and its leaf state must stay apart from
-        #: the state it combines for its children.
-        self.node_states: Dict[Tuple[int, str], Relation] = {}
-        #: Packed (wire-codec) size of every stored state, keyed like
-        #: ``node_states`` with level 0 for the leaves.
+        #: Decoded partial state per ``(level, node)``: level 0 holds each
+        #: holder's leaf-chunk state, level ``i + 1`` the states combined
+        #: by ``levels[i]``.  A holder may also be a lift parent (an
+        #: appliance that received its own chunk), so its leaf state and
+        #: the state it combines for its children live under two keys.
+        self.states: Dict[Tuple[int, str], Relation] = {}
+        #: Packed (wire-codec) size of every stored state, keyed alike.
         self._packed_sizes: Dict[Tuple[int, str], int] = {}
         #: Per-level combine placement, computed from
         #: :func:`lift_node_groups` (the DAG scheduler's lifting rule):
@@ -232,17 +230,9 @@ class _StateTree:
     # -- state storage --------------------------------------------------
     def _store(self, level: int, node: str, state: Relation) -> None:
         """Keep ``state`` decoded; pack it once, only to charge its bytes."""
-        if level == 0:
-            self.leaf_states[node] = state
-        else:
-            self.node_states[(level, node)] = state
+        self.states[(level, node)] = state
         self._packed_sizes[(level, node)] = len(pack_state_relation(state))
         self._groups = None
-
-    def _state_of(self, level: int, node: str) -> Relation:
-        if level == 0:
-            return self.leaf_states[node]
-        return self.node_states[(level, node)]
 
     # -- construction ---------------------------------------------------
     def _build_initial(self) -> None:
@@ -267,13 +257,11 @@ class _StateTree:
         holders = [
             holder
             for holder in self.runtime.network.partition_holders(self.table)
-            if holder in self.leaf_states
+            if (0, holder) in self.states
         ]
         self.levels = []
-        self.node_states = {}
-        self._packed_sizes = {
-            key: size for key, size in self._packed_sizes.items() if key[0] == 0
-        }
+        for key in [key for key in self.states if key[0] > 0]:
+            del self.states[key], self._packed_sizes[key]
         self._groups = None
         current = list(holders)
         while len(current) > 1:
@@ -290,7 +278,7 @@ class _StateTree:
     def _recombine(self, level: int, parent: str, children: Sequence[str]) -> None:
         """Combine level-``level`` children into ``parent``'s next-level state."""
         merged = union_partials(
-            [self._state_of(level, child) for child in children], name=""
+            [self.states[(level, child)] for child in children], name=""
         )
         combined = self.runtime.network.database(parent).combine_partials(
             self.core, merged, self.runtime.engine
@@ -309,7 +297,7 @@ class _StateTree:
         runtime = self.runtime
         database = runtime.network.database(leaf)
         config = runtime.engine
-        if leaf not in self.leaf_states:
+        if (0, leaf) not in self.states:
             # First chunk on a node the tree has never covered: its current
             # chunk (delta included — it was already appended) becomes a new
             # leaf state, and the placement rebuilds over the grown holder
@@ -331,7 +319,7 @@ class _StateTree:
             # over the concatenation equals one pass over the full chunk.
             merged = database.combine_partials(
                 self.core,
-                union_partials([self.leaf_states[leaf], delta_state], name=""),
+                union_partials([self.states[(0, leaf)], delta_state], name=""),
                 config,
             )
             self._store(0, leaf, merged)
@@ -356,7 +344,7 @@ class _StateTree:
         if self._groups is None:
             top = len(self.levels)
             root = union_partials(
-                [self._state_of(top, node) for node in self.top_nodes], name=""
+                [self.states[(top, node)] for node in self.top_nodes], name=""
             )
             self._groups = self._cloud().finalize_groups(
                 self.core, root, self.runtime.engine

@@ -50,6 +50,9 @@ RAW_QUERIES = RAW_WORKLOADS + [
     # Aliased plain columns must keep their output names.
     "SELECT x AS a, y FROM d WHERE z < 1.5",
     "SELECT x AS a, y AS b, t FROM d WHERE x > y",
+    # GROUP BY without aggregate calls: key columns, no state columns.
+    "SELECT x FROM d GROUP BY x",
+    "SELECT y, x FROM d WHERE z < 1.5 GROUP BY x, y ORDER BY y DESC, x",
 ]
 
 #: (module, SQL) run under the policy's rewriting, with anonymization.

@@ -177,9 +177,9 @@ def test_new_holder_appearing_after_registration():
     processor = build_tree_processor()
     runtime = StandingQueryRuntime(processor)
     handle = runtime.register(STANDING_SQL)
-    assert "pc" not in handle.tree.leaf_states
+    assert (0, "pc") not in handle.tree.states
     runtime.append("pc", feed_chunks(rows=30, chunk=30, seed=9)[0])
-    assert "pc" in handle.tree.leaf_states
+    assert (0, "pc") in handle.tree.states
     assert_byte_identical(handle.result(), runtime.reexecute(handle))
     # And subsequent deltas on old and new holders keep holding it.
     runtime.append(processor.network.partition_holders("d")[0], feed_chunks(20, 20)[0])
@@ -222,10 +222,10 @@ def test_placement_changes_at_every_depth_stay_byte_identical(n_sensors):
                 f"append {index} at {node}: {handle.sql}",
             )
     tree = handles[0].tree
-    assert {"appliance_0", "pc"} <= set(tree.leaf_states)
+    assert {(0, "appliance_0"), (0, "pc")} <= set(tree.states)
     assert tree.state_bytes() == sum(
         len(pack_state_relation(state))
-        for state in [*tree.leaf_states.values(), *tree.node_states.values()]
+        for state in tree.states.values()
     )
 
 
@@ -340,6 +340,35 @@ def test_shared_finalize_serves_permuted_and_subset_subscribers(engine_mode):
             )
 
 
+@pytest.mark.parametrize("engine_mode", ["interpreted", "compiled"])
+def test_group_by_without_aggregates_keeps_every_group(engine_mode):
+    """A GROUP BY with no aggregate call has key columns but no state
+    columns; its groups must survive the merge, both on a tree of its own
+    and as a subscriber of a tree that does carry aggregates."""
+    processor = build_tree_processor(engine_mode=engine_mode)
+    runtime = StandingQueryRuntime(processor)
+    handles = [
+        runtime.register("SELECT activity FROM d GROUP BY activity ORDER BY activity"),
+        runtime.register(SHARED_FINALIZE_SQL[0]),
+        runtime.register("SELECT activity, person_id FROM d GROUP BY person_id, activity"),
+        runtime.register(
+            "SELECT person_id, activity FROM d GROUP BY activity, person_id "
+            "ORDER BY person_id DESC"
+        ),
+    ]
+    assert not handles[0].tree.agg_keys
+    assert handles[1].tree is handles[2].tree is handles[3].tree
+    holders = processor.network.partition_holders("d")
+    for epoch, delta in enumerate(feed_chunks(rows=45, chunk=15, seed=31)):
+        if epoch:
+            runtime.append(holders[epoch % len(holders)], delta)
+        for handle in handles:
+            assert len(handle.result()) > 0, handle.sql
+            assert_byte_identical(
+                handle.result(), runtime.reexecute(handle), f"epoch {epoch}: {handle.sql}"
+            )
+
+
 def test_one_append_merges_root_states_once_per_tree(monkeypatch):
     from repro.engine.executor import QueryExecutor
 
@@ -374,7 +403,7 @@ def test_state_bytes_metric_is_packed_size_of_current_states():
         packed = sum(
             len(pack_state_relation(state))
             for tree in runtime._trees_for_all()
-            for state in [*tree.leaf_states.values(), *tree.node_states.values()]
+            for state in tree.states.values()
         )
         assert registry.snapshot(prefix="standing.")["standing.state_bytes"] == packed
 
