@@ -13,6 +13,7 @@ of the postprocessing technique.  Detection combines two signals:
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -41,26 +42,37 @@ class QuasiIdentifierReport:
         return ordered
 
 
-def column_uniqueness(relation: Relation, column: str) -> float:
-    """Fraction of rows whose value in ``column`` appears exactly once."""
-    if len(relation) == 0:
-        return 0.0
-    counts: Dict[object, int] = {}
-    for value in relation.column_values(column):
-        key = str(value)
-        counts[key] = counts.get(key, 0) + 1
-    unique_rows = sum(count for count in counts.values() if count == 1)
-    return unique_rows / len(relation)
-
-
 def combination_distinct_ratio(relation: Relation, columns: Sequence[str]) -> float:
-    """Number of distinct value combinations divided by the row count."""
+    """Number of distinct value combinations divided by the row count.
+
+    Values compare by ``str``, so ``1``, ``1.0`` and ``"1"`` stay distinct
+    while ``None`` and ``"None"`` coincide.
+    """
     if len(relation) == 0:
         return 0.0
-    seen = {
-        tuple(str(row.get(name)) for name in columns) for row in relation.rows
-    }
-    return len(seen) / len(relation)
+    return _distinct_ratio([_string_column(relation, name) for name in columns], len(relation))
+
+
+def _string_column(relation: Relation, name: str) -> List[str]:
+    """``str`` of every value of ``name``; an absent column reads as NULL."""
+    column = relation.column_array(name)
+    if column is None:
+        return ["None"] * len(relation)
+    return list(map(str, column))
+
+
+def _uniqueness(strings: List[str]) -> float:
+    """Fraction of rows whose value appears exactly once."""
+    if not strings:
+        return 0.0
+    counts = Counter(strings)
+    return sum(count for count in counts.values() if count == 1) / len(strings)
+
+
+def _distinct_ratio(strings: Sequence[List[str]], rows: int) -> float:
+    # No columns: every row is the one empty combination.
+    distinct = len(set(zip(*strings))) if strings else 1
+    return distinct / rows
 
 
 def detect_quasi_identifiers(
@@ -99,11 +111,22 @@ def detect_quasi_identifiers(
             continue
         candidate_columns.append(column.name)
 
+    # Each column's values as strings, once: every single-column score and
+    # every combination below reads these arrays.
+    strings = {name: _string_column(relation, name) for name in candidate_columns}
     for name in candidate_columns:
-        uniqueness = column_uniqueness(relation, name)
+        uniqueness = _uniqueness(strings[name])
         report.uniqueness[name] = uniqueness
         if uniqueness >= uniqueness_threshold and name not in report.quasi_identifiers:
             report.quasi_identifiers.append(name)
+
+    rows = len(relation)
+    if rows == 0:
+        # Every ratio is 0.0, so no combination can be flagged.
+        return report
+    single_ratio = {
+        name: len(set(values)) / rows for name, values in strings.items()
+    }
 
     # Column combinations: a pair of individually harmless columns may still
     # identify individuals (e.g. x and y position together).  Combinations
@@ -112,14 +135,10 @@ def detect_quasi_identifiers(
     # are not flagged.
     for size in range(2, max_combination_size + 1):
         for combination in itertools.combinations(candidate_columns, size):
-            ratio = combination_distinct_ratio(relation, combination)
+            ratio = _distinct_ratio([strings[name] for name in combination], rows)
             if ratio < combination_threshold:
                 continue
-            explained_by_member = any(
-                combination_distinct_ratio(relation, [name]) >= combination_threshold
-                for name in combination
-            )
-            if explained_by_member:
+            if any(single_ratio[name] >= combination_threshold for name in combination):
                 continue
             report.risky_combinations.append(combination)
             for name in combination:

@@ -52,7 +52,7 @@ from repro.engine.stats import optimizer_stats
 from repro.engine.vectorized import (
     _OrderKey,
     build_schema as _build_schema,
-    distinct_rows as _distinct_rows,
+    distinct_positions as _distinct_positions,
     freeze_value as _freeze,
     try_execute_partial,
     try_execute_select,
@@ -392,11 +392,17 @@ class QueryExecutor:
         has_group_by = bool(query.group_by)
         has_aggregates = self._select_has_aggregates(query)
 
+        #: Grouped: each output row's aggregate values, for ORDER BY.
+        group_aggregates: Optional[List[Dict[str, Any]]] = None
         if has_group_by or has_aggregates:
             if self._use_compiled:
-                output_rows, output_names = self._execute_grouped_compiled(query, scopes, parent)
+                output_rows, output_names, group_aggregates = (
+                    self._execute_grouped_compiled(query, scopes, parent)
+                )
             else:
-                output_rows, output_names = self._execute_grouped(query, scopes, parent)
+                output_rows, output_names, group_aggregates = self._execute_grouped(
+                    query, scopes, parent
+                )
         else:
             if self._use_compiled:
                 output_rows, output_names = self._execute_flat_compiled(
@@ -407,11 +413,22 @@ class QueryExecutor:
 
         # DISTINCT
         if query.distinct:
-            output_rows = _distinct_rows(output_rows, output_names)
+            keep = _distinct_positions(output_rows, output_names)
+            output_rows = [output_rows[position] for position in keep]
+            if group_aggregates is not None:
+                group_aggregates = [group_aggregates[position] for position in keep]
 
-        # ORDER BY (may reference output aliases or source columns)
+        # ORDER BY (may reference output aliases, aggregate calls or source
+        # columns)
         if query.order_by:
-            output_rows = self._apply_order_by(query, output_rows, scopes, parent, has_group_by or has_aggregates)
+            output_rows = self._apply_order_by(
+                query,
+                output_rows,
+                scopes,
+                parent,
+                has_group_by or has_aggregates,
+                group_aggregates,
+            )
 
         # LIMIT / OFFSET
         if query.offset is not None:
@@ -980,7 +997,7 @@ class QueryExecutor:
         query: ast.SelectQuery,
         scopes: List[Scope],
         parent: Optional[EvaluationContext],
-    ) -> Tuple[List[Dict[str, Any]], List[str]]:
+    ) -> Tuple[List[Dict[str, Any]], List[str], List[Dict[str, Any]]]:
         items = query.items
         if any(isinstance(item.expression, ast.Star) for item in items):
             raise ExecutionError("SELECT * cannot be combined with GROUP BY / aggregates")
@@ -1006,6 +1023,7 @@ class QueryExecutor:
         aggregate_calls = self._collect_aggregate_calls(query)
         output_names = self._output_names(items)
         output_rows: List[Dict[str, Any]] = []
+        group_aggregates: List[Dict[str, Any]] = []
 
         for key in order:
             group_scopes = groups[key]
@@ -1020,7 +1038,8 @@ class QueryExecutor:
             for item, name in zip(items, output_names):
                 row[name] = evaluate(item.expression, context)
             output_rows.append(row)
-        return output_rows, output_names
+            group_aggregates.append(aggregates)
+        return output_rows, output_names, group_aggregates
 
     def _group_plan(self, query: ast.SelectQuery) -> _GroupPlan:
         plan = self._group_plans.get(id(query))
@@ -1065,7 +1084,7 @@ class QueryExecutor:
         query: ast.SelectQuery,
         scopes: List[Scope],
         parent: Optional[EvaluationContext],
-    ) -> Tuple[List[Dict[str, Any]], List[str]]:
+    ) -> Tuple[List[Dict[str, Any]], List[str], List[Dict[str, Any]]]:
         plan = self._group_plan(query)
         specs = plan.specs
         key_fns = plan.key_fns
@@ -1117,10 +1136,11 @@ class QueryExecutor:
         output_names = plan.output_names
         item_fns = plan.item_fns
         output_rows: List[Dict[str, Any]] = []
+        group_aggregates: List[Dict[str, Any]] = []
         for key in order:
             representative, accumulators = groups[key]
             context.scope = representative
-            context.aggregates = {
+            context.aggregates = aggregates = {
                 spec.key: accumulator.result()
                 for spec, accumulator in zip(specs, accumulators)
             }
@@ -1129,7 +1149,8 @@ class QueryExecutor:
             output_rows.append(
                 {name: fn(context) for name, fn in zip(output_names, item_fns)}
             )
-        return output_rows, output_names
+            group_aggregates.append(aggregates)
+        return output_rows, output_names, group_aggregates
 
     def _collect_aggregate_calls(self, query: ast.SelectQuery) -> List[ast.FunctionCall]:
         calls: List[ast.FunctionCall] = []
@@ -1393,6 +1414,7 @@ class QueryExecutor:
             self._compiler.new_execution()
         key_names = groups.key_names
         output_rows: List[Dict[str, Any]] = []
+        group_aggregates: List[Dict[str, Any]] = []
         if self._use_compiled:
             group_plan = self._group_plan(query)
             output_names = group_plan.output_names
@@ -1407,6 +1429,7 @@ class QueryExecutor:
                 output_rows.append(
                     {name: fn(context) for name, fn in zip(output_names, item_fns)}
                 )
+                group_aggregates.append(aggregates)
         else:
             output_names = self._output_names(query.items)
             for key, aggregates in zip(groups.keys, groups.aggregates):
@@ -1421,8 +1444,11 @@ class QueryExecutor:
                         for item, name in zip(query.items, output_names)
                     }
                 )
+                group_aggregates.append(aggregates)
         if query.order_by:
-            output_rows = self._apply_order_by(query, output_rows, [], None, True)
+            output_rows = self._apply_order_by(
+                query, output_rows, [], None, True, group_aggregates
+            )
         schema = _build_schema(output_names, output_rows)
         return Relation(schema=schema, rows=output_rows, name="")
 
@@ -1609,10 +1635,18 @@ class QueryExecutor:
         scopes: List[Scope],
         parent: Optional[EvaluationContext],
         grouped: bool,
+        group_aggregates: Optional[Sequence[Dict[str, Any]]] = None,
     ) -> List[Dict[str, Any]]:
         # After grouping the source scopes no longer align with the output
         # rows, so ORDER BY expressions are evaluated against the output row
-        # only.  For flat queries the source scope is merged in as fallback.
+        # plus that row's group aggregates (``group_aggregates``, aligned
+        # with ``output_rows``: ``ORDER BY COUNT(*)`` needs no select item).
+        # For flat queries the source scope is merged in as fallback.
+        def row_aggregates(index: int) -> Dict[str, Any]:
+            if group_aggregates is None:
+                return _EMPTY_AGGREGATES
+            return group_aggregates[index]
+
         def row_scope(index: int, row: Dict[str, Any]) -> Scope:
             scope = {key.lower(): value for key, value in row.items()}
             if not grouped and index < len(scopes):
@@ -1630,6 +1664,7 @@ class QueryExecutor:
             def sort_key_compiled(pair: Tuple[int, Dict[str, Any]]) -> Tuple:
                 index, row = pair
                 context.scope = row_scope(index, row)
+                context.aggregates = row_aggregates(index)
                 keys = []
                 for fn, item in zip(order_fns, query.order_by):
                     try:
@@ -1644,7 +1679,7 @@ class QueryExecutor:
 
         def sort_key(pair: Tuple[int, Dict[str, Any]]) -> Tuple:
             index, row = pair
-            context = self._context(row_scope(index, row), parent)
+            context = self._context(row_scope(index, row), parent, row_aggregates(index))
             keys = []
             for item in query.order_by:
                 try:
@@ -1719,6 +1754,6 @@ def _unique(rows: List[Tuple[Any, ...]]) -> List[Tuple[Any, ...]]:
     return result
 
 
-# _build_schema / _distinct_rows / _freeze live in repro.engine.vectorized
+# _build_schema / _distinct_positions / _freeze live in repro.engine.vectorized
 # (imported above) so the columnar fast paths and the row-at-a-time tail
 # share one implementation and can never drift apart.

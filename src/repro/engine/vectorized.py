@@ -140,16 +140,17 @@ def freeze_value(value: Any) -> Any:
     return value
 
 
-def distinct_rows(rows: List[Dict[str, Any]], names: List[str]) -> List[Dict[str, Any]]:
-    """Order-preserving duplicate removal over output dict rows."""
+def distinct_positions(rows: List[Dict[str, Any]], names: List[str]) -> List[int]:
+    """Order-preserving duplicate removal over output dict rows: the
+    position of each distinct row's first occurrence, in order."""
     seen: set = set()
-    result = []
-    for row in rows:
+    positions = []
+    for position, row in enumerate(rows):
         key = tuple(freeze_value(row.get(name)) for name in names)
         if key not in seen:
             seen.add(key)
-            result.append(row)
-    return result
+            positions.append(position)
+    return positions
 
 
 def _first_non_null_type(values) -> Any:
@@ -1590,6 +1591,7 @@ def _execute_grouped(
     item_fns = group_plan.item_fns
     having_fn = group_plan.having_fn
     output_rows: List[Dict[str, Any]] = []
+    group_aggregates: List[Dict[str, Any]] = []
     for key in order:
         indices = groups[key]
         accumulators = accumulators_by_key[key]
@@ -1601,21 +1603,26 @@ def _execute_grouped(
         else:
             representative = {}
         context.scope = representative
-        context.aggregates = {
+        context.aggregates = aggregates = {
             spec.key: accumulator.result()
             for spec, accumulator in zip(specs, accumulators)
         }
         if having_fn is not None and not having_fn(context):
             continue
         output_rows.append({name: fn(context) for name, fn in zip(output_names, item_fns)})
+        group_aggregates.append(aggregates)
 
     stats.grouped += 1
 
     # The standard SELECT tail, identical to the row path.
     if query.distinct:
-        output_rows = distinct_rows(output_rows, output_names)
+        keep = distinct_positions(output_rows, output_names)
+        output_rows = [output_rows[position] for position in keep]
+        group_aggregates = [group_aggregates[position] for position in keep]
     if query.order_by:
-        output_rows = executor._apply_order_by(query, output_rows, [], parent, True)
+        output_rows = executor._apply_order_by(
+            query, output_rows, [], parent, True, group_aggregates
+        )
     if query.offset is not None:
         output_rows = output_rows[query.offset :]
     if query.limit is not None:

@@ -17,6 +17,15 @@ executes the ``regr_intercept ... OVER`` window query on the apartment PC
 of the SQL query on its own").  We follow the use-case placement and include
 window functions in E2's capability set; the difference is documented in
 DESIGN.md and exercised by the Table 1 benchmark.
+
+E4's "filter / simple selection" is the sensor fragment's WHERE: every
+conjunct that tests one plain column against constants (a literal, or a
+negated numeric literal such as ``-2``).  That is ``col <op> const`` for
+the six comparison operators (either side), ``col [NOT] BETWEEN const AND
+const``, ``col [NOT] IN (const, ...)`` and ``col IS [NOT] NULL``
+(:func:`repro.fragment.fragmenter.is_column_constant_filter`).  ``IN
+(SELECT ...)``, column-bounded ``BETWEEN``, ``OR`` terms, bare boolean
+columns and arithmetic run at the appliance.
 """
 
 from __future__ import annotations

@@ -4,7 +4,11 @@ Given a (policy-rewritten) query, :class:`VerticalFragmenter` produces the
 chain of staged queries of Section 4.2:
 
 * the sensor evaluates only attribute-vs-constant filters over its own stream
-  (``SELECT * FROM stream WHERE z < 2``),
+  (``SELECT * FROM stream WHERE z < 2``): comparisons of a plain column with
+  a literal (a negated numeric literal counts), ``[NOT] BETWEEN`` two such
+  constants, ``[NOT] IN`` a list of them, and ``IS [NOT] NULL``
+  (:func:`is_column_constant_filter`); every other conjunct runs at the
+  appliance,
 * an appliance evaluates attribute-vs-attribute comparisons and drops the
   columns no later stage needs (``SELECT x, y, z, t FROM d1 WHERE x > y``),
 * a more capable appliance (the home media center) computes the grouping and
@@ -239,24 +243,11 @@ class VerticalFragmenter:
         constant_terms: List[ast.Expression] = []
         attribute_terms: List[ast.Expression] = []
         for term in ast.conjunction_terms(where):
-            if self._is_constant_comparison(term):
+            if is_column_constant_filter(term):
                 constant_terms.append(term)
             else:
                 attribute_terms.append(term)
         return constant_terms, attribute_terms
-
-    @staticmethod
-    def _is_constant_comparison(term: ast.Expression) -> bool:
-        """True for ``column <op> literal`` terms a sensor can evaluate."""
-        if not isinstance(term, ast.BinaryOp):
-            return False
-        if term.operator.upper() in {"AND", "OR"}:
-            return False
-        sides = (term.left, term.right)
-        has_column = any(isinstance(side, ast.Column) for side in sides)
-        has_literal = any(isinstance(side, ast.Literal) for side in sides)
-        only_simple = all(isinstance(side, (ast.Column, ast.Literal)) for side in sides)
-        return has_column and has_literal and only_simple
 
     def _columns_needed_by_stage(self, stage: ast.SelectQuery) -> List[str]:
         """Columns the rest of the innermost stage needs, in a stable order."""
@@ -342,6 +333,56 @@ class VerticalFragmenter:
             # Decomposable aggregation stages run as leaf partial
             # aggregation with per-level combines instead of a global merge.
             fragment.decomposable = is_decomposable_aggregation(fragment.query)
+
+
+_COMPARISON_OPERATORS = frozenset({"=", "<>", "!=", "<", "<=", ">", ">="})
+
+
+def _is_constant(node: ast.Expression) -> bool:
+    """A literal, or a negated numeric literal (``-2`` parses as
+    ``UnaryOp('-', Literal(2))``)."""
+    if isinstance(node, ast.UnaryOp) and node.operator == "-":
+        operand = node.operand
+        return (
+            isinstance(operand, ast.Literal)
+            and isinstance(operand.value, (int, float))
+            and not isinstance(operand.value, bool)
+        )
+    return isinstance(node, ast.Literal)
+
+
+def is_column_constant_filter(term: ast.Expression) -> bool:
+    """True for a conjunct that tests one plain column against constants.
+
+    This is the sensor's filter vocabulary (Table 1's E4 "filter / simple
+    selection"): ``col <op> const`` / ``const <op> col`` comparisons,
+    ``col [NOT] BETWEEN const AND const``, ``col [NOT] IN (const, ...)``
+    and ``col IS [NOT] NULL``, where a constant is a literal or a negated
+    numeric literal.  ``IN (SELECT ...)``, column-bounded ``BETWEEN``,
+    ``OR`` terms and bare boolean columns are not in it.
+    """
+    if isinstance(term, ast.BinaryOp):
+        if term.operator not in _COMPARISON_OPERATORS:
+            return False
+        left, right = term.left, term.right
+        return (isinstance(left, ast.Column) and _is_constant(right)) or (
+            isinstance(right, ast.Column) and _is_constant(left)
+        )
+    if isinstance(term, ast.Between):
+        return (
+            isinstance(term.expression, ast.Column)
+            and _is_constant(term.low)
+            and _is_constant(term.high)
+        )
+    if isinstance(term, ast.InList):
+        return (
+            isinstance(term.expression, ast.Column)
+            and bool(term.values)
+            and all(_is_constant(value) for value in term.values)
+        )
+    if isinstance(term, ast.IsNull):
+        return isinstance(term.expression, ast.Column)
+    return False
 
 
 def _walk_from(query: ast.Query):

@@ -850,6 +850,10 @@ def build_execution_dag(
         task = add(StageTask, label, node, parts, op=op, base=base_table, **fields)
         return task.task_id, node
 
+    #: One rebased query per (fragment, input name), shared by sibling
+    #: partitions: tasks never mutate their query.
+    rebased: Dict[Tuple[str, str], ast.Query] = {}
+
     def run(
         op: str, fragment: QueryFragment, label: str, node: str, part: Part
     ) -> Part:
@@ -862,13 +866,17 @@ def build_execution_dag(
         in_base = fragment.input_name
         in_name = in_base if part == (None, node) else ns(in_base)
         out_name = fragment.name if op == "query" else f"{fragment.name}__partial"
+        query = rebased.get((fragment.name, in_name))
+        if query is None:
+            query = rebase_table_refs(fragment.query, in_base, in_name)
+            rebased[fragment.name, in_name] = query
         return stage(
             op,
             label,
             node,
             [part],
             fragment=fragment,
-            query=rebase_table_refs(fragment.query, in_base, in_name),
+            query=query,
             in_name=in_name,
             out_name=ns(out_name),
             display_name=label,

@@ -1,5 +1,7 @@
 """Tests for quasi-identifier detection and the anonymization algorithms."""
 
+import itertools
+
 import pytest
 
 from repro.anonymize import (
@@ -15,6 +17,10 @@ from repro.anonymize import (
     private_aggregate,
 )
 from repro.anonymize.dp import perturb_numeric_columns
+from repro.anonymize.qid import (
+    QuasiIdentifierReport,
+    combination_distinct_ratio,
+)
 from repro.anonymize.slicing import default_column_groups
 from repro.engine.schema import ColumnDef, Schema
 from repro.engine.table import Relation
@@ -58,6 +64,112 @@ def test_exclude_columns():
     relation = Relation.from_rows([{"t": i} for i in range(20)])
     report = detect_quasi_identifiers(relation, exclude=["t"])
     assert report.quasi_identifiers == []
+
+
+# Row-at-a-time reference copies of the quasi-identifier scores: every
+# value compares by ``str`` through ``row.get``.
+
+
+def _reference_uniqueness(relation, column):
+    if len(relation) == 0:
+        return 0.0
+    counts = {}
+    for value in relation.column_values(column):
+        counts[str(value)] = counts.get(str(value), 0) + 1
+    return sum(count for count in counts.values() if count == 1) / len(relation)
+
+
+def _reference_ratio(relation, columns):
+    if len(relation) == 0:
+        return 0.0
+    seen = {tuple(str(row.get(name)) for name in columns) for row in relation.rows}
+    return len(seen) / len(relation)
+
+
+def _reference_detect(relation, uniqueness_threshold, combination_threshold, size):
+    report = QuasiIdentifierReport()
+    candidates = []
+    for column in relation.schema:
+        if column.identifying:
+            report.identifying.append(column.name)
+            continue
+        if column.sensitive:
+            report.sensitive.append(column.name)
+        if column.quasi_identifier:
+            report.quasi_identifiers.append(column.name)
+        candidates.append(column.name)
+    for name in candidates:
+        report.uniqueness[name] = _reference_uniqueness(relation, name)
+        if (
+            report.uniqueness[name] >= uniqueness_threshold
+            and name not in report.quasi_identifiers
+        ):
+            report.quasi_identifiers.append(name)
+    for width in range(2, size + 1):
+        for combination in itertools.combinations(candidates, width):
+            if _reference_ratio(relation, combination) < combination_threshold:
+                continue
+            if any(
+                _reference_ratio(relation, [name]) >= combination_threshold
+                for name in combination
+            ):
+                continue
+            report.risky_combinations.append(combination)
+            for name in combination:
+                if name not in report.quasi_identifiers:
+                    report.quasi_identifiers.append(name)
+    return report
+
+
+def _qi_relations():
+    mixed = [1, 1.0, "1", True, None, "None", 2, 2.5, "x", False]
+    as_ints = [1, 1, None, 2, 3, 3, None, 4, 5, 1]
+    columns = {
+        "mixed_text": (DataType.TEXT, mixed),
+        "mixed_int": (DataType.INTEGER, mixed),
+        "typed_int": (DataType.INTEGER, as_ints),
+        "list_int": (DataType.TEXT, as_ints),
+        "typed_float": (DataType.FLOAT, [float(v) if v is not None else None for v in as_ints]),
+        "flag": (DataType.BOOLEAN, [index % 3 == 0 for index in range(10)]),
+        "const": (DataType.INTEGER, [7] * 10),
+    }
+    schema = Schema([ColumnDef(name=name, data_type=kind) for name, (kind, _) in columns.items()])
+    rows = [
+        {name: values[index] for name, (_, values) in columns.items()} for index in range(10)
+    ]
+    relation = Relation(schema=schema, rows=rows, name="q")
+    assert type(relation.column_array("typed_int")).__name__ == "TypedColumn"
+    assert isinstance(relation.column_array("list_int"), list)
+    assert isinstance(relation.column_array("mixed_int"), list)
+    return {
+        "mixed": relation,
+        "empty": Relation(schema=schema, rows=[], name="q"),
+        "sensor": make_sensor_relation(60),
+    }
+
+
+@pytest.mark.parametrize("name", ["mixed", "empty", "sensor"])
+def test_quasi_identifier_scores_equal_the_row_reference(name):
+    relation = _qi_relations()[name]
+    names = relation.schema.names + ["absent"]
+    for width in range(4):
+        for columns in itertools.combinations(names, width):
+            assert combination_distinct_ratio(relation, columns) == _reference_ratio(
+                relation, columns
+            ), columns
+    for uniqueness, combination, size in [
+        (0.5, 0.9, 2),
+        (0.0, 0.0, 2),
+        (1.0, 0.5, 3),
+        (0.3, 0.6, 1),
+    ]:
+        report = detect_quasi_identifiers(
+            relation,
+            uniqueness_threshold=uniqueness,
+            combination_threshold=combination,
+            max_combination_size=size,
+        )
+        assert report == _reference_detect(relation, uniqueness, combination, size)
 
 
 # ---------------------------------------------------------------------------

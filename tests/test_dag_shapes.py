@@ -5,9 +5,10 @@ id, kind, node and dependencies, in build order — with a recorded one.
 The cells between them hit every placement rule of
 :func:`~repro.runtime.dag.build_execution_dag`: the single-holder chain,
 the leaf fan-out, running in place ahead of a decomposable aggregation,
-the one-level lift, partial → combine → finalize, the high-cardinality
-fallback, the merge at a fragment's assigned node, the final union,
-``partial_aggregation=False`` and a namespace.  Results are checked
+the one-level lift (also under sensor-side ``BETWEEN`` filters), partial
+→ combine → finalize, the high-cardinality fallback, the merge at a
+fragment's assigned node, the final union, ``partial_aggregation=False``
+and a namespace.  Results are checked
 elsewhere (``tests/test_reference.py``); this file catches a builder change
 that moves work between nodes or adds tasks while results stay right.
 """
@@ -39,6 +40,10 @@ TOPOLOGIES = {
 
 JOIN_SQL = "SELECT a.x, b.y FROM d a JOIN d b ON a.t = b.t WHERE a.z < 1.0"
 
+#: The sensors filter the time window and ``z``; ``x > y`` and the
+#: projection run one level up.
+BETWEEN_SQL = "SELECT x, y, t FROM d WHERE t BETWEEN 10 AND 15 AND x > y AND z > -1"
+
 #: cell -> (topology, module, SQL, options).  ``module=None`` skips
 #: admission and rewriting.
 CELLS = {
@@ -49,6 +54,7 @@ CELLS = {
     "tree8_frontend": (
         "tree8", "Occupancy", FRONTEND_TEMPLATES[0][1].format(lo=10.0, hi=15.0), {}
     ),
+    "tree8_between": ("tree8", None, BETWEEN_SQL, {}),
     "tree8_paper_lift": ("tree8", "ActionFilter", PAPER_SQL, {}),
     "tree8_groupby": ("tree8", "Occupancy", GROUPBY_SQL, {}),
     "tree8_groupby_no_partial": (
@@ -102,6 +108,23 @@ def dag_listing(cell: str) -> list:
 
 
 EXPECTED = {
+    "tree8_between": [
+        "t001:d1[sensor_0] fragment @sensor_0",
+        "t002:d1[sensor_1] fragment @sensor_1",
+        "t003:d1[sensor_2] fragment @sensor_2",
+        "t004:d1[sensor_3] fragment @sensor_3",
+        "t005:d1[sensor_4] fragment @sensor_4",
+        "t006:d1[sensor_5] fragment @sensor_5",
+        "t007:d1[sensor_6] fragment @sensor_6",
+        "t008:d1[sensor_7] fragment @sensor_7",
+        "t009:merge[d1@appliance_0] merge @appliance_0 t001 t002 t003 t004",
+        "t010:d2[appliance_0] fragment @appliance_0 t009",
+        "t011:merge[d1@appliance_1] merge @appliance_1 t005 t006 t007 t008",
+        "t012:d2[appliance_1] fragment @appliance_1 t011",
+        "t013:merge[d2] merge @pc t010 t012",
+        "t014:anonymize anonymize @pc t013",
+        "t015:finalize finalize @cloud t014",
+    ],
     "chain_groupby": [
         "t001:d1 fragment @sensor",
         "t002:d2 fragment @appliance t001",

@@ -6,8 +6,9 @@ from repro.fragment import CapabilityLevel, Topology, VerticalFragmenter
 from repro.fragment.topology import Node
 from repro.policy.presets import figure4_policy
 from repro.rewrite import QueryRewriter
-from repro.sql import parse, render
+from repro.sql import ast, parse, render
 from repro.sql.analysis import analyze_query
+from repro.sql.render import render_expression
 
 
 # ---------------------------------------------------------------------------
@@ -188,3 +189,108 @@ def test_three_level_nesting_produces_monotonic_levels():
     plan = VerticalFragmenter().fragment(parse(sql))
     numeric_levels = [int(fragment.level) for fragment in plan.fragments]
     assert numeric_levels == sorted(numeric_levels, reverse=True)
+
+
+# ---------------------------------------------------------------------------
+# the sensor's filter vocabulary
+# ---------------------------------------------------------------------------
+
+#: Conjuncts that test one plain column against constants: the sensor
+#: fragment ``d1`` evaluates them.
+SENSOR_TERMS = [
+    "z < 2",
+    "2 > z",
+    "z > -2",
+    "z <> 1.5",
+    "activity = 'walk'",
+    "t BETWEEN 10 AND 15",
+    "t BETWEEN -1 AND 5",
+    "t NOT BETWEEN 10 AND 15.5",
+    "person_id IN (1, 2, 3)",
+    "z IN (-1, 0.5)",
+    "activity NOT IN ('sit', 'stand')",
+    "z IS NULL",
+    "z IS NOT NULL",
+]
+
+#: Conjuncts the sensor cannot evaluate: they stay in the appliance
+#: fragment ``d2``.
+APPLIANCE_TERMS = [
+    "x > y",
+    "t BETWEEN x AND 15",
+    "t BETWEEN 10 AND y",
+    "z BETWEEN -x AND 1",
+    "x IN (SELECT x FROM e)",
+    "x IN (1, y)",
+    "z < 1 OR x > 2",
+    "valid",
+    "NOT valid",
+    "x + 1 > 2",
+    "z < -(1 + 1)",
+    "-z < 1",
+    "activity LIKE 'w%'",
+    "NOT (t BETWEEN 10 AND 15)",
+    "UPPER(activity) = 'WALK'",
+]
+
+
+def _where_terms(fragment):
+    return [render_expression(term) for term in ast.conjunction_terms(fragment.query.where)]
+
+
+def _rendered(term):
+    return render_expression(parse(f"SELECT * FROM d WHERE {term}").where)
+
+
+@pytest.mark.parametrize("term", SENSOR_TERMS)
+def test_column_against_constants_filters_at_the_sensor(term):
+    plan = VerticalFragmenter().fragment(parse(f"SELECT x, y FROM d WHERE {term}"))
+    sensor, appliance = plan.fragments
+    assert sensor.level is CapabilityLevel.E4_SENSOR
+    assert _where_terms(sensor) == [_rendered(term)]
+    assert appliance.query.where is None
+
+
+@pytest.mark.parametrize("term", APPLIANCE_TERMS)
+def test_other_filters_stay_at_the_appliance(term):
+    plan = VerticalFragmenter().fragment(parse(f"SELECT x, y FROM d WHERE {term}"))
+    sensor, appliance = plan.fragments
+    assert sensor.query.where is None
+    assert appliance.level is CapabilityLevel.E3_APPLIANCE
+    assert _where_terms(appliance) == [_rendered(term)]
+
+
+def test_mixed_where_splits_term_by_term_keeping_order():
+    plan = VerticalFragmenter().fragment(
+        parse(
+            "SELECT x, y, t FROM d WHERE x > y AND t BETWEEN 10 AND 15 AND valid "
+            "AND z IS NOT NULL AND t BETWEEN x AND 20 AND person_id IN (1, 2) "
+            "AND (z < 1 OR z > 1.5) AND z > -0.5"
+        )
+    )
+    sensor, appliance = plan.fragments
+    assert sensor.sql == (
+        "SELECT * FROM d WHERE t BETWEEN 10 AND 15 AND z IS NOT NULL "
+        "AND person_id IN (1, 2) AND z > -0.5"
+    )
+    assert appliance.sql == (
+        "SELECT x, y, t FROM d1 WHERE x > y AND valid AND t BETWEEN x AND 20 "
+        "AND (z < 1 OR z > 1.5)"
+    )
+
+
+def test_frontend_templates_filter_at_the_sensor():
+    """The BETWEEN time windows of the front-end templates (and the
+    rewriter's ``z < 2``) run at the sensor; ``x > y`` stays above."""
+    from benchmarks.e2e.workloads import FRONTEND_TEMPLATES, occupancy_policy
+
+    rewriter = QueryRewriter(occupancy_policy())
+    sensor_sql = []
+    for module, sql, width in FRONTEND_TEMPLATES:
+        rewritten = rewriter.rewrite_sql(sql.format(lo=10.0, hi=10.0 + width), module)
+        plan = VerticalFragmenter().fragment(rewritten.query)
+        sensor_sql.append(plan.fragments[0].sql)
+        assert all("BETWEEN" not in fragment.sql for fragment in plan.fragments[1:])
+    assert sensor_sql[0] == "SELECT * FROM d WHERE t BETWEEN 10.0 AND 15.0"
+    assert sensor_sql[1].startswith("SELECT * FROM d WHERE t > 10.0")
+    assert sensor_sql[2].startswith("SELECT * FROM d WHERE t BETWEEN 10.0 AND 20.0")

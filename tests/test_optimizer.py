@@ -400,6 +400,50 @@ def test_partial_state_width_counts_distinct_calls(sql):
     )
 
 
+#: Rows whose groups' first-occurrence order (0, 1, 2) is no aggregate's
+#: order: MAX 8 / 3 / 5, SUM 9 / 5 / 5.5, AVG 4.5 / 2.5 / 2.75, two rows each.
+ORDER_ROWS = [
+    {"k": k, "v": v}
+    for k, v in [(0, 8.0), (1, 2.0), (2, 5.0), (0, 1.0), (1, 3.0), (2, 0.5)]
+]
+
+#: (query, hand-written expected output rows) — ORDER BY aggregate calls,
+#: selected or not.
+ORDER_BY_AGGREGATE_CASES = [
+    (REPEATED_AGGREGATE_QUERIES[0], [(1, 2, 5.0), (2, 2, 5.5), (0, 2, 9.0)]),
+    (REPEATED_AGGREGATE_QUERIES[1], [(1, 2.5), (2, 2.75), (0, 4.5)]),
+    ("SELECT k FROM d GROUP BY k ORDER BY MAX(v) DESC", [(0,), (2,), (1,)]),
+    ("SELECT k, COUNT(*) AS n FROM d GROUP BY k ORDER BY -SUM(v)", [(0, 2), (2, 2), (1, 2)]),
+    ("SELECT DISTINCT k FROM d GROUP BY k ORDER BY MIN(v)", [(2,), (0,), (1,)]),
+    ("SELECT k, AVG(v) AS a FROM d GROUP BY k ORDER BY a DESC", [(0, 4.5), (2, 2.75), (1, 2.5)]),
+]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        EngineConfig(),
+        EngineConfig(vectorized=False),
+        EngineConfig(mode="interpreted"),
+        EngineConfig(mode="interpreted", vectorized=False),
+    ],
+    ids=["compiled", "compiled-rows", "interpreted", "interpreted-rows"],
+)
+@pytest.mark.parametrize("sql,expected", ORDER_BY_AGGREGATE_CASES)
+def test_order_by_aggregate_calls_sorts_groups(sql, expected, config):
+    """ORDER BY an aggregate call sorts the groups, through a full grouped
+    execution and through partial → finalize, in every engine config."""
+    database = _chunk_database(ORDER_ROWS)
+    result = database.query(sql, config)
+    assert [tuple(row.values()) for row in result.rows] == expected
+    query = parse(sql)
+    if query.distinct:
+        return  # DISTINCT is not decomposable
+    states = database.partial_aggregate(query, config)
+    finalized = database.finalize_partials(query, states, config)
+    assert pack_relation(finalized) == pack_relation(result)
+
+
 def test_adaptive_placement_prices_distinct_state_columns():
     """The byte stage prices the state columns a partial state really has.
 

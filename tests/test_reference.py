@@ -53,6 +53,12 @@ RAW_QUERIES = RAW_WORKLOADS + [
     # GROUP BY without aggregate calls: key columns, no state columns.
     "SELECT x FROM d GROUP BY x",
     "SELECT y, x FROM d WHERE z < 1.5 GROUP BY x, y ORDER BY y DESC, x",
+    # Sensor filters: negative literals, NOT BETWEEN, IN lists, IS NULL.
+    "SELECT x, y, t FROM d WHERE t NOT BETWEEN -1 AND 20 AND z > -2 AND x > y",
+    "SELECT person_id, x, t FROM d WHERE person_id IN (1, 3) AND z IS NOT NULL "
+    "AND activity NOT IN ('sit')",
+    # ORDER BY aggregate calls, one of them not selected.
+    "SELECT person_id, COUNT(*) AS n FROM d GROUP BY person_id ORDER BY MAX(z) DESC, COUNT(*)",
 ]
 
 #: (module, SQL) run under the policy's rewriting, with anonymization.
@@ -120,6 +126,106 @@ def test_process_matches_unfragmented_reference(
     )
     assert result.admitted
     assert pack_relation(result.result) == reference_bytes(topology, rows, case)
+
+
+#: (case id, module, SQL): the front-end templates, whose time windows the
+#: sensors filter, and a column-bounded BETWEEN, which stays at the
+#: appliance.  Checked under both engine modes.
+SENSOR_FILTER_CASES = [
+    (f"frontend{index}", module, sql.format(lo=10.0, hi=round(10.0 + width, 1)))
+    for index, (module, sql, width) in enumerate(FRONTEND_TEMPLATES)
+] + [
+    ("between_columns", "Occupancy", "SELECT person_id, x, y, t FROM d WHERE x BETWEEN y AND 6"),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def engine_processor(topology: str, rows: int, engine_mode: str) -> ParadiseProcessor:
+    processor = ParadiseProcessor(
+        occupancy_policy(),
+        topology=TOPOLOGIES[topology](),
+        schema=INTEGRATED_SCHEMA,
+        engine_mode=engine_mode,
+    )
+    processor.load_data(make_sensor_relation(rows))
+    return processor
+
+
+@pytest.mark.parametrize("engine_mode", ["compiled", "interpreted"])
+@pytest.mark.parametrize("execution", ["serial", "parallel"])
+@pytest.mark.parametrize(
+    "case,module,sql", SENSOR_FILTER_CASES, ids=[c[0] for c in SENSOR_FILTER_CASES]
+)
+@pytest.mark.parametrize("rows", SIZES)
+@pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+def test_sensor_filters_match_reference_in_both_engine_modes(
+    topology, rows, case, module, sql, execution, engine_mode
+):
+    processor = engine_processor(topology, rows, engine_mode)
+    result = processor.process(sql, module, execution=execution)
+    assert result.admitted
+    expected = reference_result(processor, sql, module)
+    assert pack_relation(result.result) == pack_relation(expected)
+    # Some rows pass the filters (anonymization may suppress small groups).
+    assert len(reference_result(processor, sql, module, anonymize=False)) > 0
+
+
+@pytest.mark.parametrize("execution", ["serial", "parallel"])
+@pytest.mark.parametrize("topology", ["chain", "tree8"])
+def test_between_ships_only_matching_rows_off_the_sensors(topology, execution):
+    """The sensors evaluate ``t BETWEEN lo AND hi``: every hop out of a
+    sensor carries exactly the rows of its chunk inside the window."""
+    processor = processor_for(topology, 3000)
+    sql = "SELECT x, y, t FROM d WHERE t BETWEEN 40 AND 240.5 AND x > y"
+    result = processor.process(
+        sql, "fig4", execution=execution, apply_rewriting=False, anonymize=False
+    )
+    sensors = [
+        node.name
+        for node in processor.topology.nodes
+        if node.level is CapabilityLevel.E4_SENSOR
+    ]
+    matching = {
+        sensor: sum(
+            40 <= t <= 240.5
+            for t in processor.network.database(sensor).table("d").column_values("t")
+        )
+        for sensor in sensors
+    }
+    hops = [
+        (transfer.source, transfer.rows)
+        for transfer in result.transfers.transfers
+        if transfer.source in matching
+    ]
+    assert sorted(hops) == sorted(matching.items())
+    assert 0 < sum(matching.values()) < 3000
+    expected = reference_result(
+        processor, sql, "fig4", apply_rewriting=False, anonymize=False
+    )
+    assert pack_relation(result.result) == pack_relation(expected)
+
+
+@pytest.mark.parametrize("engine_mode", ["compiled", "interpreted"])
+@pytest.mark.parametrize("execution", ["serial", "parallel"])
+@pytest.mark.parametrize("topology", ["chain", "tree8"])
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "SELECT x, y, t FROM d WHERE t BETWEEN 'a' AND 'b'",
+        "SELECT x, t FROM d WHERE activity BETWEEN 1 AND 5",
+        "SELECT x FROM d WHERE x > y AND t BETWEEN 'a' AND 5",
+    ],
+)
+def test_type_mismatched_between_raises_like_the_reference(
+    sql, topology, execution, engine_mode
+):
+    """Filtering at the sensor keeps the error an unfragmented run raises:
+    comparing a number with a string is a ``TypeError``."""
+    processor = engine_processor(topology, 400, engine_mode)
+    with pytest.raises(TypeError):
+        reference_result(processor, sql, "fig4", apply_rewriting=False)
+    with pytest.raises(TypeError):
+        processor.process(sql, "fig4", execution=execution, apply_rewriting=False)
 
 
 #: Queries the fragmenter keeps as one fragment over the whole base

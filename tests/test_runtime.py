@@ -195,6 +195,55 @@ def test_dag_partitions_and_lifts():
     assert kinds[-1][0] == "finalize" and kinds[-1][1] == "cloud"
 
 
+@pytest.mark.parametrize(
+    "module,sql",
+    [("ActionFilter", PAPER_SQL), (None, RAW_WORKLOADS[1]), (None, RAW_WORKLOADS[2])],
+    ids=["paper", "selection", "groupby"],
+)
+def test_dag_build_rebases_each_fragment_once(monkeypatch, module, sql):
+    """Namespaced on a 16-sensor tree, the builder clones a fragment's query
+    at most once per input name and sibling tasks share that one object;
+    running the DAG leaves the plan's queries as the fragmenter made them."""
+    from repro.runtime import dag as dag_module
+    from repro.runtime.dag import StageTask
+
+    processor = build_tree_processor(rows=320, n_sensors=16)
+    options = {"apply_rewriting": module is not None}
+    module = module or "ActionFilter"
+
+    def fresh_plan():
+        prepared = processor.prepare(sql, module, **options)
+        return processor.fragmenter.fragment(prepared.query)
+
+    plan = fresh_plan()
+    clones = []
+    real_clone = dag_module.clone
+    monkeypatch.setattr(
+        dag_module, "clone", lambda node: clones.append(node) or real_clone(node)
+    )
+    dag = build_execution_dag(
+        plan, processor.topology, processor.network, namespace="s7"
+    )
+    queries = {}
+    for task in dag.tasks:
+        if isinstance(task, StageTask) and task.op in ("query", "partial"):
+            queries.setdefault((task.fragment.name, task.in_name), []).append(task.query)
+    assert len(clones) <= len(queries)
+    for tasks_queries in queries.values():
+        assert all(query is tasks_queries[0] for query in tasks_queries)
+    # Some fragment reads a shipped (namespaced) input on several siblings.
+    assert any(
+        in_name.endswith("__s7") and len(tasks_queries) > 1
+        for (_, in_name), tasks_queries in queries.items()
+    )
+
+    result = processor.process(sql, module, namespace="s7", **options)
+    assert [fragment.query for fragment in result.plan.fragments] == [
+        fragment.query for fragment in fresh_plan().fragments
+    ]
+    assert_matches_reference(processor, sql, module, result, **options)
+
+
 # ---------------------------------------------------------------------------
 # differential: serial and parallel == the unfragmented reference
 # ---------------------------------------------------------------------------

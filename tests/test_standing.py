@@ -369,6 +369,40 @@ def test_group_by_without_aggregates_keeps_every_group(engine_mode):
             )
 
 
+@pytest.mark.parametrize("engine_mode", ["interpreted", "compiled"])
+def test_order_by_aggregate_calls_sort_every_epoch(engine_mode):
+    """Subscribers ordering by an aggregate call — selected or not — get
+    their groups in that order at every epoch; the sort keys are computed
+    here by hand from the rows loaded so far."""
+    processor = build_tree_processor(rows=60, engine_mode=engine_mode)
+    runtime = StandingQueryRuntime(processor)
+    by_max = runtime.register(
+        "SELECT activity, COUNT(*) AS n FROM d GROUP BY activity ORDER BY MAX(z)"
+    )
+    by_count = runtime.register(
+        "SELECT activity, COUNT(*) AS n FROM d GROUP BY activity ORDER BY COUNT(*) DESC"
+    )
+    # One tree: the second subscriber's calls are a subset of the first's.
+    assert by_count.tree is by_max.tree
+    rows = list(make_sensor_relation(60).rows)
+    holders = processor.network.partition_holders("d")
+    for epoch, delta in enumerate(feed_chunks(rows=90, chunk=30, seed=7), start=1):
+        runtime.append(holders[epoch % len(holders)], delta)
+        rows.extend(delta.rows)
+        counts, highest = {}, {}
+        for row in rows:
+            activity = row["activity"]
+            counts[activity] = counts.get(activity, 0) + 1
+            highest[activity] = max(highest.get(activity, row["z"]), row["z"])
+        count_keys = [counts[row["activity"]] for row in by_count.result().rows]
+        max_keys = [highest[row["activity"]] for row in by_max.result().rows]
+        assert len(count_keys) == len(max_keys) == len(counts)
+        assert count_keys == sorted(counts.values(), reverse=True), epoch
+        assert max_keys == sorted(highest.values()), epoch
+        for handle in (by_count, by_max):
+            assert_byte_identical(handle.result(), runtime.reexecute(handle))
+
+
 def test_one_append_merges_root_states_once_per_tree(monkeypatch):
     from repro.engine.executor import QueryExecutor
 
