@@ -392,16 +392,18 @@ class QueryExecutor:
         has_group_by = bool(query.group_by)
         has_aggregates = self._select_has_aggregates(query)
 
-        #: Grouped: each output row's aggregate values, for ORDER BY.
+        #: Grouped: each output row's aggregate values and its group's
+        #: scope (the group's first source row), for ORDER BY.
         group_aggregates: Optional[List[Dict[str, Any]]] = None
+        order_scopes = scopes
         if has_group_by or has_aggregates:
             if self._use_compiled:
-                output_rows, output_names, group_aggregates = (
+                output_rows, output_names, group_aggregates, order_scopes = (
                     self._execute_grouped_compiled(query, scopes, parent)
                 )
             else:
-                output_rows, output_names, group_aggregates = self._execute_grouped(
-                    query, scopes, parent
+                output_rows, output_names, group_aggregates, order_scopes = (
+                    self._execute_grouped(query, scopes, parent)
                 )
         else:
             if self._use_compiled:
@@ -417,17 +419,13 @@ class QueryExecutor:
             output_rows = [output_rows[position] for position in keep]
             if group_aggregates is not None:
                 group_aggregates = [group_aggregates[position] for position in keep]
+                order_scopes = [order_scopes[position] for position in keep]
 
         # ORDER BY (may reference output aliases, aggregate calls or source
         # columns)
         if query.order_by:
             output_rows = self._apply_order_by(
-                query,
-                output_rows,
-                scopes,
-                parent,
-                has_group_by or has_aggregates,
-                group_aggregates,
+                query, output_rows, order_scopes, parent, group_aggregates
             )
 
         # LIMIT / OFFSET
@@ -997,7 +995,7 @@ class QueryExecutor:
         query: ast.SelectQuery,
         scopes: List[Scope],
         parent: Optional[EvaluationContext],
-    ) -> Tuple[List[Dict[str, Any]], List[str], List[Dict[str, Any]]]:
+    ) -> Tuple[List[Dict[str, Any]], List[str], List[Dict[str, Any]], List[Scope]]:
         items = query.items
         if any(isinstance(item.expression, ast.Star) for item in items):
             raise ExecutionError("SELECT * cannot be combined with GROUP BY / aggregates")
@@ -1024,11 +1022,12 @@ class QueryExecutor:
         output_names = self._output_names(items)
         output_rows: List[Dict[str, Any]] = []
         group_aggregates: List[Dict[str, Any]] = []
+        group_scopes: List[Scope] = []
 
         for key in order:
-            group_scopes = groups[key]
-            aggregates = self._compute_group_aggregates(aggregate_calls, group_scopes, parent)
-            representative = group_scopes[0] if group_scopes else {}
+            members = groups[key]
+            aggregates = self._compute_group_aggregates(aggregate_calls, members, parent)
+            representative = members[0] if members else {}
             context = self._context(representative, parent, aggregates)
 
             if query.having is not None and not evaluate_predicate(query.having, context):
@@ -1039,7 +1038,8 @@ class QueryExecutor:
                 row[name] = evaluate(item.expression, context)
             output_rows.append(row)
             group_aggregates.append(aggregates)
-        return output_rows, output_names, group_aggregates
+            group_scopes.append(representative)
+        return output_rows, output_names, group_aggregates, group_scopes
 
     def _group_plan(self, query: ast.SelectQuery) -> _GroupPlan:
         plan = self._group_plans.get(id(query))
@@ -1084,7 +1084,7 @@ class QueryExecutor:
         query: ast.SelectQuery,
         scopes: List[Scope],
         parent: Optional[EvaluationContext],
-    ) -> Tuple[List[Dict[str, Any]], List[str], List[Dict[str, Any]]]:
+    ) -> Tuple[List[Dict[str, Any]], List[str], List[Dict[str, Any]], List[Scope]]:
         plan = self._group_plan(query)
         specs = plan.specs
         key_fns = plan.key_fns
@@ -1137,6 +1137,7 @@ class QueryExecutor:
         item_fns = plan.item_fns
         output_rows: List[Dict[str, Any]] = []
         group_aggregates: List[Dict[str, Any]] = []
+        group_scopes: List[Scope] = []
         for key in order:
             representative, accumulators = groups[key]
             context.scope = representative
@@ -1150,7 +1151,8 @@ class QueryExecutor:
                 {name: fn(context) for name, fn in zip(output_names, item_fns)}
             )
             group_aggregates.append(aggregates)
-        return output_rows, output_names, group_aggregates
+            group_scopes.append(representative)
+        return output_rows, output_names, group_aggregates, group_scopes
 
     def _collect_aggregate_calls(self, query: ast.SelectQuery) -> List[ast.FunctionCall]:
         calls: List[ast.FunctionCall] = []
@@ -1415,6 +1417,7 @@ class QueryExecutor:
         key_names = groups.key_names
         output_rows: List[Dict[str, Any]] = []
         group_aggregates: List[Dict[str, Any]] = []
+        group_scopes: List[Scope] = []
         if self._use_compiled:
             group_plan = self._group_plan(query)
             output_names = group_plan.output_names
@@ -1430,10 +1433,12 @@ class QueryExecutor:
                     {name: fn(context) for name, fn in zip(output_names, item_fns)}
                 )
                 group_aggregates.append(aggregates)
+                group_scopes.append(context.scope)
         else:
             output_names = self._output_names(query.items)
             for key, aggregates in zip(groups.keys, groups.aggregates):
-                row_context = self._context(dict(zip(key_names, key)), None, aggregates)
+                scope = dict(zip(key_names, key))
+                row_context = self._context(scope, None, aggregates)
                 if query.having is not None and not evaluate_predicate(
                     query.having, row_context
                 ):
@@ -1445,9 +1450,10 @@ class QueryExecutor:
                     }
                 )
                 group_aggregates.append(aggregates)
+                group_scopes.append(scope)
         if query.order_by:
             output_rows = self._apply_order_by(
-                query, output_rows, [], None, True, group_aggregates
+                query, output_rows, group_scopes, None, group_aggregates
             )
         schema = _build_schema(output_names, output_rows)
         return Relation(schema=schema, rows=output_rows, name="")
@@ -1632,16 +1638,17 @@ class QueryExecutor:
         self,
         query: ast.SelectQuery,
         output_rows: List[Dict[str, Any]],
-        scopes: List[Scope],
+        scopes: Sequence[Scope],
         parent: Optional[EvaluationContext],
-        grouped: bool,
         group_aggregates: Optional[Sequence[Dict[str, Any]]] = None,
     ) -> List[Dict[str, Any]]:
-        # After grouping the source scopes no longer align with the output
-        # rows, so ORDER BY expressions are evaluated against the output row
-        # plus that row's group aggregates (``group_aggregates``, aligned
-        # with ``output_rows``: ``ORDER BY COUNT(*)`` needs no select item).
-        # For flat queries the source scope is merged in as fallback.
+        # ORDER BY expressions are evaluated against the output row, with
+        # ``scopes[index]`` merged in as fallback: the source row of a flat
+        # query, the group's scope (its keys) of a grouped one, so
+        # ``GROUP BY a ORDER BY a`` sorts by ``a`` even when ``a`` is not
+        # selected.  A grouped row also sees its group aggregates
+        # (``group_aggregates``, aligned with ``output_rows``: ``ORDER BY
+        # COUNT(*)`` needs no select item).
         def row_aggregates(index: int) -> Dict[str, Any]:
             if group_aggregates is None:
                 return _EMPTY_AGGREGATES
@@ -1649,7 +1656,7 @@ class QueryExecutor:
 
         def row_scope(index: int, row: Dict[str, Any]) -> Scope:
             scope = {key.lower(): value for key, value in row.items()}
-            if not grouped and index < len(scopes):
+            if index < len(scopes):
                 merged = dict(scopes[index])
                 merged.update(scope)
                 return merged

@@ -1592,6 +1592,7 @@ def _execute_grouped(
     having_fn = group_plan.having_fn
     output_rows: List[Dict[str, Any]] = []
     group_aggregates: List[Dict[str, Any]] = []
+    group_scopes: List[Dict[str, Any]] = []
     for key in order:
         indices = groups[key]
         accumulators = accumulators_by_key[key]
@@ -1611,6 +1612,7 @@ def _execute_grouped(
             continue
         output_rows.append({name: fn(context) for name, fn in zip(output_names, item_fns)})
         group_aggregates.append(aggregates)
+        group_scopes.append(representative)
 
     stats.grouped += 1
 
@@ -1619,9 +1621,10 @@ def _execute_grouped(
         keep = distinct_positions(output_rows, output_names)
         output_rows = [output_rows[position] for position in keep]
         group_aggregates = [group_aggregates[position] for position in keep]
+        group_scopes = [group_scopes[position] for position in keep]
     if query.order_by:
         output_rows = executor._apply_order_by(
-            query, output_rows, [], parent, True, group_aggregates
+            query, output_rows, group_scopes, parent, group_aggregates
         )
     if query.offset is not None:
         output_rows = output_rows[query.offset :]

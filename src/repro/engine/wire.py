@@ -20,6 +20,14 @@ Ints within 64 bits pack as ``<q``; arbitrary-precision ints (exact
 int SUMs can exceed 64 bits) and Fraction components fall back to a
 length-prefixed two's-complement byte string.  Tuples nest with a
 length-prefixed element count.
+
+Whole relations (:func:`pack_relation`, magic ``PRL3``) ship column by
+column.  A list column whose cells all share one exact type travels as a
+buffer: int64 and float64 cells as raw arrays, bools as one byte each,
+and a column of accumulator tuples as one sub-column per tuple position
+(or, for tuples of mixed widths, their lengths plus one flattened
+sub-column), so a state relation encodes in a few C-level passes instead
+of tag by tag.  Everything else keeps the tagged cells above.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from array import array
 from collections import Counter
 from datetime import datetime
 from fractions import Fraction
+from itertools import chain, islice
 from typing import Any, Optional, Tuple
 
 import threading
@@ -137,7 +146,10 @@ def _unpack(data: bytes, offset: int) -> Tuple[Any, int]:
         payload, offset = _take(data, offset, 4)
         (length,) = _LENGTH.unpack(payload)
         payload, offset = _take(data, offset, length)
-        return payload.decode("utf-8"), offset
+        try:
+            return payload.decode("utf-8"), offset
+        except UnicodeDecodeError as error:
+            raise WireFormatError(f"Malformed string payload: {error}") from None
     if tag == _TAG_FRACTION:
         payload, offset = _take(data, offset, 4)
         (length,) = _LENGTH.unpack(payload)
@@ -147,6 +159,8 @@ def _unpack(data: bytes, offset: int) -> Tuple[Any, int]:
         (length,) = _LENGTH.unpack(payload)
         payload, offset = _take(data, offset, length)
         denominator = int.from_bytes(payload, "little", signed=True)
+        if not denominator:
+            raise WireFormatError("Fraction with a zero denominator")
         return Fraction(numerator, denominator), offset
     if tag == _TAG_TUPLE:
         payload, offset = _take(data, offset, 4)
@@ -169,7 +183,10 @@ def _unpack(data: bytes, offset: int) -> Tuple[Any, int]:
 
 def unpack_value(data: bytes) -> Any:
     """Decode a payload produced by :func:`pack_value` (exact round-trip)."""
-    value, offset = _unpack(data, 0)
+    try:
+        value, offset = _unpack(data, 0)
+    except RecursionError:
+        raise WireFormatError("Tuples nest too deeply") from None
     if offset != len(data):
         raise WireFormatError(f"{len(data) - offset} trailing bytes after value")
     return value
@@ -219,23 +236,50 @@ def packed_size(value: Any) -> int:
 # Layout: a 4-byte magic (versioned), the name and schema through
 # :func:`pack_value`, a row count, then one backing tag per column.  Typed
 # int64/float64/bool columns travel as a bit-packed NULL bitmap plus their
-# raw little-endian buffer (a memcpy on both ends).  Generic columns of
-# exact ``str``/``None`` cells travel as a string dictionary plus one code
-# per row whenever that is no larger than tagged cells; every other generic
-# column falls back to one tagged cell at a time.  Either way a generic
-# column decodes to a plain list.  Relations whose cells fall outside the
-# wire vocabulary raise :class:`WireFormatError`; checkpoint callers treat
-# that as "not checkpointable" and simply re-execute.
+# raw little-endian buffer (a memcpy on both ends).  List columns pick by
+# the exact type of their cells:
+#
+#   0x05 / 0x06  every cell an ``int`` within int64 / a ``float``: the raw
+#                ``array('q')`` / ``array('d')`` buffer (NaN bits, -0.0 kept)
+#   0x07         every cell a ``bool``: one 0/1 byte per cell
+#   0x08         every cell a ``tuple`` of one width k >= 1: <u32 k>, then k
+#                sub-columns of n cells each, encoded recursively
+#   0x09         every cell a ``tuple``, widths vary: n <u32> lengths, then
+#                one flattened sub-column of sum(lengths) cells
+#   0x04         only ``str``/``None``: a string dictionary plus one code
+#                per row
+#   0x00         anything else (mixed types, ``None`` mixed in, bigints,
+#                Fractions, datetimes, tuple subclasses): tagged cells
+#
+# Size rule: no list column is ever larger than its tagged cells.  Scalar
+# buffers never are; the dictionary and the fixed-width tuple form (k tag
+# bytes and a width against 5 bytes of tag and length per tuple, so wide
+# tuples over few rows can lose) are compared with the per-cell size, which
+# a tuple column derives from its sub-columns' sizes without packing a
+# cell.  A losing fixed-width column takes the ragged form, a losing
+# dictionary the tagged cells.  Every list encoding spends at least one
+# byte per row, so the decoder rejects row counts, widths and lengths that
+# the rest of the payload cannot hold before it allocates; tuple columns
+# nest at most ``_MAX_COLUMN_DEPTH`` deep (deeper tuples keep tagged cells).
+# A list column always decodes to a plain list of exactly the encoded
+# objects (``True`` never becomes ``1``).  Relations whose cells fall
+# outside the wire vocabulary raise :class:`WireFormatError`; checkpoint
+# callers treat that as "not checkpointable" and simply re-execute.
 
 #: Magic prefix of a packed relation.  0x50 ('P') is not a value tag, so a
 #: relation payload can never be confused with a ``pack_value`` payload.
-_RELATION_MAGIC = b"PRL2"
+_RELATION_MAGIC = b"PRL3"
 
 _COL_GENERIC = b"\x00"
 _COL_INT64 = b"\x01"
 _COL_FLOAT64 = b"\x02"
 _COL_BOOL = b"\x03"
 _COL_STRDICT = b"\x04"
+_COL_INTS = b"\x05"
+_COL_FLOATS = b"\x06"
+_COL_BOOLS = b"\x07"
+_COL_TUPLES = b"\x08"
+_COL_RAGGED = b"\x09"
 
 _COL_TYPECODES = {_COL_INT64: INT64, _COL_FLOAT64: FLOAT64, _COL_BOOL: BOOL}
 _COL_TAGS = {INT64: _COL_INT64, FLOAT64: _COL_FLOAT64, BOOL: _COL_BOOL}
@@ -248,6 +292,9 @@ _DICT_CELL_TYPES = frozenset((str, type(None)))
 _DICT_BYTE_CODES = 256
 #: Columns with this many distinct values keep the per-cell encoding.
 _DICT_LIMIT = 65536
+#: Tuple columns nested deeper than this keep tagged cells.
+_MAX_COLUMN_DEPTH = 16
+_BOOL_VALUES = (False, True)
 
 #: NULL map bytes (0/1) <-> ASCII binary digits, for the bitmap codec.
 _FLAGS_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -276,32 +323,112 @@ def _unpack_bitmap(bitmap: bytes, count: int) -> bytearray:
     return bytearray(digits.encode("ascii").translate(_DIGITS_TO_FLAGS))
 
 
-def _pack_generic(column) -> bytes:
-    """Encode a list-backed column: string dictionary or tagged cells.
+def _le(values: array) -> bytes:
+    """The raw little-endian bytes of an array."""
+    if sys.byteorder != "little":  # pragma: no cover - exotic hosts
+        values = values[:]
+        values.byteswap()
+    return values.tobytes()
 
-    A column whose cells are all exactly ``str`` or ``None`` is counted
-    once; the counts size both encodings.  The dictionary (distinct values
-    in first-occurrence order, then one ``uint8``/``uint16`` code per row)
-    is used when it is no larger than the per-cell encoding.
+
+def _from_le(typecode: str, raw: bytes) -> array:
+    """Inverse of :func:`_le`."""
+    values = array(typecode)
+    values.frombytes(raw)
+    if sys.byteorder != "little":  # pragma: no cover - exotic hosts
+        values.byteswap()
+    return values
+
+
+def _encode_list(column, depth: int = 0) -> Tuple[bytes, int]:
+    """Encode a list-backed column; returns ``(encoding, per-cell size)``.
+
+    The per-cell size is what the column would take as tagged cells (tag
+    byte included).  Tuple columns compare it with their columnar size,
+    from their sub-columns' sizes, without packing a single cell.
     """
-    if not set(map(type, column)) <= _DICT_CELL_TYPES:
-        return _COL_GENERIC + b"".join(map(pack_value, column))
+    kinds = set(map(type, column))
+    if len(kinds) == 1 and depth < _MAX_COLUMN_DEPTH:
+        encoder = _LIST_ENCODERS.get(next(iter(kinds)))
+        encoded = encoder(column, depth) if encoder is not None else None
+        if encoded is not None:
+            return encoded
+    if kinds <= _DICT_CELL_TYPES:
+        return _encode_strings(column)
+    cells = _COL_GENERIC + b"".join(map(pack_value, column))
+    return cells, len(cells)
+
+
+def _encode_ints(column, depth: int) -> Optional[Tuple[bytes, int]]:
+    try:
+        values = array("q", column)
+    except OverflowError:  # a bigint: tagged cells
+        return None
+    return _COL_INTS + _le(values), 1 + 9 * len(column)
+
+
+def _encode_floats(column, depth: int) -> Tuple[bytes, int]:
+    return _COL_FLOATS + _le(array("d", column)), 1 + 9 * len(column)
+
+
+def _encode_bools(column, depth: int) -> Tuple[bytes, int]:
+    return _COL_BOOLS + bytes(column), 1 + len(column)
+
+
+def _encode_tuples(column, depth: int) -> Optional[Tuple[bytes, int]]:
+    """One sub-column per position if every tuple has one width and that
+    is no larger than tagged cells; otherwise lengths + flattened cells."""
+    rows = len(column)
+    lengths = list(map(len, column))
+    width = lengths[0]
+    if width and lengths.count(width) == rows:
+        subs = [_encode_list(position, depth + 1) for position in zip(*column)]
+        per_cell = 1 + 5 * rows + sum(size - 1 for _, size in subs)
+        if 5 + sum(len(encoded) for encoded, _ in subs) <= per_cell:
+            return (
+                b"".join((_COL_TUPLES, _LENGTH.pack(width), *(e for e, _ in subs))),
+                per_cell,
+            )
+    flat, flat_size = _encode_list(list(chain.from_iterable(column)), depth + 1)
+    per_cell = 5 * rows + flat_size
+    if 1 + 4 * rows + len(flat) > per_cell:
+        return None
+    return b"".join((_COL_RAGGED, _le(array("I", lengths)), flat)), per_cell
+
+
+_LIST_ENCODERS = {
+    int: _encode_ints,
+    float: _encode_floats,
+    bool: _encode_bools,
+    tuple: _encode_tuples,
+}
+
+
+def _encode_strings(column) -> Tuple[bytes, int]:
+    """Encode a column of exact ``str``/``None`` cells: dictionary or cells.
+
+    The column is counted once; the counts size both encodings.  The
+    dictionary (distinct values in first-occurrence order, then one
+    ``uint8``/``uint16`` code per row) is used when it is no larger than
+    the per-cell encoding.
+    """
     counts = Counter(column)
     cells = {value: pack_value(value) for value in counts}
-    per_cell = sum(count * len(cells[value]) for value, count in counts.items())
+    per_cell = 1 + sum(count * len(cells[value]) for value, count in counts.items())
     if len(counts) < _DICT_LIMIT:
         typecode = "B" if len(counts) <= _DICT_BYTE_CODES else "H"
         width = 1 if typecode == "B" else 2
-        dictionary = 4 + sum(map(len, cells.values())) + len(column) * width
+        dictionary = 5 + sum(map(len, cells.values())) + len(column) * width
         if dictionary <= per_cell:
             code_of = {value: code for code, value in enumerate(counts)}
             codes = array(typecode, list(map(code_of.__getitem__, column)))
-            if sys.byteorder != "little":  # pragma: no cover - exotic hosts
-                codes.byteswap()
-            return b"".join(
-                (_COL_STRDICT, _LENGTH.pack(len(counts)), *cells.values(), codes.tobytes())
+            return (
+                b"".join(
+                    (_COL_STRDICT, _LENGTH.pack(len(counts)), *cells.values(), _le(codes))
+                ),
+                per_cell,
             )
-    return _COL_GENERIC + b"".join(map(cells.__getitem__, column))
+    return _COL_GENERIC + b"".join(map(cells.__getitem__, column)), per_cell
 
 
 def _unpack_strdict(data: bytes, offset: int, nrows: int) -> Tuple[list, int]:
@@ -315,15 +442,59 @@ def _unpack_strdict(data: bytes, offset: int, nrows: int) -> Tuple[list, int]:
         if type(value) not in _DICT_CELL_TYPES:
             raise WireFormatError("String dictionary holds a non-string value")
         values.append(value)
-    codes = array("B" if count <= _DICT_BYTE_CODES else "H")
-    raw, offset = _take(data, offset, nrows * codes.itemsize)
-    codes.frombytes(raw)
-    if sys.byteorder != "little":  # pragma: no cover - exotic hosts
-        codes.byteswap()
+    typecode = "B" if count <= _DICT_BYTE_CODES else "H"
+    raw, offset = _take(data, offset, nrows * array(typecode).itemsize)
     try:
-        return list(map(values.__getitem__, codes)), offset
+        return list(map(values.__getitem__, _from_le(typecode, raw))), offset
     except IndexError:
         raise WireFormatError("String dictionary code out of range") from None
+
+
+def _unpack_list(data: bytes, offset: int, rows: int, depth: int = 0) -> Tuple[list, int]:
+    """Decode one list-backed column of ``rows`` cells at ``offset``.
+
+    Every list encoding spends at least one byte per row, so a row count
+    the rest of the payload cannot hold is rejected before anything is
+    allocated.
+    """
+    tag, offset = _take(data, offset, 1)
+    if rows > len(data) - offset:
+        raise WireFormatError(f"{rows} rows exceed the payload")
+    if tag == _COL_GENERIC:
+        cells = []
+        for _ in range(rows):
+            cell, offset = _unpack(data, offset)
+            cells.append(cell)
+        return cells, offset
+    if tag == _COL_STRDICT:
+        return _unpack_strdict(data, offset, rows)
+    if tag == _COL_INTS or tag == _COL_FLOATS:
+        raw, offset = _take(data, offset, rows * 8)
+        return _from_le("q" if tag == _COL_INTS else "d", raw).tolist(), offset
+    if tag == _COL_BOOLS:
+        raw, offset = _take(data, offset, rows)
+        if raw.translate(None, b"\x00\x01"):
+            raise WireFormatError("Bool column holds a byte other than 0 or 1")
+        return list(map(_BOOL_VALUES.__getitem__, raw)), offset
+    if depth >= _MAX_COLUMN_DEPTH:
+        raise WireFormatError("Tuple columns nest too deeply")
+    if tag == _COL_TUPLES:
+        payload, offset = _take(data, offset, 4)
+        (width,) = _LENGTH.unpack(payload)
+        if not width or width > len(data) - offset:
+            raise WireFormatError(f"Malformed tuple column width: {width}")
+        subs = []
+        for _ in range(width):
+            sub, offset = _unpack_list(data, offset, rows, depth + 1)
+            subs.append(sub)
+        return list(zip(*subs)), offset
+    if tag == _COL_RAGGED:
+        raw, offset = _take(data, offset, rows * 4)
+        lengths = _from_le("I", raw)
+        flat, offset = _unpack_list(data, offset, sum(lengths), depth + 1)
+        cells = iter(flat)
+        return [tuple(islice(cells, length)) for length in lengths], offset
+    raise WireFormatError(f"Unknown column backing tag: {tag!r}")
 
 
 def pack_relation(relation: "Any") -> bytes:
@@ -341,18 +512,26 @@ def pack_relation(relation: "Any") -> bytes:
         if isinstance(column, TypedColumn):
             parts.append(_COL_TAGS[column.typecode])
             parts.append(_pack_bitmap(column.null_map(), column.null_count))
-            data = column.data_array()
-            if sys.byteorder != "little":  # pragma: no cover - exotic hosts
-                data = data[:]
-                data.byteswap()
-            parts.append(data.tobytes())
+            parts.append(_le(column.data_array()))
         else:
-            parts.append(_pack_generic(column))
+            parts.append(_encode_list(column)[0])
     return b"".join(parts)
 
 
 def unpack_relation(data: bytes) -> "Any":
-    """Decode a payload from :func:`pack_relation` into a Relation."""
+    """Decode a payload from :func:`pack_relation` into a Relation.
+
+    A truncated, trailing or otherwise malformed payload raises
+    :class:`WireFormatError` and nothing else.
+    """
+    try:
+        return _unpack_relation(data)
+    except RecursionError:
+        raise WireFormatError("Tuples nest too deeply") from None
+
+
+def _unpack_relation(data: bytes) -> "Any":
+    from repro.engine.errors import SchemaError
     from repro.engine.schema import ColumnDef, Schema
     from repro.engine.table import Relation
     from repro.engine.types import DataType
@@ -369,41 +548,31 @@ def unpack_relation(data: bytes) -> "Any":
     column_defs = []
     try:
         for column_name, type_value in schema_spec:
+            if not isinstance(column_name, str):
+                raise TypeError(f"column name {column_name!r}")
             column_defs.append(
                 ColumnDef(name=column_name, data_type=DataType(type_value))
             )
-    except (TypeError, ValueError) as error:
+        schema = Schema(column_defs)
+    except (TypeError, ValueError, SchemaError) as error:
         raise WireFormatError(f"Malformed relation schema: {error}")
     columns = []
     for _ in column_defs:
-        tag, offset = _take(data, offset, 1)
-        typecode = _COL_TYPECODES.get(tag)
-        if typecode is not None:
-            bitmap, offset = _take(data, offset, (nrows + 7) // 8)
-            values = array(typecode)
-            raw, offset = _take(data, offset, nrows * values.itemsize)
-            values.frombytes(raw)
-            if sys.byteorder != "little":  # pragma: no cover - exotic hosts
-                values.byteswap()
-            columns.append(
-                TypedColumn(typecode, values, _unpack_bitmap(bitmap, nrows))
+        typecode = _COL_TYPECODES.get(data[offset : offset + 1])
+        if typecode is None:
+            cells, offset = _unpack_list(data, offset, nrows)
+            columns.append(cells)
+            continue
+        bitmap, offset = _take(data, offset + 1, (nrows + 7) // 8)
+        raw, offset = _take(data, offset, nrows * array(typecode).itemsize)
+        columns.append(
+            TypedColumn(
+                typecode, _from_le(typecode, raw), _unpack_bitmap(bitmap, nrows)
             )
-        elif tag == _COL_STRDICT:
-            cells, offset = _unpack_strdict(data, offset, nrows)
-            columns.append(cells)
-        elif tag == _COL_GENERIC:
-            cells = []
-            for _ in range(nrows):
-                cell, offset = _unpack(data, offset)
-                cells.append(cell)
-            columns.append(cells)
-        else:
-            raise WireFormatError(f"Unknown column backing tag: {tag!r}")
+        )
     if offset != len(data):
         raise WireFormatError(f"{len(data) - offset} trailing bytes after relation")
-    return Relation.from_columns(
-        Schema(column_defs), columns, name=name
-    )
+    return Relation.from_columns(schema, columns, name=name)
 
 
 def pack_state_relation(relation: "Any") -> bytes:
@@ -425,7 +594,8 @@ class StateSizeFeedback:
     """Running average of observed packed partial-state cell sizes.
 
     Every executed leaf partial aggregation reports its state output's
-    ``(rows, packed bytes, cells)``; the DAG builder's adaptive
+    ``(rows, payload bytes, cells)``, the payload being the bytes it
+    ships; the DAG builder's adaptive
     ``partial_aggregation_pays`` decision multiplies its estimated group
     count by this query's state width (keys + aggregate states) and
     :meth:`bytes_per_cell` to predict what the state shipment would cost
@@ -438,10 +608,11 @@ class StateSizeFeedback:
 
     #: Assumed packed bytes per state cell before any feedback arrives.
     #: Exact accumulator tuples (Shewchuk expansions, rational moments)
-    #: average tens of bytes packed; observed fleet-wide averages sit
-    #: around 60–90, so the cold-start guess leans high — underestimating
-    #: state size is the costly direction (it picks partials on
-    #: groups~rows chunks where the global merge wins).
+    #: average tens of bytes as tagged cells; shipped as columns they take
+    #: less (~17 bytes per cell for the 7-column leaf states of a
+    #: two-key GROUP BY, header included), so the cold-start guess leans
+    #: high — underestimating state size is the costly direction (it
+    #: picks partials on groups~rows chunks where the global merge wins).
     DEFAULT_BYTES_PER_CELL = 64.0
 
     def __init__(self) -> None:

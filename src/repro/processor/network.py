@@ -426,6 +426,7 @@ class NetworkSimulator:
         log: Optional[TransferLog] = None,
         register: bool = True,
         injector: Optional[object] = None,
+        payload: Optional[bytes] = None,
     ) -> Relation:
         """Ship ``relation`` from ``source`` to ``target`` and register it there.
 
@@ -449,6 +450,9 @@ class NetworkSimulator:
         :class:`repro.runtime.faults.FailureInjector`) may delay the
         shipment or fail it with :class:`repro.runtime.faults.LinkDown`;
         nothing is logged or registered for a dropped shipment.
+        ``payload`` is ``pack_relation(relation)`` when the sender already
+        encoded the relation (an aggregate-state task packs its output once
+        for its checkpoint and its shipments); it is sent as is.
         """
         if source == target:
             if register:
@@ -459,7 +463,8 @@ class NetworkSimulator:
         extra_delay = 0.0
         if injector is not None:
             extra_delay = injector.on_ship(source, target)  # may raise LinkDown
-        payload = pack_relation(relation)  # WireFormatError: nothing ships
+        if payload is None:
+            payload = pack_relation(relation)  # WireFormatError: nothing ships
         nbytes = len(payload)
         received = unpack_relation(payload)
         if self.cost_model is not None:

@@ -61,6 +61,7 @@ from repro.engine.config import DEFAULT_CONFIG, EngineConfig
 from repro.engine.schema import ColumnDef, Schema
 from repro.engine.table import Relation
 from repro.engine.types import DataType
+from repro.engine.wire import WireFormatError, pack_relation, state_size_feedback
 from repro.fragment.plan import (
     FragmentPlan,
     QueryFragment,
@@ -134,7 +135,6 @@ def partial_aggregation_pays(
     """
     from repro.engine.stats import optimizer_stats
     from repro.engine.vectorized import freeze_value
-    from repro.engine.wire import state_size_feedback
 
     query = fragment.query
     if not isinstance(query, ast.SelectQuery) or not query.group_by:
@@ -361,6 +361,12 @@ class ExecutionContext:
         self.abandoned = False
         #: task id -> output relation; each task writes only its own key.
         self.outputs: Dict[str, Relation] = {}
+        #: task id -> the packed output of a ``partial``/``combine`` task.
+        #: The task encodes its state once; these bytes are both its
+        #: checkpoint and what every shipment of it sends.  Handed over
+        #: explicitly rather than cached on the relation, whose columns
+        #: are live lists.
+        self.payloads: Dict[str, bytes] = {}
         #: (attempt, task order) -> record.  Keyed, not appended: a task
         #: retried in place overwrites its own slot, so a transient failure
         #: after the engine call no longer double-charges the task's time in
@@ -382,6 +388,7 @@ class ExecutionContext:
         successor.attempt = self.attempt + 1
         successor.abandoned = False
         successor.outputs = {}
+        successor.payloads = {}
         return successor
 
     def record_execution(self, order: int, execution: FragmentExecution) -> None:
@@ -437,7 +444,9 @@ class ExecutionContext:
     def save_checkpoint(self, task: "Task", relation: Relation) -> bool:
         """Checkpoint an aggregate-state task's output (partial/combine)."""
         if self.checkpoints is not None and task.kind in ("partial", "combine"):
-            return self.checkpoints.save(task.signature, relation)
+            return self.checkpoints.save(
+                task.signature, relation, self.payloads.get(task.task_id)
+            )
         return False
 
     def restore_checkpoint(self, task: "Task") -> Optional[Relation]:
@@ -498,12 +507,14 @@ class Task:
         name: str,
         source_node: str,
         register: bool = True,
+        payload: Optional[bytes] = None,
     ) -> Relation:
         """Move an input relation to this task's node (ship + register).
 
         Returns the relation *as received on this node* — for an actual
         inter-node hop that is the wire-deserialized copy, so downstream
-        work consumes exactly what crossed the link.
+        work consumes exactly what crossed the link.  ``payload`` is the
+        producer's packed output when it encoded one (aggregate states).
         """
         node = context.network.topology.node(self.node)
         if not node.can_hold_rows(len(relation)):
@@ -523,6 +534,7 @@ class Task:
             log=context.log,
             register=register,
             injector=context.injector,
+            payload=payload,
         )
 
     def _engine(
@@ -660,6 +672,7 @@ class StageTask(Task):
                     f"{union_name}@{part[1]}",
                     part[1],
                     register=False,
+                    payload=context.payloads.get(part[0]),
                 )
                 for part in self.parts
             ]
@@ -676,17 +689,21 @@ class StageTask(Task):
                 )
                 output.name = self.display_name
         database.register(self.out_name, output)
-        if self.op == "partial":
-            # Observed state size feeds the adaptive partial-aggregation
-            # ratio: future placement decisions use real packed bytes per
-            # state cell.
-            from repro.engine.wire import state_size_feedback
-
-            state_size_feedback.record(
-                len(output),
-                output.estimated_bytes(),
-                cells=len(output) * len(output.schema),
-            )
+        if self.op in ("partial", "combine"):
+            # An aggregate state is encoded once, here: the same bytes
+            # become its checkpoint and every shipment of it.  A state
+            # outside the wire vocabulary is simply not checkpointed.
+            try:
+                context.payloads[self.task_id] = payload = pack_relation(output)
+            except WireFormatError:
+                payload = None
+            if self.op == "partial" and payload is not None:
+                # Observed state size feeds the adaptive partial-aggregation
+                # ratio: future placement decisions use real packed bytes
+                # per state cell.
+                state_size_feedback.record(
+                    len(output), len(payload), cells=len(output) * len(output.schema)
+                )
         context.annotate_io(input_rows, output)
         _observe_rows_estimate(context, self.query, source, output)
         _, name, sql = STAGE_OPS[self.op]

@@ -398,14 +398,22 @@ class CheckpointStore:
         self.restored = 0
         self.skipped = 0
 
-    def save(self, signature: str, relation: "Relation") -> bool:
-        """Pack and store ``relation`` under ``signature``; False if unpackable."""
+    def save(
+        self, signature: str, relation: "Relation", payload: Optional[bytes] = None
+    ) -> bool:
+        """Store ``relation`` packed under ``signature``; False if unpackable.
+
+        ``payload`` is the relation's packed bytes when the caller already
+        encoded it (a DAG task ships the same bytes); otherwise the store
+        packs the relation itself.
+        """
         from repro.engine.wire import WireFormatError, pack_state_relation
 
         if not signature:
             return False
         try:
-            payload = pack_state_relation(relation)
+            if payload is None:
+                payload = pack_state_relation(relation)
         except WireFormatError:
             with self._lock:
                 self.skipped += 1

@@ -444,6 +444,43 @@ def test_order_by_aggregate_calls_sorts_groups(sql, expected, config):
     assert pack_relation(finalized) == pack_relation(result)
 
 
+#: ``a`` = 3, 1, 2, 1: first-occurrence group order (3, 1, 2) is not key order.
+UNSELECTED_KEY_ROWS = [{"a": a, "b": float(i)} for i, a in enumerate([3, 1, 2, 1])]
+
+#: (query, hand-written expected column) — ORDER BY a group key that is
+#: not selected.
+ORDER_BY_UNSELECTED_KEY_CASES = [
+    ("SELECT COUNT(*) AS n FROM d GROUP BY a ORDER BY a", [2, 1, 1]),
+    ("SELECT COUNT(*) AS n FROM d GROUP BY a ORDER BY a DESC", [1, 1, 2]),
+    ("SELECT SUM(b) AS s FROM d GROUP BY a ORDER BY a", [4.0, 2.0, 0.0]),
+    ("SELECT a AS k, COUNT(*) AS n FROM d GROUP BY a ORDER BY a DESC", [3, 2, 1]),
+]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        EngineConfig(),
+        EngineConfig(vectorized=False),
+        EngineConfig(optimizer=False),
+        EngineConfig(mode="interpreted"),
+        EngineConfig(mode="interpreted", vectorized=False),
+    ],
+    ids=["compiled", "compiled-rows", "unoptimized", "interpreted", "interpreted-rows"],
+)
+@pytest.mark.parametrize("sql,expected", ORDER_BY_UNSELECTED_KEY_CASES)
+def test_order_by_unselected_group_key_sorts_groups(sql, expected, config):
+    """ORDER BY a group key sorts by that key even when no select item
+    names it, in a full grouped execution and through partial → finalize."""
+    database = _chunk_database(UNSELECTED_KEY_ROWS)
+    result = database.query(sql, config)
+    assert [next(iter(row.values())) for row in result.rows] == expected
+    query = parse(sql)
+    states = database.partial_aggregate(query, config)
+    finalized = database.finalize_partials(query, states, config)
+    assert pack_relation(finalized) == pack_relation(result)
+
+
 def test_adaptive_placement_prices_distinct_state_columns():
     """The byte stage prices the state columns a partial state really has.
 

@@ -206,6 +206,25 @@ def test_partial_states_cross_hops_instead_of_raw_rows():
     assert stats is not None and stats.partial_count == 8 and stats.merge_count == 0
 
 
+@pytest.mark.parametrize("engine_mode", ["interpreted", "compiled"])
+def test_order_by_unselected_group_key_through_partial_aggregation(engine_mode):
+    """``GROUP BY device ORDER BY device`` without selecting ``device``:
+    leaf partials, combines and the finalize on an 8-sensor tree return
+    the counts in key order, computed here by hand."""
+    relation = mixed_relation(400, seed=9)
+    processor = make_processor(relation, n_sensors=8, engine_mode=engine_mode)
+    sql = "SELECT COUNT(*) AS n FROM d GROUP BY device ORDER BY device DESC"
+    counts = {}
+    for row in relation.rows:
+        counts[row["device"]] = counts.get(row["device"], 0) + 1
+    first_seen = list(counts)
+    expected = [counts[key] for key in sorted(counts, reverse=True)]
+    assert sorted(counts, reverse=True) != first_seen  # the order is observable
+    for run in run_both(processor, sql):
+        assert run.runtime.partial_count == 8
+        assert [row["n"] for row in run.result.rows] == expected
+
+
 # ---------------------------------------------------------------------------
 # differential: partial aggregation == the unfragmented reference
 # ---------------------------------------------------------------------------

@@ -59,6 +59,8 @@ RAW_QUERIES = RAW_WORKLOADS + [
     "AND activity NOT IN ('sit')",
     # ORDER BY aggregate calls, one of them not selected.
     "SELECT person_id, COUNT(*) AS n FROM d GROUP BY person_id ORDER BY MAX(z) DESC, COUNT(*)",
+    # ORDER BY a group key that is not selected.
+    "SELECT COUNT(*) AS n FROM d GROUP BY activity ORDER BY activity",
 ]
 
 #: (module, SQL) run under the policy's rewriting, with anonymization.

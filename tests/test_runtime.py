@@ -334,6 +334,78 @@ def test_parallel_matches_serial_no_pushdown_baseline():
 
 
 # ---------------------------------------------------------------------------
+# aggregate states are encoded once per task
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("execution", ["serial", "parallel"])
+def test_aggregate_states_are_packed_once(monkeypatch, execution):
+    """On the 8-sensor GROUP BY, a partial/combine task packs its state
+    once: the same bytes are its checkpoint and its shipment, and the
+    partial's length is what the state-size feedback records.  Only the
+    other shipments pack on their own."""
+    from benchmarks.e2e.workloads import GROUPBY_SQL, occupancy_policy
+    from repro.engine import wire
+    from repro.processor import network as network_module
+    from repro.runtime import dag as dag_module
+    from repro.runtime.dag import ExecutionContext
+    from repro.sensors.scenario import INTEGRATED_SCHEMA
+
+    processor = ParadiseProcessor(
+        occupancy_policy(),
+        topology=Topology.smart_home_tree(n_sensors=8),
+        schema=INTEGRATED_SCHEMA,
+    )
+    processor.load_data(make_sensor_relation(400))
+
+    packed, shipped, checkpoints, feedback = [], [], [], []
+    real_pack = wire.pack_relation
+    real_unpack = network_module.unpack_relation
+    real_save = ExecutionContext.save_checkpoint
+
+    def pack(relation):
+        packed.append(relation.name)
+        return real_pack(relation)
+
+    def unpack(payload):
+        shipped.append(payload)
+        return real_unpack(payload)
+
+    def save_checkpoint(context, task, relation):
+        if task.kind in ("partial", "combine"):
+            checkpoints.append((task.kind, task.node, context.payloads[task.task_id]))
+        return real_save(context, task, relation)
+
+    for module in (wire, network_module, dag_module):
+        monkeypatch.setattr(module, "pack_relation", pack)
+    monkeypatch.setattr(network_module, "unpack_relation", unpack)
+    monkeypatch.setattr(ExecutionContext, "save_checkpoint", save_checkpoint)
+    monkeypatch.setattr(
+        dag_module.state_size_feedback,
+        "record",
+        lambda rows, nbytes, cells=None: feedback.append(nbytes),
+    )
+
+    result = processor.process(GROUPBY_SQL, "Occupancy", execution=execution)
+
+    kinds = [kind for kind, _, _ in checkpoints]
+    assert kinds.count("partial") == 8 and kinds.count("combine") == 3
+    transfers = result.transfers.snapshot()
+    assert len(packed) == len(checkpoints) + 1 == 12  # + the result to the cloud
+    assert len(transfers) == len(shipped) == 12
+    for _, node, payload in checkpoints:
+        # Shipped as the very bytes the task packed, logged at their length.
+        assert any(sent is payload for sent in shipped)
+        [transfer] = [t for t in transfers if t.relation_name.endswith(f"@{node}")]
+        assert transfer.source == node and transfer.bytes == len(payload)
+    assert result.runtime.checkpoint_bytes == sum(len(p) for _, _, p in checkpoints)
+    assert sorted(feedback) == sorted(
+        len(payload) for kind, _, payload in checkpoints if kind == "partial"
+    )
+    assert_matches_reference(processor, GROUPBY_SQL, "Occupancy", result)
+
+
+# ---------------------------------------------------------------------------
 # determinism under concurrency
 # ---------------------------------------------------------------------------
 

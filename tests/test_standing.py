@@ -403,6 +403,30 @@ def test_order_by_aggregate_calls_sort_every_epoch(engine_mode):
             assert_byte_identical(handle.result(), runtime.reexecute(handle))
 
 
+@pytest.mark.parametrize("engine_mode", ["interpreted", "compiled"])
+def test_order_by_unselected_group_key_sorts_every_epoch(engine_mode):
+    """A subscriber ordering by a group key it does not select gets its
+    counts in key order at every epoch, computed here by hand."""
+    processor = build_tree_processor(rows=60, engine_mode=engine_mode)
+    runtime = StandingQueryRuntime(processor)
+    handle = runtime.register(
+        "SELECT COUNT(*) AS n FROM d GROUP BY activity ORDER BY activity"
+    )
+    rows = list(make_sensor_relation(60).rows)
+    holders = processor.network.partition_holders("d")
+    for epoch, delta in enumerate(feed_chunks(rows=90, chunk=30, seed=7)):
+        if epoch:
+            runtime.append(holders[epoch % len(holders)], delta)
+            rows.extend(delta.rows)
+        counts = {}
+        for row in rows:
+            counts[row["activity"]] = counts.get(row["activity"], 0) + 1
+        assert [row["n"] for row in handle.result().rows] == [
+            counts[activity] for activity in sorted(counts)
+        ], epoch
+        assert_byte_identical(handle.result(), runtime.reexecute(handle))
+
+
 def test_one_append_merges_root_states_once_per_tree(monkeypatch):
     from repro.engine.executor import QueryExecutor
 

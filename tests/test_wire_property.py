@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 import random
+import struct
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
@@ -572,3 +574,262 @@ def test_malformed_dictionary_payloads_fail_loudly():
         unpack_state_relation(bad)
     with pytest.raises(WireFormatError):
         unpack_state_relation(payload[:-2])
+
+
+# ---------------------------------------------------------------------------
+# columnar list encodings: int64, float64 and bool cells, tuple columns
+# ---------------------------------------------------------------------------
+
+_INTS_TAG = 0x05
+_FLOATS_TAG = 0x06
+_BOOLS_TAG = 0x07
+_TUPLES_TAG = 0x08
+_RAGGED_TAG = 0x09
+
+_INT64_MIN = -(2**63)
+_INT64_MAX = 2**63 - 1
+
+
+#: A tuple subclass: equal to its plain value, but not exactly a tuple.
+_Pair = namedtuple("_Pair", "left right")
+
+
+def _same_exact(a, b) -> bool:
+    """Exact round trip of a decoded cell: type, value and float bits."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(_same_exact(x, y) for x, y in zip(a, b))
+    if isinstance(a, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    return a == b
+
+
+def _assert_list_roundtrip(cells, tag=None):
+    """One list-backed column: exact round trip, never larger than per cell,
+    and (when given) shipped with ``tag``.  Tuple subclasses come back as
+    plain tuples, as they always have through the tagged cells."""
+    from repro.engine.wire import pack_relation, unpack_relation
+
+    relation = _text_relation(cells)
+    payload = pack_relation(relation)
+    decoded = unpack_relation(payload).column_array("c")
+    assert type(decoded) is list and len(decoded) == len(cells)
+    for original, restored in zip(cells, decoded):
+        expected = tuple(original) if isinstance(original, tuple) else original
+        assert _same_exact(_plain(expected), restored), (original, restored)
+    assert len(payload) <= _per_cell_size(relation), cells
+    if tag is not None:
+        assert payload[_header_size(relation)] == tag, cells
+    return payload
+
+
+def _plain(value):
+    """``value`` with every tuple subclass replaced by a plain tuple."""
+    if isinstance(value, tuple):
+        return tuple(_plain(element) for element in value)
+    return value
+
+
+@pytest.mark.parametrize(
+    "cells,tag",
+    [
+        ([_INT64_MAX, _INT64_MIN, 0, -1], _INTS_TAG),
+        ([_INT64_MAX + 1], _GENERIC_TAG),
+        ([_INT64_MIN - 1, 5], _GENERIC_TAG),
+        ([1, 2, 2**200], _GENERIC_TAG),
+        ([True, False, True], _BOOLS_TAG),
+        ([True, 1, False, 0], _GENERIC_TAG),
+        ([1, 1.0], _GENERIC_TAG),
+        ([-0.0, 0.0, math.inf, -math.inf, math.nan], _FLOATS_TAG),
+        ([5e-324, 2.2250738585072014e-308 / 2, -5e-324, 1e308], _FLOATS_TAG),
+        ([None, 1.5], _GENERIC_TAG),
+        ([1, None], _GENERIC_TAG),
+        ([Fraction(1, 3), Fraction(2, 5)], _GENERIC_TAG),
+        ([(1, 2.5, True), (3, -0.0, False)], _TUPLES_TAG),
+        ([(1, (2.0, (True,))), (3, (4.0, (False,)))], _TUPLES_TAG),
+        ([(), (), ()], _RAGGED_TAG),
+        ([(1.0,), (), (2.0, 3.0)], _RAGGED_TAG),
+        ([(1, "a"), (2, "b"), (3, None)], _TUPLES_TAG),
+        ([_Pair(1, 2), _Pair(3, 4)], _GENERIC_TAG),
+        ([(1, 2), _Pair(3, 4)], _GENERIC_TAG),
+        ([], _GENERIC_TAG),
+        ([7], _INTS_TAG),
+        ([(1, 2.0, True, 4, 5.0, False)], _RAGGED_TAG),
+    ],
+    ids=[
+        "int64-bounds",
+        "past-int64-max",
+        "past-int64-min",
+        "bigint-mixed-in",
+        "bools",
+        "bool-int-mix",
+        "int-float-mix",
+        "float-specials",
+        "subnormals",
+        "none-and-float",
+        "int-and-none",
+        "fractions",
+        "fixed-width",
+        "nested",
+        "width-0",
+        "ragged",
+        "tuple-of-strings",
+        "namedtuples",
+        "tuple-and-subclass",
+        "empty",
+        "one-row",
+        "one-wide-row",
+    ],
+)
+def test_list_columns_take_the_expected_encoding(cells, tag):
+    _assert_list_roundtrip(cells, tag)
+
+
+def test_nan_payload_bits_survive():
+    quiet = struct.unpack("<d", struct.pack("<Q", 0x7FF8_0000_0000_0001))[0]
+    negative = struct.unpack("<d", struct.pack("<Q", 0xFFF8_0000_00AB_CDEF))[0]
+    _assert_list_roundtrip([quiet, negative, math.nan], _FLOATS_TAG)
+
+
+def random_list_cells(rng: random.Random, depth: int = 0):
+    """A random list column leaning on the columnar encodings."""
+    rows = rng.choice([0, 1, 2, 3, rng.randint(4, 40)])
+    kind = rng.choice(
+        ["int", "edge-int", "float", "bool", "bool-int", "fixed", "ragged", "mixed"]
+    )
+    if kind == "int":
+        return [rng.randint(_INT64_MIN, _INT64_MAX) for _ in range(rows)]
+    if kind == "edge-int":
+        edges = [_INT64_MIN, _INT64_MIN - 1, _INT64_MAX, _INT64_MAX + 1, 0]
+        return [rng.choice(edges) for _ in range(rows)]
+    if kind == "float":
+        specials = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e-310]
+        return [
+            rng.choice(specials) if rng.random() < 0.3 else rng.uniform(-1e300, 1e300)
+            for _ in range(rows)
+        ]
+    if kind == "bool":
+        return [rng.random() < 0.5 for _ in range(rows)]
+    if kind == "bool-int":
+        return [rng.choice([True, False, 0, 1]) for _ in range(rows)]
+    if kind in ("fixed", "ragged") and depth < 3:
+        width = rng.randint(0, 4)
+        columns = [random_list_cells(rng, depth + 1) for _ in range(width)]
+        columns = [(column or [None]) for column in columns]
+        cells = [
+            tuple(column[index % len(column)] for column in columns)
+            for index in range(rows)
+        ]
+        if kind == "ragged":
+            cells = [cell[: rng.randint(0, len(cell))] for cell in cells]
+        return cells
+    return [random_value(rng) for _ in range(rows)]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_random_list_columns_roundtrip_and_never_grow(seed):
+    rng = random.Random(seed)
+    for _ in range(120):
+        _assert_list_roundtrip(random_list_cells(rng))
+
+
+def _columnar_payload():
+    """A relation exercising every columnar list encoding at once."""
+    from repro.engine.wire import pack_relation
+
+    schema = Schema(
+        [ColumnDef(name=name, data_type=DataType.TEXT) for name in "abcdef"]
+    )
+    columns = [
+        [1, -2, 3],
+        [0.5, -0.0, math.nan],
+        [True, False, True],
+        [(1, (2.0,), True), (3, (4.0, 5.0), False), (6, (), True)],
+        [(1,), (), (2, 3)],
+        ["x", "y", "x"],
+    ]
+    return pack_relation(Relation.from_columns(schema, columns, name="cols"))
+
+
+def test_every_truncation_of_a_columnar_payload_raises():
+    from repro.engine.wire import unpack_relation
+
+    payload = _columnar_payload()
+    for cut in range(len(payload)):
+        with pytest.raises(WireFormatError):
+            unpack_relation(payload[:cut])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_corrupted_columnar_payloads_raise_only_wire_format_errors(seed):
+    from repro.engine.wire import unpack_relation
+
+    rng = random.Random(seed)
+    payload = _columnar_payload()
+    for _ in range(400):
+        corrupted = bytearray(payload)
+        for _ in range(rng.randint(1, 3)):
+            corrupted[rng.randrange(4, len(corrupted))] = rng.randrange(256)
+        try:
+            unpack_relation(bytes(corrupted))
+        except WireFormatError:
+            pass
+
+
+def _one_column_header(rows: int) -> bytes:
+    relation = _text_relation([None] * rows)
+    from repro.engine.wire import pack_relation
+
+    return pack_relation(relation)[: _header_size(relation)]
+
+
+def test_row_counts_beyond_the_payload_raise_before_allocating(monkeypatch):
+    """Huge row counts, widths and ragged lengths are checked against the
+    bytes left, so a short payload cannot make the decoder allocate."""
+    from repro.engine import wire
+
+    big = 2**32 - 1
+    header = _one_column_header(1)
+    count_at = len(header) - 4
+    huge_rows = header[:count_at] + struct.pack("<I", big)
+    cases = [
+        huge_rows + bytes([_INTS_TAG]) + bytes(16),
+        huge_rows + bytes([_BOOLS_TAG]) + bytes(16),
+        huge_rows + bytes([_GENERIC_TAG]) + bytes(16),
+        huge_rows + bytes([_RAGGED_TAG]) + bytes(16),
+        # One row whose fixed-width tuple claims 2**32-1 positions.
+        header + bytes([_TUPLES_TAG]) + struct.pack("<I", big) + bytes([_INTS_TAG]),
+        header + bytes([_TUPLES_TAG]) + struct.pack("<I", 0),
+        # One ragged row of 2**32-1 cells.
+        header + bytes([_RAGGED_TAG]) + struct.pack("<I", big) + bytes([_INTS_TAG]),
+        # Bool bytes other than 0/1, an unknown backing tag.
+        header + bytes([_BOOLS_TAG, 2]),
+        header + bytes([0x7F]),
+    ]
+    allocations = []
+    real_from_le = wire._from_le
+    monkeypatch.setattr(
+        wire,
+        "_from_le",
+        lambda typecode, raw: allocations.append(len(raw)) or real_from_le(typecode, raw),
+    )
+    for payload in cases:
+        with pytest.raises(WireFormatError):
+            wire.unpack_relation(payload)
+    assert all(size <= 16 for size in allocations)
+
+
+def test_tuple_columns_nest_only_to_a_fixed_depth():
+    """Columnar nesting stops at a fixed depth (deeper tuples keep tagged
+    cells), and a payload nesting tuple columns past it is rejected."""
+    from repro.engine import wire
+
+    cell = 1
+    for _ in range(wire._MAX_COLUMN_DEPTH + 4):
+        cell = (cell, 2.0)
+    _assert_list_roundtrip([cell, cell], _TUPLES_TAG)
+    header = _one_column_header(1)
+    nested = (bytes([_TUPLES_TAG]) + struct.pack("<I", 1)) * (wire._MAX_COLUMN_DEPTH + 1)
+    with pytest.raises(WireFormatError):
+        wire.unpack_relation(header + nested + bytes([_INTS_TAG]) + bytes(8))
