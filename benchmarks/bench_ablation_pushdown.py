@@ -1,7 +1,8 @@
 """Experiment A1 (ablation) — pushdown on/off.
 
-DESIGN.md calls out the central design choice of the paper: evaluating maximal
-query parts as close to the sensors as possible.  The ablation compares three
+The central design choice of the paper is to evaluate maximal query parts as
+close to the sensors as possible (Section 4: vertical fragmentation, so that
+only the reduced result d' leaves the apartment).  The ablation compares three
 configurations over the same workload and data:
 
 * full PArADISE (rewrite + pushdown),

@@ -1,11 +1,31 @@
 """Shared workload builders for the benchmark harness.
 
-Every benchmark regenerates one artefact of the paper (see DESIGN.md's
-experiment index).  The paper itself reports no quantitative measurements —
-its table and figures are architectural — so each benchmark (a) reconstructs
-the artefact programmatically and (b) measures the quantities the paper claims
+Every paper benchmark regenerates one artefact of the paper.  The experiment
+index:
+
+* T1 ``bench_table1_capabilities.py`` — Table 1: capability classes E1–E4
+  and operator placement;
+* F2 ``bench_fig2_processor.py`` — Figure 2: the privacy-aware processor
+  pipeline;
+* F3 ``bench_fig3_fragmentation.py`` — Figure 3: vertical fragmentation and
+  data reduction towards the cloud;
+* F4 ``bench_fig4_policy.py`` — Figure 4: the running example's policy;
+* UC ``bench_usecase_rewrite.py`` — Section 4.2: ``Q`` → ``Q1..Q4`` + ``Qδ``;
+* A1 ``bench_ablation_pushdown.py`` — ablation: pushdown on/off;
+* A2 ``bench_ablation_anonymization.py`` — ablation: anonymization
+  algorithms and information loss;
+* A3 ``bench_ablation_overhead.py`` — ablation: rewriting and
+  fragmentation overhead.
+
+The paper itself reports no quantitative measurements — its table and figures
+are architectural — so each of these benchmarks (a) reconstructs the artefact
+programmatically and (b) measures the quantities the paper claims
 qualitatively: data reduction towards the cloud, operator placement, rewriting
-overhead and the privacy/utility trade-off of the postprocessor.
+overhead and the privacy/utility trade-off of the postprocessor.  The other
+``bench_*.py`` files measure the runtime built around the pipeline
+(columnar storage, partial aggregation, fault tolerance, process workers,
+tracing, the optimizer, tree scaling, standing queries); ``benchmarks/e2e``
+is the end-to-end benchmark ``BENCHMARK.json`` declares.
 """
 
 from __future__ import annotations

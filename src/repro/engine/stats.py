@@ -308,25 +308,34 @@ class ColumnStats:
 def column_stats(values: Sequence[Any]) -> ColumnStats:
     """Build :class:`ColumnStats` over a column array from scratch.
 
-    Typed int64/float64 backings take a buffer-speed path: builtin min/max
-    straight over the ``array`` buffer (the same left-to-right fold the
-    incremental path performs, so results agree even for degenerate floats)
-    plus a tight hash loop.  Everything else — generic lists, bool-typed
-    columns — runs the plain observe loop.
+    Typed int64/float64/bool backings take a buffer-speed path: builtin
+    min/max straight over the ``array`` buffer (the same left-to-right fold
+    the incremental path performs, so results agree even for degenerate
+    floats) and, without NULLs, one hash per *distinct* value.  The sketch
+    keeps a set of hashes, and equal values hash alike (``hash(-0.0) ==
+    hash(0.0)``; :func:`value_hash` maps every NaN to one hash), so
+    hashing each distinct value once leaves the same sketch as hashing
+    every cell.  A bool column's buffer holds ``0``/``1``; its min/max and
+    observed cells are turned back into ``bool``.  Everything else —
+    generic lists — runs the plain observe loop.
     """
-    from repro.engine.columns import FLOAT64, INT64, TypedColumn
+    from repro.engine.columns import BOOL, FLOAT64, INT64, TypedColumn
 
     stats = ColumnStats()
-    if isinstance(values, TypedColumn) and values.typecode in (INT64, FLOAT64):
+    if isinstance(values, TypedColumn) and values.typecode in (INT64, FLOAT64, BOOL):
         data = values.data_array()
+        cell = bool if values.typecode == BOOL else None
         if not values.null_count:
             n = len(data)
             stats.rows = n
             if n:
                 stats.minimum = min(data)
                 stats.maximum = max(data)
+                if cell is not None:
+                    stats.minimum = cell(stats.minimum)
+                    stats.maximum = cell(stats.maximum)
             observe = stats._sketch.observe
-            for value in data:
+            for value in set(data):
                 observe(value_hash(value))
             return stats
         nulls = values.null_map()
@@ -335,7 +344,7 @@ def column_stats(values: Sequence[Any]) -> ColumnStats:
                 stats.rows += 1
                 stats.nulls += 1
             else:
-                stats.observe(value)
+                stats.observe(value if cell is None else cell(value))
         return stats
     for value in values:
         stats.observe(value)

@@ -15,8 +15,11 @@ Table 1 labels E2 as "SQL-92"; the use case of Section 4.2 nevertheless
 executes the ``regr_intercept ... OVER`` window query on the apartment PC
 ("the local server has enough power to perform the regression analysis part
 of the SQL query on its own").  We follow the use-case placement and include
-window functions in E2's capability set; the difference is documented in
-DESIGN.md and exercised by the Table 1 benchmark.
+window functions in E2's capability set.  Read strictly, Table 1 would send
+the window stage, and with it every row that feeds it, to the cloud; the
+use case is the paper's own worked example, so it wins.  The Table 1
+benchmark (``benchmarks/bench_table1_capabilities.py``) exercises the
+placement.
 
 E4's "filter / simple selection" is the sensor fragment's WHERE: every
 conjunct that tests one plain column against constants (a literal, or a
@@ -26,6 +29,21 @@ const``, ``col [NOT] IN (const, ...)`` and ``col IS [NOT] NULL``
 (:func:`repro.fragment.fragmenter.is_column_constant_filter`).  ``IN
 (SELECT ...)``, column-bounded ``BETWEEN``, ``OR`` terms, bare boolean
 columns and arithmetic run at the appliance.
+
+The one placement beyond a node's class is the **resident-partition rule**
+(:data:`RESIDENT_PARTITION_FEATURES`).  A node may run the row-level work of
+the appliance class (projection, attribute selection, arithmetic, scalar
+functions, ``LIKE``, ``CASE``) and a partial aggregation (grouping keys and
+mergeable aggregate states) over the base-relation chunk it holds itself.
+The execution DAG relies on it to run the in-place fragments and the leaf
+partial of a decomposable GROUP BY on the sensors
+(:func:`repro.runtime.dag.build_execution_dag`).  The data never moves, and
+only group states — or the rows that pass the filters — leave the sensor.
+Lifting that work to the appliances instead was measured on the 30k-row,
+8-sensor group-by of ``benchmarks/e2e``: the stage's CPU rose from 37.5 to
+45.2 ms per query, and the sensors shipped 1.28 MB of filtered rows per
+query instead of ~30 KB of states.  HAVING, ordering, joins, DISTINCT and
+everything beyond stay with the class that Table 1 names.
 """
 
 from __future__ import annotations
@@ -125,6 +143,22 @@ _PC_FEATURES = _APPLIANCE_FEATURES | frozenset(
 _CLOUD_FEATURES = _PC_FEATURES | frozenset({"recursion", "udf", "ml_algorithm"})
 
 
+#: The resident-partition rule: what a node may run over the base-relation
+#: chunk it holds, beyond its own class (see the module docstring).
+RESIDENT_PARTITION_FEATURES = frozenset(
+    {
+        "projection",
+        "selection_attribute",
+        "arithmetic",
+        "scalar_function",
+        "like",
+        "case_expression",
+        "group_by",
+        "aggregation",
+    }
+)
+
+
 #: The four capability classes, most powerful first (mirrors Table 1).
 CAPABILITY_LEVELS: Dict[CapabilityLevel, CapabilityClass] = {
     CapabilityLevel.E1_CLOUD: CapabilityClass(
@@ -166,6 +200,15 @@ CAPABILITY_LEVELS: Dict[CapabilityLevel, CapabilityClass] = {
 def capability_for(level: CapabilityLevel) -> CapabilityClass:
     """Return the capability class of ``level``."""
     return CAPABILITY_LEVELS[level]
+
+
+def permitted_features(
+    level: CapabilityLevel, resident: bool = False
+) -> FrozenSet[str]:
+    """The features a node of ``level`` may run: its class, plus the
+    resident-partition rule when the work reads only its own base chunk."""
+    supported = CAPABILITY_LEVELS[level].supported_features
+    return supported | RESIDENT_PARTITION_FEATURES if resident else supported
 
 
 def lowest_capable_level(

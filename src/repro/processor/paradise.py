@@ -48,6 +48,7 @@ from repro.runtime.cost import DEFAULT_TASK_TIMEOUT, CostModel
 from repro.runtime.dag import (
     ExecutionContext,
     ExecutionDag,
+    StageTask,
     build_execution_dag,
     replan_without,
 )
@@ -393,11 +394,20 @@ class ParadiseProcessor:
             f"{dag.partition_width} partition(s)"
         )
         for task in sorted(dag.tasks, key=lambda t: t.order):
-            deps = f" <- {', '.join(task.deps)}" if task.deps else ""
-            lines.append(
-                f"  {task.order:3d}. {task.task_id} [{task.kind}] "
-                f"@ {task.node}{deps}"
-            )
+            line = f"  {task.order:3d}. {task.task_id} [{task.kind}] @ {task.node}"
+            if task.parts:
+                # A resident base chunk reads as ``d@sensor_3``.
+                inputs = [
+                    task_id or f"{getattr(task, 'base', '')}@{node}"
+                    for task_id, node in task.parts
+                ]
+                line += f" <- {', '.join(inputs)}"
+            if isinstance(task, StageTask):
+                if task.composes:
+                    line += f" [merges {', '.join(task.composes)}]"
+                if task.uses_resident_rule(self.topology):
+                    line += " [Table 1: resident-partition rule]"
+            lines.append(line)
         return "\n".join(lines)
 
     def _annotate_estimates(self, plan: FragmentPlan, raw_rows: int) -> None:

@@ -15,6 +15,10 @@ applies the same rules to every fragment:
 * **In place.** A row-distributive fragment (``partitionable``) runs on
   every part where it lives when its input is still the resident base
   chunks (the leaf fan-out) or when a decomposable aggregation follows.
+  Consecutive in-place fragments run as one query per part
+  (:func:`merge_views`), inside the leaf partial when a decomposable
+  aggregation follows.  The fragment plan stays the paper's; only the
+  DAG has fewer tasks.
 * **Partial → combine → finalize.** A GROUP BY fragment whose aggregates
   all decompose (``QueryFragment.decomposable``) runs in *partial* mode on
   every part (emitting mergeable aggregate states, see
@@ -53,7 +57,7 @@ import hashlib
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.anonymize.anonymizer import Anonymizer
 from repro.engine.columns import copy_column, extend_column
@@ -62,6 +66,7 @@ from repro.engine.schema import ColumnDef, Schema
 from repro.engine.table import Relation
 from repro.engine.types import DataType
 from repro.engine.wire import WireFormatError, pack_relation, state_size_feedback
+from repro.fragment.capabilities import permitted_features
 from repro.fragment.plan import (
     FragmentPlan,
     QueryFragment,
@@ -75,7 +80,9 @@ from repro.processor.result import FragmentExecution
 from repro.runtime.cost import CostModel
 from repro.runtime.faults import CheckpointStore, EpochAbandoned, FailureInjector
 from repro.sql import ast
-from repro.sql.visitor import clone
+from repro.sql.analysis import analyze_query
+from repro.sql.render import render
+from repro.sql.visitor import clone, walk
 
 
 #: Cardinality fallback for the partial-aggregation protocol: when a leaf
@@ -255,6 +262,114 @@ def rebase_table_refs(query: ast.Query, old_name: str, new_name: str) -> ast.Que
             node.name = new_name
         stack.extend(child for child in node.children() if child is not None)
     return rebased
+
+
+#: Nodes that make a query a non-candidate for view merging: their rows or
+#: names do not come from the one table the merge rewires.
+_UNMERGEABLE = (
+    ast.Query,
+    ast.SubqueryRef,
+    ast.InSubquery,
+    ast.Exists,
+    ast.ScalarSubquery,
+)
+
+
+def _merge_columns(
+    query: ast.Query, reads: Optional[str] = None
+) -> Optional[List[ast.Column]]:
+    """The column references of a view-merging candidate, or ``None``.
+
+    A candidate is one SELECT over one unaliased table (named ``reads``,
+    when given) without DISTINCT, LIMIT/OFFSET, subqueries or qualified
+    names.
+    """
+    if (
+        not isinstance(query, ast.SelectQuery)
+        or query.distinct
+        or query.limit is not None
+        or query.offset is not None
+    ):
+        return None
+    source = query.from_clause
+    if not isinstance(source, ast.TableRef) or source.alias is not None:
+        return None
+    if reads is not None and source.name.lower() != reads.lower():
+        return None
+    columns: List[ast.Column] = []
+    for node in walk(query):
+        if node is query or node is source:
+            continue
+        if isinstance(node, _UNMERGEABLE):
+            return None
+        if isinstance(node, (ast.Column, ast.Star)) and node.table is not None:
+            return None
+        if isinstance(node, ast.Column):
+            columns.append(node)
+    return columns
+
+
+def merge_views(
+    inner: ast.Query, inner_name: str, outer: ast.Query
+) -> Optional[ast.SelectQuery]:
+    """``outer`` over the relation ``inner_name`` that ``inner`` defines, as
+    one query over ``inner``'s input — or ``None`` when the shapes refuse.
+
+    View merging, i.e. query modification (Stonebraker, SIGMOD 1975),
+    restricted to the shapes the fragmenter runs in place.  ``inner`` is a
+    single-table ``SELECT *`` or a list of plain, unaliased columns with an
+    optional WHERE: no grouping, ordering, LIMIT/OFFSET, DISTINCT,
+    aggregate or window call, subquery or qualified column.  ``outer``
+    reads ``inner_name`` unaliased, with no DISTINCT, LIMIT/OFFSET,
+    subquery or qualified column; it may group, which is how a leaf
+    partial aggregation takes the merged query.  Over a column list,
+    ``outer`` must read every listed column and nothing else, and no item
+    alias of ``outer`` may shadow one, so the merged query still resolves
+    — and fails on — exactly the columns the chain did.
+
+    The merged WHERE is ``inner``'s conjuncts, then ``outer``'s: the order
+    the chain evaluates them in, which keeps the row oracle's
+    short-circuit order.  A ``SELECT *`` outer takes ``inner``'s items.
+    The result shares subtrees with both inputs; clone it before use.
+    """
+    inner_columns = _merge_columns(inner)
+    outer_columns = _merge_columns(outer, reads=inner_name)
+    if inner_columns is None or outer_columns is None:
+        return None
+    if inner.group_by or inner.having is not None or inner.order_by:
+        return None
+    if inner.where is not None and any(
+        isinstance(node, ast.FunctionCall)
+        and (node.window is not None or ast.is_aggregate_function(node.name))
+        for node in walk(inner.where)
+    ):
+        return None
+    stars = [item for item in outer.items if isinstance(item.expression, ast.Star)]
+    if stars and len(outer.items) > 1:
+        return None
+    if not inner.is_select_star:
+        if any(
+            not isinstance(item.expression, ast.Column) or item.alias is not None
+            for item in inner.items
+        ):
+            return None
+        provided = [item.expression.name.lower() for item in inner.items]
+        if len(set(provided)) != len(provided):
+            return None
+        referenced = {column.name.lower() for column in outer_columns}
+        if stars:
+            referenced.update(provided)  # the star reads every listed column
+        aliases = {item.alias.lower() for item in outer.items if item.alias}
+        if referenced != set(provided) or aliases & referenced:
+            return None
+    merged = copy.copy(outer)
+    merged.from_clause = inner.from_clause
+    merged.where = ast.conjunction(
+        *ast.conjunction_terms(inner.where), *ast.conjunction_terms(outer.where)
+    )
+    if stars:
+        merged.items = inner.items
+    return merged
 
 
 def union_partials(parts: Sequence[Relation], name: str) -> Relation:
@@ -622,6 +737,9 @@ class StageTask(Task):
     aggregates, byte-identical to running the fragment over the globally
     merged raw input, which never had to exist).  Every output is
     registered under ``out_name``.
+
+    A ``query`` or ``partial`` task may run several in-place fragments as
+    one query (:func:`merge_views`); ``composes`` names them.
     """
 
     op: str = "query"
@@ -632,9 +750,42 @@ class StageTask(Task):
     in_name: str = ""
     out_name: str = ""
     display_name: str = ""
+    #: The fragments merged into ``query``, innermost first and ending with
+    #: ``fragment``; empty when ``query`` is ``fragment`` alone.
+    composes: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         self.kind = STAGE_OPS[self.op][0]
+
+    @property
+    def resident(self) -> bool:
+        """True when the task reads only the base chunk held on its node."""
+        return self.parts == [(None, self.node)]
+
+    def uses_resident_rule(self, topology: Topology) -> bool:
+        """True when the task runs work beyond its node's Table 1 class
+        over the base chunk it holds: the resident-partition rule of
+        :mod:`repro.fragment.capabilities`."""
+        level = topology.node(self.node).level
+        return self.resident and not self.features() <= permitted_features(level)
+
+    def features(self) -> FrozenSet[str]:
+        """The Table 1 features of the work this task runs on its node.
+
+        A partial evaluates WHERE, the group keys and the aggregate
+        arguments; a combine only merges states by key.  Both leave HAVING,
+        the select items and ORDER BY to the finalize.  A merge only
+        concatenates.
+        """
+        if self.op == "union":
+            return frozenset()
+        if self.op == "combine":
+            keys = {"group_by"} if self.query.group_by else set()
+            return frozenset({"aggregation"} | keys)
+        query = self.query
+        if self.op == "partial":
+            query = dataclasses.replace(query, having=None, order_by=[])
+        return analyze_query(query).features
 
     def _fetch(self, context: ExecutionContext, part: Part) -> Relation:
         task_id, node = part
@@ -711,16 +862,17 @@ class StageTask(Task):
             level = context.network.topology.node(self.node).level.short_name
         else:
             level = self.fragment.level.short_name
+        if self.composes:
+            text = render(self.query)
+        else:
+            text = self.fragment.sql if self.fragment else ""
         context.record_execution(
             self.order,
             FragmentExecution(
                 fragment_name=name.format(name=self.display_name),
                 node=self.node,
                 level=level,
-                sql=sql.format(
-                    sql=self.fragment.sql if self.fragment else "",
-                    parts=len(self.parts),
-                ),
+                sql=sql.format(sql=text, parts=len(self.parts)),
                 input_rows=input_rows,
                 output_rows=len(output),
                 elapsed_seconds=elapsed,
@@ -867,26 +1019,40 @@ def build_execution_dag(
         task = add(StageTask, label, node, parts, op=op, base=base_table, **fields)
         return task.task_id, node
 
-    #: One rebased query per (fragment, input name), shared by sibling
+    #: One query per (fragment chain, input name), shared by sibling
     #: partitions: tasks never mutate their query.
-    rebased: Dict[Tuple[str, str], ast.Query] = {}
+    queries: Dict[Tuple[Tuple[str, ...], str], ast.Query] = {}
 
     def run(
-        op: str, fragment: QueryFragment, label: str, node: str, part: Part
+        op: str,
+        chain: Sequence[QueryFragment],
+        label: str,
+        node: str,
+        part: Part,
+        merged: Optional[ast.Query] = None,
     ) -> Part:
-        """Run ``fragment`` (``op`` ``query`` or ``partial``) on ``node``.
+        """Run the fragments ``chain`` (``op`` ``query`` or ``partial``) on
+        ``node`` as one query: ``merged`` (:func:`merge_views`), or the
+        query of a lone fragment.
 
         A base chunk resident on ``node`` is read in place under its own
         name; any other input is registered under the namespaced input
         name the query is rebased onto.
         """
-        in_base = fragment.input_name
+        fragment = chain[-1]
+        if merged is None:
+            merged = fragment.query
+        in_base = chain[0].input_name
         in_name = in_base if part == (None, node) else ns(in_base)
         out_name = fragment.name if op == "query" else f"{fragment.name}__partial"
-        query = rebased.get((fragment.name, in_name))
+        names = tuple(link.name for link in chain)
+        query = queries.get((names, in_name))
         if query is None:
-            query = rebase_table_refs(fragment.query, in_base, in_name)
-            rebased[fragment.name, in_name] = query
+            query = rebase_table_refs(merged, in_base, in_name)
+            if query is merged and len(chain) > 1:
+                # The merged query shares subtrees with the plan's.
+                query = clone(merged)
+            queries[names, in_name] = query
         return stage(
             op,
             label,
@@ -897,6 +1063,7 @@ def build_execution_dag(
             in_name=in_name,
             out_name=ns(out_name),
             display_name=label,
+            composes=names if len(chain) > 1 else (),
         )
 
     def union(label: str, node: str, parts: Sequence[Part], name: str) -> Part:
@@ -910,12 +1077,20 @@ def build_execution_dag(
             display_name=name,
         )
 
-    def aggregate(fragment: QueryFragment, target: str, parts: Sequence[Part]) -> Part:
+    def aggregate(
+        chain: Sequence[QueryFragment],
+        merged: ast.Query,
+        target: str,
+        parts: Sequence[Part],
+    ) -> Part:
         """Partial-aggregate every part where it lives, combine sibling
         states one tree level at a time, finalize at ``target``."""
+        fragment = chain[-1]
         name = fragment.name
         states = [
-            run("partial", fragment, f"{name}~partial[{node}]", node, (task_id, node))
+            run(
+                "partial", chain, f"{name}~partial[{node}]", node, (task_id, node), merged
+            )
             for task_id, node in parts
         ]
         lifted = _lift_groups(topology, states)
@@ -947,25 +1122,52 @@ def build_execution_dag(
 
     #: The current intermediate relation, in partition order.
     partitions: List[Part] = [(None, holder) for holder in holders]
+    #: In-place fragments not yet emitted, innermost first, and their merged
+    #: query: they run inside the next task over every part of
+    #: ``partitions`` — a leaf partial when one follows, else one ``query``
+    #: task per part.
+    chain: List[QueryFragment] = []
+    chained: Optional[ast.Query] = None
+
+    def extend_chain(
+        fragment: QueryFragment,
+    ) -> Tuple[List[Part], List[QueryFragment], ast.Query]:
+        """The parts, chain and merged query ``fragment`` runs with: the
+        pending chain plus ``fragment`` when :func:`merge_views` accepts
+        it; otherwise the pending chain's output and ``fragment`` alone."""
+        if chain:
+            merged = merge_views(chained, chain[-1].name, fragment.query)
+            if merged is not None:
+                return partitions, chain + [fragment], merged
+        return emit_chain(), [fragment], fragment.query
+
+    def emit_chain() -> List[Part]:
+        """``partitions`` after the pending chain runs as ``query`` tasks."""
+        if not chain:
+            return partitions
+        name = chain[-1].name
+        return [
+            run("query", chain, f"{name}[{node}]", node, (task_id, node), chained)
+            for task_id, node in partitions
+        ]
+
     for index, fragment in enumerate(fragments):
         name, in_base = fragment.name, fragment.input_name
         target = fragment.assigned_node or topology.cloud.name
         if len(partitions) == 1:
             # Single stream: one hop to the fragment's assigned node.
-            partitions = [run("query", fragment, name, target, partitions[0])]
+            partitions = [run("query", [fragment], name, target, partitions[0])]
             continue
-        resident = all(task_id is None for task_id, _ in partitions)
+        resident = not chain and all(task_id is None for task_id, _ in partitions)
         if fragment.partitionable and (
             resident
             or (partial_aggregation and _next_blocker_decomposable(fragments, index))
         ):
             # In place: fan the fragment out over the leaf chunks, or keep
             # the partition at the leaves until the coming decomposable
-            # aggregation shrinks it to group states.
-            partitions = [
-                run("query", fragment, f"{name}[{node}]", node, (task_id, node))
-                for task_id, node in partitions
-            ]
+            # aggregation shrinks it to group states.  It joins the pending
+            # chain, so each part runs the chain as one query.
+            partitions, chain, chained = extend_chain(fragment)
             continue
         if (
             partial_aggregation
@@ -978,8 +1180,10 @@ def build_execution_dag(
                 config,
             )
         ):
-            partitions = [aggregate(fragment, target, partitions)]
+            parts, leaf_chain, leaf_query = extend_chain(fragment)
+            partitions, chain = [aggregate(leaf_chain, leaf_query, target, parts)], []
             continue
+        partitions, chain = emit_chain(), []
         lifted = _lift_groups(topology, partitions) if fragment.partitionable else None
         if lifted is not None:
             # Merge each sibling group at its parent, then apply the
@@ -987,7 +1191,7 @@ def build_execution_dag(
             partitions = [
                 run(
                     "query",
-                    fragment,
+                    [fragment],
                     f"{name}[{parent}]",
                     parent,
                     union(f"{in_base}@{parent}", parent, group, in_base),
@@ -998,7 +1202,8 @@ def build_execution_dag(
         # The fragment needs the whole relation (or there is nowhere left
         # to lift): merge every part at its assigned node and chain on.
         merged = union(in_base, target, partitions, in_base)
-        partitions = [run("query", fragment, name, target, merged)]
+        partitions = [run("query", [fragment], name, target, merged)]
+    partitions = emit_chain()
 
     if len(partitions) > 1:
         # Every fragment was distributive: one final union before leaving.

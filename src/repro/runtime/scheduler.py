@@ -205,8 +205,9 @@ class Scheduler:
         disables deadline checking).  ``max_workers`` caps this run's pool
         (default: the scheduler's); ``1`` runs the tasks one at a time in
         build order on the calling thread, which is ``execution="serial"``.
-        Raises the first non-recovered task exception after cancelling
-        pending tasks and letting in-flight ones drain; a deadline violation
+        On a non-recovered task failure it cancels pending tasks, lets
+        in-flight ones drain, and raises the exception of the failed task
+        first in build order among those that finished; a deadline violation
         raises :class:`~repro.runtime.faults.NodeDeath` for the hung node
         without draining (the stuck worker is abandoned; on the calling
         thread the task is declared hung when it returns).
@@ -376,11 +377,13 @@ class Scheduler:
         ready.sort(key=lambda task_id: by_id[task_id].order)
         in_flight: Dict[Future, str] = {}
         deadlines: Dict[Future, float] = {}
+        #: task id -> the exception it raised.
+        failures: Dict[str, BaseException] = {}
         first_error: Optional[BaseException] = None
         workers = max_workers or self.max_workers
         pool = _CallingThread() if workers == 1 else ThreadPoolExecutor(workers)
         try:
-            while (ready or in_flight) and first_error is None:
+            while (ready or in_flight) and first_error is None and not failures:
                 while ready and len(in_flight) < workers:
                     task_id = ready.pop(0)
                     deadline = None
@@ -422,15 +425,15 @@ class Scheduler:
                     deadlines.pop(future, None)
                     error = future.exception()
                     if error is not None:
-                        first_error = error
-                        break
+                        failures[task_id] = error
+                        continue
                     context.outputs[task_id] = future.result()
                     for dependent in dependents[task_id]:
                         waiting[dependent] -= 1
                         if waiting[dependent] == 0:
                             ready.append(dependent)
                 ready.sort(key=lambda task_id: by_id[task_id].order)
-            if first_error is not None:
+            if failures or first_error is not None:
                 # Failure hygiene: nothing queued may start once the run is
                 # lost, and (unless a worker is known hung) every in-flight
                 # task drains so its node slot is released and no zombie
@@ -439,6 +442,15 @@ class Scheduler:
                     future.cancel()
                 if not context.abandoned:
                     wait(set(in_flight))
+                    for future, task_id in in_flight.items():
+                        if not future.cancelled() and future.exception() is not None:
+                            failures[task_id] = future.exception()
+            if failures:
+                # Tasks that fail together finish in thread-timing order;
+                # escalating the first in build order keeps which node dies
+                # first — and so the re-plan — deterministic.
+                first_failed = min(failures, key=lambda task_id: by_id[task_id].order)
+                first_error = failures[first_failed]
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
         if first_error is not None:

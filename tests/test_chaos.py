@@ -170,6 +170,24 @@ def test_seeded_random_kills_recover(n_failures):
         assert first.completeness.dead_nodes == second.completeness.dead_nodes
 
 
+def test_simultaneous_deaths_escalate_in_build_order():
+    """Seed 11 kills ``sensor_7`` (a leaf partial) and ``appliance_0`` (a
+    combine) in the same first attempt.  Which failure finishes first is
+    thread timing; the scheduler escalates the one earlier in build order,
+    so every run records the deaths in one order."""
+    query = RAW_WORKLOADS[2]
+    orders = set()
+    for _ in range(20):
+        result = run_with_faults(
+            query,
+            FailureInjector.random_node_kills(
+                Topology.smart_home_tree(n_sensors=8), 2, seed=11
+            ),
+        )
+        orders.add(tuple(result.completeness.dead_nodes))
+    assert orders == {("sensor_7", "appliance_0")}
+
+
 # ---------------------------------------------------------------------------
 # transient faults: retries, link failures, hangs
 # ---------------------------------------------------------------------------

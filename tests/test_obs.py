@@ -306,8 +306,9 @@ def test_paper_workloads_take_expected_scan_paths():
 
 def test_rewritten_groupby_runs_every_leaf_scan_vectorized():
     """The e2e group-by under ``Occupancy`` (rewritten ``WHERE valid AND
-    z < 2``) on the 8-sensor tree: no bail, and every fragment select and
-    leaf partial aggregation is a vectorized scan."""
+    z < 2``) on the 8-sensor tree: no bail, no flat select (the in-place
+    fragments run inside the leaf partials), and every leaf partial
+    aggregation is a vectorized scan."""
     processor = ParadiseProcessor(
         occupancy_policy(),
         schema=INTEGRATED_SCHEMA,
@@ -320,7 +321,8 @@ def test_rewritten_groupby_runs_every_leaf_scan_vectorized():
     assert result.admitted
     diff = delta(before, registry.snapshot(prefix="engine."))
     assert not any(value for key, value in diff.items() if ".bails." in key)
-    assert diff["engine.executor.selects"] == diff["engine.vectorized.flat"] == 16
+    assert diff.get("engine.executor.selects", 0) == 0
+    assert diff.get("engine.vectorized.flat", 0) == 0
     assert diff["engine.executor.partial_aggregations"] == 8
     assert diff["engine.vectorized.partial"] == 8
 

@@ -25,11 +25,16 @@ from benchmarks.e2e.workloads import (
 from tests.conftest import PAPER_R_CODE, PAPER_SQL, make_sensor_relation
 from tests.test_runtime import RAW_WORKLOADS
 
+from repro.engine.schema import ColumnDef, Schema
+from repro.engine.table import Relation
+from repro.engine.types import DataType
 from repro.engine.wire import pack_relation
 from repro.fragment.capabilities import CapabilityLevel
 from repro.fragment.topology import Node, Topology
+from repro.policy.presets import figure4_policy
 from repro.processor.paradise import ParadiseProcessor
 from repro.processor.reference import reference_result
+from repro.runtime import build_execution_dag
 from repro.rlang.sqlable import extract_sql_from_r
 from repro.sensors.scenario import INTEGRATED_SCHEMA
 
@@ -228,6 +233,56 @@ def test_type_mismatched_between_raises_like_the_reference(
         reference_result(processor, sql, "fig4", apply_rewriting=False)
     with pytest.raises(TypeError):
         processor.process(sql, "fig4", execution=execution, apply_rewriting=False)
+
+
+#: The sensor keeps ``x > 2``; ``CAST(a AS INTEGER) > 1`` runs one level up.
+#: On a tree both run inside each leaf partial, as one WHERE.
+CAST_GUARD_SQL = (
+    "SELECT person_id, COUNT(*) AS n, SUM(z) AS sz FROM d "
+    "WHERE x > 2 AND CAST(a AS INTEGER) > 1 GROUP BY person_id"
+)
+
+
+def cast_guard_relation(rows: int) -> Relation:
+    """The sensor relation plus a text column ``a`` that casts to an
+    integer exactly where ``x > 2`` and is ``'p'`` everywhere else."""
+    base = make_sensor_relation(rows)
+    schema = Schema(
+        list(base.schema.columns) + [ColumnDef(name="a", data_type=DataType.TEXT)]
+    )
+    data = [
+        dict(row, a=str(int(row["x"]) - 2) if row["x"] > 2 else "p")
+        for row in base.rows
+    ]
+    return Relation(schema=schema, rows=data, name="d")
+
+
+@pytest.mark.parametrize("workers", ["threads", "processes"])
+@pytest.mark.parametrize("engine_mode", ["compiled", "interpreted"])
+def test_merged_leaf_where_raises_only_where_the_reference_does(engine_mode, workers):
+    """Merging the in-place fragments into the leaf partial keeps the
+    sensor conjunct ahead of the fallible CAST: no ``'p'`` reaches it, so
+    the run neither raises nor differs from the reference."""
+    processor = ParadiseProcessor(
+        figure4_policy(),
+        topology=TOPOLOGIES["tree8"](),
+        engine_mode=engine_mode,
+        workers=workers,
+        execution="parallel",
+    )
+    processor.load_data(cast_guard_relation(400))
+    plan = processor.fragmenter.fragment(
+        processor.prepare(CAST_GUARD_SQL, "fig4", apply_rewriting=False).query
+    )
+    dag = build_execution_dag(plan, processor.topology, processor.network)
+    assert {task.composes for task in dag.tasks if task.kind == "partial"} == {
+        ("d1", "d2", "d3")
+    }
+    options = {"apply_rewriting": False, "anonymize": False}
+    expected = reference_result(processor, CAST_GUARD_SQL, "fig4", **options)
+    assert len(expected) > 0
+    result = processor.process(CAST_GUARD_SQL, "fig4", **options)
+    assert pack_relation(result.result) == pack_relation(expected)
 
 
 #: Queries the fragmenter keeps as one fragment over the whole base

@@ -196,14 +196,19 @@ def test_dag_partitions_and_lifts():
 
 
 @pytest.mark.parametrize(
-    "module,sql",
-    [("ActionFilter", PAPER_SQL), (None, RAW_WORKLOADS[1]), (None, RAW_WORKLOADS[2])],
+    "module,sql,fused",
+    [
+        ("ActionFilter", PAPER_SQL, ()),
+        (None, RAW_WORKLOADS[1], ()),
+        (None, RAW_WORKLOADS[2], ("d1", "d2", "d3")),
+    ],
     ids=["paper", "selection", "groupby"],
 )
-def test_dag_build_rebases_each_fragment_once(monkeypatch, module, sql):
+def test_dag_build_rebases_each_fragment_once(monkeypatch, module, sql, fused):
     """Namespaced on a 16-sensor tree, the builder clones a fragment's query
-    at most once per input name and sibling tasks share that one object;
-    running the DAG leaves the plan's queries as the fragmenter made them."""
+    (or a merged chain of in-place fragments) at most once per input name
+    and sibling tasks share that one object; running the DAG leaves the
+    plan's queries as the fragmenter made them."""
     from repro.runtime import dag as dag_module
     from repro.runtime.dag import StageTask
 
@@ -227,15 +232,22 @@ def test_dag_build_rebases_each_fragment_once(monkeypatch, module, sql):
     queries = {}
     for task in dag.tasks:
         if isinstance(task, StageTask) and task.op in ("query", "partial"):
-            queries.setdefault((task.fragment.name, task.in_name), []).append(task.query)
+            chain = task.composes or (task.fragment.name,)
+            queries.setdefault((chain, task.in_name), []).append(task.query)
     assert len(clones) <= len(queries)
     for tasks_queries in queries.values():
         assert all(query is tasks_queries[0] for query in tasks_queries)
-    # Some fragment reads a shipped (namespaced) input on several siblings.
-    assert any(
-        in_name.endswith("__s7") and len(tasks_queries) > 1
-        for (_, in_name), tasks_queries in queries.items()
-    )
+    if fused:
+        # One merged query, cloned once, serves all 16 leaf partials, which
+        # read their resident chunks: no task reads a shipped input.
+        assert list(queries) == [(fused, "d")]
+        assert len(queries[fused, "d"]) == 16 and len(clones) == 1
+    else:
+        # Some fragment reads a shipped (namespaced) input on several siblings.
+        assert any(
+            in_name.endswith("__s7") and len(tasks_queries) > 1
+            for (_, in_name), tasks_queries in queries.items()
+        )
 
     result = processor.process(sql, module, namespace="s7", **options)
     assert [fragment.query for fragment in result.plan.fragments] == [
