@@ -31,7 +31,8 @@ compact on-the-wire representation and an exact round-trip.
 from __future__ import annotations
 
 from array import array
-from operator import itemgetter
+from itertools import repeat
+from operator import is_, itemgetter
 from typing import Any, Iterable, Iterator, List, Optional, Sequence
 
 INT64 = "q"
@@ -44,6 +45,9 @@ _INT64_MAX = 2**63 - 1
 #: Placeholder stored in the data array at NULL positions.  Always exactly
 #: zero, which lets equality and ``count`` reason about NULL slots cheaply.
 _ZEROS = {INT64: 0, FLOAT64: 0.0, BOOL: 0}
+
+#: The exact Python type of each backing's non-NULL cells.
+_CELL_TYPES = {INT64: int, FLOAT64: float, BOOL: bool}
 
 
 class TypedBackingError(TypeError):
@@ -225,10 +229,6 @@ class TypedColumn:
     def null_count(self) -> int:
         return self._null_count
 
-    @property
-    def has_nulls(self) -> bool:
-        return self._null_count > 0
-
     def to_list(self) -> List[Any]:
         """The column as a plain Python list (NULLs become ``None``)."""
         if self.typecode == BOOL:
@@ -279,44 +279,22 @@ def typed_column_from_values(
     values: Sequence[Any], typecode: str
 ) -> Optional[TypedColumn]:
     """Build a typed column from ``values``, or None if any value misfits."""
-    data = array(typecode)
-    nulls = bytearray()
-    null_count = 0
-    if typecode == INT64:
-        for value in values:
-            if value is None:
-                data.append(0)
-                nulls.append(1)
-                null_count += 1
-            elif type(value) is int and _INT64_MIN <= value <= _INT64_MAX:
-                data.append(value)
-                nulls.append(0)
-            else:
-                return None
-    elif typecode == FLOAT64:
-        for value in values:
-            if value is None:
-                data.append(0.0)
-                nulls.append(1)
-                null_count += 1
-            elif type(value) is float:
-                data.append(value)
-                nulls.append(0)
-            else:
-                return None
-    elif typecode == BOOL:
-        for value in values:
-            if value is None:
-                data.append(0)
-                nulls.append(1)
-                null_count += 1
-            elif type(value) is bool:
-                data.append(1 if value else 0)
-                nulls.append(0)
-            else:
-                return None
-    else:
+    cell_type = _CELL_TYPES.get(typecode)
+    if cell_type is None:
         raise ValueError(f"Unsupported typed-column typecode: {typecode!r}")
+    kinds = set(map(type, values))
+    kinds.discard(type(None))
+    if kinds - {cell_type}:
+        return None
+    nulls = bytearray(map(is_, values, repeat(None)))
+    null_count = nulls.count(1)
+    if null_count:
+        zero = _ZEROS[typecode]
+        values = [zero if value is None else value for value in values]
+    try:
+        data = array(typecode, values)
+    except OverflowError:  # an int outside int64
+        return None
     return TypedColumn(typecode, data, nulls, null_count)
 
 

@@ -17,7 +17,8 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 from repro.engine.errors import ExecutionError, SchemaError
 from repro.engine.config import DEFAULT_CONFIG, EngineConfig
-from repro.engine.executor import FinalizedGroups, QueryExecutor
+from repro.engine.executor import QueryExecutor
+from repro.engine.vectorized import FinalizedGroups
 from repro.engine.schema import Schema
 from repro.engine.table import Relation
 from repro.sql import ast

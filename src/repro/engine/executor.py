@@ -27,14 +27,16 @@ Each executor runs under one :class:`~repro.engine.config.EngineConfig`
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import repeat
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.engine.aggregates import (
     compute_aggregate,
     is_decomposable_aggregate,
     make_accumulator,
 )
+from repro.engine.columns import gather, take_column
 from repro.engine.compile import CompiledExpr, ExpressionCompiler
 from repro.engine.config import DEFAULT_CONFIG, EngineConfig
 from repro.engine.errors import ExecutionError
@@ -45,15 +47,18 @@ from repro.engine.join import (
     hash_join,
     hash_semi_join,
 )
-from repro.engine.schema import ColumnDef, Schema
 from repro.engine.table import Relation
-from repro.engine.types import infer_type
 from repro.engine.stats import optimizer_stats
 from repro.engine.vectorized import (
+    BailReason,
+    FinalizedGroups,
     _OrderKey,
-    build_schema as _build_schema,
-    distinct_positions as _distinct_positions,
+    columns_relation,
     freeze_value as _freeze,
+    having_kernels,
+    having_selection,
+    stats as _scan_stats,
+    tail_positions,
     try_execute_partial,
     try_execute_select,
 )
@@ -94,104 +99,78 @@ def _shallow_function_calls(node: ast.Node) -> List[ast.FunctionCall]:
     return calls
 
 
+@dataclass(slots=True)
 class _AggregateSpec:
-    """One distinct aggregate call of a grouped query (compiled path)."""
+    """One distinct aggregate call: its render key and per-row argument
+    evaluators (``None`` feeds the star row: ``COUNT(*)``, no-arg calls)."""
 
-    __slots__ = ("key", "name", "is_star", "distinct", "arg_fns", "arg_count")
-
-    def __init__(
-        self,
-        key: str,
-        name: str,
-        is_star: bool,
-        distinct: bool,
-        arg_fns: Optional[List[CompiledExpr]],
-    ) -> None:
-        self.key = key
-        self.name = name
-        self.is_star = is_star
-        self.distinct = distinct
-        self.arg_fns = arg_fns
-        self.arg_count = len(arg_fns) if arg_fns else 1
+    key: str
+    name: str
+    is_star: bool
+    distinct: bool
+    arg_fns: Optional[List[Callable[[EvaluationContext], Any]]]
 
     def make(self) -> Any:
         return make_accumulator(
             self.name,
             is_star=self.is_star,
             distinct=self.distinct,
-            arg_count=self.arg_count,
+            arg_count=len(self.arg_fns) if self.arg_fns else 1,
         )
 
 
+@dataclass(slots=True)
 class _FlatPlan:
     """Compile-once artefacts for a flat (non-grouped) SELECT."""
 
-    __slots__ = ("query", "items", "output_names", "window_calls", "item_fns", "columns_only")
-
-    def __init__(self, query, items, output_names, window_calls, item_fns, columns_only) -> None:
-        self.query = query
-        self.items = items
-        self.output_names = output_names
-        self.window_calls = window_calls
-        self.item_fns = item_fns
-        #: ``[(output_name, Column)]`` when every item is a plain column
-        #: reference and no window is involved — enables direct key copies.
-        self.columns_only = columns_only
+    query: ast.SelectQuery
+    items: List[ast.SelectItem]
+    output_names: List[str]
+    window_calls: List[ast.FunctionCall]
+    item_fns: List[CompiledExpr]
+    #: ``[(output_name, Column)]`` when every item is a plain column
+    #: reference and no window is involved — enables direct key copies.
+    columns_only: Optional[List[Tuple[str, ast.Column]]]
 
 
+@dataclass(slots=True)
 class _GroupPlan:
-    """Compile-once artefacts for a grouped SELECT."""
+    """Compile-once artefacts for a grouped SELECT's scan."""
 
-    __slots__ = (
-        "query",
-        "output_names",
-        "key_fns",
-        "key_columns",
-        "specs",
-        "having_fn",
-        "item_fns",
-    )
-
-    def __init__(
-        self, query, output_names, key_fns, key_columns, specs, having_fn, item_fns
-    ) -> None:
-        self.query = query
-        self.output_names = output_names
-        self.key_fns = key_fns
-        #: GROUP BY expressions as plain Columns (None when any is complex).
-        self.key_columns = key_columns
-        self.specs = specs
-        self.having_fn = having_fn
-        self.item_fns = item_fns
+    query: ast.SelectQuery
+    key_fns: List[CompiledExpr]
+    #: GROUP BY expressions as plain Columns (None when any is complex).
+    key_columns: Optional[List[Tuple[str, ast.Column]]]
+    specs: List[_AggregateSpec]
 
 
-class _PartialSpec:
-    """One decomposable aggregate call of a partially-aggregated query."""
-
-    __slots__ = ("key", "name", "is_star", "distinct", "arg_eval")
-
-    def __init__(
-        self,
-        key: str,
-        name: str,
-        is_star: bool,
-        distinct: bool,
-        arg_eval: Optional[Callable[[EvaluationContext], Any]],
-    ) -> None:
-        self.key = key
-        self.name = name
-        self.is_star = is_star
-        self.distinct = distinct
-        #: Evaluates the single argument for one row; ``None`` feeds the
-        #: star row (``COUNT(*)`` / argument-free calls).
-        self.arg_eval = arg_eval
-
-    def make(self) -> Any:
-        return make_accumulator(
-            self.name, is_star=self.is_star, distinct=self.distinct, arg_count=1
-        )
+#: A grouped tail's operand: ``("scope", position)``, ``("agg", render
+#: key)``, ``("fn", compiled expr)`` evaluated per row, or, for an ORDER BY
+#: key, ``("out", item position)`` (an output name shadows a scope name).
+Operand = Tuple[str, Any]
 
 
+@dataclass(slots=True)
+class _TailPlan:
+    """A grouped query's tail resolved against one scope layout (compiled).
+
+    ``having`` holds WHERE kernels over ``view`` (kernel column ->
+    operand) when every HAVING conjunct has one; otherwise ``having_fn``
+    runs per row.  ``bails`` are the per-row fallbacks, counted per run.
+    """
+
+    query: ast.SelectQuery
+    output_names: List[str]
+    lowered_names: List[str]
+    items: List[Operand]
+    orders: List[Tuple[Operand, bool]]
+    having: Optional[List[Any]]
+    view: Optional[Dict[str, Operand]]
+    having_fn: Optional[Callable[[EvaluationContext], bool]]
+    bails: List[BailReason]
+
+
+@dataclass(slots=True)
 class _PartialPlan:
     """Compile-once artefacts for the partial-aggregation protocol.
 
@@ -203,19 +182,17 @@ class _PartialPlan:
     one opaque state column per distinct aggregate call.
     """
 
-    __slots__ = ("query", "key_names", "state_names", "specs", "key_evals")
-
-    def __init__(self, query, key_names, state_names, specs, key_evals) -> None:
-        self.query = query
-        #: Group-key column names, in GROUP BY order (original case).
-        self.key_names = key_names
-        #: State column names (``__agg0``, ``__agg1``, ...).
-        self.state_names = state_names
-        self.specs = specs
-        #: Evaluates each group-key column for one row scope.
-        self.key_evals = key_evals
+    query: ast.SelectQuery
+    #: Group-key column names, in GROUP BY order (original case).
+    key_names: List[str]
+    #: State column names (``__agg0``, ``__agg1``, ...).
+    state_names: List[str]
+    specs: List[_AggregateSpec]
+    #: Evaluates each group-key column for one row scope.
+    key_evals: List[Callable[[EvaluationContext], Any]]
 
 
+@dataclass(slots=True)
 class _WherePlan:
     """WHERE conjuncts split into ordered semi-join and predicate segments.
 
@@ -224,34 +201,9 @@ class _WherePlan:
     short-circuiting AND would.
     """
 
-    __slots__ = ("where", "segments")
-
-    def __init__(self, where, segments) -> None:
-        self.where = where
-        #: ``("semi", InSubquery)`` or ``("pred", Expression)`` entries.
-        self.segments = segments
-
-
-class FinalizedGroups:
-    """Merged groups with every aggregate finalized, ready for a tail.
-
-    ``keys[i]`` is group ``i``'s key tuple (first-occurrence order) over the
-    lower-cased ``key_names``; ``aggregates[i]`` maps each aggregate call's
-    render key to its finalized value.  Treat as read-only: one instance
-    feeds every tail that runs over it.
-    """
-
-    __slots__ = ("key_names", "keys", "aggregates")
-
-    def __init__(
-        self,
-        key_names: List[str],
-        keys: List[Tuple[Any, ...]],
-        aggregates: List[Dict[str, Any]],
-    ) -> None:
-        self.key_names = key_names
-        self.keys = keys
-        self.aggregates = aggregates
+    where: ast.Expression
+    #: ``("semi", InSubquery)`` or ``("pred", Expression)`` entries.
+    segments: List[Tuple[str, ast.Expression]]
 
 
 class QueryExecutor:
@@ -272,6 +224,7 @@ class QueryExecutor:
         # subqueries) hit these instead of re-deriving plans.
         self._flat_plans: Dict[int, _FlatPlan] = {}
         self._group_plans: Dict[int, _GroupPlan] = {}
+        self._tail_plans: Dict[Tuple[int, Tuple[str, ...]], _TailPlan] = {}
         self._where_plans: Dict[int, _WherePlan] = {}
         self._partial_plans: Dict[int, _PartialPlan] = {}
         self._qualified_memo: Dict[int, Tuple[ast.Node, bool]] = {}
@@ -284,7 +237,7 @@ class QueryExecutor:
     #: executor serving many distinct queries cannot grow without bound.
     _MAX_PLAN_ENTRIES = 512
 
-    def _store_plan(self, memo: Dict[int, Any], key: int, plan: Any) -> None:
+    def _store_plan(self, memo: Dict[Any, Any], key: Any, plan: Any) -> None:
         if len(memo) >= self._MAX_PLAN_ENTRIES:
             memo.clear()
         memo[key] = plan
@@ -389,53 +342,46 @@ class QueryExecutor:
                     if evaluate_predicate(query.where, self._context(scope, parent))
                 ]
 
-        has_group_by = bool(query.group_by)
-        has_aggregates = self._select_has_aggregates(query)
-
-        #: Grouped: each output row's aggregate values and its group's
-        #: scope (the group's first source row), for ORDER BY.
-        group_aggregates: Optional[List[Dict[str, Any]]] = None
-        order_scopes = scopes
-        if has_group_by or has_aggregates:
+        if query.group_by or self._select_has_aggregates(query):
             if self._use_compiled:
-                output_rows, output_names, group_aggregates, order_scopes = (
-                    self._execute_grouped_compiled(query, scopes, parent)
-                )
-            else:
-                output_rows, output_names, group_aggregates, order_scopes = (
-                    self._execute_grouped(query, scopes, parent)
-                )
+                return self._execute_grouped_compiled(query, scopes, parent)
+            return self._execute_grouped(query, scopes, parent)
+        if self._use_compiled:
+            output_rows, output_names = self._execute_flat_compiled(
+                query, scopes, source_columns, parent
+            )
         else:
-            if self._use_compiled:
-                output_rows, output_names = self._execute_flat_compiled(
-                    query, scopes, source_columns, parent
-                )
-            else:
-                output_rows, output_names = self._execute_flat(query, scopes, source_columns, parent)
+            output_rows, output_names = self._execute_flat(query, scopes, source_columns, parent)
+        return self._finish_rows(query, output_rows, output_names, scopes, parent)
 
-        # DISTINCT
+    def _finish_rows(
+        self,
+        query: ast.SelectQuery,
+        output_rows: List[Dict[str, Any]],
+        output_names: List[str],
+        scopes: Sequence[Scope],
+        parent: Optional[EvaluationContext],
+        group_aggregates: Optional[List[Dict[str, Any]]] = None,
+    ) -> Relation:
+        """The row-at-a-time tail: DISTINCT, ORDER BY (over ``scopes`` and,
+        grouped, ``group_aggregates``, aligned with ``output_rows``) and
+        OFFSET/LIMIT."""
         if query.distinct:
-            keep = _distinct_positions(output_rows, output_names)
+            columns = [[row.get(name) for row in output_rows] for name in output_names]
+            keep = tail_positions(list(range(len(output_rows))), columns, (), None, None)
             output_rows = [output_rows[position] for position in keep]
             if group_aggregates is not None:
                 group_aggregates = [group_aggregates[position] for position in keep]
-                order_scopes = [order_scopes[position] for position in keep]
-
-        # ORDER BY (may reference output aliases, aggregate calls or source
-        # columns)
+                scopes = [scopes[position] for position in keep]
         if query.order_by:
-            output_rows = self._apply_order_by(
-                query, output_rows, order_scopes, parent, group_aggregates
-            )
-
-        # LIMIT / OFFSET
+            output_rows = self._apply_order_by(query, output_rows, scopes, parent, group_aggregates)
         if query.offset is not None:
             output_rows = output_rows[query.offset :]
         if query.limit is not None:
             output_rows = output_rows[: query.limit]
-
-        schema = _build_schema(output_names, output_rows)
-        return Relation(schema=schema, rows=output_rows, name="")
+        return columns_relation(
+            output_names, [[row.get(name) for row in output_rows] for name in output_names]
+        )
 
     # ------------------------------------------------------------------
     # WHERE (compiled)
@@ -995,51 +941,54 @@ class QueryExecutor:
         query: ast.SelectQuery,
         scopes: List[Scope],
         parent: Optional[EvaluationContext],
-    ) -> Tuple[List[Dict[str, Any]], List[str], List[Dict[str, Any]], List[Scope]]:
-        items = query.items
-        if any(isinstance(item.expression, ast.Star) for item in items):
-            raise ExecutionError("SELECT * cannot be combined with GROUP BY / aggregates")
+    ) -> Relation:
+        _check_grouped_items(query)
 
         groups: Dict[Tuple[Any, ...], List[Scope]] = {}
-        order: List[Tuple[Any, ...]] = []
         for scope in scopes:
             context = self._context(scope, parent)
             key = tuple(
                 _freeze(evaluate(expression, context)) for expression in query.group_by
             )
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(scope)
+            groups.setdefault(key, []).append(scope)
 
         # A query with aggregates but no GROUP BY forms one global group, even
         # when the input is empty (COUNT(*) over an empty table is 0).
         if not query.group_by and not groups:
             groups[()] = []
-            order.append(())
 
-        aggregate_calls = self._collect_aggregate_calls(query)
+        calls = self._collect_aggregate_calls(query)
+        rows = (
+            (members[0] if members else {}, self._compute_group_aggregates(calls, members, parent))
+            for members in groups.values()
+        )
+        return self._emit_grouped(query, rows, parent)
+
+    def _emit_grouped(
+        self,
+        query: ast.SelectQuery,
+        groups: Iterable[Tuple[Scope, Dict[str, Any]]],
+        parent: Optional[EvaluationContext],
+    ) -> Relation:
+        """The interpreted grouped tail: HAVING and items per ``(scope,
+        aggregates)`` group, in order, then :meth:`_finish_rows`."""
+        items = query.items
         output_names = self._output_names(items)
         output_rows: List[Dict[str, Any]] = []
         group_aggregates: List[Dict[str, Any]] = []
         group_scopes: List[Scope] = []
-
-        for key in order:
-            members = groups[key]
-            aggregates = self._compute_group_aggregates(aggregate_calls, members, parent)
-            representative = members[0] if members else {}
-            context = self._context(representative, parent, aggregates)
-
+        for scope, aggregates in groups:
+            context = self._context(scope, parent, aggregates)
             if query.having is not None and not evaluate_predicate(query.having, context):
                 continue
-
-            row = {}
-            for item, name in zip(items, output_names):
-                row[name] = evaluate(item.expression, context)
-            output_rows.append(row)
+            output_rows.append(
+                {name: evaluate(item.expression, context) for item, name in zip(items, output_names)}
+            )
             group_aggregates.append(aggregates)
-            group_scopes.append(representative)
-        return output_rows, output_names, group_aggregates, group_scopes
+            group_scopes.append(scope)
+        return self._finish_rows(
+            query, output_rows, output_names, group_scopes, parent, group_aggregates
+        )
 
     def _group_plan(self, query: ast.SelectQuery) -> _GroupPlan:
         plan = self._group_plans.get(id(query))
@@ -1047,35 +996,15 @@ class QueryExecutor:
             return plan
         compiler = self._compiler
         assert compiler is not None
-        items = query.items
-        if any(isinstance(item.expression, ast.Star) for item in items):
-            raise ExecutionError("SELECT * cannot be combined with GROUP BY / aggregates")
+        _check_grouped_items(query)
         key_fns = [compiler.compile(expression) for expression in query.group_by]
-        specs: List[_AggregateSpec] = []
-        seen: set[str] = set()
-        for call in self._collect_aggregate_calls(query):
-            key = render_expression(call)
-            if key in seen:
-                continue
-            seen.add(key)
-            is_star = len(call.arguments) == 1 and isinstance(call.arguments[0], ast.Star)
-            if is_star or not call.arguments:
-                arg_fns = None
-            else:
-                arg_fns = [compiler.compile(argument) for argument in call.arguments]
-            specs.append(_AggregateSpec(key, call.name, is_star, call.distinct, arg_fns))
-        having_fn = (
-            compiler.compile_predicate(query.having) if query.having is not None else None
-        )
-        item_fns = [compiler.compile(item.expression) for item in items]
+        specs = self._aggregate_specs(query)
         key_columns = None
         if query.group_by and all(
             isinstance(expression, ast.Column) for expression in query.group_by
         ):
             key_columns = [("", expression) for expression in query.group_by]
-        plan = _GroupPlan(
-            query, self._output_names(items), key_fns, key_columns, specs, having_fn, item_fns
-        )
+        plan = _GroupPlan(query, key_fns, key_columns, specs)
         self._store_plan(self._group_plans, id(query), plan)
         return plan
 
@@ -1084,25 +1013,44 @@ class QueryExecutor:
         query: ast.SelectQuery,
         scopes: List[Scope],
         parent: Optional[EvaluationContext],
-    ) -> Tuple[List[Dict[str, Any]], List[str], List[Dict[str, Any]], List[Scope]]:
+    ) -> Relation:
         plan = self._group_plan(query)
-        specs = plan.specs
-        key_fns = plan.key_fns
-        context = self._fresh_context(parent)
+        groups = self._group_scopes(scopes, plan.key_fns, plan.key_columns, plan.specs, parent)
+        if not query.group_by and not groups:
+            groups[()] = ({}, [spec.make() for spec in plan.specs])
+        # One FROM evaluation's scopes share a key set (the global group
+        # over empty input has none).
+        representatives = [scope for scope, _ in groups.values()]
+        names = list(representatives[0]) if representatives else []
+        finalized = FinalizedGroups(
+            names,
+            [[scope[name] for scope in representatives] for name in names],
+            plan.specs,
+            [accumulators for _, accumulators in groups.values()],
+            "result",
+        )
+        return self._grouped_tail(query, finalized, parent)
 
+    def _group_scopes(
+        self,
+        scopes: List[Scope],
+        key_fns: List[Callable[[EvaluationContext], Any]],
+        key_columns: Optional[List[Tuple[str, ast.Column]]],
+        specs: List[_AggregateSpec],
+        parent: Optional[EvaluationContext],
+    ) -> Dict[Tuple[Any, ...], Tuple[Scope, List[Any]]]:
+        """One pass over ``scopes``: each group's first scope and fed
+        accumulators, keyed by group key in first-occurrence order."""
+        context = self._fresh_context(parent)
         # Plain-column GROUP BY keys can skip expression evaluation entirely.
         fast_keys: Optional[List[str]] = None
-        if plan.key_columns is not None and scopes:
-            resolved = self._resolve_fast_keys(plan.key_columns, scopes[0], parent)
+        if key_columns is not None and scopes:
+            resolved = self._resolve_fast_keys(key_columns, scopes[0], parent)
             if resolved is not None:
                 fast_keys = [key for _, key in resolved]
-
-        # Single pass: group keys and aggregate accumulators in one scan.
         groups: Dict[Tuple[Any, ...], Tuple[Scope, List[Any]]] = {}
-        order: List[Tuple[Any, ...]] = []
         for scope in scopes:
             context.scope = scope
-            context.aggregates = _EMPTY_AGGREGATES
             if fast_keys is not None:
                 key = tuple(scope[k] for k in fast_keys)
                 try:
@@ -1116,11 +1064,8 @@ class QueryExecutor:
                 key = tuple(_freeze(fn(context)) for fn in key_fns)
                 group = groups.get(key)
             if group is None:
-                group = (scope, [spec.make() for spec in specs])
-                groups[key] = group
-                order.append(key)
-            accumulators = group[1]
-            for spec, accumulator in zip(specs, accumulators):
+                group = groups[key] = (scope, [spec.make() for spec in specs])
+            for spec, accumulator in zip(specs, group[1]):
                 arg_fns = spec.arg_fns
                 if arg_fns is None:
                     accumulator.add(_STAR_ROW)
@@ -1128,31 +1073,7 @@ class QueryExecutor:
                     accumulator.add((arg_fns[0](context),))
                 else:
                     accumulator.add(tuple(fn(context) for fn in arg_fns))
-
-        if not query.group_by and not groups:
-            groups[()] = ({}, [spec.make() for spec in specs])
-            order.append(())
-
-        output_names = plan.output_names
-        item_fns = plan.item_fns
-        output_rows: List[Dict[str, Any]] = []
-        group_aggregates: List[Dict[str, Any]] = []
-        group_scopes: List[Scope] = []
-        for key in order:
-            representative, accumulators = groups[key]
-            context.scope = representative
-            context.aggregates = aggregates = {
-                spec.key: accumulator.result()
-                for spec, accumulator in zip(specs, accumulators)
-            }
-            if plan.having_fn is not None and not plan.having_fn(context):
-                continue
-            output_rows.append(
-                {name: fn(context) for name, fn in zip(output_names, item_fns)}
-            )
-            group_aggregates.append(aggregates)
-            group_scopes.append(representative)
-        return output_rows, output_names, group_aggregates, group_scopes
+        return groups
 
     def _collect_aggregate_calls(self, query: ast.SelectQuery) -> List[ast.FunctionCall]:
         calls: List[ast.FunctionCall] = []
@@ -1166,6 +1087,24 @@ class QueryExecutor:
                 if call.window is None and ast.is_aggregate_function(call.name):
                     calls.append(call)
         return calls
+
+    def _aggregate_specs(self, query: ast.SelectQuery) -> List[_AggregateSpec]:
+        """One spec per distinct aggregate call, in first-occurrence order."""
+        specs: List[_AggregateSpec] = []
+        seen: set[str] = set()
+        for call in self._collect_aggregate_calls(query):
+            key = render_expression(call)
+            if key in seen:
+                continue
+            seen.add(key)
+            is_star = len(call.arguments) == 1 and isinstance(call.arguments[0], ast.Star)
+            arg_fns = (
+                None
+                if is_star or not call.arguments
+                else [self._expr_eval(argument) for argument in call.arguments]
+            )
+            specs.append(_AggregateSpec(key, call.name, is_star, call.distinct, arg_fns))
+        return specs
 
     def _compute_group_aggregates(
         self,
@@ -1230,27 +1169,15 @@ class QueryExecutor:
             key_evals.append(self._expr_eval(expression))
         if len({name.lower() for name in key_names}) != len(key_names):
             raise ExecutionError("Partial aggregation requires distinct GROUP BY keys")
-        specs: List[_PartialSpec] = []
-        seen: set[str] = set()
-        for call in self._collect_aggregate_calls(query):
-            key = render_expression(call)
-            if key in seen:
-                continue
-            seen.add(key)
-            is_star = len(call.arguments) == 1 and isinstance(call.arguments[0], ast.Star)
+        specs = self._aggregate_specs(query)
+        for spec in specs:
             if not is_decomposable_aggregate(
-                call.name,
-                is_star=is_star,
-                distinct=call.distinct,
-                arg_count=len(call.arguments) or 1,
+                spec.name,
+                is_star=spec.is_star,
+                distinct=spec.distinct,
+                arg_count=len(spec.arg_fns) if spec.arg_fns else 1,
             ):
-                raise ExecutionError(f"Aggregate {call.name} is not decomposable")
-            arg_eval = (
-                None
-                if is_star or not call.arguments
-                else self._expr_eval(call.arguments[0])
-            )
-            specs.append(_PartialSpec(key, call.name, is_star, call.distinct, arg_eval))
+                raise ExecutionError(f"Aggregate {spec.name} is not decomposable")
         state_names = [f"__agg{index}" for index in range(len(specs))]
         plan = _PartialPlan(query, key_names, state_names, specs, key_evals)
         self._store_plan(self._partial_plans, id(query), plan)
@@ -1286,31 +1213,19 @@ class QueryExecutor:
                     for scope in scopes
                     if evaluate_predicate(query.where, self._context(scope, None))
                 ]
-        context = self._fresh_context(None)
-        groups: Dict[Tuple[Any, ...], List[Any]] = {}
-        order: List[Tuple[Any, ...]] = []
-        specs = plan.specs
-        for scope in scopes:
-            context.scope = scope
-            key = tuple(_freeze(fn(context)) for fn in plan.key_evals)
-            accumulators = groups.get(key)
-            if accumulators is None:
-                accumulators = [spec.make() for spec in specs]
-                groups[key] = accumulators
-                order.append(key)
-            for spec, accumulator in zip(specs, accumulators):
-                if spec.arg_eval is None:
-                    accumulator.add(_STAR_ROW)
-                else:
-                    accumulator.add((spec.arg_eval(context),))
+        groups = {
+            key: accumulators
+            for key, (_, accumulators) in self._group_scopes(
+                scopes, plan.key_evals, None, plan.specs, None
+            ).items()
+        }
         if not query.group_by and not groups:
-            groups[()] = [spec.make() for spec in specs]
-            order.append(())
-        return self._partial_state_relation(plan, groups, order)
+            groups[()] = [spec.make() for spec in plan.specs]
+        return self._partial_state_relation(plan, groups)
 
     def _merge_partial_groups(
         self, plan: _PartialPlan, relation: Relation
-    ) -> Tuple[Dict[Tuple[Any, ...], List[Any]], List[Tuple[Any, ...]]]:
+    ) -> Dict[Tuple[Any, ...], List[Any]]:
         """Group state rows by key (first-occurrence order), merging states.
 
         Input rows are concatenated partials in partition order, and every
@@ -1320,7 +1235,6 @@ class QueryExecutor:
         are read straight off the column arrays, zipped per row.
         """
         groups: Dict[Tuple[Any, ...], List[Any]] = {}
-        order: List[Tuple[Any, ...]] = []
         specs = plan.specs
         key_columns = [_state_column(relation, name) for name in plan.key_names]
         state_columns = [_state_column(relation, name) for name in plan.state_names]
@@ -1332,38 +1246,31 @@ class QueryExecutor:
         for key, states in zip(keys, state_rows):
             accumulators = groups.get(key)
             if accumulators is None:
-                accumulators = [spec.make() for spec in specs]
-                groups[key] = accumulators
-                order.append(key)
+                accumulators = groups[key] = [spec.make() for spec in specs]
             for accumulator, state in zip(accumulators, states):
                 accumulator.merge(state)
         if not plan.query.group_by and not groups:
             groups[()] = [spec.make() for spec in specs]
-            order.append(())
-        return groups, order
+        return groups
 
     def _partial_state_relation(
-        self,
-        plan: _PartialPlan,
-        groups: Dict[Tuple[Any, ...], List[Any]],
-        order: List[Tuple[Any, ...]],
+        self, plan: _PartialPlan, groups: Dict[Tuple[Any, ...], List[Any]]
     ) -> Relation:
-        rows: List[Dict[str, Any]] = []
-        for key in order:
-            row = dict(zip(plan.key_names, key))
-            for state_name, accumulator in zip(plan.state_names, groups[key]):
-                row[state_name] = accumulator.partial()
-            rows.append(row)
-        schema = _build_schema(plan.key_names + plan.state_names, rows)
-        return Relation(schema=schema, rows=rows, name="")
+        """One row per group (in ``groups`` order): keys, then states."""
+        keys = list(groups)
+        rows = list(groups.values())
+        return columns_relation(
+            plan.key_names + plan.state_names,
+            [[key[i] for key in keys] for i in range(len(plan.key_names))]
+            + [[row[i].partial() for row in rows] for i in range(len(plan.state_names))],
+        )
 
     def combine_partial_aggregation(
         self, query: ast.SelectQuery, relation: Relation
     ) -> Relation:
         """Merge a relation of partial-state rows into one row per group."""
         plan = self._partial_plan(query)
-        groups, order = self._merge_partial_groups(plan, relation)
-        return self._partial_state_relation(plan, groups, order)
+        return self._partial_state_relation(plan, self._merge_partial_groups(plan, relation))
 
     def finalize_partial_aggregation(
         self, query: ast.SelectQuery, relation: Relation
@@ -1389,74 +1296,175 @@ class QueryExecutor:
         ``query``'s can run its tail over the result.
         """
         plan = self._partial_plan(query)
-        groups, order = self._merge_partial_groups(plan, relation)
-        spec_keys = [spec.key for spec in plan.specs]
+        groups = self._merge_partial_groups(plan, relation)
         return FinalizedGroups(
             [name.lower() for name in plan.key_names],
-            order,
-            [
-                {
-                    key: accumulator.finalize()
-                    for key, accumulator in zip(spec_keys, groups[group])
-                }
-                for group in order
-            ],
+            list(zip(*groups)) if plan.key_names else [],
+            plan.specs,
+            groups.values(),
+            "finalize",
         )
 
     def finalize_tail(
-        self, query: ast.SelectQuery, groups: FinalizedGroups
+        self,
+        query: ast.SelectQuery,
+        groups: FinalizedGroups,
+        parent: Optional[EvaluationContext] = None,
     ) -> Relation:
-        """HAVING, select items and ORDER BY over finalized groups.
+        """HAVING, select items, DISTINCT, ORDER BY and OFFSET/LIMIT over
+        finalized groups.
 
-        Group keys resolve by (lower-cased) name and aggregates by render
+        Scope columns resolve by (lower-cased) name and aggregates by render
         key, so the groups may come from a query with permuted keys or a
         superset of ``query``'s aggregate calls.
         """
         if self._compiler is not None:
             self._compiler.new_execution()
-        key_names = groups.key_names
-        output_rows: List[Dict[str, Any]] = []
-        group_aggregates: List[Dict[str, Any]] = []
-        group_scopes: List[Scope] = []
-        if self._use_compiled:
-            group_plan = self._group_plan(query)
-            output_names = group_plan.output_names
-            having_fn = group_plan.having_fn
-            item_fns = group_plan.item_fns
-            context = self._fresh_context(None)
-            for key, aggregates in zip(groups.keys, groups.aggregates):
-                context.scope = dict(zip(key_names, key))
-                context.aggregates = aggregates
+        return self._grouped_tail(query, groups, parent)
+
+    def _grouped_tail(
+        self,
+        query: ast.SelectQuery,
+        groups: FinalizedGroups,
+        parent: Optional[EvaluationContext],
+    ) -> Relation:
+        """The one grouped tail: every grouped result ends here.
+
+        Interpreted, it is the row-at-a-time oracle.  Compiled, it works on
+        columns: HAVING through the WHERE kernels, plain items as gathers,
+        DISTINCT/ORDER BY/OFFSET/LIMIT as one permutation.  Operands with
+        no column evaluate per row over scope dicts in the row path's order
+        (HAVING, then items, group by group), so the first error is the
+        row path's.
+        """
+        if not self._use_compiled:
+            return self._emit_grouped(query, groups.rows(), parent)
+        plan = self._tail_plan(query, groups)
+        for reason in plan.bails:
+            _scan_stats.bail(reason)
+        having_fn = plan.having_fn
+        survivors = None
+        if plan.having is not None:
+            view = {name: groups.column(operand) for name, operand in plan.view.items()}
+            survivors = having_selection(plan.having, view, groups.size)
+        if survivors is None:
+            survivors = list(range(groups.size))
+        else:
+            having_fn = None
+        per_row = [(index, ref) for index, (kind, ref) in enumerate(plan.items) if kind == "fn"]
+        values: Dict[int, List[Any]] = {index: [] for index, _ in per_row}
+        context = self._fresh_context(parent)
+        if having_fn is not None or per_row:
+            kept = []
+            for group in survivors:
+                context.scope = groups.scope_at(group)
+                context.aggregates = groups.aggregates_at(group)
                 if having_fn is not None and not having_fn(context):
                     continue
-                output_rows.append(
-                    {name: fn(context) for name, fn in zip(output_names, item_fns)}
-                )
-                group_aggregates.append(aggregates)
-                group_scopes.append(context.scope)
-        else:
-            output_names = self._output_names(query.items)
-            for key, aggregates in zip(groups.keys, groups.aggregates):
-                scope = dict(zip(key_names, key))
-                row_context = self._context(scope, None, aggregates)
-                if query.having is not None and not evaluate_predicate(
-                    query.having, row_context
-                ):
-                    continue
-                output_rows.append(
-                    {
-                        name: evaluate(item.expression, row_context)
-                        for item, name in zip(query.items, output_names)
-                    }
-                )
-                group_aggregates.append(aggregates)
-                group_scopes.append(scope)
-        if query.order_by:
-            output_rows = self._apply_order_by(
-                query, output_rows, group_scopes, None, group_aggregates
+                for index, fn in per_row:
+                    values[index].append(fn(context))
+                kept.append(group)
+            survivors = kept
+        if groups.error is not None:
+            raise groups.error
+
+        columns = [
+            values[index] if operand[0] == "fn" else take_column(groups.column(operand), survivors)
+            for index, operand in enumerate(plan.items)
+        ]
+        positions = list(range(len(survivors)))
+        if query.distinct:
+            positions = tail_positions(positions, columns, (), None, None)
+        order_arrays = []
+        for operand, ascending in plan.orders:
+            kind, ref = operand
+            if kind == "out":
+                array = columns[ref]
+            elif kind != "fn":
+                array = gather(groups.column(operand), survivors)
+            else:
+                # Per row, over the output row merged into its group's scope
+                # (output names win); a key that raises sorts as NULL.
+                array = [None] * len(survivors)
+                for position in positions:
+                    context.scope = groups.scope_at(survivors[position])
+                    context.scope.update(
+                        zip(plan.lowered_names, [column[position] for column in columns])
+                    )
+                    context.aggregates = groups.aggregates_at(survivors[position])
+                    try:
+                        array[position] = ref(context)
+                    except ExecutionError:
+                        pass
+            order_arrays.append((array, ascending))
+        positions = tail_positions(positions, None, order_arrays, query.offset, query.limit)
+        _scan_stats.tail += 1
+        return columns_relation(
+            plan.output_names, [take_column(column, positions) for column in columns]
+        )
+
+    def _tail_plan(self, query: ast.SelectQuery, groups: FinalizedGroups) -> _TailPlan:
+        # Subscribers with permuted keys share one tree, so the scope layout
+        # is part of the key.
+        memo_key = (id(query), groups.scope_names)
+        plan = self._tail_plans.get(memo_key)
+        if plan is not None and plan.query is query:
+            return plan
+        compiler = self._compiler
+        assert compiler is not None
+        _check_grouped_items(query)
+        positions = {name: index for index, name in enumerate(groups.scope_names)}
+
+        def resolve(expression: ast.Expression) -> Optional[Tuple[str, Any]]:
+            if isinstance(expression, ast.Column):
+                position = positions.get(_scope_key(expression))
+                if position is not None:
+                    return "scope", position
+            elif (
+                isinstance(expression, ast.FunctionCall)
+                and expression.window is None
+                and ast.is_aggregate_function(expression.name)
+            ):
+                key = render_expression(expression)
+                if key in groups.aggregates:
+                    return "agg", key
+            return None
+
+        def operand(expression: ast.Expression) -> Tuple[str, Any]:
+            return resolve(expression) or ("fn", compiler.compile(expression))
+
+        output_names = self._output_names(query.items)
+        lowered_names = [name.lower() for name in output_names]
+        orders = []
+        for item in query.order_by:
+            expression = item.expression
+            shadowed = isinstance(expression, ast.Column) and _scope_key(expression)
+            if shadowed in lowered_names:
+                orders.append((("out", lowered_names.index(shadowed)), item.ascending))
+            else:
+                orders.append((operand(expression), item.ascending))
+        items = [operand(item.expression) for item in query.items]
+        bails = [
+            reason
+            for reason, operands in (
+                (BailReason.TAIL_EXPRESSION_ITEM, items),
+                (BailReason.TAIL_EXPRESSION_ORDER_KEY, [order for order, _ in orders]),
             )
-        schema = _build_schema(output_names, output_rows)
-        return Relation(schema=schema, rows=output_rows, name="")
+            if any(kind == "fn" for kind, _ in operands)
+        ]
+        having = view = having_fn = None
+        if query.having is not None:
+            having_fn = compiler.compile_predicate(query.having)
+            planned = having_kernels(query.having, resolve, self.config.optimizer)
+            if planned is None:
+                bails.append(BailReason.TAIL_COMPLEX_HAVING)
+            else:
+                having, view = planned
+        plan = _TailPlan(
+            query, output_names, lowered_names, items, orders, having, view, having_fn, bails
+        )
+        self._store_plan(self._tail_plans, memo_key, plan)
+        return plan
 
     # ------------------------------------------------------------------
     # shared helpers
@@ -1649,48 +1657,20 @@ class QueryExecutor:
         # selected.  A grouped row also sees its group aggregates
         # (``group_aggregates``, aligned with ``output_rows``: ``ORDER BY
         # COUNT(*)`` needs no select item).
-        def row_aggregates(index: int) -> Dict[str, Any]:
-            if group_aggregates is None:
-                return _EMPTY_AGGREGATES
-            return group_aggregates[index]
-
-        def row_scope(index: int, row: Dict[str, Any]) -> Scope:
-            scope = {key.lower(): value for key, value in row.items()}
-            if index < len(scopes):
-                merged = dict(scopes[index])
-                merged.update(scope)
-                return merged
-            return scope
-
-        if self._use_compiled:
-            compiler = self._compiler
-            assert compiler is not None
-            order_fns = [compiler.compile(item.expression) for item in query.order_by]
-            context = self._fresh_context(parent)
-
-            def sort_key_compiled(pair: Tuple[int, Dict[str, Any]]) -> Tuple:
-                index, row = pair
-                context.scope = row_scope(index, row)
-                context.aggregates = row_aggregates(index)
-                keys = []
-                for fn, item in zip(order_fns, query.order_by):
-                    try:
-                        value = fn(context)
-                    except ExecutionError:
-                        value = None
-                    keys.append(_OrderKey(value, item.ascending))
-                return tuple(keys)
-
-            ordered = sorted(enumerate(output_rows), key=sort_key_compiled)
-            return [row for _, row in ordered]
+        order_fns = [self._expr_eval(item.expression) for item in query.order_by]
 
         def sort_key(pair: Tuple[int, Dict[str, Any]]) -> Tuple:
             index, row = pair
-            context = self._context(row_scope(index, row), parent, row_aggregates(index))
+            scope = {key.lower(): value for key, value in row.items()}
+            if index < len(scopes):
+                scope = {**scopes[index], **scope}
+            context = self._context(
+                scope, parent, None if group_aggregates is None else group_aggregates[index]
+            )
             keys = []
-            for item in query.order_by:
+            for fn, item in zip(order_fns, query.order_by):
                 try:
-                    value = evaluate(item.expression, context)
+                    value = fn(context)
                 except ExecutionError:
                     value = None
                 keys.append(_OrderKey(value, item.ascending))
@@ -1708,6 +1688,17 @@ class QueryExecutor:
 # _OrderKey lives in repro.engine.vectorized (imported above) so the
 # columnar ORDER BY fast path and the row-at-a-time sort share one
 # comparator and can never drift apart.
+
+
+def _scope_key(column: ast.Column) -> str:
+    """The scope key a column reference reads first."""
+    name = column.name.lower()
+    return f"{column.table.lower()}.{name}" if column.table else name
+
+
+def _check_grouped_items(query: ast.SelectQuery) -> None:
+    if any(isinstance(item.expression, ast.Star) for item in query.items):
+        raise ExecutionError("SELECT * cannot be combined with GROUP BY / aggregates")
 
 
 def _state_column(relation: Relation, name: str) -> Sequence[Any]:
@@ -1761,6 +1752,6 @@ def _unique(rows: List[Tuple[Any, ...]]) -> List[Tuple[Any, ...]]:
     return result
 
 
-# _build_schema / _distinct_positions / _freeze live in repro.engine.vectorized
-# (imported above) so the columnar fast paths and the row-at-a-time tail
-# share one implementation and can never drift apart.
+# tail_positions / _freeze live in repro.engine.vectorized
+# (imported above) so the columnar paths and the row-at-a-time tail share
+# one implementation and can never drift apart.

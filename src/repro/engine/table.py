@@ -567,7 +567,7 @@ class Relation:
         kept: List[int] = []
         names = self.schema.names
         for index, values in enumerate(zip(*self._columns) if names else ()):
-            key = tuple(zip(names, map(_hashable, values)))
+            key = tuple(zip(names, map(freeze_value, values)))
             if key not in seen:
                 seen.add(key)
                 kept.append(index)
@@ -603,9 +603,7 @@ def _columns_from_rows(
 ) -> tuple:
     """Materialize mapping rows into per-column arrays, in schema order.
 
-    Columns whose declared type maps to a typed backing (INTEGER/FLOAT)
-    get an ``array``-backed :class:`TypedColumn` when every value fits;
-    mixed or mistyped columns keep the generic list backing.
+    Each column then takes its backing from :func:`fit_backing`.
     """
     names = schema.names
     columns: List[Any] = [[] for _ in names]
@@ -614,17 +612,30 @@ def _columns_from_rows(
         count += 1
         for position, name in enumerate(names):
             columns[position].append(row.get(name))
-    for position, column_def in enumerate(schema.columns):
-        typecode = _TYPECODES.get(column_def.data_type)
-        if typecode is None:
-            continue
-        typed = typed_column_from_values(columns[position], typecode)
-        if typed is not None:
-            columns[position] = typed
-    return columns, count
+    return [
+        fit_backing(column, column_def.data_type)
+        for column, column_def in zip(columns, schema.columns)
+    ], count
 
 
-def _hashable(value: Any) -> Any:
+def fit_backing(column: Any, data_type: DataType) -> Any:
+    """The one typing rule for a result column declared ``data_type``: the
+    matching typed backing when every value fits, else a plain list.  Rows
+    and columnar results both go through it, so a result's wire bytes never
+    depend on the path that computed it."""
+    typecode = _TYPECODES.get(data_type)
+    if isinstance(column, TypedColumn):
+        if column.typecode == typecode:
+            return column
+        column = column.to_list()
+    if typecode is None:
+        return column
+    typed = typed_column_from_values(column, typecode)
+    return column if typed is None else typed
+
+
+def freeze_value(value: Any) -> Any:
+    """Hashable stand-in for group/distinct keys (identity on scalars)."""
     if isinstance(value, (list, dict, set)):
         return str(value)
     return value

@@ -52,19 +52,22 @@ row-major error, keeping error identity byte-for-byte.
 from __future__ import annotations
 
 import operator
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from itertools import chain, compress, repeat
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.engine.columns import BOOL, INT64, TypedColumn, gather, take_column
 from repro.engine.errors import ExecutionError
 from repro.engine.evaluator import _like_to_regex
 from repro.engine.schema import ColumnDef, Schema
 from repro.engine.stats import TableStats, optimizer_stats
-from repro.engine.table import Relation
+from repro.engine.table import Relation, fit_backing, freeze_value
 from repro.engine.types import DataType, infer_type
 from repro.sql import ast
 from repro.sql.render import render_expression
+from repro.sql.visitor import transform
 
 class BailReason(str, Enum):
     """Why a query fell back to the row-at-a-time path.
@@ -93,13 +96,18 @@ class BailReason(str, Enum):
     #: mean the scan fell back to the row path — it measures lost typed
     #: throughput (surfaced in the profile report's scan-path section).
     UNTYPED_BACKING = "untyped_backing"
+    #: Per-row work inside a columnar grouped tail (which still runs).
+    TAIL_EXPRESSION_ITEM = "tail_expression_item"
+    TAIL_COMPLEX_HAVING = "tail_complex_having"
+    TAIL_HAVING_ABANDONED = "tail_having_abandoned"
+    TAIL_EXPRESSION_ORDER_KEY = "tail_expression_order_key"
 
 
 class ScanStats:
     """Counters of fast-path hits and bail reasons (advisory; plain-int
     increments so the per-query hot path stays lock-free)."""
 
-    __slots__ = ("flat", "grouped", "partial", "typed", "bails")
+    __slots__ = ("flat", "grouped", "partial", "typed", "tail", "bails")
 
     def __init__(self) -> None:
         self.reset()
@@ -110,6 +118,8 @@ class ScanStats:
         self.partial = 0
         #: Completed scans that consumed at least one typed-backed column.
         self.typed = 0
+        #: Grouped tails run over columns (every compiled grouped result).
+        self.tail = 0
         self.bails: Dict[str, int] = {}
 
     def bail(self, reason: "BailReason") -> None:
@@ -133,26 +143,6 @@ stats = ScanStats()
 # ---------------------------------------------------------------------------
 
 
-def freeze_value(value: Any) -> Any:
-    """Hashable stand-in for group/distinct keys (identity on scalars)."""
-    if isinstance(value, (list, dict, set)):
-        return str(value)
-    return value
-
-
-def distinct_positions(rows: List[Dict[str, Any]], names: List[str]) -> List[int]:
-    """Order-preserving duplicate removal over output dict rows: the
-    position of each distinct row's first occurrence, in order."""
-    seen: set = set()
-    positions = []
-    for position, row in enumerate(rows):
-        key = tuple(freeze_value(row.get(name)) for name in names)
-        if key not in seen:
-            seen.add(key)
-            positions.append(position)
-    return positions
-
-
 def _first_non_null_type(values) -> Any:
     """The shared inference rule: first non-null value decides, else FLOAT."""
     if isinstance(values, TypedColumn):
@@ -171,27 +161,87 @@ def _first_non_null_type(values) -> Any:
     return infer_type(0.0)
 
 
-def build_schema(names: List[str], rows: List[Dict[str, Any]]) -> Schema:
-    """Schema inferred from output rows: first non-null value per column."""
-    return Schema(
+@lru_cache(maxsize=4096)
+def _column_def(name: str, data_type: DataType) -> ColumnDef:
+    """Column definitions are frozen, so results share them: building one
+    costs more than a small grouped tail's whole gather."""
+    return ColumnDef(name=name, data_type=data_type)
+
+
+def columns_relation(names: List[str], columns: Sequence[Any]) -> Relation:
+    """A result relation from columns, typed exactly like one built from
+    rows: first non-null value per column decides its type, then
+    :func:`~repro.engine.table.fit_backing` picks the backing."""
+    schema = Schema(
+        [_column_def(name, _first_non_null_type(column)) for name, column in zip(names, columns)]
+    )
+    return Relation.from_columns(
+        schema,
         [
-            ColumnDef(
-                name=name,
-                data_type=_first_non_null_type(row.get(name) for row in rows),
-            )
-            for name in names
-        ]
+            fit_backing(column, column_def.data_type)
+            for column, column_def in zip(columns, schema.columns)
+        ],
+        name="",
     )
 
 
-def build_schema_from_columns(names: List[str], columns: Sequence[List[Any]]) -> Schema:
-    """Columnar twin of :func:`build_schema` (same inference core)."""
-    return Schema(
-        [
-            ColumnDef(name=name, data_type=_first_non_null_type(column))
-            for name, column in zip(names, columns)
-        ]
-    )
+class FinalizedGroups:
+    """Groups as columns, every aggregate finalized: a grouped tail's input.
+
+    ``scope_names`` (lower-cased) label ``scope_columns``: the group keys
+    on the partial path, each group's first source row on a scan (none for
+    a global aggregate over empty input).  ``aggregates`` maps the render
+    key of every aggregate call a tail may read to its finalized column.
+    If finalizing group ``size`` raised, ``error`` holds the exception: a
+    tail raises it after the groups before it, as a row-at-a-time pass
+    would.  Read-only: one instance feeds every tail run over it.
+    """
+
+    __slots__ = ("scope_names", "scope_columns", "aggregates", "size", "error")
+
+    def __init__(
+        self,
+        scope_names: Sequence[str],
+        scope_columns: List[Sequence[Any]],
+        specs: Sequence[Any],
+        accumulator_rows: Iterable[List[Any]],
+        finalize: str,
+    ) -> None:
+        # One accumulator list per group, aligned with ``specs``; each
+        # finalizes through its ``finalize`` method.
+        values: List[List[Any]] = []
+        self.error: Optional[Exception] = None
+        try:
+            for accumulators in accumulator_rows:
+                values.append([getattr(accumulator, finalize)() for accumulator in accumulators])
+        except (ExecutionError, ArithmeticError, TypeError, ValueError) as error:
+            self.error = error
+            scope_columns = [column[: len(values)] for column in scope_columns]
+        self.size = len(values)
+        self.scope_names = tuple(scope_names)
+        self.scope_columns = scope_columns
+        columns = list(zip(*values)) if values else [()] * len(specs)
+        self.aggregates = dict(zip((spec.key for spec in specs), columns))
+
+    def column(self, operand: Tuple[str, Any]) -> Sequence[Any]:
+        """The column a ``("scope", position)``/``("agg", key)`` operand names."""
+        kind, ref = operand
+        return self.scope_columns[ref] if kind == "scope" else self.aggregates[ref]
+
+    def scope_at(self, index: int) -> Dict[str, Any]:
+        return {
+            name: column[index] for name, column in zip(self.scope_names, self.scope_columns)
+        }
+
+    def aggregates_at(self, index: int) -> Dict[str, Any]:
+        return {key: column[index] for key, column in self.aggregates.items()}
+
+    def rows(self) -> Iterator[Tuple[Dict[str, Any], Dict[str, Any]]]:
+        """``(scope, aggregates)`` per group, then ``error`` if set."""
+        for index in range(self.size):
+            yield self.scope_at(index), self.aggregates_at(index)
+        if self.error is not None:
+            raise self.error
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +301,16 @@ def _filter_typed(
     return sorted(chain(kept, null_rows))
 
 
+class _ColumnPred:
+    """A conjunct over one column, ``self.column``."""
+
+    __slots__ = ()
+
+    @property
+    def columns(self) -> Tuple[str, ...]:
+        return (self.column,)
+
+
 class _AlwaysNullPred:
     """A conjunct that is NULL for every row (e.g. ``x < NULL``)."""
 
@@ -265,17 +325,13 @@ class _AlwaysNullPred:
         return sel
 
 
-class _IsNullPred:
+class _IsNullPred(_ColumnPred):
     __slots__ = ("column", "negated")
     cost = 0.5
 
     def __init__(self, column: str, negated: bool) -> None:
         self.column = column
         self.negated = negated
-
-    @property
-    def columns(self) -> Tuple[str, ...]:
-        return (self.column,)
 
     def apply(self, relation: Relation, sel: List[int], nulls: Set[int]) -> List[int]:
         array = relation.column_array(self.column)
@@ -289,7 +345,7 @@ class _IsNullPred:
         return [i for i in sel if array[i] is None]
 
 
-class _TruthPred:
+class _TruthPred(_ColumnPred):
     """A bare ``col`` (or ``NOT col``) conjunct: the cell's truth value.
 
     NULL stays NULL; any other cell passes when ``bool(cell)`` (negated:
@@ -304,10 +360,6 @@ class _TruthPred:
     def __init__(self, column: str, negated: bool) -> None:
         self.column = column
         self.negated = negated
-
-    @property
-    def columns(self) -> Tuple[str, ...]:
-        return (self.column,)
 
     def apply(self, relation: Relation, sel: List[int], nulls: Set[int]) -> List[int]:
         array = relation.column_array(self.column)
@@ -331,7 +383,7 @@ class _TruthPred:
         return out
 
 
-class _ComparePred:
+class _ComparePred(_ColumnPred):
     """``col <op> literal`` (or ``literal <op> col`` when ``swapped``)."""
 
     __slots__ = ("column", "op", "value", "invert", "order_op", "swapped")
@@ -344,10 +396,6 @@ class _ComparePred:
         self.invert = _EQ_OPS.get(op)
         self.order_op = _ORDER_OPS.get(op)
         self.swapped = swapped
-
-    @property
-    def columns(self) -> Tuple[str, ...]:
-        return (self.column,)
 
     def apply(self, relation: Relation, sel: List[int], nulls: Set[int]) -> List[int]:
         array = relation.column_array(self.column)
@@ -452,7 +500,7 @@ class _ColumnComparePred:
         return out
 
 
-class _BetweenPred:
+class _BetweenPred(_ColumnPred):
     """``col [NOT] BETWEEN literal AND literal``.
 
     Type errors from the chained comparison propagate to the caller, which
@@ -467,10 +515,6 @@ class _BetweenPred:
         self.low = low
         self.high = high
         self.negated = negated
-
-    @property
-    def columns(self) -> Tuple[str, ...]:
-        return (self.column,)
 
     def apply(self, relation: Relation, sel: List[int], nulls: Set[int]) -> List[int]:
         array = relation.column_array(self.column)
@@ -506,7 +550,7 @@ class _BetweenPred:
         return out
 
 
-class _LikePred:
+class _LikePred(_ColumnPred):
     """``col [NOT] LIKE 'pattern'`` with a literal pattern."""
 
     __slots__ = ("column", "regex", "negated")
@@ -516,10 +560,6 @@ class _LikePred:
         self.column = column
         self.regex = _like_to_regex(pattern)
         self.negated = negated
-
-    @property
-    def columns(self) -> Tuple[str, ...]:
-        return (self.column,)
 
     def apply(self, relation: Relation, sel: List[int], nulls: Set[int]) -> List[int]:
         array = relation.column_array(self.column)
@@ -539,7 +579,7 @@ class _LikePred:
         return out
 
 
-class _InListPred:
+class _InListPred(_ColumnPred):
     """``col [NOT] IN (literal, ...)`` — NULL members are dropped up front."""
 
     __slots__ = ("column", "constants", "negated")
@@ -549,10 +589,6 @@ class _InListPred:
         self.column = column
         self.constants = constants
         self.negated = negated
-
-    @property
-    def columns(self) -> Tuple[str, ...]:
-        return (self.column,)
 
     def apply(self, relation: Relation, sel: List[int], nulls: Set[int]) -> List[int]:
         array = relation.column_array(self.column)
@@ -1060,81 +1096,129 @@ def _apply_predicates(
     return None if len(sel) == len(relation) else sel
 
 
+class _ColumnView(dict):
+    """Named columns: as much of a relation as the kernels read."""
+
+    column_array = dict.get
+
+
+def having_kernels(
+    having: ast.Expression,
+    resolve: Callable[[ast.Expression], Optional[Tuple[str, Any]]],
+    optimizer: bool,
+) -> Optional[Tuple[List[Any], Dict[str, Tuple[str, Any]]]]:
+    """Plan HAVING as WHERE kernels over a grouped tail's columns.
+
+    ``resolve`` maps a column or aggregate call to its tail operand, or
+    None.  Each resolved aggregate call reads as a column of its own.
+    Returns the kernels in written order and the view they read (kernel
+    column -> operand), or None when a conjunct has no kernel.
+    """
+    view: Dict[str, Tuple[str, Any]] = {}
+
+    def substitute(node: ast.Node) -> Optional[ast.Node]:
+        operand = resolve(node) if isinstance(node, ast.FunctionCall) else None
+        if operand is None:
+            return None
+        name = f"\x00{len(view)}"  # cannot collide with a scope name
+        view[name] = operand
+        return ast.Column(name=name)
+
+    kernels: List[Any] = []
+    for term in ast.conjunction_terms(having):
+        kernel = _simple_predicate(transform(term, substitute), optimizer)
+        if kernel is None:
+            return None
+        for name in kernel.columns:
+            if name not in view:
+                view[name] = resolve(ast.Column(name=name))
+                if view[name] is None:
+                    return None
+        kernels.append(kernel)
+    return kernels, view
+
+
+def having_selection(
+    kernels: Sequence[Any], columns: Dict[str, Sequence[Any]], size: int
+) -> Optional[List[int]]:
+    """The group positions the HAVING kernels keep, or None on an abandon.
+
+    Conjuncts run in written order with no statistics build.  An abandon
+    (see "Error identity") leaves HAVING to the per-row predicate, which
+    raises the row path's error at the same group.
+    """
+    view = _ColumnView(columns)
+    sel: List[int] = list(range(size))
+    nulls: Set[int] = set()
+    try:
+        for kernel in kernels:
+            sel = kernel.apply(view, sel, nulls)
+    except _SCAN_ABANDON_ERRORS:
+        stats.bail(BailReason.TAIL_HAVING_ABANDONED)
+        return None
+    return [i for i in sel if i not in nulls]
+
+
 # ---------------------------------------------------------------------------
 # scan plans
 # ---------------------------------------------------------------------------
 
 
+@dataclass(slots=True)
 class _VectorAggSpec:
     """One distinct aggregate call, with column-resolved arguments."""
 
-    __slots__ = ("key", "make", "arg_columns")
-
-    def __init__(self, key: str, make: Callable[[], Any], arg_columns: Optional[List[str]]) -> None:
-        self.key = key
-        #: Accumulator factory (shared with the executor's group plan).
-        self.make = make
-        #: Lower-cased argument column names; None feeds the star row.
-        self.arg_columns = arg_columns
+    key: str
+    #: Accumulator factory (shared with the executor's group plan).
+    make: Callable[[], Any]
+    #: Lower-cased argument column names; None feeds the star row.
+    arg_columns: Optional[List[str]]
 
 
+def _required_columns(predicates: Sequence[Any], *column_lists: Sequence[str]) -> Set[str]:
+    """Every column a scan reads: its predicates' plus ``column_lists``."""
+    required = set(chain.from_iterable(column_lists))
+    for predicate in predicates:
+        required.update(predicate.columns)
+    return required
+
+
+@dataclass(slots=True)
 class FlatScanPlan:
     """``SELECT [DISTINCT] <plain columns> FROM <table> [WHERE simple]
     [ORDER BY <plain columns>] [LIMIT/OFFSET]``."""
 
-    __slots__ = (
-        "query",
-        "table_name",
-        "predicates",
-        "out_names",
-        "out_columns",
-        "order_spec",
-        "distinct",
-        "required",
-    )
+    query: ast.SelectQuery
+    table_name: str
+    predicates: List[Any]
+    out_names: List[str]
+    out_columns: List[str]
+    #: ``[(source_column, ascending), ...]`` or None for unordered scans.
+    order_spec: Optional[List[Tuple[str, bool]]] = None
+    distinct: bool = False
+    required: Set[str] = field(init=False)
 
-    def __init__(
-        self,
-        query,
-        table_name,
-        predicates,
-        out_names,
-        out_columns,
-        order_spec=None,
-        distinct=False,
-    ) -> None:
-        self.query = query
-        self.table_name = table_name
-        self.predicates = predicates
-        self.out_names = out_names
-        self.out_columns = out_columns
-        #: ``[(source_column, ascending), ...]`` or None for unordered scans.
-        self.order_spec = order_spec
-        self.distinct = distinct
-        self.required = set(out_columns)
-        for predicate in predicates:
-            self.required.update(predicate.columns)
-        if order_spec:
-            self.required.update(column for column, _ in order_spec)
+    def __post_init__(self) -> None:
+        self.required = _required_columns(
+            self.predicates, self.out_columns, [column for column, _ in self.order_spec or ()]
+        )
 
 
+@dataclass(slots=True)
 class GroupedScanPlan:
     """A GROUP BY / aggregate scan over plain key and argument columns."""
 
-    __slots__ = ("query", "table_name", "predicates", "key_columns", "specs", "required")
+    query: ast.SelectQuery
+    table_name: str
+    predicates: List[Any]
+    key_columns: List[str]
+    specs: List[_VectorAggSpec]
+    required: Set[str] = field(init=False)
 
-    def __init__(self, query, table_name, predicates, key_columns, specs) -> None:
-        self.query = query
-        self.table_name = table_name
-        self.predicates = predicates
-        self.key_columns = key_columns
-        self.specs = specs
-        self.required = set(key_columns)
-        for predicate in predicates:
-            self.required.update(predicate.columns)
-        for spec in specs:
-            if spec.arg_columns:
-                self.required.update(spec.arg_columns)
+    def __post_init__(self) -> None:
+        self.required = _required_columns(
+            self.predicates, self.key_columns, *(spec.arg_columns or () for spec in self.specs)
+        )
 
 
 def _resolve_vector_specs(
@@ -1189,22 +1273,26 @@ def _plan_predicates(query: ast.SelectQuery, optimizer: bool) -> Optional[List[A
     return predicates
 
 
-def plan_select(executor, query: ast.Query):
-    """Build (and cache) a scan plan for ``query``, or None when ineligible.
+def _cached_plan(executor, memo, query: ast.Query, planner):
+    """``planner``'s scan plan for ``query`` (cached in ``memo``), or None.
 
     Bail reasons are recorded on every bailing call — cached verdicts
     included — so :data:`stats` counts fallback executions.
     """
-    memo = executor._vector_plans
     cached = memo.get(id(query))
     if cached is not None and cached[0] is query:
         plan, reason = cached[1], cached[2]
     else:
-        plan, reason = _plan_select_uncached(executor, query)
+        plan, reason = planner(executor, query)
         executor._store_plan(memo, id(query), (query, plan, reason))
     if plan is None:
         stats.bail(reason)
     return plan
+
+
+def plan_select(executor, query: ast.Query):
+    """Build (and cache) a scan plan for ``query``, or None when ineligible."""
+    return _cached_plan(executor, executor._vector_plans, query, _plan_select_uncached)
 
 
 def _plan_select_uncached(executor, query: ast.Query):
@@ -1391,88 +1479,99 @@ class _OrderKey:
         return isinstance(other, _OrderKey) and self.value == other.value
 
 
-def _execute_flat_ordered(
-    plan: FlatScanPlan, relation: Relation, sel: Optional[List[int]]
-) -> Relation:
-    """Flat scan with DISTINCT/ORDER BY applied as index permutations.
+def _totally_ordered(values: Sequence[Any]) -> bool:
+    """Does ``<`` order ``values`` totally, with no NULL to place?"""
+    kinds = set(map(type, values))
+    if kinds <= {int, bool} or kinds == {str}:
+        return True
+    # NaN compares false both ways, so only _OrderKey sorts it faithfully.
+    return kinds <= {int, float, bool} and all(value == value for value in values)
 
-    Mirrors the row path's tail exactly: dedup first (first occurrence in
-    selection order, keyed on the frozen output tuple), then a stable sort
-    with the shared :class:`_OrderKey` semantics, then OFFSET/LIMIT.
+
+def tail_positions(
+    positions: List[int],
+    distinct_arrays: Optional[Sequence[Sequence[Any]]],
+    order_arrays: Sequence[Tuple[Sequence[Any], bool]],
+    offset: Optional[int],
+    limit: Optional[int],
+) -> List[int]:
+    """DISTINCT, ORDER BY and OFFSET/LIMIT as one permutation of ``positions``.
+
+    The row path's tail exactly: dedup first (first occurrence, keyed on
+    the frozen tuple of ``distinct_arrays``; None skips it), then a stable
+    sort over ``(array, ascending)`` keys with the shared
+    :class:`_OrderKey` semantics, then OFFSET/LIMIT.
     """
-    query = plan.query
-    out_arrays = [relation.column_array(name) for name in plan.out_columns]
-    indices: List[int] = list(range(len(relation))) if sel is None else sel
-    if plan.distinct:
+    if distinct_arrays is not None:
         seen: Set[Tuple[Any, ...]] = set()
         kept: List[int] = []
-        for i in indices:
-            key = tuple(freeze_value(array[i]) for array in out_arrays)
+        for i in positions:
+            key = tuple(freeze_value(array[i]) for array in distinct_arrays)
             if key not in seen:
                 seen.add(key)
                 kept.append(i)
-        indices = kept
-        optimizer_stats.distinct_scans += 1
-    if plan.order_spec:
-        order_arrays = [
-            (relation.column_array(column), ascending)
-            for column, ascending in plan.order_spec
-        ]
-        indices = sorted(
-            indices,
+        positions = kept
+    if order_arrays and all(
+        _totally_ordered(gather(array, positions)) for array, _ in order_arrays
+    ):
+        # Plain keys: one stable sort per key, least significant first,
+        # orders exactly as the _OrderKey tuples would, at C speed.
+        for array, ascending in reversed(order_arrays):
+            positions = sorted(positions, key=array.__getitem__, reverse=not ascending)
+    elif order_arrays:
+        positions = sorted(
+            positions,
             key=lambda i: tuple(
                 _OrderKey(array[i], ascending) for array, ascending in order_arrays
             ),
         )
-        optimizer_stats.order_by_scans += 1
-    if query.offset is not None:
-        indices = indices[query.offset :]
-    if query.limit is not None:
-        indices = indices[: query.limit]
-    columns = [take_column(array, indices) for array in out_arrays]
-    stats.flat += 1
-    schema = build_schema_from_columns(plan.out_names, columns)
-    return Relation.from_columns(schema, columns, name="")
+    if offset is not None:
+        positions = positions[offset:]
+    if limit is not None:
+        positions = positions[:limit]
+    return positions
 
 
 def _execute_flat(
     plan: FlatScanPlan, relation: Relation, sel: Optional[List[int]]
 ) -> Optional[Relation]:
-    if plan.distinct or plan.order_spec:
+    query = plan.query
+    arrays = [relation.column_array(name) for name in plan.out_columns]
+    if sel is None and not (plan.distinct or plan.order_spec):
+        start = query.offset or 0
+        stop = None if query.limit is None else start + query.limit
+        columns = [array[start:stop] for array in arrays]
+    else:
+        # DISTINCT/ORDER BY/OFFSET/LIMIT as one permutation of the selection.
         try:
-            return _execute_flat_ordered(plan, relation, sel)
+            indices = tail_positions(
+                list(range(len(relation))) if sel is None else sel,
+                arrays if plan.distinct else None,
+                [
+                    (relation.column_array(column), ascending)
+                    for column, ascending in plan.order_spec or ()
+                ],
+                query.offset,
+                query.limit,
+            )
         except _SCAN_ABANDON_ERRORS:
             return None
-    query = plan.query
-    offset = query.offset
-    limit = query.limit
-
-    columns: List[List[Any]] = []
-    if sel is None:
-        start = offset or 0
-        stop = None if limit is None else start + limit
-        for name in plan.out_columns:
-            columns.append(relation.column_array(name)[start:stop])
-    else:
-        if offset is not None:
-            sel = sel[offset:]
-        if limit is not None:
-            sel = sel[:limit]
-        for name in plan.out_columns:
-            # Typed backings gather into typed columns (and slices above
-            # stay typed), so projections preserve unboxed storage.
-            columns.append(take_column(relation.column_array(name), sel))
-
+        if plan.distinct:
+            optimizer_stats.distinct_scans += 1
+        if plan.order_spec:
+            optimizer_stats.order_by_scans += 1
+        # Typed backings gather into typed columns (and slices above stay
+        # typed), so projections preserve unboxed storage.
+        columns = [take_column(array, indices) for array in arrays]
     stats.flat += 1
-    schema = build_schema_from_columns(plan.out_names, columns)
-    return Relation.from_columns(schema, columns, name="")
+    return columns_relation(plan.out_names, columns)
 
 
 def _group_indices(
     relation: Relation,
     key_columns: Sequence[str],
     sel: Optional[List[int]],
-) -> Tuple[Dict[Tuple[Any, ...], List[int]], List[Tuple[Any, ...]], Dict[Tuple[Any, ...], int]]:
+) -> Tuple[Dict[Tuple[Any, ...], List[int]], List[Tuple[Any, ...]]]:
     """Partition row indices by group key, in first-occurrence order.
 
     Raw key values are used while hashable, falling back to the frozen form
@@ -1502,9 +1601,7 @@ def _group_indices(
             groups[key] = [i]
         else:
             bucket.append(i)
-    order = list(groups)
-    first_index = {key: bucket[0] for key, bucket in groups.items()}
-    return groups, order, first_index
+    return groups, list(groups)
 
 
 def _feed_accumulators(
@@ -1546,92 +1643,46 @@ def _feed_accumulators(
     return accumulators
 
 
+def _scan_groups(plan: GroupedScanPlan, relation: Relation, sel: Optional[List[int]]):
+    """``(groups, order, accumulators)`` of the selected rows, every group
+    fed before anything else runs; None when a conversion error (exact
+    SUM/STDDEV meeting a non-numeric or non-finite value) abandons the
+    scan, so the row path re-raises its own row-major error."""
+    if plan.key_columns:
+        groups, order = _group_indices(relation, plan.key_columns, sel)
+    else:
+        groups, order = {(): list(range(len(relation))) if sel is None else sel}, [()]
+    whole = sel is None and not plan.key_columns
+    try:
+        accumulators = [
+            _feed_accumulators(relation, plan.specs, groups[key], whole)
+            if groups[key]
+            else [spec.make() for spec in plan.specs]
+            for key in order
+        ]
+    except _SCAN_ABANDON_ERRORS:
+        return None
+    return groups, order, accumulators
+
+
 def _execute_grouped(
     executor, plan: GroupedScanPlan, relation: Relation, parent, sel: Optional[List[int]]
 ) -> Optional[Relation]:
-    query = plan.query
-    group_plan = executor._group_plan(query)
-    specs = plan.specs
-
-    lowered_names = [name.lower() for name in relation.schema.names]
-    arrays = relation.columns()
-
-    if plan.key_columns:
-        groups, order, first_index = _group_indices(relation, plan.key_columns, sel)
-    else:
-        indices = list(range(len(relation))) if sel is None else sel
-        if indices:
-            groups = {(): indices}
-            order = [()]
-            first_index = {(): indices[0]}
-        else:
-            groups, order, first_index = {}, [], {}
-
-    if not query.group_by and not groups:
-        groups[()] = []
-        order.append(())
-
-    # Feed every group before emitting anything — the row path's scan phase
-    # completes before its emit phase, and keeping the phases separate here
-    # means an accumulator conversion error (exact SUM/STDDEV meeting a
-    # non-numeric or non-finite value) abandons the scan before any item
-    # evaluation, so the row path re-raises its own row-major error.
-    whole = sel is None and len(order) == 1 and plan.key_columns == []
-    accumulators_by_key: Dict[Tuple[Any, ...], List[Any]] = {}
-    try:
-        for key in order:
-            accumulators_by_key[key] = _feed_accumulators(
-                relation, specs, groups[key], whole
-            )
-    except _SCAN_ABANDON_ERRORS:
+    scanned = _scan_groups(plan, relation, sel)
+    if scanned is None:
         return None
-
-    context = executor._fresh_context(parent)
-    output_names = group_plan.output_names
-    item_fns = group_plan.item_fns
-    having_fn = group_plan.having_fn
-    output_rows: List[Dict[str, Any]] = []
-    group_aggregates: List[Dict[str, Any]] = []
-    group_scopes: List[Dict[str, Any]] = []
-    for key in order:
-        indices = groups[key]
-        accumulators = accumulators_by_key[key]
-        if indices:
-            first = first_index.get(key, indices[0])
-            representative = {
-                name: array[first] for name, array in zip(lowered_names, arrays)
-            }
-        else:
-            representative = {}
-        context.scope = representative
-        context.aggregates = aggregates = {
-            spec.key: accumulator.result()
-            for spec, accumulator in zip(specs, accumulators)
-        }
-        if having_fn is not None and not having_fn(context):
-            continue
-        output_rows.append({name: fn(context) for name, fn in zip(output_names, item_fns)})
-        group_aggregates.append(aggregates)
-        group_scopes.append(representative)
-
+    groups, order, accumulators = scanned
     stats.grouped += 1
-
-    # The standard SELECT tail, identical to the row path.
-    if query.distinct:
-        keep = distinct_positions(output_rows, output_names)
-        output_rows = [output_rows[position] for position in keep]
-        group_aggregates = [group_aggregates[position] for position in keep]
-        group_scopes = [group_scopes[position] for position in keep]
-    if query.order_by:
-        output_rows = executor._apply_order_by(
-            query, output_rows, group_scopes, parent, group_aggregates
-        )
-    if query.offset is not None:
-        output_rows = output_rows[query.offset :]
-    if query.limit is not None:
-        output_rows = output_rows[: query.limit]
-    schema = build_schema(output_names, output_rows)
-    return Relation(schema=schema, rows=output_rows, name="")
+    # Each group's scope is its first row; a global aggregate over empty
+    # input has none.
+    firsts = [groups[key][0] for key in order if groups[key]]
+    if firsts:
+        names = [name.lower() for name in relation.schema.names]
+        columns = [take_column(array, firsts) for array in relation.columns()]
+    else:
+        names, columns = [], []
+    finalized = FinalizedGroups(names, columns, plan.specs, accumulators, "result")
+    return executor._grouped_tail(plan.query, finalized, parent)
 
 
 # ---------------------------------------------------------------------------
@@ -1644,21 +1695,12 @@ class PartialScanPlan(GroupedScanPlan):
     but executed through the partial-state protocol (mergeable states out,
     no HAVING/items/ORDER BY)."""
 
-    __slots__ = ()
-
 
 def plan_partial(executor, query: ast.SelectQuery):
     """Build (and cache) a partial-aggregation scan plan, or None."""
-    memo = executor._vector_partial_plans
-    cached = memo.get(id(query))
-    if cached is not None and cached[0] is query:
-        plan, reason = cached[1], cached[2]
-    else:
-        plan, reason = _plan_partial_uncached(executor, query)
-        executor._store_plan(memo, id(query), (query, plan, reason))
-    if plan is None:
-        stats.bail(reason)
-    return plan
+    return _cached_plan(
+        executor, executor._vector_partial_plans, query, _plan_partial_uncached
+    )
 
 
 def _plan_partial_uncached(executor, query: ast.SelectQuery):
@@ -1699,42 +1741,24 @@ def try_execute_partial(executor, query: ast.SelectQuery) -> Optional[Relation]:
     if any(relation.column_array(name) is None for name in plan.required):
         stats.bail(BailReason.COLUMN_DRIFT)
         return None
-    partial_plan = executor._partial_plan(query)
     try:
         sel = _apply_predicates(plan.predicates, relation, executor.config.optimizer)
     except _SCAN_ABANDON_ERRORS:
-        stats.bail(BailReason.SCAN_ABANDONED)
-        return None
-
-    if plan.key_columns:
+        scanned = None
+    else:
         # The row path freezes every key value unconditionally; raw
         # hashable values are their own frozen form, so only the unhashable
         # fallback (already frozen) differs — nothing further to do.
-        groups_indices, order, _ = _group_indices(relation, plan.key_columns, sel)
-    else:
-        indices = list(range(len(relation))) if sel is None else sel
-        if indices:
-            groups_indices = {(): indices}
-            order = [()]
-        else:
-            groups_indices, order = {}, []
-
-    groups: Dict[Tuple[Any, ...], List[Any]] = {}
-    whole = sel is None and len(order) == 1 and plan.key_columns == []
-    try:
-        for key in order:
-            groups[key] = _feed_accumulators(
-                relation, plan.specs, groups_indices[key], whole
-            )
-    except _SCAN_ABANDON_ERRORS:
+        scanned = _scan_groups(plan, relation, sel)
+    if scanned is None:
         stats.bail(BailReason.SCAN_ABANDONED)
         return None
-    if not query.group_by and not groups:
-        groups[()] = [spec.make() for spec in plan.specs]
-        order.append(())
+    _, order, accumulators = scanned
     stats.partial += 1
     _note_backing(relation, plan.required)
-    return executor._partial_state_relation(partial_plan, groups, order)
+    return executor._partial_state_relation(
+        executor._partial_plan(query), dict(zip(order, accumulators))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1819,4 +1843,5 @@ _registry.probe("engine.vectorized.flat", lambda: stats.flat)
 _registry.probe("engine.vectorized.grouped", lambda: stats.grouped)
 _registry.probe("engine.vectorized.partial", lambda: stats.partial)
 _registry.probe("engine.vectorized.typed", lambda: stats.typed)
+_registry.probe("engine.vectorized.tail", lambda: stats.tail)
 _registry.probe("engine.vectorized.bails", lambda: dict(stats.bails))

@@ -31,13 +31,14 @@ from repro.fragment.plan import (
     QueryFragment,
     is_decomposable_aggregation,
     is_row_distributive,
+    order_by_aliases,
 )
 from repro.fragment.topology import Topology
 from repro.sql import ast
 from repro.sql.analysis import analyze_query
 from repro.sql.errors import SqlError
 from repro.sql.render import render_expression
-from repro.sql.visitor import clone, collect_column_names
+from repro.sql.visitor import clone, collect_column_names, collect_columns
 
 
 class FragmentationError(SqlError):
@@ -269,8 +270,14 @@ class VerticalFragmenter:
         for expression in stage.group_by:
             add_from(expression)
         add_from(stage.having)
+        # An ORDER BY column naming a select item's output reads the item.
+        aliases = order_by_aliases(stage)
         for order_item in stage.order_by:
-            add_from(order_item.expression)
+            for column in collect_columns(order_item.expression):
+                name = column.name.lower()
+                if id(column) not in aliases and name not in seen:
+                    seen.add(name)
+                    needed.append(name)
         return needed
 
     # ------------------------------------------------------------------

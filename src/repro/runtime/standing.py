@@ -70,7 +70,7 @@ from typing import (
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database
 from repro.engine.errors import ExecutionError
-from repro.engine.executor import FinalizedGroups
+from repro.engine.vectorized import FinalizedGroups
 from repro.engine.schema import Schema
 from repro.engine.table import Relation
 from repro.engine.wire import pack_state_relation
@@ -155,6 +155,11 @@ def _view_image(
     # its raw columns (which the grouped view cannot expose) would fail the
     # attribute check for the wrong reason.
     image.where = None
+    # A decomposable ORDER BY reads group keys, aggregate calls (the
+    # subset check covers them) and select items by output name, none of
+    # which needs an attribute the image's items do not; an output name
+    # would read as a missing view column.
+    image.order_by = []
     return image
 
 

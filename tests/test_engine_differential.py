@@ -218,6 +218,30 @@ def test_corpus_covers_interesting_results(catalog):
     assert sum(row["n"] for row in grouped) == len(catalog["readings"])
 
 
+def test_degraded_column_bytes_do_not_depend_on_the_scan_path():
+    """A FLOAT column degraded to a list by a misfit write, then restored,
+    comes out of every engine config with the same backing and bytes."""
+    from repro.engine.wire import pack_relation
+
+    schema = Schema(
+        [ColumnDef(name="a", data_type=DataType.INTEGER), ColumnDef(name="b", data_type=DataType.FLOAT)]
+    )
+    relation = Relation(schema=schema, rows=[{"a": 1, "b": 1.5}, {"a": 2, "b": 2.5}])
+    relation.rows[0]["b"] = "misfit"
+    relation.rows[0]["b"] = 0.5
+    sizes = {
+        config: pack_relation(
+            QueryExecutor({"d": relation}, config).execute(parse("SELECT a, b FROM d"))
+        )
+        for config in (
+            EngineConfig(),
+            EngineConfig(vectorized=False),
+            EngineConfig(mode="interpreted"),
+        )
+    }
+    assert len(set(sizes.values())) == 1
+
+
 @pytest.mark.slow
 def test_differential_randomized_filters(catalog):
     """Randomized WHERE/projection combinations over both paths."""

@@ -391,6 +391,60 @@ def test_bail_reasons_cover_distinct_causes():
         assert grew >= 1, f"{query!r} did not record {reason.value}"
 
 
+def test_standing_and_read_shapes_take_the_columnar_tail():
+    """The e2e standing families (rewritten as registered) and the standing
+    workload's read run every grouped tail on columns, with no per-row
+    fallback."""
+    from benchmarks.e2e.workloads import STANDING_FAMILIES, STANDING_READ_SQL
+    from repro.runtime import StandingQueryRuntime
+
+    processor = ParadiseProcessor(
+        occupancy_policy(),
+        schema=INTEGRATED_SCHEMA,
+        topology=Topology.smart_home_tree(n_sensors=8),
+        execution="parallel",
+    )
+    processor.load_data(make_sensor_relation(400))
+    runtime = StandingQueryRuntime(processor)
+    for select, where, keys in STANDING_FAMILIES:
+        runtime.register(
+            f"SELECT {select} FROM d {where} GROUP BY {keys} "
+            "HAVING COUNT(*) > 3 ORDER BY COUNT(*) DESC",
+            "Occupancy",
+            apply_rewriting=True,
+        )
+    before = registry.snapshot(prefix="engine.vectorized.")
+    runtime.append(
+        processor.network.partition_holders("d")[1], make_sensor_relation(50, seed=4)
+    )
+    result = processor.process(STANDING_READ_SQL, "Occupancy")
+    assert result.admitted
+    diff = delta(before, registry.snapshot(prefix="engine.vectorized."))
+    assert diff["engine.vectorized.tail"] == len(STANDING_FAMILIES) + 1
+    assert not any(value for key, value in diff.items() if ".bails." in key)
+
+
+def test_tail_fallbacks_surface_in_profile_report():
+    """Per-row work in a grouped tail is a counted event, per reason."""
+    processor = build_flat_processor(rows=80)
+    result = processor.process(
+        "SELECT person_id, COUNT(*) + 1 AS n1 FROM d GROUP BY person_id "
+        "HAVING NOT (COUNT(*) > 1) OR person_id > 2 ORDER BY MAX(x) - MIN(x)",
+        "fig4",
+        apply_rewriting=False,
+        anonymize=False,
+        profile=True,
+    )
+    scan_paths = result.profile.scan_paths
+    assert scan_paths["tail"] >= 1
+    assert set(scan_paths["bails"]) >= {
+        "tail_expression_item",
+        "tail_complex_having",
+        "tail_expression_order_key",
+    }
+    assert "tail_expression_item" in result.profile.render()
+
+
 # ---------------------------------------------------------------------------
 # trace integrity under concurrency and chaos
 # ---------------------------------------------------------------------------

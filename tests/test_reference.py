@@ -66,6 +66,10 @@ RAW_QUERIES = RAW_WORKLOADS + [
     "SELECT person_id, COUNT(*) AS n FROM d GROUP BY person_id ORDER BY MAX(z) DESC, COUNT(*)",
     # ORDER BY a group key that is not selected.
     "SELECT COUNT(*) AS n FROM d GROUP BY activity ORDER BY activity",
+    # ORDER BY select-item aliases, with and without LIMIT.
+    "SELECT x, COUNT(*) AS n FROM d GROUP BY x ORDER BY n DESC, x LIMIT 3",
+    "SELECT activity, AVG(z) AS az FROM d GROUP BY activity ORDER BY az",
+    "SELECT x AS a, y FROM d WHERE z < 1.5 ORDER BY a DESC, y",
 ]
 
 #: (module, SQL) run under the policy's rewriting, with anonymization.

@@ -79,10 +79,8 @@ STANDING_SQL = (
         "SELECT DISTINCT activity FROM d",
         "SELECT x, z FROM d WHERE z < 1.5",
         "SELECT activity, COUNT(*) AS n FROM d GROUP BY activity LIMIT 2",
-        # ORDER BY on an output alias references a non-key plain column,
-        # which the decomposable-aggregation class excludes; spell the
-        # aggregate out (ORDER BY AVG(z)) instead.
-        "SELECT activity, AVG(z) AS az FROM d GROUP BY activity ORDER BY az",
+        # ORDER BY an output alias reads its item, here a non-key column.
+        "SELECT activity, x AS ax, COUNT(*) AS n FROM d GROUP BY activity ORDER BY ax",
         "SELECT a.activity, COUNT(*) FROM d a JOIN d b ON a.t = b.t GROUP BY a.activity",
     ],
 )
@@ -90,6 +88,20 @@ def test_register_rejects_non_decomposable_queries(sql):
     runtime = StandingQueryRuntime(build_tree_processor(rows=40))
     with pytest.raises(StandingQueryError):
         runtime.register(sql)
+
+
+def test_register_accepts_order_by_output_alias():
+    """``ORDER BY az`` reads the select item ``AVG(z) AS az``: the query
+    stays a decomposable aggregation and refreshes like any other."""
+    processor = build_tree_processor()
+    runtime = StandingQueryRuntime(processor)
+    handle = runtime.register(
+        "SELECT activity, AVG(z) AS az FROM d GROUP BY activity ORDER BY az DESC"
+    )
+    holders = processor.network.partition_holders("d")
+    for index, delta in enumerate(feed_chunks(rows=40, chunk=20)):
+        runtime.append(holders[index], delta)
+        assert_byte_identical(handle.result(), runtime.reexecute(handle))
 
 
 @pytest.mark.parametrize("engine_mode", ["interpreted", "compiled"])
