@@ -229,6 +229,10 @@ class TypedColumn:
     def null_count(self) -> int:
         return self._null_count
 
+    @property
+    def has_nulls(self) -> bool:
+        return self._null_count > 0
+
     def to_list(self) -> List[Any]:
         """The column as a plain Python list (NULLs become ``None``)."""
         if self.typecode == BOOL:

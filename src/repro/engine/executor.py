@@ -27,7 +27,6 @@ Each executor runs under one :class:`~repro.engine.config.EngineConfig`
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -99,49 +98,64 @@ def _shallow_function_calls(node: ast.Node) -> List[ast.FunctionCall]:
     return calls
 
 
-@dataclass(slots=True)
 class _AggregateSpec:
-    """One distinct aggregate call: its render key and per-row argument
-    evaluators (``None`` feeds the star row: ``COUNT(*)``, no-arg calls)."""
+    """One distinct aggregate call of a grouped query (compiled path)."""
 
-    key: str
-    name: str
-    is_star: bool
-    distinct: bool
-    arg_fns: Optional[List[Callable[[EvaluationContext], Any]]]
+    __slots__ = ("key", "name", "is_star", "distinct", "arg_fns", "arg_count")
+
+    def __init__(
+        self,
+        key: str,
+        name: str,
+        is_star: bool,
+        distinct: bool,
+        arg_fns: Optional[List[Callable[[EvaluationContext], Any]]],
+    ) -> None:
+        self.key = key
+        self.name = name
+        self.is_star = is_star
+        self.distinct = distinct
+        #: Per-row argument evaluators; ``None`` feeds the star row
+        #: (``COUNT(*)`` / argument-free calls).
+        self.arg_fns = arg_fns
+        self.arg_count = len(arg_fns) if arg_fns else 1
 
     def make(self) -> Any:
         return make_accumulator(
             self.name,
             is_star=self.is_star,
             distinct=self.distinct,
-            arg_count=len(self.arg_fns) if self.arg_fns else 1,
+            arg_count=self.arg_count,
         )
 
 
-@dataclass(slots=True)
 class _FlatPlan:
     """Compile-once artefacts for a flat (non-grouped) SELECT."""
 
-    query: ast.SelectQuery
-    items: List[ast.SelectItem]
-    output_names: List[str]
-    window_calls: List[ast.FunctionCall]
-    item_fns: List[CompiledExpr]
-    #: ``[(output_name, Column)]`` when every item is a plain column
-    #: reference and no window is involved — enables direct key copies.
-    columns_only: Optional[List[Tuple[str, ast.Column]]]
+    __slots__ = ("query", "items", "output_names", "window_calls", "item_fns", "columns_only")
+
+    def __init__(self, query, items, output_names, window_calls, item_fns, columns_only) -> None:
+        self.query = query
+        self.items = items
+        self.output_names = output_names
+        self.window_calls = window_calls
+        self.item_fns = item_fns
+        #: ``[(output_name, Column)]`` when every item is a plain column
+        #: reference and no window is involved — enables direct key copies.
+        self.columns_only = columns_only
 
 
-@dataclass(slots=True)
 class _GroupPlan:
     """Compile-once artefacts for a grouped SELECT's scan."""
 
-    query: ast.SelectQuery
-    key_fns: List[CompiledExpr]
-    #: GROUP BY expressions as plain Columns (None when any is complex).
-    key_columns: Optional[List[Tuple[str, ast.Column]]]
-    specs: List[_AggregateSpec]
+    __slots__ = ("query", "key_fns", "key_columns", "specs")
+
+    def __init__(self, query, key_fns, key_columns, specs) -> None:
+        self.query = query
+        self.key_fns = key_fns
+        #: GROUP BY expressions as plain Columns (None when any is complex).
+        self.key_columns = key_columns
+        self.specs = specs
 
 
 #: A grouped tail's operand: ``("scope", position)``, ``("agg", render
@@ -150,7 +164,6 @@ class _GroupPlan:
 Operand = Tuple[str, Any]
 
 
-@dataclass(slots=True)
 class _TailPlan:
     """A grouped query's tail resolved against one scope layout (compiled).
 
@@ -159,18 +172,34 @@ class _TailPlan:
     runs per row.  ``bails`` are the per-row fallbacks, counted per run.
     """
 
-    query: ast.SelectQuery
-    output_names: List[str]
-    lowered_names: List[str]
-    items: List[Operand]
-    orders: List[Tuple[Operand, bool]]
-    having: Optional[List[Any]]
-    view: Optional[Dict[str, Operand]]
-    having_fn: Optional[Callable[[EvaluationContext], bool]]
-    bails: List[BailReason]
+    __slots__ = (
+        "query",
+        "output_names",
+        "lowered_names",
+        "items",
+        "orders",
+        "having",
+        "view",
+        "having_fn",
+        "bails",
+    )
+
+    def __init__(
+        self, query, output_names, lowered_names, items, orders, having, view, having_fn, bails
+    ) -> None:
+        self.query = query
+        self.output_names = output_names
+        self.lowered_names = lowered_names
+        #: One operand per select item.
+        self.items: List[Operand] = items
+        #: ``(operand, ascending)`` per ORDER BY key.
+        self.orders: List[Tuple[Operand, bool]] = orders
+        self.having = having
+        self.view = view
+        self.having_fn = having_fn
+        self.bails: List[BailReason] = bails
 
 
-@dataclass(slots=True)
 class _PartialPlan:
     """Compile-once artefacts for the partial-aggregation protocol.
 
@@ -182,17 +211,19 @@ class _PartialPlan:
     one opaque state column per distinct aggregate call.
     """
 
-    query: ast.SelectQuery
-    #: Group-key column names, in GROUP BY order (original case).
-    key_names: List[str]
-    #: State column names (``__agg0``, ``__agg1``, ...).
-    state_names: List[str]
-    specs: List[_AggregateSpec]
-    #: Evaluates each group-key column for one row scope.
-    key_evals: List[Callable[[EvaluationContext], Any]]
+    __slots__ = ("query", "key_names", "state_names", "specs", "key_evals")
+
+    def __init__(self, query, key_names, state_names, specs, key_evals) -> None:
+        self.query = query
+        #: Group-key column names, in GROUP BY order (original case).
+        self.key_names = key_names
+        #: State column names (``__agg0``, ``__agg1``, ...).
+        self.state_names = state_names
+        self.specs = specs
+        #: Evaluates each group-key column for one row scope.
+        self.key_evals = key_evals
 
 
-@dataclass(slots=True)
 class _WherePlan:
     """WHERE conjuncts split into ordered semi-join and predicate segments.
 
@@ -201,9 +232,12 @@ class _WherePlan:
     short-circuiting AND would.
     """
 
-    where: ast.Expression
-    #: ``("semi", InSubquery)`` or ``("pred", Expression)`` entries.
-    segments: List[Tuple[str, ast.Expression]]
+    __slots__ = ("where", "segments")
+
+    def __init__(self, where, segments) -> None:
+        self.where = where
+        #: ``("semi", InSubquery)`` or ``("pred", Expression)`` entries.
+        self.segments = segments
 
 
 class QueryExecutor:
@@ -1175,7 +1209,7 @@ class QueryExecutor:
                 spec.name,
                 is_star=spec.is_star,
                 distinct=spec.distinct,
-                arg_count=len(spec.arg_fns) if spec.arg_fns else 1,
+                arg_count=spec.arg_count,
             ):
                 raise ExecutionError(f"Aggregate {spec.name} is not decomposable")
         state_names = [f"__agg{index}" for index in range(len(specs))]
@@ -1299,7 +1333,8 @@ class QueryExecutor:
         groups = self._merge_partial_groups(plan, relation)
         return FinalizedGroups(
             [name.lower() for name in plan.key_names],
-            list(zip(*groups)) if plan.key_names else [],
+            # One column per key, even when no group formed.
+            list(zip(*groups)) if groups else [[] for _ in plan.key_names],
             plan.specs,
             groups.values(),
             "finalize",

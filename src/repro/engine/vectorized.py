@@ -52,7 +52,6 @@ row-major error, keeping error identity byte-for-byte.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from itertools import chain, compress, repeat
@@ -301,16 +300,6 @@ def _filter_typed(
     return sorted(chain(kept, null_rows))
 
 
-class _ColumnPred:
-    """A conjunct over one column, ``self.column``."""
-
-    __slots__ = ()
-
-    @property
-    def columns(self) -> Tuple[str, ...]:
-        return (self.column,)
-
-
 class _AlwaysNullPred:
     """A conjunct that is NULL for every row (e.g. ``x < NULL``)."""
 
@@ -325,13 +314,17 @@ class _AlwaysNullPred:
         return sel
 
 
-class _IsNullPred(_ColumnPred):
+class _IsNullPred:
     __slots__ = ("column", "negated")
     cost = 0.5
 
     def __init__(self, column: str, negated: bool) -> None:
         self.column = column
         self.negated = negated
+
+    @property
+    def columns(self) -> Tuple[str, ...]:
+        return (self.column,)
 
     def apply(self, relation: Relation, sel: List[int], nulls: Set[int]) -> List[int]:
         array = relation.column_array(self.column)
@@ -345,7 +338,7 @@ class _IsNullPred(_ColumnPred):
         return [i for i in sel if array[i] is None]
 
 
-class _TruthPred(_ColumnPred):
+class _TruthPred:
     """A bare ``col`` (or ``NOT col``) conjunct: the cell's truth value.
 
     NULL stays NULL; any other cell passes when ``bool(cell)`` (negated:
@@ -360,6 +353,10 @@ class _TruthPred(_ColumnPred):
     def __init__(self, column: str, negated: bool) -> None:
         self.column = column
         self.negated = negated
+
+    @property
+    def columns(self) -> Tuple[str, ...]:
+        return (self.column,)
 
     def apply(self, relation: Relation, sel: List[int], nulls: Set[int]) -> List[int]:
         array = relation.column_array(self.column)
@@ -383,7 +380,7 @@ class _TruthPred(_ColumnPred):
         return out
 
 
-class _ComparePred(_ColumnPred):
+class _ComparePred:
     """``col <op> literal`` (or ``literal <op> col`` when ``swapped``)."""
 
     __slots__ = ("column", "op", "value", "invert", "order_op", "swapped")
@@ -396,6 +393,10 @@ class _ComparePred(_ColumnPred):
         self.invert = _EQ_OPS.get(op)
         self.order_op = _ORDER_OPS.get(op)
         self.swapped = swapped
+
+    @property
+    def columns(self) -> Tuple[str, ...]:
+        return (self.column,)
 
     def apply(self, relation: Relation, sel: List[int], nulls: Set[int]) -> List[int]:
         array = relation.column_array(self.column)
@@ -500,7 +501,7 @@ class _ColumnComparePred:
         return out
 
 
-class _BetweenPred(_ColumnPred):
+class _BetweenPred:
     """``col [NOT] BETWEEN literal AND literal``.
 
     Type errors from the chained comparison propagate to the caller, which
@@ -515,6 +516,10 @@ class _BetweenPred(_ColumnPred):
         self.low = low
         self.high = high
         self.negated = negated
+
+    @property
+    def columns(self) -> Tuple[str, ...]:
+        return (self.column,)
 
     def apply(self, relation: Relation, sel: List[int], nulls: Set[int]) -> List[int]:
         array = relation.column_array(self.column)
@@ -550,7 +555,7 @@ class _BetweenPred(_ColumnPred):
         return out
 
 
-class _LikePred(_ColumnPred):
+class _LikePred:
     """``col [NOT] LIKE 'pattern'`` with a literal pattern."""
 
     __slots__ = ("column", "regex", "negated")
@@ -560,6 +565,10 @@ class _LikePred(_ColumnPred):
         self.column = column
         self.regex = _like_to_regex(pattern)
         self.negated = negated
+
+    @property
+    def columns(self) -> Tuple[str, ...]:
+        return (self.column,)
 
     def apply(self, relation: Relation, sel: List[int], nulls: Set[int]) -> List[int]:
         array = relation.column_array(self.column)
@@ -579,7 +588,7 @@ class _LikePred(_ColumnPred):
         return out
 
 
-class _InListPred(_ColumnPred):
+class _InListPred:
     """``col [NOT] IN (literal, ...)`` — NULL members are dropped up front."""
 
     __slots__ = ("column", "constants", "negated")
@@ -589,6 +598,10 @@ class _InListPred(_ColumnPred):
         self.column = column
         self.constants = constants
         self.negated = negated
+
+    @property
+    def columns(self) -> Tuple[str, ...]:
+        return (self.column,)
 
     def apply(self, relation: Relation, sel: List[int], nulls: Set[int]) -> List[int]:
         array = relation.column_array(self.column)
@@ -1164,61 +1177,76 @@ def having_selection(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(slots=True)
 class _VectorAggSpec:
     """One distinct aggregate call, with column-resolved arguments."""
 
-    key: str
-    #: Accumulator factory (shared with the executor's group plan).
-    make: Callable[[], Any]
-    #: Lower-cased argument column names; None feeds the star row.
-    arg_columns: Optional[List[str]]
+    __slots__ = ("key", "make", "arg_columns")
+
+    def __init__(self, key: str, make: Callable[[], Any], arg_columns: Optional[List[str]]) -> None:
+        self.key = key
+        #: Accumulator factory (shared with the executor's group plan).
+        self.make = make
+        #: Lower-cased argument column names; None feeds the star row.
+        self.arg_columns = arg_columns
 
 
-def _required_columns(predicates: Sequence[Any], *column_lists: Sequence[str]) -> Set[str]:
-    """Every column a scan reads: its predicates' plus ``column_lists``."""
-    required = set(chain.from_iterable(column_lists))
-    for predicate in predicates:
-        required.update(predicate.columns)
-    return required
-
-
-@dataclass(slots=True)
 class FlatScanPlan:
     """``SELECT [DISTINCT] <plain columns> FROM <table> [WHERE simple]
     [ORDER BY <plain columns>] [LIMIT/OFFSET]``."""
 
-    query: ast.SelectQuery
-    table_name: str
-    predicates: List[Any]
-    out_names: List[str]
-    out_columns: List[str]
-    #: ``[(source_column, ascending), ...]`` or None for unordered scans.
-    order_spec: Optional[List[Tuple[str, bool]]] = None
-    distinct: bool = False
-    required: Set[str] = field(init=False)
+    __slots__ = (
+        "query",
+        "table_name",
+        "predicates",
+        "out_names",
+        "out_columns",
+        "order_spec",
+        "distinct",
+        "required",
+    )
 
-    def __post_init__(self) -> None:
-        self.required = _required_columns(
-            self.predicates, self.out_columns, [column for column, _ in self.order_spec or ()]
-        )
+    def __init__(
+        self,
+        query,
+        table_name,
+        predicates,
+        out_names,
+        out_columns,
+        order_spec=None,
+        distinct=False,
+    ) -> None:
+        self.query = query
+        self.table_name = table_name
+        self.predicates = predicates
+        self.out_names = out_names
+        self.out_columns = out_columns
+        #: ``[(source_column, ascending), ...]`` or None for unordered scans.
+        self.order_spec = order_spec
+        self.distinct = distinct
+        self.required = set(out_columns)
+        for predicate in predicates:
+            self.required.update(predicate.columns)
+        if order_spec:
+            self.required.update(column for column, _ in order_spec)
 
 
-@dataclass(slots=True)
 class GroupedScanPlan:
     """A GROUP BY / aggregate scan over plain key and argument columns."""
 
-    query: ast.SelectQuery
-    table_name: str
-    predicates: List[Any]
-    key_columns: List[str]
-    specs: List[_VectorAggSpec]
-    required: Set[str] = field(init=False)
+    __slots__ = ("query", "table_name", "predicates", "key_columns", "specs", "required")
 
-    def __post_init__(self) -> None:
-        self.required = _required_columns(
-            self.predicates, self.key_columns, *(spec.arg_columns or () for spec in self.specs)
-        )
+    def __init__(self, query, table_name, predicates, key_columns, specs) -> None:
+        self.query = query
+        self.table_name = table_name
+        self.predicates = predicates
+        self.key_columns = key_columns
+        self.specs = specs
+        self.required = set(key_columns)
+        for predicate in predicates:
+            self.required.update(predicate.columns)
+        for spec in specs:
+            if spec.arg_columns:
+                self.required.update(spec.arg_columns)
 
 
 def _resolve_vector_specs(
@@ -1273,26 +1301,22 @@ def _plan_predicates(query: ast.SelectQuery, optimizer: bool) -> Optional[List[A
     return predicates
 
 
-def _cached_plan(executor, memo, query: ast.Query, planner):
-    """``planner``'s scan plan for ``query`` (cached in ``memo``), or None.
+def plan_select(executor, query: ast.Query):
+    """Build (and cache) a scan plan for ``query``, or None when ineligible.
 
     Bail reasons are recorded on every bailing call — cached verdicts
     included — so :data:`stats` counts fallback executions.
     """
+    memo = executor._vector_plans
     cached = memo.get(id(query))
     if cached is not None and cached[0] is query:
         plan, reason = cached[1], cached[2]
     else:
-        plan, reason = planner(executor, query)
+        plan, reason = _plan_select_uncached(executor, query)
         executor._store_plan(memo, id(query), (query, plan, reason))
     if plan is None:
         stats.bail(reason)
     return plan
-
-
-def plan_select(executor, query: ast.Query):
-    """Build (and cache) a scan plan for ``query``, or None when ineligible."""
-    return _cached_plan(executor, executor._vector_plans, query, _plan_select_uncached)
 
 
 def _plan_select_uncached(executor, query: ast.Query):
@@ -1571,7 +1595,7 @@ def _group_indices(
     relation: Relation,
     key_columns: Sequence[str],
     sel: Optional[List[int]],
-) -> Tuple[Dict[Tuple[Any, ...], List[int]], List[Tuple[Any, ...]]]:
+) -> Dict[Tuple[Any, ...], List[int]]:
     """Partition row indices by group key, in first-occurrence order.
 
     Raw key values are used while hashable, falling back to the frozen form
@@ -1601,7 +1625,7 @@ def _group_indices(
             groups[key] = [i]
         else:
             bucket.append(i)
-    return groups, list(groups)
+    return groups
 
 
 def _feed_accumulators(
@@ -1644,25 +1668,25 @@ def _feed_accumulators(
 
 
 def _scan_groups(plan: GroupedScanPlan, relation: Relation, sel: Optional[List[int]]):
-    """``(groups, order, accumulators)`` of the selected rows, every group
-    fed before anything else runs; None when a conversion error (exact
+    """``(groups, accumulators)`` of the selected rows (accumulators in
+    group order), every group fed before anything else runs; None when a conversion error (exact
     SUM/STDDEV meeting a non-numeric or non-finite value) abandons the
     scan, so the row path re-raises its own row-major error."""
     if plan.key_columns:
-        groups, order = _group_indices(relation, plan.key_columns, sel)
+        groups = _group_indices(relation, plan.key_columns, sel)
     else:
-        groups, order = {(): list(range(len(relation))) if sel is None else sel}, [()]
+        groups = {(): list(range(len(relation))) if sel is None else sel}
     whole = sel is None and not plan.key_columns
     try:
         accumulators = [
-            _feed_accumulators(relation, plan.specs, groups[key], whole)
-            if groups[key]
+            _feed_accumulators(relation, plan.specs, indices, whole)
+            if indices
             else [spec.make() for spec in plan.specs]
-            for key in order
+            for indices in groups.values()
         ]
     except _SCAN_ABANDON_ERRORS:
         return None
-    return groups, order, accumulators
+    return groups, accumulators
 
 
 def _execute_grouped(
@@ -1671,11 +1695,11 @@ def _execute_grouped(
     scanned = _scan_groups(plan, relation, sel)
     if scanned is None:
         return None
-    groups, order, accumulators = scanned
+    groups, accumulators = scanned
     stats.grouped += 1
     # Each group's scope is its first row; a global aggregate over empty
     # input has none.
-    firsts = [groups[key][0] for key in order if groups[key]]
+    firsts = [indices[0] for indices in groups.values() if indices]
     if firsts:
         names = [name.lower() for name in relation.schema.names]
         columns = [take_column(array, firsts) for array in relation.columns()]
@@ -1695,12 +1719,21 @@ class PartialScanPlan(GroupedScanPlan):
     but executed through the partial-state protocol (mergeable states out,
     no HAVING/items/ORDER BY)."""
 
+    __slots__ = ()
+
 
 def plan_partial(executor, query: ast.SelectQuery):
     """Build (and cache) a partial-aggregation scan plan, or None."""
-    return _cached_plan(
-        executor, executor._vector_partial_plans, query, _plan_partial_uncached
-    )
+    memo = executor._vector_partial_plans
+    cached = memo.get(id(query))
+    if cached is not None and cached[0] is query:
+        plan, reason = cached[1], cached[2]
+    else:
+        plan, reason = _plan_partial_uncached(executor, query)
+        executor._store_plan(memo, id(query), (query, plan, reason))
+    if plan is None:
+        stats.bail(reason)
+    return plan
 
 
 def _plan_partial_uncached(executor, query: ast.SelectQuery):
@@ -1753,11 +1786,11 @@ def try_execute_partial(executor, query: ast.SelectQuery) -> Optional[Relation]:
     if scanned is None:
         stats.bail(BailReason.SCAN_ABANDONED)
         return None
-    _, order, accumulators = scanned
+    groups, accumulators = scanned
     stats.partial += 1
     _note_backing(relation, plan.required)
     return executor._partial_state_relation(
-        executor._partial_plan(query), dict(zip(order, accumulators))
+        executor._partial_plan(query), dict(zip(groups, accumulators))
     )
 
 

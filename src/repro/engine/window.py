@@ -39,6 +39,11 @@ _RANKING_FUNCTIONS = {
 _EvalFn = Callable[[EvaluationContext], Any]
 
 
+def is_window_capable(name: str) -> bool:
+    """Return True when ``name`` may be used with an OVER clause."""
+    return name.upper() in _RANKING_FUNCTIONS or is_known_aggregate(name)
+
+
 class _SortKey:
     """Sort key wrapper that orders None before everything else."""
 

@@ -636,6 +636,11 @@ class StateSizeFeedback:
                 return self.DEFAULT_BYTES_PER_CELL
             return self._bytes / self._cells
 
+    @property
+    def observed_rows(self) -> int:
+        with self._lock:
+            return self._rows
+
     def reset(self) -> None:
         with self._lock:
             self._rows = 0

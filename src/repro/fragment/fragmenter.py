@@ -38,7 +38,7 @@ from repro.sql import ast
 from repro.sql.analysis import analyze_query
 from repro.sql.errors import SqlError
 from repro.sql.render import render_expression
-from repro.sql.visitor import clone, collect_column_names, collect_columns
+from repro.sql.visitor import clone, collect_columns
 
 
 class FragmentationError(SqlError):
@@ -255,11 +255,13 @@ class VerticalFragmenter:
         needed: List[str] = []
         seen: Set[str] = set()
 
-        def add_from(node: Optional[ast.Node]) -> None:
+        def add_from(node: Optional[ast.Node], skip: Set[int] = frozenset()) -> None:
+            """Add ``node``'s columns, except those whose ``id`` is in ``skip``."""
             if node is None:
                 return
-            for name in collect_column_names(node):
-                if name not in seen:
+            for column in collect_columns(node):
+                name = column.name.lower()
+                if id(column) not in skip and name not in seen:
                     seen.add(name)
                     needed.append(name)
 
@@ -273,11 +275,7 @@ class VerticalFragmenter:
         # An ORDER BY column naming a select item's output reads the item.
         aliases = order_by_aliases(stage)
         for order_item in stage.order_by:
-            for column in collect_columns(order_item.expression):
-                name = column.name.lower()
-                if id(column) not in aliases and name not in seen:
-                    seen.add(name)
-                    needed.append(name)
+            add_from(order_item.expression, aliases)
         return needed
 
     # ------------------------------------------------------------------

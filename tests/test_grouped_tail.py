@@ -130,6 +130,37 @@ def test_standing_refreshes_match_reexecution(sql, config):
         assert pack_relation(handle.result()) == pack_relation(runtime.reexecute(handle))
 
 
+def empty_keyed_sql(min_t: int) -> str:
+    """A keyed aggregate whose WHERE matches no row with ``t < min_t``:
+    over such input there is no group at all (not one with an empty scope)."""
+    return (
+        f"SELECT x, COUNT(*) AS n FROM d WHERE t >= {min_t} GROUP BY x "
+        "HAVING COUNT(*) > 0 ORDER BY n DESC, x"
+    )
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+def test_keyed_aggregate_over_empty_input(config):
+    # ``make_sensor_relation(n)`` stamps row i with t = i / 10.
+    sql = empty_keyed_sql(40)
+    assert len(database().query(sql, CONFIGS[config])) == 0
+    processor = tree_processor(config, 100)
+    sql = empty_keyed_sql(10)
+    result = processor.process(
+        sql, "ActionFilter", apply_rewriting=False, anonymize=False, execution="parallel"
+    )
+    assert len(result.result) == 0
+    runtime = StandingQueryRuntime(processor)
+    handle = runtime.register(sql)
+    assert len(handle.result()) == 0
+    holders = processor.network.partition_holders("d")
+    delta = make_sensor_relation(140, seed=3)
+    for index, start in enumerate(range(80, 140, 20)):
+        runtime.append(holders[index], delta.slice_rows(start, start + 20, name="d"))
+        assert pack_relation(handle.result()) == pack_relation(runtime.reexecute(handle))
+    assert len(handle.result()) > 0
+
+
 def test_permuted_key_subscribers_share_one_tree():
     processor = tree_processor("default", 120)
     runtime = StandingQueryRuntime(processor)
