@@ -16,6 +16,8 @@ import pytest
 
 from tests.conftest import make_sensor_relation
 
+from repro.engine import Database, EngineConfig
+from repro.engine.errors import ExecutionError
 from repro.engine.schema import ColumnDef, Schema
 from repro.engine.table import Relation
 from repro.engine.types import DataType
@@ -356,6 +358,83 @@ def test_partial_aggregation_concurrent_sessions():
         got = front_end.run_batch(requests)
     for want, have in zip(expected, got):
         assert have.result.rows == want.result.rows
+
+
+# ---------------------------------------------------------------------------
+# the partial protocol's rejections, under every engine config
+# ---------------------------------------------------------------------------
+
+ENGINE_CONFIGS = {
+    "interpreted": EngineConfig(mode="interpreted"),
+    "row_scan": EngineConfig(vectorized=False),
+    "default": EngineConfig(),
+}
+
+PARTIAL_REJECTIONS = [
+    (
+        "SELECT DISTINCT x, COUNT(*) FROM d GROUP BY x",
+        "Partial aggregation does not support DISTINCT/LIMIT/OFFSET",
+    ),
+    (
+        "SELECT x, COUNT(*) FROM d GROUP BY x LIMIT 2",
+        "Partial aggregation does not support DISTINCT/LIMIT/OFFSET",
+    ),
+    (
+        "SELECT x, COUNT(*) FROM d GROUP BY x OFFSET 1",
+        "Partial aggregation does not support DISTINCT/LIMIT/OFFSET",
+    ),
+    (
+        "SELECT x + 1, COUNT(*) FROM d GROUP BY x + 1",
+        "Partial aggregation requires plain-column GROUP BY keys",
+    ),
+    (
+        "SELECT x, COUNT(*) FROM d GROUP BY x, X",
+        "Partial aggregation requires distinct GROUP BY keys",
+    ),
+    (
+        "SELECT __agg0, COUNT(*) FROM d GROUP BY __agg0",
+        "Partial aggregation cannot group by reserved column __agg0",
+    ),
+    ("SELECT x, MEDIAN(z) FROM d GROUP BY x", "Aggregate MEDIAN is not decomposable"),
+    ("SELECT x, COUNT(DISTINCT z) FROM d GROUP BY x", "Aggregate COUNT is not decomposable"),
+    ("SELECT x, CORR(y, z) FROM d GROUP BY x", "Aggregate CORR is not decomposable"),
+]
+
+
+def _partial_database() -> Database:
+    database = Database()
+    database.load_rows(
+        "d", [{"x": i % 3, "y": float(i), "z": i * 0.5} for i in range(10)]
+    )
+    return database
+
+
+@pytest.mark.parametrize("config", ENGINE_CONFIGS.values(), ids=ENGINE_CONFIGS.keys())
+@pytest.mark.parametrize("sql,message", PARTIAL_REJECTIONS)
+def test_partial_aggregate_rejections(config, sql, message):
+    with pytest.raises(ExecutionError) as raised:
+        _partial_database().partial_aggregate(sql, config)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize(
+    "sql,names",
+    [
+        # A star item with GROUP BY is rejected only by the grouped SELECT;
+        # its partial carries the keys and no state.
+        ("SELECT * FROM d GROUP BY x", ["x"]),
+        ("SELECT d.x, COUNT(*) FROM d GROUP BY d.x", ["x", "__agg0"]),
+    ],
+)
+def test_partial_aggregate_accepts(sql, names):
+    results = [
+        _partial_database().partial_aggregate(sql, config)
+        for config in ENGINE_CONFIGS.values()
+    ]
+    for result in results:
+        assert result.schema.names == names
+        assert [row["x"] for row in result.rows] == [0, 1, 2]
+    assert len({pack_relation(result) for result in results}) == 1
 
 
 # ---------------------------------------------------------------------------
