@@ -9,8 +9,12 @@ benchmark enforces:
    ``baseline`` and ``disabled`` are *identical* ``profile=False`` runs (an
    A/A pair whose difference is the measurable cost of the disabled
    instrumentation plus noise floor), ``enabled`` adds ``profile=True`` —
-   and fail if the disabled arm exceeds the baseline by more than 2% on
-   best-of-``repeats`` medians.
+   and fail if the disabled arm exceeds the baseline by more than 2%: the
+   median over rounds of the per-round disabled/baseline time ratio.  Each
+   round runs every arm once, ``baseline`` and ``disabled`` back to back in
+   alternating order, so the two arms of a ratio share the host's drift;
+   a collection before every sample keeps one arm's garbage out of the
+   next arm's time.
 2. **No span leakage between sessions.**  Concurrent profiled sessions
    through the :class:`~repro.runtime.session.SessionFrontEnd` must each
    produce a trace whose spans all belong to that trace, with exactly the
@@ -36,6 +40,8 @@ for entry in (str(REPO_ROOT / "src"), str(REPO_ROOT)):
     if entry not in sys.path:
         sys.path.insert(0, entry)
 
+import gc  # noqa: E402
+import statistics  # noqa: E402
 import time  # noqa: E402
 
 from benchmarks.common import PAPER_SQL, build_processor  # noqa: E402
@@ -48,8 +54,8 @@ DEFAULT_ROWS = 3000
 OVERHEAD_BUDGET = 0.02
 
 
-def _measure_arms(rows: int, repeats: int, inner: int) -> Dict[str, float]:
-    """Best-of-``repeats`` seconds per arm; arms interleave to share noise."""
+def _measure_arms(rows: int, rounds: int, inner: int) -> Dict[str, List[float]]:
+    """Seconds per arm per round; every round runs each arm once."""
     processor = build_processor(rows)
     arms = {
         "baseline": dict(profile=False),
@@ -65,12 +71,21 @@ def _measure_arms(rows: int, repeats: int, inner: int) -> Dict[str, float]:
     for options in arms.values():  # warmup: parse/compile caches, all paths
         run(options)
     samples: Dict[str, List[float]] = {name: [] for name in arms}
-    for _ in range(repeats):
-        for name, options in arms.items():
+    for round_index in range(rounds):
+        pair = ["baseline", "disabled"] if round_index % 2 == 0 else ["disabled", "baseline"]
+        for name in pair + ["enabled"]:
+            gc.collect()
             started = time.perf_counter()
-            run(options)
+            run(arms[name])
             samples[name].append(time.perf_counter() - started)
-    return {name: min(values) for name, values in samples.items()}
+    return samples
+
+
+def _median_ratio(samples: Dict[str, List[float]], arm: str) -> float:
+    """Median over rounds of ``arm``'s time over the baseline's."""
+    return statistics.median(
+        value / base for value, base in zip(samples[arm], samples["baseline"])
+    )
 
 
 def _check_span_isolation(rows: int, sessions: int) -> Dict[str, Any]:
@@ -109,15 +124,16 @@ def _check_span_isolation(rows: int, sessions: int) -> Dict[str, Any]:
 
 
 def run_obs_overhead(
-    rows: int = DEFAULT_ROWS, repeats: int = 5, inner: int = 3, sessions: int = 6
+    rows: int = DEFAULT_ROWS, rounds: int = 101, inner: int = 1, sessions: int = 6
 ) -> Dict[str, Any]:
     """The full OBS report: overhead arms + overlap/fast-path + isolation."""
-    arms = _measure_arms(rows, repeats, inner)
-    disabled_overhead = arms["disabled"] / arms["baseline"] - 1.0
-    enabled_overhead = arms["enabled"] / arms["baseline"] - 1.0
+    samples = _measure_arms(rows, rounds, inner)
+    disabled_overhead = _median_ratio(samples, "disabled") - 1.0
+    enabled_overhead = _median_ratio(samples, "enabled") - 1.0
+    arms = {name: statistics.median(values) for name, values in samples.items()}
     assert disabled_overhead < OVERHEAD_BUDGET, (
         f"tracing-disabled overhead {disabled_overhead:.1%} exceeds "
-        f"{OVERHEAD_BUDGET:.0%} budget (arms: {arms})"
+        f"{OVERHEAD_BUDGET:.0%} budget (arm medians: {arms})"
     )
 
     # One profiled parallel run: achieved overlap + vectorized scan paths.
@@ -134,9 +150,9 @@ def run_obs_overhead(
 
     report: Dict[str, Any] = {
         "rows": rows,
-        "repeats": repeats,
+        "rounds": rounds,
         "inner_runs_per_sample": inner,
-        "arm_best_s": arms,
+        "arm_median_s": arms,
         "disabled_overhead": round(disabled_overhead, 4),
         "enabled_overhead": round(enabled_overhead, 4),
         "overhead_budget": OVERHEAD_BUDGET,
@@ -151,7 +167,7 @@ def run_obs_overhead(
 # quick-suite smoke tests (tiny configuration)
 # ---------------------------------------------------------------------------
 def test_obs_overhead_quick():
-    report = run_obs_overhead(rows=600, repeats=3, inner=2, sessions=4)
+    report = run_obs_overhead(rows=600, rounds=101, inner=1, sessions=4)
     assert report["disabled_overhead"] < OVERHEAD_BUDGET
     assert report["isolation"]["leaked_spans"] == 0
 

@@ -280,7 +280,7 @@ def main(argv: List[str] | None = None) -> int:
         # Asserts tracing-disabled overhead < 2% on the fig2 workload and
         # that concurrent profiled sessions never leak spans; also records
         # the parallel run's achieved overlap and vectorized fast-path hits.
-        report["obs"] = run_obs_overhead(repeats=max(3, args.repeats // 2))
+        report["obs"] = run_obs_overhead()
         print(
             f"obs: disabled overhead {report['obs']['disabled_overhead']:+.1%}, "
             f"enabled {report['obs']['enabled_overhead']:+.1%}, "

@@ -46,14 +46,13 @@ from repro.engine.join import (
     hash_join,
     hash_semi_join,
 )
-from repro.engine.table import Relation
+from repro.engine.table import Relation, _OrderKey, freeze_value as _freeze
 from repro.engine.stats import optimizer_stats
 from repro.engine.vectorized import (
     BailReason,
     FinalizedGroups,
-    _OrderKey,
+    _plain_column,
     columns_relation,
-    freeze_value as _freeze,
     having_kernels,
     having_selection,
     stats as _scan_stats,
@@ -98,27 +97,51 @@ def _shallow_function_calls(node: ast.Node) -> List[ast.FunctionCall]:
     return calls
 
 
-class _AggregateSpec:
-    """One distinct aggregate call of a grouped query (compiled path)."""
+def aggregate_calls(query: ast.SelectQuery) -> List[Tuple[str, ast.FunctionCall]]:
+    """The distinct aggregate calls of ``query`` as ``(render key, call)``.
 
-    __slots__ = ("key", "name", "is_star", "distinct", "arg_fns", "arg_count")
+    First-occurrence order over the select items, HAVING and ORDER BY.  The
+    i-th entry is the i-th accumulator of every grouped scan and, in the
+    partial protocol, the state column ``__agg{i}``.
+    """
+    sources: List[ast.Node] = [item.expression for item in query.items]
+    if query.having is not None:
+        sources.append(query.having)
+    sources.extend(item.expression for item in query.order_by)
+    calls: Dict[str, ast.FunctionCall] = {}
+    for source in sources:
+        for call in _shallow_function_calls(source):
+            if call.window is None and ast.is_aggregate_function(call.name):
+                calls.setdefault(render_expression(call), call)
+    return list(calls.items())
+
+
+class _AggregateSpec:
+    """One :func:`aggregate_calls` entry of a grouped query."""
+
+    __slots__ = ("key", "name", "is_star", "distinct", "arg_fns", "arg_count", "arg_columns")
 
     def __init__(
         self,
         key: str,
-        name: str,
-        is_star: bool,
-        distinct: bool,
-        arg_fns: Optional[List[Callable[[EvaluationContext], Any]]],
+        call: ast.FunctionCall,
+        compile_fn: Callable[[ast.Expression], Callable[[EvaluationContext], Any]],
     ) -> None:
         self.key = key
-        self.name = name
-        self.is_star = is_star
-        self.distinct = distinct
-        #: Per-row argument evaluators; ``None`` feeds the star row
-        #: (``COUNT(*)`` / argument-free calls).
-        self.arg_fns = arg_fns
-        self.arg_count = len(arg_fns) if arg_fns else 1
+        self.name = call.name
+        self.is_star = len(call.arguments) == 1 and isinstance(call.arguments[0], ast.Star)
+        self.distinct = call.distinct
+        #: Per-row argument evaluators, and the arguments' lower-cased
+        #: column names for columnar scans (None when one is not a plain
+        #: column).  ``COUNT(*)`` and argument-free calls feed the star row:
+        #: no evaluators, no columns.
+        self.arg_fns: Optional[List[Callable[[EvaluationContext], Any]]] = None
+        self.arg_columns: Optional[List[str]] = []
+        if not self.is_star and call.arguments:
+            self.arg_fns = [compile_fn(argument) for argument in call.arguments]
+            columns = [_plain_column(argument) for argument in call.arguments]
+            self.arg_columns = None if None in columns else columns
+        self.arg_count = len(self.arg_fns) if self.arg_fns else 1
 
     def make(self) -> Any:
         return make_accumulator(
@@ -146,16 +169,40 @@ class _FlatPlan:
 
 
 class _GroupPlan:
-    """Compile-once artefacts for a grouped SELECT's scan."""
+    """Compile-once artefacts of a grouped query, for every grouped run.
 
-    __slots__ = ("query", "key_fns", "key_columns", "specs")
+    A grouped SELECT is the partial-aggregation protocol run on one
+    partition, so one plan serves both: the SELECT's scan, and the
+    protocol's *partial* (rows -> mergeable state rows), *combine* (state
+    rows -> one state row per group) and *finalize* (state rows -> the
+    query's output) phases.  A state relation carries the group keys under
+    their original names plus one state column per aggregate spec.
+    """
 
-    def __init__(self, query, key_fns, key_columns, specs) -> None:
+    __slots__ = (
+        "query",
+        "key_fns",
+        "key_columns",
+        "key_names",
+        "state_names",
+        "specs",
+        "partial_error",
+    )
+
+    def __init__(self, query, key_fns, specs) -> None:
         self.query = query
         self.key_fns = key_fns
-        #: GROUP BY expressions as plain Columns (None when any is complex).
-        self.key_columns = key_columns
+        #: GROUP BY expressions as plain Columns, and their names (original
+        #: case); both None when any key is complex.
+        self.key_columns = None
+        self.key_names = None
+        if all(isinstance(expression, ast.Column) for expression in query.group_by):
+            self.key_columns = [("", expression) for expression in query.group_by]
+            self.key_names = [expression.name for expression in query.group_by]
         self.specs = specs
+        self.state_names = [f"__agg{index}" for index in range(len(specs))]
+        #: Why the partial protocol cannot run this query, or None.
+        self.partial_error = _partial_error(query, specs)
 
 
 #: A grouped tail's operand: ``("scope", position)``, ``("agg", render
@@ -200,30 +247,6 @@ class _TailPlan:
         self.bails: List[BailReason] = bails
 
 
-class _PartialPlan:
-    """Compile-once artefacts for the partial-aggregation protocol.
-
-    The same plan drives all three phases of a distributed GROUP BY: the
-    *partial* phase (leaf chunks -> mergeable state rows), the *combine*
-    phase (state rows -> fewer state rows, one per group) and the
-    *finalize* phase (state rows -> the query's actual output).  State
-    relations carry the group-key columns under their original names plus
-    one opaque state column per distinct aggregate call.
-    """
-
-    __slots__ = ("query", "key_names", "state_names", "specs", "key_evals")
-
-    def __init__(self, query, key_names, state_names, specs, key_evals) -> None:
-        self.query = query
-        #: Group-key column names, in GROUP BY order (original case).
-        self.key_names = key_names
-        #: State column names (``__agg0``, ``__agg1``, ...).
-        self.state_names = state_names
-        self.specs = specs
-        #: Evaluates each group-key column for one row scope.
-        self.key_evals = key_evals
-
-
 class _WherePlan:
     """WHERE conjuncts split into ordered semi-join and predicate segments.
 
@@ -260,12 +283,10 @@ class QueryExecutor:
         self._group_plans: Dict[int, _GroupPlan] = {}
         self._tail_plans: Dict[Tuple[int, Tuple[str, ...]], _TailPlan] = {}
         self._where_plans: Dict[int, _WherePlan] = {}
-        self._partial_plans: Dict[int, _PartialPlan] = {}
         self._qualified_memo: Dict[int, Tuple[ast.Node, bool]] = {}
         # Vectorized scan plans (repro.engine.vectorized); entries cache the
         # "ineligible" verdict too, so bailing queries plan only once.
         self._vector_plans: Dict[int, Tuple[ast.Node, Any]] = {}
-        self._vector_partial_plans: Dict[int, Tuple[ast.Node, Any]] = {}
 
     #: Plan memos are flushed wholesale past this size so a long-lived
     #: executor serving many distinct queries cannot grow without bound.
@@ -358,24 +379,7 @@ class QueryExecutor:
             if vectorized is not None:
                 return vectorized
 
-        # Scopes only need alias-qualified keys when something in the query
-        # subtree (including correlated subqueries) uses the qualified form.
-        needs_qualified = not self._use_compiled or self._needs_qualified_scopes(query)
-        scopes, source_columns = self._evaluate_from(
-            query.from_clause, parent, needs_qualified
-        )
-
-        # WHERE
-        if query.where is not None:
-            if self._use_compiled:
-                scopes = self._filter_where_compiled(query, scopes, parent)
-            else:
-                scopes = [
-                    scope
-                    for scope in scopes
-                    if evaluate_predicate(query.where, self._context(scope, parent))
-                ]
-
+        scopes, source_columns = self._filtered_scopes(query, parent)
         if query.group_by or self._select_has_aggregates(query):
             if self._use_compiled:
                 return self._execute_grouped_compiled(query, scopes, parent)
@@ -387,6 +391,27 @@ class QueryExecutor:
         else:
             output_rows, output_names = self._execute_flat(query, scopes, source_columns, parent)
         return self._finish_rows(query, output_rows, output_names, scopes, parent)
+
+    def _filtered_scopes(
+        self, query: ast.SelectQuery, parent: Optional[EvaluationContext]
+    ) -> Tuple[List[Scope], List[str]]:
+        """FROM and WHERE: the surviving row scopes and the source columns."""
+        # Scopes only need alias-qualified keys when something in the query
+        # subtree (including correlated subqueries) uses the qualified form.
+        needs_qualified = not self._use_compiled or self._needs_qualified_scopes(query)
+        scopes, source_columns = self._evaluate_from(
+            query.from_clause, parent, needs_qualified
+        )
+        if query.where is not None:
+            if self._use_compiled:
+                scopes = self._filter_where_compiled(query, scopes, parent)
+            else:
+                scopes = [
+                    scope
+                    for scope in scopes
+                    if evaluate_predicate(query.where, self._context(scope, parent))
+                ]
+        return scopes, source_columns
 
     def _finish_rows(
         self,
@@ -991,7 +1016,7 @@ class QueryExecutor:
         if not query.group_by and not groups:
             groups[()] = []
 
-        calls = self._collect_aggregate_calls(query)
+        calls = aggregate_calls(query)
         rows = (
             (members[0] if members else {}, self._compute_group_aggregates(calls, members, parent))
             for members in groups.values()
@@ -1028,17 +1053,11 @@ class QueryExecutor:
         plan = self._group_plans.get(id(query))
         if plan is not None and plan.query is query:
             return plan
-        compiler = self._compiler
-        assert compiler is not None
-        _check_grouped_items(query)
-        key_fns = [compiler.compile(expression) for expression in query.group_by]
-        specs = self._aggregate_specs(query)
-        key_columns = None
-        if query.group_by and all(
-            isinstance(expression, ast.Column) for expression in query.group_by
-        ):
-            key_columns = [("", expression) for expression in query.group_by]
-        plan = _GroupPlan(query, key_fns, key_columns, specs)
+        plan = _GroupPlan(
+            query,
+            [self._expr_eval(expression) for expression in query.group_by],
+            [_AggregateSpec(key, call, self._expr_eval) for key, call in aggregate_calls(query)],
+        )
         self._store_plan(self._group_plans, id(query), plan)
         return plan
 
@@ -1048,10 +1067,9 @@ class QueryExecutor:
         scopes: List[Scope],
         parent: Optional[EvaluationContext],
     ) -> Relation:
+        _check_grouped_items(query)
         plan = self._group_plan(query)
-        groups = self._group_scopes(scopes, plan.key_fns, plan.key_columns, plan.specs, parent)
-        if not query.group_by and not groups:
-            groups[()] = ({}, [spec.make() for spec in plan.specs])
+        groups = self._group_scopes(plan, scopes, parent)
         # One FROM evaluation's scopes share a key set (the global group
         # over empty input has none).
         representatives = [scope for scope, _ in groups.values()]
@@ -1066,20 +1084,19 @@ class QueryExecutor:
         return self._grouped_tail(query, finalized, parent)
 
     def _group_scopes(
-        self,
-        scopes: List[Scope],
-        key_fns: List[Callable[[EvaluationContext], Any]],
-        key_columns: Optional[List[Tuple[str, ast.Column]]],
-        specs: List[_AggregateSpec],
-        parent: Optional[EvaluationContext],
+        self, plan: _GroupPlan, scopes: List[Scope], parent: Optional[EvaluationContext]
     ) -> Dict[Tuple[Any, ...], Tuple[Scope, List[Any]]]:
         """One pass over ``scopes``: each group's first scope and fed
-        accumulators, keyed by group key in first-occurrence order."""
+        accumulators, keyed by group key in first-occurrence order.  A
+        query without GROUP BY forms one global group, even over no rows
+        (COUNT(*) over an empty table is 0); its scope is then empty."""
+        key_fns = plan.key_fns
+        specs = plan.specs
         context = self._fresh_context(parent)
         # Plain-column GROUP BY keys can skip expression evaluation entirely.
         fast_keys: Optional[List[str]] = None
-        if key_columns is not None and scopes:
-            resolved = self._resolve_fast_keys(key_columns, scopes[0], parent)
+        if plan.key_columns is not None and scopes:
+            resolved = self._resolve_fast_keys(plan.key_columns, scopes[0], parent)
             if resolved is not None:
                 fast_keys = [key for _, key in resolved]
         groups: Dict[Tuple[Any, ...], Tuple[Scope, List[Any]]] = {}
@@ -1107,50 +1124,18 @@ class QueryExecutor:
                     accumulator.add((arg_fns[0](context),))
                 else:
                     accumulator.add(tuple(fn(context) for fn in arg_fns))
+        if not plan.query.group_by and not groups:
+            groups[()] = ({}, [spec.make() for spec in specs])
         return groups
-
-    def _collect_aggregate_calls(self, query: ast.SelectQuery) -> List[ast.FunctionCall]:
-        calls: List[ast.FunctionCall] = []
-        sources: List[ast.Node] = [item.expression for item in query.items]
-        if query.having is not None:
-            sources.append(query.having)
-        for item in query.order_by:
-            sources.append(item.expression)
-        for source in sources:
-            for call in _shallow_function_calls(source):
-                if call.window is None and ast.is_aggregate_function(call.name):
-                    calls.append(call)
-        return calls
-
-    def _aggregate_specs(self, query: ast.SelectQuery) -> List[_AggregateSpec]:
-        """One spec per distinct aggregate call, in first-occurrence order."""
-        specs: List[_AggregateSpec] = []
-        seen: set[str] = set()
-        for call in self._collect_aggregate_calls(query):
-            key = render_expression(call)
-            if key in seen:
-                continue
-            seen.add(key)
-            is_star = len(call.arguments) == 1 and isinstance(call.arguments[0], ast.Star)
-            arg_fns = (
-                None
-                if is_star or not call.arguments
-                else [self._expr_eval(argument) for argument in call.arguments]
-            )
-            specs.append(_AggregateSpec(key, call.name, is_star, call.distinct, arg_fns))
-        return specs
 
     def _compute_group_aggregates(
         self,
-        calls: Sequence[ast.FunctionCall],
+        calls: Sequence[Tuple[str, ast.FunctionCall]],
         group_scopes: List[Scope],
         parent: Optional[EvaluationContext],
     ) -> Dict[str, Any]:
         results: Dict[str, Any] = {}
-        for call in calls:
-            key = render_expression(call)
-            if key in results:
-                continue
+        for key, call in calls:
             is_star = len(call.arguments) == 1 and isinstance(call.arguments[0], ast.Star)
             if is_star:
                 argument_columns = [[1] * len(group_scopes)]
@@ -1178,43 +1163,12 @@ class QueryExecutor:
             return self._compiler.compile(expression)
         return lambda context, _expr=expression: evaluate(_expr, context)
 
-    def _partial_plan(self, query: ast.SelectQuery) -> _PartialPlan:
-        plan = self._partial_plans.get(id(query))
-        if plan is not None and plan.query is query:
-            return plan
-        if query.distinct or query.limit is not None or query.offset is not None:
-            raise ExecutionError(
-                "Partial aggregation does not support DISTINCT/LIMIT/OFFSET"
-            )
-        key_names: List[str] = []
-        key_evals: List[Callable[[EvaluationContext], Any]] = []
-        for expression in query.group_by:
-            if not isinstance(expression, ast.Column):
-                raise ExecutionError(
-                    "Partial aggregation requires plain-column GROUP BY keys"
-                )
-            if expression.name.lower().startswith("__agg"):
-                # Reserved for the state columns of the partial relation.
-                raise ExecutionError(
-                    f"Partial aggregation cannot group by reserved column "
-                    f"{expression.name}"
-                )
-            key_names.append(expression.name)
-            key_evals.append(self._expr_eval(expression))
-        if len({name.lower() for name in key_names}) != len(key_names):
-            raise ExecutionError("Partial aggregation requires distinct GROUP BY keys")
-        specs = self._aggregate_specs(query)
-        for spec in specs:
-            if not is_decomposable_aggregate(
-                spec.name,
-                is_star=spec.is_star,
-                distinct=spec.distinct,
-                arg_count=spec.arg_count,
-            ):
-                raise ExecutionError(f"Aggregate {spec.name} is not decomposable")
-        state_names = [f"__agg{index}" for index in range(len(specs))]
-        plan = _PartialPlan(query, key_names, state_names, specs, key_evals)
-        self._store_plan(self._partial_plans, id(query), plan)
+    def _partial_plan(self, query: ast.SelectQuery) -> _GroupPlan:
+        """``query``'s group plan; raises before any scan if the partial
+        protocol cannot run it."""
+        plan = self._group_plan(query)
+        if plan.partial_error is not None:
+            raise ExecutionError(plan.partial_error)
         return plan
 
     def execute_partial_aggregation(self, query: ast.SelectQuery) -> Relation:
@@ -1236,29 +1190,14 @@ class QueryExecutor:
             vectorized = try_execute_partial(self, query)
             if vectorized is not None:
                 return vectorized
-        needs_qualified = not self._use_compiled or self._needs_qualified_scopes(query)
-        scopes, _ = self._evaluate_from(query.from_clause, None, needs_qualified)
-        if query.where is not None:
-            if self._use_compiled:
-                scopes = self._filter_where_compiled(query, scopes, None)
-            else:
-                scopes = [
-                    scope
-                    for scope in scopes
-                    if evaluate_predicate(query.where, self._context(scope, None))
-                ]
-        groups = {
-            key: accumulators
-            for key, (_, accumulators) in self._group_scopes(
-                scopes, plan.key_evals, None, plan.specs, None
-            ).items()
-        }
-        if not query.group_by and not groups:
-            groups[()] = [spec.make() for spec in plan.specs]
-        return self._partial_state_relation(plan, groups)
+        scopes, _ = self._filtered_scopes(query, None)
+        groups = self._group_scopes(plan, scopes, None)
+        return self._partial_state_relation(
+            plan, {key: accumulators for key, (_, accumulators) in groups.items()}
+        )
 
     def _merge_partial_groups(
-        self, plan: _PartialPlan, relation: Relation
+        self, plan: _GroupPlan, relation: Relation
     ) -> Dict[Tuple[Any, ...], List[Any]]:
         """Group state rows by key (first-occurrence order), merging states.
 
@@ -1288,7 +1227,7 @@ class QueryExecutor:
         return groups
 
     def _partial_state_relation(
-        self, plan: _PartialPlan, groups: Dict[Tuple[Any, ...], List[Any]]
+        self, plan: _GroupPlan, groups: Dict[Tuple[Any, ...], List[Any]]
     ) -> Relation:
         """One row per group (in ``groups`` order): keys, then states."""
         keys = list(groups)
@@ -1720,8 +1659,8 @@ class QueryExecutor:
 # ---------------------------------------------------------------------------
 
 
-# _OrderKey lives in repro.engine.vectorized (imported above) so the
-# columnar ORDER BY fast path and the row-at-a-time sort share one
+# _OrderKey lives in repro.engine.table (imported above) so the columnar
+# ORDER BY fast path, the row-at-a-time sort and window ordering share one
 # comparator and can never drift apart.
 
 
@@ -1734,6 +1673,30 @@ def _scope_key(column: ast.Column) -> str:
 def _check_grouped_items(query: ast.SelectQuery) -> None:
     if any(isinstance(item.expression, ast.Star) for item in query.items):
         raise ExecutionError("SELECT * cannot be combined with GROUP BY / aggregates")
+
+
+def _partial_error(query: ast.SelectQuery, specs: Sequence[_AggregateSpec]) -> Optional[str]:
+    """Why the partial protocol cannot run ``query``, or None.
+
+    A star item is no obstacle: it is the grouped SELECT that rejects it,
+    and a partial emits only keys and states.
+    """
+    if query.distinct or query.limit is not None or query.offset is not None:
+        return "Partial aggregation does not support DISTINCT/LIMIT/OFFSET"
+    for expression in query.group_by:
+        if not isinstance(expression, ast.Column):
+            return "Partial aggregation requires plain-column GROUP BY keys"
+        if expression.name.lower().startswith("__agg"):
+            # Reserved for the state columns of the partial relation.
+            return f"Partial aggregation cannot group by reserved column {expression.name}"
+    if len({expression.name.lower() for expression in query.group_by}) != len(query.group_by):
+        return "Partial aggregation requires distinct GROUP BY keys"
+    for spec in specs:
+        if not is_decomposable_aggregate(
+            spec.name, is_star=spec.is_star, distinct=spec.distinct, arg_count=spec.arg_count
+        ):
+            return f"Aggregate {spec.name} is not decomposable"
+    return None
 
 
 def _state_column(relation: Relation, name: str) -> Sequence[Any]:
@@ -1787,6 +1750,6 @@ def _unique(rows: List[Tuple[Any, ...]]) -> List[Tuple[Any, ...]]:
     return result
 
 
-# tail_positions / _freeze live in repro.engine.vectorized
-# (imported above) so the columnar paths and the row-at-a-time tail share
-# one implementation and can never drift apart.
+# tail_positions lives in repro.engine.vectorized and _freeze in
+# repro.engine.table (both imported above) so the columnar paths and the
+# row-at-a-time tail share one implementation and can never drift apart.

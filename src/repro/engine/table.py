@@ -641,6 +641,33 @@ def freeze_value(value: Any) -> Any:
     return value
 
 
+class _OrderKey:
+    """Sort key of every ORDER BY: NULL first ascending (last descending),
+    values of mixed types compared as strings."""
+
+    __slots__ = ("value", "ascending")
+
+    def __init__(self, value: Any, ascending: bool) -> None:
+        self.value = value
+        self.ascending = ascending
+
+    def __lt__(self, other: "_OrderKey") -> bool:
+        left, right = self.value, other.value
+        if not self.ascending:
+            left, right = right, left
+        if left is None:
+            return right is not None
+        if right is None:
+            return False
+        try:
+            return left < right
+        except TypeError:
+            return str(left) < str(right)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _OrderKey) and self.value == other.value
+
+
 def _format_cell(value: Any) -> str:
     if value is None:
         return "NULL"

@@ -62,10 +62,9 @@ from repro.engine.errors import ExecutionError
 from repro.engine.evaluator import _like_to_regex
 from repro.engine.schema import ColumnDef, Schema
 from repro.engine.stats import TableStats, optimizer_stats
-from repro.engine.table import Relation, fit_backing, freeze_value
+from repro.engine.table import Relation, _OrderKey, fit_backing, freeze_value
 from repro.engine.types import DataType, infer_type
 from repro.sql import ast
-from repro.sql.render import render_expression
 from repro.sql.visitor import transform
 
 class BailReason(str, Enum):
@@ -1177,19 +1176,6 @@ def having_selection(
 # ---------------------------------------------------------------------------
 
 
-class _VectorAggSpec:
-    """One distinct aggregate call, with column-resolved arguments."""
-
-    __slots__ = ("key", "make", "arg_columns")
-
-    def __init__(self, key: str, make: Callable[[], Any], arg_columns: Optional[List[str]]) -> None:
-        self.key = key
-        #: Accumulator factory (shared with the executor's group plan).
-        self.make = make
-        #: Lower-cased argument column names; None feeds the star row.
-        self.arg_columns = arg_columns
-
-
 class FlatScanPlan:
     """``SELECT [DISTINCT] <plain columns> FROM <table> [WHERE simple]
     [ORDER BY <plain columns>] [LIMIT/OFFSET]``."""
@@ -1231,7 +1217,11 @@ class FlatScanPlan:
 
 
 class GroupedScanPlan:
-    """A GROUP BY / aggregate scan over plain key and argument columns."""
+    """A GROUP BY / aggregate scan over plain key and argument columns.
+
+    ``specs`` are the executor's group-plan specs, so a grouped SELECT and
+    a leaf partial aggregation run the same scan.
+    """
 
     __slots__ = ("query", "table_name", "predicates", "key_columns", "specs", "required")
 
@@ -1245,49 +1235,7 @@ class GroupedScanPlan:
         for predicate in predicates:
             self.required.update(predicate.columns)
         for spec in specs:
-            if spec.arg_columns:
-                self.required.update(spec.arg_columns)
-
-
-def _resolve_vector_specs(
-    calls: Sequence[ast.FunctionCall],
-    source_specs: Sequence[Any],
-    table_columns: Set[str],
-    allow_multi_arg: bool,
-) -> Optional[List[_VectorAggSpec]]:
-    """Pair the executor plan's aggregate specs with argument columns.
-
-    ``calls`` dedup in first-occurrence render order — the same order the
-    executor's own plans use, so the pairing is positional in spirit but
-    matched by rendered key for safety.  Returns None when any argument is
-    not a plain column of the scanned table (the row path owns those).
-    """
-    specs: List[_VectorAggSpec] = []
-    seen: Set[str] = set()
-    for call in calls:
-        key = render_expression(call)
-        if key in seen:
-            continue
-        seen.add(key)
-        is_star = len(call.arguments) == 1 and isinstance(call.arguments[0], ast.Star)
-        if is_star or not call.arguments:
-            arg_columns: Optional[List[str]] = None
-        else:
-            if len(call.arguments) != 1 and not allow_multi_arg:
-                return None
-            arg_columns = []
-            for argument in call.arguments:
-                column = _plain_column(argument)
-                if column is None or column not in table_columns:
-                    return None
-                arg_columns.append(column)
-        spec = next((s for s in source_specs if s.key == key), None)
-        if spec is None:  # pragma: no cover - same dedup, same order
-            return None
-        specs.append(_VectorAggSpec(key, spec.make, arg_columns))
-    if len(specs) != len(source_specs):
-        return None  # pragma: no cover - defensive
-    return specs
+            self.required.update(spec.arg_columns)
 
 
 def _plan_predicates(query: ast.SelectQuery, optimizer: bool) -> Optional[List[Any]]:
@@ -1341,22 +1289,20 @@ def _plan_select_uncached(executor, query: ast.Query):
         if any(isinstance(item.expression, ast.Star) for item in query.items):
             # The row path raises the star/GROUP BY error.
             return None, BailReason.STAR_IN_GROUP_BY
-        key_columns: List[str] = []
-        for expression in query.group_by:
-            column = _plain_column(expression)
-            if column is None or column not in table_columns:
-                return None, BailReason.EXPRESSION_GROUP_KEY
-            key_columns.append(column)
+        # Qualified keys and arguments bailed above (QUALIFIED_SCOPES).
         group_plan = executor._group_plan(query)
-        specs = _resolve_vector_specs(
-            executor._collect_aggregate_calls(query),
-            group_plan.specs,
-            table_columns,
-            allow_multi_arg=True,
-        )
-        if specs is None:
+        key_names = group_plan.key_names
+        key_columns = [name.lower() for name in key_names or ()]
+        if key_names is None or not table_columns.issuperset(key_columns):
+            return None, BailReason.EXPRESSION_GROUP_KEY
+        if any(
+            spec.arg_columns is None or not table_columns.issuperset(spec.arg_columns)
+            for spec in group_plan.specs
+        ):
+            # The row path evaluates non-column arguments.
             return None, BailReason.AGGREGATE_ARGS
-        return GroupedScanPlan(query, table_name, predicates, key_columns, specs), None
+        plan = GroupedScanPlan(query, table_name, predicates, key_columns, group_plan.specs)
+        return plan, None
 
     # Flat projection: plain columns only.  DISTINCT and ORDER BY over
     # plain columns are planned as index permutations when the optimizer
@@ -1450,8 +1396,9 @@ def _note_backing(relation: Relation, names) -> None:
         stats.bail(BailReason.UNTYPED_BACKING)
 
 
-def try_execute_select(executor, query: ast.Query, parent) -> Optional[Relation]:
-    """Execute ``query`` over column arrays, or None to use the row path."""
+def _select_rows(executor, query: ast.Query):
+    """``(plan, relation, selection)`` for a columnar run of ``query``, or
+    None (the bail recorded) to use the row path."""
     plan = plan_select(executor, query)
     if plan is None:
         return None
@@ -1464,43 +1411,43 @@ def try_execute_select(executor, query: ast.Query, parent) -> Optional[Relation]
     except _SCAN_ABANDON_ERRORS:
         stats.bail(BailReason.SCAN_ABANDONED)
         return None
+    return plan, relation, sel
+
+
+def try_execute_select(executor, query: ast.Query, parent) -> Optional[Relation]:
+    """Execute ``query`` over column arrays, or None to use the row path."""
+    selected = _select_rows(executor, query)
+    if selected is None:
+        return None
+    plan, relation, sel = selected
     if isinstance(plan, FlatScanPlan):
         result = _execute_flat(plan, relation, sel)
-        if result is None:
-            stats.bail(BailReason.SCAN_ABANDONED)
     else:
         result = _execute_grouped(executor, plan, relation, parent, sel)
-        if result is None:
-            stats.bail(BailReason.SCAN_ABANDONED)
-    if result is not None:
+    if result is None:
+        stats.bail(BailReason.SCAN_ABANDONED)
+    else:
         _note_backing(relation, plan.required)
     return result
 
 
-class _OrderKey:
-    """Comparable wrapper handling None values and descending order."""
-
-    __slots__ = ("value", "ascending")
-
-    def __init__(self, value: Any, ascending: bool) -> None:
-        self.value = value
-        self.ascending = ascending
-
-    def __lt__(self, other: "_OrderKey") -> bool:
-        left, right = self.value, other.value
-        if not self.ascending:
-            left, right = right, left
-        if left is None:
-            return right is not None
-        if right is None:
-            return False
-        try:
-            return left < right
-        except TypeError:
-            return str(left) < str(right)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _OrderKey) and self.value == other.value
+def try_execute_partial(executor, query: ast.SelectQuery) -> Optional[Relation]:
+    """A leaf partial aggregation as the grouped SELECT's scan, then its
+    state rows; or None to use the row path."""
+    selected = _select_rows(executor, query)
+    if selected is None or not isinstance(selected[0], GroupedScanPlan):
+        return None
+    plan, relation, sel = selected
+    scanned = _scan_groups(plan, relation, sel)
+    if scanned is None:
+        stats.bail(BailReason.SCAN_ABANDONED)
+        return None
+    groups, accumulators = scanned
+    stats.partial += 1
+    _note_backing(relation, plan.required)
+    return executor._partial_state_relation(
+        executor._group_plan(query), dict(zip(groups, accumulators))
+    )
 
 
 def _totally_ordered(values: Sequence[Any]) -> bool:
@@ -1535,6 +1482,12 @@ def tail_positions(
                 seen.add(key)
                 kept.append(i)
         positions = kept
+    # Typed keys are boxed once, not read through TypedColumn.__getitem__
+    # on every comparison.
+    order_arrays = [
+        (array.to_list() if isinstance(array, TypedColumn) else array, ascending)
+        for array, ascending in order_arrays
+    ]
     if order_arrays and all(
         _totally_ordered(gather(array, positions)) for array, _ in order_arrays
     ):
@@ -1630,7 +1583,7 @@ def _group_indices(
 
 def _feed_accumulators(
     relation: Relation,
-    specs: Sequence[_VectorAggSpec],
+    specs: Sequence[Any],
     indices: List[int],
     whole_relation: bool,
 ) -> List[Any]:
@@ -1639,7 +1592,7 @@ def _feed_accumulators(
     for spec in specs:
         accumulator = spec.make()
         arg_columns = spec.arg_columns
-        if arg_columns is None:
+        if not arg_columns:
             # Star and zero-argument calls: the row path feeds ``(1,)`` per
             # row.  ``add_many_star`` is the bulk shortcut where it exists
             # (COUNT(*), buffered aggregates); zero-arg calls of the other
@@ -1707,91 +1660,6 @@ def _execute_grouped(
         names, columns = [], []
     finalized = FinalizedGroups(names, columns, plan.specs, accumulators, "result")
     return executor._grouped_tail(plan.query, finalized, parent)
-
-
-# ---------------------------------------------------------------------------
-# partial aggregation (distributed GROUP BY leaf scans)
-# ---------------------------------------------------------------------------
-
-
-class PartialScanPlan(GroupedScanPlan):
-    """A leaf-phase partial aggregation — same shape as a grouped scan,
-    but executed through the partial-state protocol (mergeable states out,
-    no HAVING/items/ORDER BY)."""
-
-    __slots__ = ()
-
-
-def plan_partial(executor, query: ast.SelectQuery):
-    """Build (and cache) a partial-aggregation scan plan, or None."""
-    memo = executor._vector_partial_plans
-    cached = memo.get(id(query))
-    if cached is not None and cached[0] is query:
-        plan, reason = cached[1], cached[2]
-    else:
-        plan, reason = _plan_partial_uncached(executor, query)
-        executor._store_plan(memo, id(query), (query, plan, reason))
-    if plan is None:
-        stats.bail(reason)
-    return plan
-
-
-def _plan_partial_uncached(executor, query: ast.SelectQuery):
-    if not isinstance(query.from_clause, ast.TableRef):
-        return None, BailReason.COMPOUND_SOURCE
-    if executor._needs_qualified_scopes(query):
-        return None, BailReason.QUALIFIED_SCOPES
-    try:
-        table = executor.lookup_table(query.from_clause.name)
-    except ExecutionError:
-        return None, BailReason.UNKNOWN_TABLE
-    table_columns = {name.lower() for name in table.schema.names}
-    predicates = _plan_predicates(query, executor.config.optimizer)
-    if predicates is None:
-        return None, BailReason.COMPLEX_PREDICATE
-    partial_plan = executor._partial_plan(query)
-    key_columns = [name.lower() for name in partial_plan.key_names]
-    if any(name not in table_columns for name in key_columns):
-        return None, BailReason.EXPRESSION_GROUP_KEY
-    specs = _resolve_vector_specs(
-        executor._collect_aggregate_calls(query),
-        partial_plan.specs,
-        table_columns,
-        allow_multi_arg=False,  # decomposable aggregates are single-argument
-    )
-    if specs is None:
-        return None, BailReason.AGGREGATE_ARGS
-    plan = PartialScanPlan(query, query.from_clause.name, predicates, key_columns, specs)
-    return plan, None
-
-
-def try_execute_partial(executor, query: ast.SelectQuery) -> Optional[Relation]:
-    """Vectorized leaf partial aggregation, or None to use the row path."""
-    plan = plan_partial(executor, query)
-    if plan is None:
-        return None
-    relation = executor.lookup_table(plan.table_name)
-    if any(relation.column_array(name) is None for name in plan.required):
-        stats.bail(BailReason.COLUMN_DRIFT)
-        return None
-    try:
-        sel = _apply_predicates(plan.predicates, relation, executor.config.optimizer)
-    except _SCAN_ABANDON_ERRORS:
-        scanned = None
-    else:
-        # The row path freezes every key value unconditionally; raw
-        # hashable values are their own frozen form, so only the unhashable
-        # fallback (already frozen) differs — nothing further to do.
-        scanned = _scan_groups(plan, relation, sel)
-    if scanned is None:
-        stats.bail(BailReason.SCAN_ABANDONED)
-        return None
-    groups, accumulators = scanned
-    stats.partial += 1
-    _note_backing(relation, plan.required)
-    return executor._partial_state_relation(
-        executor._partial_plan(query), dict(zip(groups, accumulators))
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.engine.aggregates import compute_aggregate, is_known_aggregate, make_accumulator
 from repro.engine.errors import ExecutionError
 from repro.engine.evaluator import EvaluationContext, evaluate
+from repro.engine.table import _OrderKey, freeze_value
 from repro.sql import ast
 from repro.sql.render import render_expression
 
@@ -37,33 +38,6 @@ _RANKING_FUNCTIONS = {
 
 #: Evaluates one expression against a row context.
 _EvalFn = Callable[[EvaluationContext], Any]
-
-
-def is_window_capable(name: str) -> bool:
-    """Return True when ``name`` may be used with an OVER clause."""
-    return name.upper() in _RANKING_FUNCTIONS or is_known_aggregate(name)
-
-
-class _SortKey:
-    """Sort key wrapper that orders None before everything else."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: Any) -> None:
-        self.value = value
-
-    def __lt__(self, other: "_SortKey") -> bool:
-        if self.value is None:
-            return other.value is not None
-        if other.value is None:
-            return False
-        try:
-            return self.value < other.value
-        except TypeError:
-            return str(self.value) < str(other.value)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _SortKey) and self.value == other.value
 
 
 def _make_eval(expression: ast.Expression, compiler: Optional[Any]) -> _EvalFn:
@@ -117,7 +91,7 @@ def _compute_single_window(
     partition_fns = [_make_eval(expression, compiler) for expression in window.partition_by]
     partitions: Dict[Tuple[Any, ...], List[int]] = {}
     for index, context in enumerate(contexts):
-        partition_key = tuple(_freeze(fn(context)) for fn in partition_fns)
+        partition_key = tuple(freeze_value(fn(context)) for fn in partition_fns)
         partitions.setdefault(partition_key, []).append(index)
 
     values: List[Any] = [None] * len(scopes)
@@ -127,12 +101,6 @@ def _compute_single_window(
             call, ordered, contexts, values, has_order=bool(window.order_by), compiler=compiler
         )
     return values
-
-
-def _freeze(value: Any) -> Any:
-    if isinstance(value, (list, dict, set)):
-        return str(value)
-    return value
 
 
 def _order_partition(
@@ -147,28 +115,12 @@ def _order_partition(
     order_fns = [_make_eval(item.expression, compiler) for item in order_by]
 
     def sort_key(index: int) -> Tuple:
-        keys = []
-        for fn, item in zip(order_fns, order_by):
-            key = _SortKey(fn(contexts[index]))
-            keys.append(key if item.ascending else _Reversed(key))
-        return tuple(keys)
+        return tuple(
+            _OrderKey(fn(contexts[index]), item.ascending)
+            for fn, item in zip(order_fns, order_by)
+        )
 
     return sorted(indices, key=sort_key)
-
-
-class _Reversed:
-    """Inverts the comparison of a wrapped sort key (for DESC ordering)."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key: _SortKey) -> None:
-        self.key = key
-
-    def __lt__(self, other: "_Reversed") -> bool:
-        return other.key < self.key
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Reversed) and self.key == other.key
 
 
 def _fill_partition(
@@ -250,7 +202,7 @@ def _fill_ranking(
     argument_fns = [_make_eval(argument, compiler) for argument in call.arguments]
 
     def order_key(index: int) -> Tuple:
-        return tuple(_freeze(fn(contexts[index])) for fn in order_fns)
+        return tuple(freeze_value(fn(contexts[index])) for fn in order_fns)
 
     if name == "ROW_NUMBER":
         for position, index in enumerate(ordered_indices, start=1):

@@ -617,7 +617,6 @@ class StateSizeFeedback:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._rows = 0
         self._cells = 0
         self._bytes = 0
 
@@ -626,7 +625,6 @@ class StateSizeFeedback:
         if rows <= 0:
             return
         with self._lock:
-            self._rows += rows
             self._cells += cells if cells and cells > 0 else rows
             self._bytes += nbytes
 
@@ -636,14 +634,8 @@ class StateSizeFeedback:
                 return self.DEFAULT_BYTES_PER_CELL
             return self._bytes / self._cells
 
-    @property
-    def observed_rows(self) -> int:
-        with self._lock:
-            return self._rows
-
     def reset(self) -> None:
         with self._lock:
-            self._rows = 0
             self._cells = 0
             self._bytes = 0
 

@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.engine.aggregates import is_decomposable_aggregate
-from repro.engine.executor import _shallow_function_calls
 from repro.fragment.capabilities import CapabilityLevel
 from repro.sql import ast
 from repro.sql.analysis import QueryFeatures, analyze_query
-from repro.sql.render import render, render_expression
+from repro.sql.render import render
 
 
 def is_row_distributive(query: ast.Query) -> bool:
@@ -191,33 +190,6 @@ def is_decomposable_aggregation(query: ast.Query) -> bool:
     ):
         return False
     return True
-
-
-def ordered_aggregate_calls(
-    query: ast.SelectQuery,
-) -> List[Tuple[str, ast.FunctionCall]]:
-    """Distinct aggregate calls in the executor's state-column order.
-
-    Mirrors ``QueryExecutor._collect_aggregate_calls`` + the
-    ``_partial_plan`` dedup exactly: the i-th entry here is what the
-    partial plan stores under state column ``__agg{i}``, so the list's
-    length is the number of state columns a partial state carries besides
-    its group keys.  Each entry is ``(rendered call, call)``.
-    """
-    sources: List[ast.Node] = [item.expression for item in query.items]
-    if query.having is not None:
-        sources.append(query.having)
-    sources.extend(item.expression for item in query.order_by)
-    ordered: List[Tuple[str, ast.FunctionCall]] = []
-    seen: set = set()
-    for source in sources:
-        for call in _shallow_function_calls(source):
-            if call.window is None and ast.is_aggregate_function(call.name):
-                key = render_expression(call)
-                if key not in seen:
-                    seen.add(key)
-                    ordered.append((key, call))
-    return ordered
 
 
 @dataclass

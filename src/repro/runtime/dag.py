@@ -62,16 +62,13 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from repro.anonymize.anonymizer import Anonymizer
 from repro.engine.columns import copy_column, extend_column
 from repro.engine.config import DEFAULT_CONFIG, EngineConfig
+from repro.engine.executor import aggregate_calls
 from repro.engine.schema import ColumnDef, Schema
 from repro.engine.table import Relation
 from repro.engine.types import DataType
 from repro.engine.wire import WireFormatError, pack_relation, state_size_feedback
 from repro.fragment.capabilities import permitted_features
-from repro.fragment.plan import (
-    FragmentPlan,
-    QueryFragment,
-    ordered_aggregate_calls,
-)
+from repro.fragment.plan import FragmentPlan, QueryFragment
 from repro.fragment.topology import Topology
 from repro.obs.profile import CalibrationLog
 from repro.obs.trace import QueryTrace, current_span
@@ -189,7 +186,7 @@ def partial_aggregation_pays(
             # narrow ones.  Unlike the fixed-ratio rule, genuinely small
             # states (few aggregates over wide raw rows) keep the partial
             # path even at high shares.
-            state_width = len(keys) + len(ordered_aggregate_calls(query))
+            state_width = len(keys) + len(aggregate_calls(query))
             est_state_bytes = (
                 groups * state_width * state_size_feedback.bytes_per_cell()
             )

@@ -70,11 +70,12 @@ from typing import (
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database
 from repro.engine.errors import ExecutionError
+from repro.engine.executor import aggregate_calls
 from repro.engine.vectorized import FinalizedGroups
 from repro.engine.schema import Schema
 from repro.engine.table import Relation
 from repro.engine.wire import pack_state_relation
-from repro.fragment.plan import is_decomposable_aggregation, ordered_aggregate_calls
+from repro.fragment.plan import is_decomposable_aggregation
 from repro.obs.metrics import registry as _metrics
 from repro.obs.trace import QueryTrace, Span
 from repro.rewrite.containment import check_leakage
@@ -467,7 +468,7 @@ class StandingQueryRuntime:
                 "Standing queries must be decomposable aggregations "
                 "(single-table GROUP BY with mergeable aggregate calls)"
             )
-        sub_keys = [key for key, _ in ordered_aggregate_calls(parsed)]
+        sub_keys = [key for key, _ in aggregate_calls(parsed)]
         signature = self._signature(parsed)
         with self._lock:
             tree, shared = self._attach_tree(parsed, signature, sub_keys)
@@ -519,7 +520,7 @@ class StandingQueryRuntime:
                 view.where = None
                 if check_leakage(view, image).answerable:
                     return tree, True
-        calls = [call for _, call in ordered_aggregate_calls(parsed)]
+        calls = [call for _, call in aggregate_calls(parsed)]
         core = _core_query(parsed, calls)
         tree = _StateTree(
             runtime=self,

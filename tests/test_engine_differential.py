@@ -183,6 +183,9 @@ CORPUS = [
     "SELECT x, y, AVG(z) AS zavg, MAX(t) AS tmax FROM "
     "(SELECT x, y, z, t FROM readings WHERE x > y AND z < 2) AS inner_q "
     "GROUP BY x, y HAVING SUM(z) > 0",
+    # ORDER BY typed int keys, with and without NULLs
+    "SELECT id, room_id FROM readings ORDER BY room_id DESC, id",
+    "SELECT id, person_id FROM readings ORDER BY person_id, id DESC",
 ]
 
 

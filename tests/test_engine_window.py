@@ -97,3 +97,22 @@ def test_count_star_window(db):
     result = db.query("SELECT g, COUNT(*) OVER (PARTITION BY g) AS n FROM d")
     counts = {(row["g"], row["n"]) for row in result}
     assert ("a", 3) in counts and ("b", 2) in counts
+
+
+@pytest.mark.parametrize("direction", ["", " DESC"])
+@pytest.mark.parametrize("mode", ["interpreted", "compiled"])
+def test_row_number_numbers_rows_in_order_by_order(direction, mode):
+    """Window ordering and the outer ORDER BY share one comparator: NULLs
+    first ascending (last descending), mixed int/str values compared as
+    strings, ties broken by the next key."""
+    from repro.engine.config import EngineConfig
+
+    db = Database()
+    values = [3, "b", None, 1, "a", None, 3, 10, "10", 2]
+    db.load_rows("t", [{"k": k, "v": v} for k, v in enumerate(values)])
+    order = f"v{direction}, k"
+    result = db.query(
+        f"SELECT k, ROW_NUMBER() OVER (ORDER BY {order}) AS rn FROM t ORDER BY {order}",
+        EngineConfig(mode=mode),
+    )
+    assert [row["rn"] for row in result] == list(range(1, len(values) + 1))

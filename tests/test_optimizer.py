@@ -36,7 +36,8 @@ from repro.engine.types import DataType
 from repro.engine.vectorized import estimate_select_rows
 from repro.engine.wire import pack_relation, state_size_feedback, unpack_relation
 from repro.fragment.capabilities import CapabilityLevel
-from repro.fragment.plan import QueryFragment, ordered_aggregate_calls
+from repro.engine.executor import aggregate_calls as ordered_aggregate_calls
+from repro.fragment.plan import QueryFragment
 from repro.runtime.dag import partial_aggregation_pays
 from repro.sql.parser import parse
 
