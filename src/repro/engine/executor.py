@@ -51,10 +51,13 @@ from repro.engine.stats import optimizer_stats
 from repro.engine.vectorized import (
     BailReason,
     FinalizedGroups,
+    _aggregate_call_nodes,
     _plain_column,
+    _shallow_function_calls,
     columns_relation,
     having_kernels,
     having_selection,
+    is_grouped,
     stats as _scan_stats,
     tail_positions,
     try_execute_partial,
@@ -79,23 +82,6 @@ from repro.obs.metrics import registry as _obs_registry  # noqa: E402
 _obs_registry.probe("engine.executor.selects", lambda: _exec_counts[0])
 _obs_registry.probe("engine.executor.partial_aggregations", lambda: _exec_counts[1])
 
-def _shallow_function_calls(node: ast.Node) -> List[ast.FunctionCall]:
-    """Function calls in ``node`` that do not sit inside a nested subquery.
-
-    Aggregates/windows belonging to a scalar/EXISTS/IN subquery are evaluated
-    by that subquery's own executor pass, not by the enclosing query.
-    """
-    calls: List[ast.FunctionCall] = []
-    stack: List[ast.Node] = [node]
-    while stack:
-        current = stack.pop()
-        if current is None or isinstance(current, ast.Query):
-            continue
-        if isinstance(current, ast.FunctionCall):
-            calls.append(current)
-        stack.extend(child for child in current.children() if child is not None)
-    return calls
-
 
 def aggregate_calls(query: ast.SelectQuery) -> List[Tuple[str, ast.FunctionCall]]:
     """The distinct aggregate calls of ``query`` as ``(render key, call)``.
@@ -104,15 +90,9 @@ def aggregate_calls(query: ast.SelectQuery) -> List[Tuple[str, ast.FunctionCall]
     i-th entry is the i-th accumulator of every grouped scan and, in the
     partial protocol, the state column ``__agg{i}``.
     """
-    sources: List[ast.Node] = [item.expression for item in query.items]
-    if query.having is not None:
-        sources.append(query.having)
-    sources.extend(item.expression for item in query.order_by)
     calls: Dict[str, ast.FunctionCall] = {}
-    for source in sources:
-        for call in _shallow_function_calls(source):
-            if call.window is None and ast.is_aggregate_function(call.name):
-                calls.setdefault(render_expression(call), call)
+    for call in _aggregate_call_nodes(query):
+        calls.setdefault(render_expression(call), call)
     return list(calls.items())
 
 
@@ -380,7 +360,7 @@ class QueryExecutor:
                 return vectorized
 
         scopes, source_columns = self._filtered_scopes(query, parent)
-        if query.group_by or self._select_has_aggregates(query):
+        if is_grouped(query):
             if self._use_compiled:
                 return self._execute_grouped_compiled(query, scopes, parent)
             return self._execute_grouped(query, scopes, parent)
@@ -1570,16 +1550,6 @@ class QueryExecutor:
                 return None
             columns.append(name)
         return columns
-
-    def _select_has_aggregates(self, query: ast.SelectQuery) -> bool:
-        sources: List[ast.Node] = [item.expression for item in query.items]
-        if query.having is not None:
-            sources.append(query.having)
-        for source in sources:
-            for call in _shallow_function_calls(source):
-                if call.window is None and ast.is_aggregate_function(call.name):
-                    return True
-        return False
 
     def _expand_star_items(
         self, items: Sequence[ast.SelectItem], source_columns: List[str]

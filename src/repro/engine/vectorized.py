@@ -141,6 +141,43 @@ stats = ScanStats()
 # ---------------------------------------------------------------------------
 
 
+def _shallow_function_calls(node: ast.Node) -> List[ast.FunctionCall]:
+    """Function calls in ``node`` that do not sit inside a nested subquery.
+
+    Aggregates/windows belonging to a scalar/EXISTS/IN subquery are evaluated
+    by that subquery's own executor pass, not by the enclosing query.
+    """
+    calls: List[ast.FunctionCall] = []
+    stack: List[ast.Node] = [node]
+    while stack:
+        current = stack.pop()
+        if current is None or isinstance(current, ast.Query):
+            continue
+        if isinstance(current, ast.FunctionCall):
+            calls.append(current)
+        stack.extend(child for child in current.children() if child is not None)
+    return calls
+
+
+def _aggregate_call_nodes(query: ast.SelectQuery) -> Iterable[ast.FunctionCall]:
+    """Every non-window aggregate call of the select items, HAVING and
+    ORDER BY (repeats included), outside nested subqueries."""
+    sources: List[ast.Node] = [item.expression for item in query.items]
+    if query.having is not None:
+        sources.append(query.having)
+    sources.extend(item.expression for item in query.order_by)
+    for source in sources:
+        for call in _shallow_function_calls(source):
+            if call.window is None and ast.is_aggregate_function(call.name):
+                yield call
+
+
+def is_grouped(query: ast.SelectQuery) -> bool:
+    """True when ``query`` aggregates: it has a GROUP BY, or an aggregate
+    call in its items, HAVING or ORDER BY (then it is one global group)."""
+    return bool(query.group_by) or any(True for _ in _aggregate_call_nodes(query))
+
+
 def _first_non_null_type(values) -> Any:
     """The shared inference rule: first non-null value decides, else FLOAT."""
     if isinstance(values, TypedColumn):
@@ -1285,7 +1322,7 @@ def _plan_select_uncached(executor, query: ast.Query):
         return None, BailReason.COMPLEX_PREDICATE
     table_name = query.from_clause.name
 
-    if query.group_by or executor._select_has_aggregates(query):
+    if is_grouped(query):
         if any(isinstance(item.expression, ast.Star) for item in query.items):
             # The row path raises the star/GROUP BY error.
             return None, BailReason.STAR_IN_GROUP_BY
@@ -1667,15 +1704,6 @@ def _execute_grouped(
 # ---------------------------------------------------------------------------
 
 
-def _contains_aggregate(node: ast.Node) -> bool:
-    if (
-        isinstance(node, ast.FunctionCall)
-        and node.name.upper() in ast.AGGREGATE_FUNCTIONS
-    ):
-        return True
-    return any(_contains_aggregate(child) for child in node.children())
-
-
 def estimate_select_rows(
     query: ast.Query,
     relation: Optional[Relation] = None,
@@ -1720,12 +1748,8 @@ def estimate_select_rows(
         if not known:
             groups = max(1.0, estimate**0.5)
         estimate = min(estimate, groups)
-    elif any(
-        not isinstance(item.expression, ast.Star)
-        and _contains_aggregate(item.expression)
-        for item in query.items
-    ):
-        estimate = 1.0  # a flat aggregate always emits exactly one row
+    elif is_grouped(query):
+        estimate = 1.0  # one global group: at most one row
     result = int(round(estimate))
     if query.offset is not None:
         result = max(0, result - query.offset)

@@ -12,13 +12,16 @@ leaves that hold it (see
 every stage replaces the parts it consumed with its own outputs.  One loop
 applies the same rules to every fragment:
 
-* **In place.** A row-distributive fragment (``partitionable``) runs on
-  every part where it lives when its input is still the resident base
-  chunks (the leaf fan-out) or when a decomposable aggregation follows.
-  Consecutive in-place fragments run as one query per part
-  (:func:`merge_views`), inside the leaf partial when a decomposable
-  aggregation follows.  The fragment plan stays the paper's; only the
-  DAG has fewer tasks.
+* **In place.** While every part is still a resident base chunk — one
+  on the chain's sensor, one per leaf on a tree — a row-distributive
+  fragment (``partitionable``) joins the pending in-place chain whenever
+  :func:`merge_views` folds it into the fragments before it, and each
+  part runs the chain as one query on the node that holds its chunk (the
+  resident-partition rule of :mod:`repro.fragment.capabilities`).  Ahead
+  of a decomposable aggregation a multi-part partition also stays in
+  place when its parts are no longer resident, and the chain runs inside
+  the leaf partial.  The fragment plan stays the paper's; only the DAG
+  has fewer tasks.
 * **Partial → combine → finalize.** A GROUP BY fragment whose aggregates
   all decompose (``QueryFragment.decomposable``) runs in *partial* mode on
   every part (emitting mergeable aggregate states, see
@@ -26,16 +29,20 @@ applies the same rules to every fragment:
   parent one tree level at a time, and the fragment *finalizes* (HAVING,
   select items, ORDER BY) at its assigned node.  Only group states — a few
   rows per node — cross a hop.
-* **Lift.** Any other row-distributive fragment lifts one tree level: the
-  parts of each sibling group merge at their common parent, which applies
-  the fragment to its group — appliances keep working on their own
-  sensors' data, exactly the placement of Figure 3.
+* **Lift.** A row-distributive fragment that does not run in place —
+  :func:`merge_views` refused it, so its input is no longer the resident
+  chunks — lifts one tree level: the parts of each sibling group merge at
+  their common parent, which applies the fragment to its group —
+  appliances keep working on their own sensors' data, exactly the
+  placement of Figure 3.
 * **Merge at the assigned node.** A fragment that needs the whole relation
   (joins, set operations, windows, ordering, DISTINCT aggregates, MEDIAN,
   ...) merges every part at its assigned node and runs there; from there
   the plan chains serially.
-* **Single hop.** A single part moves to the fragment's assigned node,
-  shipping it when it lives elsewhere.
+* **Single hop.** A single part that does not run in place (the fragment
+  is not row-distributive, or its input is no longer a resident chunk)
+  moves to the fragment's assigned node, shipping it when it lives
+  elsewhere.
 
 Every stage is one :class:`StageTask`: it gathers its parts on its node,
 runs one engine operation and registers the output.  Anonymization and the
@@ -1151,20 +1158,32 @@ def build_execution_dag(
     for index, fragment in enumerate(fragments):
         name, in_base = fragment.name, fragment.input_name
         target = fragment.assigned_node or topology.cloud.name
+        resident = all(task_id is None for task_id, _ in partitions)
+        ahead = (
+            partial_aggregation
+            and len(partitions) > 1
+            and _next_blocker_decomposable(fragments, index)
+        )
+        if fragment.partitionable and (resident or ahead):
+            merged = (
+                merge_views(chained, chain[-1].name, fragment.query)
+                if chain
+                else fragment.query
+            )
+            if merged is not None:
+                # In place: the fragment joins the pending chain, so each
+                # part runs the chain as one query — over the base chunk
+                # its node holds, or ahead of a decomposable aggregation
+                # that shrinks the partition to group states.
+                chain, chained = chain + [fragment], merged
+                continue
+            if ahead:
+                partitions, chain, chained = emit_chain(), [fragment], fragment.query
+                continue
         if len(partitions) == 1:
             # Single stream: one hop to the fragment's assigned node.
-            partitions = [run("query", [fragment], name, target, partitions[0])]
-            continue
-        resident = not chain and all(task_id is None for task_id, _ in partitions)
-        if fragment.partitionable and (
-            resident
-            or (partial_aggregation and _next_blocker_decomposable(fragments, index))
-        ):
-            # In place: fan the fragment out over the leaf chunks, or keep
-            # the partition at the leaves until the coming decomposable
-            # aggregation shrinks it to group states.  It joins the pending
-            # chain, so each part runs the chain as one query.
-            partitions, chain, chained = extend_chain(fragment)
+            [part] = emit_chain()
+            partitions, chain = [run("query", [fragment], name, target, part)], []
             continue
         if (
             partial_aggregation

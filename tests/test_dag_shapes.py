@@ -4,12 +4,14 @@ Each cell builds one execution DAG and compares its task listing — task
 id, kind, node and dependencies, in build order — with a recorded one.
 The cells between them hit every placement rule of
 :func:`~repro.runtime.dag.build_execution_dag`: the single-holder chain,
-the leaf fan-out, in-place fragments merged into the leaf partial of a
-decomposable aggregation (or into one query per leaf ahead of the
-high-cardinality fallback), the one-level lift (also under sensor-side
-``BETWEEN`` filters), partial → combine → finalize, the high-cardinality
-fallback, the merge at a fragment's assigned node, the final union,
-``partial_aggregation=False`` and a namespace.  Results are checked
+the leaf fan-out, in-place fragments merged into one query per resident
+chunk (on the chain's one sensor as on the tree's leaves, also under
+sensor-side ``BETWEEN`` filters) or into the leaf partial of a
+decomposable aggregation, partial → combine → finalize, the
+high-cardinality fallback, the merge at a fragment's assigned node, the
+final union, ``partial_aggregation=False`` and a namespace.  The
+one-level lift and the single hop after a refused merge are pinned on
+hand-made plans (``REFUSED`` and the chain test below).  Results are checked
 elsewhere (``tests/test_reference.py``); this file catches a builder change
 that moves work between nodes or adds tasks while results stay right.
 """
@@ -143,42 +145,40 @@ def dag_listing(cell: str) -> List[str]:
 
 
 EXPECTED = {
+    # The sensors run the BETWEEN filter and ``x > y`` as one query.
     "tree8_between": [
-        "t001:d1[sensor_0] fragment @sensor_0",
-        "t002:d1[sensor_1] fragment @sensor_1",
-        "t003:d1[sensor_2] fragment @sensor_2",
-        "t004:d1[sensor_3] fragment @sensor_3",
-        "t005:d1[sensor_4] fragment @sensor_4",
-        "t006:d1[sensor_5] fragment @sensor_5",
-        "t007:d1[sensor_6] fragment @sensor_6",
-        "t008:d1[sensor_7] fragment @sensor_7",
-        "t009:merge[d1@appliance_0] merge @appliance_0 t001 t002 t003 t004",
-        "t010:d2[appliance_0] fragment @appliance_0 t009",
-        "t011:merge[d1@appliance_1] merge @appliance_1 t005 t006 t007 t008",
-        "t012:d2[appliance_1] fragment @appliance_1 t011",
-        "t013:merge[d2] merge @pc t010 t012",
-        "t014:anonymize anonymize @pc t013",
-        "t015:finalize finalize @cloud t014",
+        "t001:d2[sensor_0] fragment @sensor_0",
+        "t002:d2[sensor_1] fragment @sensor_1",
+        "t003:d2[sensor_2] fragment @sensor_2",
+        "t004:d2[sensor_3] fragment @sensor_3",
+        "t005:d2[sensor_4] fragment @sensor_4",
+        "t006:d2[sensor_5] fragment @sensor_5",
+        "t007:d2[sensor_6] fragment @sensor_6",
+        "t008:d2[sensor_7] fragment @sensor_7",
+        "t009:merge[d2] merge @pc t001 t002 t003 t004 t005 t006 t007 t008",
+        "t010:anonymize anonymize @pc t009",
+        "t011:finalize finalize @cloud t010",
     ],
+    # d1 and d2 run as one query on the sensor's own chunk.
     "chain_groupby": [
-        "t001:d1 fragment @sensor",
-        "t002:d2 fragment @appliance t001",
-        "t003:d3 fragment @appliance t002",
-        "t004:anonymize anonymize @appliance t003",
-        "t005:finalize finalize @cloud t004",
+        "t001:d2[sensor] fragment @sensor",
+        "t002:d3 fragment @appliance t001",
+        "t003:anonymize anonymize @appliance t002",
+        "t004:finalize finalize @cloud t003",
     ],
     "chain_join": [
         "t001:d1 fragment @appliance",
         "t002:anonymize anonymize @appliance t001",
         "t003:finalize finalize @cloud t002",
     ],
+    # d1 and d2 run as one query on the sensor's own chunk; only the
+    # rows and columns d2 keeps leave it.
     "chain_paper": [
-        "t001:d1 fragment @sensor",
-        "t002:d2 fragment @appliance t001",
-        "t003:d3 fragment @appliance t002",
-        "t004:d4 fragment @pc t003",
-        "t005:anonymize anonymize @pc t004",
-        "t006:finalize finalize @cloud t005",
+        "t001:d2[sensor] fragment @sensor",
+        "t002:d3 fragment @appliance t001",
+        "t003:d4 fragment @pc t002",
+        "t004:anonymize anonymize @pc t003",
+        "t005:finalize finalize @cloud t004",
     ],
     "tree16_standing_namespace": [
         "t001:d3~partial[sensor_0] partial @sensor_0",
@@ -245,21 +245,17 @@ EXPECTED = {
         "t010:finalize finalize @cloud t009",
     ],
     "tree8_frontend": [
-        "t001:d1[sensor_0] fragment @sensor_0",
-        "t002:d1[sensor_1] fragment @sensor_1",
-        "t003:d1[sensor_2] fragment @sensor_2",
-        "t004:d1[sensor_3] fragment @sensor_3",
-        "t005:d1[sensor_4] fragment @sensor_4",
-        "t006:d1[sensor_5] fragment @sensor_5",
-        "t007:d1[sensor_6] fragment @sensor_6",
-        "t008:d1[sensor_7] fragment @sensor_7",
-        "t009:merge[d1@appliance_0] merge @appliance_0 t001 t002 t003 t004",
-        "t010:d2[appliance_0] fragment @appliance_0 t009",
-        "t011:merge[d1@appliance_1] merge @appliance_1 t005 t006 t007 t008",
-        "t012:d2[appliance_1] fragment @appliance_1 t011",
-        "t013:merge[d2] merge @pc t010 t012",
-        "t014:anonymize anonymize @pc t013",
-        "t015:finalize finalize @cloud t014",
+        "t001:d2[sensor_0] fragment @sensor_0",
+        "t002:d2[sensor_1] fragment @sensor_1",
+        "t003:d2[sensor_2] fragment @sensor_2",
+        "t004:d2[sensor_3] fragment @sensor_3",
+        "t005:d2[sensor_4] fragment @sensor_4",
+        "t006:d2[sensor_5] fragment @sensor_5",
+        "t007:d2[sensor_6] fragment @sensor_6",
+        "t008:d2[sensor_7] fragment @sensor_7",
+        "t009:merge[d2] merge @pc t001 t002 t003 t004 t005 t006 t007 t008",
+        "t010:anonymize anonymize @pc t009",
+        "t011:finalize finalize @cloud t010",
     ],
     # d1 and d2 run inside each leaf's partial aggregation.
     "tree8_groupby": [
@@ -279,22 +275,18 @@ EXPECTED = {
         "t014:finalize finalize @cloud t013",
     ],
     "tree8_groupby_no_partial": [
-        "t001:d1[sensor_0] fragment @sensor_0",
-        "t002:d1[sensor_1] fragment @sensor_1",
-        "t003:d1[sensor_2] fragment @sensor_2",
-        "t004:d1[sensor_3] fragment @sensor_3",
-        "t005:d1[sensor_4] fragment @sensor_4",
-        "t006:d1[sensor_5] fragment @sensor_5",
-        "t007:d1[sensor_6] fragment @sensor_6",
-        "t008:d1[sensor_7] fragment @sensor_7",
-        "t009:merge[d1@appliance_0] merge @appliance_0 t001 t002 t003 t004",
-        "t010:d2[appliance_0] fragment @appliance_0 t009",
-        "t011:merge[d1@appliance_1] merge @appliance_1 t005 t006 t007 t008",
-        "t012:d2[appliance_1] fragment @appliance_1 t011",
-        "t013:merge[d2] merge @appliance_0 t010 t012",
-        "t014:d3 fragment @appliance_0 t013",
-        "t015:anonymize anonymize @appliance_0 t014",
-        "t016:finalize finalize @cloud t015",
+        "t001:d2[sensor_0] fragment @sensor_0",
+        "t002:d2[sensor_1] fragment @sensor_1",
+        "t003:d2[sensor_2] fragment @sensor_2",
+        "t004:d2[sensor_3] fragment @sensor_3",
+        "t005:d2[sensor_4] fragment @sensor_4",
+        "t006:d2[sensor_5] fragment @sensor_5",
+        "t007:d2[sensor_6] fragment @sensor_6",
+        "t008:d2[sensor_7] fragment @sensor_7",
+        "t009:merge[d2] merge @appliance_0 t001 t002 t003 t004 t005 t006 t007 t008",
+        "t010:d3 fragment @appliance_0 t009",
+        "t011:anonymize anonymize @appliance_0 t010",
+        "t012:finalize finalize @cloud t011",
     ],
     # A join reads the whole base relation: its merge reads the eight
     # resident chunks straight from the sensors at the join's own node.
@@ -305,41 +297,35 @@ EXPECTED = {
         "t004:finalize finalize @cloud t003",
     ],
     "tree8_order_limit": [
-        "t001:d1[sensor_0] fragment @sensor_0",
-        "t002:d1[sensor_1] fragment @sensor_1",
-        "t003:d1[sensor_2] fragment @sensor_2",
-        "t004:d1[sensor_3] fragment @sensor_3",
-        "t005:d1[sensor_4] fragment @sensor_4",
-        "t006:d1[sensor_5] fragment @sensor_5",
-        "t007:d1[sensor_6] fragment @sensor_6",
-        "t008:d1[sensor_7] fragment @sensor_7",
-        "t009:merge[d1@appliance_0] merge @appliance_0 t001 t002 t003 t004",
-        "t010:d2[appliance_0] fragment @appliance_0 t009",
-        "t011:merge[d1@appliance_1] merge @appliance_1 t005 t006 t007 t008",
-        "t012:d2[appliance_1] fragment @appliance_1 t011",
-        "t013:merge[d2] merge @appliance_0 t010 t012",
-        "t014:d3 fragment @appliance_0 t013",
-        "t015:anonymize anonymize @appliance_0 t014",
-        "t016:finalize finalize @cloud t015",
+        "t001:d2[sensor_0] fragment @sensor_0",
+        "t002:d2[sensor_1] fragment @sensor_1",
+        "t003:d2[sensor_2] fragment @sensor_2",
+        "t004:d2[sensor_3] fragment @sensor_3",
+        "t005:d2[sensor_4] fragment @sensor_4",
+        "t006:d2[sensor_5] fragment @sensor_5",
+        "t007:d2[sensor_6] fragment @sensor_6",
+        "t008:d2[sensor_7] fragment @sensor_7",
+        "t009:merge[d2] merge @appliance_0 t001 t002 t003 t004 t005 t006 t007 t008",
+        "t010:d3 fragment @appliance_0 t009",
+        "t011:anonymize anonymize @appliance_0 t010",
+        "t012:finalize finalize @cloud t011",
     ],
+    # d2 joins d1 on the leaves; the lift is left to chains that
+    # :func:`merge_views` refuses (``REFUSED`` below).
     "tree8_paper_lift": [
-        "t001:d1[sensor_0] fragment @sensor_0",
-        "t002:d1[sensor_1] fragment @sensor_1",
-        "t003:d1[sensor_2] fragment @sensor_2",
-        "t004:d1[sensor_3] fragment @sensor_3",
-        "t005:d1[sensor_4] fragment @sensor_4",
-        "t006:d1[sensor_5] fragment @sensor_5",
-        "t007:d1[sensor_6] fragment @sensor_6",
-        "t008:d1[sensor_7] fragment @sensor_7",
-        "t009:merge[d1@appliance_0] merge @appliance_0 t001 t002 t003 t004",
-        "t010:d2[appliance_0] fragment @appliance_0 t009",
-        "t011:merge[d1@appliance_1] merge @appliance_1 t005 t006 t007 t008",
-        "t012:d2[appliance_1] fragment @appliance_1 t011",
-        "t013:merge[d2] merge @appliance_0 t010 t012",
-        "t014:d3 fragment @appliance_0 t013",
-        "t015:d4 fragment @pc t014",
-        "t016:anonymize anonymize @pc t015",
-        "t017:finalize finalize @cloud t016",
+        "t001:d2[sensor_0] fragment @sensor_0",
+        "t002:d2[sensor_1] fragment @sensor_1",
+        "t003:d2[sensor_2] fragment @sensor_2",
+        "t004:d2[sensor_3] fragment @sensor_3",
+        "t005:d2[sensor_4] fragment @sensor_4",
+        "t006:d2[sensor_5] fragment @sensor_5",
+        "t007:d2[sensor_6] fragment @sensor_6",
+        "t008:d2[sensor_7] fragment @sensor_7",
+        "t009:merge[d2] merge @appliance_0 t001 t002 t003 t004 t005 t006 t007 t008",
+        "t010:d3 fragment @appliance_0 t009",
+        "t011:d4 fragment @pc t010",
+        "t012:anonymize anonymize @pc t011",
+        "t013:finalize finalize @cloud t012",
     ],
 }
 
@@ -354,9 +340,10 @@ def test_dag_shape_is_pinned(cell):
 # ---------------------------------------------------------------------------
 
 
-def hand_plan(*sqls: str) -> FragmentPlan:
-    """Fragments ``d1 .. dn`` built from ``sqls`` as written: ``d1`` reads
-    ``d``, every later one reads the fragment before it."""
+def hand_plan(*sqls: str, node: str = "appliance_0") -> FragmentPlan:
+    """Fragments ``d1 .. dn`` built from ``sqls`` as written and assigned to
+    ``node``: ``d1`` reads ``d``, every later one reads the fragment before
+    it."""
     fragments = []
     for index, sql in enumerate(sqls, 1):
         query = parse(sql)
@@ -366,7 +353,7 @@ def hand_plan(*sqls: str) -> FragmentPlan:
                 query=query,
                 level=CapabilityLevel.E3_APPLIANCE,
                 input_name=f"d{index - 1}" if index > 1 else "d",
-                assigned_node="appliance_0",
+                assigned_node=node,
                 partitionable=is_row_distributive(query),
                 decomposable=is_decomposable_aggregation(query),
             )
@@ -378,9 +365,25 @@ def hand_plan(*sqls: str) -> FragmentPlan:
     )
 
 
-#: case -> (fragment SQL, the recorded 3-sensor listing).  Every chain is
-#: in place; only the shapes decide what merges.
+#: case -> (fragment SQL, the recorded 3-sensor listing).  The shapes
+#: decide what merges; a link that does not merge ends the in-place chain.
 REFUSED = {
+    # No aggregation follows the refused link: d2 lifts one level, to
+    # the appliances that hold d1's rows.
+    "lift": (
+        ("SELECT * FROM d WHERE d.z < 2", "SELECT x, y FROM d1 WHERE x > y"),
+        [
+            "t001:d1[sensor_0] fragment @sensor_0",
+            "t002:d1[sensor_1] fragment @sensor_1",
+            "t003:d1[sensor_2] fragment @sensor_2",
+            "t004:merge[d1@appliance_0] merge @appliance_0 t001 t002",
+            "t005:d2[appliance_0] fragment @appliance_0 t004",
+            "t006:merge[d1@appliance_1] merge @appliance_1 t003",
+            "t007:d2[appliance_1] fragment @appliance_1 t006",
+            "t008:merge[d2] merge @pc t005 t007",
+            "t009:finalize finalize @cloud t008",
+        ],
+    ),
     # A qualified column in the sensor filter: d1 runs on its own.
     "qualified_inner": (
         ("SELECT * FROM d WHERE d.z < 2", "SELECT x, COUNT(*) AS n FROM d1 GROUP BY x"),
@@ -460,6 +463,26 @@ def test_refused_merges_keep_separate_tasks(case):
         database.register(fragment.name, database.query(fragment.query))
     expected_rows = database.table(plan.result_name)
     assert pack_relation(context.outputs[dag.final_task_id]) == pack_relation(expected_rows)
+
+
+def test_refused_merge_on_the_chain_keeps_the_single_hop():
+    """On the one-sensor chain, ``d1`` runs on its own chunk; ``d2``, which
+    :func:`merge_views` refuses to fold into it, takes the single hop to
+    its assigned node instead of running on the sensor over a shipped
+    input."""
+    processor = ParadiseProcessor(occupancy_policy(), topology=TOPOLOGIES["chain"]())
+    processor.load_data(make_sensor_relation(400))
+    plan = hand_plan(
+        "SELECT * FROM d WHERE d.z < 2", "SELECT x, y FROM d1 WHERE x > y", node="appliance"
+    )
+    dag = build_execution_dag(plan, processor.topology, processor.network)
+    assert listing(dag) == [
+        "t001:d1[sensor] fragment @sensor",
+        "t002:d2 fragment @appliance t001",
+        "t003:finalize finalize @cloud t002",
+    ]
+    assert not any(getattr(task, "composes", ()) for task in dag.tasks)
+    assert_within_table1(processor, dag)
 
 
 @pytest.mark.parametrize(
@@ -565,3 +588,16 @@ def test_explain_names_inputs_merges_and_the_resident_rule():
     ) in text
     assert "t009:d3~combine[appliance_0] [combine] @ appliance_0 <- t001:" in text
     assert "resident-partition" not in text.split("t009:")[1]
+
+
+def test_explain_on_the_chain_names_the_merged_sensor_task():
+    processor = ParadiseProcessor(occupancy_policy(), topology=TOPOLOGIES["chain"]())
+    processor.load_data(make_sensor_relation(400))
+    text = processor.explain(PAPER_SQL, "ActionFilter")
+    # The fragment plan stays the paper's four stages.
+    assert "[E4 @ sensor] d1:" in text and "[E3 @ appliance] d2:" in text
+    assert (
+        "t001:d2[sensor] [fragment] @ sensor <- d@sensor [merges d1, d2] "
+        "[Table 1: resident-partition rule]"
+    ) in text
+    assert "t002:d3 [fragment] @ appliance <- t001:d2[sensor]" in text

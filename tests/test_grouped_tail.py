@@ -231,3 +231,52 @@ def test_finalize_error_waits_for_earlier_groups(config):
         db.query(sql, CONFIGS[config])
     with pytest.raises(OverflowError):
         db.query("SELECT g, SUM(v) AS s FROM t GROUP BY g", CONFIGS[config])
+
+
+#: An aggregate call in ORDER BY alone makes the query one global group,
+#: exactly like one in HAVING: (ORDER BY query, its HAVING twin).
+ORDER_BY_AGGREGATES = [
+    ("SELECT x FROM d ORDER BY COUNT(*)", "SELECT x FROM d HAVING COUNT(*) > 0"),
+    (
+        "SELECT x, y FROM d WHERE z < 1.5 ORDER BY SUM(z) DESC",
+        "SELECT x, y FROM d WHERE z < 1.5 HAVING SUM(z) IS NOT NULL",
+    ),
+    # Decomposable: on a tree it runs as partial → combine → finalize.
+    (
+        "SELECT 1 AS one FROM d WHERE z < 1.5 ORDER BY COUNT(*)",
+        "SELECT 1 AS one FROM d WHERE z < 1.5 HAVING COUNT(*) > 0",
+    ),
+]
+
+
+@pytest.mark.parametrize("sql,twin", ORDER_BY_AGGREGATES)
+def test_order_by_aggregate_makes_one_group(sql, twin):
+    expected = pack_relation(database().query(twin, CONFIGS["interpreted"]))
+    for name, config in CONFIGS.items():
+        result = database().query(sql, config)
+        assert len(result) == 1, name
+        assert pack_relation(result) == expected, name
+
+
+@pytest.mark.parametrize("topology", ["chain", "tree8"])
+@pytest.mark.parametrize("sql", [sql for sql, _ in ORDER_BY_AGGREGATES])
+def test_order_by_aggregate_through_process(sql, topology):
+    processor = ParadiseProcessor(
+        figure4_policy(),
+        topology=(
+            Topology.default_chain()
+            if topology == "chain"
+            else Topology.smart_home_tree(n_sensors=8, sensors_per_appliance=4)
+        ),
+        schema=INTEGRATED_SCHEMA,
+    )
+    processor.load_data(make_sensor_relation(400))
+    for execution in ("serial", "parallel"):
+        result = processor.process(
+            sql, "ActionFilter", apply_rewriting=False, anonymize=False, execution=execution
+        )
+        reference = reference_result(
+            processor, sql, "ActionFilter", apply_rewriting=False, anonymize=False
+        )
+        assert len(reference) == 1
+        assert pack_relation(result.result) == pack_relation(reference)

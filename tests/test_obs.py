@@ -211,7 +211,10 @@ def test_serial_profile_produces_task_spans():
     assert result.trace is not None
     tasks = result.trace.by_kind("task")
     assert len(tasks) == result.runtime.task_count
-    assert {span.name.split(":", 1)[1] for span in tasks} >= {"d1", "anonymize"}
+    # d1 and d2 run as one task on the sensor's own chunk.
+    assert [span.name.split(":", 1)[1] for span in tasks] == [
+        "d2[sensor]", "d3", "d4", "anonymize", "finalize"
+    ]
     assert len(result.trace.by_kind("dag_run")) == 1
     assert result.profile.render()
 
@@ -292,10 +295,11 @@ def test_paper_workloads_take_expected_scan_paths():
     assert result.admitted
     diff = delta(before, registry.snapshot(prefix="engine.vectorized."))
     hits = {key: value for key, value in diff.items() if value}
-    # The rewritten pipeline runs two flat vectorized scans (d1, d2), one
-    # grouped scan (d3), and bails only on the window-function stage.
-    assert hits.get("engine.vectorized.flat", 0) >= 2
-    assert hits.get("engine.vectorized.grouped", 0) >= 1
+    # The rewritten pipeline runs one flat vectorized scan (d1 and d2 as
+    # one query on the sensor), one grouped scan (d3), and bails only on
+    # the window-function stage.
+    assert hits.get("engine.vectorized.flat", 0) == 1
+    assert hits.get("engine.vectorized.grouped", 0) == 1
     bail_reasons = {
         key.rsplit(".", 1)[-1]
         for key in hits

@@ -533,6 +533,15 @@ def test_estimate_select_rows_sanity():
     assert estimate_select_rows(parse("SELECT COUNT(*) AS n FROM d"), relation) == 1
     limited = estimate_select_rows(parse("SELECT v FROM d LIMIT 5"), relation)
     assert limited == 5
+    # An aggregate in HAVING or ORDER BY alone also makes one global group
+    # (as the executor runs it); a window call is not an aggregate.
+    for sql in (
+        "SELECT v FROM d HAVING COUNT(*) > 1",
+        "SELECT v FROM d ORDER BY COUNT(*)",
+    ):
+        assert estimate_select_rows(parse(sql), relation) == 1
+    window = parse("SELECT SUM(v) OVER (ORDER BY k) AS s FROM d")
+    assert estimate_select_rows(window, relation) == 1000
     # Without a relation, input_rows drives a textbook fallback.
     fallback = estimate_select_rows(
         parse("SELECT v FROM d WHERE k = 3"), input_rows=1000

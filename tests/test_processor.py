@@ -78,7 +78,9 @@ def test_process_paper_query_end_to_end(processor, sensor_relation):
     assert result.admitted
     assert result.rewrite is not None and result.rewrite.compliant
     assert result.plan is not None and len(result.plan.fragments) == 4
-    assert [e.node for e in result.executions] == ["sensor", "appliance", "appliance", "pc"]
+    # d1 and d2 run as one query on the sensor's chunk (resident-partition
+    # rule); d3 runs on the appliance and d4 on the PC.
+    assert [e.node for e in result.executions] == ["sensor", "appliance", "pc"]
     assert result.raw_input_rows == len(sensor_relation)
     assert result.result is not None
     # Far fewer rows leave the apartment than the raw data contains.

@@ -25,6 +25,7 @@ from benchmarks.e2e.workloads import (
 from tests.conftest import PAPER_R_CODE, PAPER_SQL, make_sensor_relation
 from tests.test_runtime import RAW_WORKLOADS
 
+from repro.engine.database import Database
 from repro.engine.schema import ColumnDef, Schema
 from repro.engine.table import Relation
 from repro.engine.types import DataType
@@ -181,38 +182,87 @@ def test_sensor_filters_match_reference_in_both_engine_modes(
     assert len(reference_result(processor, sql, module, anonymize=False)) > 0
 
 
-@pytest.mark.parametrize("execution", ["serial", "parallel"])
-@pytest.mark.parametrize("topology", ["chain", "tree8"])
-def test_between_ships_only_matching_rows_off_the_sensors(topology, execution):
-    """The sensors evaluate ``t BETWEEN lo AND hi``: every hop out of a
-    sensor carries exactly the rows of its chunk inside the window."""
-    processor = processor_for(topology, 3000)
-    sql = "SELECT x, y, t FROM d WHERE t BETWEEN 40 AND 240.5 AND x > y"
-    result = processor.process(
-        sql, "fig4", execution=execution, apply_rewriting=False, anonymize=False
-    )
-    sensors = [
+def sensor_names(processor: ParadiseProcessor) -> list:
+    return [
         node.name
         for node in processor.topology.nodes
         if node.level is CapabilityLevel.E4_SENSOR
     ]
-    matching = {
-        sensor: sum(
-            40 <= t <= 240.5
-            for t in processor.network.database(sensor).table("d").column_values("t")
-        )
-        for sensor in sensors
-    }
-    hops = [
-        (transfer.source, transfer.rows)
-        for transfer in result.transfers.transfers
-        if transfer.source in matching
-    ]
-    assert sorted(hops) == sorted(matching.items())
-    assert 0 < sum(matching.values()) < 3000
+
+
+def record_sensor_shipments(monkeypatch, processor: ParadiseProcessor) -> list:
+    """Wrap the network's ``ship``: the returned list collects ``(sensor,
+    relation)`` for every relation that leaves a sensor."""
+    shipped = []
+    sensors = set(sensor_names(processor))
+    real_ship = processor.network.ship
+
+    def ship(relation, relation_name, source, target, **options):
+        if source in sensors and source != target:
+            shipped.append((source, relation))
+        return real_ship(relation, relation_name, source, target, **options)
+
+    monkeypatch.setattr(processor.network, "ship", ship)
+    return shipped
+
+
+def assert_sensors_ship_exactly(processor, shipped, sensor_sql: str) -> None:
+    """Every sensor ships one relation: ``sensor_sql`` over its own chunk,
+    the same rows and columns, byte for byte."""
+    expected = {}
+    for sensor in sensor_names(processor):
+        database = Database()
+        database.register("d", processor.network.database(sensor).table("d"))
+        expected[sensor] = database.query(sensor_sql)
+    assert sorted(source for source, _ in shipped) == sorted(expected)
+    for source, relation in shipped:
+        want = expected[source]
+        assert relation.schema.names == want.schema.names
+        want.name = relation.name
+        assert pack_relation(relation) == pack_relation(want)
+
+
+@pytest.mark.parametrize("execution", ["serial", "parallel"])
+@pytest.mark.parametrize("topology", ["chain", "tree8"])
+def test_between_ships_only_matching_rows_off_the_sensors(
+    monkeypatch, topology, execution
+):
+    """The sensors evaluate ``t BETWEEN lo AND hi`` and, on their own
+    chunk, the rest of the in-place WHERE and the projection: every hop out
+    of a sensor carries exactly the rows of its chunk that pass both, with
+    only the selected columns."""
+    processor = processor_for(topology, 3000)
+    shipped = record_sensor_shipments(monkeypatch, processor)
+    sql = "SELECT x, y, t FROM d WHERE t BETWEEN 40 AND 240.5 AND x > y"
+    result = processor.process(
+        sql, "fig4", execution=execution, apply_rewriting=False, anonymize=False
+    )
+    assert_sensors_ship_exactly(processor, shipped, sql)
+    assert 0 < sum(len(relation) for _, relation in shipped) < 3000
     expected = reference_result(
         processor, sql, "fig4", apply_rewriting=False, anonymize=False
     )
+    assert pack_relation(result.result) == pack_relation(expected)
+
+
+@pytest.mark.parametrize("execution", ["serial", "parallel"])
+def test_chain_sensor_ships_the_paper_query_after_d2(monkeypatch, execution):
+    """On the default chain the paper query's ``d1`` (``z < 2``) and ``d2``
+    (``x > y``, four columns) run as one query on the sensor's chunk: its
+    one hop carries exactly the rows with ``z < 2 AND x > y``, and only
+    ``x, y, z, t``."""
+    processor = processor_for("chain", 3000)
+    shipped = record_sensor_shipments(monkeypatch, processor)
+    result = processor.process(PAPER_SQL, "ActionFilter", execution=execution)
+    assert len(shipped) == 1
+    assert_sensors_ship_exactly(
+        processor, shipped, "SELECT x, y, z, t FROM d WHERE z < 2 AND x > y"
+    )
+    assert 0 < len(shipped[0][1]) < 3000
+    assert [execution.node for execution in result.executions] == [
+        "sensor", "appliance", "pc"
+    ]
+    expected = reference_result(processor, PAPER_SQL, "ActionFilter")
     assert pack_relation(result.result) == pack_relation(expected)
 
 
