@@ -1,15 +1,16 @@
 """Experiment MC — process-parallel execution on a compute-bound workload.
 
 The thread scheduler overlaps *simulated* latencies well but is GIL-capped
-on real compute; the ``workers="processes"`` backend (PR 8) dispatches
+on real compute (so it runs GIL-bound DAGs on the calling thread); the ``workers="processes"`` backend (PR 8) dispatches
 engine operations to spawned worker processes through the wire codec.  This
 benchmark measures what that buys on honest wall clock: a decomposable
 GROUP-BY over a 4-sensor tree with **cost-model sleeps disabled**
 (``cost_model=None`` — no simulated node or link charges), so the only
 thing left to overlap is Python compute itself.
 
-The thread backend is the baseline; the process backend runs at 1/2/4
-workers.  Every measured run is differential-checked in-loop against the
+The thread backend is the baseline; with no cost model nothing in its runs
+can wait, so the scheduler runs their DAG on the calling thread.  The
+process backend runs at 1/2/4 workers.  Every measured run is differential-checked in-loop against the
 unfragmented reference (``pack_relation`` bytes) — a fast-but-wrong backend fails the benchmark, not just the
 test suite.  The report records ``os.cpu_count()`` because the headline
 speedup is hardware-bound: on a single-core host the process backend can
@@ -140,8 +141,10 @@ def run_multicore(
         "repeats": repeats,
         "cpu_count": cpus,
         "metric_note": "wall seconds, cost model disabled (no simulated "
-        "sleeps); every measured run differential-checked against the "
-        "unfragmented reference; the >1.5x bar is hardware-bound (needs >= 4 cores)",
+        "sleeps); with nothing that can wait, the thread baseline's DAG runs "
+        "on the calling thread (runtime.workers == 1), not on a pool; every "
+        "measured run differential-checked against the unfragmented "
+        "reference; the >1.5x bar is hardware-bound (needs >= 4 cores)",
         "threads_baseline": summarize_samples(threads, rows=rows),
         "process_backend": entries,
         "best_speedup_vs_threads": best["speedup_vs_threads"],

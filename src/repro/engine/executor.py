@@ -362,8 +362,8 @@ class QueryExecutor:
         scopes, source_columns = self._filtered_scopes(query, parent)
         if is_grouped(query):
             if self._use_compiled:
-                return self._execute_grouped_compiled(query, scopes, parent)
-            return self._execute_grouped(query, scopes, parent)
+                return self._execute_grouped_compiled(query, scopes, source_columns, parent)
+            return self._execute_grouped(query, scopes, source_columns, parent)
         if self._use_compiled:
             output_rows, output_names = self._execute_flat_compiled(
                 query, scopes, source_columns, parent
@@ -979,6 +979,7 @@ class QueryExecutor:
         self,
         query: ast.SelectQuery,
         scopes: List[Scope],
+        source_columns: Sequence[str],
         parent: Optional[EvaluationContext],
     ) -> Relation:
         _check_grouped_items(query)
@@ -997,8 +998,13 @@ class QueryExecutor:
             groups[()] = []
 
         calls = aggregate_calls(query)
+        # The global group over empty input has no row: its bare columns
+        # are NULL.
         rows = (
-            (members[0] if members else {}, self._compute_group_aggregates(calls, members, parent))
+            (
+                members[0] if members else _null_scope(source_columns, []),
+                self._compute_group_aggregates(calls, members, parent),
+            )
             for members in groups.values()
         )
         return self._emit_grouped(query, rows, parent)
@@ -1045,14 +1051,18 @@ class QueryExecutor:
         self,
         query: ast.SelectQuery,
         scopes: List[Scope],
+        source_columns: Sequence[str],
         parent: Optional[EvaluationContext],
     ) -> Relation:
         _check_grouped_items(query)
         plan = self._group_plan(query)
         groups = self._group_scopes(plan, scopes, parent)
-        # One FROM evaluation's scopes share a key set (the global group
-        # over empty input has none).
-        representatives = [scope for scope, _ in groups.values()]
+        # One FROM evaluation's scopes share a key set.  The global group
+        # over empty input has no row: its bare columns are NULL.
+        representatives = [
+            scope if scopes else _null_scope(source_columns, [])
+            for scope, _ in groups.values()
+        ]
         names = list(representatives[0]) if representatives else []
         finalized = FinalizedGroups(
             names,

@@ -1687,14 +1687,14 @@ def _execute_grouped(
         return None
     groups, accumulators = scanned
     stats.grouped += 1
-    # Each group's scope is its first row; a global aggregate over empty
-    # input has none.
+    # Each group's scope is its first row.  The global group over empty
+    # input has no row: its bare columns are NULL.
     firsts = [indices[0] for indices in groups.values() if indices]
-    if firsts:
-        names = [name.lower() for name in relation.schema.names]
+    names = [name.lower() for name in relation.schema.names]
+    if len(firsts) == len(groups):
         columns = [take_column(array, firsts) for array in relation.columns()]
     else:
-        names, columns = [], []
+        columns = [[None] for _ in names]
     finalized = FinalizedGroups(names, columns, plan.specs, accumulators, "result")
     return executor._grouped_tail(plan.query, finalized, parent)
 

@@ -135,7 +135,8 @@ class ParadiseProcessor:
         #: Plan execution strategy.  Both run the execution DAG on the
         #: scheduler (:mod:`repro.runtime`): "serial" with one worker, so
         #: tasks run one at a time in build order on the calling thread;
-        #: "parallel" on the per-node slot pool.
+        #: "parallel" on the per-node slot pool when a task can wait, and
+        #: like "serial" otherwise (``RuntimeStats.workers`` says which).
         self.execution = execution
         #: DAG runs decompose GROUP BY fragments into leaf partial
         #: aggregation plus per-level combines when possible; ``False``
@@ -445,7 +446,10 @@ class ParadiseProcessor:
         ``strategy="serial"`` runs the scheduler with one worker, so tasks
         execute one at a time in build order on the calling thread;
         ``"parallel"`` dispatches every ready task onto the per-node slot
-        pool.
+        pool when a task of the run can wait (simulated costs, the process
+        backend or an injector, see ``ExecutionContext.can_wait``) and
+        otherwise runs like ``"serial"``, since GIL-bound engine work does
+        not overlap on threads.  ``result.runtime.workers`` says which.
 
         The recovery loop: build and run the execution DAG; when the
         scheduler escalates a failure to
@@ -561,6 +565,7 @@ class ParadiseProcessor:
             restored_tasks=report.restored_tasks,
             checkpoints_saved=context.checkpoints.saved,
             checkpoint_bytes=context.checkpoints.total_bytes,
+            workers=report.workers,
         )
         return final
 

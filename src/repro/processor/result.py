@@ -91,6 +91,9 @@ class RuntimeStats:
     checkpoints_saved: int = 0
     #: Total wire-packed size of the stored checkpoints.
     checkpoint_bytes: int = 0
+    #: Threads that ran the DAG (1 = the calling thread); the pool runs
+    #: only when a task can wait (``ExecutionContext.can_wait``).
+    workers: int = 1
 
     @property
     def overlap_factor(self) -> float:

@@ -22,10 +22,11 @@ query the environment at once.  This package closes that gap:
     cloud remainder are the DAG's final tasks.
 
 ``scheduler``
-    :class:`~repro.runtime.scheduler.Scheduler` runs ready tasks
-    concurrently on a thread pool throttled by per-node worker slots sized
-    from each node's ``cpu_power``; per-node database locks keep the
-    engine's single-threaded executor state safe.
+    :class:`~repro.runtime.scheduler.Scheduler` runs ready tasks under
+    per-node worker slots sized from each node's ``cpu_power``: on a
+    thread pool when a task can wait (simulated costs, the process
+    backend, an injector), on the calling thread otherwise; per-node
+    database locks keep the engine's single-threaded executor state safe.
 
 ``session``
     :class:`~repro.runtime.session.SessionFrontEnd` admits many independent
@@ -52,7 +53,8 @@ query the environment at once.  This package closes that gap:
     re-plans the DAG (:func:`~repro.runtime.dag.replan_without`).
 
 Every query runs on this runtime: ``execution="serial"`` is the same
-scheduler loop with one worker, ``"parallel"`` the per-node slot pool.
+scheduler loop with one worker, ``"parallel"`` the per-node slot pool
+wherever a task can wait.
 The differential oracle is independent of it:
 :func:`repro.processor.reference.reference_result` runs the prepared query
 once over the unfragmented base data, and every run must return

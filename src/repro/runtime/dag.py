@@ -510,6 +510,22 @@ class ExecutionContext:
         successor.payloads = {}
         return successor
 
+    @property
+    def can_wait(self) -> bool:
+        """True when a task of this run can block without holding the GIL.
+
+        Simulated compute and link costs sleep, the process dispatcher
+        waits on worker processes, and an injector's hangs, link delays
+        and retry backoff sleep (a hung task also needs a pool worker so
+        it can be abandoned at its deadline).  Only such waits overlap on
+        threads; every other task is GIL-bound engine work.
+        """
+        return (
+            (self.cost_model is not None and not self.cost_model.is_free)
+            or self.dispatcher is not None
+            or self.injector is not None
+        )
+
     def record_execution(self, order: int, execution: FragmentExecution) -> None:
         with self._lock:
             self._executions[(self.attempt, order)] = execution

@@ -1,9 +1,23 @@
 """Concurrent, fault-tolerant scheduler for fragment-execution DAGs.
 
 The :class:`Scheduler` runs the tasks of an
-:class:`~repro.runtime.dag.ExecutionDag` on a thread pool, dispatching every
-task the moment its dependencies complete.  Two throttles model the physical
-environment:
+:class:`~repro.runtime.dag.ExecutionDag`, dispatching every task the moment
+its dependencies complete.  Where the tasks run depends on whether any of
+them can wait (:attr:`~repro.runtime.dag.ExecutionContext.can_wait`):
+
+* **A fresh thread pool per run** when the run has simulated costs (their
+  sleeps), a process dispatcher (the coordinator waits on worker
+  processes) or a failure injector (hangs, link delays and retry backoff
+  sleep, and a hung task must sit on a pool worker to be abandoned at its
+  deadline).  Those waits release the GIL, so they overlap on threads.
+* **The calling thread** otherwise, one task at a time in build order.
+  Every node of the reproduction runs in one interpreter and engine work
+  holds the GIL, so pool threads cannot overlap it; they only add a
+  handoff per task, new threads per run, and slower engine work.  This
+  is also ``execution="serial"``.
+
+Both run the same dispatch loop, with the same slots, retries,
+checkpoints and spans.  Two throttles model the physical environment:
 
 * **Per-node worker slots.** Each topology node owns a semaphore sized by
   its relative CPU power (a sensor runs one task at a time, the PC and the
@@ -104,6 +118,8 @@ class DagRunReport:
     skipped_tasks: int = 0
     #: Total in-place retry attempts that transient failures cost.
     retried_attempts: int = 0
+    #: Threads that ran the tasks (1 = the calling thread).
+    workers: int = 1
 
     @property
     def busy_seconds(self) -> float:
@@ -113,8 +129,10 @@ class DagRunReport:
 
 class _CallingThread(Executor):
     """The one-worker pool: ``submit`` runs the task to completion on the
-    caller's thread.  No handoff, and no fresh worker thread per run (whose
-    new malloc arena re-faults every page the run allocates)."""
+    caller's thread.  It serves ``execution="serial"`` and every parallel
+    run in which no task can wait.  No handoff, and no fresh worker thread
+    per run (whose new malloc arena re-faults every page the run
+    allocates)."""
 
     def submit(self, fn, /, *args, **kwargs) -> Future:
         future: Future = Future()
@@ -131,7 +149,8 @@ def _node_slots(cpu_power: float, cap: int = 4) -> int:
 
 
 class Scheduler:
-    """Runs DAG tasks concurrently on a pool of per-node workers."""
+    """Runs DAG tasks under per-node worker slots, on a pool where tasks
+    can wait and on the calling thread otherwise."""
 
     def __init__(self, topology: Topology, max_workers: Optional[int] = None) -> None:
         self.topology = topology
@@ -205,6 +224,10 @@ class Scheduler:
         disables deadline checking).  ``max_workers`` caps this run's pool
         (default: the scheduler's); ``1`` runs the tasks one at a time in
         build order on the calling thread, which is ``execution="serial"``.
+        A run in which no task can wait (``context.can_wait`` is false)
+        runs on the calling thread too, whatever ``max_workers`` says: its
+        tasks are GIL-bound, so pool threads would only add overhead.  The
+        report's ``workers`` (and the ``dag_run`` span's) says which ran.
         On a non-recovered task failure it cancels pending tasks, lets
         in-flight ones drain, and raises the exception of the failed task
         first in build order among those that finished; a deadline violation
@@ -213,6 +236,9 @@ class Scheduler:
         thread the task is declared hung when it returns).
         """
         policy = retry_policy or RetryPolicy()
+        # Pool threads only overlap tasks that wait with the GIL released;
+        # a run of GIL-bound engine work is cheaper on the calling thread.
+        workers = (max_workers or self.max_workers) if context.can_wait else 1
         by_id = dag.by_id()
         needed, restored_count = self._restore_satisfied(dag, context)
         skipped_count = len(dag.tasks) - len(needed) - restored_count
@@ -245,6 +271,7 @@ class Scheduler:
                 kind="dag_run",
                 epoch=context.attempt,
                 tasks=len(needed),
+                workers=workers,
             )
             if restored_count or skipped_count:
                 trace.add_event(
@@ -380,7 +407,6 @@ class Scheduler:
         #: task id -> the exception it raised.
         failures: Dict[str, BaseException] = {}
         first_error: Optional[BaseException] = None
-        workers = max_workers or self.max_workers
         pool = _CallingThread() if workers == 1 else ThreadPoolExecutor(workers)
         try:
             while (ready or in_flight) and first_error is None and not failures:
@@ -469,4 +495,5 @@ class Scheduler:
             restored_tasks=restored_count,
             skipped_tasks=skipped_count,
             retried_attempts=retried_attempts[0],
+            workers=workers,
         )

@@ -8,6 +8,12 @@ network simulator, one scheduler whose per-node worker slots all sessions
 contend for — queries from different users genuinely compete for the same
 sensors and appliances).
 
+Each session runs on its own front-end thread, so sessions overlap one
+another.  Within a session, the DAG runs on that same thread unless a task
+can wait (simulated costs, the process backend, an injector), in which
+case the scheduler runs it on a pool of its own (see
+:mod:`repro.runtime.scheduler`).  Per-node slots throttle both alike.
+
 Isolation comes from two mechanisms:
 
 * every in-flight session runs with ``execution="parallel"`` and a

@@ -17,6 +17,8 @@ Two contracts are enforced here:
 
 from __future__ import annotations
 
+from typing import Optional
+
 import pytest
 
 from tests.conftest import PAPER_R_CODE, PAPER_SQL, make_sensor_relation
@@ -38,6 +40,7 @@ from repro.engine.wire import pack_relation
 from repro.fragment.topology import Topology
 from repro.obs.metrics import delta, registry
 from repro.policy.presets import figure4_policy
+from repro.runtime.cost import CostModel
 from repro.processor.paradise import ParadiseProcessor
 from repro.processor.reference import reference_result
 from repro.sensors.scenario import INTEGRATED_SCHEMA
@@ -162,12 +165,15 @@ def test_register_rereg_same_shape_keeps_results_fresh():
 
 
 def _pipeline_processor(
-    rows: int = 240, config: EngineConfig = EngineConfig()
+    rows: int = 240,
+    config: EngineConfig = EngineConfig(),
+    cost_model: Optional[CostModel] = None,
 ) -> ParadiseProcessor:
     processor = ParadiseProcessor(
         figure4_policy(),
         schema=INTEGRATED_SCHEMA,
         topology=Topology.smart_home_tree(n_sensors=4, sensors_per_appliance=2),
+        cost_model=cost_model,
     )
     processor.engine = config
     processor.load_data(make_sensor_relation(rows=rows))
@@ -464,11 +470,15 @@ def test_parallel_runs_identical_across_scan_paths():
         reference_result(_pipeline_processor(), sql, "ActionFilter", **options)
     )
     for config in (row_path, EngineConfig()):
-        processor = _pipeline_processor(config=config)
+        # Small simulated costs make the parallel run use the pool.
+        processor = _pipeline_processor(
+            config=config, cost_model=CostModel(seconds_per_row=1e-6)
+        )
         parallel, vectorized, executions = _scan_paths(
             lambda: processor.process(sql, "ActionFilter", execution="parallel", **options)
         )
         _assert_path(config, vectorized, executions)
+        assert parallel.runtime.workers > 1, config
         assert pack_relation(parallel.result) == expected, config
 
 

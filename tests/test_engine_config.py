@@ -2,8 +2,10 @@
 
 Each case builds a processor with one non-default config and runs it on
 one backend: the one-worker scheduler (``execution="serial"``, on the
-caller's thread), the parallel scheduler's threads, the process backend and
-a standing query's register + refresh.  Every engine
+caller's thread), the parallel scheduler's pool threads (a run with a cost
+model, whose sleeps can overlap), a parallel run with nothing that can wait
+(on the caller's thread), the process backend and a standing query's
+register + refresh.  Every engine
 call records the config of the executor that served it, so the test sees
 the setting *where the engine ran* — a scheduler thread, or the worker
 side of a framed job — not merely where the caller set it.  The process
@@ -28,6 +30,7 @@ from repro.obs.metrics import delta, registry
 from repro.processor.paradise import ParadiseProcessor
 from repro.policy.presets import figure4_policy
 from repro.runtime import procs
+from repro.runtime.cost import CostModel
 from repro.runtime.standing import StandingQueryRuntime
 
 SQL = "SELECT x, AVG(z) AS za, COUNT(*) AS n FROM d WHERE z < 1.8 GROUP BY x"
@@ -76,9 +79,13 @@ def served(monkeypatch):
 
 
 def _run(backend: str, config: EngineConfig, monkeypatch) -> None:
-    options = {"workers": "processes"} if backend == "processes" else {}
+    options = {}
     if backend == "processes":
+        options["workers"] = "processes"
         monkeypatch.setattr(procs, "_shared_pool", lambda workers: _InlinePool())
+    if backend == "parallel":
+        # Simulated costs sleep, so the scheduler runs its pool.
+        options["cost_model"] = CostModel(seconds_per_row=1e-6)
     processor = build_tree_processor(rows=240, n_sensors=4, **options)
     processor.engine = config
     if backend == "standing":
@@ -92,10 +99,14 @@ def _run(backend: str, config: EngineConfig, monkeypatch) -> None:
     assert result.result is not None and len(result.result) > 0
     if backend == "processes":
         assert processor._dispatcher is not None and processor._dispatcher.jobs > 0
+    pooled = backend in ("parallel", "processes")
+    assert (result.runtime.workers > 1) == pooled
 
 
 @pytest.mark.parametrize("field", sorted(CONFIGS))
-@pytest.mark.parametrize("backend", ["serial", "parallel", "processes", "standing"])
+@pytest.mark.parametrize(
+    "backend", ["serial", "parallel", "parallel_no_wait", "processes", "standing"]
+)
 def test_config_is_in_force_where_the_engine_runs(backend, field, served, monkeypatch):
     config = CONFIGS[field]
     before = registry.snapshot(prefix="engine.")
@@ -107,6 +118,10 @@ def test_config_is_in_force_where_the_engine_runs(backend, field, served, monkey
     if backend in ("parallel", "processes"):
         # Engine work happened on scheduler threads, not the caller's.
         assert not all(on_main for _, on_main in served)
+    else:
+        # Nothing in these runs can wait, so every engine call ran on the
+        # caller's thread, parallel included.
+        assert all(on_main for _, on_main in served)
     if not (config.mode == "compiled" and config.vectorized):
         assert all(
             moved[f"engine.vectorized.{kind}"] == 0

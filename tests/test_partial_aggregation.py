@@ -28,7 +28,7 @@ from repro.fragment.topology import Topology
 from repro.policy.presets import figure4_policy
 from repro.processor.paradise import ParadiseProcessor
 from repro.processor.reference import reference_result
-from repro.runtime import build_execution_dag, union_partials
+from repro.runtime import CostModel, build_execution_dag, union_partials
 from repro.sql.parser import parse
 
 
@@ -326,16 +326,21 @@ def test_non_decomposable_aggregation_falls_back_to_global_merge():
 
 @pytest.mark.concurrency
 def test_partial_aggregation_runs_are_deterministic():
-    processor = make_processor(mixed_relation(300, null_share=0.3))
+    # Small simulated costs make the parallel runs use the pool.
+    processor = make_processor(
+        mixed_relation(300, null_share=0.3), cost_model=CostModel(seconds_per_row=1e-6)
+    )
     reference = processor.process(
         GROUP_BY_SQL, "ActionFilter", execution="parallel",
         apply_rewriting=False, anonymize=False,
     )
+    assert reference.runtime.workers > 1
     for _ in range(5):
         again = processor.process(
             GROUP_BY_SQL, "ActionFilter", execution="parallel",
             apply_rewriting=False, anonymize=False,
         )
+        assert again.runtime.workers > 1
         assert again.result.rows == reference.result.rows
         assert again.result.schema.names == reference.result.schema.names
 

@@ -1,7 +1,8 @@
 """Tests for the fragment-execution runtime.
 
 The contract under test: both execution strategies (``"serial"``, the
-one-worker scheduler, and ``"parallel"``, the per-node slot pool) return
+one-worker scheduler, and ``"parallel"``, the per-node slot pool wherever
+a task can wait) return
 relations byte-identical to the unfragmented reference
 (:func:`~repro.processor.reference.reference_result`) on every workload and
 every topology shape, repeated concurrent runs are deterministic, and the
@@ -29,6 +30,7 @@ from repro.processor.paradise import ParadiseProcessor
 from repro.processor.reference import reference_result
 from repro.runtime import (
     CostModel,
+    FailureInjector,
     QueryRequest,
     SessionFrontEnd,
     build_execution_dag,
@@ -432,16 +434,47 @@ def test_aggregate_states_are_packed_once(monkeypatch, execution):
 # ---------------------------------------------------------------------------
 
 
+#: Small simulated costs: their sleeps make a parallel run use the pool, so
+#: the determinism tests interleave real pool threads.
+POOL_COST = CostModel(seconds_per_row=1e-6)
+
+
 @pytest.mark.concurrency
 def test_parallel_runs_are_deterministic():
-    processor = build_tree_processor(rows=300)
+    processor = build_tree_processor(rows=300, cost_model=POOL_COST)
     reference = processor.process(PAPER_SQL, "ActionFilter", execution="parallel")
+    assert reference.runtime.workers > 1
     for _ in range(5):
         again = processor.process(PAPER_SQL, "ActionFilter", execution="parallel")
+        assert again.runtime.workers > 1
         assert again.result.rows == reference.result.rows
         assert again.result.schema.names == reference.result.schema.names
         names = [execution.fragment_name for execution in again.executions]
         assert names == [execution.fragment_name for execution in reference.executions]
+
+
+@pytest.mark.concurrency
+def test_parallel_runs_use_the_pool_only_where_a_task_can_wait():
+    """Nothing in a plain parallel run can wait, so it runs on the calling
+    thread; simulated costs, the process backend and an injector each bring
+    back the scheduler's pool.  The result is the same either way."""
+    plain = build_tree_processor(rows=300)
+    result = plain.process(PAPER_SQL, "ActionFilter", execution="parallel", profile=True)
+    assert result.runtime.workers == 1
+    [run] = result.trace.by_kind("dag_run")
+    assert run.attrs["workers"] == 1
+    assert_matches_reference(plain, PAPER_SQL, "ActionFilter", result)
+
+    injected = plain.process(
+        PAPER_SQL, "ActionFilter", execution="parallel", faults=FailureInjector()
+    )
+    pooled = [injected]
+    for options in ({"cost_model": POOL_COST}, {"workers": "processes"}):
+        processor = build_tree_processor(rows=300, **options)
+        pooled.append(processor.process(PAPER_SQL, "ActionFilter", execution="parallel"))
+    for run in pooled:
+        assert run.runtime.workers == plain.scheduler.max_workers > 1
+    assert_matches_reference(plain, PAPER_SQL, "ActionFilter", *pooled)
 
 
 @pytest.mark.concurrency
