@@ -25,11 +25,6 @@ class SlicingResult:
     bucket_size: int
     buckets: int
 
-    @property
-    def sliced_columns(self) -> List[str]:
-        """All columns that participated in a permuted column group."""
-        return [name for group in self.column_groups for name in group]
-
 
 class Slicer:
     """Slicing anonymizer."""

@@ -13,7 +13,7 @@ like the staged queries in Section 4.2 of the paper.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.engine.errors import ExecutionError, SchemaError
 from repro.engine.config import DEFAULT_CONFIG, EngineConfig
@@ -23,6 +23,12 @@ from repro.engine.schema import Schema
 from repro.engine.table import Relation
 from repro.sql import ast
 from repro.sql.parser import parse
+from repro.sql.visitor import referenced_tables
+
+#: The column names of each table a query reads, in the query's order
+#: (``None`` for a table the catalog lacks): what an executor's plans for
+#: that query captured.
+Shapes = Tuple[Optional[Tuple[str, ...]], ...]
 
 
 class Database:
@@ -37,17 +43,29 @@ class Database:
     concurrency the fragment runtime exploits.
 
     Every query method takes the :class:`~repro.engine.config.EngineConfig`
-    to run under; the database keeps one executor per config it has seen,
-    so alternating configs never throws compiled plans away.
+    to run under.  Executors read the live catalog and are kept per config
+    and per *shape*: the column names of every table the query reads.
+    Compiled plans capture column names only (star expansion, fast scope
+    keys, subquery constancy), so a plan stays valid for exactly as long
+    as the shapes it was built against — re-registering ``d1`` with other
+    columns routes its readers to another executor instead of flushing
+    the plans of every query on the node.
     """
+
+    #: Executors are flushed wholesale past this many (config, shapes)
+    #: keys, mirroring the executors' own plan memos.
+    _MAX_EXECUTORS = 64
 
     def __init__(self, name: str = "db") -> None:
         self.name = name
         self._tables: Dict[str, Relation] = {}
-        # One executor per config, reused across queries so compiled plans
-        # survive repeated executions; all are invalidated whenever the set
-        # of registered tables changes.
-        self._executors: Dict[EngineConfig, QueryExecutor] = {}
+        self._executors: Dict[Tuple[EngineConfig, Shapes], QueryExecutor] = {}
+        #: id(query) -> (query, lower-cased names of the tables it reads);
+        #: each entry keeps its query alive so the id stays valid.
+        self._reads: Dict[int, Tuple[ast.Query, Tuple[str, ...]]] = {}
+        #: Executors built so far (tests and profiles check that warm
+        #: queries build none).
+        self.executor_builds = 0
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
@@ -69,7 +87,6 @@ class Database:
                 raise SchemaError(f"Table already exists: {name}")
             relation = Relation.empty(schema, name=name)
             self._tables[key] = relation
-            self._executors.clear()
             return relation
 
     def register(self, name: str, relation: Relation, replace: bool = True) -> None:
@@ -82,7 +99,6 @@ class Database:
             key = name.lower()
             if not replace and key in self._tables:
                 raise SchemaError(f"Table already exists: {name}")
-            existing = self._tables.get(key)
             # Defensive isolation without a deep copy: the columnar layout
             # makes this an O(#columns) list copy (values shared), so the
             # pipeline's per-run d1..d4 re-registrations no longer pay a
@@ -91,16 +107,6 @@ class Database:
             replacement = relation.copy()
             replacement.name = name
             self._tables[key] = replacement
-            # Re-registering a same-shaped relation (the pipeline's per-run
-            # d1..d4 fragments) keeps the executors and their compiled plans
-            # warm; anything that changes the column-name shape invalidates.
-            if existing is not None and [n.lower() for n in existing.schema.names] == [
-                n.lower() for n in replacement.schema.names
-            ]:
-                for executor in self._executors.values():
-                    executor.replace_relation(key, replacement)
-            else:
-                self._executors.clear()
 
     def drop_table(self, name: str) -> None:
         """Remove a table from the catalog."""
@@ -109,7 +115,6 @@ class Database:
             if key not in self._tables:
                 raise SchemaError(f"Unknown table: {name}")
             del self._tables[key]
-            self._executors.clear()
 
     def table(self, name: str) -> Relation:
         """Return the relation registered under ``name``."""
@@ -143,14 +148,39 @@ class Database:
         """Parse (if needed) and execute a query against this database."""
         query = parse(sql_or_ast) if isinstance(sql_or_ast, str) else sql_or_ast
         with self._lock:
-            return self._executor(config).execute(query)
+            return self._executor(config, query).execute(query)
 
-    def _executor(self, config: EngineConfig) -> QueryExecutor:
-        """The catalog executor for ``config`` (built on first use)."""
-        executor = self._executors.get(config)
+    def _executor(
+        self, config: EngineConfig, query: Optional[ast.Query] = None
+    ) -> QueryExecutor:
+        """The executor for ``config`` and the shapes of the tables
+        ``query`` reads (built on first use).
+
+        Calls that take their input directly instead of reading the
+        catalog (combine, finalize) pass no query and skip the lookup.
+        """
+        key = (config, self._shapes(query) if query is not None else ())
+        executor = self._executors.get(key)
         if executor is None:
-            executor = self._executors[config] = QueryExecutor(self._tables, config)
+            if len(self._executors) >= self._MAX_EXECUTORS:
+                self._executors.clear()
+            executor = self._executors[key] = QueryExecutor(self._tables, config)
+            self.executor_builds += 1
         return executor
+
+    def _shapes(self, query: ast.Query) -> Shapes:
+        """The column names of every table ``query`` reads, as it stands."""
+        entry = self._reads.get(id(query))
+        if entry is None:
+            if len(self._reads) >= QueryExecutor._MAX_PLAN_ENTRIES:
+                self._reads.clear()
+            names = tuple(name.lower() for name in referenced_tables(query))
+            entry = self._reads[id(query)] = (query, names)
+        tables = self._tables
+        return tuple(
+            tuple(tables[name].schema.names) if name in tables else None
+            for name in entry[1]
+        )
 
     def partial_aggregate(
         self, sql_or_ast: Union[str, ast.Query], config: EngineConfig = DEFAULT_CONFIG
@@ -163,7 +193,7 @@ class Database:
         """
         query = parse(sql_or_ast) if isinstance(sql_or_ast, str) else sql_or_ast
         with self._lock:
-            return self._executor(config).execute_partial_aggregation(query)
+            return self._executor(config, query).execute_partial_aggregation(query)
 
     def combine_partials(
         self,
@@ -237,7 +267,6 @@ class Database:
         relation = Relation.from_rows(rows, name=name, schema=schema)
         with self._lock:
             self._tables[name.lower()] = relation
-            self._executors.clear()
         return relation
 
     def total_rows(self) -> int:

@@ -90,6 +90,17 @@ def evaluate(expression: ast.Expression, context: EvaluationContext) -> Any:
     raise ExecutionError(f"Cannot evaluate expression of type {type(expression).__name__}")
 
 
+def make_evaluator(
+    expression: ast.Expression, compiler: Optional[Any] = None
+) -> Callable[[EvaluationContext], Any]:
+    """A per-row evaluator for ``expression``: compiled by ``compiler`` (an
+    :class:`~repro.engine.compile.ExpressionCompiler`) when one is given,
+    else the tree-walking :func:`evaluate` (the interpreted oracle)."""
+    if compiler is not None:
+        return compiler.compile(expression)
+    return lambda context, _expression=expression: evaluate(_expression, context)
+
+
 def evaluate_predicate(expression: Optional[ast.Expression], context: EvaluationContext) -> bool:
     """Evaluate a boolean condition; NULL counts as not satisfied."""
     if expression is None:

@@ -39,7 +39,12 @@ from repro.engine.columns import gather, take_column
 from repro.engine.compile import CompiledExpr, ExpressionCompiler
 from repro.engine.config import DEFAULT_CONFIG, EngineConfig
 from repro.engine.errors import ExecutionError
-from repro.engine.evaluator import EvaluationContext, evaluate, evaluate_predicate
+from repro.engine.evaluator import (
+    EvaluationContext,
+    evaluate,
+    evaluate_predicate,
+    make_evaluator,
+)
 from repro.engine.join import (
     UnhashableJoinKey,
     extract_equi_keys,
@@ -105,7 +110,7 @@ class _AggregateSpec:
         self,
         key: str,
         call: ast.FunctionCall,
-        compile_fn: Callable[[ast.Expression], Callable[[EvaluationContext], Any]],
+        compiler: Optional[ExpressionCompiler],
     ) -> None:
         self.key = key
         self.name = call.name
@@ -118,7 +123,7 @@ class _AggregateSpec:
         self.arg_fns: Optional[List[Callable[[EvaluationContext], Any]]] = None
         self.arg_columns: Optional[List[str]] = []
         if not self.is_star and call.arguments:
-            self.arg_fns = [compile_fn(argument) for argument in call.arguments]
+            self.arg_fns = [make_evaluator(argument, compiler) for argument in call.arguments]
             columns = [_plain_column(argument) for argument in call.arguments]
             self.arg_columns = None if None in columns else columns
         self.arg_count = len(self.arg_fns) if self.arg_fns else 1
@@ -249,7 +254,14 @@ class QueryExecutor:
     def __init__(
         self, catalog: Mapping[str, Relation], config: EngineConfig = DEFAULT_CONFIG
     ) -> None:
-        self._catalog = {name.lower(): relation for name, relation in catalog.items()}
+        # Names resolve lower-cased.  A catalog keyed that way is read live,
+        # so the owner's later registrations are visible (a
+        # :class:`~repro.engine.database.Database` keys its executors by the
+        # shapes of the tables a query reads); any other mapping is copied.
+        if all(name == name.lower() for name in catalog):
+            self._catalog = catalog
+        else:
+            self._catalog = {name.lower(): relation for name, relation in catalog.items()}
         self.config = config
         self._use_compiled = config.mode == "compiled"
         self._vectorized = self._use_compiled and config.vectorized
@@ -276,16 +288,6 @@ class QueryExecutor:
         if len(memo) >= self._MAX_PLAN_ENTRIES:
             memo.clear()
         memo[key] = plan
-
-    def replace_relation(self, name: str, relation: Relation) -> None:
-        """Swap a catalog entry whose column names are unchanged.
-
-        Compiled plans only capture column *names* (star expansion, fast
-        scope keys, subquery-constancy decisions), so a same-shape swap keeps
-        every cached plan valid — the pipeline registers each fragment result
-        under a stable name and schema on every run.
-        """
-        self._catalog[name.lower()] = relation
 
     # ------------------------------------------------------------------
     # public API
@@ -1041,8 +1043,8 @@ class QueryExecutor:
             return plan
         plan = _GroupPlan(
             query,
-            [self._expr_eval(expression) for expression in query.group_by],
-            [_AggregateSpec(key, call, self._expr_eval) for key, call in aggregate_calls(query)],
+            [make_evaluator(expression, self._compiler) for expression in query.group_by],
+            [_AggregateSpec(key, call, self._compiler) for key, call in aggregate_calls(query)],
         )
         self._store_plan(self._group_plans, id(query), plan)
         return plan
@@ -1147,12 +1149,6 @@ class QueryExecutor:
     # ------------------------------------------------------------------
     # partial aggregation (the distributed GROUP BY protocol)
     # ------------------------------------------------------------------
-    def _expr_eval(self, expression: ast.Expression) -> Callable[[EvaluationContext], Any]:
-        """A per-row evaluator for ``expression``, honouring the engine mode."""
-        if self._compiler is not None:
-            return self._compiler.compile(expression)
-        return lambda context, _expr=expression: evaluate(_expr, context)
-
     def _partial_plan(self, query: ast.SelectQuery) -> _GroupPlan:
         """``query``'s group plan; raises before any scan if the partial
         protocol cannot run it."""
@@ -1611,7 +1607,7 @@ class QueryExecutor:
         # selected.  A grouped row also sees its group aggregates
         # (``group_aggregates``, aligned with ``output_rows``: ``ORDER BY
         # COUNT(*)`` needs no select item).
-        order_fns = [self._expr_eval(item.expression) for item in query.order_by]
+        order_fns = [make_evaluator(item.expression, self._compiler) for item in query.order_by]
 
         def sort_key(pair: Tuple[int, Dict[str, Any]]) -> Tuple:
             index, row = pair

@@ -16,11 +16,11 @@ keeps it usable as the differential oracle.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.aggregates import compute_aggregate, is_known_aggregate, make_accumulator
 from repro.engine.errors import ExecutionError
-from repro.engine.evaluator import EvaluationContext, evaluate
+from repro.engine.evaluator import EvaluationContext, make_evaluator
 from repro.engine.table import _OrderKey, freeze_value
 from repro.sql import ast
 from repro.sql.render import render_expression
@@ -35,15 +35,6 @@ _RANKING_FUNCTIONS = {
     "FIRST_VALUE",
     "LAST_VALUE",
 }
-
-#: Evaluates one expression against a row context.
-_EvalFn = Callable[[EvaluationContext], Any]
-
-
-def _make_eval(expression: ast.Expression, compiler: Optional[Any]) -> _EvalFn:
-    if compiler is not None:
-        return compiler.compile(expression)
-    return lambda context, _expression=expression: evaluate(_expression, context)
 
 
 def compute_window_values(
@@ -88,7 +79,7 @@ def _compute_single_window(
     contexts = [EvaluationContext(scope=scope, parent=parent) for scope in scopes]
 
     # Partition the row indices.
-    partition_fns = [_make_eval(expression, compiler) for expression in window.partition_by]
+    partition_fns = [make_evaluator(expression, compiler) for expression in window.partition_by]
     partitions: Dict[Tuple[Any, ...], List[int]] = {}
     for index, context in enumerate(contexts):
         partition_key = tuple(freeze_value(fn(context)) for fn in partition_fns)
@@ -112,7 +103,7 @@ def _order_partition(
     if not order_by:
         return list(indices)
 
-    order_fns = [_make_eval(item.expression, compiler) for item in order_by]
+    order_fns = [make_evaluator(item.expression, compiler) for item in order_by]
 
     def sort_key(index: int) -> Tuple:
         return tuple(
@@ -147,7 +138,7 @@ def _fill_partition(
     if is_star:
         argument_lists = [[1] for _ in ordered_indices]
     else:
-        argument_fns = [_make_eval(argument, compiler) for argument in call.arguments]
+        argument_fns = [make_evaluator(argument, compiler) for argument in call.arguments]
         argument_lists = [
             [fn(contexts[i]) for fn in argument_fns] for i in ordered_indices
         ]
@@ -198,8 +189,8 @@ def _fill_ranking(
 ) -> None:
     window = call.window
     assert window is not None
-    order_fns = [_make_eval(item.expression, compiler) for item in window.order_by]
-    argument_fns = [_make_eval(argument, compiler) for argument in call.arguments]
+    order_fns = [make_evaluator(item.expression, compiler) for item in window.order_by]
+    argument_fns = [make_evaluator(argument, compiler) for argument in call.arguments]
 
     def order_key(index: int) -> Tuple:
         return tuple(freeze_value(fn(contexts[index])) for fn in order_fns)

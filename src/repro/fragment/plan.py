@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.engine.aggregates import is_decomposable_aggregate
 from repro.fragment.capabilities import CapabilityLevel
@@ -223,10 +223,6 @@ class QueryFragment:
     assigned_node: Optional[str] = None
     partitionable: bool = False
     decomposable: bool = False
-    #: Estimated output rows from the cost model's cardinality estimator
-    #: (filled by the processor for ``explain()``/profiled runs; advisory
-    #: only, never affects results).
-    estimated_rows: Optional[int] = None
 
     @property
     def sql(self) -> str:
@@ -262,6 +258,13 @@ class FragmentPlan:
     remainder_input_alias: str = "d"
     #: Name of the relation that finally leaves the apartment (d').
     result_name: str = "d_prime"
+    #: The execution-DAG builder's memo of the queries (and their SQL text)
+    #: it derives from this plan, keyed per fragment chain and input name,
+    #: so every run of a cached plan hands the engine the same AST objects.
+    #: Not copied by ``dataclasses.replace``: a re-mapped plan starts empty.
+    derived: Dict[Tuple[Any, ...], Tuple[Any, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def original_sql(self) -> str:
@@ -310,16 +313,18 @@ class FragmentPlan:
         )
         return rows
 
-    def pretty(self) -> str:
-        """Multi-line, paper-style listing of the staged queries."""
+    def pretty(self, estimates: Optional[Sequence[Optional[int]]] = None) -> str:
+        """Multi-line, paper-style listing of the staged queries.
+
+        ``estimates`` are per-fragment estimated output rows, in fragment
+        order (``explain()`` passes the cardinality estimator's); each
+        known one renders as ``(est. N rows)``.
+        """
         lines = ["Vertical fragmentation plan:"]
-        for fragment in self.fragments:
+        for index, fragment in enumerate(self.fragments):
             node = f" @ {fragment.assigned_node}" if fragment.assigned_node else ""
-            estimate = (
-                f" (est. {fragment.estimated_rows} rows)"
-                if fragment.estimated_rows is not None
-                else ""
-            )
+            estimated = estimates[index] if estimates is not None else None
+            estimate = f" (est. {estimated} rows)" if estimated is not None else ""
             lines.append(
                 f"  [{fragment.level.short_name}{node}] {fragment.name}:{estimate}"
             )

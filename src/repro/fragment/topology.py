@@ -259,13 +259,6 @@ class Topology:
         with self._liveness_lock:
             return list(self._dead)
 
-    @property
-    def live_nodes(self) -> List[Node]:
-        """All live nodes, least powerful first."""
-        with self._liveness_lock:
-            dead = set(self._dead)
-        return [node for node in self._nodes if node.name not in dead]
-
     def nearest_live_ancestor(self, name: str) -> Node:
         """The closest live strict ancestor of ``name`` (root worst case)."""
         for ancestor in self.path_to_root(name)[1:]:

@@ -14,6 +14,7 @@ of values (``m * n``) the quality of the anonymized result.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Dict, List, Optional, Sequence
 
 from repro.engine.table import Relation
@@ -61,20 +62,31 @@ def direct_distance(
             as equal (useful when generalization rounds values).
     """
     names = list(columns) if columns is not None else list(original.schema.names)
+    rows = len(original)
+    # The anonymized cells aligned with the original's rows: extra rows are
+    # dropped and missing ones (suppressed) read as NULL, like a missing
+    # column.
+    kept = min(rows, len(anonymized))
+    missing = [None] * (rows - kept)
     per_column: Dict[str, int] = {name: 0 for name in names}
     changed = 0
+    for name in names:
+        left = _column(original, name, rows)
+        right = _column(anonymized, name, len(anonymized))[:kept] + missing
+        differ = rows - sum(map(_values_equal, left, right, repeat(numeric_tolerance)))
+        per_column[name] += differ
+        changed += differ
 
-    for index, row in enumerate(original.rows):
-        other = anonymized.rows[index] if index < len(anonymized.rows) else None
-        for name in names:
-            original_value = row.get(name)
-            anonymized_value = other.get(name) if other is not None else None
-            if not _values_equal(original_value, anonymized_value, numeric_tolerance):
-                per_column[name] += 1
-                changed += 1
+    return DirectDistanceResult(
+        changed_cells=changed, total_cells=rows * len(names), per_column=per_column
+    )
 
-    total = len(original.rows) * len(names)
-    return DirectDistanceResult(changed_cells=changed, total_cells=total, per_column=per_column)
+
+def _column(relation: Relation, name: str, rows: int) -> List:
+    """The values of column ``name`` (all NULL when the relation lacks it)."""
+    if relation.column_array(name) is None:
+        return [None] * rows
+    return relation.column_values(name)
 
 
 def quality_ratio(original: Relation, anonymized: Relation) -> float:

@@ -40,9 +40,10 @@ from repro.obs.profile import CalibrationLog, build_profile_report
 from repro.obs.trace import QueryTrace
 from repro.policy.model import PrivacyPolicy
 from repro.processor.network import NetworkSimulator
+from repro.processor.plan_cache import CachedPlan, PlanCache
 from repro.processor.result import PreparedQuery, ProcessingResult, RuntimeStats
 from repro.rewrite.analyzer import NodeCapacity, PolicyAnalyzer
-from repro.rewrite.rewriter import QueryRewriter
+from repro.rewrite.rewriter import QueryRewriter, RewriteResult
 from repro.rlang.sqlable import RQueryExtraction, extract_sql_from_r
 from repro.runtime.cost import DEFAULT_TASK_TIMEOUT, CostModel
 from repro.runtime.dag import (
@@ -173,6 +174,9 @@ class ParadiseProcessor:
         )
         #: Runs every query's DAG; its per-node slots are shared by all runs.
         self.scheduler = Scheduler(self.topology)
+        #: Repeated query texts reuse their parse, rewrite and fragment plan
+        #: (:mod:`repro.processor.plan_cache`); admission runs every time.
+        self.plans = PlanCache()
 
     # ------------------------------------------------------------------
     # data placement
@@ -249,8 +253,22 @@ class ParadiseProcessor:
         metrics_before = _metrics.snapshot() if profiling else None
         started = time.perf_counter()
 
-        # 1. admission + 2. rewriting
-        prepared = self._prepare(query, module_id, apply_rewriting, submit=True)
+        # 1. admission + 2. rewriting + 3. fragmentation.  A repeated text
+        # takes its parse, rewrite and plan from the cache, but is admitted
+        # afresh: row estimate, capacity and query interval are per run.
+        key = self._plan_key(query, module_id, apply_rewriting, pushdown)
+        cached = self.plans.get(key) if key is not None else None
+        if cached is not None:
+            parsed = cached.parsed
+        else:
+            parsed = parse(query) if isinstance(query, str) else query
+        prepared = self._prepare(
+            parsed,
+            module_id,
+            apply_rewriting,
+            submit=True,
+            rewrite=cached.rewrite if cached is not None else None,
+        )
         raw_rows = self._raw_input_rows()
         result = ProcessingResult(
             module_id=module_id,
@@ -263,12 +281,15 @@ class ParadiseProcessor:
             result.elapsed_seconds = time.perf_counter() - started
             return result
 
-        # 3. fragmentation
-        plan = self._fragment(prepared.query, pushdown)
-        result.plan = plan
-
-        if trace is not None:
-            self._annotate_estimates(plan, raw_rows)
+        if cached is None:
+            cached = CachedPlan(
+                parsed=parsed,
+                rewrite=prepared.rewrite,
+                plan=self._fragment(prepared.query, pushdown),
+            )
+            if key is not None:
+                self.plans.put(key, cached)
+        plan = result.plan = cached.plan
 
         # 4. distributed execution + 5. anonymization + 6. remainder
         result.result = self._run_dag(
@@ -316,7 +337,10 @@ class ParadiseProcessor:
         module_id: str,
         apply_rewriting: bool,
         submit: bool,
+        rewrite: Optional[RewriteResult] = None,
     ) -> PreparedQuery:
+        """Parse, admit and (unless ``rewrite`` is a cached result for the
+        same query) rewrite ``query``."""
         parsed = parse(query) if isinstance(query, str) else query
         prepared = PreparedQuery(query=parsed)
         if not apply_rewriting:
@@ -335,10 +359,40 @@ class ParadiseProcessor:
             enforce_interval=self.enforce_query_interval,
         )
         if prepared.admission.admitted:
-            prepared.rewrite = self.rewriter.rewrite(parsed, module_id)
+            if rewrite is None:
+                rewrite = self.rewriter.rewrite(parsed, module_id)
+            prepared.rewrite = rewrite
             if prepared.rewrite.compliant:
                 prepared.query = prepared.rewrite.query
         return prepared
+
+    def _plan_key(
+        self,
+        query: Union[str, ast.Query],
+        module_id: str,
+        apply_rewriting: bool,
+        pushdown: bool,
+    ) -> Optional[tuple]:
+        """The plan-cache key of a submission, or ``None`` for a parsed
+        query (only texts are cached).
+
+        The module's policy enters as its full ``repr``, so any change to
+        a rule, condition or setting is a new key; the dead nodes enter
+        because a death changes where fragments can run.
+        """
+        if not isinstance(query, str):
+            return None
+        policy = None
+        if apply_rewriting and self.policy.has_module(module_id):
+            policy = repr(self.policy.module(module_id))
+        return (
+            query,
+            module_id,
+            apply_rewriting,
+            pushdown,
+            policy,
+            frozenset(self.topology.dead_nodes),
+        )
 
     def _fragment(self, query: ast.Query, pushdown: bool) -> FragmentPlan:
         if pushdown:
@@ -384,9 +438,8 @@ class ParadiseProcessor:
             lines.append(f"rewritten: {rewrite.sql}")
 
         plan = self._fragment(prepared.query, pushdown)
-        self._annotate_estimates(plan, self._raw_input_rows())
         lines.append("")
-        lines.append(plan.pretty())
+        lines.append(plan.pretty(self._estimates(plan, self._raw_input_rows())))
 
         dag = self._build_dag(plan, self.topology, anonymize, namespace)
         lines.append("")
@@ -411,20 +464,22 @@ class ParadiseProcessor:
             lines.append(line)
         return "\n".join(lines)
 
-    def _annotate_estimates(self, plan: FragmentPlan, raw_rows: int) -> None:
-        """Fill per-fragment estimated output rows, chained bottom-up.
+    def _estimates(self, plan: FragmentPlan, raw_rows: int) -> List[Optional[int]]:
+        """Per-fragment estimated output rows, chained bottom-up.
 
         Each fragment's estimate feeds the next fragment's input cardinality
         (fragments run over the previous fragment's output).  Advisory only:
-        rendered by ``plan.pretty()``/``explain()`` and compared against
-        observed counts in profiled runs.
+        rendered by ``explain()``; profiled runs annotate each task span
+        with its own estimate instead.
         """
+        estimates: List[Optional[int]] = []
         rows = raw_rows
         for fragment in plan.fragments:
             estimated = estimate_select_rows(fragment.query, input_rows=rows)
-            fragment.estimated_rows = estimated
+            estimates.append(estimated)
             if estimated is not None:
                 rows = estimated
+        return estimates
 
     # ------------------------------------------------------------------
     # plan execution

@@ -38,11 +38,6 @@ class RArgument:
     name: Optional[str] = None
     call: Optional["RCall"] = None
 
-    @property
-    def is_call(self) -> bool:
-        """True when the argument is itself a function call."""
-        return self.call is not None
-
 
 @dataclass
 class RCall:

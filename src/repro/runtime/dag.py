@@ -71,7 +71,7 @@ from repro.engine.columns import copy_column, extend_column
 from repro.engine.config import DEFAULT_CONFIG, EngineConfig
 from repro.engine.executor import aggregate_calls
 from repro.engine.schema import ColumnDef, Schema
-from repro.engine.table import Relation
+from repro.engine.table import Relation, fit_backing
 from repro.engine.types import DataType
 from repro.engine.wire import WireFormatError, pack_relation, state_size_feedback
 from repro.fragment.capabilities import permitted_features
@@ -98,6 +98,11 @@ GROUP_FALLBACK_RATIO = 0.75
 #: Chunks below this row count skip the fallback check: either way only a
 #: handful of rows cross the hop, and tiny chunks make the ratio noisy.
 GROUP_FALLBACK_MIN_ROWS = 16
+
+#: A plan's memo of derived queries is flushed wholesale past this many
+#: entries (callers that pass a fresh namespace per run would otherwise
+#: grow it without bound).
+MAX_DERIVED_QUERIES = 256
 
 #: At most this many leading rows of a chunk are observed per DAG build.
 #: The observation is planner-side statistics gathering (no data leaves the
@@ -430,7 +435,12 @@ def union_partials(parts: Sequence[Relation], name: str) -> Relation:
                 merged[position] = extend_column(merged[position], source)
     return Relation.from_columns(
         schema,
-        [column if column is not None else [] for column in merged],
+        [
+            # A column no partial filled is empty: it takes the backing the
+            # result-typing rule gives it, as an unfragmented run would.
+            column if column is not None else fit_backing([], column_def.data_type)
+            for column, column_def in zip(merged, schema.columns)
+        ],
         name=name,
     )
 
@@ -773,6 +783,9 @@ class StageTask(Task):
     #: The fragments merged into ``query``, innermost first and ending with
     #: ``fragment``; empty when ``query`` is ``fragment`` alone.
     composes: Tuple[str, ...] = ()
+    #: The SQL text the execution record shows: ``query`` rendered when it
+    #: merges fragments, else the fragment's own.  Rendered once per plan.
+    sql: str = ""
 
     def __post_init__(self) -> None:
         self.kind = STAGE_OPS[self.op][0]
@@ -882,17 +895,13 @@ class StageTask(Task):
             level = context.network.topology.node(self.node).level.short_name
         else:
             level = self.fragment.level.short_name
-        if self.composes:
-            text = render(self.query)
-        else:
-            text = self.fragment.sql if self.fragment else ""
         context.record_execution(
             self.order,
             FragmentExecution(
                 fragment_name=name.format(name=self.display_name),
                 node=self.node,
                 level=level,
-                sql=sql.format(sql=text, parts=len(self.parts)),
+                sql=sql.format(sql=self.sql, parts=len(self.parts)),
                 input_rows=input_rows,
                 output_rows=len(output),
                 elapsed_seconds=elapsed,
@@ -1039,9 +1048,22 @@ def build_execution_dag(
         task = add(StageTask, label, node, parts, op=op, base=base_table, **fields)
         return task.task_id, node
 
-    #: One query per (fragment chain, input name), shared by sibling
-    #: partitions: tasks never mutate their query.
-    queries: Dict[Tuple[Tuple[str, ...], str], ast.Query] = {}
+    #: One derived query and SQL text per (fragment chain, input name),
+    #: shared by sibling partitions and by every build of the plan: tasks
+    #: never mutate their query.
+    derived = plan.derived
+
+    def derive(key: Tuple, make) -> Tuple:
+        entry = derived.get(key)
+        if entry is None:
+            if len(derived) >= MAX_DERIVED_QUERIES:
+                derived.clear()
+            # A racing build of the same plan keeps the first entry.
+            entry = derived.setdefault(key, make())
+        return entry
+
+    def fragment_sql(fragment: QueryFragment) -> str:
+        return derive(("sql", fragment.name), lambda: (fragment.sql,))[0]
 
     def run(
         op: str,
@@ -1066,13 +1088,16 @@ def build_execution_dag(
         in_name = in_base if part == (None, node) else ns(in_base)
         out_name = fragment.name if op == "query" else f"{fragment.name}__partial"
         names = tuple(link.name for link in chain)
-        query = queries.get((names, in_name))
-        if query is None:
+        composes = names if len(chain) > 1 else ()
+
+        def make() -> Tuple[ast.Query, str]:
             query = rebase_table_refs(merged, in_base, in_name)
-            if query is merged and len(chain) > 1:
+            if query is merged and composes:
                 # The merged query shares subtrees with the plan's.
                 query = clone(merged)
-            queries[names, in_name] = query
+            return query, render(query) if composes else fragment_sql(fragment)
+
+        query, sql = derive((names, in_name), make)
         return stage(
             op,
             label,
@@ -1083,7 +1108,8 @@ def build_execution_dag(
             in_name=in_name,
             out_name=ns(out_name),
             display_name=label,
-            composes=names if len(chain) > 1 else (),
+            composes=composes,
+            sql=sql,
         )
 
     def union(label: str, node: str, parts: Sequence[Part], name: str) -> Part:
@@ -1138,6 +1164,7 @@ def build_execution_dag(
             query=fragment.query,
             out_name=ns(name),
             display_name=name,
+            sql=fragment_sql(fragment),
         )
 
     #: The current intermediate relation, in partition order.
@@ -1257,10 +1284,14 @@ def build_execution_dag(
 
     remainder_query = None
     if plan.remainder_query is not None:
-        remainder_query = rebase_table_refs(
-            plan.remainder_query,
-            plan.remainder_input_alias,
-            ns(plan.remainder_input_alias),
+        alias = ns(plan.remainder_input_alias)
+        [remainder_query] = derive(
+            ("remainder", alias),
+            lambda: (
+                rebase_table_refs(
+                    plan.remainder_query, plan.remainder_input_alias, alias
+                ),
+            ),
         )
     final = add(
         FinalizeTask,

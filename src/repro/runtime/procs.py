@@ -45,6 +45,7 @@ from repro.engine.wire import WireFormatError, pack_relation, unpack_relation
 from repro.sql import ast
 from repro.sql.parser import parse
 from repro.sql.render import render
+from repro.sql.visitor import referenced_tables
 
 #: Engine operations a worker can run.  Index = wire opcode.
 OPERATIONS = ("query", "partial", "combine", "finalize")
@@ -220,24 +221,6 @@ atexit.register(shutdown_pools)
 # ---------------------------------------------------------------------------
 # dispatcher (what the DAG tasks talk to)
 # ---------------------------------------------------------------------------
-def referenced_tables(query: ast.Query) -> List[str]:
-    """Table names referenced anywhere in ``query`` (breadth-first order)."""
-    names: List[str] = []
-    seen = set()
-    queue: List[ast.Node] = [query]
-    index = 0
-    while index < len(queue):
-        node = queue[index]
-        index += 1
-        if isinstance(node, ast.TableRef):
-            key = node.name.lower()
-            if key not in seen:
-                seen.add(key)
-                names.append(node.name)
-        queue.extend(child for child in node.children() if child is not None)
-    return names
-
-
 class ProcessDispatcher:
     """Runs engine operations on the shared process pool, via wire bytes.
 

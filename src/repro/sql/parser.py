@@ -632,12 +632,6 @@ def parse(text: str) -> ast.Query:
     return parsed
 
 
-def clear_parse_cache() -> None:
-    """Drop all memoized parse results (tests and long-running processes)."""
-    with _PARSE_CACHE_LOCK:
-        _PARSE_CACHE.clear()
-
-
 def parse_expression(text: str) -> ast.Expression:
     """Parse ``text`` into a standalone expression AST."""
     return Parser(text).parse_expression_only()

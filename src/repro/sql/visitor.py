@@ -30,11 +30,22 @@ def walk(node: ast.Node) -> Iterator[ast.Node]:
         yield from walk(child)
 
 
-def walk_expressions(node: ast.Node) -> Iterator[ast.Expression]:
-    """Yield every expression node reachable from ``node``."""
-    for descendant in walk(node):
-        if isinstance(descendant, ast.Expression):
-            yield descendant
+def referenced_tables(query: ast.Query) -> List[str]:
+    """Table names referenced anywhere in ``query`` (breadth-first order)."""
+    names: List[str] = []
+    seen = set()
+    queue: List[ast.Node] = [query]
+    index = 0
+    while index < len(queue):
+        node = queue[index]
+        index += 1
+        if isinstance(node, ast.TableRef):
+            key = node.name.lower()
+            if key not in seen:
+                seen.add(key)
+                names.append(node.name)
+        queue.extend(child for child in node.children() if child is not None)
+    return names
 
 
 def collect_columns(node: ast.Node) -> List[ast.Column]:

@@ -145,7 +145,8 @@ def test_invalid_configs_fail_at_construction():
 
 
 def test_database_keeps_one_executor_per_config():
-    """Alternating configs reuses each config's executor (and its plans)."""
+    """Alternating configs reuses each config's executor (and its plans),
+    one per config and shape of the tables a query reads."""
     database = Database()
     database.load_rows("d", [{"k": i % 3, "v": float(i)} for i in range(30)])
     sql = "SELECT k, SUM(v) AS s FROM d GROUP BY k"
@@ -155,3 +156,17 @@ def test_database_keeps_one_executor_per_config():
     database.query(sql)
     database.query(sql, interpreted)
     assert database._executors == first and len(first) == 2
+    assert database.executor_builds == 2
+    # A same-shaped re-registration keeps both; a new shape gets its own
+    # executor and leaves the others warm.
+    database.register("d", database.table("d"))
+    database.query(sql)
+    assert database.executor_builds == 2
+    database.load_rows("d", [{"k": i % 3, "v": float(i), "w": i} for i in range(30)])
+    database.query(sql)
+    assert database.executor_builds == 3
+    database.load_rows("d", [{"k": i % 3, "v": float(i)} for i in range(30)])
+    database.query(sql)
+    database.query(sql, interpreted)
+    assert database.executor_builds == 3
+    assert all(database._executors[key] is executor for key, executor in first.items())

@@ -85,6 +85,71 @@ def test_direct_distance_formula_matches_paper_definition(original):
     assert result.total_cells == n * m
 
 
+def _row_wise_direct_distance(original, anonymized, columns=None, numeric_tolerance=0.0):
+    """The positional definition cell by cell, through row views: the
+    reference the column-wise implementation must reproduce."""
+
+    def equal(left, right):
+        if left is None and right is None:
+            return True
+        if left is None or right is None:
+            return False
+        if (
+            isinstance(left, (int, float))
+            and isinstance(right, (int, float))
+            and not isinstance(left, bool)
+            and not isinstance(right, bool)
+        ):
+            return abs(float(left) - float(right)) <= numeric_tolerance
+        return left == right
+
+    names = list(columns) if columns is not None else list(original.schema.names)
+    per_column = {name: 0 for name in names}
+    for index, row in enumerate(original.rows):
+        other = anonymized.rows[index] if index < len(anonymized.rows) else None
+        for name in names:
+            if not equal(row.get(name), other.get(name) if other is not None else None):
+                per_column[name] += 1
+    return sum(per_column.values()), len(original.rows) * len(names), per_column
+
+
+@pytest.mark.parametrize("tolerance", [0.0, 0.5])
+@pytest.mark.parametrize("kept", [6, 4, 0, 8])
+def test_direct_distance_matches_row_wise_reference(kept, tolerance):
+    """Suppressed (missing) rows, extra rows, NULLs on either side, bool
+    cells that never equal numbers, typed columns and a column the
+    anonymized relation lacks all count exactly as the row-wise
+    definition does."""
+    original = Relation.from_rows(
+        [
+            {"n": 1, "f": 1.0, "b": True, "s": "a", "g": None},
+            {"n": 2, "f": None, "b": False, "s": None, "g": 1},
+            {"n": None, "f": 3.25, "b": True, "s": "c", "g": None},
+            {"n": 4, "f": 4.0, "b": None, "s": "d", "g": 2},
+            {"n": 5, "f": float("inf"), "b": True, "s": "e", "g": None},
+            {"n": 6, "f": 6.0, "b": False, "s": "f", "g": 3},
+        ]
+    )
+    changed = [
+        {"n": 1, "f": 1.25, "b": 1, "s": "a"},
+        {"n": 2.0, "f": None, "b": False, "s": "z"},
+        {"n": 3, "f": 3.25, "b": True, "s": None},
+        {"n": None, "f": 4.0, "b": None, "s": "d"},
+        {"n": True, "f": float("inf"), "b": 1.0, "s": "e"},
+        {"n": 6, "f": 6.4, "b": False, "s": "f"},
+        {"n": 7, "f": 7.0, "b": True, "s": "g"},
+        {"n": 8, "f": 8.0, "b": True, "s": "h"},
+    ]
+    anonymized = Relation.from_rows(changed[:kept]) if kept else Relation.from_rows(
+        [], schema=Relation.from_rows(changed).schema
+    )
+    for columns in (None, ["s", "b", "g", "n", "missing"], ["n", "n"]):
+        result = direct_distance(original, anonymized, columns, numeric_tolerance=tolerance)
+        assert (result.changed_cells, result.total_cells, result.per_column) == (
+            _row_wise_direct_distance(original, anonymized, columns, tolerance)
+        )
+
+
 def test_value_distribution_numeric_and_categorical():
     numeric = value_distribution([0.0, 0.5, 1.0, 1.0], bins=2)
     assert sum(numeric.values()) == pytest.approx(1.0)

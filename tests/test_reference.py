@@ -82,6 +82,9 @@ REWRITTEN_QUERIES = [
 ] + [
     (module, sql.format(lo=10.0, hi=round(10.0 + width, 1)))
     for module, sql, width in FRONTEND_TEMPLATES
+] + [
+    # A window past the data: every partition's stage output is empty.
+    ("ActionFilter", FRONTEND_TEMPLATES[2][1].format(lo=1e6, hi=1e6 + 10)),
 ]
 
 #: (case id, module, SQL, process options) of the whole grid.
