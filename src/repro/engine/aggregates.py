@@ -24,13 +24,15 @@ plain ``add``/``result`` interface.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import statistics
+from array import array
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.columns import FLOAT64, TypedColumn
+from repro.engine.columns import FLOAT64, INT64, TypedColumn, gather, take_column
 from repro.engine.errors import ExecutionError
 
 
@@ -116,6 +118,28 @@ class _SpecialValues:
 _LAZY_MAGNITUDE_LIMIT = 2.0 ** 1020
 
 
+def _canonical_expansion(terms: Sequence[Sequence[float]]) -> List[float]:
+    """The canonical expansion of the exact sum ``S`` of finite floats.
+
+    ``s1 = fsum(values)``, ``s2 = fsum(values, -s1)``, ... until the
+    remainder is zero, stored smallest first.  ``fsum`` is correctly
+    rounded, so each part is the remainder rounded once and the parts are
+    non-overlapping; every remainder is an exact dyadic rational, so the
+    passes end (about three for sensor data).  The parts depend on ``S``
+    only, never on how the values were split into ``terms``.
+    """
+    parts = [math.fsum(itertools.chain(*terms))]
+    negated = [-parts[0]]
+    while True:
+        rest = math.fsum(itertools.chain(*terms, negated))
+        if not rest:
+            break
+        parts.append(rest)
+        negated.append(-rest)
+    parts.reverse()
+    return parts
+
+
 class _ExactFloatSum:
     """Exact float summation shared by ``SUM`` and ``AVG``.
 
@@ -163,28 +187,11 @@ class _ExactFloatSum:
         return True
 
     def _fold(self) -> None:
-        """Fold the pending values into the expansion, exactly.
-
-        The new expansion of the exact sum ``S`` of expansion and pending
-        values is ``s1 = fsum(values)``, ``s2 = fsum(values, -s1)``, ...
-        until the remainder is zero, stored smallest first.  ``fsum`` is
-        correctly rounded, so each part is the remainder rounded once and
-        the parts are non-overlapping; every remainder is an exact dyadic
-        rational, so the passes end (about three for sensor data).
-        :meth:`_defer` bounds every value and partial sum far below the
-        float range, so no pass can overflow.
+        """Fold the pending values into the expansion, exactly
+        (:func:`_canonical_expansion`).  :meth:`_defer` bounds every value
+        and partial sum far below the float range, so no pass can overflow.
         """
-        terms = (self.float_parts, *self.pending)
-        parts = [math.fsum(itertools.chain(*terms))]
-        negated = [-parts[0]]
-        while True:
-            rest = math.fsum(itertools.chain(*terms, negated))
-            if not rest:
-                break
-            parts.append(rest)
-            negated.append(-rest)
-        parts.reverse()
-        self.float_parts = parts
+        self.float_parts = _canonical_expansion((self.float_parts, *self.pending))
         self.pending = []
         self.pending_magnitude = 0.0
 
@@ -461,12 +468,11 @@ def is_known_aggregate(name: str) -> bool:
 # value.  Because the underlying arithmetic is exact, any split of the
 # input into partial states merges into the same result as one pass.
 #
-# The vectorized scan paths (:mod:`repro.engine.vectorized`) feed column
-# slices instead of per-row tuples: ``add_many(values)`` consumes a
-# sequence of raw argument values (no tuple boxing) and ``add_many_star(n)``
-# accounts ``n`` star rows.  Both are exact bulk equivalents of repeated
-# ``add`` calls in the same order, so the fast path reproduces the
-# row-at-a-time result bit for bit.
+# Column slices feed in bulk: ``add_many(values)`` consumes a sequence of
+# raw argument values (no tuple boxing; a ones column for star rows), the
+# exact bulk equivalent of repeated ``add`` calls in the same order.  The
+# grouped scan's column kernels (below) run this lifecycle for every slice
+# they have no buffer-speed path for.
 
 
 class CountStarAccumulator:
@@ -482,9 +488,6 @@ class CountStarAccumulator:
 
     def add_many(self, values: Sequence[Any]) -> None:
         self.count += len(values)
-
-    def add_many_star(self, count: int) -> None:
-        self.count += count
 
     def result(self) -> int:
         return self.count
@@ -895,9 +898,6 @@ class BufferAccumulator:
     def add_many(self, values: Sequence[Any]) -> None:
         self.rows.extend((value,) for value in values)
 
-    def add_many_star(self, count: int) -> None:
-        self.rows.extend([(1,)] * count)
-
     def result(self) -> Any:
         if self.rows:
             columns = [list(column) for column in zip(*self.rows)]
@@ -962,3 +962,251 @@ def make_accumulator(name: str, *, is_star: bool, distinct: bool, arg_count: int
     if not distinct and arg_count == 1 and not is_star and upper in _INCREMENTAL_ACCUMULATORS:
         return _INCREMENTAL_ACCUMULATORS[upper]()
     return BufferAccumulator(upper, is_star=is_star, distinct=distinct, width=arg_count)
+
+
+# ---------------------------------------------------------------------------
+# column kernels
+# ---------------------------------------------------------------------------
+#
+# The grouped scan computes aggregates column at a time (as in
+# MonetDB/X100): it gathers each argument column once per group, then one
+# kernel call computes one aggregate's ``partial`` or ``result`` for every
+# group.  Over a NULL-free int64/float64 slice the kernels work on the
+# unboxed buffer and reproduce the accumulators' values exactly; every
+# other slice runs the accumulator lifecycle itself.
+
+#: What an accumulator's ``partial``/``result`` may raise over its input.
+#: A grouped run raises such an error after the groups before it.
+FINALIZE_ERRORS = (ExecutionError, ArithmeticError, TypeError, ValueError)
+
+#: A kernel's answer for a slice it has no buffer-speed path for.
+_NO_KERNEL = object()
+
+_NO_SPECIALS = (False, False, False)
+
+
+class GroupedColumn:
+    """One argument column of a grouped scan, gathered once per group.
+
+    ``groups`` holds each group's row indices, or is None for one group
+    holding the whole column.  Every kernel over the column shares its
+    gathers and its float sums:
+
+    * ``buffers[g]`` is group ``g``'s cells when the column is a NULL-free
+      int64/float64 :class:`TypedColumn` (its unboxed buffer, gathered),
+      else ``buffers`` is None;
+    * :meth:`slice` is the slice with its backing, for the accumulator
+      lifecycle;
+    * :meth:`float_total` and :meth:`expansion` are what a float ``SUM``
+      and ``AVG`` share: one ``fsum`` for results, one canonical fold
+      (:func:`_canonical_expansion`) for states.
+    """
+
+    __slots__ = ("column", "groups", "buffers", "_slices", "_bounded", "_totals", "_expansions")
+
+    def __init__(
+        self, column: Sequence[Any], groups: Optional[Sequence[Sequence[int]]]
+    ) -> None:
+        self.column = column
+        self.groups = groups
+        self.buffers: Optional[List[Sequence[Any]]] = None
+        if (
+            isinstance(column, TypedColumn)
+            and column.typecode in (INT64, FLOAT64)
+            and not column.null_count
+        ):
+            data = column.data_array()
+            self.buffers = (
+                [data] if groups is None else [gather(data, indices) for indices in groups]
+            )
+        self._slices: Dict[int, Sequence[Any]] = {}
+        self._bounded: Dict[int, bool] = {}
+        self._totals: Dict[int, float] = {}
+        self._expansions: Dict[int, Tuple[float, ...]] = {}
+
+    def slice(self, group: int) -> Sequence[Any]:
+        """Group ``group``'s slice; a typed column's slices stay typed."""
+        piece = self._slices.get(group)
+        if piece is None:
+            if self.groups is None:
+                piece = self.column
+            elif self.buffers is not None:
+                typecode = self.column.typecode
+                data = array(typecode, self.buffers[group])
+                piece = TypedColumn(typecode, data, bytearray(len(data)), 0)
+            else:
+                piece = take_column(self.column, self.groups[group])
+            self._slices[group] = piece
+        return piece
+
+    def summable(self, group: int) -> bool:
+        """Is the slice a float64 buffer that :meth:`_ExactFloatSum._defer`
+        would park?  Then no sum of its values can overflow."""
+        bounded = self._bounded.get(group)
+        if bounded is None:
+            bounded = (
+                self.buffers is not None
+                and self.column.typecode == FLOAT64
+                and sum(map(abs, self.buffers[group])) <= _LAZY_MAGNITUDE_LIMIT
+            )
+            self._bounded[group] = bounded
+        return bounded
+
+    def float_total(self, group: int) -> float:
+        """``fsum`` of a :meth:`summable` slice."""
+        total = self._totals.get(group)
+        if total is None:
+            total = self._totals[group] = math.fsum(self.buffers[group])
+        return total
+
+    def expansion(self, group: int) -> Tuple[float, ...]:
+        """The canonical expansion of a :meth:`summable` slice's sum."""
+        parts = self._expansions.get(group)
+        if parts is None:
+            parts = tuple(_canonical_expansion((self.buffers[group],)))
+            self._expansions[group] = parts
+        return parts
+
+
+# Kernels: ``kernel(column, group, partial)`` is group ``group``'s state
+# (``partial``) or result, exactly what the accumulator returns after
+# ``add_many`` of the group's slice, or ``_NO_KERNEL``.  An empty slice
+# gives a fresh accumulator's value (the lifecycle never feeds one).
+
+
+def _count_kernel(column: GroupedColumn, group: int, partial: bool) -> Any:
+    if column.buffers is None:
+        return _NO_KERNEL
+    return len(column.buffers[group])
+
+
+def _extreme_kernel(
+    pick: Callable[[Sequence[Any]], Any], column: GroupedColumn, group: int, partial: bool
+) -> Any:
+    # Builtin min/max keep the first extreme cell, as the accumulators'
+    # ``value < best``/``value > best`` loops do (NaN and -0.0/0.0 ties
+    # included).
+    if column.buffers is None:
+        return _NO_KERNEL
+    cells = column.buffers[group]
+    best = pick(cells) if len(cells) else None
+    return (bool(len(cells)), best) if partial else best
+
+
+def _sum_kernel(column: GroupedColumn, group: int, partial: bool) -> Any:
+    if not column.summable(group):
+        return _NO_KERNEL
+    count = len(column.buffers[group])
+    if partial:
+        parts = column.expansion(group) if count else ()
+        return (0, parts, count > 0, count == 0, _NO_SPECIALS, False)
+    return column.float_total(group) if count else None
+
+
+def _avg_kernel(column: GroupedColumn, group: int, partial: bool) -> Any:
+    if not column.summable(group):
+        return _NO_KERNEL
+    count = len(column.buffers[group])
+    if partial:
+        return (column.expansion(group) if count else (), count, _NO_SPECIALS)
+    return column.float_total(group) / count if count else None
+
+
+_KERNELS: Dict[str, Callable[[GroupedColumn, int, bool], Any]] = {
+    "COUNT": _count_kernel,
+    "SUM": _sum_kernel,
+    "AVG": _avg_kernel,
+    "MIN": functools.partial(_extreme_kernel, min),
+    "MAX": functools.partial(_extreme_kernel, max),
+}
+
+
+def _feed(
+    accumulator: Any, arguments: Sequence[GroupedColumn], group: int, size: int
+) -> None:
+    """``add_many`` of group ``group``'s slice (a ones column for star
+    rows); rows of several arguments go through ``add`` one by one."""
+    if not arguments:
+        accumulator.add_many([1] * size)
+    elif len(arguments) == 1:
+        accumulator.add_many(arguments[0].slice(group))
+    else:
+        for row in zip(*(argument.slice(group) for argument in arguments)):
+            accumulator.add(row)
+
+
+class AggregateColumn:
+    """One aggregate's values for every group, from :func:`aggregate_column`.
+
+    ``values`` stops at ``failed_at``, the first group whose ``partial``/
+    ``result`` raised ``error`` (both None when no group did).
+    ``fallbacks`` counts the slices that ran the accumulator lifecycle.
+    """
+
+    __slots__ = ("values", "failed_at", "error", "fallbacks")
+
+    def __init__(
+        self,
+        values: List[Any],
+        failed_at: Optional[int] = None,
+        error: Optional[Exception] = None,
+        fallbacks: int = 0,
+    ) -> None:
+        self.values = values
+        self.failed_at = failed_at
+        self.error = error
+        self.fallbacks = fallbacks
+
+
+def aggregate_column(
+    name: str,
+    *,
+    is_star: bool,
+    distinct: bool,
+    arg_count: int,
+    arguments: Sequence[GroupedColumn],
+    sizes: Sequence[int],
+    phase: str,
+) -> AggregateColumn:
+    """``phase`` (``"partial"`` or ``"result"``) of one aggregate call for
+    every group, in one call.
+
+    ``name``/``is_star``/``distinct``/``arg_count`` are
+    :func:`make_accumulator`'s; ``arguments`` are the call's argument
+    columns (none for star and argument-free calls, which read a ones
+    column) and ``sizes`` the group sizes.  ``COUNT(*)`` is the group
+    size; a :data:`_KERNELS` entry serves the slices it has a buffer path
+    for.  Every other slice runs the accumulator lifecycle
+    (:func:`make_accumulator`, ``add_many`` unless the slice is empty,
+    then ``phase``), so its value and errors are the accumulator's own:
+    an ``add_many`` error propagates (the scan abandons), a ``phase``
+    error is recorded in the result.
+    """
+    upper = name.upper()
+    if upper == "COUNT" and is_star:
+        return AggregateColumn(list(sizes))
+    kernel = None
+    if not distinct and arg_count == 1 and not is_star and len(arguments) == 1:
+        kernel = _KERNELS.get(upper)
+    partial = phase == "partial"
+    result = AggregateColumn([])
+    values = result.values
+    for group, size in enumerate(sizes):
+        value = _NO_KERNEL if kernel is None else kernel(arguments[0], group, partial)
+        if value is _NO_KERNEL:
+            result.fallbacks += 1
+            accumulator = make_accumulator(
+                name, is_star=is_star, distinct=distinct, arg_count=arg_count
+            )
+            if size:
+                _feed(accumulator, arguments, group, size)
+            if result.error is not None:
+                continue  # later groups are fed only for their feed errors
+            try:
+                value = getattr(accumulator, phase)()
+            except FINALIZE_ERRORS as error:
+                result.failed_at, result.error = group, error
+                continue
+        if result.error is None:
+            values.append(value)
+    return result

@@ -63,6 +63,7 @@ from repro.engine.vectorized import (
     having_kernels,
     having_selection,
     is_grouped,
+    state_relation,
     stats as _scan_stats,
     tail_positions,
     try_execute_partial,
@@ -92,7 +93,7 @@ def aggregate_calls(query: ast.SelectQuery) -> List[Tuple[str, ast.FunctionCall]
     """The distinct aggregate calls of ``query`` as ``(render key, call)``.
 
     First-occurrence order over the select items, HAVING and ORDER BY.  The
-    i-th entry is the i-th accumulator of every grouped scan and, in the
+    i-th entry is the i-th aggregate of every grouped scan and, in the
     partial protocol, the state column ``__agg{i}``.
     """
     calls: Dict[str, ast.FunctionCall] = {}
@@ -1066,7 +1067,7 @@ class QueryExecutor:
             for scope, _ in groups.values()
         ]
         names = list(representatives[0]) if representatives else []
-        finalized = FinalizedGroups(
+        finalized = FinalizedGroups.from_accumulators(
             names,
             [[scope[name] for scope in representatives] for name in names],
             plan.specs,
@@ -1216,12 +1217,11 @@ class QueryExecutor:
         self, plan: _GroupPlan, groups: Dict[Tuple[Any, ...], List[Any]]
     ) -> Relation:
         """One row per group (in ``groups`` order): keys, then states."""
-        keys = list(groups)
         rows = list(groups.values())
-        return columns_relation(
-            plan.key_names + plan.state_names,
-            [[key[i] for key in keys] for i in range(len(plan.key_names))]
-            + [[row[i].partial() for row in rows] for i in range(len(plan.state_names))],
+        return state_relation(
+            plan,
+            list(groups),
+            [[row[i].partial() for row in rows] for i in range(len(plan.state_names))],
         )
 
     def combine_partial_aggregation(
@@ -1256,7 +1256,7 @@ class QueryExecutor:
         """
         plan = self._partial_plan(query)
         groups = self._merge_partial_groups(plan, relation)
-        return FinalizedGroups(
+        return FinalizedGroups.from_accumulators(
             [name.lower() for name in plan.key_names],
             # One column per key, even when no group formed.
             list(zip(*groups)) if groups else [[] for _ in plan.key_names],
@@ -1672,6 +1672,38 @@ def _partial_error(query: ast.SelectQuery, specs: Sequence[_AggregateSpec]) -> O
             spec.name, is_star=spec.is_star, distinct=spec.distinct, arg_count=spec.arg_count
         ):
             return f"Aggregate {spec.name} is not decomposable"
+    column = _non_key_column(query)
+    if column is not None:
+        return f"Partial aggregation cannot finalize non-key column {column.name}"
+    return None
+
+
+def _non_key_column(query: ast.SelectQuery) -> Optional[ast.Column]:
+    """A column outside aggregate arguments that names no group key.
+
+    Finalization sees only the merged keys and states, never a raw row,
+    so every column the select items, HAVING and ORDER BY read outside
+    aggregate arguments must be a group key — the plan-side rule of
+    :func:`~repro.fragment.plan.is_decomposable_aggregation`.  An ORDER
+    BY column naming a select item's output reads that item.
+    """
+    keys = {expression.name.lower() for expression in query.group_by}
+    aliases = ast.order_by_aliases(query)
+    stack: List[ast.Node] = [item.expression for item in query.items]
+    stack.append(query.having)
+    stack.extend(item.expression for item in query.order_by)
+    while stack:
+        node = stack.pop()
+        if node is None or isinstance(node, ast.Query):
+            continue
+        if isinstance(node, ast.FunctionCall) and (
+            node.window is None and ast.is_aggregate_function(node.name)
+        ):
+            continue
+        if isinstance(node, ast.Column) and id(node) not in aliases:
+            if node.name.lower() not in keys:
+                return node
+        stack.extend(child for child in node.children() if child is not None)
     return None
 
 

@@ -22,10 +22,11 @@ arrays:
   semantics and the same error behaviour as the compiled closures.
 * **Aggregate scans** (GROUP BY over plain columns, aggregate arguments
   that are plain columns or ``*``): rows are partitioned into per-group
-  index lists in one pass, then every accumulator consumes its argument
-  column slice in bulk (:meth:`add_many`).  HAVING, select items and
-  ORDER BY reuse the executor's compiled group plan, so results are
-  byte-identical to the row-at-a-time path.
+  index lists in one pass, each argument column is gathered once per
+  group, and one column kernel call per aggregate computes its value for
+  every group (:func:`~repro.engine.aggregates.aggregate_column`).  HAVING,
+  select items and ORDER BY reuse the executor's compiled group plan, so
+  results are byte-identical to the row-at-a-time path.
 * **Partial aggregation scans** — the distributed GROUP BY leaf phase —
   use the same machinery and emit mergeable state relations.
 
@@ -57,6 +58,7 @@ from functools import lru_cache
 from itertools import chain, compress, repeat
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
+from repro.engine.aggregates import FINALIZE_ERRORS, GroupedColumn, aggregate_column
 from repro.engine.columns import BOOL, INT64, TypedColumn, gather, take_column
 from repro.engine.errors import ExecutionError
 from repro.engine.evaluator import _like_to_regex
@@ -105,7 +107,7 @@ class ScanStats:
     """Counters of fast-path hits and bail reasons (advisory; plain-int
     increments so the per-query hot path stays lock-free)."""
 
-    __slots__ = ("flat", "grouped", "partial", "typed", "tail", "bails")
+    __slots__ = ("flat", "grouped", "partial", "typed", "tail", "kernel_fallbacks", "bails")
 
     def __init__(self) -> None:
         self.reset()
@@ -118,6 +120,10 @@ class ScanStats:
         self.typed = 0
         #: Grouped tails run over columns (every compiled grouped result).
         self.tail = 0
+        #: Group slices a grouped scan's aggregate kernels left to the
+        #: accumulator lifecycle (no NULL-free int64/float64 buffer, a
+        #: float sum past the magnitude bound, or no kernel for the call).
+        self.kernel_fallbacks = 0
         self.bails: Dict[str, int] = {}
 
     def bail(self, reason: "BailReason") -> None:
@@ -220,6 +226,17 @@ def columns_relation(names: List[str], columns: Sequence[Any]) -> Relation:
     )
 
 
+def state_relation(
+    group_plan: Any, keys: Sequence[Tuple[Any, ...]], states: List[Sequence[Any]]
+) -> Relation:
+    """A partial-state relation: one row per group, in ``keys`` order, with
+    the group keys under their names and one column per ``__agg{i}``."""
+    return columns_relation(
+        group_plan.key_names + group_plan.state_names,
+        [[key[i] for key in keys] for i in range(len(group_plan.key_names))] + states,
+    )
+
+
 class FinalizedGroups:
     """Groups as columns, every aggregate finalized: a grouped tail's input.
 
@@ -238,25 +255,44 @@ class FinalizedGroups:
         self,
         scope_names: Sequence[str],
         scope_columns: List[Sequence[Any]],
+        aggregates: Dict[str, Sequence[Any]],
+        size: int,
+        error: Optional[Exception] = None,
+    ) -> None:
+        # Every column holds exactly ``size`` groups.
+        self.scope_names = tuple(scope_names)
+        self.scope_columns = scope_columns
+        self.aggregates = aggregates
+        self.size = size
+        self.error = error
+
+    @classmethod
+    def from_accumulators(
+        cls,
+        scope_names: Sequence[str],
+        scope_columns: List[Sequence[Any]],
         specs: Sequence[Any],
         accumulator_rows: Iterable[List[Any]],
         finalize: str,
-    ) -> None:
-        # One accumulator list per group, aligned with ``specs``; each
-        # finalizes through its ``finalize`` method.
+    ) -> "FinalizedGroups":
+        """Groups from one accumulator list per group, aligned with
+        ``specs``; each finalizes through its ``finalize`` method."""
         values: List[List[Any]] = []
-        self.error: Optional[Exception] = None
+        error: Optional[Exception] = None
         try:
             for accumulators in accumulator_rows:
                 values.append([getattr(accumulator, finalize)() for accumulator in accumulators])
-        except (ExecutionError, ArithmeticError, TypeError, ValueError) as error:
-            self.error = error
+        except FINALIZE_ERRORS as raised:
+            error = raised
             scope_columns = [column[: len(values)] for column in scope_columns]
-        self.size = len(values)
-        self.scope_names = tuple(scope_names)
-        self.scope_columns = scope_columns
         columns = list(zip(*values)) if values else [()] * len(specs)
-        self.aggregates = dict(zip((spec.key for spec in specs), columns))
+        return cls(
+            scope_names,
+            scope_columns,
+            dict(zip((spec.key for spec in specs), columns)),
+            len(values),
+            error,
+        )
 
     def column(self, operand: Tuple[str, Any]) -> Sequence[Any]:
         """The column a ``("scope", position)``/``("agg", key)`` operand names."""
@@ -1132,7 +1168,8 @@ def _apply_predicates(
         and len(relation) >= _MIN_REORDER_ROWS
     ):
         predicates = order_conjuncts(predicates, relation, relation.stats())
-    sel = list(range(len(relation)))
+    # The first conjunct reads every row; each returns a list.
+    sel: Sequence[int] = range(len(relation))
     nulls: Set[int] = set()
     for predicate in predicates:
         sel = predicate.apply(relation, sel, nulls)
@@ -1475,16 +1512,16 @@ def try_execute_partial(executor, query: ast.SelectQuery) -> Optional[Relation]:
     if selected is None or not isinstance(selected[0], GroupedScanPlan):
         return None
     plan, relation, sel = selected
-    scanned = _scan_groups(plan, relation, sel)
+    scanned = _scan_groups(plan, relation, sel, "partial")
     if scanned is None:
         stats.bail(BailReason.SCAN_ABANDONED)
         return None
-    groups, accumulators = scanned
+    keys, _, states, error = scanned
+    if error is not None:
+        raise error
     stats.partial += 1
     _note_backing(relation, plan.required)
-    return executor._partial_state_relation(
-        executor._group_plan(query), dict(zip(groups, accumulators))
-    )
+    return state_relation(executor._group_plan(query), keys, states)
 
 
 def _totally_ordered(values: Sequence[Any]) -> bool:
@@ -1595,10 +1632,14 @@ def _group_indices(
     indices = range(len(relation)) if sel is None else sel
 
     def key_values(array):
-        # Typed key columns are boxed once, never read per row through
-        # TypedColumn.__getitem__.
+        # Typed key columns are never read per row through
+        # TypedColumn.__getitem__: NULL-free int64/float64 keys are read
+        # (and gathered) straight off the buffer, others are boxed once.
         if isinstance(array, TypedColumn):
-            array = array.to_list()
+            if array.typecode != BOOL and not array.null_count:
+                array = array.data_array()
+            else:
+                array = array.to_list()
         return array if sel is None else gather(array, sel)
 
     # Key tuples are zipped from the (gathered) key columns at C speed.
@@ -1618,84 +1659,86 @@ def _group_indices(
     return groups
 
 
-def _feed_accumulators(
-    relation: Relation,
-    specs: Sequence[Any],
-    indices: List[int],
-    whole_relation: bool,
-) -> List[Any]:
-    """Instantiate and bulk-feed one accumulator per spec from column slices."""
-    accumulators = []
-    for spec in specs:
-        accumulator = spec.make()
-        arg_columns = spec.arg_columns
-        if not arg_columns:
-            # Star and zero-argument calls: the row path feeds ``(1,)`` per
-            # row.  ``add_many_star`` is the bulk shortcut where it exists
-            # (COUNT(*), buffered aggregates); zero-arg calls of the other
-            # aggregates (``COUNT()``, ``SUM()``... — the parser accepts
-            # them) resolve to incremental accumulators without it, which
-            # consume the equivalent ones column.
-            add_star = getattr(accumulator, "add_many_star", None)
-            if add_star is not None:
-                add_star(len(indices))
-            else:
-                accumulator.add_many([1] * len(indices))
-        elif len(arg_columns) == 1:
-            array = relation.column_array(arg_columns[0])
-            if whole_relation:
-                accumulator.add_many(array)
-            else:
-                # Typed backings gather through the unboxed buffer so
-                # add_many sees a typed column (see aggregates.add_many).
-                accumulator.add_many(take_column(array, indices))
-        else:
-            arrays = [relation.column_array(name) for name in arg_columns]
-            for i in indices:
-                accumulator.add(tuple(array[i] for array in arrays))
-        accumulators.append(accumulator)
-    return accumulators
+def _scan_groups(
+    plan: GroupedScanPlan, relation: Relation, sel: Optional[List[int]], phase: str
+):
+    """Group the selected rows, then ``phase`` (``"partial"`` or
+    ``"result"``) of every aggregate spec, one column per spec.
 
-
-def _scan_groups(plan: GroupedScanPlan, relation: Relation, sel: Optional[List[int]]):
-    """``(groups, accumulators)`` of the selected rows (accumulators in
-    group order), every group fed before anything else runs; None when a conversion error (exact
+    Each argument column is gathered once per group and every spec's
+    column comes from one :func:`~repro.engine.aggregates.aggregate_column`
+    call.  Returns ``(keys, members, columns, error)``: group keys and row
+    indices in first-occurrence order, and the spec columns cut at the
+    first (group, spec) in group-major order whose ``phase`` raised
+    ``error``.  None when a conversion error while feeding (exact
     SUM/STDDEV meeting a non-numeric or non-finite value) abandons the
-    scan, so the row path re-raises its own row-major error."""
+    scan, so the row path re-raises its own row-major error.
+    """
     if plan.key_columns:
         groups = _group_indices(relation, plan.key_columns, sel)
+        keys, members = list(groups), list(groups.values())
+        gathered: Optional[List[Sequence[int]]] = members
     else:
-        groups = {(): list(range(len(relation))) if sel is None else sel}
-    whole = sel is None and not plan.key_columns
+        keys = [()]
+        members = [range(len(relation)) if sel is None else sel]
+        gathered = None if sel is None else members
+    sizes = [len(indices) for indices in members]
+    arguments: Dict[str, GroupedColumn] = {}
+    for spec in plan.specs:
+        for name in spec.arg_columns:
+            if name not in arguments:
+                arguments[name] = GroupedColumn(relation.column_array(name), gathered)
     try:
-        accumulators = [
-            _feed_accumulators(relation, plan.specs, indices, whole)
-            if indices
-            else [spec.make() for spec in plan.specs]
-            for indices in groups.values()
+        computed = [
+            aggregate_column(
+                spec.name,
+                is_star=spec.is_star,
+                distinct=spec.distinct,
+                arg_count=spec.arg_count,
+                arguments=[arguments[name] for name in spec.arg_columns],
+                sizes=sizes,
+                phase=phase,
+            )
+            for spec in plan.specs
         ]
     except _SCAN_ABANDON_ERRORS:
         return None
-    return groups, accumulators
+    stats.kernel_fallbacks += sum(column.fallbacks for column in computed)
+    failures = [
+        (column.failed_at, index)
+        for index, column in enumerate(computed)
+        if column.error is not None
+    ]
+    if not failures:
+        return keys, members, [column.values for column in computed], None
+    size, index = min(failures)
+    columns = [column.values[:size] for column in computed]
+    return keys[:size], members[:size], columns, computed[index].error
 
 
 def _execute_grouped(
     executor, plan: GroupedScanPlan, relation: Relation, parent, sel: Optional[List[int]]
 ) -> Optional[Relation]:
-    scanned = _scan_groups(plan, relation, sel)
+    scanned = _scan_groups(plan, relation, sel, "result")
     if scanned is None:
         return None
-    groups, accumulators = scanned
+    _, members, columns, error = scanned
     stats.grouped += 1
     # Each group's scope is its first row.  The global group over empty
     # input has no row: its bare columns are NULL.
-    firsts = [indices[0] for indices in groups.values() if indices]
     names = [name.lower() for name in relation.schema.names]
-    if len(firsts) == len(groups):
-        columns = [take_column(array, firsts) for array in relation.columns()]
+    if all(members):
+        firsts = [indices[0] for indices in members]
+        scope = [take_column(array, firsts) for array in relation.columns()]
     else:
-        columns = [[None] for _ in names]
-    finalized = FinalizedGroups(names, columns, plan.specs, accumulators, "result")
+        scope = [[None] for _ in names]
+    finalized = FinalizedGroups(
+        names,
+        scope,
+        dict(zip((spec.key for spec in plan.specs), columns)),
+        len(members),
+        error,
+    )
     return executor._grouped_tail(plan.query, finalized, parent)
 
 
@@ -1769,4 +1812,5 @@ _registry.probe("engine.vectorized.grouped", lambda: stats.grouped)
 _registry.probe("engine.vectorized.partial", lambda: stats.partial)
 _registry.probe("engine.vectorized.typed", lambda: stats.typed)
 _registry.probe("engine.vectorized.tail", lambda: stats.tail)
+_registry.probe("engine.vectorized.kernel_fallbacks", lambda: stats.kernel_fallbacks)
 _registry.probe("engine.vectorized.bails", lambda: dict(stats.bails))

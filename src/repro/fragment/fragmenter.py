@@ -31,7 +31,6 @@ from repro.fragment.plan import (
     QueryFragment,
     is_decomposable_aggregation,
     is_row_distributive,
-    order_by_aliases,
 )
 from repro.fragment.topology import Topology
 from repro.sql import ast
@@ -273,7 +272,7 @@ class VerticalFragmenter:
             add_from(expression)
         add_from(stage.having)
         # An ORDER BY column naming a select item's output reads the item.
-        aliases = order_by_aliases(stage)
+        aliases = ast.order_by_aliases(stage)
         for order_item in stage.order_by:
             add_from(order_item.expression, aliases)
         return needed

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.aggregates import is_decomposable_aggregate
 from repro.fragment.capabilities import CapabilityLevel
@@ -49,31 +49,6 @@ def is_row_distributive(query: ast.Query) -> bool:
     return True
 
 
-def order_by_aliases(query: ast.SelectQuery) -> Set[int]:
-    """The ``id`` of each ORDER BY column that names a select item's output.
-
-    Such a column reads that item's value (an output name shadows a source
-    column, as the executor resolves ORDER BY), so it needs no column of
-    the input.  Columns inside aggregate arguments or subqueries still
-    read the input.
-    """
-    outputs = {item.output_name.lower() for item in query.items if item.output_name}
-    aliases: Set[int] = set()
-    stack: List[ast.Node] = [item.expression for item in query.order_by]
-    while stack:
-        node = stack.pop()
-        if node is None or isinstance(node, ast.Query):
-            continue
-        if isinstance(node, ast.FunctionCall) and (
-            node.window is None and ast.is_aggregate_function(node.name)
-        ):
-            continue
-        if isinstance(node, ast.Column) and not node.table and node.name.lower() in outputs:
-            aliases.add(id(node))
-        stack.extend(child for child in node.children() if child is not None)
-    return aliases
-
-
 def _contains_disqualifier(node: ast.Node, aggregates_disqualify: bool = False) -> bool:
     """True when ``node`` holds a subquery, a window, or (optionally) any
     aggregate call — the constructs a partial-aggregation stage cannot host
@@ -114,7 +89,8 @@ def is_decomposable_aggregation(query: ast.Query) -> bool:
     * every column referenced outside aggregate arguments (items, HAVING,
       ORDER BY) is a group key — finalization only sees the merged keys,
       never a representative raw row; an ORDER BY column naming a select
-      item's output reads that item instead (:func:`order_by_aliases`),
+      item's output reads that item instead
+      (:func:`~repro.sql.ast.order_by_aliases`),
     * no subqueries anywhere (their results could differ per node).
     """
     if not isinstance(query, ast.SelectQuery):
@@ -145,7 +121,7 @@ def is_decomposable_aggregation(query: ast.Query) -> bool:
     if query.having is not None:
         sources.append(query.having)
     sources.extend(item.expression for item in query.order_by)
-    aliases = order_by_aliases(query)
+    aliases = ast.order_by_aliases(query)
     stack: List[ast.Node] = list(sources)
     while stack:
         node = stack.pop()

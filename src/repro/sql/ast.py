@@ -16,7 +16,7 @@ in :mod:`repro.sql.visitor`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Set, Union
 
 
 class Node:
@@ -486,3 +486,28 @@ WINDOW_ONLY_FUNCTIONS = frozenset(
 def is_aggregate_function(name: str) -> bool:
     """Return ``True`` when ``name`` denotes an aggregate function."""
     return name.upper() in AGGREGATE_FUNCTIONS
+
+
+def order_by_aliases(query: SelectQuery) -> Set[int]:
+    """The ``id`` of each ORDER BY column that names a select item's output.
+
+    Such a column reads that item's value (an output name shadows a source
+    column, as the executor resolves ORDER BY), so it needs no column of
+    the input.  Columns inside aggregate arguments or subqueries still
+    read the input.
+    """
+    outputs = {item.output_name.lower() for item in query.items if item.output_name}
+    aliases: Set[int] = set()
+    stack: List[Node] = [item.expression for item in query.order_by]
+    while stack:
+        node = stack.pop()
+        if node is None or isinstance(node, Query):
+            continue
+        if isinstance(node, FunctionCall) and (
+            node.window is None and is_aggregate_function(node.name)
+        ):
+            continue
+        if isinstance(node, Column) and not node.table and node.name.lower() in outputs:
+            aliases.add(id(node))
+        stack.extend(child for child in node.children() if child is not None)
+    return aliases

@@ -6,16 +6,22 @@ import statistics
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.engine.aggregates import (
+    DECOMPOSABLE_AGGREGATES,
+    FINALIZE_ERRORS,
+    GroupedColumn,
     _grow_expansion,
+    aggregate_column,
     compute_aggregate,
     is_decomposable_aggregate,
     is_known_aggregate,
     make_accumulator,
 )
-from repro.engine.columns import FLOAT64, typed_column_from_values
+from repro.engine.columns import FLOAT64, INT64, take_column, typed_column_from_values
 from repro.engine.errors import ExecutionError
+from repro.engine.wire import pack_value
 
 
 def test_count_sum_avg_min_max():
@@ -482,3 +488,124 @@ def test_any_batch_split_gives_identical_partials(name, seed):
         assert len(states) == 1
         parts, _ = _split_state(accumulator.partial())
         assert parts == _canonical_parts(sum(map(Fraction, values), Fraction(0)))
+
+
+# ---------------------------------------------------------------------------
+# column kernels against the accumulator lifecycle
+# ---------------------------------------------------------------------------
+
+_KERNEL_FLOATS = st.one_of(
+    st.floats(-1e6, 1e6),
+    st.floats(allow_nan=True, allow_infinity=True),
+    # NaN, infinities, signed-zero ties and magnitudes whose L1 norm passes
+    # the lazy bound.
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1e308, -1e308, 2.0**1020]),
+)
+_KERNEL_INTS = st.one_of(st.integers(-10, 10), st.integers(-(2**63), 2**63 - 1))
+
+#: Column kinds: (typecode or None for a plain list, cell strategy).
+_KERNEL_KINDS = {
+    "int64": (INT64, _KERNEL_INTS),
+    "float64": (FLOAT64, _KERNEL_FLOATS),
+    "list_mixed": (
+        None,
+        st.one_of(_KERNEL_INTS, _KERNEL_FLOATS, st.sampled_from(["a", "b"])),
+    ),
+    "list_numeric": (None, st.one_of(_KERNEL_INTS, _KERNEL_FLOATS)),
+    # Ints beyond 2**63 (and beyond float range) next to floats.
+    "list_bigint": (
+        None,
+        st.one_of(
+            st.integers(2**63, 2**70),
+            st.integers(-(2**70), -(2**63) - 1),
+            st.sampled_from([10**400, -(10**400)]),
+            _KERNEL_FLOATS,
+        ),
+    ),
+}
+
+_KERNEL_CALLS = [(name, False) for name in sorted(DECOMPOSABLE_AGGREGATES)] + [("COUNT", True)]
+
+
+@st.composite
+def _grouped_column(draw):
+    """A column of one kind, with or without NULLs, and its groups: index
+    lists in first-occurrence order, or None for one whole-column group."""
+    typecode, cells = _KERNEL_KINDS[draw(st.sampled_from(sorted(_KERNEL_KINDS)))]
+    if draw(st.booleans()):
+        cells = st.none() | cells
+    values = draw(st.lists(cells, max_size=30))
+    column = list(values) if typecode is None else typed_column_from_values(values, typecode)
+    if draw(st.booleans()):
+        return column, None
+    if not values:
+        return column, [[]]  # the global group over no rows
+    labels = draw(st.lists(st.integers(0, 3), min_size=len(values), max_size=len(values)))
+    groups = {}
+    for index, label in enumerate(labels):
+        groups.setdefault(label, []).append(index)
+    return column, list(groups.values())
+
+
+def _lifecycle_column(name, is_star, column, groups, phase):
+    """make, ``add_many`` (skipped for an empty slice), then ``phase``, per
+    group: feed errors propagate, phase calls stop at the first error."""
+    values, failure = [], None
+    for indices in [range(len(column))] if groups is None else groups:
+        accumulator = make_accumulator(name, is_star=is_star, distinct=False, arg_count=1)
+        if indices:
+            if is_star:
+                accumulator.add_many([1] * len(indices))
+            else:
+                accumulator.add_many(column if groups is None else take_column(column, indices))
+        if failure is not None:
+            continue
+        try:
+            values.append(getattr(accumulator, phase)())
+        except FINALIZE_ERRORS as error:
+            failure = (len(values), type(error), str(error))
+    return values, failure
+
+
+def _packed(values, failure):
+    return [pack_value(value) for value in values], failure
+
+
+@given(_grouped_column())
+@settings(max_examples=300, deadline=None)
+# An empty float64 column: fresh-accumulator states, whole or as the
+# global group over no rows.
+@example((typed_column_from_values([], FLOAT64), None))
+@example((typed_column_from_values([], FLOAT64), [[]]))
+# Group 0's sum fails after the lifecycle; group 1 has a buffer path.
+@example((typed_column_from_values([math.inf, -math.inf, 1.0], FLOAT64), [[0, 1], [2]]))
+def test_kernels_match_accumulator_lifecycle(case):
+    """Every decomposable aggregate's kernel column packs to the lifecycle's
+    bytes, states and results alike, and fails the same way.  All calls
+    share one GroupedColumn, so SUM and AVG share its slices and fold."""
+    column, groups = case
+    sizes = [len(column)] if groups is None else [len(indices) for indices in groups]
+    for phase in ("partial", "result"):
+        shared = GroupedColumn(column, groups)
+        for name, is_star in _KERNEL_CALLS:
+
+            def kernel():
+                computed = aggregate_column(
+                    name,
+                    is_star=is_star,
+                    distinct=False,
+                    arg_count=1,
+                    arguments=[] if is_star else [shared],
+                    sizes=sizes,
+                    phase=phase,
+                )
+                failure = None
+                if computed.error is not None:
+                    error = computed.error
+                    failure = (computed.failed_at, type(error), str(error))
+                return computed.values, failure
+
+            expected = _outcome(
+                lambda: _packed(*_lifecycle_column(name, is_star, column, groups, phase))
+            )
+            assert _outcome(lambda: _packed(*kernel())) == expected, (name, phase)

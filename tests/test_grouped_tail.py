@@ -233,6 +233,26 @@ def test_finalize_error_waits_for_earlier_groups(config):
         db.query("SELECT g, SUM(v) AS s FROM t GROUP BY g", CONFIGS[config])
 
 
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+def test_first_finalize_error_is_group_major(config):
+    """Group 1's SUM and group 0's MEDIAN cannot finalize.  Aggregates are
+    computed a column at a time, yet every path raises group 0's MEDIAN
+    error, the first failing (group, call) in group-major order."""
+    db = Database()
+    db.load_rows(
+        "t",
+        [
+            {"g": 0, "v": 1.0, "w": "text"},
+            {"g": 1, "v": 10**400, "w": 2.0},
+            {"g": 1, "v": 1.5, "w": 3.0},
+        ],
+    )
+    with pytest.raises(ValueError, match="could not convert string to float"):
+        db.query("SELECT g, SUM(v), MEDIAN(w) FROM t GROUP BY g", CONFIGS[config])
+    with pytest.raises(OverflowError):
+        db.query("SELECT g, MEDIAN(w), SUM(v) FROM t WHERE g = 1 GROUP BY g", CONFIGS[config])
+
+
 #: An aggregate call in ORDER BY alone makes the query one global group,
 #: exactly like one in HAVING: (ORDER BY query, its HAVING twin).
 ORDER_BY_AGGREGATES = [

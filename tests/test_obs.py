@@ -26,6 +26,7 @@ from benchmarks.e2e.workloads import GROUPBY_SQL, occupancy_policy
 from tests.conftest import make_sensor_relation
 from tests.test_runtime import RAW_WORKLOADS, build_tree_processor
 
+from repro.engine import Database
 from repro.engine.wire import pack_relation
 from repro.fragment.topology import Topology
 from repro.obs.metrics import MetricsRegistry, delta, registry
@@ -330,6 +331,41 @@ def test_rewritten_groupby_runs_every_leaf_scan_vectorized():
     assert diff.get("engine.vectorized.flat", 0) == 0
     assert diff["engine.executor.partial_aggregations"] == 8
     assert diff["engine.vectorized.partial"] == 8
+
+
+def test_grouped_scans_take_no_kernel_fallback():
+    """The e2e group-by's leaf partials on the 8-sensor tree and the paper
+    query's appliance ``GROUP BY x, y`` compute every aggregate from typed
+    buffers: no group slice falls back to the accumulator lifecycle."""
+    tree = ParadiseProcessor(
+        occupancy_policy(),
+        schema=INTEGRATED_SCHEMA,
+        topology=Topology.smart_home_tree(n_sensors=8),
+        execution="parallel",
+    )
+    tree.load_data(make_sensor_relation(400))
+    chain = build_flat_processor(rows=300)
+    for processor, sql, module, kind in (
+        (tree, GROUPBY_SQL, "Occupancy", "partial"),
+        (chain, PIPELINE_SQL, "ActionFilter", "grouped"),
+    ):
+        before = registry.snapshot(prefix="engine.vectorized.")
+        assert processor.process(sql, module).admitted
+        diff = delta(before, registry.snapshot(prefix="engine.vectorized."))
+        assert diff[f"engine.vectorized.{kind}"] >= 1
+        assert diff["engine.vectorized.kernel_fallbacks"] == 0
+
+
+def test_kernel_fallbacks_count_slices_without_a_buffer():
+    """A NULL-bearing argument column has no buffer path: each group's
+    slice runs the accumulator lifecycle and counts once per call."""
+    database = Database()
+    database.load_rows("n", [{"g": i % 3, "v": None if i == 4 else i * 0.5} for i in range(9)])
+    before = registry.snapshot(prefix="engine.vectorized.")
+    database.query("SELECT g, SUM(v), MIN(v), COUNT(*) FROM n GROUP BY g")
+    diff = delta(before, registry.snapshot(prefix="engine.vectorized."))
+    assert diff["engine.vectorized.grouped"] == 1
+    assert diff["engine.vectorized.kernel_fallbacks"] == 2 * 3
 
 
 def test_paper_workloads_take_typed_scan_backing():

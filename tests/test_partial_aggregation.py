@@ -403,13 +403,27 @@ PARTIAL_REJECTIONS = [
     ("SELECT x, MEDIAN(z) FROM d GROUP BY x", "Aggregate MEDIAN is not decomposable"),
     ("SELECT x, COUNT(DISTINCT z) FROM d GROUP BY x", "Aggregate COUNT is not decomposable"),
     ("SELECT x, CORR(y, z) FROM d GROUP BY x", "Aggregate CORR is not decomposable"),
+    # Finalization sees only keys and states: a bare non-key column in the
+    # items, HAVING or ORDER BY is rejected before the scan, not at finalize.
+    (
+        "SELECT x, y, AVG(z), t FROM d GROUP BY x, y",
+        "Partial aggregation cannot finalize non-key column t",
+    ),
+    (
+        "SELECT x, COUNT(*) FROM d GROUP BY x HAVING MAX(z) > y",
+        "Partial aggregation cannot finalize non-key column y",
+    ),
+    (
+        "SELECT x, COUNT(*) AS n FROM d GROUP BY x ORDER BY n, t",
+        "Partial aggregation cannot finalize non-key column t",
+    ),
 ]
 
 
 def _partial_database() -> Database:
     database = Database()
     database.load_rows(
-        "d", [{"x": i % 3, "y": float(i), "z": i * 0.5} for i in range(10)]
+        "d", [{"x": i % 3, "y": float(i), "z": i * 0.5, "t": i} for i in range(10)]
     )
     return database
 
@@ -429,6 +443,8 @@ def test_partial_aggregate_rejections(config, sql, message):
         # its partial carries the keys and no state.
         ("SELECT * FROM d GROUP BY x", ["x"]),
         ("SELECT d.x, COUNT(*) FROM d GROUP BY d.x", ["x", "__agg0"]),
+        # An ORDER BY column naming a select item's output reads the item.
+        ("SELECT x, COUNT(*) AS n FROM d GROUP BY x ORDER BY n DESC", ["x", "__agg0"]),
     ],
 )
 def test_partial_aggregate_accepts(sql, names):
