@@ -764,6 +764,35 @@ class MinAccumulator:
         return self.result()
 
 
+class FirstValueAccumulator:
+    """A bare non-key column of a grouped query: its group's first value.
+
+    Partial state: ``(has, value)`` of the first row seen, a NULL value
+    included.  Merged in partition order, the earliest partition's row
+    wins, as MIN/MAX keep ties, so the value is the first row of one
+    left-to-right pass.  A group with no row finalizes to NULL.
+    """
+
+    __slots__ = ("has", "value")
+
+    def __init__(self) -> None:
+        self.has, self.value = False, None
+
+    def add(self, values: Tuple[Any, ...]) -> None:
+        if not self.has:
+            self.has, self.value = True, values[0]
+
+    def partial(self) -> Tuple[bool, Any]:
+        return (self.has, self.value)
+
+    def merge(self, state: Tuple[bool, Any]) -> None:
+        if state[0]:
+            self.add(state[1:])
+
+    def finalize(self) -> Any:
+        return self.value
+
+
 class MaxAccumulator:
     """``MAX(expr)``: keeps the first maximal non-NULL value.
 

@@ -31,6 +31,7 @@ from itertools import repeat
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.engine.aggregates import (
+    FirstValueAccumulator,
     compute_aggregate,
     is_decomposable_aggregate,
     make_accumulator,
@@ -102,6 +103,96 @@ def aggregate_calls(query: ast.SelectQuery) -> List[Tuple[str, ast.FunctionCall]
     return list(calls.items())
 
 
+def decomposition_error(query: ast.Query) -> Optional[str]:
+    """Why ``query`` cannot run as partial -> combine -> finalize, or None.
+
+    The one decomposability rule, for the fragmenter, standing registration
+    and every partial-protocol call: a single-table grouped SELECT without
+    DISTINCT/LIMIT/OFFSET, grouped by distinct plain columns (the state
+    relation's key columns, so none named ``__agg...``; a qualified key
+    matches by name), whose aggregate calls all merge and take no
+    aggregate arguments, with no subquery (its result could differ per
+    node) and no window.  Any other column may appear outside aggregate
+    arguments: it travels as a first-value state (:func:`first_value_columns`).
+    """
+    if not isinstance(query, ast.SelectQuery) or not isinstance(
+        query.from_clause, ast.TableRef
+    ):
+        return "Partial aggregation requires a single-table SELECT"
+    if query.distinct or query.limit is not None or query.offset is not None:
+        return "Partial aggregation does not support DISTINCT/LIMIT/OFFSET"
+    for expression in query.group_by:
+        if not isinstance(expression, ast.Column):
+            return "Partial aggregation requires plain-column GROUP BY keys"
+        if expression.name.lower().startswith("__agg"):
+            return f"Partial aggregation cannot group by reserved column {expression.name}"
+    if len({expression.name.lower() for expression in query.group_by}) != len(query.group_by):
+        return "Partial aggregation requires distinct GROUP BY keys"
+    grouped = bool(query.group_by)
+    # (node, inside an aggregate argument or WHERE)
+    stack = [(item.expression, False) for item in query.items + query.order_by]
+    stack += [(query.having, False), (query.where, True)]
+    while stack:
+        node, inside = stack.pop()
+        if node is None:
+            continue
+        if isinstance(node, (ast.Query, ast.ScalarSubquery, ast.InSubquery, ast.Exists)):
+            return "Partial aggregation does not support subqueries"
+        if isinstance(node, ast.FunctionCall):
+            if node.window is not None:
+                return "Partial aggregation does not support window functions"
+            if ast.is_aggregate_function(node.name):
+                if inside:
+                    return (
+                        "Partial aggregation does not support aggregates "
+                        "in WHERE or aggregate arguments"
+                    )
+                arguments = node.arguments
+                if not is_decomposable_aggregate(
+                    node.name,
+                    is_star=len(arguments) == 1 and isinstance(arguments[0], ast.Star),
+                    distinct=node.distinct,
+                    arg_count=len(arguments) or 1,
+                ):
+                    return f"Aggregate {node.name} is not decomposable"
+                grouped, inside = True, True
+        stack.extend((child, inside) for child in node.children() if child is not None)
+    if not grouped:
+        return "Partial aggregation requires a GROUP BY or an aggregate call"
+    return None
+
+
+def first_value_columns(query: ast.SelectQuery) -> List[str]:
+    """The bare non-key columns of a grouped query, lower-cased, in
+    first-reference order: what its items, HAVING and ORDER BY read
+    outside aggregate arguments that name no group key.  An ORDER BY
+    column naming a select item's output reads that item instead
+    (:func:`~repro.sql.ast.order_by_aliases`).  A grouped scan reads each
+    from its group's first row; the partial protocol carries each as a
+    first-value state (:class:`~repro.engine.aggregates.FirstValueAccumulator`).
+    """
+    keys = {key.name.lower() for key in query.group_by if isinstance(key, ast.Column)}
+    aliases = ast.order_by_aliases(query)
+    names: Dict[str, None] = {}
+    stack: List[ast.Node] = [item.expression for item in reversed(query.order_by)]
+    stack.append(query.having)
+    stack.extend(item.expression for item in reversed(query.items))
+    while stack:
+        node = stack.pop()
+        if node is None or isinstance(node, ast.Query):
+            continue
+        if isinstance(node, ast.FunctionCall) and (
+            node.window is None and ast.is_aggregate_function(node.name)
+        ):
+            continue
+        if isinstance(node, ast.Column) and id(node) not in aliases:
+            name = node.name.lower()
+            if name not in keys:
+                names.setdefault(name)
+        stack.extend(child for child in reversed(node.children()) if child is not None)
+    return list(names)
+
+
 class _AggregateSpec:
     """One :func:`aggregate_calls` entry of a grouped query."""
 
@@ -162,7 +253,9 @@ class _GroupPlan:
     protocol's *partial* (rows -> mergeable state rows), *combine* (state
     rows -> one state row per group) and *finalize* (state rows -> the
     query's output) phases.  A state relation carries the group keys under
-    their original names plus one state column per aggregate spec.
+    their original names, one state column per aggregate spec, then one
+    first-value state column per bare non-key column
+    (:func:`first_value_columns`).
     """
 
     __slots__ = (
@@ -172,10 +265,12 @@ class _GroupPlan:
         "key_names",
         "state_names",
         "specs",
+        "first_names",
+        "first_fns",
         "partial_error",
     )
 
-    def __init__(self, query, key_fns, specs) -> None:
+    def __init__(self, query, key_fns, specs, first_names, first_fns) -> None:
         self.query = query
         self.key_fns = key_fns
         #: GROUP BY expressions as plain Columns, and their names (original
@@ -186,9 +281,21 @@ class _GroupPlan:
             self.key_columns = [("", expression) for expression in query.group_by]
             self.key_names = [expression.name for expression in query.group_by]
         self.specs = specs
-        self.state_names = [f"__agg{index}" for index in range(len(specs))]
+        #: Bare non-key columns and their per-row evaluators.
+        self.first_names = first_names
+        self.first_fns = first_fns
+        self.state_names = [
+            f"__agg{index}" for index in range(len(specs) + len(self.first_names))
+        ]
         #: Why the partial protocol cannot run this query, or None.
-        self.partial_error = _partial_error(query, specs)
+        self.partial_error = decomposition_error(query)
+
+    def make_states(self) -> List[Any]:
+        """Fresh accumulators for one group's state columns, in order."""
+        states = [spec.make() for spec in self.specs]
+        for _ in self.first_names:
+            states.append(FirstValueAccumulator())
+        return states
 
 
 #: A grouped tail's operand: ``("scope", position)``, ``("agg", render
@@ -1042,10 +1149,13 @@ class QueryExecutor:
         plan = self._group_plans.get(id(query))
         if plan is not None and plan.query is query:
             return plan
+        firsts = first_value_columns(query)
         plan = _GroupPlan(
             query,
             [make_evaluator(expression, self._compiler) for expression in query.group_by],
             [_AggregateSpec(key, call, self._compiler) for key, call in aggregate_calls(query)],
+            firsts,
+            [make_evaluator(ast.Column(name=name), self._compiler) for name in firsts],
         )
         self._store_plan(self._group_plans, id(query), plan)
         return plan
@@ -1162,8 +1272,9 @@ class QueryExecutor:
         """Run ``query``'s FROM/WHERE, then group into mergeable state rows.
 
         Emits one row per group in first-occurrence order: the group-key
-        columns under their original names plus one ``partial()`` state per
-        distinct aggregate call.  HAVING, select items and ORDER BY are
+        columns under their original names, one ``partial()`` state per
+        distinct aggregate call and one ``(has, value)`` first-value state
+        per bare non-key column.  HAVING, select items and ORDER BY are
         deferred to :meth:`finalize_partial_aggregation` — they must see
         fully merged groups.  A query without GROUP BY always emits exactly
         one (global) group row, even over an empty input, mirroring the
@@ -1179,6 +1290,13 @@ class QueryExecutor:
                 return vectorized
         scopes, _ = self._filtered_scopes(query, None)
         groups = self._group_scopes(plan, scopes, None)
+        context = self._fresh_context(None)
+        for scope, accumulators in groups.values():
+            context.scope = scope
+            for fn in plan.first_fns:
+                accumulators.append(FirstValueAccumulator())
+                if scopes:  # the global group over no rows has no first row
+                    accumulators[-1].add((fn(context),))
         return self._partial_state_relation(
             plan, {key: accumulators for key, (_, accumulators) in groups.items()}
         )
@@ -1195,7 +1313,6 @@ class QueryExecutor:
         are read straight off the column arrays, zipped per row.
         """
         groups: Dict[Tuple[Any, ...], List[Any]] = {}
-        specs = plan.specs
         key_columns = [_state_column(relation, name) for name in plan.key_names]
         state_columns = [_state_column(relation, name) for name in plan.state_names]
         keys = zip(*key_columns) if key_columns else repeat((), len(relation))
@@ -1206,11 +1323,11 @@ class QueryExecutor:
         for key, states in zip(keys, state_rows):
             accumulators = groups.get(key)
             if accumulators is None:
-                accumulators = groups[key] = [spec.make() for spec in specs]
+                accumulators = groups[key] = plan.make_states()
             for accumulator, state in zip(accumulators, states):
                 accumulator.merge(state)
         if not plan.query.group_by and not groups:
-            groups[()] = [spec.make() for spec in specs]
+            groups[()] = plan.make_states()
         return groups
 
     def _partial_state_relation(
@@ -1250,18 +1367,26 @@ class QueryExecutor:
         """Merge partial-state rows per group and finalize every aggregate.
 
         The finalized values are keyed by each call's render key, the key
-        :meth:`finalize_tail` looks them up by, so any query whose group
-        keys match ``query``'s and whose aggregate calls are a subset of
-        ``query``'s can run its tail over the result.
+        :meth:`finalize_tail` looks them up by; the scope columns are the
+        keys, then the bare non-key columns' first values — what a scan's
+        first source row gives.  So any query whose group keys match
+        ``query``'s and whose aggregate calls and bare columns are subsets
+        of ``query``'s can run its tail over the result.
         """
         plan = self._partial_plan(query)
         groups = self._merge_partial_groups(plan, relation)
+        width = len(plan.specs)
+        rows = list(groups.values())
         return FinalizedGroups.from_accumulators(
-            [name.lower() for name in plan.key_names],
+            [name.lower() for name in plan.key_names] + plan.first_names,
             # One column per key, even when no group formed.
-            list(zip(*groups)) if groups else [[] for _ in plan.key_names],
+            (list(zip(*groups)) if groups else [[] for _ in plan.key_names])
+            + [
+                [row[width + index].finalize() for row in rows]
+                for index in range(len(plan.first_names))
+            ],
             plan.specs,
-            groups.values(),
+            (row[:width] for row in rows),
             "finalize",
         )
 
@@ -1649,62 +1774,6 @@ def _scope_key(column: ast.Column) -> str:
 def _check_grouped_items(query: ast.SelectQuery) -> None:
     if any(isinstance(item.expression, ast.Star) for item in query.items):
         raise ExecutionError("SELECT * cannot be combined with GROUP BY / aggregates")
-
-
-def _partial_error(query: ast.SelectQuery, specs: Sequence[_AggregateSpec]) -> Optional[str]:
-    """Why the partial protocol cannot run ``query``, or None.
-
-    A star item is no obstacle: it is the grouped SELECT that rejects it,
-    and a partial emits only keys and states.
-    """
-    if query.distinct or query.limit is not None or query.offset is not None:
-        return "Partial aggregation does not support DISTINCT/LIMIT/OFFSET"
-    for expression in query.group_by:
-        if not isinstance(expression, ast.Column):
-            return "Partial aggregation requires plain-column GROUP BY keys"
-        if expression.name.lower().startswith("__agg"):
-            # Reserved for the state columns of the partial relation.
-            return f"Partial aggregation cannot group by reserved column {expression.name}"
-    if len({expression.name.lower() for expression in query.group_by}) != len(query.group_by):
-        return "Partial aggregation requires distinct GROUP BY keys"
-    for spec in specs:
-        if not is_decomposable_aggregate(
-            spec.name, is_star=spec.is_star, distinct=spec.distinct, arg_count=spec.arg_count
-        ):
-            return f"Aggregate {spec.name} is not decomposable"
-    column = _non_key_column(query)
-    if column is not None:
-        return f"Partial aggregation cannot finalize non-key column {column.name}"
-    return None
-
-
-def _non_key_column(query: ast.SelectQuery) -> Optional[ast.Column]:
-    """A column outside aggregate arguments that names no group key.
-
-    Finalization sees only the merged keys and states, never a raw row,
-    so every column the select items, HAVING and ORDER BY read outside
-    aggregate arguments must be a group key — the plan-side rule of
-    :func:`~repro.fragment.plan.is_decomposable_aggregation`.  An ORDER
-    BY column naming a select item's output reads that item.
-    """
-    keys = {expression.name.lower() for expression in query.group_by}
-    aliases = ast.order_by_aliases(query)
-    stack: List[ast.Node] = [item.expression for item in query.items]
-    stack.append(query.having)
-    stack.extend(item.expression for item in query.order_by)
-    while stack:
-        node = stack.pop()
-        if node is None or isinstance(node, ast.Query):
-            continue
-        if isinstance(node, ast.FunctionCall) and (
-            node.window is None and ast.is_aggregate_function(node.name)
-        ):
-            continue
-        if isinstance(node, ast.Column) and id(node) not in aliases:
-            if node.name.lower() not in keys:
-                return node
-        stack.extend(child for child in node.children() if child is not None)
-    return None
 
 
 def _state_column(relation: Relation, name: str) -> Sequence[Any]:

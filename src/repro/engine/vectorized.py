@@ -1512,16 +1512,24 @@ def try_execute_partial(executor, query: ast.SelectQuery) -> Optional[Relation]:
     if selected is None or not isinstance(selected[0], GroupedScanPlan):
         return None
     plan, relation, sel = selected
+    group_plan = executor._group_plan(query)
+    firsts = [relation.column_array(name) for name in group_plan.first_names]
+    if any(array is None for array in firsts):
+        return None  # the row path raises the unknown column
     scanned = _scan_groups(plan, relation, sel, "partial")
     if scanned is None:
         stats.bail(BailReason.SCAN_ABANDONED)
         return None
-    keys, _, states, error = scanned
+    keys, members, states, error = scanned
     if error is not None:
         raise error
+    for array in firsts:
+        # A bare non-key column's state is its group's first row; the
+        # global group over no rows has none.
+        states.append([(True, array[rows[0]]) if rows else (False, None) for rows in members])
     stats.partial += 1
     _note_backing(relation, plan.required)
-    return state_relation(executor._group_plan(query), keys, states)
+    return state_relation(group_plan, keys, states)
 
 
 def _totally_ordered(values: Sequence[Any]) -> bool:

@@ -39,11 +39,12 @@ The execution DAG relies on it to run every in-place row stage on the
 sensors — on the default chain's one sensor as on a tree's leaves — and
 the leaf partial of a decomposable GROUP BY
 (:func:`repro.runtime.dag.build_execution_dag`).  On the chain, the paper
-query's ``d1`` (``z < 2``) and ``d2`` (``x > y`` and four of the seven
-columns) run as one query on the sensor's chunk, so 16,675 rows × 4
-columns (0.54 MB) leave it per 30k-row query instead of 30,000 × 7
-(1.28 MB).  The data never moves, and only group states — or the rows
-and columns that pass the in-place stages — leave the sensor.
+query's ``d1`` (``z < 2``), ``d2`` (``x > y``) and the leaf partial of
+``d3`` (``GROUP BY x, y``) run as one query on the sensor's chunk, so
+about 4.7 KB of group states leave it per 30k-row query instead of
+30,000 rows × 7 columns (1.28 MB).  The data never moves, and only group
+states — or the rows and columns that pass the in-place stages — leave
+the sensor.
 Lifting that work to the appliances instead was measured on the 30k-row,
 8-sensor group-by of ``benchmarks/e2e``: the stage's CPU rose from 37.5 to
 45.2 ms per query, and the sensors shipped 1.28 MB of filtered rows per

@@ -25,13 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set, Tuple
 
+from repro.engine.executor import decomposition_error
+from repro.engine.vectorized import is_grouped
 from repro.fragment.capabilities import CapabilityLevel, lowest_capable_level
-from repro.fragment.plan import (
-    FragmentPlan,
-    QueryFragment,
-    is_decomposable_aggregation,
-    is_row_distributive,
-)
+from repro.fragment.plan import FragmentPlan, QueryFragment, is_row_distributive
 from repro.fragment.topology import Topology
 from repro.sql import ast
 from repro.sql.analysis import analyze_query
@@ -335,8 +332,13 @@ class VerticalFragmenter:
             # task per partition and a merge at the siblings' common ancestor.
             fragment.partitionable = is_row_distributive(fragment.query)
             # Decomposable aggregation stages run as leaf partial
-            # aggregation with per-level combines instead of a global merge.
-            fragment.decomposable = is_decomposable_aggregation(fragment.query)
+            # aggregation with per-level combines instead of a global merge;
+            # an aggregation stage that cannot keeps the reason.
+            error = decomposition_error(fragment.query)
+            fragment.decomposable = error is None
+            query = fragment.query
+            if isinstance(query, ast.SelectQuery) and is_grouped(query):
+                fragment.decomposition_error = error
 
 
 _COMPARISON_OPERATORS = frozenset({"=", "<>", "!=", "<", "<=", ">", ">="})

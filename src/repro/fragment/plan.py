@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.aggregates import is_decomposable_aggregate
 from repro.fragment.capabilities import CapabilityLevel
 from repro.sql import ast
 from repro.sql.analysis import QueryFeatures, analyze_query
@@ -49,125 +48,6 @@ def is_row_distributive(query: ast.Query) -> bool:
     return True
 
 
-def _contains_disqualifier(node: ast.Node, aggregates_disqualify: bool = False) -> bool:
-    """True when ``node`` holds a subquery, a window, or (optionally) any
-    aggregate call — the constructs a partial-aggregation stage cannot host
-    inside aggregate arguments or WHERE."""
-    stack: List[ast.Node] = [node]
-    while stack:
-        current = stack.pop()
-        if current is None:
-            continue
-        if isinstance(
-            current, (ast.Query, ast.ScalarSubquery, ast.InSubquery, ast.Exists)
-        ):
-            return True
-        if isinstance(current, ast.FunctionCall):
-            if current.window is not None:
-                return True
-            if aggregates_disqualify and ast.is_aggregate_function(current.name):
-                return True
-        stack.extend(child for child in current.children() if child is not None)
-    return False
-
-
-def is_decomposable_aggregation(query: ast.Query) -> bool:
-    """True when ``query`` is a GROUP BY stage the runtime may decompose.
-
-    A decomposable aggregation runs as partition-local partial aggregation
-    whose mergeable states combine up the tree instead of forcing a global
-    merge of raw rows (see :mod:`repro.engine.aggregates` for the
-    partial-state protocol).  The requirements:
-
-    * a single-table SELECT with grouping or aggregates and no
-      DISTINCT/LIMIT/OFFSET (those see the whole relation at once),
-    * plain-column GROUP BY keys with distinct, unqualified names — the
-      keys double as the state relation's columns,
-    * every aggregate call decomposable (mergeable accumulator exists;
-      ``DISTINCT`` aggregates, ``MEDIAN`` and the regression family are
-      not) and free of subqueries/windows/nested aggregates,
-    * every column referenced outside aggregate arguments (items, HAVING,
-      ORDER BY) is a group key — finalization only sees the merged keys,
-      never a representative raw row; an ORDER BY column naming a select
-      item's output reads that item instead
-      (:func:`~repro.sql.ast.order_by_aliases`),
-    * no subqueries anywhere (their results could differ per node).
-    """
-    if not isinstance(query, ast.SelectQuery):
-        return False
-    if not isinstance(query.from_clause, ast.TableRef):
-        return False
-    if query.distinct or query.limit is not None or query.offset is not None:
-        return False
-
-    key_names: List[str] = []
-    for expression in query.group_by:
-        if not isinstance(expression, ast.Column) or expression.table:
-            return False
-        # ``__agg<N>`` is reserved for the state columns of the partial
-        # relation; a key of that name would collide with its own states.
-        if expression.name.lower().startswith("__agg"):
-            return False
-        key_names.append(expression.name.lower())
-    if len(set(key_names)) != len(key_names):
-        return False
-    keys = set(key_names)
-
-    aggregate_calls: List[ast.FunctionCall] = []
-    # Walk items/HAVING/ORDER BY: aggregate arguments may use any source
-    # column (they are evaluated at the leaves); everything outside them
-    # must resolve against the group keys at finalize time.
-    sources: List[ast.Node] = [item.expression for item in query.items]
-    if query.having is not None:
-        sources.append(query.having)
-    sources.extend(item.expression for item in query.order_by)
-    aliases = ast.order_by_aliases(query)
-    stack: List[ast.Node] = list(sources)
-    while stack:
-        node = stack.pop()
-        if node is None:
-            continue
-        if isinstance(
-            node, (ast.Query, ast.ScalarSubquery, ast.InSubquery, ast.Exists)
-        ):
-            return False
-        if isinstance(node, ast.FunctionCall):
-            if node.window is not None:
-                return False
-            if ast.is_aggregate_function(node.name):
-                aggregate_calls.append(node)
-                if any(
-                    _contains_disqualifier(argument, aggregates_disqualify=True)
-                    for argument in node.arguments
-                    if not isinstance(argument, ast.Star)
-                ):
-                    return False
-                continue  # arguments are leaf-evaluated; skip the key check
-        if isinstance(node, ast.Column) and id(node) not in aliases:
-            if node.table or node.name.lower() not in keys:
-                return False
-        stack.extend(child for child in node.children() if child is not None)
-
-    if not query.group_by and not aggregate_calls:
-        return False  # not an aggregation stage at all
-    for call in aggregate_calls:
-        is_star = len(call.arguments) == 1 and isinstance(call.arguments[0], ast.Star)
-        if not is_decomposable_aggregate(
-            call.name,
-            is_star=is_star,
-            distinct=call.distinct,
-            arg_count=len(call.arguments) or 1,
-        ):
-            return False
-    # WHERE runs before grouping on the leaf chunks; only row-local
-    # expressions are allowed there (no subqueries, windows, aggregates).
-    if query.where is not None and _contains_disqualifier(
-        query.where, aggregates_disqualify=True
-    ):
-        return False
-    return True
-
-
 @dataclass
 class QueryFragment:
     """One pushed-down query fragment ``Qi`` of the plan.
@@ -183,12 +63,13 @@ class QueryFragment:
         partitionable: True when the fragment may run independently on
             horizontal partitions of its input (set during node assignment;
             see :func:`is_row_distributive`).
-        decomposable: True when the fragment is an aggregation stage whose
-            aggregates all support the mergeable partial-state protocol
-            (set during node assignment; see
-            :func:`is_decomposable_aggregation`).  The parallel runtime
-            replaces the global merge before such a fragment with leaf
-            partial aggregation plus per-level combines.
+        decomposable: True when the fragment can run as partial
+            aggregation (set during node assignment by the engine's rule,
+            :func:`~repro.engine.executor.decomposition_error`).  The
+            parallel runtime replaces the global merge before such a
+            fragment with leaf partial aggregation plus per-level combines.
+        decomposition_error: Why an aggregation fragment cannot, or None;
+            :meth:`FragmentPlan.pretty` prints it.
     """
 
     name: str
@@ -199,6 +80,7 @@ class QueryFragment:
     assigned_node: Optional[str] = None
     partitionable: bool = False
     decomposable: bool = False
+    decomposition_error: Optional[str] = None
 
     @property
     def sql(self) -> str:
@@ -307,5 +189,7 @@ class FragmentPlan:
             lines.append(f"      {fragment.sql}")
             if fragment.description:
                 lines.append(f"      -- {fragment.description}")
+            if fragment.decomposition_error:
+                lines.append(f"      -- not decomposable: {fragment.decomposition_error}")
         lines.append(f"  [E1 @ cloud] Q_delta: {self.remainder_description}")
         return "\n".join(lines)

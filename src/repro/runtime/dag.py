@@ -24,7 +24,8 @@ applies the same rules to every fragment:
   has fewer tasks.
 * **Partial → combine → finalize.** A GROUP BY fragment whose aggregates
   all decompose (``QueryFragment.decomposable``) runs in *partial* mode on
-  every part (emitting mergeable aggregate states, see
+  every part — a chain's lone resident chunk included — (emitting
+  mergeable aggregate states, see
   :mod:`repro.engine.aggregates`); sibling states *combine* at their common
   parent one tree level at a time, and the fragment *finalizes* (HAVING,
   select items, ORDER BY) at its assigned node.  Only group states — a few
@@ -40,9 +41,9 @@ applies the same rules to every fragment:
   ...) merges every part at its assigned node and runs there; from there
   the plan chains serially.
 * **Single hop.** A single part that does not run in place (the fragment
-  is not row-distributive, or its input is no longer a resident chunk)
-  moves to the fragment's assigned node, shipping it when it lives
-  elsewhere.
+  is neither row-distributive nor a decomposable aggregation, or its input
+  is no longer a resident chunk) moves to the fragment's assigned node,
+  shipping it when it lives elsewhere.
 
 Every stage is one :class:`StageTask`: it gathers its parts on its node,
 runs one engine operation and registers the output.  Anonymization and the
@@ -69,7 +70,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from repro.anonymize.anonymizer import Anonymizer
 from repro.engine.columns import copy_column, extend_column
 from repro.engine.config import DEFAULT_CONFIG, EngineConfig
-from repro.engine.executor import aggregate_calls
+from repro.engine.executor import aggregate_calls, first_value_columns
 from repro.engine.schema import ColumnDef, Schema
 from repro.engine.table import Relation, fit_backing
 from repro.engine.types import DataType
@@ -142,9 +143,10 @@ def partial_aggregation_pays(
     pays (sibling states keep merging at every tree level while raw rows
     concatenate with fan-in); at or above it, a byte-level estimate
     decides — the query's state width (keys plus one packed state per
-    distinct aggregate call) times the observed packed bytes per state
-    *cell* (fed back by :data:`repro.engine.wire.state_size_feedback` from
-    previously shipped partial states) is compared against the chunk's raw
+    distinct aggregate call and per bare non-key column) times the
+    observed packed bytes per state *cell* (fed back by
+    :data:`repro.engine.wire.state_size_feedback` from previously shipped
+    partial states) is compared against the chunk's raw
     ``estimated_bytes()``, so genuinely small states keep the partial path
     even at high shares.  Both modes decide *placement only* — results are
     identical either way.
@@ -192,13 +194,13 @@ def partial_aggregation_pays(
                 continue
             # High share: states barely merge, so the decision comes down to
             # bytes at the leaf hop.  State width for *this* query (keys +
-            # one state per distinct aggregate call) times the observed
-            # packed bytes per state cell — per-cell feedback transfers
+            # one state per distinct aggregate call and bare column) times
+            # the observed packed bytes per state cell — per-cell feedback transfers
             # across query shapes where a per-row average would let wide states inflate
             # narrow ones.  Unlike the fixed-ratio rule, genuinely small
             # states (few aggregates over wide raw rows) keep the partial
             # path even at high shares.
-            state_width = len(keys) + len(aggregate_calls(query))
+            state_width = len(keys) + len(aggregate_calls(query) + first_value_columns(query))
             est_state_bytes = (
                 groups * state_width * state_size_feedback.bytes_per_cell()
             )
@@ -912,10 +914,16 @@ class StageTask(Task):
 
 @dataclass
 class AnonymizeTask(Task):
-    """The postprocessing step A on the node :func:`anonymization_node` picks."""
+    """The postprocessing step A on the node :func:`anonymization_node` picks.
+
+    The no-pushdown baseline runs it at the cloud, on the result of the
+    whole query, with ``power_node`` the node that function picks.
+    """
 
     kind: str = "anonymize"
     in_name: str = ""
+    #: The node whose power decides whether A applies (default: this one).
+    power_node: str = ""
 
     def execute(self, context: ExecutionContext) -> Relation:
         [(source_id, source_node)] = self.parts
@@ -925,7 +933,7 @@ class AnonymizeTask(Task):
                 context, relation, self.in_name, source_node, register=False
             )
         context.charge_compute(len(relation), self.node)
-        node = context.network.topology.node(self.node)
+        node = context.network.topology.node(self.power_node or self.node)
         outcome, _ = context.engine_call(
             lambda: context.anonymizer.anonymize(
                 relation, node_cpu_power=node.cpu_power or 1.0
@@ -1223,14 +1231,10 @@ def build_execution_dag(
             if ahead:
                 partitions, chain, chained = emit_chain(), [fragment], fragment.query
                 continue
-        if len(partitions) == 1:
-            # Single stream: one hop to the fragment's assigned node.
-            [part] = emit_chain()
-            partitions, chain = [run("query", [fragment], name, target, part)], []
-            continue
         if (
             partial_aggregation
             and fragment.decomposable
+            and (resident or len(partitions) > 1)
             and partial_aggregation_pays(
                 network,
                 [node for _, node in partitions],
@@ -1239,8 +1243,15 @@ def build_execution_dag(
                 config,
             )
         ):
+            # A lone resident chunk aggregates where it lives too: only
+            # its group states take the hop.
             parts, leaf_chain, leaf_query = extend_chain(fragment)
             partitions, chain = [aggregate(leaf_chain, leaf_query, target, parts)], []
+            continue
+        if len(partitions) == 1:
+            # Single stream: one hop to the fragment's assigned node.
+            [part] = emit_chain()
+            partitions, chain = [run("query", [fragment], name, target, part)], []
             continue
         partitions, chain = emit_chain(), []
         lifted = _lift_groups(topology, partitions) if fragment.partitionable else None
@@ -1271,8 +1282,10 @@ def build_execution_dag(
         partitions = [union(final_name, ancestor, partitions, final_name)]
 
     current = partitions[0]
+    boundary = None
     if anonymizer is not None:
         boundary = anonymization_node(topology, current[1], anonymizer)
+    if boundary is not None and plan.remainder_query is None:
         anonymize = add(
             AnonymizeTask,
             "anonymize",
@@ -1303,6 +1316,18 @@ def build_execution_dag(
         remainder_input_alias=ns(plan.remainder_input_alias),
         remainder_description=plan.remainder_description,
     )
+    if boundary is not None and remainder_query is not None:
+        # The no-pushdown baseline ships the raw rows and runs the whole
+        # query at the cloud, so step A protects the result it releases,
+        # applied as the in-apartment node that would have run it decides.
+        final = add(
+            AnonymizeTask,
+            "anonymize",
+            final.node,
+            [(final.task_id, final.node)],
+            in_name=ns(plan.result_name),
+            power_node=boundary,
+        )
 
     _assign_signatures(tasks, network)
     return ExecutionDag(

@@ -8,8 +8,8 @@ This module turns PR 3's mergeable partial-state protocol
 :mod:`repro.engine.aggregates`) into the refresh path:
 
 * Sessions **register** standing decomposable GROUP BY/aggregate queries
-  (the same admissibility rules as the distributed pushdown,
-  :func:`repro.fragment.plan.is_decomposable_aggregation`, optionally after
+  (the same admissibility rule as the distributed pushdown,
+  :func:`repro.engine.executor.decomposition_error`, optionally after
   the paper's admission + privacy rewriting).
 * The runtime plans each query once and materializes a **state tree** over
   the shared topology: one partial-state relation per leaf chunk, combined
@@ -70,12 +70,11 @@ from typing import (
 from repro.engine.config import EngineConfig
 from repro.engine.database import Database
 from repro.engine.errors import ExecutionError
-from repro.engine.executor import aggregate_calls
+from repro.engine.executor import aggregate_calls, decomposition_error, first_value_columns
 from repro.engine.vectorized import FinalizedGroups
 from repro.engine.schema import Schema
 from repro.engine.table import Relation
 from repro.engine.wire import pack_state_relation
-from repro.fragment.plan import is_decomposable_aggregation
 from repro.obs.metrics import registry as _metrics
 from repro.obs.trace import QueryTrace, Span
 from repro.rewrite.containment import check_leakage
@@ -104,31 +103,35 @@ class StandingQueryError(ExecutionError):
 
 
 def _core_query(
-    sample: ast.SelectQuery, calls: Sequence[ast.FunctionCall]
+    sample: ast.SelectQuery, calls: Sequence[ast.FunctionCall], firsts: Sequence[str]
 ) -> ast.SelectQuery:
-    """The tree's maintained view: keys + aggregate calls, no finalize tail.
+    """The tree's maintained view: keys, aggregate calls and bare non-key
+    columns, no finalize tail.
 
-    ``SELECT k1..kn, agg1 AS __agg0, ... FROM t WHERE ... GROUP BY k1..kn``
-    — the query partial/combine run against.  Each aggregate item is aliased
-    to its state-column name, so the view the containment checker sees
-    exposes exactly the columns the state relation carries.  HAVING /
-    ORDER BY / projection stay per subscriber (they only touch finalized
-    values).
+    ``SELECT k1..kn, agg1 AS __agg0, ..., c1, ... FROM t WHERE ... GROUP BY
+    k1..kn`` — the query partial/combine run against.  Each aggregate item
+    is aliased to its state-column name, and each bare column ``c`` (a
+    first-value state) is exposed under its own name, so the view the
+    containment checker sees exposes what the finalized groups carry.
+    HAVING / ORDER BY / projection stay per subscriber (they only touch
+    finalized values).
     """
     core = clone(sample)
-    core.items = [
-        ast.SelectItem(expression=clone(key)) for key in sample.group_by
-    ] + [
-        ast.SelectItem(expression=clone(call), alias=f"__agg{index}")
-        for index, call in enumerate(calls)
-    ]
+    core.items = (
+        [ast.SelectItem(expression=clone(key)) for key in sample.group_by]
+        + [
+            ast.SelectItem(expression=clone(call), alias=f"__agg{index}")
+            for index, call in enumerate(calls)
+        ]
+        + [ast.SelectItem(expression=ast.Column(name=name)) for name in firsts]
+    )
     core.having = None
     core.order_by = []
     return core
 
 
 def _view_image(
-    query: ast.SelectQuery, alias_by_key: Mapping[str, str]
+    query: ast.SelectQuery, alias_by_key: Mapping[str, str], firsts: Sequence[str]
 ) -> ast.SelectQuery:
     """Rewrite ``query`` as it would read against the tree's core view.
 
@@ -136,6 +139,9 @@ def _view_image(
     column (``AVG(z)`` -> ``__agg1``), leaving only group keys and view
     columns — the form :func:`check_leakage` can reason about: a query is
     answerable from d' exactly when everything it needs survives in d'.
+    A bare column in ``firsts`` reads the first value the tree keeps for
+    it, which the checker's grouped view cannot express, so it becomes a
+    constant; the caller checks that the tree carries it.
     """
 
     def visitor(node: ast.Node) -> Optional[ast.Node]:
@@ -149,7 +155,13 @@ def _view_image(
                 return ast.Column(name=alias)
         return None
 
-    image = transform(clone(query), visitor)
+    def first_value(node: ast.Node) -> Optional[ast.Node]:
+        if isinstance(node, ast.Column) and node.name.lower() in firsts:
+            return ast.Literal(value=None)
+        return None
+
+    # Aggregate arguments are gone before bare columns are replaced.
+    image = transform(transform(clone(query), visitor), first_value)
     # The sharing signature already guarantees the subscriber's WHERE
     # renders identically to the view's, i.e. the view has applied exactly
     # this filter; a query rewritten against d' would not repeat it.  Kept,
@@ -212,6 +224,8 @@ class _StateTree:
         #: Ordered render keys of the core's aggregate calls: ``agg_keys[i]``
         #: is the call whose state lives in core state column ``__agg{i}``.
         self.agg_keys = agg_keys
+        #: The bare non-key columns whose first values the tree carries.
+        self.first_names = first_value_columns(core)
         self.subscribers: List[StandingQueryHandle] = []
         #: Decoded partial state per ``(level, node)``: level 0 holds each
         #: holder's leaf-chunk state, level ``i + 1`` the states combined
@@ -461,12 +475,10 @@ class StandingQueryRuntime:
             if not prepared.admitted:
                 raise StandingQueryError("Standing query rewriting found no compliant form")
             parsed = prepared.query
-        if not isinstance(parsed, ast.SelectQuery) or not is_decomposable_aggregation(
-            parsed
-        ):
+        error = decomposition_error(parsed)
+        if error is not None:
             raise StandingQueryError(
-                "Standing queries must be decomposable aggregations "
-                "(single-table GROUP BY with mergeable aggregate calls)"
+                f"Standing queries must be decomposable aggregations: {error}"
             )
         sub_keys = [key for key, _ in aggregate_calls(parsed)]
         signature = self._signature(parsed)
@@ -500,17 +512,20 @@ class StandingQueryRuntime:
         """Find a compatible existing tree or materialize a new one.
 
         Compatible: same table/WHERE/group keys, the subscriber's aggregate
-        calls a subset of the tree's, and the subscriber answerable from
-        the tree's core view per the containment checker (the same
-        reasoning that decides whether d' leaks).
+        calls and bare non-key columns subsets of the tree's, and the
+        subscriber answerable from the tree's core view per the containment
+        checker (the same reasoning that decides whether d' leaks).
         """
+        firsts = first_value_columns(parsed)
         for tree in self._trees.get(signature, []):
-            if all(key in tree.agg_keys for key in sub_keys):
+            if all(key in tree.agg_keys for key in sub_keys) and set(firsts) <= set(
+                tree.first_names
+            ):
                 alias_by_key = {
                     key: f"__agg{index}"
                     for index, key in enumerate(tree.agg_keys)
                 }
-                image = _view_image(parsed, alias_by_key)
+                image = _view_image(parsed, alias_by_key, firsts)
                 # The view copy drops its WHERE for the same reason the
                 # image does (see _view_image): the signature guarantees
                 # both filters render identically, so predicate containment
@@ -521,7 +536,7 @@ class StandingQueryRuntime:
                 if check_leakage(view, image).answerable:
                     return tree, True
         calls = [call for _, call in aggregate_calls(parsed)]
-        core = _core_query(parsed, calls)
+        core = _core_query(parsed, calls, firsts)
         tree = _StateTree(
             runtime=self,
             tree_id=self._next_tree_id,

@@ -36,12 +36,8 @@ from repro.engine.config import EngineConfig
 from repro.engine.database import Database
 from repro.engine.wire import pack_relation
 from repro.fragment.capabilities import CapabilityLevel, permitted_features
-from repro.fragment.plan import (
-    FragmentPlan,
-    QueryFragment,
-    is_decomposable_aggregation,
-    is_row_distributive,
-)
+from repro.engine.executor import decomposition_error
+from repro.fragment.plan import FragmentPlan, QueryFragment, is_row_distributive
 from repro.fragment.topology import Topology
 from repro.processor.paradise import ParadiseProcessor
 from repro.rlang.sqlable import extract_sql_from_r
@@ -159,10 +155,11 @@ EXPECTED = {
         "t010:anonymize anonymize @pc t009",
         "t011:finalize finalize @cloud t010",
     ],
-    # d1 and d2 run as one query on the sensor's own chunk.
+    # d1 and d2 run inside the sensor's leaf partial of d3: only group
+    # states leave the chain's lone resident chunk.
     "chain_groupby": [
-        "t001:d2[sensor] fragment @sensor",
-        "t002:d3 fragment @appliance t001",
+        "t001:d3~partial[sensor] partial @sensor",
+        "t002:d3~finalize finalize_agg @appliance t001",
         "t003:anonymize anonymize @appliance t002",
         "t004:finalize finalize @cloud t003",
     ],
@@ -171,11 +168,12 @@ EXPECTED = {
         "t002:anonymize anonymize @appliance t001",
         "t003:finalize finalize @cloud t002",
     ],
-    # d1 and d2 run as one query on the sensor's own chunk; only the
-    # rows and columns d2 keeps leave it.
+    # d1, d2 and the leaf partial of d3 run as one query on the sensor's
+    # own chunk; its first-value state carries the bare column t, and only
+    # group states leave it.
     "chain_paper": [
-        "t001:d2[sensor] fragment @sensor",
-        "t002:d3 fragment @appliance t001",
+        "t001:d3~partial[sensor] partial @sensor",
+        "t002:d3~finalize finalize_agg @appliance t001",
         "t003:d4 fragment @pc t002",
         "t004:anonymize anonymize @pc t003",
         "t005:finalize finalize @cloud t004",
@@ -355,7 +353,7 @@ def hand_plan(*sqls: str, node: str = "appliance_0") -> FragmentPlan:
                 input_name=f"d{index - 1}" if index > 1 else "d",
                 assigned_node=node,
                 partitionable=is_row_distributive(query),
-                decomposable=is_decomposable_aggregation(query),
+                decomposable=decomposition_error(query) is None,
             )
         )
     return FragmentPlan(
@@ -597,7 +595,8 @@ def test_explain_on_the_chain_names_the_merged_sensor_task():
     # The fragment plan stays the paper's four stages.
     assert "[E4 @ sensor] d1:" in text and "[E3 @ appliance] d2:" in text
     assert (
-        "t001:d2[sensor] [fragment] @ sensor <- d@sensor [merges d1, d2] "
+        "t001:d3~partial[sensor] [partial] @ sensor <- d@sensor [merges d1, d2, d3] "
         "[Table 1: resident-partition rule]"
     ) in text
-    assert "t002:d3 [fragment] @ appliance <- t001:d2[sensor]" in text
+    assert "t002:d3~finalize [finalize_agg] @ appliance <- t001:d3~partial[sensor]" in text
+    assert "not decomposable" not in text

@@ -165,7 +165,7 @@ def test_explain_renders_plan_and_placement_without_executing():
     text = processor.explain(PIPELINE_SQL, "ActionFilter")
     assert "admission: ok" in text
     assert "Vertical fragmentation plan" in text
-    assert "parallel DAG" in text and "[fragment] @ sensor" in text
+    assert "parallel DAG" in text and "[partial] @ sensor" in text
     assert registry.counter("runtime.tasks_executed").value == before  # nothing ran
     rejected = processor.explain(PIPELINE_SQL, "no_such_module")
     assert "REJECTED" in rejected
@@ -297,11 +297,12 @@ def test_paper_workloads_take_expected_scan_paths():
     assert result.admitted
     diff = delta(before, registry.snapshot(prefix="engine.vectorized."))
     hits = {key: value for key, value in diff.items() if value}
-    # The rewritten pipeline runs one flat vectorized scan (d1 and d2 as
-    # one query on the sensor), one grouped scan (d3), and bails only on
-    # the window-function stage.
-    assert hits.get("engine.vectorized.flat", 0) == 1
-    assert hits.get("engine.vectorized.grouped", 0) == 1
+    # The rewritten pipeline runs one vectorized leaf partial (d1, d2 and
+    # d3 as one query on the sensor), one grouped tail (d3's finalize),
+    # and bails only on the window-function stage.
+    assert hits.get("engine.vectorized.partial", 0) == 1
+    assert hits.get("engine.vectorized.tail", 0) == 1
+    assert not hits.get("engine.vectorized.flat") and not hits.get("engine.vectorized.grouped")
     bail_reasons = {
         key.rsplit(".", 1)[-1]
         for key in hits
@@ -335,8 +336,9 @@ def test_rewritten_groupby_runs_every_leaf_scan_vectorized():
 
 def test_grouped_scans_take_no_kernel_fallback():
     """The e2e group-by's leaf partials on the 8-sensor tree and the paper
-    query's appliance ``GROUP BY x, y`` compute every aggregate from typed
-    buffers: no group slice falls back to the accumulator lifecycle."""
+    query's ``GROUP BY x, y`` partial on the chain's sensor compute every
+    aggregate from typed buffers: no group slice falls back to the
+    accumulator lifecycle."""
     tree = ParadiseProcessor(
         occupancy_policy(),
         schema=INTEGRATED_SCHEMA,
@@ -347,7 +349,7 @@ def test_grouped_scans_take_no_kernel_fallback():
     chain = build_flat_processor(rows=300)
     for processor, sql, module, kind in (
         (tree, GROUPBY_SQL, "Occupancy", "partial"),
-        (chain, PIPELINE_SQL, "ActionFilter", "grouped"),
+        (chain, PIPELINE_SQL, "ActionFilter", "partial"),
     ):
         before = registry.snapshot(prefix="engine.vectorized.")
         assert processor.process(sql, module).admitted

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tests.conftest import make_sensor_relation
 
@@ -21,9 +22,9 @@ from repro.engine.errors import ExecutionError
 from repro.engine.schema import ColumnDef, Schema
 from repro.engine.table import Relation
 from repro.engine.types import DataType
-from repro.engine.wire import pack_relation
+from repro.engine.wire import pack_relation, pack_state_relation, unpack_state_relation
 from repro.fragment.fragmenter import VerticalFragmenter
-from repro.fragment.plan import is_decomposable_aggregation
+from repro.engine.executor import decomposition_error
 from repro.fragment.topology import Topology
 from repro.policy.presets import figure4_policy
 from repro.processor.paradise import ParadiseProcessor
@@ -97,62 +98,59 @@ GLOBAL_AGG_SQL = "SELECT COUNT(*) AS n, SUM(z) AS sz, AVG(z) AS az FROM d"
 # ---------------------------------------------------------------------------
 
 
+def decomposable(query) -> bool:
+    return decomposition_error(query) is None
+
+
 def test_is_decomposable_aggregation_accepts_figure2_shapes():
-    assert is_decomposable_aggregation(
+    assert decomposable(
         parse("SELECT x, AVG(z) AS za, COUNT(*) AS n FROM d GROUP BY x")
     )
-    assert is_decomposable_aggregation(
+    assert decomposable(
         parse("SELECT x, SUM(z) FROM d GROUP BY x HAVING SUM(z) > 10 ORDER BY x")
     )
-    assert is_decomposable_aggregation(parse("SELECT AVG(z) FROM d WHERE z < 2"))
-    assert is_decomposable_aggregation(
+    assert decomposable(parse("SELECT AVG(z) FROM d WHERE z < 2"))
+    assert decomposable(
         parse("SELECT x, STDDEV(z + 1) FROM d GROUP BY x")
     )
 
 
 def test_is_decomposable_aggregation_rejects():
     # DISTINCT aggregate / MEDIAN / regression family.
-    assert not is_decomposable_aggregation(
+    assert not decomposable(
         parse("SELECT COUNT(DISTINCT x) FROM d GROUP BY y")
     )
-    assert not is_decomposable_aggregation(parse("SELECT MEDIAN(z) FROM d GROUP BY x"))
-    assert not is_decomposable_aggregation(
+    assert not decomposable(parse("SELECT MEDIAN(z) FROM d GROUP BY x"))
+    assert not decomposable(
         parse("SELECT REGR_SLOPE(y, x) FROM d GROUP BY z")
     )
-    # Non-key column outside an aggregate: needs a representative raw row.
-    assert not is_decomposable_aggregation(
-        parse("SELECT x, y, AVG(z) FROM d GROUP BY x")
-    )
-    assert not is_decomposable_aggregation(
-        parse("SELECT x, AVG(z) FROM d GROUP BY x HAVING MAX(t) > y")
-    )
     # Expression keys, DISTINCT, LIMIT, subqueries, windows, joins.
-    assert not is_decomposable_aggregation(
+    assert not decomposable(
         parse("SELECT x + 1, AVG(z) FROM d GROUP BY x + 1")
     )
-    assert not is_decomposable_aggregation(
+    assert not decomposable(
         parse("SELECT DISTINCT x, AVG(z) FROM d GROUP BY x")
     )
-    assert not is_decomposable_aggregation(
+    assert not decomposable(
         parse("SELECT x, AVG(z) FROM d GROUP BY x LIMIT 2")
     )
-    assert not is_decomposable_aggregation(
+    assert not decomposable(
         parse("SELECT x, AVG(z) FROM d WHERE x IN (SELECT y FROM e) GROUP BY x")
     )
-    assert not is_decomposable_aggregation(
+    assert not decomposable(
         parse("SELECT SUM(z) OVER (ORDER BY t) FROM d")
     )
-    assert not is_decomposable_aggregation(
+    assert not decomposable(
         parse("SELECT d.x, AVG(e.z) FROM d JOIN e ON d.k = e.k GROUP BY d.x")
     )
     # A plain projection is not an aggregation stage.
-    assert not is_decomposable_aggregation(parse("SELECT x, z FROM d WHERE z < 2"))
+    assert not decomposable(parse("SELECT x, z FROM d WHERE z < 2"))
     # Aggregates in WHERE are screened out by the gate, not at execution.
-    assert not is_decomposable_aggregation(
+    assert not decomposable(
         parse("SELECT x, AVG(z) FROM d WHERE SUM(z) > 3 GROUP BY x")
     )
     # ``__agg<N>`` key names would collide with the state columns.
-    assert not is_decomposable_aggregation(
+    assert not decomposable(
         parse("SELECT __agg0, AVG(z) FROM d GROUP BY __agg0")
     )
 
@@ -403,19 +401,22 @@ PARTIAL_REJECTIONS = [
     ("SELECT x, MEDIAN(z) FROM d GROUP BY x", "Aggregate MEDIAN is not decomposable"),
     ("SELECT x, COUNT(DISTINCT z) FROM d GROUP BY x", "Aggregate COUNT is not decomposable"),
     ("SELECT x, CORR(y, z) FROM d GROUP BY x", "Aggregate CORR is not decomposable"),
-    # Finalization sees only keys and states: a bare non-key column in the
-    # items, HAVING or ORDER BY is rejected before the scan, not at finalize.
     (
-        "SELECT x, y, AVG(z), t FROM d GROUP BY x, y",
-        "Partial aggregation cannot finalize non-key column t",
+        "SELECT x, COUNT(*) FROM d WHERE x IN (SELECT x FROM d) GROUP BY x",
+        "Partial aggregation does not support subqueries",
     ),
     (
-        "SELECT x, COUNT(*) FROM d GROUP BY x HAVING MAX(z) > y",
-        "Partial aggregation cannot finalize non-key column y",
+        "SELECT x, SUM(COUNT(*)) OVER () FROM d GROUP BY x",
+        "Partial aggregation does not support window functions",
     ),
     (
-        "SELECT x, COUNT(*) AS n FROM d GROUP BY x ORDER BY n, t",
-        "Partial aggregation cannot finalize non-key column t",
+        "SELECT x, SUM(z) FROM d WHERE COUNT(*) > 1 GROUP BY x",
+        "Partial aggregation does not support aggregates in WHERE or aggregate arguments",
+    ),
+    ("SELECT x, z FROM d", "Partial aggregation requires a GROUP BY or an aggregate call"),
+    (
+        "SELECT a.x, COUNT(*) FROM d a JOIN d b ON a.t = b.t GROUP BY a.x",
+        "Partial aggregation requires a single-table SELECT",
     ),
 ]
 
@@ -456,6 +457,159 @@ def test_partial_aggregate_accepts(sql, names):
         assert result.schema.names == names
         assert [row["x"] for row in result.rows] == [0, 1, 2]
     assert len({pack_relation(result) for result in results}) == 1
+
+
+def test_decomposition_error_is_the_one_rule():
+    """The fragmenter, the partial protocol and standing registration ask
+    one engine function; the fragmenter keeps its reason for ``explain``."""
+    for sql, message in PARTIAL_REJECTIONS:
+        assert decomposition_error(parse(sql)) == message
+    processor = make_processor(make_sensor_relation(80), n_sensors=8)
+    sql = "SELECT x, MEDIAN(z) AS mz FROM d GROUP BY x"
+    [fragment] = [
+        fragment
+        for fragment in processor.fragmenter.fragment(parse(sql)).fragments
+        if fragment.query.group_by
+    ]
+    assert not fragment.decomposable
+    assert fragment.decomposition_error == "Aggregate MEDIAN is not decomposable"
+    explained = processor.explain(sql, "ActionFilter", apply_rewriting=False)
+    assert "-- not decomposable: Aggregate MEDIAN is not decomposable" in explained
+    assert "not decomposable" not in processor.explain(
+        "SELECT x, COUNT(*) AS n FROM d GROUP BY x", "ActionFilter", apply_rewriting=False
+    )
+
+
+# ---------------------------------------------------------------------------
+# first-value states: bare non-key columns
+# ---------------------------------------------------------------------------
+
+#: Grouped queries that read a bare non-key column — in the items, HAVING
+#: or ORDER BY — which the grouped scan takes from each group's first row.
+#: The partial protocol used to reject each of them.
+BARE_COLUMN_QUERIES = [
+    ("SELECT x, y, AVG(z), t FROM d GROUP BY x, y", ["x", "y", "__agg0", "__agg1"]),
+    ("SELECT x, COUNT(*) FROM d GROUP BY x HAVING MAX(z) > y", ["x", "__agg0", "__agg1", "__agg2"]),
+    ("SELECT x, COUNT(*) AS n FROM d GROUP BY x ORDER BY n, t", ["x", "__agg0", "__agg1"]),
+    ("SELECT x, y, AVG(z) FROM d GROUP BY x", ["x", "__agg0", "__agg1"]),
+    ("SELECT x, AVG(z) FROM d GROUP BY x HAVING MAX(t) > y", ["x", "__agg0", "__agg1", "__agg2"]),
+]
+
+
+@pytest.mark.parametrize("sql,names", BARE_COLUMN_QUERIES)
+def test_bare_non_key_columns_decompose(sql, names):
+    """Each bare column is a first-value state, so partial -> finalize
+    returns the grouped SELECT's bytes under every engine config."""
+    assert decomposition_error(parse(sql)) is None
+    database = _partial_database()
+    expected = pack_relation(database.query(sql, ENGINE_CONFIGS["interpreted"]))
+    for config in ENGINE_CONFIGS.values():
+        states = database.partial_aggregate(sql, config)
+        assert states.schema.names == names
+        assert pack_relation(database.finalize_partials(sql, states, config)) == expected
+
+
+def test_first_value_state_is_the_groups_first_row():
+    database = _partial_database()
+    states = database.partial_aggregate("SELECT x, y, COUNT(*) FROM d GROUP BY x")
+    assert [row["__agg1"] for row in states.rows] == [(True, 0.0), (True, 1.0), (True, 2.0)]
+    empty = database.partial_aggregate("SELECT t, COUNT(*) FROM d WHERE z > 100")
+    assert [tuple(row.values()) for row in empty.rows] == [(0, (False, None))]
+
+
+def test_qualified_group_keys_decompose():
+    """A qualified key matches by name, as the engine resolves it: the
+    fragmenter decomposes ``GROUP BY d.x`` like ``GROUP BY x``."""
+    sql = "SELECT d.x, COUNT(*) AS n, AVG(d.z) AS az FROM d GROUP BY d.x"
+    assert decomposition_error(parse(sql)) is None
+    for topology in (1, 8):
+        processor = make_processor(make_sensor_relation(400), n_sensors=topology)
+        for run in run_both(processor, sql):
+            assert run.runtime.partial_count == topology
+
+
+#: Cells of the first-value property test: a key, numbers, and bare
+#: columns of mixed types with NULLs and repeated values.
+_CELLS = {
+    "k": st.sampled_from([0, 1, 2, None]),
+    "v": st.one_of(st.none(), st.integers(-3, 3), st.sampled_from([0.5, -1.25, 2.0])),
+    "f": st.one_of(
+        st.none(), st.integers(-2, 2), st.sampled_from([1.5, -0.0]), st.sampled_from(["a", "b"])
+    ),
+    "s": st.one_of(st.none(), st.sampled_from(["p", "q"])),
+}
+
+FIRST_VALUE_QUERIES = [
+    "SELECT k, f, COUNT(*) AS n, SUM(v) AS sv, MIN(v) AS mn FROM d GROUP BY k",
+    "SELECT f, s, COUNT(v) AS n FROM d",
+    "SELECT k, COUNT(*) AS n FROM d GROUP BY k HAVING s IS NOT NULL ORDER BY s, k",
+    "SELECT s, k, MAX(v) AS mx FROM d WHERE v > 0 GROUP BY s",
+]
+
+
+@given(
+    rows=st.lists(st.fixed_dictionaries(_CELLS), max_size=24),
+    cuts=st.lists(st.integers(0, 24), max_size=4),
+    combine_at=st.integers(1, 5),
+)
+@settings(max_examples=60, deadline=None)
+def test_first_value_states_merge_like_one_pass(rows, cuts, combine_at):
+    """Contiguous partitions (some empty), one partial per part, part of
+    them combined first, then finalize: the grouped scan's bytes under
+    every config, and again with every state through the wire codec."""
+    relation = Relation.from_rows(rows, name="d") if rows else Relation.from_rows(
+        [{"k": 0, "v": 0, "f": 0, "s": "p"}], name="d"
+    ).slice_rows(0, 0, name="d")
+    bounds = [0] + sorted(min(cut, len(relation)) for cut in cuts) + [len(relation)]
+    parts = [relation.slice_rows(lo, hi, name="d") for lo, hi in zip(bounds, bounds[1:])]
+    whole = Database()
+    whole.register("d", relation)
+    for sql in FIRST_VALUE_QUERIES:
+        expected = pack_relation(whole.query(sql, ENGINE_CONFIGS["interpreted"]))
+        for config in ENGINE_CONFIGS.values():
+            states = []
+            for part in parts:
+                leaf = Database()
+                leaf.register("d", part)
+                states.append(leaf.partial_aggregate(sql, config))
+            for wire in (False, True):
+                if wire:
+                    states = [unpack_state_relation(pack_state_relation(state)) for state in states]
+                split = min(combine_at, len(states))
+                combined = Database().combine_partials(
+                    sql, union_partials(states[:split], name="s"), config
+                )
+                if wire:
+                    combined = unpack_state_relation(pack_state_relation(combined))
+                final = Database().finalize_partials(
+                    sql, union_partials([combined] + states[split:], name="s"), config
+                )
+                assert pack_relation(final) == expected, (sql, config, wire)
+
+
+#: Grouped reads of bare columns through ``process``.
+BARE_COLUMN_READS = [
+    "SELECT person_id, activity, AVG(z) AS az, t, x FROM d WHERE z < 2 "
+    "GROUP BY person_id, activity HAVING SUM(z) > 1",
+    "SELECT activity, person_id, COUNT(*) AS n FROM d "
+    "GROUP BY activity ORDER BY person_id, activity",
+    "SELECT x, COUNT(*) AS n FROM d GROUP BY x HAVING MAX(z) > y ORDER BY n, t",
+    "SELECT t, activity, AVG(z) AS az FROM d WHERE x > y",
+    "SELECT t, COUNT(*) AS n FROM d WHERE z > 100",
+]
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINE_CONFIGS))
+@pytest.mark.parametrize("n_sensors", [1, 8])
+@pytest.mark.parametrize("sql", BARE_COLUMN_READS)
+def test_bare_column_reads_run_partial_through_process(sql, n_sensors, engine):
+    """On the chain's one sensor and on an 8-sensor tree, serial and
+    parallel: leaf partials carry first-value states, byte-identical to
+    the unfragmented reference."""
+    processor = make_processor(make_sensor_relation(400), n_sensors=n_sensors)
+    processor.engine = ENGINE_CONFIGS[engine]
+    for run in run_both(processor, sql):
+        assert run.runtime.partial_count == n_sensors
 
 
 # ---------------------------------------------------------------------------

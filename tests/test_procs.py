@@ -253,6 +253,24 @@ def test_process_backend_matches_oracle_in_interpreted_mode():
     assert_same_relation(oracle, result.result)
 
 
+@pytest.mark.parametrize(
+    "query",
+    [
+        "SELECT activity, person_id, t, AVG(z) AS az FROM d "
+        "GROUP BY activity HAVING MAX(z) > y ORDER BY t",
+        "SELECT t, x, COUNT(*) AS n FROM d WHERE z < 1.5",
+    ],
+)
+def test_process_backend_carries_first_value_states(query):
+    """Bare non-key columns travel as first-value states through the
+    worker processes' partial, combine and finalize jobs."""
+    procs = procs_processor()
+    oracle = reference_oracle(query, apply_rewriting=False)
+    result = procs.process(query, "fig4", execution="parallel", apply_rewriting=False)
+    assert_same_relation(oracle, result.result)
+    assert result.runtime.partial_count == 4
+
+
 def test_process_backend_profile_spans_hold():
     procs = procs_processor()
     result = procs.process(

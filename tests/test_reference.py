@@ -100,9 +100,19 @@ CASES = (
         for index, (module, sql) in enumerate(REWRITTEN_QUERIES)
     ]
     + [
-        ("no_pushdown", "ActionFilter", PAPER_SQL, {"pushdown": False, "anonymize": False}),
-        ("no_pushdown_raw", "ActionFilter", RAW_WORKLOADS[2],
-         {"pushdown": False, "anonymize": False, "apply_rewriting": False}),
+        (f"no_pushdown{'+A' if anonymize else ''}", "ActionFilter", PAPER_SQL,
+         {"pushdown": False, "anonymize": anonymize})
+        for anonymize in (False, True)
+    ]
+    + [
+        (f"no_pushdown_raw{index}{'+A' if anonymize else ''}", "ActionFilter", sql,
+         {"pushdown": False, "anonymize": anonymize, "apply_rewriting": False})
+        for index, sql in enumerate([
+            RAW_WORKLOADS[2],
+            # The baseline anonymizes the released result, after the WHERE.
+            "SELECT x, COUNT(*) AS n, AVG(z) AS az FROM d WHERE z < 1.5 GROUP BY x",
+        ])
+        for anonymize in (False, True)
     ]
 )
 
@@ -250,18 +260,32 @@ def test_between_ships_only_matching_rows_off_the_sensors(
 
 @pytest.mark.parametrize("execution", ["serial", "parallel"])
 def test_chain_sensor_ships_the_paper_query_after_d2(monkeypatch, execution):
-    """On the default chain the paper query's ``d1`` (``z < 2``) and ``d2``
-    (``x > y``, four columns) run as one query on the sensor's chunk: its
-    one hop carries exactly the rows with ``z < 2 AND x > y``, and only
-    ``x, y, z, t``."""
+    """On the default chain the paper query's ``d1`` (``z < 2``), ``d2``
+    (``x > y``) and the leaf partial of ``d3`` (``GROUP BY x, y``) run as
+    one query on the sensor's chunk: its one hop carries a state relation,
+    one row per group — the keys and ``__agg*`` state columns, the bare
+    column ``t`` among them as a first-value state — and no raw reading."""
     processor = processor_for("chain", 3000)
     shipped = record_sensor_shipments(monkeypatch, processor)
     result = processor.process(PAPER_SQL, "ActionFilter", execution=execution)
-    assert len(shipped) == 1
-    assert_sensors_ship_exactly(
-        processor, shipped, "SELECT x, y, z, t FROM d WHERE z < 2 AND x > y"
+    [(_, states)] = shipped
+    assert states.schema.names == ["x", "y", "__agg0", "__agg1", "__agg2"]
+    database = Database()
+    database.register("d", processor.network.database("sensor").table("d"))
+    groups = database.query(
+        "SELECT x, y, COUNT(*) AS n FROM d WHERE z < 2 AND x > y GROUP BY x, y"
     )
-    assert 0 < len(shipped[0][1]) < 3000
+    assert [(row["x"], row["y"]) for row in states.rows] == [
+        (row["x"], row["y"]) for row in groups.rows
+    ]
+    assert 0 < len(states) < sum(row["n"] for row in groups.rows)
+    # The first-value state is each group's first reading of t.
+    first_t = database.query(
+        "SELECT x, y, t FROM d WHERE z < 2 AND x > y GROUP BY x, y"
+    )
+    assert [row["__agg2"] for row in states.rows] == [
+        (True, row["t"]) for row in first_t.rows
+    ]
     assert [execution.node for execution in result.executions] == [
         "sensor", "appliance", "pc"
     ]

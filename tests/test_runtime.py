@@ -191,10 +191,10 @@ def test_plan_marks_partitionable_fragments():
 
 
 def test_dag_partitions_and_lifts():
+    # The paper query's GROUP BY decomposes, so its row stages stay on the
+    # leaves; a selection whose appliance stage cannot merge lifts.
     processor = build_tree_processor(rows=80)
-    plan = processor.fragmenter.fragment(
-        processor.rewriter.rewrite(parse(LIFTED_PAPER_SQL), "ActionFilter").query
-    )
+    plan = processor.fragmenter.fragment(parse(LIFTED_SELECTION_SQL))
     dag = build_execution_dag(plan, processor.topology, processor.network)
     kinds = [(task.kind, task.node) for task in dag.tasks]
     assert dag.partition_width == 8
@@ -320,25 +320,30 @@ def test_parallel_matches_serial_raw_workloads(sql):
     assert serial.rows_leaving_apartment == parallel.rows_leaving_apartment
 
 
-def test_parallel_matches_serial_on_error_paths():
-    """Failure parity: both strategies raise the same error on bad workloads.
-
-    The no-pushdown baseline with anonymization enabled is semantically
-    ill-defined: its only fragment ships raw rows from the sensors, so step
-    A runs on the nearest in-apartment node powerful enough to anonymize
-    (an appliance or the PC), and k-anonymity generalizes numerics to range
-    strings, which the remainder's comparisons then reject.  The runtime
-    contract is parity, not repair: serial and parallel must fail
-    identically.
-    """
-    from repro.engine.errors import ExecutionError
-
+@pytest.mark.parametrize(
+    "module,sql,rewrite",
+    [
+        ("ActionFilter", PAPER_SQL, True),
+        ("fig4", "SELECT x, COUNT(*) AS n, AVG(z) AS az FROM d WHERE z < 1.5 GROUP BY x", False),
+    ],
+)
+def test_no_pushdown_baseline_anonymizes_the_released_result(module, sql, rewrite):
+    """The no-pushdown baseline ships the raw rows and runs the whole query
+    at the cloud; step A then protects the result it releases, so serial
+    and parallel runs equal the reference.  It used to anonymize the raw
+    rows first, generalizing ``z`` to interval strings that the query's
+    comparisons rejected (``Cannot compare str and float``)."""
     processor = build_tree_processor(rows=200)
-    with pytest.raises(ExecutionError) as serial_error:
-        processor.process(PAPER_SQL, "ActionFilter", execution="serial", pushdown=False)
-    with pytest.raises(ExecutionError) as parallel_error:
-        processor.process(PAPER_SQL, "ActionFilter", execution="parallel", pushdown=False)
-    assert str(serial_error.value) == str(parallel_error.value)
+    expected = pack_relation(
+        reference_result(processor, sql, module, apply_rewriting=rewrite)
+    )
+    for execution in ("serial", "parallel"):
+        result = processor.process(
+            sql, module, execution=execution, pushdown=False, apply_rewriting=rewrite
+        )
+        assert pack_relation(result.result) == expected
+        assert result.anonymization is not None
+        assert result.anonymization.applied == (len(result.result) > 0)
 
 
 def test_parallel_matches_serial_no_pushdown_baseline():

@@ -79,8 +79,7 @@ STANDING_SQL = (
         "SELECT DISTINCT activity FROM d",
         "SELECT x, z FROM d WHERE z < 1.5",
         "SELECT activity, COUNT(*) AS n FROM d GROUP BY activity LIMIT 2",
-        # ORDER BY an output alias reads its item, here a non-key column.
-        "SELECT activity, x AS ax, COUNT(*) AS n FROM d GROUP BY activity ORDER BY ax",
+        "SELECT activity, MEDIAN(z) AS mz FROM d GROUP BY activity",
         "SELECT a.activity, COUNT(*) FROM d a JOIN d b ON a.t = b.t GROUP BY a.activity",
     ],
 )
@@ -102,6 +101,52 @@ def test_register_accepts_order_by_output_alias():
     for index, delta in enumerate(feed_chunks(rows=40, chunk=20)):
         runtime.append(holders[index], delta)
         assert_byte_identical(handle.result(), runtime.reexecute(handle))
+
+
+#: Standing queries reading bare non-key columns (first-value states).
+BARE_COLUMN_SQL = [
+    # ORDER BY an output alias reads its item, here a non-key column.
+    "SELECT activity, x AS ax, COUNT(*) AS n FROM d GROUP BY activity ORDER BY ax",
+    "SELECT activity, t, AVG(z) AS az FROM d GROUP BY activity HAVING MAX(z) > y",
+    "SELECT t, person_id, COUNT(*) AS n FROM d",
+]
+
+
+@pytest.mark.parametrize("engine_mode", ["interpreted", "compiled"])
+def test_bare_column_subscribers_refresh_byte_identically(engine_mode):
+    """A bare non-key column reads its group's first row: the tree keeps a
+    first-value state, and every epoch equals re-execution."""
+    processor = build_tree_processor(engine_mode=engine_mode)
+    runtime = StandingQueryRuntime(processor)
+    handles = [runtime.register(sql) for sql in BARE_COLUMN_SQL]
+    holders = processor.network.partition_holders("d")
+    for epoch, delta in enumerate(feed_chunks(rows=60, chunk=15, seed=5), start=1):
+        runtime.append(holders[(5 * epoch) % len(holders)], delta)
+        for handle in handles:
+            assert_byte_identical(
+                handle.result(), runtime.reexecute(handle), f"epoch {epoch}: {handle.sql}"
+            )
+
+
+def test_subscriber_attaches_only_to_a_tree_with_its_first_values():
+    runtime = StandingQueryRuntime(build_tree_processor())
+    plain = runtime.register("SELECT activity, COUNT(*) AS n FROM d GROUP BY activity")
+    with_t = runtime.register("SELECT activity, t, COUNT(*) AS n FROM d GROUP BY activity")
+    assert with_t.tree is not plain.tree
+    assert with_t.tree.first_names == ["t"]
+    # Fewer first values than the tree carries: the subscriber attaches.
+    again = runtime.register("SELECT activity, COUNT(*) AS c FROM d GROUP BY activity")
+    t_only = runtime.register("SELECT activity, t FROM d GROUP BY activity ORDER BY t")
+    assert again.tree in (plain.tree, with_t.tree)
+    assert t_only.tree is with_t.tree
+    # An aggregate over a first-value column is a separate state.
+    max_t = runtime.register("SELECT activity, MAX(t) AS hi, t FROM d GROUP BY activity")
+    twin = runtime.register("SELECT activity, t, MAX(t) AS top FROM d GROUP BY activity")
+    assert max_t.tree is twin.tree and max_t.tree not in (plain.tree, with_t.tree)
+    assert runtime.tree_count == 3
+    runtime.append(runtime.network.partition_holders("d")[1], feed_chunks(rows=20, chunk=20)[0])
+    for handle in (plain, with_t, again, t_only, max_t, twin):
+        assert_byte_identical(handle.result(), runtime.reexecute(handle), handle.sql)
 
 
 @pytest.mark.parametrize("engine_mode", ["interpreted", "compiled"])

@@ -188,6 +188,14 @@ PINNED_STATES = {
         ("4401f673094ffca1", "0f43256e307ec3ea"),
         ("cec720bcf0fc4dfe", "ba962335ea2279a4"),
     ],
+    # The paper's GROUP BY: ``t`` travels as a first-value state.
+    "SELECT x, y, AVG(z) AS zAVG, t FROM d WHERE z < 2 AND x > y "
+    "GROUP BY x, y HAVING SUM(z) > 100": [
+        ("bdb1d44b86097bbd", "e07ead35b1ceb87d"),
+        ("c8205f419cd6e81f", "467cdff2996e7b48"),
+        ("8aea13cc76cc3242", "9bc147864c96e0b3"),
+        ("f5ece3bd3afe4a39", "3c42b74e5c9685b2"),
+    ],
 }
 
 
