@@ -28,13 +28,22 @@ class EngineConfig:
       never vectorizes.
     * ``optimizer`` — statistics-driven plan choices: selectivity-ordered
       conjuncts, vectorized OR/ORDER BY/DISTINCT scans, join build side and
-      nested-loop preference, adaptive partial-aggregation placement.
+      nested-loop preference, adaptive partial-aggregation placement, and
+      in compiled mode the zone map rule (:attr:`zone_maps`).
       ``False`` restores the purely syntactic choices (the ablation arm).
     """
 
     mode: str = "compiled"
     vectorized: bool = True
     optimizer: bool = True
+
+    @property
+    def zone_maps(self) -> bool:
+        """Whether chunk min/max may skip work: a scan drops the conjuncts
+        they prove and reads no row when one refutes, and the DAG gives a
+        refuted partition no task (:func:`~repro.engine.vectorized.zone_verdicts`).
+        Never in interpreted mode, so the oracle evaluates every conjunct."""
+        return self.optimizer and self.mode == "compiled"
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:

@@ -171,9 +171,14 @@ def first_value_columns(query: ast.SelectQuery) -> List[str]:
     from its group's first row; the partial protocol carries each as a
     first-value state (:class:`~repro.engine.aggregates.FirstValueAccumulator`).
     """
+    return list(_bare_columns(query))
+
+
+def _bare_columns(query: ast.SelectQuery) -> Dict[str, ast.Column]:
+    """:func:`first_value_columns`, each with its first reference."""
     keys = {key.name.lower() for key in query.group_by if isinstance(key, ast.Column)}
     aliases = ast.order_by_aliases(query)
-    names: Dict[str, None] = {}
+    names: Dict[str, ast.Column] = {}
     stack: List[ast.Node] = [item.expression for item in reversed(query.order_by)]
     stack.append(query.having)
     stack.extend(item.expression for item in reversed(query.items))
@@ -188,9 +193,9 @@ def first_value_columns(query: ast.SelectQuery) -> List[str]:
         if isinstance(node, ast.Column) and id(node) not in aliases:
             name = node.name.lower()
             if name not in keys:
-                names.setdefault(name)
+                names.setdefault(name, node)
         stack.extend(child for child in reversed(node.children()) if child is not None)
-    return list(names)
+    return names
 
 
 class _AggregateSpec:
@@ -267,10 +272,11 @@ class _GroupPlan:
         "specs",
         "first_names",
         "first_fns",
+        "first_columns",
         "partial_error",
     )
 
-    def __init__(self, query, key_fns, specs, first_names, first_fns) -> None:
+    def __init__(self, query, key_fns, specs, first_columns, first_fns) -> None:
         self.query = query
         self.key_fns = key_fns
         #: GROUP BY expressions as plain Columns, and their names (original
@@ -281,8 +287,10 @@ class _GroupPlan:
             self.key_columns = [("", expression) for expression in query.group_by]
             self.key_names = [expression.name for expression in query.group_by]
         self.specs = specs
-        #: Bare non-key columns and their per-row evaluators.
-        self.first_names = first_names
+        #: Bare non-key columns (name -> first reference) and their per-row
+        #: evaluators.
+        self.first_columns = first_columns
+        self.first_names = list(first_columns)
         self.first_fns = first_fns
         self.state_names = [
             f"__agg{index}" for index in range(len(specs) + len(self.first_names))
@@ -469,8 +477,11 @@ class QueryExecutor:
             if vectorized is not None:
                 return vectorized
 
+        grouped = is_grouped(query)
+        if grouped and parent is None:
+            self.check_bare_columns(query)
         scopes, source_columns = self._filtered_scopes(query, parent)
-        if is_grouped(query):
+        if grouped:
             if self._use_compiled:
                 return self._execute_grouped_compiled(query, scopes, source_columns, parent)
             return self._execute_grouped(query, scopes, source_columns, parent)
@@ -1149,7 +1160,7 @@ class QueryExecutor:
         plan = self._group_plans.get(id(query))
         if plan is not None and plan.query is query:
             return plan
-        firsts = first_value_columns(query)
+        firsts = _bare_columns(query)
         plan = _GroupPlan(
             query,
             [make_evaluator(expression, self._compiler) for expression in query.group_by],
@@ -1159,6 +1170,29 @@ class QueryExecutor:
         )
         self._store_plan(self._group_plans, id(query), plan)
         return plan
+
+    def check_bare_columns(self, query: ast.SelectQuery) -> None:
+        """Raise ``Unknown column`` for a bare non-key column of grouped
+        ``query`` that its FROM table lacks, before any row is read.
+
+        The row-at-a-time paths would read such a column only from a
+        group's first row, so whether they raised would depend on the
+        data: never for the global group over no rows, never when HAVING
+        drops every group, always in a leaf partial.  Resolving it here
+        makes every config, the partial protocol and every partitioning
+        agree.  A grouped subquery may read an outer column, so only the
+        caller knows when to ask (no enclosing scope).
+        """
+        if not isinstance(query.from_clause, ast.TableRef):
+            return
+        plan = self._group_plan(query)
+        if not plan.first_names:
+            return
+        table = self.lookup_table(query.from_clause.name)
+        for name, column in plan.first_columns.items():
+            if table.column_array(name) is None:
+                shown = column.qualified_name if column.table else column.name
+                raise ExecutionError(f"Unknown column: {shown}")
 
     def _execute_grouped_compiled(
         self,
@@ -1288,6 +1322,7 @@ class QueryExecutor:
             vectorized = try_execute_partial(self, query)
             if vectorized is not None:
                 return vectorized
+        self.check_bare_columns(query)
         scopes, _ = self._filtered_scopes(query, None)
         groups = self._group_scopes(plan, scopes, None)
         context = self._fresh_context(None)

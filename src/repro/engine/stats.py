@@ -22,6 +22,7 @@ work order changes.  :data:`optimizer_stats` counts the decisions taken.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Any, Dict, Iterable, Optional, Sequence
 
 __all__ = [
@@ -146,11 +147,18 @@ class ColumnStats:
 
     Tracks row/null counts, a running min/max (abandoned the first time two
     values fail to compare — mixed-type columns stay summarized, just
-    without range information), and the distinct sketch.  Also hosts the
-    selectivity estimators the vectorized planner orders conjuncts with.
+    without range information), whether a float NaN was seen, and the
+    distinct sketch.  Also hosts the selectivity estimators the vectorized
+    planner orders conjuncts with.
+
+    Min/max are exact folds of the observed values, so a NULL-free,
+    NaN-free, comparable summary bounds every value of its column: the
+    zone map :func:`~repro.engine.vectorized.zone_verdicts` reads.  A NaN
+    compares false both ways and would leave the fold order-dependent,
+    hence the flag.
     """
 
-    __slots__ = ("rows", "nulls", "minimum", "maximum", "comparable", "_sketch")
+    __slots__ = ("rows", "nulls", "minimum", "maximum", "comparable", "nan", "_sketch")
 
     def __init__(self) -> None:
         self.rows = 0
@@ -158,6 +166,7 @@ class ColumnStats:
         self.minimum: Any = None
         self.maximum: Any = None
         self.comparable = True
+        self.nan = False
         self._sketch = _Sketch()
 
     # -- maintenance -------------------------------------------------------
@@ -167,6 +176,8 @@ class ColumnStats:
         if value is None:
             self.nulls += 1
             return
+        if isinstance(value, float) and value != value:
+            self.nan = True
         if self.comparable:
             if self.rows - self.nulls == 1:
                 self.minimum = value
@@ -196,6 +207,7 @@ class ColumnStats:
         stats.minimum = self.minimum
         stats.maximum = self.maximum
         stats.comparable = self.comparable
+        stats.nan = self.nan
         stats._sketch = self._sketch.copy()
         for value in values:
             stats.observe(value)
@@ -219,6 +231,11 @@ class ColumnStats:
     @property
     def distinct_exact(self) -> bool:
         return not self._sketch.pruned
+
+    @property
+    def bounded(self) -> bool:
+        """True when min/max bound every value: rows, no NULL, no NaN."""
+        return self.rows > 0 and not self.nulls and not self.nan and self.comparable
 
     # -- selectivity model -------------------------------------------------
 
@@ -291,6 +308,7 @@ class ColumnStats:
             self.minimum,
             self.maximum,
             self.comparable,
+            self.nan,
             self._sketch.state(),
         )
 
@@ -316,8 +334,9 @@ def column_stats(values: Sequence[Any]) -> ColumnStats:
     hash(0.0)``; :func:`value_hash` maps every NaN to one hash), so
     hashing each distinct value once leaves the same sketch as hashing
     every cell.  A bool column's buffer holds ``0``/``1``; its min/max and
-    observed cells are turned back into ``bool``.  Everything else —
-    generic lists — runs the plain observe loop.
+    observed cells are turned back into ``bool``.  A float64 buffer sets
+    the NaN flag with one C-speed scan.  Everything else — generic lists —
+    runs the plain observe loop.
     """
     from repro.engine.columns import BOOL, FLOAT64, INT64, TypedColumn
 
@@ -334,6 +353,8 @@ def column_stats(values: Sequence[Any]) -> ColumnStats:
                 if cell is not None:
                     stats.minimum = cell(stats.minimum)
                     stats.maximum = cell(stats.maximum)
+                elif values.typecode == FLOAT64:
+                    stats.nan = any(map(math.isnan, data))
             observe = stats._sketch.observe
             for value in set(data):
                 observe(value_hash(value))
@@ -382,6 +403,10 @@ class TableStats:
         self._columns[key] = stats
         return stats
 
+    def cached(self, name: str) -> Optional[ColumnStats]:
+        """Stats for ``name`` if already computed; never builds them."""
+        return self._columns.get(name.lower())
+
     def appended(self, relation) -> "TableStats":
         """Statistics for ``relation``: this table's rows followed by new ones.
 
@@ -397,15 +422,14 @@ class TableStats:
                 stats._columns[key] = summary.extended(values[self.rows :])
         return stats
 
-    def observe_row(self, row: Dict[str, Any]) -> None:
-        """Fold one appended row into every already-computed column summary."""
+    def observe_row(self, values: Sequence[Any]) -> None:
+        """Fold one appended row — the cells stored, in schema order — into
+        every already-computed column summary."""
         self.rows += 1
-        if not self._columns:
-            return
-        lowered = {key.lower(): value for key, value in row.items()}
+        positions = self._relation._index_by_name
         for key, stats in self._columns.items():
             if stats is not None:
-                stats.observe(lowered.get(key))
+                stats.observe(values[positions[key]])
 
 
 # --------------------------------------------------------------------------

@@ -352,9 +352,9 @@ class Relation:
         self._bump()
 
     def _append_row(self, row: Mapping[str, Any]) -> None:
-        for position, name in enumerate(self.schema.names):
+        values = [row.get(name) for name in self.schema.names]
+        for position, value in enumerate(values):
             column = self._columns[position]
-            value = row.get(name)
             if isinstance(column, TypedColumn):
                 try:
                     column.append(value)
@@ -370,7 +370,7 @@ class Relation:
         if cache is not None and cache[0] == self._version - 1:
             # Fold the appended row into the cached summaries instead of
             # invalidating them — appends are the streaming hot path.
-            cache[1].observe_row(row)
+            cache[1].observe_row(values)
             self._stats_cache = (self._version, cache[1])
 
     def _aligned_column_copies(self, schema: Schema) -> List[List[Any]]:
@@ -418,6 +418,14 @@ class Relation:
         stats = TableStats(self)
         self._stats_cache = (self._version, stats)
         return stats
+
+    def cached_stats(self) -> Optional[TableStats]:
+        """The statistics :meth:`stats` cached at the current version, or
+        None; never builds any."""
+        cached = self._stats_cache
+        if cached is not None and cached[0] == self._version:
+            return cached[1]
+        return None
 
     def inherit_stats(self, prefix: "Relation") -> None:
         """Seed this relation's statistics from ``prefix``'s.

@@ -63,7 +63,7 @@ from repro.engine.columns import BOOL, INT64, TypedColumn, gather, take_column
 from repro.engine.errors import ExecutionError
 from repro.engine.evaluator import _like_to_regex
 from repro.engine.schema import ColumnDef, Schema
-from repro.engine.stats import TableStats, optimizer_stats
+from repro.engine.stats import ColumnStats, TableStats, optimizer_stats
 from repro.engine.table import Relation, _OrderKey, fit_backing, freeze_value
 from repro.engine.types import DataType, infer_type
 from repro.sql import ast
@@ -107,7 +107,18 @@ class ScanStats:
     """Counters of fast-path hits and bail reasons (advisory; plain-int
     increments so the per-query hot path stays lock-free)."""
 
-    __slots__ = ("flat", "grouped", "partial", "typed", "tail", "kernel_fallbacks", "bails")
+    __slots__ = (
+        "flat",
+        "grouped",
+        "partial",
+        "typed",
+        "tail",
+        "kernel_fallbacks",
+        "zone_proved",
+        "zone_refuted",
+        "zone_pruned",
+        "bails",
+    )
 
     def __init__(self) -> None:
         self.reset()
@@ -124,6 +135,12 @@ class ScanStats:
         #: accumulator lifecycle (no NULL-free int64/float64 buffer, a
         #: float sum past the magnitude bound, or no kernel for the call).
         self.kernel_fallbacks = 0
+        #: Zone map work skipped (:func:`zone_verdicts`): conjuncts a scan
+        #: dropped as proven, scans a refutation ended, and partitions the
+        #: DAG gave no task.
+        self.zone_proved = 0
+        self.zone_refuted = 0
+        self.zone_pruned = 0
         self.bails: Dict[str, int] = {}
 
     def bail(self, reason: "BailReason") -> None:
@@ -326,6 +343,8 @@ _ORDER_OPS = {
     ">": operator.gt,
     ">=": operator.ge,
 }
+#: ``literal <op> column`` reads as ``column <swapped op> literal``.
+_SWAPPED_OPS = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 #: Selection state threaded through the conjunct filters: the surviving
 #: indices (not yet definitely false) and the subset that saw a NULL
@@ -386,17 +405,30 @@ class _AlwaysNullPred:
         return sel
 
 
-class _IsNullPred:
-    __slots__ = ("column", "negated")
-    cost = 0.5
+class _ColumnPred:
+    """A conjunct over one plain column of the scanned relation.
 
-    def __init__(self, column: str, negated: bool) -> None:
+    ``ranges`` are the ``(op, literal)`` bounds the conjunct tests the
+    column against (``literal <op> column`` reads as ``column <swapped op>
+    literal``): what the zone map rule (:func:`zone_verdicts`) reads.
+    Empty when the conjunct is not an ordering test against literals.
+    """
+
+    __slots__ = ("column", "negated")
+    ranges: Tuple[Tuple[str, Any], ...] = ()
+
+    def __init__(self, column: str, negated: bool = False) -> None:
         self.column = column
         self.negated = negated
 
     @property
     def columns(self) -> Tuple[str, ...]:
         return (self.column,)
+
+
+class _IsNullPred(_ColumnPred):
+    __slots__ = ()
+    cost = 0.5
 
     def apply(self, relation: Relation, sel: List[int], nulls: Set[int]) -> List[int]:
         array = relation.column_array(self.column)
@@ -410,7 +442,7 @@ class _IsNullPred:
         return [i for i in sel if array[i] is None]
 
 
-class _TruthPred:
+class _TruthPred(_ColumnPred):
     """A bare ``col`` (or ``NOT col``) conjunct: the cell's truth value.
 
     NULL stays NULL; any other cell passes when ``bool(cell)`` (negated:
@@ -419,16 +451,8 @@ class _TruthPred:
     true.
     """
 
-    __slots__ = ("column", "negated")
+    __slots__ = ()
     cost = 0.5
-
-    def __init__(self, column: str, negated: bool) -> None:
-        self.column = column
-        self.negated = negated
-
-    @property
-    def columns(self) -> Tuple[str, ...]:
-        return (self.column,)
 
     def apply(self, relation: Relation, sel: List[int], nulls: Set[int]) -> List[int]:
         array = relation.column_array(self.column)
@@ -452,23 +476,22 @@ class _TruthPred:
         return out
 
 
-class _ComparePred:
+class _ComparePred(_ColumnPred):
     """``col <op> literal`` (or ``literal <op> col`` when ``swapped``)."""
 
-    __slots__ = ("column", "op", "value", "invert", "order_op", "swapped")
+    __slots__ = ("op", "value", "invert", "order_op", "swapped", "ranges")
     cost = 1.0
 
     def __init__(self, column: str, op: str, value: Any, swapped: bool) -> None:
-        self.column = column
+        super().__init__(column)
         self.op = op
         self.value = value
         self.invert = _EQ_OPS.get(op)
         self.order_op = _ORDER_OPS.get(op)
         self.swapped = swapped
-
-    @property
-    def columns(self) -> Tuple[str, ...]:
-        return (self.column,)
+        self.ranges = ()
+        if self.order_op is not None:
+            self.ranges = ((_SWAPPED_OPS[op] if swapped else op, value),)
 
     def apply(self, relation: Relation, sel: List[int], nulls: Set[int]) -> List[int]:
         array = relation.column_array(self.column)
@@ -573,25 +596,21 @@ class _ColumnComparePred:
         return out
 
 
-class _BetweenPred:
+class _BetweenPred(_ColumnPred):
     """``col [NOT] BETWEEN literal AND literal``.
 
     Type errors from the chained comparison propagate to the caller, which
     abandons the scan so the row path re-raises in its own order.
     """
 
-    __slots__ = ("column", "low", "high", "negated")
+    __slots__ = ("low", "high", "ranges")
     cost = 1.5
 
     def __init__(self, column: str, low: Any, high: Any, negated: bool) -> None:
-        self.column = column
+        super().__init__(column, negated)
         self.low = low
         self.high = high
-        self.negated = negated
-
-    @property
-    def columns(self) -> Tuple[str, ...]:
-        return (self.column,)
+        self.ranges = ((">=", low), ("<=", high))
 
     def apply(self, relation: Relation, sel: List[int], nulls: Set[int]) -> List[int]:
         array = relation.column_array(self.column)
@@ -627,20 +646,15 @@ class _BetweenPred:
         return out
 
 
-class _LikePred:
+class _LikePred(_ColumnPred):
     """``col [NOT] LIKE 'pattern'`` with a literal pattern."""
 
-    __slots__ = ("column", "regex", "negated")
+    __slots__ = ("regex",)
     cost = 4.0
 
     def __init__(self, column: str, pattern: str, negated: bool) -> None:
-        self.column = column
+        super().__init__(column, negated)
         self.regex = _like_to_regex(pattern)
-        self.negated = negated
-
-    @property
-    def columns(self) -> Tuple[str, ...]:
-        return (self.column,)
 
     def apply(self, relation: Relation, sel: List[int], nulls: Set[int]) -> List[int]:
         array = relation.column_array(self.column)
@@ -660,20 +674,15 @@ class _LikePred:
         return out
 
 
-class _InListPred:
+class _InListPred(_ColumnPred):
     """``col [NOT] IN (literal, ...)`` — NULL members are dropped up front."""
 
-    __slots__ = ("column", "constants", "negated")
+    __slots__ = ("constants",)
     cost = 1.5
 
     def __init__(self, column: str, constants: List[Any], negated: bool) -> None:
-        self.column = column
+        super().__init__(column, negated)
         self.constants = constants
-        self.negated = negated
-
-    @property
-    def columns(self) -> Tuple[str, ...]:
-        return (self.column,)
 
     def apply(self, relation: Relation, sel: List[int], nulls: Set[int]) -> List[int]:
         array = relation.column_array(self.column)
@@ -975,9 +984,6 @@ def _simple_predicate(term: ast.Expression, optimizer: bool = True):
 #: work — either order finishes in microseconds.
 _MIN_REORDER_ROWS = 64
 
-#: ``literal <op> column`` reads as ``column <swapped op> literal``.
-_SWAPPED_OPS = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
-
 
 def _stats_for(table_stats: Optional[TableStats], name: str):
     return None if table_stats is None else table_stats.column(name)
@@ -1114,6 +1120,99 @@ def _infallible(predicate: Any, relation: Relation) -> bool:
     return False  # _ExprComparePred and anything unrecognized
 
 
+#: Zone map verdicts of one conjunct over a chunk: every row passes, or none.
+PROVEN = "proven"
+REFUTED = "refuted"
+
+
+def _range_literal(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and value == value
+
+
+def _bound_verdict(op: str, literal: Any, low: Any, high: Any) -> Tuple[bool, bool]:
+    """Whether ``column <op> literal`` holds for every value in
+    ``[low, high]``, and whether it fails for every one."""
+    if op == "<":
+        return high < literal, low >= literal
+    if op == "<=":
+        return high <= literal, low > literal
+    if op == ">":
+        return low > literal, high <= literal
+    return low >= literal, high < literal
+
+
+def _zone_verdict(
+    predicate: Any, relation: Relation, column_stats: Callable[[str], Optional[ColumnStats]]
+) -> Optional[str]:
+    """:data:`PROVEN`, :data:`REFUTED` or None (open) for one conjunct.
+
+    Only ordering tests of an int64/float64 column against plain numeric
+    literals are judged (:attr:`_ColumnPred.ranges`), and only when the
+    column's summary bounds every value (:attr:`ColumnStats.bounded`).
+    Python compares int and float exactly, as the scan and the row path
+    do, so the verdict holds past 2^53 too.
+    """
+    ranges = getattr(predicate, "ranges", ())
+    if not ranges or not all(_range_literal(literal) for _, literal in ranges):
+        return None
+    array = relation.column_array(predicate.column)
+    if not isinstance(array, TypedColumn) or array.typecode == BOOL or array.null_count:
+        return None
+    summary = column_stats(predicate.column)
+    if summary is None or not summary.bounded or summary.rows != len(array):
+        return None
+    low, high = summary.minimum, summary.maximum
+    bounds = [_bound_verdict(op, literal, low, high) for op, literal in ranges]
+    every = all(holds for holds, _ in bounds)
+    # BETWEEN an empty interval holds nowhere.
+    none = any(fails for _, fails in bounds) or (
+        len(ranges) == 2 and ranges[0][1] > ranges[1][1]
+    )
+    if predicate.negated:
+        every, none = none, every
+    return PROVEN if every else REFUTED if none else None
+
+
+def zone_verdicts(
+    predicates: Sequence[Any],
+    relation: Relation,
+    column_stats: Callable[[str], Optional[ColumnStats]],
+) -> Tuple[List[int], Optional[int]]:
+    """Judge WHERE conjuncts, in written order, against a chunk's zone map.
+
+    Returns the positions of the proven conjuncts and the position of the
+    refuting one, or None.  ``predicates`` may hold None for a conjunct
+    outside the simple vocabulary; ``column_stats`` maps a column to its
+    summary (a scan passes one that never builds, the DAG one that does).
+
+    A proven conjunct is true on every row and never raises, so dropping it
+    changes nothing.  A refutation means no row passes; it counts only when
+    every conjunct written before it is :func:`_infallible`, because the
+    row path evaluates conjuncts in written order up to the first false
+    one, and an error it would raise there must not be skipped (the rule
+    :func:`order_conjuncts` keeps for reordering).
+    """
+    proven: List[int] = []
+    barrier = False
+    for index, predicate in enumerate(predicates):
+        verdict = _zone_verdict(predicate, relation, column_stats)
+        if verdict is REFUTED and not barrier:
+            return proven, index
+        if verdict is PROVEN:
+            proven.append(index)
+        elif not _infallible(predicate, relation):
+            barrier = True
+    return proven, None
+
+
+def where_conjuncts(query: ast.SelectQuery) -> List[Any]:
+    """``query``'s WHERE conjuncts in written order as scan predicates,
+    None for one outside the simple vocabulary."""
+    if query.where is None:
+        return []
+    return [_simple_predicate(term) for term in ast.conjunction_terms(query.where)]
+
+
 def order_conjuncts(
     predicates: Sequence[Any],
     relation: Relation,
@@ -1159,9 +1258,26 @@ def order_conjuncts(
 def _apply_predicates(
     predicates: Sequence[Any], relation: Relation, optimizer: bool
 ) -> Optional[List[int]]:
-    """Filter row indices through the conjuncts; None means "all rows"."""
+    """Filter row indices through the conjuncts; None means "all rows".
+
+    With the optimizer on, a zone map cached for ``relation`` first drops
+    the conjuncts it proves and ends the scan on a refutation
+    (:func:`zone_verdicts`).  Stats are only read here, never built:
+    shipped intermediates and appended deltas pay nothing for the check.
+    """
     if not predicates:
         return None
+    table_stats = relation.cached_stats() if optimizer else None
+    if table_stats is not None:
+        proven, refuted = zone_verdicts(predicates, relation, table_stats.cached)
+        if refuted is not None:
+            stats.zone_refuted += 1
+            return []
+        if proven:
+            stats.zone_proved += len(proven)
+            predicates = [p for i, p in enumerate(predicates) if i not in proven]
+            if not predicates:
+                return None
     if (
         len(predicates) > 1
         and optimizer
@@ -1470,12 +1586,14 @@ def _note_backing(relation: Relation, names) -> None:
         stats.bail(BailReason.UNTYPED_BACKING)
 
 
-def _select_rows(executor, query: ast.Query):
+def _select_rows(executor, query: ast.Query, parent=None):
     """``(plan, relation, selection)`` for a columnar run of ``query``, or
     None (the bail recorded) to use the row path."""
     plan = plan_select(executor, query)
     if plan is None:
         return None
+    if isinstance(plan, GroupedScanPlan) and parent is None:
+        executor.check_bare_columns(query)
     relation = executor.lookup_table(plan.table_name)
     if any(relation.column_array(name) is None for name in plan.required):
         stats.bail(BailReason.COLUMN_DRIFT)
@@ -1490,7 +1608,7 @@ def _select_rows(executor, query: ast.Query):
 
 def try_execute_select(executor, query: ast.Query, parent) -> Optional[Relation]:
     """Execute ``query`` over column arrays, or None to use the row path."""
-    selected = _select_rows(executor, query)
+    selected = _select_rows(executor, query, parent)
     if selected is None:
         return None
     plan, relation, sel = selected
@@ -1513,9 +1631,8 @@ def try_execute_partial(executor, query: ast.SelectQuery) -> Optional[Relation]:
         return None
     plan, relation, sel = selected
     group_plan = executor._group_plan(query)
+    # check_bare_columns has seen every bare column in the table.
     firsts = [relation.column_array(name) for name in group_plan.first_names]
-    if any(array is None for array in firsts):
-        return None  # the row path raises the unknown column
     scanned = _scan_groups(plan, relation, sel, "partial")
     if scanned is None:
         stats.bail(BailReason.SCAN_ABANDONED)
@@ -1822,3 +1939,6 @@ _registry.probe("engine.vectorized.typed", lambda: stats.typed)
 _registry.probe("engine.vectorized.tail", lambda: stats.tail)
 _registry.probe("engine.vectorized.kernel_fallbacks", lambda: stats.kernel_fallbacks)
 _registry.probe("engine.vectorized.bails", lambda: dict(stats.bails))
+_registry.probe("engine.zone.proved", lambda: stats.zone_proved)
+_registry.probe("engine.zone.refuted", lambda: stats.zone_refuted)
+_registry.probe("engine.zone.pruned_partitions", lambda: stats.zone_pruned)

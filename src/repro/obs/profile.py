@@ -312,7 +312,7 @@ def build_profile_report(
                     if diff:
                         standing[key[len("standing.") :]] = diff
                 continue
-            if not key.startswith(("engine.vectorized.", "engine.optimizer.")):
+            if not key.startswith(("engine.vectorized.", "engine.optimizer.", "engine.zone.")):
                 continue
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 continue
@@ -326,7 +326,8 @@ def build_profile_report(
                     "optimizer." + key[len("engine.optimizer.") :]
                 ] = diff
                 continue
-            short = key.replace("engine.vectorized.", "")
+            # Zone map work skipped this run reads as ``zone.proved`` etc.
+            short = key.replace("engine.vectorized.", "").replace("engine.zone.", "zone.")
             if short.startswith("bails."):
                 # Per-reason bail counters (scan fallbacks plus backing
                 # diagnostics like ``untyped_backing``) group under one

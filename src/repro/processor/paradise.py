@@ -31,7 +31,7 @@ from repro.anonymize.anonymizer import Anonymizer
 from repro.engine.config import EngineConfig
 from repro.engine.schema import Schema
 from repro.engine.table import Relation
-from repro.engine.vectorized import estimate_select_rows
+from repro.engine.vectorized import estimate_select_rows, stats as scan_stats
 from repro.fragment.fragmenter import VerticalFragmenter
 from repro.fragment.plan import FragmentPlan
 from repro.fragment.topology import Topology
@@ -457,10 +457,17 @@ class ParadiseProcessor:
                 ]
                 line += f" <- {', '.join(inputs)}"
             if isinstance(task, StageTask):
+                # Zone map verdicts name conjuncts, never a chunk's bounds.
+                lines.extend(
+                    f"       pruned {task.base}@{node}: refuted by {conjunct}"
+                    for node, conjunct in task.pruned
+                )
                 if task.composes:
                     line += f" [merges {', '.join(task.composes)}]"
                 if task.uses_resident_rule(self.topology):
                     line += " [Table 1: resident-partition rule]"
+                if task.proves:
+                    line += f" [zone map proves {'; '.join(task.proves)}]"
             lines.append(line)
         return "\n".join(lines)
 
@@ -553,6 +560,7 @@ class ParadiseProcessor:
         max_replans = max(1, len(self.topology) - 1)
         while True:
             dag = self._build_dag(current_plan, current_topology, anonymize, namespace)
+            scan_stats.zone_pruned += dag.pruned_partitions
             try:
                 report = self.scheduler.run(
                     dag,
@@ -621,6 +629,7 @@ class ParadiseProcessor:
             checkpoints_saved=context.checkpoints.saved,
             checkpoint_bytes=context.checkpoints.total_bytes,
             workers=report.workers,
+            pruned_partitions=dag.pruned_partitions,
         )
         return final
 

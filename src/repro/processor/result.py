@@ -94,6 +94,8 @@ class RuntimeStats:
     #: Threads that ran the DAG (1 = the calling thread); the pool runs
     #: only when a task can wait (``ExecutionContext.can_wait``).
     workers: int = 1
+    #: Resident partitions a zone map refuted, which got no task.
+    pruned_partitions: int = 0
 
     @property
     def overlap_factor(self) -> float:

@@ -44,6 +44,10 @@ applies the same rules to every fragment:
   is neither row-distributive nor a decomposable aggregation, or its input
   is no longer a resident chunk) moves to the fragment's assigned node,
   shipping it when it lives elsewhere.
+* **Zone maps.** Wherever resident chunks run the in-place chain or a
+  leaf partial, a chunk whose exact min/max refute a WHERE conjunct gets
+  no task (:func:`~repro.engine.vectorized.zone_verdicts`,
+  ``EngineConfig.zone_maps``); the first part stays when all are refuted.
 
 Every stage is one :class:`StageTask`: it gathers its parts on its node,
 runs one engine operation and registers the output.  Anonymization and the
@@ -74,6 +78,7 @@ from repro.engine.executor import aggregate_calls, first_value_columns
 from repro.engine.schema import ColumnDef, Schema
 from repro.engine.table import Relation, fit_backing
 from repro.engine.types import DataType
+from repro.engine.vectorized import is_grouped, where_conjuncts, zone_verdicts
 from repro.engine.wire import WireFormatError, pack_relation, state_size_feedback
 from repro.fragment.capabilities import permitted_features
 from repro.fragment.plan import FragmentPlan, QueryFragment
@@ -86,7 +91,7 @@ from repro.runtime.cost import CostModel
 from repro.runtime.faults import CheckpointStore, EpochAbandoned, FailureInjector
 from repro.sql import ast
 from repro.sql.analysis import analyze_query
-from repro.sql.render import render
+from repro.sql.render import render, render_expression
 from repro.sql.visitor import clone, walk
 
 
@@ -788,6 +793,11 @@ class StageTask(Task):
     #: The SQL text the execution record shows: ``query`` rendered when it
     #: merges fragments, else the fragment's own.  Rendered once per plan.
     sql: str = ""
+    #: WHERE conjuncts the zone map of this task's resident chunk proves.
+    proves: Tuple[str, ...] = ()
+    #: ``(node, refuting conjunct)`` of the sibling partitions pruned when
+    #: this task's stage was built (recorded on its first task).
+    pruned: Tuple[Tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
         self.kind = STAGE_OPS[self.op][0]
@@ -996,6 +1006,11 @@ class ExecutionDag:
     def by_id(self) -> Dict[str, Task]:
         return {task.task_id: task for task in self.tasks}
 
+    @property
+    def pruned_partitions(self) -> int:
+        """Resident partitions a zone map refuted, which got no task."""
+        return sum(len(getattr(task, "pruned", ())) for task in self.tasks)
+
 
 def build_execution_dag(
     plan: FragmentPlan,
@@ -1080,6 +1095,9 @@ def build_execution_dag(
         node: str,
         part: Part,
         merged: Optional[ast.Query] = None,
+        display_name: Optional[str] = None,
+        proves: Tuple[str, ...] = (),
+        pruned: Tuple[Tuple[str, str], ...] = (),
     ) -> Part:
         """Run the fragments ``chain`` (``op`` ``query`` or ``partial``) on
         ``node`` as one query: ``merged`` (:func:`merge_views`), or the
@@ -1087,7 +1105,9 @@ def build_execution_dag(
 
         A base chunk resident on ``node`` is read in place under its own
         name; any other input is registered under the namespaced input
-        name the query is rebased onto.
+        name the query is rebased onto.  The output relation is named
+        ``display_name`` (default ``label``); ``proves`` and ``pruned``
+        are the zone map verdicts :func:`judge` recorded.
         """
         fragment = chain[-1]
         if merged is None:
@@ -1115,9 +1135,11 @@ def build_execution_dag(
             query=query,
             in_name=in_name,
             out_name=ns(out_name),
-            display_name=label,
+            display_name=display_name or label,
             composes=composes,
             sql=sql,
+            proves=proves,
+            pruned=pruned,
         )
 
     def union(label: str, node: str, parts: Sequence[Part], name: str) -> Part:
@@ -1131,6 +1153,71 @@ def build_execution_dag(
             display_name=name,
         )
 
+    def judge(
+        op: str, chain: Sequence[QueryFragment], query: ast.Query, parts: Sequence[Part]
+    ) -> Tuple[List[Tuple[Part, Tuple[str, ...]]], Tuple[Tuple[str, str], ...]]:
+        """The parts that still run ``query`` (``op``), each with the
+        conjuncts its zone map proves, and the ``(node, conjunct)`` of
+        each part pruned.
+
+        Every resident chunk is judged by the engine's zone map rule
+        (:func:`~repro.engine.vectorized.zone_verdicts`): a refuted chunk
+        yields no row and raises nothing, so it gets no task.  The chunks
+        are long-lived, so their stats are built here; the conjuncts are
+        planned once per derived query.  The first part stays when every
+        part is refuted, so an empty result keeps its typing.
+        """
+        zone = None
+        if config.zone_maps:
+            names = tuple(link.name for link in chain)
+            [zone] = derive(("zone", op, names), lambda: (_zone_plan(op, query, base_table),))
+        if zone is None:
+            return [(part, ()) for part in parts], ()
+        predicates, texts = zone
+        kept: List[Tuple[Part, Tuple[str, ...]]] = []
+        pruned: List[Tuple[str, str]] = []
+        for part in parts:
+            chunk = _resident_chunk(network, part, base_table)
+            if chunk is None:
+                kept.append((part, ()))
+                continue
+            proven, refuted = zone_verdicts(predicates, chunk, chunk.stats().column)
+            if refuted is not None:
+                pruned.append((part[1], texts[refuted]))
+            else:
+                kept.append((part, tuple(texts[i] for i in proven)))
+        if not kept:
+            kept.append((parts[0], ()))
+            pruned.pop(0)
+        return kept, tuple(pruned)
+
+    def run_parts(
+        op: str,
+        chain: Sequence[QueryFragment],
+        label: str,
+        query: ast.Query,
+        parts: Sequence[Part],
+    ) -> List[Part]:
+        """Run ``chain`` (``op``) on every part the zone maps leave, where
+        it lives.  A lone ``query`` survivor of several parts takes the
+        name the union of their outputs would have had."""
+        kept, pruned = judge(op, chain, query, parts)
+        lone = chain[-1].name if op == "query" and len(kept) == 1 < len(parts) else None
+        return [
+            run(
+                op,
+                chain,
+                f"{label}[{part[1]}]",
+                part[1],
+                part,
+                query,
+                display_name=lone,
+                proves=proves,
+                pruned=() if position else pruned,
+            )
+            for position, (part, proves) in enumerate(kept)
+        ]
+
     def aggregate(
         chain: Sequence[QueryFragment],
         merged: ast.Query,
@@ -1141,12 +1228,7 @@ def build_execution_dag(
         states one tree level at a time, finalize at ``target``."""
         fragment = chain[-1]
         name = fragment.name
-        states = [
-            run(
-                "partial", chain, f"{name}~partial[{node}]", node, (task_id, node), merged
-            )
-            for task_id, node in parts
-        ]
+        states = run_parts("partial", chain, f"{name}~partial", merged, parts)
         lifted = _lift_groups(topology, states)
         while lifted is not None:
             states = [
@@ -1200,11 +1282,7 @@ def build_execution_dag(
         """``partitions`` after the pending chain runs as ``query`` tasks."""
         if not chain:
             return partitions
-        name = chain[-1].name
-        return [
-            run("query", chain, f"{name}[{node}]", node, (task_id, node), chained)
-            for task_id, node in partitions
-        ]
+        return run_parts("query", chain, chain[-1].name, chained, partitions)
 
     for index, fragment in enumerate(fragments):
         name, in_base = fragment.name, fragment.input_name
@@ -1333,6 +1411,40 @@ def build_execution_dag(
     return ExecutionDag(
         tasks=tasks, final_task_id=final.task_id, partition_width=len(holders)
     )
+
+
+def _zone_plan(
+    op: str, query: ast.Query, base: str
+) -> Optional[Tuple[List, List[str]]]:
+    """The WHERE conjuncts a resident chunk of ``base`` is judged by when it
+    runs ``query`` (``op``), with their SQL text; None when a refuted chunk
+    could still contribute output: a query reading anything but ``base``
+    itself, or a global aggregate run as a ``query`` (one row even over
+    no rows).  A leaf ``partial``'s global group over no rows is an
+    empty state, which merges as nothing.
+    """
+    if (
+        not isinstance(query, ast.SelectQuery)
+        or not isinstance(query.from_clause, ast.TableRef)
+        or query.from_clause.name.lower() != base.lower()
+        or (op == "query" and is_grouped(query) and not query.group_by)
+    ):
+        return None
+    predicates = where_conjuncts(query)
+    if not any(getattr(predicate, "ranges", ()) for predicate in predicates):
+        return None
+    return predicates, [
+        render_expression(term) for term in ast.conjunction_terms(query.where)
+    ]
+
+
+def _resident_chunk(network: NetworkSimulator, part: Part, base: str) -> Optional[Relation]:
+    """The base chunk ``part`` reads in place, or None for a task output."""
+    task_id, node = part
+    if task_id is not None:
+        return None
+    database = network.database(node)
+    return database.table(base) if base in database else None
 
 
 def _assign_signatures(tasks: Sequence[Task], network: NetworkSimulator) -> None:

@@ -272,6 +272,7 @@ class Scheduler:
                 epoch=context.attempt,
                 tasks=len(needed),
                 workers=workers,
+                pruned_partitions=dag.pruned_partitions,
             )
             if restored_count or skipped_count:
                 trace.add_event(

@@ -18,6 +18,7 @@ that moves work between nodes or adds tasks while results stay right.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import List, Tuple
 
 import pytest
@@ -142,18 +143,15 @@ def dag_listing(cell: str) -> List[str]:
 
 EXPECTED = {
     # The sensors run the BETWEEN filter and ``x > y`` as one query.
+    # Zone maps: only sensor_2 (t 10.0-14.9) and sensor_3 (t 15.0-19.9)
+    # meet the window; their union moves to their common parent
+    # (ZONE_CELLS below derives the survivors from the raw chunks).
     "tree8_between": [
-        "t001:d2[sensor_0] fragment @sensor_0",
-        "t002:d2[sensor_1] fragment @sensor_1",
-        "t003:d2[sensor_2] fragment @sensor_2",
-        "t004:d2[sensor_3] fragment @sensor_3",
-        "t005:d2[sensor_4] fragment @sensor_4",
-        "t006:d2[sensor_5] fragment @sensor_5",
-        "t007:d2[sensor_6] fragment @sensor_6",
-        "t008:d2[sensor_7] fragment @sensor_7",
-        "t009:merge[d2] merge @pc t001 t002 t003 t004 t005 t006 t007 t008",
-        "t010:anonymize anonymize @pc t009",
-        "t011:finalize finalize @cloud t010",
+        "t001:d2[sensor_2] fragment @sensor_2",
+        "t002:d2[sensor_3] fragment @sensor_3",
+        "t003:merge[d2] merge @appliance_0 t001 t002",
+        "t004:anonymize anonymize @appliance_0 t003",
+        "t005:finalize finalize @cloud t004",
     ],
     # d1 and d2 run inside the sensor's leaf partial of d3: only group
     # states leave the chain's lone resident chunk.
@@ -242,18 +240,13 @@ EXPECTED = {
         "t009:merge[d1] merge @pc t001 t002 t003 t004 t005 t006 t007 t008",
         "t010:finalize finalize @cloud t009",
     ],
+    # The front end's time window prunes like tree8_between.
     "tree8_frontend": [
-        "t001:d2[sensor_0] fragment @sensor_0",
-        "t002:d2[sensor_1] fragment @sensor_1",
-        "t003:d2[sensor_2] fragment @sensor_2",
-        "t004:d2[sensor_3] fragment @sensor_3",
-        "t005:d2[sensor_4] fragment @sensor_4",
-        "t006:d2[sensor_5] fragment @sensor_5",
-        "t007:d2[sensor_6] fragment @sensor_6",
-        "t008:d2[sensor_7] fragment @sensor_7",
-        "t009:merge[d2] merge @pc t001 t002 t003 t004 t005 t006 t007 t008",
-        "t010:anonymize anonymize @pc t009",
-        "t011:finalize finalize @cloud t010",
+        "t001:d2[sensor_2] fragment @sensor_2",
+        "t002:d2[sensor_3] fragment @sensor_3",
+        "t003:merge[d2] merge @appliance_0 t001 t002",
+        "t004:anonymize anonymize @appliance_0 t003",
+        "t005:finalize finalize @cloud t004",
     ],
     # d1 and d2 run inside each leaf's partial aggregation.
     "tree8_groupby": [
@@ -331,6 +324,74 @@ EXPECTED = {
 @pytest.mark.parametrize("cell", sorted(CELLS))
 def test_dag_shape_is_pinned(cell):
     assert dag_listing(cell) == EXPECTED[cell]
+
+
+#: Cells whose zone maps prune sensors: the ``t`` window each filters on.
+ZONE_CELLS = {"tree8_between": (10, 15), "tree8_frontend": (10.0, 15.0)}
+
+#: Their listings without zone maps (interpreted or ``optimizer=False``):
+#: every sensor runs the filter and one union at the pc gathers them.
+UNPRUNED = {
+    cell: [f"t{index + 1:03d}:d2[sensor_{index}] fragment @sensor_{index}" for index in range(8)]
+    + [
+        "t009:merge[d2] merge @pc t001 t002 t003 t004 t005 t006 t007 t008",
+        "t010:anonymize anonymize @pc t009",
+        "t011:finalize finalize @cloud t010",
+    ]
+    for cell in ZONE_CELLS
+}
+
+
+@pytest.mark.parametrize("cell", sorted(ZONE_CELLS))
+def test_zone_maps_keep_exactly_the_sensors_meeting_the_window(cell):
+    """The pinned survivors are the sensors whose raw ``t`` values reach
+    into the window, read off the chunk itself, not its statistics."""
+    processor, dag = cell_dag(cell)
+    low, high = ZONE_CELLS[cell]
+    survivors = []
+    for node in processor.network.partition_holders("d"):
+        values = list(processor.network.database(node).table("d").column_array("t"))
+        if min(values) <= high and max(values) >= low:
+            survivors.append(node)
+    parent = processor.topology.common_ancestor(survivors).name
+    expected = [
+        f"t{index:03d}:d2[{node}] fragment @{node}" for index, node in enumerate(survivors, 1)
+    ]
+    union = len(survivors) + 1
+    expected += [
+        f"t{union:03d}:merge[d2] merge @{parent} "
+        + " ".join(f"t{index:03d}" for index in range(1, union)),
+        f"t{union + 1:03d}:anonymize anonymize @{parent} t{union:03d}",
+        f"t{union + 2:03d}:finalize finalize @cloud t{union + 1:03d}",
+    ]
+    assert listing(dag) == expected == EXPECTED[cell]
+    assert dag.pruned_partitions == 8 - len(survivors)
+
+
+@pytest.mark.parametrize("mode", ["interpreted", "no_optimizer"])
+@pytest.mark.parametrize("cell", sorted(CELLS))
+def test_listings_without_zone_maps_are_unpruned(cell, mode):
+    """Without zone maps — the interpreted oracle, or ``optimizer=False``
+    — no partition is pruned and every listing is the unpruned one (for
+    ``optimizer=False`` the adaptive partial rule is off too, so its
+    listing is compared with the interpreted run of the same setting)."""
+    topology_name, module, sql, options = CELLS[cell]
+    config = options.get("config", EngineConfig())
+
+    def unpruned(config: EngineConfig) -> ExecutionDag:
+        processor = ParadiseProcessor(occupancy_policy(), topology=TOPOLOGIES[topology_name]())
+        processor.load_data(make_sensor_relation(400))
+        return build_dag(processor, sql, module, **dict(options, config=config))
+
+    interpreted = unpruned(dataclasses.replace(config, mode="interpreted"))
+    assert interpreted.pruned_partitions == 0
+    if mode == "interpreted":
+        assert listing(interpreted) == UNPRUNED.get(cell, EXPECTED[cell])
+    else:
+        plain = unpruned(dataclasses.replace(config, optimizer=False))
+        reference = unpruned(dataclasses.replace(config, mode="interpreted", optimizer=False))
+        assert plain.pruned_partitions == 0
+        assert listing(plain) == listing(reference)
 
 
 # ---------------------------------------------------------------------------

@@ -605,11 +605,57 @@ BARE_COLUMN_READS = [
 def test_bare_column_reads_run_partial_through_process(sql, n_sensors, engine):
     """On the chain's one sensor and on an 8-sensor tree, serial and
     parallel: leaf partials carry first-value states, byte-identical to
-    the unfragmented reference."""
+    the unfragmented reference.
+
+    ``WHERE z > 100`` holds on no row.  Under zone maps (compiled,
+    optimizer on) a sensor whose raw ``z`` never exceeds 100 gets no
+    partial, but the first one always stays; the interpreted oracle runs
+    every leaf."""
     processor = make_processor(make_sensor_relation(400), n_sensors=n_sensors)
-    processor.engine = ENGINE_CONFIGS[engine]
+    config = ENGINE_CONFIGS[engine]
+    processor.engine = config
+    expected = n_sensors
+    if "WHERE z > 100" in sql and config.zone_maps:
+        chunks = [
+            processor.network.database(node).table("d")
+            for node in processor.network.partition_holders("d")
+        ]
+        expected = max(1, sum(max(list(chunk.column_array("z"))) > 100 for chunk in chunks))
+        assert expected == 1
     for run in run_both(processor, sql):
-        assert run.runtime.partial_count == n_sensors
+        assert run.runtime.partial_count == expected
+        assert run.runtime.pruned_partitions == n_sensors - expected
+
+
+#: Grouped reads of a bare column ``d`` lacks.  The row paths used to
+#: read it only from a group's first row: the global group over no rows
+#: and a HAVING that drops every group never raised, a leaf partial did.
+UNKNOWN_BARE_COLUMN_READS = [
+    "SELECT foo, COUNT(*) AS n FROM d WHERE z > 100",
+    "SELECT x, foo, COUNT(*) AS n FROM d GROUP BY x HAVING COUNT(*) > 1000",
+    # Resolved before any row is read: WHERE would raise on the first row.
+    "SELECT x, COUNT(*) AS n FROM d WHERE activity < 5 GROUP BY x ORDER BY foo",
+]
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINE_CONFIGS))
+@pytest.mark.parametrize("sql", UNKNOWN_BARE_COLUMN_READS)
+def test_unknown_bare_columns_raise_before_any_row(sql, engine):
+    config = ENGINE_CONFIGS[engine]
+    database = Database()
+    database.register("d", make_sensor_relation(80))
+    for run in (database.query, database.partial_aggregate):
+        with pytest.raises(ExecutionError, match="^Unknown column: foo$"):
+            run(sql, config)
+    options = {"apply_rewriting": False, "anonymize": False}
+    for n_sensors in (1, 8):
+        processor = make_processor(make_sensor_relation(80), n_sensors=n_sensors)
+        processor.engine = config
+        with pytest.raises(ExecutionError, match="^Unknown column: foo$"):
+            reference_result(processor, sql, "ActionFilter", **options)
+        for execution in ("serial", "parallel"):
+            with pytest.raises(ExecutionError, match="^Unknown column: foo$"):
+                processor.process(sql, "ActionFilter", execution=execution, **options)
 
 
 # ---------------------------------------------------------------------------

@@ -219,11 +219,12 @@ def record_sensor_shipments(monkeypatch, processor: ParadiseProcessor) -> list:
     return shipped
 
 
-def assert_sensors_ship_exactly(processor, shipped, sensor_sql: str) -> None:
-    """Every sensor ships one relation: ``sensor_sql`` over its own chunk,
-    the same rows and columns, byte for byte."""
+def assert_sensors_ship_exactly(processor, shipped, sensor_sql: str, senders) -> None:
+    """Each of ``senders`` ships one relation: ``sensor_sql`` over its own
+    chunk, the same rows and columns, byte for byte; no other sensor
+    ships."""
     expected = {}
-    for sensor in sensor_names(processor):
+    for sensor in senders:
         database = Database()
         database.register("d", processor.network.database(sensor).table("d"))
         expected[sensor] = database.query(sensor_sql)
@@ -243,14 +244,25 @@ def test_between_ships_only_matching_rows_off_the_sensors(
     """The sensors evaluate ``t BETWEEN lo AND hi`` and, on their own
     chunk, the rest of the in-place WHERE and the projection: every hop out
     of a sensor carries exactly the rows of its chunk that pass both, with
-    only the selected columns."""
+    only the selected columns.  A sensor whose raw ``t`` range misses the
+    window gets no task (its zone map refutes the BETWEEN) and ships
+    nothing; on the chain the one sensor always runs."""
     processor = processor_for(topology, 3000)
     shipped = record_sensor_shipments(monkeypatch, processor)
     sql = "SELECT x, y, t FROM d WHERE t BETWEEN 40 AND 240.5 AND x > y"
     result = processor.process(
         sql, "fig4", execution=execution, apply_rewriting=False, anonymize=False
     )
-    assert_sensors_ship_exactly(processor, shipped, sql)
+    sensors = sensor_names(processor)
+    senders = [
+        sensor
+        for sensor in sensors
+        if min(raw_t := list(processor.network.database(sensor).table("d").column_array("t")))
+        <= 240.5
+        and max(raw_t) >= 40
+    ]
+    assert (len(sensors), len(senders)) == ((1, 1) if topology == "chain" else (8, 6))
+    assert_sensors_ship_exactly(processor, shipped, sql, senders)
     assert 0 < sum(len(relation) for _, relation in shipped) < 3000
     expected = reference_result(
         processor, sql, "fig4", apply_rewriting=False, anonymize=False

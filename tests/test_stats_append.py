@@ -36,13 +36,14 @@ def _comparable_state(summary):
     A NaN minimum is never ``==`` to another NaN object, and ``-0.0 ==
     0.0`` would hide which zero the fold kept; type + repr pins both.
     """
-    rows, nulls, minimum, maximum, comparable, sketch = summary.state()
+    rows, nulls, minimum, maximum, comparable, nan, sketch = summary.state()
     return (
         rows,
         nulls,
         (type(minimum), repr(minimum)),
         (type(maximum), repr(maximum)),
         comparable,
+        nan,
         sketch,
     )
 
