@@ -381,12 +381,15 @@ class TableStats:
     append, while columns never asked about stay uncomputed.
     """
 
-    __slots__ = ("rows", "_relation", "_names", "_columns")
+    __slots__ = ("rows", "_arrays", "_positions", "_columns")
 
     def __init__(self, relation) -> None:
         self.rows = len(relation)
-        self._relation = relation
-        self._names = {name.lower(): name for name in relation.schema.names}
+        # The relation's live column list and name index, not the relation
+        # itself: the relation caches its stats, and a reference back would
+        # leave every replaced chunk to the cyclic garbage collector.
+        self._arrays = relation.columns()
+        self._positions = relation._index_by_name
         self._columns: Dict[str, Optional[ColumnStats]] = {}
 
     def column(self, name: str) -> Optional[ColumnStats]:
@@ -394,12 +397,8 @@ class TableStats:
         key = name.lower()
         if key in self._columns:
             return self._columns[key]
-        original = self._names.get(key)
-        stats: Optional[ColumnStats] = None
-        if original is not None:
-            values = self._relation.column_array(original)
-            if values is not None:
-                stats = column_stats(values)
+        position = self._positions.get(key)
+        stats = None if position is None else column_stats(self._arrays[position])
         self._columns[key] = stats
         return stats
 
@@ -426,7 +425,7 @@ class TableStats:
         """Fold one appended row — the cells stored, in schema order — into
         every already-computed column summary."""
         self.rows += 1
-        positions = self._relation._index_by_name
+        positions = self._positions
         for key, stats in self._columns.items():
             if stats is not None:
                 stats.observe(values[positions[key]])

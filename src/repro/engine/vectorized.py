@@ -29,6 +29,11 @@ arrays:
   results are byte-identical to the row-at-a-time path.
 * **Partial aggregation scans** — the distributed GROUP BY leaf phase —
   use the same machinery and emit mergeable state relations.
+* **Whole groups** (zone maps on): when every WHERE conjunct left after
+  the zone map reads only typed key columns, a grouped scan takes its
+  groups whole from the relation's cached group index
+  (:mod:`repro.engine.groups`) and evaluates each conjunct once per group
+  (:func:`whole_groups`) instead of once per row.
 
 Anything outside these shapes (joins, subqueries, window functions,
 qualified references, expression keys...) bails to the executor's
@@ -62,6 +67,7 @@ from repro.engine.aggregates import FINALIZE_ERRORS, GroupedColumn, aggregate_co
 from repro.engine.columns import BOOL, INT64, TypedColumn, gather, take_column
 from repro.engine.errors import ExecutionError
 from repro.engine.evaluator import _like_to_regex
+from repro.engine.groups import GroupIndex, group_rows
 from repro.engine.schema import ColumnDef, Schema
 from repro.engine.stats import ColumnStats, TableStats, optimizer_stats
 from repro.engine.table import Relation, _OrderKey, fit_backing, freeze_value
@@ -117,6 +123,9 @@ class ScanStats:
         "zone_proved",
         "zone_refuted",
         "zone_pruned",
+        "whole_groups",
+        "group_index_builds",
+        "key_conjuncts",
         "bails",
     )
 
@@ -141,6 +150,12 @@ class ScanStats:
         self.zone_proved = 0
         self.zone_refuted = 0
         self.zone_pruned = 0
+        #: Grouped scans that took whole groups from a group index
+        #: (:func:`whole_groups`), the indexes built for them, and the
+        #: conjuncts they evaluated once per group instead of per row.
+        self.whole_groups = 0
+        self.group_index_builds = 0
+        self.key_conjuncts = 0
         self.bails: Dict[str, int] = {}
 
     def bail(self, reason: "BailReason") -> None:
@@ -352,6 +367,10 @@ _SWAPPED_OPS = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
 #: compiled AND closure, which only short-circuits on a definite false —
 #: but are excluded from the final selection.
 Selection = Tuple[List[int], Set[int]]
+
+#: The groups a grouped scan takes whole from a group index: their keys
+#: and member row indices, in first-occurrence order (:func:`whole_groups`).
+WholeGroups = Tuple[List[Tuple[Any, ...]], List[Sequence[int]]]
 
 
 def _filter_typed(
@@ -880,6 +899,23 @@ def _compile_value(node: ast.Expression, columns: List[str]):
     return None
 
 
+def _literal(node: ast.Expression) -> Optional[ast.Literal]:
+    """``node`` as a literal, or None.
+
+    ``-1`` parses as unary minus over ``1``: a negated numeric literal
+    folds into the literal the row path's unary minus computes, so it
+    plans like any other constant.
+    """
+    if isinstance(node, ast.Literal):
+        return node
+    if isinstance(node, ast.UnaryOp) and node.operator == "-":
+        inner = _literal(node.operand)
+        value = None if inner is None else inner.value
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return ast.Literal(value=-value)
+    return None
+
+
 def _disjunction_terms(expression: ast.Expression) -> List[ast.Expression]:
     """Split a boolean expression into its top-level OR-ed branches."""
     if isinstance(expression, ast.BinaryOp) and expression.operator.upper() == "OR":
@@ -924,14 +960,16 @@ def _simple_predicate(term: ast.Expression, optimizer: bool = True):
         right_col = _plain_column(term.right)
         if left_col is not None and right_col is not None:
             return _ColumnComparePred(left_col, right_col, op)
-        if left_col is not None and isinstance(term.right, ast.Literal):
-            if term.right.value is None:
+        right = _literal(term.right)
+        if left_col is not None and right is not None:
+            if right.value is None:
                 return _AlwaysNullPred()
-            return _ComparePred(left_col, op, term.right.value, swapped=False)
-        if right_col is not None and isinstance(term.left, ast.Literal):
-            if term.left.value is None:
+            return _ComparePred(left_col, op, right.value, swapped=False)
+        left = _literal(term.left)
+        if right_col is not None and left is not None:
+            if left.value is None:
                 return _AlwaysNullPred()
-            return _ComparePred(right_col, op, term.left.value, swapped=True)
+            return _ComparePred(right_col, op, left.value, swapped=True)
         if optimizer and (
             _has_arithmetic(term.left) or _has_arithmetic(term.right)
         ):
@@ -957,11 +995,12 @@ def _simple_predicate(term: ast.Expression, optimizer: bool = True):
         column = _plain_column(term.expression)
         if column is None:
             return None
-        if not isinstance(term.low, ast.Literal) or not isinstance(term.high, ast.Literal):
+        low, high = _literal(term.low), _literal(term.high)
+        if low is None or high is None:
             return None
-        if term.low.value is None or term.high.value is None:
+        if low.value is None or high.value is None:
             return _AlwaysNullPred()
-        return _BetweenPred(column, term.low.value, term.high.value, term.negated)
+        return _BetweenPred(column, low.value, high.value, term.negated)
     if isinstance(term, ast.Like):
         column = _plain_column(term.expression)
         if column is None or not isinstance(term.pattern, ast.Literal):
@@ -973,9 +1012,10 @@ def _simple_predicate(term: ast.Expression, optimizer: bool = True):
         column = _plain_column(term.expression)
         if column is None:
             return None
-        if not all(isinstance(value, ast.Literal) for value in term.values):
+        literals = [_literal(value) for value in term.values]
+        if any(literal is None for literal in literals):
             return None
-        constants = [value.value for value in term.values if value.value is not None]
+        constants = [literal.value for literal in literals if literal.value is not None]
         return _InListPred(column, constants, term.negated)
     return None
 
@@ -1255,29 +1295,36 @@ def order_conjuncts(
     return ordered
 
 
+def _zone_filter(
+    predicates: Sequence[Any], relation: Relation, optimizer: bool
+) -> Optional[Sequence[Any]]:
+    """The conjuncts left to evaluate over ``relation``, or None when no
+    row can pass.
+
+    With the optimizer on, a zone map cached for ``relation`` drops the
+    conjuncts it proves and refutes the scan (:func:`zone_verdicts`).
+    Stats are only read here, never built: shipped intermediates and
+    appended deltas pay nothing for the check.
+    """
+    table_stats = relation.cached_stats() if optimizer and predicates else None
+    if table_stats is None:
+        return predicates
+    proven, refuted = zone_verdicts(predicates, relation, table_stats.cached)
+    if refuted is not None:
+        stats.zone_refuted += 1
+        return None
+    if proven:
+        stats.zone_proved += len(proven)
+        predicates = [p for i, p in enumerate(predicates) if i not in proven]
+    return predicates
+
+
 def _apply_predicates(
     predicates: Sequence[Any], relation: Relation, optimizer: bool
 ) -> Optional[List[int]]:
-    """Filter row indices through the conjuncts; None means "all rows".
-
-    With the optimizer on, a zone map cached for ``relation`` first drops
-    the conjuncts it proves and ends the scan on a refutation
-    (:func:`zone_verdicts`).  Stats are only read here, never built:
-    shipped intermediates and appended deltas pay nothing for the check.
-    """
+    """Filter row indices through the conjuncts; None means "all rows"."""
     if not predicates:
         return None
-    table_stats = relation.cached_stats() if optimizer else None
-    if table_stats is not None:
-        proven, refuted = zone_verdicts(predicates, relation, table_stats.cached)
-        if refuted is not None:
-            stats.zone_refuted += 1
-            return []
-        if proven:
-            stats.zone_proved += len(proven)
-            predicates = [p for i, p in enumerate(predicates) if i not in proven]
-            if not predicates:
-                return None
     if (
         len(predicates) > 1
         and optimizer
@@ -1296,6 +1343,104 @@ def _apply_predicates(
     # Selections are ascending and duplicate-free: one that kept every row
     # is the identity, and "all rows" lets consumers slice, not gather.
     return None if len(sel) == len(relation) else sel
+
+
+#: Conjunct classes whose value on a row is a function of the cells they
+#: read and nothing else (no string form, no arithmetic).
+_KEY_DECIDABLE = (
+    _ComparePred,
+    _ColumnComparePred,
+    _BetweenPred,
+    _InListPred,
+    _IsNullPred,
+    _TruthPred,
+    _AlwaysNullPred,
+)
+
+
+def key_decidable(predicate: Any, relation: Relation, key_columns: Sequence[str]) -> bool:
+    """Does ``predicate`` take one value on every row of a group?
+
+    True for an :func:`_infallible` comparison, range, IN list, NULL or
+    truth test that reads only key columns with a typed backing.  The rows
+    of a group hold equal keys, and on int64/float64/bool cells equal
+    values compare, test and match alike; the one pair of distinct equal
+    floats, -0.0 and 0.0, differs only in sign, which none of these
+    conjuncts reads (LIKE reads the string form, arithmetic can divide by
+    it).  A generic column may hold ``1``, ``1.0`` and ``True`` in one
+    group, so it never decides.
+    """
+    return (
+        isinstance(predicate, _KEY_DECIDABLE)
+        and all(
+            name in key_columns and isinstance(relation.column_array(name), TypedColumn)
+            for name in predicate.columns
+        )
+        and _infallible(predicate, relation)
+    )
+
+
+def _build_group_index(relation: Relation, key_columns: Tuple[str, ...]) -> GroupIndex:
+    stats.group_index_builds += 1
+    return GroupIndex.build(relation, key_columns)
+
+
+def whole_groups(
+    predicates: Sequence[Any], relation: Relation, key_columns: Tuple[str, ...]
+) -> Optional[WholeGroups]:
+    """The ``(keys, members)`` of the groups of ``relation`` whose rows
+    pass ``predicates``, taken whole from its group index; None unless
+    every conjunct is :func:`key_decidable` and the relation has an index
+    for ``key_columns`` (:meth:`Relation.group_index`: from the second
+    scan that asks at its version on).
+
+    Each conjunct runs over the index's key relation, once per group, with
+    the scan's own kernels; the passing groups keep their index order,
+    which is their first-occurrence order among the passing rows.
+    """
+    if not all(key_decidable(predicate, relation, key_columns) for predicate in predicates):
+        return None
+    index = relation.group_index(key_columns, _build_group_index)
+    if index is None:
+        return None
+    stats.whole_groups += 1
+    chosen = None
+    if predicates:
+        stats.key_conjuncts += len(predicates)
+        chosen = _apply_predicates(predicates, index.key_relation, True)
+    if chosen is None:
+        return index.keys, index.members
+    return [index.keys[g] for g in chosen], [index.members[g] for g in chosen]
+
+
+def key_decided_terms(query: ast.Query, relation: Relation) -> List[ast.Expression]:
+    """The WHERE conjuncts of grouped ``query`` that a scan of ``relation``
+    decides once per group (:func:`whole_groups`): the ones its zone map
+    leaves, when every one is :func:`key_decidable`; else none.
+
+    What ``explain()`` prints for a resident chunk; builds the chunk's
+    stats, as the DAG's zone map rule does, and never its group index.
+    """
+    if not isinstance(query, ast.SelectQuery) or query.where is None:
+        return []
+    key_columns = [_plain_column(expression) for expression in query.group_by]
+    if not key_columns or None in key_columns:
+        return []
+    terms = ast.conjunction_terms(query.where)
+    predicates = [_simple_predicate(term) for term in terms]
+    if any(
+        predicate is None
+        or any(relation.column_array(name) is None for name in predicate.columns)
+        for predicate in predicates
+    ):
+        return []
+    proven, refuted = zone_verdicts(predicates, relation, relation.stats().column)
+    left = [i for i in range(len(terms)) if i not in proven]
+    if refuted is not None or not all(
+        key_decidable(predicates[i], relation, key_columns) for i in left
+    ):
+        return []
+    return [terms[i] for i in left]
 
 
 class _ColumnView(dict):
@@ -1419,7 +1564,8 @@ class GroupedScanPlan:
         self.query = query
         self.table_name = table_name
         self.predicates = predicates
-        self.key_columns = key_columns
+        #: Lower-cased, a tuple: the relation's group index key.
+        self.key_columns = tuple(key_columns)
         self.specs = specs
         self.required = set(key_columns)
         for predicate in predicates:
@@ -1587,23 +1733,37 @@ def _note_backing(relation: Relation, names) -> None:
 
 
 def _select_rows(executor, query: ast.Query, parent=None):
-    """``(plan, relation, selection)`` for a columnar run of ``query``, or
-    None (the bail recorded) to use the row path."""
+    """``(plan, relation, sel, groups)`` for a columnar run of ``query``, or
+    None (the bail recorded) to use the row path.
+
+    ``groups`` is the ``(keys, members)`` a grouped scan takes whole from
+    the relation's group index under zone maps (:func:`whole_groups`),
+    else None and ``sel`` holds the selected rows.
+    """
     plan = plan_select(executor, query)
     if plan is None:
         return None
-    if isinstance(plan, GroupedScanPlan) and parent is None:
+    grouped = isinstance(plan, GroupedScanPlan)
+    if grouped and parent is None:
         executor.check_bare_columns(query)
     relation = executor.lookup_table(plan.table_name)
     if any(relation.column_array(name) is None for name in plan.required):
         stats.bail(BailReason.COLUMN_DRIFT)
         return None  # catalog shape drifted from the planned columns
+    config = executor.config
     try:
-        sel = _apply_predicates(plan.predicates, relation, executor.config.optimizer)
+        predicates = _zone_filter(plan.predicates, relation, config.optimizer)
+        if predicates is None:
+            return plan, relation, [], None
+        if grouped and plan.key_columns and config.zone_maps:
+            groups = whole_groups(predicates, relation, plan.key_columns)
+            if groups is not None:
+                return plan, relation, None, groups
+        sel = _apply_predicates(predicates, relation, config.optimizer)
     except _SCAN_ABANDON_ERRORS:
         stats.bail(BailReason.SCAN_ABANDONED)
         return None
-    return plan, relation, sel
+    return plan, relation, sel, None
 
 
 def try_execute_select(executor, query: ast.Query, parent) -> Optional[Relation]:
@@ -1611,11 +1771,11 @@ def try_execute_select(executor, query: ast.Query, parent) -> Optional[Relation]
     selected = _select_rows(executor, query, parent)
     if selected is None:
         return None
-    plan, relation, sel = selected
+    plan, relation, sel, groups = selected
     if isinstance(plan, FlatScanPlan):
         result = _execute_flat(plan, relation, sel)
     else:
-        result = _execute_grouped(executor, plan, relation, parent, sel)
+        result = _execute_grouped(executor, plan, relation, parent, sel, groups)
     if result is None:
         stats.bail(BailReason.SCAN_ABANDONED)
     else:
@@ -1629,11 +1789,11 @@ def try_execute_partial(executor, query: ast.SelectQuery) -> Optional[Relation]:
     selected = _select_rows(executor, query)
     if selected is None or not isinstance(selected[0], GroupedScanPlan):
         return None
-    plan, relation, sel = selected
+    plan, relation, sel, groups = selected
     group_plan = executor._group_plan(query)
     # check_bare_columns has seen every bare column in the table.
     firsts = [relation.column_array(name) for name in group_plan.first_names]
-    scanned = _scan_groups(plan, relation, sel, "partial")
+    scanned = _scan_groups(plan, relation, sel, "partial", groups)
     if scanned is None:
         stats.bail(BailReason.SCAN_ABANDONED)
         return None
@@ -1743,52 +1903,16 @@ def _execute_flat(
     return columns_relation(plan.out_names, columns)
 
 
-def _group_indices(
-    relation: Relation,
-    key_columns: Sequence[str],
-    sel: Optional[List[int]],
-) -> Dict[Tuple[Any, ...], List[int]]:
-    """Partition row indices by group key, in first-occurrence order.
-
-    Raw key values are used while hashable, falling back to the frozen form
-    on a TypeError — exactly the compiled fast-key behaviour, so group
-    identity and order match the row path bit for bit.
-    """
-    indices = range(len(relation)) if sel is None else sel
-
-    def key_values(array):
-        # Typed key columns are never read per row through
-        # TypedColumn.__getitem__: NULL-free int64/float64 keys are read
-        # (and gathered) straight off the buffer, others are boxed once.
-        if isinstance(array, TypedColumn):
-            if array.typecode != BOOL and not array.null_count:
-                array = array.data_array()
-            else:
-                array = array.to_list()
-        return array if sel is None else gather(array, sel)
-
-    # Key tuples are zipped from the (gathered) key columns at C speed.
-    keys = zip(*map(key_values, map(relation.column_array, key_columns)))
-    groups: Dict[Tuple[Any, ...], List[int]] = {}
-    get = groups.get
-    for i, key in zip(indices, keys):
-        try:
-            bucket = get(key)
-        except TypeError:
-            key = tuple(freeze_value(value) for value in key)
-            bucket = get(key)
-        if bucket is None:
-            groups[key] = [i]
-        else:
-            bucket.append(i)
-    return groups
-
-
 def _scan_groups(
-    plan: GroupedScanPlan, relation: Relation, sel: Optional[List[int]], phase: str
+    plan: GroupedScanPlan,
+    relation: Relation,
+    sel: Optional[List[int]],
+    phase: str,
+    groups: Optional[WholeGroups] = None,
 ):
-    """Group the selected rows, then ``phase`` (``"partial"`` or
-    ``"result"``) of every aggregate spec, one column per spec.
+    """Group the selected rows (or take ``groups``, see
+    :func:`_select_rows`), then ``phase`` (``"partial"`` or ``"result"``)
+    of every aggregate spec, one column per spec.
 
     Each argument column is gathered once per group and every spec's
     column comes from one :func:`~repro.engine.aggregates.aggregate_column`
@@ -1799,10 +1923,13 @@ def _scan_groups(
     SUM/STDDEV meeting a non-numeric or non-finite value) abandons the
     scan, so the row path re-raises its own row-major error.
     """
-    if plan.key_columns:
-        groups = _group_indices(relation, plan.key_columns, sel)
-        keys, members = list(groups), list(groups.values())
+    if groups is not None:
+        keys, members = groups
         gathered: Optional[List[Sequence[int]]] = members
+    elif plan.key_columns:
+        grouped = group_rows(relation, plan.key_columns, sel)
+        keys, members = list(grouped), list(grouped.values())
+        gathered = members
     else:
         keys = [()]
         members = [range(len(relation)) if sel is None else sel]
@@ -1842,9 +1969,14 @@ def _scan_groups(
 
 
 def _execute_grouped(
-    executor, plan: GroupedScanPlan, relation: Relation, parent, sel: Optional[List[int]]
+    executor,
+    plan: GroupedScanPlan,
+    relation: Relation,
+    parent,
+    sel: Optional[List[int]],
+    groups: Optional[WholeGroups],
 ) -> Optional[Relation]:
-    scanned = _scan_groups(plan, relation, sel, "result")
+    scanned = _scan_groups(plan, relation, sel, "result", groups)
     if scanned is None:
         return None
     _, members, columns, error = scanned
@@ -1942,3 +2074,6 @@ _registry.probe("engine.vectorized.bails", lambda: dict(stats.bails))
 _registry.probe("engine.zone.proved", lambda: stats.zone_proved)
 _registry.probe("engine.zone.refuted", lambda: stats.zone_refuted)
 _registry.probe("engine.zone.pruned_partitions", lambda: stats.zone_pruned)
+_registry.probe("engine.vectorized.whole_groups", lambda: stats.whole_groups)
+_registry.probe("engine.group_index.builds", lambda: stats.group_index_builds)
+_registry.probe("engine.group_index.key_conjuncts", lambda: stats.key_conjuncts)

@@ -312,7 +312,9 @@ def build_profile_report(
                     if diff:
                         standing[key[len("standing.") :]] = diff
                 continue
-            if not key.startswith(("engine.vectorized.", "engine.optimizer.", "engine.zone.")):
+            if not key.startswith(
+                ("engine.vectorized.", "engine.optimizer.", "engine.zone.", "engine.group_index.")
+            ):
                 continue
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 continue
@@ -326,8 +328,9 @@ def build_profile_report(
                     "optimizer." + key[len("engine.optimizer.") :]
                 ] = diff
                 continue
-            # Zone map work skipped this run reads as ``zone.proved`` etc.
-            short = key.replace("engine.vectorized.", "").replace("engine.zone.", "zone.")
+            # Zone map work skipped this run reads as ``zone.proved``, group
+            # index work as ``group_index.builds`` etc.
+            short = key.replace("engine.vectorized.", "").replace("engine.", "", 1)
             if short.startswith("bails."):
                 # Per-reason bail counters (scan fallbacks plus backing
                 # diagnostics like ``untyped_backing``) group under one

@@ -239,7 +239,9 @@ class NetworkSimulator:
             )
         combined = self._concat_chunks(chunk, delta, table_name)
         self._register_stream(database, table_name, combined)
-        database.table(table_name).inherit_stats(chunk)
+        appended = database.table(table_name)
+        appended.inherit_stats(chunk)
+        appended.inherit_group_indexes(chunk)
         holders = self._partitions.setdefault(table_name.lower(), [])
         if node_name not in holders:
             holders.append(node_name)

@@ -468,6 +468,9 @@ class ParadiseProcessor:
                     line += " [Table 1: resident-partition rule]"
                 if task.proves:
                     line += f" [zone map proves {'; '.join(task.proves)}]"
+                decided = task.key_decided(self.network) if self.engine.zone_maps else ()
+                if decided:
+                    line += f" [group keys decide {'; '.join(decided)}]"
             lines.append(line)
         return "\n".join(lines)
 

@@ -78,7 +78,12 @@ from repro.engine.executor import aggregate_calls, first_value_columns
 from repro.engine.schema import ColumnDef, Schema
 from repro.engine.table import Relation, fit_backing
 from repro.engine.types import DataType
-from repro.engine.vectorized import is_grouped, where_conjuncts, zone_verdicts
+from repro.engine.vectorized import (
+    is_grouped,
+    key_decided_terms,
+    where_conjuncts,
+    zone_verdicts,
+)
 from repro.engine.wire import WireFormatError, pack_relation, state_size_feedback
 from repro.fragment.capabilities import permitted_features
 from repro.fragment.plan import FragmentPlan, QueryFragment
@@ -813,6 +818,18 @@ class StageTask(Task):
         :mod:`repro.fragment.capabilities`."""
         level = topology.node(self.node).level
         return self.resident and not self.features() <= permitted_features(level)
+
+    def key_decided(self, network: NetworkSimulator) -> Tuple[str, ...]:
+        """WHERE conjuncts this task's grouped scan of its resident chunk
+        evaluates once per group, not per row
+        (:func:`~repro.engine.vectorized.key_decided_terms`)."""
+        if self.op not in ("query", "partial") or not self.resident:
+            return ()
+        database = network.database(self.node)
+        if self.base not in database:
+            return ()
+        terms = key_decided_terms(self.query, database.table(self.base))
+        return tuple(render_expression(term) for term in terms)
 
     def features(self) -> FrozenSet[str]:
         """The Table 1 features of the work this task runs on its node.

@@ -358,6 +358,24 @@ def test_grouped_scans_take_no_kernel_fallback():
         assert diff["engine.vectorized.kernel_fallbacks"] == 0
 
 
+def test_paper_chain_sensor_partial_takes_whole_groups():
+    """The paper query's sensor partial on the chain (``WHERE z < 2 AND
+    x > y GROUP BY x, y``) is one whole-group scan per op once the chunk's
+    group index exists: the zone map proves ``z < 2``, ``x > y`` runs once
+    per group, and no op after the second builds an index."""
+    processor = build_flat_processor(rows=300)
+    for _ in range(2):
+        assert processor.process(PIPELINE_SQL, "ActionFilter").admitted
+    before = registry.snapshot(prefix="engine.")
+    for _ in range(3):
+        assert processor.process(PIPELINE_SQL, "ActionFilter").admitted
+    diff = delta(before, registry.snapshot(prefix="engine."))
+    assert diff["engine.vectorized.partial"] == 3
+    assert diff["engine.vectorized.whole_groups"] == 3
+    assert diff["engine.group_index.key_conjuncts"] == 3
+    assert diff.get("engine.group_index.builds", 0) == 0
+
+
 def test_kernel_fallbacks_count_slices_without_a_buffer():
     """A NULL-bearing argument column has no buffer path: each group's
     slice runs the accumulator lifecycle and counts once per call."""

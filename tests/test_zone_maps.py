@@ -24,7 +24,13 @@ from repro.engine import Database, EngineConfig
 from repro.engine.schema import ColumnDef, Schema
 from repro.engine.table import Relation
 from repro.engine.types import DataType
-from repro.engine.vectorized import stats as scan_stats
+from repro.engine.vectorized import (
+    _BetweenPred,
+    _ComparePred,
+    _InListPred,
+    stats as scan_stats,
+    where_conjuncts,
+)
 from repro.engine.wire import pack_relation
 from repro.fragment.topology import Topology
 from repro.obs.metrics import registry
@@ -354,6 +360,49 @@ def test_dag_verdict_follows_every_mutation(mutation):
         for line in processor.explain(sql, "ActionFilter", apply_rewriting=False).splitlines()
         if "pruned" in line
     )
+
+
+# ---------------------------------------------------------------------------
+# negative literals: ``-1`` parses as unary minus over ``1``
+# ---------------------------------------------------------------------------
+
+NEGATIVE_SQL = {
+    "SELECT x, t FROM d WHERE z > -1": (_ComparePred, 0),
+    "SELECT COUNT(*) AS c FROM d WHERE t NOT BETWEEN -1 AND 70": (_BetweenPred, 7),
+    "SELECT x, COUNT(*) AS c FROM d WHERE x BETWEEN -1 AND 3 GROUP BY x": (_BetweenPred, 0),
+    "SELECT x, t FROM d WHERE -2.5 < y": (_ComparePred, 0),
+    "SELECT x, t FROM d WHERE t > - -39.5": (_ComparePred, 7),
+    "SELECT x, t FROM d WHERE x IN (-1, 2, -0.0)": (_InListPred, 0),
+}
+
+
+@pytest.mark.parametrize("sql", sorted(NEGATIVE_SQL))
+def test_negative_literals_plan_as_constants(sql):
+    """A negated numeric literal folds into the constant: the conjunct
+    gets its typed kernel under every compiled config (no
+    ``complex_predicate`` bail) and a zone map verdict, and every config
+    equals the reference."""
+    kind, pruned = NEGATIVE_SQL[sql]
+    [predicate] = where_conjuncts(parse(sql))
+    assert type(predicate) is kind
+    processor = tree_processor(make_sensor_relation(400))
+    options = {"apply_rewriting": False, "anonymize": False}
+    expected = pack_relation(reference_result(processor, sql, "ActionFilter", **options))
+    for name, config in CONFIGS.items():
+        processor.engine = config
+        bails = scan_stats.bails.get("complex_predicate", 0)
+        run = processor.process(sql, "ActionFilter", **options)
+        assert pack_relation(run.result) == expected, name
+        assert scan_stats.bails.get("complex_predicate", 0) == bails, name
+        assert run.runtime.pruned_partitions == (pruned if name == "zone_maps" else 0), name
+    database = Database()
+    database.register("d", processor.network.database("sensor_0").table("d"))
+    database.table("d").stats().column("t")
+    for name, config in CONFIGS.items():
+        bails = scan_stats.bails.get("complex_predicate", 0)
+        got = database.query(sql, config)
+        assert pack_relation(got) == pack_relation(database.query(sql, CONFIGS["interpreted"]))
+        assert scan_stats.bails.get("complex_predicate", 0) == bails, name
 
 
 # ---------------------------------------------------------------------------
