@@ -1426,14 +1426,14 @@ def key_decided_terms(query: ast.Query, relation: Relation) -> List[ast.Expressi
     key_columns = [_plain_column(expression) for expression in query.group_by]
     if not key_columns or None in key_columns:
         return []
-    terms = ast.conjunction_terms(query.where)
-    predicates = [_simple_predicate(term) for term in terms]
-    if any(
-        predicate is None
-        or any(relation.column_array(name) is None for name in predicate.columns)
+    predicates = _plan_predicates(query, True)
+    if predicates is None or any(
+        relation.column_array(name) is None
         for predicate in predicates
+        for name in predicate.columns
     ):
         return []
+    terms = ast.conjunction_terms(query.where)
     proven, refuted = zone_verdicts(predicates, relation, relation.stats().column)
     left = [i for i in range(len(terms)) if i not in proven]
     if refuted is not None or not all(
