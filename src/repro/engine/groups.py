@@ -15,12 +15,22 @@ values gathered from its first row with their backing kept.  A WHERE
 conjunct that reads only typed key columns has one value per group, so
 the vectorized scan evaluates it there, once per group, and takes the
 passing groups whole (:func:`repro.engine.vectorized.whole_groups`).
+
+Any other conjunct is evaluated per row, but need not be followed by a
+hash per selected row.  The index keeps its *row order* (every group's
+members, one group after another) and the *bounds* where each group
+starts in it, and builds on demand a group-ordered copy of each column a
+conjunct reads (:meth:`GroupIndex.ordered`) — a projection sorted on the
+grouping keys, as in C-Store (Stonebraker et al., VLDB 2005).  The scan
+filters the copy, whose ascending selection cuts into groups at the
+bounds (:func:`repro.engine.vectorized.split_groups`).  The copies live
+and die with the index.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.engine.columns import BOOL, TypedColumn, gather, take_column
 from repro.engine.table import Relation, freeze_value
@@ -68,6 +78,17 @@ def group_rows(
     return groups
 
 
+def row_key(relation: Relation, key_columns: Sequence[str], row: int) -> Tuple[Any, ...]:
+    """Row ``row``'s group key under :func:`group_rows`' rule: the raw
+    key values while hashable, else their frozen form."""
+    key = tuple(relation.column_array(name)[row] for name in key_columns)
+    try:
+        hash(key)
+    except TypeError:
+        key = tuple(freeze_value(value) for value in key)
+    return key
+
+
 class GroupIndex:
     """The groups of a relation's first ``rows`` rows under ``key_columns``.
 
@@ -75,11 +96,24 @@ class GroupIndex:
     those rows (keys and ascending row indices, in first-occurrence
     order), each group's indices held as one ``array('q')``: 8 bytes a
     row, where a list of ints costs 36.  ``key_relation`` holds each
-    group's key values, one row per group in the same order.  Read-only
-    once built: scans share it.
+    group's key values, one row per group in the same order.  ``order``
+    is the members concatenated, and group ``g`` is
+    ``order[bounds[g]:bounds[g + 1]]``.  Read-only once built, but for
+    the group-ordered column copies :meth:`ordered` adds: scans share it.
+    It holds no reference to its relation, so a dropped relation is freed
+    at once.
     """
 
-    __slots__ = ("key_columns", "keys", "members", "rows", "key_relation")
+    __slots__ = (
+        "key_columns",
+        "keys",
+        "members",
+        "rows",
+        "key_relation",
+        "order",
+        "bounds",
+        "_ordered",
+    )
 
     def __init__(
         self,
@@ -98,6 +132,32 @@ class GroupIndex:
             relation.schema.project(names),
             [take_column(relation.column_array(name), firsts) for name in names],
         )
+        order = array("q")
+        bounds = [0]
+        for rows in members:
+            order.extend(rows)
+            bounds.append(len(order))
+        self.order = order
+        self.bounds = bounds
+        self._ordered: Dict[str, Any] = {}
+
+    def ordered(self, relation: Relation, names: Iterable[str]) -> Dict[str, Any]:
+        """``relation``'s columns ``names`` in row order (see :attr:`order`),
+        by name.
+
+        ``relation`` is the indexed one.  Each copy is gathered, with its
+        backing, the first time a scan asks for it, and kept with the
+        index.  Scans racing on one column at worst both gather it; the
+        copies are equal and either is kept.
+        """
+        copies = self._ordered
+        columns = {}
+        for name in names:
+            column = copies.get(name)
+            if column is None:
+                column = copies[name] = take_column(relation.column_array(name), self.order)
+            columns[name] = column
+        return columns
 
     @classmethod
     def build(cls, relation: Relation, key_columns: Tuple[str, ...]) -> "GroupIndex":

@@ -34,6 +34,10 @@ arrays:
   groups whole from the relation's cached group index
   (:mod:`repro.engine.groups`) and evaluates each conjunct once per group
   (:func:`whole_groups`) instead of once per row.
+* **Split groups** (zone maps on): otherwise, a grouped scan over an
+  indexed relation filters group-ordered copies of the columns its
+  conjuncts read and cuts the ascending selection at the index's group
+  bounds (:func:`split_groups`): no group key is hashed per row.
 
 Anything outside these shapes (joins, subqueries, window functions,
 qualified references, expression keys...) bails to the executor's
@@ -58,6 +62,7 @@ row-major error, keeping error identity byte-for-byte.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from enum import Enum
 from functools import lru_cache
 from itertools import chain, compress, repeat
@@ -67,7 +72,7 @@ from repro.engine.aggregates import FINALIZE_ERRORS, GroupedColumn, aggregate_co
 from repro.engine.columns import BOOL, INT64, TypedColumn, gather, take_column
 from repro.engine.errors import ExecutionError
 from repro.engine.evaluator import _like_to_regex
-from repro.engine.groups import GroupIndex, group_rows
+from repro.engine.groups import GroupIndex, group_rows, row_key
 from repro.engine.schema import ColumnDef, Schema
 from repro.engine.stats import ColumnStats, TableStats, optimizer_stats
 from repro.engine.table import Relation, _OrderKey, fit_backing, freeze_value
@@ -126,6 +131,7 @@ class ScanStats:
         "whole_groups",
         "group_index_builds",
         "key_conjuncts",
+        "split_scans",
         "bails",
     )
 
@@ -156,6 +162,9 @@ class ScanStats:
         self.whole_groups = 0
         self.group_index_builds = 0
         self.key_conjuncts = 0
+        #: Grouped scans that split a filtered group-ordered copy at the
+        #: index's group bounds (:func:`split_groups`).
+        self.split_scans = 0
         self.bails: Dict[str, int] = {}
 
     def bail(self, reason: "BailReason") -> None:
@@ -368,9 +377,10 @@ _SWAPPED_OPS = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
 #: but are excluded from the final selection.
 Selection = Tuple[List[int], Set[int]]
 
-#: The groups a grouped scan takes whole from a group index: their keys
-#: and member row indices, in first-occurrence order (:func:`whole_groups`).
-WholeGroups = Tuple[List[Tuple[Any, ...]], List[Sequence[int]]]
+#: The groups a grouped scan takes from a group index: their keys and
+#: member row indices, in first-occurrence order (:func:`whole_groups`,
+#: :func:`split_groups`).
+IndexGroups = Tuple[List[Tuple[Any, ...]], List[Sequence[int]]]
 
 
 def _filter_typed(
@@ -1320,9 +1330,18 @@ def _zone_filter(
 
 
 def _apply_predicates(
-    predicates: Sequence[Any], relation: Relation, optimizer: bool
+    predicates: Sequence[Any],
+    relation: Relation,
+    optimizer: bool,
+    reads: Optional["_ColumnView"] = None,
 ) -> Optional[List[int]]:
-    """Filter row indices through the conjuncts; None means "all rows"."""
+    """Filter row indices through the conjuncts; None means "all rows".
+
+    The conjuncts are ordered from ``relation``'s stats and read
+    ``reads`` when given: columns holding a permutation of ``relation``'s
+    rows (:meth:`GroupIndex.ordered`), whose positions the selection then
+    holds.
+    """
     if not predicates:
         return None
     if (
@@ -1331,11 +1350,13 @@ def _apply_predicates(
         and len(relation) >= _MIN_REORDER_ROWS
     ):
         predicates = order_conjuncts(predicates, relation, relation.stats())
+    if reads is None:
+        reads = relation
     # The first conjunct reads every row; each returns a list.
     sel: Sequence[int] = range(len(relation))
     nulls: Set[int] = set()
     for predicate in predicates:
-        sel = predicate.apply(relation, sel, nulls)
+        sel = predicate.apply(reads, sel, nulls)
         if not sel:
             return []
     if nulls:
@@ -1385,23 +1406,38 @@ def _build_group_index(relation: Relation, key_columns: Tuple[str, ...]) -> Grou
     return GroupIndex.build(relation, key_columns)
 
 
-def whole_groups(
+def index_groups(
     predicates: Sequence[Any], relation: Relation, key_columns: Tuple[str, ...]
-) -> Optional[WholeGroups]:
+) -> Optional[IndexGroups]:
+    """The ``(keys, members)`` of the groups of ``relation``'s rows that
+    pass ``predicates``, cut from its group index for ``key_columns``: by
+    :func:`whole_groups`, else by :func:`split_groups`.  None when the
+    relation has no index yet (:meth:`Relation.group_index`: built by the
+    second scan that asks at its version; the one ask of this scan) or
+    when the split raised.
+    """
+    index = relation.group_index(key_columns, _build_group_index)
+    if index is None:
+        return None
+    groups = whole_groups(predicates, relation, index)
+    if groups is None:
+        groups = split_groups(predicates, relation, index)
+    return groups
+
+
+def whole_groups(
+    predicates: Sequence[Any], relation: Relation, index: GroupIndex
+) -> Optional[IndexGroups]:
     """The ``(keys, members)`` of the groups of ``relation`` whose rows
-    pass ``predicates``, taken whole from its group index; None unless
-    every conjunct is :func:`key_decidable` and the relation has an index
-    for ``key_columns`` (:meth:`Relation.group_index`: from the second
-    scan that asks at its version on).
+    pass ``predicates``, taken whole from its group ``index``; None unless
+    every conjunct is :func:`key_decidable`.
 
     Each conjunct runs over the index's key relation, once per group, with
     the scan's own kernels; the passing groups keep their index order,
     which is their first-occurrence order among the passing rows.
     """
+    key_columns = index.key_columns
     if not all(key_decidable(predicate, relation, key_columns) for predicate in predicates):
-        return None
-    index = relation.group_index(key_columns, _build_group_index)
-    if index is None:
         return None
     stats.whole_groups += 1
     chosen = None
@@ -1413,34 +1449,86 @@ def whole_groups(
     return [index.keys[g] for g in chosen], [index.members[g] for g in chosen]
 
 
-def key_decided_terms(query: ast.Query, relation: Relation) -> List[ast.Expression]:
-    """The WHERE conjuncts of grouped ``query`` that a scan of ``relation``
-    decides once per group (:func:`whole_groups`): the ones its zone map
-    leaves, when every one is :func:`key_decidable`; else none.
+def split_groups(
+    predicates: Sequence[Any], relation: Relation, index: GroupIndex
+) -> Optional[IndexGroups]:
+    """The ``(keys, members)`` :func:`group_rows` gives over the rows of
+    ``relation`` that pass ``predicates``, without hashing a row; None
+    when a conjunct raised (the caller then filters ``relation`` itself,
+    which raises or abandons exactly as a scan without the index does).
+
+    The conjuncts run, in the order the relation's own stats give them,
+    over group-ordered copies of the columns they read
+    (:meth:`GroupIndex.ordered`).  Both scans evaluate the same (row,
+    conjunct) pairs, so one raises when the other does.  The ascending
+    selection of positions is cut at the index's group bounds and mapped
+    back to rows through its row order: each group's passing rows,
+    ascending.  Groups are ordered by their first passing row, and each
+    key comes from that row (:func:`~repro.engine.groups.row_key`): the
+    index's key when that row is the group's first, else the row's own,
+    since ``-0.0`` may open a group that ``0.0`` joins, or ``1.0`` one
+    that ``1`` joins.
+    """
+    names = {name for predicate in predicates for name in predicate.columns}
+    try:
+        ordered = _ColumnView(index.ordered(relation, names))
+        chosen = _apply_predicates(predicates, relation, True, ordered)
+    except Exception:  # noqa: BLE001 - filtering the relation itself re-raises it
+        return None
+    stats.split_scans += 1
+    if chosen is None:
+        return index.keys, index.members
+    rows = gather(index.order, chosen)
+    cuts = list(map(bisect_left, repeat(chosen), index.bounds))
+    spans = sorted(
+        (rows[start], group, start, stop)
+        for group, (start, stop) in enumerate(zip(cuts, cuts[1:]))
+        if start < stop
+    )
+    keys = index.keys
+    members = index.members
+    key_columns = index.key_columns
+    return (
+        [
+            keys[group] if first == members[group][0] else row_key(relation, key_columns, first)
+            for first, group, _, _ in spans
+        ],
+        [rows[start:stop] for _, _, start, stop in spans],
+    )
+
+
+def index_scan_terms(
+    query: ast.Query, relation: Relation
+) -> Tuple[bool, List[ast.Expression]]:
+    """How a scan of ``relation`` by grouped ``query`` uses a group index:
+    ``(True, terms)`` when the WHERE conjuncts its zone map leaves are
+    each decided once per group (:func:`whole_groups`), ``(False, terms)``
+    when they filter group-ordered copies split at group bounds
+    (:func:`split_groups`), and ``(False, [])`` when there is no such
+    conjunct or no index path.
 
     What ``explain()`` prints for a resident chunk; builds the chunk's
     stats, as the DAG's zone map rule does, and never its group index.
     """
     if not isinstance(query, ast.SelectQuery) or query.where is None:
-        return []
+        return False, []
     key_columns = [_plain_column(expression) for expression in query.group_by]
     if not key_columns or None in key_columns:
-        return []
+        return False, []
     predicates = _plan_predicates(query, True)
     if predicates is None or any(
         relation.column_array(name) is None
         for predicate in predicates
         for name in predicate.columns
     ):
-        return []
+        return False, []
     terms = ast.conjunction_terms(query.where)
     proven, refuted = zone_verdicts(predicates, relation, relation.stats().column)
+    if refuted is not None:
+        return False, []
     left = [i for i in range(len(terms)) if i not in proven]
-    if refuted is not None or not all(
-        key_decidable(predicates[i], relation, key_columns) for i in left
-    ):
-        return []
-    return [terms[i] for i in left]
+    decided = all(key_decidable(predicates[i], relation, key_columns) for i in left)
+    return decided, [terms[i] for i in left]
 
 
 class _ColumnView(dict):
@@ -1736,9 +1824,9 @@ def _select_rows(executor, query: ast.Query, parent=None):
     """``(plan, relation, sel, groups)`` for a columnar run of ``query``, or
     None (the bail recorded) to use the row path.
 
-    ``groups`` is the ``(keys, members)`` a grouped scan takes whole from
-    the relation's group index under zone maps (:func:`whole_groups`),
-    else None and ``sel`` holds the selected rows.
+    ``groups`` is the ``(keys, members)`` a grouped scan cuts from the
+    relation's group index under zone maps (:func:`index_groups`), else
+    None and ``sel`` holds the selected rows.
     """
     plan = plan_select(executor, query)
     if plan is None:
@@ -1756,7 +1844,7 @@ def _select_rows(executor, query: ast.Query, parent=None):
         if predicates is None:
             return plan, relation, [], None
         if grouped and plan.key_columns and config.zone_maps:
-            groups = whole_groups(predicates, relation, plan.key_columns)
+            groups = index_groups(predicates, relation, plan.key_columns)
             if groups is not None:
                 return plan, relation, None, groups
         sel = _apply_predicates(predicates, relation, config.optimizer)
@@ -1908,7 +1996,7 @@ def _scan_groups(
     relation: Relation,
     sel: Optional[List[int]],
     phase: str,
-    groups: Optional[WholeGroups] = None,
+    groups: Optional[IndexGroups] = None,
 ):
     """Group the selected rows (or take ``groups``, see
     :func:`_select_rows`), then ``phase`` (``"partial"`` or ``"result"``)
@@ -1974,7 +2062,7 @@ def _execute_grouped(
     relation: Relation,
     parent,
     sel: Optional[List[int]],
-    groups: Optional[WholeGroups],
+    groups: Optional[IndexGroups],
 ) -> Optional[Relation]:
     scanned = _scan_groups(plan, relation, sel, "result", groups)
     if scanned is None:
@@ -2077,3 +2165,4 @@ _registry.probe("engine.zone.pruned_partitions", lambda: stats.zone_pruned)
 _registry.probe("engine.vectorized.whole_groups", lambda: stats.whole_groups)
 _registry.probe("engine.group_index.builds", lambda: stats.group_index_builds)
 _registry.probe("engine.group_index.key_conjuncts", lambda: stats.key_conjuncts)
+_registry.probe("engine.group_index.split_scans", lambda: stats.split_scans)

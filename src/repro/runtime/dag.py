@@ -79,8 +79,8 @@ from repro.engine.schema import ColumnDef, Schema
 from repro.engine.table import Relation, fit_backing
 from repro.engine.types import DataType
 from repro.engine.vectorized import (
+    index_scan_terms,
     is_grouped,
-    key_decided_terms,
     where_conjuncts,
     zone_verdicts,
 )
@@ -344,7 +344,8 @@ def merge_views(
     reads ``inner_name`` unaliased, with no DISTINCT, LIMIT/OFFSET,
     subquery or qualified column; it may group, which is how a leaf
     partial aggregation takes the merged query.  Over a column list,
-    ``outer`` must read every listed column and nothing else, and no item
+    ``outer`` must read every listed column and nothing else (an ORDER BY
+    column naming one of its outputs reads that output), and no item
     alias of ``outer`` may shadow one, so the merged query still resolves
     — and fails on — exactly the columns the chain did.
 
@@ -377,7 +378,16 @@ def merge_views(
         provided = [item.expression.name.lower() for item in inner.items]
         if len(set(provided)) != len(provided):
             return None
-        referenced = {column.name.lower() for column in outer_columns}
+        # An ORDER BY column naming an output of ``outer`` reads that
+        # output, not an input column (``ORDER BY n`` over ``COUNT(*) AS
+        # n``); one that also names an input column still counts, so the
+        # shadowing check below refuses it.
+        order_aliases = ast.order_by_aliases(outer)
+        referenced = {
+            column.name.lower()
+            for column in outer_columns
+            if id(column) not in order_aliases or column.name.lower() in provided
+        }
         if stars:
             referenced.update(provided)  # the star reads every listed column
         aliases = {item.alias.lower() for item in outer.items if item.alias}
@@ -819,17 +829,18 @@ class StageTask(Task):
         level = topology.node(self.node).level
         return self.resident and not self.features() <= permitted_features(level)
 
-    def key_decided(self, network: NetworkSimulator) -> Tuple[str, ...]:
-        """WHERE conjuncts this task's grouped scan of its resident chunk
-        evaluates once per group, not per row
-        (:func:`~repro.engine.vectorized.key_decided_terms`)."""
+    def index_scan(self, network: NetworkSimulator) -> Tuple[bool, Tuple[str, ...]]:
+        """How this task's grouped scan of its resident chunk uses the
+        chunk's group index: whether its WHERE conjuncts are decided once
+        per group, and those conjuncts, rendered
+        (:func:`~repro.engine.vectorized.index_scan_terms`)."""
         if self.op not in ("query", "partial") or not self.resident:
-            return ()
+            return False, ()
         database = network.database(self.node)
         if self.base not in database:
-            return ()
-        terms = key_decided_terms(self.query, database.table(self.base))
-        return tuple(render_expression(term) for term in terms)
+            return False, ()
+        decided, terms = index_scan_terms(self.query, database.table(self.base))
+        return decided, tuple(render_expression(term) for term in terms)
 
     def features(self) -> FrozenSet[str]:
         """The Table 1 features of the work this task runs on its node.

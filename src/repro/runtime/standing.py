@@ -16,10 +16,10 @@ This module turns PR 3's mergeable partial-state protocol
   per level along the placement :func:`repro.runtime.dag.lift_node_groups`
   computes — the same shape the DAG scheduler would build, but *kept alive*
   between refreshes.  States are stored decoded, so a refresh never
-  unpacks one; each state is packed through the wire codec
-  (:func:`repro.engine.wire.pack_state_relation`) once when it changes,
-  only so the recorded ``standing.state_bytes`` are honest shipped-size
-  bytes.
+  unpacks one.  The ``standing.state_bytes`` probe reports honest
+  shipped-size bytes: a state is packed through the wire codec
+  (:func:`repro.engine.wire.pack_state_relation`) only when a snapshot
+  reads its size, at most once per stored state.
 * On each arriving chunk the runtime appends it at the **end** of the
   owning leaf's partition (``NetworkSimulator.append_to_partition``),
   folds a partial state over only the delta rows into the stored leaf
@@ -54,9 +54,11 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
 from contextlib import nullcontext
 from typing import (
     Any,
+    Callable,
     ContextManager,
     Dict,
     List,
@@ -233,7 +235,8 @@ class _StateTree:
         #: appliance that received its own chunk), so its leaf state and
         #: the state it combines for its children live under two keys.
         self.states: Dict[Tuple[int, str], Relation] = {}
-        #: Packed (wire-codec) size of every stored state, keyed alike.
+        #: Packed (wire-codec) size of the stored states whose size was
+        #: read, keyed alike (:meth:`state_bytes`).
         self._packed_sizes: Dict[Tuple[int, str], int] = {}
         #: Per-level combine placement, computed from
         #: :func:`lift_node_groups` (the DAG scheduler's lifting rule):
@@ -249,9 +252,9 @@ class _StateTree:
 
     # -- state storage --------------------------------------------------
     def _store(self, level: int, node: str, state: Relation) -> None:
-        """Keep ``state`` decoded; pack it once, only to charge its bytes."""
+        """Keep ``state`` decoded; its bytes are counted on demand."""
         self.states[(level, node)] = state
-        self._packed_sizes[(level, node)] = len(pack_state_relation(state))
+        self._packed_sizes.pop((level, node), None)
         self._groups = None
 
     # -- construction ---------------------------------------------------
@@ -281,7 +284,8 @@ class _StateTree:
         ]
         self.levels = []
         for key in [key for key in self.states if key[0] > 0]:
-            del self.states[key], self._packed_sizes[key]
+            del self.states[key]
+            self._packed_sizes.pop(key, None)
         self._groups = None
         current = list(holders)
         while len(current) > 1:
@@ -381,8 +385,33 @@ class _StateTree:
         return self.runtime.network.database(self.runtime.topology.cloud.name)
 
     def state_bytes(self) -> int:
-        """Total packed size of every stored state (wire-codec bytes)."""
-        return sum(self._packed_sizes.values())
+        """Total packed size of every stored state (wire-codec bytes).
+
+        A state is packed the first time its size is read and never again
+        while it is stored.
+        """
+        sizes = self._packed_sizes
+        total = 0
+        for key, state in self.states.items():
+            size = sizes.get(key)
+            if size is None:
+                size = sizes[key] = len(pack_state_relation(state))
+            total += size
+        return total
+
+
+def _state_bytes_probe(
+    runtime: "weakref.ReferenceType[StandingQueryRuntime]",
+) -> Callable[[], int]:
+    """A probe reading ``runtime``'s state bytes, 0 once it is gone; it
+    holds the runtime weakly, so the process-wide registry keeps no
+    network alive."""
+
+    def probe() -> int:
+        live = runtime()
+        return 0 if live is None else live.state_bytes()
+
+    return probe
 
 
 class StandingQueryRuntime:
@@ -414,6 +443,10 @@ class StandingQueryRuntime:
         self._next_tree_id = 0
         self._next_query_id = 0
         self._last_refresh_span_id: Optional[int] = None
+        #: ``standing.state_bytes`` while this runtime is the last to
+        #: register or refresh: read at snapshot time, so no refresh packs
+        #: a state only to count its bytes.
+        self._state_bytes_probe = _state_bytes_probe(weakref.ref(self))
 
     @property
     def engine(self) -> EngineConfig:
@@ -500,7 +533,7 @@ class StandingQueryRuntime:
                 _metrics.counter("standing.shared_attach").inc()
             _metrics.gauge("standing.trees").set(self.tree_count)
             _metrics.gauge("standing.subscribers").set(len(self._handles))
-            self._record_state_bytes()
+            self._report_state_bytes()
             return handle
 
     def _attach_tree(
@@ -629,7 +662,7 @@ class StandingQueryRuntime:
                 _metrics.histogram("standing.refresh_seconds").observe(
                     time.perf_counter() - started
                 )
-                self._record_state_bytes()
+                self._report_state_bytes()
             except BaseException:
                 if span is not None:
                     self.trace.finish(span, status="error")
@@ -668,9 +701,14 @@ class StandingQueryRuntime:
             if tree.table.lower() == wanted
         ]
 
-    def _record_state_bytes(self) -> None:
-        total = sum(tree.state_bytes() for tree in self._trees_for_all())
-        _metrics.gauge("standing.state_bytes").set(total)
+    def state_bytes(self) -> int:
+        """Total packed size of every state of every tree (wire-codec bytes)."""
+        with self._lock:
+            return sum(tree.state_bytes() for tree in self._trees_for_all())
+
+    def _report_state_bytes(self) -> None:
+        """Make this runtime the one ``standing.state_bytes`` reports on."""
+        _metrics.probe("standing.state_bytes", self._state_bytes_probe)
 
     def _trees_for_all(self) -> List[_StateTree]:
         return [tree for trees in self._trees.values() for tree in trees]

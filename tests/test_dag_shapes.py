@@ -58,6 +58,13 @@ TOPOLOGIES = {
 
 JOIN_SQL = "SELECT a.x, b.y FROM d a JOIN d b ON a.t = b.t WHERE a.z < 1.0"
 
+#: A grouped query ordered by an output alias (``n``), which reads no
+#: input column.
+ORDER_ALIAS_SQL = (
+    "SELECT x, y, COUNT(*) AS n FROM d WHERE x > -1 AND y <> 2 GROUP BY x, y "
+    "HAVING COUNT(*) > 3 ORDER BY n DESC, x, y"
+)
+
 #: The sensors filter the time window and ``z``; ``x > y`` and the
 #: projection run one level up.
 BETWEEN_SQL = "SELECT x, y, t FROM d WHERE t BETWEEN 10 AND 15 AND x > y AND z > -1"
@@ -67,6 +74,7 @@ BETWEEN_SQL = "SELECT x, y, t FROM d WHERE t BETWEEN 10 AND 15 AND x > y AND z >
 CELLS = {
     "chain_paper": ("chain", "ActionFilter", PAPER_SQL, {}),
     "chain_groupby": ("chain", "Occupancy", GROUPBY_SQL, {}),
+    "chain_order_alias": ("chain", None, ORDER_ALIAS_SQL, {}),
     "chain_join": ("chain", None, JOIN_SQL, {}),
     "tree8_fanout_union": ("tree8", None, RAW_WORKLOADS[0], {"anonymize": False}),
     "tree8_frontend": (
@@ -156,6 +164,13 @@ EXPECTED = {
     # d1 and d2 run inside the sensor's leaf partial of d3: only group
     # states leave the chain's lone resident chunk.
     "chain_groupby": [
+        "t001:d3~partial[sensor] partial @sensor",
+        "t002:d3~finalize finalize_agg @appliance t001",
+        "t003:anonymize anonymize @appliance t002",
+        "t004:finalize finalize @cloud t003",
+    ],
+    # ORDER BY n reads the item, so d2 merges into the leaf partial too.
+    "chain_order_alias": [
         "t001:d3~partial[sensor] partial @sensor",
         "t002:d3~finalize finalize_agg @appliance t001",
         "t003:anonymize anonymize @appliance t002",
@@ -562,6 +577,13 @@ def test_refused_merge_on_the_chain_keeps_the_single_hop():
             "SELECT x, AVG(z) AS az FROM d1 WHERE x > 1 GROUP BY x HAVING COUNT(*) > 2",
             "SELECT x, AVG(z) AS az FROM d WHERE z < 2 AND x > 1 GROUP BY x "
             "HAVING COUNT(*) > 2",
+        ),
+        # ORDER BY n names an output, not a listed column.
+        (
+            "SELECT x, y FROM d WHERE x > -1",
+            "SELECT x, y, COUNT(*) AS n FROM d1 GROUP BY x, y ORDER BY n DESC, x",
+            "SELECT x, y, COUNT(*) AS n FROM d WHERE x > -1 GROUP BY x, y "
+            "ORDER BY n DESC, x",
         ),
     ],
 )

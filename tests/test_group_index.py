@@ -1,13 +1,17 @@
-"""Group indexes: whole-group scans must change no result and no error.
+"""Group indexes: whole-group and split scans must change no result and
+no error.
 
 A grouped scan under zone maps takes whole groups from its relation's
 group index when every WHERE conjunct the zone map leaves reads only
 typed key columns (:func:`repro.engine.vectorized.whole_groups`); each
-such conjunct runs once per group.  These tests hold that path to the
-scans without it (``optimizer=False``, the interpreted engine and the
-reference) by ``pack_relation`` bytes and by error, check which
-conjuncts may take it, and check the index itself: its builds, its
-inheritance by appended chunks, and its freshness after every mutation.
+such conjunct runs once per group.  Otherwise it filters group-ordered
+copies of the columns its conjuncts read and splits the selection at the
+index's group bounds (:func:`repro.engine.vectorized.split_groups`).
+These tests hold both paths to the scans without them (``optimizer=False``,
+the interpreted engine and the reference) by ``pack_relation`` bytes and
+by error, check which conjuncts take which path, and check the index
+itself: its builds, its inheritance by appended chunks, and its freshness
+after every mutation.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from repro.engine.groups import GroupIndex, group_rows
 from repro.engine.schema import ColumnDef, Schema
 from repro.engine.table import Relation
 from repro.engine.types import DataType
-from repro.engine.vectorized import stats as scan_stats
+from repro.engine.vectorized import stats as scan_stats, where_conjuncts
 from repro.engine.wire import pack_relation
 from repro.fragment.topology import Topology
 from repro.obs.metrics import registry
@@ -192,9 +196,7 @@ def outcome(run):
         return (type(error).__name__, str(error))
 
 
-@given(relations(), queries(), st.booleans())
-@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_whole_group_scans_change_no_result_and_no_error(relation, query, cache_stats):
+def assert_index_scans_agree(relation, query, cache_stats):
     """The grouped SELECT and its partial run three times under zone maps
     (the second scan builds the index, the third reuses it) and equal
     ``optimizer=False`` and interpreted by bytes and by error."""
@@ -208,6 +210,22 @@ def test_whole_group_scans_change_no_result_and_no_error(relation, query, cache_
         assert outcome(lambda: run(query, CONFIGS["no_optimizer"])) == expected
         for _ in range(3):
             assert outcome(lambda: run(query, CONFIGS["zone_maps"])) == expected
+
+
+@given(relations(), queries(), st.booleans())
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_whole_group_scans_change_no_result_and_no_error(relation, query, cache_stats):
+    assert_index_scans_agree(relation, query, cache_stats)
+
+
+@given(relations(), queries(columns=COLUMNS + ("v",)), st.booleans())
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_split_scans_change_no_result_and_no_error(relation, query, cache_stats):
+    """Conjuncts over any column, ``v`` and the generic ``m`` included, so
+    most scans split at group bounds: a key column's group may open with
+    -0.0 before 0.0 or with 1 before 1.0 and True, and its first row may
+    fail a conjunct."""
+    assert_index_scans_agree(relation, query, cache_stats)
 
 
 @given(
@@ -332,6 +350,105 @@ def test_other_conjuncts_keep_the_row_scan(keys, where):
     assert _scan_counts() == before
 
 
+def _split_count():
+    return scan_stats.split_scans
+
+
+@pytest.mark.parametrize("keys, where", NOT_DECIDED)
+def test_other_conjuncts_split_at_group_bounds(keys, where):
+    """The conjuncts no group decides filter group-ordered copies from the
+    second scan on; one that raises, or one outside the scan's vocabulary
+    (a CAST), leaves the scan to the row path."""
+    database = Database()
+    database.register("d", fixed_relation())
+    sql = f"SELECT {keys}, COUNT(*) AS c, SUM(v) AS sv FROM d WHERE {where} GROUP BY {keys}"
+    expected = outcome(lambda: database.query(sql, CONFIGS["interpreted"]))
+    before = _split_count()
+    for _ in range(3):
+        assert outcome(lambda: database.query(sql)) == expected
+    row_path = isinstance(expected, tuple) or None in where_conjuncts(parse(sql))
+    assert _split_count() == before + (0 if row_path else 2)
+
+
+def split_relation() -> Relation:
+    """Groups whose first row fails ``v > 3``: ``f`` opens with 0.0 before
+    -0.0 and holds NaNs, the generic ``m`` opens with 1 before 1.0 and
+    True, ``n`` holds NULLs; ``m < 5`` raises on the row holding 'a'."""
+    cells = [
+        # f, m, n, s, v
+        (0.0, 1, None, "first", 0.0),
+        (-0.0, 1.0, None, "second", 5.0),
+        (math.nan, True, 1, "third", 4.0),
+        (0.0, 1, 1, "fourth", 6.0),
+        (math.nan, "a", None, "fifth", 1.0),
+        (-0.0, True, 2, "sixth", 4.5),
+        (1.5, 2, 2, "seventh", 2.0),
+        (1.5, 2.0, None, "eighth", 3.5),
+    ]
+    rows = [
+        {"i": index % 2, "f": f, "g": 0.0, "n": n, "b": True, "s": text, "m": m, "v": v}
+        for index, (f, m, n, text, v) in enumerate(cells)
+    ]
+    return Relation.from_rows(rows, name="d", schema=SCHEMA)
+
+
+SPLIT_CASES = [
+    # The key and the bare column come from each group's first passing row.
+    ("f", "v > 3"),
+    ("m", "v > 3"),
+    ("n", "v > 3"),
+    ("f, m", "v > 3"),
+    ("f, n", "v >= 4.5"),
+    # The NULL group opens first but passes its first row after n = 1's.
+    ("n", "v > 0.5 AND v < 4.2"),
+    # Mixed key and non-key conjuncts.
+    ("f", "f >= 0 AND v > 3"),
+    ("i, m", "i = 0 AND v > 1"),
+    # A conjunct raising on some rows: written second, it never sees 'a';
+    # written first, it raises on every path.
+    ("m", "v > 3 AND m < 5"),
+    ("m", "m < 5 AND v > 3"),
+    # Every row fails.
+    ("f", "s = 'none'"),
+]
+
+
+@pytest.mark.parametrize("keys, where", SPLIT_CASES)
+def test_split_scans_take_each_group_from_its_first_passing_row(keys, where):
+    sql = f"SELECT {keys}, s, COUNT(*) AS c, SUM(v) AS sv FROM d WHERE {where} GROUP BY {keys}"
+    for method in ("query", "partial_aggregate"):
+        database = Database()
+        database.register("d", split_relation())
+        run = getattr(database, method)
+        expected = outcome(lambda: run(sql, CONFIGS["interpreted"]))
+        assert outcome(lambda: run(sql, CONFIGS["no_optimizer"])) == expected
+        before = _split_count()
+        for _ in range(3):
+            assert outcome(lambda: run(sql, CONFIGS["zone_maps"])) == expected
+        raises = isinstance(expected, tuple)
+        assert _split_count() == before + (0 if raises else 2)
+    if keys == "f" and where == "v > 3":
+        # -0.0 opens the group its first row (0.0) fails to enter.
+        result = database.query(sql)
+        first = result.column_values("f")[0]
+        assert first == 0.0 and math.copysign(1.0, first) == -1.0
+        assert result.column_values("s")[:2] == ["second", "third"]
+
+
+def test_a_split_scan_asks_once_and_builds_on_the_second_scan():
+    database = Database()
+    database.register("d", fixed_relation())
+    sql = "SELECT i, COUNT(*) AS c FROM d WHERE v > 3 GROUP BY i"
+    splits, builds = _split_count(), scan_stats.group_index_builds
+    database.query(sql)  # records the ask
+    assert (_split_count(), scan_stats.group_index_builds) == (splits, builds)
+    assert database.table("d").cached_group_index(("i",)) is None
+    database.query(sql)
+    assert (_split_count(), scan_stats.group_index_builds) == (splits + 1, builds + 1)
+    database.query(sql)
+    assert (_split_count(), scan_stats.group_index_builds) == (splits + 2, builds + 1)
+
+
 def test_no_whole_groups_without_zone_maps():
     database = Database()
     database.register("d", fixed_relation())
@@ -373,6 +490,8 @@ def _index_state(index: GroupIndex):
         [list(rows) for rows in index.members],
         index.rows,
         _relation_state(index.key_relation),
+        list(index.order),
+        index.bounds,
     )
 
 
@@ -413,6 +532,11 @@ def test_built_index_is_the_scan_partition(keys):
     firsts = [rows[0] for rows in groups.values()]
     expected = relation.project(list(dict.fromkeys(keys))).take_rows(firsts)
     assert _relation_state(index.key_relation) == _relation_state(expected)
+    # The row order is the members one group after another.
+    assert list(index.order) == [row for rows in groups.values() for row in rows]
+    assert [
+        list(index.order[start:stop]) for start, stop in zip(index.bounds, index.bounds[1:])
+    ] == list(groups.values())
 
 
 def _sensor_tree() -> ParadiseProcessor:
@@ -493,6 +617,24 @@ def test_a_dropped_relation_needs_no_cyclic_collection():
         gc.enable()
 
 
+def test_group_ordered_copies_keep_no_reference_to_their_relation():
+    relation = fixed_relation()
+    for _ in range(2):
+        relation.group_index(("i",), GroupIndex.build)
+    index = relation.cached_group_index(("i",))
+    ordered = index.ordered(relation, ["v", "s", "b"])
+    assert list(ordered["v"]) == [relation.column_array("v")[row] for row in index.order]
+    assert index.ordered(relation, ["v"])["v"] is ordered["v"]
+    del ordered, index
+    gc.collect()
+    gc.disable()
+    try:
+        del relation
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 # ---------------------------------------------------------------------------
 # freshness: every public mutation drops the index
 # ---------------------------------------------------------------------------
@@ -556,6 +698,19 @@ PROCESS_SQL = [
     "SELECT valid, COUNT(*) AS n, SUM(z) AS sz FROM d WHERE NOT valid GROUP BY valid",
     "SELECT x, y, COUNT(*) AS n FROM d WHERE x > -1 AND y <> 2 GROUP BY x, y "
     "HAVING COUNT(*) > 3",
+    # ORDER BY an output alias: the leaf partial still reads the chunk.
+    "SELECT x, y, COUNT(*) AS n FROM d WHERE x > -1 AND y <> 2 GROUP BY x, y "
+    "HAVING COUNT(*) > 3 ORDER BY n DESC, x, y",
+]
+
+#: Queries whose leaf partials split at group bounds: a non-key conjunct
+#: (the e2e group-by's ``valid``), and one beside a key conjunct with a
+#: first-value column.
+SPLIT_PROCESS_SQL = [
+    "SELECT activity, person_id, COUNT(*) AS n, AVG(z) AS az, MIN(t) AS lo FROM d "
+    "WHERE valid GROUP BY activity, person_id",
+    "SELECT x, y, t, COUNT(*) AS n FROM d WHERE z < 1.5 AND x > y GROUP BY x, y "
+    "HAVING COUNT(*) > 2 ORDER BY n DESC, x, y",
 ]
 
 #: Topology and its sensor count: one leaf partial per sensor.
@@ -589,6 +744,34 @@ def test_process_takes_whole_groups_and_matches_the_reference(sql, topology, exe
             assert pack_relation(run.result) == expected, name
         taken = 2 * sensors if name == "zone_maps" else 0
         assert scan_stats.whole_groups == whole + taken, name
+    if execution == "parallel":
+        assert run.runtime.workers > 1
+
+
+@pytest.mark.parametrize("sql", SPLIT_PROCESS_SQL)
+@pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+@pytest.mark.parametrize("execution", ["serial", "parallel"])
+def test_process_splits_groups_and_matches_the_reference(sql, topology, execution):
+    """Every leaf partial splits its filtered copy at group bounds from the
+    second run on."""
+    make_topology, sensors = TOPOLOGIES[topology]
+    processor = ParadiseProcessor(
+        figure4_policy(),
+        topology=make_topology(),
+        execution=execution,
+        cost_model=CostModel(seconds_per_row=1e-6) if execution == "parallel" else None,
+    )
+    processor.load_data(make_sensor_relation(2400, grid=2.0))
+    options = {"apply_rewriting": False, "anonymize": False}
+    expected = pack_relation(reference_result(processor, sql, "ActionFilter", **options))
+    for name, config in CONFIGS.items():
+        processor.engine = config
+        splits = _split_count()
+        for _ in range(3):
+            run = processor.process(sql, "ActionFilter", **options)
+            assert pack_relation(run.result) == expected, name
+        taken = 2 * sensors if name == "zone_maps" else 0
+        assert _split_count() == splits + taken, name
     if execution == "parallel":
         assert run.runtime.workers > 1
 
@@ -659,3 +842,22 @@ def test_probes_and_profile_scan_paths():
         "engine.group_index.key_conjuncts",
     ):
         assert probe in snapshot
+
+
+def test_split_scans_in_explain_probes_and_profile():
+    processor = ParadiseProcessor(figure4_policy(), topology=Topology.default_chain())
+    processor.load_data(make_sensor_relation(400))
+    sql = "SELECT x, y, AVG(z) AS az FROM d WHERE z < 2 AND valid GROUP BY x, y"
+    text = processor.explain(sql, "ActionFilter", apply_rewriting=False)
+    assert "[zone map proves z < 2] [group index splits on valid]" in text
+    assert "group keys decide" not in text
+    options = {"apply_rewriting": False, "anonymize": False}
+    processor.process(sql, "ActionFilter", **options)
+    build = processor.process(sql, "ActionFilter", profile=True, **options)
+    assert build.profile.scan_paths["group_index.split_scans"] == 1
+    assert "whole_groups" not in build.profile.scan_paths
+    assert "group_index.split_scans: 1" in build.profile.render()
+    assert "engine.group_index.split_scans" in registry.snapshot()
+    processor.engine = CONFIGS["no_optimizer"]
+    text = processor.explain(sql, "ActionFilter", apply_rewriting=False)
+    assert "group index splits" not in text

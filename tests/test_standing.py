@@ -523,6 +523,39 @@ def test_state_bytes_metric_is_packed_size_of_current_states():
         assert registry.snapshot(prefix="standing.")["standing.state_bytes"] == packed
 
 
+def test_state_bytes_are_packed_only_when_read(monkeypatch):
+    """Refreshes pack no state; a read packs each changed state once and
+    reports the packed size of the stored states."""
+    from repro.runtime import standing as standing_module
+
+    packed = []
+
+    def counting_pack(state):
+        packed.append(state)
+        return pack_state_relation(state)
+
+    monkeypatch.setattr(standing_module, "pack_state_relation", counting_pack)
+    runtime = StandingQueryRuntime(build_tree_processor())
+    runtime.register(STANDING_SQL)
+    runtime.register(SHARED_FINALIZE_SQL[0])
+    holders = runtime.network.partition_holders("d")
+    for index, delta in enumerate(feed_chunks(rows=40, chunk=10, seed=7)):
+        runtime.append(holders[index], delta)
+    assert packed == []
+    states = [state for tree in runtime._trees_for_all() for state in tree.states.values()]
+    expected = sum(len(pack_state_relation(state)) for state in states)
+    assert registry.snapshot(prefix="standing.")["standing.state_bytes"] == expected
+    assert len(packed) == len(states)
+    assert registry.value("standing.state_bytes") == expected
+    assert len(packed) == len(states)  # sizes are kept until a state changes
+    runtime.append(holders[0], feed_chunks(rows=5, chunk=5, seed=8)[0])
+    assert len(packed) == len(states)
+    refreshed = [state for tree in runtime._trees_for_all() for state in tree.states.values()]
+    assert runtime.state_bytes() == sum(len(pack_state_relation(s)) for s in refreshed)
+    changed = sum(1 for state in refreshed if all(state is not old for old in states))
+    assert changed and len(packed) == len(states) + changed
+
+
 def test_session_front_end_shares_across_registrations():
     processor = build_tree_processor()
     front_end = SessionFrontEnd(processor)
