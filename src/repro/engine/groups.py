@@ -17,13 +17,13 @@ the vectorized scan evaluates it there, once per group, and takes the
 passing groups whole (:func:`repro.engine.vectorized.whole_groups`).
 
 Any other conjunct is evaluated per row, but need not be followed by a
-hash per selected row.  The index keeps its *row order* (every group's
-members, one group after another) and the *bounds* where each group
-starts in it, and builds on demand a group-ordered copy of each column a
+hash per selected row.  On demand the index builds its *row order*
+(every group's members, one group after another), the *bounds* where
+each group starts in it, and a group-ordered copy of each column a
 conjunct reads (:meth:`GroupIndex.ordered`) — a projection sorted on the
 grouping keys, as in C-Store (Stonebraker et al., VLDB 2005).  The scan
 filters the copy, whose ascending selection cuts into groups at the
-bounds (:func:`repro.engine.vectorized.split_groups`).  The copies live
+bounds (:func:`repro.engine.vectorized.split_groups`).  All three live
 and die with the index.
 """
 
@@ -78,14 +78,27 @@ def group_rows(
     return groups
 
 
-def row_key(relation: Relation, key_columns: Sequence[str], row: int) -> Tuple[Any, ...]:
-    """Row ``row``'s group key under :func:`group_rows`' rule: the raw
+def row_keys(
+    relation: Relation, key_columns: Sequence[str], rows: Sequence[int]
+) -> List[Tuple[Any, ...]]:
+    """The group keys of ``rows`` under :func:`group_rows`' rule: the raw
     key values while hashable, else their frozen form."""
-    key = tuple(relation.column_array(name)[row] for name in key_columns)
+
+    def cells(column):
+        # The cells group_rows reads: NULL-free int64/float64 buffers
+        # unboxed, every other column through its own items.
+        if isinstance(column, TypedColumn) and column.typecode != BOOL and not column.null_count:
+            column = column.data_array()
+        return gather(column, rows)
+
+    return [_hashable(key) for key in zip(*map(cells, map(relation.column_array, key_columns)))]
+
+
+def _hashable(key: Tuple[Any, ...]) -> Tuple[Any, ...]:
     try:
         hash(key)
     except TypeError:
-        key = tuple(freeze_value(value) for value in key)
+        return tuple(freeze_value(value) for value in key)
     return key
 
 
@@ -96,24 +109,15 @@ class GroupIndex:
     those rows (keys and ascending row indices, in first-occurrence
     order), each group's indices held as one ``array('q')``: 8 bytes a
     row, where a list of ints costs 36.  ``key_relation`` holds each
-    group's key values, one row per group in the same order.  ``order``
-    is the members concatenated, and group ``g`` is
-    ``order[bounds[g]:bounds[g + 1]]``.  Read-only once built, but for
-    the group-ordered column copies :meth:`ordered` adds: scans share it.
-    It holds no reference to its relation, so a dropped relation is freed
-    at once.
+    group's key values, one row per group in the same order.  The row
+    order (:attr:`order`, :attr:`bounds`) and the group-ordered column
+    copies (:meth:`ordered`) are built the first time a split scan needs
+    them, so an index only whole-group scans read holds neither.
+    Read-only but for those: scans share it.  It holds no reference to
+    its relation, so a dropped relation is freed at once.
     """
 
-    __slots__ = (
-        "key_columns",
-        "keys",
-        "members",
-        "rows",
-        "key_relation",
-        "order",
-        "bounds",
-        "_ordered",
-    )
+    __slots__ = ("key_columns", "keys", "members", "rows", "key_relation", "_layout", "_ordered")
 
     def __init__(
         self,
@@ -132,14 +136,31 @@ class GroupIndex:
             relation.schema.project(names),
             [take_column(relation.column_array(name), firsts) for name in names],
         )
-        order = array("q")
-        bounds = [0]
-        for rows in members:
-            order.extend(rows)
-            bounds.append(len(order))
-        self.order = order
-        self.bounds = bounds
+        self._layout: Optional[Tuple[array, List[int]]] = None
         self._ordered: Dict[str, Any] = {}
+
+    def _row_layout(self) -> Tuple[array, List[int]]:
+        # Racing scans at worst both build it; the two are equal.
+        layout = self._layout
+        if layout is None:
+            order = array("q")
+            bounds = [0]
+            for rows in self.members:
+                order.extend(rows)
+                bounds.append(len(order))
+            layout = self._layout = (order, bounds)
+        return layout
+
+    @property
+    def order(self) -> array:
+        """The members concatenated, one group after another."""
+        return self._row_layout()[0]
+
+    @property
+    def bounds(self) -> List[int]:
+        """Where each group starts in :attr:`order`, then its length:
+        group ``g`` is ``order[bounds[g]:bounds[g + 1]]``."""
+        return self._row_layout()[1]
 
     def ordered(self, relation: Relation, names: Iterable[str]) -> Dict[str, Any]:
         """``relation``'s columns ``names`` in row order (see :attr:`order`),

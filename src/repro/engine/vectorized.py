@@ -72,7 +72,7 @@ from repro.engine.aggregates import FINALIZE_ERRORS, GroupedColumn, aggregate_co
 from repro.engine.columns import BOOL, INT64, TypedColumn, gather, take_column
 from repro.engine.errors import ExecutionError
 from repro.engine.evaluator import _like_to_regex
-from repro.engine.groups import GroupIndex, group_rows, row_key
+from repro.engine.groups import GroupIndex, group_rows, row_keys
 from repro.engine.schema import ColumnDef, Schema
 from repro.engine.stats import ColumnStats, TableStats, optimizer_stats
 from repro.engine.table import Relation, _OrderKey, fit_backing, freeze_value
@@ -1464,10 +1464,11 @@ def split_groups(
     selection of positions is cut at the index's group bounds and mapped
     back to rows through its row order: each group's passing rows,
     ascending.  Groups are ordered by their first passing row, and each
-    key comes from that row (:func:`~repro.engine.groups.row_key`): the
+    key comes from that row (:func:`~repro.engine.groups.row_keys`): the
     index's key when that row is the group's first, else the row's own,
     since ``-0.0`` may open a group that ``0.0`` joins, or ``1.0`` one
-    that ``1`` joins.
+    that ``1`` joins.  When no more rows pass than there are groups, the
+    passing rows are hashed instead (:func:`group_rows`).
     """
     names = {name for predicate in predicates for name in predicate.columns}
     try:
@@ -1475,26 +1476,35 @@ def split_groups(
         chosen = _apply_predicates(predicates, relation, True, ordered)
     except Exception:  # noqa: BLE001 - filtering the relation itself re-raises it
         return None
-    stats.split_scans += 1
     if chosen is None:
+        stats.split_scans += 1
         return index.keys, index.members
     rows = gather(index.order, chosen)
-    cuts = list(map(bisect_left, repeat(chosen), index.bounds))
-    spans = sorted(
-        (rows[start], group, start, stop)
-        for group, (start, stop) in enumerate(zip(cuts, cuts[1:]))
-        if start < stop
-    )
-    keys = index.keys
-    members = index.members
-    key_columns = index.key_columns
-    return (
-        [
-            keys[group] if first == members[group][0] else row_key(relation, key_columns, first)
-            for first, group, _, _ in spans
-        ],
-        [rows[start:stop] for _, _, start, stop in spans],
-    )
+    bounds = index.bounds
+    if len(chosen) < len(bounds):
+        # No more passing rows than groups: hashing them costs less than
+        # a bisection per group bound.
+        grouped = group_rows(relation, index.key_columns, sorted(rows))
+        return list(grouped), list(grouped.values())
+    stats.split_scans += 1
+    cuts = list(map(bisect_left, repeat(chosen), bounds))
+    live = list(compress(range(len(bounds) - 1), map(operator.lt, cuts, cuts[1:])))
+    starts = gather(cuts, live)
+    # Empty groups lie between live ones: each live group ends where the
+    # next one starts.
+    stops = [*starts[1:], len(chosen)]
+    firsts = gather(rows, starts)
+    if any(map(operator.gt, firsts, firsts[1:])):
+        by_first = sorted(range(len(live)), key=firsts.__getitem__)
+        live, starts, stops, firsts = (
+            gather(items, by_first) for items in (live, starts, stops, firsts)
+        )
+    keys = list(gather(index.keys, live))
+    opened = gather(index.order, gather(bounds, live))
+    fresh = list(compress(range(len(live)), map(operator.ne, firsts, opened)))
+    for i, key in zip(fresh, row_keys(relation, index.key_columns, gather(firsts, fresh))):
+        keys[i] = key
+    return keys, list(map(rows.__getitem__, map(slice, starts, stops)))
 
 
 def index_scan_terms(

@@ -357,8 +357,9 @@ def _split_count():
 @pytest.mark.parametrize("keys, where", NOT_DECIDED)
 def test_other_conjuncts_split_at_group_bounds(keys, where):
     """The conjuncts no group decides filter group-ordered copies from the
-    second scan on; one that raises, or one outside the scan's vocabulary
-    (a CAST), leaves the scan to the row path."""
+    second scan on and split at group bounds when more rows pass than
+    there are groups; one that raises, or one outside the scan's
+    vocabulary (a CAST), leaves the scan to the row path."""
     database = Database()
     database.register("d", fixed_relation())
     sql = f"SELECT {keys}, COUNT(*) AS c, SUM(v) AS sv FROM d WHERE {where} GROUP BY {keys}"
@@ -367,13 +368,19 @@ def test_other_conjuncts_split_at_group_bounds(keys, where):
     for _ in range(3):
         assert outcome(lambda: database.query(sql)) == expected
     row_path = isinstance(expected, tuple) or None in where_conjuncts(parse(sql))
-    assert _split_count() == before + (0 if row_path else 2)
+    splits = not row_path and database.query(
+        f"SELECT COUNT(*) AS n FROM d WHERE {where}", CONFIGS["interpreted"]
+    ).column_values("n")[0] > len(GroupIndex.build(database.table("d"), (keys,)).keys)
+    # No more passing rows than groups: the passing rows are hashed.
+    assert _split_count() == before + (2 if splits else 0)
 
 
 def split_relation() -> Relation:
     """Groups whose first row fails ``v > 3``: ``f`` opens with 0.0 before
     -0.0 and holds NaNs, the generic ``m`` opens with 1 before 1.0 and
-    True, ``n`` holds NULLs; ``m < 5`` raises on the row holding 'a'."""
+    True, ``n`` holds NULLs; ``m < 5`` raises on the rows holding 'a'.
+    The eight rows repeat with ``v = 9`` (``v = 0.5`` where ``m`` is 'a'),
+    so more rows pass than there are groups and the scans split."""
     cells = [
         # f, m, n, s, v
         (0.0, 1, None, "first", 0.0),
@@ -385,6 +392,7 @@ def split_relation() -> Relation:
         (1.5, 2, 2, "seventh", 2.0),
         (1.5, 2.0, None, "eighth", 3.5),
     ]
+    cells += [(f, m, n, "late", 0.5 if m == "a" else 9.0) for f, m, n, _, _ in cells]
     rows = [
         {"i": index % 2, "f": f, "g": 0.0, "n": n, "b": True, "s": text, "m": m, "v": v}
         for index, (f, m, n, text, v) in enumerate(cells)
@@ -392,29 +400,33 @@ def split_relation() -> Relation:
     return Relation.from_rows(rows, name="d", schema=SCHEMA)
 
 
+#: (keys, WHERE, whether the scans split at group bounds).
 SPLIT_CASES = [
     # The key and the bare column come from each group's first passing row.
-    ("f", "v > 3"),
-    ("m", "v > 3"),
-    ("n", "v > 3"),
-    ("f, m", "v > 3"),
-    ("f, n", "v >= 4.5"),
+    ("f", "v > 3", True),
+    ("m", "v > 3", True),
+    ("n", "v > 3", True),
+    ("f, m", "v > 3", True),
+    ("f, n", "v >= 4.5", True),
     # The NULL group opens first but passes its first row after n = 1's.
-    ("n", "v > 0.5 AND v < 4.2"),
+    ("n", "v > 0.5 AND v < 4.2", True),
     # Mixed key and non-key conjuncts.
-    ("f", "f >= 0 AND v > 3"),
-    ("i, m", "i = 0 AND v > 1"),
+    ("f", "f >= 0 AND v > 3", True),
+    ("i, m", "i = 0 AND v > 0.4", True),
     # A conjunct raising on some rows: written second, it never sees 'a';
     # written first, it raises on every path.
-    ("m", "v > 3 AND m < 5"),
-    ("m", "m < 5 AND v > 3"),
+    ("m", "v > 3 AND m < 5", True),
+    ("m", "m < 5 AND v > 3", False),
+    # No more rows pass than there are groups (NaN rows are one each):
+    # the passing rows are hashed.
+    ("f", "v > 8 AND f <> 0", False),
     # Every row fails.
-    ("f", "s = 'none'"),
+    ("f", "s = 'none'", False),
 ]
 
 
-@pytest.mark.parametrize("keys, where", SPLIT_CASES)
-def test_split_scans_take_each_group_from_its_first_passing_row(keys, where):
+@pytest.mark.parametrize("keys, where, splits", SPLIT_CASES)
+def test_split_scans_take_each_group_from_its_first_passing_row(keys, where, splits):
     sql = f"SELECT {keys}, s, COUNT(*) AS c, SUM(v) AS sv FROM d WHERE {where} GROUP BY {keys}"
     for method in ("query", "partial_aggregate"):
         database = Database()
@@ -425,8 +437,7 @@ def test_split_scans_take_each_group_from_its_first_passing_row(keys, where):
         before = _split_count()
         for _ in range(3):
             assert outcome(lambda: run(sql, CONFIGS["zone_maps"])) == expected
-        raises = isinstance(expected, tuple)
-        assert _split_count() == before + (0 if raises else 2)
+        assert _split_count() == before + (2 if splits else 0)
     if keys == "f" and where == "v > 3":
         # -0.0 opens the group its first row (0.0) fails to enter.
         result = database.query(sql)
@@ -615,6 +626,17 @@ def test_a_dropped_relation_needs_no_cyclic_collection():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_only_split_scans_build_the_row_order_and_copies():
+    database = Database()
+    database.register("d", fixed_relation())
+    for _ in range(3):
+        database.query("SELECT i, COUNT(*) AS c FROM d WHERE i > 0 GROUP BY i")
+    index = database.table("d").cached_group_index(("i",))
+    assert index._layout is None and not index._ordered
+    database.query("SELECT i, COUNT(*) AS c FROM d WHERE v > 3 GROUP BY i")
+    assert index._layout is not None and set(index._ordered) == {"v"}
 
 
 def test_group_ordered_copies_keep_no_reference_to_their_relation():
