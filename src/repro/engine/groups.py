@@ -23,13 +23,17 @@ each group starts in it, and a group-ordered copy of each column a
 conjunct reads (:meth:`GroupIndex.ordered`) — a projection sorted on the
 grouping keys, as in C-Store (Stonebraker et al., VLDB 2005).  The scan
 filters the copy, whose ascending selection cuts into groups at the
-bounds (:func:`repro.engine.vectorized.split_groups`).  All three live
-and die with the index.
+bounds (:meth:`GroupIndex.split`, called by
+:func:`repro.engine.vectorized.split_groups`).  All three live and die
+with the index.
 """
 
 from __future__ import annotations
 
+import operator
 from array import array
+from bisect import bisect_left
+from itertools import compress, repeat
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.engine.columns import BOOL, TypedColumn, gather, take_column
@@ -78,7 +82,7 @@ def group_rows(
     return groups
 
 
-def row_keys(
+def _row_keys(
     relation: Relation, key_columns: Sequence[str], rows: Sequence[int]
 ) -> List[Tuple[Any, ...]]:
     """The group keys of ``rows`` under :func:`group_rows`' rule: the raw
@@ -179,6 +183,41 @@ class GroupIndex:
                 column = copies[name] = take_column(relation.column_array(name), self.order)
             columns[name] = column
         return columns
+
+    def split(
+        self, relation: Relation, chosen: Sequence[int]
+    ) -> Tuple[List[Tuple[Any, ...]], List[Sequence[int]]]:
+        """The keys and members :func:`group_rows` gives over the rows at
+        ascending positions ``chosen`` of :attr:`order` (``relation`` is
+        the indexed one), without hashing a row.
+
+        ``bisect`` cuts ``chosen`` at the group bounds, and the positions
+        map back to rows through the row order: each group's passing rows,
+        ascending.  Groups are ordered by their first passing row, and
+        each key comes from that row: the index's key when that row is the
+        group's first, else the row's own, since ``-0.0`` may open a group
+        that ``0.0`` joins, or ``1.0`` one that ``1`` joins.
+        """
+        order, bounds = self._row_layout()
+        rows = gather(order, chosen)
+        cuts = list(map(bisect_left, repeat(chosen), bounds))
+        live = list(compress(range(len(bounds) - 1), map(operator.lt, cuts, cuts[1:])))
+        starts = gather(cuts, live)
+        # Empty groups lie between live ones: each live group ends where
+        # the next one starts.
+        stops = [*starts[1:], len(chosen)]
+        firsts = gather(rows, starts)
+        if any(map(operator.gt, firsts, firsts[1:])):
+            by_first = sorted(range(len(live)), key=firsts.__getitem__)
+            live, starts, stops, firsts = (
+                gather(items, by_first) for items in (live, starts, stops, firsts)
+            )
+        keys = list(gather(self.keys, live))
+        opened = gather(order, gather(bounds, live))
+        fresh = list(compress(range(len(live)), map(operator.ne, firsts, opened)))
+        for i, key in zip(fresh, _row_keys(relation, self.key_columns, gather(firsts, fresh))):
+            keys[i] = key
+        return keys, list(map(rows.__getitem__, map(slice, starts, stops)))
 
     @classmethod
     def build(cls, relation: Relation, key_columns: Tuple[str, ...]) -> "GroupIndex":

@@ -62,7 +62,6 @@ row-major error, keeping error identity byte-for-byte.
 from __future__ import annotations
 
 import operator
-from bisect import bisect_left
 from enum import Enum
 from functools import lru_cache
 from itertools import chain, compress, repeat
@@ -72,7 +71,7 @@ from repro.engine.aggregates import FINALIZE_ERRORS, GroupedColumn, aggregate_co
 from repro.engine.columns import BOOL, INT64, TypedColumn, gather, take_column
 from repro.engine.errors import ExecutionError
 from repro.engine.evaluator import _like_to_regex
-from repro.engine.groups import GroupIndex, group_rows, row_keys
+from repro.engine.groups import GroupIndex, group_rows
 from repro.engine.schema import ColumnDef, Schema
 from repro.engine.stats import ColumnStats, TableStats, optimizer_stats
 from repro.engine.table import Relation, _OrderKey, fit_backing, freeze_value
@@ -1453,22 +1452,17 @@ def split_groups(
     predicates: Sequence[Any], relation: Relation, index: GroupIndex
 ) -> Optional[IndexGroups]:
     """The ``(keys, members)`` :func:`group_rows` gives over the rows of
-    ``relation`` that pass ``predicates``, without hashing a row; None
-    when a conjunct raised (the caller then filters ``relation`` itself,
-    which raises or abandons exactly as a scan without the index does).
+    ``relation`` that pass ``predicates``; None when a conjunct raised
+    (the caller then filters ``relation`` itself, which raises or
+    abandons exactly as a scan without the index does).
 
     The conjuncts run, in the order the relation's own stats give them,
     over group-ordered copies of the columns they read
     (:meth:`GroupIndex.ordered`).  Both scans evaluate the same (row,
-    conjunct) pairs, so one raises when the other does.  The ascending
-    selection of positions is cut at the index's group bounds and mapped
-    back to rows through its row order: each group's passing rows,
-    ascending.  Groups are ordered by their first passing row, and each
-    key comes from that row (:func:`~repro.engine.groups.row_keys`): the
-    index's key when that row is the group's first, else the row's own,
-    since ``-0.0`` may open a group that ``0.0`` joins, or ``1.0`` one
-    that ``1`` joins.  When no more rows pass than there are groups, the
-    passing rows are hashed instead (:func:`group_rows`).
+    conjunct) pairs, so one raises when the other does.  The index cuts
+    the selection at its group bounds (:meth:`GroupIndex.split`); when no
+    more rows pass than there are groups, the passing rows are hashed
+    instead, which costs less.
     """
     names = {name for predicate in predicates for name in predicate.columns}
     try:
@@ -1479,32 +1473,11 @@ def split_groups(
     if chosen is None:
         stats.split_scans += 1
         return index.keys, index.members
-    rows = gather(index.order, chosen)
-    bounds = index.bounds
-    if len(chosen) < len(bounds):
-        # No more passing rows than groups: hashing them costs less than
-        # a bisection per group bound.
-        grouped = group_rows(relation, index.key_columns, sorted(rows))
+    if len(chosen) <= len(index.keys):
+        grouped = group_rows(relation, index.key_columns, sorted(gather(index.order, chosen)))
         return list(grouped), list(grouped.values())
     stats.split_scans += 1
-    cuts = list(map(bisect_left, repeat(chosen), bounds))
-    live = list(compress(range(len(bounds) - 1), map(operator.lt, cuts, cuts[1:])))
-    starts = gather(cuts, live)
-    # Empty groups lie between live ones: each live group ends where the
-    # next one starts.
-    stops = [*starts[1:], len(chosen)]
-    firsts = gather(rows, starts)
-    if any(map(operator.gt, firsts, firsts[1:])):
-        by_first = sorted(range(len(live)), key=firsts.__getitem__)
-        live, starts, stops, firsts = (
-            gather(items, by_first) for items in (live, starts, stops, firsts)
-        )
-    keys = list(gather(index.keys, live))
-    opened = gather(index.order, gather(bounds, live))
-    fresh = list(compress(range(len(live)), map(operator.ne, firsts, opened)))
-    for i, key in zip(fresh, row_keys(relation, index.key_columns, gather(firsts, fresh))):
-        keys[i] = key
-    return keys, list(map(rows.__getitem__, map(slice, starts, stops)))
+    return index.split(relation, chosen)
 
 
 def index_scan_terms(
