@@ -37,7 +37,8 @@ arrays:
 * **Split groups** (zone maps on): otherwise, a grouped scan over an
   indexed relation filters group-ordered copies of the columns its
   conjuncts read and cuts the ascending selection at the index's group
-  bounds (:func:`split_groups`): no group key is hashed per row.
+  bounds (:func:`split_groups`): no group key is hashed per row unless
+  no more rows pass than there are groups.
 
 Anything outside these shapes (joins, subqueries, window functions,
 qualified references, expression keys...) bails to the executor's
