@@ -4,10 +4,13 @@ The paper's running example uses ``AVG``, ``SUM`` and the SQL:2003 linear
 regression aggregates (``regr_intercept``); the full set below covers the
 aggregates an activity-recognition workload typically needs.
 
-**Exact, order-independent arithmetic.**  ``SUM``/``AVG`` accumulate floats
-as exact Shewchuk expansions (the algorithm behind :func:`math.fsum`) and
-integers as exact int sums; the ``STDDEV``/``VARIANCE`` family keeps exact
-rational moments ``(n, Σx, Σx²)``.  Exactness is what makes these
+**Exact, order-independent arithmetic.**  ``SUM``/``AVG`` keep the exact
+sum of their float inputs as one integer (every finite float is a whole
+multiple of ``2**-1074``) and integers as exact int sums, and export it as
+the canonical float expansion of that sum; the ``STDDEV``/``VARIANCE``
+family keeps exact rational moments ``(n, Σx, Σx²)``.  A float ``SUM`` or
+``AVG`` raises ``OverflowError`` exactly when its correctly rounded total
+is out of float range, whatever the row order.  Exactness is what makes these
 aggregates *decomposable*: partial states computed over disjoint partitions
 of the input merge into bit-for-bit the same result as one pass over the
 whole input, regardless of how the partitions are split or combined.  The
@@ -40,49 +43,17 @@ def _numeric(values: Sequence[Any]) -> List[float]:
     return [float(v) for v in values if v is not None]
 
 
-def _grow_expansion(partials: List[float], value: float) -> None:
-    """Add a *finite* ``value`` to a non-overlapping float expansion, exactly.
-
-    Shewchuk's grow-expansion step (the core of ``math.fsum``): after the
-    call, ``partials`` represents the exact real-number sum of everything
-    added so far.  ``math.fsum(partials)`` rounds that exact sum once, so
-    the result is independent of the order (and grouping) of additions.
-    Callers route non-finite values through :class:`_SpecialValues`
-    instead; a sum of finite inputs that exceeds the float range raises
-    the same ``OverflowError`` :func:`math.fsum` raises.
-    """
-    i = 0
-    x = value
-    for y in partials:
-        if abs(x) < abs(y):
-            x, y = y, x
-        hi = x + y
-        lo = y - (hi - x)
-        if lo:
-            partials[i] = lo
-            i += 1
-        x = hi
-    if math.isinf(x):
-        raise OverflowError("intermediate overflow in fsum")
-    partials[i:] = [x]
-
-
 class _SpecialValues:
     """Presence flags for non-finite float inputs (``inf``/``-inf``/``nan``).
 
     ``math.fsum``'s result over special values depends only on which kinds
     appear, so three booleans losslessly summarize any number of them.
-    ``as_values()`` reconstructs representatives that, appended to the
-    finite expansion, make ``math.fsum`` reproduce the batch result —
-    including its ``ValueError`` on mixed ``-inf + inf``.
     """
 
     __slots__ = ("pos_inf", "neg_inf", "nan")
 
-    def __init__(self, pos_inf: bool = False, neg_inf: bool = False, nan: bool = False) -> None:
-        self.pos_inf = pos_inf
-        self.neg_inf = neg_inf
-        self.nan = nan
+    def __init__(self) -> None:
+        self.pos_inf = self.neg_inf = self.nan = False
 
     def add(self, value: float) -> None:
         if math.isnan(value):
@@ -100,106 +71,92 @@ class _SpecialValues:
         self.neg_inf = self.neg_inf or state[1]
         self.nan = self.nan or state[2]
 
-    def as_values(self) -> List[float]:
-        values: List[float] = []
-        if self.pos_inf:
-            values.append(math.inf)
-        if self.neg_inf:
-            values.append(-math.inf)
-        if self.nan:
-            values.append(math.nan)
-        return values
+
+#: Every finite float is an integer multiple of ``2**-1074`` (the smallest
+#: subnormal), so ``value * _SCALE`` is an exact int.
+_SCALE = 1 << 1074
 
 
-#: Largest L1 norm a lazily summed float batch may bring its accumulator
-#: to.  Below it no partial sum of the values, in any order or grouping,
-#: comes near the float range, so deferring the exact fold cannot move or
-#: hide an ``OverflowError`` an eager fold would raise.
-_LAZY_MAGNITUDE_LIMIT = 2.0 ** 1020
-
-
-def _canonical_expansion(terms: Sequence[Sequence[float]]) -> List[float]:
-    """The canonical expansion of the exact sum ``S`` of finite floats.
-
-    ``s1 = fsum(values)``, ``s2 = fsum(values, -s1)``, ... until the
-    remainder is zero, stored smallest first.  ``fsum`` is correctly
-    rounded, so each part is the remainder rounded once and the parts are
-    non-overlapping; every remainder is an exact dyadic rational, so the
-    passes end (about three for sensor data).  The parts depend on ``S``
-    only, never on how the values were split into ``terms``.
-    """
-    parts = [math.fsum(itertools.chain(*terms))]
-    negated = [-parts[0]]
-    while True:
-        rest = math.fsum(itertools.chain(*terms, negated))
-        if not rest:
-            break
-        parts.append(rest)
-        negated.append(-rest)
-    parts.reverse()
-    return parts
+def _scaled(value: float) -> int:
+    """``value * 2**1074`` of a finite float, exactly."""
+    numerator, denominator = value.as_integer_ratio()
+    return numerator << (1075 - denominator.bit_length())
 
 
 class _ExactFloatSum:
     """Exact float summation shared by ``SUM`` and ``AVG``.
 
-    Finite values grow a Shewchuk expansion (``float_parts``); non-finite
-    ones set :class:`_SpecialValues` flags.  ``add_many`` over a NULL-free
-    float64 :class:`TypedColumn` parks a copy of its buffer in ``pending``
-    instead of growing the expansion one value at a time:
-    :meth:`_float_total` rounds ``expansion + pending + specials`` with one
-    :func:`math.fsum`, which is correctly rounded and therefore equal to
-    the fsum of the grown expansion.  When a state escapes
-    (``partial``/``merge``/a single ``add``), :meth:`_fold` replaces
-    expansion and pending values by the canonical expansion of their exact
-    sum, a few whole-batch :func:`math.fsum` passes.  That expansion has
-    the same exact value as the one an eager accumulator grows (usually
-    in fewer parts), so every result it later rounds to is identical.  A
-    batch with a non-finite value, or one that takes the running L1 norm
-    past :data:`_LAZY_MAGNITUDE_LIMIT`, is folded eagerly instead, so
-    every error is raised where it always was.
+    ``exact`` is the exact sum of the finite inputs times ``2**1074``, one
+    Python int (Kulisch's long accumulator), or None until a finite value
+    arrives (such a sum exports no parts, like a kernel's empty slice);
+    non-finite inputs set :class:`_SpecialValues` flags.  Adding
+    and merging are int additions, so the sum never depends on the order
+    or grouping of its inputs.  :meth:`total` is ``exact / 2**1074``:
+    CPython rounds int/int true division correctly, so it is the value
+    :func:`math.fsum` gives, and it raises ``OverflowError`` exactly when
+    the rounded total is out of float range.  :meth:`parts` exports the
+    canonical expansion of the same exact value, the parts
+    :func:`_canonical_expansion` gives a leaf kernel.
     """
 
-    __slots__ = ("float_parts", "specials", "pending", "pending_magnitude")
+    __slots__ = ("exact", "specials")
 
     def __init__(self) -> None:
-        self.float_parts: List[float] = []
+        self.exact: Optional[int] = None
         self.specials = _SpecialValues()
-        self.pending: List[Any] = []
-        self.pending_magnitude = 0.0
 
-    def _defer(self, values: Sequence[Any]) -> bool:
-        """Park ``values`` if it is a NULL-free, all-finite float64 batch."""
-        if (
-            not isinstance(values, TypedColumn)
-            or values.typecode != FLOAT64
-            or values.null_count
-        ):
-            return False
-        data = values.data_array()
-        magnitude = self.pending_magnitude + sum(map(abs, data))
-        if not self.pending:
-            magnitude += sum(map(abs, self.float_parts))
-        if not magnitude <= _LAZY_MAGNITUDE_LIMIT:  # also catches inf/NaN
-            return False
-        self.pending.append(data[:])
-        self.pending_magnitude = magnitude
-        return True
+    def add_float(self, value: float) -> None:
+        if math.isfinite(value):
+            self.exact = (self.exact or 0) + _scaled(value)
+        else:
+            self.specials.add(value)
 
-    def _fold(self) -> None:
-        """Fold the pending values into the expansion, exactly
-        (:func:`_canonical_expansion`).  :meth:`_defer` bounds every value
-        and partial sum far below the float range, so no pass can overflow.
-        """
-        self.float_parts = _canonical_expansion((self.float_parts, *self.pending))
-        self.pending = []
-        self.pending_magnitude = 0.0
+    def merge_parts(self, parts: Sequence[float]) -> None:
+        if parts:
+            self.exact = sum(map(_scaled, parts), self.exact or 0)
 
-    def _float_total(self) -> float:
-        """``math.fsum`` of expansion, pending values and specials."""
-        return math.fsum(
-            itertools.chain(self.float_parts, *self.pending, self.specials.as_values())
-        )
+    def parts(self) -> Tuple[float, ...]:
+        """``s1 = exact / SCALE``, ``s2`` the rest rounded, ... until the
+        remainder is zero, smallest first; empty with no finite input.
+        Raises ``OverflowError`` when the sum is out of float range."""
+        rest = self.exact
+        if rest is None:
+            return ()
+        parts = []
+        while True:
+            part = rest / _SCALE
+            parts.append(part)
+            rest -= _scaled(part)
+            if not rest:
+                break
+        parts.reverse()
+        return tuple(parts)
+
+    def total(self) -> float:
+        """The sum rounded once, or what ``math.fsum`` gives over the
+        special values: a mix of ``inf`` and ``-inf`` raises its
+        ``ValueError``, else NaN wins over an infinity."""
+        specials = self.specials
+        if specials.pos_inf and specials.neg_inf:
+            raise ValueError("-inf + inf in fsum")
+        if specials.nan:
+            return math.nan
+        if specials.pos_inf or specials.neg_inf:
+            return math.inf if specials.pos_inf else -math.inf
+        return (self.exact or 0) / _SCALE
+
+
+def _fsum(numbers: Sequence[float]) -> float:
+    """``math.fsum``, with one overflow rule: an intermediate overflow
+    (which depends on the order of the values) falls back to the exact
+    total, so only a correctly rounded total out of float range raises."""
+    try:
+        return math.fsum(numbers)
+    except OverflowError:
+        total = _ExactFloatSum()
+        for number in numbers:
+            total.add_float(number)
+        return total.total()
 
 
 def _is_int(value: Any) -> bool:
@@ -256,14 +213,14 @@ def _agg_sum(values: Sequence[Any]) -> Any:
         # Exact int sum: no float round-trip, so values beyond 2**53 keep
         # full precision (Python ints are arbitrary precision).
         return sum(present)
-    return math.fsum(float(v) for v in present)
+    return _fsum([float(v) for v in present])
 
 
 def _agg_avg(values: Sequence[Any]) -> Any:
     numbers = _numeric(values)
     if not numbers:
         return None
-    return math.fsum(numbers) / len(numbers)
+    return _fsum(numbers) / len(numbers)
 
 
 def _agg_min(values: Sequence[Any]) -> Any:
@@ -537,11 +494,11 @@ class CountAccumulator:
 
 
 class SumAccumulator(_ExactFloatSum):
-    """``SUM(expr)`` with exact int and exact (fsum) float accumulation.
+    """``SUM(expr)`` with exact int and exact float accumulation.
 
     Tracks two exact representations side by side: an arbitrary-precision
     int total of the int inputs (the result while *all* inputs are ints)
-    and a float expansion of ``float(v)`` per input (the result once any
+    and the exact sum of ``float(v)`` per input (the result once any
     float appears, matching the batch function's per-value conversion).
     Non-finite floats are tracked as presence flags and ints too large
     for float as an overflow flag, so mixed-type edge cases reproduce the
@@ -560,10 +517,15 @@ class SumAccumulator(_ExactFloatSum):
 
     def add(self, values: Tuple[Any, ...]) -> None:
         value = values[0]
-        if value is None:
-            return
-        if self.pending:
-            self._fold()
+        if value is not None:
+            self._add(value)
+
+    def add_many(self, values: Sequence[Any]) -> None:
+        for value in values:
+            if value is not None:
+                self._add(value)
+
+    def _add(self, value: Any) -> None:
         self.present = True
         if _is_int(value):
             self.int_total += value
@@ -577,37 +539,7 @@ class SumAccumulator(_ExactFloatSum):
         else:
             self.all_int = False
             as_float = float(value)
-        if math.isfinite(as_float):
-            _grow_expansion(self.float_parts, as_float)
-        else:
-            self.specials.add(as_float)
-
-    def add_many(self, values: Sequence[Any]) -> None:
-        if self._defer(values):
-            if len(values):
-                self.present = True
-                self.all_int = False
-            return
-        if self.pending:
-            self._fold()
-        for value in values:
-            if value is None:
-                continue
-            self.present = True
-            if _is_int(value):
-                self.int_total += value
-                try:
-                    as_float = float(value)
-                except OverflowError:
-                    self.int_overflow = True
-                    continue
-            else:
-                self.all_int = False
-                as_float = float(value)
-            if math.isfinite(as_float):
-                _grow_expansion(self.float_parts, as_float)
-            else:
-                self.specials.add(as_float)
+        self.add_float(as_float)
 
     def result(self) -> Any:
         if not self.present:
@@ -615,16 +547,14 @@ class SumAccumulator(_ExactFloatSum):
         if self.all_int:
             return self.int_total
         if self.int_overflow:
-            # The batch path hits float(huge_int) inside fsum and raises.
+            # The batch path hits float(huge_int) and raises.
             raise OverflowError("int too large to convert to float")
-        return self._float_total()
+        return self.total()
 
     def partial(self) -> Tuple[int, Tuple[float, ...], bool, bool, Tuple[bool, bool, bool], bool]:
-        if self.pending:
-            self._fold()
         return (
             self.int_total,
-            tuple(self.float_parts),
+            self.parts(),
             self.present,
             self.all_int,
             self.specials.state(),
@@ -635,12 +565,9 @@ class SumAccumulator(_ExactFloatSum):
         self,
         state: Tuple[int, Tuple[float, ...], bool, bool, Tuple[bool, bool, bool], bool],
     ) -> None:
-        if self.pending:
-            self._fold()
         int_total, float_parts, present, all_int, specials, int_overflow = state
         self.int_total += int_total
-        for component in float_parts:
-            _grow_expansion(self.float_parts, component)
+        self.merge_parts(float_parts)
         self.present = self.present or present
         self.all_int = self.all_int and all_int
         self.specials.merge(specials)
@@ -651,7 +578,7 @@ class SumAccumulator(_ExactFloatSum):
 
 
 class AvgAccumulator(_ExactFloatSum):
-    """``AVG(expr)``: exact float sum (fsum expansion) and count.
+    """``AVG(expr)``: exact float sum and count.
 
     Non-finite inputs are tracked as presence flags (see
     :class:`_SpecialValues`).  Partial state:
@@ -666,49 +593,27 @@ class AvgAccumulator(_ExactFloatSum):
 
     def add(self, values: Tuple[Any, ...]) -> None:
         value = values[0]
-        if value is None:
-            return
-        if self.pending:
-            self._fold()
-        as_float = float(value)
-        if math.isfinite(as_float):
-            _grow_expansion(self.float_parts, as_float)
-        else:
-            self.specials.add(as_float)
-        self.count += 1
+        if value is not None:
+            self.add_float(float(value))
+            self.count += 1
 
     def add_many(self, values: Sequence[Any]) -> None:
-        if self._defer(values):
-            self.count += len(values)
-            return
-        if self.pending:
-            self._fold()
         for value in values:
-            if value is None:
-                continue
-            as_float = float(value)
-            if math.isfinite(as_float):
-                _grow_expansion(self.float_parts, as_float)
-            else:
-                self.specials.add(as_float)
-            self.count += 1
+            if value is not None:
+                self.add_float(float(value))
+                self.count += 1
 
     def result(self) -> Any:
         if not self.count:
             return None
-        return self._float_total() / self.count
+        return self.total() / self.count
 
     def partial(self) -> Tuple[Tuple[float, ...], int, Tuple[bool, bool, bool]]:
-        if self.pending:
-            self._fold()
-        return (tuple(self.float_parts), self.count, self.specials.state())
+        return (self.parts(), self.count, self.specials.state())
 
     def merge(self, state: Tuple[Tuple[float, ...], int, Tuple[bool, bool, bool]]) -> None:
-        if self.pending:
-            self._fold()
         float_parts, count, specials = state
-        for component in float_parts:
-            _grow_expansion(self.float_parts, component)
+        self.merge_parts(float_parts)
         self.count += count
         self.specials.merge(specials)
 
@@ -1028,10 +933,11 @@ class GroupedColumn:
       lifecycle;
     * :meth:`float_total` and :meth:`expansion` are what a float ``SUM``
       and ``AVG`` share: one ``fsum`` for results, one canonical fold
-      (:func:`_canonical_expansion`) for states.
+      (:func:`_canonical_expansion`) for states.  Both raise what
+      ``fsum`` raises over the buffer.
     """
 
-    __slots__ = ("column", "groups", "buffers", "_slices", "_bounded", "_totals", "_expansions")
+    __slots__ = ("column", "groups", "buffers", "_slices", "_totals", "_expansions")
 
     def __init__(
         self, column: Sequence[Any], groups: Optional[Sequence[Sequence[int]]]
@@ -1049,7 +955,6 @@ class GroupedColumn:
                 [data] if groups is None else [gather(data, indices) for indices in groups]
             )
         self._slices: Dict[int, Sequence[Any]] = {}
-        self._bounded: Dict[int, bool] = {}
         self._totals: Dict[int, float] = {}
         self._expansions: Dict[int, Tuple[float, ...]] = {}
 
@@ -1068,33 +973,41 @@ class GroupedColumn:
             self._slices[group] = piece
         return piece
 
-    def summable(self, group: int) -> bool:
-        """Is the slice a float64 buffer that :meth:`_ExactFloatSum._defer`
-        would park?  Then no sum of its values can overflow."""
-        bounded = self._bounded.get(group)
-        if bounded is None:
-            bounded = (
-                self.buffers is not None
-                and self.column.typecode == FLOAT64
-                and sum(map(abs, self.buffers[group])) <= _LAZY_MAGNITUDE_LIMIT
-            )
-            self._bounded[group] = bounded
-        return bounded
-
     def float_total(self, group: int) -> float:
-        """``fsum`` of a :meth:`summable` slice."""
+        """``fsum`` of group ``group``'s buffer."""
         total = self._totals.get(group)
         if total is None:
             total = self._totals[group] = math.fsum(self.buffers[group])
         return total
 
     def expansion(self, group: int) -> Tuple[float, ...]:
-        """The canonical expansion of a :meth:`summable` slice's sum."""
+        """The canonical expansion of group ``group``'s buffer sum."""
         parts = self._expansions.get(group)
         if parts is None:
-            parts = tuple(_canonical_expansion((self.buffers[group],)))
-            self._expansions[group] = parts
+            parts = self._expansions[group] = _canonical_expansion(self.buffers[group])
         return parts
+
+
+def _canonical_expansion(values: Sequence[float]) -> Tuple[float, ...]:
+    """The canonical expansion of the exact sum ``S`` of finite floats.
+
+    ``s1 = fsum(values)``, ``s2 = fsum(values, -s1)``, ... until the
+    remainder is zero, stored smallest first: the parts
+    :meth:`_ExactFloatSum.parts` exports for the same ``S``.  ``fsum`` is
+    correctly rounded, so each part is the remainder rounded once; every
+    remainder is an exact dyadic rational, so the passes end (about three
+    for sensor data).
+    """
+    parts = [math.fsum(values)]
+    negated = [-parts[0]]
+    while True:
+        rest = math.fsum(itertools.chain(values, negated))
+        if not rest:
+            break
+        parts.append(rest)
+        negated.append(-rest)
+    parts.reverse()
+    return tuple(parts)
 
 
 # Kernels: ``kernel(column, group, partial)`` is group ``group``'s state
@@ -1122,23 +1035,39 @@ def _extreme_kernel(
     return (bool(len(cells)), best) if partial else best
 
 
-def _sum_kernel(column: GroupedColumn, group: int, partial: bool) -> Any:
-    if not column.summable(group):
+def _float_sum(column: GroupedColumn, group: int, partial: bool) -> Any:
+    """A float64 slice's sum (``partial``: its expansion), None (``()``)
+    for an empty slice, or ``_NO_KERNEL`` when ``fsum`` raises or is not
+    finite: a special value or an intermediate overflow is left to the
+    accumulator.  A finite ``fsum`` is the correctly rounded exact sum,
+    so it is the accumulator's value."""
+    if column.buffers is None or column.column.typecode != FLOAT64:
         return _NO_KERNEL
-    count = len(column.buffers[group])
-    if partial:
-        parts = column.expansion(group) if count else ()
-        return (0, parts, count > 0, count == 0, _NO_SPECIALS, False)
-    return column.float_total(group) if count else None
+    if not len(column.buffers[group]):
+        return () if partial else None
+    try:
+        total = column.float_total(group)
+        if math.isfinite(total):
+            return column.expansion(group) if partial else total
+    except (OverflowError, ValueError):
+        pass
+    return _NO_KERNEL
+
+
+def _sum_kernel(column: GroupedColumn, group: int, partial: bool) -> Any:
+    value = _float_sum(column, group, partial)
+    if not partial or value is _NO_KERNEL:
+        return value
+    present = bool(len(column.buffers[group]))
+    return (0, value, present, not present, _NO_SPECIALS, False)
 
 
 def _avg_kernel(column: GroupedColumn, group: int, partial: bool) -> Any:
-    if not column.summable(group):
-        return _NO_KERNEL
+    value = _float_sum(column, group, partial)
+    if value is _NO_KERNEL or value is None:
+        return value
     count = len(column.buffers[group])
-    if partial:
-        return (column.expansion(group) if count else (), count, _NO_SPECIALS)
-    return column.float_total(group) / count if count else None
+    return (value, count, _NO_SPECIALS) if partial else value / count
 
 
 _KERNELS: Dict[str, Callable[[GroupedColumn, int, bool], Any]] = {

@@ -35,8 +35,9 @@ the merge in exactly that order — so the merged group order (and every
 MIN/MAX tie, which keeps the first-seen value) equals a single pass over
 the full chunk.  Sibling states union in partition order up the tree,
 which is the loaded relation's row order.  The accumulators
-themselves are exact (Shewchuk float expansions, exact int sums, Fraction
-moments), so there is no drift for the differential tests to forgive.
+themselves are exact (float sums as one scaled integer, exact int sums,
+Fraction moments), so there is no drift for the differential tests to
+forgive.
 
 Cross-session sharing: queries over the same table, WHERE clause and group
 keys whose aggregate calls are a subset of an existing tree's attach to

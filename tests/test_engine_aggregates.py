@@ -8,11 +8,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.engine import Database, EngineConfig
 from repro.engine.aggregates import (
     DECOMPOSABLE_AGGREGATES,
     FINALIZE_ERRORS,
     GroupedColumn,
-    _grow_expansion,
     aggregate_column,
     compute_aggregate,
     is_decomposable_aggregate,
@@ -21,7 +21,9 @@ from repro.engine.aggregates import (
 )
 from repro.engine.columns import FLOAT64, INT64, take_column, typed_column_from_values
 from repro.engine.errors import ExecutionError
+from repro.engine.table import Relation
 from repro.engine.wire import pack_value
+from repro.runtime import union_partials
 
 
 def test_count_sum_avg_min_max():
@@ -267,65 +269,78 @@ def test_is_decomposable_aggregate():
 
 
 # ---------------------------------------------------------------------------
-# lazily folded SUM/AVG: the same exact value as eager Shewchuk growth
+# exact SUM/AVG against an independent Fraction oracle
 # ---------------------------------------------------------------------------
 
 
-class _EagerReference:
-    """SUM/AVG over floats that grows the expansion one value at a time.
+class _FractionOracle:
+    """SUM/AVG with the exact sum of the float images kept as a Fraction.
 
-    The accumulators defer float64 batches and fold them only when a state
-    escapes; this reference never defers, so it pins what they must match:
-    ``result()`` values, raised errors and the exact value of every
-    ``partial()`` (a lazy fold stores the canonical expansion of that
-    value, usually in fewer parts than eager growth).
+    It pins what the accumulators must match: ``result()`` is
+    ``float(total)`` (an ``OverflowError`` exactly when that is out of
+    float range), or what ``math.fsum`` gives over the special values
+    seen; ``partial()`` carries :func:`_canonical_parts` of the total (no
+    parts before a finite value arrives) and raises like ``result()``
+    when the total is out of range.
     """
 
     def __init__(self, name):
         self.name = name
-        self.parts = []
+        self.total = None  # exact sum of the finite float images
+        self.ints = 0
         self.count = 0
+        self.all_int = True
         self.specials = [False, False, False]
+
+    def _add_float(self, value):
+        if math.isfinite(value):
+            self.total = (self.total or Fraction(0)) + Fraction(value)
+        elif math.isnan(value):
+            self.specials[2] = True
+        else:
+            self.specials[0 if value > 0 else 1] = True
 
     def feed(self, values):
         for value in values:
             if value is None:
                 continue
-            # SUM marks itself present before adding; AVG counts after, so
-            # an overflowing value is not counted.
-            if self.name == "SUM":
-                self.count += 1
-            if math.isfinite(value):
-                _grow_expansion(self.parts, value)
-            elif math.isnan(value):
-                self.specials[2] = True
+            self.count += 1
+            if isinstance(value, int):
+                self.ints += value
             else:
-                self.specials[0 if value > 0 else 1] = True
-            if self.name == "AVG":
-                self.count += 1
+                self.all_int = False
+            self._add_float(float(value))
 
     def absorb(self, state):
         if self.name == "SUM":
-            _, parts, present, _, specials, _ = state
-            count = 1 if present else 0
+            ints, parts, present, all_int, specials, _ = state
+            self.ints += ints
+            self.all_int = self.all_int and all_int
+            count = int(present)
         else:
             parts, count, specials = state
-        for component in parts:
-            _grow_expansion(self.parts, component)
+        for part in parts:
+            self._add_float(part)
         self.count += count
         self.specials = [a or b for a, b in zip(self.specials, specials)]
 
     def partial(self):
+        parts = () if self.total is None else _canonical_parts(self.total)
         specials = tuple(self.specials)
         if self.name == "SUM":
-            return (0, tuple(self.parts), self.count > 0, self.count == 0, specials, False)
-        return (tuple(self.parts), self.count, specials)
+            return (self.ints, parts, self.count > 0, self.all_int, specials, False)
+        return (parts, self.count, specials)
 
     def result(self):
         if not self.count:
             return None
-        extra = [v for v, flag in zip((math.inf, -math.inf, math.nan), self.specials) if flag]
-        total = math.fsum(self.parts + extra)
+        if self.name == "SUM" and self.all_int:
+            return self.ints
+        if any(self.specials):
+            kinds = (math.inf, -math.inf, math.nan)
+            total = math.fsum(kind for kind, seen in zip(kinds, self.specials) if seen)
+        else:
+            total = float(self.total or 0)
         return total if self.name == "SUM" else total / self.count
 
 
@@ -336,29 +351,18 @@ def _outcome(call):
         return (type(error).__name__, str(error))
 
 
+def _kind(call):
+    """The value's repr, or only the error's type: the oracle's messages
+    are its own."""
+    outcome = _outcome(call)
+    return outcome if outcome[0] == "ok" else outcome[0]
+
+
 def _split_state(state):
     """A SUM or AVG partial state as ``(float expansion, other fields)``."""
     if len(state) == 6:  # SUM: (int_total, parts, present, all_int, specials, overflow)
         return state[1], state[:1] + state[2:]
     return state[0], state[1:]  # AVG: (parts, count, specials)
-
-
-def _exact_value(parts):
-    """The exact real value of an expansion (its parts as written when a
-    failed eager grow left a non-finite part behind)."""
-    if all(math.isfinite(part) for part in parts):
-        return sum(map(Fraction, parts), Fraction(0))
-    return repr(parts)
-
-
-def _state_outcome(accumulator):
-    """``partial()``'s outcome with the expansion replaced by its exact value."""
-    try:
-        state = accumulator.partial()
-    except Exception as error:  # noqa: BLE001 - the error *is* the outcome
-        return (type(error).__name__, str(error))
-    parts, rest = _split_state(state)
-    return ("ok", _exact_value(parts), rest)
 
 
 def _canonical_parts(total):
@@ -372,17 +376,15 @@ def _canonical_parts(total):
     return tuple(reversed(parts))
 
 
-def _check_partial(accumulator, reference):
-    """Same outcome and exact value as the eager reference; a state that
-    was just folded from pending batches is the canonical expansion."""
-    folded = bool(accumulator.pending)
-    observed = _state_outcome(accumulator)
-    assert observed == _state_outcome(reference)
-    if folded and observed[0] == "ok":
-        assert _split_state(accumulator.partial())[0] == _canonical_parts(observed[1])
+def _check(accumulator, oracle):
+    assert _kind(accumulator.result) == _kind(oracle.result)
+    assert _kind(accumulator.partial) == _kind(oracle.partial)
 
 
 _CANCELLING = [1e308, -1e308, 1.0, -1.0, 1e-308, 5e-324, 0.1, -0.0, 2.0**53, 3e300]
+
+#: Ints whose float image is exact or rounded; the int total stays exact.
+_INTS = [1, -3, 0, 2**53 + 1, -(2**60) - 1]
 
 
 def _random_batch(rng, specials):
@@ -398,96 +400,201 @@ def _random_batch(rng, specials):
     return values
 
 
+def _mixed_batch(rng, specials):
+    """A float batch with NULLs and, half the time, ints mixed in."""
+    values = _random_batch(rng, specials)
+    ints = rng.random() < 0.5
+    for _ in range(rng.randint(0, 4)):
+        value = rng.choice(_INTS) if ints and rng.random() < 0.6 else None
+        values.insert(rng.randint(0, len(values)), value)
+    return values
+
+
 @pytest.mark.parametrize("name", ["SUM", "AVG"])
 @pytest.mark.parametrize("seed", [3, 17, 29, 71])
-def test_lazy_sums_match_eager_expansion(name, seed):
+def test_exact_sums_match_fraction_oracle(name, seed):
+    """Random ``add``/``add_many``/``merge`` sequences, float64 columns and
+    lists with NULLs and ints: every ``result()`` and ``partial()`` is the
+    oracle's, errors included."""
     rng = random.Random(seed)
     for _ in range(60):
         specials = rng.random() < 0.3
         accumulator = make_accumulator(name, is_star=False, distinct=False, arg_count=1)
-        reference = _EagerReference(name)
+        oracle = _FractionOracle(name)
         for _ in range(rng.randint(1, 8)):
             op = rng.random()
             if op < 0.45:
-                values = _random_batch(rng, specials)
-                expected = _outcome(lambda: reference.feed(values))
-                column = typed_column_from_values(values, FLOAT64)
-                assert _outcome(lambda: accumulator.add_many(column)) == expected
+                values = _random_batch(rng, specials) + [None] * rng.randint(0, 1)
+                oracle.feed(values)
+                accumulator.add_many(typed_column_from_values(values, FLOAT64))
             elif op < 0.55:
-                values = _random_batch(rng, specials) + [None]
-                expected = _outcome(lambda: reference.feed(values))
-                assert _outcome(lambda: accumulator.add_many(values)) == expected
+                values = _mixed_batch(rng, specials)
+                oracle.feed(values)
+                accumulator.add_many(values)
             elif op < 0.7:
-                value = rng.choice(_CANCELLING)
-                expected = _outcome(lambda: reference.feed([value]))
-                assert _outcome(lambda: accumulator.add((value,))) == expected
-            elif op < 0.85:
-                _check_partial(accumulator, reference)
+                value = rng.choice(_CANCELLING + _INTS + [None])
+                oracle.feed([value])
+                accumulator.add((value,))
             else:
                 other = make_accumulator(name, is_star=False, distinct=False, arg_count=1)
-                values = _random_batch(rng, specials)
-                if _outcome(lambda: other.add_many(typed_column_from_values(values, FLOAT64)))[0] != "ok":
+                other.add_many(_mixed_batch(rng, specials))
+                try:
+                    state = other.partial()
+                except OverflowError:  # a sum out of range has no state
                     continue
-                state = other.partial()
-                expected = _outcome(lambda: reference.absorb(state))
-                assert _outcome(lambda: accumulator.merge(state)) == expected
-            assert _outcome(accumulator.result) == _outcome(reference.result)
-        _check_partial(accumulator, reference)
+                oracle.absorb(state)
+                accumulator.merge(state)
+            _check(accumulator, oracle)
 
 
 @pytest.mark.parametrize("name", ["SUM", "AVG"])
-def test_lazy_sum_edge_cases_match_eager(name):
+def test_exact_sum_edge_cases_match_fraction_oracle(name):
+    """Cancelling extremes, specials and empty input, split at every
+    point into two ``add_many`` batches or two merged states."""
+    top = 1.7976931348623157e308
     cases = [
         [1e308, -1e308, 1.0],
         [1e308, 1e308],
         [1e308, 1e308, -1e308],
         [-1e308, -1e308],
-        [1.7976931348623157e308, 1.0, -1.7976931348623157e308],
+        [top, 1.0, -top],
+        [top, top, -top],
         [math.inf, 1.0],
+        [math.inf, 1e308, 1e308],
         [math.inf, -math.inf],
         [math.nan, 2.0],
+        [math.nan, math.inf],
+        [math.nan, math.inf, -math.inf],
         [1e16, 1.0, -1e16] * 5,
+        [5e-324, -0.0, 5e-324],
         [],
     ]
     for values in cases:
         for split in range(len(values) + 1):
-            accumulator = make_accumulator(name, is_star=False, distinct=False, arg_count=1)
-            reference = _EagerReference(name)
+            oracle = _FractionOracle(name)
+            fed = make_accumulator(name, is_star=False, distinct=False, arg_count=1)
+            merged = make_accumulator(name, is_star=False, distinct=False, arg_count=1)
+            every_state = True
             for batch in (values[:split], values[split:]):
-                expected = _outcome(lambda: reference.feed(batch))
-                column = typed_column_from_values(batch, FLOAT64)
-                assert _outcome(lambda: accumulator.add_many(column)) == expected, values
-            assert _outcome(accumulator.result) == _outcome(reference.result), values
-            _check_partial(accumulator, reference)
-            assert _outcome(accumulator.result) == _outcome(reference.result), values
-
-
-#: The cancelling values a lazy batch may hold: ``±1e308`` take a batch's
-#: L1 norm past the lazy magnitude limit, which grows it eagerly instead.
-_LAZY_CANCELLING = [value for value in _CANCELLING if abs(value) < 2.0**1020]
+                oracle.feed(batch)
+                fed.add_many(typed_column_from_values(batch, FLOAT64))
+                try:
+                    merged.merge(_run_accumulator(name, batch).partial())
+                except OverflowError:  # a part out of range has no state
+                    every_state = False
+            _check(fed, oracle)
+            if every_state:
+                _check(merged, oracle)
 
 
 @pytest.mark.parametrize("name", ["SUM", "AVG"])
 @pytest.mark.parametrize("seed", [5, 11, 23])
 def test_any_batch_split_gives_identical_partials(name, seed):
-    """The canonical fold depends on the exact sum only, so every split of
-    one value sequence into lazy ``add_many`` batches exports one tuple."""
+    """The exported expansion depends on the exact sum only, so every split
+    of one value sequence into ``add_many`` batches exports one tuple."""
     rng = random.Random(seed)
     for _ in range(40):
         values = [
-            rng.choice(_LAZY_CANCELLING) if rng.random() < 0.5 else rng.uniform(-1e6, 1e6)
+            rng.choice(_CANCELLING) if rng.random() < 0.5 else rng.uniform(-1e6, 1e6)
             for _ in range(rng.randint(0, 60))
         ]
+        total = sum(map(Fraction, values), Fraction(0))
         states = set()
         for _ in range(6):
             cuts = sorted(rng.sample(range(len(values) + 1), rng.randint(0, min(4, len(values)))))
             accumulator = make_accumulator(name, is_star=False, distinct=False, arg_count=1)
             for lo, hi in zip([0] + cuts, cuts + [len(values)]):
                 accumulator.add_many(typed_column_from_values(values[lo:hi], FLOAT64))
-            states.add(repr(accumulator.partial()))
+            states.add(_outcome(accumulator.partial))
         assert len(states) == 1
-        parts, _ = _split_state(accumulator.partial())
-        assert parts == _canonical_parts(sum(map(Fraction, values), Fraction(0)))
+        if values and abs(total) <= Fraction(1e308):
+            parts, _ = _split_state(accumulator.partial())
+            assert parts == _canonical_parts(total)
+
+
+# ---------------------------------------------------------------------------
+# float overflow depends on the exact total only, never on row order
+# ---------------------------------------------------------------------------
+
+_OVERFLOW_CONFIGS = {
+    "default": EngineConfig(),
+    "no_optimizer": EngineConfig(optimizer=False),
+    "row_scan": EngineConfig(vectorized=False),
+    "interpreted": EngineConfig(mode="interpreted"),
+}
+
+_OVERFLOW_SQL = "SELECT SUM(v) AS s, AVG(v) AS a FROM d"
+
+
+def _float_database(values):
+    database = Database()
+    database.register(
+        "d", Relation.from_rows([{"v": value} for value in values], name="d")
+    )
+    return database
+
+
+@pytest.mark.parametrize("config", sorted(_OVERFLOW_CONFIGS))
+@pytest.mark.parametrize(
+    "values", [[1.7e308, 1.7e308, -1.7e308], [1.7e308, -1.7e308, 1.7e308]], ids=["big_first", "cancel_first"]
+)
+def test_float_sum_overflow_ignores_row_order(config, values):
+    """An intermediate overflow in one row order is no error: the exact
+    total is in range, so ``SUM`` is 1.7e308 and ``AVG`` a third of it."""
+    rows = _float_database(values).query(_OVERFLOW_SQL, _OVERFLOW_CONFIGS[config]).rows
+    assert [(row["s"], row["a"]) for row in rows] == [(1.7e308, 1.7e308 / 3)]
+    assert compute_aggregate("SUM", [values]) == 1.7e308
+    assert _run_accumulator("AVG", values).result() == 1.7e308 / 3
+
+
+@pytest.mark.parametrize("config", sorted(_OVERFLOW_CONFIGS))
+def test_float_sum_overflow_raises_only_out_of_range(config):
+    """An exact total out of float range raises on every path; an infinity
+    decides the sum even when the finite values would overflow."""
+    with pytest.raises(OverflowError):
+        _float_database([1.7e308, 1.7e308, 1.0]).query(_OVERFLOW_SQL, _OVERFLOW_CONFIGS[config])
+    rows = _float_database([math.inf, 1e308, 1e308]).query(
+        _OVERFLOW_SQL, _OVERFLOW_CONFIGS[config]
+    ).rows
+    assert [(row["s"], row["a"]) for row in rows] == [(math.inf, math.inf)]
+
+
+@pytest.mark.parametrize("config", sorted(_OVERFLOW_CONFIGS))
+@pytest.mark.parametrize(
+    "values,cut",
+    [
+        ([1.7e308, 1.7e308, -1.7e308], 1),
+        ([1.7e308, -1.7e308, 1.7e308], 2),
+        ([1.7e308, -1.7e308, 1.7e308], 1),
+    ],
+)
+def test_float_sum_states_in_range_combine_exactly(config, values, cut):
+    """``partial_aggregate`` per part, ``combine_partials``, then
+    ``finalize_partials``: each state stays in range, so the split gives
+    the one-pass result."""
+    engine = _OVERFLOW_CONFIGS[config]
+    states = [
+        _float_database(part).partial_aggregate(_OVERFLOW_SQL, engine)
+        for part in (values[:cut], values[cut:])
+    ]
+    combined = Database().combine_partials(_OVERFLOW_SQL, union_partials(states, name="s"), engine)
+    final = Database().finalize_partials(_OVERFLOW_SQL, combined, engine)
+    assert [(row["s"], row["a"]) for row in final.rows] == [(1.7e308, 1.7e308 / 3)]
+
+
+@pytest.mark.parametrize("config", sorted(_OVERFLOW_CONFIGS))
+def test_float_sum_state_out_of_range_raises_at_partial(config):
+    """A part whose own exact sum is out of float range has no state."""
+    with pytest.raises(OverflowError):
+        _float_database([1.7e308, 1.7e308]).partial_aggregate(
+            _OVERFLOW_SQL, _OVERFLOW_CONFIGS[config]
+        )
+    for name in ("SUM", "AVG"):
+        accumulator = _run_accumulator(name, [1.7e308, 1.7e308])
+        with pytest.raises(OverflowError):
+            accumulator.partial()
+        accumulator.add((-1.7e308,))
+        assert _split_state(accumulator.partial())[0] == (1.7e308,)
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +604,8 @@ def test_any_batch_split_gives_identical_partials(name, seed):
 _KERNEL_FLOATS = st.one_of(
     st.floats(-1e6, 1e6),
     st.floats(allow_nan=True, allow_infinity=True),
-    # NaN, infinities, signed-zero ties and magnitudes whose L1 norm passes
-    # the lazy bound.
+    # NaN, infinities, signed-zero ties and magnitudes whose fsum may
+    # overflow.
     st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1e308, -1e308, 2.0**1020]),
 )
 _KERNEL_INTS = st.one_of(st.integers(-10, 10), st.integers(-(2**63), 2**63 - 1))

@@ -116,10 +116,10 @@ def test_any_delta_partition_finalizes_like_one_shot(seed):
                 partial.add((1,) if is_star else (value,))
             merged.merge(partial.partial())
 
-        # Note: the *states* need not repr-match — a Shewchuk expansion's
-        # component split depends on add/merge grouping while denoting the
-        # same exact real — only the finalized value is canonical.
         assert finalized_repr(merged) == finalized_repr(one_shot), (seed, name)
+        # The states are canonical too: an exact sum exports one expansion
+        # whatever the add/merge grouping that built it.
+        assert repr(merged.partial()) == repr(one_shot.partial()), (seed, name)
 
         # And a state handed on once more (leaf -> level combine) still
         # finalizes identically: merge is associative on the nose.

@@ -29,7 +29,7 @@ REAL_STATES = [
     _acc("COUNT", [1, None, 3]).partial(),
     _acc("SUM", [1, 2, 3]).partial(),  # exact all-int path
     _acc("SUM", [2**70, -5, 1]).partial(),  # bigint beyond float range
-    _acc("SUM", [0.1, 0.2, 1e300, -1e300]).partial(),  # Shewchuk expansion
+    _acc("SUM", [0.1, 0.2, 1e300, -1e300]).partial(),  # float expansion
     _acc("SUM", [math.inf, 1.0, math.nan]).partial(),  # specials flags
     _acc("AVG", [0.5, None, 2.25]).partial(),
     _acc("MIN", ["alpha", "beta"]).partial(),
@@ -151,35 +151,35 @@ def test_moment_states_shrink_versus_text():
 
 #: Per query: SHA-256 prefixes of the three leaf partial states and their
 #: combine, as ``(payload after the 4-byte magic, cells of every column)``.
-#: The combine digests were recorded from the per-cell ``PRL1`` codec with
-#: eagerly grown expansions.  The leaf states of the SUM/AVG queries were
-#: re-recorded when lazily summed batches began to fold into the canonical
-#: expansion of their exact sum (same value and wire format, fewer parts).
-#: ``None`` payload digests mark the two-key states: their repeated
-#: ``activity`` keys now ship dictionary-coded, so only the cells are pinned.
-#: The payload digests were re-recorded for ``PRL3``, which ships tuple,
-#: int, float and bool list columns as columns; every cells digest is
-#: unchanged, so the accumulator states themselves did not change.
+#: Every SUM/AVG state carries the canonical expansion of its exact sum
+#: (same value and wire format as a grown expansion, fewer parts): the
+#: leaf rows were re-recorded when leaf batches began to fold into it, the
+#: combine rows of the four SUM/AVG queries when merged sums did too; every
+#: other field of those states was unchanged.  ``None`` payload digests
+#: mark the two-key states: their repeated ``activity`` keys ship
+#: dictionary-coded, so only the cells are pinned.  The payload digests
+#: were re-recorded for ``PRL3``, which ships tuple, int, float and bool
+#: list columns as columns; the cells digests did not move with it.
 PINNED_STATES = {
     "SELECT activity, COUNT(*) AS n, AVG(z) AS za, SUM(z) AS zs, MIN(t) AS lo, "
     "MAX(t) AS hi FROM d GROUP BY activity": [
         ("dd035433db71b26c", "4d2876f672298c73"),
         ("332f973541602c3a", "f8d498fddcc83a60"),
         ("0de8143d19f6c218", "f643aa7511593de3"),
-        ("30faaccfa0b68742", "5a988298a5a5a174"),
+        ("82d01e85bc420a1e", "7c4b1e6e2ab63a43"),
     ],
     "SELECT x, AVG(z) AS za, COUNT(*) AS n FROM d GROUP BY x": [
         ("0b952ea2ca5e094c", "109720e3f82ee529"),
         ("6a82caa6dc4dfd09", "0c4402a304fddccb"),
         ("c597bd36ef00562e", "c2086037b936c8cb"),
-        ("ff4ee5ae2bd82226", "45d030dad56b50a0"),
+        ("be6df22c23cf924c", "bfeaee5e9fbaa196"),
     ],
     "SELECT activity, person_id, COUNT(*), AVG(z), SUM(z), MIN(t), MAX(t) "
     "FROM d WHERE valid GROUP BY activity, person_id": [
         (None, "bb9ecd614afe014b"),
         (None, "9e073157963ca6e4"),
         (None, "268423d54cfafa62"),
-        (None, "af1a967971be7650"),
+        (None, "749670568e5507f5"),
     ],
     "SELECT person_id, STDDEV(z) AS sd, VAR_POP(x) AS vx, SUM(person_id) AS sp "
     "FROM d GROUP BY person_id": [
@@ -194,7 +194,7 @@ PINNED_STATES = {
         ("bdb1d44b86097bbd", "e07ead35b1ceb87d"),
         ("c8205f419cd6e81f", "467cdff2996e7b48"),
         ("8aea13cc76cc3242", "9bc147864c96e0b3"),
-        ("f5ece3bd3afe4a39", "3c42b74e5c9685b2"),
+        ("b0868e881359da30", "57b5d58335773105"),
     ],
 }
 

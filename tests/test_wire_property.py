@@ -5,7 +5,7 @@ relations through :func:`repro.engine.wire.pack_state_relation`.  A restored
 checkpoint must be *indistinguishable* from the relation it replaces —
 merging it must produce bit-identical aggregates — so these tests fuzz the
 codec with randomized state relations built from the full wire vocabulary
-(bigints beyond 2**63, Shewchuk float expansions, exact Fraction moments,
+(bigints beyond 2**63, float expansions, exact Fraction moments,
 NaN/inf specials, nested tuples) and assert exact round-trips, including
 ``repr`` equality per cell (``True`` must not come back as ``1``).
 
