@@ -35,7 +35,7 @@ for entry in (str(REPO_ROOT / "src"), str(REPO_ROOT)):
     if entry not in sys.path:
         sys.path.insert(0, entry)
 
-from benchmarks.common import summarize_samples  # noqa: E402
+from benchmarks.common import state_memo_hits, summarize_samples  # noqa: E402
 from benchmarks.bench_runtime_scaling import build_tree_processor  # noqa: E402
 from repro.engine.wire import pack_relation  # noqa: E402
 from repro.processor.reference import reference_result  # noqa: E402
@@ -76,6 +76,7 @@ def _run_once(
         faults = FailureInjector.random_node_kills(
             processor.topology, n_failures, seed=seed
         )
+    hits = state_memo_hits()
     started = time.perf_counter()
     result = processor.process(
         CHAOS_SQL,
@@ -85,6 +86,10 @@ def _run_once(
         faults=faults,
     )
     elapsed = time.perf_counter() - started
+    # The processor is fresh, so every leaf partial computes; a re-plan
+    # re-runs only the leaves its checkpoints cannot restore, over chunks
+    # a death re-placed, so it computes too.
+    assert state_memo_hits() == hits, "a timed run decoded a kept state"
     identical = pack_relation(result.result) == pack_relation(oracle)
     return {
         "seconds": elapsed,

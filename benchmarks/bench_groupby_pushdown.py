@@ -48,6 +48,7 @@ for entry in (str(REPO_ROOT / "src"), str(REPO_ROOT)):
     if entry not in sys.path:
         sys.path.insert(0, entry)
 
+from benchmarks.common import forget_kept_states, state_memo_hits  # noqa: E402
 from repro.engine.table import Relation  # noqa: E402
 from repro.engine.wire import pack_relation  # noqa: E402
 from repro.fragment.topology import Topology  # noqa: E402
@@ -137,9 +138,14 @@ def measure_groupby_pushdown(
     ):
         _run(processor, mode)  # warmup: parse/compile caches
         for _ in range(repeats):
+            # Each timed run computes its leaf partials, not a decode of
+            # the states the previous run (or the serial arm) kept.
+            forget_kept_states(processor)
+            hits = state_memo_hits()
             started = time.perf_counter()
             result = _run(processor, mode)
             samples[key].append(time.perf_counter() - started)
+            assert state_memo_hits() == hits, "a timed run decoded a kept state"
         runs[key] = result
 
     expected = pack_relation(

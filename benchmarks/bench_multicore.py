@@ -38,7 +38,9 @@ for entry in (str(REPO_ROOT / "src"), str(REPO_ROOT)):
         sys.path.insert(0, entry)
 
 from benchmarks.common import (  # noqa: E402
+    forget_kept_states,
     print_table,
+    state_memo_hits,
     summarize_samples,
     synthetic_sensor_relation,
 )
@@ -79,18 +81,25 @@ def build_multicore_processor(
 def _time_backend(
     processor: ParadiseProcessor, repeats: int, oracle: bytes
 ) -> List[float]:
-    """Warm up, then time ``repeats`` runs, differential-checking each one."""
+    """Warm up, then time ``repeats`` runs, differential-checking each one.
+
+    Every timed run computes its leaf partials: the states the previous
+    run kept are dropped before the clock starts.
+    """
     result = processor.process(
         MULTICORE_SQL, "fig4", execution="parallel", apply_rewriting=False
     )
     assert result.result is not None and pack_relation(result.result) == oracle
     samples: List[float] = []
     for _ in range(repeats):
+        forget_kept_states(processor)
+        hits = state_memo_hits()
         started = time.perf_counter()
         result = processor.process(
             MULTICORE_SQL, "fig4", execution="parallel", apply_rewriting=False
         )
         samples.append(time.perf_counter() - started)
+        assert state_memo_hits() == hits, "a timed run decoded a kept state"
         assert pack_relation(result.result) == oracle, "backend diverged from oracle"
     return samples
 

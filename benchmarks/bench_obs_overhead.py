@@ -44,7 +44,12 @@ import gc  # noqa: E402
 import statistics  # noqa: E402
 import time  # noqa: E402
 
-from benchmarks.common import PAPER_SQL, build_processor  # noqa: E402
+from benchmarks.common import (  # noqa: E402
+    PAPER_SQL,
+    build_processor,
+    forget_kept_states,
+    state_memo_hits,
+)
 from repro.obs.metrics import delta, registry  # noqa: E402
 from repro.runtime.session import QueryRequest, SessionFrontEnd  # noqa: E402
 
@@ -64,7 +69,10 @@ def _measure_arms(rows: int, rounds: int, inner: int) -> Dict[str, List[float]]:
     }
 
     def run(options: Dict[str, Any]) -> None:
+        # Every run computes its leaf partial: a decoded kept state would
+        # leave less work for the instrumentation to be measured against.
         for _ in range(inner):
+            forget_kept_states(processor)
             result = processor.process(PAPER_SQL, "ActionFilter", **options)
             assert result.admitted
 
@@ -75,9 +83,11 @@ def _measure_arms(rows: int, rounds: int, inner: int) -> Dict[str, List[float]]:
         pair = ["baseline", "disabled"] if round_index % 2 == 0 else ["disabled", "baseline"]
         for name in pair + ["enabled"]:
             gc.collect()
+            hits = state_memo_hits()
             started = time.perf_counter()
             run(arms[name])
             samples[name].append(time.perf_counter() - started)
+            assert state_memo_hits() == hits, "a timed run decoded a kept state"
     return samples
 
 

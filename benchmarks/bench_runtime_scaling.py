@@ -45,7 +45,9 @@ for entry in (str(REPO_ROOT / "src"), str(REPO_ROOT)):
 
 from benchmarks.common import (  # noqa: E402
     PAPER_SQL,
+    forget_kept_states,
     print_table,
+    state_memo_hits,
     summarize_samples,
     synthetic_sensor_relation,
 )
@@ -93,12 +95,17 @@ def build_tree_processor(
 
 
 def _time_mode(processor: ParadiseProcessor, mode: str, repeats: int) -> List[float]:
+    """Warm up, then time ``repeats`` runs that each compute their leaf
+    partials (the states the previous run kept are dropped first)."""
     samples = []
     processor.process(PAPER_SQL, "ActionFilter", execution=mode)  # warmup
     for _ in range(repeats):
+        forget_kept_states(processor)
+        hits = state_memo_hits()
         started = time.perf_counter()
         result = processor.process(PAPER_SQL, "ActionFilter", execution=mode)
         samples.append(time.perf_counter() - started)
+        assert state_memo_hits() == hits, "a timed run decoded a kept state"
         assert result.admitted
     return samples
 
@@ -138,19 +145,30 @@ def measure_fanout(
 def measure_sessions(
     rows: int, repeats: int, cost_model: CostModel, session_counts=SESSION_COUNTS
 ) -> List[Dict[str, Any]]:
-    """Concurrent admission vs one-at-a-time processing on a shared tree."""
+    """Concurrent admission vs one-at-a-time processing on a shared tree.
+
+    Each request of a batch submits its own spelling of the query (it
+    differs in trailing spaces), planned once in the warm-up: every timed
+    request runs a warm plan with derived queries of its own, so once the
+    kept states are dropped before a timed loop, no request decodes a
+    state another request of the loop kept.
+    """
     entries: List[Dict[str, Any]] = []
     processor = build_tree_processor(rows, 8, cost_model=cost_model)
-    processor.process(PAPER_SQL, "ActionFilter", execution="parallel")  # warmup
+    texts = [PAPER_SQL + " " * index for index in range(max(session_counts))]
+    for text in texts:  # warmup
+        processor.process(text, "ActionFilter", execution="parallel")
     for queries in session_counts:
         requests = [
-            QueryRequest(query=PAPER_SQL, module_id="ActionFilter")
-            for _ in range(queries)
+            QueryRequest(query=text, module_id="ActionFilter")
+            for text in texts[:queries]
         ]
         sequential_samples: List[float] = []
         concurrent_samples: List[float] = []
         serial_samples: List[float] = []
         for _ in range(repeats):
+            forget_kept_states(processor)
+            hits = state_memo_hits()
             started = time.perf_counter()
             for request in requests:
                 processor.process(
@@ -158,6 +176,7 @@ def measure_sessions(
                 )
             serial_samples.append(time.perf_counter() - started)
 
+            forget_kept_states(processor)
             started = time.perf_counter()
             for request in requests:
                 processor.process(
@@ -165,11 +184,13 @@ def measure_sessions(
                 )
             sequential_samples.append(time.perf_counter() - started)
 
+            forget_kept_states(processor)
             with SessionFrontEnd(processor, max_concurrent=8) as front_end:
                 started = time.perf_counter()
                 results = front_end.run_batch(requests)
                 concurrent_samples.append(time.perf_counter() - started)
             assert all(result.admitted for result in results)
+            assert state_memo_hits() == hits, "a timed run decoded a kept state"
         entry = {
             "queries": queries,
             "rows": rows,

@@ -37,6 +37,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.engine.schema import Schema
 from repro.engine.table import Relation
+from repro.obs.metrics import registry
 from repro.policy.presets import figure4_policy, restrictive_policy
 from repro.processor.paradise import ParadiseProcessor
 from repro.sensors.scenario import INTEGRATED_SCHEMA
@@ -82,6 +83,29 @@ def build_processor(rows: int, policy=None, seed: int = 0, **kwargs) -> Paradise
     )
     processor.load_data(relation)
     return processor
+
+
+def forget_kept_states(processor: ParadiseProcessor) -> None:
+    """Drop the leaf states every base chunk keeps, so the next run's leaf
+    partials scan their chunks again.
+
+    A benchmark that times compute calls it outside the timed window of
+    each repeat: plans, statistics and group indexes stay warm, so the
+    repeat does the work a cached text's first run does over an indexed
+    chunk, not a decode of the state a previous repeat kept.
+    """
+    network = processor.network
+    for table in network.base_table_names():
+        for holder in network.partition_holders(table):
+            database = network.database(holder)
+            if table in database:
+                database.table(table).kept_states().clear()
+
+
+def state_memo_hits() -> int:
+    """Leaf partials so far, process-wide, that decoded a chunk's kept state
+    instead of computing it; a timed repeat checks it did not move."""
+    return registry.value("runtime.state_memo.hits")
 
 
 def percentile(samples: List[float], q: float) -> float:

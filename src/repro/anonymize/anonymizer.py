@@ -9,7 +9,7 @@ k-anonymity)."
 
 :class:`Anonymizer` bundles that decision: it detects quasi-identifiers,
 chooses (or is told) an algorithm, applies it when the executing node has
-enough power and reports the resulting information loss.
+enough power and reports the resulting information loss (on first read).
 """
 
 from __future__ import annotations
@@ -33,8 +33,22 @@ class AnonymizationOutcome:
     algorithm: str
     applied: bool
     quasi_identifier_report: Optional[QuasiIdentifierReport] = None
-    information_loss: Optional[InformationLossSummary] = None
     notes: List[str] = field(default_factory=list)
+    #: The relation before anonymization, when it was applied;
+    #: :attr:`information_loss` compares it with :attr:`relation`.
+    original: Optional[Relation] = field(default=None, repr=False, compare=False)
+    _loss: Optional[InformationLossSummary] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def information_loss(self) -> Optional[InformationLossSummary]:
+        """Information loss of the anonymized relation against the
+        original, computed on first read: the pipeline itself never reads
+        it.  None when anonymization was not applied."""
+        if self._loss is None and self.original is not None:
+            self._loss = information_loss_summary(self.original, self.relation)
+        return self._loss
 
     def summary(self) -> str:
         """Human-readable one-paragraph summary."""
@@ -149,14 +163,13 @@ class Anonymizer:
         else:  # pragma: no cover - guarded in __init__
             outcome_relation, notes = relation, ["unknown algorithm"]
 
-        loss = information_loss_summary(relation, outcome_relation)
         return AnonymizationOutcome(
             relation=outcome_relation,
             algorithm=chosen,
             applied=True,
             quasi_identifier_report=report,
-            information_loss=loss,
             notes=notes,
+            original=relation,
         )
 
     # ------------------------------------------------------------------

@@ -213,7 +213,20 @@ def _agg_sum(values: Sequence[Any]) -> Any:
         # Exact int sum: no float round-trip, so values beyond 2**53 keep
         # full precision (Python ints are arbitrary precision).
         return sum(present)
-    return _fsum([float(v) for v in present])
+    # As SumAccumulator: an int beyond float range raises only once every
+    # value converted, so a later unconvertible value raises its own error.
+    numbers = []
+    int_overflow = False
+    for value in present:
+        try:
+            numbers.append(float(value))
+        except OverflowError:
+            if not _is_int(value):
+                raise
+            int_overflow = True
+    if int_overflow:
+        raise OverflowError("int too large to convert to float")
+    return _fsum(numbers)
 
 
 def _agg_avg(values: Sequence[Any]) -> Any:

@@ -193,6 +193,7 @@ class Relation:
         "_stats_cache",
         "_group_cache",
         "_bytes_cache",
+        "_state_cache",
     )
 
     def __init__(
@@ -211,6 +212,7 @@ class Relation:
         self._stats_cache: Optional[tuple] = None
         self._group_cache: Optional[tuple] = None
         self._bytes_cache: Optional[tuple] = None
+        self._state_cache: Optional[tuple] = None
         if rows is None:
             self._columns: List[List[Any]] = [[] for _ in schema.columns]
             self._nrows = 0
@@ -493,6 +495,21 @@ class Relation:
                 if index is not None
             },
         )
+
+    def kept_states(self) -> Dict[Any, Any]:
+        """The packed partial states kept for this relation at its current
+        version (:meth:`~repro.runtime.dag.StageTask.execute` fills it).
+
+        Like the group index, the dict lives and dies with the version: any
+        write through this API starts an empty one, and a replaced or
+        appended chunk is a new relation with none.  So a caller that
+        takes the dict before it reads the rows stores a state that is only
+        ever found while no write has happened since that read began.
+        """
+        cached = self._state_cache
+        if cached is None or cached[0] != self._version:
+            cached = self._state_cache = (self._version, {})
+        return cached[1]
 
     def slice_rows(self, start: int, stop: Optional[int] = None, name: str = "") -> "Relation":
         """A new relation holding the contiguous row range ``[start, stop)``."""

@@ -211,6 +211,9 @@ class ProfileReport:
         estimated_rows = span.attrs.get("estimated_rows")
         if estimated_rows is not None:
             parts.append(f"(est. {estimated_rows} rows)")
+        memo = span.attrs.get("memo")
+        if memo is not None:
+            parts.append(f"memo {memo}")
         if span.attrs.get("attempt", 1) > 1:
             parts.append(f"attempt {span.attrs['attempt']}")
         if span.status not in (None, "ok"):
@@ -313,7 +316,13 @@ def build_profile_report(
                         standing[key[len("standing.") :]] = diff
                 continue
             if not key.startswith(
-                ("engine.vectorized.", "engine.optimizer.", "engine.zone.", "engine.group_index.")
+                (
+                    "engine.vectorized.",
+                    "engine.optimizer.",
+                    "engine.zone.",
+                    "engine.group_index.",
+                    "runtime.state_memo.",
+                )
             ):
                 continue
             if not isinstance(value, (int, float)) or isinstance(value, bool):
@@ -329,8 +338,10 @@ def build_profile_report(
                 ] = diff
                 continue
             # Zone map work skipped this run reads as ``zone.proved``, group
-            # index work as ``group_index.builds`` etc.
-            short = key.replace("engine.vectorized.", "").replace("engine.", "", 1)
+            # index work as ``group_index.builds``, kept leaf states as
+            # ``state_memo.hits`` etc.
+            short = key.replace("engine.vectorized.", "")
+            short = short.replace("engine.", "", 1).replace("runtime.", "", 1)
             if short.startswith("bails."):
                 # Per-reason bail counters (scan fallbacks plus backing
                 # diagnostics like ``untyped_backing``) group under one

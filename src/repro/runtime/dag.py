@@ -53,6 +53,13 @@ Every stage is one :class:`StageTask`: it gathers its parts on its node,
 runs one engine operation and registers the output.  Anonymization and the
 cloud remainder are the DAG's final tasks.
 
+A leaf partial over the chunk resident on its node keeps the packed state
+it produced on the chunk (:meth:`~repro.engine.table.Relation.kept_states`,
+under ``EngineConfig.zone_maps``).  The next run of the same derived query
+over the unchanged chunk decodes those bytes instead of scanning, and
+ships and checkpoints the same bytes; any write to the chunk, or a new
+chunk, computes again.
+
 Chunks are contiguous slices of the original relation in leaf order, and
 every stage concatenates its parts in exactly that order, so the DAG's
 result is row-for-row identical to running the query once over the
@@ -84,10 +91,16 @@ from repro.engine.vectorized import (
     where_conjuncts,
     zone_verdicts,
 )
-from repro.engine.wire import WireFormatError, pack_relation, state_size_feedback
+from repro.engine.wire import (
+    WireFormatError,
+    pack_relation,
+    state_size_feedback,
+    unpack_relation,
+)
 from repro.fragment.capabilities import permitted_features
 from repro.fragment.plan import FragmentPlan, QueryFragment
 from repro.fragment.topology import Topology
+from repro.obs.metrics import registry as _metrics
 from repro.obs.profile import CalibrationLog
 from repro.obs.trace import QueryTrace, current_span
 from repro.processor.network import NetworkSimulator, TransferLog
@@ -114,6 +127,17 @@ GROUP_FALLBACK_MIN_ROWS = 16
 #: entries (callers that pass a fresh namespace per run would otherwise
 #: grow it without bound).
 MAX_DERIVED_QUERIES = 256
+
+#: A chunk keeps at most this many packed partial states per version
+#: (:meth:`~repro.engine.table.Relation.kept_states`); a full memo is
+#: emptied, like the executors of a ``Database``.  The front end runs at
+#: most 23 grouped texts over one chunk.
+MAX_KEPT_STATES = 32
+
+#: Leaf partials that decoded a kept state, and those that computed one
+#: they could keep (:meth:`StageTask.execute`).
+_memo_hits = _metrics.counter("runtime.state_memo.hits")
+_memo_misses = _metrics.counter("runtime.state_memo.misses")
 
 #: At most this many leading rows of a chunk are observed per DAG build.
 #: The observation is planner-side statistics gathering (no data leaves the
@@ -872,19 +896,43 @@ class StageTask(Task):
     def execute(self, context: ExecutionContext) -> Relation:
         database = context.network.database(self.node)
         source: Optional[Relation] = None
+        payload: Optional[bytes] = None
+        memo: Optional[Dict] = None
         if self.op in ("query", "partial"):
             [part] = self.parts
             if part == (None, self.node):
                 # A base chunk resident here is read in place.
                 if self.base in database:
                     source = database.table(self.base)
+                    if self.op == "partial" and context.config.zone_maps:
+                        # A partial reads one table and no subquery
+                        # (``decomposition_error``), so its state depends on
+                        # this chunk's version, the query, the output name
+                        # and the config alone: the chunk keeps it.  The
+                        # oracle and the ``optimizer=False`` ablation always
+                        # compute.
+                        memo = source.kept_states()
             else:
                 source = self._fetch(context, part)
                 self._receive(context, source, self.in_name, part[1])
             input_rows = len(source) if source is not None else 0
             context.charge_compute(input_rows, self.node)
-            output, elapsed = self._engine(context, database, self.op, self.query)
-            output.name = self.display_name
+            # Each entry holds its query, so no other query takes its id.
+            key = (id(self.query), self.display_name, context.config)
+            kept = memo.get(key) if memo is not None else None
+            if kept is not None:
+                # The chunk is unchanged since this state was packed: decode
+                # the kept bytes instead of scanning the chunk again.
+                payload = kept[1]
+                output, elapsed = context.engine_call(unpack_relation, payload)
+                _memo_hits.inc()
+                context.annotate(memo="hit")
+            else:
+                output, elapsed = self._engine(context, database, self.op, self.query)
+                output.name = self.display_name
+                if memo is not None:
+                    _memo_misses.inc()
+                    context.annotate(memo="miss")
         else:
             union_name = self.display_name
             if self.op == "finalize":
@@ -917,10 +965,18 @@ class StageTask(Task):
             # An aggregate state is encoded once, here: the same bytes
             # become its checkpoint and every shipment of it.  A state
             # outside the wire vocabulary is simply not checkpointed.
-            try:
-                context.payloads[self.task_id] = payload = pack_relation(output)
-            except WireFormatError:
-                payload = None
+            if payload is None:
+                try:
+                    payload = pack_relation(output)
+                except WireFormatError:
+                    pass
+                else:
+                    if memo is not None:
+                        if len(memo) >= MAX_KEPT_STATES:
+                            memo.clear()
+                        memo[key] = (self.query, payload)
+            if payload is not None:
+                context.payloads[self.task_id] = payload
             if self.op == "partial" and payload is not None:
                 # Observed state size feeds the adaptive partial-aggregation
                 # ratio: future placement decisions use real packed bytes

@@ -369,7 +369,12 @@ class Scheduler:
                             span, "checkpoint_save", signature=task.signature[:12]
                         )
                     trace.finish(span, status="ok")
-                    if context.calibration is not None:
+                    # A leaf partial that decoded a kept state did none of
+                    # the work the cost model predicts.
+                    if (
+                        context.calibration is not None
+                        and span.attrs.get("memo") != "hit"
+                    ):
                         rows = span.attrs.get("input_rows", 0) or 0
                         if context.cost_model is not None:
                             power = (

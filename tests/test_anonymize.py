@@ -354,6 +354,31 @@ def test_anonymizer_kanonymity_outcome(sensor_relation):
     assert "k_anonymity" in outcome.summary()
 
 
+@pytest.mark.parametrize("algorithm", ["k_anonymity", "slicing", "differential_privacy"])
+def test_information_loss_is_computed_on_first_read(sensor_relation, monkeypatch, algorithm):
+    """``anonymize`` does not compute the loss; the first read does, once,
+    and gives what the summary of the two relations gives."""
+    import repro.anonymize.anonymizer as anonymizer_module
+
+    calls = []
+    summary = anonymizer_module.information_loss_summary
+
+    def counted(original, modified):
+        calls.append(1)
+        return summary(original, modified)
+
+    monkeypatch.setattr(anonymizer_module, "information_loss_summary", counted)
+    outcome = Anonymizer(algorithm=algorithm, k=5, seed=0).anonymize(sensor_relation)
+    assert outcome.applied and not calls
+    eager = summary(sensor_relation, outcome.relation)
+    assert outcome.information_loss == eager
+    assert outcome.information_loss is outcome.information_loss
+    assert len(calls) == 1
+    assert f"DD={eager.direct_distance}" in outcome.summary()
+    deferred = Anonymizer(minimum_cpu_power=1.0).anonymize(sensor_relation, node_cpu_power=0.1)
+    assert deferred.information_loss is None and len(calls) == 1
+
+
 def test_anonymizer_defers_on_weak_nodes(sensor_relation):
     outcome = Anonymizer(algorithm="k_anonymity", minimum_cpu_power=1.0).anonymize(
         sensor_relation, node_cpu_power=0.1

@@ -583,6 +583,37 @@ def test_float_sum_states_in_range_combine_exactly(config, values, cut):
 
 
 @pytest.mark.parametrize("config", sorted(_OVERFLOW_CONFIGS))
+@pytest.mark.parametrize(
+    "values, sum_error, avg_error",
+    [
+        ([10**400, "a"], ValueError, OverflowError),
+        (["a", 10**400], ValueError, ValueError),
+    ],
+    ids=["int_first", "string_first"],
+)
+def test_sum_of_a_huge_int_and_a_string_raises_alike(config, values, sum_error, avg_error):
+    """``SUM`` records an int beyond float range and raises only once every
+    value converted, so the string's ``ValueError`` wins in either row
+    order, interpreted too; ``AVG`` converts each value as it comes."""
+    engine = _OVERFLOW_CONFIGS[config]
+    for sql, error in (
+        ("SELECT SUM(v) AS s FROM d", sum_error),
+        ("SELECT AVG(v) AS s FROM d", avg_error),
+    ):
+        with pytest.raises(error):
+            _float_database(values).query(sql, engine)
+        with pytest.raises(error):
+            _float_database(values).partial_aggregate(sql, engine)
+        # One value per part, in row order: SUM's int part keeps a state and
+        # the string's part raises; AVG's parts raise as its rows would.
+        with pytest.raises(error):
+            states = [
+                _float_database([value]).partial_aggregate(sql, engine) for value in values
+            ]
+            Database().combine_partials(sql, union_partials(states, name="s"), engine)
+
+
+@pytest.mark.parametrize("config", sorted(_OVERFLOW_CONFIGS))
 def test_float_sum_state_out_of_range_raises_at_partial(config):
     """A part whose own exact sum is out of float range has no state."""
     with pytest.raises(OverflowError):

@@ -559,6 +559,21 @@ def _sensor_tree() -> ParadiseProcessor:
     return processor
 
 
+def _memo_hits() -> int:
+    return registry.value("runtime.state_memo.hits")
+
+
+def _assert_repeats_hit(processor, sql, options, hits, expected) -> None:
+    """Run the text twice: the plan cache hands the second run the first
+    run's leaf queries, so ``hits`` leaf partials decode their kept state
+    instead of scanning, and both runs give ``expected``."""
+    first = processor.process(sql, "ActionFilter", **options)
+    before = _memo_hits()
+    again = processor.process(sql, "ActionFilter", **options)
+    assert _memo_hits() == before + hits
+    assert pack_relation(first.result) == pack_relation(again.result) == expected
+
+
 @pytest.mark.parametrize("keys", [("f",), ("n",), ("i",), ("m",), ("f", "n"), ("i", "f", "m")])
 @pytest.mark.parametrize("delta_rows", [0, 1, 7, 30])
 def test_appended_chunk_inherits_an_index_equal_to_a_rebuild(keys, delta_rows):
@@ -593,21 +608,23 @@ def test_only_built_indexes_are_inherited():
 
 def test_standing_read_after_an_append_builds_no_index():
     """A chunk whose index was built keeps one across appends: the read
-    after a write takes whole groups without a build."""
+    after a write takes whole groups without a build.  Each run submits a
+    freshly parsed query, which the plan cache never holds, so every leaf
+    partial computes; the cached text then hits both leaves."""
     processor = _sensor_tree()
     sql = "SELECT f, n, COUNT(*) AS c, SUM(v) AS sv FROM d GROUP BY f, n"
     options = {"apply_rewriting": False, "anonymize": False}
     for _ in range(2):
-        processor.process(sql, "ActionFilter", **options)
+        processor.process(parse(sql), "ActionFilter", **options)
     node = processor.network.partition_holders("d")[0]
     delta = Relation.from_rows(_rows(5, 3), name="d", schema=INDEX_SCHEMA)
     processor.network.append_to_partition(node, "d", delta)
     builds, whole = scan_stats.group_index_builds, scan_stats.whole_groups
-    run = processor.process(sql, "ActionFilter", **options)
+    run = processor.process(parse(sql), "ActionFilter", **options)
     assert (scan_stats.group_index_builds, scan_stats.whole_groups) == (builds, whole + 2)
-    assert pack_relation(run.result) == pack_relation(
-        reference_result(processor, sql, "ActionFilter", **options)
-    )
+    expected = pack_relation(reference_result(processor, sql, "ActionFilter", **options))
+    assert pack_relation(run.result) == expected
+    _assert_repeats_hit(processor, sql, options, 2, expected)
 
 
 def test_a_dropped_relation_needs_no_cyclic_collection():
@@ -747,7 +764,9 @@ TOPOLOGIES = {
 @pytest.mark.parametrize("execution", ["serial", "parallel"])
 def test_process_takes_whole_groups_and_matches_the_reference(sql, topology, execution):
     """Every leaf partial takes whole groups from the second run on (x, y
-    on a grid of 2 keep the groups few enough for leaf partials)."""
+    on a grid of 2 keep the groups few enough for leaf partials).  Each run
+    submits a freshly parsed query so that every leaf partial computes;
+    under zone maps the cached text's repeat then hits every leaf."""
     make_topology, sensors = TOPOLOGIES[topology]
     processor = ParadiseProcessor(
         figure4_policy(),
@@ -762,10 +781,13 @@ def test_process_takes_whole_groups_and_matches_the_reference(sql, topology, exe
         processor.engine = config
         whole = scan_stats.whole_groups
         for _ in range(3):
-            run = processor.process(sql, "ActionFilter", **options)
+            run = processor.process(parse(sql), "ActionFilter", **options)
             assert pack_relation(run.result) == expected, name
         taken = 2 * sensors if name == "zone_maps" else 0
         assert scan_stats.whole_groups == whole + taken, name
+        _assert_repeats_hit(
+            processor, sql, options, sensors if name == "zone_maps" else 0, expected
+        )
     if execution == "parallel":
         assert run.runtime.workers > 1
 
@@ -775,7 +797,8 @@ def test_process_takes_whole_groups_and_matches_the_reference(sql, topology, exe
 @pytest.mark.parametrize("execution", ["serial", "parallel"])
 def test_process_splits_groups_and_matches_the_reference(sql, topology, execution):
     """Every leaf partial splits its filtered copy at group bounds from the
-    second run on."""
+    second run on.  Freshly parsed queries compute every leaf partial; the
+    cached text's repeat hits every leaf under zone maps."""
     make_topology, sensors = TOPOLOGIES[topology]
     processor = ParadiseProcessor(
         figure4_policy(),
@@ -790,10 +813,13 @@ def test_process_splits_groups_and_matches_the_reference(sql, topology, executio
         processor.engine = config
         splits = _split_count()
         for _ in range(3):
-            run = processor.process(sql, "ActionFilter", **options)
+            run = processor.process(parse(sql), "ActionFilter", **options)
             assert pack_relation(run.result) == expected, name
         taken = 2 * sensors if name == "zone_maps" else 0
         assert _split_count() == splits + taken, name
+        _assert_repeats_hit(
+            processor, sql, options, sensors if name == "zone_maps" else 0, expected
+        )
     if execution == "parallel":
         assert run.runtime.workers > 1
 
@@ -848,10 +874,10 @@ def test_probes_and_profile_scan_paths():
     processor.load_data(make_sensor_relation(400))
     sql = "SELECT x, y, AVG(z) AS az FROM d WHERE z < 2 AND x > y GROUP BY x, y"
     options = {"apply_rewriting": False, "anonymize": False}
-    processor.process(sql, "ActionFilter", **options)
-    build = processor.process(sql, "ActionFilter", profile=True, **options)
+    processor.process(parse(sql), "ActionFilter", **options)
+    build = processor.process(parse(sql), "ActionFilter", profile=True, **options)
     assert build.profile.scan_paths["group_index.builds"] == 1
-    reuse = processor.process(sql, "ActionFilter", profile=True, **options)
+    reuse = processor.process(parse(sql), "ActionFilter", profile=True, **options)
     paths = reuse.profile.scan_paths
     assert "group_index.builds" not in paths
     assert paths["whole_groups"] == 1
@@ -864,6 +890,14 @@ def test_probes_and_profile_scan_paths():
         "engine.group_index.key_conjuncts",
     ):
         assert probe in snapshot
+    # The cached text's repeat decodes its kept state: no scan at all.
+    processor.process(sql, "ActionFilter", **options)
+    hit = processor.process(sql, "ActionFilter", profile=True, **options)
+    paths = hit.profile.scan_paths
+    assert paths["state_memo.hits"] == 1
+    assert "state_memo.misses" not in paths and "whole_groups" not in paths
+    assert "memo hit" in hit.profile.render()
+    assert pack_relation(hit.result) == pack_relation(reuse.result)
 
 
 def test_split_scans_in_explain_probes_and_profile():
@@ -874,12 +908,13 @@ def test_split_scans_in_explain_probes_and_profile():
     assert "[zone map proves z < 2] [group index splits on valid]" in text
     assert "group keys decide" not in text
     options = {"apply_rewriting": False, "anonymize": False}
-    processor.process(sql, "ActionFilter", **options)
-    build = processor.process(sql, "ActionFilter", profile=True, **options)
+    processor.process(parse(sql), "ActionFilter", **options)
+    build = processor.process(parse(sql), "ActionFilter", profile=True, **options)
     assert build.profile.scan_paths["group_index.split_scans"] == 1
     assert "whole_groups" not in build.profile.scan_paths
     assert "group_index.split_scans: 1" in build.profile.render()
     assert "engine.group_index.split_scans" in registry.snapshot()
+    _assert_repeats_hit(processor, sql, options, 1, pack_relation(build.result))
     processor.engine = CONFIGS["no_optimizer"]
     text = processor.explain(sql, "ActionFilter", apply_rewriting=False)
     assert "group index splits" not in text

@@ -362,18 +362,30 @@ def test_paper_chain_sensor_partial_takes_whole_groups():
     """The paper query's sensor partial on the chain (``WHERE z < 2 AND
     x > y GROUP BY x, y``) is one whole-group scan per op once the chunk's
     group index exists: the zone map proves ``z < 2``, ``x > y`` runs once
-    per group, and no op after the second builds an index."""
+    per group, and no op after the second builds an index.  Each op
+    submits a freshly parsed query, which the plan cache never holds, so
+    the sensor partial computes; the cached text's repeats scan nothing
+    and decode the state the first one kept."""
     processor = build_flat_processor(rows=300)
     for _ in range(2):
-        assert processor.process(PIPELINE_SQL, "ActionFilter").admitted
+        assert processor.process(parse(PIPELINE_SQL), "ActionFilter").admitted
     before = registry.snapshot(prefix="engine.")
     for _ in range(3):
-        assert processor.process(PIPELINE_SQL, "ActionFilter").admitted
+        assert processor.process(parse(PIPELINE_SQL), "ActionFilter").admitted
     diff = delta(before, registry.snapshot(prefix="engine."))
     assert diff["engine.vectorized.partial"] == 3
     assert diff["engine.vectorized.whole_groups"] == 3
     assert diff["engine.group_index.key_conjuncts"] == 3
     assert diff.get("engine.group_index.builds", 0) == 0
+    first = processor.process(PIPELINE_SQL, "ActionFilter")
+    before = registry.snapshot()
+    for _ in range(3):
+        again = processor.process(PIPELINE_SQL, "ActionFilter")
+        assert pack_relation(again.result) == pack_relation(first.result)
+    diff = delta(before, registry.snapshot())
+    assert diff["runtime.state_memo.hits"] == 3
+    assert not diff.get("runtime.state_memo.misses")
+    assert not diff.get("engine.vectorized.partial")
 
 
 def test_kernel_fallbacks_count_slices_without_a_buffer():
