@@ -14,7 +14,13 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.common import PAPER_SQL, build_processor, print_table
+from benchmarks.common import (
+    PAPER_SQL,
+    build_processor,
+    forget_kept_states,
+    print_table,
+    state_memo_hits,
+)
 
 ROWS = 4000
 
@@ -30,10 +36,17 @@ CONFIGURATIONS = {
 def test_bench_configuration(benchmark, name):
     processor = build_processor(ROWS)
     kwargs = dict(CONFIGURATIONS[name], anonymize=False)
+    hits = state_memo_hits()
     result = benchmark.pedantic(
-        processor.process, args=(PAPER_SQL, "ActionFilter"), kwargs=kwargs, rounds=2, iterations=1
+        processor.process,
+        args=(PAPER_SQL, "ActionFilter"),
+        kwargs=kwargs,
+        setup=lambda: forget_kept_states(processor),
+        rounds=2,
+        iterations=1,
     )
     assert result.admitted
+    assert state_memo_hits() == hits, "a timed run decoded a kept state"
 
 
 def test_ablation_pushdown_report():

@@ -12,7 +12,13 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.common import PAPER_SQL, build_processor, print_table
+from benchmarks.common import (
+    PAPER_SQL,
+    build_processor,
+    forget_kept_states,
+    print_table,
+    state_memo_hits,
+)
 
 SIZES = (500, 2000, 8000)
 
@@ -21,14 +27,17 @@ SIZES = (500, 2000, 8000)
 @pytest.mark.parametrize("rows", SIZES)
 def test_bench_pushdown_execution(benchmark, rows):
     processor = build_processor(rows)
+    hits = state_memo_hits()
     result = benchmark.pedantic(
         processor.process,
         args=(PAPER_SQL, "ActionFilter"),
         kwargs={"anonymize": False},
+        setup=lambda: forget_kept_states(processor),
         rounds=2,
         iterations=1,
     )
     assert result.admitted
+    assert state_memo_hits() == hits, "a timed run decoded a kept state"
     assert result.rows_leaving_apartment <= rows
 
 

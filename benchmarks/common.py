@@ -90,9 +90,9 @@ def forget_kept_states(processor: ParadiseProcessor) -> None:
     partials scan their chunks again.
 
     A benchmark that times compute calls it outside the timed window of
-    each repeat: plans, statistics and group indexes stay warm, so the
-    repeat does the work a cached text's first run does over an indexed
-    chunk, not a decode of the state a previous repeat kept.
+    each repeat: plans and statistics stay warm, so the repeat does the
+    work a cached text's first run does, not a decode of the state a
+    previous repeat kept.
     """
     network = processor.network
     for table in network.base_table_names():

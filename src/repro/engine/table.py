@@ -191,7 +191,6 @@ class Relation:
         "_version",
         "_scope_cache",
         "_stats_cache",
-        "_group_cache",
         "_bytes_cache",
         "_state_cache",
     )
@@ -210,7 +209,6 @@ class Relation:
         self._version = 0
         self._scope_cache: Optional[tuple] = None
         self._stats_cache: Optional[tuple] = None
-        self._group_cache: Optional[tuple] = None
         self._bytes_cache: Optional[tuple] = None
         self._state_cache: Optional[tuple] = None
         if rows is None:
@@ -441,70 +439,15 @@ class Relation:
         """
         self._stats_cache = (self._version, prefix.stats().appended(self))
 
-    def group_index(
-        self, key_columns: tuple, build: Callable[["Relation", tuple], Any]
-    ) -> Optional[Any]:
-        """The group index for ``key_columns`` (lower-cased) at the current
-        version, or None.
-
-        The first request at a version only records the ask and returns
-        None; the second builds the index, ``build(self, key_columns)``,
-        and it is kept until the next mutation.  A relation scanned once —
-        a shipped intermediate, an appended delta, a standing query's first
-        pass over a chunk — never pays for an index or holds one.  Scans
-        racing on one relation at worst both build: each index is
-        complete and correct, and either is kept.
-        """
-        cached = self._group_cache
-        if cached is None or cached[0] != self._version:
-            cached = (self._version, {})
-            self._group_cache = cached
-        indexes = cached[1]
-        if key_columns not in indexes:
-            indexes[key_columns] = None
-            return None
-        index = indexes[key_columns]
-        if index is None:
-            index = indexes[key_columns] = build(self, key_columns)
-        return index
-
-    def cached_group_index(self, key_columns: tuple) -> Optional[Any]:
-        """The group index :meth:`group_index` built for ``key_columns``
-        at the current version, or None; never builds or records one."""
-        cached = self._group_cache
-        if cached is not None and cached[0] == self._version:
-            return cached[1].get(key_columns)
-        return None
-
-    def inherit_group_indexes(self, prefix: "Relation") -> None:
-        """Seed this relation's group indexes from ``prefix``'s.
-
-        For a relation holding ``prefix``'s rows followed by new ones, like
-        :meth:`inherit_stats`: every index ``prefix`` has built at its
-        current version carries over, extended by the new rows only
-        (:meth:`~repro.engine.groups.GroupIndex.appended`).
-        """
-        cached = prefix._group_cache
-        if cached is None or cached[0] != prefix._version:
-            return
-        self._group_cache = (
-            self._version,
-            {
-                keys: index.appended(self)
-                for keys, index in cached[1].items()
-                if index is not None
-            },
-        )
-
     def kept_states(self) -> Dict[Any, Any]:
         """The packed partial states kept for this relation at its current
         version (:meth:`~repro.runtime.dag.StageTask.execute` fills it).
 
-        Like the group index, the dict lives and dies with the version: any
-        write through this API starts an empty one, and a replaced or
-        appended chunk is a new relation with none.  So a caller that
-        takes the dict before it reads the rows stores a state that is only
-        ever found while no write has happened since that read began.
+        The dict lives and dies with the version: any write through this
+        API starts an empty one, and a replaced or appended chunk is a new
+        relation with none.  So a caller that takes the dict before it
+        reads the rows stores a state that is only ever found while no
+        write has happened since that read began.
         """
         cached = self._state_cache
         if cached is None or cached[0] != self._version:

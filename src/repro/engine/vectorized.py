@@ -29,16 +29,6 @@ arrays:
   results are byte-identical to the row-at-a-time path.
 * **Partial aggregation scans** — the distributed GROUP BY leaf phase —
   use the same machinery and emit mergeable state relations.
-* **Whole groups** (zone maps on): when every WHERE conjunct left after
-  the zone map reads only typed key columns, a grouped scan takes its
-  groups whole from the relation's cached group index
-  (:mod:`repro.engine.groups`) and evaluates each conjunct once per group
-  (:func:`whole_groups`) instead of once per row.
-* **Split groups** (zone maps on): otherwise, a grouped scan over an
-  indexed relation filters group-ordered copies of the columns its
-  conjuncts read and cuts the ascending selection at the index's group
-  bounds (:func:`split_groups`): no group key is hashed per row unless
-  no more rows pass than there are groups.
 
 Anything outside these shapes (joins, subqueries, window functions,
 qualified references, expression keys...) bails to the executor's
@@ -72,7 +62,7 @@ from repro.engine.aggregates import FINALIZE_ERRORS, GroupedColumn, aggregate_co
 from repro.engine.columns import BOOL, INT64, TypedColumn, gather, take_column
 from repro.engine.errors import ExecutionError
 from repro.engine.evaluator import _like_to_regex
-from repro.engine.groups import GroupIndex, group_rows
+from repro.engine.groups import group_rows
 from repro.engine.schema import ColumnDef, Schema
 from repro.engine.stats import ColumnStats, TableStats, optimizer_stats
 from repro.engine.table import Relation, _OrderKey, fit_backing, freeze_value
@@ -128,10 +118,6 @@ class ScanStats:
         "zone_proved",
         "zone_refuted",
         "zone_pruned",
-        "whole_groups",
-        "group_index_builds",
-        "key_conjuncts",
-        "split_scans",
         "bails",
     )
 
@@ -156,15 +142,6 @@ class ScanStats:
         self.zone_proved = 0
         self.zone_refuted = 0
         self.zone_pruned = 0
-        #: Grouped scans that took whole groups from a group index
-        #: (:func:`whole_groups`), the indexes built for them, and the
-        #: conjuncts they evaluated once per group instead of per row.
-        self.whole_groups = 0
-        self.group_index_builds = 0
-        self.key_conjuncts = 0
-        #: Grouped scans that split a filtered group-ordered copy at the
-        #: index's group bounds (:func:`split_groups`).
-        self.split_scans = 0
         self.bails: Dict[str, int] = {}
 
     def bail(self, reason: "BailReason") -> None:
@@ -376,11 +353,6 @@ _SWAPPED_OPS = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
 #: compiled AND closure, which only short-circuits on a definite false —
 #: but are excluded from the final selection.
 Selection = Tuple[List[int], Set[int]]
-
-#: The groups a grouped scan takes from a group index: their keys and
-#: member row indices, in first-occurrence order (:func:`whole_groups`,
-#: :func:`split_groups`).
-IndexGroups = Tuple[List[Tuple[Any, ...]], List[Sequence[int]]]
 
 
 def _filter_typed(
@@ -1333,15 +1305,8 @@ def _apply_predicates(
     predicates: Sequence[Any],
     relation: Relation,
     optimizer: bool,
-    reads: Optional["_ColumnView"] = None,
 ) -> Optional[List[int]]:
-    """Filter row indices through the conjuncts; None means "all rows".
-
-    The conjuncts are ordered from ``relation``'s stats and read
-    ``reads`` when given: columns holding a permutation of ``relation``'s
-    rows (:meth:`GroupIndex.ordered`), whose positions the selection then
-    holds.
-    """
+    """Filter row indices through the conjuncts; None means "all rows"."""
     if not predicates:
         return None
     if (
@@ -1350,13 +1315,11 @@ def _apply_predicates(
         and len(relation) >= _MIN_REORDER_ROWS
     ):
         predicates = order_conjuncts(predicates, relation, relation.stats())
-    if reads is None:
-        reads = relation
     # The first conjunct reads every row; each returns a list.
     sel: Sequence[int] = range(len(relation))
     nulls: Set[int] = set()
     for predicate in predicates:
-        sel = predicate.apply(reads, sel, nulls)
+        sel = predicate.apply(relation, sel, nulls)
         if not sel:
             return []
     if nulls:
@@ -1364,155 +1327,6 @@ def _apply_predicates(
     # Selections are ascending and duplicate-free: one that kept every row
     # is the identity, and "all rows" lets consumers slice, not gather.
     return None if len(sel) == len(relation) else sel
-
-
-#: Conjunct classes whose value on a row is a function of the cells they
-#: read and nothing else (no string form, no arithmetic).
-_KEY_DECIDABLE = (
-    _ComparePred,
-    _ColumnComparePred,
-    _BetweenPred,
-    _InListPred,
-    _IsNullPred,
-    _TruthPred,
-    _AlwaysNullPred,
-)
-
-
-def key_decidable(predicate: Any, relation: Relation, key_columns: Sequence[str]) -> bool:
-    """Does ``predicate`` take one value on every row of a group?
-
-    True for an :func:`_infallible` comparison, range, IN list, NULL or
-    truth test that reads only key columns with a typed backing.  The rows
-    of a group hold equal keys, and on int64/float64/bool cells equal
-    values compare, test and match alike; the one pair of distinct equal
-    floats, -0.0 and 0.0, differs only in sign, which none of these
-    conjuncts reads (LIKE reads the string form, arithmetic can divide by
-    it).  A generic column may hold ``1``, ``1.0`` and ``True`` in one
-    group, so it never decides.
-    """
-    return (
-        isinstance(predicate, _KEY_DECIDABLE)
-        and all(
-            name in key_columns and isinstance(relation.column_array(name), TypedColumn)
-            for name in predicate.columns
-        )
-        and _infallible(predicate, relation)
-    )
-
-
-def _build_group_index(relation: Relation, key_columns: Tuple[str, ...]) -> GroupIndex:
-    stats.group_index_builds += 1
-    return GroupIndex.build(relation, key_columns)
-
-
-def index_groups(
-    predicates: Sequence[Any], relation: Relation, key_columns: Tuple[str, ...]
-) -> Optional[IndexGroups]:
-    """The ``(keys, members)`` of the groups of ``relation``'s rows that
-    pass ``predicates``, cut from its group index for ``key_columns``: by
-    :func:`whole_groups`, else by :func:`split_groups`.  None when the
-    relation has no index yet (:meth:`Relation.group_index`: built by the
-    second scan that asks at its version; the one ask of this scan) or
-    when the split raised.
-    """
-    index = relation.group_index(key_columns, _build_group_index)
-    if index is None:
-        return None
-    groups = whole_groups(predicates, relation, index)
-    if groups is None:
-        groups = split_groups(predicates, relation, index)
-    return groups
-
-
-def whole_groups(
-    predicates: Sequence[Any], relation: Relation, index: GroupIndex
-) -> Optional[IndexGroups]:
-    """The ``(keys, members)`` of the groups of ``relation`` whose rows
-    pass ``predicates``, taken whole from its group ``index``; None unless
-    every conjunct is :func:`key_decidable`.
-
-    Each conjunct runs over the index's key relation, once per group, with
-    the scan's own kernels; the passing groups keep their index order,
-    which is their first-occurrence order among the passing rows.
-    """
-    key_columns = index.key_columns
-    if not all(key_decidable(predicate, relation, key_columns) for predicate in predicates):
-        return None
-    stats.whole_groups += 1
-    chosen = None
-    if predicates:
-        stats.key_conjuncts += len(predicates)
-        chosen = _apply_predicates(predicates, index.key_relation, True)
-    if chosen is None:
-        return index.keys, index.members
-    return [index.keys[g] for g in chosen], [index.members[g] for g in chosen]
-
-
-def split_groups(
-    predicates: Sequence[Any], relation: Relation, index: GroupIndex
-) -> Optional[IndexGroups]:
-    """The ``(keys, members)`` :func:`group_rows` gives over the rows of
-    ``relation`` that pass ``predicates``; None when a conjunct raised
-    (the caller then filters ``relation`` itself, which raises or
-    abandons exactly as a scan without the index does).
-
-    The conjuncts run, in the order the relation's own stats give them,
-    over group-ordered copies of the columns they read
-    (:meth:`GroupIndex.ordered`).  Both scans evaluate the same (row,
-    conjunct) pairs, so one raises when the other does.  The index cuts
-    the selection at its group bounds (:meth:`GroupIndex.split`); when no
-    more rows pass than there are groups, the passing rows are hashed
-    instead, which costs less.
-    """
-    names = {name for predicate in predicates for name in predicate.columns}
-    try:
-        ordered = _ColumnView(index.ordered(relation, names))
-        chosen = _apply_predicates(predicates, relation, True, ordered)
-    except Exception:  # noqa: BLE001 - filtering the relation itself re-raises it
-        return None
-    if chosen is None:
-        stats.split_scans += 1
-        return index.keys, index.members
-    if len(chosen) <= len(index.keys):
-        grouped = group_rows(relation, index.key_columns, sorted(gather(index.order, chosen)))
-        return list(grouped), list(grouped.values())
-    stats.split_scans += 1
-    return index.split(relation, chosen)
-
-
-def index_scan_terms(
-    query: ast.Query, relation: Relation
-) -> Tuple[bool, List[ast.Expression]]:
-    """How a scan of ``relation`` by grouped ``query`` uses a group index:
-    ``(True, terms)`` when the WHERE conjuncts its zone map leaves are
-    each decided once per group (:func:`whole_groups`), ``(False, terms)``
-    when they filter group-ordered copies split at group bounds
-    (:func:`split_groups`), and ``(False, [])`` when there is no such
-    conjunct or no index path.
-
-    What ``explain()`` prints for a resident chunk; builds the chunk's
-    stats, as the DAG's zone map rule does, and never its group index.
-    """
-    if not isinstance(query, ast.SelectQuery) or query.where is None:
-        return False, []
-    key_columns = [_plain_column(expression) for expression in query.group_by]
-    if not key_columns or None in key_columns:
-        return False, []
-    predicates = _plan_predicates(query, True)
-    if predicates is None or any(
-        relation.column_array(name) is None
-        for predicate in predicates
-        for name in predicate.columns
-    ):
-        return False, []
-    terms = ast.conjunction_terms(query.where)
-    proven, refuted = zone_verdicts(predicates, relation, relation.stats().column)
-    if refuted is not None:
-        return False, []
-    left = [i for i in range(len(terms)) if i not in proven]
-    decided = all(key_decidable(predicates[i], relation, key_columns) for i in left)
-    return decided, [terms[i] for i in left]
 
 
 class _ColumnView(dict):
@@ -1636,8 +1450,7 @@ class GroupedScanPlan:
         self.query = query
         self.table_name = table_name
         self.predicates = predicates
-        #: Lower-cased, a tuple: the relation's group index key.
-        self.key_columns = tuple(key_columns)
+        self.key_columns = key_columns
         self.specs = specs
         self.required = set(key_columns)
         for predicate in predicates:
@@ -1805,13 +1618,8 @@ def _note_backing(relation: Relation, names) -> None:
 
 
 def _select_rows(executor, query: ast.Query, parent=None):
-    """``(plan, relation, sel, groups)`` for a columnar run of ``query``, or
-    None (the bail recorded) to use the row path.
-
-    ``groups`` is the ``(keys, members)`` a grouped scan cuts from the
-    relation's group index under zone maps (:func:`index_groups`), else
-    None and ``sel`` holds the selected rows.
-    """
+    """``(plan, relation, sel)`` for a columnar run of ``query``, or None
+    (the bail recorded) to use the row path."""
     plan = plan_select(executor, query)
     if plan is None:
         return None
@@ -1826,16 +1634,12 @@ def _select_rows(executor, query: ast.Query, parent=None):
     try:
         predicates = _zone_filter(plan.predicates, relation, config.optimizer)
         if predicates is None:
-            return plan, relation, [], None
-        if grouped and plan.key_columns and config.zone_maps:
-            groups = index_groups(predicates, relation, plan.key_columns)
-            if groups is not None:
-                return plan, relation, None, groups
+            return plan, relation, []
         sel = _apply_predicates(predicates, relation, config.optimizer)
     except _SCAN_ABANDON_ERRORS:
         stats.bail(BailReason.SCAN_ABANDONED)
         return None
-    return plan, relation, sel, None
+    return plan, relation, sel
 
 
 def try_execute_select(executor, query: ast.Query, parent) -> Optional[Relation]:
@@ -1843,11 +1647,11 @@ def try_execute_select(executor, query: ast.Query, parent) -> Optional[Relation]
     selected = _select_rows(executor, query, parent)
     if selected is None:
         return None
-    plan, relation, sel, groups = selected
+    plan, relation, sel = selected
     if isinstance(plan, FlatScanPlan):
         result = _execute_flat(plan, relation, sel)
     else:
-        result = _execute_grouped(executor, plan, relation, parent, sel, groups)
+        result = _execute_grouped(executor, plan, relation, parent, sel)
     if result is None:
         stats.bail(BailReason.SCAN_ABANDONED)
     else:
@@ -1861,11 +1665,11 @@ def try_execute_partial(executor, query: ast.SelectQuery) -> Optional[Relation]:
     selected = _select_rows(executor, query)
     if selected is None or not isinstance(selected[0], GroupedScanPlan):
         return None
-    plan, relation, sel, groups = selected
+    plan, relation, sel = selected
     group_plan = executor._group_plan(query)
     # check_bare_columns has seen every bare column in the table.
     firsts = [relation.column_array(name) for name in group_plan.first_names]
-    scanned = _scan_groups(plan, relation, sel, "partial", groups)
+    scanned = _scan_groups(plan, relation, sel, "partial")
     if scanned is None:
         stats.bail(BailReason.SCAN_ABANDONED)
         return None
@@ -1980,11 +1784,9 @@ def _scan_groups(
     relation: Relation,
     sel: Optional[List[int]],
     phase: str,
-    groups: Optional[IndexGroups] = None,
 ):
-    """Group the selected rows (or take ``groups``, see
-    :func:`_select_rows`), then ``phase`` (``"partial"`` or ``"result"``)
-    of every aggregate spec, one column per spec.
+    """Group the selected rows, then ``phase`` (``"partial"`` or
+    ``"result"``) of every aggregate spec, one column per spec.
 
     Each argument column is gathered once per group and every spec's
     column comes from one :func:`~repro.engine.aggregates.aggregate_column`
@@ -1995,13 +1797,10 @@ def _scan_groups(
     SUM/STDDEV meeting a non-numeric or non-finite value) abandons the
     scan, so the row path re-raises its own row-major error.
     """
-    if groups is not None:
-        keys, members = groups
-        gathered: Optional[List[Sequence[int]]] = members
-    elif plan.key_columns:
+    if plan.key_columns:
         grouped = group_rows(relation, plan.key_columns, sel)
         keys, members = list(grouped), list(grouped.values())
-        gathered = members
+        gathered: Optional[List[Sequence[int]]] = members
     else:
         keys = [()]
         members = [range(len(relation)) if sel is None else sel]
@@ -2046,9 +1845,8 @@ def _execute_grouped(
     relation: Relation,
     parent,
     sel: Optional[List[int]],
-    groups: Optional[IndexGroups],
 ) -> Optional[Relation]:
-    scanned = _scan_groups(plan, relation, sel, "result", groups)
+    scanned = _scan_groups(plan, relation, sel, "result")
     if scanned is None:
         return None
     _, members, columns, error = scanned
@@ -2146,7 +1944,3 @@ _registry.probe("engine.vectorized.bails", lambda: dict(stats.bails))
 _registry.probe("engine.zone.proved", lambda: stats.zone_proved)
 _registry.probe("engine.zone.refuted", lambda: stats.zone_refuted)
 _registry.probe("engine.zone.pruned_partitions", lambda: stats.zone_pruned)
-_registry.probe("engine.vectorized.whole_groups", lambda: stats.whole_groups)
-_registry.probe("engine.group_index.builds", lambda: stats.group_index_builds)
-_registry.probe("engine.group_index.key_conjuncts", lambda: stats.key_conjuncts)
-_registry.probe("engine.group_index.split_scans", lambda: stats.split_scans)

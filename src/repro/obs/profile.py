@@ -320,7 +320,6 @@ def build_profile_report(
                     "engine.vectorized.",
                     "engine.optimizer.",
                     "engine.zone.",
-                    "engine.group_index.",
                     "runtime.state_memo.",
                 )
             ):
@@ -337,9 +336,8 @@ def build_profile_report(
                     "optimizer." + key[len("engine.optimizer.") :]
                 ] = diff
                 continue
-            # Zone map work skipped this run reads as ``zone.proved``, group
-            # index work as ``group_index.builds``, kept leaf states as
-            # ``state_memo.hits`` etc.
+            # Zone map work skipped this run reads as ``zone.proved``, kept
+            # leaf states as ``state_memo.hits`` etc.
             short = key.replace("engine.vectorized.", "")
             short = short.replace("engine.", "", 1).replace("runtime.", "", 1)
             if short.startswith("bails."):

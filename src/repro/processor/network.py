@@ -241,7 +241,6 @@ class NetworkSimulator:
         self._register_stream(database, table_name, combined)
         appended = database.table(table_name)
         appended.inherit_stats(chunk)
-        appended.inherit_group_indexes(chunk)
         holders = self._partitions.setdefault(table_name.lower(), [])
         if node_name not in holders:
             holders.append(node_name)

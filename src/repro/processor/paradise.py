@@ -468,11 +468,6 @@ class ParadiseProcessor:
                     line += " [Table 1: resident-partition rule]"
                 if task.proves:
                     line += f" [zone map proves {'; '.join(task.proves)}]"
-                if self.engine.zone_maps:
-                    decided, terms = task.index_scan(self.network)
-                    if terms:
-                        label = "group keys decide" if decided else "group index splits on"
-                        line += f" [{label} {'; '.join(terms)}]"
             lines.append(line)
         return "\n".join(lines)
 

@@ -86,7 +86,6 @@ from repro.engine.schema import ColumnDef, Schema
 from repro.engine.table import Relation, fit_backing
 from repro.engine.types import DataType
 from repro.engine.vectorized import (
-    index_scan_terms,
     is_grouped,
     where_conjuncts,
     zone_verdicts,
@@ -852,19 +851,6 @@ class StageTask(Task):
         :mod:`repro.fragment.capabilities`."""
         level = topology.node(self.node).level
         return self.resident and not self.features() <= permitted_features(level)
-
-    def index_scan(self, network: NetworkSimulator) -> Tuple[bool, Tuple[str, ...]]:
-        """How this task's grouped scan of its resident chunk uses the
-        chunk's group index: whether its WHERE conjuncts are decided once
-        per group, and those conjuncts, rendered
-        (:func:`~repro.engine.vectorized.index_scan_terms`)."""
-        if self.op not in ("query", "partial") or not self.resident:
-            return False, ()
-        database = network.database(self.node)
-        if self.base not in database:
-            return False, ()
-        decided, terms = index_scan_terms(self.query, database.table(self.base))
-        return decided, tuple(render_expression(term) for term in terms)
 
     def features(self) -> FrozenSet[str]:
         """The Table 1 features of the work this task runs on its node.

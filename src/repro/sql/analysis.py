@@ -16,7 +16,6 @@ from typing import FrozenSet, List, Set
 from repro.sql import ast
 from repro.sql.visitor import (
     collect_aggregates,
-    collect_columns,
     collect_function_calls,
     collect_tables,
     nesting_depth,
@@ -195,19 +194,6 @@ def _output_columns(query: ast.Query) -> List[str]:
         name = item.output_name
         names.append(name if name is not None else "?")
     return names
-
-
-def referenced_columns_by_table(query: ast.Query) -> dict[str, Set[str]]:
-    """Group referenced column names by the table qualifier used (if any).
-
-    Unqualified columns are grouped under the empty string.  Useful for
-    projection pruning and for policy checks that are scoped per relation.
-    """
-    grouped: dict[str, Set[str]] = {}
-    for column in collect_columns(query):
-        key = (column.table or "").lower()
-        grouped.setdefault(key, set()).add(column.name.lower())
-    return grouped
 
 
 def query_summary(query: ast.Query) -> dict:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
@@ -148,33 +147,3 @@ class SlidingWindow:
         for aggregate in self.aggregates:
             row[aggregate.output_name] = aggregate.compute(recent)
         return row
-
-    def slide(
-        self, readings: Sequence[Mapping[str, Any]], step_seconds: float
-    ) -> List[Reading]:
-        """Evaluate the window repeatedly, advancing by ``step_seconds``."""
-        if not readings:
-            return []
-        ordered = sorted(readings, key=lambda r: r[self.time_column])
-        timestamps = [r[self.time_column] for r in ordered]
-        start = timestamps[0]
-        end = timestamps[-1]
-        results: List[Reading] = []
-        current = start + self.size_seconds
-        while current <= end + step_seconds:
-            # The readings are time-sorted, so each window is the contiguous
-            # slice with current-size < t <= current.
-            low = bisect_right(timestamps, current - self.size_seconds)
-            high = bisect_right(timestamps, current)
-            in_window = ordered[low:high]
-            if in_window:
-                row: Reading = {
-                    "window_start": current - self.size_seconds,
-                    "window_end": current,
-                    "count": len(in_window),
-                }
-                for aggregate in self.aggregates:
-                    row[aggregate.output_name] = aggregate.compute(in_window)
-                results.append(row)
-            current += step_seconds
-        return results

@@ -358,26 +358,18 @@ def test_grouped_scans_take_no_kernel_fallback():
         assert diff["engine.vectorized.kernel_fallbacks"] == 0
 
 
-def test_paper_chain_sensor_partial_takes_whole_groups():
+def test_paper_chain_sensor_partial_scans_once_then_hits():
     """The paper query's sensor partial on the chain (``WHERE z < 2 AND
-    x > y GROUP BY x, y``) is one whole-group scan per op once the chunk's
-    group index exists: the zone map proves ``z < 2``, ``x > y`` runs once
-    per group, and no op after the second builds an index.  Each op
-    submits a freshly parsed query, which the plan cache never holds, so
-    the sensor partial computes; the cached text's repeats scan nothing
-    and decode the state the first one kept."""
+    x > y GROUP BY x, y``) scans its chunk on the first read of the text
+    and keeps its state; the repeats decode that state and scan nothing."""
     processor = build_flat_processor(rows=300)
-    for _ in range(2):
-        assert processor.process(parse(PIPELINE_SQL), "ActionFilter").admitted
-    before = registry.snapshot(prefix="engine.")
-    for _ in range(3):
-        assert processor.process(parse(PIPELINE_SQL), "ActionFilter").admitted
-    diff = delta(before, registry.snapshot(prefix="engine."))
-    assert diff["engine.vectorized.partial"] == 3
-    assert diff["engine.vectorized.whole_groups"] == 3
-    assert diff["engine.group_index.key_conjuncts"] == 3
-    assert diff.get("engine.group_index.builds", 0) == 0
+    before = registry.snapshot()
     first = processor.process(PIPELINE_SQL, "ActionFilter")
+    assert first.admitted
+    diff = delta(before, registry.snapshot())
+    assert diff["engine.vectorized.partial"] == 1
+    assert diff["runtime.state_memo.misses"] == 1
+    assert not diff.get("runtime.state_memo.hits")
     before = registry.snapshot()
     for _ in range(3):
         again = processor.process(PIPELINE_SQL, "ActionFilter")

@@ -1,6 +1,6 @@
 """Tests for query feature analysis."""
 
-from repro.sql.analysis import analyze_query, query_summary, referenced_columns_by_table
+from repro.sql.analysis import analyze_query, query_summary
 from repro.sql.parser import parse
 
 
@@ -70,12 +70,6 @@ def test_scalar_function_feature():
     features = analyze_query(parse("SELECT ROUND(x, 1) FROM d"))
     assert features.uses("scalar_function")
     assert not features.uses("aggregation")
-
-
-def test_referenced_columns_by_table():
-    grouped = referenced_columns_by_table(parse("SELECT a.x, y FROM d a WHERE a.z > 1"))
-    assert grouped["a"] == {"x", "z"}
-    assert grouped[""] == {"y"}
 
 
 def test_query_summary_shape(paper_sql):

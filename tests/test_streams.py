@@ -81,13 +81,6 @@ def test_sliding_window_latest_is_last_minute_average():
     assert latest["avg_z"] == pytest.approx(expected)
 
 
-def test_sliding_window_slide_produces_overlapping_windows():
-    window = SlidingWindow(size_seconds=10, aggregates=[WindowAggregate("MAX", "z")])
-    steps = window.slide(make_readings(30), step_seconds=5)
-    assert len(steps) >= 4
-    assert steps[0]["count"] == 10
-
-
 def test_stream_window_aggregate_end_to_end():
     stream = SensorStream("s")
     stream.push_many(make_readings(100))
