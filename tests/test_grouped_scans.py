@@ -7,8 +7,9 @@ under zone maps, to the scans without them (``optimizer=False``, the
 interpreted engine and the reference) by ``pack_relation`` bytes and by
 error: hypothesis grids over keys holding -0.0/0.0, NaN, NULLs, int64
 past 2^53 and generic ``1``/``1.0``/``True`` cells, fixed conjunct
-cases, freshness after every mutation, and ``process`` on a chain and a
-tree, serial and parallel.
+cases, freshness after every mutation, appended chunks against a rebuild,
+and ``process`` on a chain and a tree, serial and parallel.
+``group_rows`` itself is held to the row dicts' cells.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from tests.conftest import make_sensor_relation
 
 from repro.engine import Database, EngineConfig
+from repro.engine.groups import group_rows
 from repro.engine.schema import ColumnDef, Schema
-from repro.engine.table import Relation
+from repro.engine.table import Relation, freeze_value
 from repro.engine.types import DataType
 from repro.engine.wire import pack_relation
 from repro.fragment.topology import Topology
@@ -393,6 +395,26 @@ def test_each_group_takes_its_key_from_its_first_passing_row(keys, where):
         assert result.column_values("s")[:2] == ["second", "third"]
 
 
+@pytest.mark.parametrize("keys, where", FIRST_ROW_CASES)
+def test_leaf_partials_take_each_group_from_its_first_passing_row(keys, where):
+    """On a 2-sensor tree the later sensor holds the rows repeated with
+    ``v = 9``: merging the leaf partials keeps each group's key and bare
+    column from its first passing row, as the reference does."""
+    processor = ParadiseProcessor(
+        figure4_policy(),
+        topology=Topology.smart_home_tree(n_sensors=2, sensors_per_appliance=2),
+    )
+    processor.load_data(first_row_relation())
+    sql = f"SELECT {keys}, s, COUNT(*) AS c, SUM(v) AS sv FROM d WHERE {where} GROUP BY {keys}"
+    options = {"apply_rewriting": False, "anonymize": False}
+    expected = outcome(lambda: reference_result(processor, sql, "ActionFilter", **options))
+    for name, config in CONFIGS.items():
+        processor.engine = config
+        for _ in range(3):
+            got = outcome(lambda: processor.process(sql, "ActionFilter", **options).result)
+            assert got == expected, name
+
+
 def test_a_dropped_relation_needs_no_cyclic_collection():
     """A relation with cached stats is freed as soon as it is dropped: the
     cache does not refer back to it, so a replaced chunk never waits for
@@ -580,6 +602,94 @@ def test_a_read_after_an_append_matches_the_reference():
     expected = pack_relation(reference_result(processor, sql, "ActionFilter", **options))
     assert pack_relation(run.result) == expected
     _assert_repeats_hit(processor, sql, options, 2, expected)
+
+
+def _relation_state(relation: Relation):
+    """Columns by name, backing and cell repr (NaN, -0.0, 1 and 1.0, and
+    list cells, which no wire format packs, all keep their spelling)."""
+    return [
+        (name, type(column).__name__, repr(list(column)))
+        for name, column in zip(relation.schema.names, relation.columns())
+    ]
+
+
+def _reference_groups(relation: Relation, keys, sel):
+    """Selected rows keyed by their row dicts' key values, frozen only when
+    a value is unhashable."""
+    rows = relation.to_dicts()
+    groups: dict = {}
+    for index in range(len(relation)) if sel is None else sel:
+        key = tuple(rows[index][name] for name in keys)
+        try:
+            groups.setdefault(key, []).append(index)
+        except TypeError:
+            groups.setdefault(tuple(freeze_value(value) for value in key), []).append(index)
+    return groups
+
+
+GROUP_KEYS = [("f",), ("n",), ("i",), ("m",), ("f", "n"), ("i", "f", "m")]
+
+#: Selections: all rows, every row listed, a sparse one and none.
+SELECTIONS = {
+    "none": None,
+    "every_row": list(range(50)),
+    "every_third": list(range(1, 50, 3)),
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("selection", sorted(SELECTIONS))
+@pytest.mark.parametrize("keys", GROUP_KEYS)
+def test_group_rows_partitions_the_selected_rows(keys, selection):
+    """Typed keys read off their buffers group as the row dicts' cells do:
+    -0.0 joins 0.0's group under the first row's spelling, each NaN row is
+    a group of its own, 1, 1.0 and True share one, and a list key groups
+    by its frozen form."""
+    relation = _rows(50, 0)
+    sel = SELECTIONS[selection]
+    groups = group_rows(relation, keys, sel)
+    assert repr(list(groups.items())) == repr(list(_reference_groups(relation, keys, sel).items()))
+    members = sorted(row for rows in groups.values() for row in rows)
+    assert members == (list(range(50)) if sel is None else sel)
+    firsts = [rows[0] for rows in groups.values()]
+    assert firsts == sorted(firsts)
+
+
+@pytest.mark.parametrize("delta_rows", [0, 1, 7, 30])
+@pytest.mark.parametrize("keys", GROUP_KEYS)
+def test_an_appended_chunk_reads_like_a_rebuild(keys, delta_rows):
+    """A sensor's chunk read (and its stats cached) before an append reads
+    after it as a relation loaded with the same rows: the delta brings
+    -0.0 after 0.0, NaN, NULLs and new keys, and its rows below the old
+    chunk's least ``v`` pass a conjunct the old zone map would prune."""
+    processor = ParadiseProcessor(
+        figure4_policy(),
+        topology=Topology.smart_home_tree(n_sensors=2, sensors_per_appliance=2),
+    )
+    processor.load_data(_rows(40, 0))
+    network = processor.network
+    node = network.partition_holders("d")[1]
+    database = network.database(node)
+    columns = ", ".join(keys)
+    texts = [
+        f"SELECT {columns}, COUNT(*) AS c, SUM(v) AS sv, MIN(v) AS lo FROM d GROUP BY {columns}",
+        f"SELECT {columns}, COUNT(*) AS c, SUM(v) AS sv FROM d WHERE v < 18 GROUP BY {columns}",
+    ]
+    for name in APPEND_SCHEMA.names:
+        database.table("d").stats().column(name)
+    for sql in texts:
+        database.query(sql)
+        database.partial_aggregate(sql)
+    delta = _rows(delta_rows, 13)
+    rows = database.table("d").to_dicts() + delta.to_dicts()
+    network.append_to_partition(node, "d", delta)
+    rebuilt = Database()
+    rebuilt.register("d", Relation.from_rows(rows, name="d", schema=APPEND_SCHEMA))
+    for sql in texts:
+        for method in ("query", "partial_aggregate"):
+            expected = _relation_state(getattr(rebuilt, method)(sql, CONFIGS["interpreted"]))
+            for _ in range(2):
+                assert _relation_state(getattr(database, method)(sql)) == expected
 
 
 def test_concurrent_scans_share_one_chunk():
