@@ -6,8 +6,6 @@ unit has enough power".  This subpackage provides:
 
 * :mod:`repro.anonymize.qid` — quasi-identifier detection (the paper's
   "detecting quasi-identifiers" step),
-* :mod:`repro.anonymize.hierarchy` — generalization hierarchies for numeric
-  and categorical attributes,
 * :mod:`repro.anonymize.kanonymity` — tuple-wise anonymization via
   k-anonymity (Mondrian-style multidimensional generalization + suppression),
 * :mod:`repro.anonymize.slicing` — column-wise anonymization via slicing
@@ -19,11 +17,6 @@ unit has enough power".  This subpackage provides:
 """
 
 from repro.anonymize.qid import QuasiIdentifierReport, detect_quasi_identifiers
-from repro.anonymize.hierarchy import (
-    CategoricalHierarchy,
-    NumericHierarchy,
-    generalize_value,
-)
 from repro.anonymize.kanonymity import KAnonymizer, KAnonymityResult, is_k_anonymous
 from repro.anonymize.slicing import Slicer, SlicingResult
 from repro.anonymize.dp import LaplaceMechanism, private_aggregate
@@ -32,9 +25,6 @@ from repro.anonymize.anonymizer import AnonymizationOutcome, Anonymizer
 __all__ = [
     "QuasiIdentifierReport",
     "detect_quasi_identifiers",
-    "CategoricalHierarchy",
-    "NumericHierarchy",
-    "generalize_value",
     "KAnonymizer",
     "KAnonymityResult",
     "is_k_anonymous",

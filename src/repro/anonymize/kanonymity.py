@@ -12,7 +12,7 @@ are suppressed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.schema import Schema, ColumnDef

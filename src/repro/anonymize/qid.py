@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.engine.table import Relation
 
@@ -42,17 +42,6 @@ class QuasiIdentifierReport:
         return ordered
 
 
-def combination_distinct_ratio(relation: Relation, columns: Sequence[str]) -> float:
-    """Number of distinct value combinations divided by the row count.
-
-    Values compare by ``str``, so ``1``, ``1.0`` and ``"1"`` stay distinct
-    while ``None`` and ``"None"`` coincide.
-    """
-    if len(relation) == 0:
-        return 0.0
-    return _distinct_ratio([_string_column(relation, name) for name in columns], len(relation))
-
-
 def _string_column(relation: Relation, name: str) -> List[str]:
     """``str`` of every value of ``name``; an absent column reads as NULL."""
     column = relation.column_array(name)
@@ -67,12 +56,6 @@ def _uniqueness(strings: List[str]) -> float:
         return 0.0
     counts = Counter(strings)
     return sum(count for count in counts.values() if count == 1) / len(strings)
-
-
-def _distinct_ratio(strings: Sequence[List[str]], rows: int) -> float:
-    # No columns: every row is the one empty combination.
-    distinct = len(set(zip(*strings))) if strings else 1
-    return distinct / rows
 
 
 def detect_quasi_identifiers(
@@ -135,7 +118,7 @@ def detect_quasi_identifiers(
     # are not flagged.
     for size in range(2, max_combination_size + 1):
         for combination in itertools.combinations(candidate_columns, size):
-            ratio = _distinct_ratio([strings[name] for name in combination], rows)
+            ratio = len(set(zip(*(strings[name] for name in combination)))) / rows
             if ratio < combination_threshold:
                 continue
             if any(single_ratio[name] >= combination_threshold for name in combination):

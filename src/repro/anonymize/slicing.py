@@ -10,8 +10,8 @@ the quasi-identifier group and the sensitive group is broken.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.engine.table import Relation
 

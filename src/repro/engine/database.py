@@ -15,7 +15,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.engine.errors import ExecutionError, SchemaError
+from repro.engine.errors import SchemaError
 from repro.engine.config import DEFAULT_CONFIG, EngineConfig
 from repro.engine.executor import QueryExecutor
 from repro.engine.vectorized import FinalizedGroups

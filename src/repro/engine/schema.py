@@ -102,13 +102,6 @@ class Schema:
                 return column
         raise SchemaError(f"Unknown column: {name}")
 
-    def index_of(self, name: str) -> int:
-        """Return the position of the column with the given name."""
-        for index, column in enumerate(self.columns):
-            if column.name.lower() == name.lower():
-                return index
-        raise SchemaError(f"Unknown column: {name}")
-
     # ------------------------------------------------------------------
     # derived schemas
     # ------------------------------------------------------------------
@@ -120,25 +113,6 @@ class Schema:
         """Return a schema excluding ``names``."""
         excluded = {name.lower() for name in names}
         return Schema([column for column in self.columns if column.name.lower() not in excluded])
-
-    def rename(self, mapping: Mapping[str, str]) -> "Schema":
-        """Return a schema with columns renamed according to ``mapping``."""
-        lowered = {key.lower(): value for key, value in mapping.items()}
-        columns = []
-        for column in self.columns:
-            new_name = lowered.get(column.name.lower(), column.name)
-            columns.append(
-                ColumnDef(
-                    name=new_name,
-                    data_type=column.data_type,
-                    nullable=column.nullable,
-                    description=column.description,
-                    identifying=column.identifying,
-                    quasi_identifier=column.quasi_identifier,
-                    sensitive=column.sensitive,
-                )
-            )
-        return Schema(columns)
 
     def merge(self, other: "Schema") -> "Schema":
         """Concatenate two schemas (used for joins); duplicate names collide."""

@@ -49,7 +49,7 @@ from repro.engine.columns import (
     typed_column_from_values,
 )
 from repro.engine.errors import SchemaError
-from repro.engine.schema import ColumnDef, Schema
+from repro.engine.schema import Schema
 from repro.engine.stats import TableStats
 from repro.engine.types import DataType
 from repro.engine.wire import WireFormatError, packed_size
@@ -495,22 +495,9 @@ class Relation:
         remaining = [c for c in self.schema.names if c.lower() not in {n.lower() for n in names}]
         return self.project(remaining, name=name)
 
-    def rename(self, mapping: Mapping[str, str], name: str = "") -> "Relation":
-        """Rename columns according to ``mapping`` (values are shared copies)."""
-        schema = self.schema.rename(mapping)
-        return Relation.from_columns(
-            schema, [copy_column(column) for column in self._columns], name=name or self.name
-        )
-
     def limit(self, count: int) -> "Relation":
         """Return the first ``count`` rows."""
         return self.slice_rows(0, count)
-
-    def order_by(self, key: Callable[[Mapping[str, Any]], Any], reverse: bool = False) -> "Relation":
-        """Return a relation sorted by ``key``."""
-        rows = self.rows
-        indices = sorted(range(self._nrows), key=lambda i: key(rows[i]), reverse=reverse)
-        return self.take_rows(indices)
 
     def map_rows(
         self, mapper: Callable[[Row], Row], schema: Optional[Schema] = None
@@ -542,11 +529,6 @@ class Relation:
     # ------------------------------------------------------------------
     # measurement helpers used by the benchmarks
     # ------------------------------------------------------------------
-    @property
-    def cell_count(self) -> int:
-        """Total number of cells (rows × columns)."""
-        return self._nrows * len(self.schema)
-
     def estimated_bytes(self) -> int:
         """Per-cell wire-size estimate used for the transfer cost model.
 
@@ -585,18 +567,6 @@ class Relation:
         if not names:
             return [{} for _ in range(self._nrows)]
         return [dict(zip(names, values)) for values in zip(*self._columns)]
-
-    def distinct(self) -> "Relation":
-        """Return a relation with duplicate rows removed (order-preserving)."""
-        seen = set()
-        kept: List[int] = []
-        names = self.schema.names
-        for index, values in enumerate(zip(*self._columns) if names else ()):
-            key = tuple(zip(names, map(freeze_value, values)))
-            if key not in seen:
-                seen.add(key)
-                kept.append(index)
-        return self.take_rows(kept)
 
     def head(self, count: int = 5) -> List[Row]:
         """Return the first ``count`` rows (for examples and debugging)."""

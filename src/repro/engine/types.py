@@ -39,16 +39,6 @@ def infer_type(value: Any) -> DataType:
     return DataType.TEXT
 
 
-def common_type(left: DataType, right: DataType) -> DataType:
-    """Return the type that can represent values of both input types."""
-    if left is right:
-        return left
-    numeric = {DataType.INTEGER, DataType.FLOAT}
-    if left in numeric and right in numeric:
-        return DataType.FLOAT
-    return DataType.TEXT
-
-
 def coerce(value: Any, target: DataType) -> Any:
     """Coerce ``value`` to ``target``; ``None`` always stays ``None``."""
     if value is None:

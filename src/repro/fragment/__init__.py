@@ -24,7 +24,7 @@ from repro.fragment.capabilities import (
 )
 from repro.fragment.topology import Node, Topology
 from repro.fragment.plan import FragmentPlan, QueryFragment
-from repro.fragment.fragmenter import FragmentationError, VerticalFragmenter
+from repro.fragment.fragmenter import VerticalFragmenter
 
 __all__ = [
     "CAPABILITY_LEVELS",
@@ -36,6 +36,5 @@ __all__ = [
     "Topology",
     "FragmentPlan",
     "QueryFragment",
-    "FragmentationError",
     "VerticalFragmenter",
 ]

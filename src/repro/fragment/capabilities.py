@@ -55,7 +55,7 @@ everything beyond stay with the class that Table 1 names.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Union
 
 from repro.sql.analysis import QueryFeatures
@@ -100,14 +100,6 @@ class CapabilityClass:
         else:
             needed = set(features)
         return needed.issubset(self.supported_features)
-
-    def missing(self, features: Union[QueryFeatures, Iterable[str]]) -> List[str]:
-        """Return the features that exceed this capability class."""
-        if isinstance(features, QueryFeatures):
-            needed = set(features.features)
-        else:
-            needed = set(features)
-        return sorted(needed - self.supported_features)
 
 
 _SENSOR_FEATURES = frozenset(

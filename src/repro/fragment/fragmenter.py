@@ -22,7 +22,6 @@ chain of staged queries of Section 4.2:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.engine.executor import decomposition_error
@@ -32,13 +31,7 @@ from repro.fragment.plan import FragmentPlan, QueryFragment, is_row_distributive
 from repro.fragment.topology import Topology
 from repro.sql import ast
 from repro.sql.analysis import analyze_query
-from repro.sql.errors import SqlError
-from repro.sql.render import render_expression
 from repro.sql.visitor import clone, collect_columns
-
-
-class FragmentationError(SqlError):
-    """Raised when a query cannot be fragmented."""
 
 
 class VerticalFragmenter:

@@ -145,32 +145,6 @@ class FragmentPlan:
             return None
         return max(self.pushed_down_levels, key=int)
 
-    def describe(self) -> List[Dict[str, str]]:
-        """Tabular description of the plan (one row per fragment)."""
-        rows = []
-        for fragment in self.fragments:
-            rows.append(
-                {
-                    "fragment": fragment.name,
-                    "level": fragment.level.short_name,
-                    "node": fragment.assigned_node or "",
-                    "input": fragment.input_name,
-                    "sql": fragment.sql,
-                    "description": fragment.description,
-                }
-            )
-        rows.append(
-            {
-                "fragment": "Q_delta",
-                "level": CapabilityLevel.E1_CLOUD.short_name,
-                "node": "cloud",
-                "input": self.fragments[-1].name if self.fragments else "d",
-                "sql": "",
-                "description": self.remainder_description,
-            }
-        )
-        return rows
-
     def pretty(self, estimates: Optional[Sequence[Optional[int]]] = None) -> str:
         """Multi-line, paper-style listing of the staged queries.
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.fragment.capabilities import CapabilityClass, CapabilityLevel, capability_for
@@ -405,16 +405,3 @@ class Topology:
             if not node.inside_apartment:
                 return index
         return len(self._nodes)
-
-    def describe(self) -> List[Dict[str, str]]:
-        """Tabular description used in reports and examples."""
-        return [
-            {
-                "node": node.name,
-                "level": node.level.short_name,
-                "system": node.capability.system,
-                "inside_apartment": str(node.inside_apartment),
-                "cpu_power": f"{node.cpu_power:g}",
-            }
-            for node in self._nodes
-        ]

@@ -14,11 +14,7 @@ measures (discernibility, average equivalence-class size) used by the
 anonymization benchmarks.
 """
 
-from repro.metrics.distance import (
-    DirectDistanceResult,
-    direct_distance,
-    quality_ratio,
-)
+from repro.metrics.distance import DirectDistanceResult, direct_distance
 from repro.metrics.divergence import (
     kl_divergence,
     kl_divergence_relation,
@@ -35,7 +31,6 @@ from repro.metrics.quality import (
 __all__ = [
     "DirectDistanceResult",
     "direct_distance",
-    "quality_ratio",
     "kl_divergence",
     "kl_divergence_relation",
     "value_distribution",

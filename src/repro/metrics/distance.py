@@ -89,11 +89,6 @@ def _column(relation: Relation, name: str, rows: int) -> List:
     return relation.column_values(name)
 
 
-def quality_ratio(original: Relation, anonymized: Relation) -> float:
-    """Shorthand for ``direct_distance(...).quality``."""
-    return direct_distance(original, anonymized).quality
-
-
 def _values_equal(left, right, tolerance: float) -> bool:
     if left is None and right is None:
         return True

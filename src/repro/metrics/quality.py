@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.engine.table import Relation
 from repro.metrics.distance import direct_distance
@@ -53,18 +53,6 @@ class InformationLossSummary:
     suppression_ratio: float
     rows_original: int
     rows_anonymized: int
-
-    def as_dict(self) -> Dict[str, float]:
-        """Flat dict (for CSV-style benchmark output)."""
-        return {
-            "direct_distance": self.direct_distance,
-            "dd_ratio": round(self.direct_distance_ratio, 4),
-            "quality": round(self.quality, 4),
-            "kl_mean": round(self.kl_divergence_mean, 4),
-            "suppression": round(self.suppression_ratio, 4),
-            "rows_original": self.rows_original,
-            "rows_anonymized": self.rows_anonymized,
-        }
 
 
 def information_loss_summary(

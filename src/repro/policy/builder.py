@@ -24,7 +24,6 @@ from repro.policy.model import (
     ModulePolicy,
     PolicyError,
     PrivacyPolicy,
-    StreamSettings,
 )
 
 

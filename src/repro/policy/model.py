@@ -7,7 +7,6 @@ from typing import Dict, List, Optional
 
 from repro.sql import ast
 from repro.sql.parser import parse_expression
-from repro.sql.render import render_expression
 
 
 class PolicyError(Exception):
@@ -71,10 +70,6 @@ class AttributeRule:
             raise PolicyError("Attribute rule requires a name")
         self.conditions = [c.strip() for c in self.conditions if c and c.strip()]
 
-    def condition_expressions(self) -> List[ast.Expression]:
-        """Parse every condition into an expression AST."""
-        return [parse_expression(condition) for condition in self.conditions]
-
     @property
     def requires_aggregation(self) -> bool:
         """True when the attribute may only leave in aggregated form."""
@@ -128,13 +123,6 @@ class ModulePolicy:
         """Return the rule for ``attribute`` (case-insensitive) or ``None``."""
         return self.attributes.get(attribute.lower())
 
-    def is_allowed(self, attribute: str) -> bool:
-        """May the module see the attribute at all (possibly aggregated)?"""
-        rule = self.rule_for(attribute)
-        if rule is None:
-            return self.default_allow
-        return rule.allow
-
     def add_rule(self, rule: AttributeRule) -> None:
         """Insert (or replace) an attribute rule."""
         self.attributes[rule.name.lower()] = rule
@@ -148,14 +136,6 @@ class ModulePolicy:
     def denied_attributes(self) -> List[str]:
         """Names of all explicitly denied attributes."""
         return [rule.name for rule in self.attributes.values() if not rule.allow]
-
-    def all_conditions(self) -> List[str]:
-        """Every condition string of every allowed attribute."""
-        conditions: List[str] = []
-        for rule in self.attributes.values():
-            if rule.allow:
-                conditions.extend(rule.conditions)
-        return conditions
 
 
 @dataclass
@@ -192,21 +172,3 @@ class PrivacyPolicy:
     def module_ids(self) -> List[str]:
         """All module identifiers with a policy."""
         return [policy.module_id for policy in self.modules.values()]
-
-
-def describe_rule(rule: AttributeRule) -> str:
-    """One-line human-readable description of a rule (used in reports)."""
-    if not rule.allow:
-        return f"{rule.name}: denied"
-    parts = [f"{rule.name}: allowed"]
-    if rule.conditions:
-        parts.append("if " + " AND ".join(rule.conditions))
-    if rule.aggregation is not None:
-        aggregation = rule.aggregation
-        text = f"only as {aggregation.aggregation_type}"
-        if aggregation.group_by:
-            text += " grouped by " + ", ".join(aggregation.group_by)
-        if aggregation.having:
-            text += f" having {aggregation.having}"
-        parts.append(text)
-    return ", ".join(parts)

@@ -44,7 +44,7 @@ from repro.processor.plan_cache import CachedPlan, PlanCache
 from repro.processor.result import PreparedQuery, ProcessingResult, RuntimeStats
 from repro.rewrite.analyzer import NodeCapacity, PolicyAnalyzer
 from repro.rewrite.rewriter import QueryRewriter, RewriteResult
-from repro.rlang.sqlable import RQueryExtraction, extract_sql_from_r
+from repro.rlang.sqlable import extract_sql_from_r
 from repro.runtime.cost import DEFAULT_TASK_TIMEOUT, CostModel
 from repro.runtime.dag import (
     ExecutionContext,
@@ -60,7 +60,6 @@ from repro.runtime.faults import (
     FailureInjector,
     LostPartition,
     NodeDeath,
-    RetryPolicy,
 )
 from repro.runtime.scheduler import Scheduler
 from repro.sql import ast
@@ -95,8 +94,6 @@ class ParadiseProcessor:
         cost_model: Optional[CostModel] = None,
         partial_aggregation: bool = True,
         optimizer: Optional[bool] = None,
-        allow_partial_results: bool = False,
-        retry_policy: Optional[RetryPolicy] = None,
         profile: bool = False,
         workers: str = "threads",
         process_workers: int = 2,
@@ -143,12 +140,6 @@ class ParadiseProcessor:
         #: aggregation plus per-level combines when possible; ``False``
         #: restores the global-merge baseline (benchmark ablation knob).
         self.partial_aggregation = partial_aggregation
-        #: Default data-loss policy: ``False`` raises
-        #: :class:`~repro.runtime.faults.DataLossError` when base data is
-        #: unrecoverable, ``True`` degrades to a partial result with a
-        #: :class:`~repro.runtime.faults.CompletenessReport` (per-query
-        #: override via ``process(on_data_loss=...)``).
-        self.allow_partial_results = allow_partial_results
         #: Compute backend for DAG tasks: ``"threads"`` runs engine
         #: operations in the scheduler's threads (default); ``"processes"``
         #: dispatches them to a spawned worker pool where every input and
@@ -159,8 +150,6 @@ class ParadiseProcessor:
         #: Pool size for the process backend.
         self.process_workers = process_workers
         self._dispatcher = None
-        #: Bounds in-place retries of transient task failures.
-        self.retry_policy = retry_policy or RetryPolicy()
         #: Default profiling switch: ``True`` attaches a
         #: :class:`~repro.obs.trace.QueryTrace` and an EXPLAIN-ANALYZE-style
         #: :class:`~repro.obs.profile.ProfileReport` to every result
@@ -209,7 +198,7 @@ class ParadiseProcessor:
         execution: Optional[str] = None,
         namespace: Optional[str] = None,
         faults: Optional[FailureInjector] = None,
-        on_data_loss: Optional[str] = None,
+        on_data_loss: str = "fail",
         task_timeout: Optional[float] = None,
         profile: Optional[bool] = None,
     ) -> ProcessingResult:
@@ -233,8 +222,7 @@ class ParadiseProcessor:
                 and the recovery benchmark pass one.
             on_data_loss: ``"fail"`` raises on unrecoverable base-data loss,
                 ``"partial"`` degrades to a partial result plus completeness
-                report; ``None`` uses the processor's
-                ``allow_partial_results`` default.
+                report.
             task_timeout: Per-task deadline in seconds; ``None`` derives a
                 generous one from the cost model for parallel runs and
                 sets none for serial ones.
@@ -243,7 +231,7 @@ class ParadiseProcessor:
                 ``None`` uses the processor's ``profile`` default.
         """
         strategy = _check_execution(execution or self.execution)
-        if on_data_loss not in (None, "fail", "partial"):
+        if on_data_loss not in ("fail", "partial"):
             raise ValueError(
                 f"Unknown data-loss policy: {on_data_loss!r} "
                 "(expected 'fail' or 'partial')"
@@ -499,7 +487,7 @@ class ParadiseProcessor:
         strategy: str,
         namespace: Optional[str],
         faults: Optional[FailureInjector] = None,
-        on_data_loss: Optional[str] = None,
+        on_data_loss: str = "fail",
         task_timeout: Optional[float] = None,
         trace: Optional[QueryTrace] = None,
     ) -> Relation:
@@ -527,9 +515,6 @@ class ParadiseProcessor:
         :class:`~repro.runtime.faults.CompletenessReport` names exactly what
         is missing.
         """
-        loss_policy = on_data_loss or (
-            "partial" if self.allow_partial_results else "fail"
-        )
         if task_timeout is None and strategy == "parallel":
             # The default deadline is for abandoning hung pool workers.
             if self.cost_model is not None:
@@ -565,7 +550,6 @@ class ParadiseProcessor:
                 report = self.scheduler.run(
                     dag,
                     context,
-                    retry_policy=self.retry_policy,
                     task_timeout=task_timeout,
                     max_workers=1 if strategy == "serial" else None,
                 )
@@ -585,7 +569,7 @@ class ParadiseProcessor:
                     death.node, lose_data=death.lose_data
                 )
                 lost.extend(newly_lost)
-                if newly_lost and loss_policy != "partial":
+                if newly_lost and on_data_loss != "partial":
                     raise DataLossError(lost) from death
                 current_plan, current_topology = replan_without(
                     plan, self.topology, dead

@@ -212,16 +212,15 @@ class Scheduler:
         self,
         dag: ExecutionDag,
         context: ExecutionContext,
-        retry_policy: Optional[RetryPolicy] = None,
         task_timeout: Optional[float] = None,
         max_workers: Optional[int] = None,
     ) -> DagRunReport:
         """Execute ``dag`` to completion; returns the run report.
 
-        ``retry_policy`` bounds in-place retries of transient task failures
-        (defaults to :class:`~repro.runtime.faults.RetryPolicy`);
-        ``task_timeout`` is the per-task deadline in seconds (``None``
-        disables deadline checking).  ``max_workers`` caps this run's pool
+        Transient task failures retry in place under the default
+        :class:`~repro.runtime.faults.RetryPolicy`; ``task_timeout`` is the
+        per-task deadline in seconds (``None`` disables deadline
+        checking).  ``max_workers`` caps this run's pool
         (default: the scheduler's); ``1`` runs the tasks one at a time in
         build order on the calling thread, which is ``execution="serial"``.
         A run in which no task can wait (``context.can_wait`` is false)
@@ -235,7 +234,7 @@ class Scheduler:
         without draining (the stuck worker is abandoned; on the calling
         thread the task is declared hung when it returns).
         """
-        policy = retry_policy or RetryPolicy()
+        policy = RetryPolicy()
         # Pool threads only overlap tasks that wait with the GIL released;
         # a run of GIL-bound engine work is cheaper on the calling thread.
         workers = (max_workers or self.max_workers) if context.can_wait else 1

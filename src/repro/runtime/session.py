@@ -45,7 +45,7 @@ from repro.sql import ast
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.processor.paradise import ParadiseProcessor
-    from repro.runtime.standing import StandingQueryHandle, StandingQueryRuntime
+    from repro.runtime.standing import StandingQueryRuntime
 
 
 @dataclass
@@ -173,24 +173,6 @@ class SessionFrontEnd:
 
                     self._standing = StandingQueryRuntime(self.processor)
         return self._standing
-
-    def register_standing(
-        self,
-        query: Union[str, ast.Query],
-        module_id: str,
-        apply_rewriting: bool = False,
-    ) -> "StandingQueryHandle":
-        """Register a standing query against the shared topology.
-
-        Unlike :meth:`submit` the query is planned *once*; its result is
-        thereafter maintained incrementally on every ingested sensor chunk
-        (see :mod:`repro.runtime.standing`) instead of re-executed per
-        request.
-        """
-        _metrics.counter("session.standing_registered").inc()
-        return self.standing.register(
-            query, module_id, apply_rewriting=apply_rewriting
-        )
 
     # ------------------------------------------------------------------
     # lifecycle

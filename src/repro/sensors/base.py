@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Mapping, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.engine.schema import ColumnDef, Schema
 from repro.engine.table import Relation

@@ -21,7 +21,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.engine.database import Database
 from repro.engine.schema import ColumnDef, Schema
 from repro.engine.table import Relation, concat
 from repro.engine.types import DataType
@@ -66,20 +65,6 @@ class ScenarioData:
     def total_rows(self) -> int:
         """Total row count across the integrated table and all device tables."""
         return len(self.integrated) + sum(len(t) for t in self.device_tables.values())
-
-    def to_database(self, name: str = "apartment") -> Database:
-        """Load the scenario into a fresh :class:`Database`.
-
-        The integrated relation is registered as ``d`` (and ``stream`` as an
-        alias, matching the sensor-level query of the use case); every device
-        table keeps its own name.
-        """
-        database = Database(name=name)
-        database.register("d", self.integrated)
-        database.register("stream", self.integrated)
-        for table_name, relation in self.device_tables.items():
-            database.register(table_name, relation)
-        return database
 
 
 class _ScenarioBase:

@@ -10,7 +10,7 @@ nests.  :func:`analyze_query` computes that summary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet, List, Set
 
 from repro.sql import ast

@@ -77,17 +77,6 @@ def collect_aggregates(node: ast.Node) -> List[ast.FunctionCall]:
     ]
 
 
-def collect_subqueries(node: ast.Node) -> List[ast.SelectQuery]:
-    """Return every SELECT query nested below ``node`` (excluding ``node``)."""
-    result: List[ast.SelectQuery] = []
-    for descendant in walk(node):
-        if descendant is node:
-            continue
-        if isinstance(descendant, ast.SelectQuery):
-            result.append(descendant)
-    return result
-
-
 def nesting_depth(query: ast.Query) -> int:
     """Return the number of SELECT levels in ``query`` (1 for a flat query)."""
     if isinstance(query, ast.SetOperation):
@@ -161,19 +150,6 @@ def replace_columns(node: NodeT, mapping: dict[str, ast.Expression]) -> NodeT:
             replacement = mapping.get(current.name.lower())
             if replacement is not None:
                 return clone(replacement)
-        return None
-
-    return transform(node, visitor)  # type: ignore[return-value]
-
-
-def rename_tables(node: NodeT, mapping: dict[str, str]) -> NodeT:
-    """Rename base tables (case-insensitive) according to ``mapping``."""
-
-    def visitor(current: ast.Node) -> Optional[ast.Node]:
-        if isinstance(current, ast.TableRef):
-            new_name = mapping.get(current.name.lower())
-            if new_name is not None:
-                return ast.TableRef(name=new_name, alias=current.alias)
         return None
 
     return transform(node, visitor)  # type: ignore[return-value]

@@ -397,31 +397,6 @@ def test_data_loss_partial_policy_reports_exactly(query):
     assert len(result.result) <= len(oracle)
 
 
-def test_processor_level_partial_default():
-    """``allow_partial_results=True`` makes degradation the default policy."""
-    topology = Topology.smart_home_tree(n_sensors=8)
-    from repro.policy.presets import figure4_policy
-    from repro.processor.paradise import ParadiseProcessor
-    from tests.conftest import make_sensor_relation
-
-    processor = ParadiseProcessor(
-        figure4_policy(), topology=topology, allow_partial_results=True
-    )
-    processor.load_data(make_sensor_relation(ROWS))
-    injector = FailureInjector(
-        [Fault(kind=KILL_NODE, node="sensor_0", lose_data=True)]
-    )
-    result = processor.process(
-        RAW_WORKLOADS[0],
-        "fig4",
-        execution="parallel",
-        apply_rewriting=False,
-        faults=injector,
-    )
-    assert not result.completeness.complete
-    assert result.completeness.leaves_lost == ["sensor_0"]
-
-
 # ---------------------------------------------------------------------------
 # retry idempotence and checkpoint exactness
 # ---------------------------------------------------------------------------

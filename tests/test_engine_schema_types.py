@@ -6,7 +6,7 @@ import pytest
 
 from repro.engine.errors import SchemaError
 from repro.engine.schema import ColumnDef, Schema
-from repro.engine.types import DataType, coerce, common_type, infer_type, parse_type_name
+from repro.engine.types import DataType, coerce, infer_type, parse_type_name
 
 
 def test_infer_type():
@@ -15,12 +15,6 @@ def test_infer_type():
     assert infer_type(3.5) is DataType.FLOAT
     assert infer_type("hi") is DataType.TEXT
     assert infer_type(datetime(2016, 3, 15)) is DataType.TIMESTAMP
-
-
-def test_common_type():
-    assert common_type(DataType.INTEGER, DataType.FLOAT) is DataType.FLOAT
-    assert common_type(DataType.INTEGER, DataType.INTEGER) is DataType.INTEGER
-    assert common_type(DataType.TEXT, DataType.FLOAT) is DataType.TEXT
 
 
 def test_coerce():
@@ -49,7 +43,6 @@ def test_schema_lookup_case_insensitive():
     schema = Schema([ColumnDef(name="zAVG", data_type=DataType.FLOAT)])
     assert "zavg" in schema
     assert schema.column("ZAVG").name == "zAVG"
-    assert schema.index_of("zavg") == 0
 
 
 def test_schema_unknown_column_raises():
@@ -65,12 +58,10 @@ def test_schema_infer_from_rows():
     assert schema.column("b").data_type is DataType.TEXT
 
 
-def test_schema_project_without_rename_merge():
+def test_schema_project_without_merge():
     schema = Schema.from_names(["a", "b", "c"])
     assert schema.project(["c", "a"]).names == ["c", "a"]
     assert schema.without(["b"]).names == ["a", "c"]
-    renamed = schema.rename({"a": "alpha"})
-    assert renamed.names == ["alpha", "b", "c"]
     merged = schema.project(["a"]).merge(Schema.from_names(["d"]))
     assert merged.names == ["a", "d"]
 

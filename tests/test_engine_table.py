@@ -29,17 +29,7 @@ def test_select_project_drop(small_relation):
     assert dropped.column_names == ["a", "c"]
 
 
-def test_rename(small_relation):
-    renamed = small_relation.rename({"a": "alpha"})
-    assert renamed.column_names == ["alpha", "b", "c"]
-    assert renamed[0]["alpha"] == 1
-    # Original untouched.
-    assert small_relation.column_names == ["a", "b", "c"]
-
-
-def test_limit_order_by(small_relation):
-    ordered = small_relation.order_by(lambda row: row["a"], reverse=True)
-    assert ordered[0]["a"] == 4
+def test_limit(small_relation):
     assert len(small_relation.limit(2)) == 2
 
 
@@ -51,22 +41,16 @@ def test_map_rows_and_copy(small_relation):
     assert small_relation[0]["a"] == 1
 
 
-def test_extend_and_cell_count(small_relation):
+def test_extend(small_relation):
     relation = small_relation.copy()
     relation.extend([{"a": 5, "b": 5.5, "c": "red"}])
     assert len(relation) == 5
-    assert relation.cell_count == 15
 
 
 def test_estimated_bytes_positive(small_relation):
     assert small_relation.estimated_bytes() > 0
     empty = Relation.empty(Schema.from_names(["a"]))
     assert empty.estimated_bytes() == 0
-
-
-def test_distinct():
-    relation = Relation.from_rows([{"a": 1}, {"a": 1}, {"a": 2}])
-    assert len(relation.distinct()) == 2
 
 
 def test_pretty_contains_header_and_rows(small_relation):

@@ -31,9 +31,6 @@ def test_sensor_supports_only_constant_selection():
     assert sensor.supports(analyze_query(parse("SELECT * FROM stream WHERE z < 2")))
     assert not sensor.supports(analyze_query(parse("SELECT x FROM d")))  # projection
     assert not sensor.supports(analyze_query(parse("SELECT * FROM d WHERE x > y")))
-    assert sensor.missing(analyze_query(parse("SELECT * FROM d WHERE x > y"))) == [
-        "selection_attribute"
-    ]
 
 
 def test_appliance_supports_joins_and_grouping_but_not_windows():

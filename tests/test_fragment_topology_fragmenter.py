@@ -29,15 +29,12 @@ def test_default_chain_shape():
     assert topology.boundary_index == len(topology) - 1
 
 
-def test_topology_lookup_and_describe():
+def test_topology_lookup():
     topology = Topology.default_chain(appliance_count=2)
     assert len(topology.nodes_at(CapabilityLevel.E3_APPLIANCE)) == 2
     assert topology.node("pc").level is CapabilityLevel.E2_PC
     with pytest.raises(KeyError):
         topology.node("nope")
-    description = topology.describe()
-    assert description[0]["level"] == "E4"
-    assert description[-1]["inside_apartment"] == "False"
 
 
 def test_first_node_at_or_above_skips_missing_levels():
@@ -115,10 +112,7 @@ def test_each_fragment_is_executable_by_its_level(paper_plan):
         assert capability.supports(analyze_query(fragment.query)), fragment.sql
 
 
-def test_plan_description_and_pretty(paper_plan):
-    rows = paper_plan.describe()
-    assert rows[-1]["fragment"] == "Q_delta"
-    assert rows[0]["level"] == "E4"
+def test_plan_pretty(paper_plan):
     text = paper_plan.pretty()
     assert "d1" in text and "Q_delta" in text
     assert paper_plan.fragments_at(CapabilityLevel.E3_APPLIANCE)

@@ -8,7 +8,6 @@ from repro.policy.model import (
     AttributeRule,
     ModulePolicy,
     PrivacyPolicy,
-    describe_rule,
 )
 
 
@@ -23,10 +22,9 @@ def test_aggregation_rule_normalises_and_validates():
         AggregationRule(aggregation_type="NOT_AN_AGG")
 
 
-def test_attribute_rule_requires_name_and_parses_conditions():
+def test_attribute_rule_requires_name_and_strips_conditions():
     rule = AttributeRule(name="z", conditions=["z < 2", "  "])
     assert rule.conditions == ["z < 2"]
-    assert len(rule.condition_expressions()) == 1
     assert not rule.requires_aggregation
     with pytest.raises(PolicyError):
         AttributeRule(name="  ")
@@ -35,19 +33,15 @@ def test_attribute_rule_requires_name_and_parses_conditions():
 def test_module_policy_lookup_is_case_insensitive():
     module = ModulePolicy(module_id="ActionFilter", attributes={"X": AttributeRule(name="X")})
     assert module.rule_for("x") is not None
-    assert module.is_allowed("x")
-    assert not module.is_allowed("unknown")
-    module.default_allow = True
-    assert module.is_allowed("unknown")
+    assert module.rule_for("unknown") is None
 
 
-def test_module_policy_allowed_denied_and_conditions():
+def test_module_policy_allowed_and_denied():
     module = ModulePolicy(module_id="m")
     module.add_rule(AttributeRule(name="x", allow=True, conditions=["x > y"]))
     module.add_rule(AttributeRule(name="secret", allow=False))
     assert module.allowed_attributes == ["x"]
     assert module.denied_attributes == ["secret"]
-    assert module.all_conditions() == ["x > y"]
 
 
 def test_privacy_policy_module_lookup():
@@ -108,14 +102,3 @@ def test_builder_requires_module_before_rules():
 def test_builder_group_by_without_aggregation_rejected():
     with pytest.raises(PolicyError):
         PolicyBuilder().module("M").allow("z", group_by=["x"])
-
-
-def test_describe_rule():
-    rule = AttributeRule(
-        name="z",
-        conditions=["z < 2"],
-        aggregation=AggregationRule("AVG", group_by=["x", "y"], having="SUM(z) > 100"),
-    )
-    text = describe_rule(rule)
-    assert "z" in text and "AVG" in text and "SUM(z) > 100" in text
-    assert describe_rule(AttributeRule(name="secret", allow=False)) == "secret: denied"

@@ -137,14 +137,6 @@ def test_meeting_room_scenario_bundle(meeting_data):
     assert meeting_data.total_rows > len(meeting_data.integrated)
 
 
-def test_scenario_to_database_registers_d_and_stream(meeting_data):
-    database = meeting_data.to_database()
-    assert "d" in database and "stream" in database
-    assert len(database.table("d")) == len(meeting_data.integrated)
-    result = database.query("SELECT COUNT(*) AS n FROM ubisense")
-    assert result.rows[0]["n"] > 0
-
-
 def test_scenario_is_reproducible():
     first = SmartMeetingRoom(person_count=2, seed=9).generate(duration_seconds=10.0)
     second = SmartMeetingRoom(person_count=2, seed=9).generate(duration_seconds=10.0)

@@ -2,17 +2,15 @@
 
 from repro.sql import ast
 from repro.sql.parser import parse, parse_expression
-from repro.sql.render import render, render_expression
+from repro.sql.render import render_expression
 from repro.sql.visitor import (
     clone,
     collect_aggregates,
     collect_column_names,
     collect_columns,
     collect_function_calls,
-    collect_subqueries,
     collect_tables,
     nesting_depth,
-    rename_tables,
     replace_columns,
     transform,
     walk,
@@ -44,12 +42,6 @@ def test_collect_function_calls_and_aggregates():
     assert calls == {"AVG", "UPPER", "SUM"}
     aggregates = {c.name for c in collect_aggregates(query)}
     assert aggregates == {"AVG", "SUM"}
-
-
-def test_collect_subqueries_excludes_root(paper_sql):
-    query = parse(paper_sql)
-    subqueries = collect_subqueries(query)
-    assert len(subqueries) == 1
 
 
 def test_nesting_depth():
@@ -87,11 +79,3 @@ def test_replace_columns():
     expression = parse_expression("z > 1 AND t < z")
     replaced = replace_columns(expression, {"z": ast.Column(name="zAVG")})
     assert render_expression(replaced) == "zAVG > 1 AND t < zAVG"
-
-
-def test_rename_tables():
-    query = parse("SELECT x FROM ubisense WHERE x > 1")
-    renamed = rename_tables(query, {"ubisense": "sensfloor"})
-    assert "FROM sensfloor" in render(renamed)
-    # Original untouched.
-    assert "FROM ubisense" in render(query)

@@ -559,10 +559,8 @@ def test_state_bytes_are_packed_only_when_read(monkeypatch):
 def test_session_front_end_shares_across_registrations():
     processor = build_tree_processor()
     front_end = SessionFrontEnd(processor)
-    before = registry.counter("session.standing_registered").value
-    first = front_end.register_standing(STANDING_SQL, "ActionFilter")
-    second = front_end.register_standing(STANDING_SQL, "ActionFilter")
-    assert registry.counter("session.standing_registered").value == before + 2
+    first = front_end.standing.register(STANDING_SQL, "ActionFilter")
+    second = front_end.standing.register(STANDING_SQL, "ActionFilter")
     assert first.tree is second.tree and first.shared
     assert front_end.standing is front_end.standing  # stable lazy singleton
     assert_byte_identical(first.result(), front_end.standing.reexecute(first))
