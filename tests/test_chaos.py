@@ -215,6 +215,25 @@ def test_exhausted_retries_escalate_to_replan():
     assert result.runtime.restored_tasks > 0
 
 
+@pytest.mark.parametrize("execution", ["serial", "parallel"])
+@pytest.mark.parametrize("times", range(1, RetryPolicy().max_attempts + 1))
+def test_default_retry_budget_is_max_attempts(times, execution):
+    """Every run retries under ``RetryPolicy()``: fewer errors than its
+    ``max_attempts`` recover in place, as many escalate to a re-plan."""
+    budget = RetryPolicy().max_attempts
+    query = RAW_WORKLOADS[2]
+    injector = FailureInjector([Fault(kind=TASK_ERROR, node="sensor_1", times=times)])
+    result = run_with_faults(query, injector, execution=execution)
+    assert_same_relation(reference_oracle(query), result.result)
+    assert len(injector.fired) == times
+    if times < budget:
+        assert result.runtime.retried_attempts == times
+        assert result.runtime.replans == 0
+    else:
+        assert result.runtime.replans == 1
+        assert result.completeness.dead_nodes == ["sensor_1"]
+
+
 def test_link_drop_retries_then_succeeds():
     query = RAW_WORKLOADS[2]
     oracle = reference_oracle(query)
@@ -395,6 +414,13 @@ def test_data_loss_partial_policy_reports_exactly(query):
     oracle = reference_oracle(query)
     assert result.result.schema.names == oracle.schema.names
     assert len(result.result) <= len(oracle)
+
+
+@pytest.mark.parametrize("policy", [None, "degrade", "PARTIAL"])
+def test_unknown_data_loss_policy_is_rejected(policy):
+    processor = build_tree_processor(n_sensors=8, rows=ROWS)
+    with pytest.raises(ValueError, match="Unknown data-loss policy"):
+        processor.process(RAW_WORKLOADS[0], "fig4", on_data_loss=policy)
 
 
 # ---------------------------------------------------------------------------

@@ -84,3 +84,39 @@ def test_the_check_sees_reads_in_string_annotations():
         "def f(x: 'Optional[B]') -> List[int]: ...\n"
     )
     assert unused_imports(source) == [("os", 3)]
+
+
+def test_the_check_sees_imports_inside_if_and_try():
+    source = (
+        "import sys\n"
+        "if sys.version_info >= (3, 11):\n"
+        "    import tomllib\n"
+        "else:\n"
+        "    import json\n"
+        "try:\n"
+        "    import numpy\n"
+        "except ImportError:\n"
+        "    import array\n"
+        "print(json)\n"
+    )
+    assert unused_imports(source) == [("array", 9), ("numpy", 7), ("tomllib", 3)]
+
+
+def test_the_check_counts_all_and_exempts_future():
+    source = (
+        "from __future__ import annotations\n"
+        "from a import B, C\n"
+        "__all__ = ['B']\n"
+    )
+    assert unused_imports(source) == [("C", 2)]
+
+
+def test_the_check_binds_dotted_and_aliased_imports():
+    source = (
+        "import os.path\n"
+        "import collections.abc as cabc\n"
+        "from typing import Dict as D, List as L\n"
+        "x = os.path.join('a', 'b')\n"
+        "y: D[str, int] = {}\n"
+    )
+    assert unused_imports(source) == [("L", 3), ("cabc", 2)]
