@@ -8,7 +8,12 @@ aggregates an activity-recognition workload typically needs.
 sum of their float inputs as one integer (every finite float is a whole
 multiple of ``2**-1074``) and integers as exact int sums, and export it as
 the canonical float expansion of that sum; the ``STDDEV``/``VARIANCE``
-family keeps exact rational moments ``(n, Σx, Σx²)``.  A float ``SUM`` or
+family keeps its moments ``(n, Σx, Σx²)`` the same way, as ints scaled by
+``2**1074`` and ``2**2148``, and exports them as exact fractions.  The
+accumulators below are the engine's one compiled implementation of each
+decomposable aggregate: rows, typed column slices, partial states,
+windows and standing trees all go through them, and the batch
+functions (``_agg_*``) stay their independent oracle.  A float ``SUM`` or
 ``AVG`` raises ``OverflowError`` exactly when its correctly rounded total
 is out of float range, whatever the row order.  Exactness is what makes these
 aggregates *decomposable*: partial states computed over disjoint partitions
@@ -27,7 +32,6 @@ plain ``add``/``result`` interface.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import statistics
@@ -35,7 +39,7 @@ from array import array
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.columns import FLOAT64, INT64, TypedColumn, gather, take_column
+from repro.engine.columns import FLOAT64, INT64, TypedColumn, take_column
 from repro.engine.errors import ExecutionError
 
 
@@ -88,15 +92,14 @@ class _ExactFloatSum:
 
     ``exact`` is the exact sum of the finite inputs times ``2**1074``, one
     Python int (Kulisch's long accumulator), or None until a finite value
-    arrives (such a sum exports no parts, like a kernel's empty slice);
-    non-finite inputs set :class:`_SpecialValues` flags.  Adding
+    arrives (such a sum exports no parts); non-finite inputs set
+    :class:`_SpecialValues` flags.  Adding
     and merging are int additions, so the sum never depends on the order
     or grouping of its inputs.  :meth:`total` is ``exact / 2**1074``:
     CPython rounds int/int true division correctly, so it is the value
     :func:`math.fsum` gives, and it raises ``OverflowError`` exactly when
     the rounded total is out of float range.  :meth:`parts` exports the
-    canonical expansion of the same exact value, the parts
-    :func:`_canonical_expansion` gives a leaf kernel.
+    canonical expansion of the same exact value.
     """
 
     __slots__ = ("exact", "specials")
@@ -114,6 +117,19 @@ class _ExactFloatSum:
     def merge_parts(self, parts: Sequence[float]) -> None:
         if parts:
             self.exact = sum(map(_scaled, parts), self.exact or 0)
+
+    def add_buffer(self, values: Sequence[Any]) -> bool:
+        """Add a non-empty NULL-free float64 column at buffer speed: its
+        :func:`_canonical_expansion`, folded like a merged state.  False
+        (nothing added) for any other column, or when ``fsum`` over the
+        buffer raises or is not finite: a special value or an
+        intermediate overflow is left to the caller's per-value loop."""
+        buffer = _buffer(values, (FLOAT64,))
+        parts = _canonical_expansion(buffer) if buffer else None
+        if parts is None:
+            return False
+        self.merge_parts(parts)
+        return True
 
     def parts(self) -> Tuple[float, ...]:
         """``s1 = exact / SCALE``, ``s2`` the rest rounded, ... until the
@@ -144,6 +160,46 @@ class _ExactFloatSum:
         if specials.pos_inf or specials.neg_inf:
             return math.inf if specials.pos_inf else -math.inf
         return (self.exact or 0) / _SCALE
+
+
+def _buffer(values: Sequence[Any], typecodes: Tuple[str, ...]) -> Optional[array]:
+    """The unboxed buffer of a NULL-free typed column of one of
+    ``typecodes``, else None."""
+    if (
+        isinstance(values, TypedColumn)
+        and values.typecode in typecodes
+        and not values.null_count
+    ):
+        return values.data_array()
+    return None
+
+
+def _canonical_expansion(values: Sequence[float]) -> Optional[Tuple[float, ...]]:
+    """The canonical expansion of the exact sum ``S`` of finite floats,
+    or None when ``fsum`` raises or is not finite.
+
+    ``s1 = fsum(values)``, ``s2 = fsum(values, -s1)``, ... until the
+    remainder is zero, stored smallest first: the parts
+    :meth:`_ExactFloatSum.parts` exports for the same ``S``.  ``fsum`` is
+    correctly rounded, so each part is the remainder rounded once; every
+    remainder is an exact dyadic rational, so the passes end (about three
+    for sensor data).
+    """
+    try:
+        parts = [math.fsum(values)]
+        if not math.isfinite(parts[0]):
+            return None
+        negated = [-parts[0]]
+        while True:
+            rest = math.fsum(itertools.chain(values, negated))
+            if not rest:
+                break
+            parts.append(rest)
+            negated.append(-rest)
+    except (OverflowError, ValueError):
+        return None
+    parts.reverse()
+    return tuple(parts)
 
 
 def _fsum(numbers: Sequence[float]) -> float:
@@ -440,9 +496,9 @@ def is_known_aggregate(name: str) -> bool:
 #
 # Column slices feed in bulk: ``add_many(values)`` consumes a sequence of
 # raw argument values (no tuple boxing; a ones column for star rows), the
-# exact bulk equivalent of repeated ``add`` calls in the same order.  The
-# grouped scan's column kernels (below) run this lifecycle for every slice
-# they have no buffer-speed path for.
+# exact bulk equivalent of repeated ``add`` calls in the same order.  Over
+# a NULL-free int64/float64 :class:`TypedColumn` slice, COUNT, MIN/MAX and
+# float SUM/AVG work on the unboxed buffer (see :func:`_buffer`).
 
 
 class CountStarAccumulator:
@@ -534,6 +590,10 @@ class SumAccumulator(_ExactFloatSum):
             self._add(value)
 
     def add_many(self, values: Sequence[Any]) -> None:
+        if self.add_buffer(values):
+            self.present = True
+            self.all_int = False
+            return
         for value in values:
             if value is not None:
                 self._add(value)
@@ -611,6 +671,9 @@ class AvgAccumulator(_ExactFloatSum):
             self.count += 1
 
     def add_many(self, values: Sequence[Any]) -> None:
+        if self.add_buffer(values):
+            self.count += len(values)
+            return
         for value in values:
             if value is not None:
                 self.add_float(float(value))
@@ -658,6 +721,13 @@ class MinAccumulator:
             self.best = value
 
     def add_many(self, values: Sequence[Any]) -> None:
+        buffer = _buffer(values, (INT64, FLOAT64))
+        if buffer and not self.present:
+            # Builtin min keeps the first extreme cell, as the loop does
+            # (NaN and -0.0/0.0 ties included); against an earlier best the
+            # two-stage compare would differ on NaN.
+            self.best, self.present = min(buffer), True
+            return
         for value in values:
             if value is None:
                 continue
@@ -734,6 +804,13 @@ class MaxAccumulator:
             self.best = value
 
     def add_many(self, values: Sequence[Any]) -> None:
+        buffer = _buffer(values, (INT64, FLOAT64))
+        if buffer and not self.present:
+            # Builtin max keeps the first extreme cell, as the loop does
+            # (NaN and -0.0/0.0 ties included); against an earlier best the
+            # two-stage compare would differ on NaN.
+            self.best, self.present = max(buffer), True
+            return
         for value in values:
             if value is None:
                 continue
@@ -759,13 +836,15 @@ class MaxAccumulator:
 
 
 class StatAccumulator:
-    """``STDDEV``/``VARIANCE`` family via exact rational moments.
+    """``STDDEV``/``VARIANCE`` family via exact moments.
 
-    Keeps ``(n, Σx, Σx²)`` as exact :class:`~fractions.Fraction` values of
-    the float-converted inputs, so the mean-square deviation is computed
-    without rounding until the single final conversion — bit-identical to
-    the batch functions and independent of input order or partitioning.
-    Partial state: ``(n, Σx, Σx²)``.
+    Keeps the count ``n``, ``sx`` (Σx times ``2**1074``) and ``sxx`` (Σx²
+    times ``2**2148``) of the float-converted inputs as plain ints (see
+    :func:`_scaled`), so adding and merging are int additions and the
+    mean-square deviation is rounded only by the single final conversion:
+    bit-identical to the batch functions and independent of input order
+    or partitioning.  Partial state: ``(n, Σx, Σx²)``, the sums as
+    :class:`~fractions.Fraction` values.
     """
 
     __slots__ = ("sample", "take_sqrt", "n", "sx", "sxx")
@@ -782,45 +861,54 @@ class StatAccumulator:
 
     def __init__(self, name: str) -> None:
         self.sample, self.take_sqrt = self._KINDS[name.upper()]
-        self.n = 0
-        self.sx = Fraction(0)
-        self.sxx = Fraction(0)
+        self.n = self.sx = self.sxx = 0
 
     def add(self, values: Tuple[Any, ...]) -> None:
-        value = values[0]
-        if value is None:
-            return
-        frac = Fraction(float(value))
-        self.n += 1
-        self.sx += frac
-        self.sxx += frac * frac
+        self.add_many(values[:1])
 
     def add_many(self, values: Sequence[Any]) -> None:
         for value in values:
             if value is None:
                 continue
-            frac = Fraction(float(value))
+            # ``value * 2**1074`` is ``numerator << shift``; squaring the
+            # short numerator is cheaper than squaring the scaled int.
+            numerator, denominator = float(value).as_integer_ratio()
+            shift = 1075 - denominator.bit_length()
             self.n += 1
-            self.sx += frac
-            self.sxx += frac * frac
+            self.sx += numerator << shift
+            self.sxx += numerator * numerator << 2 * shift
 
     def result(self) -> Any:
-        mss = _moments_mss(self.n, self.sx, self.sxx, sample=self.sample)
-        if mss is None:
+        n = self.n
+        denominator = n - 1 if self.sample else n
+        if denominator < 1:
             return None
+        mss = Fraction(n * self.sxx - self.sx * self.sx, n * denominator << 2148)
         return _sqrt_of_fraction(mss) if self.take_sqrt else float(mss)
 
     def partial(self) -> Tuple[int, Fraction, Fraction]:
-        return (self.n, self.sx, self.sxx)
+        return (self.n, Fraction(self.sx, _SCALE), Fraction(self.sxx, 1 << 2148))
 
     def merge(self, state: Tuple[int, Fraction, Fraction]) -> None:
         n, sx, sxx = state
+        sx, sxx = _dyadic_scaled(sx, 1074), _dyadic_scaled(sxx, 2148)
         self.n += n
         self.sx += sx
         self.sxx += sxx
 
     def finalize(self) -> Any:
         return self.result()
+
+
+def _dyadic_scaled(value: Fraction, bits: int) -> int:
+    """``value * 2**bits`` of an exported moment, exactly.  Raises
+    ``ExecutionError`` unless its denominator is a power of two dividing
+    ``2**bits``."""
+    denominator = value.denominator
+    shift = bits + 1 - denominator.bit_length()
+    if denominator & (denominator - 1) or shift < 0:
+        raise ExecutionError(f"Not a moment scaled by 2**-{bits}: {value!r}")
+    return value.numerator << shift
 
 
 class BufferAccumulator:
@@ -912,184 +1000,45 @@ def make_accumulator(name: str, *, is_star: bool, distinct: bool, arg_count: int
 
 
 # ---------------------------------------------------------------------------
-# column kernels
+# grouped columns
 # ---------------------------------------------------------------------------
 #
 # The grouped scan computes aggregates column at a time (as in
 # MonetDB/X100): it gathers each argument column once per group, then one
-# kernel call computes one aggregate's ``partial`` or ``result`` for every
-# group.  Over a NULL-free int64/float64 slice the kernels work on the
-# unboxed buffer and reproduce the accumulators' values exactly; every
-# other slice runs the accumulator lifecycle itself.
+# :func:`aggregate_column` call runs one aggregate's accumulator lifecycle
+# over every group's slice.  Typed slices stay typed, so the accumulators'
+# buffer paths serve them.
 
 #: What an accumulator's ``partial``/``result`` may raise over its input.
 #: A grouped run raises such an error after the groups before it.
 FINALIZE_ERRORS = (ExecutionError, ArithmeticError, TypeError, ValueError)
-
-#: A kernel's answer for a slice it has no buffer-speed path for.
-_NO_KERNEL = object()
-
-_NO_SPECIALS = (False, False, False)
 
 
 class GroupedColumn:
     """One argument column of a grouped scan, gathered once per group.
 
     ``groups`` holds each group's row indices, or is None for one group
-    holding the whole column.  Every kernel over the column shares its
-    gathers and its float sums:
-
-    * ``buffers[g]`` is group ``g``'s cells when the column is a NULL-free
-      int64/float64 :class:`TypedColumn` (its unboxed buffer, gathered),
-      else ``buffers`` is None;
-    * :meth:`slice` is the slice with its backing, for the accumulator
-      lifecycle;
-    * :meth:`float_total` and :meth:`expansion` are what a float ``SUM``
-      and ``AVG`` share: one ``fsum`` for results, one canonical fold
-      (:func:`_canonical_expansion`) for states.  Both raise what
-      ``fsum`` raises over the buffer.
+    holding the whole column.  Every aggregate over the column shares its
+    gathered slices (:meth:`slice`).
     """
 
-    __slots__ = ("column", "groups", "buffers", "_slices", "_totals", "_expansions")
+    __slots__ = ("column", "groups", "_slices")
 
     def __init__(
         self, column: Sequence[Any], groups: Optional[Sequence[Sequence[int]]]
     ) -> None:
         self.column = column
         self.groups = groups
-        self.buffers: Optional[List[Sequence[Any]]] = None
-        if (
-            isinstance(column, TypedColumn)
-            and column.typecode in (INT64, FLOAT64)
-            and not column.null_count
-        ):
-            data = column.data_array()
-            self.buffers = (
-                [data] if groups is None else [gather(data, indices) for indices in groups]
-            )
         self._slices: Dict[int, Sequence[Any]] = {}
-        self._totals: Dict[int, float] = {}
-        self._expansions: Dict[int, Tuple[float, ...]] = {}
 
     def slice(self, group: int) -> Sequence[Any]:
         """Group ``group``'s slice; a typed column's slices stay typed."""
+        if self.groups is None:
+            return self.column
         piece = self._slices.get(group)
         if piece is None:
-            if self.groups is None:
-                piece = self.column
-            elif self.buffers is not None:
-                typecode = self.column.typecode
-                data = array(typecode, self.buffers[group])
-                piece = TypedColumn(typecode, data, bytearray(len(data)), 0)
-            else:
-                piece = take_column(self.column, self.groups[group])
-            self._slices[group] = piece
+            piece = self._slices[group] = take_column(self.column, self.groups[group])
         return piece
-
-    def float_total(self, group: int) -> float:
-        """``fsum`` of group ``group``'s buffer."""
-        total = self._totals.get(group)
-        if total is None:
-            total = self._totals[group] = math.fsum(self.buffers[group])
-        return total
-
-    def expansion(self, group: int) -> Tuple[float, ...]:
-        """The canonical expansion of group ``group``'s buffer sum."""
-        parts = self._expansions.get(group)
-        if parts is None:
-            parts = self._expansions[group] = _canonical_expansion(self.buffers[group])
-        return parts
-
-
-def _canonical_expansion(values: Sequence[float]) -> Tuple[float, ...]:
-    """The canonical expansion of the exact sum ``S`` of finite floats.
-
-    ``s1 = fsum(values)``, ``s2 = fsum(values, -s1)``, ... until the
-    remainder is zero, stored smallest first: the parts
-    :meth:`_ExactFloatSum.parts` exports for the same ``S``.  ``fsum`` is
-    correctly rounded, so each part is the remainder rounded once; every
-    remainder is an exact dyadic rational, so the passes end (about three
-    for sensor data).
-    """
-    parts = [math.fsum(values)]
-    negated = [-parts[0]]
-    while True:
-        rest = math.fsum(itertools.chain(values, negated))
-        if not rest:
-            break
-        parts.append(rest)
-        negated.append(-rest)
-    parts.reverse()
-    return tuple(parts)
-
-
-# Kernels: ``kernel(column, group, partial)`` is group ``group``'s state
-# (``partial``) or result, exactly what the accumulator returns after
-# ``add_many`` of the group's slice, or ``_NO_KERNEL``.  An empty slice
-# gives a fresh accumulator's value (the lifecycle never feeds one).
-
-
-def _count_kernel(column: GroupedColumn, group: int, partial: bool) -> Any:
-    if column.buffers is None:
-        return _NO_KERNEL
-    return len(column.buffers[group])
-
-
-def _extreme_kernel(
-    pick: Callable[[Sequence[Any]], Any], column: GroupedColumn, group: int, partial: bool
-) -> Any:
-    # Builtin min/max keep the first extreme cell, as the accumulators'
-    # ``value < best``/``value > best`` loops do (NaN and -0.0/0.0 ties
-    # included).
-    if column.buffers is None:
-        return _NO_KERNEL
-    cells = column.buffers[group]
-    best = pick(cells) if len(cells) else None
-    return (bool(len(cells)), best) if partial else best
-
-
-def _float_sum(column: GroupedColumn, group: int, partial: bool) -> Any:
-    """A float64 slice's sum (``partial``: its expansion), None (``()``)
-    for an empty slice, or ``_NO_KERNEL`` when ``fsum`` raises or is not
-    finite: a special value or an intermediate overflow is left to the
-    accumulator.  A finite ``fsum`` is the correctly rounded exact sum,
-    so it is the accumulator's value."""
-    if column.buffers is None or column.column.typecode != FLOAT64:
-        return _NO_KERNEL
-    if not len(column.buffers[group]):
-        return () if partial else None
-    try:
-        total = column.float_total(group)
-        if math.isfinite(total):
-            return column.expansion(group) if partial else total
-    except (OverflowError, ValueError):
-        pass
-    return _NO_KERNEL
-
-
-def _sum_kernel(column: GroupedColumn, group: int, partial: bool) -> Any:
-    value = _float_sum(column, group, partial)
-    if not partial or value is _NO_KERNEL:
-        return value
-    present = bool(len(column.buffers[group]))
-    return (0, value, present, not present, _NO_SPECIALS, False)
-
-
-def _avg_kernel(column: GroupedColumn, group: int, partial: bool) -> Any:
-    value = _float_sum(column, group, partial)
-    if value is _NO_KERNEL or value is None:
-        return value
-    count = len(column.buffers[group])
-    return (value, count, _NO_SPECIALS) if partial else value / count
-
-
-_KERNELS: Dict[str, Callable[[GroupedColumn, int, bool], Any]] = {
-    "COUNT": _count_kernel,
-    "SUM": _sum_kernel,
-    "AVG": _avg_kernel,
-    "MIN": functools.partial(_extreme_kernel, min),
-    "MAX": functools.partial(_extreme_kernel, max),
-}
 
 
 def _feed(
@@ -1111,22 +1060,19 @@ class AggregateColumn:
 
     ``values`` stops at ``failed_at``, the first group whose ``partial``/
     ``result`` raised ``error`` (both None when no group did).
-    ``fallbacks`` counts the slices that ran the accumulator lifecycle.
     """
 
-    __slots__ = ("values", "failed_at", "error", "fallbacks")
+    __slots__ = ("values", "failed_at", "error")
 
     def __init__(
         self,
         values: List[Any],
         failed_at: Optional[int] = None,
         error: Optional[Exception] = None,
-        fallbacks: int = 0,
     ) -> None:
         self.values = values
         self.failed_at = failed_at
         self.error = error
-        self.fallbacks = fallbacks
 
 
 def aggregate_column(
@@ -1146,38 +1092,25 @@ def aggregate_column(
     :func:`make_accumulator`'s; ``arguments`` are the call's argument
     columns (none for star and argument-free calls, which read a ones
     column) and ``sizes`` the group sizes.  ``COUNT(*)`` is the group
-    size; a :data:`_KERNELS` entry serves the slices it has a buffer path
-    for.  Every other slice runs the accumulator lifecycle
-    (:func:`make_accumulator`, ``add_many`` unless the slice is empty,
-    then ``phase``), so its value and errors are the accumulator's own:
-    an ``add_many`` error propagates (the scan abandons), a ``phase``
-    error is recorded in the result.
+    size; every other call runs the accumulator lifecycle per group
+    (:func:`make_accumulator`, ``add_many`` of the slice unless it is
+    empty, then ``phase``), so its values and errors are the
+    accumulator's own: an ``add_many`` error propagates (the scan
+    abandons), a ``phase`` error is recorded in the result.
     """
-    upper = name.upper()
-    if upper == "COUNT" and is_star:
+    if is_star and name.upper() == "COUNT":
         return AggregateColumn(list(sizes))
-    kernel = None
-    if not distinct and arg_count == 1 and not is_star and len(arguments) == 1:
-        kernel = _KERNELS.get(upper)
-    partial = phase == "partial"
     result = AggregateColumn([])
-    values = result.values
     for group, size in enumerate(sizes):
-        value = _NO_KERNEL if kernel is None else kernel(arguments[0], group, partial)
-        if value is _NO_KERNEL:
-            result.fallbacks += 1
-            accumulator = make_accumulator(
-                name, is_star=is_star, distinct=distinct, arg_count=arg_count
-            )
-            if size:
-                _feed(accumulator, arguments, group, size)
-            if result.error is not None:
-                continue  # later groups are fed only for their feed errors
-            try:
-                value = getattr(accumulator, phase)()
-            except FINALIZE_ERRORS as error:
-                result.failed_at, result.error = group, error
-                continue
-        if result.error is None:
-            values.append(value)
+        accumulator = make_accumulator(
+            name, is_star=is_star, distinct=distinct, arg_count=arg_count
+        )
+        if size:
+            _feed(accumulator, arguments, group, size)
+        if result.error is not None:
+            continue  # later groups are fed only for their feed errors
+        try:
+            result.values.append(getattr(accumulator, phase)())
+        except FINALIZE_ERRORS as error:
+            result.failed_at, result.error = group, error
     return result

@@ -23,8 +23,8 @@ arrays:
 * **Aggregate scans** (GROUP BY over plain columns, aggregate arguments
   that are plain columns or ``*``): rows are partitioned into per-group
   index lists in one pass, each argument column is gathered once per
-  group, and one column kernel call per aggregate computes its value for
-  every group (:func:`~repro.engine.aggregates.aggregate_column`).  HAVING,
+  group, and one call per aggregate runs its accumulator over every
+  group's slice (:func:`~repro.engine.aggregates.aggregate_column`).  HAVING,
   select items and ORDER BY reuse the executor's compiled group plan, so
   results are byte-identical to the row-at-a-time path.
 * **Partial aggregation scans** — the distributed GROUP BY leaf phase —
@@ -114,7 +114,6 @@ class ScanStats:
         "partial",
         "typed",
         "tail",
-        "kernel_fallbacks",
         "zone_proved",
         "zone_refuted",
         "zone_pruned",
@@ -132,10 +131,6 @@ class ScanStats:
         self.typed = 0
         #: Grouped tails run over columns (every compiled grouped result).
         self.tail = 0
-        #: Group slices a grouped scan's aggregate kernels left to the
-        #: accumulator lifecycle (no NULL-free int64/float64 buffer, a
-        #: float sum past the magnitude bound, or no kernel for the call).
-        self.kernel_fallbacks = 0
         #: Zone map work skipped (:func:`zone_verdicts`): conjuncts a scan
         #: dropped as proven, scans a refutation ended, and partitions the
         #: DAG gave no task.
@@ -1826,7 +1821,6 @@ def _scan_groups(
         ]
     except _SCAN_ABANDON_ERRORS:
         return None
-    stats.kernel_fallbacks += sum(column.fallbacks for column in computed)
     failures = [
         (column.failed_at, index)
         for index, column in enumerate(computed)
@@ -1939,7 +1933,6 @@ _registry.probe("engine.vectorized.grouped", lambda: stats.grouped)
 _registry.probe("engine.vectorized.partial", lambda: stats.partial)
 _registry.probe("engine.vectorized.typed", lambda: stats.typed)
 _registry.probe("engine.vectorized.tail", lambda: stats.tail)
-_registry.probe("engine.vectorized.kernel_fallbacks", lambda: stats.kernel_fallbacks)
 _registry.probe("engine.vectorized.bails", lambda: dict(stats.bails))
 _registry.probe("engine.zone.proved", lambda: stats.zone_proved)
 _registry.probe("engine.zone.refuted", lambda: stats.zone_refuted)

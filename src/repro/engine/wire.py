@@ -607,8 +607,8 @@ class StateSizeFeedback:
     """
 
     #: Assumed packed bytes per state cell before any feedback arrives.
-    #: Exact accumulator tuples (Shewchuk expansions, rational moments)
-    #: average tens of bytes as tagged cells; shipped as columns they take
+    #: Exact accumulator tuples (canonical float expansions, Fraction
+    #: moments) average tens of bytes as tagged cells; shipped as columns they take
     #: less (~17 bytes per cell for the 7-column leaf states of a
     #: two-key GROUP BY, header included), so the cold-start guess leans
     #: high — underestimating state size is the costly direction (it

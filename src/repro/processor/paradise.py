@@ -608,7 +608,7 @@ class ParadiseProcessor:
                 1 for task in dag.tasks if task.kind in ("combine", "finalize_agg")
             ),
             replans=len(dead),
-            retried_attempts=report.retried_attempts,
+            retried_attempts=context.retried_attempts,
             restored_tasks=report.restored_tasks,
             checkpoints_saved=context.checkpoints.saved,
             checkpoint_bytes=context.checkpoints.total_bytes,

@@ -83,7 +83,8 @@ class RuntimeStats:
     combine_count: int = 0
     #: Node deaths this run recovered from by re-planning the DAG.
     replans: int = 0
-    #: In-place retry attempts transient task failures cost.
+    #: In-place retry attempts transient task failures cost, in every
+    #: scheduler run of the query (those that ended in a re-plan too).
     retried_attempts: int = 0
     #: Tasks satisfied from aggregate-state checkpoints instead of re-running.
     restored_tasks: int = 0

@@ -26,7 +26,6 @@ class RParseError(Exception):
     """Raised when a string cannot be parsed as an R call."""
 
 
-_IDENTIFIER_RE = re.compile(r"^[A-Za-z.][A-Za-z0-9._]*$")
 _CALL_START_RE = re.compile(r"^\s*([A-Za-z.][A-Za-z0-9._]*)\s*\(")
 
 
@@ -53,11 +52,6 @@ class RCall:
             if argument.name == name:
                 return argument
         return None
-
-    @property
-    def positional(self) -> List[RArgument]:
-        """The positional (unnamed) arguments in order."""
-        return [argument for argument in self.arguments if argument.name is None]
 
     def find_calls(self, function: str) -> List["RCall"]:
         """Find all (transitively) nested calls to ``function``."""

@@ -530,6 +530,9 @@ class ExecutionContext:
         #: Which re-plan attempt is executing (0 = the healthy first plan);
         #: each re-run gets its own context from :meth:`next_attempt`.
         self.attempt = 0
+        #: In-place retries that transient failures cost, summed over the
+        #: run's attempts (a re-plan's context starts from this count).
+        self.retried_attempts = 0
         #: Set by the scheduler when it gives this attempt up without
         #: draining its workers; :meth:`engine_call` then refuses to start.
         self.abandoned = False

@@ -116,8 +116,6 @@ class DagRunReport:
     restored_tasks: int = 0
     #: Tasks pruned entirely (their only consumers were restored).
     skipped_tasks: int = 0
-    #: Total in-place retry attempts that transient failures cost.
-    retried_attempts: int = 0
     #: Threads that ran the tasks (1 = the calling thread).
     workers: int = 1
 
@@ -253,7 +251,6 @@ class Scheduler:
 
         timings: List[TaskTiming] = []
         stats_lock = threading.Lock()
-        retried_attempts = [0]
         trace = context.trace
         # Per-run metric handles: one registry lookup each, then plain
         # striped-lock increments on the per-task path.
@@ -345,7 +342,7 @@ class Scheduler:
                         trace.finish(span, status="retried")
                         previous_span = span
                     with stats_lock:
-                        retried_attempts[0] += 1
+                        context.retried_attempts += 1
                     delay = policy.delay(attempt)
                     if delay > 0.0:
                         time.sleep(delay)
@@ -499,6 +496,5 @@ class Scheduler:
             timings=timings,
             restored_tasks=restored_count,
             skipped_tasks=skipped_count,
-            retried_attempts=retried_attempts[0],
             workers=workers,
         )

@@ -232,6 +232,8 @@ def test_default_retry_budget_is_max_attempts(times, execution):
     else:
         assert result.runtime.replans == 1
         assert result.completeness.dead_nodes == ["sensor_1"]
+        # The escalating run's retries count too, not only the re-plan's.
+        assert result.runtime.retried_attempts == budget - 1
 
 
 def test_link_drop_retries_then_succeeds():

@@ -12,14 +12,16 @@ from repro.engine import Database, EngineConfig
 from repro.engine.aggregates import (
     DECOMPOSABLE_AGGREGATES,
     FINALIZE_ERRORS,
+    SIMPLE_AGGREGATES,
     GroupedColumn,
+    StatAccumulator,
     aggregate_column,
     compute_aggregate,
     is_decomposable_aggregate,
     is_known_aggregate,
     make_accumulator,
 )
-from repro.engine.columns import FLOAT64, INT64, take_column, typed_column_from_values
+from repro.engine.columns import FLOAT64, INT64, typed_column_from_values
 from repro.engine.errors import ExecutionError
 from repro.engine.table import Relation
 from repro.engine.wire import pack_value
@@ -513,6 +515,146 @@ def test_any_batch_split_gives_identical_partials(name, seed):
 
 
 # ---------------------------------------------------------------------------
+# exact STDDEV/VARIANCE moments against the batch functions
+# ---------------------------------------------------------------------------
+
+_STAT_NAMES = sorted(StatAccumulator._KINDS)
+
+
+def _fraction_moments(values):
+    """``(n, Σx, Σx²)`` of the non-NULL float images, as Fractions."""
+    fractions = [Fraction(float(value)) for value in values if value is not None]
+    return (
+        len(fractions),
+        sum(fractions, Fraction(0)),
+        sum((fraction * fraction for fraction in fractions), Fraction(0)),
+    )
+
+
+def _stat_batch(values):
+    """A batch fed as a typed float64 column when it fits one, else a list."""
+    return typed_column_from_values(values, FLOAT64) or list(values)
+
+
+def _feed_moments(name, accumulator, how, values):
+    """One step of the moment oracle test: feed ``values`` ``how``."""
+    if how == "typed":
+        accumulator.add_many(typed_column_from_values(values, FLOAT64))
+    elif how == "list":
+        accumulator.add_many(values)
+    elif how == "row":
+        accumulator.add((values[0],))
+    else:  # "merge": the state of another accumulator fed ``values``
+        other = make_accumulator(name, is_star=False, distinct=False, arg_count=1)
+        other.add_many(values)
+        accumulator.merge(other.partial())
+
+
+@pytest.mark.parametrize("name", _STAT_NAMES)
+@pytest.mark.parametrize("seed", [3, 17, 29, 71])
+def test_moments_match_fraction_oracle(name, seed):
+    """Random ``add``/list ``add_many``/typed ``add_many``/``merge``
+    sequences: after every step ``result()`` is the batch function's over
+    every value fed so far (errors by type and message) and ``partial()``
+    is the exact Fraction moments.  A step that raises ends the run with
+    the batch function's error."""
+    batch_function = SIMPLE_AGGREGATES[name]
+    rng = random.Random(seed)
+    for _ in range(60):
+        specials = rng.random() < 0.3
+        accumulator = make_accumulator(name, is_star=False, distinct=False, arg_count=1)
+        fed = []
+        for _ in range(rng.randint(1, 8)):
+            op = rng.random()
+            if op < 0.45:
+                how, values = "typed", _random_batch(rng, specials) + [None] * rng.randint(0, 1)
+            elif op < 0.55:
+                how, values = "list", _mixed_batch(rng, specials)
+            elif op < 0.7:
+                how, values = "row", [rng.choice(_CANCELLING + _INTS + [None])]
+            else:
+                how, values = "merge", _mixed_batch(rng, specials)
+            fed += values
+            expected = _outcome(lambda: batch_function(fed))
+            stepped = _outcome(lambda: _feed_moments(name, accumulator, how, values))
+            if stepped[0] != "ok":
+                assert stepped == expected
+                break
+            assert _outcome(accumulator.result) == expected
+            assert accumulator.partial() == _fraction_moments(fed)
+            assert pack_value(accumulator.partial()) == pack_value(_fraction_moments(fed))
+
+
+@pytest.mark.parametrize("name", _STAT_NAMES)
+def test_moments_edge_cases_match_fraction_oracle(name):
+    """NaN, infinities, an int past float range, subnormals and values
+    whose squares pass float range, split at every point into two
+    ``add_many`` batches or two merged states, and row by row."""
+    batch_function = SIMPLE_AGGREGATES[name]
+    top = 1.7976931348623157e308
+    cases = [
+        [math.nan, 2.0],
+        [1.0, math.nan, math.inf],
+        [math.inf, 1.0],
+        [3.0, -math.inf],
+        [10**400, 1.0],
+        [2.0, -(10**400)],
+        [5e-324, -5e-324, 1e-310, 2.5e-320],
+        [5e-324, 5e-324],
+        [1e154, 1.3e154, -1e154],
+        [1e200, 3e200],
+        [top, -top, top],
+        [top, top],
+        [2.0**53 + 1, 1.0, None, 1e16, -1e16],
+        [None, 4.0],
+        [],
+    ]
+    for values in cases:
+        expected = _outcome(lambda: batch_function(values))
+
+        def row_by_row():
+            accumulator = make_accumulator(name, is_star=False, distinct=False, arg_count=1)
+            for value in values:
+                accumulator.add((value,))
+            return accumulator.result()
+
+        assert _outcome(row_by_row) == expected, values
+        for split in range(len(values) + 1):
+            batches = (values[:split], values[split:])
+
+            def fed():
+                accumulator = make_accumulator(name, is_star=False, distinct=False, arg_count=1)
+                for batch in batches:
+                    accumulator.add_many(_stat_batch(batch))
+                assert accumulator.partial() == _fraction_moments(values)
+                return accumulator.result()
+
+            def merged():
+                accumulator = make_accumulator(name, is_star=False, distinct=False, arg_count=1)
+                for batch in batches:
+                    accumulator.merge(_run_accumulator(name, batch).partial())
+                return accumulator.result()
+
+            assert _outcome(fed) == expected, (values, split)
+            assert _outcome(merged) == expected, (values, split)
+
+
+def test_moment_states_must_be_dyadic():
+    """A merged state's sums must be multiples of ``2**-1074`` (Σx) and
+    ``2**-2148`` (Σx²), as every exported state is."""
+    accumulator = make_accumulator("STDDEV", is_star=False, distinct=False, arg_count=1)
+    accumulator.merge((1, Fraction(3, 2**1074), Fraction(9, 2**2148)))
+    for state in (
+        (1, Fraction(1, 3), Fraction(1, 9)),
+        (1, Fraction(1, 2**1075), Fraction(0)),
+        (1, Fraction(0), Fraction(1, 2**2149)),
+    ):
+        with pytest.raises(ExecutionError):
+            accumulator.merge(state)
+    assert accumulator.partial() == (1, Fraction(3, 2**1074), Fraction(9, 2**2148))
+
+
+# ---------------------------------------------------------------------------
 # float overflow depends on the exact total only, never on row order
 # ---------------------------------------------------------------------------
 
@@ -629,27 +771,27 @@ def test_float_sum_state_out_of_range_raises_at_partial(config):
 
 
 # ---------------------------------------------------------------------------
-# column kernels against the accumulator lifecycle
+# column slices (buffer paths) against row-by-row ``add``
 # ---------------------------------------------------------------------------
 
-_KERNEL_FLOATS = st.one_of(
+_SLICE_FLOATS = st.one_of(
     st.floats(-1e6, 1e6),
     st.floats(allow_nan=True, allow_infinity=True),
     # NaN, infinities, signed-zero ties and magnitudes whose fsum may
     # overflow.
     st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1e308, -1e308, 2.0**1020]),
 )
-_KERNEL_INTS = st.one_of(st.integers(-10, 10), st.integers(-(2**63), 2**63 - 1))
+_SLICE_INTS = st.one_of(st.integers(-10, 10), st.integers(-(2**63), 2**63 - 1))
 
 #: Column kinds: (typecode or None for a plain list, cell strategy).
-_KERNEL_KINDS = {
-    "int64": (INT64, _KERNEL_INTS),
-    "float64": (FLOAT64, _KERNEL_FLOATS),
+_SLICE_KINDS = {
+    "int64": (INT64, _SLICE_INTS),
+    "float64": (FLOAT64, _SLICE_FLOATS),
     "list_mixed": (
         None,
-        st.one_of(_KERNEL_INTS, _KERNEL_FLOATS, st.sampled_from(["a", "b"])),
+        st.one_of(_SLICE_INTS, _SLICE_FLOATS, st.sampled_from(["a", "b"])),
     ),
-    "list_numeric": (None, st.one_of(_KERNEL_INTS, _KERNEL_FLOATS)),
+    "list_numeric": (None, st.one_of(_SLICE_INTS, _SLICE_FLOATS)),
     # Ints beyond 2**63 (and beyond float range) next to floats.
     "list_bigint": (
         None,
@@ -657,19 +799,19 @@ _KERNEL_KINDS = {
             st.integers(2**63, 2**70),
             st.integers(-(2**70), -(2**63) - 1),
             st.sampled_from([10**400, -(10**400)]),
-            _KERNEL_FLOATS,
+            _SLICE_FLOATS,
         ),
     ),
 }
 
-_KERNEL_CALLS = [(name, False) for name in sorted(DECOMPOSABLE_AGGREGATES)] + [("COUNT", True)]
+_SLICE_CALLS = [(name, False) for name in sorted(DECOMPOSABLE_AGGREGATES)] + [("COUNT", True)]
 
 
 @st.composite
 def _grouped_column(draw):
     """A column of one kind, with or without NULLs, and its groups: index
     lists in first-occurrence order, or None for one whole-column group."""
-    typecode, cells = _KERNEL_KINDS[draw(st.sampled_from(sorted(_KERNEL_KINDS)))]
+    typecode, cells = _SLICE_KINDS[draw(st.sampled_from(sorted(_SLICE_KINDS)))]
     if draw(st.booleans()):
         cells = st.none() | cells
     values = draw(st.lists(cells, max_size=30))
@@ -685,17 +827,14 @@ def _grouped_column(draw):
     return column, list(groups.values())
 
 
-def _lifecycle_column(name, is_star, column, groups, phase):
-    """make, ``add_many`` (skipped for an empty slice), then ``phase``, per
+def _row_by_row_column(name, is_star, column, groups, phase):
+    """make, ``add`` of each row of the group's slice, then ``phase``, per
     group: feed errors propagate, phase calls stop at the first error."""
     values, failure = [], None
     for indices in [range(len(column))] if groups is None else groups:
         accumulator = make_accumulator(name, is_star=is_star, distinct=False, arg_count=1)
-        if indices:
-            if is_star:
-                accumulator.add_many([1] * len(indices))
-            else:
-                accumulator.add_many(column if groups is None else take_column(column, indices))
+        for index in indices:
+            accumulator.add((1,) if is_star else (column[index],))
         if failure is not None:
             continue
         try:
@@ -715,19 +854,21 @@ def _packed(values, failure):
 # global group over no rows.
 @example((typed_column_from_values([], FLOAT64), None))
 @example((typed_column_from_values([], FLOAT64), [[]]))
-# Group 0's sum fails after the lifecycle; group 1 has a buffer path.
+# Group 0's sum fails after its loop; group 1 takes the buffer path.
 @example((typed_column_from_values([math.inf, -math.inf, 1.0], FLOAT64), [[0, 1], [2]]))
-def test_kernels_match_accumulator_lifecycle(case):
-    """Every decomposable aggregate's kernel column packs to the lifecycle's
-    bytes, states and results alike, and fails the same way.  All calls
-    share one GroupedColumn, so SUM and AVG share its slices and fold."""
+def test_slice_add_many_matches_row_by_row_add(case):
+    """Every decomposable aggregate's :func:`aggregate_column` over typed
+    (or list) slices, where ``add_many`` takes the buffer paths, packs to
+    the bytes of feeding each row through ``add``, states and results
+    alike, and fails the same way.  All calls share one GroupedColumn, so
+    they share its gathered slices."""
     column, groups = case
     sizes = [len(column)] if groups is None else [len(indices) for indices in groups]
     for phase in ("partial", "result"):
         shared = GroupedColumn(column, groups)
-        for name, is_star in _KERNEL_CALLS:
+        for name, is_star in _SLICE_CALLS:
 
-            def kernel():
+            def sliced():
                 computed = aggregate_column(
                     name,
                     is_star=is_star,
@@ -744,6 +885,6 @@ def test_kernels_match_accumulator_lifecycle(case):
                 return computed.values, failure
 
             expected = _outcome(
-                lambda: _packed(*_lifecycle_column(name, is_star, column, groups, phase))
+                lambda: _packed(*_row_by_row_column(name, is_star, column, groups, phase))
             )
-            assert _outcome(lambda: _packed(*kernel())) == expected, (name, phase)
+            assert _outcome(lambda: _packed(*sliced())) == expected, (name, phase)

@@ -334,11 +334,10 @@ def test_rewritten_groupby_runs_every_leaf_scan_vectorized():
     assert diff["engine.vectorized.partial"] == 8
 
 
-def test_grouped_scans_take_no_kernel_fallback():
+def test_leaf_partials_take_the_columnar_grouped_scan():
     """The e2e group-by's leaf partials on the 8-sensor tree and the paper
-    query's ``GROUP BY x, y`` partial on the chain's sensor compute every
-    aggregate from typed buffers: no group slice falls back to the
-    accumulator lifecycle."""
+    query's ``GROUP BY x, y`` partial on the chain's sensor run as
+    columnar partial scans."""
     tree = ParadiseProcessor(
         occupancy_policy(),
         schema=INTEGRATED_SCHEMA,
@@ -355,7 +354,6 @@ def test_grouped_scans_take_no_kernel_fallback():
         assert processor.process(sql, module).admitted
         diff = delta(before, registry.snapshot(prefix="engine.vectorized."))
         assert diff[f"engine.vectorized.{kind}"] >= 1
-        assert diff["engine.vectorized.kernel_fallbacks"] == 0
 
 
 def test_paper_chain_sensor_partial_scans_once_then_hits():
@@ -378,18 +376,6 @@ def test_paper_chain_sensor_partial_scans_once_then_hits():
     assert diff["runtime.state_memo.hits"] == 3
     assert not diff.get("runtime.state_memo.misses")
     assert not diff.get("engine.vectorized.partial")
-
-
-def test_kernel_fallbacks_count_slices_without_a_buffer():
-    """A NULL-bearing argument column has no buffer path: each group's
-    slice runs the accumulator lifecycle and counts once per call."""
-    database = Database()
-    database.load_rows("n", [{"g": i % 3, "v": None if i == 4 else i * 0.5} for i in range(9)])
-    before = registry.snapshot(prefix="engine.vectorized.")
-    database.query("SELECT g, SUM(v), MIN(v), COUNT(*) FROM n GROUP BY g")
-    diff = delta(before, registry.snapshot(prefix="engine.vectorized."))
-    assert diff["engine.vectorized.grouped"] == 1
-    assert diff["engine.vectorized.kernel_fallbacks"] == 2 * 3
 
 
 def test_paper_workloads_take_typed_scan_backing():

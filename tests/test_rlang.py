@@ -18,7 +18,8 @@ def test_parse_simple_r_call():
     assert len(call.arguments) == 3
     assert call.arguments[2].name == "col"
     assert call.arguments[2].text == "'red'"
-    assert call.positional[0].text == "x"
+    assert call.arguments[0].name is None
+    assert call.arguments[0].text == "x"
 
 
 def test_parse_nested_call():

@@ -1,4 +1,5 @@
-"""Source checks that need no linter: every module reads what it imports."""
+"""Source checks that need no linter: every module reads what it imports
+and every private (``_``-prefixed) module-level definition."""
 
 from __future__ import annotations
 
@@ -9,11 +10,23 @@ from typing import Iterator, List, Set, Tuple
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 
-def _top_level_imports(tree: ast.Module) -> Iterator[Tuple[str, int]]:
-    """(bound name, line) of each import at module level, in ``if``/``try`` too."""
+def _top_level_statements(tree: ast.Module) -> Iterator[ast.stmt]:
+    """Module-level statements, those in ``if``/``try`` blocks too."""
     pending: List[ast.stmt] = list(tree.body)
     while pending:
         node = pending.pop()
+        yield node
+        if isinstance(node, (ast.If, ast.Try)):
+            pending.extend(node.body)
+            pending.extend(node.orelse)
+            pending.extend(getattr(node, "finalbody", []))
+            for handler in getattr(node, "handlers", []):
+                pending.extend(handler.body)
+
+
+def _top_level_imports(tree: ast.Module) -> Iterator[Tuple[str, int]]:
+    """(bound name, line) of each import at module level, in ``if``/``try`` too."""
+    for node in _top_level_statements(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 yield (alias.asname or alias.name.split(".")[0]), node.lineno
@@ -22,12 +35,23 @@ def _top_level_imports(tree: ast.Module) -> Iterator[Tuple[str, int]]:
                 continue
             for alias in node.names:
                 yield (alias.asname or alias.name), node.lineno
-        elif isinstance(node, (ast.If, ast.Try)):
-            pending.extend(node.body)
-            pending.extend(node.orelse)
-            pending.extend(getattr(node, "finalbody", []))
-            for handler in getattr(node, "handlers", []):
-                pending.extend(handler.body)
+
+
+def _private_definitions(tree: ast.Module) -> Iterator[Tuple[str, int]]:
+    """(name, line) of each ``_``-prefixed module-level function, class or
+    assigned constant (dunders excluded)."""
+    for node in _top_level_statements(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno
 
 
 def _annotations(tree: ast.Module) -> Iterator[ast.expr]:
@@ -43,7 +67,11 @@ def _annotations(tree: ast.Module) -> Iterator[ast.expr]:
 
 def _names_read(tree: ast.Module) -> Set[str]:
     """Every name the module reads, string annotations and ``__all__`` included."""
-    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
     for annotation in _annotations(tree):
         for node in ast.walk(annotation):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -62,6 +90,14 @@ def unused_imports(source: str) -> List[Tuple[str, int]]:
     read = _names_read(tree)
     return sorted(
         (name, line) for name, line in _top_level_imports(tree) if name not in read
+    )
+
+
+def unread_private_definitions(source: str) -> List[Tuple[str, int]]:
+    tree = ast.parse(source)
+    read = _names_read(tree)
+    return sorted(
+        (name, line) for name, line in _private_definitions(tree) if name not in read
     )
 
 
@@ -120,3 +156,37 @@ def test_the_check_binds_dotted_and_aliased_imports():
         "y: D[str, int] = {}\n"
     )
     assert unused_imports(source) == [("L", 3), ("cabc", 2)]
+
+
+def test_every_module_reads_its_private_definitions():
+    unread = [
+        f"{path.relative_to(SRC)}:{line}: {name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for name, line in unread_private_definitions(path.read_text())
+    ]
+    assert unread == [], "private but never read by its module:\n" + "\n".join(unread)
+
+
+def test_the_private_check_sees_functions_classes_and_constants():
+    source = (
+        "import re\n"
+        "_USED_RE = re.compile('a')\n"
+        "_UNUSED_RE = re.compile('b')\n"
+        "_TABLE: dict = {}\n"
+        "__version__ = '1'\n"
+        "def _helper(): return _USED_RE\n"
+        "def _orphan(): return _Base\n"
+        "class _Base: pass\n"
+        "class _Lonely(_Base): pass\n"
+        "def public(x: '_Hinted') -> None: _helper()\n"
+        "if True:\n"
+        "    _GATED = 1\n"
+        "class _Hinted: pass\n"
+    )
+    assert unread_private_definitions(source) == [
+        ("_GATED", 12),
+        ("_Lonely", 9),
+        ("_TABLE", 4),
+        ("_UNUSED_RE", 3),
+        ("_orphan", 7),
+    ]
