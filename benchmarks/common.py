@@ -103,7 +103,7 @@ def forget_kept_states(processor: ParadiseProcessor) -> None:
 
 
 def state_memo_hits() -> int:
-    """Leaf partials so far, process-wide, that decoded a chunk's kept state
+    """Leaf partials so far, process-wide, that output a chunk's kept state
     instead of computing it; a timed repeat checks it did not move."""
     return registry.value("runtime.state_memo.hits")
 

@@ -118,16 +118,18 @@ class _ExactFloatSum:
         if parts:
             self.exact = sum(map(_scaled, parts), self.exact or 0)
 
-    def add_buffer(self, values: Sequence[Any]) -> bool:
+    def add_buffer(
+        self, values: Sequence[Any], parts: Optional[Tuple[float, ...]] = None
+    ) -> bool:
         """Add a non-empty NULL-free float64 column at buffer speed: its
-        :func:`_canonical_expansion`, folded like a merged state.  False
-        (nothing added) for any other column, or when ``fsum`` over the
-        buffer raises or is not finite: a special value or an
-        intermediate overflow is left to the caller's per-value loop."""
-        buffer = _buffer(values, (FLOAT64,))
-        parts = _canonical_expansion(buffer) if buffer else None
+        :func:`_buffer_expansion` (``parts`` when the caller has it),
+        folded like a merged state.  False (nothing added) when there is
+        none: a special value or an intermediate overflow is left to the
+        caller's per-value loop."""
         if parts is None:
-            return False
+            parts = _buffer_expansion(values)
+            if parts is None:
+                return False
         self.merge_parts(parts)
         return True
 
@@ -172,6 +174,14 @@ def _buffer(values: Sequence[Any], typecodes: Tuple[str, ...]) -> Optional[array
     ):
         return values.data_array()
     return None
+
+
+def _buffer_expansion(values: Sequence[Any]) -> Optional[Tuple[float, ...]]:
+    """The :func:`_canonical_expansion` of a non-empty NULL-free float64
+    column; None for any other column, or when ``fsum`` over the buffer
+    raises or is not finite."""
+    buffer = _buffer(values, (FLOAT64,))
+    return _canonical_expansion(buffer) if buffer else None
 
 
 def _canonical_expansion(values: Sequence[float]) -> Optional[Tuple[float, ...]]:
@@ -589,8 +599,10 @@ class SumAccumulator(_ExactFloatSum):
         if value is not None:
             self._add(value)
 
-    def add_many(self, values: Sequence[Any]) -> None:
-        if self.add_buffer(values):
+    def add_many(
+        self, values: Sequence[Any], parts: Optional[Tuple[float, ...]] = None
+    ) -> None:
+        if self.add_buffer(values, parts):
             self.present = True
             self.all_int = False
             return
@@ -670,8 +682,10 @@ class AvgAccumulator(_ExactFloatSum):
             self.add_float(float(value))
             self.count += 1
 
-    def add_many(self, values: Sequence[Any]) -> None:
-        if self.add_buffer(values):
+    def add_many(
+        self, values: Sequence[Any], parts: Optional[Tuple[float, ...]] = None
+    ) -> None:
+        if self.add_buffer(values, parts):
             self.count += len(values)
             return
         for value in values:
@@ -847,7 +861,7 @@ class StatAccumulator:
     :class:`~fractions.Fraction` values.
     """
 
-    __slots__ = ("sample", "take_sqrt", "n", "sx", "sxx")
+    __slots__ = ("sample", "take_sqrt", "n", "sx", "sxx", "unconvertible", "unscalable")
 
     #: name -> (sample statistics?, take the square root?)
     _KINDS = {
@@ -862,6 +876,12 @@ class StatAccumulator:
     def __init__(self, name: str) -> None:
         self.sample, self.take_sqrt = self._KINDS[name.upper()]
         self.n = self.sx = self.sxx = 0
+        #: The errors of the first value ``float`` refused and of the first
+        #: converted value that cannot scale (inf, NaN), in that order of
+        #: precedence: the batch functions convert every value before they
+        #: scale any.  ``result``/``partial`` raise them.
+        self.unconvertible: Optional[Exception] = None
+        self.unscalable: Optional[Exception] = None
 
     def add(self, values: Tuple[Any, ...]) -> None:
         self.add_many(values[:1])
@@ -870,15 +890,33 @@ class StatAccumulator:
         for value in values:
             if value is None:
                 continue
-            # ``value * 2**1074`` is ``numerator << shift``; squaring the
-            # short numerator is cheaper than squaring the scaled int.
-            numerator, denominator = float(value).as_integer_ratio()
+            try:
+                value = float(value)
+            except (TypeError, ValueError, OverflowError) as error:
+                if self.unconvertible is None:
+                    self.unconvertible = error
+                continue
+            try:
+                # ``value * 2**1074`` is ``numerator << shift``; squaring
+                # the short numerator is cheaper than squaring the scaled
+                # int.
+                numerator, denominator = value.as_integer_ratio()
+            except (OverflowError, ValueError) as error:
+                if self.unscalable is None:
+                    self.unscalable = error
+                continue
             shift = 1075 - denominator.bit_length()
             self.n += 1
             self.sx += numerator << shift
             self.sxx += numerator * numerator << 2 * shift
 
+    def _raise_failure(self) -> None:
+        failure = self.unconvertible or self.unscalable
+        if failure is not None:
+            raise failure
+
     def result(self) -> Any:
+        self._raise_failure()
         n = self.n
         denominator = n - 1 if self.sample else n
         if denominator < 1:
@@ -887,6 +925,7 @@ class StatAccumulator:
         return _sqrt_of_fraction(mss) if self.take_sqrt else float(mss)
 
     def partial(self) -> Tuple[int, Fraction, Fraction]:
+        self._raise_failure()
         return (self.n, Fraction(self.sx, _SCALE), Fraction(self.sxx, 1 << 2148))
 
     def merge(self, state: Tuple[int, Fraction, Fraction]) -> None:
@@ -1019,10 +1058,11 @@ class GroupedColumn:
 
     ``groups`` holds each group's row indices, or is None for one group
     holding the whole column.  Every aggregate over the column shares its
-    gathered slices (:meth:`slice`).
+    gathered slices (:meth:`slice`) and their float sums
+    (:meth:`expansion`).
     """
 
-    __slots__ = ("column", "groups", "_slices")
+    __slots__ = ("column", "groups", "_slices", "_expansions")
 
     def __init__(
         self, column: Sequence[Any], groups: Optional[Sequence[Sequence[int]]]
@@ -1030,6 +1070,15 @@ class GroupedColumn:
         self.column = column
         self.groups = groups
         self._slices: Dict[int, Sequence[Any]] = {}
+        self._expansions: Dict[int, Optional[Tuple[float, ...]]] = {}
+
+    def expansion(self, group: int) -> Optional[Tuple[float, ...]]:
+        """Group ``group``'s :func:`_buffer_expansion`, computed once for
+        every ``SUM`` and ``AVG`` over the column."""
+        if group in self._expansions:
+            return self._expansions[group]
+        parts = self._expansions[group] = _buffer_expansion(self.slice(group))
+        return parts
 
     def slice(self, group: int) -> Sequence[Any]:
         """Group ``group``'s slice; a typed column's slices stay typed."""
@@ -1049,7 +1098,11 @@ def _feed(
     if not arguments:
         accumulator.add_many([1] * size)
     elif len(arguments) == 1:
-        accumulator.add_many(arguments[0].slice(group))
+        argument = arguments[0]
+        if isinstance(accumulator, _ExactFloatSum):
+            accumulator.add_many(argument.slice(group), argument.expansion(group))
+        else:
+            accumulator.add_many(argument.slice(group))
     else:
         for row in zip(*(argument.slice(group) for argument in arguments)):
             accumulator.add(row)

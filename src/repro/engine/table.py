@@ -442,17 +442,29 @@ class Relation:
     def kept_states(self) -> Dict[Any, Any]:
         """The packed partial states kept for this relation at its current
         version (:meth:`~repro.runtime.dag.StageTask.execute` fills it).
+        Each entry records how many leading rows its state covers.
 
         The dict lives and dies with the version: any write through this
-        API starts an empty one, and a replaced or appended chunk is a new
-        relation with none.  So a caller that takes the dict before it
-        reads the rows stores a state that is only ever found while no
-        write has happened since that read began.
+        API starts an empty one, and a replaced chunk is a new relation
+        with none (an appended one inherits, :meth:`inherit_states`).  So
+        a caller that takes the dict before it reads the rows stores a
+        state that is only ever found while no write has happened since
+        that read began.
         """
         cached = self._state_cache
         if cached is None or cached[0] != self._version:
             cached = self._state_cache = (self._version, {})
         return cached[1]
+
+    def inherit_states(self, prefix: "Relation") -> None:
+        """Seed this relation's kept states from ``prefix``'s.
+
+        For a relation holding ``prefix``'s rows followed by new ones (an
+        appended stream chunk): every kept state still summarizes the
+        leading rows it covers, so it carries over as it is, and the next
+        read takes in only the rows after them.
+        """
+        self._state_cache = (self._version, dict(prefix.kept_states()))
 
     def slice_rows(self, start: int, stop: Optional[int] = None, name: str = "") -> "Relation":
         """A new relation holding the contiguous row range ``[start, stop)``."""

@@ -1788,9 +1788,9 @@ def _scan_groups(
     call.  Returns ``(keys, members, columns, error)``: group keys and row
     indices in first-occurrence order, and the spec columns cut at the
     first (group, spec) in group-major order whose ``phase`` raised
-    ``error``.  None when a conversion error while feeding (exact
-    SUM/STDDEV meeting a non-numeric or non-finite value) abandons the
-    scan, so the row path re-raises its own row-major error.
+    ``error``.  None when a conversion error while feeding (an exact
+    SUM or AVG meeting a non-numeric value) abandons the scan, so the row
+    path re-raises its own row-major error.
     """
     if plan.key_columns:
         grouped = group_rows(relation, plan.key_columns, sel)

@@ -575,6 +575,29 @@ def _unpack_relation(data: bytes) -> "Any":
     return Relation.from_columns(schema, columns, name=name)
 
 
+class PackedRelation:
+    """A relation held as its :func:`pack_relation` bytes.
+
+    It carries the row and column counts, so execution records and
+    :data:`state_size_feedback` read them without decoding; a shipment
+    sends ``payload`` as is, and :meth:`unpack` decodes on demand (a
+    fresh relation per call).
+    """
+
+    __slots__ = ("payload", "rows", "columns")
+
+    def __init__(self, payload: bytes, rows: int, columns: int) -> None:
+        self.payload = payload
+        self.rows = rows
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return self.rows
+
+    def unpack(self) -> "Any":
+        return unpack_relation(self.payload)
+
+
 def pack_state_relation(relation: "Any") -> bytes:
     """Encode a relation bit-exactly (checkpoint-facing alias)."""
     return pack_relation(relation)

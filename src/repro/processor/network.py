@@ -28,12 +28,12 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.engine.columns import copy_column, extend_column
 from repro.engine.database import Database
 from repro.engine.table import Relation
-from repro.engine.wire import pack_relation, unpack_relation
+from repro.engine.wire import PackedRelation, pack_relation, unpack_relation
 from repro.fragment.topology import Node, Topology
 from repro.obs.metrics import registry as _metrics
 from repro.obs.trace import current_span
@@ -227,8 +227,9 @@ class NetworkSimulator:
         signatures built over the old chunk — and any checkpoints saved
         under them — stop matching.  The old chunk's computed column
         statistics carry over, extended by the delta, so the next plan
-        over the chunk does not rebuild them.  Returns the chunk's new row
-        count.
+        over the chunk does not rebuild them; its kept leaf states carry
+        over as they are (each covers the old rows), so the next read
+        folds in only the delta.  Returns the chunk's new row count.
         """
         database = self.database(node_name)
         if table_name in database:
@@ -241,6 +242,7 @@ class NetworkSimulator:
         self._register_stream(database, table_name, combined)
         appended = database.table(table_name)
         appended.inherit_stats(chunk)
+        appended.inherit_states(chunk)
         holders = self._partitions.setdefault(table_name.lower(), [])
         if node_name not in holders:
             holders.append(node_name)
@@ -420,7 +422,7 @@ class NetworkSimulator:
     # ------------------------------------------------------------------
     def ship(
         self,
-        relation: Relation,
+        relation: Union[Relation, PackedRelation],
         relation_name: str,
         source: str,
         target: str,
@@ -453,8 +455,14 @@ class NetworkSimulator:
         nothing is logged or registered for a dropped shipment.
         ``payload`` is ``pack_relation(relation)`` when the sender already
         encoded the relation (an aggregate-state task packs its output once
-        for its checkpoint and its shipments); it is sent as is.
+        for its checkpoint and its shipments); it is sent as is.  A
+        :class:`~repro.engine.wire.PackedRelation` (a kept leaf state) is
+        its own payload: only the receiver decodes it.
         """
+        if isinstance(relation, PackedRelation):
+            payload = relation.payload
+            if source == target:
+                relation = relation.unpack()
         if source == target:
             if register:
                 self.database(target).register(relation_name, relation)

@@ -50,15 +50,20 @@ applies the same rules to every fragment:
   ``EngineConfig.zone_maps``); the first part stays when all are refuted.
 
 Every stage is one :class:`StageTask`: it gathers its parts on its node,
-runs one engine operation and registers the output.  Anonymization and the
+runs one engine operation and registers the output (a partial's state is
+taken from the run's outputs, never by name).  Anonymization and the
 cloud remainder are the DAG's final tasks.
 
 A leaf partial over the chunk resident on its node keeps the packed state
 it produced on the chunk (:meth:`~repro.engine.table.Relation.kept_states`,
 under ``EngineConfig.zone_maps``).  The next run of the same derived query
-over the unchanged chunk decodes those bytes instead of scanning, and
-ships and checkpoints the same bytes; any write to the chunk, or a new
-chunk, computes again.
+over the unchanged chunk outputs those bytes undecoded
+(:class:`~repro.engine.wire.PackedRelation`): they are its checkpoint and
+its shipment, and only a reader of the rows decodes them.  A chunk grown
+by an append inherits its parent's states; the next run scans only the
+appended rows and folds their state after the kept one
+(:func:`fold_state`).  Any other write to the chunk, or a new chunk,
+computes again.
 
 Chunks are contiguous slices of the original relation in leaf order, and
 every stage concatenates its parts in exactly that order, so the DAG's
@@ -76,11 +81,24 @@ import hashlib
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+    Union,
+)
 
 from repro.anonymize.anonymizer import Anonymizer
 from repro.engine.columns import copy_column, extend_column
 from repro.engine.config import DEFAULT_CONFIG, EngineConfig
+from repro.engine.database import Database
+from repro.engine.errors import EngineError
 from repro.engine.executor import aggregate_calls, first_value_columns
 from repro.engine.schema import ColumnDef, Schema
 from repro.engine.table import Relation, fit_backing
@@ -91,10 +109,10 @@ from repro.engine.vectorized import (
     zone_verdicts,
 )
 from repro.engine.wire import (
+    PackedRelation,
     WireFormatError,
     pack_relation,
     state_size_feedback,
-    unpack_relation,
 )
 from repro.fragment.capabilities import permitted_features
 from repro.fragment.plan import FragmentPlan, QueryFragment
@@ -133,10 +151,14 @@ MAX_DERIVED_QUERIES = 256
 #: most 23 grouped texts over one chunk.
 MAX_KEPT_STATES = 32
 
-#: Leaf partials that decoded a kept state, and those that computed one
-#: they could keep (:meth:`StageTask.execute`).
-_memo_hits = _metrics.counter("runtime.state_memo.hits")
-_memo_misses = _metrics.counter("runtime.state_memo.misses")
+#: Leaf partials that output a kept state, those that folded the rows
+#: appended since into one, and those that computed one they could keep
+#: (:meth:`StageTask.execute`), by their span's ``memo`` attribute.
+_memo_counters = {
+    "hit": _metrics.counter("runtime.state_memo.hits"),
+    "fold": _metrics.counter("runtime.state_memo.folds"),
+    "miss": _metrics.counter("runtime.state_memo.misses"),
+}
 
 #: At most this many leading rows of a chunk are observed per DAG build.
 #: The observation is planner-side statistics gathering (no data leaves the
@@ -490,6 +512,41 @@ def union_partials(parts: Sequence[Relation], name: str) -> Relation:
     )
 
 
+_State = TypeVar("_State")
+
+
+def fold_state(
+    kept: Relation, delta: Relation, combine: Callable[[Relation], _State]
+) -> _State:
+    """The state of a chunk grown by an append, from ``kept`` (the state
+    of its old rows) and ``delta`` (that of the appended rows):
+    ``combine`` over the two unioned, the kept one first.
+
+    Incremental view maintenance (Gupta and Mumick, 1995) for the partial
+    protocol: first-occurrence group order over ``old ++ delta`` is the
+    kept state's order followed by the delta's new groups, and every merge
+    sees the rows in partition order (a MIN/MAX tie keeps the first-seen
+    value), so the folded state equals a fresh partial over the whole
+    chunk, byte for byte.  ``combine`` runs the query's combine on the
+    node; its result is returned as it is.
+    """
+    return combine(union_partials([kept, delta], name=""))
+
+
+class KeptState(NamedTuple):
+    """A leaf state a chunk keeps (:meth:`Relation.kept_states`)."""
+
+    #: The derived query; held so that the id it is keyed on stays unique.
+    query: ast.Query
+    #: How many leading rows of the chunk the state summarizes.
+    covered: int
+    state: PackedRelation
+
+
+#: What a task outputs: a relation, or a leaf state kept as its bytes.
+Output = Union[Relation, PackedRelation]
+
+
 class ExecutionContext:
     """Shared mutable state of one DAG run (thread-safe where it must be)."""
 
@@ -536,8 +593,9 @@ class ExecutionContext:
         #: Set by the scheduler when it gives this attempt up without
         #: draining its workers; :meth:`engine_call` then refuses to start.
         self.abandoned = False
-        #: task id -> output relation; each task writes only its own key.
-        self.outputs: Dict[str, Relation] = {}
+        #: task id -> output (a kept leaf state stays its packed bytes);
+        #: each task writes only its own key.
+        self.outputs: Dict[str, Output] = {}
         #: task id -> the packed output of a ``partial``/``combine`` task.
         #: The task encodes its state once; these bytes are both its
         #: checkpoint and what every shipment of it sends.  Handed over
@@ -620,21 +678,23 @@ class ExecutionContext:
         if span is not None and span.trace is self.trace:
             span.attrs.update(attrs)
 
-    def annotate_io(self, input_rows: int, output: Relation) -> None:
+    def annotate_io(self, input_rows: int, output: Output) -> None:
         """Record a task's row counts and output size on its span.
 
-        ``estimated_bytes`` walks every value of the output, so it is only
-        computed when tracing is on.
+        ``estimated_bytes`` walks every value of the output (a kept state
+        is decoded for it), so it is only computed when tracing is on.
         """
         if self.trace is None:
             return
+        if isinstance(output, PackedRelation):
+            output = output.unpack()
         self.annotate(
             input_rows=input_rows,
             output_rows=len(output),
             estimated_bytes=output.estimated_bytes(),
         )
 
-    def save_checkpoint(self, task: "Task", relation: Relation) -> bool:
+    def save_checkpoint(self, task: "Task", relation: Output) -> bool:
         """Checkpoint an aggregate-state task's output (partial/combine)."""
         if self.checkpoints is not None and task.kind in ("partial", "combine"):
             return self.checkpoints.save(
@@ -687,7 +747,7 @@ class Task:
         """Ids of the tasks whose outputs this task consumes."""
         return [task_id for task_id, _ in self.parts if task_id is not None]
 
-    def execute(self, context: ExecutionContext) -> Relation:  # pragma: no cover
+    def execute(self, context: ExecutionContext) -> Output:  # pragma: no cover
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -696,7 +756,7 @@ class Task:
     def _receive(
         self,
         context: ExecutionContext,
-        relation: Relation,
+        relation: Output,
         name: str,
         source_node: str,
         register: bool = True,
@@ -708,6 +768,8 @@ class Task:
         inter-node hop that is the wire-deserialized copy, so downstream
         work consumes exactly what crossed the link.  ``payload`` is the
         producer's packed output when it encoded one (aggregate states).
+        A kept state is decoded once: by the shipment, or here when its
+        consumer runs on its own node.
         """
         node = context.network.topology.node(self.node)
         if not node.can_hold_rows(len(relation)):
@@ -716,6 +778,8 @@ class Task:
                 f"{node.free_memory_mb:g} MB of free memory"
             )
         if source_node == self.node:
+            if isinstance(relation, PackedRelation):
+                relation = relation.unpack()
             if register:
                 context.network.database(self.node).register(name, relation)
             return relation
@@ -813,8 +877,10 @@ class StageTask(Task):
     per group (``combine``) or into the fragment's finalized output
     (``finalize``: HAVING, select items and ORDER BY over the merged
     aggregates, byte-identical to running the fragment over the globally
-    merged raw input, which never had to exist).  Every output is
-    registered under ``out_name``.
+    merged raw input, which never had to exist).  Every output but a
+    partial's state is registered under ``out_name``.  A leaf partial over
+    its resident chunk may output the chunk's kept state as its bytes
+    (:class:`KeptState`).
 
     A ``query`` or ``partial`` task may run several in-place fragments as
     one query (:func:`merge_views`); ``composes`` names them.
@@ -873,7 +939,7 @@ class StageTask(Task):
             query = dataclasses.replace(query, having=None, order_by=[])
         return analyze_query(query).features
 
-    def _fetch(self, context: ExecutionContext, part: Part) -> Relation:
+    def _fetch(self, context: ExecutionContext, part: Part) -> Output:
         task_id, node = part
         if task_id is not None:
             return context.outputs[task_id]
@@ -882,11 +948,33 @@ class StageTask(Task):
             context.injector.before_read(node, self)
         return context.network.database(node).table(self.base)
 
-    def execute(self, context: ExecutionContext) -> Relation:
+    def _fold(
+        self,
+        context: ExecutionContext,
+        database: Database,
+        chunk: Relation,
+        kept: KeptState,
+    ) -> Tuple[Relation, float]:
+        """The state of ``chunk`` from ``kept``, which covers its leading
+        rows: this task's query over the rows after them alone, folded
+        after the kept state (:func:`fold_state`)."""
+        suffix = Database(name=self.node)
+        suffix.register(self.base, chunk.slice_rows(kept.covered))
+        delta, scanned = self._engine(context, suffix, "partial", self.query)
+        output, merged = fold_state(
+            kept.state.unpack(),
+            delta,
+            lambda union: self._engine(
+                context, database, "combine", self.query, state=union
+            ),
+        )
+        return output, scanned + merged
+
+    def execute(self, context: ExecutionContext) -> Output:
         database = context.network.database(self.node)
         source: Optional[Relation] = None
-        payload: Optional[bytes] = None
         memo: Optional[Dict] = None
+        output: Optional[Output] = None
         if self.op in ("query", "partial"):
             [part] = self.parts
             if part == (None, self.node):
@@ -902,26 +990,33 @@ class StageTask(Task):
                         # compute.
                         memo = source.kept_states()
             else:
-                source = self._fetch(context, part)
-                self._receive(context, source, self.in_name, part[1])
+                source = self._receive(
+                    context, self._fetch(context, part), self.in_name, part[1]
+                )
             input_rows = len(source) if source is not None else 0
             context.charge_compute(input_rows, self.node)
             # Each entry holds its query, so no other query takes its id.
             key = (id(self.query), self.display_name, context.config)
             kept = memo.get(key) if memo is not None else None
-            if kept is not None:
-                # The chunk is unchanged since this state was packed: decode
-                # the kept bytes instead of scanning the chunk again.
-                payload = kept[1]
-                output, elapsed = context.engine_call(unpack_relation, payload)
-                _memo_hits.inc()
-                context.annotate(memo="hit")
-            else:
+            memo_outcome = "miss"
+            if kept is not None and kept.covered == input_rows:
+                # The chunk is unchanged since this state was packed: its
+                # bytes are the output, and only a reader decodes them.
+                output, elapsed = kept.state, 0.0
+                memo_outcome = "hit"
+            elif kept is not None:
+                # Rows were appended since: scan only those.  A fold that
+                # raises leaves the answer (state or error) to a full scan.
+                try:
+                    output, elapsed = self._fold(context, database, source, kept)
+                    memo_outcome = "fold"
+                except (EngineError, ArithmeticError, TypeError, ValueError):
+                    pass
+            if output is None:
                 output, elapsed = self._engine(context, database, self.op, self.query)
-                output.name = self.display_name
-                if memo is not None:
-                    _memo_misses.inc()
-                    context.annotate(memo="miss")
+            if memo is not None:
+                _memo_counters[memo_outcome].inc()
+                context.annotate(memo=memo_outcome)
         else:
             union_name = self.display_name
             if self.op == "finalize":
@@ -948,31 +1043,40 @@ class StageTask(Task):
                 output, elapsed = self._engine(
                     context, database, self.op, self.query, state=merged
                 )
-                output.name = self.display_name
-        database.register(self.out_name, output)
+        if not isinstance(output, PackedRelation):
+            output.name = self.display_name
+        if self.op != "partial":
+            # No task reads a partial's state by name: its consumers take
+            # it from ``context.outputs`` or the wire.
+            database.register(self.out_name, output)
         if self.op in ("partial", "combine"):
             # An aggregate state is encoded once, here: the same bytes
             # become its checkpoint and every shipment of it.  A state
             # outside the wire vocabulary is simply not checkpointed.
-            if payload is None:
+            packed = output if isinstance(output, PackedRelation) else None
+            if packed is None:
                 try:
-                    payload = pack_relation(output)
+                    packed = PackedRelation(
+                        pack_relation(output), len(output), len(output.schema)
+                    )
                 except WireFormatError:
                     pass
                 else:
                     if memo is not None:
-                        if len(memo) >= MAX_KEPT_STATES:
+                        if len(memo) >= MAX_KEPT_STATES and key not in memo:
                             memo.clear()
-                        memo[key] = (self.query, payload)
-            if payload is not None:
-                context.payloads[self.task_id] = payload
-            if self.op == "partial" and payload is not None:
-                # Observed state size feeds the adaptive partial-aggregation
-                # ratio: future placement decisions use real packed bytes
-                # per state cell.
-                state_size_feedback.record(
-                    len(output), len(payload), cells=len(output) * len(output.schema)
-                )
+                        memo[key] = KeptState(self.query, input_rows, packed)
+            if packed is not None:
+                context.payloads[self.task_id] = packed.payload
+                if self.op == "partial":
+                    # Observed state size feeds the adaptive partial-
+                    # aggregation ratio: future placement decisions use real
+                    # packed bytes per state cell.
+                    state_size_feedback.record(
+                        packed.rows,
+                        len(packed.payload),
+                        cells=packed.rows * packed.columns,
+                    )
         context.annotate_io(input_rows, output)
         _observe_rows_estimate(context, self.query, source, output)
         _, name, sql = STAGE_OPS[self.op]

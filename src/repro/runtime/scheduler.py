@@ -81,11 +81,10 @@ from concurrent.futures import (
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
-from repro.engine.table import Relation
 from repro.fragment.topology import Topology
 from repro.obs.metrics import registry as _metrics
 from repro.obs.trace import activate
-from repro.runtime.dag import ExecutionContext, ExecutionDag, Task
+from repro.runtime.dag import ExecutionContext, ExecutionDag, Output, Task
 from repro.runtime.faults import NodeDeath, RetryPolicy, TransientTaskError
 
 
@@ -281,7 +280,7 @@ class Scheduler:
         def hung(task: Task) -> str:
             return f"{task.task_id} exceeded its {task_timeout:.1f}s deadline (hung node)"
 
-        def run_task(task: Task, ready_at: float, deadline: Optional[float]) -> Relation:
+        def run_task(task: Task, ready_at: float, deadline: Optional[float]) -> Output:
             slot = self._slot_for(task.node)
             previous_span = None
             for attempt in range(1, policy.max_attempts + 1):
@@ -365,11 +364,12 @@ class Scheduler:
                             span, "checkpoint_save", signature=task.signature[:12]
                         )
                     trace.finish(span, status="ok")
-                    # A leaf partial that decoded a kept state did none of
-                    # the work the cost model predicts.
+                    # A leaf partial that output a kept state, or folded
+                    # the appended rows into one, did not do the work the
+                    # cost model predicts.
                     if (
                         context.calibration is not None
-                        and span.attrs.get("memo") != "hit"
+                        and span.attrs.get("memo") in (None, "miss")
                     ):
                         rows = span.attrs.get("input_rows", 0) or 0
                         if context.cost_model is not None:

@@ -30,8 +30,9 @@ This module turns PR 3's mergeable partial-state protocol
 
 Why the results are *byte-identical* to from-scratch re-execution: group
 output order is first-occurrence order over the input, deltas append at the
-end of a leaf chunk, and ``union_partials([old_state, delta_state])`` feeds
-the merge in exactly that order — so the merged group order (and every
+end of a leaf chunk, and :func:`~repro.runtime.dag.fold_state` (the DAG's
+kept leaf states fold appends by the same function) feeds the merge the
+old state first — so the merged group order (and every
 MIN/MAX tie, which keeps the first-seen value) equals a single pass over
 the full chunk.  Sibling states union in partition order up the tree,
 which is the loaded relation's row order.  The accumulators
@@ -81,7 +82,12 @@ from repro.engine.wire import pack_state_relation
 from repro.obs.metrics import registry as _metrics
 from repro.obs.trace import QueryTrace, Span
 from repro.rewrite.containment import check_leakage
-from repro.runtime.dag import lift_node_groups, rebase_table_refs, union_partials
+from repro.runtime.dag import (
+    fold_state,
+    lift_node_groups,
+    rebase_table_refs,
+    union_partials,
+)
 from repro.sql import ast
 from repro.sql.parser import parse
 from repro.sql.render import render, render_expression
@@ -340,12 +346,10 @@ class _StateTree:
             # invalidate them on every delta).
             database.register(DELTA_TABLE, delta)
             delta_state = database.partial_aggregate(self._delta_query, config)
-            # Old state first, delta state second: first-occurrence order
-            # over the concatenation equals one pass over the full chunk.
-            merged = database.combine_partials(
-                self.core,
-                union_partials([self.states[(0, leaf)], delta_state], name=""),
-                config,
+            merged = fold_state(
+                self.states[(0, leaf)],
+                delta_state,
+                lambda union: database.combine_partials(self.core, union, config),
             )
             self._store(0, leaf, merged)
         with runtime._stage(span, "recombine", self, leaf):

@@ -556,8 +556,10 @@ def test_moments_match_fraction_oracle(name, seed):
     """Random ``add``/list ``add_many``/typed ``add_many``/``merge``
     sequences: after every step ``result()`` is the batch function's over
     every value fed so far (errors by type and message) and ``partial()``
-    is the exact Fraction moments.  A step that raises ends the run with
-    the batch function's error."""
+    is the exact Fraction moments.  A value the batch function fails on
+    ends the run: ``result()`` and ``partial()`` raise its error (a merge
+    step raises it while exporting the other state); a result out of float
+    range fails ``result()`` alone."""
     batch_function = SIMPLE_AGGREGATES[name]
     rng = random.Random(seed)
     for _ in range(60):
@@ -581,6 +583,10 @@ def test_moments_match_fraction_oracle(name, seed):
                 assert stepped == expected
                 break
             assert _outcome(accumulator.result) == expected
+            exported = _outcome(accumulator.partial)
+            if exported[0] != "ok":
+                assert exported == expected
+                break
             assert accumulator.partial() == _fraction_moments(fed)
             assert pack_value(accumulator.partial()) == pack_value(_fraction_moments(fed))
 
@@ -753,6 +759,56 @@ def test_sum_of_a_huge_int_and_a_string_raises_alike(config, values, sum_error, 
                 _float_database([value]).partial_aggregate(sql, engine) for value in values
             ]
             Database().combine_partials(sql, union_partials(states, name="s"), engine)
+
+
+@pytest.mark.parametrize("config", sorted(_OVERFLOW_CONFIGS))
+@pytest.mark.parametrize(
+    "values, error",
+    [
+        ([math.inf, "a"], ValueError),
+        ([math.nan, 10**400], OverflowError),
+        ([math.inf, math.nan], OverflowError),
+        ([math.nan, math.inf], ValueError),
+    ],
+    ids=["inf_then_string", "nan_then_huge_int", "inf_then_nan", "nan_then_inf"],
+)
+def test_stddev_converts_every_value_before_scaling(config, values, error):
+    """The moments convert every value with ``float`` before scaling any,
+    as the batch functions do: a value that does not convert raises ahead
+    of an earlier inf or NaN (which cannot scale), grouped or not, and in
+    the partial protocol too."""
+    with pytest.raises(error):
+        compute_aggregate("STDDEV", [values])
+    engine = _OVERFLOW_CONFIGS[config]
+    for sql in (
+        "SELECT STDDEV(v) AS s FROM d",
+        "SELECT g, STDDEV(v) AS s FROM d GROUP BY g",
+    ):
+        database = Database()
+        database.register(
+            "d", Relation.from_rows([{"g": 1, "v": value} for value in values], name="d")
+        )
+        with pytest.raises(error):
+            database.query(sql, engine)
+        with pytest.raises(error):
+            database.partial_aggregate(sql, engine)
+
+
+@pytest.mark.parametrize("config", sorted(_OVERFLOW_CONFIGS))
+def test_stddev_raises_for_its_first_failing_group(config):
+    """Groups fail in first-occurrence order, as the batch function runs
+    them: the first group's inf raises, not a later group's string."""
+    database = Database()
+    database.register(
+        "d",
+        Relation.from_rows(
+            [{"g": 1, "v": math.inf}, {"g": 2, "v": "a"}, {"g": 1, "v": 1.0}], name="d"
+        ),
+    )
+    with pytest.raises(OverflowError):
+        database.query(
+            "SELECT g, STDDEV(v) AS s FROM d GROUP BY g", _OVERFLOW_CONFIGS[config]
+        )
 
 
 @pytest.mark.parametrize("config", sorted(_OVERFLOW_CONFIGS))

@@ -29,7 +29,7 @@ from repro.engine.database import Database
 from repro.engine.schema import ColumnDef, Schema
 from repro.engine.table import Relation
 from repro.engine.types import DataType
-from repro.engine.wire import pack_relation
+from repro.engine.wire import PackedRelation, pack_relation
 from repro.fragment.capabilities import CapabilityLevel
 from repro.fragment.topology import Node, Topology
 from repro.policy.presets import figure4_policy
@@ -205,14 +205,22 @@ def sensor_names(processor: ParadiseProcessor) -> list:
 
 def record_sensor_shipments(monkeypatch, processor: ParadiseProcessor) -> list:
     """Wrap the network's ``ship``: the returned list collects ``(sensor,
-    relation)`` for every relation that leaves a sensor."""
+    relation)`` for every relation that leaves a sensor.  A kept leaf
+    state ships as its bytes; the list holds it decoded."""
     shipped = []
     sensors = set(sensor_names(processor))
     real_ship = processor.network.ship
 
     def ship(relation, relation_name, source, target, **options):
         if source in sensors and source != target:
-            shipped.append((source, relation))
+            shipped.append(
+                (
+                    source,
+                    relation.unpack()
+                    if isinstance(relation, PackedRelation)
+                    else relation,
+                )
+            )
         return real_ship(relation, relation_name, source, target, **options)
 
     monkeypatch.setattr(processor.network, "ship", ship)

@@ -1,17 +1,22 @@
-"""Kept leaf states: a resident partial over an unchanged chunk decodes the
-state it packed before instead of scanning the chunk again.
+"""Kept leaf states: a resident partial over an unchanged chunk outputs the
+state it packed before, as those bytes, instead of scanning the chunk
+again; over a chunk grown by appends it scans only the appended rows and
+folds their state into the one it inherited.
 
 The memo (``Relation.kept_states``, filled by ``StageTask.execute``) is
 keyed on the chunk's identity and version, the derived query object, the
 output name and the ``EngineConfig``.  These tests pin that every write
-through the ``Relation`` API and every re-placement misses, that hits are
-byte-identical to computing runs on every backend, that the interpreted
-oracle and the ``optimizer=False`` ablation never hit, and the hit counts
-the end-to-end benchmark's traced reads now show.
+through the ``Relation`` API and every re-placement misses while an
+append folds, that hits and folds are byte-identical to computing runs
+on every backend (a folded state to a fresh partial under every config),
+that only a reader decodes a hit's bytes, that the interpreted oracle and
+the ``optimizer=False`` ablation never hit, and the hit counts the
+end-to-end benchmark's traced reads now show.
 """
 
 from __future__ import annotations
 
+import random
 import sys
 import time
 
@@ -22,15 +27,16 @@ from tests.conftest import make_sensor_relation
 from benchmarks.e2e.tracer import LayerTracer
 from benchmarks.e2e.workloads import WORKLOADS
 from repro.engine import EngineConfig
+from repro.engine.database import Database
 from repro.engine.table import Relation
-from repro.engine.wire import pack_relation
+from repro.engine.wire import PackedRelation, pack_relation
 from repro.fragment.topology import Topology
 from repro.obs.metrics import registry
 from repro.policy.presets import figure4_policy
 from repro.processor.paradise import ParadiseProcessor
 from repro.processor.reference import reference_result
 from repro.runtime import CostModel, SessionFrontEnd
-from repro.runtime.dag import MAX_KEPT_STATES
+from repro.runtime.dag import MAX_KEPT_STATES, fold_state
 from repro.runtime.faults import KILL_NODE, Fault, FailureInjector
 from repro.sql.parser import parse
 
@@ -59,6 +65,10 @@ def _counts():
         registry.value("runtime.state_memo.hits"),
         registry.value("runtime.state_memo.misses"),
     )
+
+
+def _folds() -> int:
+    return registry.value("runtime.state_memo.folds")
 
 
 def _run(processor, sql=SQL, **options):
@@ -132,17 +142,22 @@ MUTATIONS = {
 
 @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
 def test_every_chunk_change_misses(mutation):
-    """Only the changed chunks compute again; every read equals the
-    reference over the chunks as they are now."""
+    """Only the changed chunks compute again, and an appended chunk folds
+    its new rows into the state it inherited instead; every read equals
+    the reference over the chunks as they are now."""
     processor = _processor()
     expected = _expected(processor)
     assert _run(processor) == (expected, (0, 8))
     assert _run(processor) == (expected, (8, 0))
     changed = MUTATIONS[mutation](processor)
+    folded = changed if mutation == "append_to_partition" else 0
     holders = len(processor.network.partition_holders("d"))
     expected = _expected(processor)
-    assert _run(processor) == (expected, (holders - changed, changed))
+    folds = _folds()
+    assert _run(processor) == (expected, (holders - changed, changed - folded))
+    assert _folds() - folds == folded
     assert _run(processor) == (expected, (holders, 0))
+    assert _folds() - folds == folded
 
 
 def test_a_write_between_read_and_store_is_never_served():
@@ -248,6 +263,261 @@ def test_a_hit_is_traced_but_not_calibrated():
     assert record.input_rows == 2400
 
 
+def _count_unpacks(monkeypatch) -> list:
+    """Wrap ``PackedRelation.unpack``: the list collects one entry per
+    decode of a kept state's bytes."""
+    decoded = []
+    real_unpack = PackedRelation.unpack
+
+    def unpack(packed):
+        decoded.append(packed.rows)
+        return real_unpack(packed)
+
+    monkeypatch.setattr(PackedRelation, "unpack", unpack)
+    return decoded
+
+
+def test_a_hit_ships_its_bytes_undecoded(monkeypatch):
+    """A hit's output is its kept bytes: the shipment sends them and only
+    the receiver decodes them; the sender decodes nothing."""
+    processor = _processor()
+    expected = _expected(processor)
+    _run(processor)
+    decoded = _count_unpacks(monkeypatch)
+    run = processor.process(SQL, "ActionFilter", **OPTIONS)
+    assert pack_relation(run.result) == expected
+    assert decoded == []
+    leaves = [t for t in run.transfers.snapshot() if t.source.startswith("sensor_")]
+    kept = {
+        holder: next(iter(_chunk(processor, index).kept_states().values())).state
+        for index, holder in enumerate(processor.network.partition_holders("d"))
+    }
+    assert sorted((t.source, t.bytes, t.rows) for t in leaves) == sorted(
+        (holder, len(state.payload), state.rows) for holder, state in kept.items()
+    )
+
+
+def test_a_hit_consumed_on_its_own_node_decodes_there(monkeypatch):
+    """On the chain a killed sensor's chunk moves up to the appliance,
+    which also finalizes ``d3``: from the next read on the appliance's leaf
+    partial hits and its consumer on the same node decodes the kept bytes
+    once; no state ships."""
+    processor = _processor("chain")
+    injector = FailureInjector([Fault(kind=KILL_NODE, node="sensor")])
+    result, _ = _run(processor, faults=injector)
+    assert injector.fired
+    assert processor.network.partition_holders("d") == ["appliance"]
+    expected = _expected(processor)
+    assert result == expected
+    # The re-plan derived its own queries; the next read plans afresh.
+    assert _run(processor)[0] == expected
+    decoded = _count_unpacks(monkeypatch)
+    hits, misses = _counts()
+    run = processor.process(SQL, "ActionFilter", **OPTIONS)
+    assert pack_relation(run.result) == expected
+    assert (_counts()[0] - hits, _counts()[1] - misses) == (1, 0)
+    [partial] = [e for e in run.executions if e.fragment_name.endswith("~partial[appliance]")]
+    [final] = [e for e in run.executions if e.fragment_name == "d3"]
+    assert partial.node == final.node == "appliance"
+    assert decoded == [partial.output_rows]
+    assert [t.source for t in run.transfers.snapshot()] == ["appliance"]
+
+
+def test_a_kill_after_a_hit_replans_from_its_checkpoint():
+    """A node killed at a hit task's finish boundary discards its output;
+    the re-plan restores a state from the checkpoint of its kept bytes,
+    merges the dead chunk into its neighbour and returns the reference
+    bytes; later reads hit on every live leaf."""
+    processor = _processor()
+    expected = _expected(processor)
+    _run(processor)
+    injector = FailureInjector(
+        [Fault(kind=KILL_NODE, node="sensor_2", at_task="partial", when="finish")]
+    )
+    hits, misses = _counts()
+    run = processor.process(SQL, "ActionFilter", faults=injector, **OPTIONS)
+    assert injector.fired and run.runtime.replans == 1
+    assert pack_relation(run.result) == expected
+    # The first attempt hit on sensors 0-2 in build order and checkpointed
+    # the bytes of sensors 0 and 1; the re-plan restores sensor_0's state
+    # and, having derived its own queries, computes the other six leaves.
+    assert run.runtime.restored_tasks == 1
+    assert (_counts()[0] - hits, _counts()[1] - misses) == (3, 6)
+    assert _run(processor)[0] == expected
+    assert _run(processor) == (expected, (7, 0))
+
+
+def test_hits_and_folds_under_processes():
+    """On the process backend a hit dispatches no job and ships its kept
+    bytes; a fold dispatches two (the appended rows' partial and the
+    combine).  Both give the reference bytes."""
+    processor = _processor(workers="processes", process_workers=1)
+    expected = _expected(processor)
+    assert _run(processor) == (expected, (0, 8))
+    dispatcher = processor._process_dispatcher()
+    jobs = dispatcher.jobs
+    assert _run(processor) == (expected, (8, 0))
+    # Three combines and the finalize; no leaf runs.
+    assert dispatcher.jobs - jobs == 4
+    _append(processor)
+    expected = _expected(processor)
+    folds, jobs = _folds(), dispatcher.jobs
+    assert _run(processor) == (expected, (7, 0))
+    assert _folds() - folds == 1 and dispatcher.jobs - jobs == 4 + 2
+
+
+# ---------------------------------------------------------------------------
+# an appended chunk folds the states it inherited
+# ---------------------------------------------------------------------------
+
+#: Every decomposable aggregate, a bare column (a first-value state) and a
+#: WHERE that drops some appended rows; and a global aggregation.
+FOLD_QUERIES = (
+    "SELECT x, y, COUNT(*) AS n, SUM(z) AS s, AVG(z) AS az, MIN(t) AS lo, "
+    "MAX(z) AS hi, STDDEV(z) AS sd, VAR_POP(t) AS vt, activity FROM d "
+    "WHERE z < 1.5 AND valid GROUP BY x, y",
+    "SELECT COUNT(*) AS n, SUM(person_id) AS s, AVG(z) AS az, MAX(t) AS hi FROM d WHERE valid",
+)
+
+FOLD_CONFIGS = {
+    "default": EngineConfig(),
+    "row_scan": EngineConfig(vectorized=False),
+    "no_optimizer": EngineConfig(optimizer=False),
+    "interpreted": EngineConfig(mode="interpreted"),
+}
+
+
+def _fresh_state(chunk: Relation, query, config, name: str = "s") -> Relation:
+    """``query``'s partial state over ``chunk`` alone, named ``name``."""
+    database = Database()
+    database.register("d", chunk)
+    state = database.partial_aggregate(query, config)
+    state.name = name
+    return state
+
+
+@pytest.mark.parametrize("config", sorted(FOLD_CONFIGS))
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_folded_states_equal_fresh_states(config, seed):
+    """After k random-sized appends (empty ones included) to random
+    leaves, every read equals the reference, and each leaf's kept state
+    is, by packed bytes, the state a fresh partial computes over the grown
+    chunk.  Where the memo is off (the oracle, the ablation) the fold rule
+    itself is checked: each delta's state folded after the running one."""
+    rng = random.Random(seed)
+    engine = FOLD_CONFIGS[config]
+    parsed = {sql: parse(sql) for sql in FOLD_QUERIES}
+    processor = _processor(rows=800)
+    processor.engine = engine
+    network = processor.network
+    holders = network.partition_holders("d")
+    #: (query, leaf) -> the state folded over every append so far.
+    folded = {}
+    folds = _folds()
+    for step in range(6):
+        for sql in FOLD_QUERIES:
+            assert _run(processor, sql)[0] == _expected(processor, sql), (step, sql)
+        for index, holder in enumerate(holders):
+            chunk = _chunk(processor, index)
+            kept = chunk.kept_states()
+            if engine.zone_maps:
+                assert len(kept) == len(FOLD_QUERIES)
+                for (_, name, _), entry in kept.items():
+                    assert entry.covered == len(chunk)
+                    fresh = _fresh_state(chunk, entry.query, engine, name)
+                    assert entry.state.payload == pack_relation(fresh), (step, holder)
+                continue
+            assert kept == {}
+            for sql, query in parsed.items():
+                fresh = _fresh_state(chunk, query, engine)
+                state = folded.setdefault((sql, holder), fresh)
+                state.name = fresh.name
+                assert pack_relation(state) == pack_relation(fresh), (step, holder)
+        for _ in range(rng.randint(1, 3)):
+            holder = rng.choice(holders)
+            rows = rng.choice([0, 1, rng.randint(2, 60)])
+            delta = make_sensor_relation(rows, seed=rng.randrange(1000), grid=2.0)
+            if not engine.zone_maps:
+                for sql, query in parsed.items():
+                    folded[(sql, holder)] = fold_state(
+                        folded[(sql, holder)],
+                        _fresh_state(delta, query, engine),
+                        lambda union: Database().combine_partials(query, union, engine),
+                    )
+            network.append_to_partition(holder, "d", delta)
+    assert (_folds() > folds) == engine.zone_maps
+
+
+def _with_z(relation: Relation, values) -> Relation:
+    """``relation`` with its first ``len(values)`` values of ``z`` replaced."""
+    rows = relation.to_dicts()
+    for row, value in zip(rows, values):
+        row["z"] = value
+    return Relation(schema=relation.schema, rows=rows, name=relation.name)
+
+
+def test_a_suffix_that_raises_gives_the_full_scan_error():
+    """An appended row the derived query cannot take raises the error a
+    full scan of the grown chunk raises (and the reference), and keeps
+    nothing; the leaf still holds the state it inherited."""
+    sql = "SELECT x, SUM(z) AS s FROM d GROUP BY x"
+    processor = _processor()
+    _run(processor, sql)
+    holder = processor.network.partition_holders("d")[0]
+    delta = _with_z(make_sensor_relation(6, seed=9, grid=2.0), [0.5, "oops"])
+    processor.network.append_to_partition(holder, "d", delta)
+    [entry] = _chunk(processor).kept_states().values()
+    before, folds = _counts(), _folds()
+    with pytest.raises(ValueError) as folded:
+        processor.process(sql, "ActionFilter", **OPTIONS)
+    assert (_counts(), _folds()) == (before, folds)
+    assert list(_chunk(processor).kept_states().values()) == [entry]
+    for index in range(len(processor.network.partition_holders("d"))):
+        _chunk(processor, index).kept_states().clear()
+    with pytest.raises(ValueError) as rescanned:
+        processor.process(sql, "ActionFilter", **OPTIONS)
+    with pytest.raises(ValueError) as reference:
+        _expected(processor, sql)
+    assert str(folded.value) == str(rescanned.value) == str(reference.value)
+
+
+def test_a_suffix_that_fails_alone_takes_the_full_scan():
+    """Appended rows whose own float sum is out of range, in a chunk whose
+    whole sum is not: the fold raises, so the leaf scans the grown chunk,
+    keeps that state and returns the reference."""
+    sql = "SELECT COUNT(*) AS n, SUM(z) AS s FROM d"
+    processor = ParadiseProcessor(figure4_policy(), topology=Topology.default_chain())
+    processor.load_data(_with_z(make_sensor_relation(40, grid=2.0), [-1.7e308]))
+    _run(processor, sql)
+    delta = _with_z(make_sensor_relation(2, seed=5, grid=2.0), [1.7e308, 1.7e308])
+    processor.network.append_to_partition("sensor", "d", delta)
+    folds = _folds()
+    assert _run(processor, sql) == (_expected(processor, sql), (0, 1))
+    assert _folds() == folds
+    [entry] = _chunk(processor).kept_states().values()
+    assert entry.covered == 42
+    assert _run(processor, sql) == (_expected(processor, sql), (1, 0))
+
+
+@pytest.mark.parametrize("write", ["extend", "row_view"])
+def test_a_row_api_write_drops_inherited_states(write):
+    """An appended chunk inherits its parent's states, and a write through
+    the ``Relation`` row API drops every one: the leaf computes again."""
+    processor = _processor()
+    _run(processor)
+    _append(processor)
+    chunk = _chunk(processor)
+    assert len(chunk.kept_states()) == 1
+    if write == "extend":
+        chunk.extend(make_sensor_relation(3, seed=4, grid=2.0).to_dicts())
+    else:
+        chunk.rows[0]["z"] = 0.25
+    assert chunk.kept_states() == {}
+    folds = _folds()
+    assert _run(processor) == (_expected(processor), (7, 1))
+    assert _folds() == folds
+
+
 # ---------------------------------------------------------------------------
 # concurrent sessions over a changing leaf
 # ---------------------------------------------------------------------------
@@ -257,12 +527,13 @@ def test_a_hit_is_traced_but_not_calibrated():
 def test_sessions_racing_over_appends_read_their_batch():
     """Four sessions repeat one text; between batches an append changes one
     leaf.  Every read equals the reference for its batch's data, and the
-    reads both hit and miss: every leaf computes in the first batch and
-    the appended one in each later batch."""
+    reads hit, fold and miss: every leaf computes in the first batch, and
+    the appended one folds its new rows in each later batch."""
     processor = _processor(rows=1600)
     frontend = SessionFrontEnd(processor, max_concurrent=4)
     holders = processor.network.partition_holders("d")
     before = _counts()
+    folds = _folds()
     interval = sys.getswitchinterval()
     deadline = time.monotonic() + 60
     sys.setswitchinterval(1e-5)
@@ -279,7 +550,7 @@ def test_sessions_racing_over_appends_read_their_batch():
         sys.setswitchinterval(interval)
         frontend.close()
     hits, misses = (after - start for after, start in zip(_counts(), before))
-    assert hits > 0 and misses >= len(holders) + 3
+    assert hits > 0 and misses >= len(holders) and _folds() - folds >= 3
 
 
 # ---------------------------------------------------------------------------
