@@ -165,6 +165,9 @@ class NetworkSimulator:
         #: stop matching and stale checkpoints are never restored.
         self._epochs: Dict[Tuple[str, str], int] = {}
         self._placement_lock = threading.Lock()
+        self._fold_catalogs: Dict[str, Tuple[Database, threading.Lock]] = {
+            node.name: (Database(name=node.name), threading.Lock()) for node in topology
+        }
 
     # ------------------------------------------------------------------
     # data placement
@@ -174,6 +177,17 @@ class NetworkSimulator:
         if node_name not in self._databases:
             raise KeyError(f"Unknown node: {node_name}")
         return self._databases[node_name]
+
+    def fold_catalog(self, node_name: str) -> Tuple[Database, threading.Lock]:
+        """The scratch catalog ``node_name`` folds a grown chunk's appended
+        rows in (``runtime.dag.StageTask._fold``) and its lock.
+
+        A fold holds the lock from registering the rows to the end of its
+        partial, so two sessions folding on one node never read each
+        other's rows.  The catalog is kept, so its executors and their
+        compiled partial plans stay warm from one fold to the next.
+        """
+        return self._fold_catalogs[node_name]
 
     def _sensor_leaves(self) -> List[Node]:
         """Leaf nodes of the topology's least powerful level, in order."""

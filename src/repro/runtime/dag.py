@@ -958,9 +958,12 @@ class StageTask(Task):
         """The state of ``chunk`` from ``kept``, which covers its leading
         rows: this task's query over the rows after them alone, folded
         after the kept state (:func:`fold_state`)."""
-        suffix = Database(name=self.node)
-        suffix.register(self.base, chunk.slice_rows(kept.covered))
-        delta, scanned = self._engine(context, suffix, "partial", self.query)
+        suffix, lock = context.network.fold_catalog(self.node)
+        with lock:
+            # Another session's fold on this node would re-register the
+            # table between this registration and this partial.
+            suffix.register(self.base, chunk.slice_rows(kept.covered))
+            delta, scanned = self._engine(context, suffix, "partial", self.query)
         output, merged = fold_state(
             kept.state.unpack(),
             delta,

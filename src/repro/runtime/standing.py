@@ -23,10 +23,13 @@ This module turns PR 3's mergeable partial-state protocol
 * On each arriving chunk the runtime appends it at the **end** of the
   owning leaf's partition (``NetworkSimulator.append_to_partition``),
   folds a partial state over only the delta rows into the stored leaf
-  state, re-combines only the leaf's root path, merges the root state into
-  finalized groups **once per tree**, and runs each subscriber's
-  HAVING / select-item / ORDER BY tail over those shared groups.
-  Maintenance cost is O(delta x groups), not O(data).
+  state and re-combines only the leaf's root path.  Maintenance cost is
+  O(delta x groups), not O(data).
+* A subscriber's result is finalized when it is read (lazy view
+  maintenance): the first read of a tree after a change merges the root
+  state into finalized groups **once per tree**, and each read handle
+  runs its HAVING / select-item / ORDER BY tail over those shared groups
+  at most once per change.
 
 Why the results are *byte-identical* to from-scratch re-execution: group
 output order is first-occurrence order over the input, deltas append at the
@@ -199,9 +202,14 @@ class StandingQueryHandle:
         self.query = query
         self.sql = sql
         self.tree = tree
-        #: Refresh epoch the cached result was finalized at.
-        self.epoch = -1
         self._result: Optional[Relation] = None
+        #: The tree generation ``_result`` was finalized at.
+        self._generation = -1
+
+    @property
+    def epoch(self) -> int:
+        """The refresh epoch :meth:`result` answers for: the latest one."""
+        return self.tree.runtime.refresh_epoch
 
     @property
     def shared(self) -> bool:
@@ -209,10 +217,19 @@ class StandingQueryHandle:
         return len(self.tree.subscribers) > 1
 
     def result(self) -> Relation:
-        """The latest finalized result (refreshed eagerly on each delta)."""
-        if self._result is None:
-            raise StandingQueryError(f"Standing query {self.query_id} never finalized")
-        return self._result
+        """The result at the latest refresh epoch.
+
+        Finalized on the first read after the tree's states changed and
+        cached until they change again, under the runtime's lock, so a
+        read never sees a half-applied delta.  A tail that raises raises
+        here, on every read of this handle, and leaves appends and other
+        handles alone.
+        """
+        runtime = self.tree.runtime
+        with runtime._lock:
+            if self._generation != self.tree.generation:
+                runtime._finalize(self)
+            return self._result
 
 
 class _StateTree:
@@ -236,6 +253,9 @@ class _StateTree:
         #: The bare non-key columns whose first values the tree carries.
         self.first_names = first_value_columns(core)
         self.subscribers: List[StandingQueryHandle] = []
+        #: Bumped whenever a stored state changes; a handle whose cached
+        #: result is of an older generation finalizes again when read.
+        self.generation = 0
         #: Decoded partial state per ``(level, node)``: level 0 holds each
         #: holder's leaf-chunk state, level ``i + 1`` the states combined
         #: by ``levels[i]``.  A holder may also be a lift parent (an
@@ -252,8 +272,9 @@ class _StateTree:
         #: Nodes whose states union (in partition order) into the root state.
         self.top_nodes: List[str] = []
         self._delta_query = rebase_table_refs(core, table, DELTA_TABLE)
-        #: The root state's merged, finalized groups for the current epoch,
-        #: shared by every subscriber's tail; None once a state changes.
+        #: The root state's merged, finalized groups, built by the first
+        #: read after a change and shared by every subscriber's tail; None
+        #: once a state changes.
         self._groups: Optional[FinalizedGroups] = None
         self._build_initial()
 
@@ -262,7 +283,12 @@ class _StateTree:
         """Keep ``state`` decoded; its bytes are counted on demand."""
         self.states[(level, node)] = state
         self._packed_sizes.pop((level, node), None)
+        self._changed()
+
+    def _changed(self) -> None:
+        """Drop the finalized groups: every subscriber is stale."""
         self._groups = None
+        self.generation += 1
 
     # -- construction ---------------------------------------------------
     def _build_initial(self) -> None:
@@ -293,7 +319,7 @@ class _StateTree:
         for key in [key for key in self.states if key[0] > 0]:
             del self.states[key]
             self._packed_sizes.pop(key, None)
-        self._groups = None
+        self._changed()
         current = list(holders)
         while len(current) > 1:
             groups = lift_node_groups(self.runtime.topology, current)
@@ -363,28 +389,32 @@ class _StateTree:
         return len(delta_state)
 
     # -- finalize -------------------------------------------------------
-    def groups(self) -> FinalizedGroups:
+    def groups(self, span: Optional[Span] = None) -> FinalizedGroups:
         """The root state's merged groups, aggregates finalized (cached).
 
         The root state is the union of the top-level states in partition
-        order.  It is merged and finalized once per epoch, under the core
-        query, whose aggregate calls cover every subscriber's.
+        order.  It is merged and finalized at most once per change, under
+        the core query, whose aggregate calls cover every subscriber's.
+        ``span`` (a traced read's finalize span) parents the merge span.
         """
         if self._groups is None:
-            top = len(self.levels)
-            root = union_partials(
-                [self.states[(top, node)] for node in self.top_nodes], name=""
-            )
-            self._groups = self._cloud().finalize_groups(
-                self.core, root, self.runtime.engine
-            )
+            with self.runtime._stage(span, "merge", self):
+                top = len(self.levels)
+                root = union_partials(
+                    [self.states[(top, node)] for node in self.top_nodes], name=""
+                )
+                self._groups = self._cloud().finalize_groups(
+                    self.core, root, self.runtime.engine
+                )
         return self._groups
 
-    def finalize(self, handle: StandingQueryHandle) -> Relation:
+    def finalize(
+        self, handle: StandingQueryHandle, span: Optional[Span] = None
+    ) -> Relation:
         """Run the subscriber's finalize tail over the shared root groups."""
-        return self._cloud().finalize_tail(
-            handle.query, self.groups(), self.runtime.engine
-        )
+        groups = self.groups(span)
+        with self.runtime._stage(span, "tail", self):
+            return self._cloud().finalize_tail(handle.query, groups, self.runtime.engine)
 
     def _cloud(self) -> Database:
         return self.runtime.network.database(self.runtime.topology.cloud.name)
@@ -424,9 +454,9 @@ class StandingQueryRuntime:
 
     One runtime per shared :class:`~repro.processor.paradise.ParadiseProcessor`
     (one topology + network).  All ingestion goes through :meth:`append`
-    (or a stream bound via :meth:`bind_stream`); a single ingest lock
-    serializes appends and refreshes, so concurrent producers interleave at
-    chunk granularity — each refresh observes a consistent prefix and the
+    (or a stream bound via :meth:`bind_stream`); a single lock serializes
+    appends and the finalizes of reads, so concurrent producers interleave
+    at chunk granularity — each read observes a consistent prefix and the
     differential oracle holds at every epoch.
     """
 
@@ -522,16 +552,22 @@ class StandingQueryRuntime:
         signature = self._signature(parsed)
         with self._lock:
             tree, shared = self._attach_tree(parsed, signature, sub_keys)
-            self._next_query_id += 1
             handle = StandingQueryHandle(
-                query_id=f"q{self._next_query_id - 1}",
+                query_id=f"q{self._next_query_id}",
                 query=parsed,
                 sql=render(parsed),
                 tree=tree,
             )
             tree.subscribers.append(handle)
-            handle._result = tree.finalize(handle)
-            handle.epoch = self._epoch
+            try:
+                # A tail that cannot run over the current groups refuses
+                # the registration here rather than failing a later read.
+                handle._result = tree.finalize(handle)
+            except BaseException:
+                self._detach(handle, signature)
+                raise
+            handle._generation = tree.generation
+            self._next_query_id += 1
             self._handles[handle.query_id] = handle
             _metrics.counter("standing.registered").inc()
             if shared:
@@ -540,6 +576,20 @@ class StandingQueryRuntime:
             _metrics.gauge("standing.subscribers").set(len(self._handles))
             self._report_state_bytes()
             return handle
+
+    def _detach(
+        self, handle: StandingQueryHandle, signature: Tuple[str, str, frozenset]
+    ) -> None:
+        """Undo a registration that failed: the handle leaves its tree, and
+        a tree left without subscribers is no longer maintained."""
+        tree = handle.tree
+        tree.subscribers.remove(handle)
+        if tree.subscribers:
+            return
+        trees = self._trees[signature]
+        trees.remove(tree)
+        if not trees:
+            del self._trees[signature]
 
     def _attach_tree(
         self,
@@ -616,9 +666,11 @@ class StandingQueryRuntime:
 
         The delta lands at the end of the node's partition chunk (keeping
         the concatenated stream identical to a from-scratch load), the
-        touched leaf state absorbs the delta's partial state, the leaf's
-        root path re-combines, and every subscriber of an affected tree is
-        re-finalized.  Returns the new refresh epoch.
+        touched leaf state absorbs the delta's partial state and the
+        leaf's root path re-combines, so every tree is current.  No
+        subscriber is finalized here: each handle finalizes when it is
+        next read (:meth:`StandingQueryHandle.result`).  Returns the new
+        refresh epoch.
         """
         table = table_name or self.default_table
         with self._lock:
@@ -640,30 +692,14 @@ class StandingQueryRuntime:
             try:
                 self.network.append_to_partition(node_name, table, relation)
                 groups_touched = 0
-                refinalized = 0
-                for tree in self._trees_for(table):
-                    if len(relation) == 0:
-                        # Empty delta: the state (hence every result) is
-                        # unchanged; only the epoch advances.
-                        for handle in tree.subscribers:
-                            handle.epoch = epoch
-                        continue
-                    groups_touched += tree.apply_delta(node_name, relation, span)
-                    with self._stage(span, "merge", tree):
-                        tree.groups()
-                    with self._stage(span, "tails", tree):
-                        for handle in tree.subscribers:
-                            finalize_started = time.perf_counter()
-                            handle._result = tree.finalize(handle)
-                            handle.epoch = epoch
-                            refinalized += 1
-                            _metrics.histogram("standing.finalize_seconds").observe(
-                                time.perf_counter() - finalize_started
-                            )
+                if len(relation):
+                    # An empty delta changes no state, hence no result;
+                    # only the epoch advances.
+                    for tree in self._trees_for(table):
+                        groups_touched += tree.apply_delta(node_name, relation, span)
                 _metrics.counter("standing.refreshes").inc()
                 _metrics.counter("standing.delta_rows").inc(len(relation))
                 _metrics.counter("standing.groups_refinalized").inc(groups_touched)
-                _metrics.counter("standing.subscriber_refreshes").inc(refinalized)
                 _metrics.histogram("standing.refresh_seconds").observe(
                     time.perf_counter() - started
                 )
@@ -677,22 +713,45 @@ class StandingQueryRuntime:
                 self.trace.finish(span)
             return epoch
 
-    def _stage(
-        self, refresh: Optional[Span], stage: str, tree: _StateTree, node: str = ""
-    ) -> ContextManager[Optional[Span]]:
-        """A ``stage[tree=N]`` child span of the refresh span (when tracing).
+    def _finalize(self, handle: StandingQueryHandle) -> None:
+        """Finalize ``handle`` at the current epoch, on its first read
+        since its tree changed.  The caller holds the lock."""
+        started = time.perf_counter()
+        if self.trace is None:
+            handle._result = handle.tree.finalize(handle)
+        else:
+            with self.trace.span(
+                f"finalize[query={handle.query_id}]",
+                kind="standing_read",
+                node=self.topology.cloud.name,
+                epoch=self._epoch,
+                query=handle.query_id,
+                tree=handle.tree.tree_id,
+            ) as span:
+                handle._result = handle.tree.finalize(handle, span)
+        handle._generation = handle.tree.generation
+        _metrics.counter("standing.subscriber_refreshes").inc()
+        _metrics.histogram("standing.finalize_seconds").observe(
+            time.perf_counter() - started
+        )
 
-        Stages: ``fold`` (delta into the leaf state), ``recombine`` (the
-        leaf's root path), ``merge`` (the tree's shared merge + finalize)
-        and ``tails`` (every subscriber's HAVING/items/ORDER BY).
+    def _stage(
+        self, parent: Optional[Span], stage: str, tree: _StateTree, node: str = ""
+    ) -> ContextManager[Optional[Span]]:
+        """A ``stage[tree=N]`` child span of ``parent`` (when tracing).
+
+        Stages of a refresh span: ``fold`` (delta into the leaf state) and
+        ``recombine`` (the leaf's root path).  Stages of a read's finalize
+        span: ``merge`` (the tree's shared merge + finalize, when this read
+        builds it) and ``tail`` (the handle's HAVING/items/ORDER BY).
         """
-        if refresh is None or self.trace is None:
+        if parent is None or self.trace is None:
             return nullcontext()
         return self.trace.span(
             f"{stage}[tree={tree.tree_id}]",
             kind="standing_stage",
             node=node or self.topology.cloud.name,
-            parent=refresh,
+            parent=parent,
             stage=stage,
             tree=tree.tree_id,
         )

@@ -457,17 +457,24 @@ def test_standing_and_read_shapes_take_the_columnar_tail():
     )
     processor.load_data(make_sensor_relation(400))
     runtime = StandingQueryRuntime(processor)
-    for select, where, keys in STANDING_FAMILIES:
+    handles = [
         runtime.register(
             f"SELECT {select} FROM d {where} GROUP BY {keys} "
             "HAVING COUNT(*) > 3 ORDER BY COUNT(*) DESC",
             "Occupancy",
             apply_rewriting=True,
         )
+        for select, where, keys in STANDING_FAMILIES
+    ]
     before = registry.snapshot(prefix="engine.vectorized.")
     runtime.append(
         processor.network.partition_holders("d")[1], make_sensor_relation(50, seed=4)
     )
+    # The append runs no tail; each handle's read after it runs one.
+    appended = delta(before, registry.snapshot(prefix="engine.vectorized."))
+    assert not appended.get("engine.vectorized.tail")
+    for handle in handles:
+        handle.result()
     result = processor.process(STANDING_READ_SQL, "Occupancy")
     assert result.admitted
     diff = delta(before, registry.snapshot(prefix="engine.vectorized."))

@@ -13,6 +13,7 @@ observability surface (metrics, profile section, linked refresh spans).
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -320,6 +321,82 @@ def test_identical_and_subset_queries_share_one_tree():
         assert_byte_identical(handle.result(), runtime.reexecute(handle), handle.sql)
 
 
+def test_failed_registration_leaves_no_subscriber_behind():
+    """A query whose first finalize raises is refused and leaves nothing
+    behind: no subscriber on a shared tree, no tree made only for it."""
+    from repro.engine.errors import ExecutionError
+
+    processor = build_tree_processor(rows=2000, n_sensors=16)
+    runtime = StandingQueryRuntime(processor)
+    handles = [
+        runtime.register("SELECT activity, COUNT(*) AS n FROM d GROUP BY activity"),
+        runtime.register(
+            "SELECT activity, COUNT(*) AS n FROM d GROUP BY activity "
+            "HAVING COUNT(*) > 2"
+        ),
+        runtime.register("SELECT person_id, COUNT(*) AS n FROM d GROUP BY person_id"),
+    ]
+    failing = [
+        # Would attach to the first tree.
+        "SELECT activity, COUNT(*) AS n FROM d GROUP BY activity HAVING activity > 3",
+        # Would get a tree of its own.
+        "SELECT activity, SUM(x) AS sx FROM d WHERE z < 1 GROUP BY activity "
+        "HAVING activity > 3",
+    ]
+    for sql in failing:
+        with pytest.raises(ExecutionError, match="Cannot compare str and int"):
+            runtime.register(sql)
+    assert runtime.tree_count == 2 and runtime.handles() == handles
+    assert sorted(
+        id(handle) for tree in runtime._trees_for_all() for handle in tree.subscribers
+    ) == sorted(id(handle) for handle in handles)
+    assert [handle.shared for handle in handles] == [True, True, False]
+    assert [handle.query_id for handle in handles] == ["q0", "q1", "q2"]
+    holders = processor.network.partition_holders("d")
+    for index, delta in enumerate(feed_chunks(rows=60, chunk=20, seed=9), start=1):
+        assert runtime.append(holders[index], delta) == index
+        for handle in handles:
+            assert_byte_identical(
+                handle.result(), runtime.reexecute(handle), f"epoch {index}: {handle.sql}"
+            )
+
+
+def test_a_failing_tail_fails_only_its_own_reads():
+    """A tail that starts raising at a later epoch raises from its own
+    handle's reads only: the append lands, its tree-mates and every other
+    handle keep answering, and later appends go on."""
+    from repro.engine.errors import ExecutionError
+
+    processor = build_tree_processor()
+    runtime = StandingQueryRuntime(processor)
+    # No row has z > 5 yet, so the HAVING compares nothing at registration.
+    failing = runtime.register(
+        "SELECT activity, COUNT(*) AS n FROM d WHERE z > 5 GROUP BY activity "
+        "HAVING activity > 3"
+    )
+    assert len(failing.result()) == 0
+    mate = runtime.register(
+        "SELECT activity, COUNT(*) AS n FROM d WHERE z > 5 GROUP BY activity"
+    )
+    other = runtime.register(STANDING_SQL)
+    assert mate.tree is failing.tree and other.tree is not failing.tree
+    holders = processor.network.partition_holders("d")
+    delta = feed_chunks(rows=10, chunk=10, seed=3)[0]
+    for row in delta.rows:
+        row["z"] = 9.0
+    assert runtime.append(holders[1], delta) == 1
+    for _ in range(2):
+        with pytest.raises(ExecutionError, match="Cannot compare str and int"):
+            failing.result()
+    assert failing.epoch == 1
+    for handle in (mate, other):
+        assert_byte_identical(handle.result(), runtime.reexecute(handle), handle.sql)
+    assert len(mate.result()) > 0
+    assert runtime.append(holders[2], feed_chunks(rows=10, chunk=10, seed=4)[0]) == 2
+    for handle in (mate, other):
+        assert_byte_identical(handle.result(), runtime.reexecute(handle), handle.sql)
+
+
 def test_where_and_group_keys_split_trees():
     runtime = StandingQueryRuntime(build_tree_processor())
     plain = runtime.register("SELECT activity, AVG(z) AS az FROM d GROUP BY activity")
@@ -501,7 +578,13 @@ def test_one_append_merges_root_states_once_per_tree(monkeypatch):
 
     monkeypatch.setattr(QueryExecutor, "finalize_partial_groups", counting)
     runtime.append(runtime.network.partition_holders("d")[2], feed_chunks(20, 20)[0])
-    # One merge per affected tree, shared by its subscribers' tails.
+    # The append merges nothing; reading every handle merges each affected
+    # tree once, shared by its subscribers' tails, and reading again reuses
+    # the cached results.
+    assert merges == []
+    for _ in range(2):
+        for handle in runtime.handles():
+            assert_byte_identical(handle.result(), runtime.reexecute(handle))
     assert len(merges) == 2
     assert {id(query) for query in merges} == {
         id(tree.core) for tree in runtime._trees_for_all()
@@ -592,11 +675,13 @@ def test_apply_rewriting_routes_through_privacy_gate():
 def test_standing_metrics_populate():
     before = registry.snapshot(prefix="standing.")
     runtime = StandingQueryRuntime(build_tree_processor())
-    runtime.register(STANDING_SQL)
-    runtime.register(STANDING_SQL)
+    handles = [runtime.register(STANDING_SQL), runtime.register(STANDING_SQL)]
     runtime.append(
         runtime.network.partition_holders("d")[0], feed_chunks(20, 20)[0]
     )
+    # Each handle finalizes on its first read after the append, once.
+    for handle in handles + handles:
+        handle.result()
     after = registry.snapshot(prefix="standing.")
     assert after["standing.registered"] - before.get("standing.registered", 0) == 2
     assert after["standing.shared_attach"] - before.get("standing.shared_attach", 0) == 1
@@ -643,10 +728,13 @@ def test_profile_report_surfaces_standing_section():
 def test_refresh_spans_link_epochs():
     trace = QueryTrace("standing-spans")
     runtime = StandingQueryRuntime(build_tree_processor(), trace=trace)
-    runtime.register(STANDING_SQL)
+    handle = runtime.register(STANDING_SQL)
     leaf = runtime.network.partition_holders("d")[0]
     runtime.append(leaf, feed_chunks(10, 10, seed=1)[0])
+    handle.result()
     runtime.append(leaf, feed_chunks(10, 10, seed=2)[0])
+    handle.result()
+    handle.result()
     spans = trace.by_kind("standing")
     assert [span.name for span in spans] == ["refresh[epoch=1]", "refresh[epoch=2]"]
     first, second = spans
@@ -656,19 +744,26 @@ def test_refresh_spans_link_epochs():
     assert "previous_epoch_span" not in first.attrs
     assert second.attrs["previous_epoch_span"] == first.span_id
     assert all(span.finished for span in spans)
-    # Per tree, each refresh has a child span for the delta fold, the root
-    # path recombine, the shared merge and the subscriber tails, in order.
-    tree_id = runtime.handles()[0].tree.tree_id
-    for refresh in spans:
-        children = [span for span in trace.spans if span.parent_id == refresh.span_id]
+    # Per tree, each refresh has a child span for the delta fold and the
+    # root path recombine; each read that computes has a finalize span
+    # with the shared merge (its tree's first read of the epoch) and the
+    # handle's tail.  A read of a cached result emits nothing.
+    tree_id = handle.tree.tree_id
+    reads = trace.by_kind("standing_read")
+    assert [span.name for span in reads] == ["finalize[query=q0]"] * 2
+    assert [span.attrs["epoch"] for span in reads] == [1, 2]
+    for parent, stages in [(span, ("fold", "recombine")) for span in spans] + [
+        (span, ("merge", "tail")) for span in reads
+    ]:
+        children = [span for span in trace.spans if span.parent_id == parent.span_id]
         assert [span.name for span in children] == [
-            f"{stage}[tree={tree_id}]"
-            for stage in ("fold", "recombine", "merge", "tails")
+            f"{stage}[tree={tree_id}]" for stage in stages
         ]
         assert {span.kind for span in children} == {"standing_stage"}
-        assert children[0].node == leaf
         assert all(span.finished and span.status == "ok" for span in children)
-        assert all(refresh.start <= span.start <= span.end <= refresh.end for span in children)
+        assert all(parent.start <= span.start <= span.end <= parent.end for span in children)
+    assert [span.node for span in trace.spans if span.name.startswith("fold")] == [leaf] * 2
+    assert spans[0].end <= reads[0].start <= reads[0].end <= spans[1].start
 
 
 # ---------------------------------------------------------------------------
@@ -709,6 +804,90 @@ def test_concurrent_producers_interleave_at_chunk_granularity():
     for handle in handles:
         assert handle.epoch == len(chunks)
         assert_byte_identical(handle.result(), runtime.reexecute(handle), handle.sql)
+
+
+@pytest.mark.concurrency
+def test_concurrent_readers_see_monotone_byte_identical_epochs():
+    """Two producers append while two readers read shared-tree handles.
+
+    Every result a reader sees equals, by bytes, re-execution at an epoch
+    between the runtime's epoch before and after the read, and no earlier
+    than the epoch of that reader's previous result of the handle.  The
+    epochs are replayed on a mirror of the base, as the e2e oracle does.
+    """
+    processor = build_tree_processor()
+    runtime = StandingQueryRuntime(processor)
+    handles = [runtime.register(sql) for sql in SHARED_FINALIZE_SQL]
+    assert all(handle.shared for handle in handles)
+    holders = processor.network.partition_holders("d")
+    chunks = feed_chunks(rows=240, chunk=10, seed=17)
+    appended = {}
+    reads = {reader: [] for reader in range(2)}
+    producing = threading.Event()
+    producing.set()
+    errors = []
+
+    def producer(worker: int):
+        try:
+            for index, delta in enumerate(chunks):
+                if index % 2 == worker:
+                    leaf = holders[index % len(holders)]
+                    appended[runtime.append(leaf, delta)] = (leaf, delta)
+                    time.sleep(0)  # and the readers in between appends
+        except Exception as error:  # pragma: no cover - failure reporting
+            errors.append(error)
+
+    def reader(reader_id: int):
+        try:
+            while True:
+                done = not producing.is_set()
+                for index, handle in enumerate(handles[reader_id::2]):
+                    before = runtime.refresh_epoch
+                    packed = pack_state_relation(handle.result())
+                    reads[reader_id].append(
+                        (index, before, runtime.refresh_epoch, packed)
+                    )
+                if done:
+                    return
+                time.sleep(0)  # let the producers in between rounds
+        except Exception as error:  # pragma: no cover - failure reporting
+            errors.append(error)
+
+    producers = [threading.Thread(target=producer, args=(w,)) for w in range(2)]
+    readers = [threading.Thread(target=reader, args=(r,)) for r in range(2)]
+    for thread in readers + producers:
+        thread.start()
+    for thread in producers:
+        thread.join()
+    producing.clear()
+    for thread in readers:
+        thread.join()
+    assert not errors
+    assert sorted(appended) == list(range(1, len(chunks) + 1))
+
+    mirror = build_tree_processor()
+    oracle = StandingQueryRuntime(mirror)
+    expected = []  # expected[epoch][handle] -> packed re-execution
+    for epoch in range(len(chunks) + 1):
+        if epoch:
+            leaf, delta = appended[epoch]
+            mirror.network.append_to_partition(leaf, "d", delta)
+        expected.append(
+            [pack_state_relation(oracle.reexecute(handle)) for handle in handles]
+        )
+    for reader_id, seen in reads.items():
+        assert seen[-1][1] == len(chunks)  # the last round read the end state
+        last = {}
+        for index, before, after, packed in seen:
+            handle = reader_id + 2 * index
+            start = max(before, last.get(handle, 0))
+            matches = [
+                epoch
+                for epoch in range(start, after + 1)
+                if expected[epoch][handle] == packed
+            ]
+            assert matches, (reader_id, handles[handle].sql, before, after)
+            last[handle] = matches[0]
 
 
 def test_bind_stream_feeds_refreshes():

@@ -499,6 +499,26 @@ def test_a_suffix_that_fails_alone_takes_the_full_scan():
     assert _run(processor, sql) == (_expected(processor, sql), (1, 0))
 
 
+def test_folds_on_a_node_share_one_warm_catalog():
+    """Every fold on a node registers its appended rows in one kept scratch
+    catalog, so a later fold builds no executor; each read still equals
+    the reference."""
+    processor = _processor()
+    node = processor.network.partition_holders("d")[0]
+    _run(processor)
+    catalogs = []
+    for batch in range(3):
+        delta = make_sensor_relation(30, seed=batch + 7, grid=2.0)
+        processor.network.append_to_partition(node, "d", delta)
+        folds = _folds()
+        assert _run(processor)[0] == _expected(processor)
+        assert _folds() - folds == 1
+        scratch, _ = processor.network.fold_catalog(node)
+        catalogs.append((scratch, scratch.executor_builds))
+    assert len({id(scratch) for scratch, _ in catalogs}) == 1
+    assert [builds for _, builds in catalogs] == [catalogs[0][1]] * 3
+
+
 @pytest.mark.parametrize("write", ["extend", "row_view"])
 def test_a_row_api_write_drops_inherited_states(write):
     """An appended chunk inherits its parent's states, and a write through
