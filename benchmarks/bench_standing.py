@@ -2,11 +2,13 @@
 
 N standing decomposable GROUP BY queries register against one continuously
 loaded sensor tree (:mod:`repro.runtime.standing`).  Each refresh appends
-one delta chunk to a round-robin leaf, where the runtime folds the
-delta's partial state into the touched leaf and re-combines only that
-leaf's root path, then reads every subscriber, which finalizes each
-one.  The baseline re-executes each registered query from scratch over
-the full current data on every refresh.
+one delta chunk to a round-robin leaf, which only lands the rows (the
+grown chunk keeps its leaf states), then reads every subscriber: each
+tree's first read takes every holder's leaf state from its chunk (a hit,
+or for the grown chunk a fold of the appended rows into the state it
+kept), merges them once, and each handle runs its finalize tail.  The
+baseline re-executes each registered query from scratch over the full
+current data on every refresh.
 
 Reported per (fanout, query count):
 

@@ -119,7 +119,8 @@ class FragmentPlan:
     #: The execution-DAG builder's memo of the queries (and their SQL text)
     #: it derives from this plan, keyed per fragment chain and input name,
     #: so every run of a cached plan hands the engine the same AST objects.
-    #: Not copied by ``dataclasses.replace``: a re-mapped plan starts empty.
+    #: Not copied by ``dataclasses.replace``; ``runtime.dag.replan_without``
+    #: hands it to the re-mapped plan, since no entry depends on placement.
     derived: Dict[Tuple[Any, ...], Tuple[Any, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )

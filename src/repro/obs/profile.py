@@ -303,7 +303,7 @@ def build_profile_report(
         for key, value in metrics_after.items():
             if key.startswith("standing."):
                 # Standing-query maintenance this window: registrations,
-                # refreshes, delta rows, groups re-finalized, shared-tree
+                # refreshes, delta rows, finalizes on read, shared-tree
                 # subscriber counts (gauges report their current value).
                 if not isinstance(value, (int, float)) or isinstance(value, bool):
                     continue

@@ -164,6 +164,8 @@ class NetworkSimulator:
         #: re-placement), so task signatures built over the old placement
         #: stop matching and stale checkpoints are never restored.
         self._epochs: Dict[Tuple[str, str], int] = {}
+        #: table name (lower-case) -> content version (:meth:`table_version`).
+        self._versions: Dict[str, int] = {}
         self._placement_lock = threading.Lock()
         self._fold_catalogs: Dict[str, Tuple[Database, threading.Lock]] = {
             node.name: (Database(name=node.name), threading.Lock()) for node in topology
@@ -180,7 +182,7 @@ class NetworkSimulator:
 
     def fold_catalog(self, node_name: str) -> Tuple[Database, threading.Lock]:
         """The scratch catalog ``node_name`` folds a grown chunk's appended
-        rows in (``runtime.dag.StageTask._fold``) and its lock.
+        rows in (``runtime.dag.leaf_state``) and its lock.
 
         A fold holds the lock from registering the rows to the end of its
         partial, so two sessions folding on one node never read each
@@ -207,6 +209,7 @@ class NetworkSimulator:
             target = leaves[0] if leaves else self.topology.nodes[0]
             self._register_stream(self.database(target.name), table_name, relation)
             self._partitions[table_name.lower()] = [target.name]
+            self._bump_version(table_name)
             return
         chunk_count = len(leaves)
         base, remainder = divmod(len(relation), chunk_count)
@@ -220,6 +223,7 @@ class NetworkSimulator:
             self._register_stream(self.database(leaf.name), table_name, chunk)
             holders.append(leaf.name)
         self._partitions[table_name.lower()] = holders
+        self._bump_version(table_name)
 
     def _register_stream(self, database: Database, table_name: str, relation: Relation) -> None:
         database.register(table_name, relation)
@@ -239,7 +243,8 @@ class NetworkSimulator:
         what keeps incremental group order identical to re-execution's
         first-occurrence order).  Bumps the placement epoch so task
         signatures built over the old chunk — and any checkpoints saved
-        under them — stop matching.  The old chunk's computed column
+        under them — stop matching, and, when it adds rows, the table's
+        :meth:`table_version`.  The old chunk's computed column
         statistics carry over, extended by the delta, so the next plan
         over the chunk does not rebuild them; its kept leaf states carry
         over as they are (each covers the old rows), so the next read
@@ -261,6 +266,8 @@ class NetworkSimulator:
         if node_name not in holders:
             holders.append(node_name)
         self._bump_epoch(node_name, table_name)
+        if len(delta):
+            self._bump_version(table_name)
         return len(combined)
 
     def load_device_tables(self, tables: Dict[str, Relation]) -> None:
@@ -270,6 +277,7 @@ class NetworkSimulator:
         for name, relation in tables.items():
             database.register(name, relation)
             self._partitions[name.lower()] = [sensor.name]
+            self._bump_version(name)
 
     # ------------------------------------------------------------------
     # partition lookup
@@ -314,6 +322,22 @@ class NetworkSimulator:
         with self._placement_lock:
             key = (node_name, table_name.lower())
             self._epochs[key] = self._epochs.get(key, 0) + 1
+
+    def table_version(self, table_name: str) -> int:
+        """Content version of ``table_name``'s placed chunks.
+
+        Bumped by every load, every append of at least one row and every
+        re-placement (:meth:`fail_node`), so a reader that cached
+        something computed over the chunks can tell, with one lookup,
+        that they are unchanged.
+        """
+        with self._placement_lock:
+            return self._versions.get(table_name.lower(), 0)
+
+    def _bump_version(self, table_name: str) -> None:
+        with self._placement_lock:
+            key = table_name.lower()
+            self._versions[key] = self._versions.get(key, 0) + 1
 
     @staticmethod
     def _concat_chunks(first: Relation, second: Relation, name: str) -> Relation:
@@ -360,6 +384,7 @@ class NetworkSimulator:
         for table_name, holders in self._partitions.items():
             if node_name not in holders:
                 continue
+            self._bump_version(table_name)
             index = holders.index(node_name)
             chunk = (
                 dead_database.table(table_name)

@@ -63,7 +63,8 @@ its shipment, and only a reader of the rows decodes them.  A chunk grown
 by an append inherits its parent's states; the next run scans only the
 appended rows and folds their state after the kept one
 (:func:`fold_state`).  Any other write to the chunk, or a new chunk,
-computes again.
+computes again.  :func:`leaf_state` is that rule, for these tasks and for
+the standing runtime's trees (:mod:`repro.runtime.standing`).
 
 Chunks are contiguous slices of the original relation in leaf order, and
 every stage concatenates its parts in exactly that order, so the DAG's
@@ -151,9 +152,9 @@ MAX_DERIVED_QUERIES = 256
 #: most 23 grouped texts over one chunk.
 MAX_KEPT_STATES = 32
 
-#: Leaf partials that output a kept state, those that folded the rows
-#: appended since into one, and those that computed one they could keep
-#: (:meth:`StageTask.execute`), by their span's ``memo`` attribute.
+#: Leaf states (:func:`leaf_state`) output as kept bytes, folded from
+#: the rows appended since, and computed to be kept; a DAG leaf's span
+#: shows its outcome as its ``memo`` attribute.
 _memo_counters = {
     "hit": _metrics.counter("runtime.state_memo.hits"),
     "fold": _metrics.counter("runtime.state_memo.folds"),
@@ -536,7 +537,7 @@ def fold_state(
 class KeptState(NamedTuple):
     """A leaf state a chunk keeps (:meth:`Relation.kept_states`)."""
 
-    #: The derived query; held so that the id it is keyed on stays unique.
+    #: The query; held so that the id it is keyed on stays unique.
     query: ast.Query
     #: How many leading rows of the chunk the state summarizes.
     covered: int
@@ -545,6 +546,97 @@ class KeptState(NamedTuple):
 
 #: What a task outputs: a relation, or a leaf state kept as its bytes.
 Output = Union[Relation, PackedRelation]
+
+def kept_key(query: ast.Query, name: str, config: EngineConfig) -> Tuple:
+    """The key of ``query``'s state named ``name`` under ``config`` in a
+    chunk's kept states; the entry holds the query, so no other query
+    takes its id."""
+    return (id(query), name, config)
+
+
+def pack_state(relation: Relation) -> Optional[PackedRelation]:
+    """``relation`` packed once, or None when it holds a value outside
+    the wire vocabulary (such a state is neither kept nor checkpointed)."""
+    try:
+        return PackedRelation(pack_relation(relation), len(relation), len(relation.schema))
+    except WireFormatError:
+        return None
+
+
+def leaf_state(
+    network: NetworkSimulator,
+    node: str,
+    base: str,
+    chunk: Relation,
+    query: ast.Query,
+    name: str,
+    config: EngineConfig,
+    engine: Callable[[Database, str, Optional[Relation]], Tuple[Relation, float]],
+    known: Optional[Tuple[Optional[PackedRelation], Relation]] = None,
+) -> Tuple[Output, Optional[PackedRelation], float, str]:
+    """The partial state of ``query`` over ``chunk``, the chunk of
+    ``base`` resident on ``node``, through the states the chunk keeps
+    (:meth:`Relation.kept_states`), keyed on the query object, the output
+    ``name`` and the ``config``.
+
+    A kept state covering every row is a *hit*: its bytes are the output.
+    One covering fewer rows (the chunk grew by appends) *folds*: ``query``
+    runs over the rows after them alone, in the node's fold catalog
+    (:meth:`NetworkSimulator.fold_catalog`, under its lock), and
+    :func:`fold_state` merges that after the kept state.  Otherwise, or
+    when the fold raises (the full scan then gives the answer, state or
+    error), the chunk is scanned: a *miss*.  A computed state is packed
+    once and kept, at most :data:`MAX_KEPT_STATES` entries per chunk
+    version.  ``engine(database, op, state)`` runs the ``partial`` (state
+    None) or ``combine`` of ``query`` there and returns its output and
+    engine seconds.  ``known`` is bytes the caller decoded before and
+    their decode; a fold of those bytes decodes nothing.
+
+    Returns the output (a relation, or a hit's bytes), its packed bytes,
+    the engine seconds and the outcome, which ``runtime.state_memo.*``
+    counts.
+    """
+    # Taken before any row is read, so a state computed over rows a
+    # concurrent write replaces is never found (Relation.kept_states).
+    memo = chunk.kept_states()
+    rows = len(chunk)
+    key = kept_key(query, name, config)
+    kept = memo.get(key)
+    if kept is not None and kept.covered == rows:
+        _memo_counters["hit"].inc()
+        return kept.state, kept.state, 0.0, "hit"
+    database = network.database(node)
+    output: Optional[Relation] = None
+    outcome = "miss"
+    if kept is not None:
+        try:
+            suffix, lock = network.fold_catalog(node)
+            with lock:
+                # Another fold on this node would re-register the table
+                # between this registration and this partial.
+                suffix.register(base, chunk.slice_rows(kept.covered))
+                delta, scanned = engine(suffix, "partial", None)
+            if known is not None and known[0] is kept.state:
+                old = known[1]
+            else:
+                old = kept.state.unpack()
+            output, merged = fold_state(
+                old, delta, lambda union: engine(database, "combine", union)
+            )
+            elapsed = scanned + merged
+            outcome = "fold"
+        except (EngineError, ArithmeticError, TypeError, ValueError):
+            output = None
+    if output is None:
+        output, elapsed = engine(database, "partial", None)
+    output.name = name
+    packed = pack_state(output)
+    if packed is not None:
+        if len(memo) >= MAX_KEPT_STATES and key not in memo:
+            memo.clear()
+        memo[key] = KeptState(query, rows, packed)
+    _memo_counters[outcome].inc()
+    return output, packed, elapsed, outcome
 
 
 class ExecutionContext:
@@ -948,78 +1040,48 @@ class StageTask(Task):
             context.injector.before_read(node, self)
         return context.network.database(node).table(self.base)
 
-    def _fold(
-        self,
-        context: ExecutionContext,
-        database: Database,
-        chunk: Relation,
-        kept: KeptState,
-    ) -> Tuple[Relation, float]:
-        """The state of ``chunk`` from ``kept``, which covers its leading
-        rows: this task's query over the rows after them alone, folded
-        after the kept state (:func:`fold_state`)."""
-        suffix, lock = context.network.fold_catalog(self.node)
-        with lock:
-            # Another session's fold on this node would re-register the
-            # table between this registration and this partial.
-            suffix.register(self.base, chunk.slice_rows(kept.covered))
-            delta, scanned = self._engine(context, suffix, "partial", self.query)
-        output, merged = fold_state(
-            kept.state.unpack(),
-            delta,
-            lambda union: self._engine(
-                context, database, "combine", self.query, state=union
-            ),
-        )
-        return output, scanned + merged
-
     def execute(self, context: ExecutionContext) -> Output:
         database = context.network.database(self.node)
         source: Optional[Relation] = None
-        memo: Optional[Dict] = None
-        output: Optional[Output] = None
+        packed: Optional[PackedRelation] = None
         if self.op in ("query", "partial"):
             [part] = self.parts
-            if part == (None, self.node):
+            if self.resident:
                 # A base chunk resident here is read in place.
                 if self.base in database:
                     source = database.table(self.base)
-                    if self.op == "partial" and context.config.zone_maps:
-                        # A partial reads one table and no subquery
-                        # (``decomposition_error``), so its state depends on
-                        # this chunk's version, the query, the output name
-                        # and the config alone: the chunk keeps it.  The
-                        # oracle and the ``optimizer=False`` ablation always
-                        # compute.
-                        memo = source.kept_states()
             else:
                 source = self._receive(
                     context, self._fetch(context, part), self.in_name, part[1]
                 )
             input_rows = len(source) if source is not None else 0
             context.charge_compute(input_rows, self.node)
-            # Each entry holds its query, so no other query takes its id.
-            key = (id(self.query), self.display_name, context.config)
-            kept = memo.get(key) if memo is not None else None
-            memo_outcome = "miss"
-            if kept is not None and kept.covered == input_rows:
-                # The chunk is unchanged since this state was packed: its
-                # bytes are the output, and only a reader decodes them.
-                output, elapsed = kept.state, 0.0
-                memo_outcome = "hit"
-            elif kept is not None:
-                # Rows were appended since: scan only those.  A fold that
-                # raises leaves the answer (state or error) to a full scan.
-                try:
-                    output, elapsed = self._fold(context, database, source, kept)
-                    memo_outcome = "fold"
-                except (EngineError, ArithmeticError, TypeError, ValueError):
-                    pass
-            if output is None:
+            if (
+                self.op == "partial"
+                and self.resident
+                and source is not None
+                and context.config.zone_maps
+            ):
+                # A partial reads one table and no subquery
+                # (``decomposition_error``), so its state depends on this
+                # chunk's version, the query, the output name and the
+                # config alone: the chunk keeps it.  The oracle and the
+                # ``optimizer=False`` ablation always compute.
+                output, packed, elapsed, outcome = leaf_state(
+                    context.network,
+                    self.node,
+                    self.base,
+                    source,
+                    self.query,
+                    self.display_name,
+                    context.config,
+                    lambda target, op, state: self._engine(
+                        context, target, op, self.query, state
+                    ),
+                )
+                context.annotate(memo=outcome)
+            else:
                 output, elapsed = self._engine(context, database, self.op, self.query)
-            if memo is not None:
-                _memo_counters[memo_outcome].inc()
-                context.annotate(memo=memo_outcome)
         else:
             union_name = self.display_name
             if self.op == "finalize":
@@ -1052,34 +1114,21 @@ class StageTask(Task):
             # No task reads a partial's state by name: its consumers take
             # it from ``context.outputs`` or the wire.
             database.register(self.out_name, output)
-        if self.op in ("partial", "combine"):
-            # An aggregate state is encoded once, here: the same bytes
-            # become its checkpoint and every shipment of it.  A state
-            # outside the wire vocabulary is simply not checkpointed.
-            packed = output if isinstance(output, PackedRelation) else None
-            if packed is None:
-                try:
-                    packed = PackedRelation(
-                        pack_relation(output), len(output), len(output.schema)
-                    )
-                except WireFormatError:
-                    pass
-                else:
-                    if memo is not None:
-                        if len(memo) >= MAX_KEPT_STATES and key not in memo:
-                            memo.clear()
-                        memo[key] = KeptState(self.query, input_rows, packed)
-            if packed is not None:
-                context.payloads[self.task_id] = packed.payload
-                if self.op == "partial":
-                    # Observed state size feeds the adaptive partial-
-                    # aggregation ratio: future placement decisions use real
-                    # packed bytes per state cell.
-                    state_size_feedback.record(
-                        packed.rows,
-                        len(packed.payload),
-                        cells=packed.rows * packed.columns,
-                    )
+        if packed is None and self.op in ("partial", "combine"):
+            packed = pack_state(output)
+        if packed is not None:
+            # An aggregate state is encoded once: the same bytes become
+            # its checkpoint and every shipment of it.
+            context.payloads[self.task_id] = packed.payload
+            if self.op == "partial":
+                # Observed state size feeds the adaptive partial-
+                # aggregation ratio: future placement decisions use real
+                # packed bytes per state cell.
+                state_size_feedback.record(
+                    packed.rows,
+                    len(packed.payload),
+                    cells=packed.rows * packed.columns,
+                )
         context.annotate_io(input_rows, output)
         _observe_rows_estimate(context, self.query, source, output)
         _, name, sql = STAGE_OPS[self.op]
@@ -1667,7 +1716,9 @@ def replan_without(
 
     ``topology`` must be the original (healthy) topology and ``dead_names``
     the full accumulated death list, so repeated re-plans are independent of
-    the order nodes died in.
+    the order nodes died in.  The re-mapped plan shares ``plan.derived``:
+    a derived query depends on fragment queries and input names, never on
+    placement, so the re-plan's leaves find the states their chunks keep.
     """
     pruned = topology.without(dead_names)
     dead = set(dead_names)
@@ -1693,7 +1744,9 @@ def replan_without(
         else fragment
         for fragment in plan.fragments
     ]
-    return dataclasses.replace(plan, fragments=fragments), pruned
+    remapped = dataclasses.replace(plan, fragments=fragments)
+    remapped.derived = plan.derived
+    return remapped, pruned
 
 
 def _next_blocker_decomposable(fragments: Sequence[QueryFragment], index: int) -> bool:
@@ -1715,10 +1768,8 @@ def lift_node_groups(
 ) -> Optional[List[Tuple[str, List[str]]]]:
     """Group partition-holding nodes by parent, preserving partition order.
 
-    The placement primitive shared by the DAG builder (which lifts the
-    parts of a partition one level per plan stage) and the standing-query
-    runtime (which computes the per-level combine placement of a maintained
-    state tree once, at tree-creation time).
+    The DAG builder's placement primitive: it lifts the parts of a
+    partition one level per plan stage (:func:`_lift_groups`).
 
     Returns ``None`` when lifting is not possible or not useful: a partition
     node without a parent, a parent outside the apartment (data may not

@@ -1,4 +1,4 @@
-"""Incremental standing queries: delta-maintained aggregate state trees.
+"""Incremental standing queries: aggregate state trees over kept leaf states.
 
 The ROADMAP's north star is heavy continuous traffic against one smart
 environment, yet re-executing every registered query from scratch on each
@@ -11,37 +11,34 @@ This module turns PR 3's mergeable partial-state protocol
   (the same admissibility rule as the distributed pushdown,
   :func:`repro.engine.executor.decomposition_error`, optionally after
   the paper's admission + privacy rewriting).
-* The runtime plans each query once and materializes a **state tree** over
-  the shared topology: one partial-state relation per leaf chunk, combined
-  per level along the placement :func:`repro.runtime.dag.lift_node_groups`
-  computes — the same shape the DAG scheduler would build, but *kept alive*
-  between refreshes.  States are stored decoded, so a refresh never
-  unpacks one.  The ``standing.state_bytes`` probe reports honest
-  shipped-size bytes: a state is packed through the wire codec
-  (:func:`repro.engine.wire.pack_state_relation`) only when a snapshot
-  reads its size, at most once per stored state.
+* Each distinct core query (keys, aggregate calls, bare columns) is a
+  **state tree** over the partitioned table, but the tree keeps no state
+  of its own: every sensor chunk keeps its packed leaf states
+  (:meth:`~repro.engine.table.Relation.kept_states`), the same store the
+  DAG's leaf partials use.
 * On each arriving chunk the runtime appends it at the **end** of the
-  owning leaf's partition (``NetworkSimulator.append_to_partition``),
-  folds a partial state over only the delta rows into the stored leaf
-  state and re-combines only the leaf's root path.  Maintenance cost is
-  O(delta x groups), not O(data).
+  owning leaf's partition (``NetworkSimulator.append_to_partition``): the
+  grown chunk keeps its states, and the table's version moves.  Nothing
+  else runs: a write runs no partial, merge or tail, whatever the
+  subscriber count.
 * A subscriber's result is finalized when it is read (lazy view
-  maintenance): the first read of a tree after a change merges the root
-  state into finalized groups **once per tree**, and each read handle
-  runs its HAVING / select-item / ORDER BY tail over those shared groups
-  at most once per change.
+  maintenance): the first read of a tree after a change takes each
+  holder's leaf state from its chunk through
+  :func:`~repro.runtime.dag.leaf_state` — a hit, a fold of the rows
+  appended since (O(delta x groups)), or a full partial — unions the
+  states in partition order and merges them **once per tree** at the
+  cloud; each read handle runs its HAVING / select-item / ORDER BY tail
+  over those shared groups at most once per change.
 
 Why the results are *byte-identical* to from-scratch re-execution: group
 output order is first-occurrence order over the input, deltas append at the
-end of a leaf chunk, and :func:`~repro.runtime.dag.fold_state` (the DAG's
-kept leaf states fold appends by the same function) feeds the merge the
-old state first — so the merged group order (and every
-MIN/MAX tie, which keeps the first-seen value) equals a single pass over
-the full chunk.  Sibling states union in partition order up the tree,
-which is the loaded relation's row order.  The accumulators
-themselves are exact (float sums as one scaled integer, exact int sums,
-Fraction moments), so there is no drift for the differential tests to
-forgive.
+end of a leaf chunk, and :func:`~repro.runtime.dag.fold_state` feeds the
+merge the kept state first — so the merged group order (and every MIN/MAX
+tie, which keeps the first-seen value) equals a single pass over the full
+chunk.  Leaf states union in partition order, which is the loaded
+relation's row order.  The accumulators themselves are exact (float sums
+as one scaled integer, exact int sums, Fraction moments), so there is no
+drift for the differential tests to forgive.
 
 Cross-session sharing: queries over the same table, WHERE clause and group
 keys whose aggregate calls are a subset of an existing tree's attach to
@@ -81,16 +78,11 @@ from repro.engine.executor import aggregate_calls, decomposition_error, first_va
 from repro.engine.vectorized import FinalizedGroups
 from repro.engine.schema import Schema
 from repro.engine.table import Relation
-from repro.engine.wire import pack_state_relation
+from repro.engine.wire import PackedRelation
 from repro.obs.metrics import registry as _metrics
 from repro.obs.trace import QueryTrace, Span
 from repro.rewrite.containment import check_leakage
-from repro.runtime.dag import (
-    fold_state,
-    lift_node_groups,
-    rebase_table_refs,
-    union_partials,
-)
+from repro.runtime.dag import kept_key, leaf_state, union_partials
 from repro.sql import ast
 from repro.sql.parser import parse
 from repro.sql.render import render, render_expression
@@ -105,9 +97,8 @@ __all__ = [
     "StandingQueryRuntime",
 ]
 
-#: Reserved per-leaf table name the delta chunk is registered under while
-#: its partial state is computed (dropped immediately after).
-DELTA_TABLE = "__standing_delta"
+#: The name a tree's leaf states carry, part of their kept-state key.
+LEAF_NAME = ""
 
 
 class StandingQueryError(ExecutionError):
@@ -203,8 +194,8 @@ class StandingQueryHandle:
         self.sql = sql
         self.tree = tree
         self._result: Optional[Relation] = None
-        #: The tree generation ``_result`` was finalized at.
-        self._generation = -1
+        #: The table version ``_result`` was finalized at.
+        self._version = -1
 
     @property
     def epoch(self) -> int:
@@ -219,21 +210,25 @@ class StandingQueryHandle:
     def result(self) -> Relation:
         """The result at the latest refresh epoch.
 
-        Finalized on the first read after the tree's states changed and
+        Finalized on the first read after the table's chunks changed and
         cached until they change again, under the runtime's lock, so a
-        read never sees a half-applied delta.  A tail that raises raises
-        here, on every read of this handle, and leaves appends and other
-        handles alone.
+        read never sees a half-applied delta.  A leaf state or a tail that
+        raises raises here, on every read of this handle, and leaves
+        appends and the other trees alone.
         """
         runtime = self.tree.runtime
         with runtime._lock:
-            if self._generation != self.tree.generation:
+            if self._version != runtime.network.table_version(self.tree.table):
                 runtime._finalize(self)
             return self._result
 
 
 class _StateTree:
-    """The maintained partial-state tree one or more subscribers share."""
+    """The subscribers of one core query and the groups it last merged.
+
+    The tree keeps no state of its own: a read takes each holder's leaf
+    state from the states its chunk keeps (:func:`leaf_state`).
+    """
 
     def __init__(
         self,
@@ -253,165 +248,87 @@ class _StateTree:
         #: The bare non-key columns whose first values the tree carries.
         self.first_names = first_value_columns(core)
         self.subscribers: List[StandingQueryHandle] = []
-        #: Bumped whenever a stored state changes; a handle whose cached
-        #: result is of an older generation finalizes again when read.
-        self.generation = 0
-        #: Decoded partial state per ``(level, node)``: level 0 holds each
-        #: holder's leaf-chunk state, level ``i + 1`` the states combined
-        #: by ``levels[i]``.  A holder may also be a lift parent (an
-        #: appliance that received its own chunk), so its leaf state and
-        #: the state it combines for its children live under two keys.
-        self.states: Dict[Tuple[int, str], Relation] = {}
-        #: Packed (wire-codec) size of the stored states whose size was
-        #: read, keyed alike (:meth:`state_bytes`).
-        self._packed_sizes: Dict[Tuple[int, str], int] = {}
-        #: Per-level combine placement, computed from
-        #: :func:`lift_node_groups` (the DAG scheduler's lifting rule):
-        #: ``levels[i]`` combines level-``i`` states into level ``i + 1``.
-        self.levels: List[List[Tuple[str, List[str]]]] = []
-        #: Nodes whose states union (in partition order) into the root state.
-        self.top_nodes: List[str] = []
-        self._delta_query = rebase_table_refs(core, table, DELTA_TABLE)
-        #: The root state's merged, finalized groups, built by the first
-        #: read after a change and shared by every subscriber's tail; None
-        #: once a state changes.
+        #: Per holder, the kept bytes of its last leaf state and their
+        #: decode, so a hit on the same bytes decodes nothing.
+        self._leaves: Dict[str, Tuple[Optional[PackedRelation], Relation]] = {}
+        #: The merged, finalized groups every subscriber's tail reads, and
+        #: the table version they were merged at (-1: none yet).
         self._groups: Optional[FinalizedGroups] = None
-        self._build_initial()
+        self.version = -1
 
-    # -- state storage --------------------------------------------------
-    def _store(self, level: int, node: str, state: Relation) -> None:
-        """Keep ``state`` decoded; its bytes are counted on demand."""
-        self.states[(level, node)] = state
-        self._packed_sizes.pop((level, node), None)
-        self._changed()
+    def _engine(
+        self, database: Database, op: str, state: Optional[Relation]
+    ) -> Tuple[Relation, float]:
+        config = self.runtime.engine
+        if op == "partial":
+            return database.partial_aggregate(self.core, config), 0.0
+        return database.combine_partials(self.core, state, config), 0.0
 
-    def _changed(self) -> None:
-        """Drop the finalized groups: every subscriber is stale."""
-        self._groups = None
-        self.generation += 1
+    def groups(self, span: Optional[Span] = None) -> FinalizedGroups:
+        """The merged groups over every holder's chunk, aggregates
+        finalized; rebuilt at most once per table version.
 
-    # -- construction ---------------------------------------------------
-    def _build_initial(self) -> None:
-        network = self.runtime.network
-        for holder in network.partition_holders(self.table):
-            database = network.database(holder)
-            if self.table not in database:
-                continue  # registered before any data landed on this node
-            state = database.partial_aggregate(self.core, self.runtime.engine)
-            self._store(0, holder, state)
-        self._rebuild_placement()
-
-    def _rebuild_placement(self) -> None:
-        """(Re)compute the per-level combine placement and all lifted states.
-
-        Runs at tree creation and again when a *new* holder appears (a node
-        that received its first chunk after the tree was built) — holders
-        stay in partition order, so the root union keeps matching the
-        oracle's concatenation order.  Every lifted state is dropped and
-        recombined from the leaves.
-        """
-        holders = [
-            holder
-            for holder in self.runtime.network.partition_holders(self.table)
-            if (0, holder) in self.states
-        ]
-        self.levels = []
-        for key in [key for key in self.states if key[0] > 0]:
-            del self.states[key]
-            self._packed_sizes.pop(key, None)
-        self._changed()
-        current = list(holders)
-        while len(current) > 1:
-            groups = lift_node_groups(self.runtime.topology, current)
-            if groups is None:
-                break
-            self.levels.append(groups)
-            current = [parent for parent, _ in groups]
-        self.top_nodes = current
-        for level, groups in enumerate(self.levels):
-            for parent, children in groups:
-                self._recombine(level, parent, children)
-
-    def _recombine(self, level: int, parent: str, children: Sequence[str]) -> None:
-        """Combine level-``level`` children into ``parent``'s next-level state."""
-        merged = union_partials(
-            [self.states[(level, child)] for child in children], name=""
-        )
-        combined = self.runtime.network.database(parent).combine_partials(
-            self.core, merged, self.runtime.engine
-        )
-        self._store(level + 1, parent, combined)
-
-    # -- refresh --------------------------------------------------------
-    def apply_delta(self, leaf: str, delta: Relation, span: Optional[Span] = None) -> int:
-        """Fold ``delta``'s partial state into ``leaf`` and its root path.
-
-        Returns the number of groups whose state changed (the delta state's
-        group count) — everything else in the tree is untouched.  ``span``
-        (the refresh span, when tracing) parents the fold and recombine
-        stage spans.
+        Each holder's leaf state is a hit, a fold of the rows appended
+        since or a full partial (:func:`leaf_state`).  The states union in
+        partition order and merge once at the cloud, under the core query,
+        whose aggregate calls cover every subscriber's.  ``span`` (a
+        traced read's finalize span) parents the merge span, which counts
+        the three outcomes.
         """
         runtime = self.runtime
-        database = runtime.network.database(leaf)
-        config = runtime.engine
-        if (0, leaf) not in self.states:
-            # First chunk on a node the tree has never covered: its current
-            # chunk (delta included — it was already appended) becomes a new
-            # leaf state, and the placement rebuilds over the grown holder
-            # list so the root union stays in partition order.
-            with runtime._stage(span, "fold", self, leaf):
-                state = database.partial_aggregate(self.core, config)
-                self._store(0, leaf, state)
-            with runtime._stage(span, "recombine", self, leaf):
-                self._rebuild_placement()
-            return len(state)
-        with runtime._stage(span, "fold", self, leaf):
-            # The reserved delta table stays registered between refreshes:
-            # re-registering a same-shaped relation keeps the leaf executor
-            # and its compiled partial plan warm (dropping it would
-            # invalidate them on every delta).
-            database.register(DELTA_TABLE, delta)
-            delta_state = database.partial_aggregate(self._delta_query, config)
-            merged = fold_state(
-                self.states[(0, leaf)],
-                delta_state,
-                lambda union: database.combine_partials(self.core, union, config),
-            )
-            self._store(0, leaf, merged)
-        with runtime._stage(span, "recombine", self, leaf):
-            node = leaf
-            for level, groups in enumerate(self.levels):
-                for parent, children in groups:
-                    if node in children:
-                        self._recombine(level, parent, children)
-                        node = parent
-                        break
-        return len(delta_state)
-
-    # -- finalize -------------------------------------------------------
-    def groups(self, span: Optional[Span] = None) -> FinalizedGroups:
-        """The root state's merged groups, aggregates finalized (cached).
-
-        The root state is the union of the top-level states in partition
-        order.  It is merged and finalized at most once per change, under
-        the core query, whose aggregate calls cover every subscriber's.
-        ``span`` (a traced read's finalize span) parents the merge span.
-        """
-        if self._groups is None:
-            with self.runtime._stage(span, "merge", self):
-                top = len(self.levels)
-                root = union_partials(
-                    [self.states[(top, node)] for node in self.top_nodes], name=""
+        network = runtime.network
+        # Read first: a change after it only makes the next read recompute.
+        version = network.table_version(self.table)
+        if self.version == version:
+            return self._groups
+        with runtime._stage(span, "merge", self) as merge:
+            config = runtime.engine
+            outcomes = {"hit": 0, "fold": 0, "miss": 0}
+            leaves = {}
+            for holder in network.partition_holders(self.table):
+                database = network.database(holder)
+                if self.table not in database:
+                    continue  # a holder the table never landed on
+                known = self._leaves.get(holder)
+                state, packed, _, outcome = leaf_state(
+                    network,
+                    holder,
+                    self.table,
+                    database.table(self.table),
+                    self.core,
+                    LEAF_NAME,
+                    config,
+                    self._engine,
+                    known,
                 )
-                self._groups = self._cloud().finalize_groups(
-                    self.core, root, self.runtime.engine
+                if outcome == "hit":
+                    if known is not None and known[0] is packed:
+                        state = known[1]
+                    else:
+                        state = packed.unpack()
+                leaves[holder] = (packed, state)
+                outcomes[outcome] += 1
+            self._leaves = leaves
+            if leaves:
+                root = union_partials([state for _, state in leaves.values()], name="")
+            else:
+                # Every chunk is lost: the state of no rows, typed as
+                # re-execution over the empty table types it.
+                empty = Database(name="standing-empty")
+                empty.register(self.table, union_partials([], name=self.table))
+                root = empty.partial_aggregate(self.core, config)
+            self._groups = self._cloud().finalize_groups(self.core, root, config)
+            self.version = version
+            if merge is not None:
+                merge.attrs.update(
+                    hits=outcomes["hit"], folds=outcomes["fold"], misses=outcomes["miss"]
                 )
         return self._groups
 
     def finalize(
         self, handle: StandingQueryHandle, span: Optional[Span] = None
     ) -> Relation:
-        """Run the subscriber's finalize tail over the shared root groups."""
+        """Run the subscriber's finalize tail over the shared groups."""
         groups = self.groups(span)
         with self.runtime._stage(span, "tail", self):
             return self._cloud().finalize_tail(handle.query, groups, self.runtime.engine)
@@ -420,18 +337,17 @@ class _StateTree:
         return self.runtime.network.database(self.runtime.topology.cloud.name)
 
     def state_bytes(self) -> int:
-        """Total packed size of every stored state (wire-codec bytes).
-
-        A state is packed the first time its size is read and never again
-        while it is stored.
-        """
-        sizes = self._packed_sizes
+        """Payload bytes of the leaf states the table's chunks keep for
+        the core (already packed: nothing is encoded to count them)."""
+        network = self.runtime.network
+        key = kept_key(self.core, LEAF_NAME, self.runtime.engine)
         total = 0
-        for key, state in self.states.items():
-            size = sizes.get(key)
-            if size is None:
-                size = sizes[key] = len(pack_state_relation(state))
-            total += size
+        for holder in network.partition_holders(self.table):
+            database = network.database(holder)
+            if self.table in database:
+                kept = database.table(self.table).kept_states().get(key)
+                if kept is not None:
+                    total += len(kept.state.payload)
         return total
 
 
@@ -479,8 +395,7 @@ class StandingQueryRuntime:
         self._next_query_id = 0
         self._last_refresh_span_id: Optional[int] = None
         #: ``standing.state_bytes`` while this runtime is the last to
-        #: register or refresh: read at snapshot time, so no refresh packs
-        #: a state only to count its bytes.
+        #: register or refresh, read at snapshot time.
         self._state_bytes_probe = _state_bytes_probe(weakref.ref(self))
 
     @property
@@ -566,7 +481,7 @@ class StandingQueryRuntime:
             except BaseException:
                 self._detach(handle, signature)
                 raise
-            handle._generation = tree.generation
+            handle._version = tree.version
             self._next_query_id += 1
             self._handles[handle.query_id] = handle
             _metrics.counter("standing.registered").inc()
@@ -662,15 +577,14 @@ class StandingQueryRuntime:
         delta: Union[Relation, Sequence[Mapping[str, Any]]],
         table_name: Optional[str] = None,
     ) -> int:
-        """Ingest one delta chunk at ``node_name`` and refresh every tree.
+        """Ingest one delta chunk at ``node_name``.
 
         The delta lands at the end of the node's partition chunk (keeping
-        the concatenated stream identical to a from-scratch load), the
-        touched leaf state absorbs the delta's partial state and the
-        leaf's root path re-combines, so every tree is current.  No
-        subscriber is finalized here: each handle finalizes when it is
-        next read (:meth:`StandingQueryHandle.result`).  Returns the new
-        refresh epoch.
+        the concatenated stream identical to a from-scratch load), which
+        keeps its leaf states, and bumps the table's version.  Nothing is
+        computed here: each handle finalizes when it is next read
+        (:meth:`StandingQueryHandle.result`), and its tree folds the
+        appended rows then.  Returns the new refresh epoch.
         """
         table = table_name or self.default_table
         with self._lock:
@@ -690,16 +604,11 @@ class StandingQueryRuntime:
                     span.attrs["previous_epoch_span"] = self._last_refresh_span_id
             started = time.perf_counter()
             try:
+                # An empty delta leaves the table's version, hence every
+                # result, as it was; only the epoch advances.
                 self.network.append_to_partition(node_name, table, relation)
-                groups_touched = 0
-                if len(relation):
-                    # An empty delta changes no state, hence no result;
-                    # only the epoch advances.
-                    for tree in self._trees_for(table):
-                        groups_touched += tree.apply_delta(node_name, relation, span)
                 _metrics.counter("standing.refreshes").inc()
                 _metrics.counter("standing.delta_rows").inc(len(relation))
-                _metrics.counter("standing.groups_refinalized").inc(groups_touched)
                 _metrics.histogram("standing.refresh_seconds").observe(
                     time.perf_counter() - started
                 )
@@ -715,7 +624,7 @@ class StandingQueryRuntime:
 
     def _finalize(self, handle: StandingQueryHandle) -> None:
         """Finalize ``handle`` at the current epoch, on its first read
-        since its tree changed.  The caller holds the lock."""
+        since the table changed.  The caller holds the lock."""
         started = time.perf_counter()
         if self.trace is None:
             handle._result = handle.tree.finalize(handle)
@@ -729,44 +638,33 @@ class StandingQueryRuntime:
                 tree=handle.tree.tree_id,
             ) as span:
                 handle._result = handle.tree.finalize(handle, span)
-        handle._generation = handle.tree.generation
+        handle._version = handle.tree.version
         _metrics.counter("standing.subscriber_refreshes").inc()
         _metrics.histogram("standing.finalize_seconds").observe(
             time.perf_counter() - started
         )
 
     def _stage(
-        self, parent: Optional[Span], stage: str, tree: _StateTree, node: str = ""
+        self, parent: Optional[Span], stage: str, tree: _StateTree
     ) -> ContextManager[Optional[Span]]:
-        """A ``stage[tree=N]`` child span of ``parent`` (when tracing).
-
-        Stages of a refresh span: ``fold`` (delta into the leaf state) and
-        ``recombine`` (the leaf's root path).  Stages of a read's finalize
-        span: ``merge`` (the tree's shared merge + finalize, when this read
-        builds it) and ``tail`` (the handle's HAVING/items/ORDER BY).
+        """A ``stage[tree=N]`` child span of a read's finalize span
+        ``parent`` (when tracing): ``merge`` (the tree's leaf states and
+        shared merge, when this read builds them) or ``tail`` (the
+        handle's HAVING/items/ORDER BY).
         """
         if parent is None or self.trace is None:
             return nullcontext()
         return self.trace.span(
             f"{stage}[tree={tree.tree_id}]",
             kind="standing_stage",
-            node=node or self.topology.cloud.name,
+            node=self.topology.cloud.name,
             parent=parent,
             stage=stage,
             tree=tree.tree_id,
         )
 
-    def _trees_for(self, table: str) -> List[_StateTree]:
-        wanted = table.lower()
-        return [
-            tree
-            for trees in self._trees.values()
-            for tree in trees
-            if tree.table.lower() == wanted
-        ]
-
     def state_bytes(self) -> int:
-        """Total packed size of every state of every tree (wire-codec bytes)."""
+        """Payload bytes of every tree's kept leaf states."""
         with self._lock:
             return sum(tree.state_bytes() for tree in self._trees_for_all())
 

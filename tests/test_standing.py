@@ -30,6 +30,8 @@ from repro.runtime import (
     StandingQueryError,
     StandingQueryRuntime,
 )
+from repro.runtime.dag import kept_key
+from repro.runtime.standing import LEAF_NAME
 from repro.sensors.scenario import INTEGRATED_SCHEMA
 
 pytestmark = pytest.mark.standing
@@ -48,6 +50,24 @@ def build_tree_processor(
     processor = ParadiseProcessor(figure4_policy(), topology=topology, **kwargs)
     processor.load_data(make_sensor_relation(rows))
     return processor
+
+
+def kept_entry(runtime, tree, holder):
+    """The leaf state ``holder``'s chunk keeps for ``tree``, or None."""
+    database = runtime.network.database(holder)
+    if tree.table not in database:
+        return None
+    key = kept_key(tree.core, LEAF_NAME, runtime.engine)
+    return database.table(tree.table).kept_states().get(key)
+
+
+def fresh_leaf_bytes(runtime, tree, holder):
+    """The packed partial state of ``tree``'s core over ``holder``'s chunk,
+    computed from scratch."""
+    database = runtime.network.database(holder)
+    state = database.partial_aggregate(tree.core, runtime.engine)
+    state.name = LEAF_NAME
+    return pack_state_relation(state)
 
 
 def assert_byte_identical(maintained, oracle, context=""):
@@ -235,22 +255,39 @@ def test_new_holder_appearing_after_registration():
     processor = build_tree_processor()
     runtime = StandingQueryRuntime(processor)
     handle = runtime.register(STANDING_SQL)
-    assert (0, "pc") not in handle.tree.states
+    assert "pc" not in processor.network.partition_holders("d")
     runtime.append("pc", feed_chunks(rows=30, chunk=30, seed=9)[0])
-    assert (0, "pc") in handle.tree.states
+    # The append computes nothing; the read takes pc's leaf state too.
+    assert kept_entry(runtime, handle.tree, "pc") is None
     assert_byte_identical(handle.result(), runtime.reexecute(handle))
+    entry = kept_entry(runtime, handle.tree, "pc")
+    assert entry is not None and entry.covered == 30
+    assert entry.state.payload == fresh_leaf_bytes(runtime, handle.tree, "pc")
     # And subsequent deltas on old and new holders keep holding it.
     runtime.append(processor.network.partition_holders("d")[0], feed_chunks(20, 20)[0])
     runtime.append("pc", feed_chunks(rows=10, chunk=10, seed=21)[0])
     assert_byte_identical(handle.result(), runtime.reexecute(handle))
 
 
+def test_reloaded_data_refreshes_every_handle():
+    """Loading new data replaces every chunk: a handle read after it
+    answers over the new chunks, not from its cached result."""
+    processor = build_tree_processor()
+    runtime = StandingQueryRuntime(processor)
+    handle = runtime.register(STANDING_SQL)
+    before = pack_state_relation(handle.result())
+    processor.load_data(make_sensor_relation(300, seed=19))
+    assert pack_state_relation(handle.result()) != before
+    assert_byte_identical(handle.result(), runtime.reexecute(handle))
+
+
 @pytest.mark.parametrize("n_sensors", [3, 8])
 def test_placement_changes_at_every_depth_stay_byte_identical(n_sensors):
-    """New holders at an appliance and at the PC rebuild the placement
-    several times; a holder that is also a lift parent (the appliance) must
-    keep its own leaf state apart from the state it combines for its
-    sensors.  Every append is checked against re-execution."""
+    """New holders at an appliance and at the PC join the partition
+    several times; a holder that is also a sensor's parent (the appliance)
+    adds its own leaf state in partition order.  Every append is checked
+    against re-execution, and every holder's kept leaf state against a
+    fresh partial over its chunk."""
     processor = build_tree_processor(n_sensors=n_sensors)
     runtime = StandingQueryRuntime(processor)
     handles = [
@@ -279,12 +316,13 @@ def test_placement_changes_at_every_depth_stay_byte_identical(n_sensors):
                 runtime.reexecute(handle),
                 f"append {index} at {node}: {handle.sql}",
             )
-    tree = handles[0].tree
-    assert {(0, "appliance_0"), (0, "pc")} <= set(tree.states)
-    assert tree.state_bytes() == sum(
-        len(pack_state_relation(state))
-        for state in tree.states.values()
-    )
+    holders = processor.network.partition_holders("d")
+    assert {"appliance_0", "pc"} <= set(holders)
+    for tree in {handle.tree for handle in handles}:
+        fresh = [fresh_leaf_bytes(runtime, tree, holder) for holder in holders]
+        kept = [kept_entry(runtime, tree, holder).state.payload for holder in holders]
+        assert kept == fresh
+        assert tree.state_bytes() == sum(len(payload) for payload in fresh)
 
 
 # ---------------------------------------------------------------------------
@@ -593,50 +631,62 @@ def test_one_append_merges_root_states_once_per_tree(monkeypatch):
 
 def test_state_bytes_metric_is_packed_size_of_current_states():
     runtime = StandingQueryRuntime(build_tree_processor())
-    runtime.register(STANDING_SQL)
-    runtime.register(SHARED_FINALIZE_SQL[0])
+    handles = [runtime.register(STANDING_SQL), runtime.register(SHARED_FINALIZE_SQL[0])]
     holders = runtime.network.partition_holders("d")
     for index, delta in enumerate(feed_chunks(rows=40, chunk=10, seed=6)):
         runtime.append(holders[index], delta)
+        for handle in handles:
+            handle.result()
         packed = sum(
-            len(pack_state_relation(state))
+            len(fresh_leaf_bytes(runtime, tree, holder))
             for tree in runtime._trees_for_all()
-            for state in tree.states.values()
+            for holder in holders
         )
         assert registry.snapshot(prefix="standing.")["standing.state_bytes"] == packed
 
 
 def test_state_bytes_are_packed_only_when_read(monkeypatch):
-    """Refreshes pack no state; a read packs each changed state once and
-    reports the packed size of the stored states."""
-    from repro.runtime import standing as standing_module
+    """Appends pack nothing; a read packs each leaf state it folds once;
+    reading ``standing.state_bytes`` packs nothing: it sums the payloads
+    the chunks keep."""
+    from repro.runtime import dag
 
     packed = []
+    original = dag.pack_relation
 
-    def counting_pack(state):
-        packed.append(state)
-        return pack_state_relation(state)
+    def counting_pack(relation):
+        packed.append(relation)
+        return original(relation)
 
-    monkeypatch.setattr(standing_module, "pack_state_relation", counting_pack)
+    monkeypatch.setattr(dag, "pack_relation", counting_pack)
     runtime = StandingQueryRuntime(build_tree_processor())
-    runtime.register(STANDING_SQL)
-    runtime.register(SHARED_FINALIZE_SQL[0])
+    handles = [runtime.register(STANDING_SQL), runtime.register(SHARED_FINALIZE_SQL[0])]
     holders = runtime.network.partition_holders("d")
+    # Registration computed and packed every holder's leaf state per tree.
+    assert len(packed) == 2 * len(holders)
+
+    def kept_payloads():
+        return sum(
+            len(kept_entry(runtime, tree, holder).state.payload)
+            for tree in runtime._trees_for_all()
+            for holder in holders
+        )
+
+    packed.clear()
     for index, delta in enumerate(feed_chunks(rows=40, chunk=10, seed=7)):
         runtime.append(holders[index], delta)
     assert packed == []
-    states = [state for tree in runtime._trees_for_all() for state in tree.states.values()]
-    expected = sum(len(pack_state_relation(state)) for state in states)
+    # The four grown chunks still keep the states of their old rows.
+    expected = kept_payloads()
     assert registry.snapshot(prefix="standing.")["standing.state_bytes"] == expected
-    assert len(packed) == len(states)
     assert registry.value("standing.state_bytes") == expected
-    assert len(packed) == len(states)  # sizes are kept until a state changes
-    runtime.append(holders[0], feed_chunks(rows=5, chunk=5, seed=8)[0])
-    assert len(packed) == len(states)
-    refreshed = [state for tree in runtime._trees_for_all() for state in tree.states.values()]
-    assert runtime.state_bytes() == sum(len(pack_state_relation(s)) for s in refreshed)
-    changed = sum(1 for state in refreshed if all(state is not old for old in states))
-    assert changed and len(packed) == len(states) + changed
+    assert packed == []
+    for handle in handles:
+        handle.result()
+    assert len(packed) == 2 * 4  # the four folds of each tree
+    refreshed = kept_payloads()
+    assert runtime.state_bytes() == refreshed != expected
+    assert len(packed) == 2 * 4
 
 
 def test_session_front_end_shares_across_registrations():
@@ -665,6 +715,102 @@ def test_apply_rewriting_routes_through_privacy_gate():
         runtime.network.partition_holders("d")[0], feed_chunks(20, 20, seed=4)[0]
     )
     assert_byte_identical(handle.result(), runtime.reexecute(handle))
+
+
+# ---------------------------------------------------------------------------
+# failures: unfoldable deltas and node death
+# ---------------------------------------------------------------------------
+
+
+def test_an_unfoldable_delta_fails_only_the_reads_that_need_it():
+    """A delta one tree cannot fold lands; that tree's handles raise on read
+    what re-execution raises, and every other tree stays current."""
+    processor = build_tree_processor(rows=1200)
+    runtime = StandingQueryRuntime(processor)
+    average = runtime.register(
+        "SELECT activity, COUNT(*) AS n, AVG(z) AS az FROM d GROUP BY activity"
+    )
+    count = runtime.register("SELECT person_id, COUNT(*) AS n FROM d GROUP BY person_id")
+    holders = processor.network.partition_holders("d")
+    row = dict(make_sensor_relation(1, seed=4).rows[0], z="oops")
+    assert runtime.append(holders[1], [row]) == 1
+    with pytest.raises(ValueError) as oracle:
+        runtime.reexecute(average)
+    for _ in range(2):
+        with pytest.raises(ValueError) as read:
+            average.result()
+        assert str(read.value) == str(oracle.value)
+    assert_byte_identical(count.result(), runtime.reexecute(count))
+    runtime.append(holders[2], feed_chunks(rows=10, chunk=10, seed=5)[0])
+    assert_byte_identical(count.result(), runtime.reexecute(count))
+
+
+#: Eight standing queries over five trees, for the node-death grid.
+DEATH_SQL = [
+    STANDING_SQL,
+    *SHARED_FINALIZE_SQL,
+    "SELECT person_id, COUNT(*) AS n, MIN(z) AS lo, MAX(z) AS hi FROM d GROUP BY person_id",
+    "SELECT activity, STDDEV(z) AS s FROM d WHERE z < 1.5 GROUP BY activity",
+    BARE_COLUMN_SQL[0],
+]
+
+
+@pytest.mark.parametrize("lose_data", [False, True], ids=["crash", "lost"])
+@pytest.mark.parametrize(
+    "n_sensors, victim",
+    [(8, "sensor_0"), (8, "sensor_3"), (8, "sensor_7"), (0, "sensor")],
+    ids=["first", "middle", "last", "chain_sole"],
+)
+def test_standing_handles_follow_node_death(n_sensors, victim, lose_data):
+    """Every handle equals re-execution by bytes before and after a holder
+    dies, under both ``fail_node`` semantics, and after the heir (the
+    neighbour that takes the chunk, or the ancestor of a sole holder)
+    grows.  The read right before the kill caches every result, so a
+    cache the death does not invalidate would show."""
+    from repro.engine.errors import ExecutionError
+
+    if n_sensors:
+        processor = build_tree_processor(n_sensors=n_sensors)
+    else:
+        processor = ParadiseProcessor(
+            figure4_policy(), topology=Topology.default_chain(), schema=INTEGRATED_SCHEMA
+        )
+        processor.load_data(make_sensor_relation(240))
+    runtime = StandingQueryRuntime(processor)
+    handles = [runtime.register(sql) for sql in DEATH_SQL]
+    assert len(handles) == 8 and runtime.tree_count == 5
+    network = processor.network
+    holders = network.partition_holders("d")
+    index = holders.index(victim)
+    if len(holders) == 1:
+        heir = processor.topology.parent_of(victim).name
+    else:
+        heir = holders[index - 1] if index else holders[1]
+    chunks = iter(feed_chunks(rows=60, chunk=20, seed=12))
+
+    def outcome(read):
+        # With every chunk lost, a query reading a bare column raises
+        # ``Unknown column`` on both sides.
+        try:
+            return pack_state_relation(read())
+        except ExecutionError as error:
+            return f"raises {error}"
+
+    def check(step):
+        for handle in handles:
+            assert outcome(handle.result) == outcome(
+                lambda: runtime.reexecute(handle)
+            ), f"{step}: {handle.sql}"
+
+    runtime.append(victim, next(chunks))
+    if heir in holders:
+        runtime.append(heir, next(chunks))
+    check("before the kill")
+    processor.topology.mark_dead(victim)
+    network.fail_node(victim, lose_data=lose_data)
+    check("after the kill")
+    runtime.append(heir, next(chunks))
+    check("after the heir grew")
 
 
 # ---------------------------------------------------------------------------
@@ -744,25 +890,30 @@ def test_refresh_spans_link_epochs():
     assert "previous_epoch_span" not in first.attrs
     assert second.attrs["previous_epoch_span"] == first.span_id
     assert all(span.finished for span in spans)
-    # Per tree, each refresh has a child span for the delta fold and the
-    # root path recombine; each read that computes has a finalize span
-    # with the shared merge (its tree's first read of the epoch) and the
-    # handle's tail.  A read of a cached result emits nothing.
+    # A refresh only appends: it has no child span.  Each read that
+    # computes has a finalize span with the tree's merge (its first read
+    # of the epoch: the leaf states, counted by outcome, and the shared
+    # merge) and the handle's tail.  A read of a cached result emits
+    # nothing.
     tree_id = handle.tree.tree_id
     reads = trace.by_kind("standing_read")
     assert [span.name for span in reads] == ["finalize[query=q0]"] * 2
     assert [span.attrs["epoch"] for span in reads] == [1, 2]
-    for parent, stages in [(span, ("fold", "recombine")) for span in spans] + [
+    for parent, stages in [(span, ()) for span in spans] + [
         (span, ("merge", "tail")) for span in reads
     ]:
         children = [span for span in trace.spans if span.parent_id == parent.span_id]
         assert [span.name for span in children] == [
             f"{stage}[tree={tree_id}]" for stage in stages
         ]
-        assert {span.kind for span in children} == {"standing_stage"}
+        assert all(span.kind == "standing_stage" for span in children)
         assert all(span.finished and span.status == "ok" for span in children)
         assert all(parent.start <= span.start <= span.end <= parent.end for span in children)
-    assert [span.node for span in trace.spans if span.name.startswith("fold")] == [leaf] * 2
+    merges = [span for span in trace.spans if span.name.startswith("merge")]
+    holders = len(runtime.network.partition_holders("d"))
+    assert [
+        (span.attrs["hits"], span.attrs["folds"], span.attrs["misses"]) for span in merges
+    ] == [(holders - 1, 1, 0)] * 2
     assert spans[0].end <= reads[0].start <= reads[0].end <= spans[1].start
 
 

@@ -326,8 +326,9 @@ def test_a_hit_consumed_on_its_own_node_decodes_there(monkeypatch):
 def test_a_kill_after_a_hit_replans_from_its_checkpoint():
     """A node killed at a hit task's finish boundary discards its output;
     the re-plan restores a state from the checkpoint of its kept bytes,
-    merges the dead chunk into its neighbour and returns the reference
-    bytes; later reads hit on every live leaf."""
+    merges the dead chunk into its neighbour, computes only that heir and
+    returns the reference bytes.  The next read plans anew for the
+    pruned topology and computes each live leaf once; later reads hit."""
     processor = _processor()
     expected = _expected(processor)
     _run(processor)
@@ -339,11 +340,14 @@ def test_a_kill_after_a_hit_replans_from_its_checkpoint():
     assert injector.fired and run.runtime.replans == 1
     assert pack_relation(run.result) == expected
     # The first attempt hit on sensors 0-2 in build order and checkpointed
-    # the bytes of sensors 0 and 1; the re-plan restores sensor_0's state
-    # and, having derived its own queries, computes the other six leaves.
+    # the bytes of sensors 0 and 1.  The re-plan shares the plan's derived
+    # queries: it restores sensor_0's state, hits on sensors 3-7 and
+    # computes only sensor_1, whose chunk took sensor_2's rows.
     assert run.runtime.restored_tasks == 1
-    assert (_counts()[0] - hits, _counts()[1] - misses) == (3, 6)
-    assert _run(processor)[0] == expected
+    assert (_counts()[0] - hits, _counts()[1] - misses) == (3 + 5, 1)
+    # The plan cache keys on the dead nodes: the next submission fragments
+    # the query again, and its fresh derived queries miss once per leaf.
+    assert _run(processor) == (expected, (0, 7))
     assert _run(processor) == (expected, (7, 0))
 
 
