@@ -86,13 +86,15 @@ def build_processor(rows: int, policy=None, seed: int = 0, **kwargs) -> Paradise
 
 
 def forget_kept_states(processor: ParadiseProcessor) -> None:
-    """Drop the leaf states every base chunk keeps, so the next run's leaf
-    partials scan their chunks again.
+    """Drop the leaf states every base chunk keeps and the combined states
+    every node keeps, so the next run's leaf partials scan their chunks
+    and its combines merge again.
 
     A benchmark that times compute calls it outside the timed window of
     each repeat: plans and statistics stay warm, so the repeat does the
     work a cached text's first run does, not a decode of the state a
-    previous repeat kept.
+    previous repeat kept.  Combined states go too: they are keyed on
+    their input bytes, which a leaf that computes again reproduces.
     """
     network = processor.network
     for table in network.base_table_names():
@@ -100,12 +102,16 @@ def forget_kept_states(processor: ParadiseProcessor) -> None:
             database = network.database(holder)
             if table in database:
                 database.table(table).kept_states().clear()
+    for node in network.topology:
+        network.kept_combines(node.name).clear()
 
 
 def state_memo_hits() -> int:
-    """Leaf partials so far, process-wide, that output a chunk's kept state
-    instead of computing it; a timed repeat checks it did not move."""
-    return registry.value("runtime.state_memo.hits")
+    """Leaf partials and combines so far, process-wide, that output a kept
+    state instead of computing it; a timed repeat checks it did not move."""
+    return registry.value("runtime.state_memo.hits") + registry.value(
+        "runtime.state_memo.combine_hits"
+    )
 
 
 def percentile(samples: List[float], q: float) -> float:

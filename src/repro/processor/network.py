@@ -170,6 +170,7 @@ class NetworkSimulator:
         self._fold_catalogs: Dict[str, Tuple[Database, threading.Lock]] = {
             node.name: (Database(name=node.name), threading.Lock()) for node in topology
         }
+        self._kept_combines: Dict[str, Dict] = {node.name: {} for node in topology}
 
     # ------------------------------------------------------------------
     # data placement
@@ -190,6 +191,16 @@ class NetworkSimulator:
         compiled partial plans stay warm from one fold to the next.
         """
         return self._fold_catalogs[node_name]
+
+    def kept_combines(self, node_name: str) -> Dict:
+        """The combined states ``node_name`` keeps
+        (``runtime.dag.combine_state``), keyed like a chunk's kept states.
+
+        Each entry holds the input bytes it merged, so it is found only
+        while those bytes come again: no write has to reach it.
+        :meth:`fail_node` empties the dead node's.
+        """
+        return self._kept_combines[node_name]
 
     def _sensor_leaves(self) -> List[Node]:
         """Leaf nodes of the topology's least powerful level, in order."""
@@ -257,11 +268,7 @@ class NetworkSimulator:
             chunk = Relation.from_columns(
                 delta.schema, [[] for _ in delta.schema.columns]
             )
-        combined = self._concat_chunks(chunk, delta, table_name)
-        self._register_stream(database, table_name, combined)
-        appended = database.table(table_name)
-        appended.inherit_stats(chunk)
-        appended.inherit_states(chunk)
+        combined = self._grow_chunk(database, table_name, chunk, delta)
         holders = self._partitions.setdefault(table_name.lower(), [])
         if node_name not in holders:
             holders.append(node_name)
@@ -339,6 +346,20 @@ class NetworkSimulator:
             key = table_name.lower()
             self._versions[key] = self._versions.get(key, 0) + 1
 
+    def _grow_chunk(
+        self, database: Database, table_name: str, chunk: Relation, delta: Relation
+    ) -> Relation:
+        """Register ``chunk`` followed by ``delta`` as ``table_name`` of
+        ``database``; the grown chunk keeps ``chunk``'s statistics
+        (extended by the delta) and its kept states (each covers the old
+        rows, so the next read folds in only the delta)."""
+        grown = self._concat_chunks(chunk, delta, table_name)
+        self._register_stream(database, table_name, grown)
+        grown = database.table(table_name)
+        grown.inherit_stats(chunk)
+        grown.inherit_states(chunk)
+        return grown
+
     @staticmethod
     def _concat_chunks(first: Relation, second: Relation, name: str) -> Relation:
         """Concatenate two same-schema chunks preserving row order.
@@ -373,8 +394,11 @@ class NetworkSimulator:
         order) for the completeness report.
 
         Either way the dead node's database drops its copies so nothing can
-        silently read stale data, and placement epochs bump for every
-        affected (node, table) pair.
+        silently read stale data, its kept combined states go, and
+        placement epochs bump for every affected (node, table) pair.  A
+        chunk merged after its predecessor's grows it like an append
+        (the heir keeps its statistics and kept states); the other
+        re-placements install a chunk that keeps none.
         """
         from repro.runtime.faults import LostPartition
 
@@ -401,13 +425,13 @@ class NetworkSimulator:
                     )
                 )
             elif index > 0:
-                # Append the dead chunk after its predecessor's chunk.
+                # Append the dead chunk after its predecessor's chunk, as
+                # an append would: the heir's next read folds its rows.
                 heir = holders[index - 1]
                 heir_database = self.database(heir)
-                merged = self._concat_chunks(
-                    heir_database.table(table_name), chunk, name=table_name
+                self._grow_chunk(
+                    heir_database, table_name, heir_database.table(table_name), chunk
                 )
-                self._register_stream(heir_database, table_name, merged)
                 self._bump_epoch(heir, table_name)
             elif len(holders) > 1:
                 # First holder: prepend the dead chunk to its successor's.
@@ -430,6 +454,7 @@ class NetworkSimulator:
             holders.remove(node_name)
             self._bump_epoch(node_name, table_name)
             self._drop_node_table(dead_database, table_name)
+        self._kept_combines[node_name].clear()
         return lost
 
     @staticmethod
@@ -468,8 +493,7 @@ class NetworkSimulator:
         log: Optional[TransferLog] = None,
         register: bool = True,
         injector: Optional[object] = None,
-        payload: Optional[bytes] = None,
-    ) -> Relation:
+    ) -> Union[Relation, PackedRelation]:
         """Ship ``relation`` from ``source`` to ``target`` and register it there.
 
         The relation genuinely crosses the link: it is serialized through
@@ -480,6 +504,12 @@ class NetworkSimulator:
         copy.  A relation with a cell outside the wire vocabulary raises
         :class:`~repro.engine.wire.WireFormatError`: nothing is logged or
         registered, and sender and receiver never share mutable state.
+
+        A :class:`~repro.engine.wire.PackedRelation` (an aggregate state,
+        which its task encodes once) is its own payload and arrives as
+        those bytes: its reader decodes them when it needs the rows, so a
+        combine that finds its inputs unchanged decodes nothing.  Only a
+        registered one is decoded here, to register its rows.
 
         ``log`` selects the transfer log to record into; ``None`` uses the
         simulator's shared log.  Processing runs pass their own per-run log
@@ -492,18 +522,11 @@ class NetworkSimulator:
         :class:`repro.runtime.faults.FailureInjector`) may delay the
         shipment or fail it with :class:`repro.runtime.faults.LinkDown`;
         nothing is logged or registered for a dropped shipment.
-        ``payload`` is ``pack_relation(relation)`` when the sender already
-        encoded the relation (an aggregate-state task packs its output once
-        for its checkpoint and its shipments); it is sent as is.  A
-        :class:`~repro.engine.wire.PackedRelation` (a kept leaf state) is
-        its own payload: only the receiver decodes it.
         """
-        if isinstance(relation, PackedRelation):
-            payload = relation.payload
-            if source == target:
-                relation = relation.unpack()
         if source == target:
             if register:
+                if isinstance(relation, PackedRelation):
+                    relation = relation.unpack()
                 self.database(target).register(relation_name, relation)
             return relation
         source_node = self.topology.node(source)
@@ -511,10 +534,13 @@ class NetworkSimulator:
         extra_delay = 0.0
         if injector is not None:
             extra_delay = injector.on_ship(source, target)  # may raise LinkDown
-        if payload is None:
+        if isinstance(relation, PackedRelation):
+            payload = relation.payload
+            received = relation.unpack() if register else relation
+        else:
             payload = pack_relation(relation)  # WireFormatError: nothing ships
+            received = unpack_relation(payload)
         nbytes = len(payload)
-        received = unpack_relation(payload)
         if self.cost_model is not None:
             extra_delay += self.cost_model.transfer_delay(nbytes)
         if extra_delay > 0:

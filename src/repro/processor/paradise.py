@@ -24,8 +24,9 @@ A :class:`ParadiseProcessor` run performs the full pipeline of Figures 2/3:
 
 from __future__ import annotations
 
+import dataclasses
 import time
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.anonymize.anonymizer import Anonymizer
 from repro.engine.config import EngineConfig
@@ -280,7 +281,7 @@ class ParadiseProcessor:
         plan = result.plan = cached.plan
 
         # 4. distributed execution + 5. anonymization + 6. remainder
-        result.result = self._run_dag(
+        result.result, finished = self._run_dag(
             plan,
             result,
             anonymize=anonymize,
@@ -291,6 +292,14 @@ class ParadiseProcessor:
             task_timeout=task_timeout,
             trace=trace,
         )
+        if finished is not plan and key is not None:
+            # A node died: the next submission's key names it, and the
+            # plan re-mapped around it shares this plan's derived queries,
+            # so its leaves and combines still find what they kept.
+            self.plans.put(
+                self._plan_key(query, module_id, apply_rewriting, pushdown),
+                dataclasses.replace(cached, plan=finished),
+            )
         result.elapsed_seconds = time.perf_counter() - started
         if trace is not None:
             result.trace = trace
@@ -366,7 +375,8 @@ class ParadiseProcessor:
 
         The module's policy enters as its full ``repr``, so any change to
         a rule, condition or setting is a new key; the dead nodes enter
-        because a death changes where fragments can run.
+        because a death changes where fragments can run.  A run during
+        which a node died stores its re-mapped plan under the new key.
         """
         if not isinstance(query, str):
             return None
@@ -490,8 +500,10 @@ class ParadiseProcessor:
         on_data_loss: str = "fail",
         task_timeout: Optional[float] = None,
         trace: Optional[QueryTrace] = None,
-    ) -> Relation:
-        """Run ``plan`` as an execution DAG, recovering from node deaths.
+    ) -> Tuple[Relation, FragmentPlan]:
+        """Run ``plan`` as an execution DAG, recovering from node deaths;
+        returns the result and the plan the run finished with (``plan``
+        re-mapped around the nodes that died, if any did).
 
         ``strategy="serial"`` runs the scheduler with one worker, so tasks
         execute one at a time in build order on the calling thread;
@@ -615,7 +627,7 @@ class ParadiseProcessor:
             workers=report.workers,
             pruned_partitions=dag.pruned_partitions,
         )
-        return final
+        return final, current_plan
 
     # ------------------------------------------------------------------
     # helpers

@@ -10,7 +10,10 @@ on every submission; only parsing, rewriting and fragmentation are skipped.
 A cached plan is shared by every run of its text and is never written to.
 The queries the DAG builder derives from it live in the plan's own memo
 (:attr:`FragmentPlan.derived`), so every run hands the engine the same AST
-objects and the engine's plan memos, keyed by node identity, hit.
+objects and the engine's plan memos, keyed by node identity, hit.  A run
+during which a node dies caches the plan it re-mapped around the death
+under the key naming the dead node; that plan shares the memo, so the
+states the nodes kept for those queries keep serving later runs.
 """
 
 from __future__ import annotations

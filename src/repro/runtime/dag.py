@@ -66,6 +66,18 @@ appended rows and folds their state after the kept one
 computes again.  :func:`leaf_state` is that rule, for these tasks and for
 the standing runtime's trees (:mod:`repro.runtime.standing`).
 
+**Kept combines.**  A combine is a pure function of its query, its config
+and the bytes of its inputs in partition order, and the codec is
+bit-exact.  So, under the same gate, its node keeps the bytes it merged
+with the state it packed
+(:meth:`~repro.processor.network.NetworkSimulator.kept_combines`), and a
+combine whose inputs arrive as those very bytes outputs the kept state
+undecoded (:func:`combine_state`).  Its inputs still ship, so transfers,
+link faults and checkpoints are those of a computing run; only nothing is
+decoded or merged.  A write, a fold or a node death changes some input's
+bytes, so no version has to reach the entry.  Shipped states stay bytes
+until a task that computes over them decodes them (:func:`_rows`).
+
 Chunks are contiguous slices of the original relation in leaf order, and
 every stage concatenates its parts in exactly that order, so the DAG's
 result is row-for-row identical to running the query once over the
@@ -159,6 +171,13 @@ _memo_counters = {
     "hit": _metrics.counter("runtime.state_memo.hits"),
     "fold": _metrics.counter("runtime.state_memo.folds"),
     "miss": _metrics.counter("runtime.state_memo.misses"),
+}
+
+#: Combines (:func:`combine_state`) that output kept bytes, and that
+#: merged their inputs; a combine's span shows which as ``memo``.
+_combine_counters = {
+    "hit": _metrics.counter("runtime.state_memo.combine_hits"),
+    "miss": _metrics.counter("runtime.state_memo.combine_misses"),
 }
 
 #: At most this many leading rows of a chunk are observed per DAG build.
@@ -544,8 +563,25 @@ class KeptState(NamedTuple):
     state: PackedRelation
 
 
-#: What a task outputs: a relation, or a leaf state kept as its bytes.
+class KeptCombine(NamedTuple):
+    """A combined state a node keeps
+    (:meth:`~repro.processor.network.NetworkSimulator.kept_combines`)."""
+
+    #: The query; held so that the id it is keyed on stays unique.
+    query: ast.Query
+    #: The payloads of the inputs it merged, in partition order.
+    inputs: Tuple[bytes, ...]
+    state: PackedRelation
+
+
+#: What a task outputs: a relation, or an aggregate state kept as its bytes.
 Output = Union[Relation, PackedRelation]
+
+
+def _rows(output: Output) -> Relation:
+    """The relation ``output`` holds, decoding it when it is bytes."""
+    return output.unpack() if isinstance(output, PackedRelation) else output
+
 
 def kept_key(query: ast.Query, name: str, config: EngineConfig) -> Tuple:
     """The key of ``query``'s state named ``name`` under ``config`` in a
@@ -637,6 +673,46 @@ def leaf_state(
         memo[key] = KeptState(query, rows, packed)
     _memo_counters[outcome].inc()
     return output, packed, elapsed, outcome
+
+
+def combine_state(
+    network: NetworkSimulator,
+    node: str,
+    query: ast.Query,
+    name: str,
+    config: EngineConfig,
+    inputs: Sequence[Optional[bytes]],
+    combine: Callable[[], Tuple[Relation, float]],
+) -> Tuple[Output, Optional[PackedRelation], float, str]:
+    """The combined state named ``name`` of ``query`` on ``node``, whose
+    inputs are the payloads ``inputs`` in partition order (None for an
+    input with no packed bytes), through the states the node keeps
+    (:meth:`NetworkSimulator.kept_combines`, keyed by :func:`kept_key`).
+
+    An entry whose inputs equal ``inputs`` byte for byte is a *hit*: its
+    kept bytes are the output.  Otherwise ``combine()`` merges the inputs
+    and returns its output and engine seconds (a *miss*); the output is
+    packed once and kept with the input bytes (referenced, not copied),
+    at most :data:`MAX_KEPT_STATES` entries per node.  Returns the output,
+    its packed bytes, the engine seconds and the outcome, which
+    ``runtime.state_memo.combine_*`` counts.
+    """
+    memo = network.kept_combines(node)
+    key = kept_key(query, name, config)
+    inputs = tuple(inputs)
+    kept = memo.get(key)
+    if kept is not None and kept.inputs == inputs:
+        _combine_counters["hit"].inc()
+        return kept.state, kept.state, 0.0, "hit"
+    output, elapsed = combine()
+    output.name = name
+    packed = pack_state(output)
+    if packed is not None and None not in inputs:
+        if len(memo) >= MAX_KEPT_STATES and key not in memo:
+            memo.clear()
+        memo[key] = KeptCombine(query, inputs, packed)
+    _combine_counters["miss"].inc()
+    return output, packed, elapsed, "miss"
 
 
 class ExecutionContext:
@@ -778,8 +854,7 @@ class ExecutionContext:
         """
         if self.trace is None:
             return
-        if isinstance(output, PackedRelation):
-            output = output.unpack()
+        output = _rows(output)
         self.annotate(
             input_rows=input_rows,
             output_rows=len(output),
@@ -853,15 +928,16 @@ class Task:
         source_node: str,
         register: bool = True,
         payload: Optional[bytes] = None,
-    ) -> Relation:
+    ) -> Output:
         """Move an input relation to this task's node (ship + register).
 
         Returns the relation *as received on this node* — for an actual
         inter-node hop that is the wire-deserialized copy, so downstream
         work consumes exactly what crossed the link.  ``payload`` is the
-        producer's packed output when it encoded one (aggregate states).
-        A kept state is decoded once: by the shipment, or here when its
-        consumer runs on its own node.
+        producer's packed output when it encoded one (aggregate states):
+        the shipment sends those bytes.  An aggregate state that is not
+        registered arrives as its bytes (a :class:`PackedRelation`), which
+        its reader decodes (:func:`_rows`) only when it computes.
         """
         node = context.network.topology.node(self.node)
         if not node.can_hold_rows(len(relation)):
@@ -870,11 +946,12 @@ class Task:
                 f"{node.free_memory_mb:g} MB of free memory"
             )
         if source_node == self.node:
-            if isinstance(relation, PackedRelation):
-                relation = relation.unpack()
             if register:
+                relation = _rows(relation)
                 context.network.database(self.node).register(name, relation)
             return relation
+        if payload is not None and not isinstance(relation, PackedRelation):
+            relation = PackedRelation(payload, len(relation), len(relation.schema))
         return context.network.ship(
             relation,
             name,
@@ -883,7 +960,6 @@ class Task:
             log=context.log,
             register=register,
             injector=context.injector,
-            payload=payload,
         )
 
     def _engine(
@@ -969,10 +1045,12 @@ class StageTask(Task):
     per group (``combine``) or into the fragment's finalized output
     (``finalize``: HAVING, select items and ORDER BY over the merged
     aggregates, byte-identical to running the fragment over the globally
-    merged raw input, which never had to exist).  Every output but a
-    partial's state is registered under ``out_name``.  A leaf partial over
-    its resident chunk may output the chunk's kept state as its bytes
-    (:class:`KeptState`).
+    merged raw input, which never had to exist).  Every output but an
+    aggregate state (a partial's or a combine's) is registered under
+    ``out_name``.  A leaf partial over its resident chunk may output the
+    chunk's kept state as its bytes (:class:`KeptState`), and a combine
+    whose inputs did not change the state its node kept
+    (:class:`KeptCombine`).
 
     A ``query`` or ``partial`` task may run several in-place fragments as
     one query (:func:`merge_views`); ``composes`` names them.
@@ -1100,19 +1178,39 @@ class StageTask(Task):
             input_rows = sum(len(relation) for relation in received)
             if self.op == "union":
                 output, elapsed = context.engine_call(
-                    union_partials, received, union_name
+                    union_partials, [_rows(part) for part in received], union_name
                 )
             else:
-                merged = union_partials(received, union_name)
                 context.charge_compute(input_rows, self.node)
-                output, elapsed = self._engine(
-                    context, database, self.op, self.query, state=merged
-                )
+
+                def merge() -> Tuple[Relation, float]:
+                    merged = union_partials(
+                        [_rows(part) for part in received], union_name
+                    )
+                    return self._engine(
+                        context, database, self.op, self.query, state=merged
+                    )
+
+                if self.op == "combine" and context.config.zone_maps:
+                    # Every input's bytes are at hand: a kept leaf state
+                    # or a computed state's payload.
+                    output, packed, elapsed, outcome = combine_state(
+                        context.network,
+                        self.node,
+                        self.query,
+                        self.display_name,
+                        context.config,
+                        [context.payloads.get(task_id) for task_id, _ in self.parts],
+                        merge,
+                    )
+                    context.annotate(memo=outcome)
+                else:
+                    output, elapsed = merge()
         if not isinstance(output, PackedRelation):
             output.name = self.display_name
-        if self.op != "partial":
-            # No task reads a partial's state by name: its consumers take
-            # it from ``context.outputs`` or the wire.
+        if self.op not in ("partial", "combine"):
+            # No task reads an aggregate state by name: its consumers
+            # take it from ``context.outputs`` or the wire.
             database.register(self.out_name, output)
         if packed is None and self.op in ("partial", "combine"):
             packed = pack_state(output)

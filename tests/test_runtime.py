@@ -370,9 +370,9 @@ def test_parallel_matches_serial_no_pushdown_baseline():
 @pytest.mark.parametrize("execution", ["serial", "parallel"])
 def test_aggregate_states_are_packed_once(monkeypatch, execution):
     """On the 8-sensor GROUP BY, a partial/combine task packs its state
-    once: the same bytes are its checkpoint and its shipment, and the
-    partial's length is what the state-size feedback records.  Only the
-    other shipments pack on their own."""
+    once: the same bytes are its checkpoint and its shipment, which its
+    reader decodes, and the partial's length is what the state-size
+    feedback records.  Only the other shipments pack on their own."""
     from benchmarks.e2e.workloads import GROUPBY_SQL, occupancy_policy
     from repro.engine import wire
     from repro.processor import network as network_module
@@ -389,7 +389,7 @@ def test_aggregate_states_are_packed_once(monkeypatch, execution):
 
     packed, shipped, checkpoints, feedback = [], [], [], []
     real_pack = wire.pack_relation
-    real_unpack = network_module.unpack_relation
+    real_unpack = wire.unpack_relation
     real_save = ExecutionContext.save_checkpoint
 
     def pack(relation):
@@ -407,7 +407,8 @@ def test_aggregate_states_are_packed_once(monkeypatch, execution):
 
     for module in (wire, network_module, dag_module):
         monkeypatch.setattr(module, "pack_relation", pack)
-    monkeypatch.setattr(network_module, "unpack_relation", unpack)
+    for module in (wire, network_module):
+        monkeypatch.setattr(module, "unpack_relation", unpack)
     monkeypatch.setattr(ExecutionContext, "save_checkpoint", save_checkpoint)
     monkeypatch.setattr(
         dag_module.state_size_feedback,

@@ -71,6 +71,13 @@ def _folds() -> int:
     return registry.value("runtime.state_memo.folds")
 
 
+def _combine_counts():
+    return (
+        registry.value("runtime.state_memo.combine_hits"),
+        registry.value("runtime.state_memo.combine_misses"),
+    )
+
+
 def _run(processor, sql=SQL, **options):
     """One run; returns its result bytes and the (hits, misses) it added."""
     hits, misses = _counts()
@@ -124,8 +131,8 @@ def _load_data(processor):
 
 
 def _fail_node(processor):
-    # The chunk of sensor_1 merges into sensor_0's: one new chunk, one
-    # partition fewer.
+    # The chunk of sensor_1 is appended to sensor_0's: one grown chunk,
+    # one partition fewer.
     processor.network.fail_node(processor.network.partition_holders("d")[1])
     return 1
 
@@ -142,15 +149,16 @@ MUTATIONS = {
 
 @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
 def test_every_chunk_change_misses(mutation):
-    """Only the changed chunks compute again, and an appended chunk folds
-    its new rows into the state it inherited instead; every read equals
-    the reference over the chunks as they are now."""
+    """Only the changed chunks compute again, and a chunk grown by an
+    append or by a dead successor's rows folds them into the state it
+    inherited instead; every read equals the reference over the chunks as
+    they are now."""
     processor = _processor()
     expected = _expected(processor)
     assert _run(processor) == (expected, (0, 8))
     assert _run(processor) == (expected, (8, 0))
     changed = MUTATIONS[mutation](processor)
-    folded = changed if mutation == "append_to_partition" else 0
+    folded = changed if mutation in ("append_to_partition", "fail_node") else 0
     holders = len(processor.network.partition_holders("d"))
     expected = _expected(processor)
     folds = _folds()
@@ -222,8 +230,8 @@ def test_hits_are_byte_identical(topology, backend):
 
 def test_hits_survive_a_kill_between_runs():
     """A sensor killed during a run re-places its chunk onto a sibling: the
-    heir's merged chunk computes, and the next plan's repeats hit every
-    live leaf with the reference bytes."""
+    heir's grown chunk folds the dead rows, and the next plan's repeats
+    hit every live leaf with the reference bytes."""
     processor = _processor()
     expected = _expected(processor)
     assert _run(processor) == (expected, (0, 8))
@@ -235,6 +243,31 @@ def test_hits_survive_a_kill_between_runs():
     ]
     assert _run(processor)[0] == expected
     assert _run(processor) == (expected, (7, 0))
+
+
+def test_a_dead_successors_rows_fold_into_the_heir():
+    """A dead middle holder's chunk is appended to its predecessor's, which
+    keeps its statistics and kept states like any append: the heir's next
+    read folds the dead rows instead of rescanning, the other leaves hit,
+    and the result equals the reference."""
+    processor = _processor()
+    _run(processor)
+    network = processor.network
+    network.fail_node("sensor_3")
+    heir = network.database("sensor_2").table("d")
+    assert heir.cached_stats() is not None and len(heir.kept_states()) == 1
+    expected = _expected(processor)
+    run = processor.process(SQL, "ActionFilter", profile=True, **OPTIONS)
+    assert pack_relation(run.result) == expected
+    leaves = {
+        span.node: span.attrs["memo"]
+        for span in run.trace.spans
+        if span.kind == "task" and "~partial[" in span.name
+    }
+    assert leaves == {
+        **{node: "hit" for node in network.partition_holders("d")},
+        "sensor_2": "fold",
+    }
 
 
 @pytest.mark.parametrize(
@@ -278,15 +311,18 @@ def _count_unpacks(monkeypatch) -> list:
 
 
 def test_a_hit_ships_its_bytes_undecoded(monkeypatch):
-    """A hit's output is its kept bytes: the shipment sends them and only
-    the receiver decodes them; the sender decodes nothing."""
+    """A hit's output is its kept bytes: the shipment sends them, and the
+    combines receiving them find the inputs they kept and output their
+    own kept bytes, so only the finalize decodes (the PC's state); no
+    sender decodes."""
     processor = _processor()
     expected = _expected(processor)
     _run(processor)
     decoded = _count_unpacks(monkeypatch)
     run = processor.process(SQL, "ActionFilter", **OPTIONS)
     assert pack_relation(run.result) == expected
-    assert decoded == []
+    [pc] = processor.network.kept_combines("pc").values()
+    assert decoded == [pc.state.rows]
     leaves = [t for t in run.transfers.snapshot() if t.source.startswith("sensor_")]
     kept = {
         holder: next(iter(_chunk(processor, index).kept_states().values())).state
@@ -309,7 +345,6 @@ def test_a_hit_consumed_on_its_own_node_decodes_there(monkeypatch):
     assert processor.network.partition_holders("d") == ["appliance"]
     expected = _expected(processor)
     assert result == expected
-    # The re-plan derived its own queries; the next read plans afresh.
     assert _run(processor)[0] == expected
     decoded = _count_unpacks(monkeypatch)
     hits, misses = _counts()
@@ -326,9 +361,10 @@ def test_a_hit_consumed_on_its_own_node_decodes_there(monkeypatch):
 def test_a_kill_after_a_hit_replans_from_its_checkpoint():
     """A node killed at a hit task's finish boundary discards its output;
     the re-plan restores a state from the checkpoint of its kept bytes,
-    merges the dead chunk into its neighbour, computes only that heir and
-    returns the reference bytes.  The next read plans anew for the
-    pruned topology and computes each live leaf once; later reads hit."""
+    appends the dead chunk to its neighbour's, folds only that heir's new
+    rows and returns the reference bytes.  The plan cache keeps the
+    re-mapped plan for the pruned topology, so the next read hits every
+    live leaf."""
     processor = _processor()
     expected = _expected(processor)
     _run(processor)
@@ -336,38 +372,42 @@ def test_a_kill_after_a_hit_replans_from_its_checkpoint():
         [Fault(kind=KILL_NODE, node="sensor_2", at_task="partial", when="finish")]
     )
     hits, misses = _counts()
+    folds = _folds()
     run = processor.process(SQL, "ActionFilter", faults=injector, **OPTIONS)
     assert injector.fired and run.runtime.replans == 1
     assert pack_relation(run.result) == expected
     # The first attempt hit on sensors 0-2 in build order and checkpointed
     # the bytes of sensors 0 and 1.  The re-plan shares the plan's derived
-    # queries: it restores sensor_0's state, hits on sensors 3-7 and
-    # computes only sensor_1, whose chunk took sensor_2's rows.
+    # queries: it restores sensor_0's state, hits on sensors 3-7 and folds
+    # sensor_2's rows into the state sensor_1's grown chunk inherited.
     assert run.runtime.restored_tasks == 1
-    assert (_counts()[0] - hits, _counts()[1] - misses) == (3 + 5, 1)
-    # The plan cache keys on the dead nodes: the next submission fragments
-    # the query again, and its fresh derived queries miss once per leaf.
-    assert _run(processor) == (expected, (0, 7))
+    assert (_counts()[0] - hits, _counts()[1] - misses) == (3 + 5, 0)
+    assert _folds() - folds == 1
+    # The next submission's key names the dead node; under it the plan
+    # cache holds the re-mapped plan, whose derived queries the leaves
+    # kept their states for.
+    assert _run(processor) == (expected, (7, 0))
     assert _run(processor) == (expected, (7, 0))
 
 
 def test_hits_and_folds_under_processes():
-    """On the process backend a hit dispatches no job and ships its kept
-    bytes; a fold dispatches two (the appended rows' partial and the
-    combine).  Both give the reference bytes."""
+    """On the process backend a hit, of a leaf or a combine, dispatches no
+    job and ships its kept bytes; a fold dispatches two (the appended
+    rows' partial and the combine).  Both give the reference bytes."""
     processor = _processor(workers="processes", process_workers=1)
     expected = _expected(processor)
     assert _run(processor) == (expected, (0, 8))
     dispatcher = processor._process_dispatcher()
     jobs = dispatcher.jobs
     assert _run(processor) == (expected, (8, 0))
-    # Three combines and the finalize; no leaf runs.
-    assert dispatcher.jobs - jobs == 4
+    # The finalize; no leaf or combine runs.
+    assert dispatcher.jobs - jobs == 1
     _append(processor)
     expected = _expected(processor)
     folds, jobs = _folds(), dispatcher.jobs
     assert _run(processor) == (expected, (7, 0))
-    assert _folds() - folds == 1 and dispatcher.jobs - jobs == 4 + 2
+    # The fold, the combines above the grown chunk and the finalize.
+    assert _folds() - folds == 1 and dispatcher.jobs - jobs == 2 + 2 + 1
 
 
 # ---------------------------------------------------------------------------
@@ -583,26 +623,27 @@ def test_sessions_racing_over_appends_read_their_batch():
 
 
 @pytest.mark.parametrize(
-    "workload, leaves, engine_calls",
-    [("paper_chain_30k", 1, 1), ("groupby_tree_30k", 8, 4)],
+    "workload, leaves, combines",
+    [("paper_chain_30k", 1, 0), ("groupby_tree_30k", 8, 3)],
 )
-def test_benchmark_reads_hit_every_leaf(workload, leaves, engine_calls):
-    """After the first read every leaf partial of the chain's and the
-    group-by's reads is a hit: the traced split counts one partial-protocol
-    call per chain op (the finalize) and four per group-by op (three
-    combines and the finalize)."""
+def test_benchmark_reads_hit_every_leaf(workload, leaves, combines):
+    """After the first read every leaf partial and every combine of the
+    chain's and the group-by's reads is a hit: the traced split counts one
+    partial-protocol call per op, the finalize."""
     spec = WORKLOADS[workload]
     inputs = spec.inputs(0, 2000, 4)
     system = spec.setup(inputs)
     try:
         system.execute(inputs.ops[0])
-        before = _counts()
+        before = _counts() + _combine_counts()
         with LayerTracer() as tracer:
             for op in inputs.ops[1:]:
                 system.execute(op)
-        after = _counts()
+        after = _counts() + _combine_counts()
     finally:
         system.close()
     reads = len(inputs.ops) - 1
-    assert (after[0] - before[0], after[1] - before[1]) == (leaves * reads, 0)
-    assert tracer.totals["engine.partial"][0] == engine_calls * reads
+    assert tuple(a - b for a, b in zip(after, before)) == (
+        leaves * reads, 0, combines * reads, 0
+    )
+    assert tracer.totals["engine.partial"][0] == reads
