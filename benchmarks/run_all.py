@@ -1,6 +1,6 @@
 """Run every benchmark in quick mode and record the perf baselines.
 
-Three jobs in one entry point:
+Five jobs in one entry point:
 
 1. **Quick suite** — execute every ``bench_*.py`` under pytest with
    pytest-benchmark's timing disabled, so the whole suite doubles as a smoke
@@ -25,6 +25,10 @@ Three jobs in one entry point:
    section): asserts tracing-disabled overhead stays under 2% on the fig2
    workload, that concurrent profiled sessions never leak spans, and records
    the achieved runtime overlap plus vectorized fast-path hit counts.
+5. **Cold reads** — ``bench_cold.py`` (the ``cold`` section): the four
+   end-to-end read shapes at their sizes with every kept state forgotten
+   before each op, CPU per op and its split by layer, every op checked
+   against the reference.
 
 Usage::
 
@@ -32,9 +36,11 @@ Usage::
         [--skip-runtime] [--only SECTION]
 
 ``--only <section>`` runs exactly one section (``suite``, ``workloads``,
-``columnar``, ``optimizer``, ``obs``, ``runtime`` or ``standing``) — handy
-for CI smoke runs; pair it with ``--out`` so a partial report never
-overwrites the committed baselines.
+``columnar``, ``optimizer``, ``obs``, ``runtime``, ``standing`` or
+``cold``) — handy for CI smoke runs.  When the ``--out`` report exists,
+the section replaces its own entry there and the others stay (``--only
+cold`` records the cold section of ``BENCH_engine.json``); CI passes a
+scratch ``--out``.
 """
 
 from __future__ import annotations
@@ -69,6 +75,7 @@ SECTIONS = (
     "obs",
     "runtime",
     "standing",
+    "cold",
 )
 
 #: Engine-bound workloads; row counts mirror the corresponding bench files.
@@ -332,6 +339,18 @@ def main(argv: List[str] | None = None) -> int:
             },
         }
 
+    if "cold" in enabled:
+        from benchmarks.bench_cold import run_cold
+
+        # Every op checked against the reference in-loop; fails if a timed
+        # op output a kept state.
+        report["cold"] = run_cold()
+        for name, record in report["cold"]["shapes"].items():
+            print(f"cold {name}: {1e3 * record['cpu_s_per_op']:.2f} ms CPU/op")
+
+    if args.only and args.out.exists():
+        # One section replaces its own entry of the report already there.
+        report = {**json.loads(args.out.read_text()), **report}
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.out}")
     if "quick_suite" in report and report["quick_suite"]["exit_code"] != 0:

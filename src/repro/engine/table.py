@@ -193,6 +193,9 @@ class Relation:
         "_stats_cache",
         "_bytes_cache",
         "_state_cache",
+        # A kept execution DAG notes which chunk it read without keeping
+        # it alive (``runtime.dag.cached_execution_dag``).
+        "__weakref__",
     )
 
     def __init__(
@@ -331,6 +334,13 @@ class Relation:
         if position is None:
             return None
         return self._columns[position]
+
+    @property
+    def version(self) -> int:
+        """The write counter: every write through the relation's API bumps
+        it, so an unchanged relation object at an unchanged version holds
+        the same rows."""
+        return self._version
 
     def _bump(self) -> None:
         # Stats and size caches are version-keyed rather than cleared: a

@@ -341,6 +341,30 @@ class NetworkSimulator:
         with self._placement_lock:
             return self._versions.get(table_name.lower(), 0)
 
+    def placement(self, table_name: str) -> Tuple[int, Tuple[tuple, ...]]:
+        """What a plan built over ``table_name``'s chunks read of their
+        placement: the :meth:`table_version` and, per holder in chunk
+        order, ``(node, chunk, chunk version, placement epoch)`` (the chunk
+        ``None`` where the node holds none).
+
+        The chunk object and its write counter catch what the table
+        version does not: a write through the ``Relation`` API or a
+        re-registration on the holder's database.
+        """
+        key = table_name.lower()
+        holders = self.partition_holders(table_name)
+        with self._placement_lock:
+            version = self._versions.get(key, 0)
+            epochs = [self._epochs.get((holder, key), 0) for holder in holders]
+        placed = []
+        for holder, epoch in zip(holders, epochs):
+            database = self._databases[holder]
+            chunk = database.table(table_name) if table_name in database else None
+            placed.append(
+                (holder, chunk, chunk.version if chunk is not None else 0, epoch)
+            )
+        return version, tuple(placed)
+
     def _bump_version(self, table_name: str) -> None:
         with self._placement_lock:
             key = table_name.lower()

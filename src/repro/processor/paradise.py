@@ -52,6 +52,8 @@ from repro.runtime.dag import (
     ExecutionDag,
     StageTask,
     build_execution_dag,
+    cached_execution_dag,
+    plan_memo,
     replan_without,
 )
 from repro.runtime.faults import (
@@ -435,11 +437,11 @@ class ParadiseProcessor:
                 return "\n".join(lines)
             lines.append(f"rewritten: {rewrite.sql}")
 
-        plan = self._fragment(prepared.query, pushdown)
+        plan, topology = self._live_view(self._fragment(prepared.query, pushdown))
         lines.append("")
         lines.append(plan.pretty(self._estimates(plan, self._raw_input_rows())))
 
-        dag = self._build_dag(plan, self.topology, anonymize, namespace)
+        dag = self._build_dag(plan, topology, anonymize, namespace)
         lines.append("")
         lines.append(
             f"{strategy} DAG: {len(dag.tasks)} tasks over "
@@ -462,7 +464,7 @@ class ParadiseProcessor:
                 )
                 if task.composes:
                     line += f" [merges {', '.join(task.composes)}]"
-                if task.uses_resident_rule(self.topology):
+                if task.uses_resident_rule(topology):
                     line += " [Table 1: resident-partition rule]"
                 if task.proves:
                     line += f" [zone map proves {'; '.join(task.proves)}]"
@@ -513,6 +515,11 @@ class ParadiseProcessor:
         otherwise runs like ``"serial"``, since GIL-bound engine work does
         not overlap on threads.  ``result.runtime.workers`` says which.
 
+        A run starts from the live view (:meth:`_live_view`: the plan
+        re-mapped without the nodes that died in earlier runs) and takes
+        its DAG from :func:`~repro.runtime.dag.cached_execution_dag`, which
+        builds one only when an input of the build changed.
+
         The recovery loop: build and run the execution DAG; when the
         scheduler escalates a failure to
         :class:`~repro.runtime.faults.NodeDeath` (injected kill, exhausted
@@ -551,12 +558,22 @@ class ParadiseProcessor:
             dispatcher=self._process_dispatcher(),
         )
 
-        current_plan, current_topology = plan, self.topology
+        # Nodes that died in earlier runs stay dead: the run starts from
+        # the live view.
+        current_plan, current_topology = self._live_view(plan)
         dead: List[str] = []
         lost: List[LostPartition] = []
         max_replans = max(1, len(self.topology) - 1)
         while True:
-            dag = self._build_dag(current_plan, current_topology, anonymize, namespace)
+            dag, kept = cached_execution_dag(
+                current_plan,
+                current_topology,
+                self.network,
+                anonymizer=self.anonymizer if anonymize else None,
+                namespace=namespace,
+                partial_aggregation=self.partial_aggregation,
+                config=self.engine,
+            )
             scan_stats.zone_pruned += dag.pruned_partitions
             try:
                 report = self.scheduler.run(
@@ -564,6 +581,7 @@ class ParadiseProcessor:
                     context,
                     task_timeout=task_timeout,
                     max_workers=1 if strategy == "serial" else None,
+                    dag_cache="hit" if kept else "miss",
                 )
                 break
             except NodeDeath as death:
@@ -583,9 +601,7 @@ class ParadiseProcessor:
                 lost.extend(newly_lost)
                 if newly_lost and on_data_loss != "partial":
                     raise DataLossError(lost) from death
-                current_plan, current_topology = replan_without(
-                    plan, self.topology, dead
-                )
+                current_plan, current_topology = self._live_view(plan)
                 # Old task ids may collide with the new DAG's; checkpointed
                 # states are re-keyed by signature, everything else re-runs.
                 context = context.next_attempt()
@@ -647,6 +663,23 @@ class ParadiseProcessor:
             namespace=namespace,
             partial_aggregation=self.partial_aggregation,
             config=self.engine,
+        )
+
+    def _live_view(self, plan: FragmentPlan) -> Tuple[FragmentPlan, Topology]:
+        """``plan`` re-mapped onto the topology without its dead nodes, and
+        that topology (``plan`` and the whole topology while none is dead).
+
+        Kept in the plan's memo per dead set, which every re-mapping of
+        the plan shares (:func:`~repro.runtime.dag.replan_without`), so
+        the runs of one live view hand the DAG cache the same objects.
+        """
+        dead = self.topology.dead_nodes
+        if not dead:
+            return plan, self.topology
+        return plan_memo(
+            plan,
+            ("live", frozenset(dead)),
+            lambda: replan_without(plan, self.topology, dead),
         )
 
     def _process_dispatcher(self):

@@ -57,11 +57,16 @@ def reference_result(
             database.register(table_name, concat(chunks, name=table_name))
     result = database.query(prepared.query, REFERENCE_ENGINE)
     if anonymize:
-        # A applies exactly when some in-apartment node is powerful enough
-        # to run it, and defers (returns its input) otherwise.
+        # A applies exactly when some live in-apartment node is powerful
+        # enough to run it, and defers (returns its input) otherwise.
+        topology = processor.topology
         power = max(
-            (node.cpu_power or 1.0 for node in processor.topology if node.inside_apartment),
-            default=processor.topology.cloud.cpu_power or 1.0,
+            (
+                node.cpu_power or 1.0
+                for node in topology
+                if node.inside_apartment and topology.is_alive(node.name)
+            ),
+            default=topology.cloud.cpu_power or 1.0,
         )
         result = processor.anonymizer.anonymize(result, node_cpu_power=power).relation
     result.name = "d_prime"

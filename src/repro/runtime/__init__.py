@@ -20,6 +20,8 @@ query the environment at once.  This package closes that gap:
     level, and the fragment finalizes at its assigned node — only group
     states ever cross a hop, never the raw rows.  Anonymization and the
     cloud remainder are the DAG's final tasks.
+    :func:`~repro.runtime.dag.cached_execution_dag` keeps a built DAG in
+    its plan's memo while the data it was built over is unchanged.
 
 ``scheduler``
     :class:`~repro.runtime.scheduler.Scheduler` runs ready tasks under
@@ -52,9 +54,10 @@ query the environment at once.  This package closes that gap:
     loop marks the node dead, re-places its chunks onto live siblings and
     re-plans the DAG (:func:`~repro.runtime.dag.replan_without`).
 
-Every query runs on this runtime: ``execution="serial"`` is the same
-scheduler loop with one worker, ``"parallel"`` the per-node slot pool
-wherever a task can wait.
+Every query runs on this runtime: ``execution="serial"`` runs the
+scheduler with one worker, a plain loop over the tasks in build order on
+the calling thread, ``"parallel"`` the per-node slot pool wherever a task
+can wait.
 The differential oracle is independent of it:
 :func:`repro.processor.reference.reference_result` runs the prepared query
 once over the unfragmented base data, and every run must return

@@ -78,6 +78,15 @@ decoded or merged.  A write, a fold or a node death changes some input's
 bytes, so no version has to reach the entry.  Shipped states stay bytes
 until a task that computes over them decodes them (:func:`_rows`).
 
+**Built DAGs.**  A DAG is a function of its plan, the topology, the
+options and what the builder reads of the network: the base table's
+holders, their chunks (object and write counter), their placement epochs,
+the table's version and any state-size feedback the placement consulted.
+Tasks hold no run state, so :func:`cached_execution_dag` keeps the DAG in
+the plan's memo and hands it to every run, and every session, that finds
+all of those inputs unchanged; a run that finds one changed builds again
+and replaces it.
+
 Chunks are contiguous slices of the original relation in leaf order, and
 every stage concatenates its parts in exactly that order, so the DAG's
 result is row-for-row identical to running the query once over the
@@ -93,6 +102,7 @@ import dataclasses
 import hashlib
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -194,6 +204,7 @@ def partial_aggregation_pays(
     fragment: QueryFragment,
     observe_table: str,
     config: EngineConfig = DEFAULT_CONFIG,
+    consulted: Optional[List[float]] = None,
 ) -> bool:
     """Cardinality heuristic: is leaf-level partial aggregation worthwhile?
 
@@ -224,7 +235,8 @@ def partial_aggregation_pays(
     partial states) is compared against the chunk's raw
     ``estimated_bytes()``, so genuinely small states keep the partial path
     even at high shares.  Both modes decide *placement only* — results are
-    identical either way.
+    identical either way.  The feedback reading is appended to
+    ``consulted`` when one is given, so a kept DAG knows what it read.
     """
     from repro.engine.stats import optimizer_stats
     from repro.engine.vectorized import freeze_value
@@ -276,9 +288,10 @@ def partial_aggregation_pays(
             # states (few aggregates over wide raw rows) keep the partial
             # path even at high shares.
             state_width = len(keys) + len(aggregate_calls(query) + first_value_columns(query))
-            est_state_bytes = (
-                groups * state_width * state_size_feedback.bytes_per_cell()
-            )
+            per_cell = state_size_feedback.bytes_per_cell()
+            if consulted is not None:
+                consulted.append(per_cell)
+            est_state_bytes = groups * state_width * per_cell
             raw_bytes = chunk.estimated_bytes()
             if est_state_bytes >= raw_bytes:
                 optimizer_stats.adaptive_fallback += 1
@@ -891,9 +904,13 @@ class ExecutionContext:
 Part = Tuple[Optional[str], str]
 
 
-@dataclass
+@dataclass(slots=True)
 class Task:
-    """One unit of work pinned to a topology node."""
+    """One unit of work pinned to a topology node.
+
+    Slotted: a kept DAG (:func:`cached_execution_dag`) holds its tasks for
+    as long as the plan is cached.
+    """
 
     task_id: str
     node: str
@@ -1033,7 +1050,7 @@ STAGE_OPS = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class StageTask(Task):
     """One stage of the plan: gather the parts here, run ``op``, register.
 
@@ -1249,7 +1266,7 @@ class StageTask(Task):
         return output
 
 
-@dataclass
+@dataclass(slots=True)
 class AnonymizeTask(Task):
     """The postprocessing step A on the node :func:`anonymization_node` picks.
 
@@ -1281,7 +1298,7 @@ class AnonymizeTask(Task):
         return outcome.relation
 
 
-@dataclass
+@dataclass(slots=True)
 class FinalizeTask(Task):
     """Ship d' across the boundary and run the remainder at the cloud."""
 
@@ -1323,20 +1340,33 @@ class FinalizeTask(Task):
 
 @dataclass
 class ExecutionDag:
-    """A topologically buildable set of tasks plus its final task."""
+    """A topologically buildable set of tasks plus its final task.
+
+    Tasks hold no run state (outputs live in :class:`ExecutionContext`),
+    so one DAG serves every run, and every concurrent session, of its
+    plan while the inputs it was built from are unchanged
+    (:func:`cached_execution_dag`).
+    """
 
     tasks: List[Task]
     final_task_id: str
     #: Number of leaf partitions the bottom fragment fanned out over.
     partition_width: int
+    #: The :data:`~repro.engine.wire.state_size_feedback` readings the
+    #: placement consulted while building (see
+    #: :func:`partial_aggregation_pays`); a later reading that differs
+    #: could place differently.
+    feedback: Tuple[float, ...] = ()
+
+    def __post_init__(self) -> None:
+        self._by_id = {task.task_id: task for task in self.tasks}
+        #: Resident partitions a zone map refuted, which got no task.
+        self.pruned_partitions = sum(
+            len(getattr(task, "pruned", ())) for task in self.tasks
+        )
 
     def by_id(self) -> Dict[str, Task]:
-        return {task.task_id: task for task in self.tasks}
-
-    @property
-    def pruned_partitions(self) -> int:
-        """Resident partitions a zone map refuted, which got no task."""
-        return sum(len(getattr(task, "pruned", ())) for task in self.tasks)
+        return self._by_id
 
 
 def build_execution_dag(
@@ -1398,19 +1428,14 @@ def build_execution_dag(
         task = add(StageTask, label, node, parts, op=op, base=base_table, **fields)
         return task.task_id, node
 
-    #: One derived query and SQL text per (fragment chain, input name),
-    #: shared by sibling partitions and by every build of the plan: tasks
-    #: never mutate their query.
-    derived = plan.derived
-
     def derive(key: Tuple, make) -> Tuple:
-        entry = derived.get(key)
-        if entry is None:
-            if len(derived) >= MAX_DERIVED_QUERIES:
-                derived.clear()
-            # A racing build of the same plan keeps the first entry.
-            entry = derived.setdefault(key, make())
-        return entry
+        """One derived query and SQL text per (fragment chain, input
+        name), shared by sibling partitions and by every build of the
+        plan: tasks never mutate their query."""
+        return plan_memo(plan, key, make)
+
+    #: The state-size feedback readings placement consulted.
+    consulted: List[float] = []
 
     def fragment_sql(fragment: QueryFragment) -> str:
         return derive(("sql", fragment.name), lambda: (fragment.sql,))[0]
@@ -1642,10 +1667,13 @@ def build_execution_dag(
             and (resident or len(partitions) > 1)
             and partial_aggregation_pays(
                 network,
-                [node for _, node in partitions],
+                # Only resident chunks are observed: an intermediate a
+                # former run left under the base table's name is not data.
+                [node for task_id, node in partitions if task_id is None],
                 fragment,
                 base_table,
                 config,
+                consulted,
             )
         ):
             # A lone resident chunk aggregates where it lives too: only
@@ -1736,8 +1764,138 @@ def build_execution_dag(
 
     _assign_signatures(tasks, network)
     return ExecutionDag(
-        tasks=tasks, final_task_id=final.task_id, partition_width=len(holders)
+        tasks=tasks,
+        final_task_id=final.task_id,
+        partition_width=len(holders),
+        feedback=tuple(consulted),
     )
+
+
+def plan_memo(plan: FragmentPlan, key: Tuple, make: Callable[[], Tuple]) -> Tuple:
+    """The entry of ``plan``'s memo (:attr:`FragmentPlan.derived`) under
+    ``key``, made by ``make`` when absent; a full memo is emptied first.
+    A racing build of the same plan keeps the first entry."""
+    derived = plan.derived
+    entry = derived.get(key)
+    if entry is None:
+        if len(derived) >= MAX_DERIVED_QUERIES:
+            derived.clear()
+        entry = derived.setdefault(key, make())
+    return entry
+
+
+#: [hits, misses] of :func:`cached_execution_dag` over every plan; exposed
+#: as a metrics probe shaped like ``processor.plan_cache``.
+_DAG_CACHE = [0, 0]
+_DAG_CACHE_LOCK = threading.Lock()
+
+_metrics.probe(
+    "runtime.dag_cache", lambda: {"hits": _DAG_CACHE[0], "misses": _DAG_CACHE[1]}
+)
+
+
+class _BuiltDag(NamedTuple):
+    """A DAG kept in its plan's memo, with the inputs its build read; the
+    plan, the topology and the chunks by weak reference, so the memo keeps
+    none of them alive."""
+
+    plan: "weakref.ref[FragmentPlan]"
+    topology: "weakref.ref[Topology]"
+    #: :meth:`NetworkSimulator.placement` of the base table.
+    placement: Tuple
+    dag: ExecutionDag
+
+
+def _same_placement(kept: Tuple, now: Tuple) -> bool:
+    """True when ``now`` (a fresh :meth:`NetworkSimulator.placement`) names
+    the very chunks ``kept`` noted, at the same versions and epochs."""
+    (kept_version, kept_holders), (version, holders) = kept, now
+    if kept_version != version or len(kept_holders) != len(holders):
+        return False
+    for (name, ref, *counters), (holder, chunk, *now_counters) in zip(
+        kept_holders, holders
+    ):
+        if name != holder or counters != now_counters:
+            return False
+        if (ref() if ref is not None else None) is not chunk:
+            return False
+    return True
+
+
+def cached_execution_dag(
+    plan: FragmentPlan,
+    topology: Topology,
+    network: NetworkSimulator,
+    anonymizer: Optional[Anonymizer] = None,
+    namespace: Optional[str] = None,
+    partial_aggregation: bool = True,
+    config: EngineConfig = DEFAULT_CONFIG,
+) -> Tuple[ExecutionDag, bool]:
+    """:func:`build_execution_dag`'s DAG for these arguments, built once
+    per data version; returns it and whether it was kept.
+
+    The DAG is a function of the plan, the topology, the options and what
+    the build reads of the network: the base table's holders, each one's
+    chunk (object and write counter) and placement epoch, the table's
+    version (:meth:`NetworkSimulator.placement`) and any state-size
+    feedback the placement consulted (:attr:`ExecutionDag.feedback`).
+    ``plan``'s memo keeps one DAG per (topology, config, step A,
+    namespace, ``partial_aggregation``); a run that finds any of those
+    inputs changed builds again and replaces it, so the memo's bound
+    (:data:`MAX_DERIVED_QUERIES`) is the only one.  Callers pass the
+    same topology object for the same live view, since a topology is
+    keyed by identity.  Plans that share a memo (a plan and its
+    re-mappings, :func:`replan_without`) keep one DAG per topology: the
+    last one built.
+    """
+    if not plan.fragments:
+        return build_execution_dag(plan, topology, network), False
+    key = (
+        "dag",
+        id(topology),
+        config,
+        anonymizer,
+        anonymizer.minimum_cpu_power if anonymizer is not None else None,
+        namespace,
+        partial_aggregation,
+    )
+    # Read before building: a write racing the build only costs a rebuild.
+    placement = network.placement(plan.fragments[0].input_name)
+    kept = plan.derived.get(key)
+    hit = (
+        kept is not None
+        and kept.plan() is plan
+        and kept.topology() is topology
+        and _same_placement(kept.placement, placement)
+        and all(
+            reading == state_size_feedback.bytes_per_cell()
+            for reading in kept.dag.feedback
+        )
+    )
+    with _DAG_CACHE_LOCK:
+        _DAG_CACHE[0 if hit else 1] += 1
+    if hit:
+        return kept.dag, True
+    dag = build_execution_dag(
+        plan,
+        topology,
+        network,
+        anonymizer=anonymizer,
+        namespace=namespace,
+        partial_aggregation=partial_aggregation,
+        config=config,
+    )
+    version, holders = placement
+    noted = tuple(
+        (holder, weakref.ref(chunk) if chunk is not None else None, *counters)
+        for holder, chunk, *counters in holders
+    )
+    if len(plan.derived) >= MAX_DERIVED_QUERIES:
+        plan.derived.clear()
+    plan.derived[key] = _BuiltDag(
+        weakref.ref(plan), weakref.ref(topology), (version, noted), dag
+    )
+    return dag, False
 
 
 def _zone_plan(

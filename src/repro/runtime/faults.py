@@ -380,6 +380,9 @@ class RetryPolicy:
 # ---------------------------------------------------------------------------
 
 
+_checkpoints_saved = _metrics.counter("chaos.checkpoints_saved")
+
+
 class CheckpointStore:
     """Signature-keyed checkpoints of mergeable aggregate-state relations.
 
@@ -407,31 +410,31 @@ class CheckpointStore:
         encoded it (a DAG task ships the same bytes); otherwise the store
         packs the relation itself.
         """
-        from repro.engine.wire import WireFormatError, pack_state_relation
-
         if not signature:
             return False
-        try:
-            if payload is None:
+        if payload is None:
+            from repro.engine.wire import WireFormatError, pack_state_relation
+
+            try:
                 payload = pack_state_relation(relation)
-        except WireFormatError:
-            with self._lock:
-                self.skipped += 1
-            return False
+            except WireFormatError:
+                with self._lock:
+                    self.skipped += 1
+                return False
         with self._lock:
             self._packed[signature] = payload
             self.saved += 1
-        _metrics.counter("chaos.checkpoints_saved").inc()
+        _checkpoints_saved.inc()
         return True
 
     def restore(self, signature: str) -> Optional["Relation"]:
         """Unpack the checkpoint stored under ``signature`` (None if absent)."""
-        from repro.engine.wire import unpack_state_relation
-
         with self._lock:
             payload = self._packed.get(signature)
         if payload is None:
             return None
+        from repro.engine.wire import unpack_state_relation
+
         relation = unpack_state_relation(payload)
         with self._lock:
             self.restored += 1

@@ -14,18 +14,21 @@ them can wait (:attr:`~repro.runtime.dag.ExecutionContext.can_wait`):
   Every node of the reproduction runs in one interpreter and engine work
   holds the GIL, so pool threads cannot overlap it; they only add a
   handoff per task, new threads per run, and slower engine work.  This
-  is also ``execution="serial"``.
+  is also ``execution="serial"``.  Build order is topological, so this
+  path is a plain loop over the needed tasks: no futures, no ready
+  queue, and the first task that fails is the first in build order.
 
-Both run the same dispatch loop, with the same slots, retries,
-checkpoints and spans.  Two throttles model the physical environment:
+Both paths run each task the same way, with the same slots, retries,
+deadline check, checkpoints, timings and spans.  Two throttles model the
+physical environment:
 
 * **Per-node worker slots.** Each topology node owns a semaphore sized by
-  its relative CPU power (a sensor runs one task at a time, the PC and the
-  cloud a few), so two tasks pinned to the same node contend exactly like
-  they would on the real device, while tasks on *sibling* nodes overlap
-  freely.  The semaphores live on the scheduler, which is shared across
-  concurrent sessions — queries from different users contend for the same
-  physical nodes.
+  its relative CPU power (a sensor runs one task at a time, under a plain
+  lock; the PC and the cloud a few), so two tasks pinned to the same node
+  contend exactly like they would on the real device, while tasks on
+  *sibling* nodes overlap freely.  The slots live on the scheduler, which
+  is shared across concurrent sessions — queries from different users
+  contend for the same physical nodes.
 * **Per-node databases** additionally serialize raw query execution through
   their own locks (see :class:`~repro.engine.database.Database`), so the
   compiled executor's single-threaded plan state is never entered twice.
@@ -71,15 +74,9 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Executor,
-    Future,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.fragment.topology import Topology
 from repro.obs.metrics import registry as _metrics
@@ -124,25 +121,15 @@ class DagRunReport:
         return sum(timing.elapsed for timing in self.timings)
 
 
-class _CallingThread(Executor):
-    """The one-worker pool: ``submit`` runs the task to completion on the
-    caller's thread.  It serves ``execution="serial"`` and every parallel
-    run in which no task can wait.  No handoff, and no fresh worker thread
-    per run (whose new malloc arena re-faults every page the run
-    allocates)."""
-
-    def submit(self, fn, /, *args, **kwargs) -> Future:
-        future: Future = Future()
-        try:
-            future.set_result(fn(*args, **kwargs))
-        except BaseException as error:
-            future.set_exception(error)
-        return future
-
-
 def _node_slots(cpu_power: float, cap: int = 4) -> int:
     """Concurrent task slots a node offers: one per unit of relative power."""
     return max(1, min(cap, int(cpu_power)))
+
+
+def _slot(slots: int):
+    """A node's worker slots: a lock for a one-slot node (every sensor),
+    whose acquire and release cost a sixth of a semaphore's."""
+    return threading.Lock() if slots == 1 else threading.Semaphore(slots)
 
 
 class Scheduler:
@@ -151,9 +138,8 @@ class Scheduler:
 
     def __init__(self, topology: Topology, max_workers: Optional[int] = None) -> None:
         self.topology = topology
-        self._slots: Dict[str, threading.Semaphore] = {
-            node.name: threading.Semaphore(_node_slots(node.cpu_power or 1.0))
-            for node in topology
+        self._slots: Dict[str, object] = {
+            node.name: _slot(_node_slots(node.cpu_power or 1.0)) for node in topology
         }
         if max_workers is None:
             # Enough threads that every node could have a runnable task;
@@ -162,12 +148,12 @@ class Scheduler:
             max_workers = min(32, len(topology) + 4)
         self.max_workers = max_workers
 
-    def _slot_for(self, node_name: str) -> threading.Semaphore:
+    def _slot_for(self, node_name: str):
         slot = self._slots.get(node_name)
         if slot is None:
             # Replanned DAGs only ever use nodes of the original topology,
             # but stay safe for schedulers built over a pruned one.
-            slot = self._slots.setdefault(node_name, threading.Semaphore(1))
+            slot = self._slots.setdefault(node_name, _slot(1))
         return slot
 
     # ------------------------------------------------------------------
@@ -176,7 +162,7 @@ class Scheduler:
     @staticmethod
     def _restore_satisfied(
         dag: ExecutionDag, context: ExecutionContext
-    ) -> tuple[Set[str], int]:
+    ) -> Tuple[Set[str], int]:
         """Satisfy checkpointed tasks from the store; return (needed, restored).
 
         Walks the DAG from the final task towards the leaves; a task whose
@@ -211,6 +197,7 @@ class Scheduler:
         context: ExecutionContext,
         task_timeout: Optional[float] = None,
         max_workers: Optional[int] = None,
+        dag_cache: Optional[str] = None,
     ) -> DagRunReport:
         """Execute ``dag`` to completion; returns the run report.
 
@@ -223,7 +210,9 @@ class Scheduler:
         A run in which no task can wait (``context.can_wait`` is false)
         runs on the calling thread too, whatever ``max_workers`` says: its
         tasks are GIL-bound, so pool threads would only add overhead.  The
-        report's ``workers`` (and the ``dag_run`` span's) says which ran.
+        report's ``workers`` (and the ``dag_run`` span's) says which ran;
+        ``dag_cache`` (``"hit"``/``"miss"``), when given, becomes the
+        span's ``dag`` attribute.
         On a non-recovered task failure it cancels pending tasks, lets
         in-flight ones drain, and raises the exception of the failed task
         first in build order among those that finished; a deadline violation
@@ -235,21 +224,11 @@ class Scheduler:
         # Pool threads only overlap tasks that wait with the GIL released;
         # a run of GIL-bound engine work is cheaper on the calling thread.
         workers = (max_workers or self.max_workers) if context.can_wait else 1
-        by_id = dag.by_id()
         needed, restored_count = self._restore_satisfied(dag, context)
         skipped_count = len(dag.tasks) - len(needed) - restored_count
-        waiting: Dict[str, int] = {
-            task_id: sum(1 for dep in by_id[task_id].deps if dep in needed)
-            for task_id in needed
-        }
-        dependents: Dict[str, List[str]] = {task_id: [] for task_id in needed}
-        for task_id in needed:
-            for dep in by_id[task_id].deps:
-                if dep in needed:
-                    dependents[dep].append(task_id)
 
         timings: List[TaskTiming] = []
-        stats_lock = threading.Lock()
+        retry_lock = threading.Lock()
         trace = context.trace
         # Per-run metric handles: one registry lookup each, then plain
         # striped-lock increments on the per-task path.
@@ -261,6 +240,7 @@ class Scheduler:
         if trace is not None:
             # One root span per (re-plan) epoch; task spans parent here, so
             # the trace's run wall time reconciles with the report's.
+            attrs = {} if dag_cache is None else {"dag": dag_cache}
             run_span = trace.begin(
                 f"dag_run[epoch={context.attempt}]",
                 kind="dag_run",
@@ -268,6 +248,7 @@ class Scheduler:
                 tasks=len(needed),
                 workers=workers,
                 pruned_partitions=dag.pruned_partitions,
+                **attrs,
             )
             if restored_count or skipped_count:
                 trace.add_event(
@@ -280,7 +261,9 @@ class Scheduler:
         def hung(task: Task) -> str:
             return f"{task.task_id} exceeded its {task_timeout:.1f}s deadline (hung node)"
 
-        def run_task(task: Task, ready_at: float, deadline: Optional[float]) -> Output:
+        def run_task(
+            task: Task, ready_at: float, deadline: Optional[float]
+        ) -> Tuple[Output, TaskTiming]:
             slot = self._slot_for(task.node)
             previous_span = None
             for attempt in range(1, policy.max_attempts + 1):
@@ -312,8 +295,11 @@ class Scheduler:
                             if context.injector is not None:
                                 context.injector.before_task(task)
                             task_started = time.perf_counter()
-                            with activate(span):
+                            if span is None:
                                 output = task.execute(context)
+                            else:
+                                with activate(span):
+                                    output = task.execute(context)
                             task_finished = time.perf_counter()
                             if context.injector is not None:
                                 # A "finish"-boundary kill: the node did the
@@ -340,7 +326,7 @@ class Scheduler:
                     if span is not None:
                         trace.finish(span, status="retried")
                         previous_span = span
-                    with stats_lock:
+                    with retry_lock:
                         context.retried_attempts += 1
                     delay = policy.delay(attempt)
                     if delay > 0.0:
@@ -387,20 +373,95 @@ class Scheduler:
                             task_finished - task_started,
                             rows=rows,
                         )
-                with stats_lock:
-                    timings.append(
-                        TaskTiming(
-                            task_id=task.task_id,
-                            kind=task.kind,
-                            node=task.node,
-                            started=task_started - started_at,
-                            finished=task_finished - started_at,
-                            attempt=attempt,
-                        )
-                    )
-                return output
+                timing = TaskTiming(
+                    task_id=task.task_id,
+                    kind=task.kind,
+                    node=task.node,
+                    started=task_started - started_at,
+                    finished=task_finished - started_at,
+                    attempt=attempt,
+                )
+                return output, timing
             raise AssertionError("unreachable")  # pragma: no cover
 
+        if workers == 1:
+            first_error = self._run_in_order(
+                dag, needed, context, run_task, task_timeout, timings
+            )
+        else:
+            first_error = self._run_on_pool(
+                dag, needed, context, run_task, task_timeout, workers, timings, hung
+            )
+        if first_error is not None:
+            if run_span is not None:
+                trace.finish(run_span, status="aborted")
+            raise first_error
+
+        wall_seconds = time.perf_counter() - started_at
+        if run_span is not None:
+            trace.finish(run_span, status="ok")
+        return DagRunReport(
+            wall_seconds=wall_seconds,
+            timings=timings,
+            restored_tasks=restored_count,
+            skipped_tasks=skipped_count,
+            workers=workers,
+        )
+
+    @staticmethod
+    def _run_in_order(
+        dag: ExecutionDag,
+        needed: Set[str],
+        context: ExecutionContext,
+        run_task,
+        task_timeout: Optional[float],
+        timings: List[TaskTiming],
+    ) -> Optional[BaseException]:
+        """Run the needed tasks one at a time, in build order, on the
+        calling thread; returns the first error (nothing after it starts).
+
+        Build order is topological, so every dependency has finished when
+        a task starts.  A task overrunning its deadline is declared hung
+        when it returns.
+        """
+        for task in dag.tasks:
+            if task.task_id not in needed:
+                continue
+            deadline = None
+            if task_timeout is not None:
+                deadline = time.monotonic() + task_timeout
+            try:
+                output, timing = run_task(task, time.perf_counter(), deadline)
+            except BaseException as error:
+                return error
+            context.outputs[task.task_id] = output
+            timings.append(timing)
+        return None
+
+    @staticmethod
+    def _run_on_pool(
+        dag: ExecutionDag,
+        needed: Set[str],
+        context: ExecutionContext,
+        run_task,
+        task_timeout: Optional[float],
+        workers: int,
+        timings: List[TaskTiming],
+        hung,
+    ) -> Optional[BaseException]:
+        """Dispatch every ready task onto a fresh pool of ``workers``
+        threads the moment its dependencies complete; returns the first
+        error in build order (or the hung node's death)."""
+        by_id = dag.by_id()
+        waiting: Dict[str, int] = {
+            task_id: sum(1 for dep in by_id[task_id].deps if dep in needed)
+            for task_id in needed
+        }
+        dependents: Dict[str, List[str]] = {task_id: [] for task_id in needed}
+        for task_id in needed:
+            for dep in by_id[task_id].deps:
+                if dep in needed:
+                    dependents[dep].append(task_id)
         ready = [task_id for task_id in needed if waiting[task_id] == 0]
         # Deterministic dispatch order (ties broken by build order).
         ready.sort(key=lambda task_id: by_id[task_id].order)
@@ -409,25 +470,18 @@ class Scheduler:
         #: task id -> the exception it raised.
         failures: Dict[str, BaseException] = {}
         first_error: Optional[BaseException] = None
-        pool = _CallingThread() if workers == 1 else ThreadPoolExecutor(workers)
+        pool = ThreadPoolExecutor(workers)
         try:
             while (ready or in_flight) and first_error is None and not failures:
                 while ready and len(in_flight) < workers:
                     task_id = ready.pop(0)
-                    deadline = None
-                    if task_timeout is not None:
-                        deadline = time.monotonic() + task_timeout
-                    # A pool worker that overruns is caught by the poll
-                    # below; a calling-thread task only when it returns.
                     future = pool.submit(
-                        run_task,
-                        by_id[task_id],
-                        time.perf_counter(),
-                        deadline if workers == 1 else None,
+                        run_task, by_id[task_id], time.perf_counter(), None
                     )
                     in_flight[future] = task_id
-                    if deadline is not None:
-                        deadlines[future] = deadline
+                    if task_timeout is not None:
+                        # An overrunning worker is caught by the poll below.
+                        deadlines[future] = time.monotonic() + task_timeout
                 poll: Optional[float] = None
                 if deadlines:
                     poll = max(
@@ -455,7 +509,8 @@ class Scheduler:
                     if error is not None:
                         failures[task_id] = error
                         continue
-                    context.outputs[task_id] = future.result()
+                    context.outputs[task_id], timing = future.result()
+                    timings.append(timing)
                     for dependent in dependents[task_id]:
                         waiting[dependent] -= 1
                         if waiting[dependent] == 0:
@@ -481,20 +536,5 @@ class Scheduler:
                 first_error = failures[first_failed]
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
-        if first_error is not None:
-            if run_span is not None:
-                trace.finish(run_span, status="aborted")
-            raise first_error
-
-        wall_seconds = time.perf_counter() - started_at
-        if run_span is not None:
-            trace.finish(run_span, status="ok")
-        timings.sort(key=lambda timing: timing.started)
         timings.sort(key=lambda timing: by_id[timing.task_id].order)
-        return DagRunReport(
-            wall_seconds=wall_seconds,
-            timings=timings,
-            restored_tasks=restored_count,
-            skipped_tasks=skipped_count,
-            workers=workers,
-        )
+        return first_error
