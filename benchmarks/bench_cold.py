@@ -83,6 +83,9 @@ class _Shape:
         self.writes = [op for op in inputs.ops if op.kind == "write"]
         self.leaves = self.processor.network.partition_holders("d")
         self._expected: Dict[tuple, bytes] = {}
+        #: Writes applied so far: the expected results are memoized per
+        #: state of the data.
+        self.writes_applied = 0
 
     def op(self, index: int):
         """Run op ``index`` (a standing cycle appends before it reads)."""
@@ -92,12 +95,12 @@ class _Shape:
             self.processor.network.append_to_partition(
                 self.leaves[write.leaf], "d", write.delta
             )
+            self.writes_applied += 1
         return read, self.workload.read(self.processor, read)
 
     def check(self, read, result) -> None:
         """Fail unless ``result`` equals the reference over the data now."""
-        version = self.processor.network.table_version("d")
-        key = (read.module, read.query, version)
+        key = (read.module, read.query, self.writes_applied)
         if key not in self._expected:
             sql = read.query
             if self.workload.name == "paper_chain_30k":

@@ -40,6 +40,7 @@ from repro.engine.table import Relation
 from repro.obs.metrics import registry
 from repro.policy.presets import figure4_policy, restrictive_policy
 from repro.processor.paradise import ParadiseProcessor
+from repro.runtime.memo import forget
 from repro.sensors.scenario import INTEGRATED_SCHEMA
 
 #: The paper's analysis query (Section 4.2) as plain SQL.
@@ -96,14 +97,7 @@ def forget_kept_states(processor: ParadiseProcessor) -> None:
     previous repeat kept.  Combined states go too: they are keyed on
     their input bytes, which a leaf that computes again reproduces.
     """
-    network = processor.network
-    for table in network.base_table_names():
-        for holder in network.partition_holders(table):
-            database = network.database(holder)
-            if table in database:
-                database.table(table).kept_states().clear()
-    for node in network.topology:
-        network.kept_combines(node.name).clear()
+    forget(processor.network)
 
 
 def state_memo_hits() -> int:

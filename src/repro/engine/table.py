@@ -49,7 +49,7 @@ from repro.engine.columns import (
     typed_column_from_values,
 )
 from repro.engine.errors import SchemaError
-from repro.engine.schema import Schema
+from repro.engine.schema import ColumnDef, Schema
 from repro.engine.stats import TableStats
 from repro.engine.types import DataType
 from repro.engine.wire import WireFormatError, packed_size
@@ -193,8 +193,8 @@ class Relation:
         "_stats_cache",
         "_bytes_cache",
         "_state_cache",
-        # A kept execution DAG notes which chunk it read without keeping
-        # it alive (``runtime.dag.cached_execution_dag``).
+        # Kept work notes which chunk it read without keeping it alive
+        # (``runtime.memo.note_placement``).
         "__weakref__",
     )
 
@@ -451,30 +451,20 @@ class Relation:
 
     def kept_states(self) -> Dict[Any, Any]:
         """The packed partial states kept for this relation at its current
-        version (:meth:`~repro.runtime.dag.StageTask.execute` fills it).
-        Each entry records how many leading rows its state covers.
+        version; only :mod:`repro.runtime.memo` reads or writes it.  Each
+        entry records how many leading rows its state covers.
 
         The dict lives and dies with the version: any write through this
         API starts an empty one, and a replaced chunk is a new relation
-        with none (an appended one inherits, :meth:`inherit_states`).  So
-        a caller that takes the dict before it reads the rows stores a
-        state that is only ever found while no write has happened since
-        that read began.
+        with none (an appended one inherits its parent's,
+        :func:`~repro.runtime.memo.carry_states`).  So a caller that takes
+        the dict before it reads the rows stores a state that is only ever
+        found while no write has happened since that read began.
         """
         cached = self._state_cache
         if cached is None or cached[0] != self._version:
             cached = self._state_cache = (self._version, {})
         return cached[1]
-
-    def inherit_states(self, prefix: "Relation") -> None:
-        """Seed this relation's kept states from ``prefix``'s.
-
-        For a relation holding ``prefix``'s rows followed by new ones (an
-        appended stream chunk): every kept state still summarizes the
-        leading rows it covers, so it carries over as it is, and the next
-        read takes in only the rows after them.
-        """
-        self._state_cache = (self._version, dict(prefix.kept_states()))
 
     def slice_rows(self, start: int, stop: Optional[int] = None, name: str = "") -> "Relation":
         """A new relation holding the contiguous row range ``[start, stop)``."""
@@ -706,3 +696,67 @@ def concat(relations: Sequence[Relation], name: str = "") -> Relation:
         for position, column in enumerate(relation.columns()):
             columns[position] = extend_column(columns[position], column)
     return Relation.from_columns(first.schema, columns, name=name or first.name)
+
+
+def union_partials(parts: Sequence[Relation], name: str) -> Relation:
+    """Concatenate partial relations in order (the merge/union operator).
+
+    The schema comes from the first non-empty partial: every partial is the
+    same query over same-schema chunks, so non-empty ones agree; empty ones
+    may carry weaker inferred types.  Degenerate inputs are handled too: an
+    empty ``parts`` sequence yields an empty relation, and when *every*
+    partial is empty the column types are merged across partials so one
+    explicitly typed (but empty) chunk is not shadowed by the first
+    partial's inferred-from-nothing defaults.
+
+    Relations are columnar, so the union is a per-column ``extend`` over
+    the partials' value arrays (aligned by column name) — no per-row dict
+    copies, which is what makes the merge points of large parallel plans
+    cheap.  Typed column backings are preserved: int64/float64 partials
+    union into one contiguous typed buffer (degrading to a generic list
+    only when a partial carries a different backing).
+    """
+    parts = list(parts)
+    if not parts:
+        return Relation(schema=Schema([]), rows=[], name=name)
+    schema_source = next((part for part in parts if len(part)), None)
+    if schema_source is not None:
+        schema = schema_source.schema
+    else:
+        # All partials are empty.  Empty relations infer FLOAT for every
+        # column, so prefer, per column, the first partial carrying a more
+        # specific type.
+        columns = []
+        for index, column in enumerate(parts[0].schema.columns):
+            data_type = column.data_type
+            if data_type is DataType.FLOAT:
+                for part in parts[1:]:
+                    if index < len(part.schema.columns):
+                        other = part.schema.columns[index].data_type
+                        if other is not DataType.FLOAT:
+                            data_type = other
+                            break
+            columns.append(ColumnDef(name=column.name, data_type=data_type))
+        schema = Schema(columns)
+    merged: List[Optional[list]] = [None for _ in schema.columns]
+    for part in parts:
+        if not len(part):
+            continue
+        for position, column_def in enumerate(schema.columns):
+            source = part.column_array(column_def.name)
+            if source is None:
+                source = [None] * len(part)
+            if merged[position] is None:
+                merged[position] = copy_column(source)
+            else:
+                merged[position] = extend_column(merged[position], source)
+    return Relation.from_columns(
+        schema,
+        [
+            # A column no partial filled is empty: it takes the backing the
+            # result-typing rule gives it, as an unfragmented run would.
+            column if column is not None else fit_backing([], column_def.data_type)
+            for column, column_def in zip(merged, schema.columns)
+        ],
+        name=name,
+    )

@@ -37,6 +37,8 @@ from repro.engine.wire import PackedRelation, pack_relation, unpack_relation
 from repro.fragment.topology import Node, Topology
 from repro.obs.metrics import registry as _metrics
 from repro.obs.trace import current_span
+from repro.runtime.faults import LostPartition
+from repro.runtime.memo import carry_states, forget
 
 
 @dataclass(frozen=True)
@@ -164,8 +166,6 @@ class NetworkSimulator:
         #: re-placement), so task signatures built over the old placement
         #: stop matching and stale checkpoints are never restored.
         self._epochs: Dict[Tuple[str, str], int] = {}
-        #: table name (lower-case) -> content version (:meth:`table_version`).
-        self._versions: Dict[str, int] = {}
         self._placement_lock = threading.Lock()
         self._fold_catalogs: Dict[str, Tuple[Database, threading.Lock]] = {
             node.name: (Database(name=node.name), threading.Lock()) for node in topology
@@ -183,7 +183,7 @@ class NetworkSimulator:
 
     def fold_catalog(self, node_name: str) -> Tuple[Database, threading.Lock]:
         """The scratch catalog ``node_name`` folds a grown chunk's appended
-        rows in (``runtime.dag.leaf_state``) and its lock.
+        rows in (``runtime.memo.leaf_state``) and its lock.
 
         A fold holds the lock from registering the rows to the end of its
         partial, so two sessions folding on one node never read each
@@ -193,13 +193,8 @@ class NetworkSimulator:
         return self._fold_catalogs[node_name]
 
     def kept_combines(self, node_name: str) -> Dict:
-        """The combined states ``node_name`` keeps
-        (``runtime.dag.combine_state``), keyed like a chunk's kept states.
-
-        Each entry holds the input bytes it merged, so it is found only
-        while those bytes come again: no write has to reach it.
-        :meth:`fail_node` empties the dead node's.
-        """
+        """The combined states ``node_name`` keeps; only
+        :mod:`repro.runtime.memo` reads or writes them."""
         return self._kept_combines[node_name]
 
     def _sensor_leaves(self) -> List[Node]:
@@ -220,7 +215,6 @@ class NetworkSimulator:
             target = leaves[0] if leaves else self.topology.nodes[0]
             self._register_stream(self.database(target.name), table_name, relation)
             self._partitions[table_name.lower()] = [target.name]
-            self._bump_version(table_name)
             return
         chunk_count = len(leaves)
         base, remainder = divmod(len(relation), chunk_count)
@@ -234,7 +228,6 @@ class NetworkSimulator:
             self._register_stream(self.database(leaf.name), table_name, chunk)
             holders.append(leaf.name)
         self._partitions[table_name.lower()] = holders
-        self._bump_version(table_name)
 
     def _register_stream(self, database: Database, table_name: str, relation: Relation) -> None:
         database.register(table_name, relation)
@@ -254,8 +247,7 @@ class NetworkSimulator:
         what keeps incremental group order identical to re-execution's
         first-occurrence order).  Bumps the placement epoch so task
         signatures built over the old chunk — and any checkpoints saved
-        under them — stop matching, and, when it adds rows, the table's
-        :meth:`table_version`.  The old chunk's computed column
+        under them — stop matching.  The old chunk's computed column
         statistics carry over, extended by the delta, so the next plan
         over the chunk does not rebuild them; its kept leaf states carry
         over as they are (each covers the old rows), so the next read
@@ -273,8 +265,6 @@ class NetworkSimulator:
         if node_name not in holders:
             holders.append(node_name)
         self._bump_epoch(node_name, table_name)
-        if len(delta):
-            self._bump_version(table_name)
         return len(combined)
 
     def load_device_tables(self, tables: Dict[str, Relation]) -> None:
@@ -284,7 +274,6 @@ class NetworkSimulator:
         for name, relation in tables.items():
             database.register(name, relation)
             self._partitions[name.lower()] = [sensor.name]
-            self._bump_version(name)
 
     # ------------------------------------------------------------------
     # partition lookup
@@ -330,31 +319,14 @@ class NetworkSimulator:
             key = (node_name, table_name.lower())
             self._epochs[key] = self._epochs.get(key, 0) + 1
 
-    def table_version(self, table_name: str) -> int:
-        """Content version of ``table_name``'s placed chunks.
-
-        Bumped by every load, every append of at least one row and every
-        re-placement (:meth:`fail_node`), so a reader that cached
-        something computed over the chunks can tell, with one lookup,
-        that they are unchanged.
-        """
-        with self._placement_lock:
-            return self._versions.get(table_name.lower(), 0)
-
-    def placement(self, table_name: str) -> Tuple[int, Tuple[tuple, ...]]:
-        """What a plan built over ``table_name``'s chunks read of their
-        placement: the :meth:`table_version` and, per holder in chunk
-        order, ``(node, chunk, chunk version, placement epoch)`` (the chunk
-        ``None`` where the node holds none).
-
-        The chunk object and its write counter catch what the table
-        version does not: a write through the ``Relation`` API or a
-        re-registration on the holder's database.
-        """
+    def placement(self, table_name: str) -> Tuple[tuple, ...]:
+        """Per holder of ``table_name`` in chunk order, ``(node, chunk,
+        chunk version, placement epoch)`` (the chunk ``None`` where the
+        node holds none): what kept work compares to tell whether the base
+        data changed (:func:`~repro.runtime.memo.same_placement`)."""
         key = table_name.lower()
         holders = self.partition_holders(table_name)
         with self._placement_lock:
-            version = self._versions.get(key, 0)
             epochs = [self._epochs.get((holder, key), 0) for holder in holders]
         placed = []
         for holder, epoch in zip(holders, epochs):
@@ -363,12 +335,7 @@ class NetworkSimulator:
             placed.append(
                 (holder, chunk, chunk.version if chunk is not None else 0, epoch)
             )
-        return version, tuple(placed)
-
-    def _bump_version(self, table_name: str) -> None:
-        with self._placement_lock:
-            key = table_name.lower()
-            self._versions[key] = self._versions.get(key, 0) + 1
+        return tuple(placed)
 
     def _grow_chunk(
         self, database: Database, table_name: str, chunk: Relation, delta: Relation
@@ -381,7 +348,7 @@ class NetworkSimulator:
         self._register_stream(database, table_name, grown)
         grown = database.table(table_name)
         grown.inherit_stats(chunk)
-        grown.inherit_states(chunk)
+        carry_states(grown, chunk)
         return grown
 
     @staticmethod
@@ -424,15 +391,12 @@ class NetworkSimulator:
         (the heir keeps its statistics and kept states); the other
         re-placements install a chunk that keeps none.
         """
-        from repro.runtime.faults import LostPartition
-
         self.topology.node(node_name)  # raise on unknown names
         lost: List[LostPartition] = []
         dead_database = self.database(node_name)
         for table_name, holders in self._partitions.items():
             if node_name not in holders:
                 continue
-            self._bump_version(table_name)
             index = holders.index(node_name)
             chunk = (
                 dead_database.table(table_name)
@@ -478,7 +442,7 @@ class NetworkSimulator:
             holders.remove(node_name)
             self._bump_epoch(node_name, table_name)
             self._drop_node_table(dead_database, table_name)
-        self._kept_combines[node_name].clear()
+        forget(self, node_name)
         return lost
 
     @staticmethod

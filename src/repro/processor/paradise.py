@@ -47,15 +47,7 @@ from repro.rewrite.analyzer import NodeCapacity, PolicyAnalyzer
 from repro.rewrite.rewriter import QueryRewriter, RewriteResult
 from repro.rlang.sqlable import extract_sql_from_r
 from repro.runtime.cost import DEFAULT_TASK_TIMEOUT, CostModel
-from repro.runtime.dag import (
-    ExecutionContext,
-    ExecutionDag,
-    StageTask,
-    build_execution_dag,
-    cached_execution_dag,
-    plan_memo,
-    replan_without,
-)
+from repro.runtime.dag import build_execution_dag, cached_execution_dag, replan_without
 from repro.runtime.faults import (
     CheckpointStore,
     CompletenessReport,
@@ -64,7 +56,9 @@ from repro.runtime.faults import (
     LostPartition,
     NodeDeath,
 )
+from repro.runtime.memo import plan_memo
 from repro.runtime.scheduler import Scheduler
+from repro.runtime.tasks import ExecutionContext, StageTask
 from repro.sql import ast
 from repro.sql.parser import parse
 
@@ -279,7 +273,9 @@ class ParadiseProcessor:
                 plan=self._fragment(prepared.query, pushdown),
             )
             if key is not None:
-                self.plans.put(key, cached)
+                # Sessions racing on a cold cache all run the first plan
+                # stored, so they share its derived queries and DAGs.
+                cached = self.plans.put(key, cached)
         plan = result.plan = cached.plan
 
         # 4. distributed execution + 5. anonymization + 6. remainder
@@ -441,7 +437,15 @@ class ParadiseProcessor:
         lines.append("")
         lines.append(plan.pretty(self._estimates(plan, self._raw_input_rows())))
 
-        dag = self._build_dag(plan, topology, anonymize, namespace)
+        dag = build_execution_dag(
+            plan,
+            topology,
+            self.network,
+            anonymizer=self.anonymizer if anonymize else None,
+            namespace=namespace,
+            partial_aggregation=self.partial_aggregation,
+            config=self.engine,
+        )
         lines.append("")
         lines.append(
             f"{strategy} DAG: {len(dag.tasks)} tasks over "
@@ -648,23 +652,6 @@ class ParadiseProcessor:
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-    def _build_dag(
-        self,
-        plan: FragmentPlan,
-        topology: Topology,
-        anonymize: bool,
-        namespace: Optional[str],
-    ) -> ExecutionDag:
-        return build_execution_dag(
-            plan,
-            topology,
-            self.network,
-            anonymizer=self.anonymizer if anonymize else None,
-            namespace=namespace,
-            partial_aggregation=self.partial_aggregation,
-            config=self.engine,
-        )
-
     def _live_view(self, plan: FragmentPlan) -> Tuple[FragmentPlan, Topology]:
         """``plan`` re-mapped onto the topology without its dead nodes, and
         that topology (``plan`` and the whole topology while none is dead).

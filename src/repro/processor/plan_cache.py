@@ -7,7 +7,9 @@ module's policy, the topology's dead nodes), the parsed query, its rewrite
 and its :class:`~repro.fragment.plan.FragmentPlan`.  Admission still runs
 on every submission; only parsing, rewriting and fragmentation are skipped.
 
-A cached plan is shared by every run of its text and is never written to.
+A cached plan is shared by every run of its text and is never written to;
+the first plan stored under a key stays, so sessions that plan one text
+at once all run it.
 The queries the DAG builder derives from it live in the plan's own memo
 (:attr:`FragmentPlan.derived`), so every run hands the engine the same AST
 objects and the engine's plan memos, keyed by node identity, hit.  A run
@@ -67,12 +69,15 @@ class PlanCache:
             _STATS[0 if entry is not None else 1] += 1
         return entry
 
-    def put(self, key: Hashable, entry: CachedPlan) -> None:
+    def put(self, key: Hashable, entry: CachedPlan) -> CachedPlan:
+        """Store ``entry`` under ``key`` unless an entry is there already;
+        returns the stored one, so racing submissions share one plan."""
         with self._lock:
-            self._entries[key] = entry
+            entry = self._entries.setdefault(key, entry)
             self._entries.move_to_end(key)
             while len(self._entries) > MAX_PLANS:
                 self._entries.popitem(last=False)
+        return entry
 
     def __len__(self) -> int:
         with self._lock:

@@ -10,12 +10,12 @@ from repro.engine.table import Relation
 from repro.fragment.plan import FragmentPlan
 from repro.obs.profile import ProfileReport
 from repro.obs.trace import QueryTrace
-from repro.processor.network import TransferLog
 from repro.rewrite.analyzer import AdmissionDecision
 from repro.rewrite.rewriter import RewriteResult
 from repro.sql import ast
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runtime -> result)
+    from repro.processor.network import TransferLog
     from repro.runtime.faults import CompletenessReport
 
 

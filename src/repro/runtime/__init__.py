@@ -6,22 +6,12 @@ architecture (Figure 3) is a *tree*: many sensors feed appliances, which
 feed the apartment PC, which feeds the provider's cloud, and many users
 query the environment at once.  This package closes that gap:
 
-``dag``
-    :func:`~repro.runtime.dag.build_execution_dag` runs the bottom
-    fragment of a plan where the base relation's chunks live (across
-    sibling sensor leaves), lifts row-distributive fragments up the tree
-    one sibling-merge at a time, and merges every partial at a fragment's
-    assigned node where it needs the whole relation (joins, set
-    operations, windows, ordering).  GROUP BY fragments whose aggregates
-    all decompose skip the global merge entirely: each leaf partition
-    aggregates into mergeable states
-    (``partial()``/``merge()``/``finalize()``, see
-    :mod:`repro.engine.aggregates`), sibling states combine at each tree
-    level, and the fragment finalizes at its assigned node — only group
-    states ever cross a hop, never the raw rows.  Anonymization and the
-    cloud remainder are the DAG's final tasks.
-    :func:`~repro.runtime.dag.cached_execution_dag` keeps a built DAG in
-    its plan's memo while the data it was built over is unchanged.
+``dag`` / ``tasks`` / ``memo``
+    Split by lifetime: :func:`~repro.runtime.dag.build_execution_dag` lays
+    a plan out as tasks where the base chunks live (plan time), the tasks
+    and :class:`~repro.runtime.tasks.ExecutionContext` do one run, and
+    :mod:`~repro.runtime.memo` holds every rule about work kept across
+    runs (leaf and combined states, derived queries, built DAGs).
 
 ``scheduler``
     :class:`~repro.runtime.scheduler.Scheduler` runs ready tasks under
@@ -41,18 +31,13 @@ query the environment at once.  This package closes that gap:
     runtime-scaling benchmark measures genuine wall-clock overlap.
 
 ``faults``
-    The fault-tolerance layer (PR 6): a deterministic
-    :class:`~repro.runtime.faults.FailureInjector` (kill a node at a task
-    boundary, drop/delay a link, inject transient errors or hangs),
-    :class:`~repro.runtime.faults.RetryPolicy` for bounded in-place
-    retries, :class:`~repro.runtime.faults.CheckpointStore` for
-    wire-packed aggregate-state checkpoints at combine boundaries, and
-    :class:`~repro.runtime.faults.CompletenessReport` — the contract for
-    gracefully degraded partial results.  The scheduler escalates
-    unrecoverable task failures to
-    :class:`~repro.runtime.faults.NodeDeath`; the processor's recovery
-    loop marks the node dead, re-places its chunks onto live siblings and
-    re-plans the DAG (:func:`~repro.runtime.dag.replan_without`).
+    The fault-tolerance layer: a deterministic
+    :class:`~repro.runtime.faults.FailureInjector`, bounded in-place
+    retries, aggregate-state checkpoints and the
+    :class:`~repro.runtime.faults.CompletenessReport` of degraded results.
+    A node that dies is marked dead, its chunks are re-placed onto live
+    siblings and the DAG is re-planned
+    (:func:`~repro.runtime.dag.replan_without`).
 
 Every query runs on this runtime: ``execution="serial"`` runs the
 scheduler with one worker, a plain loop over the tasks in build order on
@@ -67,15 +52,14 @@ byte-identical relations — including every workload under every
 """
 
 from repro.runtime.cost import DEFAULT_TASK_TIMEOUT, CostModel
+from repro.engine.table import union_partials
 from repro.runtime.dag import (
-    ExecutionContext,
     ExecutionDag,
     build_execution_dag,
     anonymization_node,
     lift_node_groups,
     partial_aggregation_pays,
     replan_without,
-    union_partials,
 )
 from repro.runtime.faults import (
     CheckpointStore,
@@ -93,6 +77,7 @@ from repro.runtime.faults import (
 )
 from repro.runtime.scheduler import DagRunReport, Scheduler, TaskTiming
 from repro.runtime.session import QueryRequest, SessionFrontEnd
+from repro.runtime.tasks import ExecutionContext
 from repro.runtime.standing import (
     StandingQueryError,
     StandingQueryHandle,

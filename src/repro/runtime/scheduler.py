@@ -3,7 +3,7 @@
 The :class:`Scheduler` runs the tasks of an
 :class:`~repro.runtime.dag.ExecutionDag`, dispatching every task the moment
 its dependencies complete.  Where the tasks run depends on whether any of
-them can wait (:attr:`~repro.runtime.dag.ExecutionContext.can_wait`):
+them can wait (:attr:`~repro.runtime.tasks.ExecutionContext.can_wait`):
 
 * **A fresh thread pool per run** when the run has simulated costs (their
   sleeps), a process dispatcher (the coordinator waits on worker
@@ -81,8 +81,9 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.fragment.topology import Topology
 from repro.obs.metrics import registry as _metrics
 from repro.obs.trace import activate
-from repro.runtime.dag import ExecutionContext, ExecutionDag, Output, Task
+from repro.runtime.dag import ExecutionDag
 from repro.runtime.faults import NodeDeath, RetryPolicy, TransientTaskError
+from repro.runtime.tasks import ExecutionContext, Output, Task
 
 
 @dataclass

@@ -18,13 +18,13 @@ This module turns PR 3's mergeable partial-state protocol
   DAG's leaf partials use.
 * On each arriving chunk the runtime appends it at the **end** of the
   owning leaf's partition (``NetworkSimulator.append_to_partition``): the
-  grown chunk keeps its states, and the table's version moves.  Nothing
+  grown chunk keeps its states, and the table's placement changes.  Nothing
   else runs: a write runs no partial, merge or tail, whatever the
   subscriber count.
 * A subscriber's result is finalized when it is read (lazy view
   maintenance): the first read of a tree after a change takes each
   holder's leaf state from its chunk through
-  :func:`~repro.runtime.dag.leaf_state` — a hit, a fold of the rows
+  :func:`~repro.runtime.memo.leaf_state` — a hit, a fold of the rows
   appended since (O(delta x groups)), or a full partial — unions the
   states in partition order and merges them **once per tree** at the
   cloud; each read handle runs its HAVING / select-item / ORDER BY tail
@@ -32,7 +32,7 @@ This module turns PR 3's mergeable partial-state protocol
 
 Why the results are *byte-identical* to from-scratch re-execution: group
 output order is first-occurrence order over the input, deltas append at the
-end of a leaf chunk, and :func:`~repro.runtime.dag.fold_state` feeds the
+end of a leaf chunk, and :func:`~repro.runtime.memo.fold_state` feeds the
 merge the kept state first — so the merged group order (and every MIN/MAX
 tie, which keeps the first-seen value) equals a single pass over the full
 chunk.  Leaf states union in partition order, which is the loaded
@@ -77,12 +77,12 @@ from repro.engine.errors import ExecutionError
 from repro.engine.executor import aggregate_calls, decomposition_error, first_value_columns
 from repro.engine.vectorized import FinalizedGroups
 from repro.engine.schema import Schema
-from repro.engine.table import Relation
+from repro.engine.table import Relation, union_partials
 from repro.engine.wire import PackedRelation
 from repro.obs.metrics import registry as _metrics
 from repro.obs.trace import QueryTrace, Span
 from repro.rewrite.containment import check_leakage
-from repro.runtime.dag import kept_key, leaf_state, union_partials
+from repro.runtime.memo import leaf_state, leaf_state_bytes, note_placement, same_placement
 from repro.sql import ast
 from repro.sql.parser import parse
 from repro.sql.render import render, render_expression
@@ -194,8 +194,8 @@ class StandingQueryHandle:
         self.sql = sql
         self.tree = tree
         self._result: Optional[Relation] = None
-        #: The table version ``_result`` was finalized at.
-        self._version = -1
+        #: The tree's groups ``_result`` was finalized from.
+        self._groups: Optional[FinalizedGroups] = None
 
     @property
     def epoch(self) -> int:
@@ -210,15 +210,15 @@ class StandingQueryHandle:
     def result(self) -> Relation:
         """The result at the latest refresh epoch.
 
-        Finalized on the first read after the table's chunks changed and
-        cached until they change again, under the runtime's lock, so a
-        read never sees a half-applied delta.  A leaf state or a tail that
-        raises raises here, on every read of this handle, and leaves
-        appends and the other trees alone.
+        Finalized on the first read after the table's chunks changed
+        (:meth:`_StateTree.current`) and cached until they change again,
+        under the runtime's lock, so a read never sees a half-applied
+        delta.  A leaf state or a tail that raises raises here, on every
+        read of this handle, and leaves appends and the other trees alone.
         """
         runtime = self.tree.runtime
         with runtime._lock:
-            if self._version != runtime.network.table_version(self.tree.table):
+            if not self.tree.current(self._groups):
                 runtime._finalize(self)
             return self._result
 
@@ -252,9 +252,9 @@ class _StateTree:
         #: decode, so a hit on the same bytes decodes nothing.
         self._leaves: Dict[str, Tuple[Optional[PackedRelation], Relation]] = {}
         #: The merged, finalized groups every subscriber's tail reads, and
-        #: the table version they were merged at (-1: none yet).
+        #: the placement they were merged over (:func:`note_placement`).
         self._groups: Optional[FinalizedGroups] = None
-        self.version = -1
+        self._placement: Tuple[tuple, ...] = ()
 
     def _engine(
         self, database: Database, op: str, state: Optional[Relation]
@@ -264,9 +264,18 @@ class _StateTree:
             return database.partial_aggregate(self.core, config), 0.0
         return database.combine_partials(self.core, state, config), 0.0
 
+    def current(self, groups: Optional[FinalizedGroups]) -> bool:
+        """True when ``groups`` are this tree's, merged over the chunks the
+        table still has (:func:`same_placement`)."""
+        return (
+            groups is not None
+            and groups is self._groups
+            and same_placement(self._placement, self.runtime.network.placement(self.table))
+        )
+
     def groups(self, span: Optional[Span] = None) -> FinalizedGroups:
         """The merged groups over every holder's chunk, aggregates
-        finalized; rebuilt at most once per table version.
+        finalized; rebuilt at most once per change of the table's chunks.
 
         Each holder's leaf state is a hit, a fold of the rows appended
         since or a full partial (:func:`leaf_state`).  The states union in
@@ -278,23 +287,22 @@ class _StateTree:
         runtime = self.runtime
         network = runtime.network
         # Read first: a change after it only makes the next read recompute.
-        version = network.table_version(self.table)
-        if self.version == version:
+        placement = network.placement(self.table)
+        if self._groups is not None and same_placement(self._placement, placement):
             return self._groups
         with runtime._stage(span, "merge", self) as merge:
             config = runtime.engine
             outcomes = {"hit": 0, "fold": 0, "miss": 0}
             leaves = {}
-            for holder in network.partition_holders(self.table):
-                database = network.database(holder)
-                if self.table not in database:
+            for holder, chunk, *_ in placement:
+                if chunk is None:
                     continue  # a holder the table never landed on
                 known = self._leaves.get(holder)
                 state, packed, _, outcome = leaf_state(
                     network,
                     holder,
                     self.table,
-                    database.table(self.table),
+                    chunk,
                     self.core,
                     LEAF_NAME,
                     config,
@@ -318,7 +326,7 @@ class _StateTree:
                 empty.register(self.table, union_partials([], name=self.table))
                 root = empty.partial_aggregate(self.core, config)
             self._groups = self._cloud().finalize_groups(self.core, root, config)
-            self.version = version
+            self._placement = note_placement(placement)
             if merge is not None:
                 merge.attrs.update(
                     hits=outcomes["hit"], folds=outcomes["fold"], misses=outcomes["miss"]
@@ -339,16 +347,9 @@ class _StateTree:
     def state_bytes(self) -> int:
         """Payload bytes of the leaf states the table's chunks keep for
         the core (already packed: nothing is encoded to count them)."""
-        network = self.runtime.network
-        key = kept_key(self.core, LEAF_NAME, self.runtime.engine)
-        total = 0
-        for holder in network.partition_holders(self.table):
-            database = network.database(holder)
-            if self.table in database:
-                kept = database.table(self.table).kept_states().get(key)
-                if kept is not None:
-                    total += len(kept.state.payload)
-        return total
+        return leaf_state_bytes(
+            self.runtime.network, self.table, self.core, LEAF_NAME, self.runtime.engine
+        )
 
 
 def _state_bytes_probe(
@@ -481,7 +482,7 @@ class StandingQueryRuntime:
             except BaseException:
                 self._detach(handle, signature)
                 raise
-            handle._version = tree.version
+            handle._groups = tree._groups
             self._next_query_id += 1
             self._handles[handle.query_id] = handle
             _metrics.counter("standing.registered").inc()
@@ -581,7 +582,7 @@ class StandingQueryRuntime:
 
         The delta lands at the end of the node's partition chunk (keeping
         the concatenated stream identical to a from-scratch load), which
-        keeps its leaf states, and bumps the table's version.  Nothing is
+        keeps its leaf states, and changes the table's placement.  Nothing is
         computed here: each handle finalizes when it is next read
         (:meth:`StandingQueryHandle.result`), and its tree folds the
         appended rows then.  Returns the new refresh epoch.
@@ -604,8 +605,6 @@ class StandingQueryRuntime:
                     span.attrs["previous_epoch_span"] = self._last_refresh_span_id
             started = time.perf_counter()
             try:
-                # An empty delta leaves the table's version, hence every
-                # result, as it was; only the epoch advances.
                 self.network.append_to_partition(node_name, table, relation)
                 _metrics.counter("standing.refreshes").inc()
                 _metrics.counter("standing.delta_rows").inc(len(relation))
@@ -638,7 +637,7 @@ class StandingQueryRuntime:
                 tree=handle.tree.tree_id,
             ) as span:
                 handle._result = handle.tree.finalize(handle, span)
-        handle._version = handle.tree.version
+        handle._groups = handle.tree._groups
         _metrics.counter("standing.subscriber_refreshes").inc()
         _metrics.histogram("standing.finalize_seconds").observe(
             time.perf_counter() - started

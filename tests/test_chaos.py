@@ -45,7 +45,7 @@ from repro.runtime import (
     SessionFrontEnd,
     build_execution_dag,
 )
-from repro.runtime.dag import AnonymizeTask
+from repro.runtime.tasks import AnonymizeTask
 from repro.runtime.faults import (
     DELAY_LINK,
     DROP_LINK,

@@ -281,3 +281,31 @@ def test_sessions_share_the_kept_dags():
     assert diff.get("runtime.dag_cache.hits", 0) == submissions - misses
     assert all(result.runtime.workers > 1 for result in results)
     assert {pack_relation(result.result) for result in results} == {expected}
+
+
+@pytest.mark.concurrency
+def test_sessions_racing_on_a_cold_plan_cache_share_one_plan():
+    """The same burst with no submission ahead of it: sessions that plan
+    the text at once all run the first plan stored, so they share its
+    DAGs, and the four namespaces still build at most one DAG each."""
+    processor = build_tree_processor(
+        rows=800, execution="parallel", cost_model=CostModel(seconds_per_row=1e-6)
+    )
+    expected = _expected(processor)
+    submissions = 24
+    before = registry.snapshot(prefix="runtime.dag_cache")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    frontend = SessionFrontEnd(processor, max_concurrent=4)
+    try:
+        futures = [frontend.submit(SQL, "fig4", **OPTIONS) for _ in range(submissions)]
+        results = [future.result(timeout=120) for future in futures]
+    finally:
+        frontend.close()
+        sys.setswitchinterval(interval)
+    diff = delta(before, registry.snapshot(prefix="runtime.dag_cache"))
+    misses = diff.get("runtime.dag_cache.misses", 0)
+    assert 1 <= misses <= 4
+    assert diff.get("runtime.dag_cache.hits", 0) == submissions - misses
+    assert len({id(result.plan) for result in results}) == 1
+    assert {pack_relation(result.result) for result in results} == {expected}

@@ -43,7 +43,8 @@ from repro.fragment.topology import Topology
 from repro.processor.paradise import ParadiseProcessor
 from repro.rlang.sqlable import extract_sql_from_r
 from repro.runtime import build_execution_dag
-from repro.runtime.dag import ExecutionContext, ExecutionDag, StageTask, merge_views
+from repro.runtime.dag import ExecutionDag, merge_views
+from repro.runtime.tasks import ExecutionContext, StageTask
 from repro.runtime.scheduler import Scheduler
 from repro.sensors.scenario import INTEGRATED_SCHEMA
 from repro.sql.parser import parse

@@ -3,7 +3,7 @@ time outputs the state it packed then, undecoded, instead of decoding and
 merging them again.
 
 The entries live per node (``NetworkSimulator.kept_combines``), keyed like
-a chunk's kept leaf states (``runtime.dag.kept_key``), and hold the input
+a chunk's kept leaf states (``runtime.memo.kept_key``), and hold the input
 payloads they merged.  These tests pin that a hit's bytes are a fresh
 combine's under every config, the hit and decode counts of a repeated read
 on the 8-sensor tree, that a changed leaf misses only on its path to the
@@ -320,7 +320,7 @@ def test_the_oracle_and_the_ablation_never_hit(config):
 def test_a_full_node_memo_is_emptied():
     """Past ``MAX_KEPT_STATES`` distinct combines one node's memo starts
     over, so it never holds more."""
-    from repro.runtime.dag import MAX_KEPT_STATES
+    from repro.runtime.memo import MAX_KEPT_STATES
 
     processor = _processor(rows=400)
     for bound in range(MAX_KEPT_STATES + 1):

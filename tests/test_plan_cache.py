@@ -25,7 +25,7 @@ from repro.policy.model import AttributeRule
 from repro.policy.presets import figure4_policy
 from repro.processor.paradise import ParadiseProcessor
 from repro.processor.reference import reference_result
-from repro.runtime import SessionFrontEnd
+from repro.runtime import SessionFrontEnd, build_execution_dag
 from repro.runtime.faults import KILL_NODE, Fault, FailureInjector
 from repro.sensors.scenario import INTEGRATED_SCHEMA
 
@@ -55,7 +55,15 @@ def test_repeated_text_reuses_plan_and_derived_queries():
     assert pack_relation(second.result) == pack_relation(first.result)
     assert [e.sql for e in second.executions] == [e.sql for e in first.executions]
     dags = [
-        processor._build_dag(first.plan, processor.topology, True, "s0")
+        build_execution_dag(
+            first.plan,
+            processor.topology,
+            processor.network,
+            anonymizer=processor.anonymizer,
+            namespace="s0",
+            partial_aggregation=processor.partial_aggregation,
+            config=processor.engine,
+        )
         for _ in range(2)
     ]
     queries = [[getattr(task, "query", None) for task in dag.tasks] for dag in dags]

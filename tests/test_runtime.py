@@ -222,7 +222,7 @@ def test_dag_build_rebases_each_fragment_once(monkeypatch, module, sql, fused):
     and sibling tasks share that one object; running the DAG leaves the
     plan's queries as the fragmenter made them."""
     from repro.runtime import dag as dag_module
-    from repro.runtime.dag import StageTask
+    from repro.runtime.tasks import StageTask
 
     processor = build_tree_processor(rows=320, n_sensors=16)
     options = {"apply_rewriting": module is not None}
@@ -376,8 +376,8 @@ def test_aggregate_states_are_packed_once(monkeypatch, execution):
     from benchmarks.e2e.workloads import GROUPBY_SQL, occupancy_policy
     from repro.engine import wire
     from repro.processor import network as network_module
-    from repro.runtime import dag as dag_module
-    from repro.runtime.dag import ExecutionContext
+    from repro.runtime import dag as dag_module, memo as memo_module
+    from repro.runtime.tasks import ExecutionContext
     from repro.sensors.scenario import INTEGRATED_SCHEMA
 
     processor = ParadiseProcessor(
@@ -405,7 +405,7 @@ def test_aggregate_states_are_packed_once(monkeypatch, execution):
             checkpoints.append((task.kind, task.node, context.payloads[task.task_id]))
         return real_save(context, task, relation)
 
-    for module in (wire, network_module, dag_module):
+    for module in (wire, network_module, memo_module):
         monkeypatch.setattr(module, "pack_relation", pack)
     for module in (wire, network_module):
         monkeypatch.setattr(module, "unpack_relation", unpack)

@@ -1,5 +1,6 @@
 """Source checks that need no linter: every module reads what it imports
-and every private (``_``-prefixed) module-level definition."""
+and every private (``_``-prefixed) module-level definition, and only the
+kept-work module touches the stores of kept work."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ from pathlib import Path
 from typing import Iterator, List, Set, Tuple
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+BENCHMARKS = SRC.parent.parent / "benchmarks"
 
 
 def _top_level_statements(tree: ast.Module) -> Iterator[ast.stmt]:
@@ -190,3 +192,56 @@ def test_the_private_check_sees_functions_classes_and_constants():
         ("_UNUSED_RE", 3),
         ("_orphan", 7),
     ]
+
+
+#: The accessors of the stores of kept work, and the classes that define
+#: them; only these classes and ``runtime/memo.py`` may call them.
+KEPT_STORES = {"kept_states": "Relation", "kept_combines": "NetworkSimulator"}
+
+
+def kept_store_calls(source: str) -> List[Tuple[str, int]]:
+    """(accessor, line) of each call of a kept-work store accessor outside
+    the class that defines it."""
+    tree = ast.parse(source)
+    calls: List[Tuple[str, int]] = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and KEPT_STORES.get(node.func.attr, owner) != owner
+        ):
+            calls.append((node.func.attr, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, "")
+    return calls
+
+
+def test_only_the_kept_work_module_touches_the_stores():
+    memo = SRC / "runtime" / "memo.py"
+    paths = sorted(SRC.rglob("*.py")) + sorted(BENCHMARKS.glob("*.py"))
+    calls = [
+        f"{path}:{line}: {name}"
+        for path in paths
+        if path != memo
+        for name, line in kept_store_calls(path.read_text())
+    ]
+    assert calls == [], "kept-work stores touched outside runtime/memo.py:\n" + "\n".join(
+        calls
+    )
+
+
+def test_the_store_check_allows_only_the_defining_class():
+    source = (
+        "class Relation:\n"
+        "    def kept_states(self): return {}\n"
+        "    def copy(self): return self.kept_states()\n"
+        "class NetworkSimulator:\n"
+        "    def drop(self, chunk): chunk.kept_states().clear()\n"
+        "def clear(network): network.kept_combines('pc').clear()\n"
+    )
+    assert kept_store_calls(source) == [("kept_states", 5), ("kept_combines", 6)]

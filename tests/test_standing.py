@@ -18,6 +18,7 @@ import time
 import pytest
 
 from tests.conftest import make_sensor_relation
+from tests.test_zone_maps import SENSOR_MUTATIONS
 
 from repro.engine.wire import pack_state_relation
 from repro.fragment.topology import Topology
@@ -30,7 +31,7 @@ from repro.runtime import (
     StandingQueryError,
     StandingQueryRuntime,
 )
-from repro.runtime.dag import kept_key
+from repro.runtime.memo import kept_key
 from repro.runtime.standing import LEAF_NAME
 from repro.sensors.scenario import INTEGRATED_SCHEMA
 
@@ -222,7 +223,7 @@ def test_single_row_and_empty_deltas():
     assert handle.epoch == 1
     assert_byte_identical(handle.result(), runtime.reexecute(handle))
 
-    # An empty delta advances the epoch but must not recompute anything:
+    # An empty delta advances the epoch but must not change anything:
     # the maintained bytes are exactly the previous epoch's.
     refreshed = pack_state_relation(handle.result())
     runtime.append(leaf, make_sensor_relation(0))
@@ -323,6 +324,34 @@ def test_placement_changes_at_every_depth_stay_byte_identical(n_sensors):
         kept = [kept_entry(runtime, tree, holder).state.payload for holder in holders]
         assert kept == fresh
         assert tree.state_bytes() == sum(len(payload) for payload in fresh)
+
+
+#: Every way the base data can change under a handle: the public
+#: mutations of one sensor's chunk, and its node dying under both
+#: ``fail_node`` semantics.
+DATA_CHANGES = {
+    **SENSOR_MUTATIONS,
+    "fail_node": lambda network, node: network.fail_node(node),
+    "fail_node_lose_data": lambda network, node: network.fail_node(node, lose_data=True),
+}
+
+
+@pytest.mark.parametrize("change", sorted(DATA_CHANGES))
+@pytest.mark.parametrize("victim", ["sensor_0", "sensor_5"])
+def test_a_handle_read_after_any_data_change_answers_over_the_new_data(change, victim):
+    """On the 8-sensor tree, a handle read, then ``change`` applied to
+    ``victim`` outside the standing runtime, then read again: the second
+    read equals re-execution over the data as it is now, not the bytes
+    the first read cached."""
+    processor = build_tree_processor(rows=400)
+    runtime = StandingQueryRuntime(processor)
+    handle = runtime.register(
+        "SELECT x, COUNT(*) AS n, SUM(z) AS s, MAX(t) AS hi FROM d GROUP BY x",
+        "ActionFilter",
+    )
+    handle.result()
+    DATA_CHANGES[change](processor.network, victim)
+    assert_byte_identical(handle.result(), runtime.reexecute(handle), change)
 
 
 # ---------------------------------------------------------------------------
@@ -649,16 +678,16 @@ def test_state_bytes_are_packed_only_when_read(monkeypatch):
     """Appends pack nothing; a read packs each leaf state it folds once;
     reading ``standing.state_bytes`` packs nothing: it sums the payloads
     the chunks keep."""
-    from repro.runtime import dag
+    from repro.runtime import memo
 
     packed = []
-    original = dag.pack_relation
+    original = memo.pack_relation
 
     def counting_pack(relation):
         packed.append(relation)
         return original(relation)
 
-    monkeypatch.setattr(dag, "pack_relation", counting_pack)
+    monkeypatch.setattr(memo, "pack_relation", counting_pack)
     runtime = StandingQueryRuntime(build_tree_processor())
     handles = [runtime.register(STANDING_SQL), runtime.register(SHARED_FINALIZE_SQL[0])]
     holders = runtime.network.partition_holders("d")

@@ -36,7 +36,7 @@ from repro.policy.presets import figure4_policy
 from repro.processor.paradise import ParadiseProcessor
 from repro.processor.reference import reference_result
 from repro.runtime import CostModel, SessionFrontEnd
-from repro.runtime.dag import MAX_KEPT_STATES, fold_state
+from repro.runtime.memo import MAX_KEPT_STATES, fold_state
 from repro.runtime.faults import KILL_NODE, Fault, FailureInjector
 from repro.sql.parser import parse
 

@@ -207,7 +207,7 @@ def test_partial_and_combine_state_bytes_are_pinned(sql):
 
     from repro.engine.database import Database
     from repro.engine.wire import pack_state_relation
-    from repro.runtime.dag import union_partials
+    from repro.engine.table import union_partials
     from tests.conftest import make_sensor_relation
 
     def digest(data: bytes) -> str:
