@@ -5,9 +5,11 @@ executor, offering the small API the rest of the reproduction relies on:
 ``create_table`` / ``insert_rows`` / ``register`` / ``query``.
 
 Every node of the vertical architecture (cloud, PC, appliance, sensor) carries
-its own :class:`Database`; the PArADISE processor registers shipped
-intermediate results under the fragment names (``d1``, ``d2``, ...) exactly
-like the staged queries in Section 4.2 of the paper.
+its own :class:`Database`, whose catalog holds the base data placed there.
+A fragment reads the previous stage's result by its name (``d1``, ``d2``,
+...) exactly like the staged queries in Section 4.2 of the paper, but the
+runtime binds that result for the one call (``inputs=``) instead of
+registering it, so concurrent runs never see each other's intermediates.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.engine.errors import SchemaError
 from repro.engine.config import DEFAULT_CONFIG, EngineConfig
-from repro.engine.executor import QueryExecutor
+from repro.engine.executor import NO_INPUTS, QueryExecutor
 from repro.engine.vectorized import FinalizedGroups
 from repro.engine.schema import Schema
 from repro.engine.table import Relation
@@ -43,13 +45,14 @@ class Database:
     concurrency the fragment runtime exploits.
 
     Every query method takes the :class:`~repro.engine.config.EngineConfig`
-    to run under.  Executors read the live catalog and are kept per config
-    and per *shape*: the column names of every table the query reads.
-    Compiled plans capture column names only (star expansion, fast scope
-    keys, subquery constancy), so a plan stays valid for exactly as long
-    as the shapes it was built against — re-registering ``d1`` with other
-    columns routes its readers to another executor instead of flushing
-    the plans of every query on the node.
+    to run under.  Executors read the live catalog and the relations a
+    call binds (``inputs=``), and are kept per config and per *shape*: the
+    column names of every table the query reads, a bound one's taken from
+    the bound relation.  Compiled plans capture column names only (star
+    expansion, fast scope keys, subquery constancy), so a plan stays valid
+    for exactly as long as the shapes it was built against — binding
+    ``d1`` with other columns routes its readers to another executor
+    instead of flushing the plans of every query on the node.
     """
 
     #: Executors are flushed wholesale past this many (config, shapes)
@@ -90,18 +93,14 @@ class Database:
             return relation
 
     def register(self, name: str, relation: Relation, replace: bool = True) -> None:
-        """Register an existing relation under ``name``.
-
-        Shipped query results are registered this way when they arrive at a
-        node (``d1`` arriving at the appliance, ``d2`` at the media center...).
-        """
+        """Register an existing relation under ``name`` (a base table or a
+        device table placed on this node)."""
         with self._lock:
             key = name.lower()
             if not replace and key in self._tables:
                 raise SchemaError(f"Table already exists: {name}")
             # Defensive isolation without a deep copy: the columnar layout
-            # makes this an O(#columns) list copy (values shared), so the
-            # pipeline's per-run d1..d4 re-registrations no longer pay a
+            # makes this an O(#columns) list copy (values shared), not a
             # per-row dict materialization.  Mutations on either side stay
             # invisible to the other (see tests/test_columnar.py).
             replacement = relation.copy()
@@ -143,23 +142,36 @@ class Database:
     # querying
     # ------------------------------------------------------------------
     def query(
-        self, sql_or_ast: Union[str, ast.Query], config: EngineConfig = DEFAULT_CONFIG
+        self,
+        sql_or_ast: Union[str, ast.Query],
+        config: EngineConfig = DEFAULT_CONFIG,
+        inputs: Optional[Mapping[str, Relation]] = None,
     ) -> Relation:
-        """Parse (if needed) and execute a query against this database."""
+        """Parse (if needed) and execute a query against this database.
+
+        ``inputs`` binds relations by name for this call only: the query
+        reads them before the catalog's same-named tables, which stay as
+        they are.
+        """
         query = parse(sql_or_ast) if isinstance(sql_or_ast, str) else sql_or_ast
+        bound = _bound(inputs)
         with self._lock:
-            return self._executor(config, query).execute(query)
+            return self._executor(config, query, bound).execute(query, bound)
 
     def _executor(
-        self, config: EngineConfig, query: Optional[ast.Query] = None
+        self,
+        config: EngineConfig,
+        query: Optional[ast.Query] = None,
+        inputs: Mapping[str, Relation] = NO_INPUTS,
     ) -> QueryExecutor:
         """The executor for ``config`` and the shapes of the tables
-        ``query`` reads (built on first use).
+        ``query`` reads, a bound input's taken from the bound relation
+        (built on first use).
 
         Calls that take their input directly instead of reading the
         catalog (combine, finalize) pass no query and skip the lookup.
         """
-        key = (config, self._shapes(query) if query is not None else ())
+        key = (config, self._shapes(query, inputs) if query is not None else ())
         executor = self._executors.get(key)
         if executor is None:
             if len(self._executors) >= self._MAX_EXECUTORS:
@@ -168,8 +180,9 @@ class Database:
             self.executor_builds += 1
         return executor
 
-    def _shapes(self, query: ast.Query) -> Shapes:
-        """The column names of every table ``query`` reads, as it stands."""
+    def _shapes(self, query: ast.Query, inputs: Mapping[str, Relation]) -> Shapes:
+        """The column names of every table ``query`` reads, as the call
+        binds it or the catalog holds it."""
         entry = self._reads.get(id(query))
         if entry is None:
             if len(self._reads) >= QueryExecutor._MAX_PLAN_ENTRIES:
@@ -178,22 +191,32 @@ class Database:
             entry = self._reads[id(query)] = (query, names)
         tables = self._tables
         return tuple(
-            tuple(tables[name].schema.names) if name in tables else None
+            tuple(inputs[name].schema.names)
+            if name in inputs
+            else tuple(tables[name].schema.names)
+            if name in tables
+            else None
             for name in entry[1]
         )
 
     def partial_aggregate(
-        self, sql_or_ast: Union[str, ast.Query], config: EngineConfig = DEFAULT_CONFIG
+        self,
+        sql_or_ast: Union[str, ast.Query],
+        config: EngineConfig = DEFAULT_CONFIG,
+        inputs: Optional[Mapping[str, Relation]] = None,
     ) -> Relation:
         """Run a grouped query in *partial* mode: mergeable state rows.
 
-        The query's FROM/WHERE run against this node's catalog as usual,
-        but grouping stops before finalization — the distributed runtime
-        ships the (much smaller) state rows instead of raw rows.
+        The query's FROM/WHERE read this node's catalog and ``inputs`` as
+        :meth:`query` does, but grouping stops before finalization — the
+        distributed runtime ships the (much smaller) state rows instead of
+        raw rows.
         """
         query = parse(sql_or_ast) if isinstance(sql_or_ast, str) else sql_or_ast
+        bound = _bound(inputs)
         with self._lock:
-            return self._executor(config, query).execute_partial_aggregation(query)
+            executor = self._executor(config, query, bound)
+            return executor.execute_partial_aggregation(query, bound)
 
     def combine_partials(
         self,
@@ -204,8 +227,7 @@ class Database:
         """Merge partial-state rows (from several children) per group.
 
         ``relation`` is passed directly rather than read from the catalog:
-        combine points receive partials over the wire and never register
-        the intermediate states.
+        a combine reads no table, only the states it merges.
         """
         query = parse(sql_or_ast) if isinstance(sql_or_ast, str) else sql_or_ast
         with self._lock:
@@ -273,3 +295,10 @@ class Database:
         """Total number of rows across all tables (used by capacity checks)."""
         with self._lock:
             return sum(len(relation) for relation in self._tables.values())
+
+
+def _bound(inputs: Optional[Mapping[str, Relation]]) -> Mapping[str, Relation]:
+    """``inputs`` keyed by lower-cased name, as the executor reads them."""
+    if not inputs:
+        return NO_INPUTS
+    return {name.lower(): relation for name, relation in inputs.items()}

@@ -28,6 +28,7 @@ Each executor runs under one :class:`~repro.engine.config.EngineConfig`
 from __future__ import annotations
 
 from itertools import repeat
+from types import MappingProxyType
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.engine.aggregates import (
@@ -364,6 +365,10 @@ class _WherePlan:
         self.segments = segments
 
 
+#: The inputs of a call that binds none.
+NO_INPUTS: Mapping[str, Relation] = MappingProxyType({})
+
+
 class QueryExecutor:
     """Execute :class:`~repro.sql.ast.Query` nodes against named relations."""
 
@@ -378,6 +383,9 @@ class QueryExecutor:
             self._catalog = catalog
         else:
             self._catalog = {name.lower(): relation for name, relation in catalog.items()}
+        #: The relations the running call binds by (lower-cased) name,
+        #: read before the catalog's same-named tables.
+        self._inputs = NO_INPUTS
         self.config = config
         self._use_compiled = config.mode == "compiled"
         self._vectorized = self._use_compiled and config.vectorized
@@ -408,15 +416,31 @@ class QueryExecutor:
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
-    def execute(self, query: ast.Query) -> Relation:
-        """Execute ``query`` and return the result relation."""
+    def execute(
+        self, query: ast.Query, inputs: Mapping[str, Relation] = NO_INPUTS
+    ) -> Relation:
+        """Execute ``query`` and return the result relation.
+
+        ``inputs`` binds relations by lower-cased name for this call: a
+        name found there shadows the catalog's table of that name.
+        """
         if self._compiler is not None:
             self._compiler.new_execution()
-        return self._execute_query(query, parent=None)
+        self._inputs = inputs
+        try:
+            return self._execute_query(query, parent=None)
+        finally:
+            self._inputs = NO_INPUTS
+
+    def _relation(self, name: str) -> Optional[Relation]:
+        """The relation ``name`` reads: the call's input, else the catalog's."""
+        key = name.lower()
+        relation = self._inputs.get(key)
+        return relation if relation is not None else self._catalog.get(key)
 
     def lookup_table(self, name: str) -> Relation:
-        """Return the catalog relation registered under ``name``."""
-        relation = self._catalog.get(name.lower())
+        """Return the relation ``name`` reads (:meth:`_relation`)."""
+        relation = self._relation(name)
         if relation is None:
             raise ExecutionError(f"Unknown table: {name}")
         return relation
@@ -1302,8 +1326,11 @@ class QueryExecutor:
             raise ExecutionError(plan.partial_error)
         return plan
 
-    def execute_partial_aggregation(self, query: ast.SelectQuery) -> Relation:
-        """Run ``query``'s FROM/WHERE, then group into mergeable state rows.
+    def execute_partial_aggregation(
+        self, query: ast.SelectQuery, inputs: Mapping[str, Relation] = NO_INPUTS
+    ) -> Relation:
+        """Run ``query``'s FROM/WHERE, then group into mergeable state rows;
+        ``inputs`` binds relations for the call as in :meth:`execute`.
 
         Emits one row per group in first-occurrence order: the group-key
         columns under their original names, one ``partial()`` state per
@@ -1316,6 +1343,13 @@ class QueryExecutor:
         """
         if self._compiler is not None:
             self._compiler.new_execution()
+        self._inputs = inputs
+        try:
+            return self._partial_states(query)
+        finally:
+            self._inputs = NO_INPUTS
+
+    def _partial_states(self, query: ast.SelectQuery) -> Relation:
         plan = self._partial_plan(query)
         _exec_counts[1] += 1
         if self._vectorized:
@@ -1667,7 +1701,7 @@ class QueryExecutor:
         if from_clause is None:
             return set(), set(), []
         if isinstance(from_clause, ast.TableRef):
-            relation = self._catalog.get(from_clause.name.lower())
+            relation = self._relation(from_clause.name)
             if relation is None:
                 return None
             visible = {name.lower() for name in relation.schema.names}
@@ -1704,7 +1738,7 @@ class QueryExecutor:
             if isinstance(item.expression, ast.Star):
                 if not isinstance(query.from_clause, ast.TableRef):
                     return None
-                relation = self._catalog.get(query.from_clause.name.lower())
+                relation = self._relation(query.from_clause.name)
                 if relation is None:
                     return None
                 columns.extend(relation.schema.names)

@@ -167,9 +167,6 @@ class NetworkSimulator:
         #: stop matching and stale checkpoints are never restored.
         self._epochs: Dict[Tuple[str, str], int] = {}
         self._placement_lock = threading.Lock()
-        self._fold_catalogs: Dict[str, Tuple[Database, threading.Lock]] = {
-            node.name: (Database(name=node.name), threading.Lock()) for node in topology
-        }
         self._kept_combines: Dict[str, Dict] = {node.name: {} for node in topology}
 
     # ------------------------------------------------------------------
@@ -180,17 +177,6 @@ class NetworkSimulator:
         if node_name not in self._databases:
             raise KeyError(f"Unknown node: {node_name}")
         return self._databases[node_name]
-
-    def fold_catalog(self, node_name: str) -> Tuple[Database, threading.Lock]:
-        """The scratch catalog ``node_name`` folds a grown chunk's appended
-        rows in (``runtime.memo.leaf_state``) and its lock.
-
-        A fold holds the lock from registering the rows to the end of its
-        partial, so two sessions folding on one node never read each
-        other's rows.  The catalog is kept, so its executors and their
-        compiled partial plans stay warm from one fold to the next.
-        """
-        return self._fold_catalogs[node_name]
 
     def kept_combines(self, node_name: str) -> Dict:
         """The combined states ``node_name`` keeps; only
@@ -251,9 +237,13 @@ class NetworkSimulator:
         statistics carry over, extended by the delta, so the next plan
         over the chunk does not rebuild them; its kept leaf states carry
         over as they are (each covers the old rows), so the next read
-        folds in only the delta.  Returns the chunk's new row count.
+        folds in only the delta.  Returns the chunk's new row count.  An
+        empty delta lands nothing: no re-registration, no epoch bump, no
+        new holder, so everything kept over the chunk stays current.
         """
         database = self.database(node_name)
+        if not len(delta):
+            return len(database.table(table_name)) if table_name in database else 0
         if table_name in database:
             chunk = database.table(table_name)
         else:
@@ -453,22 +443,6 @@ class NetworkSimulator:
         if table_name != "stream" and "stream" in database:
             database.drop_table("stream")
 
-    def drop_namespace(self, namespace: str) -> int:
-        """Drop every namespaced intermediate (``x__ns``) from every node.
-
-        Failed or retried parallel runs call this so a re-plan (or the next
-        session recycling the namespace) never reads a half-written
-        intermediate; returns the number of tables dropped.
-        """
-        suffix = f"__{namespace}".lower()
-        dropped = 0
-        for database in self._databases.values():
-            for table_name in database.table_names:
-                if table_name.lower().endswith(suffix):
-                    database.drop_table(table_name)
-                    dropped += 1
-        return dropped
-
     # ------------------------------------------------------------------
     # shipping
     # ------------------------------------------------------------------
@@ -479,43 +453,37 @@ class NetworkSimulator:
         source: str,
         target: str,
         log: Optional[TransferLog] = None,
-        register: bool = True,
         injector: Optional[object] = None,
     ) -> Union[Relation, PackedRelation]:
-        """Ship ``relation`` from ``source`` to ``target`` and register it there.
+        """Ship ``relation`` from ``source`` to ``target``; returns it as
+        ``target`` received it.  Nothing is registered at the target: the
+        task that reads it binds it for its own engine call.
 
         The relation genuinely crosses the link: it is serialized through
         the wire codec (:func:`repro.engine.wire.pack_relation`), the
         *encoded payload's* byte count drives the transfer log, the metrics
-        and the cost model's link latency, and the relation registered at
-        the target — also returned to the caller — is the **deserialized**
-        copy.  A relation with a cell outside the wire vocabulary raises
-        :class:`~repro.engine.wire.WireFormatError`: nothing is logged or
-        registered, and sender and receiver never share mutable state.
+        and the cost model's link latency, and the relation returned is the
+        **deserialized** copy.  A relation with a cell outside the wire
+        vocabulary raises :class:`~repro.engine.wire.WireFormatError`:
+        nothing is logged, and sender and receiver never share mutable
+        state.  A shipment to the same node is no transfer: ``relation``
+        is returned as it is.
 
         A :class:`~repro.engine.wire.PackedRelation` (an aggregate state,
         which its task encodes once) is its own payload and arrives as
         those bytes: its reader decodes them when it needs the rows, so a
-        combine that finds its inputs unchanged decodes nothing.  Only a
-        registered one is decoded here, to register its rows.
+        combine that finds its inputs unchanged decodes nothing.
 
         ``log`` selects the transfer log to record into; ``None`` uses the
         simulator's shared log.  Processing runs pass their own per-run log
         so concurrent runs do not interleave.
-        ``register=False`` logs the shipment without registering the relation
-        at the target (merge tasks register the union once instead of every
-        partial, keeping the target's catalog shape stable).
         ``injector`` (duck-typed — anything with an
         ``on_ship(source, target) -> extra delay seconds`` method, see
         :class:`repro.runtime.faults.FailureInjector`) may delay the
         shipment or fail it with :class:`repro.runtime.faults.LinkDown`;
-        nothing is logged or registered for a dropped shipment.
+        nothing is logged for a dropped shipment.
         """
         if source == target:
-            if register:
-                if isinstance(relation, PackedRelation):
-                    relation = relation.unpack()
-                self.database(target).register(relation_name, relation)
             return relation
         source_node = self.topology.node(source)
         target_node = self.topology.node(target)
@@ -524,7 +492,7 @@ class NetworkSimulator:
             extra_delay = injector.on_ship(source, target)  # may raise LinkDown
         if isinstance(relation, PackedRelation):
             payload = relation.payload
-            received = relation.unpack() if register else relation
+            received = relation
         else:
             payload = pack_relation(relation)  # WireFormatError: nothing ships
             received = unpack_relation(payload)
@@ -563,8 +531,6 @@ class NetworkSimulator:
                 bytes=nbytes,
                 leaves_apartment=leaves,
             )
-        if register:
-            self.database(target).register(relation_name, received)
         return received
 
     def new_log(self) -> TransferLog:

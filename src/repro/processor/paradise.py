@@ -24,7 +24,6 @@ A :class:`ParadiseProcessor` run performs the full pipeline of Figures 2/3:
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -193,13 +192,17 @@ class ParadiseProcessor:
         pushdown: bool = True,
         apply_rewriting: bool = True,
         execution: Optional[str] = None,
-        namespace: Optional[str] = None,
         faults: Optional[FailureInjector] = None,
         on_data_loss: str = "fail",
         task_timeout: Optional[float] = None,
         profile: Optional[bool] = None,
     ) -> ProcessingResult:
         """Process a SQL query end to end.
+
+        Safe to call from any thread: a run registers nothing on the
+        nodes (each task binds the relations it read for its own engine
+        call), so concurrent calls share the processor's plans and DAGs
+        and never see each other's intermediates.
 
         Args:
             query: SQL text or parsed query AST.
@@ -212,9 +215,6 @@ class ParadiseProcessor:
                 the "no privacy" baseline.
             execution: Override the processor's execution strategy for this
                 run ("serial" or "parallel").
-            namespace: Suffix for intermediate relation names; concurrent
-                sessions pass a unique one each so shared per-node databases
-                never collide.
             faults: Failure-injection harness for this run; the chaos tests
                 and the recovery benchmark pass one.
             on_data_loss: ``"fail"`` raises on unrecoverable base-data loss,
@@ -279,25 +279,16 @@ class ParadiseProcessor:
         plan = result.plan = cached.plan
 
         # 4. distributed execution + 5. anonymization + 6. remainder
-        result.result, finished = self._run_dag(
+        result.result = self._run_dag(
             plan,
             result,
             anonymize=anonymize,
             strategy=strategy,
-            namespace=namespace,
             faults=faults,
             on_data_loss=on_data_loss,
             task_timeout=task_timeout,
             trace=trace,
         )
-        if finished is not plan and key is not None:
-            # A node died: the next submission's key names it, and the
-            # plan re-mapped around it shares this plan's derived queries,
-            # so its leaves and combines still find what they kept.
-            self.plans.put(
-                self._plan_key(query, module_id, apply_rewriting, pushdown),
-                dataclasses.replace(cached, plan=finished),
-            )
         result.elapsed_seconds = time.perf_counter() - started
         if trace is not None:
             result.trace = trace
@@ -372,23 +363,16 @@ class ParadiseProcessor:
         query (only texts are cached).
 
         The module's policy enters as its full ``repr``, so any change to
-        a rule, condition or setting is a new key; the dead nodes enter
-        because a death changes where fragments can run.  A run during
-        which a node died stores its re-mapped plan under the new key.
+        a rule, condition or setting is a new key.  The dead nodes do not
+        enter: every run re-maps the cached plan around them
+        (:meth:`_live_view`, kept per dead set in the plan's memo).
         """
         if not isinstance(query, str):
             return None
         policy = None
         if apply_rewriting and self.policy.has_module(module_id):
             policy = repr(self.policy.module(module_id))
-        return (
-            query,
-            module_id,
-            apply_rewriting,
-            pushdown,
-            policy,
-            frozenset(self.topology.dead_nodes),
-        )
+        return (query, module_id, apply_rewriting, pushdown, policy)
 
     def _fragment(self, query: ast.Query, pushdown: bool) -> FragmentPlan:
         if pushdown:
@@ -406,7 +390,6 @@ class ParadiseProcessor:
         apply_rewriting: bool = True,
         anonymize: bool = True,
         execution: Optional[str] = None,
-        namespace: Optional[str] = None,
     ) -> str:
         """Render the fragment plan and DAG placement without executing.
 
@@ -442,7 +425,6 @@ class ParadiseProcessor:
             topology,
             self.network,
             anonymizer=self.anonymizer if anonymize else None,
-            namespace=namespace,
             partial_aggregation=self.partial_aggregation,
             config=self.engine,
         )
@@ -501,15 +483,13 @@ class ParadiseProcessor:
         result: ProcessingResult,
         anonymize: bool,
         strategy: str,
-        namespace: Optional[str],
         faults: Optional[FailureInjector] = None,
         on_data_loss: str = "fail",
         task_timeout: Optional[float] = None,
         trace: Optional[QueryTrace] = None,
-    ) -> Tuple[Relation, FragmentPlan]:
+    ) -> Relation:
         """Run ``plan`` as an execution DAG, recovering from node deaths;
-        returns the result and the plan the run finished with (``plan``
-        re-mapped around the nodes that died, if any did).
+        returns the result.
 
         ``strategy="serial"`` runs the scheduler with one worker, so tasks
         execute one at a time in build order on the calling thread;
@@ -574,7 +554,6 @@ class ParadiseProcessor:
                 current_topology,
                 self.network,
                 anonymizer=self.anonymizer if anonymize else None,
-                namespace=namespace,
                 partial_aggregation=self.partial_aggregation,
                 config=self.engine,
             )
@@ -589,11 +568,6 @@ class ParadiseProcessor:
                 )
                 break
             except NodeDeath as death:
-                # Failure hygiene: this attempt's intermediates must never
-                # leak into the re-plan (or the next session recycling the
-                # namespace).
-                if namespace:
-                    self.network.drop_namespace(namespace)
                 if death.node in dead or len(dead) >= max_replans:
                     raise
                 dead.append(death.node)
@@ -609,10 +583,6 @@ class ParadiseProcessor:
                 # Old task ids may collide with the new DAG's; checkpointed
                 # states are re-keyed by signature, everything else re-runs.
                 context = context.next_attempt()
-            except Exception:
-                if namespace:
-                    self.network.drop_namespace(namespace)
-                raise
 
         final = context.outputs[dag.final_task_id]
         final.name = "d_prime"
@@ -647,7 +617,7 @@ class ParadiseProcessor:
             workers=report.workers,
             pruned_partitions=dag.pruned_partitions,
         )
-        return final, current_plan
+        return final
 
     # ------------------------------------------------------------------
     # helpers

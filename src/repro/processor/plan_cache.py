@@ -3,8 +3,8 @@
 Smart-home modules ask the same analyses again and again.  A
 :class:`~repro.processor.paradise.ParadiseProcessor` keeps, per key of
 (SQL text, module, ``apply_rewriting``, ``pushdown``, a fingerprint of the
-module's policy, the topology's dead nodes), the parsed query, its rewrite
-and its :class:`~repro.fragment.plan.FragmentPlan`.  Admission still runs
+module's policy), the parsed query, its rewrite and its
+:class:`~repro.fragment.plan.FragmentPlan`.  Admission still runs
 on every submission; only parsing, rewriting and fragmentation are skipped.
 
 A cached plan is shared by every run of its text and is never written to;
@@ -12,10 +12,11 @@ the first plan stored under a key stays, so sessions that plan one text
 at once all run it.
 The queries the DAG builder derives from it live in the plan's own memo
 (:attr:`FragmentPlan.derived`), so every run hands the engine the same AST
-objects and the engine's plan memos, keyed by node identity, hit.  A run
-during which a node dies caches the plan it re-mapped around the death
-under the key naming the dead node; that plan shares the memo, so the
-states the nodes kept for those queries keep serving later runs.
+objects and the engine's plan memos, keyed by node identity, hit.  Once
+a node has died, every run re-maps the cached plan around the dead nodes
+(``ParadiseProcessor._live_view``); the re-mapped plan is kept in, and
+shares, the same memo, so the states the nodes kept for those queries
+keep serving later runs.
 """
 
 from __future__ import annotations

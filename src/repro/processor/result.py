@@ -126,6 +126,8 @@ class ProcessingResult:
     admitted: bool
     admission: Optional[AdmissionDecision] = None
     rewrite: Optional[RewriteResult] = None
+    #: The text's fragment plan (shared through the plan cache); a run
+    #: after a node death executes it re-mapped around the dead nodes.
     plan: Optional[FragmentPlan] = None
     executions: List[FragmentExecution] = field(default_factory=list)
     transfers: Optional[TransferLog] = None

@@ -9,9 +9,11 @@ query the environment at once.  This package closes that gap:
 ``dag`` / ``tasks`` / ``memo``
     Split by lifetime: :func:`~repro.runtime.dag.build_execution_dag` lays
     a plan out as tasks where the base chunks live (plan time), the tasks
-    and :class:`~repro.runtime.tasks.ExecutionContext` do one run, and
-    :mod:`~repro.runtime.memo` holds every rule about work kept across
-    runs (leaf and combined states, derived queries, built DAGs).
+    and :class:`~repro.runtime.tasks.ExecutionContext` do one run (a task
+    binds the relations it read for its own engine call; nothing a run
+    produces is registered on a node), and :mod:`~repro.runtime.memo`
+    holds every rule about work kept across runs (leaf and combined
+    states, derived queries, built DAGs).
 
 ``scheduler``
     :class:`~repro.runtime.scheduler.Scheduler` runs ready tasks under
@@ -22,8 +24,8 @@ query the environment at once.  This package closes that gap:
 
 ``session``
     :class:`~repro.runtime.session.SessionFrontEnd` admits many independent
-    user queries against one shared topology, giving each a namespace for
-    its intermediate relations and a private transfer log.
+    user queries against one shared topology, each with a private
+    transfer log.
 
 ``cost``
     :class:`~repro.runtime.cost.CostModel` simulates the relative node

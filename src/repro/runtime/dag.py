@@ -247,30 +247,6 @@ def anonymization_node(topology: Topology, current: str, anonymizer: Anonymizer)
     return max(inside, key=lambda node: node.cpu_power or 1.0).name
 
 
-def rebase_table_refs(query: ast.Query, old_name: str, new_name: str) -> ast.Query:
-    """Clone ``query`` with every ``old_name`` table reference renamed.
-
-    The original name survives as the alias (unless one exists), so
-    qualified column references keep resolving.  Used to point fragment
-    queries at namespaced per-session table names.  An identity rename
-    returns ``query`` itself: planned queries are never mutated.
-    """
-    if old_name.lower() == new_name.lower():
-        return query
-    rebased = clone(query)
-    stack: List[ast.Node] = [rebased]
-    while stack:
-        node = stack.pop()
-        if node is None:
-            continue
-        if isinstance(node, ast.TableRef) and node.name.lower() == old_name.lower():
-            if node.alias is None:
-                node.alias = node.name
-            node.name = new_name
-        stack.extend(child for child in node.children() if child is not None)
-    return rebased
-
-
 #: Nodes that make a query a non-candidate for view merging: their rows or
 #: names do not come from the one table the merge rewires.
 _UNMERGEABLE = (
@@ -425,15 +401,15 @@ def build_execution_dag(
     topology: Topology,
     network: NetworkSimulator,
     anonymizer: Optional[Anonymizer] = None,
-    namespace: Optional[str] = None,
     partial_aggregation: bool = True,
     config: EngineConfig = DEFAULT_CONFIG,
 ) -> ExecutionDag:
     """Build the execution DAG for ``plan`` over ``topology``.
 
-    ``namespace`` suffixes every intermediate table name (``d1__s3``) so
-    concurrent sessions sharing one simulator never clobber each other's
-    intermediates; base tables stay un-suffixed (shared, read-only).
+    A task reads its inputs from the run, bound under the plan's own
+    names (``d1``, ``d2``, ...) for its one engine call, so every run and
+    every concurrent caller shares one DAG and nothing it builds is
+    registered on a node.
 
     ``partial_aggregation`` enables the distributed GROUP BY protocol:
     fragments marked :attr:`~repro.fragment.plan.QueryFragment.decomposable`
@@ -449,9 +425,6 @@ def build_execution_dag(
     """
     if not plan.fragments:
         raise ValueError("Cannot build an execution DAG for an empty plan")
-
-    def ns(name: str) -> str:
-        return f"{name}__{namespace}" if namespace else name
 
     fragments = list(plan.fragments)
     base_table = fragments[0].input_name
@@ -480,9 +453,9 @@ def build_execution_dag(
         return task.task_id, node
 
     def derive(key: Tuple, make) -> Tuple:
-        """One derived query and SQL text per (fragment chain, input
-        name), shared by sibling partitions and by every build of the
-        plan: tasks never mutate their query."""
+        """One derived query and SQL text per fragment chain, shared by
+        sibling partitions and by every build of the plan: tasks never
+        mutate their query."""
         return plan_memo(plan, key, make)
 
     #: The state-size feedback readings placement consulted.
@@ -507,28 +480,25 @@ def build_execution_dag(
         query of a lone fragment.
 
         A base chunk resident on ``node`` is read in place under its own
-        name; any other input is registered under the namespaced input
-        name the query is rebased onto.  The output relation is named
-        ``display_name`` (default ``label``); ``proves`` and ``pruned``
-        are the zone map verdicts :func:`judge` recorded.
+        name; any other input is bound under the chain's input name.  The
+        output relation is named ``display_name`` (default ``label``);
+        ``proves`` and ``pruned`` are the zone map verdicts :func:`judge`
+        recorded.
         """
         fragment = chain[-1]
         if merged is None:
             merged = fragment.query
-        in_base = chain[0].input_name
-        in_name = in_base if part == (None, node) else ns(in_base)
-        out_name = fragment.name if op == "query" else f"{fragment.name}__partial"
         names = tuple(link.name for link in chain)
         composes = names if len(chain) > 1 else ()
 
         def make() -> Tuple[ast.Query, str]:
-            query = rebase_table_refs(merged, in_base, in_name)
-            if query is merged and composes:
-                # The merged query shares subtrees with the plan's.
-                query = clone(merged)
-            return query, render(query) if composes else fragment_sql(fragment)
+            if not composes:
+                return merged, fragment_sql(fragment)
+            # The merged query shares subtrees with the plan's.
+            query = clone(merged)
+            return query, render(query)
 
-        query, sql = derive((names, in_name), make)
+        query, sql = derive(("query", names), make)
         return stage(
             op,
             label,
@@ -536,8 +506,7 @@ def build_execution_dag(
             [part],
             fragment=fragment,
             query=query,
-            in_name=in_name,
-            out_name=ns(out_name),
+            in_name=chain[0].input_name,
             display_name=display_name or label,
             composes=composes,
             sql=sql,
@@ -552,7 +521,6 @@ def build_execution_dag(
             f"merge[{label}]",
             node,
             parts,
-            out_name=ns(name),
             display_name=name,
         )
 
@@ -642,7 +610,6 @@ def build_execution_dag(
                     group,
                     fragment=fragment,
                     query=fragment.query,
-                    out_name=ns(f"{name}__partial"),
                     display_name=f"{name}~partial",
                 )
                 for parent, group in lifted
@@ -655,7 +622,6 @@ def build_execution_dag(
             states,
             fragment=fragment,
             query=fragment.query,
-            out_name=ns(name),
             display_name=name,
             sql=fragment_sql(fragment),
         )
@@ -718,8 +684,8 @@ def build_execution_dag(
             and (resident or len(partitions) > 1)
             and partial_aggregation_pays(
                 network,
-                # Only resident chunks are observed: an intermediate a
-                # former run left under the base table's name is not data.
+                # Only resident chunks are observed: a task output's node
+                # may hold a base chunk, but that is not the output's data.
                 [node for task_id, node in partitions if task_id is None],
                 fragment,
                 base_table,
@@ -775,32 +741,21 @@ def build_execution_dag(
             "anonymize",
             boundary,
             [current],
-            in_name=ns(plan.result_name),
+            in_name=plan.result_name,
         )
         current = (anonymize.task_id, boundary)
 
-    remainder_query = None
-    if plan.remainder_query is not None:
-        alias = ns(plan.remainder_input_alias)
-        [remainder_query] = derive(
-            ("remainder", alias),
-            lambda: (
-                rebase_table_refs(
-                    plan.remainder_query, plan.remainder_input_alias, alias
-                ),
-            ),
-        )
     final = add(
         FinalizeTask,
         "finalize",
         topology.cloud.name,
         [current],
-        result_name=ns(plan.result_name),
-        remainder_query=remainder_query,
-        remainder_input_alias=ns(plan.remainder_input_alias),
+        result_name=plan.result_name,
+        remainder_query=plan.remainder_query,
+        remainder_input_alias=plan.remainder_input_alias,
         remainder_description=plan.remainder_description,
     )
-    if boundary is not None and remainder_query is not None:
+    if boundary is not None and plan.remainder_query is not None:
         # The no-pushdown baseline ships the raw rows and runs the whole
         # query at the cloud, so step A protects the result it releases,
         # applied as the in-apartment node that would have run it decides.
@@ -809,7 +764,7 @@ def build_execution_dag(
             "anonymize",
             final.node,
             [(final.task_id, final.node)],
-            in_name=ns(plan.result_name),
+            in_name=plan.result_name,
             power_node=boundary,
         )
 
@@ -827,7 +782,6 @@ def cached_execution_dag(
     topology: Topology,
     network: NetworkSimulator,
     anonymizer: Optional[Anonymizer] = None,
-    namespace: Optional[str] = None,
     partial_aggregation: bool = True,
     config: EngineConfig = DEFAULT_CONFIG,
 ) -> Tuple[ExecutionDag, bool]:
@@ -835,7 +789,7 @@ def cached_execution_dag(
     per data version; returns it and whether it was kept.
 
     ``plan``'s memo keeps one DAG per (topology, config, step A,
-    namespace, ``partial_aggregation``), reused while the base table's
+    ``partial_aggregation``), reused while the base table's
     placement and the state-size feedback it consulted are unchanged
     (:func:`~repro.runtime.memo.kept_dag`); a run that finds one changed
     builds again and replaces it.  Callers pass the same topology object
@@ -851,7 +805,6 @@ def cached_execution_dag(
         config,
         anonymizer,
         anonymizer.minimum_cpu_power if anonymizer is not None else None,
-        namespace,
         partial_aggregation,
     )
     return kept_dag(
@@ -861,7 +814,7 @@ def cached_execution_dag(
         # Read before building: a write racing the build only costs a rebuild.
         network.placement(plan.fragments[0].input_name),
         lambda: build_execution_dag(
-            plan, topology, network, anonymizer, namespace, partial_aggregation, config
+            plan, topology, network, anonymizer, partial_aggregation, config
         ),
     )
 
@@ -913,7 +866,7 @@ def _assign_signatures(tasks: Sequence[Task], network: NetworkSimulator) -> None
     by_id: Dict[str, str] = {}
     for task in tasks:
         fields = [task.kind, task.node]
-        for attr in ("display_name", "out_name", "in_name", "result_name"):
+        for attr in ("display_name", "in_name", "result_name"):
             fields.append(str(getattr(task, attr, "")))
         for task_id, node in task.parts:
             if task_id is None:

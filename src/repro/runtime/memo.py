@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import threading
 import weakref
-from typing import TYPE_CHECKING, Callable, Dict, Hashable, NamedTuple, Optional, Sequence
-from typing import Tuple, TypeVar, Union
+from typing import TYPE_CHECKING, Callable, Dict, Hashable, Mapping, NamedTuple, Optional
+from typing import Sequence, Tuple, TypeVar, Union
 
 from repro.engine.config import EngineConfig
-from repro.engine.database import Database
 from repro.engine.errors import EngineError
 from repro.engine.table import Relation, union_partials
 from repro.engine.wire import PackedRelation, WireFormatError, pack_relation, state_size_feedback
@@ -41,8 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (network -> memo)
 
 
 #: A plan's memo of derived queries and DAGs holds at most this many
-#: entries (callers that pass a fresh namespace per run would otherwise
-#: grow it without bound).
+#: entries.
 MAX_DERIVED_QUERIES = 256
 
 #: A chunk keeps at most this many packed partial states per version, and
@@ -141,18 +139,18 @@ class KeptCombine(NamedTuple):
 
 
 def leaf_state(
-    network: NetworkSimulator,
-    node: str,
     base: str,
     chunk: Relation,
     query: ast.Query,
     name: str,
     config: EngineConfig,
-    engine: Callable[[Database, str, Optional[Relation]], Tuple[Relation, float]],
+    engine: Callable[
+        [str, Optional[Relation], Optional[Mapping[str, Relation]]], Tuple[Relation, float]
+    ],
     known: Optional[Tuple[Optional[PackedRelation], Relation]] = None,
 ) -> Tuple[Union[Relation, PackedRelation], Optional[PackedRelation], float, str]:
     """The partial state of ``query`` over ``chunk``, the chunk of
-    ``base`` resident on ``node``, through the states the chunk keeps
+    ``base`` resident on a node, through the states the chunk keeps
     (:meth:`Relation.kept_states`), keyed on the query object, the output
     ``name`` and the ``config``.
 
@@ -160,14 +158,14 @@ def leaf_state(
     hence the task's checkpoint and shipment; only a reader of the rows
     decodes them.
     One covering fewer rows (the chunk grew by appends) *folds*: ``query``
-    runs over the rows after them alone, in the node's fold catalog
-    (:meth:`NetworkSimulator.fold_catalog`, under its lock), and
-    :func:`fold_state` merges that after the kept state.  Otherwise, or
-    when the fold raises (the full scan then gives the answer, state or
-    error), the chunk is scanned: a *miss*.  A computed state is packed
-    once and kept, at most :data:`MAX_KEPT_STATES` entries per chunk
-    version.  ``engine(database, op, state)`` runs the ``partial`` (state
-    None) or ``combine`` of ``query`` there and returns its output and
+    runs over the rows after them alone, bound as ``base`` for that one
+    call, and :func:`fold_state` merges that after the kept state.
+    Otherwise, or when the fold raises (the full scan then gives the
+    answer, state or error), the chunk is scanned: a *miss*.  A computed
+    state is packed once and kept, at most :data:`MAX_KEPT_STATES`
+    entries per chunk version.  ``engine(op, state, inputs)`` runs the
+    ``partial`` (state None) or ``combine`` of ``query`` on the chunk's
+    node, with ``inputs`` bound by name, and returns its output and
     engine seconds.  ``known`` is bytes the caller decoded before and
     their decode; a fold of those bytes decodes nothing.
 
@@ -184,30 +182,26 @@ def leaf_state(
     if kept is not None and kept.covered == rows:
         _memo_counters["hit"].inc()
         return kept.state, kept.state, 0.0, "hit"
-    database = network.database(node)
     output: Optional[Relation] = None
     outcome = "miss"
     if kept is not None:
         try:
-            suffix, lock = network.fold_catalog(node)
-            with lock:
-                # Another fold on this node would re-register the table
-                # between this registration and this partial.
-                suffix.register(base, chunk.slice_rows(kept.covered))
-                delta, scanned = engine(suffix, "partial", None)
+            delta, scanned = engine(
+                "partial", None, {base: chunk.slice_rows(kept.covered)}
+            )
             if known is not None and known[0] is kept.state:
                 old = known[1]
             else:
                 old = kept.state.unpack()
             output, merged = fold_state(
-                old, delta, lambda union: engine(database, "combine", union)
+                old, delta, lambda union: engine("combine", union, None)
             )
             elapsed = scanned + merged
             outcome = "fold"
         except (EngineError, ArithmeticError, TypeError, ValueError):
             output = None
     if output is None:
-        output, elapsed = engine(database, "partial", None)
+        output, elapsed = engine("partial", None, None)
     output.name = name
     packed = pack_state(output)
     if packed is not None:

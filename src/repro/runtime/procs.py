@@ -15,8 +15,9 @@ kind, the whole :class:`~repro.engine.config.EngineConfig` (mode plus the
 vectorized and optimizer flags), the query as rendered SQL text, the
 referenced input relations and the optional merged partial-state
 relation, each relation packed with :func:`repro.engine.wire.pack_relation`.
-The worker builds a throwaway :class:`~repro.engine.database.Database`
-from those bytes, runs the operation under the framed config and returns
+The worker runs the operation on a throwaway
+:class:`~repro.engine.database.Database` with those relations bound as
+its inputs, under the framed config, and returns
 the output relation packed the same way.  No :class:`Relation` or aggregate
 state is ever pickled (``Relation.__reduce__`` raises, so an accidental
 pickle fails loudly); queries travel as SQL text, exercising the
@@ -36,7 +37,7 @@ import struct
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.engine.config import MODES, EngineConfig
 from repro.engine.database import Database
@@ -161,20 +162,19 @@ def decode_job(
 def execute_job(payload: bytes) -> bytes:
     """Run one framed engine operation; bytes in, bytes out.
 
-    This is the *entire* worker-side surface: decode the job, rebuild a
-    throwaway database from the packed input relations, run the operation
-    under the framed engine config, pack the output.
+    This is the *entire* worker-side surface: decode the job, run the
+    operation on a throwaway database with the packed input relations
+    bound as its inputs, under the framed engine config, pack the output.
     """
     op, config, sql, tables, state = decode_job(payload)
     database = Database(name="procs-worker")
-    for name, blob in tables:
-        database.register(name, unpack_relation(blob))
+    inputs = {name: unpack_relation(blob) for name, blob in tables}
     merged = unpack_relation(state) if state is not None else None
     query = parse(sql)
     if op == "query":
-        output = database.query(query, config)
+        output = database.query(query, config, inputs=inputs)
     elif op == "partial":
-        output = database.partial_aggregate(query, config)
+        output = database.partial_aggregate(query, config, inputs=inputs)
     elif op == "combine":
         output = database.combine_partials(query, merged, config)
     else:
@@ -239,14 +239,20 @@ class ProcessDispatcher:
         self.bytes_out = 0
 
     def gather_tables(
-        self, database: Database, query: ast.Query
+        self, database: Database, query: ast.Query, inputs: Mapping[str, Relation]
     ) -> List[Tuple[str, Relation]]:
-        """The referenced relations resident in ``database`` (job inputs)."""
-        return [
-            (name, database.table(name))
-            for name in referenced_tables(query)
-            if name in database
-        ]
+        """The relations ``query`` reads (job inputs): each bound in
+        ``inputs``, else resident in ``database`` (names match in any
+        case, as the engine resolves them)."""
+        bound = {name.lower(): relation for name, relation in inputs.items()}
+        gathered = []
+        for name in referenced_tables(query):
+            relation = bound.get(name.lower())
+            if relation is not None:
+                gathered.append((name, relation))
+            elif name in database:
+                gathered.append((name, database.table(name)))
+        return gathered
 
     def run(
         self,

@@ -40,8 +40,8 @@ Failure semantics (PR 6): task failures are classified by the taxonomy of
   drops) retries the task *in place* under the run's
   :class:`~repro.runtime.faults.RetryPolicy`, releasing the node's worker
   slot between attempts.  Tasks are idempotent by construction — they
-  recompute their output from their dependencies' outputs and re-register
-  under the same name — so a retry can never double-count.  A task that
+  recompute their output from their dependencies' outputs and write only
+  their own slot of the run's outputs — so a retry can never double-count.  A task that
   exhausts its budget escalates to
   :class:`~repro.runtime.faults.NodeDeath`: a device that keeps failing *is*
   dead for scheduling purposes.

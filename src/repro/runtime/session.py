@@ -14,17 +14,12 @@ can wait (simulated costs, the process backend, an injector), in which
 case the scheduler runs it on a pool of its own (see
 :mod:`repro.runtime.scheduler`).  Per-node slots throttle both alike.
 
-Isolation comes from two mechanisms:
-
-* every in-flight session runs with ``execution="parallel"`` and a
-  *namespace* from a bounded pool (``s0`` .. ``s{max_concurrent-1}``), so
-  its intermediate relations (``d1__s3``) never collide with another
-  running session's on the shared per-node databases — and because the pool
-  recycles names, a long-running front-end keeps the per-node catalogs
-  bounded and re-registers same-shaped relations under stable names, which
-  keeps the engines' compiled plans warm across queries;
-* every session records shipments into its own per-run
-  :class:`~repro.processor.network.TransferLog`.
+Sessions need no isolation of their own: a run registers nothing on the
+shared per-node databases (each task binds the relations it read for its
+own engine call), so every session runs ``execution="parallel"`` against
+the same catalogs, plans and kept DAGs, and records its shipments into its
+own per-run :class:`~repro.processor.network.TransferLog`.  The thread
+pool bounds how many run at once.
 
 Results are returned in request order and are identical to processing the
 same requests one at a time (the determinism tests enforce this).
@@ -32,7 +27,6 @@ same requests one at a time (the determinism tests enforce this).
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -75,11 +69,6 @@ class SessionFrontEnd:
         self._pool = ThreadPoolExecutor(
             max_workers=max_concurrent, thread_name_prefix="session"
         )
-        # Recycled namespaces: at most max_concurrent sessions run at once,
-        # so a same-sized pool always has a free name for a starting worker.
-        self._namespaces: "queue.Queue[str]" = queue.Queue()
-        for index in range(max_concurrent):
-            self._namespaces.put(f"s{index}")
         self._standing: Optional["StandingQueryRuntime"] = None
         self._standing_lock = threading.Lock()
 
@@ -93,7 +82,6 @@ class SessionFrontEnd:
         options: Dict[str, Any],
         submitted_at: float,
     ) -> ProcessingResult:
-        namespace = self._namespaces.get()
         _metrics.histogram("session.queue_wait_seconds").observe(
             time.perf_counter() - submitted_at
         )
@@ -104,7 +92,6 @@ class SessionFrontEnd:
                 query,
                 module_id,
                 execution="parallel",
-                namespace=namespace,
                 **options,
             )
             _metrics.counter("session.completed").inc()
@@ -114,7 +101,6 @@ class SessionFrontEnd:
             raise
         finally:
             active.dec()
-            self._namespaces.put(namespace)
 
     def submit(
         self,

@@ -54,6 +54,7 @@ reasoning the privacy layer uses for d'.
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 import weakref
@@ -257,11 +258,15 @@ class _StateTree:
         self._placement: Tuple[tuple, ...] = ()
 
     def _engine(
-        self, database: Database, op: str, state: Optional[Relation]
+        self,
+        database: Database,
+        op: str,
+        state: Optional[Relation],
+        inputs: Optional[Mapping[str, Relation]],
     ) -> Tuple[Relation, float]:
         config = self.runtime.engine
         if op == "partial":
-            return database.partial_aggregate(self.core, config), 0.0
+            return database.partial_aggregate(self.core, config, inputs), 0.0
         return database.combine_partials(self.core, state, config), 0.0
 
     def current(self, groups: Optional[FinalizedGroups]) -> bool:
@@ -299,14 +304,12 @@ class _StateTree:
                     continue  # a holder the table never landed on
                 known = self._leaves.get(holder)
                 state, packed, _, outcome = leaf_state(
-                    network,
-                    holder,
                     self.table,
                     chunk,
                     self.core,
                     LEAF_NAME,
                     config,
-                    self._engine,
+                    functools.partial(self._engine, network.database(holder)),
                     known,
                 )
                 if outcome == "hit":
@@ -322,9 +325,9 @@ class _StateTree:
             else:
                 # Every chunk is lost: the state of no rows, typed as
                 # re-execution over the empty table types it.
-                empty = Database(name="standing-empty")
-                empty.register(self.table, union_partials([], name=self.table))
-                root = empty.partial_aggregate(self.core, config)
+                root = self._cloud().partial_aggregate(
+                    self.core, config, {self.table: union_partials([], name=self.table)}
+                )
             self._groups = self._cloud().finalize_groups(self.core, root, config)
             self._placement = note_placement(placement)
             if merge is not None:

@@ -263,18 +263,18 @@ class Task:
         relation: Output,
         name: str,
         source_node: str,
-        register: bool = True,
         payload: Optional[bytes] = None,
     ) -> Output:
-        """Move an input relation to this task's node (ship + register).
+        """Move an input relation to this task's node.
 
         Returns the relation *as received on this node* — for an actual
         inter-node hop that is the wire-deserialized copy, so downstream
-        work consumes exactly what crossed the link.  ``payload`` is the
-        producer's packed output when it encoded one (aggregate states):
-        the shipment sends those bytes.  An aggregate state that is not
-        registered arrives as its bytes (a :class:`PackedRelation`), which
-        its reader decodes (:func:`_rows`) only when it computes.
+        work consumes exactly what crossed the link.  Nothing is
+        registered: the task binds what it received for its own engine
+        call.  ``payload`` is the producer's packed output when it encoded
+        one (aggregate states): the shipment sends those bytes, and the
+        state arrives as them (a :class:`PackedRelation`), which its reader
+        decodes (:func:`_rows`) only when it computes.
         """
         node = context.network.topology.node(self.node)
         if not node.can_hold_rows(len(relation)):
@@ -283,9 +283,6 @@ class Task:
                 f"{node.free_memory_mb:g} MB of free memory"
             )
         if source_node == self.node:
-            if register:
-                relation = _rows(relation)
-                context.network.database(self.node).register(name, relation)
             return relation
         if payload is not None and not isinstance(relation, PackedRelation):
             relation = PackedRelation(payload, len(relation), len(relation.schema))
@@ -295,7 +292,6 @@ class Task:
             source_node,
             self.node,
             log=context.log,
-            register=register,
             injector=context.injector,
         )
 
@@ -306,8 +302,11 @@ class Task:
         op: str,
         query: ast.Query,
         state: Optional[Relation] = None,
+        inputs: Optional[Dict[str, Relation]] = None,
     ) -> Tuple[Relation, float]:
-        """Run one engine operation on the configured compute backend.
+        """Run one engine operation on the configured compute backend,
+        ``query`` reading ``inputs`` (bound by name for this call) before
+        the node's catalog.
 
         Thread backend (default): the bound database method runs in this
         scheduler thread.  Process backend: the operation, its referenced
@@ -318,12 +317,12 @@ class Task:
         dispatcher = context.dispatcher
         config = context.config
         if dispatcher is not None:
-            tables = dispatcher.gather_tables(database, query)
+            tables = dispatcher.gather_tables(database, query, inputs or {})
             return context.engine_call(dispatcher.run, op, config, query, tables, state)
         if op == "query":
-            return context.engine_call(database.query, query, config)
+            return context.engine_call(database.query, query, config, inputs)
         if op == "partial":
-            return context.engine_call(database.partial_aggregate, query, config)
+            return context.engine_call(database.partial_aggregate, query, config, inputs)
         if op == "combine":
             return context.engine_call(database.combine_partials, query, state, config)
         return context.engine_call(database.finalize_partials, query, state, config)
@@ -370,19 +369,18 @@ STAGE_OPS = {
 
 @dataclass(slots=True)
 class StageTask(Task):
-    """One stage of the plan: gather the parts here, run ``op``, register.
+    """One stage of the plan: gather the parts here, run ``op``.
 
     ``query`` and ``partial`` take a single part: a base chunk resident on
-    this node is read in place, anything else is shipped here and
-    registered under ``in_name``.  ``combine``, ``finalize`` and ``union``
+    this node is read in place, anything else is shipped here and bound
+    as ``in_name`` for the one engine call.  ``combine``, ``finalize`` and ``union``
     ship every part here and concatenate them in partition order first —
     partial states for the first two, which then merge into one state row
     per group (``combine``) or into the fragment's finalized output
     (``finalize``: HAVING, select items and ORDER BY over the merged
     aggregates, byte-identical to running the fragment over the globally
-    merged raw input, which never had to exist).  Every output but an
-    aggregate state (a partial's or a combine's) is registered under
-    ``out_name``.  A leaf partial over its resident chunk may output the
+    merged raw input, which never had to exist).  No output is registered:
+    its consumers take it from the run.  A leaf partial over its resident chunk may output the
     chunk's kept state as its bytes, and a combine whose inputs did not
     change the state its node kept (:mod:`repro.runtime.memo`).
 
@@ -397,7 +395,6 @@ class StageTask(Task):
     #: The base table that resident parts are chunks of.
     base: str = ""
     in_name: str = ""
-    out_name: str = ""
     display_name: str = ""
     #: The fragments merged into ``query``, innermost first and ending with
     #: ``fragment``; empty when ``query`` is ``fragment`` alone.
@@ -459,14 +456,16 @@ class StageTask(Task):
         packed: Optional[PackedRelation] = None
         if self.op in ("query", "partial"):
             [part] = self.parts
+            inputs = None
             if self.resident:
                 # A base chunk resident here is read in place.
                 if self.base in database:
                     source = database.table(self.base)
             else:
-                source = self._receive(
-                    context, self._fetch(context, part), self.in_name, part[1]
+                source = _rows(
+                    self._receive(context, self._fetch(context, part), self.in_name, part[1])
                 )
+                inputs = {self.in_name: source}
             input_rows = len(source) if source is not None else 0
             context.charge_compute(input_rows, self.node)
             if (
@@ -481,20 +480,20 @@ class StageTask(Task):
                 # config alone: the chunk keeps it.  The oracle and the
                 # ``optimizer=False`` ablation always compute.
                 output, packed, elapsed, outcome = leaf_state(
-                    context.network,
-                    self.node,
                     self.base,
                     source,
                     self.query,
                     self.display_name,
                     context.config,
-                    lambda target, op, state: self._engine(
-                        context, target, op, self.query, state
+                    lambda op, state, bound: self._engine(
+                        context, database, op, self.query, state, bound
                     ),
                 )
                 context.annotate(memo=outcome)
             else:
-                output, elapsed = self._engine(context, database, self.op, self.query)
+                output, elapsed = self._engine(
+                    context, database, self.op, self.query, inputs=inputs
+                )
         else:
             union_name = self.display_name
             if self.op == "finalize":
@@ -505,7 +504,6 @@ class StageTask(Task):
                     self._fetch(context, part),
                     f"{union_name}@{part[1]}",
                     part[1],
-                    register=False,
                     payload=context.payloads.get(part[0]),
                 )
                 for part in self.parts
@@ -543,10 +541,6 @@ class StageTask(Task):
                     output, elapsed = merge()
         if not isinstance(output, PackedRelation):
             output.name = self.display_name
-        if self.op not in ("partial", "combine"):
-            # No task reads an aggregate state by name: its consumers
-            # take it from ``context.outputs`` or the wire.
-            database.register(self.out_name, output)
         if packed is None and self.op in ("partial", "combine"):
             packed = pack_state(output)
         if packed is not None:
@@ -602,9 +596,7 @@ class AnonymizeTask(Task):
         [(source_id, source_node)] = self.parts
         relation = context.outputs[source_id]
         if source_node != self.node:
-            relation = self._receive(
-                context, relation, self.in_name, source_node, register=False
-            )
+            relation = self._receive(context, relation, self.in_name, source_node)
         context.charge_compute(len(relation), self.node)
         node = context.network.topology.node(self.power_node or self.node)
         outcome, _ = context.engine_call(
@@ -635,11 +627,13 @@ class FinalizeTask(Task):
         if self.remainder_query is None:
             context.annotate_io(len(relation), relation)
             return relation
-        database = context.network.database(self.node)
-        database.register(self.remainder_input_alias, relation)
         context.charge_compute(len(relation), self.node)
         output, elapsed = self._engine(
-            context, database, "query", self.remainder_query
+            context,
+            context.network.database(self.node),
+            "query",
+            self.remainder_query,
+            inputs={self.remainder_input_alias: relation},
         )
         context.annotate_io(len(relation), output)
         context.record_execution(

@@ -46,7 +46,7 @@ def _run(processor, sql=SQL, module="fig4", **options):
     return run, dag_run.attrs["dag"], listing
 
 
-def _fresh(processor, run, anonymize=True, namespace=None):
+def _fresh(processor, run, anonymize=True):
     """The listing a fresh build over the live view gives ``run``'s plan."""
     plan, topology = run.plan, processor.topology
     dead = processor.topology.dead_nodes
@@ -57,7 +57,6 @@ def _fresh(processor, run, anonymize=True, namespace=None):
         topology,
         processor.network,
         anonymizer=processor.anonymizer if anonymize else None,
-        namespace=namespace,
         partial_aggregation=processor.partial_aggregation,
         config=processor.engine,
     )
@@ -66,7 +65,6 @@ def _fresh(processor, run, anonymize=True, namespace=None):
 
 def _expected(processor, sql=SQL, module="fig4", **options):
     options = {**OPTIONS, **options} if module == "fig4" else options
-    options.pop("namespace", None)
     return pack_relation(reference_result(processor, sql, module, **options))
 
 
@@ -102,7 +100,6 @@ MUTATIONS = {
     "fail_node_lose_data": _fail_node(True),
     "engine_config": _engine_config,
     "anonymize": lambda processor: {"anonymize": False},
-    "namespace": lambda processor: {"namespace": "s9"},
 }
 
 
@@ -116,9 +113,7 @@ def test_every_input_change_rebuilds(mutation):
     assert outcome == "miss" and listing == _fresh(processor, run)
     assert _run(processor)[1:] == ("hit", listing)
     options = MUTATIONS[mutation](processor)
-    fresh_options = {
-        key: value for key, value in options.items() if key in ("anonymize", "namespace")
-    }
+    fresh_options = {key: value for key, value in options.items() if key == "anonymize"}
     expected = _expected(processor, **options)
     for want in ("miss", "hit"):
         run, outcome, listing = _run(processor, **options)
@@ -254,9 +249,8 @@ def test_revive_all_returns_to_the_whole_topology(node):
 def test_sessions_share_the_kept_dags():
     """Four sessions at a time, more than the host's cores, each run on a
     pool of its own (a non-free cost model) with a short switch interval:
-    the front end's four namespaces build one DAG each, every other run
-    keeps one that an earlier session built, no count is lost, and all
-    return the reference's bytes."""
+    every run keeps the DAG the first submission built, no count is lost,
+    and all return the reference's bytes."""
     processor = build_tree_processor(
         rows=800, execution="parallel", cost_model=CostModel(seconds_per_row=1e-6)
     )
@@ -276,9 +270,8 @@ def test_sessions_share_the_kept_dags():
         frontend.close()
         sys.setswitchinterval(interval)
     diff = delta(before, registry.snapshot(prefix="runtime.dag_cache"))
-    misses = diff.get("runtime.dag_cache.misses", 0)
-    assert 1 <= misses <= 4
-    assert diff.get("runtime.dag_cache.hits", 0) == submissions - misses
+    assert diff.get("runtime.dag_cache.misses", 0) == 0
+    assert diff.get("runtime.dag_cache.hits", 0) == submissions
     assert all(result.runtime.workers > 1 for result in results)
     assert {pack_relation(result.result) for result in results} == {expected}
 
@@ -287,7 +280,7 @@ def test_sessions_share_the_kept_dags():
 def test_sessions_racing_on_a_cold_plan_cache_share_one_plan():
     """The same burst with no submission ahead of it: sessions that plan
     the text at once all run the first plan stored, so they share its
-    DAGs, and the four namespaces still build at most one DAG each."""
+    DAG: at most the four that start together build one."""
     processor = build_tree_processor(
         rows=800, execution="parallel", cost_model=CostModel(seconds_per_row=1e-6)
     )

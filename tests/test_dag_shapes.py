@@ -9,7 +9,8 @@ chunk (on the chain's one sensor as on the tree's leaves, also under
 sensor-side ``BETWEEN`` filters) or into the leaf partial of a
 decomposable aggregation, partial → combine → finalize, the
 high-cardinality fallback, the merge at a fragment's assigned node, the
-final union, ``partial_aggregation=False`` and a namespace.  The
+final union, ``partial_aggregation=False`` and the e2e standing read on
+16 sensors.  The
 one-level lift and the single hop after a refused merge are pinned on
 hand-made plans (``REFUSED`` and the chain test below).  Results are checked
 elsewhere (``tests/test_reference.py``); this file catches a builder change
@@ -96,9 +97,7 @@ CELLS = {
     "tree8_order_limit": ("tree8", None, RAW_WORKLOADS[3], {}),
     "tree8_join": ("tree8", None, JOIN_SQL, {}),
     "tree3_groupby": ("tree3", None, RAW_WORKLOADS[2], {}),
-    "tree16_standing_namespace": (
-        "tree16", "Occupancy", STANDING_READ_SQL, {"namespace": "s7"}
-    ),
+    "tree16_standing": ("tree16", "Occupancy", STANDING_READ_SQL, {}),
 }
 
 
@@ -192,7 +191,7 @@ EXPECTED = {
         "t004:anonymize anonymize @pc t003",
         "t005:finalize finalize @cloud t004",
     ],
-    "tree16_standing_namespace": [
+    "tree16_standing": [
         "t001:d3~partial[sensor_0] partial @sensor_0",
         "t002:d3~partial[sensor_1] partial @sensor_1",
         "t003:d3~partial[sensor_2] partial @sensor_2",

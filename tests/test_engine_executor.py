@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.engine.config import EngineConfig
 from repro.engine.database import Database
 from repro.engine.errors import ExecutionError, SchemaError
 from repro.engine.schema import ColumnDef, Schema
+from repro.engine.table import Relation
 from repro.engine.types import DataType
 
 
@@ -204,3 +206,34 @@ def test_insert_and_create_table_roundtrip():
         db.create_table("t", schema)
     db.drop_table("t")
     assert "t" not in db
+
+
+@pytest.mark.parametrize(
+    "config",
+    [EngineConfig(), EngineConfig(mode="interpreted"), EngineConfig(vectorized=False)],
+    ids=["compiled", "interpreted", "row"],
+)
+def test_bound_inputs_shadow_the_catalog_for_one_call(db, config):
+    """A relation bound by name is read before the catalog's table of that
+    name, for that call only; nothing is registered, and a binding of the
+    catalog table's shape takes the executor that table's readers use."""
+    sql = "SELECT person, SUM(x) AS sx FROM readings WHERE x > 1.2 GROUP BY person"
+    catalog = db.query(sql, config)
+    builds = db.executor_builds
+    bound = Relation.from_rows(
+        [{"person": 9, "x": 5.0, "y": 0.0, "z": 0.0, "t": 0.0}],
+        schema=db.table("readings").schema,
+    )
+    for query in (db.query, db.partial_aggregate):
+        assert len(query(sql, config, inputs={"READINGS": bound})) == 1
+    assert db.executor_builds == builds
+    assert db.query(sql, config).rows == catalog.rows
+    assert sorted(db.table_names) == ["people", "readings"]
+    joined = db.query(
+        "SELECT name FROM fresh JOIN people ON fresh.person = people.person",
+        config,
+        inputs={"fresh": Relation.from_rows([{"person": 2}])},
+    )
+    assert joined.rows == [{"name": "bob"}]
+    with pytest.raises(ExecutionError):
+        db.query("SELECT person FROM fresh", config)

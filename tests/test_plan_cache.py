@@ -60,7 +60,6 @@ def test_repeated_text_reuses_plan_and_derived_queries():
             processor.topology,
             processor.network,
             anonymizer=processor.anonymizer,
-            namespace="s0",
             partial_aggregation=processor.partial_aggregation,
             config=processor.engine,
         )
@@ -95,7 +94,10 @@ def test_rule_added_after_a_cached_run_is_honoured():
     assert third.plan is not second.plan and "y < 3.5" in third.rewrite.sql
 
 
-def test_node_death_gives_the_next_submission_a_new_plan():
+def test_node_death_keeps_the_plan_and_each_run_remaps_it():
+    """The dead nodes are no part of the plan key: after a death the next
+    submission hits the text's plan, and its run re-maps it around the
+    dead node."""
     processor = build_tree_processor(rows=200, execution="parallel")
     healthy = processor.process(GROUPED_SQL, "fig4", apply_rewriting=False)
     killed = processor.process(
@@ -106,8 +108,12 @@ def test_node_death_gives_the_next_submission_a_new_plan():
     )
     assert killed.runtime.replans == 1
     assert processor.topology.dead_nodes == ["appliance_0"]
+    before = registry.snapshot(prefix="processor.plan_cache")
     after = processor.process(GROUPED_SQL, "fig4", apply_rewriting=False)
-    assert after.plan is not healthy.plan
+    diff = delta(before, registry.snapshot(prefix="processor.plan_cache"))
+    assert (diff["processor.plan_cache.hits"], diff["processor.plan_cache.misses"]) == (1, 0)
+    assert after.plan is healthy.plan
+    assert all(execution.node != "appliance_0" for execution in after.executions)
     expected = pack_relation(
         reference_result(processor, GROUPED_SQL, "fig4", apply_rewriting=False)
     )

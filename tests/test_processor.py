@@ -4,7 +4,7 @@ import pytest
 
 from repro.anonymize import Anonymizer
 from repro.engine.table import Relation
-from repro.engine.wire import WireFormatError
+from repro.engine.wire import WireFormatError, pack_relation
 from repro.fragment import Topology
 from repro.policy import PolicyBuilder, figure4_policy, open_policy, restrictive_policy
 from repro.processor import NetworkSimulator, ParadiseProcessor
@@ -30,7 +30,7 @@ def test_network_loads_data_on_sensor_node(sensor_relation):
 def test_network_ship_records_transfers(sensor_relation):
     network = NetworkSimulator(Topology.default_chain())
     network.ship(sensor_relation, "d1", "sensor", "appliance")
-    network.ship(sensor_relation, "d2", "appliance", "pc")
+    received = network.ship(sensor_relation, "d2", "appliance", "pc")
     network.ship(sensor_relation.limit(10), "d_prime", "pc", "cloud")
     log = network.log
     assert len(log.transfers) == 3
@@ -39,12 +39,15 @@ def test_network_ship_records_transfers(sensor_relation):
     assert log.bytes_leaving_apartment > 0
     hops = log.by_hop()
     assert hops[-1]["leaves_apartment"] is True
-    assert "d2" in network.database("pc")
+    # The target gets the decoded copy; nothing is registered there.
+    assert received is not sensor_relation
+    assert pack_relation(received) == pack_relation(sensor_relation)
+    assert "d2" not in network.database("pc")
 
 
 def test_network_ship_of_unencodable_relation_raises(sensor_relation):
     """A cell outside the wire vocabulary fails the shipment loudly: nothing
-    is logged or registered, and no reference crosses the link."""
+    is logged, and no reference crosses the link."""
     network = NetworkSimulator(Topology.default_chain())
     relation = sensor_relation.limit(5)
     relation.rows[2]["activity"] = object()
@@ -56,9 +59,9 @@ def test_network_ship_of_unencodable_relation_raises(sensor_relation):
 
 def test_network_ship_to_same_node_is_not_a_transfer(sensor_relation):
     network = NetworkSimulator(Topology.default_chain())
-    network.ship(sensor_relation, "d1", "pc", "pc")
+    assert network.ship(sensor_relation, "d1", "pc", "pc") is sensor_relation
     assert network.log.transfers == []
-    assert "d1" in network.database("pc")
+    assert "d1" not in network.database("pc")
 
 
 # ---------------------------------------------------------------------------

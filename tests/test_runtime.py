@@ -12,11 +12,14 @@ under concurrency.
 
 from __future__ import annotations
 
+import random
+import sys
 import threading
 
 import pytest
 
 from tests.conftest import PAPER_R_CODE, PAPER_SQL, make_sensor_relation
+from benchmarks.e2e.workloads import sensor_relation
 
 from repro.engine.executor import QueryExecutor
 from repro.engine.table import Relation
@@ -30,11 +33,14 @@ from repro.processor.paradise import ParadiseProcessor
 from repro.processor.reference import reference_result
 from repro.runtime import (
     CostModel,
+    DataLossError,
+    Fault,
     FailureInjector,
     QueryRequest,
     SessionFrontEnd,
     build_execution_dag,
 )
+from repro.runtime.faults import KILL_NODE
 from repro.rlang.sqlable import extract_sql_from_r
 from repro.sql.parser import parse
 
@@ -216,11 +222,12 @@ def test_dag_partitions_and_lifts():
     ],
     ids=["paper", "selection", "groupby"],
 )
-def test_dag_build_rebases_each_fragment_once(monkeypatch, module, sql, fused):
-    """Namespaced on a 16-sensor tree, the builder clones a fragment's query
-    (or a merged chain of in-place fragments) at most once per input name
-    and sibling tasks share that one object; running the DAG leaves the
-    plan's queries as the fragmenter made them."""
+def test_dag_build_clones_each_merged_chain_once(monkeypatch, module, sql, fused):
+    """On a 16-sensor tree, the builder clones a merged chain of in-place
+    fragments at most once and runs a lone fragment's own query, whether
+    it reads a resident chunk or a task's output; sibling tasks share that
+    one object, and running the DAG leaves the plan's queries as the
+    fragmenter made them."""
     from repro.runtime import dag as dag_module
     from repro.runtime.tasks import StageTask
 
@@ -238,30 +245,29 @@ def test_dag_build_rebases_each_fragment_once(monkeypatch, module, sql, fused):
     monkeypatch.setattr(
         dag_module, "clone", lambda node: clones.append(node) or real_clone(node)
     )
-    dag = build_execution_dag(
-        plan, processor.topology, processor.network, namespace="s7"
-    )
+    dag = build_execution_dag(plan, processor.topology, processor.network)
     queries = {}
     for task in dag.tasks:
         if isinstance(task, StageTask) and task.op in ("query", "partial"):
             chain = task.composes or (task.fragment.name,)
-            queries.setdefault((chain, task.in_name), []).append(task.query)
+            queries.setdefault((chain, task.resident), []).append(task.query)
     assert len(clones) <= len(queries)
     for tasks_queries in queries.values():
         assert all(query is tasks_queries[0] for query in tasks_queries)
     if fused:
         # One merged query, cloned once, serves all 16 leaf partials, which
         # read their resident chunks: no task reads a shipped input.
-        assert list(queries) == [(fused, "d")]
-        assert len(queries[fused, "d"]) == 16 and len(clones) == 1
+        assert list(queries) == [(fused, True)]
+        assert len(queries[fused, True]) == 16 and len(clones) == 1
     else:
-        # Some fragment reads a shipped (namespaced) input on several siblings.
+        # Some chain reads a task's output, bound under the chain's input
+        # name, on several siblings: one query object serves them all.
         assert any(
-            in_name.endswith("__s7") and len(tasks_queries) > 1
-            for (_, in_name), tasks_queries in queries.items()
+            not resident and len(tasks_queries) > 1
+            for (_, resident), tasks_queries in queries.items()
         )
 
-    result = processor.process(sql, module, namespace="s7", **options)
+    result = processor.process(sql, module, **options)
     assert [fragment.query for fragment in result.plan.fragments] == [
         fragment.query for fragment in fresh_plan().fragments
     ]
@@ -504,20 +510,108 @@ def test_concurrent_sessions_match_one_at_a_time():
         assert got.rows_leaving_apartment == expected.rows_leaving_apartment
 
 
+def assert_catalogs_hold_only_placed_chunks(processor):
+    """Every node's catalog holds exactly the base-table chunks the
+    network placed there (and the sensor stream's ``stream`` alias)."""
+    network = processor.network
+    placed = {node.name: {} for node in processor.topology}
+    for table in network.base_table_names():
+        for holder, chunk, *_ in network.placement(table):
+            if chunk is not None:
+                placed[holder][table] = chunk
+    for node in processor.topology:
+        database = network.database(node.name)
+        names = set(placed[node.name]) | ({"stream"} if "d" in placed[node.name] else set())
+        assert set(database.table_names) == names, node.name
+        for table, chunk in placed[node.name].items():
+            assert database.table(table) is chunk, (node.name, table)
+
+
 @pytest.mark.concurrency
-def test_session_namespaces_are_recycled():
-    """Long-running front-ends must not grow node catalogs per query."""
-    processor = build_tree_processor(rows=100)
-    with SessionFrontEnd(processor, max_concurrent=3) as front_end:
-        for _ in range(4):  # several waves of reuse
-            front_end.run_batch(
-                [QueryRequest(PAPER_SQL, "ActionFilter") for _ in range(6)]
-            )
-    for node in processor.topology.nodes:
-        names = processor.network.database(node.name).table_names
-        namespaced = {name for name in names if "__s" in name}
-        suffixes = {name.rsplit("__", 1)[1] for name in namespaced}
-        assert suffixes <= {"s0", "s1", "s2"}, (node.name, sorted(namespaced))
+def test_runs_register_nothing_on_the_nodes():
+    """Chain and tree runs, a front-end batch and a run that fails with
+    lost data leave every node's catalog as the network placed it."""
+    chain = ParadiseProcessor(figure4_policy(), topology=Topology.default_chain())
+    chain.load_data(make_sensor_relation(200))
+    for sql in (PAPER_SQL, *RAW_WORKLOADS):
+        chain.process(sql, "ActionFilter", apply_rewriting=False)
+    assert_catalogs_hold_only_placed_chunks(chain)
+
+    tree = build_tree_processor(rows=200)
+    for sql in (PAPER_SQL, LIFTED_PAPER_SQL, *RAW_WORKLOADS):
+        tree.process(sql, "ActionFilter", execution="parallel", apply_rewriting=False)
+    assert_catalogs_hold_only_placed_chunks(tree)
+
+    with SessionFrontEnd(tree, max_concurrent=3) as front_end:
+        front_end.run_batch(
+            [QueryRequest(sql, "ActionFilter") for sql in (PAPER_SQL, LIFTED_PAPER_SQL)] * 3
+        )
+    assert_catalogs_hold_only_placed_chunks(tree)
+
+    injector = FailureInjector([Fault(kind=KILL_NODE, node="sensor_3", lose_data=True)])
+    with pytest.raises(DataLossError):
+        tree.process(
+            RAW_WORKLOADS[2],
+            "ActionFilter",
+            execution="parallel",
+            apply_rewriting=False,
+            faults=injector,
+        )
+    assert_catalogs_hold_only_placed_chunks(tree)
+
+
+#: Staged texts whose intermediates share names (``d1``, ``d2``) but not
+#: columns, so a run reading another run's intermediate fails or differs.
+THREADED_SUBQUERY = "(SELECT x, y, z, t FROM d WHERE t < 100 OR t > 150)"
+THREADED_TEXTS = [
+    f"SELECT regr_intercept(y, x) OVER (PARTITION BY z ORDER BY t) FROM {THREADED_SUBQUERY}",
+    f"SELECT regr_slope(y, x) OVER (PARTITION BY z ORDER BY t) FROM {THREADED_SUBQUERY}",
+    "SELECT x, t, ROW_NUMBER() OVER (ORDER BY t) AS rn FROM d",
+    "SELECT DISTINCT x, y FROM d",
+]
+
+
+@pytest.mark.concurrency
+@pytest.mark.parametrize(
+    "topology",
+    [Topology.default_chain, lambda: Topology.smart_home_tree(n_sensors=8)],
+    ids=["chain", "tree8"],
+)
+def test_process_is_safe_from_plain_threads(topology):
+    """Four plain threads call ``process`` with no front end, under a short
+    switch interval: no call raises, and every result has the bytes the
+    same text gives when run alone."""
+    processor = ParadiseProcessor(figure4_policy(), topology=topology(), execution="parallel")
+    processor.load_data(sensor_relation(random.Random(0), 1500))
+    options = {"apply_rewriting": False, "anonymize": False}
+    expected = [
+        pack_relation(processor.process(sql, "ActionFilter", **options).result)
+        for sql in THREADED_TEXTS
+    ]
+    outcomes = []
+
+    def worker(offset: int) -> None:
+        for call in range(24):
+            index = (call + offset) % len(THREADED_TEXTS)
+            try:
+                result = processor.process(THREADED_TEXTS[index], "ActionFilter", **options)
+                outcomes.append(pack_relation(result.result) == expected[index])
+            except Exception as error:  # recorded, and asserted on below
+                outcomes.append(repr(error))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        threads = [threading.Thread(target=worker, args=(offset,)) for offset in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(outcomes) == 4 * 24
+    assert [outcome for outcome in outcomes if outcome is not True] == []
 
 
 @pytest.mark.concurrency

@@ -223,12 +223,23 @@ def test_single_row_and_empty_deltas():
     assert handle.epoch == 1
     assert_byte_identical(handle.result(), runtime.reexecute(handle))
 
-    # An empty delta advances the epoch but must not change anything:
-    # the maintained bytes are exactly the previous epoch's.
+    # An empty delta advances the epoch but lands nothing: the handle
+    # keeps the previous epoch's bytes without finalizing again, and a
+    # read through ``process`` keeps its DAG.
     refreshed = pack_state_relation(handle.result())
+    processor.process(STANDING_SQL, "ActionFilter", apply_rewriting=False)
+    before_empty = registry.snapshot()
     runtime.append(leaf, make_sensor_relation(0))
     assert handle.epoch == 2
     assert pack_state_relation(handle.result()) == refreshed != before
+    processor.process(STANDING_SQL, "ActionFilter", apply_rewriting=False)
+    after_empty = registry.snapshot()
+    for name, moved in (
+        ("standing.subscriber_refreshes", 0),
+        ("runtime.dag_cache.hits", 1),
+        ("runtime.dag_cache.misses", 0),
+    ):
+        assert after_empty.get(name, 0) - before_empty.get(name, 0) == moved, name
 
 
 def test_min_max_ties_keep_first_occurrence_semantics():

@@ -543,24 +543,27 @@ def test_a_suffix_that_fails_alone_takes_the_full_scan():
     assert _run(processor, sql) == (_expected(processor, sql), (1, 0))
 
 
-def test_folds_on_a_node_share_one_warm_catalog():
-    """Every fold on a node registers its appended rows in one kept scratch
-    catalog, so a later fold builds no executor; each read still equals
-    the reference."""
+def test_folds_run_on_the_node_with_the_scans_executor():
+    """A fold runs its partial on the chunk's own node, with the appended
+    rows bound as the base table: same shape, so it takes the executor
+    the full scan built.  Only the first fold builds one, for the node's
+    combine; each read still equals the reference, and the node's catalog
+    keeps only its chunk."""
     processor = _processor()
     node = processor.network.partition_holders("d")[0]
+    database = processor.network.database(node)
     _run(processor)
-    catalogs = []
+    scanned = database.executor_builds
+    builds = []
     for batch in range(3):
         delta = make_sensor_relation(30, seed=batch + 7, grid=2.0)
         processor.network.append_to_partition(node, "d", delta)
         folds = _folds()
         assert _run(processor)[0] == _expected(processor)
         assert _folds() - folds == 1
-        scratch, _ = processor.network.fold_catalog(node)
-        catalogs.append((scratch, scratch.executor_builds))
-    assert len({id(scratch) for scratch, _ in catalogs}) == 1
-    assert [builds for _, builds in catalogs] == [catalogs[0][1]] * 3
+        builds.append(database.executor_builds)
+        assert sorted(database.table_names) == ["d", "stream"]
+    assert builds == [scanned + 1] * 3
 
 
 @pytest.mark.parametrize("write", ["extend", "row_view"])
