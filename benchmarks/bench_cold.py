@@ -2,12 +2,13 @@
 
 The end-to-end benchmark (``benchmarks/e2e``) times warm reads: from the
 second read of a text on, every leaf partial outputs the state its chunk
-kept and every combine the state its node kept, so its headline CPU
-measures decoding, scheduling and step A, not the engine's scans.  This
-benchmark times the same four read shapes at the same sizes *cold*:
-:func:`~benchmarks.common.forget_kept_states` runs before every op
-(outside its timed window), so each op's leaves scan their chunks and its
-combines merge again.  Plans, derived queries, built DAGs and column
+kept, and every combine, finalize, query stage over shipped rows and
+step A whose input bytes did not change the output its node kept, so its
+headline CPU measures scheduling, shipping and the cloud's decode, not
+the engine's work.  This benchmark times the same four read shapes at the
+same sizes *cold*: :func:`~benchmarks.common.forget_kept_states` runs
+before every op (outside its timed window), so each op's leaves scan
+their chunks and every task after them computes again.  Plans, derived queries, built DAGs and column
 statistics stay warm, as for a cached text whose data changed.
 
 * ``paper_chain_30k`` — the paper's R query on the default chain;
@@ -20,8 +21,8 @@ statistics stay warm, as for a cached text whose data changed.
 
 Every op is checked in-loop against
 :func:`~repro.processor.reference.reference_result` by ``pack_relation``
-bytes, and the run fails if any timed op output a kept state
-(:func:`~benchmarks.common.state_memo_hits`).  Per shape it records CPU
+bytes, and the run fails if any timed op output a kept state or a kept
+task output (:func:`~benchmarks.common.state_memo_hits`).  Per shape it records CPU
 seconds per op (median and quartiles of an untraced pass in which the
 shapes take turns op by op: cold CPU drifts with the host's load over
 seconds) and, from a second traced pass, the split by layer

@@ -19,7 +19,10 @@ model (slow links dominate — the smart-home regime the paper targets):
 Reported per configuration: median wall clock, the transfer-log totals and
 the maximum rows/bytes crossing any single hop.  Every configuration's
 result is checked byte for byte against the unfragmented reference
-(:func:`repro.processor.reference.reference_result`).  The headline metrics are
+(:func:`repro.processor.reference.reference_result`), and every timed run
+computes: the leaf states and task outputs the nodes kept are dropped
+before it (:func:`~benchmarks.common.forget_kept_states`), and it fails
+if any task output kept bytes (:func:`~benchmarks.common.state_memo_hits`).  The headline metrics are
 the wall-clock speedups of ``partial`` over the other two and the per-hop
 row reduction (group states vs raw chunks).
 
@@ -138,8 +141,9 @@ def measure_groupby_pushdown(
     ):
         _run(processor, mode)  # warmup: parse/compile caches
         for _ in range(repeats):
-            # Each timed run computes its leaf partials, not a decode of
-            # the states the previous run (or the serial arm) kept.
+            # Each timed run computes its leaf partials and every task
+            # after them, not a decode of what the previous run (or the
+            # serial arm) kept.
             forget_kept_states(processor)
             hits = state_memo_hits()
             started = time.perf_counter()

@@ -83,8 +83,9 @@ def _time_backend(
 ) -> List[float]:
     """Warm up, then time ``repeats`` runs, differential-checking each one.
 
-    Every timed run computes its leaf partials: the states the previous
-    run kept are dropped before the clock starts.
+    Every timed run computes its leaf partials and every task after
+    them: the states and task outputs the previous run kept are dropped
+    before the clock starts, and a run that output any of them fails.
     """
     result = processor.process(
         MULTICORE_SQL, "fig4", execution="parallel", apply_rewriting=False

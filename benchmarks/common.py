@@ -40,7 +40,7 @@ from repro.engine.table import Relation
 from repro.obs.metrics import registry
 from repro.policy.presets import figure4_policy, restrictive_policy
 from repro.processor.paradise import ParadiseProcessor
-from repro.runtime.memo import forget
+from repro.runtime.memo import KEPT_OPS, forget
 from repro.sensors.scenario import INTEGRATED_SCHEMA
 
 #: The paper's analysis query (Section 4.2) as plain SQL.
@@ -87,24 +87,27 @@ def build_processor(rows: int, policy=None, seed: int = 0, **kwargs) -> Paradise
 
 
 def forget_kept_states(processor: ParadiseProcessor) -> None:
-    """Drop the leaf states every base chunk keeps and the combined states
-    every node keeps, so the next run's leaf partials scan their chunks
-    and its combines merge again.
+    """Drop the leaf states every base chunk keeps and the task outputs
+    every node keeps (combines, finalizes, unions, query stages, step A),
+    so the next run's leaf partials scan their chunks and every task
+    after them computes again.
 
     A benchmark that times compute calls it outside the timed window of
     each repeat: plans and statistics stay warm, so the repeat does the
     work a cached text's first run does, not a decode of the state a
-    previous repeat kept.  Combined states go too: they are keyed on
-    their input bytes, which a leaf that computes again reproduces.
+    previous repeat kept.  Kept outputs go too: they are keyed on their
+    input bytes, which a leaf that computes again reproduces.
     """
     forget(processor.network)
 
 
 def state_memo_hits() -> int:
-    """Leaf partials and combines so far, process-wide, that output a kept
-    state instead of computing it; a timed repeat checks it did not move."""
-    return registry.value("runtime.state_memo.hits") + registry.value(
-        "runtime.state_memo.combine_hits"
+    """Tasks so far, process-wide, that output kept bytes instead of
+    computing them: leaf partials and every kept-output kind
+    (:data:`repro.runtime.memo.KEPT_OPS`); a timed repeat checks it did
+    not move."""
+    return registry.value("runtime.state_memo.hits") + sum(
+        registry.value(f"runtime.state_memo.{op}_hits") for op in KEPT_OPS
     )
 
 

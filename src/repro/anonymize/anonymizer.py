@@ -22,14 +22,41 @@ from repro.anonymize.kanonymity import KAnonymizer
 from repro.anonymize.qid import QuasiIdentifierReport, detect_quasi_identifiers
 from repro.anonymize.slicing import Slicer, default_column_groups
 from repro.engine.table import Relation
+from repro.engine.wire import PackedRelation
 from repro.metrics.quality import InformationLossSummary, information_loss_summary
+
+
+class _DecodedOnRead:
+    """A relation field that may hold the relation's packed bytes (a
+    :class:`~repro.engine.wire.PackedRelation`): its first read decodes
+    them, so a release kept as bytes costs no decode unless it is read."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self._slot = "_" + name
+
+    def __get__(self, outcome: object, owner: Optional[type] = None) -> Relation:
+        if outcome is None:
+            # No class-level default: the dataclass field stays required.
+            raise AttributeError(self._slot)
+        value = outcome.__dict__[self._slot]
+        if isinstance(value, PackedRelation):
+            value = outcome.__dict__[self._slot] = value.unpack()
+        return value
+
+    def __set__(self, outcome: object, value: object) -> None:
+        outcome.__dict__[self._slot] = value
 
 
 @dataclass
 class AnonymizationOutcome:
-    """Everything a postprocessing run produces."""
+    """Everything a postprocessing run produces.
 
-    relation: Relation
+    A release a node kept (:func:`repro.runtime.memo.kept_output`) gives
+    :attr:`relation` and :attr:`original` as their packed bytes; each is
+    decoded when it is first read, into a relation of this outcome's own.
+    """
+
+    relation: Relation = _DecodedOnRead()
     algorithm: str
     applied: bool
     quasi_identifier_report: Optional[QuasiIdentifierReport] = None
@@ -47,6 +74,8 @@ class AnonymizationOutcome:
         original, computed on first read: the pipeline itself never reads
         it.  None when anonymization was not applied."""
         if self._loss is None and self.original is not None:
+            if isinstance(self.original, PackedRelation):
+                self.original = self.original.unpack()
             self._loss = information_loss_summary(self.original, self.relation)
         return self._loss
 

@@ -167,7 +167,7 @@ class NetworkSimulator:
         #: stop matching and stale checkpoints are never restored.
         self._epochs: Dict[Tuple[str, str], int] = {}
         self._placement_lock = threading.Lock()
-        self._kept_combines: Dict[str, Dict] = {node.name: {} for node in topology}
+        self._kept_outputs: Dict[str, Dict] = {node.name: {} for node in topology}
 
     # ------------------------------------------------------------------
     # data placement
@@ -178,10 +178,10 @@ class NetworkSimulator:
             raise KeyError(f"Unknown node: {node_name}")
         return self._databases[node_name]
 
-    def kept_combines(self, node_name: str) -> Dict:
-        """The combined states ``node_name`` keeps; only
+    def kept_outputs(self, node_name: str) -> Dict:
+        """The task outputs ``node_name`` keeps; only
         :mod:`repro.runtime.memo` reads or writes them."""
-        return self._kept_combines[node_name]
+        return self._kept_outputs[node_name]
 
     def _sensor_leaves(self) -> List[Node]:
         """Leaf nodes of the topology's least powerful level, in order."""
@@ -375,7 +375,7 @@ class NetworkSimulator:
         order) for the completeness report.
 
         Either way the dead node's database drops its copies so nothing can
-        silently read stale data, its kept combined states go, and
+        silently read stale data, its kept task outputs go, and
         placement epochs bump for every affected (node, table) pair.  A
         chunk merged after its predecessor's grows it like an append
         (the heir keeps its statistics and kept states); the other
@@ -469,10 +469,10 @@ class NetworkSimulator:
         state.  A shipment to the same node is no transfer: ``relation``
         is returned as it is.
 
-        A :class:`~repro.engine.wire.PackedRelation` (an aggregate state,
-        which its task encodes once) is its own payload and arrives as
-        those bytes: its reader decodes them when it needs the rows, so a
-        combine that finds its inputs unchanged decodes nothing.
+        A :class:`~repro.engine.wire.PackedRelation` (a task output its
+        task encoded once) is its own payload and arrives as those bytes:
+        its reader decodes them when it needs the rows, so a task that
+        finds its inputs unchanged decodes nothing.
 
         ``log`` selects the transfer log to record into; ``None`` uses the
         simulator's shared log.  Processing runs pass their own per-run log

@@ -43,7 +43,7 @@ from repro.processor.network import NetworkSimulator
 from repro.processor.plan_cache import CachedPlan, PlanCache
 from repro.processor.result import PreparedQuery, ProcessingResult, RuntimeStats
 from repro.rewrite.analyzer import NodeCapacity, PolicyAnalyzer
-from repro.rewrite.rewriter import QueryRewriter, RewriteResult
+from repro.rewrite.rewriter import QueryRewriter
 from repro.rlang.sqlable import extract_sql_from_r
 from repro.runtime.cost import DEFAULT_TASK_TIMEOUT, CostModel
 from repro.runtime.dag import build_execution_dag, cached_execution_dag, replan_without
@@ -57,7 +57,7 @@ from repro.runtime.faults import (
 )
 from repro.runtime.memo import plan_memo
 from repro.runtime.scheduler import Scheduler
-from repro.runtime.tasks import ExecutionContext, StageTask
+from repro.runtime.tasks import ExecutionContext, StageTask, _rows
 from repro.sql import ast
 from repro.sql.parser import parse
 
@@ -239,43 +239,44 @@ class ParadiseProcessor:
         started = time.perf_counter()
 
         # 1. admission + 2. rewriting + 3. fragmentation.  A repeated text
-        # takes its parse, rewrite and plan from the cache, but is admitted
-        # afresh: row estimate, capacity and query interval are per run.
+        # takes its parse, rewrite, attribute analysis and plan from the
+        # cache, but is admitted afresh: row estimate, capacity and query
+        # interval are per run.  The first submission of a cold text plans
+        # it; the others wait for its plan (``PlanCache.get``).
         key = self._plan_key(query, module_id, apply_rewriting, pushdown)
         cached = self.plans.get(key) if key is not None else None
-        if cached is not None:
-            parsed = cached.parsed
-        else:
-            parsed = parse(query) if isinstance(query, str) else query
-        prepared = self._prepare(
-            parsed,
-            module_id,
-            apply_rewriting,
-            submit=True,
-            rewrite=cached.rewrite if cached is not None else None,
-        )
-        raw_rows = self._raw_input_rows()
-        result = ProcessingResult(
-            module_id=module_id,
-            admitted=prepared.admitted,
-            admission=prepared.admission,
-            rewrite=prepared.rewrite,
-            raw_input_rows=raw_rows,
-        )
-        if not prepared.admitted:
-            result.elapsed_seconds = time.perf_counter() - started
-            return result
-
-        if cached is None:
-            cached = CachedPlan(
-                parsed=parsed,
-                rewrite=prepared.rewrite,
-                plan=self._fragment(prepared.query, pushdown),
+        planning = key is not None and cached is None
+        try:
+            if cached is not None:
+                parsed = cached.parsed
+            else:
+                parsed = parse(query) if isinstance(query, str) else query
+            raw_rows = self._raw_input_rows()
+            prepared = self._prepare(
+                parsed, module_id, apply_rewriting, submit=True, raw_rows=raw_rows, cached=cached
             )
-            if key is not None:
-                # Sessions racing on a cold cache all run the first plan
-                # stored, so they share its derived queries and DAGs.
-                cached = self.plans.put(key, cached)
+            result = ProcessingResult(
+                module_id=module_id,
+                admitted=prepared.admitted,
+                admission=prepared.admission,
+                rewrite=prepared.rewrite,
+                raw_input_rows=raw_rows,
+            )
+            if not prepared.admitted:
+                result.elapsed_seconds = time.perf_counter() - started
+                return result
+            if cached is None:
+                cached = CachedPlan(
+                    parsed=parsed,
+                    rewrite=prepared.rewrite,
+                    plan=self._fragment(prepared.query, pushdown),
+                    analysis=prepared.admission.analysis if prepared.admission else None,
+                )
+                if key is not None:
+                    cached = self.plans.put(key, cached)
+        finally:
+            if planning:
+                self.plans.release(key)
         plan = result.plan = cached.plan
 
         # 4. distributed execution + 5. anonymization + 6. remainder
@@ -323,10 +324,13 @@ class ParadiseProcessor:
         module_id: str,
         apply_rewriting: bool,
         submit: bool,
-        rewrite: Optional[RewriteResult] = None,
+        raw_rows: Optional[int] = None,
+        cached: Optional[CachedPlan] = None,
     ) -> PreparedQuery:
-        """Parse, admit and (unless ``rewrite`` is a cached result for the
-        same query) rewrite ``query``."""
+        """Parse, admit and rewrite ``query``; ``cached`` is the plan-cache
+        entry of the same query, whose rewrite and attribute analysis are
+        reused.  ``raw_rows`` is the base relation's row count when the
+        caller has counted it."""
         parsed = parse(query) if isinstance(query, str) else query
         prepared = PreparedQuery(query=parsed)
         if not apply_rewriting:
@@ -337,14 +341,16 @@ class ParadiseProcessor:
             module_id,
             # The admission row estimate: the whole base relation, summed
             # over every chunk holder.
-            estimated_rows=self._raw_input_rows(),
+            estimated_rows=self._raw_input_rows() if raw_rows is None else raw_rows,
             capacity=NodeCapacity(
                 cpu_power=self.topology.nodes[0].cpu_power or 1.0,
                 free_memory_mb=self.topology.cloud.free_memory_mb,
             ),
             enforce_interval=self.enforce_query_interval,
+            analysis=cached.analysis if cached is not None else None,
         )
         if prepared.admission.admitted:
+            rewrite = cached.rewrite if cached is not None else None
             if rewrite is None:
                 rewrite = self.rewriter.rewrite(parsed, module_id)
             prepared.rewrite = rewrite
@@ -523,7 +529,7 @@ class ParadiseProcessor:
             if self.cost_model is not None:
                 weakest = min(node.cpu_power or 1.0 for node in self.topology)
                 task_timeout = self.cost_model.task_timeout(
-                    self._raw_input_rows(), weakest
+                    result.raw_input_rows, weakest
                 )
             else:
                 task_timeout = DEFAULT_TASK_TIMEOUT
@@ -584,7 +590,9 @@ class ParadiseProcessor:
                 # states are re-keyed by signature, everything else re-runs.
                 context = context.next_attempt()
 
-        final = context.outputs[dag.final_task_id]
+        # A no-pushdown step A at the cloud may output the bytes its node
+        # kept: every run returns a relation of its own.
+        final = _rows(context.outputs[dag.final_task_id])
         final.name = "d_prime"
         result.executions.extend(context.ordered_executions())
         result.anonymization = context.anonymization

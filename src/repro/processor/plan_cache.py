@@ -7,9 +7,11 @@ module's policy), the parsed query, its rewrite and its
 :class:`~repro.fragment.plan.FragmentPlan`.  Admission still runs
 on every submission; only parsing, rewriting and fragmentation are skipped.
 
-A cached plan is shared by every run of its text and is never written to;
-the first plan stored under a key stays, so sessions that plan one text
-at once all run it.
+A cached plan is shared by every run of its text and is never written to.
+The first submission of a text plans it; submissions of the same text
+meanwhile wait for that plan instead of planning their own
+(:meth:`PlanCache.get`), so a cold burst parses, rewrites and fragments
+the text once and every session runs one plan.
 The queries the DAG builder derives from it live in the plan's own memo
 (:attr:`FragmentPlan.derived`), so every run hands the engine the same AST
 objects and the engine's plan memos, keyed by node identity, hit.  Once
@@ -24,10 +26,11 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Hashable, Optional
+from typing import Dict, Hashable, Optional
 
 from repro.fragment.plan import FragmentPlan
 from repro.obs.metrics import registry as _metrics
+from repro.rewrite.analyzer import QueryPolicyAnalysis
 from repro.rewrite.rewriter import RewriteResult
 from repro.sql import ast
 
@@ -52,6 +55,10 @@ class CachedPlan:
     #: ``None`` when the key skips rewriting.
     rewrite: Optional[RewriteResult]
     plan: FragmentPlan
+    #: Admission's attribute analysis of ``parsed`` against the module's
+    #: policy, which the key fingerprints; ``None`` when the key skips
+    #: rewriting.  Admission reuses it; its per-run checks still run.
+    analysis: Optional[QueryPolicyAnalysis] = None
 
 
 class PlanCache:
@@ -59,26 +66,53 @@ class PlanCache:
 
     def __init__(self) -> None:
         self._entries: "OrderedDict[Hashable, CachedPlan]" = OrderedDict()
+        #: Keys being planned -> set once their planner puts or releases.
+        self._planning: Dict[Hashable, threading.Event] = {}
         self._lock = threading.Lock()
 
     def get(self, key: Hashable) -> Optional[CachedPlan]:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
+        """The entry under ``key``; None makes the caller its planner.
+
+        While another caller plans ``key``, this one waits for it to
+        :meth:`put` (a hit) or :meth:`release` without a plan (this
+        caller then plans).  A planner must call one of the two.
+        """
+        while True:
+            with self._lock:
+                entry = self._entries.get(key)
+                if entry is not None:
+                    self._entries.move_to_end(key)
+                    break
+                planning = self._planning.get(key)
+                if planning is None:
+                    self._planning[key] = threading.Event()
+                    break
+            planning.wait()
         with _STATS_LOCK:
             _STATS[0 if entry is not None else 1] += 1
         return entry
 
     def put(self, key: Hashable, entry: CachedPlan) -> CachedPlan:
-        """Store ``entry`` under ``key`` unless an entry is there already;
-        returns the stored one, so racing submissions share one plan."""
+        """Store ``entry`` under ``key`` unless an entry is there already
+        and wake the callers waiting for it; returns the stored one."""
         with self._lock:
             entry = self._entries.setdefault(key, entry)
             self._entries.move_to_end(key)
             while len(self._entries) > MAX_PLANS:
                 self._entries.popitem(last=False)
+            planning = self._planning.pop(key, None)
+        if planning is not None:
+            planning.set()
         return entry
+
+    def release(self, key: Hashable) -> None:
+        """End the caller's planning of ``key`` (a no-op after :meth:`put`):
+        a rejected or failed submission stores no plan, and the next
+        waiting caller plans instead."""
+        with self._lock:
+            planning = self._planning.pop(key, None)
+        if planning is not None:
+            planning.set()
 
     def __len__(self) -> int:
         with self._lock:

@@ -150,10 +150,13 @@ class PolicyAnalyzer:
         estimated_rows: int = 0,
         capacity: Optional[NodeCapacity] = None,
         enforce_interval: bool = True,
+        analysis: Optional[QueryPolicyAnalysis] = None,
     ) -> AdmissionDecision:
         """Admit a submitted query: :meth:`check` it, and when admitted,
         start the module's next query interval."""
-        decision = self.check(query, module_id, estimated_rows, capacity, enforce_interval)
+        decision = self.check(
+            query, module_id, estimated_rows, capacity, enforce_interval, analysis
+        )
         if decision.admitted:
             self._last_query_time[module_id.lower()] = self._clock()
         return decision
@@ -165,12 +168,16 @@ class PolicyAnalyzer:
         estimated_rows: int = 0,
         capacity: Optional[NodeCapacity] = None,
         enforce_interval: bool = True,
+        analysis: Optional[QueryPolicyAnalysis] = None,
     ) -> AdmissionDecision:
         """Decide whether the query should be processed at all.
 
         Side-effect-free: unlike :meth:`admit` it records nothing, so
         previewing a query (``ParadiseProcessor.explain``) leaves the
-        module's query-interval budget untouched.
+        module's query-interval budget untouched.  ``analysis`` is
+        :meth:`analyze`'s result for this query and module when the caller
+        kept it (a cached plan's); the checks that depend on the run (row
+        estimate, capacity, query interval) run every time.
         """
         reasons: List[str] = []
 
@@ -181,7 +188,8 @@ class PolicyAnalyzer:
             )
 
         module = self.policy.module(module_id)
-        analysis = self.analyze(query, module_id)
+        if analysis is None:
+            analysis = self.analyze(query, module_id)
 
         if analysis.fully_denied:
             reasons.append("the policy denies every requested attribute")

@@ -3,7 +3,8 @@
 Each kind of kept work is stored where its lifetime is, and only this
 module reads, writes, bounds or clears those stores: leaf states on the
 chunk (:func:`leaf_state`, for DAG leaves and standing trees alike),
-combined states on the node (:func:`combine_state`), and derived queries
+stage outputs on the node (:func:`kept_output`: combines, finalizes,
+unions, query stages over shipped rows and step A), and derived queries
 and built DAGs in the plan's memo (:func:`plan_memo`, :func:`kept_dag`).
 
 **One change rule.**  Kept work over the base data notes the table's
@@ -13,7 +14,7 @@ a superseded chunk) and later compares a fresh one (:func:`same_placement`):
 every load, append, re-registration, ``Relation``-API write and node death
 changes some holder's chunk object, write counter or epoch.  Kept DAGs and
 the standing trees' merged groups use it; leaf states live and die with
-their chunk's version, and combined states are keyed on their input bytes,
+their chunk's version, and stage outputs are keyed on their input bytes,
 so neither needs it.  **One bound rule.**  A full store is emptied before a
 new key goes in (:func:`_make_room`).
 """
@@ -35,6 +36,7 @@ from repro.obs.metrics import registry as _metrics
 from repro.sql import ast
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (network -> memo)
+    from repro.anonymize.anonymizer import Anonymizer
     from repro.processor.network import NetworkSimulator
     from repro.runtime.dag import ExecutionDag
 
@@ -44,7 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (network -> memo)
 MAX_DERIVED_QUERIES = 256
 
 #: A chunk keeps at most this many packed partial states per version, and
-#: a node at most this many combined states.  The front end runs at most
+#: a node at most this many task outputs.  The front end runs at most
 #: 23 grouped texts over one chunk.
 MAX_KEPT_STATES = 32
 
@@ -57,11 +59,16 @@ _memo_counters = {
     "miss": _metrics.counter("runtime.state_memo.misses"),
 }
 
-#: Combines (:func:`combine_state`) that output kept bytes, and that
-#: merged their inputs; a combine's span shows which as ``memo``.
-_combine_counters = {
-    "hit": _metrics.counter("runtime.state_memo.combine_hits"),
-    "miss": _metrics.counter("runtime.state_memo.combine_misses"),
+#: The tasks whose output a node keeps (:func:`kept_output`), by stage op.
+KEPT_OPS = ("combine", "finalize", "union", "query", "anonymize")
+
+#: Per op, the tasks that output kept bytes and those that computed
+#: (``runtime.state_memo.combine_hits``, ``.finalize_misses``, ...); a
+#: task's span shows which as ``memo``.
+_output_counters = {
+    (op, outcome): _metrics.counter(f"runtime.state_memo.{op}_{plural}")
+    for op in KEPT_OPS
+    for outcome, plural in (("hit", "hits"), ("miss", "misses"))
 }
 
 #: [hits, misses] of :func:`kept_dag` over every plan; exposed as a
@@ -127,15 +134,19 @@ class KeptState(NamedTuple):
     state: PackedRelation
 
 
-class KeptCombine(NamedTuple):
-    """A combined state a node keeps
-    (:meth:`~repro.processor.network.NetworkSimulator.kept_combines`)."""
+class KeptOutput(NamedTuple):
+    """A task output a node keeps
+    (:meth:`~repro.processor.network.NetworkSimulator.kept_outputs`)."""
 
-    #: The query; held so that the id it is keyed on stays unique.
-    query: ast.Query
-    #: The payloads of the inputs it merged, in partition order.
+    #: What the key names by id (a stage's query), held so that no other
+    #: object takes the id; None when the key names nothing by id.
+    owner: object
+    #: The payloads of the inputs it was computed from, in partition order.
     inputs: Tuple[bytes, ...]
-    state: PackedRelation
+    output: PackedRelation
+    #: What the task reports besides its output (step A's outcome
+    #: without its relations); None for a stage.
+    detail: object = None
 
 
 def leaf_state(
@@ -211,44 +222,71 @@ def leaf_state(
     return output, packed, elapsed, outcome
 
 
-def combine_state(
+def stage_key(op: str, query: ast.Query, name: str, config: EngineConfig) -> Tuple:
+    """The key of a stage's kept output: :func:`kept_key` plus the op,
+    since a combine and a finalize share their fragment's query."""
+    return kept_key(query, name, config) + (op,)
+
+
+def release_key(anonymizer: Anonymizer, power: float, payload: bytes) -> Optional[Tuple]:
+    """The key of step A's kept release over the input ``payload``, run as
+    a node of ``power`` decides; None when the release is not a function
+    of its input: an unseeded slicing or DP anonymizer draws fresh
+    randomness on every run.  The input bytes are part of the key, so the
+    releases of several texts on one node do not displace each other."""
+    if anonymizer.algorithm not in ("k_anonymity", "none") and anonymizer.seed is None:
+        return None
+    return (
+        "anonymize",
+        anonymizer.algorithm,
+        anonymizer.k,
+        anonymizer.epsilon,
+        anonymizer.seed,
+        anonymizer.minimum_cpu_power,
+        power,
+        payload,
+    )
+
+
+def kept_output(
     network: NetworkSimulator,
     node: str,
-    query: ast.Query,
-    name: str,
-    config: EngineConfig,
-    inputs: Sequence[Optional[bytes]],
-    combine: Callable[[], Tuple[Relation, float]],
-) -> Tuple[Union[Relation, PackedRelation], Optional[PackedRelation], float, str]:
-    """The combined state named ``name`` of ``query`` on ``node``, whose
-    inputs are the payloads ``inputs`` in partition order (None for an
-    input with no packed bytes), through the states the node keeps
-    (:meth:`NetworkSimulator.kept_combines`, keyed by :func:`kept_key`).
+    op: str,
+    key: Tuple,
+    owner: object,
+    inputs: Sequence[bytes],
+    compute: Callable[[], Tuple[Relation, float, object]],
+) -> Tuple[Union[Relation, PackedRelation], Optional[PackedRelation], float, str, object]:
+    """The output of the ``op`` task on ``node`` whose inputs are the
+    payloads ``inputs`` in partition order, through the outputs the node
+    keeps (:meth:`NetworkSimulator.kept_outputs`) under ``key``
+    (:func:`stage_key`, :func:`release_key`).
 
-    An entry whose inputs equal ``inputs`` byte for byte is a *hit*: its
-    kept bytes are the output (the inputs still ship, so transfers, link
-    faults and checkpoints are those of a merging run).  Otherwise
-    ``combine()`` merges the inputs and returns its output and engine
-    seconds (a *miss*); the output is packed once and kept with the input
-    bytes (referenced, not copied), at most :data:`MAX_KEPT_STATES`
-    entries per node.  Returns the output, its packed bytes, the engine
-    seconds and the outcome, which ``runtime.state_memo.combine_*`` counts.
+    Nectar's rule (Gunda et al., OSDI 2010): a derived dataset is a
+    function of its program and its inputs' bytes.  An entry whose inputs
+    equal ``inputs`` byte for byte is a *hit*: its kept bytes are the
+    output, undecoded (the inputs still ship, so transfers, link faults
+    and checkpoints are those of a computing run).  Otherwise
+    ``compute()`` returns the output, already named, its engine seconds
+    and its detail (a *miss*); the output is packed once and kept with
+    the input bytes (referenced, not copied) and ``owner``, at most
+    :data:`MAX_KEPT_STATES` entries per node.  Returns the output, its
+    packed bytes, the engine seconds, the outcome, which
+    ``runtime.state_memo.<op>_*`` counts, and the detail.
     """
-    memo = network.kept_combines(node)
-    key = kept_key(query, name, config)
+    memo = network.kept_outputs(node)
     inputs = tuple(inputs)
     kept = memo.get(key)
     if kept is not None and kept.inputs == inputs:
-        _combine_counters["hit"].inc()
-        return kept.state, kept.state, 0.0, "hit"
-    output, elapsed = combine()
-    output.name = name
+        _output_counters[op, "hit"].inc()
+        return kept.output, kept.output, 0.0, "hit", kept.detail
+    output, elapsed, detail = compute()
     packed = pack_state(output)
-    if packed is not None and None not in inputs:
+    if packed is not None:
         _make_room(memo, key, MAX_KEPT_STATES)
-        memo[key] = KeptCombine(query, inputs, packed)
-    _combine_counters["miss"].inc()
-    return output, packed, elapsed, "miss"
+        memo[key] = KeptOutput(owner, inputs, packed, detail)
+    _output_counters[op, "miss"].inc()
+    return output, packed, elapsed, "miss", detail
 
 
 def leaf_state_bytes(
@@ -275,12 +313,12 @@ def carry_states(grown: Relation, prefix: Relation) -> None:
 
 
 def forget(network: NetworkSimulator, node: Optional[str] = None) -> None:
-    """Drop what ``node`` (default: every node) keeps: its combined states
+    """Drop what ``node`` (default: every node) keeps: its stage outputs
     and the leaf states of every base chunk it holds.  The next run over
     them computes again."""
     names = [node] if node is not None else [each.name for each in network.topology]
     for name in names:
-        network.kept_combines(name).clear()
+        network.kept_outputs(name).clear()
         database = network.database(name)
         for table in network.base_table_names():
             if table in database:

@@ -4,10 +4,11 @@
 :class:`Task` objects, which hold no run state; the
 :class:`~repro.runtime.scheduler.Scheduler` runs them against one
 :class:`ExecutionContext`, which holds everything a run writes.  So one
-DAG serves many runs.  A leaf partial over its resident chunk and a
-combine go through the states their chunk or node keeps
-(:mod:`repro.runtime.memo`); shipped states stay bytes until a task that
-computes over them decodes them (:func:`_rows`).
+DAG serves many runs.  A leaf partial over its resident chunk goes
+through the states its chunk keeps, and a task whose inputs all arrive as
+bytes through the outputs its node keeps (:mod:`repro.runtime.memo`);
+shipped relations stay bytes until a task that computes over them decodes
+them (:func:`_rows`).
 """
 
 from __future__ import annotations
@@ -19,10 +20,11 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple, Union
 
+from repro.anonymize.anonymizer import AnonymizationOutcome
 from repro.engine.config import DEFAULT_CONFIG, EngineConfig
 from repro.engine.table import Relation, union_partials
 from repro.engine.vectorized import estimate_select_rows
-from repro.engine.wire import PackedRelation, state_size_feedback
+from repro.engine.wire import PackedRelation, pack_relation, state_size_feedback
 from repro.fragment.capabilities import permitted_features
 from repro.fragment.plan import QueryFragment
 from repro.fragment.topology import Topology
@@ -31,9 +33,16 @@ from repro.obs.trace import QueryTrace, current_span
 from repro.processor.result import FragmentExecution
 from repro.runtime.cost import CostModel
 from repro.runtime.faults import CheckpointStore, EpochAbandoned, FailureInjector
-from repro.runtime.memo import combine_state, leaf_state, pack_state
+from repro.runtime.memo import (
+    kept_output,
+    leaf_state,
+    pack_state,
+    release_key,
+    stage_key,
+)
 from repro.sql import ast
 from repro.sql.analysis import analyze_query
+from repro.sql.visitor import referenced_tables
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (network -> memo)
     from repro.processor.network import NetworkSimulator, TransferLog
@@ -97,9 +106,11 @@ class ExecutionContext:
         #: task id -> output (a kept leaf state stays its packed bytes);
         #: each task writes only its own key.
         self.outputs: Dict[str, Output] = {}
-        #: task id -> the packed output of a ``partial``/``combine`` task.
-        #: The task encodes its state once; these bytes are both its
-        #: checkpoint and what every shipment of it sends.  Handed over
+        #: task id -> the packed output of a task that encoded one: every
+        #: ``partial`` and ``combine``, and a task whose node keeps its
+        #: output (:func:`~repro.runtime.memo.kept_output`).  The task
+        #: encodes it once; these bytes are its checkpoint, what every
+        #: shipment of it sends and its consumer's key.  Handed over
         #: explicitly rather than cached on the relation, whose columns
         #: are live lists.
         self.payloads: Dict[str, bytes] = {}
@@ -267,14 +278,15 @@ class Task:
     ) -> Output:
         """Move an input relation to this task's node.
 
-        Returns the relation *as received on this node* — for an actual
-        inter-node hop that is the wire-deserialized copy, so downstream
-        work consumes exactly what crossed the link.  Nothing is
-        registered: the task binds what it received for its own engine
-        call.  ``payload`` is the producer's packed output when it encoded
-        one (aggregate states): the shipment sends those bytes, and the
-        state arrives as them (a :class:`PackedRelation`), which its reader
-        decodes (:func:`_rows`) only when it computes.
+        Returns the relation *as received on this node*.  An actual
+        inter-node hop sends bytes and delivers them undecoded (a
+        :class:`PackedRelation`), which the task decodes (:func:`_rows`)
+        only when it computes, so downstream work consumes exactly what
+        crossed the link.  ``payload`` is the producer's packed output when
+        it encoded one: the shipment sends those bytes; otherwise the
+        relation is packed here (a :class:`~repro.engine.wire.WireFormatError`
+        ships nothing).  Nothing is registered: the task binds what it
+        received for its own engine call.
         """
         node = context.network.topology.node(self.node)
         if not node.can_hold_rows(len(relation)):
@@ -284,7 +296,9 @@ class Task:
             )
         if source_node == self.node:
             return relation
-        if payload is not None and not isinstance(relation, PackedRelation):
+        if not isinstance(relation, PackedRelation):
+            if payload is None:
+                payload = pack_relation(relation)
             relation = PackedRelation(payload, len(relation), len(relation.schema))
         return context.network.ship(
             relation,
@@ -380,9 +394,10 @@ class StageTask(Task):
     (``finalize``: HAVING, select items and ORDER BY over the merged
     aggregates, byte-identical to running the fragment over the globally
     merged raw input, which never had to exist).  No output is registered:
-    its consumers take it from the run.  A leaf partial over its resident chunk may output the
-    chunk's kept state as its bytes, and a combine whose inputs did not
-    change the state its node kept (:mod:`repro.runtime.memo`).
+    its consumers take it from the run.  A leaf partial over its resident
+    chunk may output the chunk's kept state as its bytes, and a stage that
+    :attr:`keeps` its output, whose inputs did not change, the output its
+    node kept (:mod:`repro.runtime.memo`).
 
     A ``query`` or ``partial`` task may run several in-place fragments as
     one query (:func:`~repro.runtime.dag.merge_views`); ``composes``
@@ -407,9 +422,21 @@ class StageTask(Task):
     #: ``(node, refuting conjunct)`` of the sibling partitions pruned when
     #: this task's stage was built (recorded on its first task).
     pruned: Tuple[Tuple[str, str], ...] = ()
+    #: True when the output is a function of the inputs' bytes alone, so
+    #: the node may keep it: every combine, finalize and union, and a
+    #: ``query`` stage over shipped rows that reads no table but them.
+    keeps: bool = field(default=False, init=False)
 
     def __post_init__(self) -> None:
         self.kind = STAGE_OPS[self.op][0]
+        self.keeps = self.op in ("combine", "finalize", "union") or (
+            self.op == "query"
+            and not self.resident
+            and all(
+                name.lower() == self.in_name.lower()
+                for name in referenced_tables(self.query)
+            )
+        )
 
     @property
     def resident(self) -> bool:
@@ -452,28 +479,13 @@ class StageTask(Task):
 
     def execute(self, context: ExecutionContext) -> Output:
         database = context.network.database(self.node)
-        source: Optional[Relation] = None
         packed: Optional[PackedRelation] = None
-        if self.op in ("query", "partial"):
-            [part] = self.parts
-            inputs = None
-            if self.resident:
-                # A base chunk resident here is read in place.
-                if self.base in database:
-                    source = database.table(self.base)
-            else:
-                source = _rows(
-                    self._receive(context, self._fetch(context, part), self.in_name, part[1])
-                )
-                inputs = {self.in_name: source}
+        if self.resident:
+            # A base chunk resident here is read in place.
+            source = database.table(self.base) if self.base in database else None
             input_rows = len(source) if source is not None else 0
             context.charge_compute(input_rows, self.node)
-            if (
-                self.op == "partial"
-                and self.resident
-                and source is not None
-                and context.config.zone_maps
-            ):
+            if self.op == "partial" and source is not None and context.config.zone_maps:
                 # A partial reads one table and no subquery
                 # (``decomposition_error``), so its state depends on this
                 # chunk's version, the query, the output name and the
@@ -491,61 +503,17 @@ class StageTask(Task):
                 )
                 context.annotate(memo=outcome)
             else:
-                output, elapsed = self._engine(
-                    context, database, self.op, self.query, inputs=inputs
-                )
+                output, elapsed = self._engine(context, database, self.op, self.query)
+            _observe_rows_estimate(context, self.query, source, output)
         else:
-            union_name = self.display_name
-            if self.op == "finalize":
-                union_name += "~partial"
-            received = [
-                self._receive(
-                    context,
-                    self._fetch(context, part),
-                    f"{union_name}@{part[1]}",
-                    part[1],
-                    payload=context.payloads.get(part[0]),
-                )
-                for part in self.parts
-            ]
-            input_rows = sum(len(relation) for relation in received)
-            if self.op == "union":
-                output, elapsed = context.engine_call(
-                    union_partials, [_rows(part) for part in received], union_name
-                )
-            else:
-                context.charge_compute(input_rows, self.node)
-
-                def merge() -> Tuple[Relation, float]:
-                    merged = union_partials(
-                        [_rows(part) for part in received], union_name
-                    )
-                    return self._engine(
-                        context, database, self.op, self.query, state=merged
-                    )
-
-                if self.op == "combine" and context.config.zone_maps:
-                    # Every input's bytes are at hand: a kept leaf state
-                    # or a computed state's payload.
-                    output, packed, elapsed, outcome = combine_state(
-                        context.network,
-                        self.node,
-                        self.query,
-                        self.display_name,
-                        context.config,
-                        [context.payloads.get(task_id) for task_id, _ in self.parts],
-                        merge,
-                    )
-                    context.annotate(memo=outcome)
-                else:
-                    output, elapsed = merge()
+            output, packed, elapsed, input_rows = self._gather(context, database)
         if not isinstance(output, PackedRelation):
             output.name = self.display_name
         if packed is None and self.op in ("partial", "combine"):
             packed = pack_state(output)
         if packed is not None:
-            # An aggregate state is encoded once: the same bytes become
-            # its checkpoint and every shipment of it.
+            # An output is encoded once: the same bytes become its
+            # checkpoint, every shipment of it and its consumer's key.
             context.payloads[self.task_id] = packed.payload
             if self.op == "partial":
                 # Observed state size feeds the adaptive partial-
@@ -557,7 +525,6 @@ class StageTask(Task):
                     cells=packed.rows * packed.columns,
                 )
         context.annotate_io(input_rows, output)
-        _observe_rows_estimate(context, self.query, source, output)
         _, name, sql = STAGE_OPS[self.op]
         if self.op in ("combine", "union"):
             level = context.network.topology.node(self.node).level.short_name
@@ -577,6 +544,88 @@ class StageTask(Task):
         )
         return output
 
+    def _gather(
+        self, context: ExecutionContext, database
+    ) -> Tuple[Output, Optional[PackedRelation], float, int]:
+        """Ship every part here and run ``op`` over them; returns the
+        output, its packed bytes (when encoded), the engine seconds and
+        the input rows.
+
+        When the stage :attr:`keeps` its output and every input arrived
+        as bytes, the output goes through the ones the node keeps
+        (:func:`~repro.runtime.memo.kept_output`), under
+        ``EngineConfig.zone_maps``: the oracle and the ``optimizer=False``
+        ablation always compute.
+        """
+        union_name = self.display_name
+        if self.op == "finalize":
+            union_name += "~partial"
+        if self.op in ("query", "partial"):
+            names = [self.in_name]
+        else:
+            names = [f"{union_name}@{node}" for _, node in self.parts]
+        received = [
+            self._receive(
+                context,
+                self._fetch(context, part),
+                name,
+                part[1],
+                payload=context.payloads.get(part[0]),
+            )
+            for part, name in zip(self.parts, names)
+        ]
+        input_rows = sum(len(relation) for relation in received)
+        if self.op != "union":
+            context.charge_compute(input_rows, self.node)
+
+        def compute() -> Tuple[Relation, float, None]:
+            if self.op in ("query", "partial"):
+                source = _rows(received[0])
+                output, elapsed = self._engine(
+                    context, database, self.op, self.query, inputs={self.in_name: source}
+                )
+                _observe_rows_estimate(context, self.query, source, output)
+            else:
+                relations = [_rows(relation) for relation in received]
+                if self.op == "union":
+                    output, elapsed = context.engine_call(
+                        union_partials, relations, union_name
+                    )
+                else:
+                    merged = union_partials(relations, union_name)
+                    output, elapsed = self._engine(
+                        context, database, self.op, self.query, state=merged
+                    )
+            output.name = self.display_name
+            return output, elapsed, None
+
+        inputs = [
+            _payload(context, part, relation)
+            for part, relation in zip(self.parts, received)
+        ]
+        if not (self.keeps and context.config.zone_maps and None not in inputs):
+            output, elapsed, _ = compute()
+            return output, None, elapsed, input_rows
+        output, packed, elapsed, outcome, _ = kept_output(
+            context.network,
+            self.node,
+            self.op,
+            stage_key(self.op, self.query, self.display_name, context.config),
+            self.query,
+            inputs,
+            compute,
+        )
+        context.annotate(memo=outcome)
+        return output, packed, elapsed, input_rows
+
+
+def _payload(context: ExecutionContext, part: Part, received: Output) -> Optional[bytes]:
+    """The bytes an input arrived as: its producer's packed output, or
+    what a shipment sent; None for a relation that never was encoded."""
+    if isinstance(received, PackedRelation):
+        return received.payload
+    return context.payloads.get(part[0])
+
 
 @dataclass(slots=True)
 class AnonymizeTask(Task):
@@ -585,6 +634,12 @@ class AnonymizeTask(Task):
 
     The no-pushdown baseline runs it at the cloud, on the result of the
     whole query, with ``power_node`` the node that function picks.
+
+    A deterministic release (:func:`~repro.runtime.memo.release_key`) is
+    kept on the node like a stage's output, keyed on its input's bytes
+    (packed here when its producer encoded none): a hit outputs the kept
+    bytes and reports the kept algorithm, QI report and notes, its
+    relations decoded only when read.
     """
 
     kind: str = "anonymize"
@@ -592,21 +647,67 @@ class AnonymizeTask(Task):
     #: The node whose power decides whether A applies (default: this one).
     power_node: str = ""
 
-    def execute(self, context: ExecutionContext) -> Relation:
-        [(source_id, source_node)] = self.parts
-        relation = context.outputs[source_id]
-        if source_node != self.node:
-            relation = self._receive(context, relation, self.in_name, source_node)
-        context.charge_compute(len(relation), self.node)
-        node = context.network.topology.node(self.power_node or self.node)
-        outcome, _ = context.engine_call(
-            lambda: context.anonymizer.anonymize(
-                relation, node_cpu_power=node.cpu_power or 1.0
-            )
+    def execute(self, context: ExecutionContext) -> Output:
+        [part] = self.parts
+        source_id, source_node = part
+        relation = self._receive(
+            context,
+            context.outputs[source_id],
+            self.in_name,
+            source_node,
+            payload=context.payloads.get(source_id),
         )
-        context.anonymization = outcome
-        context.annotate_io(len(relation), outcome.relation)
-        return outcome.relation
+        context.charge_compute(len(relation), self.node)
+        anonymizer = context.anonymizer
+        power = context.network.topology.node(self.power_node or self.node).cpu_power or 1.0
+        computed: List[AnonymizationOutcome] = []
+
+        def compute() -> Tuple[Relation, float, Tuple]:
+            source = _rows(relation)
+            outcome, elapsed = context.engine_call(
+                lambda: anonymizer.anonymize(source, node_cpu_power=power)
+            )
+            computed.append(outcome)
+            detail = (
+                outcome.algorithm,
+                outcome.applied,
+                outcome.quasi_identifier_report,
+                tuple(outcome.notes),
+            )
+            return outcome.relation, elapsed, detail
+
+        key = None
+        if context.config.zone_maps:
+            payload = _payload(context, part, relation)
+            if payload is None:
+                packed_input = pack_state(relation)
+                payload = packed_input.payload if packed_input is not None else None
+            if payload is not None:
+                key = release_key(anonymizer, power, payload)
+        if key is None:
+            output, _, _ = compute()
+        else:
+            output, packed, _, memo, detail = kept_output(
+                context.network, self.node, "anonymize", key, None, (payload,), compute
+            )
+            context.annotate(memo=memo)
+            if packed is not None:
+                context.payloads[self.task_id] = packed.payload
+            if not computed:
+                algorithm, applied, report, notes = detail
+                computed.append(
+                    AnonymizationOutcome(
+                        relation=output,
+                        algorithm=algorithm,
+                        applied=applied,
+                        quasi_identifier_report=report,
+                        notes=list(notes),
+                        original=relation if applied else None,
+                    )
+                )
+        context.anonymization = computed[0]
+        context.annotate_io(len(relation), output)
+        return output
 
 
 @dataclass(slots=True)
@@ -621,9 +722,17 @@ class FinalizeTask(Task):
 
     def execute(self, context: ExecutionContext) -> Relation:
         [(source_id, source_node)] = self.parts
-        relation = context.outputs[source_id]
-        if source_node != self.node:
-            relation = self._receive(context, relation, self.result_name, source_node)
+        # What arrives as bytes is decoded: every run returns a relation
+        # of its own.
+        relation = _rows(
+            self._receive(
+                context,
+                context.outputs[source_id],
+                self.result_name,
+                source_node,
+                payload=context.payloads.get(source_id),
+            )
+        )
         if self.remainder_query is None:
             context.annotate_io(len(relation), relation)
             return relation

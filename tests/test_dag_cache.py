@@ -186,13 +186,13 @@ def test_no_later_run_places_work_on_a_dead_node(dead):
     processor.process(SQL, "fig4", **OPTIONS)
     _kill(processor, dead)
     assert processor.topology.dead_nodes == [dead]
-    assert processor.network.kept_combines(dead) == {}
+    assert processor.network.kept_outputs(dead) == {}
     for sql in (SQL, NEW_SQL, SQL, NEW_SQL):
         run, _, listing = _run(processor, sql)
         assert pack_relation(run.result) == _expected(processor, sql)
         assert dead not in {record.node for record in run.executions}
         assert dead not in {node for _, node, _, _ in listing}
-        assert processor.network.kept_combines(dead) == {}
+        assert processor.network.kept_outputs(dead) == {}
         assert f"@ {dead}" not in processor.explain(sql, "fig4", **OPTIONS)
     # The live view is kept per dead set: repeats keep their DAG.
     assert _run(processor)[1] == "hit"

@@ -2,7 +2,7 @@
 time outputs the state it packed then, undecoded, instead of decoding and
 merging them again.
 
-The entries live per node (``NetworkSimulator.kept_combines``), keyed like
+The entries live per node (``NetworkSimulator.kept_outputs``), keyed like
 a chunk's kept leaf states (``runtime.memo.kept_key``), and hold the input
 payloads they merged.  These tests pin that a hit's bytes are a fresh
 combine's under every config, the hit and decode counts of a repeated read
@@ -94,13 +94,19 @@ def _expected(processor, sql=SQL) -> bytes:
     return pack_relation(reference_result(processor, sql, "ActionFilter", **OPTIONS))
 
 
+def _combines(processor, node: str):
+    """The entries of the combined states ``node`` keeps, by key (its other
+    kept outputs, a finalize's or step A's, are left out)."""
+    entries = processor.network.kept_outputs(node)
+    return {key: entry for key, entry in entries.items() if key[-1] == "combine"}
+
+
 def _kept(processor):
     """node -> the payloads of the combined states it keeps, by key."""
-    network = processor.network
     return {
-        node.name: {key: entry.state.payload for key, entry in entries.items()}
-        for node in network.topology
-        for entries in [network.kept_combines(node.name)]
+        node.name: {key: entry.output.payload for key, entry in entries.items()}
+        for node in processor.network.topology
+        for entries in [_combines(processor, node.name)]
         if entries
     }
 
@@ -110,7 +116,7 @@ def _forget(processor) -> None:
     for holder in network.partition_holders("d"):
         network.database(holder).table("d").kept_states().clear()
     for node in network.topology:
-        network.kept_combines(node.name).clear()
+        network.kept_outputs(node.name).clear()
 
 
 def _combine_spans(run):
@@ -198,17 +204,22 @@ def _count_decodes(monkeypatch) -> list:
 
 
 def test_a_repeated_read_merges_nothing(monkeypatch):
-    """Read 2 on the 8-sensor tree: its 8 leaves and 3 combines hit, no
-    combine decodes an input, and the only state decoded is the PC's, by
-    the finalize; the one other decode is the result's, at the cloud."""
+    """Read 2 on the 8-sensor tree: its 8 leaves, 3 combines and the
+    finalize hit, so no task decodes an input; the one decode is the
+    result's, at the cloud, of the bytes the finalize kept."""
     processor = _processor()
     expected = _expected(processor)
     assert _run(processor) == (expected, (0, 3))
     decoded = _count_decodes(monkeypatch)
     result, counts = _run(processor)
     assert (result, counts) == (expected, (3, 0))
-    [pc] = processor.network.kept_combines("pc").values()
-    assert len(decoded) == 2 and decoded[0] is pc.state.payload
+    [finalize] = [
+        entry
+        for node in processor.network.topology
+        for key, entry in processor.network.kept_outputs(node.name).items()
+        if key[-1] == "finalize"
+    ]
+    assert len(decoded) == 1 and decoded[0] is finalize.output.payload
     run = processor.process(SQL, "ActionFilter", profile=True, **OPTIONS)
     assert _combine_spans(run) == dict.fromkeys(COMBINE_NODES, "hit")
     assert run.profile.scan_paths["state_memo.combine_hits"] == 3
@@ -273,7 +284,7 @@ def test_a_node_death_gives_the_reference(victim, lose_data):
     assert injector.fired
     expected = _expected(processor)
     assert result == expected
-    assert processor.network.kept_combines(victim) == {}
+    assert processor.network.kept_outputs(victim) == {}
     assert _run(processor)[0] == expected
     result, (hits, misses) = _run(processor)
     assert result == expected and hits > 0 and misses == 0
@@ -329,7 +340,7 @@ def test_a_full_node_memo_is_emptied():
             "ActionFilter",
             **OPTIONS,
         )
-    assert len(processor.network.kept_combines("pc")) == 1
+    assert len(processor.network.kept_outputs("pc")) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -234,3 +234,105 @@ def test_explain_is_unchanged_by_cached_runs():
     processor.process(sql, "ActionFilter")
     processor.process(sql, "ActionFilter")
     assert processor.explain(sql, "ActionFilter") == before
+
+
+# ---------------------------------------------------------------------------
+# the warm front half
+# ---------------------------------------------------------------------------
+
+
+def test_a_warm_read_analyzes_nothing(monkeypatch):
+    """Admission takes a repeated text's attribute analysis from its cached
+    plan, so a warm read calls ``analyze_query`` 0 times and counts the
+    base rows once; the per-run checks still decide."""
+    from repro.sql import analysis as analysis_module
+    from tests.conftest import PAPER_SQL, make_sensor_relation
+
+    processor = ParadiseProcessor(figure4_policy())
+    processor.load_data(make_sensor_relation(400))
+    first = processor.process(PAPER_SQL, "ActionFilter")
+    real = analysis_module.analyze_query
+    calls = []
+
+    def analyze_query(query):
+        calls.append(query)
+        return real(query)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and getattr(module, "analyze_query", None) is real:
+            monkeypatch.setattr(module, "analyze_query", analyze_query)
+    counted = []
+    count_rows = processor._raw_input_rows
+    monkeypatch.setattr(
+        processor, "_raw_input_rows", lambda: counted.append(1) or count_rows()
+    )
+    second = processor.process(PAPER_SQL, "ActionFilter")
+    assert calls == [] and len(counted) == 1
+    assert second.admitted and second.admission.analysis is first.admission.analysis
+    assert pack_relation(second.result) == pack_relation(first.result)
+    # The capacity check is per run: a cloud without memory refuses the
+    # same warm text.
+    processor.topology.cloud.free_memory_mb = 0.0
+    assert not processor.process(PAPER_SQL, "ActionFilter").admitted
+
+
+def test_a_cold_text_is_prepared_once(monkeypatch):
+    """Submissions of a text whose first submission is still planning it
+    wait for that plan: the race is forced by holding the first planner
+    inside ``_fragment`` until the others have been submitted."""
+    import threading
+    import time
+    from concurrent.futures import ThreadPoolExecutor
+
+    processor = build_tree_processor(rows=200)
+    started, go = threading.Event(), threading.Event()
+    calls = []
+    real = processor._fragment
+
+    def fragment(query, pushdown):
+        calls.append(query)
+        started.set()
+        go.wait(10)
+        return real(query, pushdown)
+
+    monkeypatch.setattr(processor, "_fragment", fragment)
+    before = registry.snapshot(prefix="processor.plan_cache")
+    with ThreadPoolExecutor(4) as pool:
+        first = pool.submit(processor.process, GROUPED_SQL, "fig4", apply_rewriting=False)
+        assert started.wait(10)
+        others = [
+            pool.submit(processor.process, GROUPED_SQL, "fig4", apply_rewriting=False)
+            for _ in range(3)
+        ]
+        # Without the wait each of them would be inside _fragment by now.
+        time.sleep(0.2)
+        go.set()
+        runs = [future.result(timeout=30) for future in [first, *others]]
+    diff = delta(before, registry.snapshot(prefix="processor.plan_cache"))
+    assert diff["processor.plan_cache.misses"] == 1 and len(calls) == 1
+    assert diff["processor.plan_cache.hits"] == 3
+    assert all(run.plan is runs[0].plan for run in runs)
+    expected = pack_relation(
+        reference_result(processor, GROUPED_SQL, "fig4", apply_rewriting=False)
+    )
+    assert all(pack_relation(run.result) == expected for run in runs)
+
+
+def test_a_planner_that_stores_nothing_hands_the_text_on():
+    """A submission that plans nothing (rejected, or failed) releases its
+    text: the next waiting caller becomes its planner."""
+    import threading
+
+    from repro.processor.plan_cache import PlanCache
+
+    cache = PlanCache()
+    assert cache.get("text") is None
+    outcome = []
+    waiter = threading.Thread(target=lambda: outcome.append(cache.get("text")))
+    waiter.start()
+    waiter.join(0.1)
+    assert waiter.is_alive()
+    cache.release("text")
+    waiter.join(10)
+    assert outcome == [None]
+    cache.release("text")

@@ -378,11 +378,13 @@ def test_aggregate_states_are_packed_once(monkeypatch, execution):
     """On the 8-sensor GROUP BY, a partial/combine task packs its state
     once: the same bytes are its checkpoint and its shipment, which its
     reader decodes, and the partial's length is what the state-size
-    feedback records.  Only the other shipments pack on their own."""
+    feedback records.  The finalize and step A pack their outputs once
+    too (their node keeps them; the release's bytes are its shipment to
+    the cloud), and no shipment packs on its own."""
     from benchmarks.e2e.workloads import GROUPBY_SQL, occupancy_policy
     from repro.engine import wire
     from repro.processor import network as network_module
-    from repro.runtime import dag as dag_module, memo as memo_module
+    from repro.runtime import dag as dag_module, memo as memo_module, tasks as tasks_module
     from repro.runtime.tasks import ExecutionContext
     from repro.sensors.scenario import INTEGRATED_SCHEMA
 
@@ -411,7 +413,7 @@ def test_aggregate_states_are_packed_once(monkeypatch, execution):
             checkpoints.append((task.kind, task.node, context.payloads[task.task_id]))
         return real_save(context, task, relation)
 
-    for module in (wire, network_module, memo_module):
+    for module in (wire, network_module, memo_module, tasks_module):
         monkeypatch.setattr(module, "pack_relation", pack)
     for module in (wire, network_module):
         monkeypatch.setattr(module, "unpack_relation", unpack)
@@ -427,7 +429,8 @@ def test_aggregate_states_are_packed_once(monkeypatch, execution):
     kinds = [kind for kind, _, _ in checkpoints]
     assert kinds.count("partial") == 8 and kinds.count("combine") == 3
     transfers = result.transfers.snapshot()
-    assert len(packed) == len(checkpoints) + 1 == 12  # + the result to the cloud
+    # + the finalize's output and step A's release, sent to the cloud
+    assert len(packed) == len(checkpoints) + 2 == 13
     assert len(transfers) == len(shipped) == 12
     for _, node, payload in checkpoints:
         # Shipped as the very bytes the task packed, logged at their length.

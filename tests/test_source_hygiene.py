@@ -196,7 +196,7 @@ def test_the_private_check_sees_functions_classes_and_constants():
 
 #: The accessors of the stores of kept work, and the classes that define
 #: them; only these classes and ``runtime/memo.py`` may call them.
-KEPT_STORES = {"kept_states": "Relation", "kept_combines": "NetworkSimulator"}
+KEPT_STORES = {"kept_states": "Relation", "kept_outputs": "NetworkSimulator"}
 
 
 def kept_store_calls(source: str) -> List[Tuple[str, int]]:
@@ -242,6 +242,6 @@ def test_the_store_check_allows_only_the_defining_class():
         "    def copy(self): return self.kept_states()\n"
         "class NetworkSimulator:\n"
         "    def drop(self, chunk): chunk.kept_states().clear()\n"
-        "def clear(network): network.kept_combines('pc').clear()\n"
+        "def clear(network): network.kept_outputs('pc').clear()\n"
     )
-    assert kept_store_calls(source) == [("kept_states", 5), ("kept_combines", 6)]
+    assert kept_store_calls(source) == [("kept_states", 5), ("kept_outputs", 6)]

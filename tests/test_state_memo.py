@@ -287,11 +287,13 @@ def test_a_hit_is_traced_but_not_calibrated():
     processor.process(SQL, "ActionFilter", **OPTIONS)
     run = processor.process(SQL, "ActionFilter", profile=True, **OPTIONS)
     spans = [span for span in run.trace.spans if span.attrs.get("memo")]
-    assert [span.attrs["memo"] for span in spans] == ["hit"]
+    # The leaf partial and the finalize, whose input bytes did not change.
+    assert [span.attrs["memo"] for span in spans] == ["hit", "hit"]
     assert run.profile.scan_paths["state_memo.hits"] == 1
+    assert run.profile.scan_paths["state_memo.finalize_hits"] == 1
     assert "memo hit" in run.profile.render()
     kinds = {entry.kind for entry in run.profile.calibration.kinds}
-    assert "partial" not in kinds and "finalize_agg" in kinds
+    assert "partial" not in kinds and "finalize_agg" not in kinds and "finalize" in kinds
     [record] = [e for e in run.executions if e.fragment_name.endswith("~partial[sensor]")]
     assert record.input_rows == 2400
 
@@ -312,17 +314,22 @@ def _count_unpacks(monkeypatch) -> list:
 
 def test_a_hit_ships_its_bytes_undecoded(monkeypatch):
     """A hit's output is its kept bytes: the shipment sends them, and the
-    combines receiving them find the inputs they kept and output their
-    own kept bytes, so only the finalize decodes (the PC's state); no
-    sender decodes."""
+    combines and the finalize receiving them find the inputs they kept
+    and output their own kept bytes, so only the cloud decodes (the
+    finalize's output); no sender decodes."""
     processor = _processor()
     expected = _expected(processor)
     _run(processor)
     decoded = _count_unpacks(monkeypatch)
     run = processor.process(SQL, "ActionFilter", **OPTIONS)
     assert pack_relation(run.result) == expected
-    [pc] = processor.network.kept_combines("pc").values()
-    assert decoded == [pc.state.rows]
+    [finalize] = [
+        entry
+        for node in processor.network.topology
+        for key, entry in processor.network.kept_outputs(node.name).items()
+        if key[-1] == "finalize"
+    ]
+    assert decoded == [finalize.output.rows]
     leaves = [t for t in run.transfers.snapshot() if t.source.startswith("sensor_")]
     kept = {
         holder: next(iter(_chunk(processor, index).kept_states().values())).state
@@ -391,17 +398,18 @@ def test_a_kill_after_a_hit_replans_from_its_checkpoint():
 
 
 def test_hits_and_folds_under_processes():
-    """On the process backend a hit, of a leaf or a combine, dispatches no
-    job and ships its kept bytes; a fold dispatches two (the appended
-    rows' partial and the combine).  Both give the reference bytes."""
+    """On the process backend a hit, of a leaf, a combine or the
+    finalize, dispatches no job and ships its kept bytes; a fold
+    dispatches two (the appended rows' partial and the combine).  Both
+    give the reference bytes."""
     processor = _processor(workers="processes", process_workers=1)
     expected = _expected(processor)
     assert _run(processor) == (expected, (0, 8))
     dispatcher = processor._process_dispatcher()
     jobs = dispatcher.jobs
     assert _run(processor) == (expected, (8, 0))
-    # The finalize; no leaf or combine runs.
-    assert dispatcher.jobs - jobs == 1
+    # No leaf, combine or finalize runs.
+    assert dispatcher.jobs - jobs == 0
     _append(processor)
     expected = _expected(processor)
     folds, jobs = _folds(), dispatcher.jobs
@@ -625,28 +633,55 @@ def test_sessions_racing_over_appends_read_their_batch():
 # ---------------------------------------------------------------------------
 
 
+#: Per workload, the kept-output hits of one read after the first, by
+#: stage op: the group-by's finalize runs at the PC, the chain's at the
+#: appliance, whose output the PC's window stage (``query``) reads.
+BENCHMARK_HITS = {
+    "paper_chain_30k": {"combine": 0, "finalize": 1, "query": 1, "anonymize": 1},
+    "groupby_tree_30k": {"combine": 3, "finalize": 1, "query": 0, "anonymize": 1},
+}
+
+
+def _output_counts():
+    return {
+        op: (
+            registry.value(f"runtime.state_memo.{op}_hits"),
+            registry.value(f"runtime.state_memo.{op}_misses"),
+        )
+        for op in ("combine", "finalize", "union", "query", "anonymize")
+    }
+
+
 @pytest.mark.parametrize(
-    "workload, leaves, combines",
-    [("paper_chain_30k", 1, 0), ("groupby_tree_30k", 8, 3)],
+    "workload, leaves",
+    [("paper_chain_30k", 1), ("groupby_tree_30k", 8)],
 )
-def test_benchmark_reads_hit_every_leaf(workload, leaves, combines):
-    """After the first read every leaf partial and every combine of the
-    chain's and the group-by's reads is a hit: the traced split counts one
-    partial-protocol call per op, the finalize."""
+def test_benchmark_reads_hit_every_leaf(workload, leaves):
+    """After the first read every leaf partial and every task after it
+    that runs in the apartment (combines, the finalize, the chain's
+    window stage, step A) is a hit: the traced split counts no engine
+    call and no anonymization, and one decode per op, the cloud's."""
     spec = WORKLOADS[workload]
     inputs = spec.inputs(0, 2000, 4)
     system = spec.setup(inputs)
     try:
         system.execute(inputs.ops[0])
-        before = _counts() + _combine_counts()
+        before, outputs = _counts(), _output_counts()
         with LayerTracer() as tracer:
             for op in inputs.ops[1:]:
                 system.execute(op)
-        after = _counts() + _combine_counts()
+        after, outputs_after = _counts(), _output_counts()
     finally:
         system.close()
     reads = len(inputs.ops) - 1
-    assert tuple(a - b for a, b in zip(after, before)) == (
-        leaves * reads, 0, combines * reads, 0
-    )
-    assert tracer.totals["engine.partial"][0] == reads
+    assert tuple(a - b for a, b in zip(after, before)) == (leaves * reads, 0)
+    assert {
+        op: (hits - outputs[op][0], misses - outputs[op][1])
+        for op, (hits, misses) in outputs_after.items()
+    } == {
+        op: (hits * reads, 0)
+        for op, hits in dict(BENCHMARK_HITS[workload], union=0).items()
+    }
+    for layer in ("engine.partial", "engine.query", "anonymize"):
+        assert tracer.totals[layer][0] == 0, layer
+    assert tracer.totals["wire.unpack"][0] == reads
